@@ -135,7 +135,7 @@ func TestFlagValidation(t *testing.T) {
 
 // TestEndToEnd drives the full acceptance flow: build from a generated
 // .fdb, answer exact and rolled-up cell queries matching the library's own
-// QueryGraph output, reload, and shut down gracefully.
+// Answer output, reload, and shut down gracefully.
 func TestEndToEnd(t *testing.T) {
 	path, ds := writeDataset(t)
 	base, shutdown := startServer(t, "-in", path, "-minsup", "0.05", "-quiet")
@@ -167,11 +167,11 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, exact, ok := cube.QueryGraph(core.CuboidSpec{Item: il, PathLevel: 0}, values)
-	if !ok || !exact {
-		t.Fatal("reference apex query failed")
+	ref, err := cube.Answer(context.Background(), core.Query{Spec: core.CuboidSpec{Item: il, PathLevel: 0}, Values: values})
+	if err != nil || !ref.Cells[0].Exact {
+		t.Fatalf("reference apex query failed: %v", err)
 	}
-	if string(dot) != g.DOT(spec) {
+	if string(dot) != ref.Cells[0].Graph.DOT(spec) {
 		t.Errorf("served DOT differs from reference build")
 	}
 

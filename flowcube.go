@@ -55,8 +55,7 @@
 // cuboid (certified against the cell's census count, so the fold is exact
 // or refused), and AncestorFallback for the paper's roll-up inference. The
 // materialization planner in internal/olap exploits the computed path to
-// drop cuboids whose cells stay answerable; QueryGraph remains as a
-// deprecated single-cell wrapper. See DESIGN.md §12.
+// drop cuboids whose cells stay answerable. See DESIGN.md §12.
 //
 // # Streaming append
 //

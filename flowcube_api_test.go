@@ -2,6 +2,7 @@ package flowcube_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -76,13 +77,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	_ = cell.Graph.String()
 
-	g, _, exact, ok := cube.QueryGraph(
-		flowcube.CuboidSpec{Item: flowcube.ItemLevel{3, 2}, PathLevel: 0},
-		[]flowcube.NodeID{product.MustLookup("shirt"), brand.MustLookup("nike")})
-	if !ok || exact {
-		t.Fatalf("roll-up inference failed: ok=%v exact=%v", ok, exact)
+	a, err := cube.Answer(context.Background(), flowcube.Query{
+		Spec:   flowcube.CuboidSpec{Item: flowcube.ItemLevel{3, 2}, PathLevel: 0},
+		Values: []flowcube.NodeID{product.MustLookup("shirt"), brand.MustLookup("nike")}})
+	if err != nil || a.Cells[0].Exact {
+		t.Fatalf("roll-up inference failed: err=%v answer=%+v", err, a)
 	}
-	if g.Paths() < 2 {
+	if a.Cells[0].Graph.Paths() < 2 {
 		t.Errorf("inferred graph too small")
 	}
 }

@@ -96,21 +96,23 @@ func TestResolveGraphSentinel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Only ⟨(2,2)⟩ is materialized.
+	spec := flowcube.CuboidSpec{Item: flowcube.ItemLevel{2, 2}, PathLevel: 0}
+	cfg.Cuboids = []flowcube.CuboidSpec{spec}
 	cube, err := flowcube.Build(db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := flowcube.CuboidSpec{Item: flowcube.ItemLevel{2, 2}, PathLevel: 0}
-	if _, _, _, err := cube.ResolveGraph(spec, []flowcube.NodeID{
+	if _, err := cube.Answer(context.Background(), flowcube.Query{Spec: spec, Values: []flowcube.NodeID{
 		product.MustLookup("shoes"), brand.MustLookup("nike"),
-	}); err != nil {
+	}}); err != nil {
 		t.Fatalf("materialized cell: %v", err)
 	}
-	// A path level outside the plan has no materialized cuboids at all, so
-	// not even roll-up inference can answer — a genuine miss.
-	missSpec := flowcube.CuboidSpec{Item: flowcube.ItemLevel{2, 2}, PathLevel: 7}
-	_, _, _, err = cube.ResolveGraph(missSpec, []flowcube.NodeID{
-		product.MustLookup("shoes"), brand.MustLookup("nike"),
+	// The apex has no cell, no census twin to certify a fold against, and
+	// no ancestors for roll-up inference to reach — a genuine miss.
+	_, err = cube.Answer(context.Background(), flowcube.Query{
+		Spec:   flowcube.CuboidSpec{Item: flowcube.ItemLevel{0, 0}, PathLevel: 0},
+		Values: []flowcube.NodeID{flowcube.RootConcept, flowcube.RootConcept},
 	})
 	if !errors.Is(err, flowcube.ErrCellNotFound) {
 		t.Fatalf("missing cell: got %v, want ErrCellNotFound", err)

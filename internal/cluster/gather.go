@@ -95,7 +95,7 @@ func alignedCensus(a, b []server.CuboidJSON) error {
 // nil when shard i failed (transport error or non-200); results[i] has the
 // detail.
 func (rt *Router) scatterCuboids(ctx context.Context) ([]*server.CuboidsResponse, []shardResult) {
-	results := rt.scatter(ctx, http.MethodGet, "/v1/cuboids", nil, "", rt.cfg.ShardTimeout, -1)
+	results := rt.scatter(ctx, http.MethodGet, "/v1/cuboids", nil, "", rt.cfg.ShardTimeout, nil)
 	parsed := make([]*server.CuboidsResponse, len(results))
 	for i, res := range results {
 		if res.Err != nil || res.Status != http.StatusOK {
@@ -176,14 +176,14 @@ func partial(w http.ResponseWriter, failed []string) {
 	}
 }
 
-// handleCuboids serves the merged cuboid census in the single-node
-// response shape.
-func (rt *Router) handleCuboids(w http.ResponseWriter, r *http.Request) {
+// mergedCuboids scatters /v1/cuboids and merges the answers into the
+// single-node response shape.
+func (rt *Router) mergedCuboids(w http.ResponseWriter, r *http.Request) (server.CuboidsResponse, bool) {
 	parsed, results := rt.scatterCuboids(r.Context())
 	m, err := rt.mergeCensus(parsed, results)
 	if err != nil {
-		writeError(w, &httpError{http.StatusBadGateway, err.Error()})
-		return
+		server.WriteError(w, gatewayError("%v", err))
+		return server.CuboidsResponse{}, false
 	}
 	resp := server.CuboidsResponse{
 		Source:     rt.cfg.Source,
@@ -197,48 +197,23 @@ func (rt *Router) handleCuboids(w http.ResponseWriter, r *http.Request) {
 		resp.Dimensions = append(resp.Dimensions, h.Dimension())
 	}
 	partial(w, m.failed)
-	writeJSON(w, http.StatusOK, resp)
+	return resp, true
 }
 
-// handleSummary rebuilds the single-node /v1/summary body from the merged
-// census: same field derivations, same largest-cuboid ordering and cap as
-// server.renderSummary, so the output is byte-identical to a single server
-// over the unsplit cube (source and loaded_at aside).
+// handleCuboids serves the merged cuboid census.
+func (rt *Router) handleCuboids(w http.ResponseWriter, r *http.Request) {
+	if resp, ok := rt.mergedCuboids(w, r); ok {
+		server.WriteJSON(w, http.StatusOK, resp)
+	}
+}
+
+// handleSummary derives /v1/summary from the merged census exactly as a
+// single node derives it from its own, so the output is byte-identical to a
+// single server over the unsplit cube (source and loaded_at aside).
 func (rt *Router) handleSummary(w http.ResponseWriter, r *http.Request) {
-	parsed, results := rt.scatterCuboids(r.Context())
-	m, err := rt.mergeCensus(parsed, results)
-	if err != nil {
-		writeError(w, &httpError{http.StatusBadGateway, err.Error()})
-		return
+	if resp, ok := rt.mergedCuboids(w, r); ok {
+		server.WriteJSON(w, http.StatusOK, resp.Summary())
 	}
-	resp := server.SummaryResponse{
-		Source:     rt.cfg.Source,
-		LoadedAt:   m.loadedAt,
-		PathLevels: len(rt.meta.Symbols.PathLevels()),
-		MinCount:   rt.meta.MinCount(),
-		Cuboids:    len(m.cuboids),
-		Cells:      m.cells,
-	}
-	for _, h := range rt.meta.Schema.Dims {
-		resp.Dimensions = append(resp.Dimensions, h.Dimension())
-	}
-	for _, c := range m.cuboids {
-		if c.Cells == 0 {
-			continue
-		}
-		resp.Largest = append(resp.Largest, c)
-	}
-	sort.Slice(resp.Largest, func(i, j int) bool {
-		if resp.Largest[i].Cells != resp.Largest[j].Cells {
-			return resp.Largest[i].Cells > resp.Largest[j].Cells
-		}
-		return resp.Largest[i].Key < resp.Largest[j].Key
-	})
-	if len(resp.Largest) > 20 {
-		resp.Largest = resp.Largest[:20]
-	}
-	partial(w, m.failed)
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // exceptionItem carries one shard exception with the keys its global
@@ -260,16 +235,12 @@ type exceptionItem struct {
 // then per-cell mining order — preserved inside each shard's stable-sorted
 // list), then stable-sorted with the same comparator.
 func (rt *Router) handleExceptions(w http.ResponseWriter, r *http.Request) {
-	k := 20
-	if kq := r.URL.Query().Get("k"); kq != "" {
-		n, err := strconv.Atoi(kq)
-		if err != nil || n < 0 {
-			writeError(w, &httpError{http.StatusBadRequest, fmt.Sprintf("bad k %q", kq)})
-			return
-		}
-		k = n
+	k, err := server.ExceptionsK(r.URL.Query())
+	if err != nil {
+		server.WriteError(w, err)
+		return
 	}
-	results := rt.scatter(r.Context(), http.MethodGet, "/v1/exceptions?k="+strconv.Itoa(k), nil, "", rt.cfg.ShardTimeout, -1)
+	results := rt.scatter(r.Context(), http.MethodGet, "/v1/exceptions?k="+strconv.Itoa(k), nil, "", rt.cfg.ShardTimeout, nil)
 	var items []exceptionItem
 	var failed []string
 	responded := 0
@@ -282,14 +253,14 @@ func (rt *Router) handleExceptions(w http.ResponseWriter, r *http.Request) {
 			Exceptions []server.ExceptionJSON `json:"exceptions"`
 		}
 		if err := json.Unmarshal(res.Body, &body); err != nil {
-			writeError(w, &httpError{http.StatusBadGateway, fmt.Sprintf("shard %s answered an unparseable exceptions response: %v", res.Shard, err)})
+			server.WriteError(w, gatewayError("shard %s answered an unparseable exceptions response: %v", res.Shard, err))
 			return
 		}
 		responded++
 		for pos, x := range body.Exceptions {
 			ck, err := rt.exceptionCellKey(x)
 			if err != nil {
-				writeError(w, &httpError{http.StatusBadGateway, fmt.Sprintf("shard %s: %v", res.Shard, err)})
+				server.WriteError(w, gatewayError("shard %s: %v", res.Shard, err))
 				return
 			}
 			sev := x.DurationDeviation
@@ -300,7 +271,7 @@ func (rt *Router) handleExceptions(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if responded == 0 {
-		writeError(w, &httpError{http.StatusBadGateway, "no shard answered the exceptions scatter"})
+		server.WriteError(w, gatewayError("no shard answered the exceptions scatter"))
 		return
 	}
 	// Visit-order arrangement. Same-cell items share a shard, and that
@@ -336,7 +307,7 @@ func (rt *Router) handleExceptions(w http.ResponseWriter, r *http.Request) {
 		out = append(out, it.x)
 	}
 	partial(w, failed)
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"exceptions": out,
 	})
 }
@@ -366,8 +337,8 @@ func (rt *Router) exceptionCellKey(x server.ExceptionJSON) (string, error) {
 // divergent until it is re-split.
 func (rt *Router) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if rt.meta.Config.Tau > 0 {
-		writeError(w, &httpError{http.StatusConflict,
-			"cluster append is not supported with redundancy marking (tau > 0): re-marking needs item-lattice parents that live on other shards; rebuild and re-split instead"})
+		server.WriteError(w, &server.HTTPError{Status: http.StatusConflict,
+			Msg: "cluster append is not supported with redundancy marking (tau > 0): re-marking needs item-lattice parents that live on other shards; rebuild and re-split instead"})
 		return
 	}
 	// Reject garbage before any shard sees it: a batch that fails to parse
@@ -383,71 +354,51 @@ func (rt *Router) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeError(w, &httpError{http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds the %d-byte append limit", mbe.Limit)})
+			server.WriteError(w, &server.HTTPError{Status: http.StatusRequestEntityTooLarge,
+				Msg: fmt.Sprintf("request body exceeds the %d-byte append limit", mbe.Limit)})
 			return
 		}
-		writeError(w, &httpError{http.StatusBadRequest, err.Error()})
+		server.WriteError(w, &server.HTTPError{Status: http.StatusBadRequest, Msg: err.Error()})
 		return
 	}
 	body := buf.Bytes()
 	if batchDB.Len() == 0 {
-		writeError(w, &httpError{http.StatusBadRequest,
-			"empty batch: body must hold at least one record line (dim,...|loc:dur ...)"})
+		server.WriteError(w, &server.HTTPError{Status: http.StatusBadRequest,
+			Msg: "empty batch: body must hold at least one record line (dim,...|loc:dur ...)"})
 		return
 	}
 
 	// No per-shard timeout: cutting a shard off mid-append guarantees the
 	// divergence the all-or-nothing report exists to flag. The client's
 	// request context still bounds the whole fan-out.
-	results := rt.scatter(r.Context(), http.MethodPost, "/admin/append", body, "text/plain; charset=utf-8", 0, -1)
-	type shardReport struct {
-		Shard    string          `json:"shard"`
-		Status   int             `json:"status,omitempty"`
-		Response json.RawMessage `json:"response,omitempty"`
-		Error    string          `json:"error,omitempty"`
-	}
-	reports := make([]shardReport, len(results))
-	ok := 0
-	for i, res := range results {
-		sr := shardReport{Shard: res.Shard, Status: res.Status}
-		switch {
-		case res.Err != nil:
-			sr.Error = res.Err.Error()
-		case res.Status != http.StatusOK:
-			sr.Error = string(res.Body)
-		default:
-			sr.Response = json.RawMessage(res.Body)
-			ok++
-		}
-		reports[i] = sr
-	}
+	results := rt.scatter(r.Context(), http.MethodPost, "/admin/append", body, "text/plain; charset=utf-8", 0, nil)
+	reports, ok := shardReports(results)
 	if ok != len(results) {
-		writeJSON(w, http.StatusBadGateway, map[string]any{
+		server.WriteJSON(w, http.StatusBadGateway, map[string]any{
 			"error":  fmt.Sprintf("append applied on %d of %d shards; the fleet may be divergent — re-split the snapshot before trusting merged answers", ok, len(results)),
 			"shards": reports,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":  "appended",
 		"records": batchDB.Len(),
 		"shards":  reports,
 	})
 }
 
-// handleReload fans POST /admin/reload to every shard with the same
-// all-or-nothing reporting as append.
-func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
-	results := rt.scatter(r.Context(), http.MethodPost, "/admin/reload", nil, "", 0, -1)
-	type shardReport struct {
-		Shard    string          `json:"shard"`
-		Status   int             `json:"status,omitempty"`
-		Response json.RawMessage `json:"response,omitempty"`
-		Error    string          `json:"error,omitempty"`
-	}
-	reports := make([]shardReport, len(results))
-	ok := 0
+// shardReport is one shard's outcome in an all-or-nothing fan-out response.
+type shardReport struct {
+	Shard    string          `json:"shard"`
+	Status   int             `json:"status,omitempty"`
+	Response json.RawMessage `json:"response,omitempty"`
+	Error    string          `json:"error,omitempty"`
+}
+
+// shardReports renders a fan-out's results and counts the shards that
+// answered 200.
+func shardReports(results []shardResult) (reports []shardReport, ok int) {
+	reports = make([]shardReport, len(results))
 	for i, res := range results {
 		sr := shardReport{Shard: res.Shard, Status: res.Status}
 		switch {
@@ -461,11 +412,19 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 		}
 		reports[i] = sr
 	}
+	return reports, ok
+}
+
+// handleReload fans POST /admin/reload to every shard with the same
+// all-or-nothing reporting as append.
+func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
+	results := rt.scatter(r.Context(), http.MethodPost, "/admin/reload", nil, "", 0, nil)
+	reports, ok := shardReports(results)
 	status, code := "reloaded", http.StatusOK
 	if ok != len(results) {
 		status, code = "partial", http.StatusBadGateway
 	}
-	writeJSON(w, code, map[string]any{
+	server.WriteJSON(w, code, map[string]any{
 		"status": status,
 		"shards": reports,
 	})

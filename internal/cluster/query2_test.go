@@ -1,10 +1,10 @@
 package cluster_test
 
-// Routed /v2/query tests: the owner fast path for materialized cells, the
-// router-side scattered fold for cells of planner-dropped cuboids (the
-// census certificate makes it exact or refused, never wrong), the ranked
-// ancestor fallback under nocompute, local roll-up resolution, and the 501
-// for multi-cell ops.
+// Routed cell-query tests: materialized cells, the scattered fold for cells
+// of planner-dropped cuboids (the census certificate makes it exact or
+// refused, never wrong), ancestor fallback, roll-up, the 501 for multi-cell
+// ops — and, for every cell the schema can name, byte parity with a single
+// node over the same pruned cube on both wire formats.
 
 import (
 	"context"
@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"flowcube/internal/core"
+	"flowcube/internal/hierarchy"
 	"flowcube/internal/olap"
 	"flowcube/internal/paperex"
 	"flowcube/internal/pathdb"
@@ -27,13 +28,24 @@ import (
 // reconstruction.
 func prunedPaperex(t *testing.T) (eager, pruned *core.Cube, res *olap.PlanResult) {
 	t.Helper()
+	eager, pruned, res = prunedPaperexTau(t, 0)
+	if len(res.Dropped) == 0 {
+		t.Fatal("planner dropped nothing; the routed-fold test needs computed cells")
+	}
+	return eager, pruned, res
+}
+
+// prunedPaperexTau is prunedPaperex with redundancy marking at tau, where
+// the planner may legitimately find nothing to drop.
+func prunedPaperexTau(t *testing.T, tau float64) (eager, pruned *core.Cube, res *olap.PlanResult) {
+	t.Helper()
 	build := func() *core.Cube {
 		ex := paperex.New()
 		plan := transact.Plan{PathLevels: []pathdb.PathLevel{
 			ex.BasePathLevel(),
 			ex.TransportPathLevel(),
 		}}
-		cube, err := core.Build(ex.DB, core.Config{MinCount: 1, Plan: plan})
+		cube, err := core.Build(ex.DB, core.Config{MinCount: 1, Tau: tau, Plan: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,9 +55,6 @@ func prunedPaperex(t *testing.T) (eager, pruned *core.Cube, res *olap.PlanResult
 	res, err := olap.Prune(context.Background(), pruned, olap.PlannerConfig{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(res.Dropped) == 0 {
-		t.Fatal("planner dropped nothing; the routed-fold test needs computed cells")
 	}
 	return eager, pruned, res
 }
@@ -68,8 +77,8 @@ type queryBody struct {
 }
 
 // TestRouterQueryV2 splits a planner-pruned cube and checks the routed v2
-// surface: every cell of the eager cube — materialized (owner relay),
-// dropped (router-side scattered fold), and inferred — answers byte-for-byte
+// surface: every cell of the eager cube — materialized (one owner lookup),
+// dropped (scattered fold), and inferred — answers byte-for-byte
 // as a single node over the same pruned cube, and a dropped cuboid's cell
 // carries computed provenance with the eager cell's exact count.
 func TestRouterQueryV2(t *testing.T) {
@@ -123,22 +132,11 @@ func TestRouterQueryV2(t *testing.T) {
 	}
 
 	// With reconstruction disabled the same cell answers by ancestor
-	// inference, ranked across shards exactly as a single node discovers it.
+	// inference, found in the order a single node discovers it.
 	fx.assertSame(t, computedURL+"&nocompute=1", false)
 
-	// A roll-up resolves on the router's metadata snapshot and routes as the
-	// target cell query.
-	rec = get(fx.router.Handler(), "/v2/query?op=rollup&cell=product=shoes,brand=nike&dim=product")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("routed rollup: status %d: %s", rec.Code, rec.Body)
-	}
-	body = queryBody{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	if len(body.Cells) != 1 || body.Cells[0].Cell != "product=clothing,brand=nike" {
-		t.Fatalf("routed rollup answered %+v, want product=clothing,brand=nike", body.Cells)
-	}
+	// A roll-up answers as on a single node, op echoed.
+	fx.assertSame(t, "/v2/query?op=rollup&cell=product=shoes,brand=nike&dim=product", false)
 
 	// Multi-cell ops need cross-shard enumeration the router does not do.
 	rec = get(fx.router.Handler(), "/v2/query?op=slice&select=brand=nike")
@@ -153,5 +151,112 @@ func TestRouterQueryV2(t *testing.T) {
 	rec = get(fx.router.Handler(), "/v2/query?op=pivot")
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("routed bad op: status %d, want 400: %s", rec.Code, rec.Body)
+	}
+}
+
+// everyCell enumerates every value tuple the cube's schema can name — each
+// dimension ranging over its whole hierarchy, '*' included — at every path
+// level, as (cell spec, path level) pairs.
+func everyCell(cube *core.Cube) (cells []string, pathLevels int) {
+	tuples := [][]hierarchy.NodeID{nil}
+	for _, h := range cube.Schema.Dims {
+		var next [][]hierarchy.NodeID
+		for _, t := range tuples {
+			for id := 0; id < h.Len(); id++ {
+				next = append(next, append(append([]hierarchy.NodeID(nil), t...), hierarchy.NodeID(id)))
+			}
+		}
+		tuples = next
+	}
+	for _, v := range tuples {
+		cells = append(cells, core.FormatCell(cube.Schema, v))
+	}
+	return cells, len(cube.Symbols.PathLevels())
+}
+
+// cellParityURLs is the /v1/cell and /v2/query?op=cell request for every
+// cell: the subset on which the pre-AnswerFrom router diverged.
+func cellParityURLs(cube *core.Cube) (v1, v2 []string) {
+	cells, pls := everyCell(cube)
+	for _, c := range cells {
+		for pl := 0; pl < pls; pl++ {
+			v1 = append(v1, fmt.Sprintf("/v1/cell?cell=%s&pathlevel=%d", c, pl))
+			v2 = append(v2, fmt.Sprintf("/v2/query?op=cell&cell=%s&pathlevel=%d", c, pl))
+		}
+	}
+	return v1, v2
+}
+
+// v2ParityURLs widens the /v2 cell requests with nocompute and a roll-up
+// along each dimension (400 where the dimension is already '*').
+func v2ParityURLs(cube *core.Cube) []string {
+	_, v2 := cellParityURLs(cube)
+	urls := append([]string(nil), v2...)
+	for _, u := range v2 {
+		urls = append(urls, u+"&nocompute=1")
+		for _, h := range cube.Schema.Dims {
+			urls = append(urls, strings.Replace(u, "op=cell", "op=rollup&dim="+h.Dimension(), 1))
+		}
+	}
+	return urls
+}
+
+// TestRouterParityPrunedCube is the one-engine contract: over a
+// planner-pruned cube on three shards, every cell the schema can name
+// answers through the router exactly as on a single node — on /v1/cell
+// (json and dot) and on /v2/query (cell, nocompute, roll-up) — because both
+// run core's planner and internal/server's renderers, and only the cell
+// source differs. With redundancy marking on, a reconstruction also
+// re-marks the cell against parents fetched from other shards. With a shard
+// down, an answer is the single node's or a 502, never a different 200.
+func TestRouterParityPrunedCube(t *testing.T) {
+	_, pruned, _ := prunedPaperex(t)
+	fx := newFixture(t, pruned, 3)
+	v1, v2 := cellParityURLs(pruned)
+
+	// The subset the router's own planner used to get wrong: it 404ed 16 of
+	// the 64 /v1/cell answers and picked another ancestor for 1 of the 64
+	// /v2 ones. Every divergence is reported, not just the first.
+	t.Run("cells", func(t *testing.T) {
+		for _, u := range append(append([]string(nil), v1...), v2...) {
+			if d := fx.differs(u, false); d != "" {
+				t.Error(d)
+			}
+		}
+	})
+
+	all := append(append([]string(nil), v1...), v2ParityURLs(pruned)...)
+	for _, u := range v1 {
+		all = append(all, u+"&format=dot")
+	}
+	for _, u := range all {
+		fx.assertSame(t, u, false)
+	}
+
+	if _, prunedTau, res := prunedPaperexTau(t, 0.5); len(res.Dropped) == 0 {
+		t.Log("tau=0.5: the planner drops nothing, so no reconstruction re-marks redundancy; skipped")
+	} else {
+		fxTau := newFixture(t, prunedTau, 3)
+		for _, u := range v2ParityURLs(prunedTau) {
+			fxTau.assertSame(t, u, false)
+		}
+	}
+
+	fx.shards[2].Close()
+	answered, refused := 0, 0
+	for _, u := range all {
+		got := get(fx.router.Handler(), u)
+		if got.Code == http.StatusBadGateway {
+			refused++
+			continue
+		}
+		if want := get(fx.single.Handler(), u); got.Code != want.Code || got.Body.String() != want.Body.String() {
+			t.Fatalf("%s with a shard down: router answered %d, neither a 502 nor the single node's %d\nrouter: %s\nsingle: %s",
+				u, got.Code, want.Code, got.Body, want.Body)
+		}
+		answered++
+	}
+	if answered == 0 || refused == 0 {
+		t.Fatalf("with a shard down %d requests answered and %d were refused; the fixture should exercise both", answered, refused)
 	}
 }

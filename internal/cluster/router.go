@@ -3,37 +3,34 @@ package cluster
 // The stateless scatter-gather router: the single-node HTTP API of
 // internal/server, served over a fleet of shard servers. The router holds
 // only a snapshot's metadata (core.LoadMeta) — schema, plan, thresholds —
-// which is enough to validate requests, route /v1/cell to the owning shard,
-// and merge scattered answers deterministically. It keeps no cells, so any
-// number of router replicas can front the same fleet.
+// which is enough to parse requests, plan cell queries over cells fetched
+// from the shards that own them (remote.go), and merge scattered census
+// answers deterministically. It keeps no cells, so any number of router
+// replicas can front the same fleet.
 //
 // Response compatibility is a hard contract: for a cube and its split
-// shards, the router's /v1/cell, /v1/summary, /v1/exceptions and
-// /v1/cuboids bodies are byte-identical to a single flowserve over the
-// unsplit cube (modulo the instance-specific source and loaded_at fields of
-// the census endpoints). The merge logic below mirrors the single-node code
-// paths — same validation order, same error strings, same JSON encoder
-// settings, same sort comparators — and the tests assert the bytes.
+// shards, the router's /v1/cell, /v2/query (op=cell|rollup), /v1/summary,
+// /v1/exceptions and /v1/cuboids bodies are byte-identical to a single
+// flowserve over the unsplit cube (modulo the instance-specific source and
+// loaded_at fields of the census endpoints). Cell queries get there by
+// construction — internal/server's parsers, core's planner and
+// internal/server's renderers, over a remote cell source; the census merges
+// (gather.go) by the same sort comparators. The tests assert the bytes.
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http"
-	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"flowcube/internal/core"
-	"flowcube/internal/hierarchy"
 	"flowcube/internal/server"
 )
 
@@ -151,8 +148,8 @@ func (rt *Router) routeTable() http.Handler {
 		return http.TimeoutHandler(h, rt.cfg.RequestTimeout,
 			`{"error":"request timed out"}`)
 	}
-	mux.Handle("GET /v1/cell", timeout(rt.handleCell))
-	mux.Handle("GET /v2/query", timeout(rt.handleQueryV2))
+	mux.Handle("GET /v1/cell", timeout(rt.handleQuery(server.ParseCellRequest)))
+	mux.Handle("GET /v2/query", timeout(rt.handleQuery(server.ParseQueryRequest)))
 	mux.Handle("GET /v1/summary", timeout(rt.handleSummary))
 	mux.Handle("GET /v1/exceptions", timeout(rt.handleExceptions))
 	mux.Handle("GET /v1/cuboids", timeout(rt.handleCuboids))
@@ -160,69 +157,27 @@ func (rt *Router) routeTable() http.Handler {
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	mux.HandleFunc("POST /admin/append", rt.handleAppend)
 	mux.HandleFunc("POST /admin/reload", rt.handleReload)
-	return rt.instrument(mux)
+	return server.Instrument(mux, rt.logger, rt.observe)
 }
 
-func (rt *Router) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		elapsed := time.Since(start)
-		route := r.Method + " " + r.URL.Path
-		rt.mu.Lock()
-		rc := rt.routes[route]
-		if rc == nil {
-			rc = &routeCount{}
-			rt.routes[route] = rc
-		}
-		rc.count++
-		if sw.status >= 400 {
-			rc.errors++
-		}
-		rt.mu.Unlock()
-		rt.logger.Printf("%s %s %d %s", r.Method, r.URL.RequestURI(), sw.status, elapsed.Round(time.Microsecond))
-	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// httpError, writeJSON and writeError mirror internal/server exactly: the
-// router's locally produced error bodies must be byte-identical to the
-// single-node server's.
-type httpError struct {
-	status int
-	msg    string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func errorStatus(err error) int {
-	var he *httpError
-	if errors.As(err, &he) {
-		return he.status
+// observe counts one served request for /metrics.
+func (rt *Router) observe(route string, status int, _ time.Duration) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rc := rt.routes[route]
+	if rc == nil {
+		rc = &routeCount{}
+		rt.routes[route] = rc
 	}
-	return http.StatusInternalServerError
+	rc.count++
+	if status >= 400 {
+		rc.errors++
+	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	writeJSON(w, errorStatus(err), map[string]string{"error": err.Error()})
+// gatewayError is a 502: a shard the answer needs failed or talked nonsense.
+func gatewayError(format string, args ...any) error {
+	return &server.HTTPError{Status: http.StatusBadGateway, Msg: fmt.Sprintf(format, args...)}
 }
 
 // shardResult is one shard call's outcome: transport errors in Err, HTTP
@@ -275,14 +230,14 @@ func (rt *Router) call(ctx context.Context, shard, method, pathQuery string, bod
 	return res
 }
 
-// scatter fans one request to every shard concurrently, returning results
-// indexed by shard. skip >= 0 leaves that slot zero for the caller to fill
-// (the owner fast path already holds its result).
-func (rt *Router) scatter(ctx context.Context, method, pathQuery string, body []byte, contentType string, timeout time.Duration, skip int) []shardResult {
+// scatter fans one request to the shards concurrently, returning results
+// indexed by shard. A non-nil want picks the shards to ask; the other slots
+// stay zero.
+func (rt *Router) scatter(ctx context.Context, method, pathQuery string, body []byte, contentType string, timeout time.Duration, want func(shard int) bool) []shardResult {
 	out := make([]shardResult, len(rt.shards))
 	var wg sync.WaitGroup
 	for i, shard := range rt.shards {
-		if i == skip {
+		if want != nil && !want(i) {
 			continue
 		}
 		wg.Add(1)
@@ -295,226 +250,10 @@ func (rt *Router) scatter(ctx context.Context, method, pathQuery string, body []
 	return out
 }
 
-// relay forwards a shard response verbatim: its content type, status, and
-// body bytes. This is what keeps routed /v1/cell responses byte-identical
-// to single-node ones.
-func relay(w http.ResponseWriter, res shardResult) {
-	if ct := res.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(res.Status)
-	w.Write(res.Body) //nolint:errcheck // client gone; nothing to do
-}
-
-// cellProbe is the slice of a shard's /v1/cell JSON body the router needs
-// to rank answers: whether the shard answered exactly, and which
-// materialized cell sourced the graph.
-type cellProbe struct {
-	Exact  bool `json:"exact"`
-	Source struct {
-		Cell string `json:"cell"`
-	} `json:"source"`
-}
-
-// handleCell answers a flowgraph query by routing to the owning shard and,
-// when roll-up inference is needed, scatter-gathering every shard's best
-// local answer and keeping the one the single-node BFS would have found
-// first. Local validation (format, pathlevel, cell spec) mirrors the
-// single-node handler exactly so error responses match byte for byte.
-func (rt *Router) handleCell(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	cellSpec := q.Get("cell")
-	format := q.Get("format")
-	if format == "" {
-		format = "json"
-	}
-	if format != "json" && format != "dot" {
-		writeError(w, &httpError{http.StatusBadRequest, fmt.Sprintf("unknown format %q, want json or dot", format)})
-		return
-	}
-	pathLevel := 0
-	if pl := q.Get("pathlevel"); pl != "" {
-		n, err := strconv.Atoi(pl)
-		if err != nil {
-			writeError(w, &httpError{http.StatusBadRequest, fmt.Sprintf("bad pathlevel %q", pl)})
-			return
-		}
-		pathLevel = n
-	}
-	il, values, err := core.ParseCellSpec(rt.meta.Schema, cellSpec)
-	if err != nil {
-		writeError(w, &httpError{http.StatusBadRequest, err.Error()})
-		return
-	}
-	if pathLevel < 0 || pathLevel >= len(rt.meta.Symbols.PathLevels()) {
-		writeError(w, &httpError{http.StatusBadRequest,
-			fmt.Sprintf("pathlevel %d out of range, cube has %d path levels", pathLevel, len(rt.meta.Symbols.PathLevels()))})
-		return
-	}
-	spec := core.CuboidSpec{Item: il, PathLevel: pathLevel}
-
-	// Probe in JSON regardless of the requested format: the probe body
-	// carries the source cell needed for ranking; a dot body does not. The
-	// winner is re-fetched as dot below when asked for.
-	probe := "/v1/cell?cell=" + url.QueryEscape(cellSpec) + "&pathlevel=" + strconv.Itoa(pathLevel)
-	ctx := r.Context()
-
-	// Owner fast path: the requested cell, if materialized at all, lives on
-	// exactly one shard. An exact answer there ends the query — no other
-	// shard can beat BFS rank 0.
-	owner := rt.part.Owner(values)
-	ownerRes := rt.call(ctx, rt.shards[owner], http.MethodGet, probe, nil, "", rt.cfg.ShardTimeout)
-	if ownerRes.Err == nil && ownerRes.Status == http.StatusOK {
-		var p cellProbe
-		if json.Unmarshal(ownerRes.Body, &p) == nil && p.Exact {
-			rt.relayCell(w, ctx, ownerRes, format, probe)
-			return
-		}
-	}
-
-	// Roll-up: every shard runs the same BFS over the same lattice, so each
-	// returns the globally first-discovered candidate it materializes. The
-	// discovery ranks below reproduce core.Cube.QueryGraph's probe order;
-	// the minimum rank across shards is exactly the single-node answer.
-	results := rt.scatter(ctx, http.MethodGet, probe, nil, "", rt.cfg.ShardTimeout, owner)
-	results[owner] = ownerRes
-	ranks := bfsRanks(rt.meta, spec, values)
-	best, bestRank := -1, 0
-	for i, res := range results {
-		if res.Err != nil {
-			writeError(w, &httpError{http.StatusBadGateway, fmt.Sprintf("shard %s unreachable: %v", res.Shard, res.Err)})
-			return
-		}
-		if res.Status == http.StatusNotFound {
-			continue
-		}
-		if res.Status != http.StatusOK {
-			writeError(w, &httpError{http.StatusBadGateway, fmt.Sprintf("shard %s answered status %d", res.Shard, res.Status)})
-			return
-		}
-		var p cellProbe
-		if err := json.Unmarshal(res.Body, &p); err != nil {
-			writeError(w, &httpError{http.StatusBadGateway, fmt.Sprintf("shard %s answered an unparseable cell response: %v", res.Shard, err)})
-			return
-		}
-		rank, ok := rt.sourceRank(ranks, p.Source.Cell, pathLevel)
-		if !ok {
-			writeError(w, &httpError{http.StatusBadGateway,
-				fmt.Sprintf("shard %s answered from cell %q, which the router's snapshot does not reach from %q", res.Shard, p.Source.Cell, cellSpec)})
-			return
-		}
-		if best < 0 || rank < bestRank {
-			best, bestRank = i, rank
-		}
-	}
-	if best < 0 {
-		// Every shard searched the whole lattice and found nothing — the
-		// single-node answer is the same 404; relay the owner's verbatim.
-		relay(w, ownerRes)
-		return
-	}
-	rt.relayCell(w, ctx, results[best], format, probe)
-}
-
-// relayCell forwards the winning shard's answer, re-fetching it as dot from
-// the same shard when that format was requested (the ranking probe is
-// always JSON).
-func (rt *Router) relayCell(w http.ResponseWriter, ctx context.Context, res shardResult, format, probe string) {
-	if format != "dot" {
-		relay(w, res)
-		return
-	}
-	dot := rt.call(ctx, res.Shard, http.MethodGet, probe+"&format=dot", nil, "", rt.cfg.ShardTimeout)
-	if dot.Err != nil {
-		writeError(w, &httpError{http.StatusBadGateway, fmt.Sprintf("shard %s unreachable: %v", res.Shard, dot.Err)})
-		return
-	}
-	if dot.Status != http.StatusOK {
-		writeError(w, &httpError{http.StatusBadGateway, fmt.Sprintf("shard %s answered status %d", dot.Shard, dot.Status)})
-		return
-	}
-	relay(w, dot)
-}
-
-// sourceRank resolves a shard's reported source cell to its BFS discovery
-// rank: the cell spec names round-trip through the shared schema, and the
-// item level is implied by the concept levels (core.ParseCellSpec), exactly
-// as the shard derived them.
-func (rt *Router) sourceRank(ranks map[string]int, sourceCell string, pathLevel int) (int, bool) {
-	il, values, err := core.ParseCellSpec(rt.meta.Schema, sourceCell)
-	if err != nil {
-		return 0, false
-	}
-	spec := core.CuboidSpec{Item: il, PathLevel: pathLevel}
-	rank, ok := ranks[spec.Key()+"|"+core.CellKey(values)]
-	return rank, ok
-}
-
-// bfsRanks assigns every cell the breadth-first search could probe its
-// discovery rank, reproducing core.Cube.QueryGraph's probe order: the
-// requested cell is rank 0, then item-lattice parents in ParentRefs
-// enumeration order, level by level, first discovery wins. QueryGraph's
-// expansion depends only on the schema and plan — not on which cells are
-// materialized — so these ranks are the same on every shard and on the
-// router.
-func bfsRanks(meta *core.Cube, spec core.CuboidSpec, values []hierarchy.NodeID) map[string]int {
-	type ref struct {
-		spec   core.CuboidSpec
-		values []hierarchy.NodeID
-	}
-	key := func(s core.CuboidSpec, v []hierarchy.NodeID) string {
-		return s.Key() + "|" + core.CellKey(v)
-	}
-	ranks := map[string]int{key(spec, values): 0}
-	frontier := []ref{{spec, values}}
-	for len(frontier) > 0 {
-		var next []ref
-		for _, r := range frontier {
-			for _, p := range meta.ParentRefs(r.spec, r.values) {
-				k := key(p.Spec, p.Values)
-				if _, seen := ranks[k]; seen {
-					continue
-				}
-				ranks[k] = len(ranks)
-				next = append(next, ref{p.Spec, p.Values})
-			}
-		}
-		frontier = next
-	}
-	return ranks
-}
-
 // Serve accepts connections on ln until ctx is cancelled, then shuts down
 // gracefully, draining in-flight requests bounded by RequestTimeout.
 func (rt *Router) Serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		// WithoutCancel: ctx is already done here; the drain deadline must
-		// not inherit its cancellation or Shutdown would return immediately.
-		shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), rt.cfg.RequestTimeout)
-		defer cancel()
-		err := srv.Shutdown(shutdownCtx)
-		<-errc
-		return err
-	}
-}
-
-// ListenAndServe binds addr and calls Serve.
-func (rt *Router) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	rt.logger.Printf("routing %d shards on %s", len(rt.shards), ln.Addr())
-	return rt.Serve(ctx, ln)
+	return server.Serve(ctx, ln, rt.handler, rt.cfg.RequestTimeout)
 }
 
 // handleMetrics reports the router's own counters; shard-level metrics live
@@ -526,7 +265,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		routes[route] = map[string]int64{"count": rc.count, "errors": rc.errors}
 	}
 	rt.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"uptime_seconds": time.Since(rt.start).Seconds(),
 		"shards":         rt.shards,
 		"shard_errors":   rt.shardErrors.Load(),
@@ -537,7 +276,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleHealthz aggregates shard liveness: 200 when every shard answers its
 // own /healthz, 503 with per-shard detail otherwise.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	results := rt.scatter(r.Context(), http.MethodGet, "/healthz", nil, "", rt.cfg.ShardTimeout, -1)
+	results := rt.scatter(r.Context(), http.MethodGet, "/healthz", nil, "", rt.cfg.ShardTimeout, nil)
 	type shardHealth struct {
 		Shard  string `json:"shard"`
 		Status string `json:"status"`
@@ -564,7 +303,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if healthy < len(results) {
 		status, code = "degraded", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	server.WriteJSON(w, code, map[string]any{
 		"status": status,
 		"source": rt.cfg.Source,
 		"shards": out,

@@ -130,17 +130,17 @@ func get(h http.Handler, url string) *httptest.ResponseRecorder {
 // field before byte comparison.
 var loadedAtRe = regexp.MustCompile(`"loaded_at": "[^"]*"`)
 
-// assertSame requires the router to answer url exactly as the single node
-// does. normalizeTime masks loaded_at (census endpoints only).
-func (fx *fixture) assertSame(t *testing.T, url string, normalizeTime bool) {
-	t.Helper()
+// differs reports how the router's answer to url departs from the single
+// node's, or "" when it does not. normalizeTime masks loaded_at (census
+// endpoints only).
+func (fx *fixture) differs(url string, normalizeTime bool) string {
 	want := get(fx.single.Handler(), url)
 	got := get(fx.router.Handler(), url)
 	if got.Code != want.Code {
-		t.Fatalf("%s: router status %d, single node %d\nrouter body: %s", url, got.Code, want.Code, got.Body)
+		return fmt.Sprintf("%s: router status %d, single node %d\nrouter body: %s", url, got.Code, want.Code, got.Body)
 	}
 	if gct, wct := got.Header().Get("Content-Type"), want.Header().Get("Content-Type"); gct != wct {
-		t.Fatalf("%s: router content type %q, single node %q", url, gct, wct)
+		return fmt.Sprintf("%s: router content type %q, single node %q", url, gct, wct)
 	}
 	wb, gb := want.Body.Bytes(), got.Body.Bytes()
 	if normalizeTime {
@@ -148,7 +148,17 @@ func (fx *fixture) assertSame(t *testing.T, url string, normalizeTime bool) {
 		gb = loadedAtRe.ReplaceAll(gb, []byte(`"loaded_at": "X"`))
 	}
 	if !bytes.Equal(wb, gb) {
-		t.Fatalf("%s: router body differs from single node\nrouter: %s\nsingle: %s", url, gb, wb)
+		return fmt.Sprintf("%s: router body differs from single node\nrouter: %s\nsingle: %s", url, gb, wb)
+	}
+	return ""
+}
+
+// assertSame requires the router to answer url exactly as the single node
+// does.
+func (fx *fixture) assertSame(t *testing.T, url string, normalizeTime bool) {
+	t.Helper()
+	if d := fx.differs(url, normalizeTime); d != "" {
+		t.Fatal(d)
 	}
 }
 
@@ -211,7 +221,7 @@ func TestRouterMatchesSingleNodeByteForByte(t *testing.T) {
 					core.FormatCell(cube.Schema, values), pl), false)
 			}
 
-			// Graphviz rendering relays through the same winner shard.
+			// Graphviz rendering of the same planned answer.
 			fx.assertSame(t, urls[0]+"&format=dot", false)
 			fx.assertSame(t, urls[len(urls)-1]+"&format=dot", false)
 
@@ -306,8 +316,8 @@ func TestRouterDegradesPartially(t *testing.T) {
 		case http.StatusBadGateway:
 			sawGateway = true
 		case http.StatusOK:
-			// Owner fast path on the live shard: exact answers need no other
-			// shard, dead or not.
+			// Owned by the live shard: an exact answer needs no other shard,
+			// dead or not.
 		default:
 			t.Fatalf("%s with a dead shard: status %d: %s", u, rec.Code, rec.Body)
 		}

@@ -10,8 +10,9 @@ package core
 // sum to the cell's census count from a materialized cuboid at the same
 // item level, so a fold over an iceberg-truncated descendant (some sub-δ
 // children missing) is refused rather than silently wrong, and the answer
-// falls back to the nearest materialized ancestor exactly as the v1 path
-// does. See DESIGN.md §12.
+// falls back to the nearest materialized ancestor. The plan is written once,
+// over a CellSource: /v1/cell, /v2/query and the cluster router all run it.
+// See DESIGN.md §12.
 
 import (
 	"context"
@@ -68,8 +69,8 @@ type Selector struct {
 }
 
 // Query describes one OLAP operation: the cuboid, the anchor cell, the
-// operation, and its options. The zero Op is OpCell, so the minimal query —
-// a spec and values — reads exactly like the old QueryGraph call.
+// operation, and its options. The zero Op is OpCell, so the minimal query is
+// a spec and values.
 type Query struct {
 	// Op selects the operation.
 	Op Op
@@ -166,6 +167,36 @@ type Answer struct {
 // errors.Is.
 var ErrNotComputable = errors.New("core: cell not computable from materialized descendants")
 
+// CellSource is the planner's only view of stored cells. It has exactly two
+// implementations: *Cube itself (eager and lazily loaded cubes share it
+// behind Cube.Cuboid) and the cluster router's request-scoped remote source,
+// which fetches from the shards that own the cells (internal/cluster). The
+// methods return no errors; a source that can fail — a lazy section that
+// does not decode, an unreachable shard — reports absence and keeps a sticky
+// error its caller checks once the plan has run (Cube.LazyErr).
+type CellSource interface {
+	// Lookup returns the cell (nil when absent) and whether its cuboid is
+	// materialized at all: absence from a materialized cuboid means sub-δ or
+	// compressed away, absence of the whole cuboid means reconstructable.
+	Lookup(spec CuboidSpec, values []hierarchy.NodeID) (cell *Cell, materialized bool)
+	// Census returns the cell's exact path count from a materialized
+	// cuboid sharing its item level at another path level.
+	Census(spec CuboidSpec, values []hierarchy.NodeID) (int64, bool)
+	// MaterializedSpecs lists the materialized cuboids in ascending key
+	// order.
+	MaterializedSpecs() []CuboidSpec
+	// FoldSources returns, in ascending cell-key order, the cells of the
+	// materialized cuboid ds that generalize to the cell.
+	FoldSources(ds, spec CuboidSpec, values []hierarchy.NodeID) []*Cell
+}
+
+// planner answers cells of one query: the cube supplies the schema, the
+// level ladders and τ; every cell comes from src.
+type planner struct {
+	c   *Cube
+	src CellSource
+}
+
 // Answer executes one OLAP query against the cube. It is a pure read, safe
 // under concurrent readers, and works on eager, partially materialized,
 // pruned, and lazily loaded cubes alike; ctx is checked between lattice
@@ -175,13 +206,23 @@ var ErrNotComputable = errors.New("core: cell not computable from materialized d
 // ErrCellNotFound. The multi-cell ops skip unanswerable cells (counted in
 // Answer.Skipped) and never error on an empty result.
 func (c *Cube) Answer(ctx context.Context, q Query) (*Answer, error) {
+	return c.AnswerFrom(ctx, c, q)
+}
+
+// AnswerFrom is Answer with the cells read through src: the same plan —
+// the cell, else its reconstruction, else the nearest ancestor — whatever
+// holds the cells. c needs only metadata (core.LoadMeta). The multi-cell
+// ops enumerate their candidates from c's own cuboids, so over a source
+// other than c only OpCell and OpRollUp find anything.
+func (c *Cube) AnswerFrom(ctx context.Context, src CellSource, q Query) (*Answer, error) {
 	if err := c.validateQuery(&q); err != nil {
 		return nil, err
 	}
+	p := &planner{c: c, src: src}
 	out := &Answer{Query: q}
 	switch q.Op {
 	case OpCell:
-		ca, err := c.answerCell(ctx, q.Spec, q.Values, q.NoCompute)
+		ca, err := p.answerCell(ctx, q.Spec, q.Values, q.NoCompute)
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +232,7 @@ func (c *Cube) Answer(ctx context.Context, q Query) (*Answer, error) {
 		if err != nil {
 			return nil, err
 		}
-		ca, err := c.answerCell(ctx, spec, values, q.NoCompute)
+		ca, err := p.answerCell(ctx, spec, values, q.NoCompute)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +249,7 @@ func (c *Cube) Answer(ctx context.Context, q Query) (*Answer, error) {
 				keep = append(keep, v)
 			}
 		}
-		if err := c.answerCells(ctx, out, spec, keep); err != nil {
+		if err := p.answerCells(ctx, out, spec, keep); err != nil {
 			return nil, err
 		}
 	case OpSlice, OpDice:
@@ -226,7 +267,7 @@ func (c *Cube) Answer(ctx context.Context, q Query) (*Answer, error) {
 				keep = append(keep, v)
 			}
 		}
-		if err := c.answerCells(ctx, out, q.Spec, keep); err != nil {
+		if err := p.answerCells(ctx, out, q.Spec, keep); err != nil {
 			return nil, err
 		}
 	}
@@ -243,7 +284,7 @@ func (c *Cube) Answer(ctx context.Context, q Query) (*Answer, error) {
 // preference, so the materialization planner can digest-compare every
 // reconstructed cell against its eager twin.
 func (c *Cube) ReconstructCell(ctx context.Context, spec CuboidSpec, values []hierarchy.NodeID) (*Cell, []CellRef, error) {
-	return c.reconstructCell(ctx, spec, values, 0)
+	return (&planner{c: c, src: c}).reconstructCell(ctx, spec, values, 0)
 }
 
 // validateQuery checks structure and defaults MaxCells.
@@ -252,10 +293,10 @@ func (c *Cube) validateQuery(q *Query) error {
 	if len(q.Spec.Item) != dims {
 		return fmt.Errorf("core: query: item level has %d dimensions, schema has %d", len(q.Spec.Item), dims)
 	}
-	// Item levels outside the plan's ladders are allowed, exactly as they
-	// were for QueryGraph: such a cuboid has no materialized twin for a
-	// census (so reconstruction is refused) and no descendants, and the cell
-	// answers from its nearest materialized ancestor or not at all.
+	// Item levels outside the plan's ladders are allowed: such a cuboid has
+	// no materialized twin for a census (so reconstruction is refused) and no
+	// descendants, and the cell answers from its nearest materialized
+	// ancestor or not at all.
 	if pl := len(c.Symbols.PathLevels()); q.Spec.PathLevel < 0 || q.Spec.PathLevel >= pl {
 		return fmt.Errorf("core: query: path level %d outside plan (have %d)", q.Spec.PathLevel, pl)
 	}
@@ -338,13 +379,13 @@ func (c *Cube) drillDownSpec(spec CuboidSpec, dim int) (CuboidSpec, error) {
 
 // answerCells answers each enumerated cell of one cuboid, skipping misses
 // and honoring the cap.
-func (c *Cube) answerCells(ctx context.Context, out *Answer, spec CuboidSpec, values [][]hierarchy.NodeID) error {
+func (p *planner) answerCells(ctx context.Context, out *Answer, spec CuboidSpec, values [][]hierarchy.NodeID) error {
 	for _, v := range values {
 		if len(out.Cells) >= out.Query.MaxCells {
 			out.Truncated = true
 			return nil
 		}
-		ca, err := c.answerCell(ctx, spec, v, out.Query.NoCompute)
+		ca, err := p.answerCell(ctx, spec, v, out.Query.NoCompute)
 		if err != nil {
 			if errors.Is(err, ErrCellNotFound) {
 				out.Skipped++
@@ -357,37 +398,27 @@ func (c *Cube) answerCells(ctx context.Context, out *Answer, spec CuboidSpec, va
 	return nil
 }
 
-// answerCell resolves one cell: materialized, else reconstructed (only when
-// its whole cuboid is absent — on a materialized cuboid the cell's absence
-// means sub-δ or compressed, and the v1 ancestor rule applies unchanged),
-// else the nearest materialized-or-reconstructable ancestor breadth-first
-// up the item lattice.
-func (c *Cube) answerCell(ctx context.Context, spec CuboidSpec, values []hierarchy.NodeID, noCompute bool) (CellAnswer, error) {
+// answerCell resolves one cell: the cell itself when probe finds it, else
+// the nearest ancestor probe finds, breadth-first up the item lattice in
+// ParentRefs order.
+func (p *planner) answerCell(ctx context.Context, spec CuboidSpec, values []hierarchy.NodeID, noCompute bool) (CellAnswer, error) {
 	if err := ctx.Err(); err != nil {
 		return CellAnswer{}, err
 	}
-	if cell, found := c.Cell(spec, values); found && cell.Graph != nil && !cell.Redundant {
+	cell, folded, ok, err := p.probe(ctx, spec, values, !noCompute)
+	if err != nil {
+		return CellAnswer{}, err
+	}
+	if ok {
+		provenance := Materialized
+		if folded != nil {
+			provenance = ComputedFromDescendants
+		}
 		return CellAnswer{
 			Spec: spec, Values: values,
-			Provenance: Materialized, Exact: true,
-			SourceSpec: spec, Source: cell, Graph: cell.Graph,
+			Provenance: provenance, Exact: true,
+			SourceSpec: spec, Source: cell, Folded: folded, Graph: cell.Graph,
 		}, nil
-	}
-	compute := !noCompute
-	if compute && c.Cuboid(spec) == nil {
-		cell, folded, err := c.reconstructCell(ctx, spec, values, 0)
-		if err != nil && !errors.Is(err, ErrNotComputable) {
-			return CellAnswer{}, err
-		}
-		// A reconstructed-but-redundant cell follows the same inference
-		// rule as a materialized one: the parent answers.
-		if err == nil && !cell.Redundant {
-			return CellAnswer{
-				Spec: spec, Values: values,
-				Provenance: ComputedFromDescendants, Exact: true,
-				SourceSpec: spec, Source: cell, Folded: folded, Graph: cell.Graph,
-			}, nil
-		}
 	}
 	frontier := []CellRef{{Spec: spec, Values: values}}
 	seen := map[string]bool{spec.Key() + "|" + cellKey(values): true}
@@ -397,33 +428,24 @@ func (c *Cube) answerCell(ctx context.Context, spec CuboidSpec, values []hierarc
 		}
 		var next []CellRef
 		for _, r := range frontier {
-			for _, p := range c.ParentRefs(r.Spec, r.Values) {
-				k := p.Spec.Key() + "|" + cellKey(p.Values)
+			for _, pr := range p.c.ParentRefs(r.Spec, r.Values) {
+				k := pr.Spec.Key() + "|" + cellKey(pr.Values)
 				if seen[k] {
 					continue
 				}
 				seen[k] = true
-				if cell, found := c.Cell(p.Spec, p.Values); found && cell.Graph != nil && !cell.Redundant {
+				cell, folded, ok, err := p.probe(ctx, pr.Spec, pr.Values, !noCompute)
+				if err != nil {
+					return CellAnswer{}, err
+				}
+				if ok {
 					return CellAnswer{
 						Spec: spec, Values: values,
 						Provenance: AncestorFallback, Exact: false,
-						SourceSpec: p.Spec, Source: cell, Graph: cell.Graph,
+						SourceSpec: pr.Spec, Source: cell, Folded: folded, Graph: cell.Graph,
 					}, nil
 				}
-				if compute && c.Cuboid(p.Spec) == nil {
-					cell, folded, err := c.reconstructCell(ctx, p.Spec, p.Values, 0)
-					if err != nil && !errors.Is(err, ErrNotComputable) {
-						return CellAnswer{}, err
-					}
-					if err == nil && !cell.Redundant {
-						return CellAnswer{
-							Spec: spec, Values: values,
-							Provenance: AncestorFallback, Exact: false,
-							SourceSpec: p.Spec, Source: cell, Folded: folded, Graph: cell.Graph,
-						}, nil
-					}
-				}
-				next = append(next, p)
+				next = append(next, pr)
 			}
 		}
 		frontier = next
@@ -432,36 +454,53 @@ func (c *Cube) answerCell(ctx context.Context, spec CuboidSpec, values []hierarc
 		ErrCellNotFound, spec.Key(), cellKey(values))
 }
 
+// probe asks one lattice position for a usable cell: the materialized cell
+// when it carries a flowgraph and is not redundant, else — only when the
+// whole cuboid is absent; on a materialized cuboid the cell's absence means
+// sub-δ or compressed, and the ancestor rule applies — its reconstruction,
+// whose folded sources are returned with it. A reconstructed-but-redundant
+// cell follows the same inference rule as a materialized one: ok is false
+// and the parent answers.
+func (p *planner) probe(ctx context.Context, spec CuboidSpec, values []hierarchy.NodeID, compute bool) (*Cell, []CellRef, bool, error) {
+	cell, materialized := p.src.Lookup(spec, values)
+	if cell != nil && cell.Graph != nil && !cell.Redundant {
+		return cell, nil, true, nil
+	}
+	if !compute || materialized {
+		return nil, nil, false, nil
+	}
+	cell, folded, err := p.reconstructCell(ctx, spec, values, 0)
+	if errors.Is(err, ErrNotComputable) {
+		return nil, nil, false, nil
+	}
+	if err != nil || cell.Redundant {
+		return nil, nil, false, err
+	}
+	return cell, folded, true, nil
+}
+
 // reconstructCell is ReconstructCell's body. depth > 0 marks a recursive
 // parent reconstruction made only for a similarity comparison: such cells
 // need their graph, not their own redundancy marking (and the recursion
 // stays bounded — parents are strictly coarser).
-func (c *Cube) reconstructCell(ctx context.Context, spec CuboidSpec, values []hierarchy.NodeID, depth int) (*Cell, []CellRef, error) {
+func (p *planner) reconstructCell(ctx context.Context, spec CuboidSpec, values []hierarchy.NodeID, depth int) (*Cell, []CellRef, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	census, ok := c.CensusCount(spec, values)
+	census, ok := p.src.Census(spec, values)
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: cuboid %s cell %s: no materialized cuboid shares item level %s for the census count",
 			ErrNotComputable, spec.Key(), cellKey(values), spec.Item.Key())
 	}
-	target := cellKey(values)
-	for _, ds := range c.DescendantSpecs(spec) {
+	for _, ds := range p.c.descendantSpecs(p.src.MaterializedSpecs(), spec) {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
-		}
-		cb := c.Cuboid(ds)
-		if cb == nil {
-			continue
 		}
 		var sum int64
 		var graphs []*flowgraph.Graph
 		var folded []CellRef
 		usable := true
-		for _, cell := range cb.SortedCells() {
-			if cellKey(c.GeneralizeValues(ds.Item, spec.Item, cell.Values)) != target {
-				continue
-			}
+		for _, cell := range p.src.FoldSources(ds, spec, values) {
 			if cell.Graph == nil {
 				usable = false
 				break
@@ -486,8 +525,8 @@ func (c *Cube) reconstructCell(ctx context.Context, spec CuboidSpec, values []hi
 			Graph:      g,
 			Similarity: SimilarityUnknown,
 		}
-		if depth == 0 && c.Config.Tau > 0 {
-			if err := c.reconstructRedundancy(ctx, spec, cell); err != nil {
+		if depth == 0 && p.c.Config.Tau > 0 {
+			if err := p.reconstructRedundancy(ctx, spec, cell); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -504,15 +543,15 @@ func (c *Cube) reconstructCell(ctx context.Context, spec CuboidSpec, values []hi
 // computable are skipped, exactly as MarkCellRedundancy skips absent
 // parents; the planner's digest verification catches any divergence from
 // the eager marking this conservatism could cause.
-func (c *Cube) reconstructRedundancy(ctx context.Context, spec CuboidSpec, cell *Cell) error {
+func (p *planner) reconstructRedundancy(ctx context.Context, spec CuboidSpec, cell *Cell) error {
 	compared := 0
 	minSim := 1.0
-	for _, p := range c.ParentRefs(spec, cell.Values) {
+	for _, pr := range p.c.ParentRefs(spec, cell.Values) {
 		var pg *flowgraph.Graph
-		if pc, ok := c.Cell(p.Spec, p.Values); ok && pc.Graph != nil {
+		if pc, materialized := p.src.Lookup(pr.Spec, pr.Values); pc != nil && pc.Graph != nil {
 			pg = pc.Graph
-		} else if c.Cuboid(p.Spec) == nil {
-			pcell, _, err := c.reconstructCell(ctx, p.Spec, p.Values, 1)
+		} else if !materialized {
+			pcell, _, err := p.reconstructCell(ctx, pr.Spec, pr.Values, 1)
 			if err != nil {
 				if errors.Is(err, ErrNotComputable) {
 					continue
@@ -535,6 +574,6 @@ func (c *Cube) reconstructRedundancy(ctx context.Context, spec CuboidSpec, cell 
 		return nil
 	}
 	cell.Similarity = minSim
-	cell.Redundant = minSim > c.Config.Tau
+	cell.Redundant = minSim > p.c.Config.Tau
 	return nil
 }

@@ -3,9 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-
-	"flowcube/internal/flowgraph"
-	"flowcube/internal/hierarchy"
 )
 
 // Typed configuration errors: Build rejects an invalid Config with a
@@ -55,20 +52,7 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// ErrCellNotFound is the sentinel wrapped by ResolveGraph when no
-// materialized cell — not even an item-lattice ancestor — answers a query.
+// ErrCellNotFound is the sentinel wrapped by Answer when no materialized or
+// computable cell — not even an item-lattice ancestor — answers a query.
 // Test with errors.Is.
 var ErrCellNotFound = errors.New("core: cell not found")
-
-// ResolveGraph is QueryGraph with an error return: on a miss it wraps
-// ErrCellNotFound with the requested cell's identity, so callers layered on
-// errors (HTTP handlers, CLIs) need no boolean plumbing. errors.Is
-// recognizes the sentinel through the wrap.
-func (c *Cube) ResolveGraph(spec CuboidSpec, values []hierarchy.NodeID) (*flowgraph.Graph, *Cell, bool, error) {
-	g, source, exact, ok := c.QueryGraph(spec, values)
-	if !ok {
-		return nil, nil, false, fmt.Errorf("%w: cuboid %s cell %s (no materialized ancestor either)",
-			ErrCellNotFound, spec.Key(), cellKey(values))
-	}
-	return g, source, exact, nil
-}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -142,25 +143,26 @@ func TestQueryGraphFallback(t *testing.T) {
 	// query must roll up — to (shoes, nike) or beyond.
 	spec := core.CuboidSpec{Item: core.ItemLevel{3, 2}, PathLevel: 0}
 	values := []hierarchy.NodeID{ex.Product.MustLookup("sandals"), ex.Brand.MustLookup("nike")}
-	g, src, exact, ok := cube.QueryGraph(spec, values)
-	if !ok {
-		t.Fatal("fallback query failed entirely")
+	a, err := cube.Answer(context.Background(), core.Query{Spec: spec, Values: values})
+	if err != nil {
+		t.Fatalf("fallback query failed entirely: %v", err)
 	}
-	if exact {
+	ca := a.Cells[0]
+	if ca.Exact {
 		t.Errorf("query reported exact for a non-materialized cell")
 	}
-	if g == nil || src == nil {
+	if ca.Graph == nil || ca.Source == nil {
 		t.Fatal("fallback returned nil graph or source")
 	}
-	if src.Count < 2 {
-		t.Errorf("fallback source count = %d, want >= δ", src.Count)
+	if ca.Source.Count < 2 {
+		t.Errorf("fallback source count = %d, want >= δ", ca.Source.Count)
 	}
 
 	// An exact hit reports exact=true.
 	spec2 := core.CuboidSpec{Item: core.ItemLevel{2, 2}, PathLevel: 0}
 	values2 := []hierarchy.NodeID{ex.Product.MustLookup("shoes"), ex.Brand.MustLookup("nike")}
-	if _, _, exact2, ok2 := cube.QueryGraph(spec2, values2); !ok2 || !exact2 {
-		t.Errorf("exact query (shoes,nike) failed: ok=%v exact=%v", ok2, exact2)
+	if a, err := cube.Answer(context.Background(), core.Query{Spec: spec2, Values: values2}); err != nil || !a.Cells[0].Exact {
+		t.Errorf("exact query (shoes,nike) failed: err=%v answer=%+v", err, a)
 	}
 }
 
@@ -218,11 +220,11 @@ func TestRedundancyMarkAndCompress(t *testing.T) {
 	// Queries still answer from the apex after compression.
 	spec := core.CuboidSpec{Item: core.ItemLevel{1}, PathLevel: 0}
 	someVal := ds.Schema.Dims[0].NodesAtLevel(1)[0]
-	g, _, exact, ok := cube.QueryGraph(spec, []hierarchy.NodeID{someVal})
-	if !ok || g == nil {
-		t.Fatal("query after compression failed")
+	a, err := cube.Answer(context.Background(), core.Query{Spec: spec, Values: []hierarchy.NodeID{someVal}})
+	if err != nil || a.Cells[0].Graph == nil {
+		t.Fatalf("query after compression failed: %v", err)
 	}
-	if exact {
+	if a.Cells[0].Exact {
 		t.Errorf("query after compression reported exact for a compressed cell")
 	}
 }

@@ -109,7 +109,7 @@ type Cuboid struct {
 // Cube is a materialized (iceberg, optionally non-redundant) flowcube.
 //
 // Concurrency: a finished cube is safe for concurrent readers. The read
-// paths — Cell, Cuboid, QueryGraph, NumCells, CuboidSummaries,
+// paths — Cell, Cuboid, Answer, NumCells, CuboidSummaries,
 // TopExceptions, Validate, SortedCells, and every flowgraph render/analysis
 // method they expose — do not mutate the cube or any lazily cached state.
 // Mutating operations (Append, MarkRedundancy, Compress) must not run
@@ -199,12 +199,19 @@ func (c *Cube) Cuboid(spec CuboidSpec) *Cuboid {
 // Cell resolves a cell by cuboid spec and per-dimension values (which must
 // already be at the spec's item level; '*' dimensions use hierarchy.Root).
 func (c *Cube) Cell(spec CuboidSpec, values []hierarchy.NodeID) (*Cell, bool) {
+	cell, _ := c.Lookup(spec, values)
+	return cell, cell != nil
+}
+
+// Lookup is Cell that also reports whether the cuboid is materialized at
+// all, which is what tells a sub-δ or compressed cell (nil, true) from a
+// cell of a cuboid the cube does not hold (nil, false).
+func (c *Cube) Lookup(spec CuboidSpec, values []hierarchy.NodeID) (*Cell, bool) {
 	cb := c.Cuboid(spec)
 	if cb == nil {
 		return nil, false
 	}
-	cell, ok := cb.Cells[cellKey(values)]
-	return cell, ok
+	return cb.Cells[cellKey(values)], true
 }
 
 // Cells returns every materialized cell of a cuboid sorted by value key,

@@ -51,19 +51,21 @@ func (c *Cube) levelRank(d, l int) int {
 	return -1
 }
 
-// DescendantSpecs returns the materialized cuboids that refine spec: same
-// path level, item level strictly dominated by spec's (finer in at least
-// one dimension, coarser in none). They are ordered nearest-first — by the
-// total ladder distance from spec, ties broken by key — so fold searches
-// prefer the cheapest certificate (fewest cells to fold).
-func (c *Cube) DescendantSpecs(spec CuboidSpec) []CuboidSpec {
+// descendantSpecs picks from specs (a source's materialized cuboids) the
+// ones that refine spec: same path level, item level strictly dominated by
+// spec's (finer in at least one dimension, coarser in none). They are
+// ordered nearest-first — by the total ladder distance from spec, ties
+// broken by key — so fold searches prefer the cheapest certificate (fewest
+// cells to fold). It is pure schema navigation, so a metadata-only cube
+// (core.LoadMeta) ranks a remote source's cuboids with it too.
+func (c *Cube) descendantSpecs(specs []CuboidSpec, spec CuboidSpec) []CuboidSpec {
 	type cand struct {
 		spec CuboidSpec
 		dist int
 	}
 	var cands []cand
-	for _, ds := range c.MaterializedSpecs() {
-		dist, ok := c.LatticeDist(spec, ds)
+	for _, ds := range specs {
+		dist, ok := c.latticeDist(spec, ds)
 		if !ok {
 			continue
 		}
@@ -82,12 +84,9 @@ func (c *Cube) DescendantSpecs(spec CuboidSpec) []CuboidSpec {
 	return out
 }
 
-// LatticeDist reports whether ds refines spec — same path level, item level
-// strictly dominated (finer in at least one dimension, coarser in none) —
-// and the total ladder distance between them: the nearest-first order
-// DescendantSpecs folds in. It is pure schema navigation, so metadata-only
-// cubes (core.LoadMeta) can rank scattered fold sources with it too.
-func (c *Cube) LatticeDist(spec, ds CuboidSpec) (int, bool) {
+// latticeDist reports whether ds refines spec and the total ladder distance
+// between them.
+func (c *Cube) latticeDist(spec, ds CuboidSpec) (int, bool) {
 	if ds.PathLevel != spec.PathLevel {
 		return 0, false
 	}
@@ -123,12 +122,12 @@ func (c *Cube) GeneralizeValues(from, to ItemLevel, values []hierarchy.NodeID) [
 	return out
 }
 
-// CensusCount looks up the exact path count of a cell from any materialized
+// Census looks up the exact path count of a cell from any materialized
 // cuboid sharing the item level (counts are independent of path level: a
 // cell's count is the size of its path set, however the paths are
 // aggregated). It is the certificate anchor for computed cells: a fold of
 // descendants is exact iff the folded counts sum to the census count.
-func (c *Cube) CensusCount(spec CuboidSpec, values []hierarchy.NodeID) (int64, bool) {
+func (c *Cube) Census(spec CuboidSpec, values []hierarchy.NodeID) (int64, bool) {
 	ilKey := spec.Item.Key()
 	for _, ms := range c.MaterializedSpecs() {
 		if ms.Item.Key() != ilKey || ms.Key() == spec.Key() {
@@ -139,6 +138,64 @@ func (c *Cube) CensusCount(spec CuboidSpec, values []hierarchy.NodeID) (int64, b
 		}
 	}
 	return 0, false
+}
+
+// FoldSources returns the cells of the materialized cuboid ds that
+// generalize to the cell (spec, values), in ascending cell-key order: the
+// candidates a fold of ds into that cell would merge.
+func (c *Cube) FoldSources(ds, spec CuboidSpec, values []hierarchy.NodeID) []*Cell {
+	cb := c.Cuboid(ds)
+	if cb == nil {
+		return nil
+	}
+	target := cellKey(values)
+	var out []*Cell
+	for _, cell := range cb.SortedCells() {
+		if cellKey(c.GeneralizeValues(ds.Item, spec.Item, cell.Values)) == target {
+			out = append(out, cell)
+		}
+	}
+	return out
+}
+
+// FoldSet is one materialized descendant cuboid's fold sources for a cell.
+type FoldSet struct {
+	Spec  CuboidSpec
+	Cells []*Cell
+}
+
+// Partial is everything this cube knows about one cell that a planner
+// running elsewhere may ask a CellSource: what a shard ships to the cluster
+// router (GET /v2/partial). Census, Lattice and Folds are filled only when
+// the cell's cuboid is not materialized — the only case the planner
+// reconstructs. Census is -1 when no local cuboid shares the item level
+// (only the shard owning the cell's values has it); Folds lists, nearest
+// first, each materialized descendant cuboid holding local fold sources.
+type Partial struct {
+	Self         *Cell
+	Materialized bool
+	Census       int64
+	Lattice      []CuboidSpec
+	Folds        []FoldSet
+}
+
+// Partial collects the cube's Partial for one cell.
+func (c *Cube) Partial(spec CuboidSpec, values []hierarchy.NodeID) Partial {
+	p := Partial{Census: -1}
+	p.Self, p.Materialized = c.Lookup(spec, values)
+	if p.Materialized {
+		return p
+	}
+	if n, ok := c.Census(spec, values); ok {
+		p.Census = n
+	}
+	p.Lattice = c.MaterializedSpecs()
+	for _, ds := range c.descendantSpecs(p.Lattice, spec) {
+		if cells := c.FoldSources(ds, spec, values); len(cells) > 0 {
+			p.Folds = append(p.Folds, FoldSet{Spec: ds, Cells: cells})
+		}
+	}
+	return p
 }
 
 // EnumerateCellValues lists the value tuples of spec's cells whether or not
@@ -166,7 +223,7 @@ func (c *Cube) EnumerateCellValues(spec CuboidSpec) ([][]hierarchy.NodeID, bool)
 	}
 	seen := map[string][]hierarchy.NodeID{}
 	found := false
-	for _, ds := range c.DescendantSpecs(spec) {
+	for _, ds := range c.descendantSpecs(c.MaterializedSpecs(), spec) {
 		cb := c.Cuboid(ds)
 		if cb == nil {
 			continue

@@ -153,7 +153,7 @@ type LazyStats struct {
 // ledger are decoded once, and cuboid sections decode on first touch
 // through a CacheBytes-budgeted LRU with single-flight dedup.
 //
-// The returned cube answers the full read surface — Cell, QueryGraph,
+// The returned cube answers the full read surface — Cell, Answer,
 // NumCells, CuboidSummaries, TopExceptions, Validate, Save, Clone —
 // byte-identically to an eager Load of the same file. Mutating operations
 // (MarkRedundancy, Compress, ApplyDelta) need an eager copy: use
@@ -812,7 +812,7 @@ func (c *Cube) LazyStats() (stats LazyStats, ok bool) {
 
 // LazyErr reports the first decode or IO error a lazy touch has produced
 // (always a *CorruptSnapshotError for decode failures), or nil. Error-less
-// query paths — Cell, QueryGraph, CuboidSummaries, TopExceptions — report
+// query paths — Cell, Lookup, CuboidSummaries, TopExceptions — report
 // absence when a section fails to decode; serving layers check LazyErr to
 // distinguish "not materialized" from "snapshot corrupt". Always nil for
 // eager cubes.

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -88,33 +89,40 @@ func TestLazyParityFullSurface(t *testing.T) {
 
 	// Every materialized cell answers identically, including the roll-up
 	// path (query each cell one item level above its own, which exercises
-	// QueryGraph's BFS over the lazy Cell lookups).
+	// Answer's BFS over the lazy cell lookups).
+	ask := func(c *core.Cube, spec core.CuboidSpec, values []hierarchy.NodeID) (ca core.CellAnswer, ok bool) {
+		a, err := c.Answer(context.Background(), core.Query{Spec: spec, Values: values})
+		if err != nil {
+			return core.CellAnswer{}, false
+		}
+		return a.Cells[0], true
+	}
 	for key, cb := range eager.Cuboids {
 		for _, cell := range cb.SortedCells() {
-			g1, src1, e1, ok1 := eager.QueryGraph(cb.Spec, cell.Values)
-			g2, src2, e2, ok2 := lazy.QueryGraph(cb.Spec, cell.Values)
-			if ok1 != ok2 || e1 != e2 {
+			a1, ok1 := ask(eager, cb.Spec, cell.Values)
+			a2, ok2 := ask(lazy, cb.Spec, cell.Values)
+			if ok1 != ok2 || a1.Exact != a2.Exact {
 				t.Fatalf("cuboid %s cell %v: (exact=%v ok=%v), want (exact=%v ok=%v)",
-					key, cell.Values, e2, ok2, e1, ok1)
+					key, cell.Values, a2.Exact, ok2, a1.Exact, ok1)
 			}
 			if !ok1 {
 				continue
 			}
-			if src1.Count != src2.Count || src1.Redundant != src2.Redundant {
+			if a1.Source.Count != a2.Source.Count || a1.Source.Redundant != a2.Source.Redundant {
 				t.Errorf("cuboid %s cell %v: source cell mismatch", key, cell.Values)
 			}
-			if d := flowgraph.Divergence(g1, g2) + flowgraph.Divergence(g2, g1); d > 0 {
+			if d := flowgraph.Divergence(a1.Graph, a2.Graph) + flowgraph.Divergence(a2.Graph, a1.Graph); d > 0 {
 				t.Errorf("cuboid %s cell %v: graphs diverge by %g", key, cell.Values, d)
 			}
 			for _, p := range eager.ParentRefs(cb.Spec, cell.Values) {
-				pg1, _, pe1, pok1 := eager.QueryGraph(p.Spec, p.Values)
-				pg2, _, pe2, pok2 := lazy.QueryGraph(p.Spec, p.Values)
-				if pok1 != pok2 || pe1 != pe2 {
+				p1, pok1 := ask(eager, p.Spec, p.Values)
+				p2, pok2 := ask(lazy, p.Spec, p.Values)
+				if pok1 != pok2 || p1.Exact != p2.Exact {
 					t.Fatalf("roll-up %s %v: (exact=%v ok=%v), want (exact=%v ok=%v)",
-						p.Spec.Key(), p.Values, pe2, pok2, pe1, pok1)
+						p.Spec.Key(), p.Values, p2.Exact, pok2, p1.Exact, pok1)
 				}
 				if pok1 {
-					if d := flowgraph.Divergence(pg1, pg2); d > 0 {
+					if d := flowgraph.Divergence(p1.Graph, p2.Graph); d > 0 {
 						t.Errorf("roll-up %s %v: graphs diverge by %g", p.Spec.Key(), p.Values, d)
 					}
 				}

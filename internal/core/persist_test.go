@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -77,12 +78,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// Queries behave identically, including roll-up inference.
 	spec := core.CuboidSpec{Item: core.ItemLevel{3, 2}, PathLevel: 0}
 	values := []hierarchy.NodeID{ex.Product.MustLookup("sandals"), ex.Brand.MustLookup("nike")}
-	g1, _, e1, ok1 := cube.QueryGraph(spec, values)
-	g2, _, e2, ok2 := loaded.QueryGraph(spec, values)
-	if ok1 != ok2 || e1 != e2 {
-		t.Fatalf("query behaviour changed after load")
+	a1, err1 := cube.Answer(context.Background(), core.Query{Spec: spec, Values: values})
+	a2, err2 := loaded.Answer(context.Background(), core.Query{Spec: spec, Values: values})
+	if err1 != nil || err2 != nil || a1.Cells[0].Exact != a2.Cells[0].Exact {
+		t.Fatalf("query behaviour changed after load: %v / %v", err1, err2)
 	}
-	if d := flowgraph.Divergence(g1, g2); d > 1e-12 {
+	if d := flowgraph.Divergence(a1.Cells[0].Graph, a2.Cells[0].Graph); d > 1e-12 {
 		t.Errorf("inferred graphs diverge by %g", d)
 	}
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"flowcube/internal/core"
@@ -103,13 +104,13 @@ func TestBuildWithLayeredPlan(t *testing.T) {
 	}
 	// A level outside the plan falls back to a materialized ancestor.
 	deep := core.CuboidSpec{Item: core.ItemLevel{3, 2}, PathLevel: 0}
-	_, src, exact, ok := cube.QueryGraph(deep, []hierarchy.NodeID{
+	a, err := cube.Answer(context.Background(), core.Query{Spec: deep, Values: []hierarchy.NodeID{
 		ex.Product.MustLookup("tennis"), ex.Brand.MustLookup("nike"),
-	})
-	if !ok || exact {
-		t.Fatalf("layered query failed: ok=%v exact=%v", ok, exact)
+	}})
+	if err != nil || a.Cells[0].Exact {
+		t.Fatalf("layered query failed: err=%v answer=%+v", err, a)
 	}
-	if src.Count < 2 {
+	if a.Cells[0].Source.Count < 2 {
 		t.Errorf("fallback source too small")
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
 )
@@ -120,29 +118,6 @@ func (c *Cube) Compress() int {
 		}
 	}
 	return n
-}
-
-// QueryGraph answers a flowgraph query for a cell, following the
-// non-redundant cube's inference rule: when the requested cell is absent
-// (compressed away, or below the iceberg threshold) the nearest materialized
-// ancestor's flowgraph is returned. exact reports whether the cell itself
-// answered.
-//
-// Deprecated: use Answer, which carries a context, returns typed provenance
-// instead of two booleans, and reconstructs non-materialized cells exactly
-// before falling back to an ancestor. QueryGraph keeps its historical shape
-// for existing callers and delegates to Answer.
-func (c *Cube) QueryGraph(spec CuboidSpec, values []hierarchy.NodeID) (g *flowgraph.Graph, source *Cell, exact, ok bool) {
-	return legacyAnswer(c.Answer(context.Background(), Query{Op: OpCell, Spec: spec, Values: values}))
-}
-
-// legacyAnswer adapts an Answer to QueryGraph's 4-return shape.
-func legacyAnswer(a *Answer, err error) (*flowgraph.Graph, *Cell, bool, bool) {
-	if err != nil || len(a.Cells) == 0 {
-		return nil, nil, false, false
-	}
-	ca := a.Cells[0]
-	return ca.Graph, ca.Source, ca.Exact, true
 }
 
 // DropCuboid removes one materialized cuboid from the cube and returns it,

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"flowcube/internal/core"
@@ -42,11 +43,12 @@ func TestQueryGraphPrefersClosestAncestor(t *testing.T) {
 	values := []hierarchy.NodeID{
 		ex.Product.MustLookup("shoes"), ex.Brand.MustLookup("nike"),
 	}
-	g, src, exact, ok := cube.QueryGraph(spec, values)
-	if !ok {
-		t.Fatal("query failed entirely")
+	a, err := cube.Answer(context.Background(), core.Query{Spec: spec, Values: values})
+	if err != nil {
+		t.Fatalf("query failed entirely: %v", err)
 	}
-	if exact {
+	g, src := a.Cells[0].Graph, a.Cells[0].Source
+	if a.Cells[0].Exact {
 		t.Fatal("query reported exact for an unmaterialized cuboid")
 	}
 	// Both 1-step ancestors exist: (clothing, nike) and (shoes, sports).
@@ -66,10 +68,11 @@ func TestQueryGraphPrefersClosestAncestor(t *testing.T) {
 	// over the apex.
 	delete(cube.Cuboids, core.CuboidSpec{Item: core.ItemLevel{1, 2}, PathLevel: 0}.Key())
 	delete(cube.Cuboids, core.CuboidSpec{Item: core.ItemLevel{2, 1}, PathLevel: 0}.Key())
-	_, src, exact, ok = cube.QueryGraph(spec, values)
-	if !ok || exact {
-		t.Fatalf("2-step query failed: ok=%v exact=%v", ok, exact)
+	a, err = cube.Answer(context.Background(), core.Query{Spec: spec, Values: values})
+	if err != nil || a.Cells[0].Exact {
+		t.Fatalf("2-step query failed: err=%v answer=%+v", err, a)
 	}
+	src = a.Cells[0].Source
 	want2 := []hierarchy.NodeID{ex.Product.MustLookup("clothing"), ex.Brand.MustLookup("sports")}
 	if !equalValues(src.Values, want2) {
 		t.Errorf("answered from %s, want the 2-step (clothing,sports) before the apex",
@@ -107,11 +110,12 @@ func TestQueryGraphFullyCompressedFallsBackToApex(t *testing.T) {
 	values := []hierarchy.NodeID{
 		ex.Product.MustLookup("shoes"), ex.Brand.MustLookup("nike"),
 	}
-	g, src, exact, ok := cube.QueryGraph(spec, values)
-	if !ok {
-		t.Fatal("fully compressed cube failed to answer")
+	a, err := cube.Answer(context.Background(), core.Query{Spec: spec, Values: values})
+	if err != nil {
+		t.Fatalf("fully compressed cube failed to answer: %v", err)
 	}
-	if exact {
+	g, src := a.Cells[0].Graph, a.Cells[0].Source
+	if a.Cells[0].Exact {
 		t.Error("compressed cell reported exact")
 	}
 	for d, v := range src.Values {

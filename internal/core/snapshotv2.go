@@ -559,7 +559,7 @@ type LoadOptions struct {
 }
 
 // Load reconstructs a cube saved with Save. The result supports Cell,
-// QueryGraph, MarkRedundancy and Compress; Mining statistics and the
+// Answer, MarkRedundancy and Compress; Mining statistics and the
 // ability to re-mine exceptions are gone with the path database. Both
 // snapshot formats load: the leading magic selects the v2 columnar decoder
 // or the legacy v1 gob decoder.

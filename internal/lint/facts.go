@@ -347,9 +347,9 @@ func dedupSorted(s []string) []string {
 // isCtxWrapper recognizes the sanctioned context-less convenience wrapper:
 // a body that is exactly one statement forwarding to a context-carrying
 // callee — one whose name contains "Context" (Load → LoadContext), or one
-// whose first parameter is a context.Context (QueryGraph → Answer). The
-// forwarding call may sit under an adapter (legacy shapes wrapping the new
-// entry point), so every call within the single statement is considered.
+// whose first parameter is a context.Context. The forwarding call may sit
+// under an adapter (a legacy return shape wrapping the new entry point), so
+// every call within the single statement is considered.
 func isCtxWrapper(pkg *Package, fn *ast.FuncDecl) bool {
 	if fn.Body == nil || len(fn.Body.List) != 1 {
 		return false

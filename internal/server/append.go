@@ -40,7 +40,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	// clean retryable conflict instead of folding against a swapped schema.
 	snap := s.holder.get()
 	if snap.DB == nil {
-		writeError(w, errNoAppendDB)
+		WriteError(w, errNoAppendDB)
 		return
 	}
 	batchDB, err := pathdb.Read(http.MaxBytesReader(w, r.Body, s.cfg.MaxAppendBytes), snap.DB.Schema)
@@ -50,15 +50,15 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		// and retrying the same payload cannot succeed.
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeError(w, &httpError{http.StatusRequestEntityTooLarge,
+			WriteError(w, &HTTPError{http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("request body exceeds the %d-byte append limit", mbe.Limit)})
 			return
 		}
-		writeError(w, &httpError{http.StatusBadRequest, err.Error()})
+		WriteError(w, &HTTPError{http.StatusBadRequest, err.Error()})
 		return
 	}
 	if batchDB.Len() == 0 {
-		writeError(w, &httpError{http.StatusBadRequest,
+		WriteError(w, &HTTPError{http.StatusBadRequest,
 			"empty batch: body must hold at least one record line (dim,...|loc:dur ...)"})
 		return
 	}
@@ -69,29 +69,29 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			// Admission control: the commit queue is at Config.MaxPending.
 			// The batch was not accepted — shed load and invite a retry.
 			w.Header().Set("Retry-After", "1")
-			writeError(w, &httpError{http.StatusServiceUnavailable,
+			WriteError(w, &HTTPError{http.StatusServiceUnavailable,
 				"append queue is full; retry after the backlog drains"})
 			return
 		}
 		// ErrClosed: the server is draining for shutdown.
-		writeError(w, &httpError{http.StatusServiceUnavailable, "server is shutting down"})
+		WriteError(w, &HTTPError{http.StatusServiceUnavailable, "server is shutting down"})
 		return
 	}
 	resp, err := p.Wait()
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-var errNoAppendDB = &httpError{http.StatusConflict,
+var errNoAppendDB = &HTTPError{http.StatusConflict,
 	"serving snapshot has no path database (loaded from a saved cube); append needs a database-backed snapshot"}
 
 // errStaleSchema is the parse-then-commit race surfaced cleanly: the
 // snapshot was reloaded between parsing a batch and folding it, so the
 // parsed node ids may no longer mean the same thing. 409 with a retry hint.
-var errStaleSchema = &httpError{http.StatusConflict,
+var errStaleSchema = &HTTPError{http.StatusConflict,
 	"snapshot reloaded while the append was in flight; re-read the serving schema and retry the batch"}
 
 // applyGroup is the committer's apply callback: it folds one commit group —
@@ -172,7 +172,7 @@ func (s *Server) applyGroup(group []*ingest.Pending) {
 	if s.wal != nil {
 		if err := s.journalGroup(snap, live); err != nil {
 			s.logger.Printf("append: WAL journal failed: %v", err)
-			fail := &httpError{http.StatusInternalServerError, fmt.Sprintf("journal append batch: %v", err)}
+			fail := &HTTPError{http.StatusInternalServerError, fmt.Sprintf("journal append batch: %v", err)}
 			for _, p := range live {
 				p.Resolve(nil, fail)
 			}
@@ -255,7 +255,7 @@ func (s *Server) fold(snap *Snapshot, batch []pathdb.Record) (*foldResult, error
 	// append loudly instead of patching an empty skeleton.
 	cube, err := snap.Cube.Materialize()
 	if err != nil {
-		return nil, &httpError{http.StatusInternalServerError,
+		return nil, &HTTPError{http.StatusInternalServerError,
 			fmt.Sprintf("materialize serving snapshot for append: %v", err)}
 	}
 	db := &pathdb.DB{Schema: snap.DB.Schema, Records: s.store.Reserve(len(batch))}
@@ -288,11 +288,11 @@ func appendError(err error) error {
 	var be *incr.BatchError
 	switch {
 	case errors.As(err, &be):
-		return &httpError{http.StatusBadRequest, err.Error()}
+		return &HTTPError{http.StatusBadRequest, err.Error()}
 	case errors.Is(err, incr.ErrAbsoluteMinCount),
 		errors.Is(err, incr.ErrCustomMining),
 		errors.Is(err, incr.ErrSchemaMismatch):
-		return &httpError{http.StatusConflict, err.Error()}
+		return &HTTPError{http.StatusConflict, err.Error()}
 	}
 	return err
 }

@@ -186,11 +186,13 @@ func TestPrunedV1Parity(t *testing.T) {
 		t.Fatal("computed cell lists no folded descendants")
 	}
 
-	// /v2/partial over the eager snapshot serves the census and at least one
-	// usable descendant cuboid for the same cell.
+	// /v2/partial over the pruned snapshot serves the census and at least
+	// one usable descendant cuboid for the same cell (over the eager one the
+	// cuboid is materialized, so the planner never folds it and the shard
+	// sends the cell alone).
 	pu := "/v2/partial?pathlevel=" + string(rune('0'+spec.PathLevel)) +
 		"&cell=" + core.FormatCell(eager.Schema, values[0])
-	rec, body = get(t, se.Handler(), pu)
+	rec, body = get(t, sp.Handler(), pu)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET %s: status %d: %s", pu, rec.Code, rec.Body.String())
 	}

@@ -210,33 +210,25 @@ func renderCuboids(snap *Snapshot) CuboidsResponse {
 	return resp
 }
 
-func renderSummary(snap *Snapshot) SummaryResponse {
-	cube := snap.Cube
+// Summary derives the /v1/summary body from the full census: the same
+// header, and the non-empty cuboids largest first (key as tiebreak), capped
+// at 20 to keep the payload bounded. The cluster router derives its summary
+// from the merged census the same way.
+func (c CuboidsResponse) Summary() SummaryResponse {
 	resp := SummaryResponse{
-		Source:     snap.Source,
-		LoadedAt:   snap.LoadedAt.UTC().Format("2006-01-02T15:04:05Z"),
-		PathLevels: len(cube.Symbols.PathLevels()),
-		MinCount:   cube.MinCount(),
-		Cells:      cube.NumCells(),
+		Source:     c.Source,
+		LoadedAt:   c.LoadedAt,
+		Dimensions: c.Dimensions,
+		PathLevels: c.PathLevels,
+		MinCount:   c.MinCount,
+		Cuboids:    len(c.Cuboids),
+		Cells:      c.Cells,
 	}
-	for _, h := range cube.Schema.Dims {
-		resp.Dimensions = append(resp.Dimensions, h.Dimension())
-	}
-	summaries := cube.CuboidSummaries()
-	resp.Cuboids = len(summaries)
-	for _, s := range summaries {
-		if s.Cells == 0 {
-			continue
+	for _, cb := range c.Cuboids {
+		if cb.Cells > 0 {
+			resp.Largest = append(resp.Largest, cb)
 		}
-		resp.Largest = append(resp.Largest, CuboidJSON{
-			Key:       s.Key,
-			ItemLevel: s.Item,
-			PathLevel: s.PathLevel,
-			Cells:     s.Cells,
-			Redundant: s.Redundant,
-		})
 	}
-	// Largest first, key as tiebreak, capped to keep the payload bounded.
 	sort.Slice(resp.Largest, func(i, j int) bool {
 		if resp.Largest[i].Cells != resp.Largest[j].Cells {
 			return resp.Largest[i].Cells > resp.Largest[j].Cells

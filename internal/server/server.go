@@ -6,13 +6,14 @@
 //
 // Endpoints:
 //
-//	GET  /v1/cell?cell=dim=concept,...&pathlevel=N[&format=dot]  flowgraph
-//	     query with roll-up inference (core.Cube.Answer, OpCell)
+//	GET  /v1/cell?cell=dim=concept,...&pathlevel=N[&format=dot]  one cell's
+//	     flowgraph with roll-up inference
 //	GET  /v2/query        OLAP algebra: op=cell|rollup|drilldown|slice|dice
 //	     with typed provenance; cells the materialization planner dropped
-//	     are reconstructed exactly at query time (core.Cube.Answer)
-//	GET  /v2/partial      one shard's local fold sources for a cell, used
-//	     by the cluster router to reconstruct across shards
+//	     are reconstructed exactly at query time
+//	GET  /v2/partial      what this snapshot holds toward one cell (the cell,
+//	     its census count, its fold sources), for a planner running on the
+//	     cluster router
 //	GET  /v1/summary      cuboid/cell census of the serving snapshot
 //	GET  /v1/exceptions   most severe exceptions across the cube
 //	GET  /v1/cuboids      full materialized-cuboid census (schemas + counts)
@@ -21,6 +22,12 @@
 //	POST /admin/reload    re-run the loader and atomically swap the snapshot
 //	POST /admin/append    delta-maintain the cube with new records
 //	     (incr.ApplyDelta on a clone, then an atomic snapshot swap)
+//
+// The three cell endpoints are adapters over one path (query.go): the raw
+// request is looked up in the response cache, else parsed, answered —
+// /v1/cell and /v2/query by core.Cube.Answer, the only query planner;
+// /v2/partial by core.Cube.Partial, that planner's inputs for one cell —
+// and rendered, with one mapping from errors to statuses.
 //
 // The cube is held behind an atomic snapshot pointer (MVCC: readers load it
 // once and are never blocked by writes); queries are answered through a
@@ -41,6 +48,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -302,17 +310,17 @@ func (s *Server) routes() http.Handler {
 		return http.TimeoutHandler(h, s.cfg.RequestTimeout,
 			`{"error":"request timed out"}`)
 	}
-	mux.Handle("GET /v1/cell", timeout(s.handleCell))
+	mux.Handle("GET /v1/cell", timeout(s.serveCached("v1|", answerWith(ParseCellRequest))))
 	mux.Handle("GET /v1/summary", timeout(s.handleSummary))
 	mux.Handle("GET /v1/exceptions", timeout(s.handleExceptions))
 	mux.Handle("GET /v1/cuboids", timeout(s.handleCuboids))
-	mux.Handle("GET /v2/query", timeout(s.handleQueryV2))
-	mux.Handle("GET /v2/partial", timeout(s.handlePartial))
+	mux.Handle("GET /v2/query", timeout(s.serveCached("v2|", answerWith(ParseQueryRequest))))
+	mux.Handle("GET /v2/partial", timeout(s.serveCached("partial|", computePartial)))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("POST /admin/reload", s.handleReload)
 	mux.HandleFunc("POST /admin/append", s.handleAppend)
-	return s.instrument(mux)
+	return Instrument(mux, s.logger, s.metrics.observe)
 }
 
 // statusWriter captures the response status for logging and metrics.
@@ -326,37 +334,39 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// instrument wraps the router with request logging and latency metrics,
-// keyed by method+path (query strings excluded).
-func (s *Server) instrument(next http.Handler) http.Handler {
+// Instrument wraps a route table with the request log line and a per-route
+// observer, keyed by method+path (query strings excluded). The cluster
+// router serves behind the same wrapper.
+func Instrument(next http.Handler, logger *log.Logger, observe func(route string, status int, elapsed time.Duration)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r)
 		elapsed := time.Since(start)
-		route := r.Method + " " + r.URL.Path
-		s.metrics.observe(route, sw.status, elapsed)
-		s.logger.Printf("%s %s %d %s", r.Method, r.URL.RequestURI(), sw.status, elapsed.Round(time.Microsecond))
+		observe(r.Method+" "+r.URL.Path, sw.status, elapsed)
+		logger.Printf("%s %s %d %s", r.Method, r.URL.RequestURI(), sw.status, elapsed.Round(time.Microsecond))
 	})
 }
 
-// httpError carries a status code through the cache-compute path.
-type httpError struct {
-	status int
-	msg    string
+// HTTPError carries a status code through the cache-compute path. Any other
+// error answers 500.
+type HTTPError struct {
+	Status int
+	Msg    string
 }
 
-func (e *httpError) Error() string { return e.msg }
+func (e *HTTPError) Error() string { return e.Msg }
 
 func errorStatus(err error) int {
-	var he *httpError
+	var he *HTTPError
 	if errors.As(err, &he) {
-		return he.status
+		return he.Status
 	}
 	return http.StatusInternalServerError
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the indented JSON body every endpoint answers with.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -364,118 +374,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
-func writeError(w http.ResponseWriter, err error) {
-	writeJSON(w, errorStatus(err), map[string]string{"error": err.Error()})
-}
-
-// handleCell answers a flowgraph query. Identical queries are answered from
-// the snapshot's LRU cache; concurrent identical misses share one
-// computation.
-func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	cellSpec := q.Get("cell")
-	format := q.Get("format")
-	if format == "" {
-		format = "json"
-	}
-	if format != "json" && format != "dot" {
-		writeError(w, &httpError{http.StatusBadRequest, fmt.Sprintf("unknown format %q, want json or dot", format)})
-		return
-	}
-	pathLevel := 0
-	if pl := q.Get("pathlevel"); pl != "" {
-		n, err := strconv.Atoi(pl)
-		if err != nil {
-			writeError(w, &httpError{http.StatusBadRequest, fmt.Sprintf("bad pathlevel %q", pl)})
-			return
-		}
-		pathLevel = n
-	}
-
-	snap := s.holder.get()
-	key := format + "|" + strconv.Itoa(pathLevel) + "|" + cellSpec
-	v, hit, err := snap.cache.do(key, func() (*cached, error) {
-		return computeCell(r.Context(), snap.Cube, cellSpec, pathLevel, format)
-	})
-	if err != nil {
-		s.metrics.cacheMisses.Add(1)
-		writeError(w, err)
-		return
-	}
-	if hit {
-		s.metrics.cacheHits.Add(1)
-	} else {
-		s.metrics.cacheMisses.Add(1)
-	}
-	if err := r.Context().Err(); err != nil {
-		// The deadline fired while we computed; TimeoutHandler already
-		// answered 503 and our write would be dropped.
-		return
-	}
-	w.Header().Set("Content-Type", v.contentType)
-	if hit {
-		w.Header().Set("X-Cache", "hit")
-	} else {
-		w.Header().Set("X-Cache", "miss")
-	}
-	w.WriteHeader(v.status)
-	w.Write(v.body) //nolint:errcheck
-}
-
-// computeCell resolves and renders one cell query; the result is cacheable
-// (errors are not cached). The resolution is Cube.Answer's OpCell path: on a
-// fully materialized cube it answers exactly as the old QueryGraph did, and
-// on a planner-pruned cube it reconstructs dropped cells exactly from their
-// materialized descendants, so /v1 responses over a pruned snapshot match
-// the unpruned ones.
-func computeCell(ctx context.Context, cube *core.Cube, cellSpec string, pathLevel int, format string) (*cached, error) {
-	il, values, err := core.ParseCellSpec(cube.Schema, cellSpec)
-	if err != nil {
-		return nil, &httpError{http.StatusBadRequest, err.Error()}
-	}
-	if pathLevel < 0 || pathLevel >= len(cube.Symbols.PathLevels()) {
-		return nil, &httpError{http.StatusBadRequest,
-			fmt.Sprintf("pathlevel %d out of range, cube has %d path levels", pathLevel, len(cube.Symbols.PathLevels()))}
-	}
-	spec := core.CuboidSpec{Item: il, PathLevel: pathLevel}
-	a, err := cube.Answer(ctx, core.Query{Op: core.OpCell, Spec: spec, Values: values})
-	if err != nil {
-		if !errors.Is(err, core.ErrCellNotFound) {
-			return nil, err
-		}
-		// A lazily loaded cube answers "not found" both for genuinely absent
-		// cells and when the section holding them failed to decode; the
-		// sticky LazyErr disambiguates corruption (500) from absence (404).
-		if err := cube.LazyErr(); err != nil {
-			return nil, &httpError{http.StatusInternalServerError, err.Error()}
-		}
-		return nil, &httpError{http.StatusNotFound,
-			fmt.Sprintf("no materialized cell answers %q (even by roll-up)", cellSpec)}
-	}
-	g, src, exact := a.Cells[0].Graph, a.Cells[0].Source, a.Cells[0].Exact
-	if format == "dot" {
-		name := cellSpec
-		if name == "" {
-			name = "apex"
-		}
-		return &cached{
-			status:      http.StatusOK,
-			contentType: "text/vnd.graphviz; charset=utf-8",
-			body:        []byte(g.DOT(name)),
-		}, nil
-	}
-	resp := CellResponse{
-		Cell:      core.FormatCell(cube.Schema, values),
-		PathLevel: pathLevel,
-		Exact:     exact,
-		Source:    renderCellRef(cube, src),
-		Graph:     renderGraph(cube.Schema.Location, g),
-	}
-	body, err := json.MarshalIndent(resp, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return &cached{status: http.StatusOK, contentType: "application/json", body: body}, nil
+// WriteError writes err as the {"error": ...} body, with the status an
+// *HTTPError in its chain names.
+func WriteError(w http.ResponseWriter, err error) {
+	WriteJSON(w, errorStatus(err), map[string]string{"error": err.Error()})
 }
 
 // checkLazy reports a lazily loaded snapshot's sticky decode error, if any,
@@ -485,7 +387,7 @@ func computeCell(ctx context.Context, cube *core.Cube, cellSpec string, pathLeve
 // as a legitimately small cube.
 func checkLazy(w http.ResponseWriter, snap *Snapshot) bool {
 	if err := snap.Cube.LazyErr(); err != nil {
-		writeError(w, &httpError{http.StatusInternalServerError, err.Error()})
+		WriteError(w, &HTTPError{http.StatusInternalServerError, err.Error()})
 		return false
 	}
 	return true
@@ -493,11 +395,11 @@ func checkLazy(w http.ResponseWriter, snap *Snapshot) bool {
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	snap := s.holder.get()
-	resp := renderSummary(snap)
+	resp := renderCuboids(snap).Summary()
 	if !checkLazy(w, snap) {
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleCuboids(w http.ResponseWriter, r *http.Request) {
@@ -506,32 +408,42 @@ func (s *Server) handleCuboids(w http.ResponseWriter, r *http.Request) {
 	if !checkLazy(w, snap) {
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
+}
+
+// ExceptionsK parses /v1/exceptions' k parameter: how many exceptions to
+// list, 20 by default, 0 for all.
+func ExceptionsK(params url.Values) (int, error) {
+	kq := params.Get("k")
+	if kq == "" {
+		return 20, nil
+	}
+	n, err := strconv.Atoi(kq)
+	if err != nil || n < 0 {
+		return 0, &HTTPError{http.StatusBadRequest, fmt.Sprintf("bad k %q", kq)}
+	}
+	return n, nil
 }
 
 func (s *Server) handleExceptions(w http.ResponseWriter, r *http.Request) {
-	k := 20
-	if kq := r.URL.Query().Get("k"); kq != "" {
-		n, err := strconv.Atoi(kq)
-		if err != nil || n < 0 {
-			writeError(w, &httpError{http.StatusBadRequest, fmt.Sprintf("bad k %q", kq)})
-			return
-		}
-		k = n
+	k, err := ExceptionsK(r.URL.Query())
+	if err != nil {
+		WriteError(w, err)
+		return
 	}
 	snap := s.holder.get()
 	resp := renderExceptions(snap.Cube, k)
 	if !checkLazy(w, snap) {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"exceptions": resp,
 	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	snap := s.holder.get()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"source":    snap.Source,
 		"loaded_at": snap.LoadedAt.UTC().Format(time.RFC3339),
@@ -540,7 +452,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
+	WriteJSON(w, http.StatusOK, s.Metrics())
 }
 
 // handleReload re-runs the loader and swaps the serving snapshot. In-flight
@@ -576,11 +488,11 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		snap = next
 	})
 	if err != nil {
-		writeError(w, &httpError{http.StatusServiceUnavailable, "server is shutting down"})
+		WriteError(w, &HTTPError{http.StatusServiceUnavailable, "server is shutting down"})
 		return
 	}
 	if loadErr != nil {
-		writeError(w, fmt.Errorf("reload: %w", loadErr))
+		WriteError(w, fmt.Errorf("reload: %w", loadErr))
 		return
 	}
 	s.metrics.reloads.Add(1)
@@ -593,7 +505,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if st, ok := snap.Cube.LazyStats(); ok {
 		lazy, mapped, decoded = true, st.MappedBytes, st.DecodedBytes
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "reloaded",
 		"cells":          snap.Cube.NumCells(),
 		"loaded_at":      snap.LoadedAt.UTC().Format(time.RFC3339),
@@ -606,38 +518,36 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 // Serve accepts connections on ln until ctx is cancelled, then shuts down
-// gracefully (draining in-flight requests, bounded by RequestTimeout).
+// gracefully (draining in-flight requests, bounded by RequestTimeout) and
+// closes the server.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
+	err := Serve(ctx, ln, s.handler, s.cfg.RequestTimeout)
+	// The listener or shutdown error is the actionable one.
+	if cerr := s.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Serve serves h on ln until ctx is cancelled, then shuts down gracefully,
+// draining in-flight requests for at most drain.
+func Serve(ctx context.Context, ln net.Listener, h http.Handler, drain time.Duration) error {
 	srv := &http.Server{
-		Handler:           s.Handler(),
+		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:
-		_ = s.Close() // the listener error is the actionable one
 		return err
 	case <-ctx.Done():
 		// WithoutCancel: ctx is already done here; the drain deadline must
 		// not inherit its cancellation or Shutdown would return immediately.
-		shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.RequestTimeout)
+		shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drain)
 		defer cancel()
 		err := srv.Shutdown(shutdownCtx)
 		<-errc // Serve has returned http.ErrServerClosed
-		if cerr := s.Close(); err == nil {
-			err = cerr
-		}
 		return err
 	}
-}
-
-// ListenAndServe binds addr and calls Serve.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.logger.Printf("listening on %s", ln.Addr())
-	return s.Serve(ctx, ln)
 }

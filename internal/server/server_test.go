@@ -133,15 +133,15 @@ func TestCellDOTMatchesDirectQuery(t *testing.T) {
 	}
 
 	// The served DOT must be byte-identical to what flowquery prints for
-	// the same cell spec (both call QueryGraph then Graph.DOT).
-	g, _, _, ok := cube.QueryGraph(
-		core.CuboidSpec{Item: core.ItemLevel{2, 2}, PathLevel: 0},
-		[]hierarchy.NodeID{ex.Product.MustLookup("shoes"), ex.Brand.MustLookup("nike")},
-	)
-	if !ok {
-		t.Fatal("direct query failed")
+	// the same cell spec (both call Answer then Graph.DOT).
+	a, err := cube.Answer(context.Background(), core.Query{
+		Spec:   core.CuboidSpec{Item: core.ItemLevel{2, 2}, PathLevel: 0},
+		Values: []hierarchy.NodeID{ex.Product.MustLookup("shoes"), ex.Brand.MustLookup("nike")},
+	})
+	if err != nil {
+		t.Fatalf("direct query failed: %v", err)
 	}
-	if want := g.DOT(spec); rec.Body.String() != want {
+	if want := a.Cells[0].Graph.DOT(spec); rec.Body.String() != want {
 		t.Errorf("served DOT differs from direct query output:\n-- served --\n%s\n-- direct --\n%s",
 			rec.Body.String(), want)
 	}

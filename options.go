@@ -24,8 +24,8 @@ type (
 	CorruptSnapshotError = core.CorruptSnapshotError
 )
 
-// ErrCellNotFound is wrapped by (*Cube).ResolveGraph when neither the
-// requested cell nor any materialized ancestor exists.
+// ErrCellNotFound is wrapped by (*Cube).Answer when neither the requested
+// cell nor any materialized or computable ancestor exists.
 var ErrCellNotFound = core.ErrCellNotFound
 
 // BuildContext is Build with cancellation: ctx is checked between pipeline

@@ -72,4 +72,7 @@ go test ./internal/pathdb -run '^$' -fuzz FuzzRead -fuzztime 10s
 go test ./internal/incr -run '^$' -fuzz FuzzApplyDelta -fuzztime 10s
 go test ./internal/ingest -run '^$' -fuzz FuzzWALReplay -fuzztime 10s
 
+echo "== lines of non-test Go per package (report only) =="
+./scripts/loc.sh
+
 echo "ok"
