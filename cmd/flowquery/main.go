@@ -274,7 +274,7 @@ func queryCell(stdout, stderr io.Writer, cube *core.Cube, ds *datagen.Dataset, o
 					break
 				}
 				fmt.Fprintf(stdout, "  node %v cond %v support=%d devT=%.2f devD=%.2f\n",
-					prefixNames(ds, x.Node.Prefix()), x.Condition, x.Support,
+					prefixNames(ds, x.Prefix), x.Condition, x.Support,
 					x.TransitionDeviation, x.DurationDeviation)
 			}
 		}

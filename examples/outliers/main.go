@@ -88,7 +88,7 @@ func main() {
 			continue
 		}
 		fmt.Printf("given %d units at QC: P(→returns) = %.2f at %v (in general %.2f), support %d\n",
-			x.Condition[0].Duration, cond, names(location, x.Node), base, x.Support)
+			x.Condition[0].Duration, cond, names(location, x.Prefix), base, x.Support)
 		shown++
 		if shown >= 6 {
 			break
@@ -134,9 +134,9 @@ func baseReturnsProb(n *flowcube.FlowNode, returns flowcube.NodeID) float64 {
 	return n.Transitions.Prob(int64(returns))
 }
 
-func names(loc *flowcube.Hierarchy, n *flowcube.FlowNode) []string {
+func names(loc *flowcube.Hierarchy, prefix []flowcube.NodeID) []string {
 	var out []string
-	for _, id := range n.Prefix() {
+	for _, id := range prefix {
 		out = append(out, loc.Name(id))
 	}
 	return out

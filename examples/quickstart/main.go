@@ -118,7 +118,7 @@ func main() {
 	fmt.Println("\n=== Exceptions in (outerwear, nike) ===")
 	for _, x := range ow.Graph.Exceptions() {
 		fmt.Printf("at %v given %v: support=%d transitions[%s] (deviation %.2f)\n",
-			prefixNames(location, x.Node), pins(location, x.Condition),
+			prefixNames(location, x.Prefix), pins(location, x.Condition),
 			x.Support, x.Transitions, x.TransitionDeviation)
 	}
 
@@ -158,9 +158,9 @@ func paths(db *flowcube.DB) []flowcube.Path {
 	return out
 }
 
-func prefixNames(loc *flowcube.Hierarchy, n *flowcube.FlowNode) []string {
+func prefixNames(loc *flowcube.Hierarchy, prefix []flowcube.NodeID) []string {
 	var out []string
-	for _, id := range n.Prefix() {
+	for _, id := range prefix {
 		out = append(out, loc.Name(id))
 	}
 	return out

@@ -63,8 +63,10 @@
 // streaming appends: ApplyDelta(cube, db, batch) folds a batch of new
 // records into the materialized cube — touching only the affected cells —
 // and is byte-exact against a full rebuild over the union database.
-// Serving processes patch a (*Cube).Clone and swap snapshots; see
-// DESIGN.md §9 and cmd/flowserve's POST /admin/append.
+// Serving processes patch a (*Cube).Fork — the next generation, which
+// shares every untouched cell and flowgraph node with the cube being
+// served — and swap snapshots; see DESIGN.md §9 and cmd/flowserve's POST
+// /admin/append.
 //
 // See examples/quickstart for a complete program built on the paper's
 // running example, and DESIGN.md for the system inventory.

@@ -122,11 +122,10 @@ func Incr(o Options) IncrSuite {
 		deltaNs := int64(0)
 		var stats *incr.Stats
 		for i := 0; i < v.deltaIters; i++ {
-			// Clone the cube and copy the database outside the timer: the
-			// serving path (POST /admin/append) amortizes those copies over
-			// the snapshot swap; the delta itself is what scales with batch
-			// size.
-			cube := base.Clone()
+			// Fork the cube and copy the database outside the timer; the
+			// delta, including the cells and flowgraph nodes it copies out
+			// of base on first write, is what scales with batch size.
+			cube := base.Fork()
 			db := &pathdb.DB{Schema: ds.DB.Schema, Records: append([]pathdb.Record(nil), prefix.Records...)}
 			start := time.Now()
 			stats, err = incr.ApplyDelta(cube, db, batch)

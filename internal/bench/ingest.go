@@ -352,7 +352,7 @@ func ingestRemine(o Options, ds *datagen.Dataset, minCount int64) IngestRemine {
 		var stats *incr.Stats
 		var cube *core.Cube
 		for i := 0; i < ingestRemineIters; i++ {
-			cube = base.Clone()
+			cube = base.Fork()
 			if dropCache {
 				cube.DropCondCache()
 			}

@@ -35,16 +35,9 @@ func (c *Cube) Append(r pathdb.Record) error {
 		}
 	}
 	values := make([]hierarchy.NodeID, len(r.Dims))
-	for _, cb := range c.Cuboids {
-		for d, v := range r.Dims {
-			if cb.Spec.Item[d] == 0 {
-				values[d] = hierarchy.Root
-			} else {
-				values[d] = c.Schema.Dims[d].AncestorAt(v, cb.Spec.Item[d])
-			}
-		}
-		cell, ok := cb.Cells[cellKey(values)]
-		if !ok {
+	for key, cb := range c.Cuboids {
+		cell := c.OwnedCell(key, cellKey(cb.Spec.Item.ValuesOf(c.Schema, r.Dims, values)))
+		if cell == nil {
 			continue
 		}
 		cell.Count++

@@ -272,6 +272,7 @@ func (c *Cube) populateTargets() []*Cuboid {
 // the chunks cover ascending tid ranges, reproduces the sequential scan's
 // tid order exactly.
 func (c *Cube) assignCells(db *pathdb.DB, targets []*Cuboid) {
+	c.haveTIDs = true
 	if len(targets) == 0 {
 		return
 	}

@@ -8,8 +8,10 @@ package core
 // snapshots and has no effect on Save bytes. A cube built with
 // Config.MineExceptions warms it during mineExceptions; a cube loaded from
 // a snapshot starts cold, and the incremental path falls back to a full
-// per-cell re-mine (which warms the entry for next time). Entries are
-// immutable once stored; Clone shares them behind fresh maps.
+// per-cell re-mine (which warms the entry for next time). An entry hangs off
+// its cell and is immutable once stored, so it follows the cell from one
+// generation to the next and is replaced, never edited, when a batch adds
+// conditions.
 
 import (
 	"sort"
@@ -75,45 +77,34 @@ func CondPinKey(pins []flowgraph.StagePin) string {
 // CachedConds returns the cached condition set of a cell (identified by its
 // cuboid spec key and CellKey), with ok=false on a cold cache.
 func (c *Cube) CachedConds(specKey, cellKey string) (*CondSet, bool) {
-	cells := c.condCache[specKey]
-	if cells == nil {
+	cb := c.Cuboids[specKey]
+	if cb == nil {
 		return nil, false
 	}
-	s, ok := cells[cellKey]
-	return s, ok
+	cell := cb.Cells[cellKey]
+	if cell == nil || cell.conds == nil {
+		return nil, false
+	}
+	return cell.conds, true
 }
 
 // SetCachedConds records a cell's condition set, replacing any previous
-// entry with a fresh one (entries are immutable; concurrent readers of the
-// old entry are unaffected).
+// entry with a fresh one (entries are immutable; the generation this one
+// was forked from keeps the old entry on its own copy of the cell). It is a
+// no-op when the cell is not materialized.
 func (c *Cube) SetCachedConds(specKey, cellKey string, pins [][]flowgraph.StagePin) {
-	if c.condCache == nil {
-		c.condCache = make(map[string]map[string]*CondSet)
+	if cell := c.OwnedCell(specKey, cellKey); cell != nil {
+		cell.conds = NewCondSet(pins)
 	}
-	cells := c.condCache[specKey]
-	if cells == nil {
-		cells = make(map[string]*CondSet)
-		c.condCache[specKey] = cells
-	}
-	cells[cellKey] = NewCondSet(pins)
 }
 
 // DropCondCache empties the cache, forcing the incremental path back onto
 // the full per-cell re-mine. Tests use it to compare the two paths.
-func (c *Cube) DropCondCache() { c.condCache = nil }
-
-// cloneCondCache shares the immutable entries behind fresh maps.
-func (c *Cube) cloneCondCache() map[string]map[string]*CondSet {
-	if c.condCache == nil {
-		return nil
-	}
-	out := make(map[string]map[string]*CondSet, len(c.condCache))
-	for spec, cells := range c.condCache {
-		n := make(map[string]*CondSet, len(cells))
-		for ck, s := range cells {
-			n[ck] = s
+func (c *Cube) DropCondCache() {
+	c.ownAllCells()
+	for _, cb := range c.Cuboids {
+		for _, cell := range cb.Cells {
+			cell.conds = nil
 		}
-		out[spec] = n
 	}
-	return out
 }

@@ -10,9 +10,8 @@
 package core
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
@@ -27,11 +26,31 @@ type ItemLevel []int
 
 // Key returns a canonical identity string.
 func (il ItemLevel) Key() string {
-	parts := make([]string, len(il))
+	var buf [32]byte
+	return string(il.appendKey(buf[:0]))
+}
+
+func (il ItemLevel) appendKey(b []byte) []byte {
 	for i, l := range il {
-		parts[i] = fmt.Sprint(l)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(l), 10)
 	}
-	return strings.Join(parts, ",")
+	return b
+}
+
+// ValuesOf writes a record's dimension values as seen at the item level
+// into out — the ancestor at each dimension's level, hierarchy.Root where
+// the level is '*' — and returns out.
+func (il ItemLevel) ValuesOf(schema *pathdb.Schema, dims, out []hierarchy.NodeID) []hierarchy.NodeID {
+	for d, l := range il {
+		out[d] = hierarchy.Root
+		if l > 0 {
+			out[d] = schema.Dims[d].AncestorAt(dims[d], l)
+		}
+	}
+	return out
 }
 
 // Dominates reports il ⪯ other in the item lattice: il is at least as
@@ -54,7 +73,9 @@ type CuboidSpec struct {
 
 // Key returns a canonical identity string.
 func (cs CuboidSpec) Key() string {
-	return cs.Item.Key() + "@" + fmt.Sprint(cs.PathLevel)
+	var buf [40]byte
+	b := append(cs.Item.appendKey(buf[:0]), '@')
+	return string(strconv.AppendInt(b, int64(cs.PathLevel), 10))
 }
 
 // Cell is one flowcube cell: a combination of dimension values at the
@@ -80,18 +101,24 @@ type Cell struct {
 	Similarity float64
 
 	tids []int32
+	// conds caches the exception conditions checked for the cell (conds.go);
+	// nil is a cold cache. Not serialized.
+	conds *CondSet
+	// owner is the generation that may write the cell (delta.go).
+	owner uint32
 }
 
 // cellKey canonically encodes per-dimension values.
 func cellKey(values []hierarchy.NodeID) string {
-	var b strings.Builder
+	var buf [48]byte
+	b := buf[:0]
 	for i, v := range values {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", v)
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // SimilarityUnknown is the Cell.Similarity sentinel meaning "no parent
@@ -104,6 +131,9 @@ const SimilarityUnknown = -1
 type Cuboid struct {
 	Spec  CuboidSpec
 	Cells map[string]*Cell
+
+	// owner is the generation that may write the cell map (delta.go).
+	owner uint32
 }
 
 // Cube is a materialized (iceberg, optionally non-redundant) flowcube.
@@ -112,10 +142,12 @@ type Cuboid struct {
 // paths — Cell, Cuboid, Answer, NumCells, CuboidSummaries,
 // TopExceptions, Validate, SortedCells, and every flowgraph render/analysis
 // method they expose — do not mutate the cube or any lazily cached state.
-// Mutating operations (Append, MarkRedundancy, Compress) must not run
-// concurrently with readers; long-lived servers should treat a cube as
-// immutable after construction and swap whole-cube snapshots instead
-// (see internal/server).
+// Mutating operations (Append, MarkRedundancy, Compress, incr.ApplyDelta)
+// must not run concurrently with readers of the same cube value; a
+// long-lived server treats the cube it serves as immutable, runs them on a
+// Fork — which shares the served cube's cells and flowgraph nodes and
+// copies what it writes, so the served cube is not disturbed — and swaps
+// the fork in (see delta.go and internal/server).
 type Cube struct {
 	Schema  *pathdb.Schema
 	Config  Config
@@ -128,12 +160,17 @@ type Cube struct {
 
 	minCount int64
 	appended int64
+	// gen is the cube's generation tag: it may write exactly the cuboids,
+	// cells, flowgraph nodes and ledger parts that carry it (delta.go).
+	gen         uint32
+	cellsCopied int
 	// ledger is the sub-δ count store carried when Config.DeltaLedger is
-	// set; see delta.go and internal/incr.
+	// set; see ledger.go and internal/incr.
 	ledger *Ledger
-	// condCache remembers each cell's exception conditions
-	// (specKey → CellKey → set); see conds.go. Not serialized.
-	condCache map[string]map[string]*CondSet
+	// haveTIDs records that the cells carry their record-id lists.
+	haveTIDs bool
+	// levelCuboids caches LevelCuboids; nil until first asked for.
+	levelCuboids []LevelCuboids
 	// lazy is non-nil for cubes opened with LoadCubeLazy: Cuboids stays
 	// empty and the read paths answer from the mapped snapshot through the
 	// backend (see lazyload.go). Mutators need Materialize first.

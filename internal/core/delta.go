@@ -1,210 +1,182 @@
 package core
 
-// Delta-maintenance support (see internal/incr and DESIGN.md §9): the
-// sub-δ count ledger that lets an append batch admit newly-frequent iceberg
-// cells without rescanning the base database, a deep Clone so a serving
-// layer can delta-patch a copy while readers keep the original, and the
-// exported cell/tid primitives the incr package drives the update with.
+// Delta-maintenance support (see internal/incr and DESIGN.md §9): cube
+// generations that share structure, the one accessor through which a
+// generation obtains a cell it may write, and the exported cell/tid
+// primitives the incr package drives the update with.
 //
-// This file is on the immutcube allowlist: everything here is build-phase
-// machinery in the same sense as build.go — it runs on cubes no reader
-// shares yet (a fresh Build, or a Clone made expressly to be patched).
+// The ownership rule. Every cuboid, cell, flowgraph node and ledger part
+// carries the tag of the generation that may write it. Build and the
+// snapshot decoders produce generation 0 and tag everything 0; Fork returns
+// a generation with the next tag that shares all of it, so whatever a
+// generation holds is frozen the moment the next one is forked from it. A
+// writer reaches a cell only through OwnedCell, which copies the cuboid's
+// cell map and the cell on first touch and forks the cell's flowgraph;
+// flowgraph.Graph.AddPath then copies the nodes along the path it adds and
+// nothing else. Dropping a fork is the whole rollback.
+//
+// This file is on the immutcube allowlist: it holds that accessor and the
+// build-phase machinery (the sub-δ ledger scan, tid recovery) that runs on
+// cubes no reader shares yet.
 
 import (
-	"sort"
-
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
 	"flowcube/internal/transact"
 )
 
-// Ledger is the auxiliary sub-δ count store: for every materialized item
-// level, the exact path count of every dimension-value combination that
-// occurs in the database but falls below the iceberg threshold. A cube
-// built with Config.DeltaLedger carries it (and persists it in snapshot
-// sections), so ApplyDelta can decide cell admission — base count plus
-// batch count crossing δ — in O(1) per touched combination instead of a
-// base-database scan.
-type Ledger struct {
-	levels map[string]*ledgerLevel
+// Fork returns the cube's next generation: a cube that shares every
+// cuboid, cell, flowgraph node, ledger node and cached exception condition
+// with the receiver by pointer, and writes copy-on-write through
+// OwnedCell. The receiver is not touched by anything done to the fork —
+// readers keep using it, and a fork that is dropped leaves no trace — so
+// the cost is the cuboid and ledger-level tables plus the symbol table
+// (encoding a batch interns items), none of which grows with the cells or
+// their flowgraphs. A lazily loaded cube cannot be forked; Materialize it.
+//
+// Tags run out after 2³²−1 forks along one lineage; a cube from Build or
+// Load starts a new one.
+func (c *Cube) Fork() *Cube {
+	f := &Cube{
+		Schema:       c.Schema,
+		Config:       c.Config,
+		Symbols:      c.Symbols.Clone(),
+		Mining:       c.Mining,
+		Cuboids:      make(map[string]*Cuboid, len(c.Cuboids)),
+		minCount:     c.minCount,
+		appended:     c.appended,
+		gen:          c.gen + 1,
+		ledger:       c.ledger.fork(c.gen + 1),
+		haveTIDs:     c.haveTIDs,
+		levelCuboids: c.levelCuboids,
+	}
+	for key, cb := range c.Cuboids {
+		f.Cuboids[key] = cb
+	}
+	return f
 }
 
-type ledgerLevel struct {
-	item    ItemLevel
-	entries map[string]*ledgerEntry
+// ownedCuboid returns the cuboid under specKey with a cell map this
+// generation may write, copying the map (not the cells) on first touch;
+// nil when the cuboid is not materialized.
+func (c *Cube) ownedCuboid(specKey string) *Cuboid {
+	cb := c.Cuboids[specKey]
+	if cb == nil || cb.owner == c.gen {
+		return cb
+	}
+	own := &Cuboid{Spec: cb.Spec, Cells: make(map[string]*Cell, len(cb.Cells)+1), owner: c.gen}
+	for ck, cell := range cb.Cells {
+		own.Cells[ck] = cell
+	}
+	c.Cuboids[specKey] = own
+	return own
 }
 
-type ledgerEntry struct {
-	values []hierarchy.NodeID
-	count  int64
-}
-
-// NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{levels: make(map[string]*ledgerLevel)}
-}
-
-// Count reports the recorded sub-δ count of a combination (0 when absent —
-// absent means the combination never occurred below threshold).
-func (l *Ledger) Count(il ItemLevel, values []hierarchy.NodeID) int64 {
-	if l == nil {
-		return 0
-	}
-	lv := l.levels[il.Key()]
-	if lv == nil {
-		return 0
-	}
-	e := lv.entries[cellKey(values)]
-	if e == nil {
-		return 0
-	}
-	return e.count
-}
-
-// Bump adds n to a combination's count, creating the entry if needed, and
-// returns the new count.
-func (l *Ledger) Bump(il ItemLevel, values []hierarchy.NodeID, n int64) int64 {
-	key := il.Key()
-	lv := l.levels[key]
-	if lv == nil {
-		lv = &ledgerLevel{item: append(ItemLevel(nil), il...), entries: make(map[string]*ledgerEntry)}
-		l.levels[key] = lv
-	}
-	ck := cellKey(values)
-	e := lv.entries[ck]
-	if e == nil {
-		e = &ledgerEntry{values: append([]hierarchy.NodeID(nil), values...)}
-		lv.entries[ck] = e
-	}
-	e.count += n
-	return e.count
-}
-
-// Remove drops a combination (called when it crosses δ and becomes a cell).
-func (l *Ledger) Remove(il ItemLevel, values []hierarchy.NodeID) {
-	if lv := l.levels[il.Key()]; lv != nil {
-		delete(lv.entries, cellKey(values))
-	}
-}
-
-// Size reports the total number of sub-δ entries across item levels.
-func (l *Ledger) Size() int {
-	if l == nil {
-		return 0
-	}
-	n := 0
-	for _, lv := range l.levels {
-		n += len(lv.entries)
-	}
-	return n
-}
-
-// clone deep-copies the ledger; nil stays nil.
-func (l *Ledger) clone() *Ledger {
-	if l == nil {
+// OwnedCell returns the cell stored under cellKey in the cuboid under
+// specKey as this generation may write it, or nil when there is none. It is
+// the only way a writer reaches a cell: the first touch in a generation
+// copies the cuboid's cell map, then the cell — its flowgraph forked (nodes
+// shared until a path is added through them), its tids clamped so an
+// append reallocates instead of growing into the older generation's spare
+// capacity — and later touches return the same copy.
+func (c *Cube) OwnedCell(specKey, cellKey string) *Cell {
+	cb := c.ownedCuboid(specKey)
+	if cb == nil {
 		return nil
 	}
-	c := NewLedger()
-	for k, lv := range l.levels {
-		nlv := &ledgerLevel{item: lv.item, entries: make(map[string]*ledgerEntry, len(lv.entries))}
-		for ck, e := range lv.entries {
-			nlv.entries[ck] = &ledgerEntry{values: e.values, count: e.count}
+	cell := cb.Cells[cellKey]
+	if cell == nil || cell.owner == c.gen {
+		return cell
+	}
+	own := *cell
+	own.owner = c.gen
+	own.tids = cell.tids[:len(cell.tids):len(cell.tids)]
+	if cell.Graph != nil {
+		own.Graph = cell.Graph.Fork(c.gen)
+	}
+	cb.Cells[cellKey] = &own
+	c.cellsCopied++
+	return &own
+}
+
+// CellsCopied reports how many cells this generation has copied from the
+// ones before it (0 for a cube that was never forked).
+func (c *Cube) CellsCopied() int { return c.cellsCopied }
+
+// ownAllCells makes every materialized cell this generation's own, for the
+// mutators that rewrite the whole cube.
+func (c *Cube) ownAllCells() {
+	for key, cb := range c.Cuboids {
+		for ck := range cb.Cells {
+			c.OwnedCell(key, ck)
 		}
-		c.levels[k] = nlv
 	}
-	return c
-}
-
-// sortedLevels returns the ledger's item levels in ascending key order, for
-// deterministic encoding.
-func (l *Ledger) sortedLevels() []*ledgerLevel {
-	keys := make([]string, 0, len(l.levels))
-	for k := range l.levels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*ledgerLevel, len(keys))
-	for i, k := range keys {
-		out[i] = l.levels[k]
-	}
-	return out
-}
-
-// sortedEntries returns one level's entries in ascending cell-key order.
-func (lv *ledgerLevel) sortedEntries() []*ledgerEntry {
-	keys := make([]string, 0, len(lv.entries))
-	for k := range lv.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*ledgerEntry, len(keys))
-	for i, k := range keys {
-		out[i] = lv.entries[k]
-	}
-	return out
 }
 
 // Ledger returns the cube's sub-δ ledger, or nil when the cube was built
-// without Config.DeltaLedger.
+// without Config.DeltaLedger. It belongs to this generation: writes through
+// it never reach the generation the cube was forked from.
 func (c *Cube) Ledger() *Ledger { return c.ledger }
 
-// ItemLevels returns the distinct item abstraction levels of the
-// materialized cuboids, sorted by key.
-func (c *Cube) ItemLevels() []ItemLevel {
-	seen := make(map[string]ItemLevel)
-	for _, cb := range c.Cuboids {
-		seen[cb.Spec.Item.Key()] = cb.Spec.Item
+// LevelCuboids groups the materialized cuboids that share one item level
+// (they hold the same cells, one flowgraph per path level).
+type LevelCuboids struct {
+	Item ItemLevel
+	// Keys are the cuboids' spec keys in ascending order.
+	Keys []string
+}
+
+// LevelCuboids returns the materialized cuboids grouped by item level, in
+// ascending cuboid-key order (cuboids of one item level share the key
+// prefix "item@", so they sort next to each other). The grouping depends
+// only on which cuboids are materialized, so it is computed once and handed
+// down to forks; callers must not modify it.
+func (c *Cube) LevelCuboids() []LevelCuboids {
+	if c.levelCuboids == nil {
+		var out []LevelCuboids
+		for _, cb := range c.sortedCuboids() {
+			if n := len(out); n == 0 || out[n-1].Item.Key() != cb.Spec.Item.Key() {
+				out = append(out, LevelCuboids{Item: cb.Spec.Item})
+			}
+			last := &out[len(out)-1]
+			last.Keys = append(last.Keys, cb.Spec.Key())
+		}
+		c.levelCuboids = out
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]ItemLevel, len(keys))
-	for i, k := range keys {
-		out[i] = seen[k]
-	}
-	return out
+	return c.levelCuboids
 }
 
 // buildLedger populates the sub-δ ledger from the base database: one scan
 // per materialized item level (levels are independent, so they spread
-// across Config.Workers), counting every combination and then dropping the
-// ones at or above the iceberg threshold — those are materialized cells and
-// carry their counts themselves.
+// across Config.Workers), counting every combination and keeping the ones
+// below the iceberg threshold — the rest are materialized cells and carry
+// their counts themselves.
 func (c *Cube) buildLedger(db *pathdb.DB) {
-	levels := c.ItemLevels()
+	levels := c.LevelCuboids()
 	built := make([]*ledgerLevel, len(levels))
 	c.forEach(len(levels), func(i int) {
-		il := levels[i]
-		lv := &ledgerLevel{item: append(ItemLevel(nil), il...), entries: make(map[string]*ledgerEntry)}
+		il := levels[i].Item
+		counts := make(map[string]*ledgerEntry)
 		values := make([]hierarchy.NodeID, len(il))
 		for r := range db.Records {
-			rec := &db.Records[r]
-			for d, l := range il {
-				if l == 0 {
-					values[d] = hierarchy.Root
-				} else {
-					values[d] = c.Schema.Dims[d].AncestorAt(rec.Dims[d], l)
-				}
-			}
-			ck := cellKey(values)
-			e := lv.entries[ck]
+			ck := cellKey(il.ValuesOf(c.Schema, db.Records[r].Dims, values))
+			e := counts[ck]
 			if e == nil {
-				e = &ledgerEntry{values: append([]hierarchy.NodeID(nil), values...)}
-				lv.entries[ck] = e
+				e = &ledgerEntry{key: ck, values: append([]hierarchy.NodeID(nil), values...)}
+				counts[ck] = e
 			}
 			e.count++
 		}
-		for ck, e := range lv.entries {
-			if e.count >= c.minCount {
-				delete(lv.entries, ck)
+		lv := &ledgerLevel{item: append(ItemLevel(nil), il...), owner: c.gen}
+		for _, e := range counts {
+			if e.count < c.minCount {
+				lv.put(e)
 			}
 		}
 		built[i] = lv
 	})
-	c.ledger = NewLedger()
+	c.ledger = &Ledger{levels: make(map[string]*ledgerLevel, len(built)), owner: c.gen}
 	for _, lv := range built {
 		c.ledger.levels[lv.item.Key()] = lv
 	}
@@ -220,59 +192,43 @@ func CellKey(values []hierarchy.NodeID) string { return cellKey(values) }
 // snapshot; RebuildTIDs recovers it.
 func (cell *Cell) TIDs() []int32 { return cell.tids }
 
-// SetTIDs replaces the cell's record-id list.
+// SetTIDs replaces the record-id list of a cell obtained from OwnedCell or
+// AdmitCell.
 func (cell *Cell) SetTIDs(tids []int32) { cell.tids = tids }
+
+// HaveTIDs reports whether the cube's cells carry their record-id lists:
+// true after Build or RebuildTIDs, false for a cube decoded from a
+// snapshot, and inherited by forks.
+func (c *Cube) HaveTIDs() bool { return c.haveTIDs }
 
 // RebuildTIDs re-derives every materialized cell's record-id list from the
 // database the cube was built over (or an equal copy), using the same
 // packed-key assignment scan as Build. Cubes loaded from snapshots do not
 // carry tids; delta maintenance needs them once.
 func (c *Cube) RebuildTIDs(db *pathdb.DB) {
+	c.ownAllCells()
 	c.assignCells(db, c.populateTargets())
 }
 
 // AdmitCell registers a newly-frequent cell (found by delta maintenance) in
-// every materialized cuboid sharing its item level, exactly as the build
-// phase does for cells found by mining. Existing cells are left untouched.
-func (c *Cube) AdmitCell(il ItemLevel, values []hierarchy.NodeID, count int64) {
-	c.addCell(il, values, count)
-}
-
-// BatchAssignment pairs one materialized cell with the ids of the records
-// in an appended range that belong to it.
-type BatchAssignment struct {
-	Cuboid *Cuboid
-	Cell   *Cell
-	TIDs   []int32
-}
-
-// AssignRange routes the records in [lo, hi) of db to the cells of every
-// materialized cuboid using the packed-key assignment plan (the same plan
-// the populate scan uses), without mutating the cube. It returns only the
-// cells that were hit, in deterministic sorted cuboid/cell order — the
-// touched-cell set of an append batch.
-func (c *Cube) AssignRange(db *pathdb.DB, lo, hi int) []BatchAssignment {
-	targets := c.populateTargets()
-	if len(targets) == 0 || lo >= hi {
+// the cuboid under specKey and returns it for the caller to fill in, or nil
+// when the cuboid is not materialized or already holds the cell. Callers
+// admit a combination into every cuboid of its item level (LevelCuboids),
+// as the build phase does for cells found by mining.
+func (c *Cube) AdmitCell(specKey string, values []hierarchy.NodeID, count int64) *Cell {
+	cb := c.ownedCuboid(specKey)
+	key := cellKey(values)
+	if cb == nil || cb.Cells[key] != nil {
 		return nil
 	}
-	plan := newAssignPlan(db.Schema, targets)
-	bucket := make([][]int32, len(plan.slots))
-	plan.assign(db, lo, hi, bucket)
-	// Slot ids were handed out in target order, cells in sorted order
-	// within each target (see newAssignPlan), so a single walk in the same
-	// order recovers the cuboid of every slot.
-	var out []BatchAssignment
-	slot := 0
-	for _, cb := range targets {
-		for _, cell := range cb.SortedCells() {
-			if tids := bucket[slot]; len(tids) > 0 {
-				out = append(out, BatchAssignment{Cuboid: cb, Cell: cell, TIDs: tids})
-			}
-			slot++
-		}
+	cell := &Cell{
+		Values:     append([]hierarchy.NodeID(nil), values...),
+		Count:      count,
+		Similarity: SimilarityUnknown,
+		owner:      c.gen,
 	}
-	return out
+	cb.Cells[key] = cell
+	return cell
 }
 
 // StagePins converts an all-stage itemset into exception-condition pins,
@@ -282,63 +238,4 @@ func (c *Cube) AssignRange(db *pathdb.DB, lo, hi int) []BatchAssignment {
 // set.
 func StagePins(syms *transact.Symbols, stages []transact.Item) (int, []flowgraph.StagePin, bool) {
 	return stagePins(syms, stages)
-}
-
-// Clone returns a deep copy of the cube that shares only immutable state
-// (the schema and hierarchies, the mining result): cells, flowgraphs, tids,
-// the symbol table, and the sub-δ ledger are all copied. The clone is safe
-// to mutate — in particular to delta-patch — while readers keep using the
-// original. Cloning a lazily loaded cube materializes it (every section
-// decoded fresh, bypassing the shared LRU); if the snapshot turns out to be
-// corrupt mid-decode the clone comes back empty with the error recorded for
-// LazyErr — callers that need the failure as an error use Materialize.
-func (c *Cube) Clone() *Cube {
-	if c.lazy != nil {
-		full, err := c.lazy.materialize(c)
-		if err != nil {
-			c.lazy.noteErr(err)
-			return &Cube{
-				Schema:   c.Schema,
-				Config:   c.Config,
-				Symbols:  c.Symbols.Clone(),
-				Mining:   c.Mining,
-				Cuboids:  make(map[string]*Cuboid),
-				minCount: c.minCount,
-				appended: c.appended,
-				ledger:   c.ledger.clone(),
-			}
-		}
-		return full
-	}
-	clone := &Cube{
-		Schema:    c.Schema,
-		Config:    c.Config,
-		Symbols:   c.Symbols.Clone(),
-		Mining:    c.Mining,
-		Cuboids:   make(map[string]*Cuboid, len(c.Cuboids)),
-		minCount:  c.minCount,
-		appended:  c.appended,
-		ledger:    c.ledger.clone(),
-		condCache: c.cloneCondCache(),
-	}
-	for key, cb := range c.Cuboids {
-		ncb := &Cuboid{Spec: cb.Spec, Cells: make(map[string]*Cell, len(cb.Cells))}
-		for ck, cell := range cb.Cells {
-			ncell := &Cell{
-				Values:     append([]hierarchy.NodeID(nil), cell.Values...),
-				Count:      cell.Count,
-				Redundant:  cell.Redundant,
-				Similarity: cell.Similarity,
-			}
-			if cell.Graph != nil {
-				ncell.Graph = cell.Graph.Clone()
-			}
-			if cell.tids != nil {
-				ncell.tids = append([]int32(nil), cell.tids...)
-			}
-			ncb.Cells[ck] = ncell
-		}
-		clone.Cuboids[key] = ncb
-	}
-	return clone
 }

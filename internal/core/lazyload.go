@@ -695,6 +695,8 @@ func (b *lazyBackend) sortedAll() []*Cuboid {
 // materialize decodes the whole snapshot into a fresh eager cube the
 // caller exclusively owns: sections decode in parallel, bypassing the
 // shared cache so nothing is aliased with other readers of the lazy cube.
+// The result is the lazy cube's next generation — it owns the cells it just
+// decoded and shares the ledger copy-on-write.
 func (b *lazyBackend) materialize(c *Cube) (*Cube, error) {
 	if b.closed.Load() {
 		return nil, errLazyClosed
@@ -719,9 +721,14 @@ func (b *lazyBackend) materialize(c *Cube) (*Cube, error) {
 		Cuboids:  make(map[string]*Cuboid, len(cuboids)),
 		minCount: c.minCount,
 		appended: c.appended,
-		ledger:   c.ledger.clone(),
+		gen:      c.gen + 1,
+		ledger:   c.ledger.fork(c.gen + 1),
 	}
 	for _, cb := range cuboids {
+		cb.owner = out.gen
+		for _, cell := range cb.Cells {
+			cell.owner = out.gen
+		}
 		out.Cuboids[cb.Spec.Key()] = cb
 	}
 	return out, nil
@@ -835,14 +842,15 @@ func (c *Cube) Close() error {
 	return c.lazy.close()
 }
 
-// Materialize returns a fully decoded eager cube the caller exclusively
-// owns. For a lazy cube it decodes every section fresh (in parallel,
-// bypassing the shared LRU); for an eager cube it is Clone. Mutating
-// pipelines over lazy snapshots — incr.ApplyDelta, MarkRedundancy,
-// Compress, FilterCells — run on the materialized copy.
+// Materialize returns an eager cube the caller exclusively owns and may
+// mutate without disturbing the receiver. For a lazy cube it decodes every
+// section fresh (in parallel, bypassing the shared LRU) and reports a
+// corrupt section as an error; for an eager cube it is Fork. Mutating
+// pipelines over served snapshots — incr.ApplyDelta, MarkRedundancy,
+// Compress, FilterCells — run on the result.
 func (c *Cube) Materialize() (*Cube, error) {
 	if c.lazy == nil {
-		return c.Clone(), nil
+		return c.Fork(), nil
 	}
 	return c.lazy.materialize(c)
 }

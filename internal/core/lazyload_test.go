@@ -150,7 +150,7 @@ func TestLazyParityFullSurface(t *testing.T) {
 		if a.Node.Location != b.Node.Location || a.Node.Depth != b.Node.Depth {
 			t.Errorf("exception %d: node mismatch", i)
 		}
-		ap, bp := a.Node.Prefix(), b.Node.Prefix()
+		ap, bp := a.Prefix, b.Prefix
 		if len(ap) != len(bp) {
 			t.Fatalf("exception %d: prefix length %d, want %d", i, len(bp), len(ap))
 		}
@@ -468,14 +468,14 @@ func TestLazyClose(t *testing.T) {
 }
 
 // TestLazyCloneAndFilterMaterialize exercises the transparent
-// materialization of the mutating surface: Clone, FilterCells and Merge of
-// lazy shards must behave exactly as on the eager cube.
+// materialization of the mutating surface: Materialize, FilterCells and
+// Merge of lazy shards must behave exactly as on the eager cube.
 func TestLazyCloneAndFilterMaterialize(t *testing.T) {
 	eager, lazy := lazyFixture(t, core.LazyOptions{})
 
-	clone := lazy.Clone()
-	if err := lazy.LazyErr(); err != nil {
-		t.Fatalf("Clone recorded an error: %v", err)
+	clone, err := lazy.Materialize()
+	if err != nil {
+		t.Fatalf("Materialize: %v", err)
 	}
 	var eb, cb bytes.Buffer
 	if err := eager.Save(&eb); err != nil {

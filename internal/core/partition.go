@@ -28,11 +28,11 @@ import (
 // reproduces the original cell-for-cell, and their snapshots carry the same
 // section census.
 //
-// The result shares the schema, symbols, and *Cell pointers with the
-// receiver, so it is cheap but must be treated as read-only alongside it —
-// the same contract a serving snapshot already has (mutating paths like
-// incr.ApplyDelta clone first). The mining result is dropped: it describes
-// the whole build, not the kept subset.
+// The result shares the symbols and the *Cell pointers (and through them
+// the flowgraph nodes) with the receiver under the ownership rule of
+// delta.go: it is a later generation, so it reads what the receiver holds
+// and a write through OwnedCell copies first. The mining result is dropped:
+// it describes the whole build, not the kept subset.
 func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 	if c.lazy != nil {
 		// Filtering needs every cell in hand: materialize the lazy cube
@@ -41,7 +41,8 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 		full, err := c.lazy.materialize(c)
 		if err != nil {
 			c.lazy.noteErr(err)
-			full = c.Clone() // empty skeleton; Clone already recorded the error
+			full = &Cube{Schema: c.Schema, Config: c.Config, Symbols: c.Symbols,
+				minCount: c.minCount, appended: c.appended, ledger: c.ledger}
 		}
 		c = full
 	}
@@ -52,9 +53,11 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 		Cuboids:  make(map[string]*Cuboid, len(c.Cuboids)),
 		minCount: c.minCount,
 		appended: c.appended,
+		gen:      c.gen + 1,
+		haveTIDs: c.haveTIDs,
 	}
 	for key, cb := range c.Cuboids {
-		ncb := &Cuboid{Spec: cb.Spec, Cells: make(map[string]*Cell)}
+		ncb := &Cuboid{Spec: cb.Spec, Cells: make(map[string]*Cell), owner: out.gen}
 		for ck, cell := range cb.Cells {
 			if keep(cell.Values) {
 				ncb.Cells[ck] = cell
@@ -63,15 +66,14 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 		out.Cuboids[key] = ncb
 	}
 	if c.ledger != nil {
-		out.ledger = NewLedger()
-		for key, lv := range c.ledger.levels {
-			nlv := &ledgerLevel{item: lv.item, entries: make(map[string]*ledgerEntry)}
-			for ck, e := range lv.entries {
+		out.ledger = &Ledger{levels: make(map[string]*ledgerLevel, len(c.ledger.levels)), owner: out.gen}
+		for _, lv := range c.ledger.levels {
+			nlv := out.ledger.own(lv.item)
+			lv.root.each(func(e *ledgerEntry) {
 				if keep(e.values) {
-					nlv.entries[ck] = e
+					nlv.put(e)
 				}
-			}
-			out.ledger.levels[key] = nlv
+			})
 		}
 	}
 	return out
@@ -82,7 +84,8 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 // cube. The shards must agree on thresholds, schema shape, and cuboid
 // census, and no cell or ledger entry may appear in more than one shard;
 // violations report which shard disagrees. The merged cube takes the first
-// shard's schema and symbols and shares cell pointers with its inputs.
+// shard's schema and symbols and shares cell pointers with its inputs, as a
+// generation later than all of them (see FilterCells).
 func Merge(shards []*Cube) (*Cube, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("core: merge of zero shards")
@@ -112,6 +115,11 @@ func Merge(shards []*Cube) (*Cube, error) {
 		Cuboids:  make(map[string]*Cuboid, len(first.Cuboids)),
 		minCount: first.minCount,
 		appended: first.appended,
+		haveTIDs: true,
+	}
+	for _, s := range shards {
+		out.gen = max(out.gen, s.gen+1)
+		out.haveTIDs = out.haveTIDs && s.haveTIDs
 	}
 	for i, s := range shards {
 		if err := compatibleShard(first, s); err != nil {
@@ -120,7 +128,7 @@ func Merge(shards []*Cube) (*Cube, error) {
 		for key, cb := range s.Cuboids {
 			ncb := out.Cuboids[key]
 			if ncb == nil {
-				ncb = &Cuboid{Spec: cb.Spec, Cells: make(map[string]*Cell, len(cb.Cells))}
+				ncb = &Cuboid{Spec: cb.Spec, Cells: make(map[string]*Cell, len(cb.Cells)), owner: out.gen}
 				out.Cuboids[key] = ncb
 			}
 			for ck, cell := range cb.Cells {
@@ -134,19 +142,15 @@ func Merge(shards []*Cube) (*Cube, error) {
 			continue
 		}
 		if out.ledger == nil {
-			out.ledger = NewLedger()
+			out.ledger = &Ledger{levels: make(map[string]*ledgerLevel), owner: out.gen}
 		}
 		for key, lv := range s.ledger.levels {
-			nlv := out.ledger.levels[key]
-			if nlv == nil {
-				nlv = &ledgerLevel{item: lv.item, entries: make(map[string]*ledgerEntry, len(lv.entries))}
-				out.ledger.levels[key] = nlv
-			}
-			for ck, e := range lv.entries {
-				if _, dup := nlv.entries[ck]; dup {
-					return nil, fmt.Errorf("core: merge shard %d: ledger entry %s at level %s already merged from an earlier shard", i, ck, key)
+			nlv := out.ledger.own(lv.item)
+			for _, e := range lv.sortedEntries() {
+				if nlv.find(e.key) != nil {
+					return nil, fmt.Errorf("core: merge shard %d: ledger entry %s at level %s already merged from an earlier shard", i, e.key, key)
 				}
-				nlv.entries[ck] = e
+				nlv.put(e)
 			}
 		}
 	}

@@ -171,7 +171,7 @@ func encodeGraph(g *flowgraph.Graph) graphDTO {
 			DurationDeviation:   x.DurationDeviation,
 			TransitionDeviation: x.TransitionDeviation,
 		}
-		for _, l := range x.Node.Prefix() {
+		for _, l := range x.Prefix {
 			xd.Prefix = append(xd.Prefix, int32(l))
 		}
 		for _, p := range x.Condition {

@@ -65,7 +65,7 @@ func (c *Cube) MarkRedundancy(tau float64) int {
 	n := 0
 	for _, cb := range c.Cuboids {
 		for _, cell := range cb.Cells {
-			if c.MarkCellRedundancy(cb.Spec, cell, tau) {
+			if c.MarkCellRedundancy(cb.Spec, cell.Values, tau) {
 				n++
 			}
 		}
@@ -75,10 +75,13 @@ func (c *Cube) MarkRedundancy(tau float64) int {
 
 // MarkCellRedundancy recomputes one cell's redundancy marking against its
 // currently materialized item-lattice parents and reports whether the cell
-// is redundant. It is the per-cell body of MarkRedundancy; delta
-// maintenance calls it for touched cells and their frontier only.
-func (c *Cube) MarkCellRedundancy(spec CuboidSpec, cell *Cell, tau float64) bool {
-	if cell.Graph == nil {
+// is redundant (false too when the cell is not materialized). It is the
+// per-cell body of MarkRedundancy; delta maintenance calls it for touched
+// cells and their frontier only. The marking is written to this
+// generation's copy of the cell.
+func (c *Cube) MarkCellRedundancy(spec CuboidSpec, values []hierarchy.NodeID, tau float64) bool {
+	cell := c.OwnedCell(spec.Key(), cellKey(values))
+	if cell == nil || cell.Graph == nil {
 		return false
 	}
 	compared := 0
@@ -109,7 +112,8 @@ func (c *Cube) MarkCellRedundancy(spec CuboidSpec, cell *Cell, tau float64) bool
 // mutator, it must not run on a lazily loaded cube; Materialize first.
 func (c *Cube) Compress() int {
 	n := 0
-	for _, cb := range c.Cuboids {
+	for specKey := range c.Cuboids {
+		cb := c.ownedCuboid(specKey)
 		for key, cell := range cb.Cells {
 			if cell.Redundant {
 				delete(cb.Cells, key)
@@ -137,6 +141,7 @@ func (c *Cube) DropCuboid(spec CuboidSpec) *Cuboid {
 		return nil
 	}
 	delete(c.Cuboids, key)
+	c.levelCuboids = nil
 	return cb
 }
 
@@ -147,4 +152,5 @@ func (c *Cube) RestoreCuboid(cb *Cuboid) {
 		return
 	}
 	c.Cuboids[cb.Spec.Key()] = cb
+	c.levelCuboids = nil
 }

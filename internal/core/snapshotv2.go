@@ -410,8 +410,7 @@ func decodeLedgerV2(payload []byte, numDims int) (*Ledger, error) {
 		if err != nil {
 			return nil, err
 		}
-		lv := &ledgerLevel{item: il, entries: make(map[string]*ledgerEntry, ne)}
-		ledger.levels[key] = lv
+		lv := ledger.own(il)
 		for j := 0; j < ne; j++ {
 			values := make([]hierarchy.NodeID, nd)
 			for d := range values {
@@ -432,10 +431,10 @@ func decodeLedgerV2(payload []byte, numDims int) (*Ledger, error) {
 				return nil, r.corrupt("ledger entry count %d, want positive", count)
 			}
 			ck := cellKey(values)
-			if _, dup := lv.entries[ck]; dup {
+			if lv.find(ck) != nil {
 				return nil, r.corrupt("duplicate ledger entry %s at level %s", ck, key)
 			}
-			lv.entries[ck] = &ledgerEntry{values: values, count: count}
+			lv.put(&ledgerEntry{key: ck, values: values, count: count})
 		}
 	}
 	if r.rem() != 0 {

@@ -3,6 +3,7 @@ package flowgraph
 import (
 	"sort"
 
+	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
 	"flowcube/internal/stats"
 )
@@ -31,6 +32,9 @@ type condKey struct {
 type condAgg struct {
 	dur *stats.Multinomial
 	tr  *stats.Multinomial
+	// reach is an aggregated path up to and including the target's stage
+	// (the first one seen); its locations are the target's prefix.
+	reach pathdb.Path
 }
 
 // MineExceptions scans the raw paths once, aggregating each to the graph's
@@ -54,7 +58,7 @@ func (g *Graph) MineExceptions(paths []pathdb.Path, eps float64, minCount int64)
 				k := condKey{condNode: nodes[i], condDur: ap[i].Duration, target: nodes[j]}
 				a := agg[k]
 				if a == nil {
-					a = &condAgg{dur: stats.NewMultinomial(), tr: stats.NewMultinomial()}
+					a = &condAgg{dur: stats.NewMultinomial(), tr: stats.NewMultinomial(), reach: ap[:j+1]}
 					agg[k] = a
 				}
 				a.dur.Observe(ap[j].Duration)
@@ -108,7 +112,7 @@ func (g *Graph) MineExceptionsFor(paths []pathdb.Path, conditions [][]StagePin, 
 			for j := s.maxPin - 1; j < len(nodes); j++ {
 				a := s.aggs[nodes[j]]
 				if a == nil {
-					a = &condAgg{dur: stats.NewMultinomial(), tr: stats.NewMultinomial()}
+					a = &condAgg{dur: stats.NewMultinomial(), tr: stats.NewMultinomial(), reach: ap[:j+1]}
 					s.aggs[nodes[j]] = a
 				}
 				a.dur.Observe(ap[j].Duration)
@@ -184,8 +188,13 @@ func (g *Graph) appendException(target *Node, cond []StagePin, a *condAgg, eps f
 	if pinsTarget {
 		devD = 0
 	}
+	prefix := make([]hierarchy.NodeID, len(a.reach))
+	for i, st := range a.reach {
+		prefix[i] = st.Location
+	}
 	g.exceptions = append(g.exceptions, Exception{
 		Node:                target,
+		Prefix:              prefix,
 		Condition:           append([]StagePin(nil), cond...),
 		Support:             a.tr.Total(),
 		Durations:           a.dur,
@@ -197,7 +206,7 @@ func (g *Graph) appendException(target *Node, cond []StagePin, a *condAgg, eps f
 
 func exceptionKey(x Exception) string {
 	var b []byte
-	for _, l := range x.Node.Prefix() {
+	for _, l := range x.Prefix {
 		b = append(b, byte(l), '.')
 	}
 	b = append(b, '|')

@@ -234,7 +234,6 @@ func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Grap
 		nd.children = make(map[hierarchy.NodeID]*Node, hi-lo)
 		for j := lo; j < hi; j++ {
 			child := &nodes[j]
-			child.parent = nd
 			child.Depth = nd.Depth + 1
 			nd.children[hierarchy.NodeID(f.Locations[j])] = child
 		}
@@ -261,10 +260,12 @@ func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Grap
 			}
 			return d, nil
 		}
+		prefixOf := f.prefixes()
 		g.exceptions = make([]Exception, m)
 		for j := 0; j < m; j++ {
 			x := &g.exceptions[j]
 			x.Node = &nodes[f.ExcNode[j]]
+			x.Prefix = prefixOf(f.ExcNode[j])
 			x.Condition = pins[f.ExcPinLo[j]:f.ExcPinLo[j+1]:f.ExcPinLo[j+1]]
 			x.Support = f.ExcSupport[j]
 			x.DurationDeviation = f.ExcDurDev[j]
@@ -280,14 +281,37 @@ func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Grap
 	return g, nil
 }
 
+// prefixes returns a function from a node index to the node's location
+// prefix. It inverts the BFS child ranges into a parent column; validate
+// proved the ranges partition [1, n), so every non-root node has exactly
+// one parent.
+func (f *Flat) prefixes() func(idx int32) []hierarchy.NodeID {
+	n := f.NumNodes()
+	parent := make([]int32, n)
+	for i := 0; i < n; i++ {
+		for j := f.ChildLo[i]; j < f.ChildLo[i+1]; j++ {
+			parent[j] = int32(i)
+		}
+	}
+	return func(idx int32) []hierarchy.NodeID {
+		var seq []hierarchy.NodeID
+		for ; idx != 0; idx = parent[idx] {
+			seq = append(seq, hierarchy.NodeID(f.Locations[idx]))
+		}
+		for i, j := 0, len(seq)-1; i < j; i, j = i+1, j-1 {
+			seq[i], seq[j] = seq[j], seq[i]
+		}
+		return seq
+	}
+}
+
 // FlatExceptions extracts a flat graph's exception table without rebuilding
 // the pointer tree — the lazy loader's exception scans call it so TopK
 // queries over a mapped snapshot never materialize a cell. Exceptions come
 // back in flat (mining) order with the same Support, Condition, deviations
-// and conditional distributions Unflatten would produce. The Node chain is
-// minimal: only the nodes on each exception's root path are materialized,
-// with Location, Depth, Count and the parent link set (enough for Prefix and
-// rendering) but nil distribution pointers and no children.
+// Prefix and conditional distributions Unflatten would produce. Each Node is
+// a stub with Location, Depth and Count set (enough for rendering) but nil
+// distribution pointers and no children.
 func FlatExceptions(f *Flat) ([]Exception, error) {
 	if err := f.validate(); err != nil {
 		return nil, err
@@ -296,31 +320,8 @@ func FlatExceptions(f *Flat) ([]Exception, error) {
 	if m == 0 {
 		return nil, nil
 	}
-	n := f.NumNodes()
-	// Invert the BFS child ranges into a parent column; validate proved the
-	// ranges partition [1, n), so every non-root node is assigned exactly once.
-	parent := make([]int32, n)
-	parent[0] = -1
-	for i := 0; i < n; i++ {
-		for j := f.ChildLo[i]; j < f.ChildLo[i+1]; j++ {
-			parent[j] = int32(i)
-		}
-	}
-	nodes := make(map[int32]*Node, 2*m)
-	var materialize func(idx int32) *Node
-	materialize = func(idx int32) *Node {
-		if nd, ok := nodes[idx]; ok {
-			return nd
-		}
-		nd := &Node{Location: hierarchy.NodeID(f.Locations[idx]), Count: f.Counts[idx]}
-		nodes[idx] = nd
-		if idx != 0 {
-			p := materialize(parent[idx])
-			nd.parent = p
-			nd.Depth = p.Depth + 1
-		}
-		return nd
-	}
+	prefixOf := f.prefixes()
+	nodes := make(map[int32]*Node, m)
 	pins := make([]StagePin, len(f.PinDepth))
 	for i := range pins {
 		pins[i] = StagePin{
@@ -334,7 +335,12 @@ func FlatExceptions(f *Flat) ([]Exception, error) {
 	out := make([]Exception, m)
 	for j := 0; j < m; j++ {
 		x := &out[j]
-		x.Node = materialize(f.ExcNode[j])
+		x.Prefix = prefixOf(f.ExcNode[j])
+		idx := f.ExcNode[j]
+		if nodes[idx] == nil {
+			nodes[idx] = &Node{Location: hierarchy.NodeID(f.Locations[idx]), Depth: len(x.Prefix), Count: f.Counts[idx]}
+		}
+		x.Node = nodes[idx]
 		x.Condition = pins[f.ExcPinLo[j]:f.ExcPinLo[j+1]:f.ExcPinLo[j+1]]
 		x.Support = f.ExcSupport[j]
 		x.DurationDeviation = f.ExcDurDev[j]

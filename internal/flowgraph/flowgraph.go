@@ -35,6 +35,10 @@ const Terminate int64 = -1
 type Node struct {
 	// Location is the (aggregated) location concept of this stage.
 	Location hierarchy.NodeID
+	// owner is the tag of the graph generation that may write this node
+	// (see Graph.Fork). It sits in the padding after Location, so the node
+	// is no larger for it.
+	owner uint32
 	// Depth is the 1-based position of the stage in the path; the virtual
 	// root has depth 0.
 	Depth int
@@ -46,7 +50,6 @@ type Node struct {
 	// int64), plus Terminate.
 	Transitions *stats.Multinomial
 
-	parent   *Node
 	children map[hierarchy.NodeID]*Node
 }
 
@@ -62,21 +65,6 @@ func (n *Node) Children() []*Node {
 
 // Child returns the child at the given location, or nil.
 func (n *Node) Child(loc hierarchy.NodeID) *Node { return n.children[loc] }
-
-// Parent returns the node's parent; the virtual root's parent is nil.
-func (n *Node) Parent() *Node { return n.parent }
-
-// Prefix returns the location sequence from the first stage to this node.
-func (n *Node) Prefix() []hierarchy.NodeID {
-	var seq []hierarchy.NodeID
-	for cur := n; cur != nil && cur.Depth > 0; cur = cur.parent {
-		seq = append(seq, cur.Location)
-	}
-	for i, j := 0, len(seq)-1; i < j; i, j = i+1, j-1 {
-		seq[i], seq[j] = seq[j], seq[i]
-	}
-	return seq
-}
 
 // TerminationProb is the probability a path ends at this node.
 func (n *Node) TerminationProb() float64 { return n.Transitions.Prob(Terminate) }
@@ -94,7 +82,10 @@ type StagePin struct {
 // Exception is one element of X: conditioned on the pinned prefix, the
 // distributions at Node deviate from the node's general distributions.
 type Exception struct {
+	// Node is the deviating node, in the tree of the graph that holds the
+	// exception; Prefix is the location sequence from the first stage to it.
 	Node      *Node
+	Prefix    []hierarchy.NodeID
 	Condition []StagePin
 	// Support is the number of paths matching the condition and reaching
 	// the node.
@@ -110,6 +101,12 @@ type Exception struct {
 }
 
 // Graph is a flowgraph over paths aggregated to one path abstraction level.
+//
+// Ownership: a graph may write only the nodes that carry its owner tag.
+// New, Clone and Fold return graphs that own every node; Fork returns one
+// that owns none and copies a node the first time it writes through it, so
+// the graph it was forked from — and every reader of that graph — keeps
+// seeing exactly what it saw before.
 type Graph struct {
 	level      pathdb.PathLevel
 	merge      pathdb.DurationMerge
@@ -117,6 +114,8 @@ type Graph struct {
 	root       *Node
 	paths      int64
 	exceptions []Exception
+	owner      uint32
+	copied     int
 }
 
 // New returns an empty flowgraph for paths at the given level. merge
@@ -164,32 +163,87 @@ func (g *Graph) Exceptions() []Exception { return g.exceptions }
 // MineExceptionsFor appends to the existing set.
 func (g *Graph) ClearExceptions() { g.exceptions = nil }
 
+// Fork returns a graph over the same nodes and exceptions that may write
+// none of them: owner is a tag no node reachable from g carries (callers
+// pass a generation number larger than any used before on this lineage).
+// Writes through the fork path-copy — AddPath copies the root and the nodes
+// along the path, once each, and mutates its own copies from then on — so g
+// is frozen from the fork's point of view and may keep serving readers.
+func (g *Graph) Fork(owner uint32) *Graph {
+	f := *g
+	f.owner = owner
+	f.copied = 0
+	f.exceptions = append([]Exception(nil), g.exceptions...)
+	return &f
+}
+
+// NodesCopied reports how many nodes the graph has copied from the
+// generation it was forked from (0 for a graph that was never forked).
+func (g *Graph) NodesCopied() int { return g.copied }
+
+// own returns the graph's own copy of n, a node it may not write, to hang
+// where n hung: the node's count, both distributions and its child map are
+// duplicated, the children themselves stay shared, and exceptions that
+// named n are re-pointed at the copy. Nodes hold no pointer to their
+// parent, so nothing reachable from the copy keeps n alive.
+func (g *Graph) own(n *Node) *Node {
+	c := &Node{
+		Location:    n.Location,
+		owner:       g.owner,
+		Depth:       n.Depth,
+		Count:       n.Count,
+		Durations:   n.Durations.Clone(),
+		Transitions: n.Transitions.Clone(),
+		children:    make(map[hierarchy.NodeID]*Node, len(n.children)+1),
+	}
+	for loc, child := range n.children {
+		c.children[loc] = child
+	}
+	for i := range g.exceptions {
+		if g.exceptions[i].Node == n {
+			g.exceptions[i].Node = c
+		}
+	}
+	g.copied++
+	return c
+}
+
+// newChild hangs a fresh, empty node owned by the graph under parent.
+func (g *Graph) newChild(parent *Node, loc hierarchy.NodeID) *Node {
+	n := &Node{
+		Location:    loc,
+		owner:       g.owner,
+		Depth:       parent.Depth + 1,
+		Durations:   stats.NewMultinomial(),
+		Transitions: stats.NewMultinomial(),
+		children:    make(map[hierarchy.NodeID]*Node),
+	}
+	parent.children[loc] = n
+	return n
+}
+
 // AddPath aggregates the raw path to the graph's level and folds it in.
 func (g *Graph) AddPath(p pathdb.Path) {
-	g.addAggregated(pathdb.AggregatePath(p, g.level, g.merge))
+	g.AddAggregated(pathdb.AggregatePath(p, g.level, g.merge))
 }
 
 // AddAggregated folds in a path already at the graph's level.
-func (g *Graph) AddAggregated(p pathdb.Path) { g.addAggregated(p) }
-
-func (g *Graph) addAggregated(p pathdb.Path) {
+func (g *Graph) AddAggregated(p pathdb.Path) {
 	if len(p) == 0 {
 		return
 	}
 	g.paths++
+	if g.root.owner != g.owner {
+		g.root = g.own(g.root)
+	}
 	cur := g.root
 	for _, st := range p {
 		cur.Transitions.Observe(int64(st.Location))
 		next := cur.children[st.Location]
 		if next == nil {
-			next = &Node{
-				Location:    st.Location,
-				Depth:       cur.Depth + 1,
-				Durations:   stats.NewMultinomial(),
-				Transitions: stats.NewMultinomial(),
-				parent:      cur,
-				children:    make(map[hierarchy.NodeID]*Node),
-			}
+			next = g.newChild(cur, st.Location)
+		} else if next.owner != g.owner {
+			next = g.own(next)
 			cur.children[st.Location] = next
 		}
 		next.Count++
@@ -250,7 +304,8 @@ func (g *Graph) PathProb(p pathdb.Path) float64 {
 // Merge folds other's counts into g (paper Lemma 4.2: duration and
 // transition distributions are algebraic). Both graphs must be at the same
 // path abstraction level. Exceptions are holistic (Lemma 4.3) and are
-// cleared; re-mine them if needed.
+// cleared; re-mine them if needed. Like AddPath, it copies the nodes of g it
+// writes when g is a Fork; other is only read.
 func (g *Graph) Merge(other *Graph) error {
 	if other == nil {
 		return nil
@@ -260,29 +315,28 @@ func (g *Graph) Merge(other *Graph) error {
 			g.level.Key(), other.level.Key())
 	}
 	g.paths += other.paths
-	mergeNode(g.root, other.root)
 	g.exceptions = nil
+	if g.root.owner != g.owner {
+		g.root = g.own(g.root)
+	}
+	g.mergeNode(g.root, other.root)
 	return nil
 }
 
-func mergeNode(dst, src *Node) {
+// mergeNode folds src's subtree into dst, which g owns.
+func (g *Graph) mergeNode(dst, src *Node) {
 	dst.Count += src.Count
 	dst.Durations.Merge(src.Durations)
 	dst.Transitions.Merge(src.Transitions)
 	for loc, sc := range src.children {
 		dc := dst.children[loc]
 		if dc == nil {
-			dc = &Node{
-				Location:    loc,
-				Depth:       dst.Depth + 1,
-				Durations:   stats.NewMultinomial(),
-				Transitions: stats.NewMultinomial(),
-				parent:      dst,
-				children:    make(map[hierarchy.NodeID]*Node),
-			}
+			dc = g.newChild(dst, loc)
+		} else if dc.owner != g.owner {
+			dc = g.own(dc)
 			dst.children[loc] = dc
 		}
-		mergeNode(dc, sc)
+		g.mergeNode(dc, sc)
 	}
 }
 
@@ -291,10 +345,11 @@ func mergeNode(dst, src *Node) {
 func (g *Graph) Clone() *Graph {
 	c := New(g.loc, g.level, g.merge)
 	c.paths = g.paths
-	mergeNode(c.root, g.root)
+	c.mergeNode(c.root, g.root)
 	for _, x := range g.exceptions {
 		c.exceptions = append(c.exceptions, Exception{
-			Node:                c.NodeAt(x.Node.Prefix()),
+			Node:                c.NodeAt(x.Prefix),
+			Prefix:              append([]hierarchy.NodeID(nil), x.Prefix...),
 			Condition:           append([]StagePin(nil), x.Condition...),
 			Support:             x.Support,
 			Durations:           x.Durations.Clone(),
@@ -335,15 +390,8 @@ func (g *Graph) String() string {
 func (g *Graph) DOT(name string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n", name)
-	id := func(n *Node) string {
-		parts := []string{"root"}
-		for _, l := range n.Prefix() {
-			parts = append(parts, fmt.Sprint(l))
-		}
-		return strings.Join(parts, "_")
-	}
-	var rec func(n *Node)
-	rec = func(n *Node) {
+	var rec func(n *Node, id string)
+	rec = func(n *Node, id string) {
 		label := "start"
 		if n.Depth > 0 {
 			label = fmt.Sprintf("%s\\ndur %s", g.loc.Name(n.Location), n.Durations)
@@ -351,13 +399,14 @@ func (g *Graph) DOT(name string) string {
 				label += fmt.Sprintf("\\nterm %.2f", t)
 			}
 		}
-		fmt.Fprintf(&b, "  %s [label=\"%s\"];\n", id(n), label)
+		fmt.Fprintf(&b, "  %s [label=\"%s\"];\n", id, label)
 		for _, c := range n.Children() {
-			fmt.Fprintf(&b, "  %s -> %s [label=\"%.2f\"];\n", id(n), id(c), n.Transitions.Prob(int64(c.Location)))
-			rec(c)
+			cid := fmt.Sprintf("%s_%d", id, c.Location)
+			fmt.Fprintf(&b, "  %s -> %s [label=\"%.2f\"];\n", id, cid, n.Transitions.Prob(int64(c.Location)))
+			rec(c, cid)
 		}
 	}
-	rec(g.root)
+	rec(g.root, "root")
 	b.WriteString("}\n")
 	return b.String()
 }

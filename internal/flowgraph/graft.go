@@ -3,7 +3,9 @@ package flowgraph
 // Reconstruction primitives used when deserializing a persisted flowgraph:
 // they rebuild the prefix tree node by node from previously computed
 // distributions instead of replaying paths. They are also the extension
-// point for loading flowgraphs computed by external systems.
+// point for loading flowgraphs computed by external systems. They write
+// nodes in place, so they are for graphs that own their nodes (New), not
+// for a Fork.
 
 import (
 	"fmt"
@@ -39,7 +41,6 @@ func (g *Graph) Graft(seq []hierarchy.NodeID, count int64, durations, transition
 		n = &Node{
 			Location: loc,
 			Depth:    parent.Depth + 1,
-			parent:   parent,
 			children: make(map[hierarchy.NodeID]*Node),
 		}
 		parent.children[loc] = n
@@ -60,6 +61,7 @@ func (g *Graph) GraftException(prefix []hierarchy.NodeID, cond []StagePin, suppo
 	}
 	g.exceptions = append(g.exceptions, Exception{
 		Node:                n,
+		Prefix:              append([]hierarchy.NodeID(nil), prefix...),
 		Condition:           append([]StagePin(nil), cond...),
 		Support:             support,
 		Durations:           durations,

@@ -68,7 +68,7 @@ func (g *Graph) MineExceptionsAt(paths []pathdb.Path, targets map[*Node]bool, ep
 				k := condKey{condNode: nodes[i], condDur: ap[i].Duration, target: nodes[j]}
 				a := agg[k]
 				if a == nil {
-					a = &condAgg{dur: stats.NewMultinomial(), tr: stats.NewMultinomial()}
+					a = &condAgg{dur: stats.NewMultinomial(), tr: stats.NewMultinomial(), reach: ap[:j+1]}
 					agg[k] = a
 				}
 				a.dur.Observe(ap[j].Duration)
@@ -120,7 +120,7 @@ func (g *Graph) MineExceptionsForAt(paths []pathdb.Path, conditions [][]StagePin
 				}
 				a := s.aggs[nodes[j]]
 				if a == nil {
-					a = &condAgg{dur: stats.NewMultinomial(), tr: stats.NewMultinomial()}
+					a = &condAgg{dur: stats.NewMultinomial(), tr: stats.NewMultinomial(), reach: ap[:j+1]}
 					s.aggs[nodes[j]] = a
 				}
 				a.dur.Observe(ap[j].Duration)

@@ -72,24 +72,24 @@ func (g *Graph) Validate() error {
 	if got := g.root.Transitions.Total(); got != g.paths {
 		return fmt.Errorf("flowgraph: root transitions %d != paths %d", got, g.paths)
 	}
-	var walk func(n *Node) error
-	walk = func(n *Node) error {
+	var walk func(n *Node, prefix []hierarchy.NodeID) error
+	walk = func(n *Node, prefix []hierarchy.NodeID) error {
 		if n.Depth > 0 {
 			if got := n.Durations.Total(); got != n.Count {
-				return fmt.Errorf("flowgraph: node %v durations %d != count %d", n.Prefix(), got, n.Count)
+				return fmt.Errorf("flowgraph: node %v durations %d != count %d", prefix, got, n.Count)
 			}
 			if got := n.Transitions.Total(); got != n.Count {
-				return fmt.Errorf("flowgraph: node %v transitions %d != count %d", n.Prefix(), got, n.Count)
+				return fmt.Errorf("flowgraph: node %v transitions %d != count %d", prefix, got, n.Count)
 			}
 		}
 		var childSum int64
 		for _, c := range n.Children() {
 			if got := n.Transitions.Count(int64(c.Location)); got != c.Count {
 				return fmt.Errorf("flowgraph: node %v transition to %d is %d, child count %d",
-					n.Prefix(), c.Location, got, c.Count)
+					prefix, c.Location, got, c.Count)
 			}
 			childSum += c.Count
-			if err := walk(c); err != nil {
+			if err := walk(c, append(prefix, c.Location)); err != nil {
 				return err
 			}
 		}
@@ -101,9 +101,9 @@ func (g *Graph) Validate() error {
 		}
 		if term := n.Transitions.Count(Terminate); childSum+term != total {
 			return fmt.Errorf("flowgraph: node %v children+terminations %d != count %d",
-				n.Prefix(), childSum+term, total)
+				prefix, childSum+term, total)
 		}
 		return nil
 	}
-	return walk(g.root)
+	return walk(g.root, nil)
 }

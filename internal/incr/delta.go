@@ -1,16 +1,19 @@
 package incr
 
 // Delta application: the writes to core.Cube state live in this file, which
-// internal/lint's immutcube analyzer allowlists as a legitimate build-phase
-// writer — ApplyDelta mutates only cubes the caller owns exclusively (a
-// fresh build, or a core.Cube.Clone made to be patched; see the server's
-// append path).
+// internal/lint's immutcube analyzer allowlists as a legitimate writer —
+// ApplyDelta writes only cells it obtained from core.Cube.OwnedCell or
+// AdmitCell, i.e. cells of the generation the caller handed it: a fresh
+// build patched in place, or a core.Cube.Fork of the cube being served (the
+// server's append path), whose untouched cells and flowgraph nodes stay
+// shared with the served cube.
 
 import (
 	"sort"
 
 	"flowcube/internal/core"
 	"flowcube/internal/flowgraph"
+	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
 )
 
@@ -26,8 +29,9 @@ import (
 // MiningOptions override; see the package comment for why.
 //
 // ApplyDelta must not run concurrently with readers of cube, db, or the
-// cube's symbol table. Long-lived servers should patch a Clone and swap
-// snapshots (internal/server does).
+// cube's symbol table. Long-lived servers patch a Fork of the served cube —
+// readers of the served cube are not disturbed, and dropping the fork is
+// the rollback — and swap snapshots (internal/server does).
 func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, error) {
 	if cube == nil {
 		return nil, ErrNilCube
@@ -57,31 +61,34 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 
 	minCount := cube.MinCount()
 	baseLen := db.Len()
+	cellsCopied := cube.CellsCopied()
 
 	// Exception re-mining needs every touched cell's full record set; cubes
 	// loaded from snapshots carry no tids, so recover them once from the
 	// base database (before the batch lands in it).
-	if cfg.MineExceptions && tidsMissing(cube) {
+	if cfg.MineExceptions && !cube.HaveTIDs() {
 		cube.RebuildTIDs(db)
 	}
-	haveTids := !tidsMissing(cube)
+	haveTids := cube.HaveTIDs()
 
 	// Batch combo accounting: every (item level, values) combination a
-	// batch record maps to either hits an existing cell — the assignment
-	// pass below handles those — or is an admission candidate.
-	levels := cube.ItemLevels()
-	reps := representativeCuboids(cube, levels)
+	// batch record maps to either names an existing cell — the same cell in
+	// every cuboid of the item level, one flowgraph per path level — or is
+	// an admission candidate.
+	levels := cube.LevelCuboids()
+	hits := make([]map[string][]int32, len(levels))
 	candidates := make(map[int]map[string]*combo)
 	var candOrder []*combo
+	values := make([]hierarchy.NodeID, len(db.Schema.Dims))
 	for i := range batch {
 		tid := int32(baseLen + i)
 		for li := range levels {
-			if reps[li] == nil {
-				continue
-			}
-			values := valuesAt(db.Schema, levels[li], batch[i].Dims)
-			ck := core.CellKey(values)
-			if _, exists := reps[li].Cells[ck]; exists {
+			ck := core.CellKey(levels[li].Item.ValuesOf(db.Schema, batch[i].Dims, values))
+			if cube.Cuboids[levels[li].Keys[0]].Cells[ck] != nil {
+				if hits[li] == nil {
+					hits[li] = make(map[string][]int32)
+				}
+				hits[li][ck] = append(hits[li][ck], tid)
 				continue
 			}
 			if candidates[li] == nil {
@@ -89,7 +96,7 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 			}
 			c := candidates[li][ck]
 			if c == nil {
-				c = &combo{levelIdx: li, values: values}
+				c = &combo{levelIdx: li, values: append([]hierarchy.NodeID(nil), values...)}
 				candidates[li][ck] = c
 				candOrder = append(candOrder, c)
 			}
@@ -109,16 +116,17 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	}
 	needBaseTids := make(map[int]map[string]*combo)
 	for _, c := range candOrder {
+		il := levels[c.levelIdx].Item
 		var base int64
 		if ledger != nil {
-			base = ledger.Count(levels[c.levelIdx], c.values)
+			base = ledger.Count(il, c.values)
 		} else {
 			base = int64(len(c.baseTids))
 		}
 		if base+c.count >= minCount {
 			admitted = append(admitted, c)
 			if ledger != nil {
-				ledger.Remove(levels[c.levelIdx], c.values)
+				ledger.Remove(il, c.values)
 				if base > 0 {
 					if needBaseTids[c.levelIdx] == nil {
 						needBaseTids[c.levelIdx] = make(map[string]*combo)
@@ -127,7 +135,7 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 				}
 			}
 		} else if ledger != nil {
-			ledger.Bump(levels[c.levelIdx], c.values, c.count)
+			ledger.Bump(il, c.values, c.count)
 		}
 	}
 	// With a ledger, admitted combos with base occurrences still need their
@@ -149,8 +157,9 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	}
 
 	type touchedCell struct {
-		cuboid *core.Cuboid
-		cell   *core.Cell
+		specKey   string
+		pathLevel int
+		cell      *core.Cell
 		// batchTIDs are the appended record ids that landed in the cell —
 		// the restricted re-mine derives the moved prefixes from them.
 		batchTIDs []int32
@@ -160,64 +169,67 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	}
 	var touched []touchedCell
 
-	// Touched existing cells: route the appended range through the same
-	// packed-key assignment plan the populate scan uses, then fold the new
-	// paths into each hit cell's flowgraph.
-	assignments := cube.AssignRange(db, baseLen, db.Len())
-	pathLevels := cube.Symbols.PathLevels()
-	for _, a := range assignments {
-		a.Cell.Count += int64(len(a.TIDs))
-		if haveTids {
-			a.Cell.SetTIDs(append(a.Cell.TIDs(), a.TIDs...))
+	// Touched existing cells, in item-level, cuboid, cell-key order: obtain
+	// this generation's copy of each and fold the new paths into its
+	// flowgraph, which copies the nodes along those paths and no others.
+	for li, byCell := range hits {
+		cellKeys := make([]string, 0, len(byCell))
+		for ck := range byCell {
+			cellKeys = append(cellKeys, ck)
 		}
-		if a.Cell.Graph != nil {
-			for _, tid := range a.TIDs {
-				a.Cell.Graph.AddPath(db.Records[tid].Path)
-			}
-			if !cfg.MineExceptions {
-				// The cube's configuration mines no exceptions, so a
-				// freshly built union cube has none; drop any stale set a
-				// loaded snapshot carried into the touched cell.
-				a.Cell.Graph.ClearExceptions()
+		sort.Strings(cellKeys)
+		for _, specKey := range levels[li].Keys {
+			plIdx := cube.Cuboids[specKey].Spec.PathLevel
+			for _, ck := range cellKeys {
+				cell := cube.OwnedCell(specKey, ck)
+				if cell == nil {
+					continue
+				}
+				tids := byCell[ck]
+				cell.Count += int64(len(tids))
+				if haveTids {
+					cell.SetTIDs(append(cell.TIDs(), tids...))
+				}
+				if cell.Graph != nil {
+					before := cell.Graph.NodesCopied()
+					for _, tid := range tids {
+						cell.Graph.AddPath(db.Records[tid].Path)
+					}
+					stats.NodesCopied += cell.Graph.NodesCopied() - before
+					if !cfg.MineExceptions {
+						// The cube's configuration mines no exceptions, so a
+						// freshly built union cube has none; drop any stale
+						// set a loaded snapshot carried into the touched cell.
+						cell.Graph.ClearExceptions()
+					}
+				}
+				touched = append(touched, touchedCell{specKey: specKey, pathLevel: plIdx, cell: cell, batchTIDs: tids})
+				stats.CellsTouched++
 			}
 		}
-		touched = append(touched, touchedCell{cuboid: a.Cuboid, cell: a.Cell, batchTIDs: a.TIDs})
 	}
-	stats.CellsTouched = len(assignments)
 
 	// Admitted cells: register in every cuboid sharing the item level (as
 	// the build phase does for mined frequent cells) and build their
 	// flowgraphs from the union record set.
-	cuboidKeys := make([]string, 0, len(cube.Cuboids))
-	for k := range cube.Cuboids {
-		cuboidKeys = append(cuboidKeys, k)
-	}
-	sort.Strings(cuboidKeys)
+	pathLevels := cube.Symbols.PathLevels()
 	for _, c := range admitted {
-		il := levels[c.levelIdx]
 		tids := append(append([]int32(nil), c.baseTids...), c.tids...)
-		cube.AdmitCell(il, c.values, int64(len(tids)))
-		ilKey := il.Key()
-		ck := core.CellKey(c.values)
-		for _, key := range cuboidKeys {
-			cb := cube.Cuboids[key]
-			if cb.Spec.Item.Key() != ilKey {
-				continue
-			}
-			cell := cb.Cells[ck]
+		for _, specKey := range levels[c.levelIdx].Keys {
+			cell := cube.AdmitCell(specKey, c.values, int64(len(tids)))
 			if cell == nil {
 				continue
 			}
 			if haveTids {
 				cell.SetTIDs(append([]int32(nil), tids...))
 			}
-			pl := pathLevels[cb.Spec.PathLevel]
-			g := flowgraph.New(db.Schema.Location, pl, cfg.Merge)
+			plIdx := cube.Cuboids[specKey].Spec.PathLevel
+			g := flowgraph.New(db.Schema.Location, pathLevels[plIdx], cfg.Merge)
 			for _, tid := range tids {
 				g.AddPath(db.Records[tid].Path)
 			}
 			cell.Graph = g
-			touched = append(touched, touchedCell{cuboid: cb, cell: cell, admitted: true})
+			touched = append(touched, touchedCell{specKey: specKey, pathLevel: plIdx, cell: cell, admitted: true})
 			stats.CellsAdmitted++
 		}
 	}
@@ -238,7 +250,7 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 			if cell.Graph == nil {
 				continue
 			}
-			specKey := t.cuboid.Spec.Key()
+			specKey := t.specKey
 			ck := core.CellKey(cell.Values)
 			tids := cell.TIDs()
 			paths := make([]pathdb.Path, len(tids))
@@ -246,7 +258,7 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 				paths[k] = db.Records[tid].Path
 			}
 			if old, warm := cube.CachedConds(specKey, ck); warm && !t.admitted {
-				movedPrefixes, newConds, err := remineRestricted(cube, db, t.cuboid, cell, t.batchTIDs, paths, old, minCount)
+				movedPrefixes, newConds, err := remineRestricted(cube, db, t.pathLevel, cell, t.batchTIDs, paths, old, minCount)
 				if err != nil {
 					return nil, err
 				}
@@ -263,7 +275,7 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 				} else {
 					cell.Graph.ClearExceptions()
 				}
-				conds, err := cellConds(cube, db, t.cuboid.Spec.PathLevel, tids)
+				conds, err := cellConds(cube, db, t.pathLevel, tids)
 				if err != nil {
 					return nil, err
 				}
@@ -283,45 +295,31 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	if cfg.Tau > 0 {
 		touchedIDs := make(map[string]bool, len(touched))
 		for _, t := range touched {
-			touchedIDs[t.cuboid.Spec.Key()+"|"+core.CellKey(t.cell.Values)] = true
+			touchedIDs[t.specKey+"|"+core.CellKey(t.cell.Values)] = true
 		}
-		for _, key := range cuboidKeys {
-			cb := cube.Cuboids[key]
-			for _, cell := range cb.SortedCells() {
-				need := touchedIDs[cb.Spec.Key()+"|"+core.CellKey(cell.Values)]
-				if !need {
-					for _, p := range cube.ParentRefs(cb.Spec, cell.Values) {
-						if touchedIDs[p.Spec.Key()+"|"+core.CellKey(p.Values)] {
-							need = true
-							break
+		for _, lv := range levels {
+			for _, key := range lv.Keys {
+				cb := cube.Cuboids[key]
+				for _, cell := range cb.SortedCells() {
+					need := touchedIDs[key+"|"+core.CellKey(cell.Values)]
+					if !need {
+						for _, p := range cube.ParentRefs(cb.Spec, cell.Values) {
+							if touchedIDs[p.Spec.Key()+"|"+core.CellKey(p.Values)] {
+								need = true
+								break
+							}
 						}
 					}
-				}
-				if need {
-					cube.MarkCellRedundancy(cb.Spec, cell, cfg.Tau)
-					stats.RedundancyRemarked++
+					if need {
+						cube.MarkCellRedundancy(cb.Spec, cell.Values, cfg.Tau)
+						stats.RedundancyRemarked++
+					}
 				}
 			}
 		}
 	}
 
 	stats.LedgerSize = cube.Ledger().Size()
+	stats.CellsCopied = cube.CellsCopied() - cellsCopied
 	return stats, nil
-}
-
-// representativeCuboids picks, per item level, one materialized cuboid to
-// answer cell-existence checks (every cuboid sharing an item level holds
-// the same cell set; addCell registers cells in all of them).
-func representativeCuboids(cube *core.Cube, levels []core.ItemLevel) []*core.Cuboid {
-	reps := make([]*core.Cuboid, len(levels))
-	for li, il := range levels {
-		key := il.Key()
-		for _, cb := range cube.Cuboids {
-			if cb.Spec.Item.Key() == key {
-				reps[li] = cb
-				break
-			}
-		}
-	}
-	return reps
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // fuzzFixture builds one small base cube per process; every fuzz iteration
-// patches a Clone of it, so iterations are independent.
+// patches forks of it, so iterations are independent.
 var fuzzFixture struct {
 	once sync.Once
 	ds   *datagen.Dataset
@@ -85,42 +85,62 @@ func decodeBatch(data []byte, dims int) []pathdb.Record {
 func int32ToNodeID(b byte) hierarchy.NodeID { return hierarchy.NodeID(int8(b)) }
 
 // FuzzApplyDelta asserts ApplyDelta never panics on arbitrary batches —
-// corrupt, duplicate, or empty — and that every failure is a typed error.
-// Successful applications must leave the cube structurally valid.
+// corrupt, duplicate, or empty — and that every failure is a typed error
+// that changed nothing. Each batch is applied in two halves, twice: in place
+// on one fork of the base cube, and over a chain of forks (one per half, a
+// failed half's fork dropped). Both must save the same bytes and be
+// structurally valid, and the base cube must save what it saved before.
 func FuzzApplyDelta(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 2, 0, 5, 1, 1, 2, 3})
 	f.Add([]byte{7, 250, 0, 0, 200, 200, 9, 9, 9, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8})
 	ds, base := fuzzBase(f)
 	baseRecords := append([]pathdb.Record(nil), ds.DB.Records...)
+	baseDigest := saveDigest(f, base)
+	freshDB := func() *pathdb.DB {
+		return &pathdb.DB{Schema: ds.Schema, Records: append([]pathdb.Record(nil), baseRecords...)}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rawBatch := decodeBatch(data, len(ds.Schema.Dims))
-		batch := make([]pathdb.Record, len(rawBatch))
-		copy(batch, rawBatch)
-		cube := base.Clone()
-		db := &pathdb.DB{Schema: ds.Schema, Records: append([]pathdb.Record(nil), baseRecords...)}
-		stats, err := incr.ApplyDelta(cube, db, batch)
-		if err != nil {
-			var be *incr.BatchError
-			if !errors.As(err, &be) &&
-				!errors.Is(err, incr.ErrNilCube) &&
-				!errors.Is(err, incr.ErrNilDB) &&
-				!errors.Is(err, incr.ErrAbsoluteMinCount) &&
-				!errors.Is(err, incr.ErrCustomMining) &&
-				!errors.Is(err, incr.ErrSchemaMismatch) {
-				t.Fatalf("untyped error: %v", err)
+		batch := decodeBatch(data, len(ds.Schema.Dims))
+		inPlace, chain := base.Fork(), base
+		dbInPlace, dbChain := freshDB(), freshDB()
+		for _, half := range [][]pathdb.Record{batch[:len(batch)/2], batch[len(batch)/2:]} {
+			before := dbInPlace.Len()
+			stats, err := incr.ApplyDelta(inPlace, dbInPlace, half)
+			next := chain.Fork()
+			_, chainErr := incr.ApplyDelta(next, dbChain, half)
+			if (err == nil) != (chainErr == nil) {
+				t.Fatalf("in place: %v; over a fork: %v", err, chainErr)
 			}
-			if db.Len() != len(baseRecords) {
-				t.Fatalf("failed delta still appended records: %d -> %d", len(baseRecords), db.Len())
+			if err != nil {
+				var be *incr.BatchError
+				if !errors.As(err, &be) &&
+					!errors.Is(err, incr.ErrNilCube) &&
+					!errors.Is(err, incr.ErrNilDB) &&
+					!errors.Is(err, incr.ErrAbsoluteMinCount) &&
+					!errors.Is(err, incr.ErrCustomMining) &&
+					!errors.Is(err, incr.ErrSchemaMismatch) {
+					t.Fatalf("untyped error: %v", err)
+				}
+				if dbInPlace.Len() != before || dbChain.Len() != before {
+					t.Fatalf("failed delta still appended records: %d -> %d / %d", before, dbInPlace.Len(), dbChain.Len())
+				}
+				continue
 			}
-			return
+			if stats.BatchRecords != len(half) {
+				t.Fatalf("stats.BatchRecords = %d, want %d", stats.BatchRecords, len(half))
+			}
+			chain = next
 		}
-		if stats.BatchRecords != len(batch) {
-			t.Fatalf("stats.BatchRecords = %d, want %d", stats.BatchRecords, len(batch))
+		if got, want := saveDigest(t, chain), saveDigest(t, inPlace); got != want {
+			t.Fatalf("fork chain saved %s, in-place application %s", got, want)
 		}
-		if err := cube.Validate(); err != nil {
+		if err := chain.Validate(); err != nil {
 			t.Fatalf("cube invalid after delta: %v", err)
+		}
+		if got := saveDigest(t, base); got != baseDigest {
+			t.Fatal("applying deltas to forks changed the base cube")
 		}
 	})
 }

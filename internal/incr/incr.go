@@ -29,6 +29,7 @@ package incr
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"flowcube/internal/core"
 	"flowcube/internal/flowgraph"
@@ -101,6 +102,15 @@ type Stats struct {
 	// LedgerSize is the number of sub-δ ledger entries after the delta
 	// (0 when the cube carries no ledger).
 	LedgerSize int `json:"ledger_size"`
+	// CellsCopied is the number of cells this call copied from the
+	// generation the cube was forked from: the cells it wrote, less any an
+	// earlier call on the same fork already copied (0 on a cube patched in
+	// place; every cell on the one call that recovers a loaded cube's tids).
+	CellsCopied int `json:"cells_copied"`
+	// NodesCopied is the number of flowgraph nodes copied with them: the
+	// nodes on the batch's aggregated paths through the touched cells, root
+	// included, once each — what a commit costs beyond the fold itself.
+	NodesCopied int `json:"nodes_copied"`
 }
 
 // combo accumulates one below-threshold (item level, values) combination
@@ -113,23 +123,10 @@ type combo struct {
 	baseTids []int32 // base record ids, ascending (filled by scanBase)
 }
 
-// valuesAt computes a record's per-dimension values at an item level.
-func valuesAt(schema *pathdb.Schema, il core.ItemLevel, dims []hierarchy.NodeID) []hierarchy.NodeID {
-	values := make([]hierarchy.NodeID, len(il))
-	for d, l := range il {
-		if l == 0 {
-			values[d] = hierarchy.Root
-		} else {
-			values[d] = schema.Dims[d].AncestorAt(dims[d], l)
-		}
-	}
-	return values
-}
-
 // scanBase walks the base records once and appends the id of every record
 // matching a wanted combination. wanted maps item-level index → cell key →
 // combo.
-func scanBase(db *pathdb.DB, baseLen int, levels []core.ItemLevel, wanted map[int]map[string]*combo) {
+func scanBase(db *pathdb.DB, baseLen int, levels []core.LevelCuboids, wanted map[int]map[string]*combo) {
 	if len(wanted) == 0 {
 		return
 	}
@@ -137,34 +134,14 @@ func scanBase(db *pathdb.DB, baseLen int, levels []core.ItemLevel, wanted map[in
 	for li := range wanted {
 		lis = append(lis, li)
 	}
-	sortInts(lis)
-	values := make([][]hierarchy.NodeID, len(levels))
-	for _, li := range lis {
-		values[li] = make([]hierarchy.NodeID, len(levels[li]))
-	}
+	sort.Ints(lis)
+	values := make([]hierarchy.NodeID, len(db.Schema.Dims))
 	for tid := 0; tid < baseLen; tid++ {
-		rec := &db.Records[tid]
 		for _, li := range lis {
-			il := levels[li]
-			vals := values[li]
-			for d, l := range il {
-				if l == 0 {
-					vals[d] = hierarchy.Root
-				} else {
-					vals[d] = db.Schema.Dims[d].AncestorAt(rec.Dims[d], l)
-				}
-			}
+			vals := levels[li].Item.ValuesOf(db.Schema, db.Records[tid].Dims, values)
 			if c := wanted[li][core.CellKey(vals)]; c != nil {
 				c.baseTids = append(c.baseTids, int32(tid))
 			}
-		}
-	}
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
 }
@@ -236,17 +213,4 @@ func schemaCompatible(a, b *pathdb.Schema) bool {
 		}
 	}
 	return true
-}
-
-// tidsMissing reports whether any materialized cell lacks its record-id
-// list (cubes loaded from snapshots do not persist tids).
-func tidsMissing(cube *core.Cube) bool {
-	for _, cb := range cube.Cuboids {
-		for _, cell := range cb.Cells {
-			if cell.Count > 0 && cell.TIDs() == nil {
-				return true
-			}
-		}
-	}
-	return false
 }

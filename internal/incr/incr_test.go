@@ -29,7 +29,7 @@ func genConfig(seed int64, paths int) datagen.Config {
 	return cfg
 }
 
-func saveDigest(t *testing.T, cube *core.Cube) string {
+func saveDigest(t testing.TB, cube *core.Cube) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := cube.Save(&buf); err != nil {
@@ -177,7 +177,7 @@ func TestApplyDeltaOnLoadedCube(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaOnClone exercises the serving path: delta-patch a Clone
+// TestApplyDeltaOnClone exercises the serving path: delta-patch a Fork
 // while the original stays bit-identical.
 func TestApplyDeltaOnClone(t *testing.T) {
 	ds := datagen.MustGenerate(genConfig(23, 220))
@@ -199,7 +199,7 @@ func TestApplyDeltaOnClone(t *testing.T) {
 	}
 	want := saveDigest(t, full)
 
-	clone := base.Clone()
+	clone := base.Fork()
 	if _, err := incr.ApplyDelta(clone, db, ds.DB.Records[split:]); err != nil {
 		t.Fatal(err)
 	}

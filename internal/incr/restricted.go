@@ -42,7 +42,7 @@ import (
 // moved-prefix count (for stats) and the newly frequent conditions (for the
 // caller to fold into the cache). paths is the cell's full union record
 // set; the cell must have a graph.
-func remineRestricted(cube *core.Cube, db *pathdb.DB, cuboid *core.Cuboid, cell *core.Cell, batchTIDs []int32, paths []pathdb.Path, old *core.CondSet, minCount int64) (int, [][]flowgraph.StagePin, error) {
+func remineRestricted(cube *core.Cube, db *pathdb.DB, plIdx int, cell *core.Cell, batchTIDs []int32, paths []pathdb.Path, old *core.CondSet, minCount int64) (int, [][]flowgraph.StagePin, error) {
 	cfg := cube.Config
 	g := cell.Graph
 	batchPaths := make([]pathdb.Path, len(batchTIDs))
@@ -54,7 +54,7 @@ func remineRestricted(cube *core.Cube, db *pathdb.DB, cuboid *core.Cuboid, cell 
 	if cfg.SingleStageExceptions {
 		g.MineExceptionsAt(paths, moved, cfg.Epsilon, minCount)
 	}
-	newConds, err := cellCondsDelta(cube, db, cuboid.Spec.PathLevel, cell.TIDs(), batchTIDs, old)
+	newConds, err := cellCondsDelta(cube, db, plIdx, cell.TIDs(), batchTIDs, old)
 	if err != nil {
 		return 0, nil, err
 	}

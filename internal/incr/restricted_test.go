@@ -40,14 +40,14 @@ func TestRestrictedRemineMatchesFull(t *testing.T) {
 			}
 			batch := ds.DB.Records[split:]
 
-			warm := base.Clone()
+			warm := base.Fork()
 			warmDB := dbWith(ds, split)
 			warmStats, err := incr.ApplyDelta(warm, warmDB, batch)
 			if err != nil {
 				t.Fatalf("restricted fold: %v", err)
 			}
 
-			cold := base.Clone()
+			cold := base.Fork()
 			cold.DropCondCache()
 			coldDB := dbWith(ds, split)
 			coldStats, err := incr.ApplyDelta(cold, coldDB, batch)

@@ -6,36 +6,38 @@ import (
 	"go/types"
 )
 
-// immutcube enforces the immutable-after-build contract documented on
-// core.Cube: once Build (or Load) returns, the cube is shared by concurrent
-// readers — internal/server hands the same *core.Cube to every in-flight
-// request — so field writes to Cube, Cuboid, or Cell values are only legal
-// inside package core's designated mutation files. Everywhere else (the
-// serving layer, CLI tools, examples, sibling internal packages) the cube
-// must be treated as deeply read-only; a server that wants new data swaps a
-// whole snapshot instead of editing the live one.
+// immutcube enforces the ownership rule documented on core.Cube and in
+// core/delta.go: a cube generation is immutable once another goroutine can
+// reach it — internal/server hands the same *core.Cube to every in-flight
+// request, and every later generation forked from it shares its cuboids,
+// cells and flowgraph nodes by pointer. Field writes to Cube, Cuboid, or
+// Cell values are therefore only legal in the files that either construct a
+// cube nobody shares yet or reach cells through the one copy-on-write
+// accessor, core.Cube.OwnedCell. Everywhere else (the serving layer, CLI
+// tools, examples, sibling internal packages) the cube is deeply read-only;
+// a server that wants new data forks the served cube, patches the fork, and
+// swaps it in.
 //
-// The designated files are the build phase and the documented mutating
-// operations: build.go (Build, populate, exception mining), append.go
-// (incremental Append), persist.go and snapshotv2.go (the v1 and v2
-// snapshot decoders reconstruct a cube), query.go (MarkRedundancy,
-// Compress, DropCuboid — documented as must-not-run-concurrently),
-// answer.go (whose reconstructed cells are freshly allocated per query and
-// never part of the shared cube), and conds.go (the condition cache,
-// written only on cubes the writer owns exclusively: during build or by
-// incr's delta maintenance on a clone).
+// The designated files: build.go (Build, populate, exception mining),
+// persist.go, snapshotv2.go and lazyload.go (the decoders reconstruct a
+// cube; Materialize tags what it decoded), partition.go (FilterCells and
+// Merge assemble a new generation around shared cells), answer.go (whose
+// reconstructed cells are freshly allocated per query and never part of
+// the shared cube), delta.go (Fork, OwnedCell, AdmitCell and tid recovery —
+// the accessor itself), and its clients, which write only cells it handed
+// them: append.go (Append), query.go (MarkRedundancy, Compress, and
+// DropCuboid/RestoreCuboid on the generation's own cuboid table), conds.go
+// (the per-cell condition cache) and incr's delta.go (ApplyDelta).
 //
 // Detected write forms: field assignment (cell.Count = n, cell.Count++),
 // writes through field-held maps and slices (cb.Cells[k] = v,
 // cell.Values[i] = v), and delete(cb.Cells, k). Mutation through an
-// aliased map or a method call is out of static reach and stays on the
-// prose contract.
+// aliased map or a method call — and whether a cell written in a designated
+// file really came from the accessor — is out of static reach; the
+// generation-isolation test (internal/incr) covers that at run time.
 
 // immutAllowedFiles maps package name → the files within it that may write
-// cube state. Package core's build-phase files define the cube; package
-// incr's delta.go is the delta-maintenance writer (it patches only cubes
-// the caller owns exclusively — a fresh build or a Clone; see
-// internal/incr).
+// cube state.
 var immutAllowedFiles = map[string]map[string]bool{
 	"core": {
 		"build.go":      true,

@@ -148,7 +148,7 @@ func TestPruneDropsAndStaysExact(t *testing.T) {
 	eager := buildEager(t, ds, 1, 0)
 	digests := digestAll(eager)
 
-	pruned := eager.Clone()
+	pruned := eager.Fork()
 	res, err := Prune(context.Background(), pruned, PlannerConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestPruneRedundancyMarking(t *testing.T) {
 	eager := buildEager(t, ds, 1, 0.5)
 	digests := digestAll(eager)
 
-	pruned := eager.Clone()
+	pruned := eager.Fork()
 	res, err := Prune(context.Background(), pruned, PlannerConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -212,12 +212,12 @@ func TestPruneBudget(t *testing.T) {
 	ds := testDataset(t)
 	eager := buildEager(t, ds, 1, 0)
 
-	unlimited, err := Prune(context.Background(), eager.Clone(), PlannerConfig{})
+	unlimited, err := Prune(context.Background(), eager.Fork(), PlannerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := 2
-	tight, err := Prune(context.Background(), eager.Clone(), PlannerConfig{CostBudget: budget})
+	tight, err := Prune(context.Background(), eager.Fork(), PlannerConfig{CostBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestPruneKeepsExceptionCuboids(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager := cube.Clone()
+	eager := cube.Fork()
 	res, err := Prune(context.Background(), cube, PlannerConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestAnswerMatchesEagerRandomSplits(t *testing.T) {
 			t.Run(fmt.Sprintf("seed%d", k), func(t *testing.T) {
 				t.Parallel()
 				rng := rand.New(rand.NewSource(int64(k)))
-				pruned := eager.Clone()
+				pruned := eager.Fork()
 				var dropped []core.CuboidSpec
 				for _, s := range specs {
 					if rng.Intn(2) == 0 {
@@ -406,7 +406,7 @@ func TestAnswerOps(t *testing.T) {
 	})
 
 	t.Run("nocompute", func(t *testing.T) {
-		pruned := cube.Clone()
+		pruned := cube.Fork()
 		res, err := Prune(ctx, pruned, PlannerConfig{})
 		if err != nil {
 			t.Fatal(err)

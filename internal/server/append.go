@@ -4,12 +4,15 @@ package server
 // side of the ingest write path (DESIGN.md §11). The handler parses the
 // body against the serving schema and submits the batch to the group
 // committer (internal/ingest); the commit loop folds each group's batches
-// with one incr.ApplyDelta (exact against a full rebuild over the union),
-// journals the folded batches in the WAL, and swaps the snapshot pointer
-// atomically.
-// Readers are never blocked: they stay on the snapshot they loaded, and the
-// record store is copy-on-write (pathdb.Store), so a commit appends O(batch)
-// records instead of copying the whole database.
+// with one incr.ApplyDelta (exact against a full rebuild over the union)
+// into a fork of the serving cube, journals the folded batches in the WAL,
+// and swaps the snapshot pointer atomically.
+// Readers are never blocked: they stay on the snapshot they loaded. A commit
+// costs O(batch) on both sides — the record store is copy-on-write
+// (pathdb.Store), and the fork shares every cell and flowgraph node with the
+// serving cube, copying only the cells the batch lands in and the nodes on
+// its paths (core.Cube.Fork). A fold that fails, or whose journal write
+// fails, is dropped; the serving snapshot was never touched.
 
 import (
 	"errors"
@@ -145,7 +148,7 @@ func (s *Server) applyGroup(group []*ingest.Pending) {
 			batch = append(batch, p.Records...)
 		}
 		var err error
-		fr, err = s.fold(snap, batch)
+		fr, err = s.fold(snap.Cube, snap.DB.Schema, batch)
 		if err == nil {
 			elapsed = time.Since(start)
 			break
@@ -232,36 +235,36 @@ func groupOwner(live []*ingest.Pending, index int) (i, offset int) {
 	return -1, 0
 }
 
-// foldResult is a folded-but-unpublished commit: the delta-patched cube,
+// foldResult is a folded-but-unpublished commit: the next cube generation,
 // the record-store reservation extended with the batch, and the delta
-// stats. publish commits it; dropping it instead abandons the reservation
-// and leaves the committed store and serving snapshot untouched. The split
-// lets applyGroup journal the group after the fold has validated it but
-// before any state becomes visible.
+// stats. publish commits it; dropping it instead abandons the fork and the
+// reservation and leaves the committed store and serving snapshot untouched.
+// The split lets applyGroup journal the group after the fold has validated
+// it but before any state becomes visible.
 type foldResult struct {
 	cube    *core.Cube
 	records []pathdb.Record
 	stats   *incr.Stats
 }
 
-// fold applies one concatenated batch to a copy of the serving state and
+// fold applies one concatenated batch to the next generation of cube and
 // returns the unpublished result. Exactness comes from incr.ApplyDelta;
-// O(batch) memory comes from patching a Materialize copy of the cube plus a
-// copy-on-write reservation in the record store instead of duplicating the
-// database.
-func (s *Server) fold(snap *Snapshot, batch []pathdb.Record) (*foldResult, error) {
-	// Materialize rather than Clone: a lazily served snapshot must be fully
-	// decoded before delta-patching, and a corrupt section should fail the
-	// append loudly instead of patching an empty skeleton.
-	cube, err := snap.Cube.Materialize()
+// O(batch) cost comes from patching a fork — which shares cube's cells and
+// flowgraph nodes and copies the ones the batch writes — plus a
+// copy-on-write reservation in the record store. Only a lazily served cube
+// is decoded in full (Materialize), once: the generation that comes out is
+// eager, and a corrupt section fails the append loudly.
+func (s *Server) fold(cube *core.Cube, schema *pathdb.Schema, batch []pathdb.Record) (*foldResult, error) {
+	cube, err := cube.Materialize()
 	if err != nil {
 		return nil, &HTTPError{http.StatusInternalServerError,
 			fmt.Sprintf("materialize serving snapshot for append: %v", err)}
 	}
-	db := &pathdb.DB{Schema: snap.DB.Schema, Records: s.store.Reserve(len(batch))}
+	db := &pathdb.DB{Schema: schema, Records: s.store.Reserve(len(batch))}
 	stats, err := incr.ApplyDelta(cube, db, batch)
 	if err != nil {
-		// The reservation is abandoned; the committed store is untouched.
+		// The fork and the reservation are abandoned; the cube it was forked
+		// from and the committed store are untouched.
 		return nil, err
 	}
 	if s.cfg.PostAppend != nil {
@@ -274,7 +277,13 @@ func (s *Server) fold(snap *Snapshot, batch []pathdb.Record) (*foldResult, error
 // folded cube in the next snapshot, ready for the holder swap.
 func (s *Server) publish(snap *Snapshot, fr *foldResult) *Snapshot {
 	s.store.Commit(fr.records)
-	next := newSnapshot(fr.cube, snap.Source, s.cfg.CacheSize, 0, snap.Bytes)
+	return s.successor(snap, fr.cube)
+}
+
+// successor wraps cube, folded from snap's over the committed store, in the
+// snapshot that follows snap.
+func (s *Server) successor(snap *Snapshot, cube *core.Cube) *Snapshot {
+	next := newSnapshot(cube, snap.Source, s.cfg.CacheSize, 0, snap.Bytes)
 	next.DB = &pathdb.DB{Schema: snap.DB.Schema, Records: s.store.Committed()}
 	next.Gen = snap.Gen + 1
 	next.SchemaGen = snap.SchemaGen

@@ -153,6 +153,11 @@ func TestIngestWALCrashRecovery(t *testing.T) {
 	if got := s.Metrics().Ingest.WALEntries; got != 2 {
 		t.Errorf("wal_entries = %d after replay, want 2", got)
 	}
+	// Nobody can read the generations in between, so replay builds one
+	// snapshot (and one response cache) over the last, however many entries.
+	if snap.Gen != 1 {
+		t.Errorf("replaying 2 entries built %d snapshots, want 1", snap.Gen)
+	}
 
 	// The journal keeps extending after replay: an append journals entry 3,
 	// and a second restart replays all three.
@@ -283,8 +288,10 @@ func TestIngestBatchErrorIsolatedToOwner(t *testing.T) {
 	}
 	defer s.Close()
 
-	tag := s.Snapshot().SchemaGen
-	base := s.Snapshot().DB.Len()
+	before := s.Snapshot()
+	beforeDigest := cubeDigest(t, before.Cube)
+	tag := before.SchemaGen
+	base := before.DB.Len()
 	good1 := ingest.NewPending(append([]pathdb.Record(nil), ex.DB.Records[:2]...), tag)
 	// The invalid record (empty path) sits at position 1 of its own batch,
 	// concatenated position 3 of the group: the reported index must be
@@ -318,6 +325,11 @@ func TestIngestBatchErrorIsolatedToOwner(t *testing.T) {
 	if got := s.Metrics().Ingest.WALEntries; got != 2 {
 		t.Errorf("wal_entries = %d, want 2 (the rejected batch must never be journaled)", got)
 	}
+	// Two folds forked the serving cube — the one the bad batch sank and
+	// the one that committed — and neither may have written into it.
+	if got := cubeDigest(t, before.Cube); got != beforeDigest {
+		t.Error("folding the group changed the snapshot it was forked from")
+	}
 }
 
 // TestIngestFoldFailureLeavesWALClean pins the fold-then-journal ordering:
@@ -335,13 +347,18 @@ func TestIngestFoldFailureLeavesWALClean(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bad := ingest.NewPending([]pathdb.Record{{Dims: ex.DB.Records[0].Dims}}, s.Snapshot().SchemaGen)
+	before := s.Snapshot()
+	beforeDigest := cubeDigest(t, before.Cube)
+	bad := ingest.NewPending([]pathdb.Record{{Dims: ex.DB.Records[0].Dims}}, before.SchemaGen)
 	s.applyGroup([]*ingest.Pending{bad})
 	if _, err := bad.Wait(); errorStatus(err) != http.StatusBadRequest {
 		t.Fatalf("bad batch: err %v, want 400", err)
 	}
 	if got := s.Metrics().Ingest.WALEntries; got != 0 {
 		t.Fatalf("wal_entries = %d after a failed fold, want 0", got)
+	}
+	if s.Snapshot() != before || cubeDigest(t, before.Cube) != beforeDigest {
+		t.Fatal("a failed fold replaced or changed the serving snapshot")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -355,6 +372,42 @@ func TestIngestFoldFailureLeavesWALClean(t *testing.T) {
 	if got := s2.Snapshot().DB.Len(); got != len(ex.DB.Records) {
 		t.Errorf("restart has %d records, want the %d base records (failed batch replayed)",
 			got, len(ex.DB.Records))
+	}
+}
+
+// TestIngestJournalFailureDropsFold: when the journal write fails after a
+// clean fold, the fold is dropped — the client gets a 500, and the serving
+// snapshot, its cube and the record store are exactly what they were, so
+// the next append folds from the same state.
+func TestIngestJournalFailureDropsFold(t *testing.T) {
+	ex := paperex.New()
+	sCfg := quietConfig()
+	sCfg.WALPath = filepath.Join(t.TempDir(), "ingest.wal")
+	s, err := New(paperexLoader(ex, paperexConfig(ex)), "test", sCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	before := s.Snapshot()
+	beforeDigest := cubeDigest(t, before.Cube)
+
+	// A closed journal rejects the append, as a full disk would.
+	if err := s.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p := ingest.NewPending(append([]pathdb.Record(nil), ex.DB.Records[:3]...), before.SchemaGen)
+	s.applyGroup([]*ingest.Pending{p})
+	if _, err := p.Wait(); errorStatus(err) != http.StatusInternalServerError {
+		t.Fatalf("append with a failing journal: err %v, want 500", err)
+	}
+	if s.Snapshot() != before {
+		t.Fatal("a fold whose journal write failed was published")
+	}
+	if got := cubeDigest(t, before.Cube); got != beforeDigest {
+		t.Error("the dropped fold wrote into the serving cube")
+	}
+	if got := len(s.store.Committed()); got != before.DB.Len() {
+		t.Errorf("record store holds %d records after the dropped fold, want %d", got, before.DB.Len())
 	}
 }
 

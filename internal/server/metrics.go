@@ -44,6 +44,8 @@ type metrics struct {
 	lastDeltaNs       atomic.Int64
 	lastCellsTouched  atomic.Int64
 	lastCellsAdmitted atomic.Int64
+	lastCellsCopied   atomic.Int64
+	lastNodesCopied   atomic.Int64
 
 	// Ingest write-path gauges. The WAL itself is touched only on the
 	// commit loop, so its counters are mirrored here atomically for
@@ -66,6 +68,8 @@ func (m *metrics) recordAppend(d time.Duration, stats *incr.Stats) {
 	m.lastDeltaNs.Store(d.Nanoseconds())
 	m.lastCellsTouched.Store(int64(stats.CellsTouched))
 	m.lastCellsAdmitted.Store(int64(stats.CellsAdmitted))
+	m.lastCellsCopied.Store(int64(stats.CellsCopied))
+	m.lastNodesCopied.Store(int64(stats.NodesCopied))
 	m.lastReminedRestricted.Store(int64(stats.CellsReminedRestricted))
 	m.lastPrefixesRemined.Store(int64(stats.PrefixesRemined))
 }
@@ -203,6 +207,11 @@ type AppendMetrics struct {
 	// re-aggregated.
 	LastReminedRestricted int64 `json:"last_cells_remined_restricted"`
 	LastPrefixesRemined   int64 `json:"last_prefixes_remined"`
+	// LastCellsCopied and LastNodesCopied report what the last fold copied
+	// out of the snapshot it forked: the cells it wrote and the flowgraph
+	// nodes on the batch's paths through them — the whole per-commit copy.
+	LastCellsCopied int64 `json:"last_cells_copied"`
+	LastNodesCopied int64 `json:"last_nodes_copied"`
 }
 
 // IngestMetrics are the write-path gauges: group-commit shape (how well
@@ -251,6 +260,8 @@ func (m *metrics) snapshot() MetricsSnapshot {
 			LastCellsAdmitted:     m.lastCellsAdmitted.Load(),
 			LastReminedRestricted: m.lastReminedRestricted.Load(),
 			LastPrefixesRemined:   m.lastPrefixesRemined.Load(),
+			LastCellsCopied:       m.lastCellsCopied.Load(),
+			LastNodesCopied:       m.lastNodesCopied.Load(),
 		},
 		Ingest: IngestMetrics{
 			LastGroupSize:  m.lastGroupSize.Load(),

@@ -154,7 +154,7 @@ func renderExceptions(cube *core.Cube, k int) []ExceptionJSON {
 		for d, v := range r.Values {
 			xj.Cell = append(xj.Cell, cube.Schema.Dims[d].Name(v))
 		}
-		for _, l := range r.Node.Prefix() {
+		for _, l := range r.Prefix {
 			xj.Node = append(xj.Node, cube.Schema.Location.Name(l))
 		}
 		for _, p := range r.Condition {

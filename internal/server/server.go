@@ -21,7 +21,7 @@
 //	GET  /metrics         request counts, latency histograms, cache ratio
 //	POST /admin/reload    re-run the loader and atomically swap the snapshot
 //	POST /admin/append    delta-maintain the cube with new records
-//	     (incr.ApplyDelta on a clone, then an atomic snapshot swap)
+//	     (incr.ApplyDelta on a fork, then an atomic snapshot swap)
 //
 // The three cell endpoints are adapters over one path (query.go): the raw
 // request is looked up in the response cache, else parsed, answered —
@@ -34,8 +34,9 @@
 // per-snapshot LRU response cache with single-flight deduplication. Appends
 // and reloads flow through a single-writer group-commit loop
 // (internal/ingest): concurrent appends coalesce into one WAL-journaled
-// delta fold per group, and the fold lands in a copy-on-write record store
-// so committing costs O(batch), not O(database). Requests carry a context
+// delta fold per group, and the fold lands in a fork of the serving cube and
+// a copy-on-write record store, so committing costs O(batch), not O(cube) or
+// O(database). Requests carry a context
 // deadline, are logged, and the listener shuts down gracefully when the
 // serve context is cancelled.
 package server
@@ -75,7 +76,8 @@ type Config struct {
 	// PostAppend, when set, transforms the delta-maintained cube before it
 	// becomes the serving snapshot. Shard servers use it to drop state the
 	// shard does not own after an append (cluster.ShardFilter); it must
-	// return a cube safe to serve (the input is exclusively owned).
+	// return a cube safe to serve (the input is a fork only the commit loop
+	// holds).
 	PostAppend func(*core.Cube) *core.Cube
 	// WALPath, when set, journals every accepted append batch to a
 	// write-ahead log at this path before folding it, and replays intact
@@ -196,7 +198,10 @@ func (s *Server) installStore(snap *Snapshot) {
 // openWAL opens (or creates) the journal at Config.WALPath and replays any
 // intact entries — batches that were acknowledged before a crash but whose
 // snapshot swap never happened — through the ordinary fold path, returning
-// the caught-up snapshot. Runs during New, before any request is served.
+// the caught-up snapshot. Runs during New, before any request is served, so
+// no reader can see the generations in between: each entry folds into a
+// fork of the last (an entry that fails is dropped with its fork) and one
+// snapshot is built over the final cube.
 func (s *Server) openWAL(ctx context.Context, snap *Snapshot) (*Snapshot, error) {
 	w, err := ingest.OpenContext(ctx, s.cfg.WALPath)
 	if err != nil {
@@ -212,9 +217,10 @@ func (s *Server) openWAL(ctx context.Context, snap *Snapshot) (*Snapshot, error)
 				s.cfg.WALPath, w.Entries())
 		}
 		replayed, skipped, entry := 0, 0, 0
-		err := w.ReplayContext(ctx, snap.DB.Schema, func(batch []pathdb.Record) error {
+		cube, schema := snap.Cube, snap.DB.Schema
+		err := w.ReplayContext(ctx, schema, func(batch []pathdb.Record) error {
 			entry++
-			fr, ferr := s.fold(snap, batch)
+			fr, ferr := s.fold(cube, schema, batch)
 			if ferr != nil {
 				// Every journaled batch folded cleanly once before it was
 				// acknowledged (applyGroup journals after the fold), so a
@@ -228,13 +234,17 @@ func (s *Server) openWAL(ctx context.Context, snap *Snapshot) (*Snapshot, error)
 					s.cfg.WALPath, entry-1, ferr)
 				return nil
 			}
-			snap = s.publish(snap, fr)
+			s.store.Commit(fr.records)
+			cube = fr.cube
 			replayed++
 			return nil
 		})
 		if err != nil {
 			_ = w.Close()
 			return nil, fmt.Errorf("server: replay WAL %s: %w", s.cfg.WALPath, err)
+		}
+		if replayed > 0 {
+			snap = s.successor(snap, cube)
 		}
 		s.logger.Printf("replayed %d WAL entries from %s (%d skipped): %d cells",
 			replayed, s.cfg.WALPath, skipped, snap.Cube.NumCells())

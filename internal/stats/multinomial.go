@@ -123,8 +123,10 @@ func (m *Multinomial) Merge(other *Multinomial) {
 
 // Clone returns a deep copy.
 func (m *Multinomial) Clone() *Multinomial {
-	c := NewMultinomial()
-	c.Merge(m)
+	c := &Multinomial{counts: make(map[int64]int64, len(m.counts)), total: m.total}
+	for v, n := range m.counts {
+		c.counts[v] = n
+	}
 	return c
 }
 

@@ -57,8 +57,8 @@ var ErrNotLazySnapshot = core.ErrNotLazySnapshot
 // open validates framing and checksums but materializes nothing, so it
 // completes in milliseconds with resident memory bounded by the cache
 // budget rather than the cube size. The returned cube answers the full
-// query surface identically to LoadCube; mutating paths (ApplyDelta on a
-// Clone, FilterCells, Merge) transparently materialize first. Close the
+// query surface identically to LoadCube; FilterCells and Merge materialize
+// transparently, and ApplyDelta runs on (*Cube).Materialize's result. Close the
 // cube with (*Cube).Close when done — or let the finalizer unmap it.
 func LoadCubeLazy(path string, opts LazyOptions) (*Cube, error) {
 	return core.LoadCubeLazy(path, opts)
@@ -138,7 +138,8 @@ var (
 // (WithDelta / Config.MinCount) and no MiningOptions override.
 //
 // ApplyDelta must not run concurrently with readers of the cube or db;
-// long-lived servers patch a (*Cube).Clone and swap. See DESIGN.md §9.
+// long-lived servers patch a (*Cube).Fork — which leaves the served cube
+// untouched — and swap. See DESIGN.md §9.
 func ApplyDelta(cube *Cube, db *DB, batch []Record) (*DeltaStats, error) {
 	return incr.ApplyDelta(cube, db, batch)
 }

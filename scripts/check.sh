@@ -34,6 +34,12 @@ echo "== go test -race =="
 # byte-for-byte against a single node, under the race detector.
 go test -race ./...
 
+echo "== generation isolation (-race -count=10) =="
+# Cube generations share cells and flowgraph nodes; a write that reaches a
+# shared one is a rare interleaving with a reader, not a deterministic
+# failure, so the isolation test runs ten times on top of the pass above.
+go test -race -count=10 ./internal/incr -run TestGenerationIsolation
+
 echo "== nommap fallback (lazy serving without mmap) =="
 # The pread fallback behind the nommap build tag is what non-linux builds
 # get; the lazy parity suite must hold there too.
