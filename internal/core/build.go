@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
@@ -388,7 +389,8 @@ func PopulateBench(db *pathdb.DB, cfg Config) (cube *Cube, run, assign func(), e
 
 // forEach runs fn over [0,n) — concurrently when Config.Workers > 1. Each
 // index touches disjoint state (one cell), so no synchronization beyond
-// the join is needed.
+// the join is needed. Workers claim indices from a shared cursor, so a
+// finished index costs one atomic add, not a rendezvous with a feeder.
 func (c *Cube) forEach(n int, fn func(i int)) {
 	workers := c.Config.Workers
 	if workers <= 1 || n < 2 {
@@ -401,20 +403,20 @@ func (c *Cube) forEach(n int, fn func(i int)) {
 		workers = n
 	}
 	var wg sync.WaitGroup
-	next := make(chan int)
+	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
 				fn(i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
 }
 

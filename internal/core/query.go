@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
 )
@@ -58,19 +60,35 @@ func (c *Cube) ParentRefs(spec CuboidSpec, values []hierarchy.NodeID) []CellRef 
 // which would read as "maximally redundant" in summaries and persisted
 // output.
 //
-// Like every mutator, it must not run on a lazily loaded cube (whose
-// Cuboids map is empty — the walk would be a silent no-op); Materialize
-// first.
+// Like every mutator, it must not run on a lazily loaded cube (it marks
+// nothing there and returns 0); Materialize first.
+//
+// Cells are marked concurrently when Config.Workers > 1. Every cell is made
+// this generation's own first, so that a job only reads the cube's maps; it
+// then writes its own cell's Similarity and Redundant and reads nothing of
+// its parents but their graphs.
 func (c *Cube) MarkRedundancy(tau float64) int {
-	n := 0
-	for _, cb := range c.Cuboids {
-		for _, cell := range cb.Cells {
-			if c.MarkCellRedundancy(cb.Spec, cell.Values, tau) {
-				n++
-			}
+	if c.lazy != nil {
+		return 0
+	}
+	c.ownAllCells()
+	type job struct {
+		spec   CuboidSpec
+		values []hierarchy.NodeID
+	}
+	var jobs []job
+	for _, cb := range c.sortedCuboids() {
+		for _, cell := range cb.SortedCells() {
+			jobs = append(jobs, job{cb.Spec, cell.Values})
 		}
 	}
-	return n
+	var redundant atomic.Int64
+	c.forEach(len(jobs), func(i int) {
+		if c.MarkCellRedundancy(jobs[i].spec, jobs[i].values, tau) {
+			redundant.Add(1)
+		}
+	})
+	return int(redundant.Load())
 }
 
 // MarkCellRedundancy recomputes one cell's redundancy marking against its

@@ -197,9 +197,9 @@ func (f *Flat) validate() error {
 
 // Unflatten validates the columnar form and rebuilds the pointer graph for
 // paths at the given level. Nodes, distributions, pins and exceptions are
-// carved out of one backing allocation each, so reconstructing a graph
-// costs O(1) amortized allocations per node-free structure plus the
-// per-node children maps — far cheaper than replaying Graft per node.
+// carved out of one backing allocation each — child lists too: BFS order
+// puts a node's children side by side, so each list is a window of one
+// pointer array — which leaves one allocation per non-empty distribution.
 func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Graph, error) {
 	if err := f.validate(); err != nil {
 		return nil, err
@@ -207,6 +207,10 @@ func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Grap
 	n := f.NumNodes()
 	m := len(f.ExcNode)
 	nodes := make([]Node, n)
+	ptrs := make([]*Node, n)
+	for i := range nodes {
+		ptrs[i] = &nodes[i]
+	}
 	dists := make([]stats.Multinomial, 2*(n+m))
 	initDist := func(k int, lo, hi int32) (*stats.Multinomial, error) {
 		d := &dists[k]
@@ -231,15 +235,13 @@ func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Grap
 			return nil, err
 		}
 		lo, hi := f.ChildLo[i], f.ChildLo[i+1]
-		nd.children = make(map[hierarchy.NodeID]*Node, hi-lo)
 		for j := lo; j < hi; j++ {
-			child := &nodes[j]
-			child.Depth = nd.Depth + 1
-			nd.children[hierarchy.NodeID(f.Locations[j])] = child
+			nodes[j].Depth = nd.Depth + 1
+			if j > lo && f.Locations[j-1] >= f.Locations[j] {
+				return nil, fmt.Errorf("flowgraph: node %d has child locations out of order or duplicated", i)
+			}
 		}
-		if len(nd.children) != int(hi-lo) {
-			return nil, fmt.Errorf("flowgraph: node %d has duplicate child locations", i)
-		}
+		nd.children = ptrs[lo:hi:hi]
 	}
 	g := &Graph{level: level, loc: loc, root: &nodes[0], paths: f.Paths}
 

@@ -19,7 +19,6 @@ package flowgraph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"flowcube/internal/hierarchy"
@@ -50,21 +49,32 @@ type Node struct {
 	// int64), plus Terminate.
 	Transitions *stats.Multinomial
 
-	children map[hierarchy.NodeID]*Node
+	// children is sorted by ascending Location, one entry per location.
+	children []*Node
 }
 
-// Children returns the node's children ordered by location id.
-func (n *Node) Children() []*Node {
-	out := make([]*Node, 0, len(n.children))
-	for _, c := range n.children {
-		out = append(out, c)
+// Children returns the node's children ordered by location id. The slice is
+// the node's own; callers must not modify it.
+func (n *Node) Children() []*Node { return n.children }
+
+// childIndex returns the position of the child at loc, or the position it
+// would be inserted at and false. Fan-outs are small, so it scans.
+func (n *Node) childIndex(loc hierarchy.NodeID) (int, bool) {
+	for i, c := range n.children {
+		if c.Location >= loc {
+			return i, c.Location == loc
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Location < out[j].Location })
-	return out
+	return len(n.children), false
 }
 
 // Child returns the child at the given location, or nil.
-func (n *Node) Child(loc hierarchy.NodeID) *Node { return n.children[loc] }
+func (n *Node) Child(loc hierarchy.NodeID) *Node {
+	if i, ok := n.childIndex(loc); ok {
+		return n.children[i]
+	}
+	return nil
+}
 
 // TerminationProb is the probability a path ends at this node.
 func (n *Node) TerminationProb() float64 { return n.Transitions.Prob(Terminate) }
@@ -126,12 +136,19 @@ func New(loc *hierarchy.Hierarchy, level pathdb.PathLevel, merge pathdb.Duration
 		level: level,
 		merge: merge,
 		loc:   loc,
-		root: &Node{
-			Durations:   stats.NewMultinomial(),
-			Transitions: stats.NewMultinomial(),
-			children:    make(map[hierarchy.NodeID]*Node),
-		},
+		root:  newNode(hierarchy.Root, 0, 0),
 	}
+}
+
+// newNode returns an empty node; the node and its two distributions are one
+// allocation.
+func newNode(loc hierarchy.NodeID, owner uint32, depth int) *Node {
+	a := &struct {
+		n    Node
+		d, t stats.Multinomial
+	}{n: Node{Location: loc, owner: owner, Depth: depth}}
+	a.n.Durations, a.n.Transitions = &a.d, &a.t
+	return &a.n
 }
 
 // Build constructs a flowgraph from raw paths, aggregating each to the
@@ -182,7 +199,7 @@ func (g *Graph) Fork(owner uint32) *Graph {
 func (g *Graph) NodesCopied() int { return g.copied }
 
 // own returns the graph's own copy of n, a node it may not write, to hang
-// where n hung: the node's count, both distributions and its child map are
+// where n hung: the node's count, both distributions and its child list are
 // duplicated, the children themselves stay shared, and exceptions that
 // named n are re-pointed at the copy. Nodes hold no pointer to their
 // parent, so nothing reachable from the copy keeps n alive.
@@ -194,10 +211,7 @@ func (g *Graph) own(n *Node) *Node {
 		Count:       n.Count,
 		Durations:   n.Durations.Clone(),
 		Transitions: n.Transitions.Clone(),
-		children:    make(map[hierarchy.NodeID]*Node, len(n.children)+1),
-	}
-	for loc, child := range n.children {
-		c.children[loc] = child
+		children:    append(make([]*Node, 0, len(n.children)+1), n.children...),
 	}
 	for i := range g.exceptions {
 		if g.exceptions[i].Node == n {
@@ -208,18 +222,25 @@ func (g *Graph) own(n *Node) *Node {
 	return c
 }
 
-// newChild hangs a fresh, empty node owned by the graph under parent.
-func (g *Graph) newChild(parent *Node, loc hierarchy.NodeID) *Node {
-	n := &Node{
-		Location:    loc,
-		owner:       g.owner,
-		Depth:       parent.Depth + 1,
-		Durations:   stats.NewMultinomial(),
-		Transitions: stats.NewMultinomial(),
-		children:    make(map[hierarchy.NodeID]*Node),
+// insertChild hangs c under n at position i of its child list (childIndex's
+// answer for c's location).
+func (n *Node) insertChild(i int, c *Node) {
+	n.children = append(n.children, nil)
+	copy(n.children[i+1:], n.children[i:])
+	n.children[i] = c
+}
+
+// ownedChild returns parent's child at loc as g may write it: a fresh, empty
+// node when there is none, g's own copy when the child belongs to an older
+// generation. g must own parent.
+func (g *Graph) ownedChild(parent *Node, loc hierarchy.NodeID) *Node {
+	i, ok := parent.childIndex(loc)
+	if !ok {
+		parent.insertChild(i, newNode(loc, g.owner, parent.Depth+1))
+	} else if parent.children[i].owner != g.owner {
+		parent.children[i] = g.own(parent.children[i])
 	}
-	parent.children[loc] = n
-	return n
+	return parent.children[i]
 }
 
 // AddPath aggregates the raw path to the graph's level and folds it in.
@@ -239,13 +260,7 @@ func (g *Graph) AddAggregated(p pathdb.Path) {
 	cur := g.root
 	for _, st := range p {
 		cur.Transitions.Observe(int64(st.Location))
-		next := cur.children[st.Location]
-		if next == nil {
-			next = g.newChild(cur, st.Location)
-		} else if next.owner != g.owner {
-			next = g.own(next)
-			cur.children[st.Location] = next
-		}
+		next := g.ownedChild(cur, st.Location)
 		next.Count++
 		next.Durations.Observe(st.Duration)
 		cur = next
@@ -257,7 +272,7 @@ func (g *Graph) AddAggregated(p pathdb.Path) {
 func (g *Graph) NodeAt(seq []hierarchy.NodeID) *Node {
 	cur := g.root
 	for _, l := range seq {
-		cur = cur.children[l]
+		cur = cur.Child(l)
 		if cur == nil {
 			return nil
 		}
@@ -292,7 +307,7 @@ func (g *Graph) PathProb(p pathdb.Path) float64 {
 	cur := g.root
 	for _, st := range agg {
 		prob *= cur.Transitions.Prob(int64(st.Location))
-		cur = cur.children[st.Location]
+		cur = cur.Child(st.Location)
 		if cur == nil || prob == 0 {
 			return 0
 		}
@@ -328,15 +343,8 @@ func (g *Graph) mergeNode(dst, src *Node) {
 	dst.Count += src.Count
 	dst.Durations.Merge(src.Durations)
 	dst.Transitions.Merge(src.Transitions)
-	for loc, sc := range src.children {
-		dc := dst.children[loc]
-		if dc == nil {
-			dc = g.newChild(dst, loc)
-		} else if dc.owner != g.owner {
-			dc = g.own(dc)
-			dst.children[loc] = dc
-		}
-		g.mergeNode(dc, sc)
+	for _, sc := range src.children {
+		g.mergeNode(g.ownedChild(dst, sc.Location), sc)
 	}
 }
 

@@ -36,15 +36,11 @@ func (g *Graph) Graft(seq []hierarchy.NodeID, count int64, durations, transition
 		}
 	}
 	loc := seq[len(seq)-1]
-	n := parent.Child(loc)
-	if n == nil {
-		n = &Node{
-			Location: loc,
-			Depth:    parent.Depth + 1,
-			children: make(map[hierarchy.NodeID]*Node),
-		}
-		parent.children[loc] = n
+	i, ok := parent.childIndex(loc)
+	if !ok {
+		parent.insertChild(i, &Node{Location: loc, Depth: parent.Depth + 1})
 	}
+	n := parent.children[i]
 	n.Count = count
 	n.Durations = durations
 	n.Transitions = transitions

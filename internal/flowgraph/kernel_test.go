@@ -1,0 +1,235 @@
+package flowgraph_test
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
+	"testing"
+
+	"flowcube/internal/datagen"
+	"flowcube/internal/flowgraph"
+	"flowcube/internal/hierarchy"
+	"flowcube/internal/pathdb"
+	"flowcube/internal/stats"
+)
+
+// refException is what the ungated reference miner records per exception:
+// everything Save writes, floats as bits.
+type refException struct {
+	Support    int64
+	DevD, DevT uint64
+	Dur, Tr    string
+}
+
+func exceptionID(prefix []hierarchy.NodeID, pin flowgraph.StagePin) string {
+	return fmt.Sprint(prefix, pin.Depth, pin.Location, pin.Duration)
+}
+
+func describe(x flowgraph.Exception) refException {
+	return refException{
+		Support: x.Support,
+		DevD:    math.Float64bits(x.DurationDeviation),
+		DevT:    math.Float64bits(x.TransitionDeviation),
+		Dur:     fmt.Sprint(x.Durations.AppendSorted(nil, nil)),
+		Tr:      fmt.Sprint(x.Transitions.AppendSorted(nil, nil)),
+	}
+}
+
+// referenceSingleStage is the single-stage miner without the δ gate: it
+// accumulates the conditional distributions of every (stage, duration,
+// later stage) triple of every scanned path that lies in the graph, and
+// filters on (ε, δ) only at the end. targets nil means every target.
+func referenceSingleStage(g *flowgraph.Graph, paths []pathdb.Path, targets map[*flowgraph.Node]bool, eps float64, minCount int64) map[string]refException {
+	type agg struct {
+		prefix  []hierarchy.NodeID
+		pin     flowgraph.StagePin
+		target  *flowgraph.Node
+		dur, tr stats.Multinomial
+	}
+	aggs := map[string]*agg{}
+	for _, p := range paths {
+		ap := pathdb.AggregatePath(p, g.Level(), nil)
+		prefix := make([]hierarchy.NodeID, len(ap))
+		for i, st := range ap {
+			prefix[i] = st.Location
+		}
+		if len(ap) == 0 || g.NodeAt(prefix) == nil {
+			continue
+		}
+		for i := range ap {
+			pin := flowgraph.StagePin{Depth: i + 1, Location: ap[i].Location, Duration: ap[i].Duration}
+			for j := i; j < len(ap); j++ {
+				target := g.NodeAt(prefix[:j+1])
+				if targets != nil && !targets[target] {
+					continue
+				}
+				id := exceptionID(prefix[:j+1], pin)
+				a := aggs[id]
+				if a == nil {
+					a = &agg{prefix: prefix[:j+1], pin: pin, target: target}
+					aggs[id] = a
+				}
+				a.dur.Observe(ap[j].Duration)
+				if j+1 < len(ap) {
+					a.tr.Observe(int64(ap[j+1].Location))
+				} else {
+					a.tr.Observe(flowgraph.Terminate)
+				}
+			}
+		}
+	}
+	out := map[string]refException{}
+	for id, a := range aggs {
+		if a.tr.Total() < minCount {
+			continue
+		}
+		devD := a.dur.MaxDeviation(a.target.Durations)
+		devT := a.tr.MaxDeviation(a.target.Transitions)
+		self := a.pin.Depth == a.target.Depth
+		if !(devT > eps || (!self && devD > eps)) {
+			continue
+		}
+		if self {
+			devD = 0
+		}
+		out[id] = describe(flowgraph.Exception{
+			Support: a.tr.Total(), Durations: &a.dur, Transitions: &a.tr,
+			DurationDeviation: devD, TransitionDeviation: devT,
+		})
+	}
+	return out
+}
+
+func minedSet(t *testing.T, g *flowgraph.Graph) map[string]refException {
+	t.Helper()
+	out := map[string]refException{}
+	for _, x := range g.Exceptions() {
+		if len(x.Condition) != 1 || g.NodeAt(x.Prefix) != x.Node {
+			t.Fatalf("exception %v / %v is not a single-stage exception of this graph", x.Prefix, x.Condition)
+		}
+		id := exceptionID(x.Prefix, x.Condition[0])
+		if _, dup := out[id]; dup {
+			t.Fatalf("exception %s mined twice", id)
+		}
+		out[id] = describe(x)
+	}
+	return out
+}
+
+// TestGatedMinerMatchesUngatedReference: gating the single-stage scan on a
+// condition's support before building its distributions must not change the
+// exception set. The graphs summarize four fifths of the generated paths
+// and the miners scan all of them, so some scanned paths leave the tree
+// (skipped) and others run through it without having been counted — which
+// is why the gate counts the scan's own paths, not Node.Count.
+func TestGatedMinerMatchesUngatedReference(t *testing.T) {
+	mined := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		cfg := datagen.Default()
+		cfg.Seed = seed
+		cfg.NumPaths = 250
+		cfg.NumDims = 1
+		cfg.NumSequences = 6 + int(seed)
+		cfg.SeqLenMin, cfg.SeqLenMax = 2, 5
+		cfg.DurationDomain = 3
+		ds := datagen.MustGenerate(cfg)
+		var paths []pathdb.Path
+		for _, r := range ds.DB.Records {
+			paths = append(paths, r.Path)
+		}
+		for li, level := range ds.DefaultPlan().PathLevels {
+			for _, minCount := range []int64{1, 2, 7} {
+				for _, eps := range []float64{0, 0.1} {
+					name := fmt.Sprintf("seed %d level %d minCount %d eps %g", seed, li, minCount, eps)
+					g := flowgraph.Build(ds.Schema.Location, level, paths[:len(paths)*4/5], nil)
+					g.MineExceptions(paths, eps, minCount)
+					want := referenceSingleStage(g, paths, nil, eps, minCount)
+					if got := minedSet(t, g); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: gated miner found %d exceptions, ungated reference %d, or they differ", name, len(got), len(want))
+					}
+					mined += len(want)
+
+					// The restricted scan runs the same gate at a target set.
+					moved := g.MovedNodes(paths[:3])
+					g.ClearExceptions()
+					g.MineExceptionsAt(paths, moved, eps, minCount)
+					g.SealExceptions()
+					want = referenceSingleStage(g, paths, moved, eps, minCount)
+					if got := minedSet(t, g); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: restricted gated miner found %d exceptions, reference %d, or they differ", name, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+	if mined == 0 {
+		t.Fatal("no exception was mined; the comparison is vacuous")
+	}
+}
+
+// TestExceptionKeysTellWideLocationsApart is the regression test for
+// exception keys that kept one byte per location: in a hierarchy of more
+// than 255 concepts, exceptions at locations 3 and 259 (= 3 + 256) shared a
+// key, so sealing dropped one of each pair as a duplicate and the order of
+// the survivors was left to an unstable sort.
+func TestExceptionKeysTellWideLocationsApart(t *testing.T) {
+	loc := hierarchy.Generate("loc", 300)
+	const near, far, x, y = hierarchy.NodeID(3), hierarchy.NodeID(259), hierarchy.NodeID(10), hierarchy.NodeID(11)
+	level := pathdb.PathLevel{Cut: hierarchy.LevelCut(loc, loc.Depth()), Time: pathdb.TimeBase}
+	// At either location, staying 1 always leads to x and staying 2 to y:
+	// each duration is an exception on the node's own transition.
+	var paths []pathdb.Path
+	for i := 0; i < 4; i++ {
+		for _, start := range []hierarchy.NodeID{far, near} {
+			paths = append(paths,
+				pathdb.Path{{Location: start, Duration: 1}, {Location: x, Duration: 1}},
+				pathdb.Path{{Location: start, Duration: 2}, {Location: y, Duration: 1}})
+		}
+	}
+	var order [][]string
+	for run := 0; run < 5; run++ {
+		g := flowgraph.Build(loc, level, paths, nil)
+		g.MineExceptions(paths, 0.1, 2)
+		var starts []string
+		count := map[hierarchy.NodeID]int{}
+		for _, e := range g.Exceptions() {
+			count[e.Prefix[0]]++
+			starts = append(starts, fmt.Sprint(e.Prefix, e.Condition))
+		}
+		if count[near] == 0 || count[near] != count[far] {
+			t.Fatalf("%d exceptions under location %d, %d under location %d: sealing dropped some as duplicates",
+				count[near], near, count[far], far)
+		}
+		if !sort.SliceIsSorted(g.Exceptions(), func(i, j int) bool {
+			return g.Exceptions()[i].Prefix[0] < g.Exceptions()[j].Prefix[0]
+		}) {
+			t.Fatalf("exceptions under location %d do not all precede those under %d: %v", near, far, starts)
+		}
+		order = append(order, starts)
+	}
+	for _, o := range order[1:] {
+		if !reflect.DeepEqual(o, order[0]) {
+			t.Fatalf("exception order differs between runs:\n%v\n%v", order[0], o)
+		}
+	}
+}
+
+// TestTreeWalksDoNotAllocate: Children is called once per node per
+// comparison, and Similarity once per (cell, parent) pair of the lattice;
+// neither may touch the heap.
+func TestTreeWalksDoNotAllocate(t *testing.T) {
+	ex, g := buildExample(t)
+	cell := flowgraph.Build(ex.Location, ex.BasePathLevel(), basePaths(ex)[3:6], nil)
+	var n int
+	var sim float64
+	if allocs := testing.AllocsPerRun(50, func() { n += len(g.Root().Children()) }); allocs != 0 {
+		t.Errorf("Node.Children allocates %v times per call", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { sim += flowgraph.Similarity(cell, g) }); allocs != 0 {
+		t.Errorf("Similarity allocates %v times per call", allocs)
+	}
+	if n == 0 || sim == 0 {
+		t.Fatal("the walks did nothing")
+	}
+}

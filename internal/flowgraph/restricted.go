@@ -1,11 +1,6 @@
 package flowgraph
 
-import (
-	"sort"
-
-	"flowcube/internal/pathdb"
-	"flowcube/internal/stats"
-)
+import "flowcube/internal/pathdb"
 
 // Restricted exception re-mining (the serving layer's incremental path).
 //
@@ -25,10 +20,8 @@ import (
 // paths can change.
 func (g *Graph) MovedNodes(paths []pathdb.Path) map[*Node]bool {
 	moved := make(map[*Node]bool)
-	for _, p := range paths {
-		ap := pathdb.AggregatePath(p, g.level, g.merge)
-		nodes, _ := g.walk(ap)
-		for _, n := range nodes {
+	for _, w := range g.walkAll(paths) {
+		for _, n := range w.nodes {
 			moved[n] = true
 		}
 	}
@@ -46,99 +39,4 @@ func (g *Graph) RetainExceptions(keep func(*Exception) bool) {
 		}
 	}
 	g.exceptions = out
-}
-
-// MineExceptionsAt is MineExceptions restricted to targets: it scans paths
-// once and appends single-stage-condition exceptions whose target is in the
-// set, leaving existing exceptions in place. Callers must SealExceptions
-// when every restricted pass is done.
-func (g *Graph) MineExceptionsAt(paths []pathdb.Path, targets map[*Node]bool, eps float64, minCount int64) {
-	agg := make(map[condKey]*condAgg)
-	for _, p := range paths {
-		ap := pathdb.AggregatePath(p, g.level, g.merge)
-		nodes, outcomes := g.walk(ap)
-		if nodes == nil {
-			continue
-		}
-		for i := 0; i < len(nodes); i++ {
-			for j := i; j < len(nodes); j++ {
-				if !targets[nodes[j]] {
-					continue
-				}
-				k := condKey{condNode: nodes[i], condDur: ap[i].Duration, target: nodes[j]}
-				a := agg[k]
-				if a == nil {
-					a = &condAgg{dur: stats.NewMultinomial(), tr: stats.NewMultinomial(), reach: ap[:j+1]}
-					agg[k] = a
-				}
-				a.dur.Observe(ap[j].Duration)
-				a.tr.Observe(outcomes[j])
-			}
-		}
-	}
-	for k, a := range agg {
-		g.appendException(k.target, []StagePin{{
-			Depth:    k.condNode.Depth,
-			Location: k.condNode.Location,
-			Duration: k.condDur,
-		}}, a, eps, minCount)
-	}
-}
-
-// MineExceptionsForAt is MineExceptionsFor restricted to targets (a nil set
-// means every target, as in MineExceptionsFor) and without the final
-// dedup+sort: exceptions are appended and the caller seals once all
-// restricted passes are done.
-func (g *Graph) MineExceptionsForAt(paths []pathdb.Path, conditions [][]StagePin, targets map[*Node]bool, eps float64, minCount int64) {
-	type slot struct {
-		cond   []StagePin
-		maxPin int
-		aggs   map[*Node]*condAgg
-	}
-	slots := make([]*slot, 0, len(conditions))
-	for _, c := range conditions {
-		if len(c) == 0 {
-			continue
-		}
-		cc := append([]StagePin(nil), c...)
-		sort.Slice(cc, func(i, j int) bool { return cc[i].Depth < cc[j].Depth })
-		slots = append(slots, &slot{cond: cc, maxPin: cc[len(cc)-1].Depth, aggs: make(map[*Node]*condAgg)})
-	}
-	for _, p := range paths {
-		ap := pathdb.AggregatePath(p, g.level, g.merge)
-		nodes, outcomes := g.walk(ap)
-		if nodes == nil {
-			continue
-		}
-		for _, s := range slots {
-			if !pinsMatch(ap, s.cond) {
-				continue
-			}
-			for j := s.maxPin - 1; j < len(nodes); j++ {
-				if targets != nil && !targets[nodes[j]] {
-					continue
-				}
-				a := s.aggs[nodes[j]]
-				if a == nil {
-					a = &condAgg{dur: stats.NewMultinomial(), tr: stats.NewMultinomial(), reach: ap[:j+1]}
-					s.aggs[nodes[j]] = a
-				}
-				a.dur.Observe(ap[j].Duration)
-				a.tr.Observe(outcomes[j])
-			}
-		}
-	}
-	for _, s := range slots {
-		for target, a := range s.aggs {
-			g.appendException(target, s.cond, a, eps, minCount)
-		}
-	}
-}
-
-// SealExceptions deduplicates and sorts the mined exceptions — the same
-// normalization the full miners end with, so a sequence of restricted
-// passes produces the identical final set regardless of pass order.
-func (g *Graph) SealExceptions() {
-	g.dedupExceptions()
-	g.sortExceptions()
 }

@@ -28,7 +28,7 @@ func (g *Graph) Sample(rng *rand.Rand) pathdb.Path {
 			return p
 		}
 		loc := hierarchy.NodeID(outcome)
-		next := cur.children[loc]
+		next := cur.Child(loc)
 		if next == nil {
 			// Counts and children can only disagree on a corrupted graph;
 			// stop rather than invent structure.

@@ -17,6 +17,10 @@ func Divergence(a, b *Graph) float64 {
 	return divergeNode(a, a.root, b.root, 1.0)
 }
 
+// noObservations is the empty distribution every absent branch is compared
+// against; it is only ever read.
+var noObservations stats.Multinomial
+
 func divergeNode(a *Graph, na, nb *Node, weight float64) float64 {
 	// weight is a product of reach probabilities; down a deep unlikely
 	// branch it decays through denormals instead of hitting exact zero, so
@@ -24,15 +28,13 @@ func divergeNode(a *Graph, na, nb *Node, weight float64) float64 {
 	if stats.AlmostEqual(weight, 0) {
 		return 0
 	}
-	var d float64
-	if nb == nil {
-		// b lacks this branch entirely: compare against empty
-		// distributions (pure smoothing mass).
-		empty := stats.NewMultinomial()
-		d = weight * (na.Durations.KLDivergence(empty) + na.Transitions.KLDivergence(empty))
-	} else {
-		d = weight * (na.Durations.KLDivergence(nb.Durations) + na.Transitions.KLDivergence(nb.Transitions))
+	// Where b lacks this branch entirely, compare against empty
+	// distributions (pure smoothing mass).
+	durB, trB := &noObservations, &noObservations
+	if nb != nil {
+		durB, trB = nb.Durations, nb.Transitions
 	}
+	d := weight * (na.Durations.KLDivergence(durB) + na.Transitions.KLDivergence(trB))
 	for _, ca := range na.Children() {
 		w := weight * na.Transitions.Prob(int64(ca.Location))
 		var cb *Node

@@ -30,9 +30,8 @@ import (
 //     computed this way leak nondeterminism into persisted similarities.
 //
 // Counters and max/min folds over maps are order-independent and are not
-// flagged. The fix is the pattern core.Cuboid.SortedCells and
-// stats.Multinomial.Outcomes already use: collect keys, sort, iterate the
-// sorted slice.
+// flagged. The fix is the pattern core.Cuboid.SortedCells already uses:
+// collect keys, sort, iterate the sorted slice.
 
 // MapDet flags nondeterministic map iteration feeding encoders, returned
 // slices, or floating-point accumulators.

@@ -388,18 +388,25 @@ func Mine(syms *transact.Symbols, txs []transact.Transaction, opts Options) (*Re
 		cands := itemset.Join(prev)
 		stats := LevelStats{Length: k, Generated: len(cands)}
 
-		kept := cands[:0]
-		for _, c := range cands {
-			if opts.PruneAncestor && syms.HasAncestorPair(c) {
-				continue
+		// All three rules judge a pair of items, and Join emits a candidate
+		// only when every subset of it was counted frequent: a pair that a
+		// rule rejects is never counted, so no candidate longer than two can
+		// contain one, and the rules have nothing left to do after k = 2.
+		kept := cands
+		if k == 2 {
+			kept = cands[:0]
+			for _, c := range cands {
+				if opts.PruneAncestor && syms.HasAncestorPair(c) {
+					continue
+				}
+				if opts.PruneLink && !syms.AllLinkable(c) {
+					continue
+				}
+				if opts.Precount && precountPrunes(syms, pairCounts, c[0], c[1], minCount) {
+					continue
+				}
+				kept = append(kept, c)
 			}
-			if opts.PruneLink && !syms.AllLinkable(c) {
-				continue
-			}
-			if opts.Precount && k == 2 && precountPrunes(syms, pairCounts, c[0], c[1], minCount) {
-				continue
-			}
-			kept = append(kept, c)
 		}
 		stats.Pruned = stats.Generated - len(kept)
 		stats.Counted = len(kept)

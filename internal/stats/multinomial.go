@@ -17,27 +17,81 @@ import (
 // outcomes. Outcomes are durations (in time units) for node duration
 // distributions, or node identifiers for transition distributions. The zero
 // value is an empty distribution ready to use.
+//
+// The observed outcomes are kept in ascending order in outcomes, their
+// counts beside them in counts. Supports are small — a handful of durations,
+// a node's fan-out — so a sorted pair of slices is smaller than a map, and
+// every sum over one or two distributions is a walk (or a merge-join) in
+// ascending outcome order that allocates nothing. That order is a contract,
+// not a convenience: floating-point addition is not associative, the sums
+// end up in persisted similarities and served JSON, and a sum taken in any
+// other order would differ in its low bits.
 type Multinomial struct {
-	counts map[int64]int64
-	total  int64
+	outcomes []int64
+	counts   []int64
+	total    int64
 }
+
+// linearProbeMax is the support up to which find scans instead of bisecting:
+// eight int64s are one cache line, and the scan has no unpredictable branch.
+const linearProbeMax = 8
 
 // NewMultinomial returns an empty distribution.
-func NewMultinomial() *Multinomial {
-	return &Multinomial{counts: make(map[int64]int64)}
+func NewMultinomial() *Multinomial { return &Multinomial{} }
+
+// find returns the index of outcome v, or the index it would be inserted at
+// and false.
+func (m *Multinomial) find(v int64) (int, bool) {
+	o := m.outcomes
+	if len(o) <= linearProbeMax {
+		for i, x := range o {
+			if x >= v {
+				return i, x == v
+			}
+		}
+		return len(o), false
+	}
+	i := sort.Search(len(o), func(i int) bool { return o[i] >= v })
+	return i, i < len(o) && o[i] == v
 }
 
-// Add records n observations of outcome v. It panics on negative n, which
-// would silently corrupt the distribution.
+// Add records n observations of outcome v (n = 0 still makes v an observed
+// outcome). It panics on negative n, which would silently corrupt the
+// distribution.
 func (m *Multinomial) Add(v int64, n int64) {
 	if n < 0 {
 		panic(fmt.Sprintf("stats: negative observation count %d", n))
 	}
-	if m.counts == nil {
-		m.counts = make(map[int64]int64)
+	i, ok := m.find(v)
+	if !ok {
+		m.insert(i, v)
 	}
-	m.counts[v] += n
+	m.counts[i] += n
 	m.total += n
+}
+
+// insert makes room for outcome v at index i, with count 0.
+func (m *Multinomial) insert(i int, v int64) {
+	n := len(m.outcomes)
+	if n == cap(m.outcomes) {
+		m.regrow(2*n + 2)
+	}
+	m.outcomes = m.outcomes[:n+1]
+	m.counts = m.counts[:n+1]
+	copy(m.outcomes[i+1:], m.outcomes[i:])
+	copy(m.counts[i+1:], m.counts[i:])
+	m.outcomes[i], m.counts[i] = v, 0
+}
+
+// regrow moves the columns into one fresh backing array, each with capacity
+// c in its own half — so the two always grow together, one allocation a
+// time, and an append to either can never run into the other.
+func (m *Multinomial) regrow(c int) {
+	n := len(m.outcomes)
+	buf := make([]int64, 2*c)
+	copy(buf, m.outcomes)
+	copy(buf[c:], m.counts)
+	m.outcomes, m.counts = buf[:n:c], buf[c:c+n]
 }
 
 // Observe records a single observation of outcome v.
@@ -45,14 +99,17 @@ func (m *Multinomial) Observe(v int64) { m.Add(v, 1) }
 
 // Count reports the number of observations of outcome v.
 func (m *Multinomial) Count(v int64) int64 {
-	return m.counts[v]
+	if i, ok := m.find(v); ok {
+		return m.counts[i]
+	}
+	return 0
 }
 
 // Total reports the total number of observations.
 func (m *Multinomial) Total() int64 { return m.total }
 
 // Support reports the number of distinct outcomes observed.
-func (m *Multinomial) Support() int { return len(m.counts) }
+func (m *Multinomial) Support() int { return len(m.outcomes) }
 
 // Prob reports the empirical probability of outcome v, or 0 for an empty
 // distribution.
@@ -60,17 +117,13 @@ func (m *Multinomial) Prob(v int64) float64 {
 	if m.total == 0 {
 		return 0
 	}
-	return float64(m.counts[v]) / float64(m.total)
+	return float64(m.Count(v)) / float64(m.total)
 }
 
-// Outcomes returns the observed outcomes in ascending order.
+// Outcomes returns the observed outcomes in ascending order, in a slice the
+// caller owns.
 func (m *Multinomial) Outcomes() []int64 {
-	out := make([]int64, 0, len(m.counts))
-	for v := range m.counts {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(make([]int64, 0, len(m.outcomes)), m.outcomes...)
 }
 
 // AppendSorted appends the distribution's (outcome, count) pairs in
@@ -78,23 +131,20 @@ func (m *Multinomial) Outcomes() []int64 {
 // columnar snapshot encoder uses it to pool many distributions into shared
 // backing arrays without an intermediate per-distribution slice.
 func (m *Multinomial) AppendSorted(outcomes, counts []int64) ([]int64, []int64) {
-	for _, v := range m.Outcomes() {
-		outcomes = append(outcomes, v)
-		counts = append(counts, m.counts[v])
-	}
-	return outcomes, counts
+	return append(outcomes, m.outcomes...), append(counts, m.counts...)
 }
 
 // InitSorted initializes a zero-value Multinomial from parallel slices of
 // strictly increasing outcomes and non-negative counts. Snapshot decoding
-// uses it to rebuild many distributions out of pooled columnar arrays with
-// exactly one map allocation each; the slices are copied, not retained.
+// uses it to rebuild many distributions out of pooled columnar arrays; the
+// slices are validated and copied, not retained (one allocation holds both
+// copies), and a rejected call leaves m empty.
 func (m *Multinomial) InitSorted(outcomes, counts []int64) error {
+	*m = Multinomial{}
 	if len(outcomes) != len(counts) {
 		return fmt.Errorf("stats: %d outcomes vs %d counts", len(outcomes), len(counts))
 	}
-	m.counts = make(map[int64]int64, len(outcomes))
-	m.total = 0
+	var total int64
 	for i, v := range outcomes {
 		if i > 0 && outcomes[i-1] >= v {
 			return fmt.Errorf("stats: outcomes not strictly increasing at index %d", i)
@@ -102,9 +152,10 @@ func (m *Multinomial) InitSorted(outcomes, counts []int64) error {
 		if counts[i] < 0 {
 			return fmt.Errorf("stats: negative count %d for outcome %d", counts[i], v)
 		}
-		m.counts[v] = counts[i]
-		m.total += counts[i]
+		total += counts[i]
 	}
+	*m = Multinomial{outcomes: outcomes, counts: counts, total: total}
+	m.regrow(len(outcomes))
 	return nil
 }
 
@@ -116,18 +167,26 @@ func (m *Multinomial) Merge(other *Multinomial) {
 	if other == nil {
 		return
 	}
-	for v, n := range other.counts {
-		m.Add(v, n)
+	i := 0
+	for j, v := range other.outcomes {
+		n := other.counts[j]
+		for i < len(m.outcomes) && m.outcomes[i] < v {
+			i++
+		}
+		if i == len(m.outcomes) || m.outcomes[i] != v {
+			m.insert(i, v)
+		}
+		m.counts[i] += n
+		m.total += n
+		i++
 	}
 }
 
 // Clone returns a deep copy.
 func (m *Multinomial) Clone() *Multinomial {
-	c := &Multinomial{counts: make(map[int64]int64, len(m.counts)), total: m.total}
-	for v, n := range m.counts {
-		c.counts[v] = n
-	}
-	return c
+	c := *m
+	c.regrow(len(m.outcomes))
+	return &c
 }
 
 // Mode returns the most probable outcome and its probability. The second
@@ -139,9 +198,9 @@ func (m *Multinomial) Mode() (int64, float64, bool) {
 	}
 	var best int64
 	var bestN int64 = -1
-	for _, v := range m.Outcomes() {
-		if n := m.counts[v]; n > bestN {
-			best, bestN = v, n
+	for i, n := range m.counts {
+		if n > bestN {
+			best, bestN = m.outcomes[i], n
 		}
 	}
 	return best, float64(bestN) / float64(m.total), true
@@ -156,29 +215,48 @@ func (m *Multinomial) Mean() float64 {
 		return 0
 	}
 	sum := 0.0
-	for _, v := range m.Outcomes() {
-		sum += float64(v) * float64(m.counts[v])
+	for i, v := range m.outcomes {
+		sum += float64(v) * float64(m.counts[i])
 	}
 	return sum / float64(m.total)
 }
 
-// unionOutcomes returns the union of the two distributions' outcomes in
-// ascending order. Deviation and divergence sums iterate this slice instead
-// of a set map: floating-point addition is not associative, so summing in
-// map iteration order would give different low bits on every run — and
-// those bits end up in persisted similarities and served JSON.
-func (m *Multinomial) unionOutcomes(other *Multinomial) []int64 {
-	out := make([]int64, 0, len(m.counts)+other.Support())
-	for v := range m.counts {
-		out = append(out, v)
-	}
-	for v := range other.counts {
-		if _, dup := m.counts[v]; !dup {
-			out = append(out, v)
+// joinCounts merge-joins the two distributions: it calls fn once per
+// outcome of their union, in ascending order, with the outcome's count on
+// each side (0 where it was not observed), and returns the size of the
+// union. A nil fn only counts. This is the one loop behind every deviation
+// and divergence sum; it allocates nothing.
+func (m *Multinomial) joinCounts(other *Multinomial, fn func(cm, co int64)) int {
+	a, b := m.outcomes, other.outcomes
+	i, j, k := 0, 0, 0
+	for i < len(a) || j < len(b) {
+		var cm, co int64
+		switch {
+		case j == len(b) || (i < len(a) && a[i] < b[j]):
+			cm = m.counts[i]
+			i++
+		case i == len(a) || b[j] < a[i]:
+			co = other.counts[j]
+			j++
+		default:
+			cm, co = m.counts[i], other.counts[j]
+			i++
+			j++
+		}
+		k++
+		if fn != nil {
+			fn(cm, co)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return k
+}
+
+// probOf is Prob for a count already looked up.
+func probOf(count, total int64) float64 {
+	if total == 0 {
+		return 0
+	}
+	return float64(count) / float64(total)
 }
 
 // MaxDeviation returns the L∞ distance between the probability vectors of m
@@ -187,12 +265,11 @@ func (m *Multinomial) unionOutcomes(other *Multinomial) []int64 {
 // from the node's base distribution exceeds ε is an exception.
 func (m *Multinomial) MaxDeviation(other *Multinomial) float64 {
 	max := 0.0
-	for _, v := range m.unionOutcomes(other) {
-		d := math.Abs(m.Prob(v) - other.Prob(v))
-		if d > max {
+	m.joinCounts(other, func(cm, co int64) {
+		if d := math.Abs(probOf(cm, m.total) - probOf(co, other.total)); d > max {
 			max = d
 		}
-	}
+	})
 	return max
 }
 
@@ -201,9 +278,9 @@ func (m *Multinomial) MaxDeviation(other *Multinomial) float64 {
 // prefer mass-weighted deviations.
 func (m *Multinomial) TotalVariation(other *Multinomial) float64 {
 	sum := 0.0
-	for _, v := range m.unionOutcomes(other) {
-		sum += math.Abs(m.Prob(v) - other.Prob(v))
-	}
+	m.joinCounts(other, func(cm, co int64) {
+		sum += math.Abs(probOf(cm, m.total) - probOf(co, other.total))
+	})
 	return sum / 2
 }
 
@@ -211,19 +288,18 @@ func (m *Multinomial) TotalVariation(other *Multinomial) float64 {
 // the union of outcomes, so it is finite even when the supports differ.
 // Lower values mean the distributions are more alike.
 func (m *Multinomial) KLDivergence(other *Multinomial) float64 {
-	outcomes := m.unionOutcomes(other)
-	k := float64(len(outcomes))
+	k := float64(m.joinCounts(other, nil))
 	if k == 0 {
 		return 0
 	}
 	mTot := float64(m.total) + k
 	oTot := float64(other.total) + k
 	d := 0.0
-	for _, v := range outcomes {
-		p := (float64(m.counts[v]) + 1) / mTot
-		q := (float64(other.counts[v]) + 1) / oTot
+	m.joinCounts(other, func(cm, co int64) {
+		p := (float64(cm) + 1) / mTot
+		q := (float64(co) + 1) / oTot
 		d += p * math.Log(p/q)
-	}
+	})
 	if d < 0 { // guard tiny negative rounding residue
 		return 0
 	}

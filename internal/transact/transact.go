@@ -117,6 +117,40 @@ type Symbols struct {
 	// precountLevel is the index of the coarsest path level (used as the
 	// stage pre-counting target), or -1 when there is a single level.
 	precountLevel int
+
+	// cutRel[a][b] relates the location cuts of path levels a and b. It is a
+	// property of the plan, computed once: Linkable asks it per candidate
+	// pair, and Cut.Refines is a nested loop over both cuts.
+	cutRel [][]cutRelation
+}
+
+// cutRelation is how one path level's location cut stands to another's.
+type cutRelation uint8
+
+const (
+	cutsIncomparable cutRelation = iota
+	cutsSame
+	cutRefines   // the first cut is strictly finer
+	cutRefinedBy // the second cut is strictly finer
+)
+
+// cutRelations tabulates cutRelation for every pair of path levels.
+func cutRelations(levels []pathdb.PathLevel) [][]cutRelation {
+	rel := make([][]cutRelation, len(levels))
+	for a, la := range levels {
+		rel[a] = make([]cutRelation, len(levels))
+		for b, lb := range levels {
+			switch {
+			case la.Cut.Key() == lb.Cut.Key():
+				rel[a][b] = cutsSame
+			case la.Cut.Refines(lb.Cut):
+				rel[a][b] = cutRefines
+			case lb.Cut.Refines(la.Cut):
+				rel[a][b] = cutRefinedBy
+			}
+		}
+	}
+	return rel
 }
 
 // Clone returns an independently mutable copy of the symbol table. Encoding
@@ -134,6 +168,7 @@ func (s *Symbols) Clone() *Symbols {
 		byDimVal:      make(map[int64]Item, len(s.byDimVal)),
 		byStage:       make(map[string]Item, len(s.byStage)),
 		precountLevel: s.precountLevel,
+		cutRel:        s.cutRel,
 	}
 	for k, v := range s.byDimVal {
 		c.byDimVal[k] = v
@@ -163,6 +198,7 @@ func NewSymbols(schema *pathdb.Schema, plan Plan) (*Symbols, error) {
 		byStage:    make(map[string]Item),
 	}
 	s.precountLevel = s.coarsestPathLevel()
+	s.cutRel = cutRelations(s.pathLevels)
 	return s, nil
 }
 
@@ -565,16 +601,15 @@ func (s *Symbols) stagesLinkable(ia, ib *itemInfo) bool {
 	if ia.pathLevel == ib.pathLevel {
 		return s.seqsCompatible(ia, ib, true)
 	}
-	la, lb := s.pathLevels[ia.pathLevel], s.pathLevels[ib.pathLevel]
-	switch {
-	case la.Cut.Key() == lb.Cut.Key():
+	switch s.cutRel[ia.pathLevel][ib.pathLevel] {
+	case cutsSame:
 		// Same cut, different time level: sequences share a domain but
 		// durations are not comparable across levels.
 		return s.seqsCompatible(ia, ib, false)
-	case la.Cut.Refines(lb.Cut):
-		return s.crossCutCompatible(ia, ib, lb.Cut)
-	case lb.Cut.Refines(la.Cut):
-		return s.crossCutCompatible(ib, ia, la.Cut)
+	case cutRefines:
+		return s.crossCutCompatible(ia, ib, s.pathLevels[ib.pathLevel].Cut)
+	case cutRefinedBy:
+		return s.crossCutCompatible(ib, ia, s.pathLevels[ia.pathLevel].Cut)
 	default:
 		return true // incomparable cuts: assume linkable
 	}
@@ -600,32 +635,28 @@ func (s *Symbols) seqsCompatible(ia, ib *itemInfo, compareDur bool) bool {
 }
 
 // crossCutCompatible checks a fine-cut stage against a coarse-cut stage:
-// the coarse image of the fine prefix (minus its possibly-unfinished last
-// run) must be prefix-compatible with the coarse stage's sequence.
+// the coarse image of the fine prefix — its locations mapped under the
+// coarse cut, runs of one concept collapsed — must agree with the coarse
+// stage's sequence for as long as both last. The last image element may
+// extend by absorbing later path stages, so it is pinned in location but
+// not in position-end, and nothing beyond the shorter of the two is pinned
+// at all. The image is compared as it is produced, never built.
 func (s *Symbols) crossCutCompatible(fine, coarse *itemInfo, coarseCut *hierarchy.Cut) bool {
-	img := make([]hierarchy.NodeID, 0, len(fine.seq))
+	k := 0 // image elements compared so far
+	var last hierarchy.NodeID
 	for _, n := range fine.seq {
 		m := coarseCut.Map(n)
-		if len(img) == 0 || img[len(img)-1] != m {
-			img = append(img, m)
+		if k > 0 && m == last {
+			continue
 		}
-	}
-	// The last image element may extend by absorbing later path stages, so
-	// only the first len(img) locations of the coarse path are pinned, and
-	// of those the last is pinned in location but not in position-end.
-	n := len(img)
-	if len(coarse.seq) <= n {
-		for i, c := range coarse.seq {
-			if img[i] != c {
-				return false
-			}
+		if k == len(coarse.seq) {
+			return true
 		}
-		return true
-	}
-	for i := 0; i < n; i++ {
-		if img[i] != coarse.seq[i] {
+		if coarse.seq[k] != m {
 			return false
 		}
+		last = m
+		k++
 	}
 	return true
 }

@@ -40,6 +40,12 @@ echo "== generation isolation (-race -count=10) =="
 # failure, so the isolation test runs ten times on top of the pass above.
 go test -race -count=10 ./internal/incr -run TestGenerationIsolation
 
+echo "== measure-kernel benchmarks (one iteration each) =="
+# BenchmarkKLDivergence/Add (internal/stats) and BenchmarkSimilarity/
+# MineExceptions (internal/flowgraph) are what EXPERIMENTS.md quotes for the
+# sorted-slice distributions; one iteration keeps them compiling and running.
+go test ./internal/stats ./internal/flowgraph -run '^$' -bench . -benchtime 1x
+
 echo "== nommap fallback (lazy serving without mmap) =="
 # The pread fallback behind the nommap build tag is what non-linux builds
 # get; the lazy parity suite must hold there too.
