@@ -1,8 +1,9 @@
 # Convenience targets; the source of truth for CI-style verification is
-# scripts/check.sh (vet + build + flowlint + race-detector tests + cluster
-# bench smoke + short fuzz).
+# scripts/check.sh (vet + build + orphan-package gate + flowlint +
+# race-detector tests + short fuzz). Performance is measured by
+# benchmark/run.sh alone (see benchmark/README.md).
 
-.PHONY: build test check lint fuzz-short fuzz-long bench bench-serve bench-persist bench-incr bench-ingest bench-cluster bench-olap
+.PHONY: build test check lint fuzz-short fuzz-long
 
 build:
 	go build ./...
@@ -34,7 +35,7 @@ fuzz-short:
 
 # Ten-fold fuzz-short (100s per target): the weekly scheduled CI job. Long
 # enough to reach coverage plateaus the 10s pass misses, short enough that
-# four targets finish inside the job timeout.
+# six targets finish inside the job timeout.
 fuzz-long:
 	go test ./internal/core -run '^$$' -fuzz FuzzParseCellSpec -fuzztime 100s
 	go test ./internal/olap -run '^$$' -fuzz FuzzParseQuery -fuzztime 100s
@@ -42,45 +43,3 @@ fuzz-long:
 	go test ./internal/pathdb -run '^$$' -fuzz FuzzRead -fuzztime 100s
 	go test ./internal/incr -run '^$$' -fuzz FuzzApplyDelta -fuzztime 100s
 	go test ./internal/ingest -run '^$$' -fuzz FuzzWALReplay -fuzztime 100s
-
-# Regenerate the canonical counting-core benchmark suite (scan-1, trie
-# counting, populate) checked in as BENCH_mining.json. Takes ~10 minutes;
-# see DESIGN.md "Counting data layout".
-bench:
-	go run ./cmd/flowbench -micro -quiet -micro-out BENCH_mining.json
-
-# Regenerate the serving latency microbenchmark in results/. The results
-# path must be absolute: go test runs with the package directory as CWD.
-bench-serve:
-	FLOWSERVE_RESULTS=$(CURDIR)/results/serve_latency.json go test ./internal/server -run ServeLatency -v
-	go test ./internal/server -bench BenchmarkCell -run '^$$'
-
-# Regenerate the snapshot-codec benchmark suite (v1 gob vs v2 columnar)
-# checked in as BENCH_persist.json. See DESIGN.md "Snapshot format v2".
-bench-persist:
-	go run ./cmd/flowbench -persist -quiet -persist-out BENCH_persist.json
-
-# Regenerate the incremental-maintenance benchmark suite (1% batch delta
-# vs full rebuild) checked in as BENCH_incr.json. See DESIGN.md
-# "Incremental maintenance".
-bench-incr:
-	go run ./cmd/flowbench -incr -quiet -incr-out BENCH_incr.json
-
-# Regenerate the ingest write-path benchmark suite (group commit vs
-# serialized appends, reader tail latency under write load, restricted
-# exception re-mine) checked in as BENCH_ingest.json. See DESIGN.md
-# "Ingest write path".
-bench-ingest:
-	go run ./cmd/flowbench -ingest -quiet -ingest-out BENCH_ingest.json
-
-# Regenerate the sharded-cluster benchmark suite (router-fronted 1/2/4
-# shard fleets vs a single node, multi-process) checked in as
-# BENCH_cluster.json. See DESIGN.md "Cluster architecture".
-bench-cluster:
-	go run ./cmd/flowbench -cluster -quiet -cluster-out BENCH_cluster.json
-
-# Regenerate the OLAP query-algebra benchmark suite (computed vs
-# materialized answer latency, materialization-planner budget sweep with
-# per-cell digest verification).
-bench-olap:
-	go run ./cmd/flowbench -olap -quiet -olap-out BENCH_olap.json

@@ -8,9 +8,6 @@
 //	flowbench -fig 6 -scale 1          # Figure 6 at the paper's full 100k–1M
 //	flowbench -fig 7 -algos shared,cubing
 //	flowbench -ablation pruning,merge,counting,redundancy,iceberg,engine,parallel
-//	flowbench -persist -persist-out BENCH_persist.json
-//	flowbench -incr -incr-out BENCH_incr.json
-//	flowbench -olap -olap-out BENCH_olap.json
 //
 // Scale multiplies the paper's database sizes; the default 0.1 sweeps
 // 10k–100k paths and completes in minutes. Absolute times will not match
@@ -19,8 +16,6 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -50,31 +45,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	candLimit := fs.Int("candidate-limit", 2_000_000, "per-length candidate cap for the basic baseline")
 	floor := fs.Int64("support-floor", 0, "lower bound on the absolute iceberg count (guards tiny -scale runs)")
 	quiet := fs.Bool("quiet", false, "suppress per-point progress lines")
-	micro := fs.Bool("micro", false, "run the counting-core micro-benchmarks (scan-1, trie counting, populate)")
-	microOut := fs.String("micro-out", "", "write the micro-benchmark suite as JSON to this file (default stdout)")
-	microIters := fs.Int("micro-iters", 0, "fixed iteration count per micro-benchmark (0 = time-targeted, the canonical mode)")
-	persist := fs.Bool("persist", false, "run the snapshot-codec benchmarks (v1 gob vs v2 columnar, save/load, seq/parallel)")
-	persistOut := fs.String("persist-out", "", "write the persist benchmark suite as JSON to this file (default stdout)")
-	incr := fs.Bool("incr", false, "run the incremental-maintenance benchmarks (1% batch delta vs full rebuild)")
-	incrOut := fs.String("incr-out", "", "write the incremental benchmark suite as JSON to this file (default stdout)")
-	ingest := fs.Bool("ingest", false, "run the ingest write-path benchmarks (group commit vs serialized appends, reader tail latency, restricted re-mine)")
-	ingestOut := fs.String("ingest-out", "", "write the ingest benchmark suite as JSON to this file (default stdout)")
-	olapBench := fs.Bool("olap", false, "run the OLAP query-algebra benchmarks (computed vs materialized latency, planner budget sweep)")
-	olapOut := fs.String("olap-out", "", "write the OLAP benchmark suite as JSON to this file (default stdout)")
-	clusterBench := fs.Bool("cluster", false, "run the sharded-cluster benchmarks (single node vs router over 1/2/4 shard processes)")
-	clusterOut := fs.String("cluster-out", "", "write the cluster benchmark suite as JSON to this file (default stdout)")
-	clusterServe := fs.String("cluster-serve", "", "internal: serve one snapshot for the cluster bench (prints the URL, exits on stdin EOF)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile at exit to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *clusterServe != "" {
-		return bench.ClusterServe(context.Background(), *clusterServe, os.Stdin, stdout)
-	}
-
-	if *fig == "" && *ablation == "" && !*micro && !*persist && !*incr && !*ingest && !*clusterBench && !*olapBench {
+	if *fig == "" && *ablation == "" {
 		*fig = "all"
 	}
 
@@ -97,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Seed:           *seed,
 		CandidateLimit: *candLimit,
 		SupportFloor:   *floor,
-		MicroIters:     *microIters,
 	}
 	if !*quiet {
 		opts.Progress = stderr
@@ -159,61 +135,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	if *micro {
-		if err := writeJSON(bench.Micro(opts), *microOut, stdout); err != nil {
-			return err
-		}
-	}
-	if *persist {
-		if err := writeJSON(bench.Persist(opts), *persistOut, stdout); err != nil {
-			return err
-		}
-	}
-	if *incr {
-		if err := writeJSON(bench.Incr(opts), *incrOut, stdout); err != nil {
-			return err
-		}
-	}
-	if *ingest {
-		if err := writeJSON(bench.Ingest(context.Background(), opts), *ingestOut, stdout); err != nil {
-			return err
-		}
-	}
-	if *olapBench {
-		if err := writeJSON(bench.OLAP(context.Background(), opts), *olapOut, stdout); err != nil {
-			return err
-		}
-	}
-	if *clusterBench {
-		exe, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("cluster: resolve own binary for shard processes: %w", err)
-		}
-		if err := writeJSON(bench.Cluster(context.Background(), opts, exe), *clusterOut, stdout); err != nil {
-			return err
-		}
-	}
 	if *memprofile != "" {
 		if err := writeMemProfile(*memprofile); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// writeJSON serializes a benchmark suite as indented JSON, to a file when
-// path is set and to stdout otherwise.
-func writeJSON(suite any, path string, stdout io.Writer) error {
-	out, err := json.MarshalIndent(suite, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "" {
-		_, err := stdout.Write(out)
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
 }
 
 // writeMemProfile snapshots the heap into path.

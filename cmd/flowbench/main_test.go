@@ -2,20 +2,20 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"flowcube/internal/bench"
 )
 
 func TestFigureSmoke(t *testing.T) {
+	dir := t.TempDir()
+	cpuPath := filepath.Join(dir, "cpu.pprof")
+	memPath := filepath.Join(dir, "mem.pprof")
 	var out, errw bytes.Buffer
 	err := run([]string{
 		"-fig", "9", "-scale", "0.005", "-support-floor", "25",
-		"-algos", "shared", "-quiet",
+		"-algos", "shared", "-quiet", "-cpuprofile", cpuPath, "-memprofile", memPath,
 	}, &out, &errw)
 	if err != nil {
 		t.Fatal(err)
@@ -23,6 +23,14 @@ func TestFigureSmoke(t *testing.T) {
 	for _, want := range []string{"# Figure 9", "shared", "a", "b", "c"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("figure output missing %q:\n%s", want, out.String())
+		}
+	}
+	for _, p := range []string{cpuPath, memPath} {
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Errorf("profile %s: %v", p, err)
+		} else if info.Size() == 0 {
+			t.Errorf("profile %s is empty", p)
 		}
 	}
 }
@@ -39,69 +47,6 @@ func TestAblationSmoke(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("ablation output missing %q:\n%s", want, out.String())
 		}
-	}
-}
-
-func TestMicroSmoke(t *testing.T) {
-	dir := t.TempDir()
-	microPath := filepath.Join(dir, "micro.json")
-	cpuPath := filepath.Join(dir, "cpu.pprof")
-	memPath := filepath.Join(dir, "mem.pprof")
-	var out, errw bytes.Buffer
-	err := run([]string{
-		"-micro", "-micro-iters", "1", "-scale", "0.002", "-support-floor", "10",
-		"-micro-out", microPath, "-cpuprofile", cpuPath, "-memprofile", memPath,
-		"-quiet",
-	}, &out, &errw)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	raw, err := os.ReadFile(microPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var suite bench.MicroSuite
-	if err := json.Unmarshal(raw, &suite); err != nil {
-		t.Fatalf("micro output is not valid JSON: %v", err)
-	}
-	names := map[string]bool{}
-	for _, r := range suite.Results {
-		names[r.Name] = true
-		if r.Iterations != 1 {
-			t.Errorf("%s: iterations = %d, want 1 (-micro-iters 1)", r.Name, r.Iterations)
-		}
-	}
-	for _, want := range []string{"scan1/workers=1", "populate/run", "populate/assign"} {
-		if !names[want] {
-			t.Errorf("micro suite missing %q; have %v", want, names)
-		}
-	}
-
-	for _, p := range []string{cpuPath, memPath} {
-		info, err := os.Stat(p)
-		if err != nil {
-			t.Errorf("profile %s: %v", p, err)
-		} else if info.Size() == 0 {
-			t.Errorf("profile %s is empty", p)
-		}
-	}
-}
-
-func TestMicroToStdout(t *testing.T) {
-	var out, errw bytes.Buffer
-	err := run([]string{
-		"-micro", "-micro-iters", "1", "-scale", "0.002", "-support-floor", "10", "-quiet",
-	}, &out, &errw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var suite bench.MicroSuite
-	if err := json.Unmarshal(out.Bytes(), &suite); err != nil {
-		t.Fatalf("stdout is not valid JSON: %v\n%s", err, out.String())
-	}
-	if len(suite.Results) == 0 {
-		t.Error("micro suite has no results")
 	}
 }
 

@@ -83,7 +83,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	timeout := fs.Duration("timeout", server.DefaultRequestTimeout, "per-request timeout")
 	cacheSize := fs.Int("cache", server.DefaultCacheSize, "response cache entries (negative disables)")
 	wal := fs.String("wal", "", "write-ahead log path: journal append batches before folding and replay them on startup (empty disables durability)")
-	group := fs.Int("group", 0, "max append requests coalesced per commit group (0 = default 64, 1 = serialize appends)")
 	quiet := fs.Bool("quiet", false, "suppress per-request logging")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -128,7 +127,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Logger:         logger,
 		PostAppend:     postAppend,
 		WALPath:        *wal,
-		GroupLimit:     *group,
 	})
 	if err != nil {
 		return err

@@ -53,9 +53,8 @@
 // hit, ComputedFromDescendants when a non-materialized cell was
 // reconstructed exactly at query time by folding a materialized descendant
 // cuboid (certified against the cell's census count, so the fold is exact
-// or refused), and AncestorFallback for the paper's roll-up inference. The
-// materialization planner in internal/olap exploits the computed path to
-// drop cuboids whose cells stay answerable. See DESIGN.md §12.
+// or refused), and AncestorFallback for the paper's roll-up inference. See
+// DESIGN.md §12.
 //
 // # Streaming append
 //

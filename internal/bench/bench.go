@@ -121,11 +121,6 @@ type Options struct {
 	SupportFloor int64
 	// Progress, when non-nil, receives one line per completed point.
 	Progress io.Writer
-	// MicroIters, when positive, runs every micro-benchmark for exactly
-	// this many iterations instead of testing.Benchmark's time-targeted
-	// ramp-up. Smoke tests use 1; the canonical BENCH_mining.json run
-	// leaves it 0.
-	MicroIters int
 }
 
 func (o Options) scale() float64 {

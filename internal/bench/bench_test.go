@@ -1,7 +1,6 @@
 package bench_test
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -210,45 +209,5 @@ func TestAblationParallelConsistent(t *testing.T) {
 		if rows[i].Candidates != rows[0].Candidates {
 			t.Errorf("worker count changed results: %v", rows)
 		}
-	}
-}
-
-// TestOLAPSuiteShape validates the -olap runner's invariants at a tiny
-// scale: the planner must shrink the snapshot, every sampled
-// reconstruction must digest-verify against its eager twin, and loosening
-// the budget must never drop fewer cuboids.
-func TestOLAPSuiteShape(t *testing.T) {
-	// The floor keeps δ from collapsing to a couple of paths at this scale,
-	// which would explode the frequent-cell space and turn the planner's
-	// per-cell verification into minutes of work.
-	suite := bench.OLAP(context.Background(), bench.Options{Scale: 0.02, Seed: 1, SupportFloor: 8})
-	if !suite.DigestVerified {
-		t.Fatal("sampled reconstructions did not digest-verify against eager cells")
-	}
-	if suite.Queries == 0 {
-		t.Fatal("no dropped-cell queries sampled")
-	}
-	if len(suite.Budgets) == 0 {
-		t.Fatal("no budget rows")
-	}
-	last := suite.Budgets[len(suite.Budgets)-1]
-	if last.Budget != 0 {
-		t.Fatalf("last budget row is %d, want 0 (unlimited)", last.Budget)
-	}
-	if last.SnapshotBytes >= suite.EagerSnapshotBytes {
-		t.Errorf("unlimited budget saved no bytes: %d vs eager %d", last.SnapshotBytes, suite.EagerSnapshotBytes)
-	}
-	prev := -1
-	for _, row := range suite.Budgets[:len(suite.Budgets)-1] {
-		if row.Budget > 0 && row.MaxFold > row.Budget {
-			t.Errorf("budget %d exceeded: max fold %d", row.Budget, row.MaxFold)
-		}
-		if prev >= 0 && row.CuboidsDropped < prev {
-			t.Errorf("budget %d dropped fewer cuboids (%d) than a tighter budget (%d)", row.Budget, row.CuboidsDropped, prev)
-		}
-		prev = row.CuboidsDropped
-	}
-	if last.CuboidsDropped < prev {
-		t.Errorf("unlimited budget dropped fewer cuboids (%d) than budget 64 (%d)", last.CuboidsDropped, prev)
 	}
 }

@@ -1,13 +1,12 @@
 package cluster_test
 
 // Routed cell-query tests: materialized cells, the scattered fold for cells
-// of planner-dropped cuboids (the census certificate makes it exact or
-// refused, never wrong), ancestor fallback, roll-up, the 501 for multi-cell
-// ops — and, for every cell the schema can name, byte parity with a single
-// node over the same pruned cube on both wire formats.
+// of dropped cuboids (the census certificate makes it exact or refused,
+// never wrong), ancestor fallback, roll-up, the 501 for multi-cell ops —
+// and, for every cell the schema can name, byte parity with a single node
+// over the same pruned cube on both wire formats.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -16,28 +15,23 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/hierarchy"
-	"flowcube/internal/olap"
 	"flowcube/internal/paperex"
 	"flowcube/internal/pathdb"
 	"flowcube/internal/transact"
 )
 
-// prunedPaperex builds the paper's running example twice — eager and
-// planner-pruned — without exceptions (exception-bearing cuboids are never
-// droppable) and with MinCount 1 so no iceberg truncation blocks
-// reconstruction.
-func prunedPaperex(t *testing.T) (eager, pruned *core.Cube, res *olap.PlanResult) {
+// prunedPaperex builds the paper's running example twice — eager and with
+// every path-level-0 cuboid but the finest dropped — without exceptions (a
+// fold cannot rebuild them) and with MinCount 1, so no iceberg truncation
+// blocks reconstruction: each dropped cell folds from the finest cuboid,
+// certified by the census of its path-level-1 twin.
+func prunedPaperex(t *testing.T) (eager, pruned *core.Cube, dropped map[string]bool) {
 	t.Helper()
-	eager, pruned, res = prunedPaperexTau(t, 0)
-	if len(res.Dropped) == 0 {
-		t.Fatal("planner dropped nothing; the routed-fold test needs computed cells")
-	}
-	return eager, pruned, res
+	return prunedPaperexTau(t, 0)
 }
 
-// prunedPaperexTau is prunedPaperex with redundancy marking at tau, where
-// the planner may legitimately find nothing to drop.
-func prunedPaperexTau(t *testing.T, tau float64) (eager, pruned *core.Cube, res *olap.PlanResult) {
+// prunedPaperexTau is prunedPaperex with redundancy marking at tau.
+func prunedPaperexTau(t *testing.T, tau float64) (eager, pruned *core.Cube, dropped map[string]bool) {
 	t.Helper()
 	build := func() *core.Cube {
 		ex := paperex.New()
@@ -52,11 +46,21 @@ func prunedPaperexTau(t *testing.T, tau float64) (eager, pruned *core.Cube, res 
 		return cube
 	}
 	eager, pruned = build(), build()
-	res, err := olap.Prune(context.Background(), pruned, olap.PlannerConfig{})
-	if err != nil {
-		t.Fatal(err)
+	dropped = make(map[string]bool)
+	specs := eager.MaterializedSpecs()
+	for _, s := range specs {
+		finest := true
+		for _, o := range specs {
+			finest = finest && o.Item.Dominates(s.Item)
+		}
+		if s.PathLevel == 0 && !finest && pruned.DropCuboid(s) != nil {
+			dropped[s.Key()] = true
+		}
 	}
-	return eager, pruned, res
+	if len(dropped) == 0 {
+		t.Fatal("nothing dropped; the routed-fold tests need computed cells")
+	}
+	return eager, pruned, dropped
 }
 
 // queryBody is the slice of a /v2/query response the assertions need.
@@ -76,19 +80,14 @@ type queryBody struct {
 	} `json:"cells"`
 }
 
-// TestRouterQueryV2 splits a planner-pruned cube and checks the routed v2
-// surface: every cell of the eager cube — materialized (one owner lookup),
-// dropped (scattered fold), and inferred — answers byte-for-byte
+// TestRouterQueryV2 splits a partially materialized cube and checks the
+// routed v2 surface: every cell of the eager cube — materialized (one owner
+// lookup), dropped (scattered fold), and inferred — answers byte-for-byte
 // as a single node over the same pruned cube, and a dropped cuboid's cell
 // carries computed provenance with the eager cell's exact count.
 func TestRouterQueryV2(t *testing.T) {
-	eager, pruned, res := prunedPaperex(t)
+	eager, pruned, dropped := prunedPaperex(t)
 	fx := newFixture(t, pruned, 3)
-
-	dropped := make(map[string]bool)
-	for _, d := range res.Dropped {
-		dropped[d.Cuboid] = true
-	}
 
 	var computedURL string
 	var computedCount int64
@@ -201,8 +200,8 @@ func v2ParityURLs(cube *core.Cube) []string {
 	return urls
 }
 
-// TestRouterParityPrunedCube is the one-engine contract: over a
-// planner-pruned cube on three shards, every cell the schema can name
+// TestRouterParityPrunedCube is the one-engine contract: over a partially
+// materialized cube on three shards, every cell the schema can name
 // answers through the router exactly as on a single node — on /v1/cell
 // (json and dot) and on /v2/query (cell, nocompute, roll-up) — because both
 // run core's planner and internal/server's renderers, and only the cell
@@ -233,13 +232,10 @@ func TestRouterParityPrunedCube(t *testing.T) {
 		fx.assertSame(t, u, false)
 	}
 
-	if _, prunedTau, res := prunedPaperexTau(t, 0.5); len(res.Dropped) == 0 {
-		t.Log("tau=0.5: the planner drops nothing, so no reconstruction re-marks redundancy; skipped")
-	} else {
-		fxTau := newFixture(t, prunedTau, 3)
-		for _, u := range v2ParityURLs(prunedTau) {
-			fxTau.assertSame(t, u, false)
-		}
+	_, prunedTau, _ := prunedPaperexTau(t, 0.5)
+	fxTau := newFixture(t, prunedTau, 3)
+	for _, u := range v2ParityURLs(prunedTau) {
+		fxTau.assertSame(t, u, false)
 	}
 
 	fx.shards[2].Close()

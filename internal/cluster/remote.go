@@ -7,10 +7,9 @@ package cluster
 // the shard fleet, instead of from a local cube. A cell lives on the shard
 // that owns its values, so a lookup is one GET /v2/partial to that shard; a
 // materialized hit costs exactly that. The fold sources of a cell whose
-// cuboid the materialization planner dropped are scattered, so collecting
-// them asks every shard, and the planner's census certificate then holds or
-// refuses the fold against the fleet-wide sum exactly as it does on one
-// node.
+// cuboid is not materialized are scattered, so collecting them asks every
+// shard, and the planner's census certificate then holds or refuses the
+// fold against the fleet-wide sum exactly as it does on one node.
 //
 // Only op=cell and op=rollup are routed; the multi-cell ops (drilldown,
 // slice, dice) need cross-shard cell enumeration the router does not

@@ -2,10 +2,10 @@ package core
 
 // The v2 query surface: one Query value describing an OLAP operation over
 // the cuboid lattice, answered by Cube.Answer with typed provenance. A cell
-// that was never materialized — pruned by the materialization planner, or
-// simply outside the build's cuboid list — is reconstructed exactly at
-// query time by folding the flowgraphs of a materialized descendant cuboid
-// whose matching cells partition the target cell's paths (flowgraph.Fold;
+// that was never materialized — outside the build's cuboid list, or dropped
+// since — is reconstructed exactly at query time by folding the flowgraphs
+// of a materialized descendant cuboid whose matching cells partition the
+// target cell's paths (flowgraph.Fold;
 // paper Lemma 4.2). Exactness is certified per cell: the folded counts must
 // sum to the cell's census count from a materialized cuboid at the same
 // item level, so a fold over an iceberg-truncated descendant (some sub-δ
@@ -280,9 +280,10 @@ func (c *Cube) AnswerFrom(ctx context.Context, src CellSource, q Query) (*Answer
 // count. On success the returned cell carries the exact count, the folded
 // flowgraph, and — when the cube marks redundancy — the similarity and
 // redundancy marking recomputed against its lattice parents; the CellRefs
-// name the folded descendants. Unlike Answer it applies no redundant-cell
-// preference, so the materialization planner can digest-compare every
-// reconstructed cell against its eager twin.
+// name the folded descendants. Exceptions are holistic (Lemma 4.3): the
+// cell carries none, whatever a build would have mined for it. Unlike
+// Answer it applies no redundant-cell preference, so tests digest-compare
+// every reconstructed cell against its eager twin.
 func (c *Cube) ReconstructCell(ctx context.Context, spec CuboidSpec, values []hierarchy.NodeID) (*Cell, []CellRef, error) {
 	return (&planner{c: c, src: c}).reconstructCell(ctx, spec, values, 0)
 }
@@ -539,10 +540,10 @@ func (p *planner) reconstructCell(ctx context.Context, spec CuboidSpec, values [
 // reconstructRedundancy mirrors MarkCellRedundancy for a reconstructed
 // cell: its similarity is measured against the graphs its item-lattice
 // parents have — or, for parents whose cuboids were pruned, would have had
-// (reconstructed recursively). Parents that are neither materialized nor
-// computable are skipped, exactly as MarkCellRedundancy skips absent
-// parents; the planner's digest verification catches any divergence from
-// the eager marking this conservatism could cause.
+// (reconstructed recursively). A parent whose cuboid is absent and which
+// cannot be reconstructed either makes the cell itself not computable:
+// marking it against fewer parents than a full build compares would be a
+// guess, and a wrong Redundant bit changes which cell answers.
 func (p *planner) reconstructRedundancy(ctx context.Context, spec CuboidSpec, cell *Cell) error {
 	compared := 0
 	minSim := 1.0
@@ -553,9 +554,6 @@ func (p *planner) reconstructRedundancy(ctx context.Context, spec CuboidSpec, ce
 		} else if !materialized {
 			pcell, _, err := p.reconstructCell(ctx, pr.Spec, pr.Values, 1)
 			if err != nil {
-				if errors.Is(err, ErrNotComputable) {
-					continue
-				}
 				return err
 			}
 			pg = pcell.Graph

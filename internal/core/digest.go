@@ -4,13 +4,12 @@ package core
 // (internal/olap, internal/cluster).
 //
 // CellDigest hashes exactly the bytes Save's v2 encoder writes for a cell,
-// so the materialization planner's exactness certificate — a reconstructed
-// cell must be byte-identical to the eagerly built one — is checked against
-// the persisted representation, not a lossy in-memory comparison. The
-// digest covers values, count, the redundancy flag, similarity bits, and
-// the full flat flowgraph including exceptions; a cell whose exceptions
-// cannot be refolded (they are holistic) therefore never digests equal to a
-// fold, and the planner refuses to drop its cuboid.
+// so the exactness tests — a reconstructed cell must be byte-identical to
+// the eagerly built one — compare the persisted representation, not a lossy
+// in-memory one. The digest covers values, count, the redundancy flag,
+// similarity bits, and the full flat flowgraph including exceptions; a cell
+// whose exceptions cannot be refolded (they are holistic) therefore never
+// digests equal to a fold.
 //
 // EncodeGraph/DecodeGraph expose the same flat columnar graph encoding for
 // transport: the cluster router's /v2 scatter ships per-shard partial
@@ -28,13 +27,6 @@ import (
 // CellDigest returns the SHA-256 of the cell's v2 snapshot encoding.
 func CellDigest(cell *Cell) [sha256.Size]byte {
 	return sha256.Sum256(appendCellV2(nil, cell))
-}
-
-// EncodedBytes reports the encoded size of one cuboid's snapshot section
-// payload. The materialization planner uses it to rank drop candidates by
-// the snapshot bytes they would save.
-func (cb *Cuboid) EncodedBytes() int {
-	return len(encodeCuboidV2(cb))
 }
 
 // EncodeGraph serializes one flowgraph in the flat columnar encoding cuboid

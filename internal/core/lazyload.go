@@ -22,7 +22,6 @@ package core
 // by their own synchronization, invisible to the Cube's immutable contract.
 
 import (
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -36,18 +35,13 @@ import (
 
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
+	"flowcube/internal/lru"
 	"flowcube/internal/pathdb"
 )
 
 // DefaultLazyCacheBytes is the decoded-cuboid LRU budget when
 // LazyOptions.CacheBytes is zero (~64 MB of estimated decoded heap).
 const DefaultLazyCacheBytes = 64 << 20
-
-// ErrNotLazySnapshot reports that the file is not a v2 columnar snapshot
-// (wrong magic, or shorter than one): only v2 sections can be served
-// lazily. Callers typically fall back to the eager Load path, which also
-// understands v1 gob snapshots.
-var ErrNotLazySnapshot = errors.New("core: not a v2 snapshot; lazy open needs the columnar format")
 
 // errLazyClosed is returned by touches of a lazily loaded cube after Close.
 var errLazyClosed = errors.New("core: lazy cube is closed")
@@ -105,7 +99,7 @@ type lazyBackend struct {
 	secs   map[string]*lazySection
 	order  []*lazySection // sorted by key: deterministic scans and saves
 
-	cache cuboidCache
+	cache *lru.Cache[*Cuboid]
 
 	// decodedSections/decodedBytes count cumulative section decodes (cache
 	// misses that ran the decoder) and the encoded payload bytes they read.
@@ -171,21 +165,16 @@ func LoadCubeLazy(path string, opts LazyOptions) (*Cube, error) {
 		_ = f.Close() // the stat error is the one worth reporting
 		return nil, err
 	}
-	size := st.Size()
-	if size < int64(len(magicV2)) {
-		_ = f.Close() // not our format; close error carries no information
-		return nil, ErrNotLazySnapshot
+	var head [len(magicV2)]byte
+	n, err := f.ReadAt(head[:], 0)
+	if err == nil || err == io.EOF {
+		err = checkMagic(head[:n])
 	}
-	var magic [len(magicV2)]byte
-	if _, err := f.ReadAt(magic[:], 0); err != nil {
-		_ = f.Close()
+	if err != nil {
+		_ = f.Close() // the read or format error is the one worth reporting
 		return nil, err
 	}
-	if string(magic[:]) != magicV2 {
-		_ = f.Close()
-		return nil, ErrNotLazySnapshot
-	}
-	data, err := openSnapshotData(f, size) // takes ownership of f
+	data, err := openSnapshotData(f, st.Size()) // takes ownership of f
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +290,7 @@ func openLazy(data snapData, opts LazyOptions) (*Cube, error) {
 	if budget == 0 {
 		budget = DefaultLazyCacheBytes
 	}
-	b.cache.init(budget)
+	b.cache = lru.New[*Cuboid](budget)
 
 	var ledger *Ledger
 	off = fr.next
@@ -408,93 +397,12 @@ func (b *lazyBackend) lazyErr() error {
 	return b.firstErr
 }
 
-// cacheFlight is one in-progress section decode; concurrent first touches
-// of the same section wait on done instead of decoding again.
-type cacheFlight struct {
-	done chan struct{}
-	cb   *Cuboid
-	err  error
-}
-
-// cacheEntry is one resident decoded cuboid with its estimated decoded
-// heap cost.
-type cacheEntry struct {
-	key  string
-	cb   *Cuboid
-	cost int64
-}
-
-// cuboidCache is the decoded-cuboid LRU: a byte-budgeted map + list with
-// single-flight decode dedup. The mutex guards only map/list bookkeeping;
-// decoding happens outside it.
-type cuboidCache struct {
-	budget int64 // <0: unbounded
-
-	mu        sync.Mutex
-	entries   map[string]*list.Element // values are *cacheEntry
-	lru       list.List                // front = most recently used
-	flights   map[string]*cacheFlight
-	total     int64
-	hits      int64
-	misses    int64
-	evictions int64
-}
-
-func (c *cuboidCache) init(budget int64) {
-	c.budget = budget
-	c.entries = make(map[string]*list.Element)
-	c.flights = make(map[string]*cacheFlight)
-	c.lru.Init()
-}
-
-// cuboid returns a section's decoded cuboid, decoding on first touch. A
-// hit refreshes LRU position; a miss decodes outside the cache lock with
-// single-flight dedup, then inserts and evicts from the cold end until the
-// budget holds (never evicting the only entry, so one oversized section
-// still serves). Decode errors are not cached: a later touch retries, and
-// the first error is recorded sticky for LazyErr.
+// cuboid returns a section's decoded cuboid through the section cache:
+// decoded on first touch, at its estimated decoded heap cost. Decode errors
+// are not cached — a later touch retries — and the first one is recorded
+// sticky for LazyErr.
 func (b *lazyBackend) cuboid(sec *lazySection) (*Cuboid, error) {
-	c := &b.cache
-	c.mu.Lock()
-	if el, ok := c.entries[sec.key]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		cb := el.Value.(*cacheEntry).cb
-		c.mu.Unlock()
-		return cb, nil
-	}
-	if f, ok := c.flights[sec.key]; ok {
-		c.mu.Unlock()
-		<-f.done
-		return f.cb, f.err
-	}
-	f := &cacheFlight{done: make(chan struct{})}
-	c.flights[sec.key] = f
-	c.misses++
-	c.mu.Unlock()
-
-	cb, cost, err := b.decodeSection(sec)
-	f.cb, f.err = cb, err
-	close(f.done)
-
-	c.mu.Lock()
-	delete(c.flights, sec.key)
-	if err == nil {
-		el := c.lru.PushFront(&cacheEntry{key: sec.key, cb: cb, cost: cost})
-		c.entries[sec.key] = el
-		c.total += cost
-		if c.budget >= 0 {
-			for c.total > c.budget && c.lru.Len() > 1 {
-				back := c.lru.Back()
-				e := back.Value.(*cacheEntry)
-				c.lru.Remove(back)
-				delete(c.entries, e.key)
-				c.total -= e.cost
-				c.evictions++
-			}
-		}
-	}
-	c.mu.Unlock()
+	cb, _, err := b.cache.Do(sec.key, func() (*Cuboid, int64, error) { return b.decodeSection(sec) })
 	if err != nil {
 		b.noteErr(err)
 	}
@@ -789,23 +697,20 @@ func (b *lazyBackend) save(c *Cube, w io.Writer) error {
 
 // stats snapshots the backend's gauges.
 func (b *lazyBackend) stats() LazyStats {
-	s := LazyStats{
+	c := b.cache.Stats()
+	return LazyStats{
 		Mapped:          snapMapped,
 		MappedBytes:     b.data.size(),
-		BudgetBytes:     b.cache.budget,
+		BudgetBytes:     b.cache.Budget(),
 		Sections:        len(b.order),
 		DecodedSections: b.decodedSections.Load(),
 		DecodedBytes:    b.decodedBytes.Load(),
+		CachedSections:  c.Entries,
+		CachedBytes:     c.Cost,
+		CacheHits:       c.Hits,
+		CacheMisses:     c.Misses,
+		Evictions:       c.Evictions,
 	}
-	c := &b.cache
-	c.mu.Lock()
-	s.CachedSections = c.lru.Len()
-	s.CachedBytes = c.total
-	s.CacheHits = c.hits
-	s.CacheMisses = c.misses
-	s.Evictions = c.evictions
-	c.mu.Unlock()
-	return s
 }
 
 // LazyStats reports the lazy serving state of the cube; ok is false for

@@ -413,26 +413,17 @@ func TestLazyOpenValidatesChecksums(t *testing.T) {
 	}
 }
 
-// TestLazyRejectsNonV2 routes v1 and garbage inputs to ErrNotLazySnapshot
-// so callers can fall back to the eager sniff.
+// TestLazyRejectsNonV2: pre-v2 and garbage inputs fail the lazy open with
+// the same typed rejection the streaming loaders give.
 func TestLazyRejectsNonV2(t *testing.T) {
 	dir := t.TempDir()
-	var v1 bytes.Buffer
-	if err := fixtureCube(t).SaveV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{
-		"v1":      v1.Bytes(),
-		"garbage": []byte("not a snapshot at all"),
-		"empty":   {},
-	} {
+	for name, data := range nonV2Inputs(t) {
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := core.LoadCubeLazy(path, core.LazyOptions{}); !errors.Is(err, core.ErrNotLazySnapshot) {
-			t.Errorf("%s: err = %v, want ErrNotLazySnapshot", name, err)
-		}
+		_, err := core.LoadCubeLazy(path, core.LazyOptions{})
+		wantNotV2(t, name, err)
 	}
 }
 

@@ -197,9 +197,8 @@ func compatibleShard(a, b *Cube) error {
 
 // LoadMeta reads only a snapshot's metadata — thresholds, schema
 // hierarchies, and the encoding plan — returning a cube with no
-// materialized cells. For v2 snapshots this stops after the plan section
-// without touching the (arbitrarily large) cuboid sections; v1 snapshots
-// are fully decoded and then stripped. The result answers Schema, Symbols,
+// materialized cells. It stops after the plan section without touching the
+// (arbitrarily large) cuboid sections. The result answers Schema, Symbols,
 // MinCount, ParseCellSpec-style lookups, and Config thresholds; NumCells is
 // 0 and queries find nothing.
 func LoadMeta(r io.Reader) (*Cube, error) {
@@ -210,21 +209,9 @@ func LoadMeta(r io.Reader) (*Cube, error) {
 // preamble sections, so probing a snapshot on a slow reader can be
 // abandoned.
 func LoadMetaContext(ctx context.Context, r io.Reader) (*Cube, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(len(magicV2))
-	if err == nil && string(magic) == magicV2 {
-		p, err := loadPreambleV2(ctx, br)
-		if err != nil {
-			return nil, err
-		}
-		return p.cube(), nil
-	}
-	cube, err := loadV1(br)
+	p, err := loadPreambleV2(ctx, bufio.NewReader(r))
 	if err != nil {
 		return nil, err
 	}
-	cube.Cuboids = make(map[string]*Cuboid)
-	cube.ledger = nil
-	cube.Config.DeltaLedger = false
-	return cube, nil
+	return p.cube(), nil
 }

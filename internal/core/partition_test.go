@@ -102,40 +102,40 @@ func TestMergeRejectsOverlappingShards(t *testing.T) {
 }
 
 // TestLoadMetaStripsCells checks the router's preamble load: thresholds,
-// schema and plan survive, while cells and the ledger are dropped, for both
-// snapshot generations.
+// schema and plan survive, while cells and the ledger are dropped; anything
+// that is not a v2 snapshot is rejected.
 func TestLoadMetaStripsCells(t *testing.T) {
 	cube, _ := partitionedExample(t, 2)
 
-	var v2, v1 bytes.Buffer
-	if err := cube.Save(&v2); err != nil {
+	var buf bytes.Buffer
+	if err := cube.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := cube.SaveV1(&v1); err != nil {
+	meta, err := core.LoadMeta(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for name, buf := range map[string]*bytes.Buffer{"v2": &v2, "v1": &v1} {
-		meta, err := core.LoadMeta(buf)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if meta.NumCells() != 0 {
-			t.Fatalf("%s: meta holds %d cells, want none", name, meta.NumCells())
-		}
-		if meta.MinCount() != cube.MinCount() {
-			t.Fatalf("%s: meta min count %d, want %d", name, meta.MinCount(), cube.MinCount())
-		}
-		if got, want := meta.Config.Epsilon, cube.Config.Epsilon; got != want {
-			t.Fatalf("%s: meta epsilon %v, want %v", name, got, want)
-		}
-		if got, want := meta.Config.Tau, cube.Config.Tau; got != want {
-			t.Fatalf("%s: meta tau %v, want %v", name, got, want)
-		}
-		if got, want := len(meta.Schema.Dims), len(cube.Schema.Dims); got != want {
-			t.Fatalf("%s: meta has %d dimensions, want %d", name, got, want)
-		}
-		if got, want := len(meta.Symbols.PathLevels()), len(cube.Symbols.PathLevels()); got != want {
-			t.Fatalf("%s: meta has %d path levels, want %d", name, got, want)
-		}
+	if meta.NumCells() != 0 {
+		t.Fatalf("meta holds %d cells, want none", meta.NumCells())
+	}
+	if meta.MinCount() != cube.MinCount() {
+		t.Fatalf("meta min count %d, want %d", meta.MinCount(), cube.MinCount())
+	}
+	if got, want := meta.Config.Epsilon, cube.Config.Epsilon; got != want {
+		t.Fatalf("meta epsilon %v, want %v", got, want)
+	}
+	if got, want := meta.Config.Tau, cube.Config.Tau; got != want {
+		t.Fatalf("meta tau %v, want %v", got, want)
+	}
+	if got, want := len(meta.Schema.Dims), len(cube.Schema.Dims); got != want {
+		t.Fatalf("meta has %d dimensions, want %d", got, want)
+	}
+	if got, want := len(meta.Symbols.PathLevels()), len(cube.Symbols.PathLevels()); got != want {
+		t.Fatalf("meta has %d path levels, want %d", got, want)
+	}
+
+	for name, data := range nonV2Inputs(t) {
+		_, err := core.LoadMeta(bytes.NewReader(data))
+		wantNotV2(t, name, err)
 	}
 }

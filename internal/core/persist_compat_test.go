@@ -1,21 +1,13 @@
 package core_test
 
 import (
-	"bytes"
+	"errors"
 	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 
 	"flowcube/internal/core"
 )
-
-// v1FixturePath is a checked-in legacy v1 gob snapshot of the Table-1
-// example cube. Regenerate with
-//
-//	FLOWCUBE_REGEN_FIXTURES=1 go test ./internal/core -run TestV1GoldenFixture
-//
-// after an intentional change to the fixture cube's build configuration.
-const v1FixturePath = "testdata/cube_v1.gob"
 
 func fixtureCube(t testing.TB) *core.Cube {
 	_, cube := buildExample(t, core.Config{
@@ -29,48 +21,32 @@ func fixtureCube(t testing.TB) *core.Cube {
 	return cube
 }
 
-// TestV1GoldenFixture guards backward compatibility of Load with snapshots
-// written before the v2 columnar format existed: the checked-in v1 gob file
-// must keep loading through the magic sniff, and the loaded cube must
-// re-save to exactly the bytes a freshly built cube saves — the v1→v2
-// upgrade path is byte-deterministic.
-func TestV1GoldenFixture(t *testing.T) {
-	if os.Getenv("FLOWCUBE_REGEN_FIXTURES") != "" {
-		if err := os.MkdirAll(filepath.Dir(v1FixturePath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := fixtureCube(t).SaveV1(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(v1FixturePath, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s (%d bytes)", v1FixturePath, buf.Len())
-	}
-
-	data, err := os.ReadFile(v1FixturePath)
+// nonV2Inputs are byte streams every loader must reject: a pre-v2 gob
+// snapshot of the fixture cube (checked in; nothing writes the format any
+// more), text, and inputs shorter than the magic.
+func nonV2Inputs(t testing.TB) map[string][]byte {
+	t.Helper()
+	v1, err := os.ReadFile("testdata/cube_v1.gob")
 	if err != nil {
-		t.Fatalf("missing golden fixture (regenerate with FLOWCUBE_REGEN_FIXTURES=1): %v", err)
+		t.Fatal(err)
 	}
-	loaded, err := core.Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("v1 snapshot no longer loads: %v", err)
+	return map[string][]byte{
+		"v1":      v1,
+		"garbage": []byte("not a snapshot at all"),
+		"empty":   {},
+		"short":   []byte("FCU"),
 	}
+}
 
-	fresh := fixtureCube(t)
-	if loaded.NumCells() != fresh.NumCells() || len(loaded.Cuboids) != len(fresh.Cuboids) {
-		t.Fatalf("fixture cube shape drifted: %d cells / %d cuboids, want %d / %d",
-			loaded.NumCells(), len(loaded.Cuboids), fresh.NumCells(), len(fresh.Cuboids))
+// wantNotV2 asserts err is the rejection checkMagic gives a non-v2 input:
+// typed, and telling the operator how to get a loadable snapshot.
+func wantNotV2(t testing.TB, name string, err error) {
+	t.Helper()
+	var corrupt *core.CorruptSnapshotError
+	if !errors.As(err, &corrupt) {
+		t.Fatalf("%s: err = %v, want *CorruptSnapshotError", name, err)
 	}
-
-	d1, n1 := saveDigest(t, loaded)
-	d2, _ := saveDigest(t, loaded)
-	if d1 != d2 {
-		t.Fatal("re-saving the loaded v1 cube is not byte-deterministic")
-	}
-	dFresh, _ := saveDigest(t, fresh)
-	if d1 != dFresh {
-		t.Errorf("v1→v2 upgrade bytes (%d) differ from a fresh build's v2 save", n1)
+	if !strings.Contains(err.Error(), "rebuilt from the path database") {
+		t.Errorf("%s: %q does not say how to rebuild", name, err)
 	}
 }

@@ -143,12 +143,11 @@ func (c *Cube) Compress() int {
 }
 
 // DropCuboid removes one materialized cuboid from the cube and returns it,
-// or nil when the cuboid is absent. The materialization planner
-// (internal/olap) uses it to prune cuboids whose every cell is exactly
-// reconstructable; RestoreCuboid undoes a drop that fails verification.
-// Like every mutator it must not run on a lazily loaded cube (it returns
-// nil there) or concurrently with readers; servers prune a private cube
-// before publishing it.
+// or nil when the cuboid is absent: the cube then answers that cuboid's
+// cells the way a cube built without it (Config.Cuboids) does, by
+// reconstruction or ancestor fallback. Like every mutator it must not run
+// on a lazily loaded cube (it returns nil there) or concurrently with
+// readers.
 func (c *Cube) DropCuboid(spec CuboidSpec) *Cuboid {
 	if c.lazy != nil {
 		return nil
@@ -161,14 +160,4 @@ func (c *Cube) DropCuboid(spec CuboidSpec) *Cuboid {
 	delete(c.Cuboids, key)
 	c.levelCuboids = nil
 	return cb
-}
-
-// RestoreCuboid re-registers a cuboid returned by DropCuboid. A nil cuboid
-// is ignored; lazily loaded cubes are refused like DropCuboid.
-func (c *Cube) RestoreCuboid(cb *Cuboid) {
-	if cb == nil || c.lazy != nil {
-		return
-	}
-	c.Cuboids[cb.Spec.Key()] = cb
-	c.levelCuboids = nil
 }

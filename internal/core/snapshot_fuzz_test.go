@@ -15,19 +15,19 @@ import (
 // allocate proportionally to a lying length field. Any cube it does accept
 // must be a save→load fixed point: re-saving and re-loading it reproduces
 // the identical byte stream (the byte-determinism contract of format v2).
+// Input that does not open with the v2 magic is rejected by both loaders
+// with a *CorruptSnapshotError.
 func FuzzLoadSnapshot(f *testing.F) {
 	cube := fixtureCube(f)
-	var v2, v1 bytes.Buffer
+	var v2 bytes.Buffer
 	if err := cube.Save(&v2); err != nil {
 		f.Fatal(err)
 	}
-	if err := cube.SaveV1(&v1); err != nil {
-		f.Fatal(err)
-	}
 	f.Add(v2.Bytes())
-	f.Add(v1.Bytes())
 	f.Add([]byte("FCUBEv2\n"))
-	f.Add([]byte{})
+	for _, data := range nonV2Inputs(f) { // a gob stream, text, empty, a truncated magic
+		f.Add(data)
+	}
 	// A few hand-mutated prefixes steer the fuzzer toward the section framing.
 	truncated := append([]byte(nil), v2.Bytes()[:v2.Len()/2]...)
 	f.Add(truncated)
@@ -36,7 +36,11 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		notV2 := !bytes.HasPrefix(data, []byte("FCUBEv2\n"))
 		loaded, err := core.Load(bytes.NewReader(data))
+		if notV2 {
+			wantNotV2(t, "Load", err)
+		}
 		var first bytes.Buffer
 		if err == nil {
 			if err := loaded.Save(&first); err != nil {
@@ -64,6 +68,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 			t.Fatal(err)
 		}
 		lz, lerr := core.LoadCubeLazy(path, core.LazyOptions{CacheBytes: 1 << 16})
+		if notV2 {
+			wantNotV2(t, "LoadCubeLazy", lerr)
+		}
 		if lerr != nil {
 			return // rejected without panicking: fine
 		}

@@ -1,7 +1,7 @@
 package core
 
-// Snapshot format v2: a columnar binary cube encoding replacing the v1
-// recursive-DTO gob stream (see DESIGN.md §8). The file is
+// Snapshot format v2, the only snapshot format: a columnar binary cube
+// encoding (see DESIGN.md §8). The file is
 //
 //	magic "FCUBEv2\n" (8 bytes)
 //	sections: kind (1 byte) · payload length (uvarint) · payload ·
@@ -16,8 +16,8 @@ package core
 // Workers goroutines and Load decodes them the same way; both merge results
 // in the deterministic sorted-cuboid-key order the sections are written in,
 // so the output bytes (and the loaded cube) are identical at any worker
-// count. Load sniffs the magic and falls back to the v1 gob decoder, which
-// keeps every previously materialized snapshot loadable.
+// count. Anything that does not open with the magic is rejected (checkMagic):
+// snapshots are derived data, rebuilt from the path database.
 //
 // The decoder is hardened against corrupt or adversarial input: section
 // payloads are read in bounded chunks (a lying length fails at read time
@@ -42,9 +42,20 @@ import (
 	"flowcube/internal/transact"
 )
 
-// magicV2 opens every v2 snapshot. The first byte differs from every gob
-// stream a v1 snapshot can start with, so sniffing is unambiguous.
+// magicV2 opens every snapshot.
 const magicV2 = "FCUBEv2\n"
+
+// checkMagic is the one format gate Load, LoadMeta and LoadCubeLazy share.
+// head is the input's first len(magicV2) bytes, or all of a shorter input:
+// anything but the magic — a pre-v2 gob snapshot, a path database, a
+// truncated file — is rejected.
+func checkMagic(head []byte) error {
+	if string(head) == magicV2 {
+		return nil
+	}
+	return &CorruptSnapshotError{Section: "magic", Detail: "not a v2 snapshot; " +
+		"pre-v2 snapshots must be rebuilt from the path database (flowquery -in x.fdb -save x.fcb)"}
+}
 
 // formatVersionV2 is written in the header section; the decoder rejects
 // anything newer than it understands.
@@ -559,9 +570,7 @@ type LoadOptions struct {
 
 // Load reconstructs a cube saved with Save. The result supports Cell,
 // Answer, MarkRedundancy and Compress; Mining statistics and the
-// ability to re-mine exceptions are gone with the path database. Both
-// snapshot formats load: the leading magic selects the v2 columnar decoder
-// or the legacy v1 gob decoder.
+// ability to re-mine exceptions are gone with the path database.
 func Load(r io.Reader) (*Cube, error) {
 	return LoadContext(context.Background(), r)
 }
@@ -574,17 +583,7 @@ func LoadWith(r io.Reader, opts LoadOptions) (*Cube, error) {
 // LoadContextWith is LoadContext with explicit codec options: ctx is
 // checked between snapshot sections.
 func LoadContextWith(ctx context.Context, r io.Reader, opts LoadOptions) (*Cube, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(len(magicV2))
-	if err == nil && string(magic) == magicV2 {
-		return loadV2(ctx, br, opts)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Not a v2 snapshot (or shorter than the magic): the v1 gob decoder
-	// owns the error message either way.
-	return loadV1(br)
+	return loadV2(ctx, bufio.NewReader(r), opts)
 }
 
 // sectionPayload reads one framed section, bounding the claimed length and
@@ -813,7 +812,12 @@ func assemblePreambleV2(h headerV2, schema *pathdb.Schema, plan transact.Plan, l
 // is shared with the lazy open path (lazyload.go) — only the framing walk
 // differs.
 func loadPreambleV2(ctx context.Context, br *bufio.Reader) (*preambleV2, error) {
-	if _, err := br.Discard(len(magicV2)); err != nil {
+	var head [len(magicV2)]byte
+	n, err := io.ReadFull(br, head[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, err
+	}
+	if err := checkMagic(head[:n]); err != nil {
 		return nil, err
 	}
 
@@ -863,7 +867,7 @@ func loadPreambleV2(ctx context.Context, br *bufio.Reader) (*preambleV2, error) 
 	return assemblePreambleV2(h, schema, plan, levels)
 }
 
-// loadV2 decodes a v2 snapshot from br, positioned at the magic; ctx is
+// loadV2 decodes a snapshot from br, positioned at the magic; ctx is
 // checked after every section read.
 func loadV2(ctx context.Context, br *bufio.Reader, opts LoadOptions) (*Cube, error) {
 	p, err := loadPreambleV2(ctx, br)

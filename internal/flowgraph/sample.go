@@ -14,7 +14,7 @@ import (
 // (replay a year of flows under last year's model) and closes the loop in
 // tests — the empirical distributions of sampled paths converge to the
 // model. Validate checks the structural invariants every well-formed
-// flowgraph satisfies; it guards deserialized and hand-grafted graphs.
+// flowgraph satisfies; it guards deserialized graphs.
 
 // Sample draws one path from the flowgraph's generative model: starting at
 // the root, repeatedly pick a transition (or termination) from T and a

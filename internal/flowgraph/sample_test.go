@@ -37,12 +37,11 @@ func TestValidateBuiltGraphs(t *testing.T) {
 func TestValidateCatchesCorruption(t *testing.T) {
 	ex := paperex.New()
 	g := flowgraph.Build(ex.Location, ex.BasePathLevel(), basePaths(ex), nil)
-	// Graft a node with inconsistent counts: Validate must object.
+	// Give a node inconsistent counts: Validate must object.
 	bad := stats.NewMultinomial()
 	bad.Add(1, 3)
-	if err := g.Graft([]hierarchy.NodeID{ex.Location.MustLookup("f")}, 99, bad, bad); err != nil {
-		t.Fatal(err)
-	}
+	n := g.NodeAt([]hierarchy.NodeID{ex.Location.MustLookup("f")})
+	n.Count, n.Durations, n.Transitions = 99, bad, bad
 	if err := g.Validate(); err == nil {
 		t.Errorf("corrupted graph validated")
 	}

@@ -81,7 +81,8 @@ func TestGenerationIsolation(t *testing.T) {
 			var published atomic.Pointer[[]*core.Cube]
 			gens := []*core.Cube{gen0}
 			digests := []string{saveDigest(t, gen0)}
-			published.Store(&gens)
+			first := gens // readers must not hold a pointer to gens itself: the loop below reassigns it
+			published.Store(&first)
 
 			stop := make(chan struct{})
 			var readers sync.WaitGroup

@@ -68,15 +68,14 @@ func (p *Pending) Wait() (any, error) {
 // Config parameterizes a Committer.
 type Config struct {
 	// GroupLimit caps how many pending appends fold in one commit group.
-	// 0 or negative means the default (64). 1 disables group commit —
-	// every batch folds alone, the serialized baseline the ingest bench
-	// compares against.
+	// 0 or negative means the default (64). 1 disables group commit:
+	// every batch folds alone.
 	GroupLimit int
 	// MaxPending bounds the number of append requests waiting in the
 	// queue: Submit returns ErrQueueFull instead of enqueueing the
-	// (MaxPending+1)th. 0 or negative means unbounded, the historical
-	// behavior — under a sustained overload the queue (and the handler
-	// goroutines parked in Wait) would otherwise grow without limit.
+	// (MaxPending+1)th — under a sustained overload the queue (and the
+	// handler goroutines parked in Wait) would otherwise grow without
+	// limit. 0 means DefaultMaxPending; negative means unbounded (tests).
 	MaxPending int
 	// Apply folds one commit group. It must Resolve every Pending it is
 	// given (unresolved ones are failed by the committer afterwards).
@@ -85,6 +84,10 @@ type Config struct {
 }
 
 const defaultGroupLimit = 64
+
+// DefaultMaxPending is the queue bound when Config.MaxPending is zero:
+// sixteen full commit groups.
+const DefaultMaxPending = 16 * defaultGroupLimit
 
 // Committer is the single-writer commit loop behind /admin/append: handlers
 // Submit parsed batches and block; the loop drains the queue into groups of
@@ -129,6 +132,9 @@ type item struct {
 func NewCommitter(cfg Config) *Committer {
 	if cfg.GroupLimit <= 0 {
 		cfg.GroupLimit = defaultGroupLimit
+	}
+	if cfg.MaxPending == 0 {
+		cfg.MaxPending = DefaultMaxPending
 	}
 	c := &Committer{cfg: cfg}
 	c.cond = sync.NewCond(&c.mu)

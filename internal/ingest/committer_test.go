@@ -65,25 +65,31 @@ func TestCommitterResolvesEveryRequest(t *testing.T) {
 // its batch applied once the stall clears — rejection can never reach back
 // and drop an accepted batch.
 func TestCommitterMaxPendingNeverDropsAcked(t *testing.T) {
+	t.Run("explicit", func(t *testing.T) {
+		testMaxPendingNeverDropsAcked(t, Config{GroupLimit: 1, MaxPending: 4}, 4)
+	})
+	// The zero value — what cmd/flowserve runs with — is bounded too.
+	t.Run("default", func(t *testing.T) {
+		testMaxPendingNeverDropsAcked(t, Config{}, DefaultMaxPending)
+	})
+}
+
+func testMaxPendingNeverDropsAcked(t *testing.T, cfg Config, maxPending int) {
 	ex := paperex.New()
 	rec := ex.DB.Records[0]
-	const maxPending = 4
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	var startedOnce sync.Once
 	var applied atomic.Int64
-	c := NewCommitter(Config{
-		GroupLimit: 1,
-		MaxPending: maxPending,
-		Apply: func(group []*Pending) {
-			startedOnce.Do(func() { close(started) })
-			<-gate
-			for _, p := range group {
-				applied.Add(1)
-				p.Resolve(len(p.Records), nil)
-			}
-		},
-	})
+	cfg.Apply = func(group []*Pending) {
+		startedOnce.Do(func() { close(started) })
+		<-gate
+		for _, p := range group {
+			applied.Add(1)
+			p.Resolve(len(p.Records), nil)
+		}
+	}
+	c := NewCommitter(cfg)
 	defer c.Close()
 
 	// First batch: dequeued by the loop, which then stalls in Apply.

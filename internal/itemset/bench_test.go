@@ -68,8 +68,8 @@ func newBenchTrie(cands [][]transact.Item) *itemset.Trie {
 }
 
 // BenchmarkTrieCount compares the counting variants on identical workloads:
-// the sequential iterative walk, the sharded per-worker-buffer parallel walk,
-// and the pre-sharding atomic pointer-trie reference.
+// the sequential iterative walk and the sharded per-worker-buffer parallel
+// walk.
 func BenchmarkTrieCount(b *testing.B) {
 	for _, k := range []int{2, 3, 4} {
 		cands, txs := benchWorkload(k)
@@ -87,13 +87,6 @@ func BenchmarkTrieCount(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tr.CountParallel(txs, 8)
-			}
-		})
-		b.Run(fmt.Sprintf("k=%d/atomic-8", k), func(b *testing.B) {
-			tr := newBenchTrie(cands)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.CountParallelAtomic(txs, 8)
 			}
 		})
 	}

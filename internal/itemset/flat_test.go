@@ -183,8 +183,9 @@ func shardedEquivalenceTxs() []transact.Transaction {
 }
 
 // TestShardedMatchesSequentialAndAtomic: per-worker buffer counting must
-// agree with both the sequential count and the atomic reference, at the
-// worker counts the race-detector CI run uses.
+// agree with the sequential count, at the worker counts the race-detector
+// CI run uses. (The atomic variant it also compared is deleted; the name
+// stays so the test keeps its id.)
 func TestShardedMatchesSequentialAndAtomic(t *testing.T) {
 	txs := shardedEquivalenceTxs()
 	var cands [][]transact.Item
@@ -205,24 +206,18 @@ func TestShardedMatchesSequentialAndAtomic(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			sharded, atomicTrie := itemset.NewTrie(), itemset.NewTrie()
+			sharded := itemset.NewTrie()
 			for _, c := range cands {
 				sharded.Insert(c)
-				atomicTrie.Insert(c)
 			}
 			sharded.CountParallel(txs, workers)
-			atomicTrie.CountParallelAtomic(txs, workers)
-			for name, got := range map[string]map[string]int64{
-				"sharded": harvest(sharded),
-				"atomic":  harvest(atomicTrie),
-			} {
-				if len(got) != len(want) {
-					t.Fatalf("%s walked %d candidates, want %d", name, len(got), len(want))
-				}
-				for k, n := range want {
-					if got[k] != n {
-						t.Errorf("%s count of %v = %d, want %d", name, itemset.FromKey(k), got[k], n)
-					}
+			got := harvest(sharded)
+			if len(got) != len(want) {
+				t.Fatalf("sharded walked %d candidates, want %d", len(got), len(want))
+			}
+			for k, n := range want {
+				if got[k] != n {
+					t.Errorf("sharded count of %v = %d, want %d", itemset.FromKey(k), got[k], n)
 				}
 			}
 		})

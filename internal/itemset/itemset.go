@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"flowcube/internal/transact"
 )
@@ -476,65 +475,6 @@ func (t *Trie) CountParallel(txs []transact.Transaction, workers int) {
 			if v != 0 {
 				f.counts[i] += v
 			}
-		}
-	}
-}
-
-// CountParallelAtomic is the pre-sharding reference implementation of
-// parallel counting: workers share the pointer trie and accumulate supports
-// with atomic adds on the nodes themselves. It is kept as the regression
-// baseline for the BENCH_mining.json micro-benchmarks and the equivalence
-// tests; new code should use CountParallel, which replaces the contended
-// atomics with per-worker count buffers.
-func (t *Trie) CountParallelAtomic(txs []transact.Transaction, workers int) {
-	t.thaw() // supports accumulate in the pointer nodes on this path
-	if workers <= 1 || len(txs) < 2*workers {
-		for _, tx := range txs {
-			countNode(&t.root, tx)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(txs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(txs) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(txs) {
-			hi = len(txs)
-		}
-		wg.Add(1)
-		go func(part []transact.Transaction) {
-			defer wg.Done()
-			for _, tx := range part {
-				countNodeAtomic(&t.root, tx)
-			}
-		}(txs[lo:hi])
-	}
-	wg.Wait()
-}
-
-func countNodeAtomic(n *trieNode, tx transact.Transaction) {
-	if n.leaf {
-		atomic.AddInt64(&n.count, 1)
-	}
-	if len(n.children) == 0 || len(tx) == 0 {
-		return
-	}
-	ci, ti := 0, 0
-	for ci < len(n.children) && ti < len(tx) {
-		c := n.children[ci]
-		switch {
-		case c.item < tx[ti]:
-			ci++
-		case c.item > tx[ti]:
-			ti++
-		default:
-			countNodeAtomic(c, tx[ti+1:])
-			ci++
-			ti++
 		}
 	}
 }

@@ -181,8 +181,8 @@ func TestTrieMatchesNaiveProperty(t *testing.T) {
 	}
 }
 
-// TestCountParallelMatchesSequential: atomic parallel counting must agree
-// with sequential counting on identical inputs.
+// TestCountParallelMatchesSequential: parallel counting must agree with
+// sequential counting on identical inputs.
 func TestCountParallelMatchesSequential(t *testing.T) {
 	mkTx := func(seed int) transact.Transaction {
 		var tx transact.Transaction

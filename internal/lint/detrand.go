@@ -30,7 +30,6 @@ import (
 // property tests, and the shard-append parity tests.
 var DeterminismRoots = []string{
 	"flowcube/internal/core.(*Cube).Save",
-	"flowcube/internal/core.(*Cube).SaveV1",
 	"flowcube/internal/cluster.WriteShards",
 	"flowcube/internal/cluster.Split",
 	"flowcube/internal/cluster.Merge",

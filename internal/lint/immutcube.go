@@ -19,15 +19,15 @@ import (
 // swaps it in.
 //
 // The designated files: build.go (Build, populate, exception mining),
-// persist.go, snapshotv2.go and lazyload.go (the decoders reconstruct a
-// cube; Materialize tags what it decoded), partition.go (FilterCells and
+// snapshotv2.go and lazyload.go (the decoders reconstruct a cube;
+// Materialize tags what it decoded), partition.go (FilterCells and
 // Merge assemble a new generation around shared cells), answer.go (whose
 // reconstructed cells are freshly allocated per query and never part of
 // the shared cube), delta.go (Fork, OwnedCell, AdmitCell and tid recovery —
 // the accessor itself), and its clients, which write only cells it handed
 // them: append.go (Append), query.go (MarkRedundancy, Compress, and
-// DropCuboid/RestoreCuboid on the generation's own cuboid table), conds.go
-// (the per-cell condition cache) and incr's delta.go (ApplyDelta).
+// DropCuboid on the generation's own cuboid table), conds.go (the per-cell
+// condition cache) and incr's delta.go (ApplyDelta).
 //
 // Detected write forms: field assignment (cell.Count = n, cell.Count++),
 // writes through field-held maps and slices (cb.Cells[k] = v,
@@ -43,7 +43,6 @@ var immutAllowedFiles = map[string]map[string]bool{
 		"build.go":      true,
 		"append.go":     true,
 		"delta.go":      true,
-		"persist.go":    true,
 		"snapshotv2.go": true,
 		"lazyload.go":   true,
 		"query.go":      true,

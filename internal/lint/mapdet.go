@@ -8,8 +8,8 @@ import (
 )
 
 // mapdet guards the byte-determinism of everything the flowcube system
-// emits: persisted snapshots (encoding/gob in core.Save), HTTP response
-// bodies (/v1/summary, /v1/cell), digests, and returned slices that callers
+// emits: persisted snapshots (core.Save), HTTP response bodies
+// (/v1/summary, /v1/cell), digests, and returned slices that callers
 // compare or serialize. Go randomizes map iteration order, so a
 // `for range m` whose body feeds an encoder or builds an output slice
 // produces a different byte stream on every run unless the iteration (or

@@ -1,0 +1,122 @@
+// Package lru is the repository's one cache: a mutex-guarded,
+// cost-budgeted LRU with single-flight computation. flowserve's response
+// cache (cost 1 per rendered response) and the lazy loader's decoded-section
+// cache (cost = estimated decoded heap bytes) are both instances. The mutex
+// guards only the bookkeeping; values are computed outside it.
+package lru
+
+import (
+	"container/list"
+	"sync"
+)
+
+// Cache maps string keys to values of total cost at most the budget.
+type Cache[V any] struct {
+	budget int64
+
+	mu        sync.Mutex
+	order     list.List // front = most recently used; values are *entry[V]
+	items     map[string]*list.Element
+	flights   map[string]*flight[V]
+	cost      int64
+	hits      int64
+	misses    int64
+	evictions int64
+}
+
+type entry[V any] struct {
+	key  string
+	val  V
+	cost int64
+}
+
+// flight is one in-progress computation; waiters block on done.
+type flight[V any] struct {
+	done chan struct{}
+	val  V
+	err  error
+}
+
+// Stats is a point-in-time snapshot of a cache's gauges and counters. A
+// hit found the key resident, a miss ran fn; a caller that shared another's
+// computation counts as neither.
+type Stats struct {
+	Entries   int
+	Cost      int64
+	Hits      int64
+	Misses    int64
+	Evictions int64
+}
+
+// New returns a cache holding values of total cost at most budget. A zero
+// budget stores nothing (Do still deduplicates concurrent computations); a
+// negative budget never evicts.
+func New[V any](budget int64) *Cache[V] {
+	return &Cache[V]{
+		budget:  budget,
+		items:   make(map[string]*list.Element),
+		flights: make(map[string]*flight[V]),
+	}
+}
+
+// Budget returns the budget the cache was created with.
+func (c *Cache[V]) Budget() int64 { return c.budget }
+
+// Do returns the value for key, computing it and its cost with fn on a
+// miss. Concurrent callers for the same key share one fn call and its
+// result, error included; hit reports whether the caller avoided computing
+// (the key was resident, or another caller's computation was shared).
+// Errors are never stored: a later call retries. Storing a value evicts
+// from the cold end until the budget holds, but never the only resident
+// entry, so one value costlier than the whole budget still caches.
+func (c *Cache[V]) Do(key string, fn func() (V, int64, error)) (v V, hit bool, err error) {
+	c.mu.Lock()
+	if el, ok := c.items[key]; ok {
+		c.order.MoveToFront(el)
+		c.hits++
+		v := el.Value.(*entry[V]).val
+		c.mu.Unlock()
+		return v, true, nil
+	}
+	if f, ok := c.flights[key]; ok {
+		c.mu.Unlock()
+		<-f.done
+		return f.val, f.err == nil, f.err
+	}
+	f := &flight[V]{done: make(chan struct{})}
+	c.flights[key] = f
+	c.misses++
+	c.mu.Unlock()
+
+	var cost int64
+	f.val, cost, f.err = fn()
+
+	c.mu.Lock()
+	delete(c.flights, key)
+	if f.err == nil && c.budget != 0 {
+		c.items[key] = c.order.PushFront(&entry[V]{key: key, val: f.val, cost: cost})
+		c.cost += cost
+		for c.budget > 0 && c.cost > c.budget && c.order.Len() > 1 {
+			e := c.order.Remove(c.order.Back()).(*entry[V])
+			delete(c.items, e.key)
+			c.cost -= e.cost
+			c.evictions++
+		}
+	}
+	c.mu.Unlock()
+	close(f.done)
+	return f.val, false, f.err
+}
+
+// Stats snapshots the cache's gauges and counters.
+func (c *Cache[V]) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Stats{
+		Entries:   c.order.Len(),
+		Cost:      c.cost,
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evictions,
+	}
+}

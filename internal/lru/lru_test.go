@@ -1,4 +1,4 @@
-package server
+package lru
 
 import (
 	"errors"
@@ -8,13 +8,13 @@ import (
 )
 
 func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
+	c := New[string](2)
 	calls := 0
 	get := func(key string) {
 		t.Helper()
-		if _, _, err := c.do(key, func() (*cached, error) {
+		if _, _, err := c.Do(key, func() (string, int64, error) {
 			calls++
-			return &cached{body: []byte(key)}, nil
+			return key, 1, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -23,8 +23,8 @@ func TestLRUEviction(t *testing.T) {
 	get("b")
 	get("a") // refresh a: b is now least recently used
 	get("c") // evicts b
-	if c.len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", c.len())
+	if c.Stats().Entries != 2 {
+		t.Fatalf("cache holds %d entries, want 2", c.Stats().Entries)
 	}
 	if calls != 3 {
 		t.Fatalf("computed %d times, want 3", calls)
@@ -36,15 +36,48 @@ func TestLRUEviction(t *testing.T) {
 	get("a") // a must have been evicted by b's reinsert or still present; either way no error
 }
 
+// TestLRUCostBudget: eviction is by summed cost, the only resident entry
+// stays however much it costs, a negative budget never evicts, and the
+// counters tell hits from computations.
+func TestLRUCostBudget(t *testing.T) {
+	put := func(c *Cache[string], key string, cost int64) {
+		t.Helper()
+		if _, _, err := c.Do(key, func() (string, int64, error) { return key, cost, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := New[string](10)
+	put(c, "big", 25) // over the whole budget, but alone
+	if st := c.Stats(); st.Entries != 1 || st.Cost != 25 || st.Evictions != 0 {
+		t.Fatalf("sole oversized entry: %+v, want it resident", st)
+	}
+	put(c, "a", 4) // evicts big
+	put(c, "b", 4)
+	put(c, "a", 4) // hit
+	put(c, "c", 4) // 12 > 10: evicts b, the coldest
+	want := Stats{Entries: 2, Cost: 8, Hits: 1, Misses: 4, Evictions: 2}
+	if st := c.Stats(); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+
+	u := New[string](-1)
+	for _, k := range []string{"a", "b", "c"} {
+		put(u, k, 1<<40)
+	}
+	if st := u.Stats(); st.Entries != 3 || st.Evictions != 0 {
+		t.Fatalf("unbounded cache evicted: %+v", st)
+	}
+}
+
 func TestLRUHitReporting(t *testing.T) {
-	c := newLRU(4)
-	_, hit, _ := c.do("k", func() (*cached, error) { return &cached{}, nil })
+	c := New[string](4)
+	_, hit, _ := c.Do("k", func() (string, int64, error) { return "", 1, nil })
 	if hit {
 		t.Error("first call reported a hit")
 	}
-	_, hit, _ = c.do("k", func() (*cached, error) {
+	_, hit, _ = c.Do("k", func() (string, int64, error) {
 		t.Fatal("cached key recomputed")
-		return nil, nil
+		return "", 0, nil
 	})
 	if !hit {
 		t.Error("second call reported a miss")
@@ -52,7 +85,7 @@ func TestLRUHitReporting(t *testing.T) {
 }
 
 func TestLRUSingleFlight(t *testing.T) {
-	c := newLRU(4)
+	c := New[string](4)
 	var calls atomic.Int64
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -63,11 +96,11 @@ func TestLRUSingleFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.do("k", func() (*cached, error) {
+		c.Do("k", func() (string, int64, error) {
 			calls.Add(1)
 			close(started)
 			<-release
-			return &cached{body: []byte("v")}, nil
+			return "v", 1, nil
 		})
 	}()
 	<-started
@@ -75,11 +108,11 @@ func TestLRUSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, hit, err := c.do("k", func() (*cached, error) {
+			v, hit, err := c.Do("k", func() (string, int64, error) {
 				calls.Add(1)
-				return &cached{body: []byte("v")}, nil
+				return "v", 1, nil
 			})
-			if err != nil || string(v.body) != "v" {
+			if err != nil || v != "v" {
 				t.Errorf("waiter got %v, %v", v, err)
 			}
 			hits[i] = hit
@@ -99,13 +132,13 @@ func TestLRUSingleFlight(t *testing.T) {
 }
 
 func TestLRUErrorsNotCached(t *testing.T) {
-	c := newLRU(4)
+	c := New[string](4)
 	calls := 0
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {
-		if _, _, err := c.do("k", func() (*cached, error) {
+		if _, _, err := c.Do("k", func() (string, int64, error) {
 			calls++
-			return nil, boom
+			return "", 0, boom
 		}); !errors.Is(err, boom) {
 			t.Fatalf("call %d: err = %v, want boom", i, err)
 		}
@@ -116,18 +149,18 @@ func TestLRUErrorsNotCached(t *testing.T) {
 }
 
 func TestLRUDisabledStillDeduplicates(t *testing.T) {
-	c := newLRU(0)
+	c := New[string](0)
 	calls := 0
 	for i := 0; i < 3; i++ {
-		c.do("k", func() (*cached, error) {
+		c.Do("k", func() (string, int64, error) {
 			calls++
-			return &cached{}, nil
+			return "", 1, nil
 		})
 	}
 	if calls != 3 {
 		t.Errorf("disabled cache stored responses: %d calls, want 3", calls)
 	}
-	if c.len() != 0 {
-		t.Errorf("disabled cache holds %d entries", c.len())
+	if c.Stats().Entries != 0 {
+		t.Errorf("disabled cache holds %d entries", c.Stats().Entries)
 	}
 }

@@ -47,23 +47,34 @@ func buildEager(t testing.TB, ds *datagen.Dataset, minCount int64, tau float64) 
 	return cube
 }
 
-// digestAll records the eager digest of every materialized cell.
+// digestAll records, for every materialized cell, the digest a
+// reconstruction of it must reproduce: the eager cell's, less its
+// exceptions — they are holistic (Lemma 4.3), a fold cannot rebuild them,
+// and a computed cell carries none.
 func digestAll(cube *core.Cube) map[string][32]byte {
 	out := map[string][32]byte{}
 	for _, spec := range cube.MaterializedSpecs() {
 		cb := cube.Cuboid(spec)
 		for _, cell := range cb.SortedCells() {
-			out[spec.Key()+"|"+core.FormatCell(cube.Schema, cell.Values)] = core.CellDigest(cell)
+			want := cell
+			if len(cell.Graph.Exceptions()) > 0 {
+				g := cell.Graph.Clone()
+				g.ClearExceptions()
+				want = &core.Cell{Values: cell.Values, Count: cell.Count, Graph: g,
+					Redundant: cell.Redundant, Similarity: cell.Similarity}
+			}
+			out[spec.Key()+"|"+core.FormatCell(cube.Schema, cell.Values)] = core.CellDigest(want)
 		}
 	}
 	return out
 }
 
-// checkComputedCells answers every cell of every dropped cuboid on the
-// pruned cube across workers goroutines (the -race exactness proof) and
-// requires each answer to be computed, exact, and digest-identical to the
-// eager build. It returns how many computed answers were verified.
-func checkComputedCells(t *testing.T, eager, pruned *core.Cube, dropped []core.CuboidSpec, digests map[string][32]byte, requireComputed bool) int64 {
+// checkComputedCells reconstructs and answers every cell of every dropped
+// cuboid on the pruned cube across workers goroutines (the -race exactness
+// proof) and requires each reconstruction, and each answer that comes back
+// computed, to be exact and digest-identical to the eager build. It returns
+// how many computed answers were verified.
+func checkComputedCells(t *testing.T, input string, eager, pruned *core.Cube, dropped []core.CuboidSpec, digests map[string][32]byte) int64 {
 	t.Helper()
 	type job struct {
 		spec core.CuboidSpec
@@ -88,7 +99,16 @@ func checkComputedCells(t *testing.T, eager, pruned *core.Cube, dropped []core.C
 			defer wg.Done()
 			for i := w; i < len(jobs); i += workers {
 				j := jobs[i]
-				name := j.spec.Key() + "|" + core.FormatCell(eager.Schema, j.cell.Values)
+				key := j.spec.Key() + "|" + core.FormatCell(eager.Schema, j.cell.Values)
+				name := input + " " + key
+				// Redundant cells answer through a parent, so Answer alone
+				// would leave their recomputed marking unchecked.
+				rec, _, err := pruned.ReconstructCell(context.Background(), j.spec, j.cell.Values)
+				if err == nil && core.CellDigest(rec) != digests[key] {
+					t.Errorf("%s: reconstructed cell digest diverges from eager build", name)
+				} else if err != nil && !errors.Is(err, core.ErrNotComputable) {
+					t.Errorf("%s: %v", name, err)
+				}
 				a, err := pruned.Answer(context.Background(), core.Query{
 					Op: core.OpCell, Spec: j.spec, Values: j.cell.Values,
 				})
@@ -101,12 +121,6 @@ func checkComputedCells(t *testing.T, eager, pruned *core.Cube, dropped []core.C
 				}
 				ca := a.Cells[0]
 				if ca.Provenance != core.ComputedFromDescendants {
-					// A redundant cell answers via its parent whether it is
-					// materialized or reconstructed — same inference rule —
-					// so only non-redundant cells must come back computed.
-					if requireComputed && !j.cell.Redundant {
-						t.Errorf("%s: provenance %s, want computed", name, ca.Provenance)
-					}
 					continue
 				}
 				if !ca.Exact {
@@ -115,7 +129,7 @@ func checkComputedCells(t *testing.T, eager, pruned *core.Cube, dropped []core.C
 				if len(ca.Folded) == 0 {
 					t.Errorf("%s: computed answer lists no folded cells", name)
 				}
-				if got, want := core.CellDigest(ca.Source), digests[name]; got != want {
+				if got, want := core.CellDigest(ca.Source), digests[key]; got != want {
 					t.Errorf("%s: computed cell digest diverges from eager build", name)
 				}
 				computed.Add(1)
@@ -126,140 +140,17 @@ func checkComputedCells(t *testing.T, eager, pruned *core.Cube, dropped []core.C
 	return computed.Load()
 }
 
-func droppedSpecs(t *testing.T, res *PlanResult) []core.CuboidSpec {
-	t.Helper()
-	out := make([]core.CuboidSpec, len(res.Dropped))
-	for i, d := range res.Dropped {
-		spec, err := core.ParseCuboidKey(d.Cuboid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = spec
-	}
-	return out
-}
-
-// TestPruneDropsAndStaysExact: with MinCount 1 nothing is iceberg-pruned,
-// so every coarse cuboid partitions exactly and the planner must find
-// drops; every dropped cell must then answer computed-exact with the eager
-// digest. This is the acceptance proof for the planner-droppable set.
-func TestPruneDropsAndStaysExact(t *testing.T) {
-	ds := testDataset(t)
-	eager := buildEager(t, ds, 1, 0)
-	digests := digestAll(eager)
-
-	pruned := eager.Fork()
-	res, err := Prune(context.Background(), pruned, PlannerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Dropped) == 0 {
-		t.Fatal("planner dropped nothing on a MinCount-1 full lattice")
-	}
-	if res.BytesAfter >= res.BytesBefore {
-		t.Fatalf("bytes did not shrink: %d -> %d", res.BytesBefore, res.BytesAfter)
-	}
-	if res.CuboidsAfter != res.CuboidsBefore-len(res.Dropped) {
-		t.Fatalf("cuboid census: before %d, after %d, dropped %d", res.CuboidsBefore, res.CuboidsAfter, len(res.Dropped))
-	}
-	n := checkComputedCells(t, eager, pruned, droppedSpecs(t, res), digests, true)
-	if n == 0 {
-		t.Fatal("no computed cells verified")
-	}
-	t.Logf("dropped %d/%d cuboids, %d -> %d bytes, %d computed cells verified",
-		len(res.Dropped), res.CuboidsBefore, res.BytesBefore, res.BytesAfter, n)
-}
-
-// TestPruneRedundancyMarking repeats the exactness proof on a cube with
-// redundancy marking enabled: reconstructed cells must reproduce the eager
-// Similarity/Redundant bits (digest-covered), including against parents
-// whose own cuboids were pruned.
-func TestPruneRedundancyMarking(t *testing.T) {
-	ds := testDataset(t)
-	eager := buildEager(t, ds, 1, 0.5)
-	digests := digestAll(eager)
-
-	pruned := eager.Fork()
-	res, err := Prune(context.Background(), pruned, PlannerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Dropped) == 0 {
-		t.Skip("planner found nothing droppable under redundancy marking")
-	}
-	checkComputedCells(t, eager, pruned, droppedSpecs(t, res), digests, true)
-
-	// The planner-level proof for every cell, redundant ones included:
-	// ReconstructCell (no redundant-cell serving preference) must reproduce
-	// the eager bytes, similarity and redundancy marking included.
-	for _, spec := range droppedSpecs(t, res) {
-		for _, cell := range eager.Cuboid(spec).SortedCells() {
-			rec, _, err := pruned.ReconstructCell(context.Background(), spec, cell.Values)
-			if err != nil {
-				t.Fatalf("%s cell %s: %v", spec.Key(), core.FormatCell(eager.Schema, cell.Values), err)
-			}
-			if core.CellDigest(rec) != core.CellDigest(cell) {
-				t.Errorf("%s cell %s: reconstructed digest diverges from eager build",
-					spec.Key(), core.FormatCell(eager.Schema, cell.Values))
-			}
+// dropRandom drops each materialized cuboid of cube with probability 1/2
+// and returns the dropped specs.
+func dropRandom(cube *core.Cube, seed int64) []core.CuboidSpec {
+	rng := rand.New(rand.NewSource(seed))
+	var dropped []core.CuboidSpec
+	for _, s := range cube.MaterializedSpecs() {
+		if rng.Intn(2) == 0 && cube.DropCuboid(s) != nil {
+			dropped = append(dropped, s)
 		}
 	}
-}
-
-// TestPruneBudget: a tight cost budget must bound every drop's fold width
-// and can only keep the snapshot larger than the unlimited plan.
-func TestPruneBudget(t *testing.T) {
-	ds := testDataset(t)
-	eager := buildEager(t, ds, 1, 0)
-
-	unlimited, err := Prune(context.Background(), eager.Fork(), PlannerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := 2
-	tight, err := Prune(context.Background(), eager.Fork(), PlannerConfig{CostBudget: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range tight.Dropped {
-		if d.MaxFold > budget {
-			t.Errorf("cuboid %s dropped with max fold %d over budget %d", d.Cuboid, d.MaxFold, budget)
-		}
-	}
-	if tight.BytesAfter < unlimited.BytesAfter {
-		t.Errorf("tight budget snapshot (%d bytes) smaller than unlimited (%d bytes)",
-			tight.BytesAfter, unlimited.BytesAfter)
-	}
-}
-
-// TestPruneKeepsExceptionCuboids: exception-bearing cells cannot be
-// refolded (holistic measure), so the planner must keep their cuboids.
-func TestPruneKeepsExceptionCuboids(t *testing.T) {
-	ex := paperex.New()
-	plan := transact.Plan{PathLevels: []pathdb.PathLevel{ex.BasePathLevel(), ex.TransportPathLevel()}}
-	cube, err := core.Build(ex.DB, core.Config{
-		MinCount:              2,
-		Epsilon:               0.1,
-		Plan:                  plan,
-		MineExceptions:        true,
-		SingleStageExceptions: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eager := cube.Fork()
-	res, err := Prune(context.Background(), cube, PlannerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range droppedSpecs(t, res) {
-		for _, cell := range eager.Cuboid(spec).SortedCells() {
-			if cell.Graph != nil && len(cell.Graph.Exceptions()) > 0 {
-				t.Errorf("cuboid %s dropped although cell %s carries exceptions",
-					spec.Key(), core.FormatCell(eager.Schema, cell.Values))
-			}
-		}
-	}
+	return dropped
 }
 
 // TestAnswerMatchesEagerRandomSplits is the K-split-point property test:
@@ -269,35 +160,57 @@ func TestPruneKeepsExceptionCuboids(t *testing.T) {
 // -race` checks Answer's concurrent-reader contract at the same time.
 func TestAnswerMatchesEagerRandomSplits(t *testing.T) {
 	ds := testDataset(t)
-	eager := buildEager(t, ds, 2, 0)
-	digests := digestAll(eager)
-	specs := eager.MaterializedSpecs()
+	ex := paperex.New()
+	withExceptions, err := core.Build(ex.DB, core.Config{
+		MinCount:              2,
+		Epsilon:               0.1,
+		Plan:                  transact.Plan{PathLevels: []pathdb.PathLevel{ex.BasePathLevel(), ex.TransportPathLevel()}},
+		MineExceptions:        true,
+		SingleStageExceptions: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type input struct {
+		name     string
+		eager    *core.Cube
+		digests  map[string][32]byte
+		computed atomic.Int64
+	}
+	inputs := []*input{
+		{name: "iceberg", eager: buildEager(t, ds, 2, 0)},
+		// Redundancy marking on: a reconstructed cell's Similarity and
+		// Redundant bits are digest-covered, also against parents whose own
+		// cuboids were dropped.
+		{name: "tau", eager: buildEager(t, ds, 1, 0.5)},
+		// Exceptions on: a computed cell is the eager cell less its
+		// exceptions (digestAll), never a different flowgraph.
+		{name: "exceptions", eager: withExceptions},
+	}
+	for _, in := range inputs {
+		in.digests = digestAll(in.eager)
+	}
 
-	var computed atomic.Int64
 	const splits = 6
 	t.Run("splits", func(t *testing.T) {
 		for k := 0; k < splits; k++ {
 			k := k
 			t.Run(fmt.Sprintf("seed%d", k), func(t *testing.T) {
 				t.Parallel()
-				rng := rand.New(rand.NewSource(int64(k)))
-				pruned := eager.Fork()
-				var dropped []core.CuboidSpec
-				for _, s := range specs {
-					if rng.Intn(2) == 0 {
-						if cb := pruned.DropCuboid(s); cb != nil {
-							dropped = append(dropped, s)
-						}
-					}
+				for _, in := range inputs {
+					pruned := in.eager.Fork()
+					dropped := dropRandom(pruned, int64(k))
+					in.computed.Add(checkComputedCells(t, in.name, in.eager, pruned, dropped, in.digests))
 				}
-				computed.Add(checkComputedCells(t, eager, pruned, dropped, digests, false))
 			})
 		}
 	})
-	if computed.Load() == 0 {
-		t.Fatal("no split produced a single computed cell; the property test proved nothing")
+	for _, in := range inputs {
+		if in.computed.Load() == 0 {
+			t.Fatalf("%s: no split produced a single computed cell; the property test proved nothing", in.name)
+		}
+		t.Logf("%s: %d computed cells verified across %d random splits", in.name, in.computed.Load(), splits)
 	}
-	t.Logf("%d computed cells verified across %d random splits", computed.Load(), splits)
 }
 
 // buildPaperCube is the Figure-5 running example without exceptions, the
@@ -407,11 +320,7 @@ func TestAnswerOps(t *testing.T) {
 
 	t.Run("nocompute", func(t *testing.T) {
 		pruned := cube.Fork()
-		res, err := Prune(ctx, pruned, PlannerConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, spec := range droppedSpecs(t, res) {
+		for _, spec := range dropRandom(pruned, 1) {
 			for _, cell := range cube.Cuboid(spec).SortedCells() {
 				a, err := pruned.Answer(ctx, core.Query{Spec: spec, Values: cell.Values, NoCompute: true})
 				if err != nil {

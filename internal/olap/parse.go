@@ -1,9 +1,9 @@
+// Package olap parses the /v2 query surface (DESIGN.md §12) into the
+// core.Query values Cube.Answer executes; flowserve's /v2/query and the
+// flowquery flags share it. The textual conventions are the v1 ones — cells
+// as "dim=concept" pairs against the schema (core.ParseCellSpec) — extended
+// with the operation, its axis or selectors, and the result-shaping options.
 package olap
-
-// Parsing the /v2/query wire surface into core.Query values. The textual
-// conventions are the v1 ones — cells as "dim=concept" pairs against the
-// schema (core.ParseCellSpec) — extended with the operation, its axis or
-// selectors, and the result-shaping options.
 
 import (
 	"fmt"

@@ -1,25 +1,15 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"sort"
 	"testing"
-	"time"
 )
 
 // Serving microbenchmarks: the same /v1/cell query answered from the LRU
 // cache versus recomputed every time (cache capacity < 0 disables storage).
 //
 //	go test ./internal/server -bench BenchmarkCell -run '^$'
-//
-// FLOWSERVE_RESULTS=path go test ./internal/server -run ServeLatency
-// additionally measures requests/sec with p50/p99 and writes the JSON
-// consumed by results/serve_latency.json.
 
 const benchQuery = "/v1/cell?cell=product=shoes,brand=nike&pathlevel=0"
 
@@ -68,141 +58,4 @@ func BenchmarkCellCachedParallel(b *testing.B) {
 			serveOnce(b, h, benchQuery)
 		}
 	})
-}
-
-type latencyStats struct {
-	Requests   int     `json:"requests"`
-	ReqPerSec  float64 `json:"requests_per_sec"`
-	P50Micros  float64 `json:"p50_us"`
-	P99Micros  float64 `json:"p99_us"`
-	MeanMicros float64 `json:"mean_us"`
-}
-
-func measure(tb testing.TB, h http.Handler, url string, n int) latencyStats {
-	lat := make([]time.Duration, n)
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		serveOnce(tb, h, url)
-		lat[i] = time.Since(t0)
-	}
-	total := time.Since(start)
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	var sum time.Duration
-	for _, d := range lat {
-		sum += d
-	}
-	return latencyStats{
-		Requests:   n,
-		ReqPerSec:  float64(n) / total.Seconds(),
-		P50Micros:  float64(lat[n/2].Nanoseconds()) / 1e3,
-		P99Micros:  float64(lat[n*99/100].Nanoseconds()) / 1e3,
-		MeanMicros: float64(sum.Nanoseconds()) / float64(n) / 1e3,
-	}
-}
-
-// reloadStats summarizes POST /admin/reload timing over a persisted v2
-// snapshot file: end-to-end request latency plus the loader-reported load_ms
-// and snapshot size from the final reload response.
-type reloadStats struct {
-	Reloads       int     `json:"reloads"`
-	MeanMs        float64 `json:"mean_ms"`
-	P50Ms         float64 `json:"p50_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-	LoadMs        float64 `json:"load_ms"`
-	SnapshotBytes int64   `json:"snapshot_bytes"`
-}
-
-// measureReload saves the example cube to disk, serves it through
-// FileLoader, and times n snapshot reloads.
-func measureReload(tb testing.TB, n int) reloadStats {
-	_, cube := buildExampleCube(tb)
-	path := filepath.Join(tb.TempDir(), "cube.fcb")
-	f, err := os.Create(path)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := cube.Save(f); err != nil {
-		tb.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	s, err := New(FileLoader(path, BuildOptions{}), path, quietConfig())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	h := s.Handler()
-
-	lat := make([]time.Duration, n)
-	var lastBody []byte
-	for i := 0; i < n; i++ {
-		rec := httptest.NewRecorder()
-		t0 := time.Now()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admin/reload", nil))
-		lat[i] = time.Since(t0)
-		if rec.Code != http.StatusOK {
-			tb.Fatalf("reload %d: %d %s", i, rec.Code, rec.Body.String())
-		}
-		lastBody = rec.Body.Bytes()
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	var sum time.Duration
-	for _, d := range lat {
-		sum += d
-	}
-	var resp struct {
-		LoadMs        float64 `json:"load_ms"`
-		SnapshotBytes int64   `json:"snapshot_bytes"`
-	}
-	if err := json.Unmarshal(lastBody, &resp); err != nil {
-		tb.Fatal(err)
-	}
-	return reloadStats{
-		Reloads:       n,
-		MeanMs:        float64(sum.Nanoseconds()) / float64(n) / 1e6,
-		P50Ms:         float64(lat[n/2].Nanoseconds()) / 1e6,
-		P99Ms:         float64(lat[n*99/100].Nanoseconds()) / 1e6,
-		LoadMs:        resp.LoadMs,
-		SnapshotBytes: resp.SnapshotBytes,
-	}
-}
-
-// TestServeLatencyResults regenerates results/serve_latency.json:
-//
-//	FLOWSERVE_RESULTS=results/serve_latency.json go test ./internal/server -run ServeLatency
-func TestServeLatencyResults(t *testing.T) {
-	out := os.Getenv("FLOWSERVE_RESULTS")
-	if out == "" {
-		t.Skip("set FLOWSERVE_RESULTS=<path> to write the serving latency microbenchmark")
-	}
-	const n = 5000
-
-	cachedSrv := benchServer(t, DefaultCacheSize)
-	serveOnce(t, cachedSrv.Handler(), benchQuery) // warm
-	cachedStats := measure(t, cachedSrv.Handler(), benchQuery, n)
-
-	uncachedSrv := benchServer(t, -1)
-	uncachedStats := measure(t, uncachedSrv.Handler(), benchQuery, n)
-
-	reloadStats := measureReload(t, 50)
-
-	result := map[string]any{
-		"benchmark": "GET /v1/cell (paper running-example cube, single goroutine, httptest)",
-		"query":     benchQuery,
-		"command":   "FLOWSERVE_RESULTS=results/serve_latency.json go test ./internal/server -run ServeLatency",
-		"cached":    cachedStats,
-		"uncached":  uncachedStats,
-		"reload":    reloadStats,
-	}
-	body, err := json.MarshalIndent(result, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(body, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("cached: %.0f req/s p50=%.1fus p99=%.1fus; uncached: %.0f req/s p50=%.1fus p99=%.1fus\n",
-		cachedStats.ReqPerSec, cachedStats.P50Micros, cachedStats.P99Micros,
-		uncachedStats.ReqPerSec, uncachedStats.P50Micros, uncachedStats.P99Micros)
 }

@@ -213,12 +213,12 @@ func answerWith(parse func(*core.Cube, url.Values) (Request, error)) compute {
 func (s *Server) serveCached(prefix string, fn compute) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := s.holder.get()
-		v, hit, err := snap.cache.do(prefix+r.URL.RawQuery, func() (*cached, error) {
+		v, hit, err := snap.cache.Do(prefix+r.URL.RawQuery, func() (*cached, int64, error) {
 			body, contentType, err := fn(r.Context(), snap.Cube, r.URL.Query())
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			return &cached{status: http.StatusOK, contentType: contentType, body: body}, nil
+			return &cached{status: http.StatusOK, contentType: contentType, body: body}, 1, nil
 		})
 		if err != nil {
 			s.metrics.cacheMisses.Add(1)

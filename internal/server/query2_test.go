@@ -1,13 +1,12 @@
 package server
 
 // v2 query-surface tests: the OLAP handler's operations and error shapes,
-// the bounded append queue's 503, and the acceptance scenario for the
-// materialization planner — /v1 responses over a planner-pruned snapshot
-// are byte-identical to the unpruned server's, because dropped cells are
+// the bounded append queue's 503, and the acceptance scenario for partial
+// materialization — /v1 responses over a snapshot missing cuboids are
+// byte-identical to the full server's, because the missing cells are
 // reconstructed exactly at query time.
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	"flowcube/internal/core"
-	"flowcube/internal/olap"
 	"flowcube/internal/paperex"
 	"flowcube/internal/pathdb"
 	"flowcube/internal/transact"
@@ -99,10 +97,12 @@ func TestQueryV2Ops(t *testing.T) {
 	})
 }
 
-// prunedExample builds the running example twice — eager and planner-pruned
-// — without exceptions (exception-bearing cuboids are never droppable) and
-// with MinCount 1 so no iceberg truncation blocks reconstruction.
-func prunedExample(t *testing.T) (eager, pruned *core.Cube, res *olap.PlanResult) {
+// prunedExample builds the running example twice — eager and with every
+// path-level-0 cuboid but the finest dropped — without exceptions (a fold
+// cannot rebuild them) and with MinCount 1, so no iceberg truncation blocks
+// reconstruction: each dropped cell folds exactly from the finest cuboid,
+// certified by the census of its path-level-1 twin.
+func prunedExample(t *testing.T) (eager, pruned *core.Cube, dropped []core.CuboidSpec) {
 	t.Helper()
 	build := func() *core.Cube {
 		ex := paperex.New()
@@ -117,22 +117,28 @@ func prunedExample(t *testing.T) (eager, pruned *core.Cube, res *olap.PlanResult
 		return cube
 	}
 	eager, pruned = build(), build()
-	res, err := olap.Prune(context.Background(), pruned, olap.PlannerConfig{})
-	if err != nil {
-		t.Fatal(err)
+	specs := eager.MaterializedSpecs()
+	for _, s := range specs {
+		finest := true
+		for _, o := range specs {
+			finest = finest && o.Item.Dominates(s.Item)
+		}
+		if s.PathLevel == 0 && !finest && pruned.DropCuboid(s) != nil {
+			dropped = append(dropped, s)
+		}
 	}
-	if len(res.Dropped) == 0 {
-		t.Fatal("planner dropped nothing; the parity test needs computed cells")
+	if len(dropped) == 0 {
+		t.Fatal("nothing dropped; the parity test needs computed cells")
 	}
-	return eager, pruned, res
+	return eager, pruned, dropped
 }
 
-// TestPrunedV1Parity is the /v1 acceptance bar for the materialization
-// planner: every /v1/cell response over the pruned snapshot — including
+// TestPrunedV1Parity is the /v1 acceptance bar for partial materialization:
+// every /v1/cell response over the pruned snapshot — including
 // cells of dropped cuboids, answered through query-time reconstruction —
 // must match the eager server's byte for byte, along with the 404 shape.
 func TestPrunedV1Parity(t *testing.T) {
-	eager, pruned, res := prunedExample(t)
+	eager, pruned, dropped := prunedExample(t)
 	se := newTestServer(t, eager, quietConfig())
 	sp := newTestServer(t, pruned, quietConfig())
 
@@ -164,13 +170,10 @@ func TestPrunedV1Parity(t *testing.T) {
 
 	// A cell of a dropped cuboid answers /v2 with computed provenance and
 	// the folded descendants listed.
-	spec, err := core.ParseCuboidKey(res.Dropped[0].Cuboid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := dropped[0]
 	values, ok := eager.EnumerateCellValues(spec)
 	if !ok || len(values) == 0 {
-		t.Fatalf("dropped cuboid %s has no enumerable cells", res.Dropped[0].Cuboid)
+		t.Fatalf("dropped cuboid %s has no enumerable cells", spec.Key())
 	}
 	u := "/v2/query?op=cell&pathlevel=" + string(rune('0'+spec.PathLevel)) +
 		"&cell=" + core.FormatCell(eager.Schema, values[0])

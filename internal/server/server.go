@@ -9,8 +9,8 @@
 //	GET  /v1/cell?cell=dim=concept,...&pathlevel=N[&format=dot]  one cell's
 //	     flowgraph with roll-up inference
 //	GET  /v2/query        OLAP algebra: op=cell|rollup|drilldown|slice|dice
-//	     with typed provenance; cells the materialization planner dropped
-//	     are reconstructed exactly at query time
+//	     with typed provenance; cells of cuboids the build left out are
+//	     reconstructed exactly at query time
 //	GET  /v2/partial      what this snapshot holds toward one cell (the cell,
 //	     its census count, its fold sources), for a planner running on the
 //	     cluster router
@@ -86,16 +86,15 @@ type Config struct {
 	WALPath string
 	// GroupLimit caps how many concurrent append requests coalesce into one
 	// commit group (one WAL fsync + one delta fold). 0 means the ingest
-	// default (64); 1 serializes appends, the baseline flowbench -ingest
-	// compares against.
+	// default (64); 1 serializes appends.
 	GroupLimit int
 	// MaxPending bounds the append commit queue: when MaxPending batches are
 	// already waiting, POST /admin/append answers 503 with a Retry-After
 	// header instead of queueing — a parked handler goroutine per queued
 	// batch is the server's only ingest buffering, so an unbounded queue
-	// under sustained overload grows without limit. 0 or negative means
-	// unbounded, the historical behavior. Batches accepted before the queue
-	// filled always commit and are acknowledged normally.
+	// under sustained overload grows without limit. 0 means
+	// ingest.DefaultMaxPending; negative means unbounded. Batches accepted
+	// before the queue filled always commit and are acknowledged normally.
 	MaxPending int
 }
 

@@ -274,8 +274,8 @@ func TestReloadSwapsSnapshot(t *testing.T) {
 
 	// Warm the cache, then reload: the new snapshot must start cold.
 	get(t, s.Handler(), "/v1/cell?cell=product=shoes")
-	if before.cache.len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", before.cache.len())
+	if before.cache.Stats().Entries != 1 {
+		t.Fatalf("cache holds %d entries, want 1", before.cache.Stats().Entries)
 	}
 
 	req := httptest.NewRequest(http.MethodPost, "/admin/reload", nil)
@@ -303,8 +303,8 @@ func TestReloadSwapsSnapshot(t *testing.T) {
 	if after == before {
 		t.Error("snapshot pointer did not change")
 	}
-	if after.cache.len() != 0 {
-		t.Errorf("fresh snapshot cache holds %d entries", after.cache.len())
+	if after.cache.Stats().Entries != 0 {
+		t.Errorf("fresh snapshot cache holds %d entries", after.cache.Stats().Entries)
 	}
 	if got := s.Metrics().Reloads; got != 1 {
 		t.Errorf("reload counter = %d, want 1", got)

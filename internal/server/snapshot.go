@@ -10,6 +10,7 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
+	"flowcube/internal/lru"
 	"flowcube/internal/mining"
 	"flowcube/internal/pathdb"
 )
@@ -45,7 +46,17 @@ type Snapshot struct {
 	// committer rejects the stale batch with a retryable conflict.
 	SchemaGen uint64
 
-	cache *lru
+	// cache holds rendered responses by request URL, at cost 1 each, with
+	// single-flight so a thundering herd of identical queries computes the
+	// answer once.
+	cache *lru.Cache[*cached]
+}
+
+// cached is one rendered response: everything a handler needs to replay it.
+type cached struct {
+	status      int
+	contentType string
+	body        []byte
 }
 
 func newSnapshot(cube *core.Cube, source string, cacheSize int, loadDur time.Duration, bytes int64) *Snapshot {
@@ -55,7 +66,7 @@ func newSnapshot(cube *core.Cube, source string, cacheSize int, loadDur time.Dur
 		LoadedAt:     time.Now(),
 		LoadDuration: loadDur,
 		Bytes:        bytes,
-		cache:        newLRU(cacheSize),
+		cache:        lru.New[*cached](int64(max(cacheSize, 0))), // cost 1 per response; <= 0 stores nothing
 	}
 }
 
@@ -104,11 +115,11 @@ type BuildOptions struct {
 	MineExceptions bool
 	// Workers spreads flowgraph construction across goroutines.
 	Workers int
-	// Lazy opens v2 cube snapshots with core.LoadCubeLazy: the file is
-	// mapped read-only and cuboid sections decode on first touch, so the
-	// server is ready in milliseconds and resident memory stays bounded by
-	// LazyCacheBytes rather than the full cube size. Inputs that are not v2
-	// snapshots (v1 cubes, path databases) fall back to the eager path.
+	// Lazy opens cube snapshots with core.LoadCubeLazy: the file is mapped
+	// read-only and cuboid sections decode on first touch, so the server is
+	// ready in milliseconds and resident memory stays bounded by
+	// LazyCacheBytes rather than the full cube size. A path database is
+	// built eagerly, as without Lazy.
 	Lazy bool
 	// LazyCacheBytes is the decoded-section LRU budget for lazy opens;
 	// 0 means core.DefaultLazyCacheBytes, negative disables eviction.
@@ -171,10 +182,12 @@ func FileLoader(path string, opts BuildOptions) Loader {
 				}
 				return cube, info, nil
 			}
-			if !errors.Is(err, core.ErrNotLazySnapshot) {
+			var corrupt *core.CorruptSnapshotError
+			if !errors.As(err, &corrupt) {
 				return nil, LoadInfo{}, err
 			}
-			// Not a v2 snapshot — fall through to the eager sniff below.
+			// Not a snapshot: the sniff below tries it as a path database
+			// and reports both readings if it is neither.
 		}
 		f, err := os.Open(path)
 		if err != nil {

@@ -48,10 +48,6 @@ type LazyOptions = core.LazyOptions
 // (*Cube).LazyStats.
 type LazyStats = core.LazyStats
 
-// ErrNotLazySnapshot is returned by LoadCubeLazy when the file is not a v2
-// cube snapshot (v1 cubes and path databases need the eager LoadCube path).
-var ErrNotLazySnapshot = core.ErrNotLazySnapshot
-
 // LoadCubeLazy memory-maps a v2 cube snapshot read-only and returns a cube
 // whose cuboid sections decode on first touch, kept in a bounded LRU: the
 // open validates framing and checksums but materializes nothing, so it

@@ -23,6 +23,14 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== orphan packages =="
+# Every internal package must be imported by another package (tests of other
+# packages count, which is how the test-support packages paperex and
+# lint/linttest pass): one that is not is dead weight nothing exercises.
+go list -f '{{.ImportPath}}|{{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... |
+  awk -F'|' '{pkgs[$1]; n = split($2, imp, " "); for (i = 1; i <= n; i++) if (imp[i] != $1) used[imp[i]]}
+    END {for (p in pkgs) if (p ~ /\/internal\// && !(p in used)) {print "orphan package: " p; bad = 1}; exit bad}'
+
 echo "== flowlint =="
 # -stats prints each analyzer's finding count and wall time to stderr; on
 # failure the trailing line names the offending analyzers.
@@ -51,30 +59,6 @@ echo "== nommap fallback (lazy serving without mmap) =="
 # get; the lazy parity suite must hold there too.
 go build -tags nommap ./...
 go test -tags nommap ./internal/core -run Lazy
-
-echo "== cluster bench smoke =="
-# Tiny multi-process run of the sharded-cluster bench: real re-exec'd shard
-# server processes behind the router. Writes to a scratch file so the
-# committed full-scale BENCH_cluster.json is never clobbered by smoke
-# numbers.
-go run ./cmd/flowbench -cluster -scale 0.02 -quiet \
-  -cluster-out "$(mktemp -t BENCH_cluster_smoke.XXXXXX.json)"
-
-echo "== ingest bench smoke =="
-# Tiny run of the ingest write-path bench: WAL + group commit vs the
-# serialized baseline, reader latency under write load, restricted
-# re-mine exactness (the bench panics if restricted and full re-mines
-# diverge). Scratch output keeps the committed BENCH_ingest.json intact.
-go run ./cmd/flowbench -ingest -scale 0.02 -quiet \
-  -ingest-out "$(mktemp -t BENCH_ingest_smoke.XXXXXX.json)"
-
-echo "== olap bench smoke =="
-# Tiny run of the OLAP query-algebra bench: the materialization planner's
-# budget sweep with per-cell digest verification (the bench panics if a
-# reconstructed cell diverges from its eager twin). Scratch output keeps
-# the committed BENCH_olap.json intact.
-go run ./cmd/flowbench -olap -scale 0.02 -quiet \
-  -olap-out "$(mktemp -t BENCH_olap_smoke.XXXXXX.json)"
 
 echo "== fuzz (10s per target) =="
 go test ./internal/core -run '^$' -fuzz FuzzParseCellSpec -fuzztime 10s
