@@ -78,8 +78,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	tau := fs.Float64("tau", 0, "similarity threshold τ, 0 disables redundancy marking (when building)")
 	exceptions := fs.Bool("exceptions", false, "mine flowgraph exceptions (when building)")
 	workers := fs.Int("workers", 0, "goroutines for flowgraph construction (when building; 0 = sequential)")
-	lazy := fs.Bool("lazy", false, "mmap v2 cube snapshots and decode sections on first touch (cold open in milliseconds, bounded RSS)")
-	lazyCache := fs.Int64("lazy-cache", 0, "decoded-section LRU budget in bytes for -lazy (0 = default 64 MiB, negative = unbounded)")
+	lazy := fs.Bool("lazy", false, "mmap v2 cube snapshots and decode one cell at a time on first touch (cold open in milliseconds, bounded RSS)")
+	lazyCache := fs.Int64("lazy-cache", 0, "LRU budget in bytes for -lazy's section directories and decoded cells (0 = default 64 MiB, negative = unbounded)")
 	timeout := fs.Duration("timeout", server.DefaultRequestTimeout, "per-request timeout")
 	cacheSize := fs.Int("cache", server.DefaultCacheSize, "response cache entries (negative disables)")
 	wal := fs.String("wal", "", "write-ahead log path: journal append batches before folding and replay them on startup (empty disables durability)")

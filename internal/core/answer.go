@@ -168,10 +168,10 @@ type Answer struct {
 var ErrNotComputable = errors.New("core: cell not computable from materialized descendants")
 
 // CellSource is the planner's only view of stored cells. It has exactly two
-// implementations: *Cube itself (eager and lazily loaded cubes share it
-// behind Cube.Cuboid) and the cluster router's request-scoped remote source,
+// implementations: *Cube itself (eager and lazily loaded cubes alike) and
+// the cluster router's request-scoped remote source,
 // which fetches from the shards that own the cells (internal/cluster). The
-// methods return no errors; a source that can fail — a lazy section that
+// methods return no errors; a source that can fail — a lazy cell that
 // does not decode, an unreachable shard — reports absence and keeps a sticky
 // error its caller checks once the plan has run (Cube.LazyErr).
 type CellSource interface {
@@ -243,7 +243,7 @@ func (c *Cube) AnswerFrom(ctx context.Context, src CellSource, q Query) (*Answer
 			return nil, err
 		}
 		candidates, _ := c.EnumerateCellValues(spec)
-		keep := candidates[:0]
+		var keep [][]hierarchy.NodeID // fresh: never filter into the enumeration's backing array
 		for _, v := range candidates {
 			if cellKey(c.GeneralizeValues(spec.Item, q.Spec.Item, v)) == cellKey(q.Values) {
 				keep = append(keep, v)
@@ -254,7 +254,7 @@ func (c *Cube) AnswerFrom(ctx context.Context, src CellSource, q Query) (*Answer
 		}
 	case OpSlice, OpDice:
 		candidates, _ := c.EnumerateCellValues(q.Spec)
-		keep := candidates[:0]
+		var keep [][]hierarchy.NodeID
 		for _, v := range candidates {
 			match := true
 			for _, sel := range q.Select {

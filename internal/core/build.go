@@ -389,10 +389,13 @@ func PopulateBench(db *pathdb.DB, cfg Config) (cube *Cube, run, assign func(), e
 
 // forEach runs fn over [0,n) — concurrently when Config.Workers > 1. Each
 // index touches disjoint state (one cell), so no synchronization beyond
-// the join is needed. Workers claim indices from a shared cursor, so a
-// finished index costs one atomic add, not a rendezvous with a feeder.
-func (c *Cube) forEach(n int, fn func(i int)) {
-	workers := c.Config.Workers
+// the join is needed.
+func (c *Cube) forEach(n int, fn func(i int)) { forEach(c.Config.Workers, n, fn) }
+
+// forEach runs fn over [0,n) on up to workers goroutines (sequentially at 0
+// or 1). Workers claim indices from a shared cursor, so a finished index
+// costs one atomic add, not a rendezvous with a feeder.
+func forEach(workers, n int, fn func(i int)) {
 	if workers <= 1 || n < 2 {
 		for i := 0; i < n; i++ {
 			fn(i)

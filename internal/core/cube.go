@@ -223,12 +223,17 @@ type Config struct {
 func (c *Cube) MinCount() int64 { return c.minCount }
 
 // Cuboid returns a materialized cuboid, or nil. On a lazily loaded cube
-// this decodes the cuboid's section on first touch (through the LRU); a
-// section that fails to decode reports nil, with the error available via
-// LazyErr.
+// every call decodes the cuboid's whole section afresh, uncached — point
+// reads go through Lookup, which decodes one cell; a section that fails to
+// decode reports nil, with the error available via LazyErr.
 func (c *Cube) Cuboid(spec CuboidSpec) *Cuboid {
 	if c.lazy != nil {
-		return c.lazy.cuboidByKey(spec.Key())
+		sec := c.lazy.secs[spec.Key()]
+		if sec == nil {
+			return nil
+		}
+		cb, _ := c.lazy.cuboid(sec)
+		return cb
 	}
 	return c.Cuboids[spec.Key()]
 }
@@ -242,9 +247,15 @@ func (c *Cube) Cell(spec CuboidSpec, values []hierarchy.NodeID) (*Cell, bool) {
 
 // Lookup is Cell that also reports whether the cuboid is materialized at
 // all, which is what tells a sub-δ or compressed cell (nil, true) from a
-// cell of a cuboid the cube does not hold (nil, false).
+// cell of a cuboid the cube does not hold (nil, false). On a lazily loaded
+// cube it decodes that one cell on first touch (through the LRU); a cell
+// that fails to decode reports absence, with the error available via
+// LazyErr.
 func (c *Cube) Lookup(spec CuboidSpec, values []hierarchy.NodeID) (*Cell, bool) {
-	cb := c.Cuboid(spec)
+	if c.lazy != nil {
+		return c.lazy.lookup(spec.Key(), values)
+	}
+	cb := c.Cuboids[spec.Key()]
 	if cb == nil {
 		return nil, false
 	}
@@ -271,10 +282,10 @@ func (cb *Cuboid) SortedCells() []*Cell {
 // this slice rather than the Cuboids map: map iteration order is randomized
 // per run, so ranging the map directly would make snapshots, first-violation
 // errors, and summaries differ between two otherwise identical processes.
+//
+// Eager cubes only: a lazy cube's Cuboids map is empty, and its whole-cube
+// walks have their own backend paths.
 func (c *Cube) sortedCuboids() []*Cuboid {
-	if c.lazy != nil {
-		return c.lazy.sortedAll()
-	}
 	keys := make([]string, 0, len(c.Cuboids))
 	for k := range c.Cuboids {
 		keys = append(keys, k)
@@ -314,9 +325,9 @@ type CuboidSummary struct {
 // CuboidSummaries returns a per-cuboid census sorted by cuboid key, so
 // long-lived consumers (e.g. query servers) can report on the cube without
 // iterating its internal maps. It is a pure read and safe under concurrent
-// readers. On a lazy cube the census comes from a flat scan over the
-// mapped sections (cached per section) without materializing any cells; a
-// scan failure reports nil with the error available via LazyErr.
+// readers. On a lazy cube the census comes from the section directories
+// (one flat walk each, cached like any entry) without materializing any
+// cells; a walk failure reports nil with the error available via LazyErr.
 func (c *Cube) CuboidSummaries() []CuboidSummary {
 	if c.lazy != nil {
 		out, err := c.lazy.summaries()

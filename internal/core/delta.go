@@ -135,12 +135,12 @@ type LevelCuboids struct {
 func (c *Cube) LevelCuboids() []LevelCuboids {
 	if c.levelCuboids == nil {
 		var out []LevelCuboids
-		for _, cb := range c.sortedCuboids() {
-			if n := len(out); n == 0 || out[n-1].Item.Key() != cb.Spec.Item.Key() {
-				out = append(out, LevelCuboids{Item: cb.Spec.Item})
+		for _, spec := range c.MaterializedSpecs() {
+			if n := len(out); n == 0 || out[n-1].Item.Key() != spec.Item.Key() {
+				out = append(out, LevelCuboids{Item: spec.Item})
 			}
 			last := &out[len(out)-1]
-			last.Keys = append(last.Keys, cb.Spec.Key())
+			last.Keys = append(last.Keys, spec.Key())
 		}
 		c.levelCuboids = out
 	}

@@ -20,7 +20,7 @@ import (
 // violation.
 func (c *Cube) Validate() error {
 	if c.lazy != nil {
-		// Lazy cubes validate by decoding every section through the LRU;
+		// Lazy cubes validate by decoding every section whole, uncached;
 		// decode failures surface here as *CorruptSnapshotError instead of
 		// being swallowed like the error-less query paths must.
 		return c.lazy.validate(c)

@@ -12,25 +12,16 @@ import (
 )
 
 // MaterializedSpecs returns the spec of every materialized cuboid in
-// ascending key order. On a lazy cube this reads the section census without
-// decoding any cells.
+// ascending key order. On a lazy cube this reads the section index without
+// touching the mapping.
 func (c *Cube) MaterializedSpecs() []CuboidSpec {
 	if c.lazy != nil {
-		sums := c.CuboidSummaries()
-		out := make([]CuboidSpec, len(sums))
-		for i, s := range sums {
-			out[i] = CuboidSpec{Item: s.Item, PathLevel: s.PathLevel}
-		}
-		return out
+		return c.lazy.specs()
 	}
-	keys := make([]string, 0, len(c.Cuboids))
-	for k := range c.Cuboids {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]CuboidSpec, len(keys))
-	for i, k := range keys {
-		out[i] = c.Cuboids[k].Spec
+	cuboids := c.sortedCuboids()
+	out := make([]CuboidSpec, len(cuboids))
+	for i, cb := range cuboids {
+		out[i] = cb.Spec
 	}
 	return out
 }
@@ -126,14 +117,19 @@ func (c *Cube) GeneralizeValues(from, to ItemLevel, values []hierarchy.NodeID) [
 // cuboid sharing the item level (counts are independent of path level: a
 // cell's count is the size of its path set, however the paths are
 // aggregated). It is the certificate anchor for computed cells: a fold of
-// descendants is exact iff the folded counts sum to the census count.
+// descendants is exact iff the folded counts sum to the census count. A lazy
+// cube reads the count from the twin's directory and decodes no graph.
 func (c *Cube) Census(spec CuboidSpec, values []hierarchy.NodeID) (int64, bool) {
 	ilKey := spec.Item.Key()
 	for _, ms := range c.MaterializedSpecs() {
 		if ms.Item.Key() != ilKey || ms.Key() == spec.Key() {
 			continue
 		}
-		if cell, ok := c.Cell(ms, values); ok {
+		if c.lazy != nil {
+			if n, ok := c.lazy.count(ms.Key(), values); ok {
+				return n, true
+			}
+		} else if cell, ok := c.Cell(ms, values); ok {
 			return cell.Count, true
 		}
 	}
@@ -142,16 +138,23 @@ func (c *Cube) Census(spec CuboidSpec, values []hierarchy.NodeID) (int64, bool) 
 
 // FoldSources returns the cells of the materialized cuboid ds that
 // generalize to the cell (spec, values), in ascending cell-key order: the
-// candidates a fold of ds into that cell would merge.
+// candidates a fold of ds into that cell would merge. A lazy cube selects
+// them on the directory's value tuples and decodes only the selected cells.
 func (c *Cube) FoldSources(ds, spec CuboidSpec, values []hierarchy.NodeID) []*Cell {
-	cb := c.Cuboid(ds)
+	target := cellKey(values)
+	match := func(v []hierarchy.NodeID) bool {
+		return cellKey(c.GeneralizeValues(ds.Item, spec.Item, v)) == target
+	}
+	if c.lazy != nil {
+		return c.lazy.cellsMatching(ds.Key(), match)
+	}
+	cb := c.Cuboids[ds.Key()]
 	if cb == nil {
 		return nil
 	}
-	target := cellKey(values)
 	var out []*Cell
 	for _, cell := range cb.SortedCells() {
-		if cellKey(c.GeneralizeValues(ds.Item, spec.Item, cell.Values)) == target {
+		if match(cell.Values) {
 			out = append(out, cell)
 		}
 	}
@@ -198,39 +201,55 @@ func (c *Cube) Partial(spec CuboidSpec, values []hierarchy.NodeID) Partial {
 	return p
 }
 
+// cuboidCellValues lists a materialized cuboid's value tuples in ascending
+// cell-key order; false when the cuboid is not materialized. The outer slice
+// is the caller's, the tuples are the cells' own and read-only. A lazy cube
+// answers from the section directory without decoding a graph.
+func (c *Cube) cuboidCellValues(spec CuboidSpec) ([][]hierarchy.NodeID, bool) {
+	if c.lazy != nil {
+		return c.lazy.cellValues(spec.Key())
+	}
+	cb := c.Cuboids[spec.Key()]
+	if cb == nil {
+		return nil, false
+	}
+	cells := cb.SortedCells()
+	out := make([][]hierarchy.NodeID, len(cells))
+	for i, cell := range cells {
+		out[i] = cell.Values
+	}
+	return out, true
+}
+
 // EnumerateCellValues lists the value tuples of spec's cells whether or not
 // the cuboid is materialized, in ascending cell-key order. For a dropped
 // cuboid the tuples come from a materialized cuboid at the same item level
 // (the census twin — cell sets at one item level agree across path levels
 // of an uncompressed cube), falling back to the distinct generalizations of
 // every materialized descendant's cells. The bool reports whether any
-// source was found.
+// source was found. The returned outer slice is the caller's to reorder or
+// filter in place; the tuples themselves are shared and read-only.
 func (c *Cube) EnumerateCellValues(spec CuboidSpec) ([][]hierarchy.NodeID, bool) {
-	if cb := c.Cuboid(spec); cb != nil {
-		cells := cb.SortedCells()
-		out := make([][]hierarchy.NodeID, len(cells))
-		for i, cell := range cells {
-			out[i] = cell.Values
-		}
+	if out, ok := c.cuboidCellValues(spec); ok {
 		return out, true
 	}
+	specs := c.MaterializedSpecs()
 	ilKey := spec.Item.Key()
-	for _, ms := range c.MaterializedSpecs() {
-		if ms.Item.Key() != ilKey || ms.Key() == spec.Key() {
-			continue
+	for _, ms := range specs {
+		if ms.Item.Key() == ilKey && ms.Key() != spec.Key() {
+			return c.cuboidCellValues(ms)
 		}
-		return c.EnumerateCellValues(ms)
 	}
 	seen := map[string][]hierarchy.NodeID{}
 	found := false
-	for _, ds := range c.descendantSpecs(c.MaterializedSpecs(), spec) {
-		cb := c.Cuboid(ds)
-		if cb == nil {
+	for _, ds := range c.descendantSpecs(specs, spec) {
+		tuples, ok := c.cuboidCellValues(ds)
+		if !ok {
 			continue
 		}
 		found = true
-		for _, cell := range cb.Cells {
-			up := c.GeneralizeValues(ds.Item, spec.Item, cell.Values)
+		for _, v := range tuples {
+			up := c.GeneralizeValues(ds.Item, spec.Item, v)
 			seen[cellKey(up)] = up
 		}
 	}

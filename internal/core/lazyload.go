@@ -3,17 +3,22 @@ package core
 // Lazy (mmap-backed) snapshot serving: LoadCubeLazy maps a v2 snapshot
 // read-only, eagerly validates the framing — magic, header, section index,
 // every section's CRC-32C — and decodes the preamble and ledger once, but
-// leaves every cuboid section as a byte range into the mapping. Cells are
-// decoded per section on first touch through a byte-budgeted LRU with
-// single-flight dedup, so a server's cold open costs milliseconds and its
-// resident decoded state stays bounded regardless of cube size. Summary and
-// exception queries answer directly from flat scans over the mapped arrays
-// without materializing a Cell at all (the FlowCube partial-materialization
-// idea applied to storage; see DESIGN.md §8).
+// leaves every cuboid section as a byte range into the mapping. The unit of
+// decoding and caching is the cell: one flat walk over a section (prefixes
+// decoded, flowgraphs skipped) yields its directory — sorted cell keys,
+// value tuples, counts and byte offsets — and a point read binary-searches
+// the directory and decodes only the cell it names. Directories and decoded
+// cells share one byte-budgeted LRU with single-flight dedup, so a server's
+// cold open costs milliseconds, a cold lookup costs one cell, and resident
+// decoded state stays bounded regardless of cube size. Summaries, censuses,
+// fold-source selection and cell enumeration answer from directories, and
+// exception queries from flat scans over the mapped arrays, without
+// materializing a Cell at all (the FlowCube partial-materialization idea
+// applied to storage; see DESIGN.md §8).
 //
 // Decoded structures never alias the mapping — strings and columns are
 // fresh heap allocations — so eviction only drops cache references and
-// already-returned cuboids stay valid; Close (or the finalizer) is the only
+// already-returned cells stay valid; Close (or the finalizer) is the only
 // operation that invalidates the mapping, and it must not race in-flight
 // queries, the same contract snapshot swapping already has.
 //
@@ -39,7 +44,7 @@ import (
 	"flowcube/internal/pathdb"
 )
 
-// DefaultLazyCacheBytes is the decoded-cuboid LRU budget when
+// DefaultLazyCacheBytes is the lazy cache budget when
 // LazyOptions.CacheBytes is zero (~64 MB of estimated decoded heap).
 const DefaultLazyCacheBytes = 64 << 20
 
@@ -48,12 +53,12 @@ var errLazyClosed = errors.New("core: lazy cube is closed")
 
 // LazyOptions parameterizes LoadCubeLazy.
 type LazyOptions struct {
-	// CacheBytes budgets the decoded-cuboid LRU, measured in estimated
-	// decoded heap bytes (see flatFootprint) rather than encoded payload
-	// bytes. 0 means DefaultLazyCacheBytes; negative disables eviction.
-	// One cuboid section larger than the whole budget still caches (the
-	// LRU never evicts its only entry), so the resident bound is
-	// max(CacheBytes, largest single section).
+	// CacheBytes budgets the LRU of section directories and decoded cells,
+	// measured in estimated decoded heap bytes (see flatFootprint) rather
+	// than encoded payload bytes. 0 means DefaultLazyCacheBytes; negative
+	// disables eviction. One entry larger than the whole budget still
+	// caches (the LRU never evicts its only entry), so the resident bound
+	// is max(CacheBytes, largest single directory or cell).
 	CacheBytes int64
 }
 
@@ -70,27 +75,62 @@ type snapData interface {
 }
 
 // lazySection is one cuboid section of the snapshot: its decoded header
-// (spec, cell count) plus the payload byte range. The flat-scan result is
-// cached after the first summary/save scan.
+// (spec, cell count) plus the payload byte range and where in it the cells
+// start.
 type lazySection struct {
 	key      string
 	spec     CuboidSpec
 	numCells int
 	off, n   int64
-	scan     atomic.Pointer[sectionScan]
+	cellsOff int
 }
 
-// sectionScan is the result of one flat walk over a section's cells:
-// the redundant-cell census (for CuboidSummaries) and whether the cells
-// are stored in sorted key order (raw byte copy on Save is only valid
-// then — eager Save re-sorts, and lazy Save must produce identical bytes).
-type sectionScan struct {
+// sectionDir is the result of one flat walk over a section's cells: one
+// entry per cell in ascending key order, the redundant-cell census (for
+// CuboidSummaries) and whether the cells are stored in that order (raw byte
+// copy on Save is only valid then — eager Save re-sorts, and lazy Save must
+// produce identical bytes). It is immutable once built; callers share it.
+type sectionDir struct {
+	entries   []dirEntry
 	redundant int
 	sorted    bool
 }
 
+// dirEntry locates one cell: its key and value tuple, its path count (so a
+// census never decodes a graph), and its byte range within the section
+// payload.
+type dirEntry struct {
+	key      string
+	values   []hierarchy.NodeID
+	count    int64
+	off, end int32 // maxSectionBytes fits int32
+}
+
+// Directory-footprint model, the cache cost of a sectionDir: the entry
+// struct plus the key and value allocations' headers, then their bytes.
+const (
+	dirBaseFootprint  = 64
+	dirEntryFootprint = 88
+)
+
+// find binary-searches the directory for a cell key.
+func (d *sectionDir) find(key string) (*dirEntry, bool) {
+	i := sort.Search(len(d.entries), func(i int) bool { return d.entries[i].key >= key })
+	if i == len(d.entries) || d.entries[i].key != key {
+		return nil, false
+	}
+	return &d.entries[i], true
+}
+
+// lazyEntry is what the backend's one cache holds: a section's directory
+// (under the section key) or one decoded cell (section key + "/" + cell key).
+type lazyEntry struct {
+	dir  *sectionDir
+	cell *Cell
+}
+
 // lazyBackend holds everything behind a lazily loaded cube: the mapped
-// data, the section index, the decoded-cuboid LRU, and the sticky first
+// data, the section index, the directory-and-cell LRU, and the sticky first
 // decode error.
 type lazyBackend struct {
 	data   snapData
@@ -99,12 +139,13 @@ type lazyBackend struct {
 	secs   map[string]*lazySection
 	order  []*lazySection // sorted by key: deterministic scans and saves
 
-	cache *lru.Cache[*Cuboid]
+	cache *lru.Cache[lazyEntry]
 
-	// decodedSections/decodedBytes count cumulative section decodes (cache
-	// misses that ran the decoder) and the encoded payload bytes they read.
-	decodedSections atomic.Int64
-	decodedBytes    atomic.Int64
+	// decodedCells/decodedBytes count cumulative cell decodes (cache misses
+	// that ran the cell decoder) and the encoded bytes they read. Directory
+	// walks skip the graphs and count toward neither.
+	decodedCells atomic.Int64
+	decodedBytes atomic.Int64
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -124,27 +165,29 @@ type LazyStats struct {
 	Mapped bool
 	// MappedBytes is the snapshot file size backing the cube.
 	MappedBytes int64
-	// BudgetBytes is the decoded-cuboid LRU budget (<0: unbounded).
+	// BudgetBytes is the directory-and-cell LRU budget (<0: unbounded).
 	BudgetBytes int64
 	// Sections is the number of cuboid sections in the snapshot.
 	Sections int
-	// DecodedSections and DecodedBytes count cumulative section decodes
-	// and the encoded payload bytes they consumed.
-	DecodedSections int64
-	DecodedBytes    int64
-	// CachedSections and CachedBytes describe the LRU's resident set;
-	// CachedBytes is the estimated decoded heap footprint.
-	CachedSections int
-	CachedBytes    int64
-	CacheHits      int64
-	CacheMisses    int64
-	Evictions      int64
+	// DecodedCells and DecodedBytes count cumulative cell decodes and the
+	// encoded bytes they consumed.
+	DecodedCells int64
+	DecodedBytes int64
+	// CachedEntries and CachedBytes describe the LRU's resident set —
+	// section directories and decoded cells alike; CachedBytes is the
+	// estimated decoded heap footprint. Hits, misses and evictions count
+	// both kinds too.
+	CachedEntries int
+	CachedBytes   int64
+	CacheHits     int64
+	CacheMisses   int64
+	Evictions     int64
 }
 
 // LoadCubeLazy opens a v2 snapshot for lazy serving: the file is mapped
 // read-only (pread fallback under the nommap tag or off linux), every
 // section's framing and CRC-32C is validated eagerly, the preamble and
-// ledger are decoded once, and cuboid sections decode on first touch
+// ledger are decoded once, and cells decode one at a time on first touch
 // through a CacheBytes-budgeted LRU with single-flight dedup.
 //
 // The returned cube answers the full read surface — Cell, Answer,
@@ -198,10 +241,9 @@ type snapFrame struct {
 // readFrame parses and CRC-checks the section frame at off. The returned
 // payload is a view of the data (zero-copy when mapped).
 func readFrame(data snapData, off int64) (snapFrame, []byte, error) {
-	frame := &byteReader{section: "frame"}
 	size := data.size()
 	if off >= size {
-		return snapFrame{}, nil, frame.corrupt("missing section kind: EOF at offset %d", off)
+		return snapFrame{}, nil, frameCorrupt("missing section kind: EOF at offset %d", off)
 	}
 	hn := min(int64(1+binary.MaxVarintLen64), size-off)
 	hdr, err := data.view(off, hn)
@@ -210,15 +252,15 @@ func readFrame(data snapData, off int64) (snapFrame, []byte, error) {
 	}
 	n, w := binary.Uvarint(hdr[1:])
 	if w <= 0 {
-		return snapFrame{}, nil, frame.corrupt("bad section length at offset %d", off)
+		return snapFrame{}, nil, frameCorrupt("bad section length at offset %d", off)
 	}
 	if n > maxSectionBytes {
-		return snapFrame{}, nil, frame.corrupt("section length %d exceeds the %d byte cap", n, maxSectionBytes)
+		return snapFrame{}, nil, frameCorrupt("section length %d exceeds the %d byte cap", n, maxSectionBytes)
 	}
 	fr := snapFrame{kind: hdr[0], payloadOff: off + 1 + int64(w), payloadLen: int64(n)}
 	fr.next = fr.payloadOff + fr.payloadLen + 4
 	if fr.next > size {
-		return snapFrame{}, nil, frame.corrupt("truncated section payload at offset %d", off)
+		return snapFrame{}, nil, frameCorrupt("truncated section payload at offset %d", off)
 	}
 	payload, err := data.view(fr.payloadOff, fr.payloadLen)
 	if err != nil {
@@ -229,127 +271,68 @@ func readFrame(data snapData, off int64) (snapFrame, []byte, error) {
 		return snapFrame{}, nil, err
 	}
 	if got, want := crc32.Checksum(payload, snapshotCRCTable), binary.LittleEndian.Uint32(crcBytes); got != want {
-		return snapFrame{}, nil, frame.corrupt("section checksum mismatch (got %08x, want %08x)", got, want)
+		return snapFrame{}, nil, frameCorrupt("section checksum mismatch (got %08x, want %08x)", got, want)
 	}
 	return fr, payload, nil
 }
 
-// openLazy walks the snapshot's sections, validating every frame and CRC,
-// decoding the preamble and ledger, and indexing cuboid sections by key
-// without decoding any cells.
+// openLazy walks the snapshot's sections through the loaders' shared section
+// decoders — only the framing walk differs: readFrame over the mapping —
+// validating every frame and CRC, decoding the preamble and ledger, and
+// indexing cuboid sections by key without decoding any cells.
 func openLazy(data snapData, opts LazyOptions) (*Cube, error) {
 	off := int64(len(magicV2))
-
-	// Preamble: the same three-section sequence (and the same payload
-	// decoders) the streaming loader uses; only the framing walk differs.
-	fr, payload, err := readFrame(data, off)
-	if err != nil {
-		return nil, err
+	var fr snapFrame
+	next := func() (byte, []byte, error) {
+		var payload []byte
+		var err error
+		fr, payload, err = readFrame(data, off)
+		off = fr.next
+		return fr.kind, payload, err
 	}
-	if fr.kind != secHeader {
-		return nil, (&byteReader{section: "header"}).corrupt("first section has kind %d, want header", fr.kind)
-	}
-	h, err := decodeHeaderV2(payload)
-	if err != nil {
-		return nil, err
-	}
-	fr, payload, err = readFrame(data, fr.next)
-	if err != nil {
-		return nil, err
-	}
-	if fr.kind != secHierarchies {
-		return nil, (&byteReader{section: "hierarchies"}).corrupt("second section has kind %d, want hierarchies", fr.kind)
-	}
-	schema, err := decodeHierarchiesV2(payload, h.numDims)
-	if err != nil {
-		return nil, err
-	}
-	fr, payload, err = readFrame(data, fr.next)
-	if err != nil {
-		return nil, err
-	}
-	if fr.kind != secPlan {
-		return nil, (&byteReader{section: "plan"}).corrupt("third section has kind %d, want plan", fr.kind)
-	}
-	plan, levels, err := decodePlanV2(payload, schema, h)
-	if err != nil {
-		return nil, err
-	}
-	p, err := assemblePreambleV2(h, schema, plan, levels)
+	p, err := decodePreambleV2(next)
 	if err != nil {
 		return nil, err
 	}
 
+	budget := opts.CacheBytes
+	if budget == 0 {
+		budget = DefaultLazyCacheBytes
+	}
 	b := &lazyBackend{
 		data:   data,
 		loc:    p.location,
 		levels: p.levels,
 		secs:   make(map[string]*lazySection, p.numCuboids),
+		cache:  lru.New[lazyEntry](budget),
 	}
-	budget := opts.CacheBytes
-	if budget == 0 {
-		budget = DefaultLazyCacheBytes
-	}
-	b.cache = lru.New[*Cuboid](budget)
-
-	var ledger *Ledger
-	off = fr.next
-	for {
-		fr, payload, err = readFrame(data, off)
+	ledger, err := decodeBodyV2(next, p, func(payload []byte) error {
+		r := &byteReader{section: "cuboid", buf: payload}
+		spec, numCells, err := decodeCuboidHeaderV2(r, p.levels)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		off = fr.next
-		if fr.kind == secEnd {
-			break
+		if err := validateSpec(spec, p.syms, p.schema); err != nil {
+			return err
 		}
-		switch fr.kind {
-		case secLedger:
-			if ledger != nil {
-				return nil, (&byteReader{section: "frame"}).corrupt("duplicate ledger section")
-			}
-			if ledger, err = decodeLedgerV2(payload, p.numDims); err != nil {
-				return nil, err
-			}
-		case secCuboid:
-			if ledger != nil {
-				return nil, (&byteReader{section: "frame"}).corrupt("cuboid section after the ledger section")
-			}
-			if uint64(len(b.order)) >= p.numCuboids {
-				return nil, (&byteReader{section: "frame"}).corrupt(
-					"more cuboid sections than the header's %d", p.numCuboids)
-			}
-			r := &byteReader{section: "cuboid", buf: payload}
-			spec, numCells, err := decodeCuboidHeaderV2(r, p.levels)
-			if err != nil {
-				return nil, err
-			}
-			if err := validateSpec(spec, p.syms, p.schema); err != nil {
-				return nil, err
-			}
-			key := spec.Key()
-			if _, dup := b.secs[key]; dup {
-				return nil, (&byteReader{section: "frame"}).corrupt("duplicate cuboid %s", key)
-			}
-			sec := &lazySection{key: key, spec: spec, numCells: numCells, off: fr.payloadOff, n: fr.payloadLen}
-			b.secs[key] = sec
-			b.order = append(b.order, sec)
-		default:
-			return nil, (&byteReader{section: "frame"}).corrupt("unknown section kind %d", fr.kind)
+		key := spec.Key()
+		if _, dup := b.secs[key]; dup {
+			return frameCorrupt("duplicate cuboid %s", key)
 		}
-	}
-	if uint64(len(b.order)) != p.numCuboids {
-		return nil, (&byteReader{section: "frame"}).corrupt(
-			"%d cuboid sections, header promised %d", len(b.order), p.numCuboids)
+		sec := &lazySection{key: key, spec: spec, numCells: numCells,
+			off: fr.payloadOff, n: fr.payloadLen, cellsOff: r.off}
+		b.secs[key] = sec
+		b.order = append(b.order, sec)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(b.order, func(i, j int) bool { return b.order[i].key < b.order[j].key })
 
 	cube := p.cube()
 	cube.lazy = b
-	if ledger != nil {
-		cube.ledger = ledger
-		cube.Config.DeltaLedger = true
-	}
+	cube.setLedger(ledger)
 	// Backstop for dropped cubes: release the mapping (and the fallback's
 	// fd) when the backend becomes unreachable without an explicit Close —
 	// a server that reloads and lets old snapshots age out relies on this.
@@ -397,46 +380,202 @@ func (b *lazyBackend) lazyErr() error {
 	return b.firstErr
 }
 
-// cuboid returns a section's decoded cuboid through the section cache:
-// decoded on first touch, at its estimated decoded heap cost. Decode errors
-// are not cached — a later touch retries — and the first one is recorded
-// sticky for LazyErr.
-func (b *lazyBackend) cuboid(sec *lazySection) (*Cuboid, error) {
-	cb, _, err := b.cache.Do(sec.key, func() (*Cuboid, int64, error) { return b.decodeSection(sec) })
+// dir returns a section's directory through the cache: built by one flat
+// walk on first touch, at its own byte cost. Build errors are not cached — a
+// later touch retries — and the first one is recorded sticky for LazyErr.
+func (b *lazyBackend) dir(sec *lazySection) (*sectionDir, error) {
+	ent, _, err := b.cache.Do(sec.key, func() (lazyEntry, int64, error) {
+		d, cost, err := b.buildDir(sec)
+		return lazyEntry{dir: d}, cost, err
+	})
 	if err != nil {
 		b.noteErr(err)
 	}
-	return cb, err
+	return ent.dir, err
 }
 
-// decodeSection runs the full cuboid decoder over one section payload.
-func (b *lazyBackend) decodeSection(sec *lazySection) (*Cuboid, int64, error) {
+// buildDir walks a section's cells once — prefixes decoded, flat graphs
+// skipped — and makes every whole-section check the full decoder makes: the
+// claimed cell count fits the payload, no trailing bytes, no duplicate cell.
+// Cells our Save wrote are in ascending key order, which rules duplicates
+// out on the walk; a foreign writer's unsorted section is sorted here (and
+// then checked), so point reads serve it exactly as an eager Load does.
+func (b *lazyBackend) buildDir(sec *lazySection) (*sectionDir, int64, error) {
 	payload, err := b.view(sec)
 	if err != nil {
 		return nil, 0, err
 	}
-	cb, cost, err := decodeCuboidV2(payload, b.loc, b.levels)
-	if err != nil {
-		return nil, 0, err
+	r := &byteReader{section: "cuboid " + sec.key, buf: payload, off: sec.cellsOff}
+	d := &sectionDir{entries: make([]dirEntry, 0, min(sec.numCells, r.rem()/minCellBytesV2)), sorted: true}
+	cost := int64(dirBaseFootprint)
+	for ci := 0; ci < sec.numCells; ci++ {
+		e := dirEntry{off: int32(r.off)}
+		var flags byte
+		if e.values, e.count, flags, _, err = decodeCellPrefixV2(r); err != nil {
+			return nil, 0, err
+		}
+		if flags&2 != 0 {
+			if err := skipFlatGraph(r); err != nil {
+				return nil, 0, err
+			}
+		}
+		e.end = int32(r.off)
+		e.key = cellKey(e.values)
+		if ci > 0 && e.key <= d.entries[ci-1].key {
+			d.sorted = false
+		}
+		if flags&1 != 0 {
+			d.redundant++
+		}
+		cost += dirEntryFootprint + int64(len(e.key)) + 4*int64(len(e.values))
+		d.entries = append(d.entries, e)
 	}
-	b.decodedSections.Add(1)
-	b.decodedBytes.Add(sec.n)
-	return cb, cost, nil
+	if r.rem() != 0 {
+		return nil, 0, r.corrupt("%d trailing bytes", r.rem())
+	}
+	if !d.sorted {
+		sort.SliceStable(d.entries, func(i, j int) bool { return d.entries[i].key < d.entries[j].key })
+		for i := 1; i < len(d.entries); i++ {
+			if d.entries[i].key == d.entries[i-1].key {
+				return nil, 0, r.corrupt("duplicate cell %s", d.entries[i].key)
+			}
+		}
+	}
+	return d, cost, nil
 }
 
-// cuboidByKey is the error-less lookup behind (*Cube).Cuboid and Cell:
-// unknown keys and decode failures both report absence (failures are
-// recorded for LazyErr).
-func (b *lazyBackend) cuboidByKey(key string) *Cuboid {
-	sec := b.secs[key]
-	if sec == nil {
-		return nil
-	}
-	cb, err := b.cuboid(sec)
+// cell returns the decoded cell a directory entry names through the cache:
+// only that cell's bytes are viewed and decoded, single-flight, at the
+// cell's estimated decoded heap cost. Decode errors are not cached and the
+// first one is recorded sticky for LazyErr.
+func (b *lazyBackend) cell(sec *lazySection, e *dirEntry) (*Cell, error) {
+	ent, _, err := b.cache.Do(sec.key+"/"+e.key, func() (lazyEntry, int64, error) {
+		if b.closed.Load() {
+			return lazyEntry{}, 0, errLazyClosed
+		}
+		buf, err := b.data.view(sec.off+int64(e.off), int64(e.end-e.off))
+		if err != nil {
+			return lazyEntry{}, 0, err
+		}
+		r := &byteReader{section: "cuboid " + sec.key, buf: buf}
+		cell, cost, err := decodeCellV2(r, b.loc, b.levels[sec.spec.PathLevel])
+		if err == nil && r.rem() != 0 {
+			err = r.corrupt("cell %s: %d bytes past its flowgraph", e.key, r.rem())
+		}
+		if err != nil {
+			return lazyEntry{}, 0, err
+		}
+		b.decodedCells.Add(1)
+		b.decodedBytes.Add(int64(len(buf)))
+		return lazyEntry{cell: cell}, cost, nil
+	})
 	if err != nil {
+		b.noteErr(err)
+	}
+	return ent.cell, err
+}
+
+// section returns a materialized cuboid's section and directory; both nil
+// for an unknown cuboid or one whose directory does not build (recorded for
+// LazyErr). It fronts every error-less directory read.
+func (b *lazyBackend) section(specKey string) (*lazySection, *sectionDir) {
+	sec := b.secs[specKey]
+	if sec == nil {
+		return nil, nil
+	}
+	d, err := b.dir(sec)
+	if err != nil {
+		return nil, nil
+	}
+	return sec, d
+}
+
+// lookup is the error-less point read behind (*Cube).Lookup and Cell. An
+// unknown cuboid, or one whose directory does not build, reports not
+// materialized; a cell the directory does not list, or one that fails to
+// decode, reports absence from a materialized cuboid. Failures are recorded
+// for LazyErr.
+func (b *lazyBackend) lookup(specKey string, values []hierarchy.NodeID) (*Cell, bool) {
+	sec, d := b.section(specKey)
+	if d == nil {
+		return nil, false
+	}
+	e, ok := d.find(cellKey(values))
+	if !ok {
+		return nil, true
+	}
+	cell, _ := b.cell(sec, e)
+	return cell, true
+}
+
+// count is a cell's path count straight from the directory.
+func (b *lazyBackend) count(specKey string, values []hierarchy.NodeID) (int64, bool) {
+	if _, d := b.section(specKey); d != nil {
+		if e, ok := d.find(cellKey(values)); ok {
+			return e.count, true
+		}
+	}
+	return 0, false
+}
+
+// cellValues lists a materialized cuboid's value tuples in ascending key
+// order from its directory, decoding no graph. The outer slice is the
+// caller's; the tuples are shared and read-only, as eager cells' are.
+func (b *lazyBackend) cellValues(specKey string) ([][]hierarchy.NodeID, bool) {
+	_, d := b.section(specKey)
+	if d == nil {
+		return nil, false
+	}
+	out := make([][]hierarchy.NodeID, len(d.entries))
+	for i := range d.entries {
+		out[i] = d.entries[i].values
+	}
+	return out, true
+}
+
+// cellsMatching decodes, in ascending key order, the cells of a cuboid whose
+// value tuple passes match: selection runs over the directory, so only the
+// selected cells' graphs are ever decoded. A cell that fails to decode is
+// left out (and recorded); the fold certificate then sums short and refuses.
+func (b *lazyBackend) cellsMatching(specKey string, match func([]hierarchy.NodeID) bool) []*Cell {
+	sec, d := b.section(specKey)
+	if d == nil {
 		return nil
 	}
-	return cb
+	var out []*Cell
+	for i := range d.entries {
+		if !match(d.entries[i].values) {
+			continue
+		}
+		if cell, err := b.cell(sec, &d.entries[i]); err == nil {
+			out = append(out, cell)
+		}
+	}
+	return out
+}
+
+// cuboid decodes one whole section, uncached: what Validate, the unsorted
+// Save fallback and (*Cube).Cuboid need. Point reads never come here.
+func (b *lazyBackend) cuboid(sec *lazySection) (*Cuboid, error) {
+	payload, err := b.view(sec)
+	var cb *Cuboid
+	if err == nil {
+		cb, err = decodeCuboidV2(payload, b.loc, b.levels)
+	}
+	if err != nil {
+		b.noteErr(err)
+		return nil, err
+	}
+	return cb, nil
+}
+
+// specs lists the section specs in ascending key order.
+func (b *lazyBackend) specs() []CuboidSpec {
+	out := make([]CuboidSpec, len(b.order))
+	for i, sec := range b.order {
+		out[i] = sec.spec
+	}
+	return out
 }
 
 // numCells sums the per-section cell counts recorded in the section
@@ -449,56 +588,12 @@ func (b *lazyBackend) numCells() int {
 	return n
 }
 
-// scanSection walks a section's cells once — prefixes decoded, flat graphs
-// skipped — collecting the redundant census and whether cell keys are
-// stored sorted. The result is cached on the section.
-func (b *lazyBackend) scanSection(sec *lazySection) (*sectionScan, error) {
-	if s := sec.scan.Load(); s != nil {
-		return s, nil
-	}
-	payload, err := b.view(sec)
-	if err != nil {
-		return nil, err
-	}
-	r := &byteReader{section: "cuboid", buf: payload}
-	if _, _, err := decodeCuboidHeaderV2(r, b.levels); err != nil {
-		return nil, err
-	}
-	s := &sectionScan{sorted: true}
-	prev := ""
-	for ci := 0; ci < sec.numCells; ci++ {
-		values, _, flags, _, err := decodeCellPrefixV2(r)
-		if err != nil {
-			return nil, err
-		}
-		key := cellKey(values)
-		if ci > 0 && key <= prev {
-			s.sorted = false
-		}
-		prev = key
-		if flags&1 != 0 {
-			s.redundant++
-		}
-		if flags&2 != 0 {
-			if err := skipFlatGraph(r); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if r.rem() != 0 {
-		return nil, r.corrupt("%d trailing bytes", r.rem())
-	}
-	sec.scan.Store(s)
-	return s, nil
-}
-
 // summaries is the flat-scan CuboidSummaries: per-section cell counts from
-// the headers, redundant censuses from cached scans. Any scan failure
-// reports nil after recording the error for LazyErr.
+// the headers, redundant censuses from the directories.
 func (b *lazyBackend) summaries() ([]CuboidSummary, error) {
 	out := make([]CuboidSummary, 0, len(b.order))
 	for _, sec := range b.order {
-		s, err := b.scanSection(sec)
+		d, err := b.dir(sec)
 		if err != nil {
 			return nil, err
 		}
@@ -507,36 +602,32 @@ func (b *lazyBackend) summaries() ([]CuboidSummary, error) {
 			Item:      sec.spec.Item,
 			PathLevel: sec.spec.PathLevel,
 			Cells:     sec.numCells,
-			Redundant: s.redundant,
+			Redundant: d.redundant,
 		})
 	}
 	return out, nil
 }
 
 // topExceptions collects every exception by flat-scanning the mapped
-// sections in sorted key order: cell prefixes and flat graph columns are
-// decoded, but no pointer tree is built and nothing enters the LRU —
-// the Node chains come from flowgraph.FlatExceptions. Cells are emitted
-// in sorted key order, matching the eager walk exactly.
+// sections in sorted key order, cell by cell in directory order — the order
+// the eager walk produces: cell prefixes and flat graph columns are decoded,
+// but no pointer tree is built and no cell enters the LRU — the Node chains
+// come from flowgraph.FlatExceptions.
 func (b *lazyBackend) topExceptions() ([]RankedException, error) {
 	var out []RankedException
 	for _, sec := range b.order {
+		d, err := b.dir(sec)
+		if err != nil {
+			return nil, err
+		}
 		payload, err := b.view(sec)
 		if err != nil {
 			return nil, err
 		}
-		r := &byteReader{section: "cuboid", buf: payload}
-		if _, _, err := decodeCuboidHeaderV2(r, b.levels); err != nil {
-			return nil, err
-		}
-		type cellExc struct {
-			key    string
-			values []hierarchy.NodeID
-			xs     []flowgraph.Exception
-		}
-		var cells []cellExc
-		for ci := 0; ci < sec.numCells; ci++ {
-			values, _, flags, _, err := decodeCellPrefixV2(r)
+		for i := range d.entries {
+			e := &d.entries[i]
+			r := &byteReader{section: "cuboid " + sec.key, buf: payload[:e.end], off: int(e.off)}
+			_, _, flags, _, err := decodeCellPrefixV2(r)
 			if err != nil {
 				return nil, err
 			}
@@ -552,25 +643,18 @@ func (b *lazyBackend) topExceptions() ([]RankedException, error) {
 			}
 			xs, err := flowgraph.FlatExceptions(flat)
 			if err != nil {
-				return nil, r.corrupt("cell %d: %v", ci, err)
+				return nil, r.corrupt("cell %s: %v", e.key, err)
 			}
-			cells = append(cells, cellExc{key: cellKey(values), values: values, xs: xs})
-		}
-		if r.rem() != 0 {
-			return nil, r.corrupt("%d trailing bytes", r.rem())
-		}
-		sort.SliceStable(cells, func(i, j int) bool { return cells[i].key < cells[j].key })
-		for _, ce := range cells {
-			for _, x := range ce.xs {
-				out = append(out, RankedException{Spec: sec.spec, Values: ce.values, Exception: x})
+			for _, x := range xs {
+				out = append(out, RankedException{Spec: sec.spec, Values: e.values, Exception: x})
 			}
 		}
 	}
 	return out, nil
 }
 
-// validate runs the eager per-cuboid validation over every section,
-// decoding each through the cache (warming and evicting as it goes).
+// validate runs the eager per-cuboid validation over every section, each
+// decoded whole and dropped again: nothing enters the cache.
 func (b *lazyBackend) validate(c *Cube) error {
 	for _, sec := range b.order {
 		cb, err := b.cuboid(sec)
@@ -582,22 +666,6 @@ func (b *lazyBackend) validate(c *Cube) error {
 		}
 	}
 	return nil
-}
-
-// sortedAll decodes every section through the cache in key order — the
-// generic lazy stand-in for sortedCuboids. Sections that fail to decode
-// are skipped after recording the error; callers that need failures as
-// errors (Validate, Save, Materialize) have their own paths.
-func (b *lazyBackend) sortedAll() []*Cuboid {
-	out := make([]*Cuboid, 0, len(b.order))
-	for _, sec := range b.order {
-		cb, err := b.cuboid(sec)
-		if err != nil {
-			continue
-		}
-		out = append(out, cb)
-	}
-	return out
 }
 
 // materialize decodes the whole snapshot into a fresh eager cube the
@@ -650,66 +718,38 @@ func (b *lazyBackend) materialize(c *Cube) (*Cube, error) {
 // writers) fall back to decode + re-encode, which re-sorts exactly as the
 // eager path would.
 func (b *lazyBackend) save(c *Cube, w io.Writer) error {
-	header, hiers, plan := encodeMetaSectionsV2(c, len(b.order))
-	if _, err := io.WriteString(w, magicV2); err != nil {
-		return err
-	}
-	if err := writeSection(w, secHeader, header); err != nil {
-		return err
-	}
-	if err := writeSection(w, secHierarchies, hiers); err != nil {
-		return err
-	}
-	if err := writeSection(w, secPlan, plan); err != nil {
-		return err
-	}
-	for _, sec := range b.order {
-		payload, err := b.view(sec)
+	return writeSnapshotV2(w, c, len(b.order), func(i int) ([]byte, error) {
+		sec := b.order[i]
+		d, err := b.dir(sec)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		s, scanErr := b.scanSection(sec)
-		if scanErr == nil && s.sorted {
-			if err := writeSection(w, secCuboid, payload); err != nil {
-				return err
-			}
-			continue
+		if d.sorted {
+			return b.view(sec)
 		}
-		// Unsorted cells, or a scan that failed structurally: the full
-		// decoder either re-sorts (via the cell map + SortedCells) or
-		// reports the real corruption.
-		cb, _, err := decodeCuboidV2(payload, b.loc, b.levels)
+		cb, err := b.cuboid(sec)
 		if err != nil {
-			b.noteErr(err)
-			return err
+			return nil, err
 		}
-		if err := writeSection(w, secCuboid, encodeCuboidV2(cb)); err != nil {
-			return err
-		}
-	}
-	if c.ledger != nil {
-		if err := writeSection(w, secLedger, encodeLedgerV2(c.ledger)); err != nil {
-			return err
-		}
-	}
-	return writeSection(w, secEnd, nil)
+		return encodeCuboidV2(cb), nil
+	})
 }
 
 // stats snapshots the backend's gauges.
 func (b *lazyBackend) stats() LazyStats {
 	c := b.cache.Stats()
 	return LazyStats{
-		Mapped:          snapMapped,
-		MappedBytes:     b.data.size(),
-		BudgetBytes:     b.cache.Budget(),
-		Sections:        len(b.order),
-		DecodedSections: b.decodedSections.Load(),
-		DecodedBytes:    b.decodedBytes.Load(),
-		CachedSections:  c.Entries,
-		CachedBytes:     c.Cost,
-		CacheHits:       c.Hits,
-		CacheMisses:     c.Misses,
-		Evictions:       c.Evictions,
+		Mapped:        snapMapped,
+		MappedBytes:   b.data.size(),
+		BudgetBytes:   b.cache.Budget(),
+		Sections:      len(b.order),
+		DecodedCells:  b.decodedCells.Load(),
+		DecodedBytes:  b.decodedBytes.Load(),
+		CachedEntries: c.Entries,
+		CachedBytes:   c.Cost,
+		CacheHits:     c.Hits,
+		CacheMisses:   c.Misses,
+		Evictions:     c.Evictions,
 	}
 }
 

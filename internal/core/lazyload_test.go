@@ -3,12 +3,16 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -31,28 +35,10 @@ func writeSnapshot(t testing.TB, dir string, cube *core.Cube) string {
 	return path
 }
 
-// lazyFixture saves the standard fixture cube and lazily reopens it.
+// lazyFixture saves the standard fixture cube and reopens it both ways.
 func lazyFixture(t *testing.T, opts core.LazyOptions) (eager, lazy *core.Cube) {
 	t.Helper()
-	eager = fixtureCube(t)
-	path := writeSnapshot(t, t.TempDir(), eager)
-	lazy, err := core.LoadCubeLazy(path, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = lazy.Close() })
-	// Reload the eager cube from the same bytes so both sides went through
-	// the same save (tids and mining state are not persisted).
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	eager, err = core.Load(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eager, lazy
+	return lazyTwin(t, fixtureCube(t), opts)
 }
 
 // TestLazyParityFullSurface proves a lazily opened snapshot answers the
@@ -83,8 +69,8 @@ func TestLazyParityFullSurface(t *testing.T) {
 	}
 	if st, ok := lazy.LazyStats(); !ok {
 		t.Fatal("LazyStats: not a lazy cube")
-	} else if st.DecodedSections != 0 {
-		t.Errorf("summaries decoded %d sections; flat scans should decode none", st.DecodedSections)
+	} else if st.DecodedCells != 0 {
+		t.Errorf("summaries decoded %d cells; flat scans should decode none", st.DecodedCells)
 	}
 
 	// Every materialized cell answers identically, including the roll-up
@@ -205,97 +191,112 @@ func TestLazyParityFullSurface(t *testing.T) {
 	}
 }
 
-// TestLazyConcurrentFirstTouch hammers every cell from many goroutines
-// (run under -race in CI): single-flight dedup must decode each section
-// exactly once, and every answer must match the eager cube.
+// TestLazyConcurrentFirstTouch releases many goroutines onto the same cold
+// cell at once, then onto every cell (run under -race -count=10 in CI):
+// single-flight dedup must decode a cell exactly once however many readers
+// race for it, and every answer must match the eager cube.
 func TestLazyConcurrentFirstTouch(t *testing.T) {
 	eager, lazy := lazyFixture(t, core.LazyOptions{CacheBytes: -1})
 
 	type q struct {
 		spec   core.CuboidSpec
 		values []hierarchy.NodeID
-		count  int64
+		digest [sha256.Size]byte
 	}
 	var queries []q
 	for _, cb := range eager.Cuboids {
 		for _, cell := range cb.SortedCells() {
-			queries = append(queries, q{cb.Spec, cell.Values, cell.Count})
+			queries = append(queries, q{cb.Spec, cell.Values, core.CellDigest(cell)})
 		}
 	}
 
 	const workers = 8
-	var wg sync.WaitGroup
-	errc := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, qu := range queries {
-				cell, ok := lazy.Cell(qu.spec, qu.values)
-				if !ok || cell.Count != qu.count {
-					select {
-					case errc <- errors.New("concurrent cell mismatch"):
-					default:
+	hammer := func(qs []q) {
+		t.Helper()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for _, qu := range qs {
+					cell, ok := lazy.Cell(qu.spec, qu.values)
+					if !ok || core.CellDigest(cell) != qu.digest {
+						t.Errorf("cell %v of %s differs from the eager cube under concurrent first touch",
+							qu.values, qu.spec.Key())
+						return
 					}
-					return
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errc)
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+			}()
+		}
+		close(start)
+		wg.Wait()
 	}
 
+	hammer(queries[:1])
 	st, ok := lazy.LazyStats()
 	if !ok {
 		t.Fatal("LazyStats: not a lazy cube")
 	}
-	if st.DecodedSections != int64(st.Sections) {
-		t.Fatalf("decoded %d sections for %d sections of concurrent traffic; single-flight should decode each once",
-			st.DecodedSections, st.Sections)
+	if st.DecodedCells != 1 {
+		t.Fatalf("%d goroutines on one cold cell ran %d decodes; single-flight should run one", workers, st.DecodedCells)
 	}
-	if st.Evictions != 0 || st.CachedSections != st.Sections {
-		t.Fatalf("unbounded cache evicted: %d evictions, %d/%d resident",
-			st.Evictions, st.CachedSections, st.Sections)
+	if st.CachedEntries != 2 {
+		t.Fatalf("%d entries resident after one cell; want its section's directory and the cell", st.CachedEntries)
+	}
+
+	hammer(queries)
+	st, _ = lazy.LazyStats()
+	if st.DecodedCells != int64(len(queries)) {
+		t.Fatalf("decoded %d cells for %d distinct cells of concurrent traffic; each should decode once",
+			st.DecodedCells, len(queries))
+	}
+	if want := st.Sections + len(queries); st.Evictions != 0 || st.CachedEntries != want {
+		t.Fatalf("unbounded cache evicted: %d evictions, %d entries resident, want %d directories + %d cells",
+			st.Evictions, st.CachedEntries, st.Sections, len(queries))
 	}
 }
 
-// TestLazyCacheEviction squeezes the LRU to one resident section: touching
-// every cuboid must evict, stats must say so, answers must stay correct,
-// and the resident set must never exceed one entry.
+// TestLazyCacheEviction squeezes the LRU to one resident entry: every read
+// must rebuild its directory and re-decode its cell, stats must say so,
+// answers must stay correct, and the resident set must never exceed one
+// entry.
 func TestLazyCacheEviction(t *testing.T) {
 	eager, lazy := lazyFixture(t, core.LazyOptions{CacheBytes: 1})
 
+	reads := 0
 	for pass := 0; pass < 2; pass++ {
 		for _, cb := range eager.Cuboids {
 			for _, cell := range cb.SortedCells() {
 				got, ok := lazy.Cell(cb.Spec, cell.Values)
-				if !ok || got.Count != cell.Count {
+				if !ok || core.CellDigest(got) != core.CellDigest(cell) {
 					t.Fatalf("pass %d: cell %v of %s wrong under eviction pressure",
 						pass, cell.Values, cb.Spec.Key())
+				}
+				reads++
+				if st, _ := lazy.LazyStats(); st.CachedEntries != 1 {
+					t.Fatalf("%d entries resident, the 1-byte budget allows only the newest", st.CachedEntries)
 				}
 			}
 		}
 	}
 
 	st, _ := lazy.LazyStats()
-	if st.Sections < 2 {
-		t.Fatalf("fixture has %d sections; eviction test needs at least 2", st.Sections)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("1-byte budget over multiple sections produced no evictions")
-	}
-	if st.CachedSections != 1 {
-		t.Fatalf("%d sections resident, the 1-byte budget allows only the newest", st.CachedSections)
-	}
 	if st.CachedBytes <= 0 {
 		t.Fatalf("resident bytes %d; the only entry always stays", st.CachedBytes)
 	}
-	if st.DecodedSections <= int64(st.Sections) {
-		t.Fatalf("decoded %d sections across two eviction passes; expected re-decodes beyond %d",
-			st.DecodedSections, st.Sections)
+	// Every read found neither its directory nor its cell resident: the
+	// directory's insertion evicted the previous cell, the cell's the
+	// directory.
+	if st.DecodedCells != int64(reads) {
+		t.Fatalf("decoded %d cells for %d reads; under a 1-byte budget every read re-decodes", st.DecodedCells, reads)
+	}
+	if st.CacheMisses != int64(2*reads) || st.CacheHits != 0 {
+		t.Fatalf("%d misses and %d hits for %d reads; want a directory and a cell miss each", st.CacheMisses, st.CacheHits, reads)
+	}
+	if st.Evictions != int64(2*reads-1) {
+		t.Fatalf("%d evictions for %d reads; every insertion but the first evicts", st.Evictions, reads)
 	}
 }
 
@@ -344,51 +345,187 @@ func rewriteSection(t *testing.T, data []byte, kind byte, idx int, mutate func([
 	return out.Bytes()
 }
 
-// TestLazyCorruptSectionOnFirstTouch appends a garbage byte to one cuboid
-// section payload behind a recomputed (valid) CRC: the lazy open must
-// succeed — framing and checksums are fine — and the first decode of that
-// section must surface a *CorruptSnapshotError through LazyErr, never a
-// panic or a torn cell.
-func TestLazyCorruptSectionOnFirstTouch(t *testing.T) {
-	cube := fixtureCube(t)
+// corruptFixture saves the fixture cube with mutate applied to the payload
+// of one cuboid section — the first, in file order, holding at least
+// minCells cells — behind a recomputed (valid) CRC, and lazily opens the
+// result: the open must succeed, framing and checksums being fine. mutate
+// also gets the byte range of every cell of the intact payload, in key
+// order. It returns the mutated bytes, the lazy cube, and the cuboid as the
+// intact fixture holds it.
+func corruptFixture(t *testing.T, minCells int, mutate func(payload []byte, cells [][2]int) []byte) ([]byte, *core.Cube, *core.Cuboid) {
+	t.Helper()
+	cube, intact := lazyFixture(t, core.LazyOptions{})
 	var buf bytes.Buffer
 	if err := cube.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	idx := -1
+	var target *core.Cuboid
+	for i, spec := range cube.MaterializedSpecs() { // ascending key order: the file's
+		if cb := cube.Cuboid(spec); len(cb.Cells) >= minCells {
+			idx, target = i, cb
+			break
+		}
+	}
+	if idx < 0 {
+		t.Fatalf("fixture has no cuboid of %d cells", minCells)
+	}
+	cells := intact.SectionCellRangesForTest(target.Spec)
+	if len(cells) != len(target.Cells) {
+		t.Fatalf("directory of %s lists %d cells, the cuboid holds %d", target.Spec.Key(), len(cells), len(target.Cells))
+	}
 	const secCuboid = 4
-	mutated := rewriteSection(t, buf.Bytes(), secCuboid, 0, func(p []byte) []byte {
-		return append(p, 0x7f)
-	})
+	mutated := rewriteSection(t, buf.Bytes(), secCuboid, idx, func(p []byte) []byte { return mutate(p, cells) })
 	path := filepath.Join(t.TempDir(), "corrupt.fcb")
 	if err := os.WriteFile(path, mutated, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
 	lazy, err := core.LoadCubeLazy(path, core.LazyOptions{})
 	if err != nil {
 		t.Fatalf("open must defer payload decoding, got %v", err)
 	}
-	defer lazy.Close()
+	t.Cleanup(func() { _ = lazy.Close() })
 	if err := lazy.LazyErr(); err != nil {
 		t.Fatalf("error before any touch: %v", err)
 	}
+	return mutated, lazy, target
+}
 
-	// Validate decodes every section and must report the corruption as a
-	// typed error.
-	err = lazy.Validate()
+// wantCorrupt asserts err is a *CorruptSnapshotError.
+func wantCorrupt(t *testing.T, what string, err error) {
+	t.Helper()
 	var cse *core.CorruptSnapshotError
 	if !errors.As(err, &cse) {
-		t.Fatalf("Validate: %v, want a *CorruptSnapshotError", err)
+		t.Fatalf("%s: %v, want a *CorruptSnapshotError", what, err)
 	}
-	if !errors.As(lazy.LazyErr(), &cse) {
-		t.Fatalf("LazyErr after touch: %v, want a *CorruptSnapshotError", lazy.LazyErr())
+}
+
+// TestLazyCorruptSectionOnFirstTouch covers the corruption only a whole-
+// section walk can see — a garbage byte after the last cell, or the same
+// cell stored twice: the directory build must fail for every cell of the
+// section, surfacing a *CorruptSnapshotError through LazyErr, never a panic
+// or a torn cell, and Validate, Materialize and Save must fail too.
+func TestLazyCorruptSectionOnFirstTouch(t *testing.T) {
+	mutations := map[string]func(p []byte, cells [][2]int) []byte{
+		"trailing byte": func(p []byte, _ [][2]int) []byte { return append(p, 0x7f) },
+		"duplicate cell": func(p []byte, cells [][2]int) []byte {
+			if len(cells) != 1 || p[cells[0][0]-1] != 1 {
+				t.Fatalf("want a one-cell section whose header ends in its cell count, got %d cells", len(cells))
+			}
+			p[cells[0][0]-1] = 2
+			return append(p, p[cells[0][0]:cells[0][1]]...)
+		},
 	}
+	for name, mutate := range mutations {
+		t.Run(name, func(t *testing.T) {
+			mutated, lazy, cb := corruptFixture(t, 1, mutate)
+			if _, err := core.Load(bytes.NewReader(mutated)); err == nil {
+				t.Fatal("the eager loader accepted the corrupt section")
+			}
+			for _, cell := range cb.SortedCells() {
+				if got, ok := lazy.Cell(cb.Spec, cell.Values); ok {
+					t.Fatalf("cell %v of the corrupt section answered %v", cell.Values, got)
+				}
+			}
+			wantCorrupt(t, "LazyErr after touch", lazy.LazyErr())
+			wantCorrupt(t, "Validate", lazy.Validate())
+			if _, err := lazy.Materialize(); err == nil {
+				t.Fatal("Materialize of a corrupt section succeeded")
+			}
+			var sink bytes.Buffer
+			if err := lazy.Save(&sink); err == nil {
+				t.Fatal("Save of a corrupt section succeeded")
+			}
+		})
+	}
+}
+
+// TestLazyCorruptCellIsContained breaks one flowgraph inside a section
+// whose walk still succeeds (the root node's location is moved outside the
+// hierarchy — structure only Unflatten checks): touching that cell records a
+// sticky *CorruptSnapshotError and reports absence, its sibling cells answer
+// as if nothing happened, and the whole-cube decoders still refuse the file.
+func TestLazyCorruptCellIsContained(t *testing.T) {
+	_, lazy, cb := corruptFixture(t, 2, func(p []byte, cells [][2]int) []byte {
+		// The first cell: value count and values, path count, flags,
+		// similarity; then its graph: path count, node count, locations.
+		off := cells[0][0]
+		skip := func(varints int) {
+			for ; varints > 0; varints-- {
+				_, n := binary.Uvarint(p[off:])
+				off += n
+			}
+		}
+		nv, n := binary.Uvarint(p[off:])
+		off += n
+		skip(int(nv) + 1)
+		if p[off]&2 == 0 {
+			t.Fatal("the fixture's first cell carries no flowgraph")
+		}
+		off += 1 + 8
+		skip(2)
+		p[off] = 0x7f // one byte for one byte: every later offset holds
+		return p
+	})
+	cells := cb.SortedCells()
+	if got, ok := lazy.Cell(cb.Spec, cells[0].Values); ok {
+		t.Fatalf("the corrupt cell answered %v", got)
+	}
+	if _, materialized := lazy.Lookup(cb.Spec, cells[0].Values); !materialized {
+		t.Fatal("one bad cell made its whole cuboid read as not materialized")
+	}
+	wantCorrupt(t, "LazyErr after touching the corrupt cell", lazy.LazyErr())
+	for _, cell := range cells[1:] {
+		got, ok := lazy.Cell(cb.Spec, cell.Values)
+		if !ok || core.CellDigest(got) != core.CellDigest(cell) {
+			t.Fatalf("sibling cell %v does not answer correctly beside the corrupt one", cell.Values)
+		}
+	}
+	wantCorrupt(t, "Validate", lazy.Validate())
 	if _, err := lazy.Materialize(); err == nil {
-		t.Fatal("Materialize of a corrupt section succeeded")
+		t.Fatal("Materialize over a corrupt cell succeeded")
 	}
-	var sink bytes.Buffer
-	if err := lazy.Save(&sink); err == nil {
-		t.Fatal("Save of a corrupt section succeeded")
+}
+
+// TestLazyServesUnsortedSection swaps the first two cells of a section, as a
+// foreign writer might store them: the eager loader accepts that, so the
+// lazy cube must too — every cell reads the same, and Save re-sorts to the
+// bytes the eager cube saves.
+func TestLazyServesUnsortedSection(t *testing.T) {
+	mutated, lazy, cb := corruptFixture(t, 2, func(p []byte, cells [][2]int) []byte {
+		a, b := cells[0], cells[1]
+		out := append([]byte(nil), p[:a[0]]...)
+		out = append(out, p[b[0]:b[1]]...)
+		out = append(out, p[a[0]:a[1]]...)
+		return append(out, p[b[1]:]...)
+	})
+	eager, err := core.Load(bytes.NewReader(mutated))
+	if err != nil {
+		t.Fatalf("the eager loader rejects an unsorted section: %v", err)
+	}
+	for _, cell := range cb.SortedCells() {
+		got, ok := lazy.Cell(cb.Spec, cell.Values)
+		if !ok || core.CellDigest(got) != core.CellDigest(cell) {
+			t.Fatalf("cell %v of the unsorted section reads differently", cell.Values)
+		}
+	}
+	tuples, _ := lazy.EnumerateCellValues(cb.Spec)
+	want, _ := eager.EnumerateCellValues(cb.Spec)
+	if !reflect.DeepEqual(tupleKeys(tuples), tupleKeys(want)) {
+		t.Fatalf("unsorted section enumerates %v, want %v", tupleKeys(tuples), tupleKeys(want))
+	}
+	var eb, lb bytes.Buffer
+	if err := eager.Save(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if err := lazy.Save(&lb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(eb.Bytes(), lb.Bytes()) {
+		t.Fatal("lazy Save of an unsorted section differs from the eager re-sort")
+	}
+	if err := lazy.LazyErr(); err != nil {
+		t.Fatalf("an unsorted section recorded a lazy error: %v", err)
 	}
 }
 
@@ -499,5 +636,254 @@ func TestLazyCloneAndFilterMaterialize(t *testing.T) {
 	}
 	if !bytes.Equal(eb.Bytes(), mb.Bytes()) {
 		t.Fatal("filter+merge of the lazy cube saves different bytes")
+	}
+}
+
+// lazyTwin saves the cube and reopens the bytes both ways: eagerly (so both
+// sides went through the same save) and lazily under opts.
+func lazyTwin(t *testing.T, cube *core.Cube, opts core.LazyOptions) (eager, lazy *core.Cube) {
+	t.Helper()
+	path := writeSnapshot(t, t.TempDir(), cube)
+	lazy, err := core.LoadCubeLazy(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = lazy.Close() })
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eager, err = core.Load(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	return eager, lazy
+}
+
+// cellSig is a comparable identity for a possibly absent cell.
+func cellSig(cell *core.Cell) string {
+	if cell == nil {
+		return "absent"
+	}
+	return fmt.Sprintf("%x", core.CellDigest(cell))
+}
+
+func cellSigs(cells []*core.Cell) []string {
+	out := make([]string, len(cells))
+	for i, cell := range cells {
+		out[i] = cellSig(cell)
+	}
+	return out
+}
+
+func specKeys(specs []core.CuboidSpec) []string {
+	out := make([]string, len(specs))
+	for i, s := range specs {
+		out[i] = s.Key()
+	}
+	return out
+}
+
+func tupleKeys(tuples [][]hierarchy.NodeID) []string {
+	out := make([]string, len(tuples))
+	for i, v := range tuples {
+		out[i] = core.CellKey(v)
+	}
+	return out
+}
+
+// answerSig flattens an Answer (or its error) to comparable strings.
+func answerSig(a *core.Answer, err error) []string {
+	if err != nil {
+		return []string{"error: " + err.Error()}
+	}
+	out := []string{fmt.Sprintf("truncated=%v skipped=%d", a.Truncated, a.Skipped)}
+	for _, ca := range a.Cells {
+		folded := make([]string, len(ca.Folded))
+		for i, r := range ca.Folded {
+			folded[i] = r.Spec.Key() + "/" + core.CellKey(r.Values)
+		}
+		out = append(out, fmt.Sprintf("%s/%s %s exact=%v from %s %s folded=%v",
+			ca.Spec.Key(), core.CellKey(ca.Values), ca.Provenance, ca.Exact,
+			ca.SourceSpec.Key(), cellSig(ca.Source), folded))
+	}
+	return out
+}
+
+// TestLazyCellUnitMatchesEagerRandomPartialCubes is the property test of the
+// cell-granular lazy path: over random partial cubes — a random subset of
+// cuboids dropped — every cell of every cuboid of the full lattice, kept or
+// dropped, reads the same through the lazy cube as through the eager one:
+// Lookup, Census, FoldSources, EnumerateCellValues, Partial, and Answer for
+// the cell, its drill-downs and its slices, cells compared by CellDigest.
+// It runs at a 1-byte budget (every read rebuilds its directory and
+// re-decodes its cell) and unbounded (everything stays resident), and under
+// -tags nommap through the pread fallback.
+func TestLazyCellUnitMatchesEagerRandomPartialCubes(t *testing.T) {
+	_, iceberg := buildExample(t, core.Config{MinCount: 1, Tau: 0.5})
+	inputs := map[string]*core.Cube{"exceptions": fixtureCube(t), "iceberg1": iceberg}
+	ctx := context.Background()
+	computed := 0
+	for name, full := range inputs {
+		lattice := full.MaterializedSpecs()
+		for seed := int64(0); seed < 4; seed++ {
+			pruned := full.Fork()
+			rng := rand.New(rand.NewSource(seed))
+			for _, spec := range lattice {
+				if rng.Intn(5) < 2 {
+					pruned.DropCuboid(spec)
+				}
+			}
+			for _, budget := range []int64{1, -1} {
+				eager, lazy := lazyTwin(t, pruned, core.LazyOptions{CacheBytes: budget})
+				same := func(what string, got, want any) {
+					t.Helper()
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s seed %d budget %d: %s:\n lazy  %v\n eager %v", name, seed, budget, what, got, want)
+					}
+				}
+				same("MaterializedSpecs", specKeys(lazy.MaterializedSpecs()), specKeys(eager.MaterializedSpecs()))
+				for _, spec := range lattice {
+					at := "cuboid " + spec.Key()
+					lt, lok := lazy.EnumerateCellValues(spec)
+					et, eok := eager.EnumerateCellValues(spec)
+					same(at+" EnumerateCellValues", tupleKeys(lt), tupleKeys(et))
+					same(at+" EnumerateCellValues found", lok, eok)
+					for _, cell := range full.Cuboid(spec).SortedCells() {
+						at := at + " cell " + core.CellKey(cell.Values)
+						lc, lm := lazy.Lookup(spec, cell.Values)
+						ec, em := eager.Lookup(spec, cell.Values)
+						same(at+" Lookup", cellSig(lc), cellSig(ec))
+						same(at+" Lookup materialized", lm, em)
+						ln, lok := lazy.Census(spec, cell.Values)
+						en, eok := eager.Census(spec, cell.Values)
+						same(at+" Census", []any{ln, lok}, []any{en, eok})
+						for _, ds := range eager.MaterializedSpecs() {
+							same(at+" FoldSources of "+ds.Key(),
+								cellSigs(lazy.FoldSources(ds, spec, cell.Values)),
+								cellSigs(eager.FoldSources(ds, spec, cell.Values)))
+						}
+						lp, ep := lazy.Partial(spec, cell.Values), eager.Partial(spec, cell.Values)
+						same(at+" Partial.Self", cellSig(lp.Self), cellSig(ep.Self))
+						same(at+" Partial census", []any{lp.Materialized, lp.Census}, []any{ep.Materialized, ep.Census})
+						same(at+" Partial.Lattice", specKeys(lp.Lattice), specKeys(ep.Lattice))
+						same(at+" Partial fold sets", len(lp.Folds), len(ep.Folds))
+						for i := range ep.Folds {
+							same(at+" Partial fold spec", lp.Folds[i].Spec.Key(), ep.Folds[i].Spec.Key())
+							same(at+" Partial fold cells", cellSigs(lp.Folds[i].Cells), cellSigs(ep.Folds[i].Cells))
+						}
+						queries := []core.Query{
+							{Spec: spec, Values: cell.Values},
+							{Spec: spec, Values: cell.Values, NoCompute: true},
+						}
+						for d := range spec.Item {
+							queries = append(queries,
+								core.Query{Op: core.OpRollUp, Spec: spec, Values: cell.Values, Dim: d},
+								core.Query{Op: core.OpDrillDown, Spec: spec, Values: cell.Values, Dim: d},
+								core.Query{Op: core.OpSlice, Spec: spec, Select: []core.Selector{{Dim: d, Value: cell.Values[d]}}})
+						}
+						for _, q := range queries {
+							la, lerr := lazy.Answer(ctx, q)
+							ea, eerr := eager.Answer(ctx, q)
+							same(fmt.Sprintf("%s Answer %s dim %d nocompute=%v", at, q.Op, q.Dim, q.NoCompute),
+								answerSig(la, lerr), answerSig(ea, eerr))
+							if lerr == nil && q.Op == core.OpCell && la.Cells[0].Provenance == core.ComputedFromDescendants {
+								computed++
+							}
+						}
+					}
+				}
+				if err := lazy.LazyErr(); err != nil {
+					t.Fatalf("%s seed %d budget %d: healthy snapshot recorded a lazy error: %v", name, seed, budget, err)
+				}
+			}
+		}
+	}
+	if computed == 0 {
+		t.Fatal("no random partial cube produced a computed cell; the property test never exercised a lazy fold")
+	}
+}
+
+// TestLazyDrillDownLeavesDirectoryIntact is the regression test for an
+// aliasing bug: Answer's drill-down and slice branches used to filter the
+// slice EnumerateCellValues handed them in place, which, once that slice
+// belongs to a cached section directory, rewrites the directory under every
+// later reader. After a round of drill-downs and slices over every cell,
+// every cell of every section must still enumerate and read as the eager
+// cube's.
+func TestLazyDrillDownLeavesDirectoryIntact(t *testing.T) {
+	eager, lazy := lazyFixture(t, core.LazyOptions{CacheBytes: -1})
+	ctx := context.Background()
+	for _, cb := range eager.Cuboids {
+		for _, cell := range cb.SortedCells() {
+			for d := range cb.Spec.Item {
+				// Drill-downs from a finest level and slices that match
+				// nothing are errors or empty answers; only the reads matter.
+				_, _ = lazy.Answer(ctx, core.Query{Op: core.OpDrillDown, Spec: cb.Spec, Values: cell.Values, Dim: d, MaxCells: 1})
+				_, _ = lazy.Answer(ctx, core.Query{Op: core.OpSlice, Spec: cb.Spec,
+					Select: []core.Selector{{Dim: d, Value: cell.Values[d]}}, MaxCells: 1})
+			}
+		}
+	}
+	for _, cb := range eager.Cuboids {
+		cells := cb.SortedCells()
+		tuples, ok := lazy.EnumerateCellValues(cb.Spec)
+		if !ok || len(tuples) != len(cells) {
+			t.Fatalf("cuboid %s enumerates %d cells after the drill-downs, want %d", cb.Spec.Key(), len(tuples), len(cells))
+		}
+		for i, cell := range cells {
+			if core.CellKey(tuples[i]) != core.CellKey(cell.Values) {
+				t.Fatalf("cuboid %s enumerates %v at %d, want %v", cb.Spec.Key(), tuples[i], i, cell.Values)
+			}
+			got, ok := lazy.Cell(cb.Spec, cell.Values)
+			if !ok || core.CellDigest(got) != core.CellDigest(cell) {
+				t.Fatalf("cuboid %s cell %v reads differently after the drill-downs", cb.Spec.Key(), cell.Values)
+			}
+		}
+	}
+}
+
+// lookupSink keeps the benchmarked lookups from being optimized away.
+var lookupSink *core.Cell
+
+// BenchmarkLazyLookupCold times one point read on the lazily opened fixture
+// cube, cells drawn uniformly. At the 1-byte budget nothing is ever
+// resident, so every read walks its section's directory and decodes its one
+// cell — the cold cost; unbounded, the same draws find everything resident
+// after the first touch — the floor the cold cost sits above.
+func BenchmarkLazyLookupCold(b *testing.B) {
+	eager := fixtureCube(b)
+	path := writeSnapshot(b, b.TempDir(), eager)
+	type ref struct {
+		spec   core.CuboidSpec
+		values []hierarchy.NodeID
+	}
+	var refs []ref
+	for _, spec := range eager.MaterializedSpecs() {
+		for _, cell := range eager.Cuboid(spec).SortedCells() {
+			refs = append(refs, ref{spec, cell.Values})
+		}
+	}
+	for _, budget := range []struct {
+		name  string
+		bytes int64
+	}{{"budget=1B", 1}, {"budget=unbounded", -1}} {
+		b.Run(budget.name, func(b *testing.B) {
+			lazy, err := core.LoadCubeLazy(path, core.LazyOptions{CacheBytes: budget.bytes})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer lazy.Close()
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := refs[rng.Intn(len(refs))]
+				cell, ok := lazy.Cell(r.spec, r.values)
+				if !ok {
+					b.Fatalf("cell %v of %s absent", r.values, r.spec.Key())
+				}
+				lookupSink = cell
+			}
+		})
 	}
 }

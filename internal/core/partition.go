@@ -209,7 +209,7 @@ func LoadMeta(r io.Reader) (*Cube, error) {
 // preamble sections, so probing a snapshot on a slow reader can be
 // abandoned.
 func LoadMetaContext(ctx context.Context, r io.Reader) (*Cube, error) {
-	p, err := loadPreambleV2(ctx, bufio.NewReader(r))
+	p, _, err := openStreamV2(ctx, bufio.NewReader(r))
 	if err != nil {
 		return nil, err
 	}

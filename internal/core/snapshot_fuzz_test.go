@@ -16,7 +16,9 @@ import (
 // must be a save→load fixed point: re-saving and re-loading it reproduces
 // the identical byte stream (the byte-determinism contract of format v2).
 // Input that does not open with the v2 magic is rejected by both loaders
-// with a *CorruptSnapshotError.
+// with a *CorruptSnapshotError. Every input the lazy open accepts has every
+// directory entry touched: the cell-at-a-time decode never panics, and it
+// reads what the eager loader read or both sides refuse the file.
 func FuzzLoadSnapshot(f *testing.F) {
 	cube := fixtureCube(f)
 	var v2 bytes.Buffer
@@ -78,11 +80,39 @@ func FuzzLoadSnapshot(f *testing.F) {
 		lz.NumCells()
 		lz.CuboidSummaries()
 		lz.TopExceptions(5)
+		// Touch every directory entry: each cell decodes on its own, so a
+		// bad one must come back as absence plus a sticky error.
+		for _, spec := range lz.MaterializedSpecs() {
+			tuples, _ := lz.EnumerateCellValues(spec)
+			for _, values := range tuples {
+				lz.Lookup(spec, values)
+			}
+		}
 		vErr := lz.Validate()
 		var lzBytes bytes.Buffer
 		sErr := lz.Save(&lzBytes)
-		if err != nil || first.Len() == 0 {
-			return // the eager loader rejected the input; nothing to compare
+		if err != nil {
+			// Both sides must refuse: what the eager loader rejects, a lazy
+			// open that got this far finds on its whole-cube walk.
+			if vErr == nil {
+				t.Fatalf("lazy cube validates a snapshot the eager loader rejects: %v", err)
+			}
+			return
+		}
+		if err := lz.LazyErr(); err != nil {
+			t.Fatalf("eagerly loadable snapshot recorded a lazy error: %v", err)
+		}
+		for key, cb := range loaded.Cuboids {
+			tuples, _ := lz.EnumerateCellValues(cb.Spec)
+			if len(tuples) != len(cb.Cells) {
+				t.Fatalf("cuboid %s: lazy directory lists %d cells, eager cube holds %d", key, len(tuples), len(cb.Cells))
+			}
+			for _, cell := range cb.Cells {
+				got, _ := lz.Lookup(cb.Spec, cell.Values)
+				if got == nil || core.CellDigest(got) != core.CellDigest(cell) {
+					t.Fatalf("cuboid %s cell %v: lazy point read differs from the eager cube", key, cell.Values)
+				}
+			}
 		}
 		if vErr != nil {
 			t.Fatalf("eagerly loadable snapshot fails lazy validation: %v", vErr)

@@ -34,7 +34,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sync"
 
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
@@ -335,10 +334,17 @@ func (c *Cube) SaveWith(w io.Writer, opts SaveOptions) error {
 	if c.lazy != nil {
 		return c.lazy.save(c, w)
 	}
-	cuboids := c.sortedCuboids()
-	header, hiers, plan := encodeMetaSectionsV2(c, len(cuboids))
-	sections := encodeCuboidsV2(cuboids, opts.Workers)
+	sections := encodeCuboidsV2(c.sortedCuboids(), opts.Workers)
+	return writeSnapshotV2(w, c, len(sections), func(i int) ([]byte, error) { return sections[i], nil })
+}
 
+// writeSnapshotV2 writes the framed stream: the magic, the metadata sections
+// encoded from the cube's decoded state, numCuboids cuboid section payloads
+// taken from cuboid in order, the ledger when the cube carries one, and the
+// end section. The eager and the lazy save differ only in where a cuboid
+// payload comes from.
+func writeSnapshotV2(w io.Writer, c *Cube, numCuboids int, cuboid func(i int) ([]byte, error)) error {
+	header, hiers, plan := encodeMetaSectionsV2(c, numCuboids)
 	if _, err := io.WriteString(w, magicV2); err != nil {
 		return err
 	}
@@ -351,7 +357,11 @@ func (c *Cube) SaveWith(w io.Writer, opts SaveOptions) error {
 	if err := writeSection(w, secPlan, plan); err != nil {
 		return err
 	}
-	for _, payload := range sections {
+	for i := 0; i < numCuboids; i++ {
+		payload, err := cuboid(i)
+		if err != nil {
+			return err
+		}
 		if err := writeSection(w, secCuboid, payload); err != nil {
 			return err
 		}
@@ -459,31 +469,7 @@ func decodeLedgerV2(payload []byte, numDims int) (*Ledger, error) {
 // caller writes them in the same deterministic order at any worker count.
 func encodeCuboidsV2(cuboids []*Cuboid, workers int) [][]byte {
 	payloads := make([][]byte, len(cuboids))
-	if workers > len(cuboids) {
-		workers = len(cuboids)
-	}
-	if workers <= 1 {
-		for i, cb := range cuboids {
-			payloads[i] = encodeCuboidV2(cb)
-		}
-		return payloads
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				payloads[i] = encodeCuboidV2(cuboids[i])
-			}
-		}()
-	}
-	for i := range cuboids {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	forEach(workers, len(cuboids), func(i int) { payloads[i] = encodeCuboidV2(cuboids[i]) })
 	return payloads
 }
 
@@ -586,21 +572,31 @@ func LoadContextWith(ctx context.Context, r io.Reader, opts LoadOptions) (*Cube,
 	return loadV2(ctx, bufio.NewReader(r), opts)
 }
 
+// sectionReader yields a snapshot's framed sections in file order, each
+// payload CRC-checked: sectionPayload over a stream, readFrame over a
+// mapping (lazyload.go). The section decoders below are written against it,
+// so the framing rules exist once for both loaders.
+type sectionReader func() (kind byte, payload []byte, err error)
+
+// frameCorrupt reports a violation of the outer section framing.
+func frameCorrupt(format string, args ...any) error {
+	return (&byteReader{section: "frame"}).corrupt(format, args...)
+}
+
 // sectionPayload reads one framed section, bounding the claimed length and
 // verifying the CRC. Payload bytes are read in chunks so a lying length
 // fails with a truncation error instead of one huge allocation.
 func sectionPayload(br *bufio.Reader) (kind byte, payload []byte, err error) {
-	frame := &byteReader{section: "frame"}
 	kind, err = br.ReadByte()
 	if err != nil {
-		return 0, nil, frame.corrupt("missing section kind: %v", err)
+		return 0, nil, frameCorrupt("missing section kind: %v", err)
 	}
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return 0, nil, frame.corrupt("bad section length: %v", err)
+		return 0, nil, frameCorrupt("bad section length: %v", err)
 	}
 	if n > maxSectionBytes {
-		return 0, nil, frame.corrupt("section length %d exceeds the %d byte cap", n, maxSectionBytes)
+		return 0, nil, frameCorrupt("section length %d exceeds the %d byte cap", n, maxSectionBytes)
 	}
 	const chunk = 1 << 20
 	payload = make([]byte, 0, min(int(n), chunk))
@@ -609,15 +605,15 @@ func sectionPayload(br *bufio.Reader) (kind byte, payload []byte, err error) {
 		start := len(payload)
 		payload = append(payload, make([]byte, step)...)
 		if _, err := io.ReadFull(br, payload[start:]); err != nil {
-			return 0, nil, frame.corrupt("truncated section payload: %v", err)
+			return 0, nil, frameCorrupt("truncated section payload: %v", err)
 		}
 	}
 	var crc [4]byte
 	if _, err := io.ReadFull(br, crc[:]); err != nil {
-		return 0, nil, frame.corrupt("missing section checksum: %v", err)
+		return 0, nil, frameCorrupt("missing section checksum: %v", err)
 	}
 	if got, want := crc32.Checksum(payload, snapshotCRCTable), binary.LittleEndian.Uint32(crc[:]); got != want {
-		return 0, nil, frame.corrupt("section checksum mismatch (got %08x, want %08x)", got, want)
+		return 0, nil, frameCorrupt("section checksum mismatch (got %08x, want %08x)", got, want)
 	}
 	return kind, payload, nil
 }
@@ -807,58 +803,59 @@ func assemblePreambleV2(h headerV2, schema *pathdb.Schema, plan transact.Plan, l
 	}, nil
 }
 
-// loadPreambleV2 decodes the magic, header, hierarchies and plan sections
-// from br; ctx is checked between sections. The per-section payload parsing
-// is shared with the lazy open path (lazyload.go) — only the framing walk
-// differs.
-func loadPreambleV2(ctx context.Context, br *bufio.Reader) (*preambleV2, error) {
+// openStreamV2 checks the magic on br and decodes the preamble sections that
+// follow it. The returned reader yields the sections after the preamble; it
+// checks ctx before every read — cancellation belongs to the reader that can
+// block, so the section decoders below take none.
+func openStreamV2(ctx context.Context, br *bufio.Reader) (*preambleV2, sectionReader, error) {
 	var head [len(magicV2)]byte
 	n, err := io.ReadFull(br, head[:])
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := checkMagic(head[:n]); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	next := func() (byte, []byte, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, nil, err
+		}
+		return sectionPayload(br)
+	}
+	p, err := decodePreambleV2(next)
+	return p, next, err
+}
 
-	kind, payload, err := sectionPayload(br)
+// decodePreambleV2 decodes the header, hierarchies and plan sections from
+// next, positioned just past the magic.
+func decodePreambleV2(next sectionReader) (*preambleV2, error) {
+	section := func(kind byte, ordinal, name string) ([]byte, error) {
+		got, payload, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if got != kind {
+			return nil, (&byteReader{section: name}).corrupt("%s section has kind %d, want %s", ordinal, got, name)
+		}
+		return payload, nil
+	}
+	payload, err := section(secHeader, "first", "header")
 	if err != nil {
 		return nil, err
-	}
-	if kind != secHeader {
-		return nil, (&byteReader{section: "header"}).corrupt("first section has kind %d, want header", kind)
 	}
 	h, err := decodeHeaderV2(payload)
 	if err != nil {
 		return nil, err
 	}
-
-	if err := ctx.Err(); err != nil {
+	if payload, err = section(secHierarchies, "second", "hierarchies"); err != nil {
 		return nil, err
-	}
-
-	kind, payload, err = sectionPayload(br)
-	if err != nil {
-		return nil, err
-	}
-	if kind != secHierarchies {
-		return nil, (&byteReader{section: "hierarchies"}).corrupt("second section has kind %d, want hierarchies", kind)
 	}
 	schema, err := decodeHierarchiesV2(payload, h.numDims)
 	if err != nil {
 		return nil, err
 	}
-
-	if err := ctx.Err(); err != nil {
+	if payload, err = section(secPlan, "third", "plan"); err != nil {
 		return nil, err
-	}
-
-	kind, payload, err = sectionPayload(br)
-	if err != nil {
-		return nil, err
-	}
-	if kind != secPlan {
-		return nil, (&byteReader{section: "plan"}).corrupt("third section has kind %d, want plan", kind)
 	}
 	plan, levels, err := decodePlanV2(payload, schema, h)
 	if err != nil {
@@ -867,79 +864,85 @@ func loadPreambleV2(ctx context.Context, br *bufio.Reader) (*preambleV2, error) 
 	return assemblePreambleV2(h, schema, plan, levels)
 }
 
-// loadV2 decodes a snapshot from br, positioned at the magic; ctx is
-// checked after every section read.
-func loadV2(ctx context.Context, br *bufio.Reader, opts LoadOptions) (*Cube, error) {
-	p, err := loadPreambleV2(ctx, br)
-	if err != nil {
-		return nil, err
-	}
-
-	// Cuboid sections (then an optional ledger section): collect payloads,
-	// then decode the cuboids on workers.
-	var cuboidPayloads [][]byte
-	var ledgerPayload []byte
-	haveLedger := false
+// decodeBodyV2 walks the sections after the preamble up to the end section
+// and enforces their framing: exactly the header's count of cuboid sections,
+// then at most one ledger section, nothing else. Each cuboid payload goes to
+// onCuboid; the decoded ledger (nil when absent) is returned.
+func decodeBodyV2(next sectionReader, p *preambleV2, onCuboid func(payload []byte) error) (*Ledger, error) {
+	var ledger *Ledger
+	var cuboids uint64
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		kind, payload, err := sectionPayload(br)
+		kind, payload, err := next()
 		if err != nil {
 			return nil, err
 		}
-		if kind == secEnd {
-			break
-		}
-		if kind == secLedger {
-			if haveLedger {
-				return nil, (&byteReader{section: "frame"}).corrupt("duplicate ledger section")
+		switch kind {
+		case secEnd:
+			if cuboids != p.numCuboids {
+				return nil, frameCorrupt("%d cuboid sections, header promised %d", cuboids, p.numCuboids)
 			}
-			haveLedger = true
-			ledgerPayload = payload
-			continue
+			return ledger, nil
+		case secLedger:
+			if ledger != nil {
+				return nil, frameCorrupt("duplicate ledger section")
+			}
+			if ledger, err = decodeLedgerV2(payload, p.numDims); err != nil {
+				return nil, err
+			}
+		case secCuboid:
+			if ledger != nil {
+				return nil, frameCorrupt("cuboid section after the ledger section")
+			}
+			if cuboids >= p.numCuboids {
+				return nil, frameCorrupt("more cuboid sections than the header's %d", p.numCuboids)
+			}
+			cuboids++
+			if err := onCuboid(payload); err != nil {
+				return nil, err
+			}
+		default:
+			return nil, frameCorrupt("unknown section kind %d", kind)
 		}
-		if kind != secCuboid {
-			return nil, (&byteReader{section: "frame"}).corrupt("unknown section kind %d", kind)
-		}
-		if haveLedger {
-			return nil, (&byteReader{section: "frame"}).corrupt("cuboid section after the ledger section")
-		}
-		if uint64(len(cuboidPayloads)) >= p.numCuboids {
-			return nil, (&byteReader{section: "frame"}).corrupt(
-				"more cuboid sections than the header's %d", p.numCuboids)
-		}
-		cuboidPayloads = append(cuboidPayloads, payload)
 	}
-	if uint64(len(cuboidPayloads)) != p.numCuboids {
-		return nil, (&byteReader{section: "frame"}).corrupt(
-			"%d cuboid sections, header promised %d", len(cuboidPayloads), p.numCuboids)
-	}
+}
 
-	cuboids, err := decodeCuboidsV2(cuboidPayloads, p.location, p.levels, opts.Workers)
+// loadV2 decodes a snapshot from br, positioned at the magic: the cuboid
+// payloads are collected, then decoded on workers.
+func loadV2(ctx context.Context, br *bufio.Reader, opts LoadOptions) (*Cube, error) {
+	p, next, err := openStreamV2(ctx, br)
 	if err != nil {
 		return nil, err
 	}
-
+	var payloads [][]byte
+	ledger, err := decodeBodyV2(next, p, func(payload []byte) error { payloads = append(payloads, payload); return nil })
+	if err != nil {
+		return nil, err
+	}
+	cuboids, err := decodeCuboidsV2(payloads, p.location, p.levels, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
 	cube := p.cube()
 	for _, cb := range cuboids {
 		if err := validateSpec(cb.Spec, p.syms, p.schema); err != nil {
 			return nil, err
 		}
 		if _, dup := cube.Cuboids[cb.Spec.Key()]; dup {
-			return nil, (&byteReader{section: "frame"}).corrupt("duplicate cuboid %s", cb.Spec.Key())
+			return nil, frameCorrupt("duplicate cuboid %s", cb.Spec.Key())
 		}
 		cube.Cuboids[cb.Spec.Key()] = cb
 	}
-	if haveLedger {
-		ledger, err := decodeLedgerV2(ledgerPayload, p.numDims)
-		if err != nil {
-			return nil, err
-		}
-		cube.ledger = ledger
-		cube.Config.DeltaLedger = true
-	}
+	cube.setLedger(ledger)
 	return cube, nil
+}
+
+// setLedger attaches a decoded ledger section; its presence is what restores
+// Config.DeltaLedger on load.
+func (c *Cube) setLedger(ledger *Ledger) {
+	if ledger != nil {
+		c.ledger = ledger
+		c.Config.DeltaLedger = true
+	}
 }
 
 // decodeCuboidsV2 decodes every cuboid section payload, spreading the work
@@ -951,31 +954,7 @@ func decodeCuboidsV2(payloads [][]byte, loc *hierarchy.Hierarchy, levels []pathd
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(payloads) {
-		workers = len(payloads)
-	}
-	if workers <= 1 {
-		for i, p := range payloads {
-			out[i], _, errs[i] = decodeCuboidV2(p, loc, levels)
-		}
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					out[i], _, errs[i] = decodeCuboidV2(payloads[i], loc, levels)
-				}
-			}()
-		}
-		for i := range payloads {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
+	forEach(workers, len(payloads), func(i int) { out[i], errs[i] = decodeCuboidV2(payloads[i], loc, levels) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -1045,53 +1024,68 @@ func decodeCellPrefixV2(r *byteReader) (values []hierarchy.NodeID, count int64, 
 	return values, count, flags, similarity, nil
 }
 
-// decodeCuboidV2 decodes one cuboid section payload. The second result is an
-// estimate of the decoded cuboid's resident heap footprint in bytes (cells,
-// nodes, children maps, multinomial maps), which the lazy loader's LRU uses
-// as the eviction cost so its byte budget tracks decoded size rather than
-// the much smaller encoded payload.
-func decodeCuboidV2(payload []byte, loc *hierarchy.Hierarchy, levels []pathdb.PathLevel) (*Cuboid, int64, error) {
-	r := &byteReader{section: "cuboid", buf: payload}
-	spec, numCells, err := decodeCuboidHeaderV2(r, levels)
+// minCellBytesV2 is the least one encoded cell occupies: a value count, a
+// path count, the flags byte and the similarity. It bounds what a section's
+// claimed cell count may pre-allocate.
+const minCellBytesV2 = 11
+
+// decodeCellV2 is the one cell decoder: it decodes the cell r is positioned
+// at — prefix, flat graph, Unflatten into pointer form at the cuboid's path
+// level — and leaves r at the next cell. Eager Load loops it over a section
+// (decodeCuboidV2); a lazy cube aims it at one directory entry (lazyload.go).
+// The second result estimates the decoded cell's resident heap footprint in
+// bytes, the cost the lazy cache budgets by, so that its byte budget tracks
+// decoded size rather than the much smaller encoded payload.
+func decodeCellV2(r *byteReader, loc *hierarchy.Hierarchy, level pathdb.PathLevel) (*Cell, int64, error) {
+	values, count, flags, similarity, err := decodeCellPrefixV2(r)
 	if err != nil {
 		return nil, 0, err
 	}
-	cb := &Cuboid{Spec: spec, Cells: make(map[string]*Cell, numCells)}
-	var footprint int64
-	for ci := 0; ci < numCells; ci++ {
-		values, count, flags, similarity, err := decodeCellPrefixV2(r)
+	cell := &Cell{
+		Values:     values,
+		Count:      count,
+		Redundant:  flags&1 != 0,
+		Similarity: similarity,
+	}
+	footprint := cellBaseFootprint + int64(len(values))*8
+	if flags&2 != 0 {
+		flat, err := decodeFlatGraph(r)
 		if err != nil {
 			return nil, 0, err
 		}
-		cell := &Cell{
-			Values:     values,
-			Count:      count,
-			Redundant:  flags&1 != 0,
-			Similarity: similarity,
+		footprint += flatFootprint(flat)
+		if cell.Graph, err = flowgraph.Unflatten(loc, level, flat); err != nil {
+			return nil, 0, r.corrupt("cell %s: %v", cellKey(values), err)
 		}
-		footprint += cellBaseFootprint + int64(len(values))*8
-		if flags&2 != 0 {
-			flat, err := decodeFlatGraph(r)
-			if err != nil {
-				return nil, 0, err
-			}
-			footprint += flatFootprint(flat)
-			g, err := flowgraph.Unflatten(loc, levels[spec.PathLevel], flat)
-			if err != nil {
-				return nil, 0, r.corrupt("cell %d: %v", ci, err)
-			}
-			cell.Graph = g
+	}
+	return cell, footprint, nil
+}
+
+// decodeCuboidV2 decodes one whole cuboid section payload: decodeCellV2 over
+// every cell, plus the whole-section checks (no duplicate cell, no trailing
+// bytes).
+func decodeCuboidV2(payload []byte, loc *hierarchy.Hierarchy, levels []pathdb.PathLevel) (*Cuboid, error) {
+	r := &byteReader{section: "cuboid", buf: payload}
+	spec, numCells, err := decodeCuboidHeaderV2(r, levels)
+	if err != nil {
+		return nil, err
+	}
+	cb := &Cuboid{Spec: spec, Cells: make(map[string]*Cell, min(numCells, r.rem()/minCellBytesV2))}
+	for ci := 0; ci < numCells; ci++ {
+		cell, _, err := decodeCellV2(r, loc, levels[spec.PathLevel])
+		if err != nil {
+			return nil, err
 		}
-		key := cellKey(values)
+		key := cellKey(cell.Values)
 		if _, dup := cb.Cells[key]; dup {
-			return nil, 0, r.corrupt("duplicate cell %s", key)
+			return nil, r.corrupt("duplicate cell %s", key)
 		}
 		cb.Cells[key] = cell
 	}
 	if r.rem() != 0 {
-		return nil, 0, r.corrupt("%d trailing bytes", r.rem())
+		return nil, r.corrupt("%d trailing bytes", r.rem())
 	}
-	return cb, footprint, nil
+	return cb, nil
 }
 
 // Decoded-footprint model constants: rough per-object heap costs of the

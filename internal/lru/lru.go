@@ -1,7 +1,8 @@
 // Package lru is the repository's one cache: a mutex-guarded,
 // cost-budgeted LRU with single-flight computation. flowserve's response
-// cache (cost 1 per rendered response) and the lazy loader's decoded-section
-// cache (cost = estimated decoded heap bytes) are both instances. The mutex
+// cache (cost 1 per rendered response) and the lazy loader's cache of
+// section directories and decoded cells (cost = estimated decoded heap
+// bytes) are both instances. The mutex
 // guards only the bookkeeping; values are computed outside it.
 package lru
 

@@ -101,10 +101,13 @@ func (db *DB) Append(r Record) error {
 }
 
 // ValidateRecord checks a record against the schema without storing it:
-// dimension value arity and ranges, a non-empty path, location ranges, and
-// non-negative durations. Batch ingestion (incr.ApplyDelta) validates whole
-// batches up front with it so a bad record rejects the batch before any
-// state changes.
+// dimension value arity and ranges, every dimension value a leaf concept, a
+// non-empty path, location ranges, and non-negative durations. Records carry
+// leaves and cells roll them up (paper §1); a record naming an interior
+// concept has no ancestor at the finer levels, and a cube that folded it in
+// would hold a cell at the wrong level. Batch ingestion (incr.ApplyDelta)
+// validates whole batches up front with it so a bad record rejects the batch
+// before any state changes.
 func (s *Schema) ValidateRecord(r Record) error {
 	if len(r.Dims) != len(s.Dims) {
 		return fmt.Errorf("pathdb: record has %d dimension values, schema has %d",
@@ -114,6 +117,10 @@ func (s *Schema) ValidateRecord(r Record) error {
 		if int(v) < 0 || int(v) >= s.Dims[i].Len() {
 			return fmt.Errorf("pathdb: dimension %q value %d out of range",
 				s.Dims[i].Dimension(), v)
+		}
+		if !s.Dims[i].IsLeaf(v) {
+			return fmt.Errorf("pathdb: dimension %q value %q is an interior concept; records name leaves",
+				s.Dims[i].Dimension(), s.Dims[i].Name(v))
 		}
 	}
 	if len(r.Path) == 0 {

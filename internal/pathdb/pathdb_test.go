@@ -70,6 +70,8 @@ func TestAppendValidation(t *testing.T) {
 		{Dims: nil, Path: mkPath(loc, "f", 1)},                                                              // missing dims
 		{Dims: []hierarchy.NodeID{prod.MustLookup("tennis")}, Path: nil},                                    // empty path
 		{Dims: []hierarchy.NodeID{999}, Path: mkPath(loc, "f", 1)},                                          // bad dim value
+		{Dims: []hierarchy.NodeID{prod.MustLookup("shoes")}, Path: mkPath(loc, "f", 1)},                     // interior concept
+		{Dims: []hierarchy.NodeID{hierarchy.Root}, Path: mkPath(loc, "f", 1)},                               // the root is interior too
 		{Dims: []hierarchy.NodeID{prod.MustLookup("tennis")}, Path: pathdb.Path{{99, 1}}},                   // bad location
 		{Dims: []hierarchy.NodeID{prod.MustLookup("tennis")}, Path: pathdb.Path{{loc.MustLookup("f"), -1}}}, // negative duration
 	}

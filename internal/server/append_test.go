@@ -129,6 +129,11 @@ func TestAdminAppendErrors(t *testing.T) {
 	if rec, _ := postBody(t, s.Handler(), "/admin/append", "# comments only\n"); rec.Code != http.StatusBadRequest {
 		t.Errorf("empty batch: status %d, want 400", rec.Code)
 	}
+	// Records name leaf concepts: an interior one ("shoes" is tennis's
+	// parent) is the client's error, not a cell at the wrong level.
+	if rec, _ := postBody(t, s.Handler(), "/admin/append", "shoes,nike|f:1 s:2\n"); rec.Code != http.StatusBadRequest {
+		t.Errorf("interior dimension value: status %d, want 400", rec.Code)
+	}
 
 	// A cube built with a fractional threshold is not delta-maintainable.
 	fractional, err := core.Build(ex.DB, core.Config{MinSupport: 0.25, Plan: plan})

@@ -155,22 +155,23 @@ type SnapshotMetrics struct {
 }
 
 // LazyMetrics are the zero-copy serving gauges of a lazily opened snapshot:
-// how much of the file is mapped versus decoded so far, and how the
-// decoded-section LRU is behaving. Unlike the request counters these are
-// per-snapshot (they reset on reload), which is what makes them useful —
+// how much of the file is mapped versus decoded so far, and how the LRU of
+// section directories and decoded cells is behaving (cached_entries, hits,
+// misses and evictions count both kinds). Unlike the request counters these
+// are per-snapshot (they reset on reload), which is what makes them useful —
 // decoded_bytes versus mapped_bytes is exactly the RSS the lazy open saved.
 type LazyMetrics struct {
-	Mapped          bool  `json:"mapped"` // false on the pread fallback build
-	MappedBytes     int64 `json:"mapped_bytes"`
-	BudgetBytes     int64 `json:"budget_bytes"`
-	Sections        int   `json:"sections"`
-	DecodedSections int64 `json:"decoded_sections"`
-	DecodedBytes    int64 `json:"decoded_bytes"`
-	CachedSections  int   `json:"cached_sections"`
-	CachedBytes     int64 `json:"cached_bytes"`
-	CacheHits       int64 `json:"cache_hits"`
-	CacheMisses     int64 `json:"cache_misses"`
-	Evictions       int64 `json:"evictions"`
+	Mapped        bool  `json:"mapped"` // false on the pread fallback build
+	MappedBytes   int64 `json:"mapped_bytes"`
+	BudgetBytes   int64 `json:"budget_bytes"`
+	Sections      int   `json:"sections"`
+	DecodedCells  int64 `json:"decoded_cells"`
+	DecodedBytes  int64 `json:"decoded_bytes"`
+	CachedEntries int   `json:"cached_entries"`
+	CachedBytes   int64 `json:"cached_bytes"`
+	CacheHits     int64 `json:"cache_hits"`
+	CacheMisses   int64 `json:"cache_misses"`
+	Evictions     int64 `json:"evictions"`
 }
 
 // lazyMetrics converts core's stats to the JSON gauge shape; nil for eager
@@ -180,17 +181,17 @@ func lazyMetrics(st core.LazyStats, ok bool) *LazyMetrics {
 		return nil
 	}
 	return &LazyMetrics{
-		Mapped:          st.Mapped,
-		MappedBytes:     st.MappedBytes,
-		BudgetBytes:     st.BudgetBytes,
-		Sections:        st.Sections,
-		DecodedSections: st.DecodedSections,
-		DecodedBytes:    st.DecodedBytes,
-		CachedSections:  st.CachedSections,
-		CachedBytes:     st.CachedBytes,
-		CacheHits:       st.CacheHits,
-		CacheMisses:     st.CacheMisses,
-		Evictions:       st.Evictions,
+		Mapped:        st.Mapped,
+		MappedBytes:   st.MappedBytes,
+		BudgetBytes:   st.BudgetBytes,
+		Sections:      st.Sections,
+		DecodedCells:  st.DecodedCells,
+		DecodedBytes:  st.DecodedBytes,
+		CachedEntries: st.CachedEntries,
+		CachedBytes:   st.CachedBytes,
+		CacheHits:     st.CacheHits,
+		CacheMisses:   st.CacheMisses,
+		Evictions:     st.Evictions,
 	}
 }
 

@@ -116,12 +116,13 @@ type BuildOptions struct {
 	// Workers spreads flowgraph construction across goroutines.
 	Workers int
 	// Lazy opens cube snapshots with core.LoadCubeLazy: the file is mapped
-	// read-only and cuboid sections decode on first touch, so the server is
-	// ready in milliseconds and resident memory stays bounded by
+	// read-only and cells decode one at a time on first touch, so the server
+	// is ready in milliseconds and resident memory stays bounded by
 	// LazyCacheBytes rather than the full cube size. A path database is
 	// built eagerly, as without Lazy.
 	Lazy bool
-	// LazyCacheBytes is the decoded-section LRU budget for lazy opens;
+	// LazyCacheBytes is the budget of the lazy open's LRU of section
+	// directories and decoded cells, in estimated decoded heap bytes;
 	// 0 means core.DefaultLazyCacheBytes, negative disables eviction.
 	LazyCacheBytes int64
 }

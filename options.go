@@ -41,7 +41,7 @@ func LoadCubeContext(ctx context.Context, r io.Reader) (*Cube, error) {
 	return core.LoadContext(ctx, r)
 }
 
-// LazyOptions configures LoadCubeLazy (decoded-section cache budget).
+// LazyOptions configures LoadCubeLazy (the directory-and-cell cache budget).
 type LazyOptions = core.LazyOptions
 
 // LazyStats reports a lazily loaded cube's mapping and cache gauges; see
@@ -49,7 +49,7 @@ type LazyOptions = core.LazyOptions
 type LazyStats = core.LazyStats
 
 // LoadCubeLazy memory-maps a v2 cube snapshot read-only and returns a cube
-// whose cuboid sections decode on first touch, kept in a bounded LRU: the
+// whose cells decode one at a time on first touch, kept in a bounded LRU: the
 // open validates framing and checksums but materializes nothing, so it
 // completes in milliseconds with resident memory bounded by the cache
 // budget rather than the cube size. The returned cube answers the full

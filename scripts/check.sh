@@ -42,17 +42,21 @@ echo "== go test -race =="
 # byte-for-byte against a single node, under the race detector.
 go test -race ./...
 
-echo "== generation isolation (-race -count=10) =="
+echo "== generation isolation, lazy first touch (-race -count=10) =="
 # Cube generations share cells and flowgraph nodes; a write that reaches a
 # shared one is a rare interleaving with a reader, not a deterministic
 # failure, so the isolation test runs ten times on top of the pass above.
 go test -race -count=10 ./internal/incr -run TestGenerationIsolation
+# Same reasoning for a lazy cube's first touches: readers racing for one cold
+# cell share a single decode through the cache's single-flight.
+go test -race -count=10 ./internal/core -run TestLazyConcurrentFirstTouch
 
-echo "== measure-kernel benchmarks (one iteration each) =="
+echo "== micro-benchmarks (one iteration each) =="
 # BenchmarkKLDivergence/Add (internal/stats) and BenchmarkSimilarity/
 # MineExceptions (internal/flowgraph) are what EXPERIMENTS.md quotes for the
-# sorted-slice distributions; one iteration keeps them compiling and running.
-go test ./internal/stats ./internal/flowgraph -run '^$' -bench . -benchtime 1x
+# sorted-slice distributions, BenchmarkLazyLookupCold (internal/core) for the
+# cell-at-a-time lazy read; one iteration keeps them compiling and running.
+go test ./internal/stats ./internal/flowgraph ./internal/core -run '^$' -bench . -benchtime 1x
 
 echo "== nommap fallback (lazy serving without mmap) =="
 # The pread fallback behind the nommap build tag is what non-linux builds
