@@ -7,7 +7,7 @@
 //	flowbench -fig all                 # every figure at the default scale
 //	flowbench -fig 6 -scale 1          # Figure 6 at the paper's full 100k–1M
 //	flowbench -fig 7 -algos shared,cubing
-//	flowbench -ablation pruning,merge,counting,redundancy,iceberg,engine,parallel
+//	flowbench -ablation pruning,merge,counting,redundancy,iceberg,parallel
 //
 // Scale multiplies the paper's database sizes; the default 0.1 sweeps
 // 10k–100k paths and completes in minutes. Absolute times will not match
@@ -38,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("flowbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fig := fs.String("fig", "", "figures to run: comma-separated subset of 6,7,8,9,10,11 or 'all'")
-	ablation := fs.String("ablation", "", "ablations to run: comma-separated subset of pruning,merge,counting,redundancy,iceberg,engine,parallel or 'all'")
+	ablation := fs.String("ablation", "", "ablations to run: comma-separated subset of pruning,merge,counting,redundancy,iceberg,parallel or 'all'")
 	scale := fs.Float64("scale", 0.1, "multiplier on the paper's database sizes (1.0 = full 100k-1M sweep)")
 	seed := fs.Int64("seed", 1, "synthetic generator seed")
 	algos := fs.String("algos", "", "restrict algorithms: comma-separated subset of shared,cubing,basic")
@@ -116,10 +116,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		"counting":   {"A3: candidate trie vs naive counting", bench.AblationCounting},
 		"redundancy": {"A4: cells retained vs tau", bench.AblationRedundancy},
 		"iceberg":    {"A5: cells materialized vs delta", bench.AblationIceberg},
-		"engine":     {"A6: per-cell Apriori vs FP-growth", bench.AblationEngine},
 		"parallel":   {"A7: Shared counting worker scaling", bench.AblationParallel},
 	}
-	ablOrder := []string{"pruning", "merge", "counting", "redundancy", "iceberg", "engine", "parallel"}
+	ablOrder := []string{"pruning", "merge", "counting", "redundancy", "iceberg", "parallel"}
 	if *ablation != "" {
 		want, err := selection(*ablation, ablOrder, func(id string) bool { _, ok := ablations[id]; return ok })
 		if err != nil {

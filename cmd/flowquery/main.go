@@ -33,8 +33,6 @@ import (
 	"flowcube/internal/datagen"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/olap"
-	"flowcube/internal/pathdb"
-	"flowcube/internal/pdfa"
 )
 
 func main() {
@@ -60,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	maxCells := fs.Int("max", 0, "cap multi-cell results (0 = default)")
 	pathLevel := fs.Int("pathlevel", 0, "path abstraction level index (0-3)")
 	dot := fs.Bool("dot", false, "emit the queried cell's flowgraph as Graphviz dot")
-	pdfaAlpha := fs.Float64("pdfa", -1, "also learn and print an ALERGIA PDFA over the whole database at this alpha (0 = no merging)")
 	top := fs.Int("top", 0, "list the N largest cells of the queried cuboid")
 	workers := fs.Int("workers", 1, "goroutines for flowgraph construction and exception mining")
 	saveCube := fs.String("save", "", "serialize the materialized cube to this file")
@@ -128,17 +125,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	queried := *cellSpec != "" || *sel != ""
 	if *summary || !queried {
 		printSummary(stdout, cube)
-	}
-	if *pdfaAlpha >= 0 {
-		var paths []pathdb.Path
-		for _, r := range ds.DB.Records {
-			paths = append(paths, r.Path)
-		}
-		a, err := pdfa.Learn(paths, pdfa.Options{Alpha: *pdfaAlpha})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "PDFA over %d paths (alpha=%g):\n%s", len(paths), *pdfaAlpha, a.String(ds.Schema.Location))
 	}
 	if queried {
 		return queryCell(stdout, stderr, cube, ds, queryOpts{

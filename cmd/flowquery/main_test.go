@@ -151,18 +151,3 @@ func TestErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestPDFAOutput(t *testing.T) {
-	path := writeDataset(t)
-	var out, errw bytes.Buffer
-	if err := run([]string{"-in", path, "-minsup", "0.05", "-pdfa", "0.3", "-summary"}, &out, &errw); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "PDFA over 300 paths") || !strings.Contains(out.String(), "q0") {
-		t.Errorf("pdfa output missing:\n%s", out.String())
-	}
-	// A bad alpha propagates as an error.
-	if err := run([]string{"-in", path, "-pdfa", "1.5"}, &out, &errw); err == nil {
-		t.Errorf("bad alpha accepted")
-	}
-}

@@ -82,8 +82,6 @@ import (
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/mining"
 	"flowcube/internal/pathdb"
-	"flowcube/internal/pdfa"
-	"flowcube/internal/procmine"
 	"flowcube/internal/transact"
 )
 
@@ -258,32 +256,6 @@ func Similarity(a, b *Flowgraph) float64 { return flowgraph.Similarity(a, b) }
 
 // Divergence returns the asymmetric weighted KL divergence D(a ‖ b).
 func Divergence(a, b *Flowgraph) float64 { return flowgraph.Divergence(a, b) }
-
-// PDFA induction (the grammar-learning comparator of related work §7).
-type (
-	// PDFA is a probabilistic deterministic finite automaton learned from
-	// paths by ALERGIA state merging.
-	PDFA = pdfa.Automaton
-	// PDFAOptions configures the learner; Alpha = 0 disables merging.
-	PDFAOptions = pdfa.Options
-)
-
-// LearnPDFA induces a PDFA over the paths' location sequences — the
-// related-work alternative to flowgraphs, which generalizes across
-// branches but models neither durations nor exceptions.
-func LearnPDFA(paths []Path, opts PDFAOptions) (*PDFA, error) {
-	return pdfa.Learn(paths, opts)
-}
-
-// WorkflowNet is a process-mining workflow net: one node per location with
-// pooled transition/duration statistics — the other related-work
-// comparator, smaller than a flowgraph but context-blind.
-type WorkflowNet = procmine.Net
-
-// InduceWorkflow builds the workflow net of a path collection.
-func InduceWorkflow(loc *Hierarchy, paths []Path) *WorkflowNet {
-	return procmine.Induce(loc, paths)
-}
 
 // NodeDiff describes one prefix's behavioural shift between two
 // flowgraphs.

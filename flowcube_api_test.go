@@ -159,27 +159,6 @@ func exampleTable1() (*flowcube.Hierarchy, *flowcube.Hierarchy, *flowcube.Hierar
 	return table1()
 }
 
-func TestPublicPDFA(t *testing.T) {
-	_, _, _, db := table1()
-	var paths []flowcube.Path
-	for _, r := range db.Records {
-		paths = append(paths, r.Path)
-	}
-	a, err := flowcube.LearnPDFA(paths, flowcube.PDFAOptions{Alpha: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.NumStates() == 0 {
-		t.Fatal("empty automaton")
-	}
-	if p := a.PathProb(paths[0]); p <= 0 || p > 1 {
-		t.Errorf("PathProb = %g", p)
-	}
-	if _, err := flowcube.LearnPDFA(paths, flowcube.PDFAOptions{Alpha: 2}); err == nil {
-		t.Errorf("bad alpha accepted")
-	}
-}
-
 func TestPublicContrast(t *testing.T) {
 	_, _, location, db := table1()
 	leaf := flowcube.LevelCut(location, location.Depth())

@@ -90,7 +90,7 @@ func TestBuildContextCancellation(t *testing.T) {
 	}
 }
 
-func TestResolveGraphSentinel(t *testing.T) {
+func TestAnswerMissIsErrCellNotFound(t *testing.T) {
 	product, brand, location, db := table1()
 	cfg, err := table1Config(location, flowcube.WithDelta(2))
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"flowcube/internal/core"
-	"flowcube/internal/cubing"
 	"flowcube/internal/datagen"
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
@@ -256,45 +255,6 @@ func buildCube(o Options, minSupport float64) *core.Cube {
 		panic(fmt.Sprintf("bench: cube build failed: %v", err))
 	}
 	return cube
-}
-
-// AblationEngine (A6) compares the Cubing competitor's per-cell mining
-// engines: the paper's Apriori versus FP-growth, on identical cells.
-func AblationEngine(o Options) []AblationRow {
-	cfg := o.baseConfig()
-	cfg.NumPaths = int(50_000 * o.scale())
-	cfg.NumDims = 2
-	ds := datagen.MustGenerate(cfg)
-	syms := transact.MustNewSymbols(ds.Schema, ds.DefaultPlan())
-	syms.Encode(ds.DB)
-	opts := mining.Options{MinCount: o.minCount(0.01, ds.DB.Len())}
-
-	var rows []AblationRow
-	var segments [2]int
-	for i, eng := range []struct {
-		name   string
-		engine cubing.Engine
-	}{
-		{"apriori per cell", cubing.EngineApriori},
-		{"fp-growth per cell", cubing.EngineFPGrowth},
-	} {
-		start := time.Now()
-		res, err := cubing.RunEngine(ds.DB, syms, opts, eng.engine)
-		if err != nil {
-			panic(fmt.Sprintf("bench: engine ablation failed: %v", err))
-		}
-		for _, c := range res.Cells {
-			segments[i] += len(c.Segments)
-		}
-		rows = append(rows, AblationRow{
-			Name: eng.name, Seconds: time.Since(start).Seconds(), Candidates: segments[i],
-		})
-		o.progress("ablation-engine %s: %.2fs %d segments", eng.name, rows[i].Seconds, segments[i])
-	}
-	if segments[0] != segments[1] {
-		panic("bench: engines disagree on segment counts")
-	}
-	return rows
 }
 
 // AblationParallel (A7) scales the Shared miner's counting across workers.

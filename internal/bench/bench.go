@@ -1,8 +1,7 @@
 // Package bench implements the paper's §6 experimental evaluation: one
 // runner per figure (6–11) that regenerates the same series the paper
 // reports, plus ablation experiments for the design choices DESIGN.md calls
-// out. The cmd/flowbench binary and the repository-root testing.B benches
-// are thin wrappers over this package.
+// out. The cmd/flowbench binary is a thin wrapper over this package.
 //
 // Absolute times will differ from the paper's 2006 C++/Pentium-IV testbed;
 // what the runners reproduce is the shape: who wins, by roughly what

@@ -190,16 +190,6 @@ func TestWriteRowsRendering(t *testing.T) {
 	}
 }
 
-func TestAblationEngineAgrees(t *testing.T) {
-	rows := bench.AblationEngine(tiny())
-	if len(rows) != 2 {
-		t.Fatalf("engine ablation has %d rows", len(rows))
-	}
-	if rows[0].Candidates != rows[1].Candidates {
-		t.Errorf("engines disagree: %d vs %d segments", rows[0].Candidates, rows[1].Candidates)
-	}
-}
-
 func TestAblationParallelConsistent(t *testing.T) {
 	rows := bench.AblationParallel(tiny())
 	if len(rows) != 4 {

@@ -27,6 +27,7 @@ type appendFixture struct {
 	batches   [][]pathdb.Record
 	single    *server.Server
 	shardSrvs []*server.Server
+	urls      []string
 	router    *cluster.Router
 }
 
@@ -94,7 +95,7 @@ func newAppendFixture(t *testing.T, n int) *appendFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	urls := make([]string, n)
+	fx.urls = make([]string, n)
 	for i, part := range parts {
 		var pb bytes.Buffer
 		if err := part.Save(&pb); err != nil {
@@ -113,14 +114,14 @@ func newAppendFixture(t *testing.T, n int) *appendFixture {
 		fx.shardSrvs = append(fx.shardSrvs, srv)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
-		urls[i] = ts.URL
+		fx.urls[i] = ts.URL
 	}
 
 	meta, err := core.LoadMeta(bytes.NewReader(snapBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.router, err = cluster.NewRouter(meta, urls, cluster.RouterConfig{
+	fx.router, err = cluster.NewRouter(meta, fx.urls, cluster.RouterConfig{
 		Source: "test",
 		Logger: log.New(io.Discard, "", 0),
 	})
@@ -211,7 +212,7 @@ func TestClusterAppendErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smallRouter, err := cluster.NewRouter(fx.single.Snapshot().Cube, fx.router.Shards(), cluster.RouterConfig{
+	smallRouter, err := cluster.NewRouter(fx.single.Snapshot().Cube, fx.urls, cluster.RouterConfig{
 		Source: "test", Logger: log.New(io.Discard, "", 0), MaxAppendBytes: 16,
 	})
 	if err != nil {
@@ -238,7 +239,7 @@ func TestClusterAppendErrorPaths(t *testing.T) {
 	// shard reports divergence and names the failure, because the live shard
 	// already applied the batch.
 	brokenRouter, err := cluster.NewRouter(fx.single.Snapshot().Cube,
-		[]string{fx.router.Shards()[0], "http://127.0.0.1:1"},
+		[]string{fx.urls[0], "http://127.0.0.1:1"},
 		cluster.RouterConfig{Source: "test", Logger: log.New(io.Discard, "", 0)})
 	if err != nil {
 		t.Fatal(err)

@@ -59,9 +59,6 @@ func NewPartitioner(schema *pathdb.Schema, shards int) (*Partitioner, error) {
 	return p, nil
 }
 
-// Shards reports the shard count the partitioner was built for.
-func (p *Partitioner) Shards() int { return p.shards }
-
 // Key reduces per-dimension values to the 64-bit hashing domain: the packed
 // cell key when it fits, an FNV-1a hash of the fixed-width binary key
 // otherwise. Injective in the packed case, which is every realistic schema.

@@ -139,9 +139,6 @@ func NewRouter(meta *core.Cube, shardURLs []string, cfg RouterConfig) (*Router, 
 // Handler returns the fully assembled HTTP handler.
 func (rt *Router) Handler() http.Handler { return rt.handler }
 
-// Shards returns the shard base URLs in partition order.
-func (rt *Router) Shards() []string { return append([]string(nil), rt.shards...) }
-
 func (rt *Router) routeTable() http.Handler {
 	mux := http.NewServeMux()
 	timeout := func(h http.HandlerFunc) http.Handler {

@@ -27,8 +27,7 @@ func Build(db *pathdb.DB, cfg Config) (*Cube, error) {
 
 // prepare runs everything that precedes the populate scan — encoding,
 // mining, cuboid validation, and frequent-cell instantiation — and returns
-// the cube with empty cells plus the per-cell exception conditions. Split
-// from Build so benchmarks can time populate in isolation (PopulateBench).
+// the cube with empty cells plus the per-cell exception conditions.
 func prepare(db *pathdb.DB, cfg Config) (*Cube, cellConds, error) {
 	syms, err := transact.NewSymbols(db.Schema, cfg.Plan)
 	if err != nil {
@@ -348,43 +347,12 @@ func (c *Cube) buildGraphs(db *pathdb.DB, targets []*Cuboid) {
 	}
 	c.forEach(len(jobs), func(i int) {
 		j := jobs[i]
-		g := flowgraph.New(db.Schema.Location, j.pl, c.Config.Merge)
+		g := flowgraph.New(db.Schema.Location, j.pl, nil)
 		for _, tid := range j.cell.tids {
 			g.AddPath(db.Records[tid].Path)
 		}
 		j.cell.Graph = g
 	})
-}
-
-// PopulateBench prepares a cube (encode, mine, instantiate cells) and
-// returns closures over it for benchmarking populate in isolation: run
-// re-executes the full populate pass (assignment plus flowgraphs) and
-// assign re-executes only the record→cell assignment. Both reset the cells
-// first so every call does full work on identical input. The cube is
-// returned so callers can verify the benched state.
-func PopulateBench(db *pathdb.DB, cfg Config) (cube *Cube, run, assign func(), err error) {
-	cube, _, err = prepare(db, cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	targets := cube.populateTargets()
-	reset := func() {
-		for _, cb := range targets {
-			for _, cell := range cb.Cells {
-				cell.tids = nil
-				cell.Graph = nil
-			}
-		}
-	}
-	run = func() {
-		reset()
-		cube.populate(db)
-	}
-	assign = func() {
-		reset()
-		cube.assignCells(db, targets)
-	}
-	return cube, run, assign, nil
 }
 
 // forEach runs fn over [0,n) — concurrently when Config.Workers > 1. Each

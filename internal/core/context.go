@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"context"
 	"io"
 
@@ -59,5 +60,5 @@ func BuildContext(ctx context.Context, db *pathdb.DB, cfg Config) (*Cube, error)
 // large snapshot from a slow reader can be abandoned without decoding the
 // rest.
 func LoadContext(ctx context.Context, r io.Reader) (*Cube, error) {
-	return LoadContextWith(ctx, r, LoadOptions{})
+	return loadV2(ctx, bufio.NewReader(r))
 }

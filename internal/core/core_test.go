@@ -137,7 +137,7 @@ func TestExceptionsMinedFromSegments(t *testing.T) {
 	}
 }
 
-func TestQueryGraphFallback(t *testing.T) {
+func TestAnswerAncestorFallback(t *testing.T) {
 	ex, cube := buildExample(t, core.Config{MinCount: 2})
 	// (sandals, nike) holds one path: below the iceberg threshold, so the
 	// query must roll up — to (shoes, nike) or beyond.

@@ -142,7 +142,7 @@ type Cuboid struct {
 // paths — Cell, Cuboid, Answer, NumCells, CuboidSummaries,
 // TopExceptions, Validate, SortedCells, and every flowgraph render/analysis
 // method they expose — do not mutate the cube or any lazily cached state.
-// Mutating operations (Append, MarkRedundancy, Compress, incr.ApplyDelta)
+// Mutating operations (MarkRedundancy, Compress, incr.ApplyDelta)
 // must not run concurrently with readers of the same cube value; a
 // long-lived server treats the cube it serves as immutable, runs them on a
 // Fork — which shares the served cube's cells and flowgraph nodes and
@@ -159,7 +159,6 @@ type Cube struct {
 	Cuboids map[string]*Cuboid
 
 	minCount int64
-	appended int64
 	// gen is the cube's generation tag: it may write exactly the cuboids,
 	// cells, flowgraph nodes and ledger parts that carry it (delta.go).
 	gen         uint32
@@ -202,8 +201,6 @@ type Config struct {
 	// SingleStageExceptions additionally mines exceptions conditioned on
 	// every single prior stage duration (not only on frequent segments).
 	SingleStageExceptions bool
-	// Merge combines durations of stages merged during path aggregation.
-	Merge pathdb.DurationMerge
 	// MiningOptions overrides the algorithm configuration; zero value
 	// means SharedOptions(MinSupport).
 	MiningOptions *mining.Options

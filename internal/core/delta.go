@@ -45,7 +45,6 @@ func (c *Cube) Fork() *Cube {
 		Mining:       c.Mining,
 		Cuboids:      make(map[string]*Cuboid, len(c.Cuboids)),
 		minCount:     c.minCount,
-		appended:     c.appended,
 		gen:          c.gen + 1,
 		ledger:       c.ledger.fork(c.gen + 1),
 		haveTIDs:     c.haveTIDs,

@@ -9,7 +9,7 @@ import (
 )
 
 // Cube-level inspection helpers: invariant validation for defence in
-// depth (after Load, Append, or hand assembly) and a cube-wide ranking of
+// depth (after Load, ApplyDelta, or hand assembly) and a cube-wide ranking of
 // mined exceptions for the analyst's "what is most unusual anywhere"
 // question.
 

@@ -685,7 +685,7 @@ func (b *lazyBackend) materialize(c *Cube) (*Cube, error) {
 		}
 		payloads[i] = p
 	}
-	cuboids, err := decodeCuboidsV2(payloads, b.loc, b.levels, 0)
+	cuboids, err := decodeCuboidsV2(payloads, b.loc, b.levels)
 	if err != nil {
 		return nil, err
 	}
@@ -696,7 +696,6 @@ func (b *lazyBackend) materialize(c *Cube) (*Cube, error) {
 		Mining:   c.Mining,
 		Cuboids:  make(map[string]*Cuboid, len(cuboids)),
 		minCount: c.minCount,
-		appended: c.appended,
 		gen:      c.gen + 1,
 		ledger:   c.ledger.fork(c.gen + 1),
 	}

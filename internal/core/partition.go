@@ -42,7 +42,7 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 		if err != nil {
 			c.lazy.noteErr(err)
 			full = &Cube{Schema: c.Schema, Config: c.Config, Symbols: c.Symbols,
-				minCount: c.minCount, appended: c.appended, ledger: c.ledger}
+				minCount: c.minCount, ledger: c.ledger}
 		}
 		c = full
 	}
@@ -52,7 +52,6 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 		Symbols:  c.Symbols,
 		Cuboids:  make(map[string]*Cuboid, len(c.Cuboids)),
 		minCount: c.minCount,
-		appended: c.appended,
 		gen:      c.gen + 1,
 		haveTIDs: c.haveTIDs,
 	}
@@ -114,7 +113,6 @@ func Merge(shards []*Cube) (*Cube, error) {
 		Symbols:  first.Symbols,
 		Cuboids:  make(map[string]*Cuboid, len(first.Cuboids)),
 		minCount: first.minCount,
-		appended: first.appended,
 		haveTIDs: true,
 	}
 	for _, s := range shards {

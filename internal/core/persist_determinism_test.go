@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"runtime"
 	"testing"
 
 	"flowcube/internal/core"
@@ -82,8 +83,11 @@ func TestCodecIsWorkerCountInvariant(t *testing.T) {
 		t.Fatalf("sequential and parallel saves differ: %d vs %d bytes", seq.Len(), par.Len())
 	}
 
+	// Load decodes on GOMAXPROCS workers; pin it to both ends.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 8} {
-		loaded, err := core.LoadWith(bytes.NewReader(seq.Bytes()), core.LoadOptions{Workers: workers})
+		runtime.GOMAXPROCS(workers)
+		loaded, err := core.Load(bytes.NewReader(seq.Bytes()))
 		if err != nil {
 			t.Fatalf("load with %d workers: %v", workers, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"flowcube/internal/core"
-	"flowcube/internal/paperex"
 )
 
 // TestPopulateParallelMatchesSequential: the sharded record→cell assignment
@@ -48,32 +47,5 @@ func TestPopulateBinaryKeyFallback(t *testing.T) {
 		if got != want {
 			t.Fatalf("workers=%d: binary-key snapshot differs from packed-key snapshot", workers)
 		}
-	}
-}
-
-// TestPopulateBenchClosures: the benchmark hooks rebuild exactly the state
-// Build's populate leaves behind, and stay stable across repeated runs.
-func TestPopulateBenchClosures(t *testing.T) {
-	ex := paperex.New()
-	cfg := core.Config{MinCount: 2, Plan: examplePlan(ex)}
-	_, full := buildExample(t, cfg)
-	want, _ := saveDigest(t, full)
-
-	cube, run, assign, err := core.PopulateBench(ex.DB, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		run()
-		got, _ := saveDigest(t, cube)
-		if got != want {
-			t.Fatalf("run %d: benched cube snapshot differs from Build's", i)
-		}
-	}
-	// assign alone leaves graphs unset; a following run must still converge.
-	assign()
-	run()
-	if got, _ := saveDigest(t, cube); got != want {
-		t.Fatalf("assign+run: benched cube snapshot differs from Build's")
 	}
 }

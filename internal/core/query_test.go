@@ -28,10 +28,10 @@ func equalValues(a, b []hierarchy.NodeID) bool {
 	return true
 }
 
-// TestQueryGraphPrefersClosestAncestor pins the breadth-first inference
+// TestAnswerFallbackPrefersClosestAncestor pins the breadth-first inference
 // order: when a 1-step and a 2-step generalization of a missing cell are
 // both materialized, the 1-step ancestor must answer.
-func TestQueryGraphPrefersClosestAncestor(t *testing.T) {
+func TestAnswerFallbackPrefersClosestAncestor(t *testing.T) {
 	ex, cube := partialExample(t, []core.CuboidSpec{
 		// The queried cuboid ⟨(2,2)⟩ is deliberately not materialized.
 		{Item: core.ItemLevel{1, 2}, PathLevel: 0}, // 1 step up in product
@@ -80,10 +80,10 @@ func TestQueryGraphPrefersClosestAncestor(t *testing.T) {
 	}
 }
 
-// TestQueryGraphFullyCompressedFallsBackToApex pins the other end of the
+// TestAnswerFallbackFullyCompressedReachesApex pins the other end of the
 // inference chain: when every intermediate cell is compressed away as
 // redundant, queries drain all the way to the apex.
-func TestQueryGraphFullyCompressedFallsBackToApex(t *testing.T) {
+func TestAnswerFallbackFullyCompressedReachesApex(t *testing.T) {
 	ex, cube := buildExample(t, core.Config{MinCount: 2})
 
 	// Simulate maximal compression: every cell with a concrete dimension

@@ -547,29 +547,11 @@ func writeSection(w io.Writer, kind byte, payload []byte) error {
 	return err
 }
 
-// LoadOptions parameterizes LoadWith.
-type LoadOptions struct {
-	// Workers decodes cuboid sections concurrently; 0 means GOMAXPROCS,
-	// 1 is sequential. The loaded cube is identical at any worker count.
-	Workers int
-}
-
 // Load reconstructs a cube saved with Save. The result supports Cell,
 // Answer, MarkRedundancy and Compress; Mining statistics and the
 // ability to re-mine exceptions are gone with the path database.
 func Load(r io.Reader) (*Cube, error) {
 	return LoadContext(context.Background(), r)
-}
-
-// LoadWith is Load with explicit codec options.
-func LoadWith(r io.Reader, opts LoadOptions) (*Cube, error) {
-	return LoadContextWith(context.Background(), r, opts)
-}
-
-// LoadContextWith is LoadContext with explicit codec options: ctx is
-// checked between snapshot sections.
-func LoadContextWith(ctx context.Context, r io.Reader, opts LoadOptions) (*Cube, error) {
-	return loadV2(ctx, bufio.NewReader(r), opts)
 }
 
 // sectionReader yields a snapshot's framed sections in file order, each
@@ -908,7 +890,7 @@ func decodeBodyV2(next sectionReader, p *preambleV2, onCuboid func(payload []byt
 
 // loadV2 decodes a snapshot from br, positioned at the magic: the cuboid
 // payloads are collected, then decoded on workers.
-func loadV2(ctx context.Context, br *bufio.Reader, opts LoadOptions) (*Cube, error) {
+func loadV2(ctx context.Context, br *bufio.Reader) (*Cube, error) {
 	p, next, err := openStreamV2(ctx, br)
 	if err != nil {
 		return nil, err
@@ -918,7 +900,7 @@ func loadV2(ctx context.Context, br *bufio.Reader, opts LoadOptions) (*Cube, err
 	if err != nil {
 		return nil, err
 	}
-	cuboids, err := decodeCuboidsV2(payloads, p.location, p.levels, opts.Workers)
+	cuboids, err := decodeCuboidsV2(payloads, p.location, p.levels)
 	if err != nil {
 		return nil, err
 	}
@@ -946,15 +928,12 @@ func (c *Cube) setLedger(ledger *Ledger) {
 }
 
 // decodeCuboidsV2 decodes every cuboid section payload, spreading the work
-// over workers goroutines (0 = GOMAXPROCS). Results are positional, so the
-// assembled cube is identical at any worker count.
-func decodeCuboidsV2(payloads [][]byte, loc *hierarchy.Hierarchy, levels []pathdb.PathLevel, workers int) ([]*Cuboid, error) {
+// over GOMAXPROCS goroutines. Results are positional, so the assembled cube
+// is identical at any worker count.
+func decodeCuboidsV2(payloads [][]byte, loc *hierarchy.Hierarchy, levels []pathdb.PathLevel) ([]*Cuboid, error) {
 	out := make([]*Cuboid, len(payloads))
 	errs := make([]error, len(payloads))
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	forEach(workers, len(payloads), func(i int) { out[i], errs[i] = decodeCuboidV2(payloads[i], loc, levels) })
+	forEach(runtime.GOMAXPROCS(0), len(payloads), func(i int) { out[i], errs[i] = decodeCuboidV2(payloads[i], loc, levels) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

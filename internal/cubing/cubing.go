@@ -16,25 +16,11 @@ package cubing
 import (
 	"sort"
 
-	"flowcube/internal/fpgrowth"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/itemset"
 	"flowcube/internal/mining"
 	"flowcube/internal/pathdb"
 	"flowcube/internal/transact"
-)
-
-// Engine selects the per-cell frequent-pattern algorithm. The paper calls
-// plain Apriori; FP-growth is provided as the standard pattern-growth
-// alternative ("any existing frequent pattern mining algorithm", §3).
-type Engine int
-
-const (
-	// EngineApriori mines each cell with candidate generation and a
-	// counting trie — the paper's choice.
-	EngineApriori Engine = iota
-	// EngineFPGrowth mines each cell with a conditional FP-tree recursion.
-	EngineFPGrowth
 )
 
 // CellResult is the mined content of one frequent cell.
@@ -81,7 +67,6 @@ type engine struct {
 	dimLevels [][]int
 	minCount  int64
 	maxLen    int
-	miner     Engine
 	res       *Result
 }
 
@@ -93,11 +78,6 @@ type engine struct {
 // pruning toggles of opts do not apply: per the paper, each cell is mined
 // with plain Apriori.
 func Run(db *pathdb.DB, syms *transact.Symbols, opts mining.Options) (*Result, error) {
-	return RunEngine(db, syms, opts, EngineApriori)
-}
-
-// RunEngine is Run with an explicit per-cell mining engine.
-func RunEngine(db *pathdb.DB, syms *transact.Symbols, opts mining.Options, miner Engine) (*Result, error) {
 	minCount, err := mining.ResolveMinCount(opts, db.Len())
 	if err != nil {
 		return nil, err
@@ -108,7 +88,6 @@ func RunEngine(db *pathdb.DB, syms *transact.Symbols, opts mining.Options, miner
 		dimLevels: syms.DimLevels(),
 		minCount:  minCount,
 		maxLen:    opts.MaxLen,
-		miner:     miner,
 		res:       &Result{Cells: make(map[string]*CellResult)},
 	}
 	// Step 2: transform Dp into a transaction database of encoded stages.
@@ -177,31 +156,13 @@ func (e *engine) expandDim(d, levelIdx int, tids []int32, cell []hierarchy.NodeI
 }
 
 // emit records the frequent cell and mines its frequent path segments
-// over the cell's stage transactions (Algorithm 2 steps 5-6) with the
-// configured engine.
+// over the cell's stage transactions (Algorithm 2 steps 5-6).
 func (e *engine) emit(cell []hierarchy.NodeID, tids []int32) {
 	cr := &CellResult{
 		Values: append([]hierarchy.NodeID(nil), cell...),
 		Count:  int64(len(tids)),
 	}
 	e.res.TIDBytes += int64(4 * len(tids))
-
-	if e.miner == EngineFPGrowth {
-		cellTxs := make([]transact.Transaction, len(tids))
-		for i, tid := range tids {
-			cellTxs[i] = e.stageTxs[tid]
-		}
-		cr.Segments = fpgrowth.Mine(cellTxs, e.minCount, e.maxLen)
-		byLen := map[int]int{}
-		for _, s := range cr.Segments {
-			byLen[len(s.Set)]++
-		}
-		for l, n := range byLen {
-			e.addStats(l, n, n, n)
-		}
-		e.res.Cells[CellKey(cell)] = cr
-		return
-	}
 
 	// Scan 1: single stage items.
 	counts := make(map[transact.Item]int64)

@@ -229,45 +229,3 @@ func TestCubingTIDBytesAccounting(t *testing.T) {
 		t.Errorf("TID lists should exceed the base table size (the §5.2 I/O point)")
 	}
 }
-
-// TestEnginesAgree cross-validates the FP-growth per-cell engine against
-// the Apriori one: identical cells and identical segment supports.
-func TestEnginesAgree(t *testing.T) {
-	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, examplePlan(ex))
-	syms.Encode(ex.DB)
-
-	ap, err := cubing.RunEngine(ex.DB, syms, mining.Options{MinCount: 2}, cubing.EngineApriori)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := cubing.RunEngine(ex.DB, syms, mining.Options{MinCount: 2}, cubing.EngineFPGrowth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ap.Cells) != len(fp.Cells) {
-		t.Fatalf("apriori found %d cells, fpgrowth %d", len(ap.Cells), len(fp.Cells))
-	}
-	for key, ac := range ap.Cells {
-		fc, ok := fp.Cells[key]
-		if !ok {
-			t.Fatalf("cell %q missing from fpgrowth run", key)
-		}
-		if ac.Count != fc.Count {
-			t.Errorf("cell %q count mismatch: %d vs %d", key, ac.Count, fc.Count)
-		}
-		if len(ac.Segments) != len(fc.Segments) {
-			t.Errorf("cell %q segments: apriori %d, fpgrowth %d", key, len(ac.Segments), len(fc.Segments))
-			continue
-		}
-		am := map[string]int64{}
-		for _, s := range ac.Segments {
-			am[itemset.Key(s.Set)] = s.Count
-		}
-		for _, s := range fc.Segments {
-			if am[itemset.Key(s.Set)] != s.Count {
-				t.Errorf("cell %q segment %v mismatch", key, s.Set)
-			}
-		}
-	}
-}

@@ -18,7 +18,6 @@ import (
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
 	"flowcube/internal/transact"
-	"flowcube/internal/zipf"
 )
 
 // Config parameterizes the generator. The zero value is not usable; start
@@ -124,12 +123,12 @@ func Generate(cfg Config) (*Dataset, error) {
 
 	// Per-level child pickers. Every node at one level has the same fanout,
 	// so one sampler per level suffices.
-	dimPick := [3]*zipf.Zipf{}
+	dimPick := [3]*zipf{}
 	for l := 0; l < 3; l++ {
-		dimPick[l] = zipf.New(rng, cfg.DimFanouts[l], cfg.DimSkew)
+		dimPick[l] = newZipf(rng, cfg.DimFanouts[l], cfg.DimSkew)
 	}
-	seqPick := zipf.New(rng, len(sequences), cfg.SeqSkew)
-	durPick := zipf.New(rng, cfg.DurationDomain, cfg.DurationSkew)
+	seqPick := newZipf(rng, len(sequences), cfg.SeqSkew)
+	durPick := newZipf(rng, cfg.DurationDomain, cfg.DurationSkew)
 
 	db := pathdb.New(schema)
 	for i := 0; i < cfg.NumPaths; i++ {
@@ -138,14 +137,14 @@ func Generate(cfg Config) (*Dataset, error) {
 			node := hierarchy.Root
 			for l := 0; l < 3; l++ {
 				children := h.Children(node)
-				node = children[dimPick[l].Next()]
+				node = children[dimPick[l].next()]
 			}
 			rec.Dims[d] = node
 		}
-		seq := sequences[seqPick.Next()]
+		seq := sequences[seqPick.next()]
 		rec.Path = make(pathdb.Path, len(seq))
 		for j, loc := range seq {
-			rec.Path[j] = pathdb.Stage{Location: loc, Duration: int64(durPick.Next() + 1)}
+			rec.Path[j] = pathdb.Stage{Location: loc, Duration: int64(durPick.next() + 1)}
 		}
 		db.MustAppend(rec)
 	}

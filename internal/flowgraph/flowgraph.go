@@ -297,25 +297,6 @@ func (g *Graph) Nodes() []*Node {
 	return out
 }
 
-// PathProb returns the probability the flowgraph's generative model assigns
-// to a raw path: the product over stages of the transition probability into
-// the stage and the probability of its duration, times the termination
-// probability at the end. Paths leaving the tree get probability 0.
-func (g *Graph) PathProb(p pathdb.Path) float64 {
-	agg := pathdb.AggregatePath(p, g.level, g.merge)
-	prob := 1.0
-	cur := g.root
-	for _, st := range agg {
-		prob *= cur.Transitions.Prob(int64(st.Location))
-		cur = cur.Child(st.Location)
-		if cur == nil || prob == 0 {
-			return 0
-		}
-		prob *= cur.Durations.Prob(st.Duration)
-	}
-	return prob * cur.Transitions.Prob(Terminate)
-}
-
 // Merge folds other's counts into g (paper Lemma 4.2: duration and
 // transition distributions are algebraic). Both graphs must be at the same
 // path abstraction level. Exceptions are holistic (Lemma 4.3) and are

@@ -222,22 +222,6 @@ func TestMergeRejectsDifferentLevels(t *testing.T) {
 	}
 }
 
-func TestPathProb(t *testing.T) {
-	ex, g := buildExample(t)
-	// Path 6: f(10) t(1) w(5): P = P(f)·P(10|f)·P(t|f)·P(1|ft)·P(w|ft)·P(5|ftw)·P(term|ftw)
-	// = 1 · 5/8 · 3/8 · 2/3 · 1/3 · 1 · 1 = 5/96·... compute: 0.625·0.375·0.6667·0.3333 = 0.05208
-	p := g.PathProb(ex.DB.Records[5].Path)
-	want := (5.0 / 8) * (3.0 / 8) * (2.0 / 3) * (1.0 / 3)
-	if !approx(p, want) {
-		t.Errorf("PathProb = %g, want %g", p, want)
-	}
-	// A path leaving the tree has probability 0.
-	alien := pathdb.Path{{Location: ex.Location.MustLookup("c"), Duration: 1}}
-	if g.PathProb(alien) != 0 {
-		t.Errorf("alien path probability = %g, want 0", g.PathProb(alien))
-	}
-}
-
 func TestSimilarityProperties(t *testing.T) {
 	ex := paperex.New()
 	paths := basePaths(ex)

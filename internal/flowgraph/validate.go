@@ -2,61 +2,9 @@ package flowgraph
 
 import (
 	"fmt"
-	"math/rand"
 
 	"flowcube/internal/hierarchy"
-	"flowcube/internal/pathdb"
-	"flowcube/internal/stats"
 )
-
-// Sampling and self-validation. A flowgraph is a generative model: Sample
-// draws synthetic paths from it, which supports what-if simulation
-// (replay a year of flows under last year's model) and closes the loop in
-// tests — the empirical distributions of sampled paths converge to the
-// model. Validate checks the structural invariants every well-formed
-// flowgraph satisfies; it guards deserialized graphs.
-
-// Sample draws one path from the flowgraph's generative model: starting at
-// the root, repeatedly pick a transition (or termination) from T and a
-// duration from D. The graph must be non-empty.
-func (g *Graph) Sample(rng *rand.Rand) pathdb.Path {
-	var p pathdb.Path
-	cur := g.root
-	for {
-		outcome, ok := sampleOutcome(rng, cur.Transitions)
-		if !ok || outcome == Terminate {
-			return p
-		}
-		loc := hierarchy.NodeID(outcome)
-		next := cur.Child(loc)
-		if next == nil {
-			// Counts and children can only disagree on a corrupted graph;
-			// stop rather than invent structure.
-			return p
-		}
-		dur, ok := sampleOutcome(rng, next.Durations)
-		if !ok {
-			dur = 0
-		}
-		p = append(p, pathdb.Stage{Location: loc, Duration: dur})
-		cur = next
-	}
-}
-
-func sampleOutcome(rng *rand.Rand, m *stats.Multinomial) (int64, bool) {
-	total := m.Total()
-	if total == 0 {
-		return 0, false
-	}
-	r := rng.Int63n(total)
-	for _, v := range m.Outcomes() {
-		r -= m.Count(v)
-		if r < 0 {
-			return v, true
-		}
-	}
-	return 0, false
-}
 
 // Validate checks the flowgraph's structural invariants:
 //
@@ -67,7 +15,8 @@ func sampleOutcome(rng *rand.Rand, m *stats.Multinomial) (int64, bool) {
 //     outcome count equals the child's Count;
 //  4. the root's transition total equals Paths().
 //
-// It returns the first violation found, or nil.
+// It returns the first violation found, or nil; it guards deserialized
+// graphs.
 func (g *Graph) Validate() error {
 	if got := g.root.Transitions.Total(); got != g.paths {
 		return fmt.Errorf("flowgraph: root transitions %d != paths %d", got, g.paths)

@@ -1,0 +1,46 @@
+package flowgraph_test
+
+import (
+	"testing"
+
+	"flowcube/internal/flowgraph"
+	"flowcube/internal/hierarchy"
+	"flowcube/internal/paperex"
+	"flowcube/internal/pathdb"
+	"flowcube/internal/stats"
+)
+
+func TestValidateBuiltGraphs(t *testing.T) {
+	ex := paperex.New()
+	paths := basePaths(ex)
+	for _, level := range []pathdb.PathLevel{
+		ex.BasePathLevel(), ex.TransportPathLevel(), ex.StorePathLevel(),
+	} {
+		g := flowgraph.Build(ex.Location, level, paths, nil)
+		if err := g.Validate(); err != nil {
+			t.Errorf("built graph at %s invalid: %v", level.Key(), err)
+		}
+	}
+	// Merged graphs stay valid.
+	a := flowgraph.Build(ex.Location, ex.BasePathLevel(), paths[:4], nil)
+	b := flowgraph.Build(ex.Location, ex.BasePathLevel(), paths[4:], nil)
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Validate(); err != nil {
+		t.Errorf("merged graph invalid: %v", err)
+	}
+}
+
+func TestValidateCatchesCorruption(t *testing.T) {
+	ex := paperex.New()
+	g := flowgraph.Build(ex.Location, ex.BasePathLevel(), basePaths(ex), nil)
+	// Give a node inconsistent counts: Validate must object.
+	bad := new(stats.Multinomial)
+	bad.Add(1, 3)
+	n := g.NodeAt([]hierarchy.NodeID{ex.Location.MustLookup("f")})
+	n.Count, n.Durations, n.Transitions = 99, bad, bad
+	if err := g.Validate(); err == nil {
+		t.Errorf("corrupted graph validated")
+	}
+}

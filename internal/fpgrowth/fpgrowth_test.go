@@ -7,6 +7,7 @@ import (
 	"flowcube/internal/fpgrowth"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/itemset"
+	"flowcube/internal/mining"
 	"flowcube/internal/paperex"
 	"flowcube/internal/pathdb"
 	"flowcube/internal/transact"
@@ -160,6 +161,11 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
+// TestRunningExampleAgainstApriori gives FP-growth an oracle that shares no
+// code with it: over the stage transactions of the running example's apex
+// cell and of each product-category cell (shoes, outerwear) — what the Cubing
+// competitor mines per cell — it must find the itemsets and supports plain
+// Apriori (mining.Mine with every pruning rule off) finds.
 func TestRunningExampleAgainstApriori(t *testing.T) {
 	ex := paperex.New()
 	leaf := hierarchy.LevelCut(ex.Location, ex.Location.Depth())
@@ -169,16 +175,34 @@ func TestRunningExampleAgainstApriori(t *testing.T) {
 			{Cut: leaf, Time: pathdb.TimeAny},
 		},
 	})
-	txs := syms.Encode(ex.DB)
-	got := fpgrowth.Mine(txs, 3, 0)
-	oracle := bruteFrequent(txs, 3, 0)
-	if len(got) != len(oracle) {
-		t.Fatalf("fpgrowth found %d itemsets, oracle %d", len(got), len(oracle))
+	cells := map[hierarchy.NodeID][]transact.Transaction{}
+	for _, r := range ex.DB.Records {
+		tx := syms.EncodeStages(r.Path)
+		cells[hierarchy.Root] = append(cells[hierarchy.Root], tx)
+		category := ex.Product.AncestorAt(r.Dims[0], 2)
+		cells[category] = append(cells[category], tx)
 	}
-	for _, c := range got {
-		if oracle[itemset.Key(c.Set)] != c.Count {
-			t.Errorf("support of %s = %d, oracle %d",
-				syms.SetString(c.Set), c.Count, oracle[itemset.Key(c.Set)])
+	if len(cells) < 3 {
+		t.Fatalf("running example split into %d cells, want the apex and two categories or more", len(cells))
+	}
+	for cell, txs := range cells {
+		apriori, err := mining.Mine(syms, txs, mining.Options{MinCount: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]int64{}
+		for _, c := range apriori.All() {
+			want[itemset.Key(c.Set)] = c.Count
+		}
+		got := fpgrowth.Mine(txs, 2, 0)
+		if len(got) != len(want) {
+			t.Fatalf("cell %s: fpgrowth found %d itemsets, apriori %d", ex.Product.Name(cell), len(got), len(want))
+		}
+		for _, c := range got {
+			if want[itemset.Key(c.Set)] != c.Count {
+				t.Errorf("cell %s: support of %s = %d, apriori %d",
+					ex.Product.Name(cell), syms.SetString(c.Set), c.Count, want[itemset.Key(c.Set)])
+			}
 		}
 	}
 }

@@ -312,15 +312,6 @@ func newCut(h *Hierarchy, nodes []NodeID) (*Cut, error) {
 	return &Cut{h: h, nodes: sorted, set: set, cover: cover, key: strings.Join(parts, "|")}, nil
 }
 
-// MustNewCut is NewCut for static construction; it panics on error.
-func MustNewCut(h *Hierarchy, nodes []NodeID) *Cut {
-	c, err := newCut(h, nodes)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // CutByNames builds a cut from concept names.
 func CutByNames(h *Hierarchy, names ...string) (*Cut, error) {
 	ids := make([]NodeID, 0, len(names))

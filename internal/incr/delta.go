@@ -224,7 +224,7 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 				cell.SetTIDs(append([]int32(nil), tids...))
 			}
 			plIdx := cube.Cuboids[specKey].Spec.PathLevel
-			g := flowgraph.New(db.Schema.Location, pathLevels[plIdx], cfg.Merge)
+			g := flowgraph.New(db.Schema.Location, pathLevels[plIdx], nil)
 			for _, tid := range tids {
 				g.AddPath(db.Records[tid].Path)
 			}

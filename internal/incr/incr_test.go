@@ -10,6 +10,7 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
+	"flowcube/internal/hierarchy"
 	"flowcube/internal/incr"
 	"flowcube/internal/mining"
 	"flowcube/internal/pathdb"
@@ -235,19 +236,44 @@ func TestApplyDeltaTypedErrors(t *testing.T) {
 		t.Errorf("nil db: got %v, want ErrNilDB", err)
 	}
 
-	bad := ds.DB.Records[0]
-	bad.Dims = bad.Dims[:0]
-	before := ds.DB.Len()
-	_, err = incr.ApplyDelta(cube, ds.DB, []pathdb.Record{ds.DB.Records[1], bad})
-	var be *incr.BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("invalid record: got %v, want *BatchError", err)
+	// One invalid record rejects its whole batch, naming the record; every
+	// row is a copy of a good record with one thing wrong.
+	good := ds.DB.Records[0]
+	withDim := func(v hierarchy.NodeID) pathdb.Record {
+		r := good
+		r.Dims = append([]hierarchy.NodeID{v}, good.Dims[1:]...)
+		return r
 	}
-	if be.Index != 1 {
-		t.Errorf("BatchError.Index = %d, want 1", be.Index)
+	withStage := func(st pathdb.Stage) pathdb.Record {
+		r := good
+		r.Path = pathdb.Path{st}
+		return r
 	}
-	if ds.DB.Len() != before {
-		t.Errorf("rejected batch still appended records: %d -> %d", before, ds.DB.Len())
+	wrongArity, emptyPath := good, good
+	wrongArity.Dims = good.Dims[:1]
+	emptyPath.Path = nil
+	before, digest := ds.DB.Len(), saveDigest(t, cube)
+	for _, tc := range []struct {
+		name string
+		bad  pathdb.Record
+	}{
+		{"wrong dimension count", wrongArity},
+		{"out-of-range dimension value", withDim(hierarchy.NodeID(ds.DB.Schema.Dims[0].Len()))},
+		{"empty path", emptyPath},
+		{"interior concept", withDim(ds.DB.Schema.Dims[0].Parent(good.Dims[0]))},
+		{"out-of-range location", withStage(pathdb.Stage{Location: hierarchy.NodeID(ds.DB.Schema.Location.Len()), Duration: 1})},
+		{"negative duration", withStage(pathdb.Stage{Location: good.Path[0].Location, Duration: -1})},
+	} {
+		_, err := incr.ApplyDelta(cube, ds.DB, []pathdb.Record{ds.DB.Records[1], tc.bad})
+		var be *incr.BatchError
+		if !errors.As(err, &be) {
+			t.Errorf("%s: got %v, want *BatchError", tc.name, err)
+		} else if be.Index != 1 {
+			t.Errorf("%s: BatchError.Index = %d, want 1", tc.name, be.Index)
+		}
+	}
+	if ds.DB.Len() != before || saveDigest(t, cube) != digest {
+		t.Errorf("a rejected batch changed state: %d -> %d records", before, ds.DB.Len())
 	}
 
 	otherCfg := genConfig(29, 50)

@@ -208,7 +208,7 @@ func reachedNodes(c *core.Cube, batch []pathdb.Record) int {
 				}
 			}
 			if cell, ok := c.Cell(spec, values); ok && cell.Graph != nil {
-				n += len(pathdb.AggregatePath(rec.Path, pathLevels[spec.PathLevel], c.Config.Merge)) + 1
+				n += len(pathdb.AggregatePath(rec.Path, pathLevels[spec.PathLevel], nil)) + 1
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -91,13 +90,10 @@ type WAL struct {
 	scratch bytes.Buffer
 }
 
-// Open opens (or creates) the WAL at path, scans existing entries, and
+// OpenContext opens (or creates) the WAL at path, scans existing entries, and
 // truncates any torn tail so subsequent appends extend a valid log. A
 // non-empty file that does not start with the WAL magic is rejected with a
-// *CorruptError and left untouched.
-func Open(path string) (*WAL, error) { return OpenContext(context.Background(), path) }
-
-// OpenContext is Open with a context; ctx cancels the startup scan between
+// *CorruptError and left untouched. ctx cancels the startup scan between
 // frames (useful when a large journal delays server boot).
 func OpenContext(ctx context.Context, path string) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -261,15 +257,10 @@ func (w *WAL) Sync() error {
 	return w.f.Sync()
 }
 
-// Replay decodes every intact entry against schema and hands each batch to
-// fn in journal order. Decoding reads the file independently of the append
-// offset, so Replay is safe before or between appends (but not concurrently
-// with them).
-func (w *WAL) Replay(schema *pathdb.Schema, fn func(batch []pathdb.Record) error) error {
-	return w.ReplayContext(context.Background(), schema, fn)
-}
-
-// ReplayContext is Replay with a context; ctx cancels between entries.
+// ReplayContext decodes every intact entry against schema and hands each
+// batch to fn in journal order; ctx cancels between entries. Decoding reads
+// the file independently of the append offset, so it is safe before or
+// between appends (but not concurrently with them).
 func (w *WAL) ReplayContext(ctx context.Context, schema *pathdb.Schema, fn func(batch []pathdb.Record) error) error {
 	r := io.NewSectionReader(w.f, int64(len(walMagic)), w.size-int64(len(walMagic)))
 	var hdr [walHeaderLen]byte
@@ -321,9 +312,3 @@ func (w *WAL) Reset() error {
 
 // Close closes the journal file.
 func (w *WAL) Close() error { return w.f.Close() }
-
-// IsCorrupt reports whether err is a *CorruptError.
-func IsCorrupt(err error) bool {
-	var ce *CorruptError
-	return errors.As(err, &ce)
-}

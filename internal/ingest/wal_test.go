@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -31,7 +32,7 @@ func appendBatches(t *testing.T, w *WAL, ex *paperex.Example, batches [][]pathdb
 func replayAll(t *testing.T, w *WAL, schema *pathdb.Schema) [][]pathdb.Record {
 	t.Helper()
 	var got [][]pathdb.Record
-	if err := w.Replay(schema, func(batch []pathdb.Record) error {
+	if err := w.ReplayContext(context.Background(), schema, func(batch []pathdb.Record) error {
 		got = append(got, batch)
 		return nil
 	}); err != nil {
@@ -43,7 +44,7 @@ func replayAll(t *testing.T, w *WAL, schema *pathdb.Schema) [][]pathdb.Record {
 func TestWALRoundTrip(t *testing.T) {
 	ex := paperex.New()
 	path := walPath(t)
-	w, err := Open(path)
+	w, err := OpenContext(context.Background(), path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -69,7 +70,7 @@ func TestWALRoundTrip(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
-			if w, err = Open(path); err != nil {
+			if w, err = OpenContext(context.Background(), path); err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
 			if w.Torn() != nil {
@@ -94,7 +95,7 @@ func TestWALRoundTrip(t *testing.T) {
 func TestWALTornTailTruncated(t *testing.T) {
 	ex := paperex.New()
 	path := walPath(t)
-	w, err := Open(path)
+	w, err := OpenContext(context.Background(), path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -115,7 +116,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err = Open(path)
+	w, err = OpenContext(context.Background(), path)
 	if err != nil {
 		t.Fatalf("Open after torn tail: %v", err)
 	}
@@ -134,7 +135,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 	// The file itself was truncated, so the next Open is clean.
 	w.Close()
-	if w, err = Open(path); err != nil {
+	if w, err = OpenContext(context.Background(), path); err != nil {
 		t.Fatalf("second reopen: %v", err)
 	}
 	defer w.Close()
@@ -146,7 +147,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 func TestWALCorruptFrameDropsTail(t *testing.T) {
 	ex := paperex.New()
 	path := walPath(t)
-	w, err := Open(path)
+	w, err := OpenContext(context.Background(), path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -166,7 +167,7 @@ func TestWALCorruptFrameDropsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err = Open(path)
+	w, err = OpenContext(context.Background(), path)
 	if err != nil {
 		t.Fatalf("Open after bit flip: %v", err)
 	}
@@ -185,8 +186,8 @@ func TestWALBadMagicRejectedUntouched(t *testing.T) {
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Open(path)
-	if !IsCorrupt(err) {
+	_, err := OpenContext(context.Background(), path)
+	if !errors.As(err, new(*CorruptError)) {
 		t.Fatalf("Open = %v, want *CorruptError", err)
 	}
 	after, rerr := os.ReadFile(path)
@@ -200,7 +201,7 @@ func TestWALBadMagicRejectedUntouched(t *testing.T) {
 
 func TestWALReset(t *testing.T) {
 	ex := paperex.New()
-	w, err := Open(walPath(t))
+	w, err := OpenContext(context.Background(), walPath(t))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -224,7 +225,7 @@ func TestWALReset(t *testing.T) {
 
 func TestWALReplaySchemaMismatch(t *testing.T) {
 	ex := paperex.New()
-	w, err := Open(walPath(t))
+	w, err := OpenContext(context.Background(), walPath(t))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -234,15 +235,15 @@ func TestWALReplaySchemaMismatch(t *testing.T) {
 	// A schema with no vocabulary cannot parse the journal; Replay must
 	// surface a typed corruption error, not garbage records.
 	empty := &pathdb.Schema{}
-	err = w.Replay(empty, func([]pathdb.Record) error { return nil })
-	if !IsCorrupt(err) {
+	err = w.ReplayContext(context.Background(), empty, func([]pathdb.Record) error { return nil })
+	if !errors.As(err, new(*CorruptError)) {
 		t.Fatalf("Replay = %v, want *CorruptError", err)
 	}
 }
 
 func TestWALReplayCallbackError(t *testing.T) {
 	ex := paperex.New()
-	w, err := Open(walPath(t))
+	w, err := OpenContext(context.Background(), walPath(t))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -250,7 +251,7 @@ func TestWALReplayCallbackError(t *testing.T) {
 	appendBatches(t, w, ex, [][]pathdb.Record{ex.DB.Records[:1], ex.DB.Records[1:2]})
 	sentinel := errors.New("stop")
 	calls := 0
-	err = w.Replay(ex.Schema, func([]pathdb.Record) error {
+	err = w.ReplayContext(context.Background(), ex.Schema, func([]pathdb.Record) error {
 		calls++
 		return sentinel
 	})
@@ -302,7 +303,7 @@ func (f *faultFile) Truncate(size int64) error {
 func TestWALAppendWriteErrorRollsBack(t *testing.T) {
 	ex := paperex.New()
 	path := walPath(t)
-	w, err := Open(path)
+	w, err := OpenContext(context.Background(), path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -331,7 +332,7 @@ func TestWALAppendWriteErrorRollsBack(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	w, err = Open(path)
+	w, err = OpenContext(context.Background(), path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -349,7 +350,7 @@ func TestWALAppendWriteErrorRollsBack(t *testing.T) {
 // would corrupt the log mid-file, beyond what a restart scan can heal.
 func TestWALAppendRollbackFailureLatches(t *testing.T) {
 	ex := paperex.New()
-	w, err := Open(walPath(t))
+	w, err := OpenContext(context.Background(), walPath(t))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -384,7 +385,7 @@ func FuzzWALReplay(f *testing.F) {
 	// Seed with a valid two-entry log, a truncation, and a bit flip.
 	dir := f.TempDir()
 	seed := filepath.Join(dir, "seed.wal")
-	w, err := Open(seed)
+	w, err := OpenContext(context.Background(), seed)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -410,15 +411,15 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		w, err := Open(path)
+		w, err := OpenContext(context.Background(), path)
 		if err != nil {
-			if !IsCorrupt(err) {
+			if !errors.As(err, new(*CorruptError)) {
 				t.Fatalf("Open returned untyped error %v", err)
 			}
 			return
 		}
 		defer w.Close()
-		err = w.Replay(ex.Schema, func(batch []pathdb.Record) error {
+		err = w.ReplayContext(context.Background(), ex.Schema, func(batch []pathdb.Record) error {
 			for _, r := range batch {
 				if err := ex.Schema.ValidateRecord(r); err != nil {
 					t.Fatalf("replay surfaced an invalid record: %v", err)
@@ -426,7 +427,7 @@ func FuzzWALReplay(f *testing.F) {
 			}
 			return nil
 		})
-		if err != nil && !IsCorrupt(err) {
+		if err != nil && !errors.As(err, new(*CorruptError)) {
 			t.Fatalf("Replay returned untyped error %v", err)
 		}
 	})

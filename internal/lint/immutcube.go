@@ -25,7 +25,7 @@ import (
 // reconstructed cells are freshly allocated per query and never part of
 // the shared cube), delta.go (Fork, OwnedCell, AdmitCell and tid recovery —
 // the accessor itself), and its clients, which write only cells it handed
-// them: append.go (Append), query.go (MarkRedundancy, Compress, and
+// them: query.go (MarkRedundancy, Compress, and
 // DropCuboid on the generation's own cuboid table), conds.go (the per-cell
 // condition cache) and incr's delta.go (ApplyDelta).
 //
@@ -41,7 +41,6 @@ import (
 var immutAllowedFiles = map[string]map[string]bool{
 	"core": {
 		"build.go":      true,
-		"append.go":     true,
 		"delta.go":      true,
 		"snapshotv2.go": true,
 		"lazyload.go":   true,

@@ -128,15 +128,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	return findings
 }
 
-// RunWithFacts is Run with an explicit fact table; nil disables facts, and
-// fact-driven analyzers degrade to their syntactic subset.
-func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactTable) []Finding {
-	findings, _ := RunStats(pkgs, analyzers, facts)
-	return findings
-}
-
-// RunStats is RunWithFacts plus per-analyzer finding counts and wall time,
-// in analyzer order.
+// RunStats is Run over an explicit fact table — nil disables facts, and
+// fact-driven analyzers degrade to their syntactic subset — plus
+// per-analyzer finding counts and wall time, in analyzer order.
 func RunStats(pkgs []*Package, analyzers []*Analyzer, facts *FactTable) ([]Finding, []AnalyzerStat) {
 	stats := make([]AnalyzerStat, len(analyzers))
 	for i, a := range analyzers {

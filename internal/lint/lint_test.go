@@ -42,7 +42,7 @@ func TestLockBlockCrossPackageFacts(t *testing.T) {
 	if !crossPkg {
 		t.Errorf("with facts: no finding names the cross-package callee dep.Fetch; got %v", withFacts)
 	}
-	if got := lint.RunWithFacts(pkgs, []*lint.Analyzer{lint.LockBlock}, nil); len(got) != 0 {
+	if got, _ := lint.RunStats(pkgs, []*lint.Analyzer{lint.LockBlock}, nil); len(got) != 0 {
 		t.Errorf("with facts disabled, lockblock must report nothing; got %v", got)
 	}
 }

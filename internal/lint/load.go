@@ -144,22 +144,6 @@ func Load(patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the single package in dir under the given
-// import path, with imports resolved by the stdlib source importer. It is
-// the entry point the analyzer tests use on testdata packages.
-func LoadDir(dir, pkgPath string) (*Package, error) {
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	pkg, err := checkDir(fset, imp, dir, pkgPath)
-	if err != nil {
-		return nil, err
-	}
-	if pkg == nil {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	return pkg, nil
-}
-
 // tableImporter resolves imports from already-loaded packages first, then
 // falls back to the stdlib source importer. It is what lets a testdata
 // fixture import a sibling testdata package — the go command refuses to

@@ -449,13 +449,3 @@ func precountPrunes(syms *transact.Symbols, pairCounts *PairCounts, a, b transac
 	}
 	return pairCounts.Get(ia, ib) < minCount
 }
-
-// Shared runs Algorithm 1 with all optimizations enabled.
-func Shared(syms *transact.Symbols, txs []transact.Transaction, minSupport float64) (*Result, error) {
-	return Mine(syms, txs, SharedOptions(minSupport))
-}
-
-// Basic runs the unoptimized baseline.
-func Basic(syms *transact.Symbols, txs []transact.Transaction, minSupport float64) (*Result, error) {
-	return Mine(syms, txs, BasicOptions(minSupport))
-}

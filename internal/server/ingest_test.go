@@ -8,6 +8,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -121,7 +122,7 @@ func TestIngestWALCrashRecovery(t *testing.T) {
 
 	// Crash before any fold: the journal holds two acknowledged batches the
 	// in-memory snapshot never absorbed.
-	w, err := ingest.Open(walPath)
+	w, err := ingest.OpenContext(context.Background(), walPath)
 	if err != nil {
 		t.Fatal(err)
 	}

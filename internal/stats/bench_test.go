@@ -19,7 +19,7 @@ var benchSink float64
 // outcome, so the merge-join takes all three of its branches.
 func BenchmarkKLDivergence(b *testing.B) {
 	for _, support := range benchSupports {
-		x, y := stats.NewMultinomial(), stats.NewMultinomial()
+		x, y := new(stats.Multinomial), new(stats.Multinomial)
 		for i := 0; i < support; i++ {
 			x.Add(2*int64(i), int64(i%5)+1)
 			y.Add(3*int64(i), int64(i%3)+1)

@@ -36,9 +36,6 @@ type Multinomial struct {
 // eight int64s are one cache line, and the scan has no unpredictable branch.
 const linearProbeMax = 8
 
-// NewMultinomial returns an empty distribution.
-func NewMultinomial() *Multinomial { return &Multinomial{} }
-
 // find returns the index of outcome v, or the index it would be inserted at
 // and false.
 func (m *Multinomial) find(v int64) (int, bool) {
@@ -189,23 +186,6 @@ func (m *Multinomial) Clone() *Multinomial {
 	return &c
 }
 
-// Mode returns the most probable outcome and its probability. The second
-// return is false for an empty distribution. Ties break toward the smaller
-// outcome so the result is deterministic.
-func (m *Multinomial) Mode() (int64, float64, bool) {
-	if m.total == 0 {
-		return 0, 0, false
-	}
-	var best int64
-	var bestN int64 = -1
-	for i, n := range m.counts {
-		if n > bestN {
-			best, bestN = m.outcomes[i], n
-		}
-	}
-	return best, float64(bestN) / float64(m.total), true
-}
-
 // Mean returns the expectation of the outcome value (meaningful for
 // duration distributions). It returns 0 for an empty distribution.
 // Outcomes are summed in ascending order so the rounding — and therefore
@@ -271,17 +251,6 @@ func (m *Multinomial) MaxDeviation(other *Multinomial) float64 {
 		}
 	})
 	return max
-}
-
-// TotalVariation returns half the L1 distance between the two probability
-// vectors, an alternative deviation metric exposed for applications that
-// prefer mass-weighted deviations.
-func (m *Multinomial) TotalVariation(other *Multinomial) float64 {
-	sum := 0.0
-	m.joinCounts(other, func(cm, co int64) {
-		sum += math.Abs(probOf(cm, m.total) - probOf(co, other.total))
-	})
-	return sum / 2
 }
 
 // KLDivergence returns D(m ‖ other) with add-one (Laplace) smoothing over

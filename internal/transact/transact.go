@@ -61,9 +61,6 @@ type Plan struct {
 	// dimension. The paper's optimization 3 removes these from the
 	// transaction database; the Basic baseline keeps them.
 	IncludeTop bool
-	// Merge combines durations of stages merged during path aggregation;
-	// nil means pathdb.SumDurations.
-	Merge pathdb.DurationMerge
 }
 
 // NormalizedDimLevels returns the per-dimension level lists with nil entries
@@ -290,15 +287,6 @@ func (s *Symbols) StageDuration(it Item) (d int64, ok bool) {
 // by the table.
 func (s *Symbols) Ancestors(it Item) []Item { return s.items[it].ancestors }
 
-// TopImage returns the item's high-abstraction-level image used for
-// pre-counting, or -1 when the item has none (it is already at the top, and
-// counting it again would be wasted work, or no coarsest path level exists).
-func (s *Symbols) TopImage(it Item) Item { return s.items[it].topImage }
-
-// PrecountLevel returns the index of the coarsest materialized path level,
-// the target of stage pre-counting, or -1 when no such level exists.
-func (s *Symbols) PrecountLevel() int { return s.precountLevel }
-
 // IsTopLevel reports whether the item lives at the highest materialized
 // abstraction of its family: a dimension value at its dimension's most
 // general materialized level (excluding '*'), or a stage at the coarsest
@@ -313,8 +301,9 @@ func (s *Symbols) IsTopLevel(it Item) bool {
 }
 
 // PrecountImage returns the item whose pre-counted support bounds this
-// item's support: the item itself when it is top-level, its TopImage when
-// one is derivable, and -1 otherwise.
+// item's support: the item itself when it is top-level, its image at the
+// top level when one is derivable, and -1 otherwise (no coarsest path level
+// exists).
 func (s *Symbols) PrecountImage(it Item) Item {
 	if s.IsTopLevel(it) {
 		return it
@@ -542,7 +531,7 @@ func (s *Symbols) EncodeStages(p pathdb.Path) Transaction {
 func (s *Symbols) encodeStages(p pathdb.Path) []Item {
 	var t []Item
 	for li, pl := range s.pathLevels {
-		agg := pathdb.AggregatePath(p, pl, s.plan.Merge)
+		agg := pathdb.AggregatePath(p, pl, nil)
 		seq := make([]hierarchy.NodeID, 0, len(agg))
 		for _, st := range agg {
 			seq = append(seq, st.Location)

@@ -75,4 +75,7 @@ go test ./internal/ingest -run '^$' -fuzz FuzzWALReplay -fuzztime 10s
 echo "== lines of non-test Go per package (report only) =="
 ./scripts/loc.sh
 
+echo "== exported surface only tests reach (report only) =="
+./scripts/testonly.sh
+
 echo "ok"
