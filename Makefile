@@ -21,8 +21,9 @@ check:
 lint:
 	go run ./cmd/flowlint -stats ./...
 
-# 10-second fuzz pass over the text parsers (cell specs, .fdb records) and
-# the binary snapshot decoder. Minimization is iteration-bounded: snapshot
+# 10-second fuzz pass over the text parsers (cell specs, .fdb records), the
+# binary snapshot decoder and the candidate join against its brute-force
+# definition. Minimization is iteration-bounded: snapshot
 # inputs are tens of kilobytes, and the default 60s time-based minimization
 # of each newly interesting input would dwarf the fuzz time itself.
 fuzz-short:
@@ -32,10 +33,11 @@ fuzz-short:
 	go test ./internal/pathdb -run '^$$' -fuzz FuzzRead -fuzztime 10s
 	go test ./internal/incr -run '^$$' -fuzz FuzzApplyDelta -fuzztime 10s
 	go test ./internal/ingest -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s
+	go test ./internal/itemset -run '^$$' -fuzz FuzzJoinMatchesBruteForce -fuzztime 10s
 
 # Ten-fold fuzz-short (100s per target): the weekly scheduled CI job. Long
 # enough to reach coverage plateaus the 10s pass misses, short enough that
-# six targets finish inside the job timeout.
+# seven targets finish inside the job timeout.
 fuzz-long:
 	go test ./internal/core -run '^$$' -fuzz FuzzParseCellSpec -fuzztime 100s
 	go test ./internal/olap -run '^$$' -fuzz FuzzParseQuery -fuzztime 100s
@@ -43,3 +45,4 @@ fuzz-long:
 	go test ./internal/pathdb -run '^$$' -fuzz FuzzRead -fuzztime 100s
 	go test ./internal/incr -run '^$$' -fuzz FuzzApplyDelta -fuzztime 100s
 	go test ./internal/ingest -run '^$$' -fuzz FuzzWALReplay -fuzztime 100s
+	go test ./internal/itemset -run '^$$' -fuzz FuzzJoinMatchesBruteForce -fuzztime 100s

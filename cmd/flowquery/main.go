@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	pathLevel := fs.Int("pathlevel", 0, "path abstraction level index (0-3)")
 	dot := fs.Bool("dot", false, "emit the queried cell's flowgraph as Graphviz dot")
 	top := fs.Int("top", 0, "list the N largest cells of the queried cuboid")
-	workers := fs.Int("workers", 1, "goroutines for flowgraph construction and exception mining")
+	workers := fs.Int("workers", 1, "goroutines for mining (candidate join, support counting), flowgraph construction and exception mining")
 	saveCube := fs.String("save", "", "serialize the materialized cube to this file")
 	loadCube := fs.String("load", "", "load a cube serialized with -save instead of building")
 	if err := fs.Parse(args); err != nil {

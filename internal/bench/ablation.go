@@ -149,40 +149,37 @@ func AblationCounting(o Options) []AblationRow {
 		}
 	}
 	minCount := o.minCount(0.01, len(txs))
-	var l1 []itemset.Counted
+	l1 := itemset.Level{K: 1}
 	for it, n := range counts {
 		if n >= minCount {
-			l1 = append(l1, itemset.Counted{Set: []transact.Item{it}, Count: n})
+			l1.Append([]transact.Item{it}, n)
 		}
 	}
-	itemset.SortCounted(l1)
-	cands := itemset.Join(l1)
-	kept := cands[:0]
-	for _, c := range cands {
-		if !syms.HasAncestorPair(c) && syms.AllLinkable(c) {
-			kept = append(kept, c)
+	l1.Sort()
+	cands := itemset.Join(l1, 1)
+	kept := itemset.Level{K: 2}
+	for i := 0; i < cands.Len(); i++ {
+		if c := cands.Set(i); !syms.HasAncestorPair(c) && syms.AllLinkable(c) {
+			kept.Items = append(kept.Items, c...)
 		}
 	}
 
 	start := time.Now()
-	trie := itemset.NewTrie()
-	for _, c := range kept {
-		trie.Insert(c)
-	}
+	trie := itemset.NewTrie(kept)
 	for _, tx := range txs {
 		trie.Count(tx)
 	}
 	trieSec := time.Since(start).Seconds()
 
 	start = time.Now()
-	naive := make([]int64, len(kept))
+	naive := make([]int64, kept.Len())
 	for _, tx := range txs {
 		present := make(map[transact.Item]bool, len(tx))
 		for _, it := range tx {
 			present[it] = true
 		}
-		for i, c := range kept {
-			if present[c[0]] && present[c[1]] {
+		for i := range naive {
+			if c := kept.Set(i); present[c[0]] && present[c[1]] {
 				naive[i]++
 			}
 		}
@@ -190,17 +187,15 @@ func AblationCounting(o Options) []AblationRow {
 	naiveSec := time.Since(start).Seconds()
 
 	// Sanity: both counters agree.
-	byKey := map[string]int64{}
-	trie.Walk(func(s []transact.Item, n int64) { byKey[itemset.Key(s)] = n })
-	for i, c := range kept {
-		if byKey[itemset.Key(c)] != naive[i] {
+	for i, n := range trie.Counts() {
+		if n != naive[i] {
 			panic("bench: trie and naive counts disagree")
 		}
 	}
-	o.progress("ablation-counting: trie %.4fs naive %.4fs over %d candidates", trieSec, naiveSec, len(kept))
+	o.progress("ablation-counting: trie %.4fs naive %.4fs over %d candidates", trieSec, naiveSec, kept.Len())
 	return []AblationRow{
-		{Name: "candidate trie", Seconds: trieSec, Candidates: len(kept)},
-		{Name: "naive subset test", Seconds: naiveSec, Candidates: len(kept)},
+		{Name: "candidate trie", Seconds: trieSec, Candidates: kept.Len()},
+		{Name: "naive subset test", Seconds: naiveSec, Candidates: kept.Len()},
 	}
 }
 
@@ -277,7 +272,7 @@ func AblationParallel(o Options) []AblationRow {
 		if err != nil {
 			panic(fmt.Sprintf("bench: parallel ablation failed: %v", err))
 		}
-		n := len(res.All())
+		n := res.NumFrequent()
 		if base == 0 {
 			base = n
 		} else if base != n {

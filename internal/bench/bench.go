@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"time"
 
 	"flowcube/internal/cubing"
@@ -92,10 +93,12 @@ func (f Figure) WriteTable(w io.Writer) {
 	}
 }
 
+// trimFloat prints a sweep coordinate with four significant digits and no
+// exponent: 0.009*100 reads 0.9, not 0.8999999999999999, and a million paths
+// reads 1000000, not 1e+06.
 func trimFloat(x float64) string {
-	// %.4g keeps sweep coordinates readable (0.009*100 prints as 0.9, not
-	// 0.8999999999999999).
-	return fmt.Sprintf("%.4g", x)
+	rounded, _ := strconv.ParseFloat(strconv.FormatFloat(x, 'e', 3, 64), 64) // 'e' output always parses
+	return strconv.FormatFloat(rounded, 'f', -1, 64)
 }
 
 // Options configures the figure runners.
@@ -191,7 +194,7 @@ func (o Options) runOne(ds *datagen.Dataset, algo string, minSupport float64) Po
 		}
 		aborted = res.Aborted
 		if !aborted {
-			patterns = len(res.All())
+			patterns = res.NumFrequent()
 		}
 	case AlgoCubing:
 		res, err := cubing.Run(ds.DB, syms, mining.Options{MinCount: minCount})
@@ -199,7 +202,9 @@ func (o Options) runOne(ds *datagen.Dataset, algo string, minSupport float64) Po
 			panic(fmt.Sprintf("bench: cubing failed: %v", err))
 		}
 		for _, c := range res.Cells {
-			patterns += len(c.Segments)
+			for _, l := range c.Segments {
+				patterns += l.Len()
+			}
 		}
 	default:
 		panic(fmt.Sprintf("bench: unknown algorithm %q", algo))

@@ -116,6 +116,28 @@ func TestWriteTableRendering(t *testing.T) {
 	}
 }
 
+// TestWriteTableCoordinates: sweep coordinates print with four significant
+// digits and never in exponent form — database sizes from 10 000 paths up
+// used to read 1e+04.
+func TestWriteTableCoordinates(t *testing.T) {
+	for _, c := range []struct {
+		x    float64
+		want string
+	}{
+		{10000, "10000"},
+		{1000000, "1000000"},
+		{0.009 * 100, "0.9"},
+	} {
+		fig := bench.Figure{ID: "0", XLabel: "x", Series: []bench.Series{{Algorithm: "shared", Points: []bench.Point{{X: c.x}}}}}
+		var sb strings.Builder
+		fig.WriteTable(&sb)
+		rows := strings.Split(strings.TrimSpace(sb.String()), "\n")
+		if got := strings.Fields(rows[len(rows)-1])[0]; got != c.want {
+			t.Errorf("coordinate %v printed as %q, want %q", c.x, got, c.want)
+		}
+	}
+}
+
 func TestAblationPruningShape(t *testing.T) {
 	rows := bench.AblationPruning(tiny())
 	if len(rows) != 5 {

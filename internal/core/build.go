@@ -126,33 +126,41 @@ func (c *Cube) instantiateCells(db *pathdb.DB, res *mining.Result) cellConds {
 		c.addCell(apexLevel(m), values, int64(db.Len()))
 	}
 
-	for _, counted := range res.All() {
-		il, values, stages, ok := c.classify(counted.Set)
-		if !ok {
-			continue
+	// One classification scratch for the whole result: the levels are read
+	// in place, and only what a cell or a condition keeps is allocated.
+	il := make(ItemLevel, m)
+	values := make([]hierarchy.NodeID, m)
+	var stages []transact.Item
+	for _, level := range res.ByLength {
+		for i, count := range level.Counts {
+			var ok bool
+			if stages, ok = c.classify(level.Set(i), il, values, stages[:0]); !ok {
+				continue
+			}
+			if len(stages) == 0 {
+				// A pure item-dimension itemset is a frequent cell of the
+				// cuboid at its item level — for every path level.
+				c.addCell(il, values, count)
+				continue
+			}
+			// A mixed itemset is a frequent path segment within a cell: an
+			// exception condition, provided all stages sit at one path level.
+			pathLevel, pins, ok := stagePins(syms, stages)
+			if !ok {
+				continue
+			}
+			specKey := CuboidSpec{Item: il, PathLevel: pathLevel}.Key()
+			if c.Cuboids[specKey] == nil {
+				continue
+			}
+			byCell := conds[specKey]
+			if byCell == nil {
+				byCell = make(map[string][][]flowgraph.StagePin)
+				conds[specKey] = byCell
+			}
+			key := cellKey(values)
+			byCell[key] = append(byCell[key], pins)
 		}
-		if len(stages) == 0 {
-			// A pure item-dimension itemset is a frequent cell of the
-			// cuboid at its item level — for every path level.
-			c.addCell(il, values, counted.Count)
-			continue
-		}
-		// A mixed itemset is a frequent path segment within a cell: an
-		// exception condition, provided all stages sit at one path level.
-		level, pins, ok := stagePins(syms, stages)
-		if !ok {
-			continue
-		}
-		spec := CuboidSpec{Item: il, PathLevel: level}
-		cb := c.Cuboids[spec.Key()]
-		if cb == nil {
-			continue
-		}
-		key := cellKey(values)
-		if conds[spec.Key()] == nil {
-			conds[spec.Key()] = make(map[string][][]flowgraph.StagePin)
-		}
-		conds[spec.Key()][key] = append(conds[spec.Key()][key], pins)
 	}
 	return conds
 }
@@ -164,16 +172,15 @@ func apexLevel(m int) ItemLevel {
 
 // classify splits a frequent itemset into its item-dimension part (at most
 // one value per dimension — sets violating that, which only the unpruned
-// Basic run produces, are skipped) and its stage part.
-func (c *Cube) classify(set []transact.Item) (ItemLevel, []hierarchy.NodeID, []transact.Item, bool) {
+// Basic run produces, are skipped) and its stage part. il and values are
+// overwritten and the stage items appended to stages: all three are the
+// caller's scratch.
+func (c *Cube) classify(set []transact.Item, il ItemLevel, values []hierarchy.NodeID, stages []transact.Item) ([]transact.Item, bool) {
 	syms := c.Symbols
-	m := len(c.Schema.Dims)
-	il := make(ItemLevel, m)
-	values := make([]hierarchy.NodeID, m)
-	for i := range values {
-		values[i] = hierarchy.Root
+	for d := range il {
+		il[d] = 0
+		values[d] = hierarchy.Root
 	}
-	var stages []transact.Item
 	for _, it := range set {
 		if syms.IsStage(it) {
 			stages = append(stages, it)
@@ -181,7 +188,7 @@ func (c *Cube) classify(set []transact.Item) (ItemLevel, []hierarchy.NodeID, []t
 		}
 		d := syms.Dim(it)
 		if il[d] != 0 {
-			return nil, nil, nil, false // two values of one dimension
+			return stages, false // two values of one dimension
 		}
 		lvl := syms.Level(it)
 		if lvl == 0 {
@@ -190,7 +197,7 @@ func (c *Cube) classify(set []transact.Item) (ItemLevel, []hierarchy.NodeID, []t
 		il[d] = lvl
 		values[d] = syms.Node(it)
 	}
-	return il, values, stages, true
+	return stages, true
 }
 
 // stagePins converts an all-stage itemset into exception condition pins.
@@ -198,27 +205,31 @@ func (c *Cube) classify(set []transact.Item) (ItemLevel, []hierarchy.NodeID, []t
 // duration-'*' are vacuous (the prefix tree already conditions on
 // locations) and rejected.
 func stagePins(syms *transact.Symbols, stages []transact.Item) (int, []flowgraph.StagePin, bool) {
+	// Filter before allocating: most mined segments mix path levels or pin
+	// no duration.
 	level := syms.StageLevel(stages[0])
-	pins := make([]flowgraph.StagePin, 0, len(stages))
 	concrete := false
 	for _, st := range stages {
 		if syms.StageLevel(st) != level {
 			return 0, nil, false
 		}
-		seq := syms.StageSeq(st)
-		dur, hasDur := syms.StageDuration(st)
-		if hasDur {
+		if _, hasDur := syms.StageDuration(st); hasDur {
 			concrete = true
 		}
-		pins = append(pins, flowgraph.StagePin{
+	}
+	if !concrete {
+		return 0, nil, false
+	}
+	pins := make([]flowgraph.StagePin, len(stages))
+	for i, st := range stages {
+		seq := syms.StageSeq(st)
+		dur, hasDur := syms.StageDuration(st)
+		pins[i] = flowgraph.StagePin{
 			Depth:    len(seq),
 			Location: seq[len(seq)-1],
 			Duration: dur,
 			DurAny:   !hasDur,
-		})
-	}
-	if !concrete {
-		return 0, nil, false
+		}
 	}
 	return level, pins, true
 }
@@ -226,13 +237,13 @@ func stagePins(syms *transact.Symbols, stages []transact.Item) (int, []flowgraph
 // addCell registers a frequent cell in every materialized cuboid sharing
 // its item level.
 func (c *Cube) addCell(il ItemLevel, values []hierarchy.NodeID, count int64) {
+	key := cellKey(values)
 	for pl := range c.Symbols.PathLevels() {
 		spec := CuboidSpec{Item: il, PathLevel: pl}
 		cb := c.Cuboids[spec.Key()]
 		if cb == nil {
 			continue
 		}
-		key := cellKey(values)
 		if _, dup := cb.Cells[key]; dup {
 			continue
 		}

@@ -31,8 +31,8 @@ type CellResult struct {
 	// Count is the number of paths aggregated in the cell.
 	Count int64
 	// Segments are the frequent path-segment itemsets mined in the cell
-	// (stage items only).
-	Segments []itemset.Counted
+	// (stage items only): element k-1 holds the segments of k stages.
+	Segments []itemset.Level
 }
 
 // Result maps cell keys to mined cells. Keys come from CellKey.
@@ -171,32 +171,29 @@ func (e *engine) emit(cell []hierarchy.NodeID, tids []int32) {
 			counts[it]++
 		}
 	}
-	var l1 []itemset.Counted
+	l1 := itemset.Level{K: 1}
 	for it, n := range counts {
 		if n >= e.minCount {
-			l1 = append(l1, itemset.Counted{Set: []transact.Item{it}, Count: n})
+			l1.Append([]transact.Item{it}, n)
 		}
 	}
-	itemset.SortCounted(l1)
-	cr.Segments = append(cr.Segments, l1...)
-	e.addStats(1, len(counts), len(counts), len(l1))
+	l1.Sort()
+	cr.Segments = append(cr.Segments, l1)
+	e.addStats(1, len(counts), len(counts), l1.Len())
 
 	prev := l1
-	for k := 2; len(prev) > 0 && (e.maxLen == 0 || k <= e.maxLen); k++ {
-		cands := itemset.Join(prev)
-		if len(cands) == 0 {
+	for k := 2; prev.Len() > 0 && (e.maxLen == 0 || k <= e.maxLen); k++ {
+		cands := itemset.Join(prev, 1)
+		if cands.Len() == 0 {
 			break
 		}
-		trie := itemset.NewTrie()
-		for _, c := range cands {
-			trie.Insert(c)
-		}
+		trie := itemset.NewTrie(cands)
 		for _, tid := range tids {
 			trie.Count(e.stageTxs[tid])
 		}
 		lk := trie.Frequent(e.minCount)
-		e.addStats(k, len(cands), len(cands), len(lk))
-		cr.Segments = append(cr.Segments, lk...)
+		e.addStats(k, cands.Len(), cands.Len(), lk.Len())
+		cr.Segments = append(cr.Segments, lk)
 		prev = lk
 	}
 	e.res.Cells[CellKey(cell)] = cr

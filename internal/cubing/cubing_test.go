@@ -103,7 +103,7 @@ func TestCubingMatchesShared(t *testing.T) {
 	// Index the shared result: cell part (dimension values) + stage part.
 	type cellSeg struct{ cell, seg string }
 	sharedSets := make(map[cellSeg]int64)
-	for _, c := range shared.All() {
+	for _, c := range flatten(shared.ByLength) {
 		values := make([]hierarchy.NodeID, len(ds.Schema.Dims))
 		for i := range values {
 			values[i] = hierarchy.Root
@@ -153,7 +153,7 @@ func TestCubingMatchesShared(t *testing.T) {
 				t.Errorf("cell %v count mismatch: cubing %d, shared %d", cell.Values, cell.Count, n)
 			}
 		}
-		for _, seg := range cell.Segments {
+		for _, seg := range flatten(cell.Segments) {
 			want, ok := sharedSets[cellSeg{key, itemset.Key(seg.Set)}]
 			if !ok {
 				// Shared prunes segments containing an item+ancestor pair
@@ -195,7 +195,7 @@ func TestCubingMatchesShared(t *testing.T) {
 			continue
 		}
 		found := false
-		for _, seg := range cell.Segments {
+		for _, seg := range flatten(cell.Segments) {
 			if itemset.Key(seg.Set) == cs.seg {
 				found = true
 				if seg.Count != n {
@@ -208,6 +208,23 @@ func TestCubingMatchesShared(t *testing.T) {
 			t.Errorf("shared segment missing from cubing cell %q", cs.cell)
 		}
 	}
+}
+
+// counted is one mined itemset with its support.
+type counted struct {
+	Set   []transact.Item
+	Count int64
+}
+
+// flatten lists the itemsets of every level.
+func flatten(levels []itemset.Level) []counted {
+	var out []counted
+	for _, l := range levels {
+		for i, n := range l.Counts {
+			out = append(out, counted{l.Set(i), n})
+		}
+	}
+	return out
 }
 
 func TestCubingTIDBytesAccounting(t *testing.T) {

@@ -4,10 +4,11 @@
 // The paper's flowgraph construction (§3, step 3) allows "any existing
 // frequent pattern mining algorithm" for the per-cell segment mining; this
 // package provides the standard pattern-growth alternative to the Apriori
-// substrate in internal/itemset, and the Cubing competitor can run on
-// either engine. FP-growth avoids candidate generation entirely: it
-// compresses the transactions into a prefix tree ordered by descending
-// item frequency and recursively mines conditional trees.
+// substrate in internal/itemset, whose Level type it emits into; the
+// restricted re-miner of internal/incr is its caller. FP-growth avoids
+// candidate generation entirely: it compresses the transactions into a
+// prefix tree ordered by descending item frequency and recursively mines
+// conditional trees.
 package fpgrowth
 
 import (
@@ -130,9 +131,9 @@ func (t *tree) singlePath() []*node {
 }
 
 // Mine returns every itemset with support >= minCount (and at most maxLen
-// items when maxLen > 0), each with its exact support, in lexicographic
-// order. minCount must be positive.
-func Mine(txs []transact.Transaction, minCount int64, maxLen int) []itemset.Counted {
+// items when maxLen > 0), each with its exact support: element k-1 holds the
+// itemsets of length k in lexicographic order. minCount must be positive.
+func Mine(txs []transact.Transaction, minCount int64, maxLen int) []itemset.Level {
 	if minCount < 1 {
 		minCount = 1
 	}
@@ -143,21 +144,30 @@ func Mine(txs []transact.Transaction, minCount int64, maxLen int) []itemset.Coun
 		}
 	}
 	t := buildTree(txs, counts, minCount)
-	var out []itemset.Counted
-	var suffix []transact.Item
-	mineTree(t, minCount, maxLen, suffix, &out)
-	for i := range out {
-		sortItems(out[i].Set)
+	var out levels
+	mineTree(t, minCount, maxLen, nil, &out)
+	for _, l := range out {
+		l.Sort()
 	}
-	itemset.SortCounted(out)
 	return out
 }
 
-func sortItems(s []transact.Item) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+// levels collects the mined itemsets by length, in discovery order.
+type levels []itemset.Level
+
+// emit files a copy of the set, its items sorted, under its length.
+func (ls *levels) emit(set []transact.Item, count int64) {
+	k := len(set)
+	for len(*ls) < k {
+		*ls = append(*ls, itemset.Level{K: len(*ls) + 1})
+	}
+	l := &(*ls)[k-1]
+	l.Append(set, count)
+	own := l.Items[len(l.Items)-k:]
+	sort.Slice(own, func(i, j int) bool { return own[i] < own[j] })
 }
 
-func mineTree(t *tree, minCount int64, maxLen int, suffix []transact.Item, out *[]itemset.Counted) {
+func mineTree(t *tree, minCount int64, maxLen int, suffix []transact.Item, out *levels) {
 	if path := t.singlePath(); path != nil {
 		emitCombinations(path, minCount, maxLen, suffix, out)
 		return
@@ -165,7 +175,7 @@ func mineTree(t *tree, minCount int64, maxLen int, suffix []transact.Item, out *
 	for hi := range t.headers {
 		h := &t.headers[hi]
 		set := append(append([]transact.Item(nil), suffix...), h.item)
-		*out = append(*out, itemset.Counted{Set: set, Count: h.count})
+		out.emit(set, h.count)
 		if maxLen > 0 && len(set) >= maxLen {
 			continue
 		}
@@ -258,7 +268,7 @@ func condTree(base []prefixed, counts map[transact.Item]int64, minCount int64) *
 // emitCombinations handles the single-path shortcut: every combination of
 // the path's nodes joined with the suffix is frequent with the count of
 // its deepest member.
-func emitCombinations(path []*node, minCount int64, maxLen int, suffix []transact.Item, out *[]itemset.Counted) {
+func emitCombinations(path []*node, minCount int64, maxLen int, suffix []transact.Item, out *levels) {
 	// Nodes on a single path have non-increasing counts; a combination's
 	// support is the deepest (smallest-count) node's count.
 	var rec func(start int, cur []transact.Item, cnt int64)
@@ -269,10 +279,7 @@ func emitCombinations(path []*node, minCount int64, maxLen int, suffix []transac
 				continue
 			}
 			set := append(append([]transact.Item(nil), cur...), n.item)
-			*out = append(*out, itemset.Counted{
-				Set:   append(append([]transact.Item(nil), suffix...), set...),
-				Count: n.count,
-			})
+			out.emit(append(append([]transact.Item(nil), suffix...), set...), n.count)
 			if maxLen <= 0 || len(suffix)+len(set) < maxLen {
 				rec(i+1, set, n.count)
 			}

@@ -80,8 +80,37 @@ func textbookTxs() []transact.Transaction {
 	}
 }
 
+// counted is one mined itemset with its support.
+type counted struct {
+	Set   []transact.Item
+	Count int64
+}
+
+// flatten lists the itemsets of every level, checking on the way what the
+// levels promise: element k-1 holds length-k sets in strictly ascending
+// lexicographic order, one count each.
+func flatten(t *testing.T, levels []itemset.Level) []counted {
+	t.Helper()
+	var out []counted
+	for i, l := range levels {
+		if l.K != i+1 || len(l.Counts) != l.Len() {
+			t.Fatalf("level %d: K=%d with %d sets and %d counts", i, l.K, l.Len(), len(l.Counts))
+		}
+		for j := 0; j < l.Len(); j++ {
+			if j > 0 && itemset.Key(l.Set(j)) == itemset.Key(l.Set(j-1)) {
+				t.Fatalf("level %d repeats %v", i, l.Set(j))
+			}
+			if _, ok := l.Support(l.Set(j)); !ok {
+				t.Fatalf("level %d is not sorted: binary search misses %v", i, l.Set(j))
+			}
+			out = append(out, counted{l.Set(j), l.Counts[j]})
+		}
+	}
+	return out
+}
+
 func TestTextbookExample(t *testing.T) {
-	got := fpgrowth.Mine(textbookTxs(), 3, 0)
+	got := flatten(t, fpgrowth.Mine(textbookTxs(), 3, 0))
 	index := map[string]int64{}
 	for _, c := range got {
 		index[itemset.Key(c.Set)] = c.Count
@@ -123,7 +152,7 @@ func TestMatchesOracleOnSynthetic(t *testing.T) {
 
 		const maxLen = 4
 		const minCount = 8
-		got := fpgrowth.Mine(txs, minCount, maxLen)
+		got := flatten(t, fpgrowth.Mine(txs, minCount, maxLen))
 		oracle := bruteFrequent(txs, minCount, maxLen)
 		if len(got) != len(oracle) {
 			t.Fatalf("seed %d: fpgrowth found %d itemsets, oracle %d", seed, len(got), len(oracle))
@@ -138,7 +167,10 @@ func TestMatchesOracleOnSynthetic(t *testing.T) {
 }
 
 func TestMaxLenRespected(t *testing.T) {
-	got := fpgrowth.Mine(textbookTxs(), 2, 2)
+	got := flatten(t, fpgrowth.Mine(textbookTxs(), 2, 2))
+	if len(got) == 0 {
+		t.Fatal("nothing mined")
+	}
 	for _, c := range got {
 		if len(c.Set) > 2 {
 			t.Fatalf("maxLen=2 produced %v", c.Set)
@@ -147,15 +179,15 @@ func TestMaxLenRespected(t *testing.T) {
 }
 
 func TestEmptyAndDegenerate(t *testing.T) {
-	if got := fpgrowth.Mine(nil, 1, 0); got != nil {
+	if got := fpgrowth.Mine(nil, 1, 0); len(got) != 0 {
 		t.Errorf("empty input produced %v", got)
 	}
 	// minCount above every support finds nothing.
-	if got := fpgrowth.Mine(textbookTxs(), 100, 0); got != nil {
+	if got := fpgrowth.Mine(textbookTxs(), 100, 0); len(got) != 0 {
 		t.Errorf("impossible support produced %v", got)
 	}
 	// minCount < 1 is clamped to 1.
-	got := fpgrowth.Mine([]transact.Transaction{{7}}, 0, 0)
+	got := flatten(t, fpgrowth.Mine([]transact.Transaction{{7}}, 0, 0))
 	if len(got) != 1 || got[0].Count != 1 {
 		t.Errorf("single transaction mined wrong: %v", got)
 	}
@@ -191,10 +223,10 @@ func TestRunningExampleAgainstApriori(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := map[string]int64{}
-		for _, c := range apriori.All() {
+		for _, c := range flatten(t, apriori.ByLength) {
 			want[itemset.Key(c.Set)] = c.Count
 		}
-		got := fpgrowth.Mine(txs, 2, 0)
+		got := flatten(t, fpgrowth.Mine(txs, 2, 0))
 		if len(got) != len(want) {
 			t.Fatalf("cell %s: fpgrowth found %d itemsets, apriori %d", ex.Product.Name(cell), len(got), len(want))
 		}

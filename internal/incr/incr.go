@@ -185,12 +185,14 @@ func cellConds(cube *core.Cube, db *pathdb.DB, plIdx int, tids []int32) ([][]flo
 		return nil, err
 	}
 	var conds [][]flowgraph.StagePin
-	for _, counted := range res.All() {
-		level, pins, ok := core.StagePins(syms, counted.Set)
-		if !ok || level != plIdx {
-			continue
+	for _, l := range res.ByLength {
+		for i := 0; i < l.Len(); i++ {
+			level, pins, ok := core.StagePins(syms, l.Set(i))
+			if !ok || level != plIdx {
+				continue
+			}
+			conds = append(conds, pins)
 		}
-		conds = append(conds, pins)
 	}
 	return conds, nil
 }

@@ -108,21 +108,23 @@ func cellCondsDelta(cube *core.Cube, db *pathdb.DB, plIdx int, tids, batchTIDs [
 		}
 	}
 	var conds [][]flowgraph.StagePin
-	for _, counted := range fpgrowth.Mine(txs, cube.MinCount(), 0) {
-		set := counted.Set
-		if syms.HasAncestorPair(set) || !syms.AllLinkable(set) {
-			continue
+	for _, l := range fpgrowth.Mine(txs, cube.MinCount(), 0) {
+		for i := 0; i < l.Len(); i++ {
+			set := l.Set(i)
+			if syms.HasAncestorPair(set) || !syms.AllLinkable(set) {
+				continue
+			}
+			level, pins, ok := core.StagePins(syms, set)
+			if !ok || level != plIdx {
+				continue
+			}
+			if old.Has(pins) {
+				// Already a condition of the base cell. A duplicate slot would
+				// mine identical exceptions and fall to the dedup seal anyway.
+				continue
+			}
+			conds = append(conds, pins)
 		}
-		level, pins, ok := core.StagePins(syms, set)
-		if !ok || level != plIdx {
-			continue
-		}
-		if old.Has(pins) {
-			// Already a condition of the base cell. A duplicate slot would
-			// mine identical exceptions and fall to the dedup seal anyway.
-			continue
-		}
-		conds = append(conds, pins)
 	}
 	return conds, nil
 }

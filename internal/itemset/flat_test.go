@@ -11,10 +11,9 @@ import (
 	"flowcube/internal/transact"
 )
 
-// randomSortedSet derives a sorted, duplicate-free itemset over [0, domain)
-// from a seed, of size up to maxLen.
-func randomSortedSet(rng *rand.Rand, domain, maxLen int) []transact.Item {
-	n := rng.Intn(maxLen + 1)
+// randomSortedSet derives a sorted, duplicate-free itemset of exactly n
+// items over [0, domain).
+func randomSortedSet(rng *rand.Rand, domain, n int) []transact.Item {
 	seen := map[transact.Item]bool{}
 	for len(seen) < n {
 		seen[transact.Item(rng.Intn(domain))] = true
@@ -27,51 +26,77 @@ func randomSortedSet(rng *rand.Rand, domain, maxLen int) []transact.Item {
 	return out
 }
 
-// harvest snapshots a trie's counts keyed by candidate.
-func harvest(t *itemset.Trie) map[string]int64 {
-	out := map[string]int64{}
-	t.Walk(func(s []transact.Item, n int64) { out[itemset.Key(s)] = n })
-	return out
-}
-
-// TestIterativeMatchesRecursive: the flat trie's explicit-stack merge-walk
-// must agree with the recursive reference counter on random candidate sets
-// and random sorted transactions — including deep transactions that would
-// stress the call stack on the recursive path.
-func TestIterativeMatchesRecursive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 200; round++ {
-		iter, ref := itemset.NewTrie(), itemset.NewTrie()
-		for c := 0; c < 1+rng.Intn(20); c++ {
-			cand := randomSortedSet(rng, 24, 5)
-			if len(cand) == 0 {
-				continue
-			}
-			iter.Insert(cand)
-			ref.Insert(cand)
-		}
-		for x := 0; x < 1+rng.Intn(30); x++ {
-			tx := transact.Transaction(randomSortedSet(rng, 24, 24))
-			iter.Count(tx)
-			ref.CountRecursive(tx)
-		}
-		got, want := harvest(iter), harvest(ref)
+// checkAgainstReference counts txs through the flat trie (sequentially and
+// sharded) and through the recursive reference over a pointer trie, and
+// requires identical per-candidate supports.
+func checkAgainstReference(t *testing.T, label string, cands itemset.Level, txs []transact.Transaction) {
+	t.Helper()
+	seq, par, ref := itemset.NewTrie(cands), itemset.NewTrie(cands), itemset.NewRefTrie(cands)
+	for _, tx := range txs {
+		seq.Count(tx)
+		ref.Count(tx)
+	}
+	par.CountParallel(txs, 3)
+	want := ref.Counts()
+	for name, got := range map[string][]int64{"sequential": seq.Counts(), "sharded": par.Counts()} {
 		if len(got) != len(want) {
-			t.Fatalf("round %d: %d candidates walked, reference %d", round, len(got), len(want))
+			t.Fatalf("%s: %s trie reports %d candidates, reference %d", label, name, len(got), len(want))
 		}
-		for k, n := range want {
-			if got[k] != n {
-				t.Fatalf("round %d: count of %v = %d, reference %d",
-					round, itemset.FromKey(k), got[k], n)
+		for i, n := range want {
+			if got[i] != n {
+				t.Fatalf("%s: %s count of %v = %d, reference %d", label, name, cands.Set(i), got[i], n)
 			}
 		}
 	}
 }
 
+// TestIterativeMatchesRecursive: the one-pass layout and the flat trie's
+// explicit-stack walk must agree with the recursive reference counter on
+// random candidate levels of every length — single-candidate tries included
+// — and random sorted transactions.
+func TestIterativeMatchesRecursive(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 300; round++ {
+		k := 1 + rng.Intn(6)
+		var cs [][]transact.Item
+		for c := 0; c < 1+rng.Intn(40); c++ {
+			cs = append(cs, randomSortedSet(rng, 24, k))
+		}
+		var txs []transact.Transaction
+		for x := 0; x < 1+rng.Intn(30); x++ {
+			txs = append(txs, transact.Transaction(randomSortedSet(rng, 24, rng.Intn(25))))
+		}
+		checkAgainstReference(t, fmt.Sprintf("round %d (k=%d)", round, k), levelOf(k, cs...), txs)
+	}
+}
+
+// TestWideRangeMatchesReference: a node whose child range dwarfs the
+// transaction flips count to intersecting from the transaction side; both
+// strategies must count the same.
+func TestWideRangeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var cs [][]transact.Item
+	for first := 0; first < 3; first++ {
+		for second := 10; second < 400; second++ {
+			if rng.Intn(4) > 0 { // gaps, so the binary search has misses to skip
+				cs = append(cs, set(transact.Item(first), transact.Item(second), transact.Item(second+1+rng.Intn(3))))
+			}
+		}
+	}
+	var txs []transact.Transaction
+	for x := 0; x < 200; x++ {
+		tx := transact.Transaction{transact.Item(rng.Intn(3))}
+		for _, it := range randomSortedSet(rng, 400, 2+rng.Intn(12)) {
+			tx = append(tx, it+10)
+		}
+		txs = append(txs, tx)
+	}
+	checkAgainstReference(t, "wide", levelOf(3, cs...), txs)
+}
+
 // Property form of the same check, driven by testing/quick inputs.
 func TestIterativeMatchesRecursiveProperty(t *testing.T) {
-	f := func(candSeeds [][]uint8, txSeeds [][]uint8) bool {
-		iter, ref := itemset.NewTrie(), itemset.NewTrie()
+	f := func(width uint8, candSeeds [][]uint8, txSeeds [][]uint8) bool {
 		mk := func(b []uint8) []transact.Item {
 			seen := map[transact.Item]bool{}
 			for _, x := range b {
@@ -84,28 +109,29 @@ func TestIterativeMatchesRecursiveProperty(t *testing.T) {
 			sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 			return s
 		}
-		inserted := false
+		k := 1 + int(width%4)
+		var cs [][]transact.Item
 		for _, seed := range candSeeds {
-			if cand := mk(seed); len(cand) > 0 && len(cand) <= 4 {
-				iter.Insert(cand)
-				ref.Insert(cand)
-				inserted = true
+			if cand := mk(seed); len(cand) >= k {
+				cs = append(cs, cand[:k])
 			}
 		}
-		if !inserted {
+		if len(cs) == 0 {
 			return true
 		}
+		cands := levelOf(k, cs...)
+		iter, ref := itemset.NewTrie(cands), itemset.NewRefTrie(cands)
 		for _, seed := range txSeeds {
 			tx := transact.Transaction(mk(seed))
 			iter.Count(tx)
-			ref.CountRecursive(tx)
+			ref.Count(tx)
 		}
-		got, want := harvest(iter), harvest(ref)
+		got, want := iter.Counts(), ref.Counts()
 		if len(got) != len(want) {
 			return false
 		}
-		for k, n := range want {
-			if got[k] != n {
+		for i, n := range want {
+			if got[i] != n {
 				return false
 			}
 		}
@@ -116,52 +142,34 @@ func TestIterativeMatchesRecursiveProperty(t *testing.T) {
 	}
 }
 
-// TestDeepTransactionCounting: a maximal-depth candidate inside a long
-// transaction — the case the explicit stack exists for.
+// TestDeepTransactionCounting: maximal-depth candidates inside a long
+// transaction — the case the explicit stack exists for, and a pattern far
+// longer than 255 items, which the layout must carry whole.
 func TestDeepTransactionCounting(t *testing.T) {
 	const depth = 512
 	cand := make([]transact.Item, depth)
-	tx := make(transact.Transaction, depth)
-	for i := range cand {
-		cand[i] = transact.Item(i)
+	tx := make(transact.Transaction, depth+2)
+	for i := range tx {
 		tx[i] = transact.Item(i)
 	}
-	trie := itemset.NewTrie()
-	trie.Insert(cand)
-	// Every prefix is also a candidate, so the walk keeps many frames live.
-	for l := 1; l < depth; l += 37 {
-		trie.Insert(cand[:l])
-	}
+	copy(cand, tx)
+	// Three candidates sharing a 511-item prefix: two inside the
+	// transaction, one not.
+	other, absent := append([]transact.Item(nil), cand...), append([]transact.Item(nil), cand...)
+	other[depth-1] = depth
+	absent[depth-1] = depth + 7
+	cands := levelOf(depth, cand, other, absent)
+	trie := itemset.NewTrie(cands)
 	for i := 0; i < 3; i++ {
 		trie.Count(tx)
 	}
-	trie.Walk(func(_ []transact.Item, n int64) {
-		if n != 3 {
-			t.Fatalf("deep candidate counted %d, want 3", n)
+	for i, want := range []int64{3, 3, 0} {
+		if got := trie.Counts()[i]; got != want {
+			t.Errorf("deep candidate %d counted %d, want %d", i, got, want)
 		}
-	})
-}
-
-// TestInsertAfterCountPreservesCounts: Insert invalidates the flattened
-// layout; counts accumulated before the insert must survive the thaw.
-func TestInsertAfterCountPreservesCounts(t *testing.T) {
-	trie := itemset.NewTrie()
-	trie.Insert(set(1, 2))
-	trie.Count(transact.Transaction{1, 2, 3})
-	if !trie.Frozen() {
-		t.Fatalf("Count did not freeze the trie")
 	}
-	trie.Insert(set(1, 3))
-	if trie.Frozen() {
-		t.Fatalf("Insert did not thaw the trie")
-	}
-	trie.Count(transact.Transaction{1, 2, 3})
-	counts := harvest(trie)
-	if counts[itemset.Key(set(1, 2))] != 2 {
-		t.Errorf("{1,2} = %d, want 2 (count before Insert lost?)", counts[itemset.Key(set(1, 2))])
-	}
-	if counts[itemset.Key(set(1, 3))] != 1 {
-		t.Errorf("{1,3} = %d, want 1", counts[itemset.Key(set(1, 3))])
+	if freq := trie.Frequent(1); freq.Len() != 2 || len(freq.Set(1)) != depth || freq.Set(1)[depth-1] != depth {
+		t.Errorf("harvest truncated a %d-item pattern: %d sets", depth, freq.Len())
 	}
 }
 
@@ -188,36 +196,31 @@ func shardedEquivalenceTxs() []transact.Transaction {
 // stays so the test keeps its id.)
 func TestShardedMatchesSequentialAndAtomic(t *testing.T) {
 	txs := shardedEquivalenceTxs()
-	var cands [][]transact.Item
+	var pairs [][]transact.Item
 	for a := 0; a < 12; a++ {
 		for b := a + 1; b < 14; b++ {
-			cands = append(cands, set(transact.Item(a), transact.Item(b)))
+			pairs = append(pairs, set(transact.Item(a), transact.Item(b)))
 		}
 	}
-	seq := itemset.NewTrie()
-	for _, c := range cands {
-		seq.Insert(c)
-	}
+	cands := levelOf(2, pairs...)
+	seq := itemset.NewTrie(cands)
 	for _, tx := range txs {
 		seq.Count(tx)
 	}
-	want := harvest(seq)
+	want := seq.Counts()
 
 	for _, workers := range []int{2, 4, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			sharded := itemset.NewTrie()
-			for _, c := range cands {
-				sharded.Insert(c)
-			}
+			sharded := itemset.NewTrie(cands)
 			sharded.CountParallel(txs, workers)
-			got := harvest(sharded)
+			got := sharded.Counts()
 			if len(got) != len(want) {
-				t.Fatalf("sharded walked %d candidates, want %d", len(got), len(want))
+				t.Fatalf("sharded reports %d candidates, want %d", len(got), len(want))
 			}
-			for k, n := range want {
-				if got[k] != n {
-					t.Errorf("sharded count of %v = %d, want %d", itemset.FromKey(k), got[k], n)
+			for i, n := range want {
+				if got[i] != n {
+					t.Errorf("sharded count of %v = %d, want %d", cands.Set(i), got[i], n)
 				}
 			}
 		})
@@ -248,15 +251,24 @@ func FuzzIterativeMatchesRecursive(f *testing.F) {
 			t.Skip()
 		}
 		tx := transact.Transaction(mk(txBytes))
-		iter, ref := itemset.NewTrie(), itemset.NewTrie()
-		iter.Insert(cand)
-		ref.Insert(cand)
+		// The candidate and every set obtained by replacing its last item:
+		// one shared prefix path, several leaves.
+		cs := [][]transact.Item{cand}
+		for _, x := range txBytes {
+			if it := transact.Item(x % 32); it > cand[len(cand)-1] {
+				alt := append([]transact.Item(nil), cand...)
+				alt[len(alt)-1] = it
+				cs = append(cs, alt)
+			}
+		}
+		cands := levelOf(len(cand), cs...)
+		iter, ref := itemset.NewTrie(cands), itemset.NewRefTrie(cands)
 		iter.Count(tx)
-		ref.CountRecursive(tx)
-		got, want := harvest(iter), harvest(ref)
-		for k, n := range want {
-			if got[k] != n {
-				t.Fatalf("iterative count %d, recursive %d for %v", got[k], n, itemset.FromKey(k))
+		ref.Count(tx)
+		got, want := iter.Counts(), ref.Counts()
+		for i, n := range want {
+			if got[i] != n {
+				t.Fatalf("iterative count %d, recursive %d for %v", got[i], n, cands.Set(i))
 			}
 		}
 	})

@@ -1,13 +1,15 @@
 // Package itemset provides the frequent-itemset machinery shared by the
-// Shared/Basic miners (§5.1) and the Cubing competitor (§5.2): canonical
-// itemset keys, Apriori candidate generation with subset pruning, and a
-// candidate trie that counts support of all candidates of one length in a
-// single pass over each transaction.
+// Shared/Basic miners (§5.1) and the Cubing competitor (§5.2): the flat
+// sorted Level every frequent or candidate set of one length lives in,
+// Apriori candidate generation with subset pruning over it, and a candidate
+// trie laid out from it that counts support of all candidates of one length
+// in a single pass over each transaction.
 package itemset
 
 import (
 	"encoding/binary"
-	"sort"
+	"fmt"
+	"math"
 	"sync"
 
 	"flowcube/internal/transact"
@@ -31,156 +33,13 @@ func FromKey(key string) []transact.Item {
 	return set
 }
 
-// Counted is a frequent itemset with its support count.
-type Counted struct {
-	Set   []transact.Item
-	Count int64
-}
-
-// SortCounted orders itemsets lexicographically, for deterministic output.
-func SortCounted(sets []Counted) {
-	sort.Slice(sets, func(i, j int) bool {
-		a, b := sets[i].Set, sets[j].Set
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-}
-
-// Join generates the candidates of length k+1 from the frequent itemsets of
-// length k by the classic Apriori join (merge two sets sharing their first
-// k-1 items) followed by the subset test: every k-subset of a candidate
-// must itself be frequent. prev must all have the same length and be
-// internally sorted; the result sets are sorted.
-//
-// Candidates are carved out of bulk-allocated backing arrays rather than
-// allocated one by one, and the subset test reuses a single scratch buffer,
-// so a level with a million candidates costs a handful of allocations
-// instead of millions.
-func Join(prev []Counted) [][]transact.Item {
-	if len(prev) == 0 {
-		return nil
-	}
-	k := len(prev[0].Set)
-	sets := make([][]transact.Item, len(prev))
-	for i, c := range prev {
-		sets[i] = c.Set
-	}
-	sort.Slice(sets, func(i, j int) bool { return lexLess(sets[i], sets[j]) })
-	frequent := make(map[string]bool, len(sets))
-	for _, s := range sets {
-		frequent[Key(s)] = true
-	}
-
-	// Backing storage for accepted candidates, grown chunk-wise. Rejected
-	// candidates release their reservation, so garbage stays bounded by one
-	// chunk regardless of how many candidates the subset test kills.
-	chunk := 256 * (k + 1)
-	backing := make([]transact.Item, 0, chunk)
-	subBuf := make([]transact.Item, k)
-	keyBuf := make([]byte, 4*k)
-
-	var out [][]transact.Item
-	for i := 0; i < len(sets); i++ {
-		for j := i + 1; j < len(sets); j++ {
-			if !samePrefix(sets[i], sets[j], k-1) {
-				break // sorted order: no further j shares the prefix
-			}
-			if cap(backing)-len(backing) < k+1 {
-				backing = make([]transact.Item, 0, chunk)
-			}
-			cand := backing[len(backing) : len(backing)+k+1 : len(backing)+k+1]
-			backing = backing[:len(backing)+k+1]
-			copy(cand, sets[i])
-			cand[k] = sets[j][k-1]
-			if hasInfrequentSubset(cand, frequent, k, subBuf, keyBuf) {
-				backing = backing[:len(backing)-(k+1)]
-				continue
-			}
-			out = append(out, cand)
-		}
-	}
-	return out
-}
-
-func lexLess(a, b []transact.Item) bool {
-	for k := 0; k < len(a) && k < len(b); k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return len(a) < len(b)
-}
-
-func samePrefix(a, b []transact.Item, n int) bool {
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// hasInfrequentSubset checks every k-subset of the (k+1)-candidate. The two
-// subsets obtained by dropping one of the joined tails are the parents and
-// are frequent by construction, so only subsets dropping an earlier
-// position need checking. subBuf (k items) and keyBuf (4k bytes) are caller
-// scratch; the map probe via string(keyBuf) does not allocate.
-func hasInfrequentSubset(cand []transact.Item, frequent map[string]bool, k int, subBuf []transact.Item, keyBuf []byte) bool {
-	for drop := 0; drop < k-1; drop++ {
-		copy(subBuf, cand[:drop])
-		copy(subBuf[drop:], cand[drop+1:])
-		for i, it := range subBuf {
-			binary.LittleEndian.PutUint32(keyBuf[4*i:], uint32(it))
-		}
-		if !frequent[string(keyBuf)] {
-			return true
-		}
-	}
-	return false
-}
-
-// trieNode is the pointer-linked builder node. Insert grows this structure;
-// counting runs over the flattened form (see flatTrie), which is rebuilt
-// lazily whenever the trie changed since the last freeze.
-type trieNode struct {
-	item     transact.Item
-	children []*trieNode
-	count    int64 // authoritative only while the trie is thawed
-	leaf     bool
-	id       int32 // flat node index; valid only while frozen
-}
-
-func (n *trieNode) ensureChild(it transact.Item) *trieNode {
-	lo, hi := 0, len(n.children)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.children[mid].item < it {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(n.children) && n.children[lo].item == it {
-		return n.children[lo]
-	}
-	c := &trieNode{item: it}
-	n.children = append(n.children, nil)
-	copy(n.children[lo+1:], n.children[lo:])
-	n.children[lo] = c
-	return c
-}
-
-// flatTrie is the counting layout: the builder trie flattened into
-// contiguous index-based arrays, in breadth-first order so that every
-// node's children occupy one consecutive, item-sorted range. The merge-walk
-// against a sorted transaction then streams over items[childLo[n]:childLo[n+1]]
-// instead of chasing child pointers, and supports live in a dense counts
-// slice indexed by node id — which is what lets parallel counting hand each
-// worker a private count buffer and merge them after the scan.
+// flatTrie is the counting layout: the candidate trie as contiguous
+// index-based arrays, in breadth-first order so that every node's children
+// occupy one consecutive, item-sorted range. The merge-walk against a sorted
+// transaction then streams over items[childLo[n]:childLo[n+1]] instead of
+// chasing child pointers, and supports live in a dense counts slice indexed
+// by node id — which is what lets parallel counting hand each worker a
+// private count buffer and merge them after the scan.
 //
 // BFS order makes the children ranges consecutive, so one childLo slice with
 // a trailing sentinel encodes every range: node n's children are
@@ -188,7 +47,6 @@ func (n *trieNode) ensureChild(it transact.Item) *trieNode {
 type flatTrie struct {
 	items   []transact.Item
 	childLo []int32 // len(items)+1 entries; childLo[len(items)] is the sentinel
-	leaf    []bool
 	counts  []int64
 	// words is the transaction-bitmap size (in uint64 words) covering the
 	// largest item in the trie; items beyond it cannot match any candidate.
@@ -220,9 +78,9 @@ type flatTrie struct {
 //
 // Every visited node is counted unconditionally: reaching a node means the
 // transaction contains its prefix, so counts at candidate-end nodes are
-// exact while interior nodes accumulate values nobody reads (Walk, Frequent,
-// and thaw only look at end nodes). That keeps the leaf check — and the leaf
-// array's cache stream — out of the hot loop. Childless matches are counted
+// exact while interior nodes accumulate values nobody reads (Counts and
+// Frequent only look at end nodes). That keeps a leaf check out of the hot
+// loop. Childless matches are counted
 // inline instead of round-tripping through the stack; at the deepest level
 // of a candidate trie that is nearly every match. stack is caller scratch,
 // returned for reuse.
@@ -317,66 +175,83 @@ func (f *flatTrie) count(tx transact.Transaction, counts []int64, words []uint64
 	return stack
 }
 
-// Trie counts support for a set of same-length candidates. Insert all
-// candidates, call Count once per transaction, then harvest with Walk.
+// Trie counts support for the candidates of one Level. Build it with
+// NewTrie, call Count once per transaction (or CountParallel once), then read
+// Counts or harvest with Frequent.
 type Trie struct {
-	root trieNode
-	size int
-	flat *flatTrie
+	cands Level
+	flat  flatTrie
 	// Scratch for the sequential Count path: the transaction bitmap and the
 	// traversal stack.
 	words []uint64
 	stack []int32
 }
 
-// NewTrie returns an empty candidate trie.
-func NewTrie() *Trie { return &Trie{} }
-
-// Size reports the number of inserted candidates.
-func (t *Trie) Size() int { return t.size }
-
-// Insert adds a sorted candidate itemset.
-func (t *Trie) Insert(set []transact.Item) {
-	t.thaw()
-	n := &t.root
-	for _, it := range set {
-		n = n.ensureChild(it)
-	}
-	if !n.leaf {
-		n.leaf = true
-		t.size++
-	}
-}
-
-// freeze flattens the builder trie into the counting layout, seeding the
-// dense counts from whatever the pointer nodes accumulated so far. The flat
-// form is cached until the next Insert.
-func (t *Trie) freeze() *flatTrie {
-	if t.flat != nil {
-		return t.flat
-	}
-	f := &flatTrie{}
-	t.root.id = 0
-	f.items = append(f.items, t.root.item)
-	f.leaf = append(f.leaf, t.root.leaf)
-	f.counts = append(f.counts, t.root.count)
-	queue := []*trieNode{&t.root}
-	for head := 0; head < len(queue); head++ {
-		n := queue[head]
-		f.childLo = append(f.childLo, int32(len(queue)))
-		for _, c := range n.children {
-			c.id = int32(len(queue))
-			queue = append(queue, c)
-			f.items = append(f.items, c.item)
-			f.leaf = append(f.leaf, c.leaf)
-			f.counts = append(f.counts, c.count)
+// NewTrie lays the sorted, duplicate-free candidates of a non-empty level
+// straight into the counting layout. In a sorted level, candidate i opens a new trie
+// node at every depth past the first position where it differs from
+// candidate i-1, and breadth-first order numbers the nodes of one depth in
+// exactly that order of appearance: one pass sizes the depths, a second
+// writes each node's item and first-child index at its final id. The nodes
+// of the last depth are the candidates in level order, so per-candidate
+// supports are the tail of the count buffer. Candidates out of order are a
+// caller bug and panic, as does a level whose trie outgrows the int32 node
+// index.
+func NewTrie(cands Level) *Trie {
+	n, k := cands.Len(), cands.K
+	// firstDiff reports the first position where candidate i differs from its
+	// predecessor (0 for the first).
+	firstDiff := func(i int) int {
+		if i == 0 {
+			return 0
 		}
+		a, b := cands.Set(i-1), cands.Set(i)
+		for d := range a {
+			if a[d] != b[d] {
+				if a[d] > b[d] {
+					break
+				}
+				return d
+			}
+		}
+		panic(fmt.Sprintf("itemset: candidates %v, %v not in strictly ascending order", a, b))
 	}
-	f.childLo = append(f.childLo, int32(len(queue))) // sentinel
+	// next[d] becomes the id of the next node to open at depth d: depth d
+	// holds one node per candidate differing from its predecessor before
+	// position d.
+	next := make([]int, k+2)
+	for i := 0; i < n; i++ {
+		next[firstDiff(i)+1]++
+	}
+	width := 0
+	for d, start := 1, 1; d <= k; d++ {
+		width += next[d]
+		next[d] = start
+		start += width
+	}
+	nodes := next[k] + n
+	next[k+1] = nodes // the last depth has no children: empty ranges at the sentinel
+	if nodes > math.MaxInt32 {
+		panic(fmt.Sprintf("itemset: %d candidates of length %d need %d trie nodes, beyond the int32 index", n, k, nodes))
+	}
+	t := &Trie{cands: cands}
+	f := &t.flat
+	f.items = make([]transact.Item, nodes)
+	f.childLo = make([]int32, nodes+1)
+	f.counts = make([]int64, nodes)
+	f.childLo[0] = 1
+	f.childLo[nodes] = int32(nodes)
 	maxItem := transact.Item(0)
-	for _, it := range f.items[1:] {
-		if it > maxItem {
-			maxItem = it
+	for i := 0; i < n; i++ {
+		set := cands.Set(i)
+		for d := firstDiff(i) + 1; d <= k; d++ {
+			id := next[d]
+			next[d]++
+			f.items[id] = set[d-1]
+			f.childLo[id] = int32(next[d+1])
+		}
+		if set[k-1] > maxItem { // sets are sorted: the last item is the largest
+			maxItem = set[k-1]
 		}
 	}
 	f.words = int(maxItem)>>6 + 1
@@ -387,40 +262,13 @@ func (t *Trie) freeze() *flatTrie {
 	for ci := f.childLo[0]; ci < f.childLo[1]; ci++ {
 		f.rootChild[f.items[ci]] = ci
 	}
-	t.flat = f
-	return f
+	return t
 }
 
-// thaw folds the flat counts back into the pointer nodes and drops the flat
-// form, so a subsequent Insert (which changes the node set) cannot lose
-// counts already accumulated. Only candidate-end nodes are folded: interior
-// flat counts hold the unconditional visit tallies the merge-walk leaves
-// behind, while interior pointer nodes stay at zero — which is what keeps a
-// later Insert that turns an interior node into a candidate end starting
-// from a clean count.
-func (t *Trie) thaw() {
-	if t.flat == nil {
-		return
-	}
-	counts := t.flat.counts
-	var rec func(n *trieNode)
-	rec = func(n *trieNode) {
-		if n.leaf {
-			n.count = counts[n.id]
-		}
-		for _, c := range n.children {
-			rec(c)
-		}
-	}
-	rec(&t.root)
-	t.flat = nil
-}
-
-// Count increments the support of every inserted candidate contained in the
-// sorted transaction. Not safe to call concurrently; use CountParallel for
-// that.
+// Count increments the support of every candidate contained in the sorted
+// transaction. Not safe to call concurrently; use CountParallel for that.
 func (t *Trie) Count(tx transact.Transaction) {
-	f := t.freeze()
+	f := &t.flat
 	if len(t.words) < f.words {
 		t.words = make([]uint64, f.words)
 	}
@@ -441,7 +289,7 @@ func (t *Trie) CountParallel(txs []transact.Transaction, workers int) {
 		}
 		return
 	}
-	f := t.freeze()
+	f := &t.flat
 	shards := make([][]int64, workers)
 	var wg sync.WaitGroup
 	chunk := (len(txs) + workers - 1) / workers
@@ -479,62 +327,28 @@ func (t *Trie) CountParallel(txs []transact.Transaction, workers int) {
 	}
 }
 
-// countNode is the recursive reference counter over the pointer trie. The
-// production path is the iterative merge-walk in flatTrie.count; this stays
-// as the oracle the property tests compare against.
-func countNode(n *trieNode, tx transact.Transaction) {
-	if n.leaf {
-		n.count++
-	}
-	if len(n.children) == 0 || len(tx) == 0 {
-		return
-	}
-	// Merge-walk the sorted transaction against the sorted children.
-	ci, ti := 0, 0
-	for ci < len(n.children) && ti < len(tx) {
-		c := n.children[ci]
-		switch {
-		case c.item < tx[ti]:
-			ci++
-		case c.item > tx[ti]:
-			ti++
-		default:
-			countNode(c, tx[ti+1:])
-			ci++
-			ti++
-		}
-	}
+// Counts returns the support counted so far for every candidate, in level
+// order, aliasing the trie's count buffer.
+func (t *Trie) Counts() []int64 {
+	return t.flat.counts[len(t.flat.counts)-t.cands.Len():]
 }
 
-// Walk visits every candidate with its accumulated count, in lexicographic
-// order (children are stored item-sorted, so a depth-first walk of the flat
-// form is lexicographic). The set slice passed to fn is reused across
-// calls; copy it to retain.
-func (t *Trie) Walk(fn func(set []transact.Item, count int64)) {
-	f := t.freeze()
-	var buf []transact.Item
-	var rec func(n int32)
-	rec = func(n int32) {
-		if f.leaf[n] {
-			fn(buf, f.counts[n])
-		}
-		for ci := f.childLo[n]; ci < f.childLo[n+1]; ci++ {
-			buf = append(buf, f.items[ci])
-			rec(ci)
-			buf = buf[:len(buf)-1]
+// Frequent harvests the candidates whose count meets minCount into a new
+// level, in order.
+func (t *Trie) Frequent(minCount int64) Level {
+	counts := t.Counts()
+	n := 0
+	for _, c := range counts {
+		if c >= minCount {
+			n++
 		}
 	}
-	rec(0)
-}
-
-// Frequent harvests the candidates whose count meets minCount, copying the
-// sets.
-func (t *Trie) Frequent(minCount int64) []Counted {
-	var out []Counted
-	t.Walk(func(set []transact.Item, count int64) {
-		if count >= minCount {
-			out = append(out, Counted{Set: append([]transact.Item(nil), set...), Count: count})
+	k := t.cands.K
+	out := Level{K: k, Items: make([]transact.Item, 0, n*k), Counts: make([]int64, 0, n)}
+	for i, c := range counts {
+		if c >= minCount {
+			out.Append(t.cands.Set(i), c)
 		}
-	})
+	}
 	return out
 }

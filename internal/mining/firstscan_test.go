@@ -119,8 +119,9 @@ func TestFirstScanNoPrecount(t *testing.T) {
 	}
 }
 
-// TestSupportConcurrent hammers the lazily indexed Support from many
-// goroutines; the race detector run in CI is what gives this test teeth.
+// TestSupportConcurrent hammers Support from many goroutines — a Result is
+// reachable from concurrent readers, so the lookup must stay read-only; the
+// race detector run in CI is what gives this test teeth.
 func TestSupportConcurrent(t *testing.T) {
 	ex := paperex.New()
 	syms := transact.MustNewSymbols(ex.Schema, fullPlan(ex))

@@ -38,8 +38,9 @@ type Options struct {
 	// MaxLen stops the level-wise loop after this pattern length; 0 means
 	// unlimited.
 	MaxLen int
-	// Workers shards support counting across goroutines. The result is
-	// identical to the sequential run; 0 or 1 keeps counting sequential.
+	// Workers shards the first scan, support counting and the candidate join
+	// of large levels across goroutines. The result is identical to the
+	// sequential run; 0 or 1 keeps everything sequential.
 	Workers int
 	// CandidateLimit aborts the run when the number of candidates of one
 	// length exceeds it; 0 means unlimited. The paper reports Basic
@@ -76,8 +77,8 @@ type LevelStats struct {
 
 // Result is the output of one mining run.
 type Result struct {
-	// ByLength[k-1] holds the frequent itemsets of length k.
-	ByLength [][]itemset.Counted
+	// ByLength[k-1] holds the frequent itemsets of length k, sorted.
+	ByLength []itemset.Level
 	// Levels holds per-length candidate statistics.
 	Levels []LevelStats
 	// Scans is the number of passes over the transaction database.
@@ -86,43 +87,30 @@ type Result struct {
 	MinCount int64
 	// Aborted is true when CandidateLimit stopped the run early.
 	Aborted bool
-
-	// indexOnce guards the lazy build of index: Result is reachable from
-	// concurrent readers (e.g. flowserve handlers inspecting a cube's
-	// mining run), so the first Support call must not race later ones.
-	indexOnce sync.Once
-	index     map[string]int64
 }
 
-// All returns every frequent itemset across lengths.
-func (r *Result) All() []itemset.Counted {
-	var out []itemset.Counted
+// NumFrequent reports the number of frequent itemsets across lengths.
+func (r *Result) NumFrequent() int {
+	n := 0
 	for _, l := range r.ByLength {
-		out = append(out, l...)
+		n += l.Len()
 	}
-	return out
+	return n
 }
 
 // Support looks up the support count of a sorted itemset; ok is false when
-// the set is not frequent. Safe for concurrent callers: the lazy index
-// builds exactly once.
+// the set is not frequent.
 func (r *Result) Support(set []transact.Item) (int64, bool) {
-	r.indexOnce.Do(func() {
-		r.index = make(map[string]int64)
-		for _, l := range r.ByLength {
-			for _, c := range l {
-				r.index[itemset.Key(c.Set)] = c.Count
-			}
-		}
-	})
-	n, ok := r.index[itemset.Key(set)]
-	return n, ok
+	if len(set) == 0 || len(set) > len(r.ByLength) {
+		return 0, false
+	}
+	return r.ByLength[len(set)-1].Support(set)
 }
 
 // MaxLen reports the longest frequent pattern length found.
 func (r *Result) MaxLen() int {
 	for k := len(r.ByLength); k > 0; k-- {
-		if len(r.ByLength[k-1]) > 0 {
+		if r.ByLength[k-1].Len() > 0 {
 			return k
 		}
 	}
@@ -241,8 +229,8 @@ func (p *PairCounts) Get(a, b transact.Item) int64 {
 // is set — the supports of pairs of top-abstraction-level items. With
 // workers > 1 the transactions are sharded into contiguous chunks and the
 // per-worker counters merged; integer merges are exact, so the result is
-// identical to the sequential scan. Exported for the micro-benchmark
-// harness and the equivalence tests; Mine is the production caller.
+// identical to the sequential scan. Exported for the equivalence tests; Mine
+// is the production caller.
 func FirstScan(syms *transact.Symbols, txs []transact.Transaction, precount bool, workers int) ([]int64, *PairCounts) {
 	var master *PairCounts
 	if precount {
@@ -364,9 +352,9 @@ func Mine(syms *transact.Symbols, txs []transact.Transaction, opts Options) (*Re
 	res.Scans = 1
 
 	// The dense counter covers every interned item; only items that occur
-	// in the scanned transactions count as generated (matching the old
-	// map-based scan, whose keys were exactly the occurring items).
-	var l1 []itemset.Counted
+	// in the scanned transactions count as generated. Walking the counter
+	// in item order leaves the level sorted.
+	l1 := itemset.Level{K: 1}
 	distinct := 0
 	for it, n := range itemCounts {
 		if n == 0 {
@@ -374,28 +362,28 @@ func Mine(syms *transact.Symbols, txs []transact.Transaction, opts Options) (*Re
 		}
 		distinct++
 		if n >= minCount {
-			l1 = append(l1, itemset.Counted{Set: []transact.Item{transact.Item(it)}, Count: n})
+			l1.Items = append(l1.Items, transact.Item(it))
+			l1.Counts = append(l1.Counts, n)
 		}
 	}
-	itemset.SortCounted(l1)
 	res.ByLength = append(res.ByLength, l1)
 	res.Levels = append(res.Levels, LevelStats{
-		Length: 1, Generated: distinct, Counted: distinct, Frequent: len(l1),
+		Length: 1, Generated: distinct, Counted: distinct, Frequent: l1.Len(),
 	})
 
 	prev := l1
-	for k := 2; len(prev) > 0 && (opts.MaxLen == 0 || k <= opts.MaxLen); k++ {
-		cands := itemset.Join(prev)
-		stats := LevelStats{Length: k, Generated: len(cands)}
+	for k := 2; prev.Len() > 0 && (opts.MaxLen == 0 || k <= opts.MaxLen); k++ {
+		cands := itemset.Join(prev, workers)
+		stats := LevelStats{Length: k, Generated: cands.Len()}
 
 		// All three rules judge a pair of items, and Join emits a candidate
 		// only when every subset of it was counted frequent: a pair that a
 		// rule rejects is never counted, so no candidate longer than two can
 		// contain one, and the rules have nothing left to do after k = 2.
-		kept := cands
 		if k == 2 {
-			kept = cands[:0]
-			for _, c := range cands {
+			kept := cands.Items[:0]
+			for i := 0; i < len(cands.Items); i += 2 {
+				c := cands.Items[i : i+2]
 				if opts.PruneAncestor && syms.HasAncestorPair(c) {
 					continue
 				}
@@ -405,31 +393,29 @@ func Mine(syms *transact.Symbols, txs []transact.Transaction, opts Options) (*Re
 				if opts.Precount && precountPrunes(syms, pairCounts, c[0], c[1], minCount) {
 					continue
 				}
-				kept = append(kept, c)
+				kept = append(kept, c...)
 			}
+			cands.Items = kept
 		}
-		stats.Pruned = stats.Generated - len(kept)
-		stats.Counted = len(kept)
+		stats.Counted = cands.Len()
+		stats.Pruned = stats.Generated - stats.Counted
 
-		if opts.CandidateLimit > 0 && len(kept) > opts.CandidateLimit {
+		if opts.CandidateLimit > 0 && stats.Counted > opts.CandidateLimit {
 			res.Levels = append(res.Levels, stats)
 			res.Aborted = true
 			return res, nil
 		}
-		if len(kept) == 0 {
+		if stats.Counted == 0 {
 			res.Levels = append(res.Levels, stats)
 			break
 		}
 
-		trie := itemset.NewTrie()
-		for _, c := range kept {
-			trie.Insert(c)
-		}
+		trie := itemset.NewTrie(cands)
 		trie.CountParallel(txs, workers)
 		res.Scans++
 
 		lk := trie.Frequent(minCount)
-		stats.Frequent = len(lk)
+		stats.Frequent = lk.Len()
 		res.Levels = append(res.Levels, stats)
 		res.ByLength = append(res.ByLength, lk)
 		prev = lk

@@ -280,8 +280,8 @@ func TestSupportMonotonicity(t *testing.T) {
 	// dropping one item is at least as frequent — unless Shared pruned the
 	// subset as an ancestor-pair set (it cannot be, dropping keeps
 	// validity) — so the subset must be present with count >= superset's.
-	for k := 1; k < len(res.ByLength); k++ {
-		for _, c := range res.ByLength[k] {
+	for _, c := range res.All() {
+		if len(c.Set) > 1 {
 			sub := make([]transact.Item, 0, len(c.Set)-1)
 			for drop := range c.Set {
 				sub = sub[:0]

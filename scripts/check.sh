@@ -55,8 +55,10 @@ echo "== micro-benchmarks (one iteration each) =="
 # BenchmarkKLDivergence/Add (internal/stats) and BenchmarkSimilarity/
 # MineExceptions (internal/flowgraph) are what EXPERIMENTS.md quotes for the
 # sorted-slice distributions, BenchmarkLazyLookupCold (internal/core) for the
-# cell-at-a-time lazy read; one iteration keeps them compiling and running.
-go test ./internal/stats ./internal/flowgraph ./internal/core -run '^$' -bench . -benchtime 1x
+# cell-at-a-time lazy read, BenchmarkJoin/TrieCount (internal/itemset) and
+# BenchmarkMine (internal/mining) for the flat mining kernel; one iteration
+# keeps them compiling and running.
+go test ./internal/stats ./internal/flowgraph ./internal/core ./internal/itemset ./internal/mining -run '^$' -bench . -benchtime 1x
 
 echo "== nommap fallback (lazy serving without mmap) =="
 # The pread fallback behind the nommap build tag is what non-linux builds
@@ -71,6 +73,7 @@ go test ./internal/core -run '^$' -fuzz FuzzLoadSnapshot -fuzztime 10s -fuzzmini
 go test ./internal/pathdb -run '^$' -fuzz FuzzRead -fuzztime 10s
 go test ./internal/incr -run '^$' -fuzz FuzzApplyDelta -fuzztime 10s
 go test ./internal/ingest -run '^$' -fuzz FuzzWALReplay -fuzztime 10s
+go test ./internal/itemset -run '^$' -fuzz FuzzJoinMatchesBruteForce -fuzztime 10s
 
 echo "== lines of non-test Go per package (report only) =="
 ./scripts/loc.sh
