@@ -6,12 +6,11 @@ package core
 //
 // The cache is in-memory bookkeeping only — it is not serialized into
 // snapshots and has no effect on Save bytes. A cube built with
-// Config.MineExceptions warms it during mineExceptions; a cube loaded from
-// a snapshot starts cold, and the incremental path falls back to a full
-// per-cell re-mine (which warms the entry for next time). An entry hangs off
-// its cell and is immutable once stored, so it follows the cell from one
-// generation to the next and is replaced, never edited, when a batch adds
-// conditions.
+// Config.MineExceptions warms it during mineExceptions; a cell the
+// incremental path admits starts cold, and its first re-mine (from an empty
+// set, over all of its records) warms the entry. An entry hangs off its cell
+// and is immutable once stored, so it follows the cell from one generation
+// to the next and is replaced, never edited, when a batch adds conditions.
 
 import (
 	"sort"
@@ -29,8 +28,7 @@ type CondSet struct {
 }
 
 // NewCondSet indexes the given pin-lists. The caller must not mutate pins
-// afterwards; duplicates (same canonical key) are kept in Pins but count
-// once for Has/Len.
+// afterwards; duplicates (same canonical key) are kept in Pins.
 func NewCondSet(pins [][]flowgraph.StagePin) *CondSet {
 	s := &CondSet{Pins: pins, keys: make(map[string]bool, len(pins))}
 	for _, p := range pins {
@@ -43,14 +41,6 @@ func NewCondSet(pins [][]flowgraph.StagePin) *CondSet {
 // the set. A nil set has nothing.
 func (s *CondSet) Has(pins []flowgraph.StagePin) bool {
 	return s != nil && s.keys[CondPinKey(pins)]
-}
-
-// Len reports the number of distinct conditions.
-func (s *CondSet) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.keys)
 }
 
 // CondPinKey renders a pin-list's canonical identity: pins sorted by depth,
@@ -98,8 +88,9 @@ func (c *Cube) SetCachedConds(specKey, cellKey string, pins [][]flowgraph.StageP
 	}
 }
 
-// DropCondCache empties the cache, forcing the incremental path back onto
-// the full per-cell re-mine. Tests use it to compare the two paths.
+// DropCondCache empties the cache, so the incremental path re-mines every
+// touched cell from an empty set over all of its records. Tests use it as
+// the reference the warm re-mine is compared against.
 func (c *Cube) DropCondCache() {
 	c.ownAllCells()
 	for _, cb := range c.Cuboids {

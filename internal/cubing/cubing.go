@@ -14,8 +14,6 @@
 package cubing
 
 import (
-	"sort"
-
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/itemset"
 	"flowcube/internal/mining"
@@ -38,9 +36,6 @@ type CellResult struct {
 // Result maps cell keys to mined cells. Keys come from CellKey.
 type Result struct {
 	Cells map[string]*CellResult
-	// Stats aggregates the per-cell Apriori work: candidates counted by
-	// pattern length, across all cells.
-	Stats []mining.LevelStats
 	// TIDBytes approximates the transaction-identifier list volume the
 	// algorithm materializes (4 bytes per TID per frequent cell), the I/O
 	// cost §5.2 calls out.
@@ -66,7 +61,6 @@ type engine struct {
 	stageTxs  []transact.Transaction
 	dimLevels [][]int
 	minCount  int64
-	maxLen    int
 	res       *Result
 }
 
@@ -87,7 +81,6 @@ func Run(db *pathdb.DB, syms *transact.Symbols, opts mining.Options) (*Result, e
 		syms:      syms,
 		dimLevels: syms.DimLevels(),
 		minCount:  minCount,
-		maxLen:    opts.MaxLen,
 		res:       &Result{Cells: make(map[string]*CellResult)},
 	}
 	// Step 2: transform Dp into a transaction database of encoded stages.
@@ -136,14 +129,7 @@ func (e *engine) expandDim(d, levelIdx int, tids []int32, cell []hierarchy.NodeI
 		v := h.AncestorAt(e.db.Records[tid].Dims[d], level)
 		groups[v] = append(groups[v], tid)
 	}
-	// Deterministic order for reproducible stats.
-	keys := make([]hierarchy.NodeID, 0, len(groups))
-	for v := range groups {
-		keys = append(keys, v)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, v := range keys {
-		g := groups[v]
+	for v, g := range groups {
 		if int64(len(g)) < e.minCount {
 			continue
 		}
@@ -155,56 +141,21 @@ func (e *engine) expandDim(d, levelIdx int, tids []int32, cell []hierarchy.NodeI
 	cell[d] = hierarchy.Root
 }
 
-// emit records the frequent cell and mines its frequent path segments
-// over the cell's stage transactions (Algorithm 2 steps 5-6).
+// emit records the frequent cell and mines its frequent path segments over
+// the cell's stage transactions with plain Apriori: the Shared loop with no
+// pruning flag set (Algorithm 2 steps 5-6).
 func (e *engine) emit(cell []hierarchy.NodeID, tids []int32) {
-	cr := &CellResult{
-		Values: append([]hierarchy.NodeID(nil), cell...),
-		Count:  int64(len(tids)),
+	txs := make([]transact.Transaction, len(tids))
+	for i, tid := range tids {
+		txs[i] = e.stageTxs[tid]
 	}
+	// Mine's only error is a threshold it cannot resolve, and Run resolved
+	// e.minCount >= 1 before the first cell.
+	res, _ := mining.Mine(e.syms, txs, mining.Options{MinCount: e.minCount})
 	e.res.TIDBytes += int64(4 * len(tids))
-
-	// Scan 1: single stage items.
-	counts := make(map[transact.Item]int64)
-	for _, tid := range tids {
-		for _, it := range e.stageTxs[tid] {
-			counts[it]++
-		}
+	e.res.Cells[CellKey(cell)] = &CellResult{
+		Values:   append([]hierarchy.NodeID(nil), cell...),
+		Count:    int64(len(tids)),
+		Segments: res.ByLength,
 	}
-	l1 := itemset.Level{K: 1}
-	for it, n := range counts {
-		if n >= e.minCount {
-			l1.Append([]transact.Item{it}, n)
-		}
-	}
-	l1.Sort()
-	cr.Segments = append(cr.Segments, l1)
-	e.addStats(1, len(counts), len(counts), l1.Len())
-
-	prev := l1
-	for k := 2; prev.Len() > 0 && (e.maxLen == 0 || k <= e.maxLen); k++ {
-		cands := itemset.Join(prev, 1)
-		if cands.Len() == 0 {
-			break
-		}
-		trie := itemset.NewTrie(cands)
-		for _, tid := range tids {
-			trie.Count(e.stageTxs[tid])
-		}
-		lk := trie.Frequent(e.minCount)
-		e.addStats(k, cands.Len(), cands.Len(), lk.Len())
-		cr.Segments = append(cr.Segments, lk)
-		prev = lk
-	}
-	e.res.Cells[CellKey(cell)] = cr
-}
-
-func (e *engine) addStats(length, generated, counted, frequent int) {
-	for len(e.res.Stats) < length {
-		e.res.Stats = append(e.res.Stats, mining.LevelStats{Length: len(e.res.Stats) + 1})
-	}
-	s := &e.res.Stats[length-1]
-	s.Generated += generated
-	s.Counted += counted
-	s.Frequent += frequent
 }

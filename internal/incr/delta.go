@@ -15,6 +15,7 @@ import (
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
+	"flowcube/internal/transact"
 )
 
 // ApplyDelta appends a batch of records to the cube and its database,
@@ -161,11 +162,9 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 		pathLevel int
 		cell      *core.Cell
 		// batchTIDs are the appended record ids that landed in the cell —
-		// the restricted re-mine derives the moved prefixes from them.
+		// the re-mine derives the moved prefixes from them. Nil for a newly
+		// materialized cell, all of whose records are new to it.
 		batchTIDs []int32
-		// admitted marks newly materialized cells, whose whole graph is new
-		// and must mine in full.
-		admitted bool
 	}
 	var touched []touchedCell
 
@@ -229,60 +228,42 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 				g.AddPath(db.Records[tid].Path)
 			}
 			cell.Graph = g
-			touched = append(touched, touchedCell{specKey: specKey, pathLevel: plIdx, cell: cell, admitted: true})
+			touched = append(touched, touchedCell{specKey: specKey, pathLevel: plIdx, cell: cell})
 			stats.CellsAdmitted++
 		}
 	}
 
 	// Exceptions: recompute exactly, per touched cell, over its union
-	// records. With a warm condition cache the restricted path
-	// (restricted.go) retains exceptions at unmoved prefixes and re-mines
-	// only what the batch moved; otherwise — cold cache (cube loaded from a
-	// snapshot) or a freshly admitted cell — fall back to the full re-mine:
-	// replace the whole set (MineExceptions replaces; without the
-	// single-stage pass the set is cleared first since MineExceptionsFor
-	// appends) with conditions re-derived by in-cell mining (cellConds),
-	// warming the cache for the next batch. Both paths produce byte-identical
-	// Save output.
+	// records (restricted.go). A warm cell re-mines from its cached condition
+	// set and the batch's records: exceptions at prefixes the batch did not
+	// move are retained, and only conditions the batch made frequent are
+	// mined for. A cell with nothing cached — freshly admitted, or its cache
+	// dropped — is the same computation from an empty set with every record
+	// counted as new, which warms its entry for the next batch.
 	if cfg.MineExceptions {
+		r := &reminer{cube: cube, db: db, stageTxs: make([]transact.Transaction, db.Len())}
 		for _, t := range touched {
 			cell := t.cell
 			if cell.Graph == nil {
 				continue
 			}
-			specKey := t.specKey
 			ck := core.CellKey(cell.Values)
-			tids := cell.TIDs()
-			paths := make([]pathdb.Path, len(tids))
-			for k, tid := range tids {
-				paths[k] = db.Records[tid].Path
+			old, warm := cube.CachedConds(t.specKey, ck)
+			batchTIDs := t.batchTIDs
+			if !warm {
+				old, batchTIDs = core.NewCondSet(nil), cell.TIDs()
 			}
-			if old, warm := cube.CachedConds(specKey, ck); warm && !t.admitted {
-				movedPrefixes, newConds, err := remineRestricted(cube, db, t.pathLevel, cell, t.batchTIDs, paths, old, minCount)
-				if err != nil {
-					return nil, err
-				}
-				if len(newConds) > 0 {
-					all := make([][]flowgraph.StagePin, 0, len(old.Pins)+len(newConds))
-					all = append(append(all, old.Pins...), newConds...)
-					cube.SetCachedConds(specKey, ck, all)
-				}
+			moved, newConds, err := r.remine(t.pathLevel, cell, batchTIDs, old)
+			if err != nil {
+				return nil, err
+			}
+			if len(newConds) > 0 || !warm {
+				all := make([][]flowgraph.StagePin, 0, len(old.Pins)+len(newConds))
+				cube.SetCachedConds(t.specKey, ck, append(append(all, old.Pins...), newConds...))
+			}
+			if warm {
 				stats.CellsReminedRestricted++
-				stats.PrefixesRemined += movedPrefixes
-			} else {
-				if cfg.SingleStageExceptions {
-					cell.Graph.MineExceptions(paths, cfg.Epsilon, minCount)
-				} else {
-					cell.Graph.ClearExceptions()
-				}
-				conds, err := cellConds(cube, db, t.pathLevel, tids)
-				if err != nil {
-					return nil, err
-				}
-				if len(conds) > 0 {
-					cell.Graph.MineExceptionsFor(paths, conds, cfg.Epsilon, minCount)
-				}
-				cube.SetCachedConds(specKey, ck, conds)
+				stats.PrefixesRemined += moved
 			}
 			stats.ExceptionsRemined++
 		}

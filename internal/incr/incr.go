@@ -21,9 +21,9 @@
 // Exactness therefore requires the cube's configuration to be
 // N-independent: an absolute Config.MinCount (a fractional MinSupport
 // re-resolves against the grown database, silently changing δ) and no
-// MiningOptions override (a candidate limit or length cap makes the
-// frequent-set collection scan-order dependent). ApplyDelta rejects both
-// with typed errors.
+// MiningOptions override (a candidate limit cuts the frequent-set
+// collection short, and different pruning flags change which sets it
+// holds). ApplyDelta rejects both with typed errors.
 package incr
 
 import (
@@ -32,11 +32,8 @@ import (
 	"sort"
 
 	"flowcube/internal/core"
-	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
-	"flowcube/internal/mining"
 	"flowcube/internal/pathdb"
-	"flowcube/internal/transact"
 )
 
 // Typed failures, testable with errors.Is / errors.As.
@@ -50,9 +47,10 @@ var (
 	// fractional MinSupport re-resolves against the grown database and
 	// silently changes δ — exactness against a full rebuild is impossible.
 	ErrAbsoluteMinCount = errors.New("incr: delta maintenance requires an absolute Config.MinCount")
-	// ErrCustomMining reports a cube built with a MiningOptions override;
-	// candidate limits and length caps make the frequent-set collection
-	// depend on scan order, which delta maintenance cannot reproduce.
+	// ErrCustomMining reports a cube built with a MiningOptions override: a
+	// candidate limit cuts the frequent-set collection short and other
+	// pruning flags change which sets it holds, neither of which the
+	// per-cell re-mine (fixed flags, no limit) can reproduce.
 	ErrCustomMining = errors.New("incr: delta maintenance does not support Config.MiningOptions overrides")
 	// ErrSchemaMismatch reports a database whose schema is not the one the
 	// cube was built over.
@@ -89,12 +87,12 @@ type Stats struct {
 	// ExceptionsRemined is the number of cells whose exception set was
 	// recomputed (0 unless the cube was built with MineExceptions).
 	ExceptionsRemined int `json:"exceptions_remined"`
-	// CellsReminedRestricted is how many of those cells took the restricted
-	// batch-proportional path (warm condition cache; see restricted.go)
-	// instead of a full per-cell re-mine.
+	// CellsReminedRestricted is how many of those cells re-mined at a cost
+	// proportional to the batch (warm condition cache; see restricted.go)
+	// rather than from an empty condition set over all of their records.
 	CellsReminedRestricted int `json:"cells_remined_restricted"`
 	// PrefixesRemined is the total number of moved flowgraph prefixes
-	// (nodes on a batch path) the restricted passes re-aggregated.
+	// (nodes on a batch path) those warm cells re-aggregated.
 	PrefixesRemined int `json:"prefixes_remined"`
 	// RedundancyRemarked is the number of cells re-marked for redundancy
 	// (touched cells plus their item-lattice children; 0 unless Tau > 0).
@@ -144,57 +142,6 @@ func scanBase(db *pathdb.DB, baseLen int, levels []core.LevelCuboids, wanted map
 			}
 		}
 	}
-}
-
-// cellConds re-derives one cell's exception conditions: the frequent
-// same-level path segments among the cell's records, exactly as a full
-// build finds them as mixed dim+stage itemsets. Mining is restricted to the
-// cell's transactions projected to stage items at the cuboid's path level —
-// a transaction contains the cell's dimension items iff the record belongs
-// to the cell, so in-cell stage supports equal the full build's mixed-set
-// supports. Ancestor and linkability pruning mirror the Shared run (they
-// shape the output set); pre-counting is off because the projected
-// transactions lack the coarser levels it counts against (it is a lossless
-// optimization, so the result set is unchanged).
-//
-// Duration-'*' path levels yield no conditions — every pin would be
-// duration-'*', which stagePins rejects as vacuous — so mining is skipped
-// there entirely.
-func cellConds(cube *core.Cube, db *pathdb.DB, plIdx int, tids []int32) ([][]flowgraph.StagePin, error) {
-	syms := cube.Symbols
-	if syms.PathLevels()[plIdx].Time.Any {
-		return nil, nil
-	}
-	txs := make([]transact.Transaction, len(tids))
-	for i, tid := range tids {
-		full := syms.EncodeStages(db.Records[tid].Path)
-		var t transact.Transaction
-		for _, it := range full {
-			if syms.StageLevel(it) == plIdx {
-				t = append(t, it)
-			}
-		}
-		txs[i] = t
-	}
-	res, err := mining.Mine(syms, txs, mining.Options{
-		MinCount:      cube.MinCount(),
-		PruneAncestor: true,
-		PruneLink:     true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var conds [][]flowgraph.StagePin
-	for _, l := range res.ByLength {
-		for i := 0; i < l.Len(); i++ {
-			level, pins, ok := core.StagePins(syms, l.Set(i))
-			if !ok || level != plIdx {
-				continue
-			}
-			conds = append(conds, pins)
-		}
-	}
-	return conds, nil
 }
 
 // schemaCompatible sanity-checks that a database's schema matches the

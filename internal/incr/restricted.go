@@ -1,11 +1,10 @@
 package incr
 
-// Restricted exception re-mining: the batch-proportional replacement for
-// re-mining every touched cell from scratch (DESIGN.md §11).
+// Restricted exception re-mining: a touched cell's exceptions recomputed at
+// a cost that follows the batch, not the cell (DESIGN.md §11).
 //
-// The full path re-derives a touched cell's conditions by mining all of its
-// transactions (cellConds) and replaces its whole exception set — cost
-// tracking cube size, not batch size. The restricted path exploits two
+// remine takes the condition set known to hold over the cell's records
+// before the batch and the record ids the batch added, and exploits two
 // facts, both consequences of appends moving supports only upward:
 //
 //  1. An exception is keyed by a target node, and every aggregate behind it
@@ -17,44 +16,70 @@ package incr
 //     solely of "moved" items — stage items some batch record carries —
 //     because its support rose, so some batch transaction contains all of
 //     it. Projecting the cell's transactions to the moved items preserves
-//     the support of every such set, so one fp-growth run over the
-//     projection (internal/fpgrowth), post-filtered with the same
-//     hereditary predicates the Shared run prunes with, finds exactly the
-//     new conditions. Old conditions stay frequent (supports are monotone)
-//     and are remembered in the cube's condition cache (core/conds.go).
+//     the support of every such set, so one mining.Mine run over the
+//     projection finds exactly the new conditions. Old conditions stay
+//     frequent (supports are monotone) and are remembered in the cube's
+//     condition cache (core/conds.go).
 //
 // The recombination — retained exceptions at unmoved targets, single-stage
 // and old-condition mining at moved targets, new-condition mining at all
-// targets, then one dedup+sort seal — reproduces the full re-mine's set
-// byte-identically; incr's save-digest property tests exercise it on every
-// build (Build warms the cache, so chained ApplyDelta calls run restricted).
+// targets, then one dedup+sort seal — reproduces a from-scratch mine of the
+// union byte-identically; incr's save-digest property tests exercise it on
+// every build (Build warms the cache, so chained ApplyDelta calls run warm).
+//
+// A cell with nothing cached — freshly admitted, or its cache dropped — is
+// the same computation with an empty condition set and every record of the
+// cell as the batch: every node and stage item is moved, nothing is
+// retained, and the mine yields the cell's whole condition set.
 
 import (
 	"flowcube/internal/core"
 	"flowcube/internal/flowgraph"
-	"flowcube/internal/fpgrowth"
+	"flowcube/internal/mining"
 	"flowcube/internal/pathdb"
 	"flowcube/internal/transact"
 )
 
-// remineRestricted recomputes one touched cell's exceptions from its cached
-// condition set and the batch records that landed in it, and returns the
-// moved-prefix count (for stats) and the newly frequent conditions (for the
-// caller to fold into the cache). paths is the cell's full union record
-// set; the cell must have a graph.
-func remineRestricted(cube *core.Cube, db *pathdb.DB, plIdx int, cell *core.Cell, batchTIDs []int32, paths []pathdb.Path, old *core.CondSet, minCount int64) (int, [][]flowgraph.StagePin, error) {
-	cfg := cube.Config
-	g := cell.Graph
-	batchPaths := make([]pathdb.Path, len(batchTIDs))
-	for i, tid := range batchTIDs {
-		batchPaths[i] = db.Records[tid].Path
+// reminer is what the re-mines of one ApplyDelta call share.
+type reminer struct {
+	cube *core.Cube
+	db   *pathdb.DB
+	// stageTxs[tid] is the record's stage items at every path level, encoded
+	// on first use: a record lies in one cell per cuboid, and every touched
+	// cell reads all of its records.
+	stageTxs []transact.Transaction
+}
+
+func (r *reminer) stages(tid int32) transact.Transaction {
+	if r.stageTxs[tid] == nil {
+		r.stageTxs[tid] = r.cube.Symbols.EncodeStages(r.db.Records[tid].Path)
 	}
-	moved := g.MovedNodes(batchPaths)
+	return r.stageTxs[tid]
+}
+
+func (r *reminer) paths(tids []int32) []pathdb.Path {
+	paths := make([]pathdb.Path, len(tids))
+	for i, tid := range tids {
+		paths[i] = r.db.Records[tid].Path
+	}
+	return paths
+}
+
+// remine recomputes one touched cell's exceptions from the condition set old
+// and the records batchTIDs added to it, and returns the moved-prefix count
+// (for stats) and the newly frequent conditions (for the caller to fold into
+// the cache). The cell must have a graph and its union record ids.
+func (r *reminer) remine(plIdx int, cell *core.Cell, batchTIDs []int32, old *core.CondSet) (int, [][]flowgraph.StagePin, error) {
+	cfg := r.cube.Config
+	minCount := r.cube.MinCount()
+	g, tids := cell.Graph, cell.TIDs()
+	paths := r.paths(tids)
+	moved := g.MovedNodes(r.paths(batchTIDs))
 	g.RetainExceptions(func(x *flowgraph.Exception) bool { return !moved[x.Node] })
 	if cfg.SingleStageExceptions {
 		g.MineExceptionsAt(paths, moved, cfg.Epsilon, minCount)
 	}
-	newConds, err := cellCondsDelta(cube, db, plIdx, cell.TIDs(), batchTIDs, old)
+	newConds, err := r.newConds(plIdx, tids, batchTIDs, old)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -72,21 +97,28 @@ func remineRestricted(cube *core.Cube, db *pathdb.DB, plIdx int, cell *core.Cell
 	return len(moved), newConds, nil
 }
 
-// cellCondsDelta finds the conditions newly frequent among a cell's records
-// after a batch: fp-growth over the cell's transactions projected to the
-// batch's stage items at the cuboid's path level, post-filtered with the
-// Shared run's pruning predicates and the build phase's pin filters, minus
-// anything already in the old condition set. See the file comment for the
-// exactness argument; cellConds (incr.go) documents the shared projection
-// and filter conventions.
-func cellCondsDelta(cube *core.Cube, db *pathdb.DB, plIdx int, tids, batchTIDs []int32, old *core.CondSet) ([][]flowgraph.StagePin, error) {
-	syms := cube.Symbols
+// newConds finds the conditions newly frequent among a cell's records after
+// a batch: the frequent same-level path segments of the cell's transactions
+// projected to the batch's stage items at the cuboid's path level, minus
+// anything already in the old condition set. A transaction contains the
+// cell's dimension items iff the record belongs to the cell, so in-cell
+// stage supports equal the supports of the mixed dim+stage itemsets a full
+// build finds the conditions among. Ancestor and linkability pruning mirror
+// the Shared run (they shape the output set); pre-counting is off because
+// the projected transactions lack the coarser levels it counts against (it
+// is a lossless optimization, so the result set is unchanged).
+//
+// Duration-'*' path levels yield no conditions — every pin would be
+// duration-'*', which StagePins rejects as vacuous — so mining is skipped
+// there entirely.
+func (r *reminer) newConds(plIdx int, tids, batchTIDs []int32, old *core.CondSet) ([][]flowgraph.StagePin, error) {
+	syms := r.cube.Symbols
 	if syms.PathLevels()[plIdx].Time.Any {
 		return nil, nil
 	}
 	movedItems := make(map[transact.Item]bool)
 	for _, tid := range batchTIDs {
-		for _, it := range syms.EncodeStages(db.Records[tid].Path) {
+		for _, it := range r.stages(tid) {
 			if syms.StageLevel(it) == plIdx {
 				movedItems[it] = true
 			}
@@ -98,8 +130,8 @@ func cellCondsDelta(cube *core.Cube, db *pathdb.DB, plIdx int, tids, batchTIDs [
 	txs := make([]transact.Transaction, 0, len(tids))
 	for _, tid := range tids {
 		var t transact.Transaction
-		for _, it := range syms.EncodeStages(db.Records[tid].Path) {
-			if syms.StageLevel(it) == plIdx && movedItems[it] {
+		for _, it := range r.stages(tid) {
+			if movedItems[it] {
 				t = append(t, it)
 			}
 		}
@@ -107,14 +139,18 @@ func cellCondsDelta(cube *core.Cube, db *pathdb.DB, plIdx int, tids, batchTIDs [
 			txs = append(txs, t)
 		}
 	}
+	res, err := mining.Mine(syms, txs, mining.Options{
+		MinCount:      r.cube.MinCount(),
+		PruneAncestor: true,
+		PruneLink:     true,
+	})
+	if err != nil {
+		return nil, err
+	}
 	var conds [][]flowgraph.StagePin
-	for _, l := range fpgrowth.Mine(txs, cube.MinCount(), 0) {
+	for _, l := range res.ByLength {
 		for i := 0; i < l.Len(); i++ {
-			set := l.Set(i)
-			if syms.HasAncestorPair(set) || !syms.AllLinkable(set) {
-				continue
-			}
-			level, pins, ok := core.StagePins(syms, set)
+			level, pins, ok := core.StagePins(syms, l.Set(i))
 			if !ok || level != plIdx {
 				continue
 			}

@@ -8,13 +8,13 @@ import (
 	"flowcube/internal/incr"
 )
 
-// TestRestrictedRemineMatchesFull pins the two exception re-mining paths
-// against each other directly: the same batch folded into a warm-cache
-// clone (restricted path) and a cache-dropped clone (full per-cell re-mine)
-// must produce identical Save bytes, and the stats must show which path
-// ran. The digest property tests in incr_test.go already exercise the
-// restricted path implicitly — Build warms the condition cache — but this
-// test fails loudly if the cache stops discriminating the paths.
+// TestRestrictedRemineMatchesFull pins the re-miner's two inputs against
+// each other directly: the same batch folded into a warm-cache clone (cached
+// conditions, the batch's records) and a cache-dropped clone (no conditions,
+// every record of the cell) must produce identical Save bytes, and the stats
+// must show which one ran. The digest property tests in incr_test.go already
+// exercise the warm case implicitly — Build warms the condition cache — but
+// this test fails loudly if the cache stops discriminating the two.
 func TestRestrictedRemineMatchesFull(t *testing.T) {
 	for _, variant := range []struct {
 		name        string
@@ -62,7 +62,7 @@ func TestRestrictedRemineMatchesFull(t *testing.T) {
 				t.Fatal("batch touched no exception cells; workload too small to discriminate the paths")
 			}
 			// The warm clone's existing cells re-mine restricted (admitted
-			// cells always mine in full); the cold clone never does.
+			// cells have nothing cached yet); the cold clone never does.
 			if warmStats.CellsReminedRestricted != warmStats.ExceptionsRemined-warmStats.CellsAdmitted {
 				t.Errorf("restricted stats: %d of %d cells restricted with %d admitted",
 					warmStats.CellsReminedRestricted, warmStats.ExceptionsRemined, warmStats.CellsAdmitted)
@@ -114,5 +114,76 @@ func TestRestrictedRemineChained(t *testing.T) {
 	}
 	if restricted == 0 {
 		t.Error("no batch took the restricted path")
+	}
+}
+
+// TestAdmittedCellWarmsCache folds a batch that pushes sub-δ combinations
+// over the threshold: every cell it admits must leave the fold with a
+// condition cache entry, so a second batch landing in the same cells re-mines
+// all of them restricted, and the result is still a full build of the union.
+func TestAdmittedCellWarmsCache(t *testing.T) {
+	ds := datagen.MustGenerate(genConfig(41, 300))
+	cfg := core.Config{
+		MinCount: 4, Epsilon: 0.05, Plan: ds.DefaultPlan(),
+		MineExceptions: true, SingleStageExceptions: true, DeltaLedger: true, Workers: 2,
+	}
+	const split = 250
+	db := dbWith(ds, split)
+	cube, err := core.Build(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	existed := make(map[string]bool)
+	for specKey, cb := range cube.Cuboids {
+		for ck := range cb.Cells {
+			existed[specKey+"|"+ck] = true
+		}
+	}
+	batch := ds.DB.Records[split:]
+
+	first, err := incr.ApplyDelta(cube, db, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CellsAdmitted == 0 {
+		t.Fatal("batch admitted no cell; workload too small to exercise admission")
+	}
+	admitted := 0
+	for specKey, cb := range cube.Cuboids {
+		for ck := range cb.Cells {
+			if existed[specKey+"|"+ck] {
+				continue
+			}
+			admitted++
+			if _, warm := cube.CachedConds(specKey, ck); !warm {
+				t.Errorf("admitted cell %s of %s has a cold condition cache", ck, specKey)
+			}
+		}
+	}
+	if admitted != first.CellsAdmitted {
+		t.Errorf("%d new cells in the cube, stats report %d admitted", admitted, first.CellsAdmitted)
+	}
+
+	// The same records again land in every cell the first fold touched or
+	// admitted; whatever the repeat admits on top is the only cold work left.
+	second, err := incr.ApplyDelta(cube, db, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.CellsTouched != first.CellsTouched+first.CellsAdmitted {
+		t.Errorf("second fold touched %d cells, want the first fold's %d touched + %d admitted",
+			second.CellsTouched, first.CellsTouched, first.CellsAdmitted)
+	}
+	if second.CellsReminedRestricted != second.ExceptionsRemined-second.CellsAdmitted {
+		t.Errorf("second fold: %d of %d cells restricted with %d admitted",
+			second.CellsReminedRestricted, second.ExceptionsRemined, second.CellsAdmitted)
+	}
+
+	full, err := core.Build(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := saveDigest(t, cube), saveDigest(t, full); got != want {
+		t.Errorf("digest after admitting folds %s != full build over the union %s", got, want)
 	}
 }

@@ -35,9 +35,6 @@ type Options struct {
 	// infrequent (optimization 1 of §5).
 	Precount bool
 
-	// MaxLen stops the level-wise loop after this pattern length; 0 means
-	// unlimited.
-	MaxLen int
 	// Workers shards the first scan, support counting and the candidate join
 	// of large levels across goroutines. The result is identical to the
 	// sequential run; 0 or 1 keeps everything sequential.
@@ -372,7 +369,7 @@ func Mine(syms *transact.Symbols, txs []transact.Transaction, opts Options) (*Re
 	})
 
 	prev := l1
-	for k := 2; prev.Len() > 0 && (opts.MaxLen == 0 || k <= opts.MaxLen); k++ {
+	for k := 2; prev.Len() > 0; k++ {
 		cands := itemset.Join(prev, workers)
 		stats := LevelStats{Length: k, Generated: cands.Len()}
 

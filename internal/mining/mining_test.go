@@ -253,21 +253,6 @@ func TestCandidateLimitAborts(t *testing.T) {
 	}
 }
 
-func TestMaxLenStopsLoop(t *testing.T) {
-	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, fullPlan(ex))
-	txs := syms.Encode(ex.DB)
-	opts := mining.SharedOptions(0.25)
-	opts.MaxLen = 2
-	res, err := mining.Mine(syms, txs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxLen() > 2 {
-		t.Errorf("MaxLen=2 produced patterns of length %d", res.MaxLen())
-	}
-}
-
 func TestSupportMonotonicity(t *testing.T) {
 	ex := paperex.New()
 	syms := transact.MustNewSymbols(ex.Schema, fullPlan(ex))

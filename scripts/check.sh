@@ -13,7 +13,8 @@
 # keeps the text parsers panic-free on garbage.
 # The race run also carries the delta-equivalence property tests
 # (internal/incr: ApplyDelta + Save must be byte-identical to a full
-# rebuild over the union database at random split points).
+# rebuild over the union database at random split points, and the warm
+# re-mine to the one that starts from a dropped condition cache).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,9 +57,11 @@ echo "== micro-benchmarks (one iteration each) =="
 # MineExceptions (internal/flowgraph) are what EXPERIMENTS.md quotes for the
 # sorted-slice distributions, BenchmarkLazyLookupCold (internal/core) for the
 # cell-at-a-time lazy read, BenchmarkJoin/TrieCount (internal/itemset) and
-# BenchmarkMine (internal/mining) for the flat mining kernel; one iteration
-# keeps them compiling and running.
-go test ./internal/stats ./internal/flowgraph ./internal/core ./internal/itemset ./internal/mining -run '^$' -bench . -benchtime 1x
+# BenchmarkMine (internal/mining) for the flat mining kernel — the one
+# level-wise loop Build, Cubing and ingest all run — and BenchmarkApplyDelta
+# (internal/incr) for a ten-record append with exceptions and redundancy
+# marking off and on; one iteration keeps them compiling and running.
+go test ./internal/stats ./internal/flowgraph ./internal/core ./internal/itemset ./internal/mining ./internal/incr -run '^$' -bench . -benchtime 1x
 
 echo "== nommap fallback (lazy serving without mmap) =="
 # The pread fallback behind the nommap build tag is what non-linux builds
