@@ -15,7 +15,7 @@ check:
 	./scripts/check.sh
 
 # Run the project's static-analysis suite (see cmd/flowlint and DESIGN.md
-# "Static analysis & invariants"): ten analyzers over cross-package facts.
+# "Static analysis: the ledger"): nine analyzers over cross-package facts.
 # Exit status 1 means findings; -stats reports per-analyzer counts and
 # wall time, and a failure names the offending analyzers.
 lint:

@@ -1,15 +1,14 @@
-// Command flowlint is the project's static-analysis multichecker: ten
+// Command flowlint is the project's static-analysis multichecker: nine
 // analyzers that machine-check the contracts the flowcube codebase relies
-// on but the compiler cannot see. Five are single-package — cube
-// immutability after build (immutcube), byte-deterministic encodings
-// (mapdet), serving-layer lock discipline (locksafe), epsilon-safe float
-// comparisons (floatcmp), surfaced errors on persistence paths (errpath) —
-// and five run over cross-package facts computed in a first phase over
-// every loaded package: leak-prone goroutine spawns (goroleak), context
-// plumbing on blocking exported surfaces (ctxflow), unclosed HTTP response
-// bodies (bodyclose), locks held across interprocedurally blocking calls
-// (lockblock), and nondeterminism reaching the byte-deterministic snapshot
-// codec (detrand).
+// on but the compiler cannot see. Six are single-package — cube
+// immutability after build (immutcube), map iteration order leaking into
+// output (mapdet), locks held across blocking I/O (locksafe), epsilon-safe
+// float comparisons (floatcmp), surfaced errors on persistence paths
+// (errpath), unclosed HTTP response bodies (bodyclose) — and three run over
+// cross-package facts computed in a first phase over every loaded package:
+// leak-prone goroutine spawns (goroleak), context plumbing on blocking
+// exported surfaces (ctxflow), and locks held across interprocedurally
+// blocking calls (lockblock).
 //
 // Usage:
 //

@@ -56,7 +56,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	shardTimeout := fs.Duration("shard-timeout", cluster.DefaultShardTimeout, "per-shard timeout for scatter-gather reads")
 	source := fs.String("source", "", `"source" reported in responses (default: the -meta path)`)
 	quiet := fs.Bool("quiet", false, "suppress per-request logging")
-	skipValidate := fs.Bool("skip-validate", false, "skip the startup shard-census validation (testing only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -97,17 +96,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if !*skipValidate {
-		start := time.Now()
-		vctx, cancel := context.WithTimeout(ctx, *shardTimeout+time.Second)
-		err := rt.Validate(vctx)
-		cancel()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "flowrouter: %d shards validated in %s\n",
-			len(shardURLs), time.Since(start).Round(time.Millisecond))
+	start := time.Now()
+	vctx, cancel := context.WithTimeout(ctx, *shardTimeout+time.Second)
+	err = rt.Validate(vctx)
+	cancel()
+	if err != nil {
+		return err
 	}
+	fmt.Fprintf(stderr, "flowrouter: %d shards validated in %s\n",
+		len(shardURLs), time.Since(start).Round(time.Millisecond))
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

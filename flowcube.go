@@ -80,7 +80,6 @@ import (
 	"flowcube/internal/datagen"
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
-	"flowcube/internal/mining"
 	"flowcube/internal/pathdb"
 	"flowcube/internal/transact"
 )
@@ -159,8 +158,6 @@ type (
 	Provenance = core.Provenance
 	// Plan is the encoding/materialization plan.
 	Plan = transact.Plan
-	// MiningOptions configures the frequent-pattern miner directly.
-	MiningOptions = mining.Options
 )
 
 // Synthetic workloads (the paper's §6.1 generator).

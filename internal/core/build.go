@@ -37,18 +37,12 @@ func prepare(db *pathdb.DB, cfg Config) (*Cube, cellConds, error) {
 
 	mopts := mining.SharedOptions(cfg.MinSupport)
 	mopts.Workers = cfg.Workers
-	if cfg.MiningOptions != nil {
-		mopts = *cfg.MiningOptions
-	}
 	if cfg.MinCount > 0 {
 		mopts.MinCount = cfg.MinCount
 	}
 	res, err := mining.Mine(syms, txs, mopts)
 	if err != nil {
 		return nil, nil, err
-	}
-	if res.Aborted {
-		return nil, nil, fmt.Errorf("core: mining aborted by candidate limit; raise the limit or the minimum support")
 	}
 	minCount := res.MinCount
 

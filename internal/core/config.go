@@ -31,7 +31,7 @@ func (cfg Config) Validate() error {
 	if cfg.MinCount < 0 {
 		return &ConfigError{Field: "MinCount", Reason: fmt.Sprintf("must be non-negative, got %d", cfg.MinCount)}
 	}
-	if cfg.MinCount == 0 && cfg.MiningOptions == nil {
+	if cfg.MinCount == 0 {
 		if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
 			return &ConfigError{Field: "MinSupport",
 				Reason: fmt.Sprintf("must be in (0,1] when MinCount is unset, got %g", cfg.MinSupport)}

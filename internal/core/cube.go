@@ -201,12 +201,9 @@ type Config struct {
 	// SingleStageExceptions additionally mines exceptions conditioned on
 	// every single prior stage duration (not only on frequent segments).
 	SingleStageExceptions bool
-	// MiningOptions overrides the algorithm configuration; zero value
-	// means SharedOptions(MinSupport).
-	MiningOptions *mining.Options
 	// Workers spreads flowgraph construction and exception mining across
 	// goroutines (cells are independent). It is also copied into the
-	// mining options when they are not overridden. 0 or 1 is sequential.
+	// mining options. 0 or 1 is sequential.
 	Workers int
 	// DeltaLedger carries an auxiliary sub-δ count ledger in the cube (and
 	// its snapshots): the exact count of every below-threshold dimension

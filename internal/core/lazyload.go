@@ -86,14 +86,12 @@ type lazySection struct {
 }
 
 // sectionDir is the result of one flat walk over a section's cells: one
-// entry per cell in ascending key order, the redundant-cell census (for
-// CuboidSummaries) and whether the cells are stored in that order (raw byte
-// copy on Save is only valid then — eager Save re-sorts, and lazy Save must
-// produce identical bytes). It is immutable once built; callers share it.
+// entry per cell in ascending key order — the order the section stores them
+// in — and the redundant-cell census (for CuboidSummaries). It is immutable
+// once built; callers share it.
 type sectionDir struct {
 	entries   []dirEntry
 	redundant int
-	sorted    bool
 }
 
 // dirEntry locates one cell: its key and value tuple, its path count (so a
@@ -396,17 +394,15 @@ func (b *lazyBackend) dir(sec *lazySection) (*sectionDir, error) {
 
 // buildDir walks a section's cells once — prefixes decoded, flat graphs
 // skipped — and makes every whole-section check the full decoder makes: the
-// claimed cell count fits the payload, no trailing bytes, no duplicate cell.
-// Cells our Save wrote are in ascending key order, which rules duplicates
-// out on the walk; a foreign writer's unsorted section is sorted here (and
-// then checked), so point reads serve it exactly as an eager Load does.
+// claimed cell count fits the payload, cell keys strictly ascending (what
+// point reads binary-search on), no trailing bytes.
 func (b *lazyBackend) buildDir(sec *lazySection) (*sectionDir, int64, error) {
 	payload, err := b.view(sec)
 	if err != nil {
 		return nil, 0, err
 	}
 	r := &byteReader{section: "cuboid " + sec.key, buf: payload, off: sec.cellsOff}
-	d := &sectionDir{entries: make([]dirEntry, 0, min(sec.numCells, r.rem()/minCellBytesV2)), sorted: true}
+	d := &sectionDir{entries: make([]dirEntry, 0, min(sec.numCells, r.rem()/minCellBytesV2))}
 	cost := int64(dirBaseFootprint)
 	for ci := 0; ci < sec.numCells; ci++ {
 		e := dirEntry{off: int32(r.off)}
@@ -422,7 +418,7 @@ func (b *lazyBackend) buildDir(sec *lazySection) (*sectionDir, int64, error) {
 		e.end = int32(r.off)
 		e.key = cellKey(e.values)
 		if ci > 0 && e.key <= d.entries[ci-1].key {
-			d.sorted = false
+			return nil, 0, r.corrupt("cell %s is not after cell %s: cell keys must ascend strictly", e.key, d.entries[ci-1].key)
 		}
 		if flags&1 != 0 {
 			d.redundant++
@@ -432,14 +428,6 @@ func (b *lazyBackend) buildDir(sec *lazySection) (*sectionDir, int64, error) {
 	}
 	if r.rem() != 0 {
 		return nil, 0, r.corrupt("%d trailing bytes", r.rem())
-	}
-	if !d.sorted {
-		sort.SliceStable(d.entries, func(i, j int) bool { return d.entries[i].key < d.entries[j].key })
-		for i := 1; i < len(d.entries); i++ {
-			if d.entries[i].key == d.entries[i-1].key {
-				return nil, 0, r.corrupt("duplicate cell %s", d.entries[i].key)
-			}
-		}
 	}
 	return d, cost, nil
 }
@@ -554,8 +542,8 @@ func (b *lazyBackend) cellsMatching(specKey string, match func([]hierarchy.NodeI
 	return out
 }
 
-// cuboid decodes one whole section, uncached: what Validate, the unsorted
-// Save fallback and (*Cube).Cuboid need. Point reads never come here.
+// cuboid decodes one whole section, uncached: what Validate and
+// (*Cube).Cuboid need. Point reads never come here.
 func (b *lazyBackend) cuboid(sec *lazySection) (*Cuboid, error) {
 	payload, err := b.view(sec)
 	var cb *Cuboid
@@ -712,25 +700,15 @@ func (b *lazyBackend) materialize(c *Cube) (*Cube, error) {
 // save writes the lazy cube as v2 snapshot bytes identical to an eager
 // load-then-Save of the same file. Metadata sections are re-encoded from
 // the decoded preamble state (decode→encode is a fixed point); cuboid
-// sections whose cells are stored sorted — every file our Save wrote — are
-// raw payload copies straight from the mapping, and unsorted ones (foreign
-// writers) fall back to decode + re-encode, which re-sorts exactly as the
-// eager path would.
+// sections are raw payload copies straight from the mapping, each checked by
+// its directory walk first.
 func (b *lazyBackend) save(c *Cube, w io.Writer) error {
 	return writeSnapshotV2(w, c, len(b.order), func(i int) ([]byte, error) {
 		sec := b.order[i]
-		d, err := b.dir(sec)
-		if err != nil {
+		if _, err := b.dir(sec); err != nil {
 			return nil, err
 		}
-		if d.sorted {
-			return b.view(sec)
-		}
-		cb, err := b.cuboid(sec)
-		if err != nil {
-			return nil, err
-		}
-		return encodeCuboidV2(cb), nil
+		return b.view(sec)
 	})
 }
 

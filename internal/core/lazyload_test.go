@@ -401,27 +401,38 @@ func wantCorrupt(t *testing.T, what string, err error) {
 }
 
 // TestLazyCorruptSectionOnFirstTouch covers the corruption only a whole-
-// section walk can see — a garbage byte after the last cell, or the same
-// cell stored twice: the directory build must fail for every cell of the
-// section, surfacing a *CorruptSnapshotError through LazyErr, never a panic
-// or a torn cell, and Validate, Materialize and Save must fail too.
+// section walk can see — a garbage byte after the last cell, the same cell
+// stored twice, or two cells stored out of key order: the eager loader must
+// reject the file, and on the lazy cube the directory build must fail for
+// every cell of the section, surfacing a *CorruptSnapshotError through
+// LazyErr, never a panic or a torn cell, and Validate, Materialize and Save
+// must fail too.
 func TestLazyCorruptSectionOnFirstTouch(t *testing.T) {
-	mutations := map[string]func(p []byte, cells [][2]int) []byte{
-		"trailing byte": func(p []byte, _ [][2]int) []byte { return append(p, 0x7f) },
-		"duplicate cell": func(p []byte, cells [][2]int) []byte {
+	mutations := map[string]struct {
+		minCells int
+		mutate   func(p []byte, cells [][2]int) []byte
+	}{
+		"trailing byte": {1, func(p []byte, _ [][2]int) []byte { return append(p, 0x7f) }},
+		"duplicate cell": {1, func(p []byte, cells [][2]int) []byte {
 			if len(cells) != 1 || p[cells[0][0]-1] != 1 {
 				t.Fatalf("want a one-cell section whose header ends in its cell count, got %d cells", len(cells))
 			}
 			p[cells[0][0]-1] = 2
 			return append(p, p[cells[0][0]:cells[0][1]]...)
-		},
+		}},
+		"unsorted cells": {2, func(p []byte, cells [][2]int) []byte {
+			a, b := cells[0], cells[1]
+			out := append([]byte(nil), p[:a[0]]...)
+			out = append(out, p[b[0]:b[1]]...)
+			out = append(out, p[a[0]:a[1]]...)
+			return append(out, p[b[1]:]...)
+		}},
 	}
-	for name, mutate := range mutations {
+	for name, m := range mutations {
 		t.Run(name, func(t *testing.T) {
-			mutated, lazy, cb := corruptFixture(t, 1, mutate)
-			if _, err := core.Load(bytes.NewReader(mutated)); err == nil {
-				t.Fatal("the eager loader accepted the corrupt section")
-			}
+			mutated, lazy, cb := corruptFixture(t, m.minCells, m.mutate)
+			_, err := core.Load(bytes.NewReader(mutated))
+			wantCorrupt(t, "eager Load", err)
 			for _, cell := range cb.SortedCells() {
 				if got, ok := lazy.Cell(cb.Spec, cell.Values); ok {
 					t.Fatalf("cell %v of the corrupt section answered %v", cell.Values, got)
@@ -484,48 +495,6 @@ func TestLazyCorruptCellIsContained(t *testing.T) {
 	wantCorrupt(t, "Validate", lazy.Validate())
 	if _, err := lazy.Materialize(); err == nil {
 		t.Fatal("Materialize over a corrupt cell succeeded")
-	}
-}
-
-// TestLazyServesUnsortedSection swaps the first two cells of a section, as a
-// foreign writer might store them: the eager loader accepts that, so the
-// lazy cube must too — every cell reads the same, and Save re-sorts to the
-// bytes the eager cube saves.
-func TestLazyServesUnsortedSection(t *testing.T) {
-	mutated, lazy, cb := corruptFixture(t, 2, func(p []byte, cells [][2]int) []byte {
-		a, b := cells[0], cells[1]
-		out := append([]byte(nil), p[:a[0]]...)
-		out = append(out, p[b[0]:b[1]]...)
-		out = append(out, p[a[0]:a[1]]...)
-		return append(out, p[b[1]:]...)
-	})
-	eager, err := core.Load(bytes.NewReader(mutated))
-	if err != nil {
-		t.Fatalf("the eager loader rejects an unsorted section: %v", err)
-	}
-	for _, cell := range cb.SortedCells() {
-		got, ok := lazy.Cell(cb.Spec, cell.Values)
-		if !ok || core.CellDigest(got) != core.CellDigest(cell) {
-			t.Fatalf("cell %v of the unsorted section reads differently", cell.Values)
-		}
-	}
-	tuples, _ := lazy.EnumerateCellValues(cb.Spec)
-	want, _ := eager.EnumerateCellValues(cb.Spec)
-	if !reflect.DeepEqual(tupleKeys(tuples), tupleKeys(want)) {
-		t.Fatalf("unsorted section enumerates %v, want %v", tupleKeys(tuples), tupleKeys(want))
-	}
-	var eb, lb bytes.Buffer
-	if err := eager.Save(&eb); err != nil {
-		t.Fatal(err)
-	}
-	if err := lazy.Save(&lb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(eb.Bytes(), lb.Bytes()) {
-		t.Fatal("lazy Save of an unsorted section differs from the eager re-sort")
-	}
-	if err := lazy.LazyErr(); err != nil {
-		t.Fatalf("an unsorted section recorded a lazy error: %v", err)
 	}
 }
 

@@ -326,10 +326,9 @@ func (c *Cube) Save(w io.Writer) error {
 }
 
 // SaveWith is Save with explicit codec options. A lazily loaded cube saves
-// through its backend: cuboid sections stored with sorted cells — every
-// file this package writes — are raw byte copies straight from the mapping,
-// so the output is identical to an eager load-then-save without decoding a
-// single cell.
+// through its backend: cuboid sections are raw byte copies straight from
+// the mapping, so the output is identical to an eager load-then-save without
+// decoding a single cell.
 func (c *Cube) SaveWith(w io.Writer, opts SaveOptions) error {
 	if c.lazy != nil {
 		return c.lazy.save(c, w)
@@ -1041,8 +1040,8 @@ func decodeCellV2(r *byteReader, loc *hierarchy.Hierarchy, level pathdb.PathLeve
 }
 
 // decodeCuboidV2 decodes one whole cuboid section payload: decodeCellV2 over
-// every cell, plus the whole-section checks (no duplicate cell, no trailing
-// bytes).
+// every cell, plus the whole-section checks (cell keys strictly ascending,
+// no trailing bytes).
 func decodeCuboidV2(payload []byte, loc *hierarchy.Hierarchy, levels []pathdb.PathLevel) (*Cuboid, error) {
 	r := &byteReader{section: "cuboid", buf: payload}
 	spec, numCells, err := decodeCuboidHeaderV2(r, levels)
@@ -1050,16 +1049,18 @@ func decodeCuboidV2(payload []byte, loc *hierarchy.Hierarchy, levels []pathdb.Pa
 		return nil, err
 	}
 	cb := &Cuboid{Spec: spec, Cells: make(map[string]*Cell, min(numCells, r.rem()/minCellBytesV2))}
+	prev := ""
 	for ci := 0; ci < numCells; ci++ {
 		cell, _, err := decodeCellV2(r, loc, levels[spec.PathLevel])
 		if err != nil {
 			return nil, err
 		}
 		key := cellKey(cell.Values)
-		if _, dup := cb.Cells[key]; dup {
-			return nil, r.corrupt("duplicate cell %s", key)
+		if ci > 0 && key <= prev {
+			return nil, r.corrupt("cell %s is not after cell %s: cell keys must ascend strictly", key, prev)
 		}
 		cb.Cells[key] = cell
+		prev = key
 	}
 	if r.rem() != 0 {
 		return nil, r.corrupt("%d trailing bytes", r.rem())

@@ -1,6 +1,7 @@
 package datagen_test
 
 import (
+	"slices"
 	"testing"
 
 	"flowcube/internal/datagen"
@@ -64,7 +65,7 @@ func TestDeterministicBySeed(t *testing.T) {
 	a := datagen.MustGenerate(cfg)
 	b := datagen.MustGenerate(cfg)
 	for i := range a.DB.Records {
-		if !a.DB.Records[i].Path.Equal(b.DB.Records[i].Path) {
+		if !slices.Equal(a.DB.Records[i].Path, b.DB.Records[i].Path) {
 			t.Fatalf("same seed produced different path at record %d", i)
 		}
 		for d := range a.DB.Records[i].Dims {
@@ -77,7 +78,7 @@ func TestDeterministicBySeed(t *testing.T) {
 	c := datagen.MustGenerate(cfg)
 	same := true
 	for i := range a.DB.Records {
-		if !a.DB.Records[i].Path.Equal(c.DB.Records[i].Path) {
+		if !slices.Equal(a.DB.Records[i].Path, c.DB.Records[i].Path) {
 			same = false
 			break
 		}

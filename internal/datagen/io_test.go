@@ -1,6 +1,7 @@
 package datagen_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestDatasetIORoundTrip(t *testing.T) {
 		t.Errorf("config did not round trip: %+v vs %+v", back.Config, ds.Config)
 	}
 	for i := range ds.DB.Records {
-		if !back.DB.Records[i].Path.Equal(ds.DB.Records[i].Path) {
+		if !slices.Equal(back.DB.Records[i].Path, ds.DB.Records[i].Path) {
 			t.Fatalf("record %d path mismatch", i)
 		}
 		for d := range ds.DB.Records[i].Dims {

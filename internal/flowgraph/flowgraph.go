@@ -161,9 +161,6 @@ func Build(loc *hierarchy.Hierarchy, level pathdb.PathLevel, paths []pathdb.Path
 	return g
 }
 
-// Level returns the path abstraction level of the graph.
-func (g *Graph) Level() pathdb.PathLevel { return g.level }
-
 // Root returns the virtual root (depth 0). Its transition distribution is
 // the distribution over first stages.
 func (g *Graph) Root() *Node { return g.root }
@@ -278,23 +275,6 @@ func (g *Graph) NodeAt(seq []hierarchy.NodeID) *Node {
 		}
 	}
 	return cur
-}
-
-// Nodes returns every node except the virtual root, in depth-first order
-// with children visited by ascending location id.
-func (g *Graph) Nodes() []*Node {
-	var out []*Node
-	var rec func(n *Node)
-	rec = func(n *Node) {
-		if n.Depth > 0 {
-			out = append(out, n)
-		}
-		for _, c := range n.Children() {
-			rec(c)
-		}
-	}
-	rec(g.root)
-	return out
 }
 
 // Merge folds other's counts into g (paper Lemma 4.2: duration and

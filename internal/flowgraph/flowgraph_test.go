@@ -26,6 +26,21 @@ func buildExample(t *testing.T) (*paperex.Example, *flowgraph.Graph) {
 	return ex, g
 }
 
+// nodesOf lists every node except the virtual root, depth first, children by
+// ascending location id.
+func nodesOf(g *flowgraph.Graph) []*flowgraph.Node {
+	var out []*flowgraph.Node
+	var rec func(n *flowgraph.Node)
+	rec = func(n *flowgraph.Node) {
+		for _, c := range n.Children() {
+			out = append(out, c)
+			rec(c)
+		}
+	}
+	rec(g.Root())
+	return out
+}
+
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 // TestFigure3Distributions pins the Figure-3 annotations recomputed from
@@ -191,7 +206,7 @@ func TestAlgebraicMerge(t *testing.T) {
 	if merged.Paths() != whole.Paths() {
 		t.Fatalf("merged paths = %d, want %d", merged.Paths(), whole.Paths())
 	}
-	wn, mn := whole.Nodes(), merged.Nodes()
+	wn, mn := nodesOf(whole), nodesOf(merged)
 	if len(wn) != len(mn) {
 		t.Fatalf("merged has %d nodes, whole has %d", len(mn), len(wn))
 	}

@@ -20,7 +20,7 @@ func TestForkPathCopies(t *testing.T) {
 	want := g.Clone()
 	fork := g.Fork(1)
 	for i, p := range extra {
-		agg := pathdb.AggregatePath(p, g.Level(), nil)
+		agg := pathdb.AggregatePath(p, ex.BasePathLevel(), nil)
 		copiedBefore := fork.NodesCopied()
 		if i%2 == 0 {
 			fork.AddPath(p)

@@ -40,7 +40,7 @@ func describe(x flowgraph.Exception) refException {
 // accumulates the conditional distributions of every (stage, duration,
 // later stage) triple of every scanned path that lies in the graph, and
 // filters on (ε, δ) only at the end. targets nil means every target.
-func referenceSingleStage(g *flowgraph.Graph, paths []pathdb.Path, targets map[*flowgraph.Node]bool, eps float64, minCount int64) map[string]refException {
+func referenceSingleStage(g *flowgraph.Graph, level pathdb.PathLevel, paths []pathdb.Path, targets map[*flowgraph.Node]bool, eps float64, minCount int64) map[string]refException {
 	type agg struct {
 		prefix  []hierarchy.NodeID
 		pin     flowgraph.StagePin
@@ -49,7 +49,7 @@ func referenceSingleStage(g *flowgraph.Graph, paths []pathdb.Path, targets map[*
 	}
 	aggs := map[string]*agg{}
 	for _, p := range paths {
-		ap := pathdb.AggregatePath(p, g.Level(), nil)
+		ap := pathdb.AggregatePath(p, level, nil)
 		prefix := make([]hierarchy.NodeID, len(ap))
 		for i, st := range ap {
 			prefix[i] = st.Location
@@ -144,7 +144,7 @@ func TestGatedMinerMatchesUngatedReference(t *testing.T) {
 					name := fmt.Sprintf("seed %d level %d minCount %d eps %g", seed, li, minCount, eps)
 					g := flowgraph.Build(ds.Schema.Location, level, paths[:len(paths)*4/5], nil)
 					g.MineExceptions(paths, eps, minCount)
-					want := referenceSingleStage(g, paths, nil, eps, minCount)
+					want := referenceSingleStage(g, level, paths, nil, eps, minCount)
 					if got := minedSet(t, g); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: gated miner found %d exceptions, ungated reference %d, or they differ", name, len(got), len(want))
 					}
@@ -155,7 +155,7 @@ func TestGatedMinerMatchesUngatedReference(t *testing.T) {
 					g.ClearExceptions()
 					g.MineExceptionsAt(paths, moved, eps, minCount)
 					g.SealExceptions()
-					want = referenceSingleStage(g, paths, moved, eps, minCount)
+					want = referenceSingleStage(g, level, paths, moved, eps, minCount)
 					if got := minedSet(t, g); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: restricted gated miner found %d exceptions, reference %d, or they differ", name, len(got), len(want))
 					}

@@ -345,9 +345,6 @@ func LevelCut(h *Hierarchy, level int) *Cut {
 	return c
 }
 
-// Hierarchy returns the hierarchy this cut belongs to.
-func (c *Cut) Hierarchy() *Hierarchy { return c.h }
-
 // Nodes returns the cut's concepts in id order; the slice is owned by the
 // cut and must not be modified.
 func (c *Cut) Nodes() []NodeID { return c.nodes }

@@ -26,8 +26,8 @@ import (
 //
 // The batch is validated atomically up front: any invalid record rejects
 // the whole call with a *BatchError before anything changes. The cube must
-// carry an absolute iceberg threshold (Config.MinCount > 0) and no
-// MiningOptions override; see the package comment for why.
+// carry an absolute iceberg threshold (Config.MinCount > 0); see the package
+// comment for why.
 //
 // ApplyDelta must not run concurrently with readers of cube, db, or the
 // cube's symbol table. Long-lived servers patch a Fork of the served cube —
@@ -43,9 +43,6 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	cfg := cube.Config
 	if cfg.MinCount <= 0 {
 		return nil, ErrAbsoluteMinCount
-	}
-	if cfg.MiningOptions != nil {
-		return nil, ErrCustomMining
 	}
 	if !schemaCompatible(db.Schema, cube.Schema) {
 		return nil, ErrSchemaMismatch

@@ -119,7 +119,6 @@ func FuzzApplyDelta(f *testing.F) {
 					!errors.Is(err, incr.ErrNilCube) &&
 					!errors.Is(err, incr.ErrNilDB) &&
 					!errors.Is(err, incr.ErrAbsoluteMinCount) &&
-					!errors.Is(err, incr.ErrCustomMining) &&
 					!errors.Is(err, incr.ErrSchemaMismatch) {
 					t.Fatalf("untyped error: %v", err)
 				}

@@ -20,10 +20,8 @@
 //
 // Exactness therefore requires the cube's configuration to be
 // N-independent: an absolute Config.MinCount (a fractional MinSupport
-// re-resolves against the grown database, silently changing δ) and no
-// MiningOptions override (a candidate limit cuts the frequent-set
-// collection short, and different pruning flags change which sets it
-// holds). ApplyDelta rejects both with typed errors.
+// re-resolves against the grown database, silently changing δ). ApplyDelta
+// rejects a fractional threshold with a typed error.
 package incr
 
 import (
@@ -47,11 +45,6 @@ var (
 	// fractional MinSupport re-resolves against the grown database and
 	// silently changes δ — exactness against a full rebuild is impossible.
 	ErrAbsoluteMinCount = errors.New("incr: delta maintenance requires an absolute Config.MinCount")
-	// ErrCustomMining reports a cube built with a MiningOptions override: a
-	// candidate limit cuts the frequent-set collection short and other
-	// pruning flags change which sets it holds, neither of which the
-	// per-cell re-mine (fixed flags, no limit) can reproduce.
-	ErrCustomMining = errors.New("incr: delta maintenance does not support Config.MiningOptions overrides")
 	// ErrSchemaMismatch reports a database whose schema is not the one the
 	// cube was built over.
 	ErrSchemaMismatch = errors.New("incr: database schema does not match the cube's")

@@ -12,7 +12,6 @@ import (
 	"flowcube/internal/datagen"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/incr"
-	"flowcube/internal/mining"
 	"flowcube/internal/pathdb"
 )
 
@@ -281,17 +280,6 @@ func TestApplyDeltaTypedErrors(t *testing.T) {
 	mismatched := datagen.MustGenerate(otherCfg)
 	if _, err := incr.ApplyDelta(cube, mismatched.DB, nil); !errors.Is(err, incr.ErrSchemaMismatch) {
 		t.Errorf("schema mismatch: got %v, want ErrSchemaMismatch", err)
-	}
-
-	custom, err := core.Build(ds.DB, core.Config{
-		MinCount: 3, Plan: plan,
-		MiningOptions: &mining.Options{MinCount: 3, PruneAncestor: true, PruneLink: true, Precount: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := incr.ApplyDelta(custom, ds.DB, nil); !errors.Is(err, incr.ErrCustomMining) {
-		t.Errorf("custom mining: got %v, want ErrCustomMining", err)
 	}
 }
 

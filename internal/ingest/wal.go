@@ -82,7 +82,6 @@ type walFile interface {
 // safe for concurrent use; the group committer is the single writer.
 type WAL struct {
 	f       walFile
-	path    string
 	entries int
 	size    int64 // valid bytes (magic + intact frames)
 	torn    *CorruptError
@@ -100,7 +99,7 @@ func OpenContext(ctx context.Context, path string) (*WAL, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &WAL{f: f, path: path}
+	w := &WAL{f: f}
 	if err := w.scan(ctx); err != nil {
 		_ = f.Close() // the scan error is the actionable one
 		return nil, err
@@ -190,9 +189,6 @@ func (w *WAL) Entries() int { return w.entries }
 
 // Size reports the journal's size in bytes (magic plus intact frames).
 func (w *WAL) Size() int64 { return w.size }
-
-// Path reports the journal's file path.
-func (w *WAL) Path() string { return w.path }
 
 // Append journals one batch. The write is buffered by the OS; call Sync to
 // make it durable before acknowledging the batch.

@@ -16,6 +16,8 @@ import (
 // struct field or slice/map element). A response assigned to the blank
 // identifier, or a response-returning call whose result is discarded
 // outright, is always a leak.
+//
+// Kept by the ledger (DESIGN.md §5): rows BC1-BC4 — nothing else caught them.
 
 // BodyClose flags http.Response bodies that are neither closed nor handed
 // off in the producing function.

@@ -26,6 +26,8 @@ import (
 //
 // Check 1 is fact-driven (transitive blocking over the cross-package call
 // graph); with facts disabled it degrades to direct stdlib blocking only.
+//
+// Kept by the ledger (DESIGN.md §5): rows CF1-CF6 — nothing else caught them.
 
 // CtxFlow flags blocking exported functions without a context, stray
 // context.Background/TODO, and contexts stored in struct fields.

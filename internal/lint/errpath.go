@@ -32,6 +32,8 @@ import (
 // fmt.Fprint* into a concrete failing writer (*os.File other than the
 // standard streams, *bufio.Writer, net.Conn) is flagged: those are
 // precisely the persistence paths that lose data.
+//
+// Kept by the ledger (DESIGN.md §5): rows EP1-EP3 — nothing else caught them.
 
 // ErrPath flags implicitly discarded error results.
 var ErrPath = &Analyzer{

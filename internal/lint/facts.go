@@ -4,13 +4,11 @@ package lint
 // package is walked once and each function declaration is summarized into a
 // FuncFact — does it block (and on what: network, channels, sync waits,
 // sleeps, subprocesses), does it spawn goroutines, does it accept or
-// forward a context.Context, and which nondeterminism sources (time.Now,
-// math/rand, emitting map iteration) it touches. Facts are keyed by the
-// function's canonical name (import path + receiver + name) and collected
-// into a FactTable keyed by import path, so phase-2 analyzers (goroleak,
-// ctxflow, bodyclose, lockblock, detrand) can reason across package
-// boundaries: a mutex in internal/server held across a call into
-// internal/incr is visible because incr's facts say the callee blocks.
+// forward a context.Context. Facts are keyed by the function's canonical
+// name (import path + receiver + name), so phase-2 analyzers (goroleak,
+// ctxflow, lockblock) can reason across package boundaries: a mutex in
+// internal/server held across a call into internal/incr is visible because
+// incr's facts say the callee blocks.
 //
 // Blocking is propagated over the module-internal call graph to a fixed
 // point: a function that calls a blocking function blocks, transitively,
@@ -23,10 +21,7 @@ package lint
 // when they run within the declaration's own activation — immediately
 // invoked or deferred. Literals that are go-spawned, returned, assigned, or
 // passed as callbacks execute on someone else's clock, so their blocking
-// does not make the enclosing function blocking. Nondeterminism sources are
-// the exception: they are recorded from every nested literal including
-// go-spawned workers, because a time.Now inside a parallel codec worker
-// corrupts byte-determinism just as surely as one on the main path.
+// does not make the enclosing function blocking.
 
 import (
 	"fmt"
@@ -77,20 +72,11 @@ func (c BlockClass) String() string {
 	return strings.Join(parts, "|")
 }
 
-// NondetOp is one nondeterminism source inside a function, recorded for
-// detrand.
-type NondetOp struct {
-	Pos  token.Pos
-	What string // "time.Now", "math/rand.Shuffle", "map iteration emitted to <op>"
-}
-
 // FuncFact is one function's phase-1 summary.
 type FuncFact struct {
 	// Key is the canonical function name: "pkg.Name" for package-level
 	// functions, "pkg.(Recv).Name" or "pkg.(*Recv).Name" for methods.
 	Key string
-	// Pkg is the import path of the declaring package.
-	Pkg string
 	// Blocks is the transitive blocking classification.
 	Blocks BlockClass
 	// BlockedBy is the first recorded cause, for diagnostics: a direct op
@@ -108,26 +94,20 @@ type FuncFact struct {
 	// HasHTTPRequest reports a *net/http.Request parameter (whose Context
 	// method makes a separate ctx parameter redundant).
 	HasHTTPRequest bool
-	// Exported reports whether the function or method name is exported.
-	Exported bool
 	// CtxWrapper reports the sanctioned context-less convenience shape: a
 	// single-statement body forwarding to a sibling whose name contains
 	// "Context" (func Build(...) { return BuildContext(context.Background(), ...) }).
 	CtxWrapper bool
 	// Calls lists module-internal callees by fact key, sorted and deduped.
 	Calls []string
-	// Nondet lists nondeterminism sources, in source order.
-	Nondet []NondetOp
 
 	// directBlocks is the pre-propagation classification.
 	directBlocks BlockClass
 }
 
-// FactTable indexes every loaded function's facts by import path and by
-// canonical key.
+// FactTable indexes every loaded function's facts by canonical key.
 type FactTable struct {
-	funcs map[string]*FuncFact // canonical key → fact
-	pkgs  map[string][]string  // import path → sorted keys
+	funcs map[string]*FuncFact
 }
 
 // Lookup resolves a called function object to its fact, or nil when the
@@ -148,14 +128,6 @@ func (t *FactTable) ByKey(key string) *FuncFact {
 	return t.funcs[key]
 }
 
-// PkgKeys returns the sorted fact keys of one import path.
-func (t *FactTable) PkgKeys(pkgPath string) []string {
-	if t == nil {
-		return nil
-	}
-	return t.pkgs[pkgPath]
-}
-
 // Export returns every fact sorted by key — the serialized form behind
 // flowlint -facts and the determinism tests.
 func (t *FactTable) Export() []FuncFact {
@@ -172,35 +144,6 @@ func (t *FactTable) Export() []FuncFact {
 		out[i] = *t.funcs[k]
 	}
 	return out
-}
-
-// Reachable returns the set of fact keys reachable from the given roots
-// over module-internal call edges (roots included, when present).
-func (t *FactTable) Reachable(roots []string) map[string]bool {
-	seen := make(map[string]bool)
-	if t == nil {
-		return seen
-	}
-	frontier := make([]string, 0, len(roots))
-	for _, r := range roots {
-		if t.funcs[r] != nil && !seen[r] {
-			seen[r] = true
-			frontier = append(frontier, r)
-		}
-	}
-	for len(frontier) > 0 {
-		var next []string
-		for _, k := range frontier {
-			for _, callee := range t.funcs[k].Calls {
-				if f := t.funcs[callee]; f != nil && !seen[callee] {
-					seen[callee] = true
-					next = append(next, callee)
-				}
-			}
-		}
-		frontier = next
-	}
-	return seen
 }
 
 // FactKey renders a function object's canonical key: "pkg.Name" or
@@ -237,7 +180,7 @@ func FactKey(obj *types.Func) string {
 // packages, so analyses scoped to a package subset degrade gracefully to
 // that subset's facts.
 func ComputeFacts(pkgs []*Package) *FactTable {
-	t := &FactTable{funcs: make(map[string]*FuncFact), pkgs: make(map[string][]string)}
+	t := &FactTable{funcs: make(map[string]*FuncFact)}
 	loaded := make(map[string]bool, len(pkgs))
 	for _, pkg := range pkgs {
 		loaded[pkg.PkgPath] = true
@@ -257,14 +200,9 @@ func ComputeFacts(pkgs []*Package) *FactTable {
 				if key == "" {
 					continue
 				}
-				fact := computeFuncFact(pkg, fn, key, loaded)
-				t.funcs[key] = fact
-				t.pkgs[pkg.PkgPath] = append(t.pkgs[pkg.PkgPath], key)
+				t.funcs[key] = computeFuncFact(pkg, fn, key, loaded)
 			}
 		}
-	}
-	for _, keys := range t.pkgs {
-		sort.Strings(keys)
 	}
 	t.propagate()
 	return t
@@ -307,11 +245,7 @@ type factWalker struct {
 }
 
 func computeFuncFact(pkg *Package, fn *ast.FuncDecl, key string, loaded map[string]bool) *FuncFact {
-	fact := &FuncFact{
-		Key:      key,
-		Pkg:      pkg.PkgPath,
-		Exported: fn.Name.IsExported(),
-	}
+	fact := &FuncFact{Key: key}
 	if fn.Type.Params != nil {
 		for _, p := range fn.Type.Params.List {
 			pt := pkg.Info.TypeOf(p.Type)
@@ -395,7 +329,7 @@ func firstParamIsCtx(obj types.Object) bool {
 // walk visits one statement/expression tree. counting is true while the
 // visited code runs within the declaration's own activation; inside
 // go-spawned, returned, assigned, or callback literals it flips to false
-// and only nondeterminism sources keep being recorded.
+// and only nested go statements keep being recorded.
 func (w *factWalker) walk(n ast.Node, counting bool) {
 	if n == nil {
 		return
@@ -404,8 +338,7 @@ func (w *factWalker) walk(n ast.Node, counting bool) {
 		switch x := n.(type) {
 		case *ast.FuncLit:
 			// Reached only when the literal is not in one of the folded
-			// positions handled below (immediate invocation, defer): record
-			// nondeterminism only.
+			// positions handled below (immediate invocation, defer).
 			w.walk(x.Body, false)
 			return false
 		case *ast.GoStmt:
@@ -444,11 +377,8 @@ func (w *factWalker) walk(n ast.Node, counting bool) {
 		case *ast.RangeStmt:
 			t := w.pkg.Info.TypeOf(x.X)
 			if t != nil {
-				switch t.Underlying().(type) {
-				case *types.Chan:
+				if _, ok := t.Underlying().(*types.Chan); ok {
 					w.block(BlockChan, "range over channel", counting)
-				case *types.Map:
-					w.recordMapRange(x)
 				}
 			}
 			return true
@@ -502,44 +432,8 @@ func (w *factWalker) block(class BlockClass, cause string, counting bool) {
 	w.fact.directBlocks |= class
 }
 
-// recordMapRange records a map iteration whose body emits values in
-// iteration order — a send, or a call into an encoder/writer (Write*,
-// Encode, Fprint*/Print*). The sanctioned collect-then-sort pattern
-// (append into a slice, sort after the loop) stays silent.
-func (w *factWalker) recordMapRange(rng *ast.RangeStmt) {
-	var emit string
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		if emit != "" {
-			return false
-		}
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SendStmt:
-			emit = "a channel send"
-			return false
-		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
-				name := sel.Sel.Name
-				if strings.HasPrefix(name, "Write") || name == "Encode" ||
-					strings.HasPrefix(name, "Fprint") || strings.HasPrefix(name, "Print") {
-					emit = "call to " + name
-					return false
-				}
-			}
-		}
-		return true
-	})
-	if emit != "" {
-		w.fact.Nondet = append(w.fact.Nondet, NondetOp{
-			Pos:  rng.Pos(),
-			What: "map iteration emitted via " + emit,
-		})
-	}
-}
-
-// classifyCall records the blocking class, context flow, nondeterminism,
-// and module-internal call edges of one call.
+// classifyCall records the blocking class, context flow, and
+// module-internal call edges of one call.
 func (w *factWalker) classifyCall(call *ast.CallExpr, counting bool) {
 	for _, arg := range call.Args {
 		if isContextType(w.pkg.Info.TypeOf(arg)) && counting {
@@ -552,25 +446,13 @@ func (w *factWalker) classifyCall(call *ast.CallExpr, counting bool) {
 	}
 	pkgPath := obj.Pkg().Path()
 	name := obj.Name()
-	switch pkgPath {
-	case "context":
+	if pkgPath == "context" {
 		switch name {
 		case "WithCancel", "WithTimeout", "WithDeadline", "WithoutCancel":
 			if counting {
 				w.fact.DerivesCtx = true
 			}
 		}
-		return
-	case "time":
-		if name == "Sleep" {
-			w.block(BlockSleep, "time.Sleep", counting)
-		}
-		if name == "Now" {
-			w.fact.Nondet = append(w.fact.Nondet, NondetOp{Pos: call.Pos(), What: "time.Now"})
-		}
-		return
-	case "math/rand", "math/rand/v2", "crypto/rand":
-		w.fact.Nondet = append(w.fact.Nondet, NondetOp{Pos: call.Pos(), What: pkgPath + "." + name})
 		return
 	}
 	if class, cause := stdlibBlockClass(pkgPath, name); class != 0 {
@@ -661,9 +543,6 @@ func FormatFacts(t *FactTable) string {
 		}
 		if f.ForwardsCtx {
 			flags = append(flags, "fwd-ctx")
-		}
-		if len(f.Nondet) > 0 {
-			flags = append(flags, fmt.Sprintf("nondet=%d", len(f.Nondet)))
 		}
 		fmt.Fprintf(&b, "%s blocks=%s", f.Key, f.Blocks)
 		if f.BlockedBy != "" {

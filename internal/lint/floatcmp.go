@@ -26,6 +26,8 @@ import (
 //     pervasive in guard clauses (`if total == 0 { return 0 }`).
 //
 // Everything else is flagged.
+//
+// Kept by the ledger (DESIGN.md §5): row FC1 — nothing else caught it.
 
 // FloatCmp flags == and != on floating-point operands.
 var FloatCmp = &Analyzer{

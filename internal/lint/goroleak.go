@@ -36,6 +36,8 @@ import (
 // go statements targeting named functions are checked against the callee's
 // fact: spawning a blocking function without handing it a context or
 // WaitGroup argument is flagged the same way.
+//
+// Kept by the ledger (DESIGN.md §5): rows GL1-GL6 — nothing else caught them.
 
 // GoroLeak flags goroutines that can block forever with no cancellation,
 // join, or buffered-channel escape.

@@ -2,21 +2,24 @@
 // reimplementation of the golang.org/x/tools/go/analysis vocabulary
 // (Analyzer, Pass, Diagnostic, and a Facts table) plus the project-specific
 // analyzers that machine-check the contracts the flowcube codebase
-// otherwise states only in prose. The original five are single-package: the
-// immutable-after-build cube (immutcube), byte-deterministic encodings over
-// map-backed state (mapdet), lock discipline in the serving layer
-// (locksafe), epsilon-safe floating-point comparisons (floatcmp), and
-// surfaced errors on persistence paths (errpath). The cluster era added
-// five fact-driven concurrency and contract analyzers: leak-prone goroutine
+// otherwise states only in prose. Six are single-package: the
+// immutable-after-build cube (immutcube), map iteration order leaking into
+// output (mapdet), locks held across blocking I/O in the serving layer
+// (locksafe), epsilon-safe floating-point comparisons (floatcmp), surfaced
+// errors on persistence paths (errpath), and unclosed HTTP response bodies
+// (bodyclose). Three are driven by cross-package facts: leak-prone goroutine
 // spawns (goroleak), context plumbing on blocking exported surfaces
-// (ctxflow), unclosed HTTP response bodies (bodyclose), locks held across
-// interprocedurally blocking calls (lockblock), and nondeterminism reaching
-// the byte-deterministic snapshot codec (detrand).
+// (ctxflow), and locks held across interprocedurally blocking calls
+// (lockblock). Each is in the suite because a bug of a class it reports,
+// seeded into product code, was caught by nothing else — not go vet, not the
+// -race test suite (the ledger is DESIGN.md §5); what the byte-exact tests or
+// vet's copylocks already catch (nondeterminism in the snapshot codec, locks
+// copied by value) has no analyzer here.
 //
 // Analysis is two-phase. Phase 1 (facts.go) walks every loaded package and
 // summarizes each function into a FuncFact — blocking classification,
-// goroutine spawns, context acceptance/forwarding, nondeterminism sources —
-// propagated over the module-internal call graph and keyed by import path.
+// goroutine spawns, context acceptance/forwarding — propagated over the
+// module-internal call graph and keyed by canonical function name.
 // Phase 2 runs the analyzers one package at a time with the whole table in
 // Pass.Facts, which is how a lock site in one package learns that its
 // callee in another package blocks.
@@ -25,7 +28,7 @@
 // with go/parser and go/types, cross-package imports resolve through the
 // stdlib source importer (which shells out to the go command for module
 // paths). It exists because the container pins the dependency set — x/tools
-// is not available — and because ten narrow project analyzers do not need
+// is not available — and because nine narrow project analyzers do not need
 // the full Fact/Requires machinery.
 //
 // Suppression: a diagnostic is dropped when the offending line (or the line
@@ -61,8 +64,8 @@ type Analyzer struct {
 // Pass carries one type-checked package through an analyzer. Facts is the
 // phase-1 cross-package fact table over every package in the Run; it is nil
 // when facts are disabled, and fact-driven analyzers (goroleak, ctxflow,
-// lockblock, detrand) degrade to their purely syntactic subset (for
-// lockblock: nothing) in that mode.
+// lockblock) degrade to their purely syntactic subset (for lockblock:
+// nothing) in that mode.
 type Pass struct {
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -82,9 +85,7 @@ func (p *Pass) Filename(pos token.Pos) string {
 	return filepath.Base(p.Fset.Position(pos).Filename)
 }
 
-// All returns the flowlint analyzer suite in reporting order: the original
-// five single-package analyzers, then the five fact-driven concurrency and
-// contract analyzers added for the cluster era.
+// All returns the flowlint analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		ImmutCube,
@@ -96,7 +97,6 @@ func All() []*Analyzer {
 		CtxFlow,
 		BodyClose,
 		LockBlock,
-		DetRand,
 	}
 }
 

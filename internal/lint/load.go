@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package loading for flowlint. Packages are discovered by walking the
@@ -29,6 +30,17 @@ import (
 // of mutually exclusive platform files (mmap_linux.go / mmap_fallback.go)
 // would type-check as one package and collide on their shared
 // declarations.
+
+// One FileSet and one source importer serve every Load and LoadFixture of
+// the process: the importer type-checks what it is asked for from source and
+// keeps it, so the standard library is checked once per process instead of
+// once per call, and positions from different loads stay comparable. The
+// source importer is not safe for concurrent use; srcMu serializes loads.
+var (
+	srcMu       sync.Mutex
+	srcFset     = token.NewFileSet()
+	srcImporter = importer.ForCompiler(srcFset, "source", nil)
+)
 
 // Package is one parsed and type-checked package.
 type Package struct {
@@ -121,8 +133,8 @@ func Load(patterns []string) ([]*Package, error) {
 	}
 	sort.Strings(dirs)
 
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	srcMu.Lock()
+	defer srcMu.Unlock()
 	var pkgs []*Package
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(root, dir)
@@ -133,7 +145,7 @@ func Load(patterns []string) ([]*Package, error) {
 		if rel != "." {
 			pkgPath = modPath + "/" + filepath.ToSlash(rel)
 		}
-		pkg, err := checkDir(fset, imp, dir, pkgPath)
+		pkg, err := checkDir(srcImporter, dir, pkgPath)
 		if err != nil {
 			return nil, err
 		}
@@ -164,19 +176,19 @@ func (t *tableImporter) Import(path string) (*types.Package, error) {
 // LoadFixture loads the fixture package in dir under pkgPath, together with
 // its dependency packages: every subdirectory of dir holding Go files is
 // type-checked first as pkgPath/<sub> and made importable by the fixture.
-// All packages share one FileSet (positions and facts stay comparable) and
-// are returned dependencies-first, the fixture package last. Dependencies
-// must not import each other; fixtures that need a deeper graph should
-// nest further subdirectories instead.
+// Packages are returned dependencies-first, the fixture package last.
+// Dependencies must not import each other; fixtures that need a deeper graph
+// should nest further subdirectories instead.
 func LoadFixture(dir, pkgPath string) ([]*Package, error) {
-	fset := token.NewFileSet()
-	imp := &tableImporter{
-		loaded:   make(map[string]*types.Package),
-		fallback: importer.ForCompiler(fset, "source", nil),
-	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
+	}
+	srcMu.Lock()
+	defer srcMu.Unlock()
+	imp := &tableImporter{
+		loaded:   make(map[string]*types.Package),
+		fallback: srcImporter,
 	}
 	var pkgs []*Package
 	for _, e := range ents {
@@ -188,7 +200,7 @@ func LoadFixture(dir, pkgPath string) ([]*Package, error) {
 			continue
 		}
 		subPath := pkgPath + "/" + e.Name()
-		dep, err := checkDir(fset, imp, sub, subPath)
+		dep, err := checkDir(imp, sub, subPath)
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +209,7 @@ func LoadFixture(dir, pkgPath string) ([]*Package, error) {
 			pkgs = append(pkgs, dep)
 		}
 	}
-	main, err := checkDir(fset, imp, dir, pkgPath)
+	main, err := checkDir(imp, dir, pkgPath)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +244,9 @@ func isSourceFile(dir string, e os.DirEntry) bool {
 	return err == nil && match
 }
 
-func checkDir(fset *token.FileSet, imp types.Importer, dir, pkgPath string) (*Package, error) {
+// checkDir parses and type-checks one directory into srcFset; callers hold
+// srcMu.
+func checkDir(imp types.Importer, dir, pkgPath string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -249,7 +263,7 @@ func checkDir(fset *token.FileSet, imp types.Importer, dir, pkgPath string) (*Pa
 	sort.Strings(names)
 	var files []*ast.File
 	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(srcFset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -263,9 +277,9 @@ func checkDir(fset *token.FileSet, imp types.Importer, dir, pkgPath string) (*Pa
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(pkgPath, fset, files, info)
+	pkg, err := conf.Check(pkgPath, srcFset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-check %s: %w", pkgPath, err)
 	}
-	return &Package{PkgPath: pkgPath, Dir: dir, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
+	return &Package{PkgPath: pkgPath, Dir: dir, Fset: srcFset, Files: files, Pkg: pkg, Info: info}, nil
 }

@@ -16,12 +16,14 @@ import (
 // handoff inside the counting core), where no per-file analysis can see it.
 //
 // Division of labor with locksafe: locksafe reports direct stdlib blocking
-// calls (net, net/http, os, os/exec, time.Sleep) and lock-by-value copies;
-// lockblock reports only module-internal calls classified blocking by the
+// calls (net, net/http, os, os/exec, time.Sleep); lockblock reports only
+// module-internal calls classified blocking by the
 // fact table, so the two never double-report one call. With facts disabled
 // (Pass.Facts == nil) lockblock reports nothing — the acceptance test for
 // cross-package facts is exactly that a finding whose blocking call lives
 // in another package appears with facts and disappears without them.
+//
+// Kept by the ledger (DESIGN.md §5): row LB2 — nothing else caught it.
 
 // LockBlock flags mutexes held across module-internal calls that block per
 // the cross-package fact table.

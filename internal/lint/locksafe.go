@@ -6,34 +6,22 @@ import (
 	"go/ast"
 	"go/printer"
 	"go/token"
-	"go/types"
 )
 
-// locksafe machine-checks the serving layer's lock discipline. The snapshot
-// holder and response cache in internal/server guard hot-path state with
-// sync.Mutex/RWMutex; two mistakes there are both easy to make and
-// catastrophic under load:
+// locksafe machine-checks the serving layer's lock discipline: a
+// sync.Mutex/RWMutex held while calling into net, net/http, os, os/exec, or
+// time.Sleep turns one slow client into a server-wide stall (every waiter on
+// the lock queues behind the I/O). The cache's single-flight path
+// deliberately drops the lock before computing; this analyzer keeps it that
+// way. Lock-bearing structs copied by value are go vet's copylocks' to
+// report, not this analyzer's.
 //
-//  1. copying a lock-bearing struct by value — a value receiver, value
-//     parameter, or plain assignment silently duplicates the mutex, so the
-//     "copy" and the original no longer exclude each other;
-//  2. holding a mutex across blocking I/O — a lock held while calling into
-//     net, net/http, os, os/exec, or time.Sleep turns one slow client into
-//     a server-wide stall (every reader of the snapshot holder queues
-//     behind the writer). The cache's single-flight path deliberately drops
-//     the lock before computing; this analyzer keeps it that way.
-//
-// The held-region analysis is a linear scan per function: X.Lock()/RLock()
-// opens a region, X.Unlock()/RUnlock() closes it, defer X.Unlock() keeps it
-// open to the end of the function. Branch bodies are scanned with a copy of
-// the held set, so a lock taken inside an if-arm does not poison the code
-// after it.
+// Kept by the ledger (DESIGN.md §5): rows LS3, LS4 — nothing else caught them.
 
-// LockSafe flags lock-bearing structs copied by value and mutexes held
-// across blocking I/O.
+// LockSafe flags mutexes held across blocking I/O.
 var LockSafe = &Analyzer{
 	Name: "locksafe",
-	Doc:  "flags by-value copies of lock-bearing structs and sync.Mutex/RWMutex held across blocking I/O",
+	Doc:  "flags sync.Mutex/RWMutex held across blocking I/O",
 	Run:  runLockSafe,
 }
 
@@ -49,89 +37,21 @@ func runLockSafe(pass *Pass) []Diagnostic {
 	var diags []Diagnostic
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
+			var body *ast.BlockStmt
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
-				diags = append(diags, lockCopyChecks(pass, fn)...)
-				if fn.Body != nil {
-					diags = append(diags, newLockScan(pass).block(fn.Body, newHeldSet())...)
-				}
+				body = fn.Body
 			case *ast.FuncLit:
-				if fn.Body != nil {
-					diags = append(diags, newLockScan(pass).block(fn.Body, newHeldSet())...)
-				}
+				body = fn.Body
+			}
+			if body != nil {
+				diags = append(diags, newLockScan(pass).block(body, newHeldSet())...)
 			}
 			return true
 		})
 	}
 	return diags
 }
-
-// --- check 1: lock-bearing structs copied by value ---
-
-func lockCopyChecks(pass *Pass, fn *ast.FuncDecl) []Diagnostic {
-	var diags []Diagnostic
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			t := pass.Info.TypeOf(f.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.(*types.Pointer); isPtr {
-				continue
-			}
-			if path := lockPath(t, nil); path != "" {
-				diags = append(diags, Diagnostic{
-					Pos: f.Pos(),
-					Message: fmt.Sprintf("%s of %s passes a lock by value (contains %s); use a pointer",
-						what, fn.Name.Name, path),
-				})
-			}
-		}
-	}
-	check(fn.Recv, "value receiver")
-	if fn.Type.Params != nil {
-		check(fn.Type.Params, "value parameter")
-	}
-	return diags
-}
-
-// lockPath reports a dotted path to an embedded sync lock inside t, or "".
-func lockPath(t types.Type, seen []*types.Named) string {
-	if named := namedOf(t); named != nil {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-				return "sync." + obj.Name()
-			}
-		}
-		for _, s := range seen {
-			if s == named {
-				return ""
-			}
-		}
-		seen = append(seen, named)
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return ""
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if _, isPtr := f.Type().(*types.Pointer); isPtr {
-			continue
-		}
-		if sub := lockPath(f.Type(), seen); sub != "" {
-			return f.Name() + "." + sub
-		}
-	}
-	return ""
-}
-
-// --- check 2: mutex held across blocking I/O ---
 
 type heldSet struct {
 	exprs map[string]token.Pos // printed lock receiver → Lock() position

@@ -32,6 +32,8 @@ import (
 // Counters and max/min folds over maps are order-independent and are not
 // flagged. The fix is the pattern core.Cuboid.SortedCells already uses:
 // collect keys, sort, iterate the sorted slice.
+//
+// Kept by the ledger (DESIGN.md §5): row MD1 — nothing else caught it.
 
 // MapDet flags nondeterministic map iteration feeding encoders, returned
 // slices, or floating-point accumulators.

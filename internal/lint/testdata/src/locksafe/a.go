@@ -6,23 +6,6 @@ import (
 	"time"
 )
 
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (g guarded) byValue() int { // want `value receiver of byValue passes a lock by value`
-	return g.n
-}
-
-func take(g guarded) int { // want `value parameter of take passes a lock by value`
-	return g.n
-}
-
-func takePtr(g *guarded) int { // pointers are fine
-	return g.n
-}
-
 type server struct {
 	mu sync.Mutex
 }

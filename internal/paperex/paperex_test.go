@@ -1,6 +1,7 @@
 package paperex_test
 
 import (
+	"slices"
 	"testing"
 
 	"flowcube/internal/paperex"
@@ -31,7 +32,7 @@ func TestViews(t *testing.T) {
 
 	base := ex.BasePathLevel()
 	p := ex.DB.Records[0].Path
-	if !pathdb.AggregatePath(p, base, nil).Equal(p) {
+	if !slices.Equal(pathdb.AggregatePath(p, base, nil), p) {
 		t.Errorf("base level must be the identity")
 	}
 

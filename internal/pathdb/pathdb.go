@@ -253,21 +253,3 @@ func (p Path) String(loc *hierarchy.Hierarchy) string {
 	}
 	return b.String()
 }
-
-// Equal reports stage-wise equality of two paths.
-func (p Path) Equal(q Path) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if p[i] != q[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns a deep copy of the path.
-func (p Path) Clone() Path {
-	return append(Path(nil), p...)
-}

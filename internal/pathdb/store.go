@@ -23,11 +23,8 @@ func NewStore(recs []Record) *Store {
 	return &Store{buf: recs, n: len(recs)}
 }
 
-// Len reports the committed record count.
-func (s *Store) Len() int { return s.n }
-
 // Committed returns the committed records as a capacity-clamped view:
-// len == cap == Len(), so appending to the view cannot reach into the
+// len == cap == the committed count, so appending to the view cannot reach into the
 // store's reserved tail. The view stays valid (and immutable) forever —
 // growth reallocates rather than moving committed records.
 func (s *Store) Committed() []Record {
@@ -35,7 +32,7 @@ func (s *Store) Committed() []Record {
 }
 
 // Reserve returns a view of the committed records with capacity for k more:
-// len == Len(), cap == Len()+k. Appending up to k records to the view
+// len == the committed count n, cap == n+k. Appending up to k records to the view
 // writes them in place past the committed prefix without reallocating —
 // the in-progress tail existing readers never see. Publish with Commit;
 // abandoning the view (on error) leaves the store unchanged.

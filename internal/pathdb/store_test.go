@@ -21,8 +21,8 @@ func storeRecords(t *testing.T, n int) []pathdb.Record {
 func TestStoreReserveCommit(t *testing.T) {
 	recs := storeRecords(t, 10)
 	s := pathdb.NewStore(append([]pathdb.Record(nil), recs[:4]...))
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
+	if n := len(s.Committed()); n != 4 {
+		t.Fatalf("committed = %d, want 4", n)
 	}
 
 	before := s.Committed()
@@ -32,12 +32,12 @@ func TestStoreReserveCommit(t *testing.T) {
 	}
 	view = append(view, recs[4], recs[5], recs[6])
 	// Not yet committed: readers still see 4 records.
-	if s.Len() != 4 || len(s.Committed()) != 4 {
-		t.Fatalf("pre-commit Len = %d, want 4", s.Len())
+	if n := len(s.Committed()); n != 4 {
+		t.Fatalf("pre-commit committed = %d, want 4", n)
 	}
 	s.Commit(view)
-	if s.Len() != 7 {
-		t.Fatalf("post-commit Len = %d, want 7", s.Len())
+	if n := len(s.Committed()); n != 7 {
+		t.Fatalf("post-commit committed = %d, want 7", n)
 	}
 	// The pre-append view is capacity-clamped and still valid.
 	if len(before) != 4 || cap(before) != 4 {
@@ -64,8 +64,8 @@ func TestStoreAbandonedReservation(t *testing.T) {
 	s := pathdb.NewStore(append([]pathdb.Record(nil), recs[:2]...))
 	view := s.Reserve(2)
 	_ = append(view, recs[2], recs[3])
-	if s.Len() != 2 {
-		t.Fatalf("abandoned reservation changed Len to %d", s.Len())
+	if len(s.Committed()) != 2 {
+		t.Fatalf("abandoned reservation changed Len to %d", len(s.Committed()))
 	}
 	view = s.Reserve(2)
 	view = append(view, recs[4], recs[5])
@@ -103,8 +103,8 @@ func TestStoreInPlaceCommitKeepsCapacity(t *testing.T) {
 	if allocs > 10 {
 		t.Fatalf("64 single-record commits caused %d reallocations, want amortized growth", allocs)
 	}
-	if s.Len() != 64 {
-		t.Fatalf("Len = %d, want 64", s.Len())
+	if len(s.Committed()) != 64 {
+		t.Fatalf("Len = %d, want 64", len(s.Committed()))
 	}
 }
 
@@ -148,8 +148,8 @@ func TestStoreConcurrentReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if s.Len() != len(recs) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(recs))
+	if len(s.Committed()) != len(recs) {
+		t.Fatalf("Len = %d, want %d", len(s.Committed()), len(recs))
 	}
 }
 

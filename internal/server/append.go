@@ -299,7 +299,6 @@ func appendError(err error) error {
 	case errors.As(err, &be):
 		return &HTTPError{http.StatusBadRequest, err.Error()}
 	case errors.Is(err, incr.ErrAbsoluteMinCount),
-		errors.Is(err, incr.ErrCustomMining),
 		errors.Is(err, incr.ErrSchemaMismatch):
 		return &HTTPError{http.StatusConflict, err.Error()}
 	}

@@ -427,12 +427,28 @@ func TestServeGracefulShutdown(t *testing.T) {
 
 func TestRequestTimeout(t *testing.T) {
 	_, cube := buildExampleCube(t)
-	// A 1ns budget: TimeoutHandler answers 503 before the query completes.
 	s := newTestServer(t, cube, Config{
-		RequestTimeout: time.Nanosecond,
+		RequestTimeout: time.Millisecond,
 		Logger:         log.New(io.Discard, "", 0),
 	})
-	rec, _ := get(t, s.Handler(), "/v1/cell?cell=product=shoes")
+	// The query cannot finish before its deadline, however the scheduler
+	// runs things: the test holds the response cache's flight for its key
+	// open, the handler joins that flight and parks, and only the 503 that
+	// TimeoutHandler writes when the deadline fires lets get return.
+	const query = "cell=product=shoes"
+	inFlight, release, flown := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(flown)
+		s.Snapshot().cache.Do("v1|"+query, func() (*cached, int64, error) {
+			close(inFlight)
+			<-release
+			return nil, 0, &HTTPError{http.StatusGone, "flight released by the test"}
+		})
+	}()
+	<-inFlight
+	rec, _ := get(t, s.Handler(), "/v1/cell?"+query)
+	close(release)
+	<-flown
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("status %d, want 503 on timeout", rec.Code)
 	}

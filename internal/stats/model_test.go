@@ -110,9 +110,9 @@ func (p pair) check(t *testing.T, step string) {
 	t.Helper()
 	want := p.ref.outcomes()
 	got := p.m.Outcomes()
-	if len(got) != len(want) || p.m.Support() != len(want) || p.m.Total() != p.ref.total {
-		t.Fatalf("%s: outcomes %v support %d total %d, want %v %d %d",
-			step, got, p.m.Support(), p.m.Total(), want, len(want), p.ref.total)
+	if len(got) != len(want) || p.m.Total() != p.ref.total {
+		t.Fatalf("%s: outcomes %v total %d, want %v %d",
+			step, got, p.m.Total(), want, p.ref.total)
 	}
 	for i, v := range want {
 		if got[i] != v || p.m.Count(v) != p.ref.counts[v] {
@@ -219,8 +219,8 @@ func TestInitSortedRejects(t *testing.T) {
 		if err := m.InitSorted(c.outcomes, c.cnts); err == nil {
 			t.Errorf("%s: InitSorted accepted %v / %v", c.name, c.outcomes, c.cnts)
 		}
-		if m.Support() != 0 || m.Total() != 0 {
-			t.Errorf("%s: rejected InitSorted left support %d total %d", c.name, m.Support(), m.Total())
+		if len(m.Outcomes()) != 0 || m.Total() != 0 {
+			t.Errorf("%s: rejected InitSorted left support %d total %d", c.name, len(m.Outcomes()), m.Total())
 		}
 	}
 }

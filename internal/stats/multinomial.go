@@ -105,9 +105,6 @@ func (m *Multinomial) Count(v int64) int64 {
 // Total reports the total number of observations.
 func (m *Multinomial) Total() int64 { return m.total }
 
-// Support reports the number of distinct outcomes observed.
-func (m *Multinomial) Support() int { return len(m.outcomes) }
-
 // Prob reports the empirical probability of outcome v, or 0 for an empty
 // distribution.
 func (m *Multinomial) Prob(v int64) float64 {

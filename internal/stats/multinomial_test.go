@@ -12,14 +12,14 @@ func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestBasicCounts(t *testing.T) {
 	m := new(stats.Multinomial)
-	if m.Total() != 0 || m.Support() != 0 {
+	if m.Total() != 0 || len(m.Outcomes()) != 0 {
 		t.Fatalf("empty distribution not empty")
 	}
 	m.Observe(5)
 	m.Observe(5)
 	m.Observe(10)
-	if m.Total() != 3 || m.Support() != 2 {
-		t.Errorf("total=%d support=%d, want 3 and 2", m.Total(), m.Support())
+	if m.Total() != 3 || len(m.Outcomes()) != 2 {
+		t.Errorf("total=%d support=%d, want 3 and 2", m.Total(), len(m.Outcomes()))
 	}
 	if m.Count(5) != 2 || m.Count(10) != 1 || m.Count(99) != 0 {
 		t.Errorf("counts wrong")

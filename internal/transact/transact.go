@@ -125,7 +125,7 @@ type Symbols struct {
 type cutRelation uint8
 
 const (
-	cutsIncomparable cutRelation = iota
+	_ cutRelation = iota // neither cut refines the other
 	cutsSame
 	cutRefines   // the first cut is strictly finer
 	cutRefinedBy // the second cut is strictly finer
@@ -241,9 +241,6 @@ func (s *Symbols) coarsestPathLevel() int {
 	return -1
 }
 
-// Schema returns the schema the symbols were built for.
-func (s *Symbols) Schema() *pathdb.Schema { return s.schema }
-
 // PathLevels returns the materialized path abstraction levels.
 func (s *Symbols) PathLevels() []pathdb.PathLevel { return s.pathLevels }
 
@@ -252,9 +249,6 @@ func (s *Symbols) DimLevels() [][]int { return s.dimLevels }
 
 // Len reports the number of interned items.
 func (s *Symbols) Len() int { return len(s.items) }
-
-// Kind reports an item's family.
-func (s *Symbols) Kind(it Item) Kind { return s.items[it].kind }
 
 // IsStage reports whether the item encodes a path stage.
 func (s *Symbols) IsStage(it Item) bool { return s.items[it].kind == KindStage }

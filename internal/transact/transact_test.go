@@ -319,9 +319,6 @@ func TestAccessors(t *testing.T) {
 	syms := transact.MustNewSymbols(ex.Schema, plan)
 	syms.Encode(ex.DB)
 
-	if syms.Schema() != ex.Schema {
-		t.Errorf("Schema accessor wrong")
-	}
 	if len(syms.PathLevels()) != 4 {
 		t.Errorf("PathLevels = %d", len(syms.PathLevels()))
 	}
@@ -333,7 +330,7 @@ func TestAccessors(t *testing.T) {
 	}
 
 	tennis, _ := syms.LookupDimValue(0, ex.Product.MustLookup("tennis"))
-	if syms.Kind(tennis) != transact.KindDimValue || syms.IsStage(tennis) {
+	if syms.IsStage(tennis) {
 		t.Errorf("tennis misclassified")
 	}
 	if syms.Dim(tennis) != 0 || syms.Node(tennis) != ex.Product.MustLookup("tennis") || syms.Level(tennis) != 3 {
@@ -344,7 +341,7 @@ func TestAccessors(t *testing.T) {
 	}
 
 	f10, _ := syms.LookupStage(0, seq(ex, "f"), 10, false)
-	if syms.Kind(f10) != transact.KindStage || !syms.IsStage(f10) {
+	if !syms.IsStage(f10) {
 		t.Errorf("(f,10) misclassified")
 	}
 	if syms.StageLevel(f10) != 0 {

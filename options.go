@@ -120,8 +120,6 @@ type (
 var (
 	// ErrAbsoluteMinCount: the cube was built with a fractional threshold.
 	ErrAbsoluteMinCount = incr.ErrAbsoluteMinCount
-	// ErrCustomMining: the cube was built with a MiningOptions override.
-	ErrCustomMining = incr.ErrCustomMining
 	// ErrSchemaMismatch: the database's schema is not the cube's.
 	ErrSchemaMismatch = incr.ErrSchemaMismatch
 )
@@ -131,7 +129,7 @@ var (
 // exceptions, redundancy marks, and sub-δ admissions. The result is exact:
 // saving the patched cube yields the same bytes as a full Build over the
 // union database. The cube must have been built with an absolute threshold
-// (WithDelta / Config.MinCount) and no MiningOptions override.
+// (WithDelta / Config.MinCount).
 //
 // ApplyDelta must not run concurrently with readers of the cube or db;
 // long-lived servers patch a (*Cube).Fork — which leaves the served cube

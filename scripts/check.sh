@@ -4,13 +4,15 @@
 # (internal/server, cmd/flowserve) honest — snapshot hot-reload, the
 # single-flight response cache and graceful shutdown are all exercised by
 # tests that hammer the server from many goroutines. flowlint layers the
-# project-specific contracts on top — ten analyzers over two phases: five
-# single-package (cube immutability, byte-deterministic encodings, lock
-# discipline, epsilon float comparisons, surfaced errors) and five driven
-# by cross-package facts (goroutine leaks, context plumbing, unclosed
-# response bodies, locks held across interprocedurally blocking calls,
-# nondeterminism reaching the snapshot codec) — and the short fuzz pass
-# keeps the text parsers panic-free on garbage.
+# project-specific contracts on top — nine analyzers, each kept because a
+# seeded bug of a class it reports got past go vet and this race run
+# (DESIGN.md §5): six single-package (cube immutability, map order in
+# output, locks held across I/O, epsilon float comparisons, surfaced errors,
+# unclosed response bodies) and three driven by cross-package facts
+# (goroutine leaks, context plumbing, locks held across interprocedurally
+# blocking calls). What vet (copylocks) or the byte-exact tests already catch
+# has no analyzer. The short fuzz pass keeps the text parsers panic-free on
+# garbage.
 # The race run also carries the delta-equivalence property tests
 # (internal/incr: ApplyDelta + Save must be byte-identical to a full
 # rebuild over the union database at random split points, and the warm
