@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"strings"
+	"sync"
 	"testing"
 
 	"flowcube/internal/lint"
@@ -42,33 +43,44 @@ func TestFindingsExitCode(t *testing.T) {
 	}
 }
 
-// TestRepoIsClean runs the full analyzer suite over the whole module, so
-// `go test ./...` enforces flowlint cleanliness alongside `make lint`.
-func TestRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module type-check is slow")
-	}
+// moduleLoad type-checks the whole module once per test binary, from its
+// root: the two whole-module tests below share the result.
+var moduleLoad = sync.OnceValues(func() ([]*lint.Package, error) {
 	root, _, err := lint.ModuleRoot(".")
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	cwd, err := os.Getwd()
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if err := os.Chdir(root); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	defer func() {
-		if err := os.Chdir(cwd); err != nil {
-			t.Error(err)
-		}
-	}()
 	pkgs, err := lint.Load([]string{"./..."})
+	if cerr := os.Chdir(cwd); err == nil {
+		err = cerr
+	}
+	return pkgs, err
+})
+
+// loadModule is moduleLoad for one test, skipped under -short.
+func loadModule(t *testing.T) []*lint.Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("whole-module type-check is slow")
+	}
+	pkgs, err := moduleLoad()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range lint.Run(pkgs, lint.All()) {
+	return pkgs
+}
+
+// TestRepoIsClean runs the full analyzer suite over the whole module, so
+// `go test ./...` enforces flowlint cleanliness alongside `make lint`.
+func TestRepoIsClean(t *testing.T) {
+	for _, f := range lint.Run(loadModule(t), lint.All()) {
 		t.Errorf("%s", f)
 	}
 }
@@ -78,27 +90,14 @@ func TestRepoIsClean(t *testing.T) {
 // cmd/* included — must be loaded by Load("./..."), and nothing else. A
 // drift here means TestRepoIsClean is silently skipping packages.
 func TestLoadMatchesGoList(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module type-check is slow")
-	}
+	pkgs := loadModule(t)
 	root, _, err := lint.ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(root); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := os.Chdir(cwd); err != nil {
-			t.Error(err)
-		}
-	}()
-
-	out, err := exec.Command("go", "list", "-f", "{{if .GoFiles}}{{.ImportPath}}{{end}}", "./...").Output()
+	cmd := exec.Command("go", "list", "-f", "{{if .GoFiles}}{{.ImportPath}}{{end}}", "./...")
+	cmd.Dir = root
+	out, err := cmd.Output()
 	if err != nil {
 		t.Fatalf("go list: %v", err)
 	}
@@ -109,10 +108,6 @@ func TestLoadMatchesGoList(t *testing.T) {
 		}
 	}
 
-	pkgs, err := lint.Load([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := make(map[string]bool, len(pkgs))
 	for _, p := range pkgs {
 		got[p.PkgPath] = true

@@ -63,9 +63,10 @@
 // records into the materialized cube — touching only the affected cells —
 // and is byte-exact against a full rebuild over the union database.
 // Serving processes patch a (*Cube).Fork — the next generation, which
-// shares every untouched cell and flowgraph node with the cube being
-// served — and swap snapshots; see DESIGN.md §9 and cmd/flowserve's POST
-// /admin/append.
+// shares every untouched cell, flowgraph node and mapped snapshot section
+// with the cube being served, so a LoadCubeLazy cube appends without
+// decoding its snapshot — and swap snapshots; see DESIGN.md §9 and
+// cmd/flowserve's POST /admin/append.
 //
 // See examples/quickstart for a complete program built on the paper's
 // running example, and DESIGN.md for the system inventory.

@@ -60,9 +60,6 @@ func newAppendFixture(t *testing.T, n int) *appendFixture {
 	}
 	snapBytes := snap.Bytes()
 
-	// Both sides load from the snapshot, not the in-memory build: a saved
-	// cube does not carry MineExceptions, and byte-equivalence after append
-	// only holds when single node and shards run the same configuration.
 	loadFrom := func(data []byte) server.Loader {
 		return func() (*core.Cube, server.LoadInfo, error) {
 			cube, err := core.Load(bytes.NewReader(data))

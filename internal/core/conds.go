@@ -65,7 +65,8 @@ func CondPinKey(pins []flowgraph.StagePin) string {
 }
 
 // CachedConds returns the cached condition set of a cell (identified by its
-// cuboid spec key and CellKey), with ok=false on a cold cache.
+// cuboid spec key and CellKey), with ok=false on a cold cache. Only cells in
+// memory carry one: a cell still in a mapped base is cold.
 func (c *Cube) CachedConds(specKey, cellKey string) (*CondSet, bool) {
 	cb := c.Cuboids[specKey]
 	if cb == nil {
@@ -95,7 +96,9 @@ func (c *Cube) DropCondCache() {
 	c.ownAllCells()
 	for _, cb := range c.Cuboids {
 		for _, cell := range cb.Cells {
-			cell.conds = nil
+			if cell != nil {
+				cell.conds = nil
+			}
 		}
 	}
 }

@@ -12,6 +12,7 @@ package core
 import (
 	"sort"
 	"strconv"
+	"sync/atomic"
 
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
@@ -127,13 +128,20 @@ func cellKey(values []hierarchy.NodeID) string {
 // similarities lie in (0, 1].
 const SimilarityUnknown = -1
 
-// Cuboid is a materialized cuboid: its spec and frequent cells.
+// Cuboid is a materialized cuboid: its spec and frequent cells, stored in
+// two layers — an immutable base and the cells written over it. A cuboid
+// that is built, Loaded or assembled in memory has no base: Cells holds
+// every cell. One opened with LoadCubeLazy has its mapped snapshot section
+// as the base, and Cells holds only what its lineage wrote over it, a nil
+// value hiding the base cell under that key. SortedCells lists both layers.
 type Cuboid struct {
 	Spec  CuboidSpec
 	Cells map[string]*Cell
 
 	// owner is the generation that may write the cell map (delta.go).
 	owner uint32
+	// base is the mapped section under Cells (lazyload.go), or nil.
+	base *lazySection
 }
 
 // Cube is a materialized (iceberg, optionally non-redundant) flowcube.
@@ -155,7 +163,8 @@ type Cube struct {
 	// Mining is the Shared run that produced the cube; kept for
 	// inspection (candidate statistics, frequent segments).
 	Mining *mining.Result
-	// Cuboids maps CuboidSpec keys to materialized cuboids.
+	// Cuboids maps CuboidSpec keys to materialized cuboids. Once the cube
+	// is built or loaded, remove one only through DropCuboid.
 	Cuboids map[string]*Cuboid
 
 	minCount int64
@@ -170,9 +179,12 @@ type Cube struct {
 	haveTIDs bool
 	// levelCuboids caches LevelCuboids; nil until first asked for.
 	levelCuboids []LevelCuboids
-	// lazy is non-nil for cubes opened with LoadCubeLazy: Cuboids stays
-	// empty and the read paths answer from the mapped snapshot through the
-	// backend (see lazyload.go). Mutators need Materialize first.
+	// order caches the Cuboids keys in ascending order for sortedCuboids:
+	// nil until first asked for, reset by DropCuboid, shared by forks.
+	order atomic.Pointer[[]string]
+	// lazy is the mapped snapshot under the section-backed cuboids of a
+	// LoadCubeLazy lineage, shared by its forks: what LazyStats and LazyErr
+	// report on and Close releases. Nil for every other cube.
 	lazy *lazyBackend
 }
 
@@ -216,19 +228,8 @@ type Config struct {
 // MinCount reports the absolute iceberg threshold used by the cube.
 func (c *Cube) MinCount() int64 { return c.minCount }
 
-// Cuboid returns a materialized cuboid, or nil. On a lazily loaded cube
-// every call decodes the cuboid's whole section afresh, uncached — point
-// reads go through Lookup, which decodes one cell; a section that fails to
-// decode reports nil, with the error available via LazyErr.
+// Cuboid returns a materialized cuboid, or nil.
 func (c *Cube) Cuboid(spec CuboidSpec) *Cuboid {
-	if c.lazy != nil {
-		sec := c.lazy.secs[spec.Key()]
-		if sec == nil {
-			return nil
-		}
-		cb, _ := c.lazy.cuboid(sec)
-		return cb
-	}
 	return c.Cuboids[spec.Key()]
 }
 
@@ -241,34 +242,154 @@ func (c *Cube) Cell(spec CuboidSpec, values []hierarchy.NodeID) (*Cell, bool) {
 
 // Lookup is Cell that also reports whether the cuboid is materialized at
 // all, which is what tells a sub-δ or compressed cell (nil, true) from a
-// cell of a cuboid the cube does not hold (nil, false). On a lazily loaded
-// cube it decodes that one cell on first touch (through the LRU); a cell
-// that fails to decode reports absence, with the error available via
-// LazyErr.
+// cell of a cuboid the cube does not hold (nil, false). A cell of a mapped
+// base decodes on first touch (through the LRU); one that fails to decode
+// reports absence, and a section whose directory does not build reports
+// not materialized, with the error available via LazyErr.
 func (c *Cube) Lookup(spec CuboidSpec, values []hierarchy.NodeID) (*Cell, bool) {
-	if c.lazy != nil {
-		return c.lazy.lookup(spec.Key(), values)
-	}
 	cb := c.Cuboids[spec.Key()]
 	if cb == nil {
 		return nil, false
 	}
-	return cb.Cells[cellKey(values)], true
+	return cb.get(cellKey(values))
 }
 
-// Cells returns every materialized cell of a cuboid sorted by value key,
-// for deterministic iteration.
+// SortedCells returns every cell of the cuboid, both layers, in ascending
+// key order; base cells decode through the LRU. It returns nil when the
+// base does not read, with the error available via LazyErr.
 func (cb *Cuboid) SortedCells() []*Cell {
+	cells, err := cb.cells()
+	if err != nil {
+		return nil
+	}
+	return cells
+}
+
+// cells is SortedCells with the base's read error.
+func (cb *Cuboid) cells() ([]*Cell, error) {
+	out := make([]*Cell, 0, cb.len())
+	err := cb.each(func(e *dirEntry, cell *Cell) error {
+		cell, err := cb.decoded(e, cell)
+		if err != nil {
+			return err
+		}
+		out = append(out, cell)
+		return nil
+	})
+	return out, err
+}
+
+// each walks the cuboid's cells in ascending key order — the order a
+// section stores them in — merging the base's directory with the cells
+// written over it. e describes every cell (key, values, count, redundancy)
+// and must not be retained; cell is the cell when it is in memory and nil
+// for a base cell, which decoded reads when the caller needs its graph.
+// It returns fn's first error, or that of a base directory that does not
+// build (recorded for LazyErr), and walks no further.
+func (cb *Cuboid) each(fn func(e *dirEntry, cell *Cell) error) error {
 	keys := make([]string, 0, len(cb.Cells))
 	for k := range cb.Cells {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]*Cell, len(keys))
-	for i, k := range keys {
-		out[i] = cb.Cells[k]
+	var base []dirEntry
+	if cb.base != nil {
+		d, err := cb.base.dir()
+		if err != nil {
+			return err
+		}
+		base = d.entries
 	}
-	return out
+	var mem *dirEntry // allocated on first use: a walk of a bare base allocates nothing
+	i := 0
+	for _, k := range keys {
+		for ; i < len(base) && base[i].key < k; i++ {
+			if err := fn(&base[i], nil); err != nil {
+				return err
+			}
+		}
+		if i < len(base) && base[i].key == k {
+			i++
+		}
+		cell := cb.Cells[k]
+		if cell == nil {
+			continue
+		}
+		if mem == nil {
+			mem = new(dirEntry)
+		}
+		*mem = dirEntry{key: k, values: cell.Values, count: cell.Count, redundant: cell.Redundant}
+		if err := fn(mem, cell); err != nil {
+			return err
+		}
+	}
+	for ; i < len(base); i++ {
+		if err := fn(&base[i], nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decoded returns the cell each handed over: cell itself when it is in
+// memory, else the base cell e names, decoded through the LRU.
+func (cb *Cuboid) decoded(e *dirEntry, cell *Cell) (*Cell, error) {
+	if cell != nil {
+		return cell, nil
+	}
+	return cb.base.cell(e)
+}
+
+// find locates key in the two layers: the cell when it is in memory (nil
+// when a nil entry hides the base's), else the base's directory entry, nil
+// when neither layer holds it. materialized is false only when the base's
+// directory does not build.
+func (cb *Cuboid) find(key string) (e *dirEntry, cell *Cell, materialized bool) {
+	if cell, ok := cb.Cells[key]; ok || cb.base == nil {
+		return nil, cell, true
+	}
+	d, err := cb.base.dir()
+	if err != nil {
+		return nil, nil, false
+	}
+	e, _ = d.find(key)
+	return e, nil, true
+}
+
+// get is the point read behind Lookup.
+func (cb *Cuboid) get(key string) (*Cell, bool) {
+	e, cell, materialized := cb.find(key)
+	if e != nil {
+		cell, _ = cb.base.cell(e)
+	}
+	return cell, materialized
+}
+
+// len counts the cuboid's cells: the base's census from its section header
+// adjusted by the cells written over it, so only an overlaid base needs its
+// directory.
+func (cb *Cuboid) len() int {
+	if cb.base == nil {
+		return len(cb.Cells)
+	}
+	n := cb.base.numCells
+	if len(cb.Cells) == 0 {
+		return n
+	}
+	d, err := cb.base.dir()
+	if err != nil {
+		return n
+	}
+	for key, cell := range cb.Cells {
+		_, inBase := d.find(key)
+		switch {
+		case inBase && cell == nil:
+			n--
+		case !inBase && cell != nil:
+			n++
+		}
+	}
+	return n
 }
 
 // sortedCuboids returns the materialized cuboids in ascending key order.
@@ -276,15 +397,8 @@ func (cb *Cuboid) SortedCells() []*Cell {
 // this slice rather than the Cuboids map: map iteration order is randomized
 // per run, so ranging the map directly would make snapshots, first-violation
 // errors, and summaries differ between two otherwise identical processes.
-//
-// Eager cubes only: a lazy cube's Cuboids map is empty, and its whole-cube
-// walks have their own backend paths.
 func (c *Cube) sortedCuboids() []*Cuboid {
-	keys := make([]string, 0, len(c.Cuboids))
-	for k := range c.Cuboids {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := c.sortedKeys()
 	out := make([]*Cuboid, len(keys))
 	for i, k := range keys {
 		out[i] = c.Cuboids[k]
@@ -292,16 +406,29 @@ func (c *Cube) sortedCuboids() []*Cuboid {
 	return out
 }
 
-// NumCells reports the total number of materialized cells across cuboids.
-// On a lazy cube it sums the per-section cell counts from the section
-// headers without decoding any cells.
-func (c *Cube) NumCells() int {
-	if c.lazy != nil {
-		return c.lazy.numCells()
+// sortedKeys returns the Cuboids keys in ascending order, sorted once per
+// key set: queries planning over the lattice ask for it on every computed
+// cell. Callers must not modify it.
+func (c *Cube) sortedKeys() []string {
+	if keys := c.order.Load(); keys != nil {
+		return *keys
 	}
+	keys := make([]string, 0, len(c.Cuboids))
+	for k := range c.Cuboids {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	c.order.Store(&keys)
+	return keys
+}
+
+// NumCells reports the total number of materialized cells across cuboids.
+// A mapped base that nothing was written over counts from its section
+// header, decoding nothing.
+func (c *Cube) NumCells() int {
 	n := 0
 	for _, cb := range c.Cuboids {
-		n += len(cb.Cells)
+		n += cb.len()
 	}
 	return n
 }
@@ -319,34 +446,27 @@ type CuboidSummary struct {
 // CuboidSummaries returns a per-cuboid census sorted by cuboid key, so
 // long-lived consumers (e.g. query servers) can report on the cube without
 // iterating its internal maps. It is a pure read and safe under concurrent
-// readers. On a lazy cube the census comes from the section directories
-// (one flat walk each, cached like any entry) without materializing any
-// cells; a walk failure reports nil with the error available via LazyErr.
+// readers. A mapped base's census comes from its section directory (one
+// flat walk, cached like any entry) without decoding any cell; a walk
+// failure reports nil with the error available via LazyErr.
 func (c *Cube) CuboidSummaries() []CuboidSummary {
-	if c.lazy != nil {
-		out, err := c.lazy.summaries()
-		if err != nil {
-			c.lazy.noteErr(err)
-			return nil
-		}
-		return out
-	}
-	out := make([]CuboidSummary, 0, len(c.Cuboids))
-	for key, cb := range c.Cuboids {
-		s := CuboidSummary{
-			Key:       key,
-			Item:      cb.Spec.Item,
-			PathLevel: cb.Spec.PathLevel,
-			Cells:     len(cb.Cells),
-		}
-		for _, cell := range cb.Cells {
-			if cell.Redundant {
+	keys := c.sortedKeys()
+	out := make([]CuboidSummary, 0, len(keys))
+	for _, key := range keys {
+		cb := c.Cuboids[key]
+		s := CuboidSummary{Key: key, Item: cb.Spec.Item, PathLevel: cb.Spec.PathLevel}
+		err := cb.each(func(e *dirEntry, _ *Cell) error {
+			s.Cells++
+			if e.redundant {
 				s.Redundant++
 			}
+			return nil
+		})
+		if err != nil {
+			return nil
 		}
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 

@@ -7,11 +7,13 @@ package core
 //
 // The ownership rule. Every cuboid, cell, flowgraph node and ledger part
 // carries the tag of the generation that may write it. Build and the
-// snapshot decoders produce generation 0 and tag everything 0; Fork returns
-// a generation with the next tag that shares all of it, so whatever a
+// snapshot decoders produce generation 0 and tag everything 0 (a lazily
+// opened cube is generation 1 over a mapped generation 0); Fork returns a
+// generation with the next tag that shares all of it, so whatever a
 // generation holds is frozen the moment the next one is forked from it. A
 // writer reaches a cell only through OwnedCell, which copies the cuboid's
-// cell map and the cell on first touch and forks the cell's flowgraph;
+// cell map — the written cells over a mapped base, every cell otherwise —
+// and the cell on first touch and forks the cell's flowgraph;
 // flowgraph.Graph.AddPath then copies the nodes along the path it adds and
 // nothing else. Dropping a fork is the whole rollback.
 //
@@ -27,13 +29,13 @@ import (
 )
 
 // Fork returns the cube's next generation: a cube that shares every
-// cuboid, cell, flowgraph node, ledger node and cached exception condition
-// with the receiver by pointer, and writes copy-on-write through
-// OwnedCell. The receiver is not touched by anything done to the fork —
-// readers keep using it, and a fork that is dropped leaves no trace — so
-// the cost is the cuboid and ledger-level tables plus the symbol table
-// (encoding a batch interns items), none of which grows with the cells or
-// their flowgraphs. A lazily loaded cube cannot be forked; Materialize it.
+// cuboid, mapped base, cell, flowgraph node, ledger node and cached
+// exception condition with the receiver by pointer, and writes
+// copy-on-write through OwnedCell. The receiver is not touched by anything
+// done to the fork — readers keep using it, and a fork that is dropped
+// leaves no trace — so the cost is the cuboid and ledger-level tables plus
+// the symbol table (encoding a batch interns items), none of which grows
+// with the cells or their flowgraphs.
 //
 // Tags run out after 2³²−1 forks along one lineage; a cube from Build or
 // Load starts a new one.
@@ -49,22 +51,24 @@ func (c *Cube) Fork() *Cube {
 		ledger:       c.ledger.fork(c.gen + 1),
 		haveTIDs:     c.haveTIDs,
 		levelCuboids: c.levelCuboids,
+		lazy:         c.lazy,
 	}
 	for key, cb := range c.Cuboids {
 		f.Cuboids[key] = cb
 	}
+	f.order.Store(c.order.Load())
 	return f
 }
 
 // ownedCuboid returns the cuboid under specKey with a cell map this
-// generation may write, copying the map (not the cells) on first touch;
-// nil when the cuboid is not materialized.
+// generation may write, copying the map (not the cells, nor the base under
+// it) on first touch; nil when the cuboid is not materialized.
 func (c *Cube) ownedCuboid(specKey string) *Cuboid {
 	cb := c.Cuboids[specKey]
 	if cb == nil || cb.owner == c.gen {
 		return cb
 	}
-	own := &Cuboid{Spec: cb.Spec, Cells: make(map[string]*Cell, len(cb.Cells)+1), owner: c.gen}
+	own := &Cuboid{Spec: cb.Spec, Cells: make(map[string]*Cell, len(cb.Cells)+1), owner: c.gen, base: cb.base}
 	for ck, cell := range cb.Cells {
 		own.Cells[ck] = cell
 	}
@@ -72,10 +76,21 @@ func (c *Cube) ownedCuboid(specKey string) *Cuboid {
 	return own
 }
 
+// remove deletes the cell under key: from the map, or over a base by a nil
+// entry that hides the base cell.
+func (cb *Cuboid) remove(key string) {
+	if cb.base == nil {
+		delete(cb.Cells, key)
+		return
+	}
+	cb.Cells[key] = nil
+}
+
 // OwnedCell returns the cell stored under cellKey in the cuboid under
 // specKey as this generation may write it, or nil when there is none. It is
 // the only way a writer reaches a cell: the first touch in a generation
-// copies the cuboid's cell map, then the cell — its flowgraph forked (nodes
+// copies the cuboid's cell map, then the cell — decoded first when only the
+// mapped base holds it — its flowgraph forked (nodes
 // shared until a path is added through them), its tids clamped so an
 // append reallocates instead of growing into the older generation's spare
 // capacity — and later touches return the same copy.
@@ -84,7 +99,7 @@ func (c *Cube) OwnedCell(specKey, cellKey string) *Cell {
 	if cb == nil {
 		return nil
 	}
-	cell := cb.Cells[cellKey]
+	cell, _ := cb.get(cellKey)
 	if cell == nil || cell.owner == c.gen {
 		return cell
 	}
@@ -104,10 +119,15 @@ func (c *Cube) OwnedCell(specKey, cellKey string) *Cell {
 func (c *Cube) CellsCopied() int { return c.cellsCopied }
 
 // ownAllCells makes every materialized cell this generation's own, for the
-// mutators that rewrite the whole cube.
+// mutators that rewrite the whole cube: afterwards Cells holds every cell.
 func (c *Cube) ownAllCells() {
 	for key, cb := range c.Cuboids {
-		for ck := range cb.Cells {
+		var keys []string
+		_ = cb.each(func(e *dirEntry, _ *Cell) error {
+			keys = append(keys, e.key)
+			return nil
+		})
+		for _, ck := range keys {
 			c.OwnedCell(key, ck)
 		}
 	}
@@ -122,8 +142,8 @@ func (c *Cube) Ledger() *Ledger { return c.ledger }
 // (they hold the same cells, one flowgraph per path level).
 type LevelCuboids struct {
 	Item ItemLevel
-	// Keys are the cuboids' spec keys in ascending order.
-	Keys []string
+	// Specs are the cuboids' specs in ascending key order.
+	Specs []CuboidSpec
 }
 
 // LevelCuboids returns the materialized cuboids grouped by item level, in
@@ -139,7 +159,7 @@ func (c *Cube) LevelCuboids() []LevelCuboids {
 				out = append(out, LevelCuboids{Item: spec.Item})
 			}
 			last := &out[len(out)-1]
-			last.Keys = append(last.Keys, spec.Key())
+			last.Specs = append(last.Specs, spec)
 		}
 		c.levelCuboids = out
 	}
@@ -216,8 +236,11 @@ func (c *Cube) RebuildTIDs(db *pathdb.DB) {
 // as the build phase does for cells found by mining.
 func (c *Cube) AdmitCell(specKey string, values []hierarchy.NodeID, count int64) *Cell {
 	cb := c.ownedCuboid(specKey)
+	if cb == nil {
+		return nil
+	}
 	key := cellKey(values)
-	if cb == nil || cb.Cells[key] != nil {
+	if e, cell, _ := cb.find(key); e != nil || cell != nil {
 		return nil
 	}
 	cell := &Cell{

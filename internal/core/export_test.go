@@ -14,8 +14,8 @@ func SetMaxPackedKeyBitsForTest(n int) (restore func()) {
 // ascending key order, so corruption tests can cut a section at cell
 // boundaries.
 func (c *Cube) SectionCellRangesForTest(spec CuboidSpec) [][2]int {
-	_, d := c.lazy.section(spec.Key())
-	if d == nil {
+	d, err := c.Cuboids[spec.Key()].base.dir()
+	if err != nil {
 		return nil
 	}
 	out := make([][2]int, len(d.entries))

@@ -19,12 +19,6 @@ import (
 // and every flowgraph passes its own validation. It returns the first
 // violation.
 func (c *Cube) Validate() error {
-	if c.lazy != nil {
-		// Lazy cubes validate by decoding every section whole, uncached;
-		// decode failures surface here as *CorruptSnapshotError instead of
-		// being swallowed like the error-less query paths must.
-		return c.lazy.validate(c)
-	}
 	// Walk cuboids and cells in sorted order so the *first* violation
 	// reported is the same on every run — a nondeterministic error message
 	// makes failures impossible to diff across reruns.
@@ -36,15 +30,21 @@ func (c *Cube) Validate() error {
 	return nil
 }
 
-// validateCuboid checks one cuboid's structural invariants; the per-cuboid
-// body of Validate, shared with the lazy path.
+// validateCuboid checks one cuboid's structural invariants. A mapped base
+// decodes every cell here, so its decode failures surface as
+// *CorruptSnapshotError instead of being swallowed like the error-less
+// query paths must.
 func (c *Cube) validateCuboid(cb *Cuboid) error {
 	key := cb.Spec.Key()
 	if len(cb.Spec.Item) != len(c.Schema.Dims) {
 		return fmt.Errorf("core: cuboid %s item level arity %d != %d dims",
 			key, len(cb.Spec.Item), len(c.Schema.Dims))
 	}
-	for _, cell := range cb.SortedCells() {
+	cells, err := cb.cells()
+	if err != nil {
+		return err
+	}
+	for _, cell := range cells {
 		if cell.Count < c.minCount {
 			return fmt.Errorf("core: cuboid %s holds cell %v below the iceberg threshold (%d < %d)",
 				key, cell.Values, cell.Count, c.minCount)
@@ -96,32 +96,27 @@ func (r RankedException) Severity() float64 {
 // materialized cell, ties broken deterministically by cell then support.
 // k <= 0 returns all.
 func (c *Cube) TopExceptions(k int) []RankedException {
+	// Base cells read their exceptions from the flat columns, in the order
+	// the pointer-form graph lists them, so the stable sort below ranks a
+	// lazily opened cube exactly as its eager twin.
 	var out []RankedException
-	if c.lazy != nil {
-		// Flat scan over the mapped sections: exceptions come straight from
-		// the struct-of-arrays columns (flowgraph.FlatExceptions) in the
-		// same sorted cuboid/cell/mining order the eager walk produces, so
-		// the identical stable sort below yields the identical ranking.
-		xs, err := c.lazy.topExceptions()
-		if err != nil {
-			c.lazy.noteErr(err)
-			return nil
-		}
-		out = xs
-	} else {
-		for _, cb := range c.sortedCuboids() {
-			for _, cell := range cb.SortedCells() {
-				if cell.Graph == nil {
-					continue
-				}
-				for _, x := range cell.Graph.Exceptions() {
-					out = append(out, RankedException{
-						Spec:      cb.Spec,
-						Values:    cell.Values,
-						Exception: x,
-					})
-				}
+	for _, cb := range c.sortedCuboids() {
+		err := cb.each(func(e *dirEntry, cell *Cell) error {
+			var xs []flowgraph.Exception
+			var err error
+			switch {
+			case cell == nil:
+				xs, err = cb.base.exceptions(e)
+			case cell.Graph != nil:
+				xs = cell.Graph.Exceptions()
 			}
+			for _, x := range xs {
+				out = append(out, RankedException{Spec: cb.Spec, Values: e.values, Exception: x})
+			}
+			return err
+		})
+		if err != nil {
+			return nil
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {

@@ -3,7 +3,7 @@ package core
 // Lattice navigation for the OLAP engine: enumerating materialized cuboids,
 // locating the materialized descendants a non-materialized cell can be
 // folded from, and moving cell values between item levels. Everything here
-// is a pure read, lazy-aware, and safe under concurrent readers.
+// is a pure read and safe under concurrent readers.
 
 import (
 	"sort"
@@ -12,12 +12,8 @@ import (
 )
 
 // MaterializedSpecs returns the spec of every materialized cuboid in
-// ascending key order. On a lazy cube this reads the section index without
-// touching the mapping.
+// ascending key order.
 func (c *Cube) MaterializedSpecs() []CuboidSpec {
-	if c.lazy != nil {
-		return c.lazy.specs()
-	}
 	cuboids := c.sortedCuboids()
 	out := make([]CuboidSpec, len(cuboids))
 	for i, cb := range cuboids {
@@ -117,20 +113,20 @@ func (c *Cube) GeneralizeValues(from, to ItemLevel, values []hierarchy.NodeID) [
 // cuboid sharing the item level (counts are independent of path level: a
 // cell's count is the size of its path set, however the paths are
 // aggregated). It is the certificate anchor for computed cells: a fold of
-// descendants is exact iff the folded counts sum to the census count. A lazy
-// cube reads the count from the twin's directory and decodes no graph.
+// descendants is exact iff the folded counts sum to the census count. A
+// mapped base answers from the twin's directory and decodes no graph.
 func (c *Cube) Census(spec CuboidSpec, values []hierarchy.NodeID) (int64, bool) {
-	ilKey := spec.Item.Key()
-	for _, ms := range c.MaterializedSpecs() {
-		if ms.Item.Key() != ilKey || ms.Key() == spec.Key() {
+	key := cellKey(values)
+	for pl := range c.Symbols.PathLevels() {
+		cb := c.Cuboids[CuboidSpec{Item: spec.Item, PathLevel: pl}.Key()]
+		if cb == nil || pl == spec.PathLevel {
 			continue
 		}
-		if c.lazy != nil {
-			if n, ok := c.lazy.count(ms.Key(), values); ok {
-				return n, true
-			}
-		} else if cell, ok := c.Cell(ms, values); ok {
+		switch e, cell, _ := cb.find(key); {
+		case cell != nil:
 			return cell.Count, true
+		case e != nil:
+			return e.count, true
 		}
 	}
 	return 0, false
@@ -138,26 +134,26 @@ func (c *Cube) Census(spec CuboidSpec, values []hierarchy.NodeID) (int64, bool) 
 
 // FoldSources returns the cells of the materialized cuboid ds that
 // generalize to the cell (spec, values), in ascending cell-key order: the
-// candidates a fold of ds into that cell would merge. A lazy cube selects
-// them on the directory's value tuples and decodes only the selected cells.
+// candidates a fold of ds into that cell would merge. Selection runs on the
+// value tuples, so a mapped base decodes only the selected cells; one that
+// fails to decode is left out (and recorded for LazyErr), and the fold
+// certificate then sums short and refuses.
 func (c *Cube) FoldSources(ds, spec CuboidSpec, values []hierarchy.NodeID) []*Cell {
-	target := cellKey(values)
-	match := func(v []hierarchy.NodeID) bool {
-		return cellKey(c.GeneralizeValues(ds.Item, spec.Item, v)) == target
-	}
-	if c.lazy != nil {
-		return c.lazy.cellsMatching(ds.Key(), match)
-	}
 	cb := c.Cuboids[ds.Key()]
 	if cb == nil {
 		return nil
 	}
+	target := cellKey(values)
 	var out []*Cell
-	for _, cell := range cb.SortedCells() {
-		if match(cell.Values) {
+	_ = cb.each(func(e *dirEntry, cell *Cell) error {
+		if cellKey(c.GeneralizeValues(ds.Item, spec.Item, e.values)) != target {
+			return nil
+		}
+		if cell, err := cb.decoded(e, cell); err == nil {
 			out = append(out, cell)
 		}
-	}
+		return nil
+	})
 	return out
 }
 
@@ -203,22 +199,19 @@ func (c *Cube) Partial(spec CuboidSpec, values []hierarchy.NodeID) Partial {
 
 // cuboidCellValues lists a materialized cuboid's value tuples in ascending
 // cell-key order; false when the cuboid is not materialized. The outer slice
-// is the caller's, the tuples are the cells' own and read-only. A lazy cube
-// answers from the section directory without decoding a graph.
+// is the caller's, the tuples are the cells' own and read-only. A mapped
+// base answers from its directory without decoding a graph.
 func (c *Cube) cuboidCellValues(spec CuboidSpec) ([][]hierarchy.NodeID, bool) {
-	if c.lazy != nil {
-		return c.lazy.cellValues(spec.Key())
-	}
 	cb := c.Cuboids[spec.Key()]
 	if cb == nil {
 		return nil, false
 	}
-	cells := cb.SortedCells()
-	out := make([][]hierarchy.NodeID, len(cells))
-	for i, cell := range cells {
-		out[i] = cell.Values
-	}
-	return out, true
+	out := make([][]hierarchy.NodeID, 0, cb.len())
+	err := cb.each(func(e *dirEntry, _ *Cell) error {
+		out = append(out, e.values)
+		return nil
+	})
+	return out, err == nil
 }
 
 // EnumerateCellValues lists the value tuples of spec's cells whether or not

@@ -3,17 +3,19 @@ package core
 // Lazy (mmap-backed) snapshot serving: LoadCubeLazy maps a v2 snapshot
 // read-only, eagerly validates the framing — magic, header, section index,
 // every section's CRC-32C — and decodes the preamble and ledger once, but
-// leaves every cuboid section as a byte range into the mapping. The unit of
-// decoding and caching is the cell: one flat walk over a section (prefixes
-// decoded, flowgraphs skipped) yields its directory — sorted cell keys,
-// value tuples, counts and byte offsets — and a point read binary-searches
-// the directory and decodes only the cell it names. Directories and decoded
-// cells share one byte-budgeted LRU with single-flight dedup, so a server's
-// cold open costs milliseconds, a cold lookup costs one cell, and resident
-// decoded state stays bounded regardless of cube size. Summaries, censuses,
-// fold-source selection and cell enumeration answer from directories, and
-// exception queries from flat scans over the mapped arrays, without
-// materializing a Cell at all (the FlowCube partial-materialization idea
+// leaves every cuboid section as a byte range into the mapping: the base
+// layer of one Cuboid (cube.go), under the cells a lineage writes over it.
+// The unit of decoding and caching is the cell: one flat walk over a
+// section (prefixes decoded, flowgraphs skipped) yields its directory —
+// sorted cell keys, value tuples, counts, redundancy bits and byte offsets —
+// and a point read binary-searches the directory and decodes only the cell
+// it names. Directories and decoded cells share one byte-budgeted LRU with
+// single-flight dedup, so a server's cold open costs milliseconds, a cold
+// lookup costs one cell, and resident decoded state stays bounded regardless
+// of cube size. Summaries, censuses, fold-source selection and cell
+// enumeration answer from directories, exception queries from flat scans
+// over the mapped arrays, and Save copies the bytes of every base cell
+// nothing was written over (the FlowCube partial-materialization idea
 // applied to storage; see DESIGN.md §8).
 //
 // Decoded structures never alias the mapping — strings and columns are
@@ -23,15 +25,14 @@ package core
 // queries, the same contract snapshot swapping already has.
 //
 // This file is on the immutcube allowlist: the cube assembled here is
-// freshly constructed, and the lazy backend's internal caches are guarded
-// by their own synchronization, invisible to the Cube's immutable contract.
+// freshly constructed, and the backend's internal caches are guarded by
+// their own synchronization, invisible to the Cube's immutable contract.
 
 import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -74,12 +75,13 @@ type snapData interface {
 	close() error
 }
 
-// lazySection is one cuboid section of the snapshot: its decoded header
-// (spec, cell count) plus the payload byte range and where in it the cells
-// start.
+// lazySection is one cuboid section of the snapshot, the base of its
+// Cuboid: its key, path level and cell count from the section header, plus
+// the payload byte range and where in it the cells start.
 type lazySection struct {
+	b        *lazyBackend
 	key      string
-	spec     CuboidSpec
+	level    pathdb.PathLevel
 	numCells int
 	off, n   int64
 	cellsOff int
@@ -87,21 +89,20 @@ type lazySection struct {
 
 // sectionDir is the result of one flat walk over a section's cells: one
 // entry per cell in ascending key order — the order the section stores them
-// in — and the redundant-cell census (for CuboidSummaries). It is immutable
-// once built; callers share it.
+// in. It is immutable once built; callers share it.
 type sectionDir struct {
-	entries   []dirEntry
-	redundant int
+	entries []dirEntry
 }
 
-// dirEntry locates one cell: its key and value tuple, its path count (so a
-// census never decodes a graph), and its byte range within the section
-// payload.
+// dirEntry describes one cell without its graph: its key and value tuple,
+// its path count and redundancy bit (so a census never decodes a graph),
+// and its byte range within the section payload.
 type dirEntry struct {
-	key      string
-	values   []hierarchy.NodeID
-	count    int64
-	off, end int32 // maxSectionBytes fits int32
+	key       string
+	values    []hierarchy.NodeID
+	count     int64
+	off, end  int32 // maxSectionBytes fits int32
+	redundant bool
 }
 
 // Directory-footprint model, the cache cost of a sectionDir: the entry
@@ -127,15 +128,13 @@ type lazyEntry struct {
 	cell *Cell
 }
 
-// lazyBackend holds everything behind a lazily loaded cube: the mapped
-// data, the section index, the directory-and-cell LRU, and the sticky first
-// decode error.
+// lazyBackend holds everything the sections of one mapped snapshot share:
+// the mapped data, the directory-and-cell LRU, and the sticky first decode
+// error.
 type lazyBackend struct {
-	data   snapData
-	loc    *hierarchy.Hierarchy
-	levels []pathdb.PathLevel
-	secs   map[string]*lazySection
-	order  []*lazySection // sorted by key: deterministic scans and saves
+	data     snapData
+	loc      *hierarchy.Hierarchy
+	sections int
 
 	cache *lru.Cache[lazyEntry]
 
@@ -188,14 +187,15 @@ type LazyStats struct {
 // ledger are decoded once, and cells decode one at a time on first touch
 // through a CacheBytes-budgeted LRU with single-flight dedup.
 //
-// The returned cube answers the full read surface — Cell, Answer,
-// NumCells, CuboidSummaries, TopExceptions, Validate, Save, Clone —
-// byte-identically to an eager Load of the same file. Mutating operations
-// (MarkRedundancy, Compress, ApplyDelta) need an eager copy: use
-// Materialize. Close releases the mapping; it must not race in-flight
-// queries. Decode errors on first touch are *CorruptSnapshotError values:
-// paths that return errors propagate them, and the error-less query paths
-// record the first one for (*Cube).LazyErr and report absence.
+// The returned cube holds one Cuboid per section with the mapped section as
+// its base, so it answers every read byte-identically to an eager Load of
+// the same file, and every mutator and Fork works on it: a write copies the
+// cell it reaches into the cuboid's Cells, over the base, and forks share
+// the mapping. Close releases the mapping for the whole lineage; it must not
+// race in-flight queries. Decode errors on first touch are
+// *CorruptSnapshotError values: paths that return errors propagate them,
+// and the error-less query paths record the first one for (*Cube).LazyErr
+// and report absence.
 func LoadCubeLazy(path string, opts LazyOptions) (*Cube, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -277,7 +277,7 @@ func readFrame(data snapData, off int64) (snapFrame, []byte, error) {
 // openLazy walks the snapshot's sections through the loaders' shared section
 // decoders — only the framing walk differs: readFrame over the mapping —
 // validating every frame and CRC, decoding the preamble and ledger, and
-// indexing cuboid sections by key without decoding any cells.
+// giving every cuboid section a Cuboid without decoding any cells.
 func openLazy(data snapData, opts LazyOptions) (*Cube, error) {
 	off := int64(len(magicV2))
 	var fr snapFrame
@@ -297,13 +297,14 @@ func openLazy(data snapData, opts LazyOptions) (*Cube, error) {
 	if budget == 0 {
 		budget = DefaultLazyCacheBytes
 	}
-	b := &lazyBackend{
-		data:   data,
-		loc:    p.location,
-		levels: p.levels,
-		secs:   make(map[string]*lazySection, p.numCuboids),
-		cache:  lru.New[lazyEntry](budget),
-	}
+	b := &lazyBackend{data: data, loc: p.location, cache: lru.New[lazyEntry](budget)}
+	// The mapping is generation 0 of the lineage and the opened cube
+	// generation 1, so the cells the sections decode to — shared through the
+	// cache by every reader — are never anyone's to write: a writer copies
+	// them first (delta.go).
+	cube := p.cube()
+	cube.gen = 1
+	cube.lazy = b
 	ledger, err := decodeBodyV2(next, p, func(payload []byte) error {
 		r := &byteReader{section: "cuboid", buf: payload}
 		spec, numCells, err := decodeCuboidHeaderV2(r, p.levels)
@@ -314,22 +315,18 @@ func openLazy(data snapData, opts LazyOptions) (*Cube, error) {
 			return err
 		}
 		key := spec.Key()
-		if _, dup := b.secs[key]; dup {
+		if _, dup := cube.Cuboids[key]; dup {
 			return frameCorrupt("duplicate cuboid %s", key)
 		}
-		sec := &lazySection{key: key, spec: spec, numCells: numCells,
-			off: fr.payloadOff, n: fr.payloadLen, cellsOff: r.off}
-		b.secs[key] = sec
-		b.order = append(b.order, sec)
+		cube.Cuboids[key] = &Cuboid{Spec: spec, base: &lazySection{b: b, key: key,
+			level: p.levels[spec.PathLevel], numCells: numCells,
+			off: fr.payloadOff, n: fr.payloadLen, cellsOff: r.off}}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(b.order, func(i, j int) bool { return b.order[i].key < b.order[j].key })
-
-	cube := p.cube()
-	cube.lazy = b
+	b.sections = len(cube.Cuboids)
 	cube.setLedger(ledger)
 	// Backstop for dropped cubes: release the mapping (and the fallback's
 	// fd) when the backend becomes unreachable without an explicit Close —
@@ -348,14 +345,6 @@ func (b *lazyBackend) close() error {
 		err = b.data.close()
 	})
 	return err
-}
-
-// view returns a section's payload bytes, refusing after close.
-func (b *lazyBackend) view(sec *lazySection) ([]byte, error) {
-	if b.closed.Load() {
-		return nil, errLazyClosed
-	}
-	return b.data.view(sec.off, sec.n)
 }
 
 // noteErr records the first decode/IO error a touch produced; LazyErr
@@ -378,33 +367,40 @@ func (b *lazyBackend) lazyErr() error {
 	return b.firstErr
 }
 
-// dir returns a section's directory through the cache: built by one flat
+// view returns n bytes of the section's payload from off, refusing after
+// close.
+func (s *lazySection) view(off, n int64) ([]byte, error) {
+	if s.b.closed.Load() {
+		return nil, errLazyClosed
+	}
+	return s.b.data.view(s.off+off, n)
+}
+
+// dir returns the section's directory through the cache: built by one flat
 // walk on first touch, at its own byte cost. Build errors are not cached — a
 // later touch retries — and the first one is recorded sticky for LazyErr.
-func (b *lazyBackend) dir(sec *lazySection) (*sectionDir, error) {
-	ent, _, err := b.cache.Do(sec.key, func() (lazyEntry, int64, error) {
-		d, cost, err := b.buildDir(sec)
+func (s *lazySection) dir() (*sectionDir, error) {
+	ent, _, err := s.b.cache.Do(s.key, func() (lazyEntry, int64, error) {
+		d, cost, err := s.buildDir()
 		return lazyEntry{dir: d}, cost, err
 	})
-	if err != nil {
-		b.noteErr(err)
-	}
+	s.b.noteErr(err)
 	return ent.dir, err
 }
 
-// buildDir walks a section's cells once — prefixes decoded, flat graphs
+// buildDir walks the section's cells once — prefixes decoded, flat graphs
 // skipped — and makes every whole-section check the full decoder makes: the
 // claimed cell count fits the payload, cell keys strictly ascending (what
 // point reads binary-search on), no trailing bytes.
-func (b *lazyBackend) buildDir(sec *lazySection) (*sectionDir, int64, error) {
-	payload, err := b.view(sec)
+func (s *lazySection) buildDir() (*sectionDir, int64, error) {
+	payload, err := s.view(0, s.n)
 	if err != nil {
 		return nil, 0, err
 	}
-	r := &byteReader{section: "cuboid " + sec.key, buf: payload, off: sec.cellsOff}
-	d := &sectionDir{entries: make([]dirEntry, 0, min(sec.numCells, r.rem()/minCellBytesV2))}
+	r := &byteReader{section: "cuboid " + s.key, buf: payload, off: s.cellsOff}
+	d := &sectionDir{entries: make([]dirEntry, 0, min(s.numCells, r.rem()/minCellBytesV2))}
 	cost := int64(dirBaseFootprint)
-	for ci := 0; ci < sec.numCells; ci++ {
+	for ci := 0; ci < s.numCells; ci++ {
 		e := dirEntry{off: int32(r.off)}
 		var flags byte
 		if e.values, e.count, flags, _, err = decodeCellPrefixV2(r); err != nil {
@@ -417,11 +413,9 @@ func (b *lazyBackend) buildDir(sec *lazySection) (*sectionDir, int64, error) {
 		}
 		e.end = int32(r.off)
 		e.key = cellKey(e.values)
+		e.redundant = flags&1 != 0
 		if ci > 0 && e.key <= d.entries[ci-1].key {
 			return nil, 0, r.corrupt("cell %s is not after cell %s: cell keys must ascend strictly", e.key, d.entries[ci-1].key)
-		}
-		if flags&1 != 0 {
-			d.redundant++
 		}
 		cost += dirEntryFootprint + int64(len(e.key)) + 4*int64(len(e.values))
 		d.entries = append(d.entries, e)
@@ -436,280 +430,51 @@ func (b *lazyBackend) buildDir(sec *lazySection) (*sectionDir, int64, error) {
 // only that cell's bytes are viewed and decoded, single-flight, at the
 // cell's estimated decoded heap cost. Decode errors are not cached and the
 // first one is recorded sticky for LazyErr.
-func (b *lazyBackend) cell(sec *lazySection, e *dirEntry) (*Cell, error) {
-	ent, _, err := b.cache.Do(sec.key+"/"+e.key, func() (lazyEntry, int64, error) {
-		if b.closed.Load() {
-			return lazyEntry{}, 0, errLazyClosed
-		}
-		buf, err := b.data.view(sec.off+int64(e.off), int64(e.end-e.off))
+func (s *lazySection) cell(e *dirEntry) (*Cell, error) {
+	ent, _, err := s.b.cache.Do(s.key+"/"+e.key, func() (lazyEntry, int64, error) {
+		buf, err := s.view(int64(e.off), int64(e.end-e.off))
 		if err != nil {
 			return lazyEntry{}, 0, err
 		}
-		r := &byteReader{section: "cuboid " + sec.key, buf: buf}
-		cell, cost, err := decodeCellV2(r, b.loc, b.levels[sec.spec.PathLevel])
+		r := &byteReader{section: "cuboid " + s.key, buf: buf}
+		cell, cost, err := decodeCellV2(r, s.b.loc, s.level)
 		if err == nil && r.rem() != 0 {
 			err = r.corrupt("cell %s: %d bytes past its flowgraph", e.key, r.rem())
 		}
 		if err != nil {
 			return lazyEntry{}, 0, err
 		}
-		b.decodedCells.Add(1)
-		b.decodedBytes.Add(int64(len(buf)))
+		s.b.decodedCells.Add(1)
+		s.b.decodedBytes.Add(int64(len(buf)))
 		return lazyEntry{cell: cell}, cost, nil
 	})
-	if err != nil {
-		b.noteErr(err)
-	}
+	s.b.noteErr(err)
 	return ent.cell, err
 }
 
-// section returns a materialized cuboid's section and directory; both nil
-// for an unknown cuboid or one whose directory does not build (recorded for
-// LazyErr). It fronts every error-less directory read.
-func (b *lazyBackend) section(specKey string) (*lazySection, *sectionDir) {
-	sec := b.secs[specKey]
-	if sec == nil {
-		return nil, nil
-	}
-	d, err := b.dir(sec)
-	if err != nil {
-		return nil, nil
-	}
-	return sec, d
-}
-
-// lookup is the error-less point read behind (*Cube).Lookup and Cell. An
-// unknown cuboid, or one whose directory does not build, reports not
-// materialized; a cell the directory does not list, or one that fails to
-// decode, reports absence from a materialized cuboid. Failures are recorded
-// for LazyErr.
-func (b *lazyBackend) lookup(specKey string, values []hierarchy.NodeID) (*Cell, bool) {
-	sec, d := b.section(specKey)
-	if d == nil {
-		return nil, false
-	}
-	e, ok := d.find(cellKey(values))
-	if !ok {
-		return nil, true
-	}
-	cell, _ := b.cell(sec, e)
-	return cell, true
-}
-
-// count is a cell's path count straight from the directory.
-func (b *lazyBackend) count(specKey string, values []hierarchy.NodeID) (int64, bool) {
-	if _, d := b.section(specKey); d != nil {
-		if e, ok := d.find(cellKey(values)); ok {
-			return e.count, true
-		}
-	}
-	return 0, false
-}
-
-// cellValues lists a materialized cuboid's value tuples in ascending key
-// order from its directory, decoding no graph. The outer slice is the
-// caller's; the tuples are shared and read-only, as eager cells' are.
-func (b *lazyBackend) cellValues(specKey string) ([][]hierarchy.NodeID, bool) {
-	_, d := b.section(specKey)
-	if d == nil {
-		return nil, false
-	}
-	out := make([][]hierarchy.NodeID, len(d.entries))
-	for i := range d.entries {
-		out[i] = d.entries[i].values
-	}
-	return out, true
-}
-
-// cellsMatching decodes, in ascending key order, the cells of a cuboid whose
-// value tuple passes match: selection runs over the directory, so only the
-// selected cells' graphs are ever decoded. A cell that fails to decode is
-// left out (and recorded); the fold certificate then sums short and refuses.
-func (b *lazyBackend) cellsMatching(specKey string, match func([]hierarchy.NodeID) bool) []*Cell {
-	sec, d := b.section(specKey)
-	if d == nil {
-		return nil
-	}
-	var out []*Cell
-	for i := range d.entries {
-		if !match(d.entries[i].values) {
-			continue
-		}
-		if cell, err := b.cell(sec, &d.entries[i]); err == nil {
-			out = append(out, cell)
-		}
-	}
-	return out
-}
-
-// cuboid decodes one whole section, uncached: what Validate and
-// (*Cube).Cuboid need. Point reads never come here.
-func (b *lazyBackend) cuboid(sec *lazySection) (*Cuboid, error) {
-	payload, err := b.view(sec)
-	var cb *Cuboid
-	if err == nil {
-		cb, err = decodeCuboidV2(payload, b.loc, b.levels)
-	}
-	if err != nil {
-		b.noteErr(err)
-		return nil, err
-	}
-	return cb, nil
-}
-
-// specs lists the section specs in ascending key order.
-func (b *lazyBackend) specs() []CuboidSpec {
-	out := make([]CuboidSpec, len(b.order))
-	for i, sec := range b.order {
-		out[i] = sec.spec
-	}
-	return out
-}
-
-// numCells sums the per-section cell counts recorded in the section
-// headers — no cell decode at all.
-func (b *lazyBackend) numCells() int {
-	n := 0
-	for _, sec := range b.order {
-		n += sec.numCells
-	}
-	return n
-}
-
-// summaries is the flat-scan CuboidSummaries: per-section cell counts from
-// the headers, redundant censuses from the directories.
-func (b *lazyBackend) summaries() ([]CuboidSummary, error) {
-	out := make([]CuboidSummary, 0, len(b.order))
-	for _, sec := range b.order {
-		d, err := b.dir(sec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, CuboidSummary{
-			Key:       sec.key,
-			Item:      sec.spec.Item,
-			PathLevel: sec.spec.PathLevel,
-			Cells:     sec.numCells,
-			Redundant: d.redundant,
-		})
-	}
-	return out, nil
-}
-
-// topExceptions collects every exception by flat-scanning the mapped
-// sections in sorted key order, cell by cell in directory order — the order
-// the eager walk produces: cell prefixes and flat graph columns are decoded,
-// but no pointer tree is built and no cell enters the LRU — the Node chains
-// come from flowgraph.FlatExceptions.
-func (b *lazyBackend) topExceptions() ([]RankedException, error) {
-	var out []RankedException
-	for _, sec := range b.order {
-		d, err := b.dir(sec)
-		if err != nil {
-			return nil, err
-		}
-		payload, err := b.view(sec)
-		if err != nil {
-			return nil, err
-		}
-		for i := range d.entries {
-			e := &d.entries[i]
-			r := &byteReader{section: "cuboid " + sec.key, buf: payload[:e.end], off: int(e.off)}
-			_, _, flags, _, err := decodeCellPrefixV2(r)
-			if err != nil {
-				return nil, err
-			}
-			if flags&2 == 0 {
-				continue
-			}
-			flat, err := decodeFlatGraph(r)
-			if err != nil {
-				return nil, err
-			}
-			if len(flat.ExcNode) == 0 {
-				continue
-			}
-			xs, err := flowgraph.FlatExceptions(flat)
-			if err != nil {
-				return nil, r.corrupt("cell %s: %v", e.key, err)
-			}
-			for _, x := range xs {
-				out = append(out, RankedException{Spec: sec.spec, Values: e.values, Exception: x})
-			}
-		}
-	}
-	return out, nil
-}
-
-// validate runs the eager per-cuboid validation over every section, each
-// decoded whole and dropped again: nothing enters the cache.
-func (b *lazyBackend) validate(c *Cube) error {
-	for _, sec := range b.order {
-		cb, err := b.cuboid(sec)
-		if err != nil {
-			return err
-		}
-		if err := c.validateCuboid(cb); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// materialize decodes the whole snapshot into a fresh eager cube the
-// caller exclusively owns: sections decode in parallel, bypassing the
-// shared cache so nothing is aliased with other readers of the lazy cube.
-// The result is the lazy cube's next generation — it owns the cells it just
-// decoded and shares the ledger copy-on-write.
-func (b *lazyBackend) materialize(c *Cube) (*Cube, error) {
-	if b.closed.Load() {
-		return nil, errLazyClosed
-	}
-	payloads := make([][]byte, len(b.order))
-	for i, sec := range b.order {
-		p, err := b.view(sec)
-		if err != nil {
-			return nil, err
-		}
-		payloads[i] = p
-	}
-	cuboids, err := decodeCuboidsV2(payloads, b.loc, b.levels)
+// exceptions reads the exceptions of the cell a directory entry names
+// straight from its flat columns (flowgraph.FlatExceptions), in the order
+// the pointer-form graph lists them: no Node tree is built and nothing
+// enters the cache. Errors are recorded for LazyErr.
+func (s *lazySection) exceptions(e *dirEntry) (xs []flowgraph.Exception, err error) {
+	defer func() { s.b.noteErr(err) }()
+	buf, err := s.view(int64(e.off), int64(e.end-e.off))
 	if err != nil {
 		return nil, err
 	}
-	out := &Cube{
-		Schema:   c.Schema,
-		Config:   c.Config,
-		Symbols:  c.Symbols.Clone(),
-		Mining:   c.Mining,
-		Cuboids:  make(map[string]*Cuboid, len(cuboids)),
-		minCount: c.minCount,
-		gen:      c.gen + 1,
-		ledger:   c.ledger.fork(c.gen + 1),
+	r := &byteReader{section: "cuboid " + s.key, buf: buf}
+	_, _, flags, _, err := decodeCellPrefixV2(r)
+	if err != nil || flags&2 == 0 {
+		return nil, err
 	}
-	for _, cb := range cuboids {
-		cb.owner = out.gen
-		for _, cell := range cb.Cells {
-			cell.owner = out.gen
-		}
-		out.Cuboids[cb.Spec.Key()] = cb
+	flat, err := decodeFlatGraph(r)
+	if err != nil || len(flat.ExcNode) == 0 {
+		return nil, err
 	}
-	return out, nil
-}
-
-// save writes the lazy cube as v2 snapshot bytes identical to an eager
-// load-then-Save of the same file. Metadata sections are re-encoded from
-// the decoded preamble state (decode→encode is a fixed point); cuboid
-// sections are raw payload copies straight from the mapping, each checked by
-// its directory walk first.
-func (b *lazyBackend) save(c *Cube, w io.Writer) error {
-	return writeSnapshotV2(w, c, len(b.order), func(i int) ([]byte, error) {
-		sec := b.order[i]
-		if _, err := b.dir(sec); err != nil {
-			return nil, err
-		}
-		return b.view(sec)
-	})
+	if xs, err = flowgraph.FlatExceptions(flat); err != nil {
+		return nil, r.corrupt("cell %s: %v", e.key, err)
+	}
+	return xs, nil
 }
 
 // stats snapshots the backend's gauges.
@@ -719,7 +484,7 @@ func (b *lazyBackend) stats() LazyStats {
 		Mapped:        snapMapped,
 		MappedBytes:   b.data.size(),
 		BudgetBytes:   b.cache.Budget(),
-		Sections:      len(b.order),
+		Sections:      b.sections,
 		DecodedCells:  b.decodedCells.Load(),
 		DecodedBytes:  b.decodedBytes.Load(),
 		CachedEntries: c.Entries,
@@ -730,8 +495,9 @@ func (b *lazyBackend) stats() LazyStats {
 	}
 }
 
-// LazyStats reports the lazy serving state of the cube; ok is false for
-// eagerly loaded (or built) cubes.
+// LazyStats reports the lazy serving state of the cube — of the mapped
+// snapshot its lineage shares; ok is false for cubes built, Loaded or
+// merged in memory.
 func (c *Cube) LazyStats() (stats LazyStats, ok bool) {
 	if c.lazy == nil {
 		return LazyStats{}, false
@@ -744,7 +510,7 @@ func (c *Cube) LazyStats() (stats LazyStats, ok bool) {
 // query paths — Cell, Lookup, CuboidSummaries, TopExceptions — report
 // absence when a section fails to decode; serving layers check LazyErr to
 // distinguish "not materialized" from "snapshot corrupt". Always nil for
-// eager cubes.
+// cubes with no mapped snapshot.
 func (c *Cube) LazyErr() error {
 	if c.lazy == nil {
 		return nil
@@ -753,69 +519,14 @@ func (c *Cube) LazyErr() error {
 }
 
 // Close releases a lazily loaded cube's mapping (and, under the fallback,
-// its file descriptor). It is idempotent, must not race in-flight queries
-// (the same contract snapshot swapping has), and is a no-op for eager
-// cubes; dropped lazy cubes are also released by a finalizer, so Close is
-// an optimization for deterministic release, not a correctness requirement.
+// its file descriptor) — for every fork of it too. It is idempotent, must
+// not race in-flight queries (the same contract snapshot swapping has), and
+// is a no-op for cubes with no mapped snapshot; dropped lazy cubes are also
+// released by a finalizer, so Close is an optimization for deterministic
+// release, not a correctness requirement.
 func (c *Cube) Close() error {
 	if c.lazy == nil {
 		return nil
 	}
 	return c.lazy.close()
-}
-
-// Materialize returns an eager cube the caller exclusively owns and may
-// mutate without disturbing the receiver. For a lazy cube it decodes every
-// section fresh (in parallel, bypassing the shared LRU) and reports a
-// corrupt section as an error; for an eager cube it is Fork. Mutating
-// pipelines over served snapshots — incr.ApplyDelta, MarkRedundancy,
-// Compress, FilterCells — run on the result.
-func (c *Cube) Materialize() (*Cube, error) {
-	if c.lazy == nil {
-		return c.Fork(), nil
-	}
-	return c.lazy.materialize(c)
-}
-
-// encodeMetaSectionsV2 builds the header, hierarchies and plan section
-// payloads from the cube's decoded state — shared by the eager SaveWith
-// and the lazy save so the metadata encoding exists once.
-func encodeMetaSectionsV2(c *Cube, numCuboids int) (header, hiers, plan []byte) {
-	header = binary.AppendUvarint(header, formatVersionV2)
-	header = binary.AppendVarint(header, c.minCount)
-	header = binary.LittleEndian.AppendUint64(header, math.Float64bits(c.Config.Epsilon))
-	header = binary.LittleEndian.AppendUint64(header, math.Float64bits(c.Config.Tau))
-	header = binary.AppendUvarint(header, uint64(len(c.Schema.Dims)))
-	header = binary.AppendUvarint(header, uint64(len(c.Symbols.PathLevels())))
-	header = binary.AppendUvarint(header, uint64(numCuboids))
-
-	hiers = appendHierarchyV2(hiers, c.Schema.Location)
-	for _, h := range c.Schema.Dims {
-		hiers = appendHierarchyV2(hiers, h)
-	}
-
-	dimLevels := c.Symbols.DimLevels()
-	plan = binary.AppendUvarint(plan, uint64(len(dimLevels)))
-	for _, levels := range dimLevels {
-		plan = binary.AppendUvarint(plan, uint64(len(levels)))
-		for _, l := range levels {
-			plan = binary.AppendUvarint(plan, uint64(l))
-		}
-	}
-	pathLevels := c.Symbols.PathLevels()
-	plan = binary.AppendUvarint(plan, uint64(len(pathLevels)))
-	for _, pl := range pathLevels {
-		nodes := pl.Cut.Nodes()
-		plan = binary.AppendUvarint(plan, uint64(len(nodes)))
-		for _, nd := range nodes {
-			plan = binary.AppendUvarint(plan, uint64(uint32(nd)))
-		}
-		if pl.Time.Any {
-			plan = append(plan, 1)
-		} else {
-			plan = append(plan, 0)
-		}
-		plan = binary.AppendVarint(plan, pl.Time.Grain)
-	}
-	return header, hiers, plan
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -174,17 +175,13 @@ func TestLazyParityFullSurface(t *testing.T) {
 		t.Fatalf("lazy Save produced %d bytes, eager %d; streams differ", lb.Len(), eb.Len())
 	}
 
-	// Materialize yields an eager cube with the same bytes.
-	mat, err := lazy.Materialize()
-	if err != nil {
+	// A fork shares the mapping and saves the same bytes.
+	var fb bytes.Buffer
+	if err := lazy.Fork().Save(&fb); err != nil {
 		t.Fatal(err)
 	}
-	var mb bytes.Buffer
-	if err := mat.Save(&mb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(eb.Bytes(), mb.Bytes()) {
-		t.Fatal("materialized cube saves different bytes")
+	if !bytes.Equal(eb.Bytes(), fb.Bytes()) {
+		t.Fatal("fork of the lazy cube saves different bytes")
 	}
 	if err := lazy.LazyErr(); err != nil {
 		t.Fatalf("healthy snapshot recorded a lazy error: %v", err)
@@ -405,8 +402,8 @@ func wantCorrupt(t *testing.T, what string, err error) {
 // stored twice, or two cells stored out of key order: the eager loader must
 // reject the file, and on the lazy cube the directory build must fail for
 // every cell of the section, surfacing a *CorruptSnapshotError through
-// LazyErr, never a panic or a torn cell, and Validate, Materialize and Save
-// must fail too.
+// LazyErr, never a panic or a torn cell, and Validate, Merge and Save must
+// fail too.
 func TestLazyCorruptSectionOnFirstTouch(t *testing.T) {
 	mutations := map[string]struct {
 		minCells int
@@ -440,8 +437,8 @@ func TestLazyCorruptSectionOnFirstTouch(t *testing.T) {
 			}
 			wantCorrupt(t, "LazyErr after touch", lazy.LazyErr())
 			wantCorrupt(t, "Validate", lazy.Validate())
-			if _, err := lazy.Materialize(); err == nil {
-				t.Fatal("Materialize of a corrupt section succeeded")
+			if _, err := core.Merge([]*core.Cube{lazy}); err == nil {
+				t.Fatal("Merge of a corrupt section succeeded")
 			}
 			var sink bytes.Buffer
 			if err := lazy.Save(&sink); err == nil {
@@ -493,8 +490,8 @@ func TestLazyCorruptCellIsContained(t *testing.T) {
 		}
 	}
 	wantCorrupt(t, "Validate", lazy.Validate())
-	if _, err := lazy.Materialize(); err == nil {
-		t.Fatal("Materialize over a corrupt cell succeeded")
+	if _, err := core.Merge([]*core.Cube{lazy}); err == nil {
+		t.Fatal("Merge over a corrupt cell succeeded")
 	}
 }
 
@@ -551,8 +548,8 @@ func TestLazyClose(t *testing.T) {
 			}
 		}
 	}
-	if _, err := lazy.Materialize(); err == nil {
-		t.Fatal("Materialize after Close succeeded")
+	if err := lazy.Save(io.Discard); err == nil {
+		t.Fatal("Save after Close succeeded")
 	}
 	// NumCells still answers (it reads only the in-memory section index).
 	if got, want := lazy.NumCells(), eager.NumCells(); got != want {
@@ -564,48 +561,75 @@ func TestLazyClose(t *testing.T) {
 	}
 }
 
-// TestLazyCloneAndFilterMaterialize exercises the transparent
-// materialization of the mutating surface: Materialize, FilterCells and
-// Merge of lazy shards must behave exactly as on the eager cube.
-func TestLazyCloneAndFilterMaterialize(t *testing.T) {
+// TestLazyMutatorsMatchEager runs the mutating surface on a lazily opened
+// cube and on its eager twin — Fork, MarkRedundancy, Compress, DropCuboid,
+// FilterCells and Merge — and requires the same Save bytes from both after
+// every step: a mapped base takes writes the way a cell map does. The
+// opened cube itself must be untouched by what its forks did.
+func TestLazyMutatorsMatchEager(t *testing.T) {
 	eager, lazy := lazyFixture(t, core.LazyOptions{})
+	want := lazyDigest(t, lazy)
+	if got := len(lazy.Cuboids); got != len(eager.Cuboids) {
+		t.Fatalf("lazy cube holds %d cuboids, the snapshot %d sections", got, len(eager.Cuboids))
+	}
+	same := func(step string, e, l *core.Cube) {
+		t.Helper()
+		if got, want := lazyDigest(t, l), lazyDigest(t, e); got != want {
+			t.Fatalf("%s: the lazy side saves different bytes", step)
+		}
+	}
+	ef, lf := eager.Fork(), lazy.Fork()
+	same("Fork", ef, lf)
+	ef.Config.Workers, lf.Config.Workers = 2, 2 // marking runs in parallel over the overlay
+	if got, want := lf.MarkRedundancy(0.3), ef.MarkRedundancy(0.3); got != want {
+		t.Fatalf("MarkRedundancy: %d redundant cells, want %d", got, want)
+	}
+	same("MarkRedundancy", ef, lf)
+	spec := eager.MaterializedSpecs()[1]
+	if lf.DropCuboid(spec) == nil || ef.DropCuboid(spec) == nil {
+		t.Fatalf("DropCuboid(%s) dropped nothing", spec.Key())
+	}
+	same("DropCuboid", ef, lf)
 
-	clone, err := lazy.Materialize()
-	if err != nil {
-		t.Fatalf("Materialize: %v", err)
+	// Compress over an untouched base hides its redundant cells unread.
+	ec, lc := eager.Fork(), lazy.Fork()
+	before, _ := lazy.LazyStats()
+	if got, want := lc.Compress(), ec.Compress(); got != want || want == 0 {
+		t.Fatalf("Compress removed %d cells, want %d (> 0)", got, want)
 	}
-	var eb, cb bytes.Buffer
-	if err := eager.Save(&eb); err != nil {
-		t.Fatal(err)
+	if after, _ := lazy.LazyStats(); after.DecodedCells != before.DecodedCells {
+		t.Errorf("Compress of an untouched base decoded %d cells", after.DecodedCells-before.DecodedCells)
 	}
-	if err := clone.Save(&cb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(eb.Bytes(), cb.Bytes()) {
-		t.Fatal("clone of the lazy cube saves different bytes")
-	}
-	// The clone is eager and mutable: redundancy re-marking must work.
-	clone.MarkRedundancy(0.5)
+	same("Compress", ec, lc)
 
 	evenOdd := func(even bool) func(values []hierarchy.NodeID) bool {
 		return func(values []hierarchy.NodeID) bool {
 			return (int(values[0])%2 == 0) == even
 		}
 	}
-	mergedLazy, err := core.Merge([]*core.Cube{lazy.FilterCells(evenOdd(true)), lazy.FilterCells(evenOdd(false))})
-	if err != nil {
+	for _, cubes := range [][2]*core.Cube{{eager, lazy}, {ef, lf}} {
+		e, l := cubes[0], cubes[1]
+		ee, le := e.FilterCells(evenOdd(true)), l.FilterCells(evenOdd(true))
+		same("FilterCells", ee, le)
+		merged, err := core.Merge([]*core.Cube{le, l.FilterCells(evenOdd(false))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("FilterCells+Merge", e, merged)
+	}
+	if got := lazyDigest(t, lazy); got != want {
+		t.Fatal("mutating forks of the lazy cube changed what it saves")
+	}
+}
+
+// lazyDigest is the SHA-256 of the cube's Save bytes.
+func lazyDigest(t *testing.T, c *core.Cube) [sha256.Size]byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := mergedLazy.NumCells(), eager.NumCells(); got != want {
-		t.Fatalf("filter+merge round trip: %d cells, want %d", got, want)
-	}
-	var mb bytes.Buffer
-	if err := mergedLazy.Save(&mb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(eb.Bytes(), mb.Bytes()) {
-		t.Fatal("filter+merge of the lazy cube saves different bytes")
-	}
+	return sha256.Sum256(buf.Bytes())
 }
 
 // lazyTwin saves the cube and reopens the bytes both ways: eagerly (so both

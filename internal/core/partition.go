@@ -28,24 +28,15 @@ import (
 // reproduces the original cell-for-cell, and their snapshots carry the same
 // section census.
 //
-// The result shares the symbols and the *Cell pointers (and through them
-// the flowgraph nodes) with the receiver under the ownership rule of
-// delta.go: it is a later generation, so it reads what the receiver holds
-// and a write through OwnedCell copies first. The mining result is dropped:
-// it describes the whole build, not the kept subset.
+// The result shares the symbols, the mapped bases and the *Cell pointers
+// (and through them the flowgraph nodes) with the receiver under the
+// ownership rule of delta.go: it is a later generation, so it reads what the
+// receiver holds and a write through OwnedCell copies first. Selection runs
+// on value tuples, so a mapped base decodes nothing: its cells that fail keep
+// are hidden (one whose directory does not build stays as unreadable as it
+// was, its error recorded for LazyErr). The mining result is dropped: it
+// describes the whole build, not the kept subset.
 func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
-	if c.lazy != nil {
-		// Filtering needs every cell in hand: materialize the lazy cube
-		// first (a decode failure yields an empty filtered cube, with the
-		// error recorded for LazyErr).
-		full, err := c.lazy.materialize(c)
-		if err != nil {
-			c.lazy.noteErr(err)
-			full = &Cube{Schema: c.Schema, Config: c.Config, Symbols: c.Symbols,
-				minCount: c.minCount, ledger: c.ledger}
-		}
-		c = full
-	}
 	out := &Cube{
 		Schema:   c.Schema,
 		Config:   c.Config,
@@ -54,14 +45,18 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 		minCount: c.minCount,
 		gen:      c.gen + 1,
 		haveTIDs: c.haveTIDs,
+		lazy:     c.lazy,
 	}
 	for key, cb := range c.Cuboids {
-		ncb := &Cuboid{Spec: cb.Spec, Cells: make(map[string]*Cell), owner: out.gen}
-		for ck, cell := range cb.Cells {
-			if keep(cell.Values) {
-				ncb.Cells[ck] = cell
+		ncb := &Cuboid{Spec: cb.Spec, Cells: make(map[string]*Cell), owner: out.gen, base: cb.base}
+		_ = cb.each(func(e *dirEntry, cell *Cell) error {
+			if !keep(e.values) {
+				ncb.remove(e.key)
+			} else if cell != nil {
+				ncb.Cells[e.key] = cell
 			}
-		}
+			return nil
+		})
 		out.Cuboids[key] = ncb
 	}
 	if c.ledger != nil {
@@ -84,27 +79,12 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 // census, and no cell or ledger entry may appear in more than one shard;
 // violations report which shard disagrees. The merged cube takes the first
 // shard's schema and symbols and shares cell pointers with its inputs, as a
-// generation later than all of them (see FilterCells).
+// generation later than all of them (see FilterCells); the cells of a
+// mapped base are decoded into it, and a base that does not decode fails
+// the merge.
 func Merge(shards []*Cube) (*Cube, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("core: merge of zero shards")
-	}
-	copied := false
-	for i, s := range shards {
-		if s.lazy == nil {
-			continue
-		}
-		// Merging walks every shard's cell maps: lazily loaded shards are
-		// materialized first (into a copy — the input slice is not mutated).
-		full, err := s.lazy.materialize(s)
-		if err != nil {
-			return nil, fmt.Errorf("core: merge shard %d: %w", i, err)
-		}
-		if !copied {
-			shards = append([]*Cube(nil), shards...)
-			copied = true
-		}
-		shards[i] = full
 	}
 	first := shards[0]
 	out := &Cube{
@@ -129,11 +109,18 @@ func Merge(shards []*Cube) (*Cube, error) {
 				ncb = &Cuboid{Spec: cb.Spec, Cells: make(map[string]*Cell, len(cb.Cells)), owner: out.gen}
 				out.Cuboids[key] = ncb
 			}
-			for ck, cell := range cb.Cells {
-				if _, dup := ncb.Cells[ck]; dup {
-					return nil, fmt.Errorf("core: merge shard %d: cell %s of cuboid %s already merged from an earlier shard", i, ck, key)
+			if err := cb.each(func(e *dirEntry, cell *Cell) error {
+				if _, dup := ncb.Cells[e.key]; dup {
+					return fmt.Errorf("cell %s of cuboid %s already merged from an earlier shard", e.key, key)
 				}
-				ncb.Cells[ck] = cell
+				cell, err := cb.decoded(e, cell)
+				if err != nil {
+					return err
+				}
+				ncb.Cells[e.key] = cell
+				return nil
+			}); err != nil {
+				return nil, fmt.Errorf("core: merge shard %d: %w", i, err)
 			}
 		}
 		if s.ledger == nil {
@@ -157,11 +144,18 @@ func Merge(shards []*Cube) (*Cube, error) {
 
 // compatibleShard checks that b describes the same cube as a: same
 // thresholds (floats compared by bit pattern — shards come from the same
-// writer, so byte-equality is the contract), same dimension names and
-// sizes, same path levels, and the same materialized cuboid census.
+// writer, so byte-equality is the contract), same exception-mining
+// switches, same dimension names and sizes, same path levels, and the same
+// materialized cuboid census.
 func compatibleShard(a, b *Cube) error {
 	if a.minCount != b.minCount {
 		return fmt.Errorf("min count %d, want %d", b.minCount, a.minCount)
+	}
+	if a.Config.MineExceptions != b.Config.MineExceptions ||
+		a.Config.SingleStageExceptions != b.Config.SingleStageExceptions {
+		return fmt.Errorf("exception mining %v (single-stage %v), want %v (single-stage %v)",
+			b.Config.MineExceptions, b.Config.SingleStageExceptions,
+			a.Config.MineExceptions, a.Config.SingleStageExceptions)
 	}
 	if math.Float64bits(a.Config.Epsilon) != math.Float64bits(b.Config.Epsilon) {
 		return fmt.Errorf("epsilon %v, want %v", b.Config.Epsilon, a.Config.Epsilon)

@@ -1,8 +1,11 @@
 package core_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -49,4 +52,32 @@ func wantNotV2(t testing.TB, name string, err error) {
 	if !strings.Contains(err.Error(), "rebuilt from the path database") {
 		t.Errorf("%s: %q does not say how to rebuild", name, err)
 	}
+}
+
+// TestLoadersRefuseVersion2Header: a version-2 snapshot, whose header cannot
+// say whether the cube mined exceptions, is refused by every loader with the
+// typed rebuild instruction a pre-v2 gob snapshot gets — an append to it
+// would mine differently from the build that wrote it.
+func TestLoadersRefuseVersion2Header(t *testing.T) {
+	var buf bytes.Buffer
+	if err := fixtureCube(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const secHeader = 1
+	v2 := rewriteSection(t, buf.Bytes(), secHeader, 0, func(p []byte) []byte {
+		// Version 2 had no flags byte after ε and τ.
+		_, n := binary.Varint(p[1:])
+		flags := 1 + n + 16
+		return append(append([]byte{2}, p[1:flags]...), p[flags+1:]...)
+	})
+	_, err := core.Load(bytes.NewReader(v2))
+	wantNotV2(t, "Load", err)
+	_, err = core.LoadMeta(bytes.NewReader(v2))
+	wantNotV2(t, "LoadMeta", err)
+	path := filepath.Join(t.TempDir(), "v2.fcb")
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = core.LoadCubeLazy(path, core.LazyOptions{})
+	wantNotV2(t, "LoadCubeLazy", err)
 }

@@ -60,17 +60,11 @@ func (c *Cube) ParentRefs(spec CuboidSpec, values []hierarchy.NodeID) []CellRef 
 // which would read as "maximally redundant" in summaries and persisted
 // output.
 //
-// Like every mutator, it must not run on a lazily loaded cube (it marks
-// nothing there and returns 0); Materialize first.
-//
 // Cells are marked concurrently when Config.Workers > 1. Every cell is made
 // this generation's own first, so that a job only reads the cube's maps; it
 // then writes its own cell's Similarity and Redundant and reads nothing of
 // its parents but their graphs.
 func (c *Cube) MarkRedundancy(tau float64) int {
-	if c.lazy != nil {
-		return 0
-	}
 	c.ownAllCells()
 	type job struct {
 		spec   CuboidSpec
@@ -126,18 +120,24 @@ func (c *Cube) MarkCellRedundancy(spec CuboidSpec, values []hierarchy.NodeID, ta
 
 // Compress removes redundant cells from the cube, yielding the paper's
 // non-redundant flowcube. It returns the number of cells removed.
-// MarkRedundancy (or Build with Tau > 0) must have run first. Like every
-// mutator, it must not run on a lazily loaded cube; Materialize first.
+// MarkRedundancy (or Build with Tau > 0) must have run first. A mapped
+// base is read from its directory: its redundant cells are hidden, not
+// decoded.
 func (c *Cube) Compress() int {
 	n := 0
 	for specKey := range c.Cuboids {
 		cb := c.ownedCuboid(specKey)
-		for key, cell := range cb.Cells {
-			if cell.Redundant {
-				delete(cb.Cells, key)
-				n++
+		var drop []string
+		_ = cb.each(func(e *dirEntry, _ *Cell) error {
+			if e.redundant {
+				drop = append(drop, e.key)
 			}
+			return nil
+		})
+		for _, key := range drop {
+			cb.remove(key)
 		}
+		n += len(drop)
 	}
 	return n
 }
@@ -146,12 +146,8 @@ func (c *Cube) Compress() int {
 // or nil when the cuboid is absent: the cube then answers that cuboid's
 // cells the way a cube built without it (Config.Cuboids) does, by
 // reconstruction or ancestor fallback. Like every mutator it must not run
-// on a lazily loaded cube (it returns nil there) or concurrently with
-// readers.
+// concurrently with readers.
 func (c *Cube) DropCuboid(spec CuboidSpec) *Cuboid {
-	if c.lazy != nil {
-		return nil
-	}
 	key := spec.Key()
 	cb := c.Cuboids[key]
 	if cb == nil {
@@ -159,5 +155,6 @@ func (c *Cube) DropCuboid(spec CuboidSpec) *Cuboid {
 	}
 	delete(c.Cuboids, key)
 	c.levelCuboids = nil
+	c.order.Store(nil)
 	return cb
 }

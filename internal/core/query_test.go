@@ -66,8 +66,8 @@ func TestAnswerFallbackPrefersClosestAncestor(t *testing.T) {
 
 	// Remove both 1-step cuboids: the 2-step generalization must now win
 	// over the apex.
-	delete(cube.Cuboids, core.CuboidSpec{Item: core.ItemLevel{1, 2}, PathLevel: 0}.Key())
-	delete(cube.Cuboids, core.CuboidSpec{Item: core.ItemLevel{2, 1}, PathLevel: 0}.Key())
+	cube.DropCuboid(core.CuboidSpec{Item: core.ItemLevel{1, 2}, PathLevel: 0})
+	cube.DropCuboid(core.CuboidSpec{Item: core.ItemLevel{2, 1}, PathLevel: 0})
 	a, err = cube.Answer(context.Background(), core.Query{Spec: spec, Values: values})
 	if err != nil || a.Cells[0].Exact {
 		t.Fatalf("2-step query failed: err=%v answer=%+v", err, a)
@@ -133,7 +133,7 @@ func TestAnswerFallbackFullyCompressedReachesApex(t *testing.T) {
 // ϕ = 1 that would read as "maximally redundant" in summaries and
 // persisted output.
 func TestMarkRedundancySentinel(t *testing.T) {
-	// Materialize only the leaf-level cuboid: its cells have no
+	// Keep only the leaf-level cuboid: its cells have no
 	// materialized item-lattice parents to compare against.
 	_, cube := partialExample(t, []core.CuboidSpec{
 		{Item: core.ItemLevel{2, 2}, PathLevel: 0},

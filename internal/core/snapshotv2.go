@@ -6,7 +6,7 @@ package core
 //	magic "FCUBEv2\n" (8 bytes)
 //	sections: kind (1 byte) · payload length (uvarint) · payload ·
 //	          CRC-32C of the payload (4 bytes little-endian)
-//	  header      format version, thresholds, section census
+//	  header      format version, thresholds, exception flags, section census
 //	  hierarchies location hierarchy plus every item dimension
 //	  plan        materialized dimension levels and path levels
 //	  cuboid ×N   one section per cuboid, cells with flat flowgraphs
@@ -57,13 +57,19 @@ func checkMagic(head []byte) error {
 }
 
 // formatVersionV2 is written in the header section; the decoder rejects
-// anything newer than it understands.
-const formatVersionV2 = 2
+// every other version. Version 3 added the exception-mining flags, without
+// which an append to a loaded cube would mine differently from the build.
+const formatVersionV2 = 3
+
+// Header flag bits: the Config switches a loaded cube must keep for its
+// appends to equal a rebuild.
+const (
+	headerMineExceptions        = 1
+	headerSingleStageExceptions = 2
+)
 
 // Section kinds. secLedger is optional: it is written only for cubes built
-// with Config.DeltaLedger (its presence restores that flag on load), so
-// snapshots of ledger-less cubes are byte-identical to what older writers
-// produced — the golden v1→v2 compatibility fixture depends on that.
+// with Config.DeltaLedger (its presence restores that flag on load).
 const (
 	secEnd         = 0
 	secHeader      = 1
@@ -325,25 +331,28 @@ func (c *Cube) Save(w io.Writer) error {
 	return c.SaveWith(w, SaveOptions{Workers: c.Config.Workers})
 }
 
-// SaveWith is Save with explicit codec options. A lazily loaded cube saves
-// through its backend: cuboid sections are raw byte copies straight from
-// the mapping, so the output is identical to an eager load-then-save without
-// decoding a single cell.
+// SaveWith is Save with explicit codec options. A cuboid over a mapped
+// section copies the bytes of every base cell nothing was written over
+// straight from the mapping, so a lazily opened cube saves what an eager
+// load-then-save writes while decoding only the cells it wrote.
 func (c *Cube) SaveWith(w io.Writer, opts SaveOptions) error {
-	if c.lazy != nil {
-		return c.lazy.save(c, w)
+	cuboids := c.sortedCuboids()
+	sections := make([][]byte, len(cuboids))
+	errs := make([]error, len(cuboids))
+	forEach(opts.Workers, len(cuboids), func(i int) { sections[i], errs[i] = encodeCuboidV2(cuboids[i]) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	sections := encodeCuboidsV2(c.sortedCuboids(), opts.Workers)
-	return writeSnapshotV2(w, c, len(sections), func(i int) ([]byte, error) { return sections[i], nil })
+	return writeSnapshotV2(w, c, sections)
 }
 
 // writeSnapshotV2 writes the framed stream: the magic, the metadata sections
-// encoded from the cube's decoded state, numCuboids cuboid section payloads
-// taken from cuboid in order, the ledger when the cube carries one, and the
-// end section. The eager and the lazy save differ only in where a cuboid
-// payload comes from.
-func writeSnapshotV2(w io.Writer, c *Cube, numCuboids int, cuboid func(i int) ([]byte, error)) error {
-	header, hiers, plan := encodeMetaSectionsV2(c, numCuboids)
+// encoded from the cube's decoded state, the cuboid section payloads in
+// order, the ledger when the cube carries one, and the end section.
+func writeSnapshotV2(w io.Writer, c *Cube, cuboids [][]byte) error {
+	header, hiers, plan := encodeMetaSectionsV2(c, len(cuboids))
 	if _, err := io.WriteString(w, magicV2); err != nil {
 		return err
 	}
@@ -356,11 +365,7 @@ func writeSnapshotV2(w io.Writer, c *Cube, numCuboids int, cuboid func(i int) ([
 	if err := writeSection(w, secPlan, plan); err != nil {
 		return err
 	}
-	for i := 0; i < numCuboids; i++ {
-		payload, err := cuboid(i)
-		if err != nil {
-			return err
-		}
+	for _, payload := range cuboids {
 		if err := writeSection(w, secCuboid, payload); err != nil {
 			return err
 		}
@@ -371,6 +376,56 @@ func writeSnapshotV2(w io.Writer, c *Cube, numCuboids int, cuboid func(i int) ([
 		}
 	}
 	return writeSection(w, secEnd, nil)
+}
+
+// encodeMetaSectionsV2 builds the header, hierarchies and plan section
+// payloads from the cube's decoded state.
+func encodeMetaSectionsV2(c *Cube, numCuboids int) (header, hiers, plan []byte) {
+	var flags byte
+	if c.Config.MineExceptions {
+		flags |= headerMineExceptions
+	}
+	if c.Config.SingleStageExceptions {
+		flags |= headerSingleStageExceptions
+	}
+	header = binary.AppendUvarint(header, formatVersionV2)
+	header = binary.AppendVarint(header, c.minCount)
+	header = binary.LittleEndian.AppendUint64(header, math.Float64bits(c.Config.Epsilon))
+	header = binary.LittleEndian.AppendUint64(header, math.Float64bits(c.Config.Tau))
+	header = append(header, flags)
+	header = binary.AppendUvarint(header, uint64(len(c.Schema.Dims)))
+	header = binary.AppendUvarint(header, uint64(len(c.Symbols.PathLevels())))
+	header = binary.AppendUvarint(header, uint64(numCuboids))
+
+	hiers = appendHierarchyV2(hiers, c.Schema.Location)
+	for _, h := range c.Schema.Dims {
+		hiers = appendHierarchyV2(hiers, h)
+	}
+
+	dimLevels := c.Symbols.DimLevels()
+	plan = binary.AppendUvarint(plan, uint64(len(dimLevels)))
+	for _, levels := range dimLevels {
+		plan = binary.AppendUvarint(plan, uint64(len(levels)))
+		for _, l := range levels {
+			plan = binary.AppendUvarint(plan, uint64(l))
+		}
+	}
+	pathLevels := c.Symbols.PathLevels()
+	plan = binary.AppendUvarint(plan, uint64(len(pathLevels)))
+	for _, pl := range pathLevels {
+		nodes := pl.Cut.Nodes()
+		plan = binary.AppendUvarint(plan, uint64(len(nodes)))
+		for _, nd := range nodes {
+			plan = binary.AppendUvarint(plan, uint64(uint32(nd)))
+		}
+		if pl.Time.Any {
+			plan = append(plan, 1)
+		} else {
+			plan = append(plan, 0)
+		}
+		plan = binary.AppendVarint(plan, pl.Time.Grain)
+	}
+	return header, hiers, plan
 }
 
 // encodeLedgerV2 encodes the sub-δ ledger: levels in ascending item-level
@@ -463,30 +518,39 @@ func decodeLedgerV2(payload []byte, numDims int) (*Ledger, error) {
 	return ledger, nil
 }
 
-// encodeCuboidsV2 encodes every cuboid section, spreading the work over
-// workers goroutines. Results come back indexed by cuboid position, so the
-// caller writes them in the same deterministic order at any worker count.
-func encodeCuboidsV2(cuboids []*Cuboid, workers int) [][]byte {
-	payloads := make([][]byte, len(cuboids))
-	forEach(workers, len(cuboids), func(i int) { payloads[i] = encodeCuboidV2(cuboids[i]) })
-	return payloads
-}
-
-// encodeCuboidV2 encodes one cuboid section payload: the spec, then every
-// cell in sorted key order with its flat flowgraph.
-func encodeCuboidV2(cb *Cuboid) []byte {
+// encodeCuboidV2 encodes one cuboid section payload: the spec, the cell
+// count, then every cell in ascending key order with its flat flowgraph.
+// Over a mapped section it is a merge of two sorted runs: base cells are
+// copied byte-for-byte from the mapping — the whole payload when nothing
+// was written over it, once its directory walk has checked it — and only
+// the cells in memory are encoded.
+func encodeCuboidV2(cb *Cuboid) ([]byte, error) {
+	var base []byte
+	if cb.base != nil {
+		_, err := cb.base.dir()
+		if err == nil {
+			base, err = cb.base.view(0, cb.base.n)
+		}
+		if err != nil || len(cb.Cells) == 0 {
+			return base, err
+		}
+	}
 	var buf []byte
 	buf = binary.AppendUvarint(buf, uint64(len(cb.Spec.Item)))
 	for _, l := range cb.Spec.Item {
 		buf = binary.AppendUvarint(buf, uint64(l))
 	}
 	buf = binary.AppendUvarint(buf, uint64(cb.Spec.PathLevel))
-	cells := cb.SortedCells()
-	buf = binary.AppendUvarint(buf, uint64(len(cells)))
-	for _, cell := range cells {
-		buf = appendCellV2(buf, cell)
-	}
-	return buf
+	buf = binary.AppendUvarint(buf, uint64(cb.len()))
+	err := cb.each(func(e *dirEntry, cell *Cell) error {
+		if cell == nil {
+			buf = append(buf, base[e.off:e.end]...)
+		} else {
+			buf = appendCellV2(buf, cell)
+		}
+		return nil
+	})
+	return buf, err
 }
 
 // appendCellV2 appends one cell's snapshot encoding: values, count, flags,
@@ -605,39 +669,38 @@ func sectionPayload(br *bufio.Reader) (kind byte, payload []byte, err error) {
 // stateless query router needs (see LoadMeta and internal/cluster), and
 // loadV2 decodes the cell-bearing sections on top of it.
 type preambleV2 struct {
-	minCount   int64
-	epsilon    float64
-	tau        float64
-	numDims    int
-	numCuboids uint64
-	location   *hierarchy.Hierarchy
-	schema     *pathdb.Schema
-	levels     []pathdb.PathLevel
-	plan       transact.Plan
-	syms       *transact.Symbols
+	headerV2
+	location *hierarchy.Hierarchy
+	schema   *pathdb.Schema
+	levels   []pathdb.PathLevel
+	plan     transact.Plan
+	syms     *transact.Symbols
 }
 
-// cube assembles a cube skeleton from the preamble: schema, symbols and
-// thresholds set, no cuboids yet.
+// cube assembles a cube skeleton from the preamble: schema, symbols,
+// thresholds and exception-mining switches set, no cuboids yet.
 func (p *preambleV2) cube() *Cube {
 	return &Cube{
-		Schema:   p.schema,
-		Config:   Config{MinCount: p.minCount, Epsilon: p.epsilon, Tau: p.tau, Plan: p.plan},
+		Schema: p.schema,
+		Config: Config{MinCount: p.minCount, Epsilon: p.epsilon, Tau: p.tau, Plan: p.plan,
+			MineExceptions:        p.flags&headerMineExceptions != 0,
+			SingleStageExceptions: p.flags&headerSingleStageExceptions != 0},
 		Symbols:  p.syms,
 		Cuboids:  make(map[string]*Cuboid),
 		minCount: p.minCount,
 	}
 }
 
-// headerV2 is the decoded header section: thresholds plus the census of the
-// other sections. The counts are a census of *other* sections, so the
-// byteReader's remaining-bytes bound does not apply to them; each is
-// re-bounded against the section that actually carries the elements before
-// anything is allocated from it.
+// headerV2 is the decoded header section: thresholds and flags plus the
+// census of the other sections. The counts are a census of *other*
+// sections, so the byteReader's remaining-bytes bound does not apply to
+// them; each is re-bounded against the section that actually carries the
+// elements before anything is allocated from it.
 type headerV2 struct {
 	minCount      int64
 	epsilon       float64
 	tau           float64
+	flags         byte
 	numDims       uint64
 	numPathLevels uint64
 	numCuboids    uint64
@@ -654,7 +717,8 @@ func decodeHeaderV2(payload []byte) (headerV2, error) {
 		return h, err
 	}
 	if version != formatVersionV2 {
-		return h, hr.corrupt("format version %d not supported (have %d)", version, formatVersionV2)
+		return h, hr.corrupt("format version %d not supported (have %d); snapshots of other versions "+
+			"must be rebuilt from the path database (flowquery -in x.fdb -save x.fcb)", version, formatVersionV2)
 	}
 	if h.minCount, err = hr.varint(); err != nil {
 		return h, err
@@ -664,6 +728,12 @@ func decodeHeaderV2(payload []byte) (headerV2, error) {
 	}
 	if h.tau, err = hr.float64(); err != nil {
 		return h, err
+	}
+	if h.flags, err = hr.byte(); err != nil {
+		return h, err
+	}
+	if h.flags&^(headerMineExceptions|headerSingleStageExceptions) != 0 {
+		return h, hr.corrupt("unknown header flags %#x", h.flags)
 	}
 	if h.numDims, err = hr.uvarint(); err != nil {
 		return h, err
@@ -771,16 +841,12 @@ func assemblePreambleV2(h headerV2, schema *pathdb.Schema, plan transact.Plan, l
 		return nil, err
 	}
 	return &preambleV2{
-		minCount:   h.minCount,
-		epsilon:    h.epsilon,
-		tau:        h.tau,
-		numDims:    int(h.numDims),
-		numCuboids: h.numCuboids,
-		location:   schema.Location,
-		schema:     schema,
-		levels:     levels,
-		plan:       plan,
-		syms:       syms,
+		headerV2: h,
+		location: schema.Location,
+		schema:   schema,
+		levels:   levels,
+		plan:     plan,
+		syms:     syms,
 	}, nil
 }
 
@@ -867,7 +933,7 @@ func decodeBodyV2(next sectionReader, p *preambleV2, onCuboid func(payload []byt
 			if ledger != nil {
 				return nil, frameCorrupt("duplicate ledger section")
 			}
-			if ledger, err = decodeLedgerV2(payload, p.numDims); err != nil {
+			if ledger, err = decodeLedgerV2(payload, int(p.numDims)); err != nil {
 				return nil, err
 			}
 		case secCuboid:

@@ -32,7 +32,10 @@ import (
 // ApplyDelta must not run concurrently with readers of cube, db, or the
 // cube's symbol table. Long-lived servers patch a Fork of the served cube —
 // readers of the served cube are not disturbed, and dropping the fork is
-// the rollback — and swap snapshots (internal/server does).
+// the rollback — and swap snapshots (internal/server does). It reads the
+// cube only through Lookup and value-tuple walks, so over a lazily opened
+// snapshot it decodes the cells the batch reaches and their lattice
+// neighbours, not the snapshot.
 func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, error) {
 	if cube == nil {
 		return nil, ErrNilCube
@@ -82,7 +85,7 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 		tid := int32(baseLen + i)
 		for li := range levels {
 			ck := core.CellKey(levels[li].Item.ValuesOf(db.Schema, batch[i].Dims, values))
-			if cube.Cuboids[levels[li].Keys[0]].Cells[ck] != nil {
+			if cell, _ := cube.Lookup(levels[li].Specs[0], values); cell != nil {
 				if hits[li] == nil {
 					hits[li] = make(map[string][]int32)
 				}
@@ -174,8 +177,8 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 			cellKeys = append(cellKeys, ck)
 		}
 		sort.Strings(cellKeys)
-		for _, specKey := range levels[li].Keys {
-			plIdx := cube.Cuboids[specKey].Spec.PathLevel
+		for _, spec := range levels[li].Specs {
+			specKey := spec.Key()
 			for _, ck := range cellKeys {
 				cell := cube.OwnedCell(specKey, ck)
 				if cell == nil {
@@ -192,14 +195,8 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 						cell.Graph.AddPath(db.Records[tid].Path)
 					}
 					stats.NodesCopied += cell.Graph.NodesCopied() - before
-					if !cfg.MineExceptions {
-						// The cube's configuration mines no exceptions, so a
-						// freshly built union cube has none; drop any stale
-						// set a loaded snapshot carried into the touched cell.
-						cell.Graph.ClearExceptions()
-					}
 				}
-				touched = append(touched, touchedCell{specKey: specKey, pathLevel: plIdx, cell: cell, batchTIDs: tids})
+				touched = append(touched, touchedCell{specKey: specKey, pathLevel: spec.PathLevel, cell: cell, batchTIDs: tids})
 				stats.CellsTouched++
 			}
 		}
@@ -211,7 +208,8 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	pathLevels := cube.Symbols.PathLevels()
 	for _, c := range admitted {
 		tids := append(append([]int32(nil), c.baseTids...), c.tids...)
-		for _, specKey := range levels[c.levelIdx].Keys {
+		for _, spec := range levels[c.levelIdx].Specs {
+			specKey := spec.Key()
 			cell := cube.AdmitCell(specKey, c.values, int64(len(tids)))
 			if cell == nil {
 				continue
@@ -219,13 +217,12 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 			if haveTids {
 				cell.SetTIDs(append([]int32(nil), tids...))
 			}
-			plIdx := cube.Cuboids[specKey].Spec.PathLevel
-			g := flowgraph.New(db.Schema.Location, pathLevels[plIdx], nil)
+			g := flowgraph.New(db.Schema.Location, pathLevels[spec.PathLevel], nil)
 			for _, tid := range tids {
 				g.AddPath(db.Records[tid].Path)
 			}
 			cell.Graph = g
-			touched = append(touched, touchedCell{specKey: specKey, pathLevel: plIdx, cell: cell})
+			touched = append(touched, touchedCell{specKey: specKey, pathLevel: spec.PathLevel, cell: cell})
 			stats.CellsAdmitted++
 		}
 	}
@@ -268,7 +265,8 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 
 	// Redundancy frontier: every touched or admitted cell, plus every cell
 	// with one of them as an item-lattice parent, is re-marked against the
-	// current lattice. Markings read only other cells' graphs — all final
+	// current lattice. The frontier is found on value tuples, so only its
+	// cells are decoded. Markings read only other cells' graphs — all final
 	// by now — so the re-mark order is irrelevant.
 	if cfg.Tau > 0 {
 		touchedIDs := make(map[string]bool, len(touched))
@@ -276,12 +274,13 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 			touchedIDs[t.specKey+"|"+core.CellKey(t.cell.Values)] = true
 		}
 		for _, lv := range levels {
-			for _, key := range lv.Keys {
-				cb := cube.Cuboids[key]
-				for _, cell := range cb.SortedCells() {
-					need := touchedIDs[key+"|"+core.CellKey(cell.Values)]
+			for _, spec := range lv.Specs {
+				key := spec.Key()
+				tuples, _ := cube.EnumerateCellValues(spec)
+				for _, values := range tuples {
+					need := touchedIDs[key+"|"+core.CellKey(values)]
 					if !need {
-						for _, p := range cube.ParentRefs(cb.Spec, cell.Values) {
+						for _, p := range cube.ParentRefs(spec, values) {
 							if touchedIDs[p.Spec.Key()+"|"+core.CellKey(p.Values)] {
 								need = true
 								break
@@ -289,7 +288,7 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 						}
 					}
 					if need {
-						cube.MarkCellRedundancy(cb.Spec, cell.Values, cfg.Tau)
+						cube.MarkCellRedundancy(spec, values, cfg.Tau)
 						stats.RedundancyRemarked++
 					}
 				}

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"flowcube/internal/core"
@@ -137,44 +139,71 @@ func TestApplyDeltaMultipleBatches(t *testing.T) {
 }
 
 // TestApplyDeltaOnLoadedCube proves the snapshot round trip carries enough
-// state (including the sub-δ ledger) for delta maintenance: save the base
-// cube, load it, apply the batch to the loaded cube, and compare against a
-// full build. Exception mining flags are not persisted, so this variant
-// builds without exceptions — the configuration the loaded cube faithfully
-// reports.
+// state for delta maintenance — the sub-δ ledger and the exception-mining
+// switches: save the base cube, open it eagerly and lazily, apply the batch
+// to the opened cube, and compare against a full build.
 func TestApplyDeltaOnLoadedCube(t *testing.T) {
 	ds := datagen.MustGenerate(genConfig(17, 220))
-	cfg := core.Config{MinCount: 4, Tau: 0.5, Plan: ds.DefaultPlan(), DeltaLedger: true, Workers: 2}
-
-	full, err := core.Build(ds.DB, cfg)
-	if err != nil {
-		t.Fatal(err)
+	configs := map[string]core.Config{
+		"exceptions off": {MinCount: 4, Tau: 0.5},
+		"exceptions on":  {MinCount: 4, Epsilon: 0.05, MineExceptions: true},
+		"exceptions+single-stage+tau": {MinCount: 4, Epsilon: 0.05, Tau: 0.5,
+			MineExceptions: true, SingleStageExceptions: true},
 	}
-	want := saveDigest(t, full)
+	for name, cfg := range configs {
+		cfg.Plan, cfg.DeltaLedger, cfg.Workers = ds.DefaultPlan(), true, 2
+		full, err := core.Build(ds.DB, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := saveDigest(t, full)
 
-	const split = 170
-	db := dbWith(ds, split)
-	base, err := core.Build(db, cfg)
-	if err != nil {
-		t.Fatal(err)
+		const split = 170
+		db := dbWith(ds, split)
+		base, err := core.Build(db, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lazy := range []bool{false, true} {
+			db := dbWith(ds, split)
+			loaded := reopen(t, base, lazy)
+			if !loaded.Config.DeltaLedger || loaded.Ledger() == nil {
+				t.Fatalf("%s lazy=%v: loaded cube lost its sub-δ ledger", name, lazy)
+			}
+			if _, err := incr.ApplyDelta(loaded, db, ds.DB.Records[split:]); err != nil {
+				t.Fatal(err)
+			}
+			if got := saveDigest(t, loaded); got != want {
+				t.Errorf("%s lazy=%v: loaded+delta digest %s != full digest %s", name, lazy, got, want)
+			}
+		}
 	}
+}
+
+// reopen saves the cube to a file and opens it again: with core.Load, or
+// with core.LoadCubeLazy when lazy is set.
+func reopen(t testing.TB, cube *core.Cube, lazy bool) *core.Cube {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cube.fcb")
 	var buf bytes.Buffer
-	if err := base.Save(&buf); err != nil {
+	if err := cube.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := core.Load(&buf)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out *core.Cube
+	var err error
+	if lazy {
+		out, err = core.LoadCubeLazy(path, core.LazyOptions{})
+	} else {
+		out, err = core.Load(&buf)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.Config.DeltaLedger || loaded.Ledger() == nil {
-		t.Fatal("loaded cube lost its sub-δ ledger")
-	}
-	if _, err := incr.ApplyDelta(loaded, db, ds.DB.Records[split:]); err != nil {
-		t.Fatal(err)
-	}
-	if got := saveDigest(t, loaded); got != want {
-		t.Errorf("loaded+delta digest %s != full digest %s", got, want)
-	}
+	t.Cleanup(func() { _ = out.Close() })
+	return out
 }
 
 // TestApplyDeltaOnClone exercises the serving path: delta-patch a Fork

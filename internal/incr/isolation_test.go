@@ -1,7 +1,6 @@
 package incr_test
 
 import (
-	"bytes"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -34,6 +33,9 @@ func TestGenerationIsolation(t *testing.T) {
 		// cold condition cache, so the first touch of a cell re-mines it in
 		// full and RebuildTIDs runs on a fork.
 		reload bool
+		// lazy starts the chain from a LoadCubeLazy of the saved build: every
+		// cell a step writes is copied out of the mapping, and no other.
+		lazy bool
 		// abandon folds a different batch into a fork that is then dropped,
 		// before every real step.
 		abandon bool
@@ -45,6 +47,7 @@ func TestGenerationIsolation(t *testing.T) {
 			MineExceptions: true, DeltaLedger: true}},
 		{name: "tau", cfg: core.Config{MinCount: 4, Tau: 0.5, DeltaLedger: true}},
 		{name: "ledgerless", cfg: core.Config{MinCount: 5}},
+		{name: "plain+ledger+lazy", lazy: true, cfg: core.Config{MinCount: 4, DeltaLedger: true}},
 		{name: "abandoned", abandon: true, cfg: core.Config{MinCount: 4, Epsilon: 0.05,
 			MineExceptions: true, DeltaLedger: true}},
 	}
@@ -64,16 +67,8 @@ func TestGenerationIsolation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v.reload {
-				var buf bytes.Buffer
-				if err := gen0.Save(&buf); err != nil {
-					t.Fatal(err)
-				}
-				if gen0, err = core.Load(&buf); err != nil {
-					t.Fatal(err)
-				}
-				// A snapshot does not record that exceptions were mined.
-				gen0.Config.MineExceptions = cfg.MineExceptions
+			if v.reload || v.lazy {
+				gen0 = reopen(t, gen0, v.lazy)
 			}
 
 			// published is what a serving layer's snapshot holder is: the

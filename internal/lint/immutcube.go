@@ -19,8 +19,8 @@ import (
 // swaps it in.
 //
 // The designated files: build.go (Build, populate, exception mining),
-// snapshotv2.go and lazyload.go (the decoders reconstruct a cube;
-// Materialize tags what it decoded), partition.go (FilterCells and
+// snapshotv2.go and lazyload.go (the decoders reconstruct a cube),
+// partition.go (FilterCells and
 // Merge assemble a new generation around shared cells), answer.go (whose
 // reconstructed cells are freshly allocated per query and never part of
 // the shared cube), delta.go (Fork, OwnedCell, AdmitCell and tid recovery —

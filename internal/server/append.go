@@ -249,19 +249,19 @@ type foldResult struct {
 
 // fold applies one concatenated batch to the next generation of cube and
 // returns the unpublished result. Exactness comes from incr.ApplyDelta;
-// O(batch) cost comes from patching a fork — which shares cube's cells and
-// flowgraph nodes and copies the ones the batch writes — plus a
-// copy-on-write reservation in the record store. Only a lazily served cube
-// is decoded in full (Materialize), once: the generation that comes out is
-// eager, and a corrupt section fails the append loudly.
+// O(batch) cost comes from patching a fork — which shares cube's cells,
+// flowgraph nodes and mapped snapshot, and copies the cells the batch
+// writes — plus a copy-on-write reservation in the record store. A lazily
+// served cube stays lazy: the fork decodes only the cells it reads, and a
+// cell that does not decode (it read as absent, so the fold is not exact)
+// fails the append loudly.
 func (s *Server) fold(cube *core.Cube, schema *pathdb.Schema, batch []pathdb.Record) (*foldResult, error) {
-	cube, err := cube.Materialize()
-	if err != nil {
-		return nil, &HTTPError{http.StatusInternalServerError,
-			fmt.Sprintf("materialize serving snapshot for append: %v", err)}
-	}
+	cube = cube.Fork()
 	db := &pathdb.DB{Schema: schema, Records: s.store.Reserve(len(batch))}
 	stats, err := incr.ApplyDelta(cube, db, batch)
+	if err == nil {
+		err = cube.LazyErr()
+	}
 	if err != nil {
 		// The fork and the reservation are abandoned; the cube it was forked
 		// from and the committed store are untouched.

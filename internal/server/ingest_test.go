@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -184,6 +185,93 @@ func TestIngestWALCrashRecovery(t *testing.T) {
 	if got := cubeDigest(t, s2.Snapshot().Cube); got != wantDigest {
 		t.Errorf("second restart digest %s != pre-crash digest %s", got, wantDigest)
 	}
+}
+
+// TestIngestLazyServerMatchesEager appends to a server that serves its
+// snapshot lazily (FileLoader with Lazy, the database from WithDatabase)
+// and to an eager server over the same files, then restarts the lazy one on
+// its WAL: after every step the census and a sample of /v2 bodies must be
+// byte-identical, and the lazy server must still be lazy, having decoded
+// less than its snapshot holds.
+func TestIngestLazyServerMatchesEager(t *testing.T) {
+	ds := ingestDataset(t, 61, 160)
+	const base = 120
+	cube, err := core.Build(copyPrefix(ds, base), core.Config{
+		MinCount: 4, Tau: 0.5, Plan: ds.DefaultPlan(), DeltaLedger: true, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	snapPath, dbPath := filepath.Join(dir, "cube.fcb"), filepath.Join(dir, "paths.fdb")
+	var snap, fdb bytes.Buffer
+	if err := cube.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&datagen.Dataset{Config: ds.Config, DB: copyPrefix(ds, base)}).WriteTo(&fdb); err != nil {
+		t.Fatal(err)
+	}
+	for path, data := range map[string][]byte{snapPath: snap.Bytes(), dbPath: fdb.Bytes()} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serve := func(lazy bool, walPath string) *Server {
+		cfg := quietConfig()
+		cfg.WALPath = walPath
+		return newTestServer2(t, WithDatabase(FileLoader(snapPath, BuildOptions{Lazy: lazy}), dbPath), cfg)
+	}
+	eager, lazy := serve(false, ""), serve(true, filepath.Join(dir, "ingest.wal"))
+	defer eager.Close()
+
+	var urls []string
+	for _, spec := range cube.MaterializedSpecs() {
+		for i, cell := range cube.Cuboid(spec).SortedCells() {
+			if i%8 == 0 {
+				urls = append(urls, fmt.Sprintf("/v2/query?op=cell&pathlevel=%d&cell=%s",
+					spec.PathLevel, core.FormatCell(cube.Schema, cell.Values)))
+			}
+		}
+	}
+	same := func(step string) {
+		t.Helper()
+		fetch := func(s *Server, u string) (int, string) {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, u, nil))
+			return rec.Code, loadedAtRe.ReplaceAllString(rec.Body.String(), "")
+		}
+		for _, u := range append([]string{"/v1/cuboids"}, urls...) {
+			ec, eb := fetch(eager, u)
+			lc, lb := fetch(lazy, u)
+			if ec != lc || eb != lb {
+				t.Fatalf("%s: GET %s diverged\neager %d: %s\nlazy %d: %s", step, u, ec, eb, lc, lb)
+			}
+		}
+		_, m := get(t, lazy.Handler(), "/metrics")
+		lz, _ := m["snapshot"].(map[string]any)["lazy"].(map[string]any)
+		if lz == nil {
+			t.Fatalf("%s: /metrics reports no snapshot.lazy", step)
+		}
+		if decoded := lz["decoded_bytes"].(float64); decoded >= float64(snap.Len()) {
+			t.Errorf("%s: decoded %v bytes of a %d-byte snapshot", step, decoded, snap.Len())
+		}
+	}
+
+	same("open")
+	for _, split := range [][2]int{{base, 130}, {130, 145}, {145, 160}} {
+		body := recordsBody(t, ds.DB.Schema, ds.DB.Records[split[0]:split[1]])
+		for _, s := range []*Server{eager, lazy} {
+			if rec, _ := postBody(t, s.Handler(), "/admin/append", body); rec.Code != http.StatusOK {
+				t.Fatalf("append %v: status %d: %s", split, rec.Code, rec.Body.String())
+			}
+		}
+		same(fmt.Sprintf("after append %v", split))
+	}
+	if err := lazy.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lazy = serve(true, filepath.Join(dir, "ingest.wal"))
+	defer lazy.Close()
+	same("after restart on the WAL")
 }
 
 // TestIngestReloadResetsWAL: reload rebuilds from the loader's source of

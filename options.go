@@ -53,9 +53,11 @@ type LazyStats = core.LazyStats
 // open validates framing and checksums but materializes nothing, so it
 // completes in milliseconds with resident memory bounded by the cache
 // budget rather than the cube size. The returned cube answers the full
-// query surface identically to LoadCube; FilterCells and Merge materialize
-// transparently, and ApplyDelta runs on (*Cube).Materialize's result. Close the
-// cube with (*Cube).Close when done — or let the finalizer unmap it.
+// query surface identically to LoadCube, and every mutator — ApplyDelta,
+// MarkRedundancy, Compress, FilterCells, Merge — and Fork work on it,
+// decoding only the cells they reach. Close the cube with (*Cube).Close when
+// done — it releases the mapping its forks share — or let the finalizer
+// unmap it.
 func LoadCubeLazy(path string, opts LazyOptions) (*Cube, error) {
 	return core.LoadCubeLazy(path, opts)
 }

@@ -48,7 +48,9 @@ go test -race ./...
 echo "== generation isolation, lazy first touch (-race -count=10) =="
 # Cube generations share cells and flowgraph nodes; a write that reaches a
 # shared one is a rare interleaving with a reader, not a deterministic
-# failure, so the isolation test runs ten times on top of the pass above.
+# failure, so the isolation test runs ten times on top of the pass above —
+# every variant, the lazy lineage's (plain+ledger+lazy: forks over one mapped
+# snapshot, readers decoding through the shared cache) included.
 go test -race -count=10 ./internal/incr -run TestGenerationIsolation
 # Same reasoning for a lazy cube's first touches: readers racing for one cold
 # cell share a single decode through the cache's single-flight.
@@ -67,9 +69,11 @@ go test ./internal/stats ./internal/flowgraph ./internal/core ./internal/itemset
 
 echo "== nommap fallback (lazy serving without mmap) =="
 # The pread fallback behind the nommap build tag is what non-linux builds
-# get; the lazy parity suite must hold there too.
+# get; the lazy parity suite must hold there too, and so must appends over a
+# lazily opened snapshot, whose base cells are copied out of fresh preads.
 go build -tags nommap ./...
 go test -tags nommap ./internal/core -run Lazy
+go test -tags nommap ./internal/incr -run 'TestGenerationIsolation/lazy|TestApplyDeltaOnLoadedCube'
 
 echo "== fuzz (10s per target) =="
 go test ./internal/core -run '^$' -fuzz FuzzParseCellSpec -fuzztime 10s
