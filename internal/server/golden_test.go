@@ -9,21 +9,27 @@ import (
 	"path/filepath"
 	"regexp"
 	"testing"
+
+	"flowcube/internal/core"
+	"flowcube/internal/paperex"
+	"flowcube/internal/pathdb"
+	"flowcube/internal/transact"
 )
 
-// The golden-response suite pins the /v1 read API byte-for-byte: the v2
-// query surface (Answer, /v2/query) must not perturb a single byte of the
-// responses existing clients parse, and the cluster router's parity
-// contract is stated against these same bodies. Regenerate deliberately
-// with:
+// The golden-response suites pin the read API byte-for-byte: /v1 in
+// golden_v1.json — the v2 query surface must not perturb a single byte of
+// the responses existing clients parse, and the cluster router's parity
+// contract is stated against these same bodies — and /v2/query in
+// golden_v2.json, over a pruned cube so every field of a cell answer shows
+// up. Regenerate deliberately with:
 //
 //	go test ./internal/server -run Golden -update-golden
 //
 // and review the diff like any other API change.
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_v1.json from live responses")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_v*.json from live responses")
 
-// goldenURLs is the pinned request set: exact hits, roll-up inference,
+// goldenURLs is the pinned /v1 request set: exact hits, roll-up inference,
 // dot rendering, census endpoints, and the documented error shapes.
 var goldenURLs = []string{
 	"/v1/cell?cell=product=shoes,brand=nike&pathlevel=0",
@@ -40,6 +46,25 @@ var goldenURLs = []string{
 	"/v1/cuboids",
 }
 
+// goldenV2URLs is the pinned /v2/query request set over goldenV2Cube: a
+// materialized and a computed cell (with its folded list), the same cell
+// with reconstruction off (no ancestor left: 404), a roll-up, an ancestor
+// fallback from a redundant cell, a truncated drill-down, a slice that
+// skips its only cell, a multi-cell slice, and /v1/cell over a computed and
+// a redundant cell.
+var goldenV2URLs = []string{
+	"/v2/query?op=cell&cell=product=tennis,brand=nike&pathlevel=0",
+	"/v2/query?op=cell&cell=product=shoes,brand=nike&pathlevel=0",
+	"/v2/query?op=cell&cell=product=shoes,brand=nike&pathlevel=0&nocompute=1",
+	"/v2/query?op=rollup&cell=product=tennis,brand=nike&dim=product&pathlevel=1",
+	"/v2/query?op=cell&cell=product=clothing,brand=sports&pathlevel=1",
+	"/v2/query?op=drilldown&cell=product=clothing&dim=product&pathlevel=1&max=1",
+	"/v2/query?op=slice&select=brand=nike&pathlevel=0&nocompute=1",
+	"/v2/query?op=slice&cell=product=shoes&select=brand=nike&pathlevel=1",
+	"/v1/cell?cell=product=shoes,brand=nike&pathlevel=0",
+	"/v1/cell?cell=brand=sports&pathlevel=1",
+}
+
 // goldenEntry is one recorded response.
 type goldenEntry struct {
 	URL         string `json:"url"`
@@ -52,10 +77,10 @@ type goldenEntry struct {
 // everything else must match exactly.
 var loadedAtRe = regexp.MustCompile(`"loaded_at": "[^"]*"`)
 
-func recordGolden(t *testing.T, h http.Handler) []goldenEntry {
+func recordGolden(t *testing.T, h http.Handler, urls []string) []goldenEntry {
 	t.Helper()
-	out := make([]goldenEntry, 0, len(goldenURLs))
-	for _, u := range goldenURLs {
+	out := make([]goldenEntry, 0, len(urls))
+	for _, u := range urls {
 		req := httptest.NewRequest(http.MethodGet, u, nil)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
@@ -70,12 +95,11 @@ func recordGolden(t *testing.T, h http.Handler) []goldenEntry {
 	return out
 }
 
-func TestGoldenV1Responses(t *testing.T) {
-	_, cube := buildExampleCube(t)
-	s := newTestServer(t, cube, quietConfig())
-	got := recordGolden(t, s.Handler())
-
-	path := filepath.Join("testdata", "golden_v1.json")
+// checkGolden compares live responses with testdata/<name>, or rewrites it
+// under -update-golden.
+func checkGolden(t *testing.T, name string, got []goldenEntry) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		blob, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -118,4 +142,41 @@ func TestGoldenV1Responses(t *testing.T) {
 			t.Errorf("GET %s: body diverged from golden fixture\ngot:\n%s\nwant:\n%s", w.URL, g.Body, w.Body)
 		}
 	}
+}
+
+func TestGoldenV1Responses(t *testing.T) {
+	_, cube := buildExampleCube(t)
+	s := newTestServer(t, cube, quietConfig())
+	checkGolden(t, "golden_v1.json", recordGolden(t, s.Handler(), goldenURLs))
+}
+
+// goldenV2Cube is the running example at δ = 1 with redundancy marked at
+// τ = 0.99 — only cells whose flowgraph equals a parent's, such as
+// brand=sports (every brand is a sports brand), are redundant — and every
+// path-level-0 cuboid but the finest dropped, so cells of that path level
+// are computed or skipped.
+func goldenV2Cube(t *testing.T) *core.Cube {
+	t.Helper()
+	ex := paperex.New()
+	plan := transact.Plan{PathLevels: []pathdb.PathLevel{ex.BasePathLevel(), ex.TransportPathLevel()}}
+	cube, err := core.Build(ex.DB, core.Config{MinCount: 1, Tau: 0.99, Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := cube.MaterializedSpecs()
+	for _, s := range specs {
+		finest := true
+		for _, o := range specs {
+			finest = finest && o.Item.Dominates(s.Item)
+		}
+		if s.PathLevel == 0 && !finest {
+			cube.DropCuboid(s)
+		}
+	}
+	return cube
+}
+
+func TestGoldenV2Responses(t *testing.T) {
+	s := newTestServer(t, goldenV2Cube(t), quietConfig())
+	checkGolden(t, "golden_v2.json", recordGolden(t, s.Handler(), goldenV2URLs))
 }
