@@ -354,6 +354,9 @@ func (g *Graph) String() string {
 	return b.String()
 }
 
+// dotLabelEscaper escapes a location name for a double-quoted DOT label.
+var dotLabelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+
 // DOT renders the graph in Graphviz dot syntax, one node per prefix, edges
 // labelled with transition probabilities.
 func (g *Graph) DOT(name string) string {
@@ -363,7 +366,7 @@ func (g *Graph) DOT(name string) string {
 	rec = func(n *Node, id string) {
 		label := "start"
 		if n.Depth > 0 {
-			label = fmt.Sprintf("%s\\ndur %s", g.loc.Name(n.Location), n.Durations)
+			label = fmt.Sprintf("%s\\ndur %s", dotLabelEscaper.Replace(g.loc.Name(n.Location)), n.Durations)
 			if t := n.TerminationProb(); t > 0 {
 				label += fmt.Sprintf("\\nterm %.2f", t)
 			}

@@ -288,6 +288,40 @@ func TestRenderings(t *testing.T) {
 	}
 }
 
+// TestDOTEscapesLocationNames: a location name holding a quote or a
+// backslash stays inside its label.
+func TestDOTEscapesLocationNames(t *testing.T) {
+	loc := hierarchy.New("location")
+	quote := loc.MustAdd(hierarchy.RootName, `a"b`)
+	slash := loc.MustAdd(hierarchy.RootName, `a\b`)
+	g := flowgraph.New(loc, pathdb.PathLevel{}, nil)
+	g.AddAggregated(pathdb.Path{{Location: quote, Duration: 1}, {Location: slash, Duration: 2}})
+	dot := g.DOT("hostile")
+	for _, line := range strings.Split(dot, "\n") {
+		_, label, ok := strings.Cut(line, `[label="`)
+		if !ok {
+			continue
+		}
+		end := -1
+		for i := 0; i < len(label) && end < 0; i++ {
+			switch label[i] {
+			case '\\':
+				i++
+			case '"':
+				end = i
+			}
+		}
+		if end < 0 || label[end:] != `"];` {
+			t.Errorf("label does not close where its line does: %s", line)
+		}
+	}
+	for _, want := range []string{`a\"b\ndur`, `a\\b\ndur`} {
+		if !strings.Contains(dot, want) {
+			t.Errorf("DOT lacks the escaped label %s:\n%s", want, dot)
+		}
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	ex, g := buildExample(t)
 	g.MineExceptions(basePaths(ex), 0.1, 2)

@@ -36,7 +36,7 @@ import (
 // file really came from the accessor — is out of static reach; the
 // generation-isolation test (internal/incr) covers that at run time.
 //
-// Kept by the ledger (DESIGN.md §5): rows IC1, IC3, IC4 — nothing else caught them.
+// Kept by the ledger (DESIGN.md §5): rows IC1, IC4 — nothing else caught them.
 
 // immutAllowedFiles maps package name → the files within it that may write
 // cube state.

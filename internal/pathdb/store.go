@@ -7,11 +7,12 @@ package pathdb
 // O(cube) full-slice copy the serving layer used to pay per batch.
 //
 // Concurrency contract: exactly one goroutine (the commit loop) may call
-// Reserve and Commit. Committed may be called from anywhere; the views it
-// returns are safe for concurrent readers even while the writer fills the
-// reserved tail, because readers and writer touch disjoint index ranges of
-// the backing array and the views are capacity-clamped (a reader appending
-// to its view reallocates instead of clobbering the tail).
+// Reserve, Commit and Committed. The views Committed returns, once
+// published to readers (the server's atomic snapshot pointer), are safe for
+// concurrent readers even while the writer fills the reserved tail, because
+// readers and writer touch disjoint index ranges of the backing array and
+// the views are capacity-clamped (a reader appending to its view
+// reallocates instead of clobbering the tail).
 type Store struct {
 	buf []Record
 	n   int // committed length; buf[:n] is immutable

@@ -2,6 +2,7 @@ package pathdb_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"flowcube/internal/paperex"
@@ -110,10 +111,18 @@ func TestStoreInPlaceCommitKeepsCapacity(t *testing.T) {
 
 // TestStoreConcurrentReaders hammers Committed views from readers while the
 // single writer reserves, fills and commits — the exact access pattern the
-// serving layer's MVCC snapshots rely on. Run under -race.
+// serving layer's MVCC snapshots rely on: the writer takes each view and
+// publishes it through an atomic pointer, as the server's snapshot holder
+// does. Run under -race.
 func TestStoreConcurrentReaders(t *testing.T) {
 	recs := storeRecords(t, 512)
 	s := pathdb.NewStore(append([]pathdb.Record(nil), recs[:8]...))
+	var published atomic.Pointer[[]pathdb.Record]
+	publish := func() {
+		view := s.Committed()
+		published.Store(&view)
+	}
+	publish()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -127,7 +136,7 @@ func TestStoreConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				view := s.Committed()
+				view := *published.Load()
 				for i := range view {
 					if len(view[i].Dims) == 0 {
 						t.Error("reader observed a partially written record")
@@ -145,6 +154,7 @@ func TestStoreConcurrentReaders(t *testing.T) {
 		view := s.Reserve(hi - i)
 		view = append(view, recs[i:hi]...)
 		s.Commit(view)
+		publish()
 	}
 	close(stop)
 	wg.Wait()

@@ -1,13 +1,19 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"flowcube/internal/core"
+	"flowcube/internal/datagen"
+	"flowcube/internal/hierarchy"
 )
 
 // Serving microbenchmarks: the same /v1/cell query answered from the LRU
-// cache versus recomputed every time (cache capacity < 0 disables storage).
+// cache versus recomputed every time (cache capacity < 0 disables storage),
+// and the render step alone.
 //
 //	go test ./internal/server -bench BenchmarkCell -run '^$'
 
@@ -58,4 +64,57 @@ func BenchmarkCellCachedParallel(b *testing.B) {
 			serveOnce(b, h, benchQuery)
 		}
 	})
+}
+
+// respondSink keeps BenchmarkRespond's bodies live.
+var respondSink []byte
+
+// BenchmarkRespond times Request.Respond alone — rendering an answer the
+// planner already produced into the /v2/query body — over a generated cube
+// whose bodies are tens of KB: a materialized cell, a cell of a dropped
+// cuboid computed from its descendants, and a slice capped at three cells.
+//
+//	go test ./internal/server -run '^$' -bench Respond -benchmem
+func BenchmarkRespond(b *testing.B) {
+	cfg := datagen.Default()
+	cfg.NumPaths, cfg.NumDims = 2000, 2
+	ds := datagen.MustGenerate(cfg)
+	cube, err := core.Build(ds.DB, core.Config{MinCount: 20, Plan: ds.DefaultPlan()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	first := func(spec core.CuboidSpec) []hierarchy.NodeID { return cube.Cuboid(spec).SortedCells()[0].Values }
+	fine := core.CuboidSpec{Item: core.ItemLevel{2, 1}, PathLevel: 0}
+	dropped := core.CuboidSpec{Item: core.ItemLevel{1, 0}, PathLevel: 3}
+	cube.DropCuboid(dropped)
+	for _, bc := range []struct {
+		name string
+		q    core.Query
+	}{
+		{"materialized", core.Query{Spec: fine, Values: first(fine)}},
+		{"computed", core.Query{Spec: dropped, Values: first(core.CuboidSpec{Item: dropped.Item})}},
+		{"multi", core.Query{Op: core.OpSlice, Spec: core.CuboidSpec{Item: fine.Item, PathLevel: 3},
+			Select: []core.Selector{{Dim: 1, Value: first(fine)[1]}}, MaxCells: 3}},
+	} {
+		a, err := cube.Answer(context.Background(), bc.q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rq := Request{Query: bc.q}
+		b.Run(bc.name, func(b *testing.B) {
+			body, _, err := rq.Respond(cube, a, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if respondSink, _, err = rq.Respond(cube, a, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(body)), "body_B")
+			b.ReportMetric(float64(len(a.Cells)), "cells")
+		})
+	}
 }

@@ -25,70 +25,14 @@ import (
 	"flowcube/internal/olap"
 )
 
-// CellAnswerJSON is one answered cell of a /v2/query response.
-type CellAnswerJSON struct {
-	// Cell and PathLevel identify the requested (or enumerated) cell.
-	Cell      string `json:"cell"`
-	PathLevel int    `json:"path_level"`
-	// Provenance is how the cell was answered: "materialized", "computed"
-	// (reconstructed exactly from materialized descendants), or "ancestor"
-	// (roll-up inference; not exact).
-	Provenance string `json:"provenance"`
-	Exact      bool   `json:"exact"`
-	// SourceCuboid and Source are the cell that answered.
-	SourceCuboid string      `json:"source_cuboid"`
-	Source       CellRefJSON `json:"source"`
-	// Folded lists the descendant cells folded into a computed answer.
-	Folded []FoldedRefJSON `json:"folded,omitempty"`
-	Graph  GraphJSON       `json:"graph"`
-}
-
-// FoldedRefJSON names one descendant cell folded into a computed answer.
-type FoldedRefJSON struct {
-	Cuboid string `json:"cuboid"`
-	Cell   string `json:"cell"`
-}
-
-// QueryResponse is the GET /v2/query JSON body.
-type QueryResponse struct {
-	Op        string           `json:"op"`
-	Cells     []CellAnswerJSON `json:"cells"`
-	Truncated bool             `json:"truncated,omitempty"`
-	Skipped   int              `json:"skipped,omitempty"`
-}
-
-// RenderCellAnswer projects one core.CellAnswer to JSON.
-func RenderCellAnswer(cube *core.Cube, ca core.CellAnswer) CellAnswerJSON {
-	out := CellAnswerJSON{
-		Cell:         core.FormatCell(cube.Schema, ca.Values),
-		PathLevel:    ca.Spec.PathLevel,
-		Provenance:   ca.Provenance.String(),
-		Exact:        ca.Exact,
-		SourceCuboid: ca.SourceSpec.Key(),
-		Source:       renderCellRef(cube, ca.Source),
-		Graph:        renderGraph(cube.Schema.Location, ca.Graph),
-	}
-	for _, f := range ca.Folded {
-		out.Folded = append(out.Folded, FoldedRefJSON{
-			Cuboid: f.Spec.Key(),
-			Cell:   core.FormatCell(cube.Schema, f.Values),
-		})
-	}
-	return out
-}
-
-// RenderQueryResponse projects a core.Answer to the /v2/query JSON body.
-func RenderQueryResponse(cube *core.Cube, a *core.Answer) QueryResponse {
-	resp := QueryResponse{
-		Op:        a.Query.Op.String(),
-		Cells:     make([]CellAnswerJSON, 0, len(a.Cells)),
-		Truncated: a.Truncated,
-		Skipped:   a.Skipped,
-	}
-	for _, ca := range a.Cells {
-		resp.Cells = append(resp.Cells, RenderCellAnswer(cube, ca))
-	}
-	return resp
+// RenderQueryResponse returns the /v2/query body for a as a
+// json.RawMessage: indenting it again with encoding/json (two spaces, no
+// prefix) reproduces the bytes Respond serves. A body that failed to
+// render lacks the non-finite number's value, so marshalling it fails as
+// well.
+func RenderQueryResponse(cube *core.Cube, a *core.Answer) json.RawMessage {
+	body, _ := renderAnswer(cube, a, false)
+	return body
 }
 
 // Request is one parsed /v1/cell or /v2/query request: the query to answer,
@@ -167,27 +111,14 @@ func (rq Request) Respond(cube *core.Cube, a *core.Answer, err error) ([]byte, s
 	default:
 		return nil, "", &HTTPError{http.StatusBadRequest, err.Error()}
 	}
-	var resp any
-	switch rq.format {
-	case "":
-		resp = RenderQueryResponse(cube, a)
-	case "dot":
+	if rq.format == "dot" {
 		name := rq.cell
 		if name == "" {
 			name = "apex"
 		}
 		return []byte(a.Cells[0].Graph.DOT(name)), "text/vnd.graphviz; charset=utf-8", nil
-	default:
-		ca := a.Cells[0]
-		resp = CellResponse{
-			Cell:      core.FormatCell(cube.Schema, ca.Values),
-			PathLevel: ca.Spec.PathLevel,
-			Exact:     ca.Exact,
-			Source:    renderCellRef(cube, ca.Source),
-			Graph:     renderGraph(cube.Schema.Location, ca.Graph),
-		}
 	}
-	body, err := json.MarshalIndent(resp, "", "  ")
+	body, err := renderAnswer(cube, a, rq.format == "json")
 	return body, "application/json", err
 }
 

@@ -1,56 +1,364 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"flowcube/internal/core"
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
+	"flowcube/internal/stats"
 )
 
-// JSON projections of the serving read model. These mirror what the
-// flowquery CLI prints, but structured: flowgraphs keep their prefix-tree
-// shape, distributions become {outcome: probability} maps, and every
+// The cell-query bodies — GET /v1/cell and GET /v2/query — are written
+// straight into a byte buffer, byte for byte what encoding/json prints for
+// the value they describe with a two-space indent and no prefix: keys in
+// the order below, a key marked ? absent when its value is zero (omitempty),
+// numbers as encoding/json formats them, strings HTML-escaped, and a
+// non-finite float failing as Marshal fails. One walk of each flowgraph, no
+// reflection, no intermediate tree, no second indentation pass.
+//
+//	/v2/query  {op, cells: [answer...], truncated?, skipped?}
+//	answer     {cell, path_level, provenance, exact, source_cuboid, source,
+//	            folded?: [{cuboid, cell}...], graph}
+//	/v1/cell   {cell, path_level, exact, source, graph}
+//	source     {cell, values: [name...], count, redundant?}
+//	graph      {paths, roots: [node...] | null}
+//	node       {location, count, prob, termination_prob?, mean_duration,
+//	            durations?: {duration: prob, ...}, children?: [node...]}
+//
+// Flowgraphs keep their prefix-tree shape, distributions become
+// {outcome: probability} objects with keys in string order, and every
 // hierarchy node is rendered by name so responses are self-describing.
 
-// NodeJSON is one flowgraph node: a unique path prefix, annotated with the
-// transition probability from its parent, its duration distribution, and
-// its termination probability.
-type NodeJSON struct {
-	Location        string             `json:"location"`
-	Count           int64              `json:"count"`
-	Prob            float64            `json:"prob"`
-	TerminationProb float64            `json:"termination_prob,omitempty"`
-	MeanDuration    float64            `json:"mean_duration"`
-	Durations       map[string]float64 `json:"durations,omitempty"`
-	Children        []NodeJSON         `json:"children,omitempty"`
+// answerWriter appends one indented JSON document. The indented layout
+// depends only on the nesting depth and on whether the enclosing object or
+// array is still empty, so that is all the writer tracks.
+type answerWriter struct {
+	b     []byte
+	depth int
+	empty bool
+	err   error
+	// Per-node scratch for the duration object: the distribution's
+	// outcomes and counts, their decimal keys (key i is
+	// keys[keyEnd[i-1]:keyEnd[i]]), and the keys' string order.
+	outcomes, counts []int64
+	keys             []byte
+	keyEnd, order    []int
 }
 
-// GraphJSON is a whole flowgraph measure.
-type GraphJSON struct {
-	Paths int64      `json:"paths"`
-	Roots []NodeJSON `json:"roots"`
+// maxPooledBody caps the scratch buffer a writer keeps between bodies: a
+// wide multi-cell answer renders into a fresh buffer instead of pinning
+// megabytes in the pool.
+const maxPooledBody = 1 << 20
+
+var answerWriters = sync.Pool{New: func() any { return new(answerWriter) }}
+
+// renderAnswer returns a's body: the /v2/query document, or with v1 the
+// /v1/cell document of its one cell. The writer renders into pooled
+// scratch and the body is an exact-size copy, since the response cache
+// keeps it.
+func renderAnswer(cube *core.Cube, a *core.Answer, v1 bool) ([]byte, error) {
+	w := answerWriters.Get().(*answerWriter)
+	if v1 {
+		w.cellV1(cube, &a.Cells[0])
+	} else {
+		w.query(cube, a)
+	}
+	body, err := append(make([]byte, 0, len(w.b)), w.b...), w.err
+	if cap(w.b) <= maxPooledBody {
+		w.b, w.err = w.b[:0], nil
+		answerWriters.Put(w)
+	}
+	return body, err
 }
 
-// CellRefJSON identifies a materialized cell.
-type CellRefJSON struct {
-	Cell      string   `json:"cell"`
-	Values    []string `json:"values"`
-	Count     int64    `json:"count"`
-	Redundant bool     `json:"redundant,omitempty"`
+// spaces is indentation appended a slice at a time.
+const spaces = "                                                                "
+
+func (w *answerWriter) newline() {
+	w.b = append(w.b, '\n')
+	for n := 2 * w.depth; n > 0; n -= len(spaces) {
+		w.b = append(w.b, spaces[:min(n, len(spaces))]...)
+	}
 }
 
-// CellResponse is the GET /v1/cell JSON body.
-type CellResponse struct {
-	Cell      string `json:"cell"`
-	PathLevel int    `json:"path_level"`
-	// Exact reports whether the requested cell itself answered; false means
-	// the graph was inferred from the nearest materialized ancestor
-	// (roll-up inference over the non-redundant cube).
-	Exact  bool        `json:"exact"`
-	Source CellRefJSON `json:"source"`
-	Graph  GraphJSON   `json:"graph"`
+// open starts an object ('{') or array ('[') as the current value.
+func (w *answerWriter) open(c byte) {
+	w.b = append(w.b, c)
+	w.depth++
+	w.empty = true
+}
+
+// close ends the innermost object or array; an empty one stays "{}"/"[]".
+func (w *answerWriter) close(c byte) {
+	w.depth--
+	if !w.empty {
+		w.newline()
+	}
+	w.b = append(w.b, c)
+	w.empty = false
+}
+
+// elem starts the next element of the innermost array.
+func (w *answerWriter) elem() {
+	if !w.empty {
+		w.b = append(w.b, ',')
+	}
+	w.empty = false
+	w.newline()
+}
+
+// key starts the next member of the innermost object; k needs no escaping.
+func (w *answerWriter) key(k string) {
+	w.elem()
+	w.b = append(w.b, '"')
+	w.b = append(w.b, k...)
+	w.b = append(w.b, '"', ':', ' ')
+}
+
+func (w *answerWriter) str(s string) { w.b = appendJSONString(w.b, s) }
+
+func (w *answerWriter) int(n int64) { w.b = strconv.AppendInt(w.b, n, 10) }
+
+func (w *answerWriter) bool(v bool) { w.b = strconv.AppendBool(w.b, v) }
+
+func (w *answerWriter) float(f float64) {
+	var err error
+	if w.b, err = appendJSONFloat(w.b, f); err != nil && w.err == nil {
+		w.err = err
+	}
+}
+
+// appendJSONString appends s quoted as encoding/json quotes it, HTML-safe:
+// printable ASCII other than `"`, `\`, `<`, `>` and `&` is copied as is,
+// and a string holding any other byte is left to json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONFloat appends f as encoding/json formats a float64: the
+// shortest decimal that round-trips, in exponent form below 1e-6 and from
+// 1e21 up with a two-digit negative exponent trimmed to one ("e-9").
+// NaN and ±Inf append nothing and fail with the *json.UnsupportedValueError
+// message Marshal reports.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
+}
+
+// query writes the /v2/query document.
+func (w *answerWriter) query(cube *core.Cube, a *core.Answer) {
+	w.open('{')
+	w.key("op")
+	w.str(a.Query.Op.String())
+	w.key("cells")
+	w.open('[')
+	for i := range a.Cells {
+		w.elem()
+		w.answer(cube, &a.Cells[i])
+	}
+	w.close(']')
+	if a.Truncated {
+		w.key("truncated")
+		w.bool(true)
+	}
+	if a.Skipped != 0 {
+		w.key("skipped")
+		w.int(int64(a.Skipped))
+	}
+	w.close('}')
+}
+
+// answer writes one answered cell of a /v2/query document.
+func (w *answerWriter) answer(cube *core.Cube, ca *core.CellAnswer) {
+	w.open('{')
+	w.key("cell")
+	w.str(core.FormatCell(cube.Schema, ca.Values))
+	w.key("path_level")
+	w.int(int64(ca.Spec.PathLevel))
+	w.key("provenance")
+	w.str(ca.Provenance.String())
+	w.key("exact")
+	w.bool(ca.Exact)
+	w.key("source_cuboid")
+	w.str(ca.SourceSpec.Key())
+	w.key("source")
+	w.source(cube, ca.Source)
+	if len(ca.Folded) > 0 {
+		w.key("folded")
+		w.open('[')
+		for _, f := range ca.Folded {
+			w.elem()
+			w.open('{')
+			w.key("cuboid")
+			w.str(f.Spec.Key())
+			w.key("cell")
+			w.str(core.FormatCell(cube.Schema, f.Values))
+			w.close('}')
+		}
+		w.close(']')
+	}
+	w.key("graph")
+	w.graph(cube.Schema.Location, ca.Graph)
+	w.close('}')
+}
+
+// cellV1 writes the /v1/cell document.
+func (w *answerWriter) cellV1(cube *core.Cube, ca *core.CellAnswer) {
+	w.open('{')
+	w.key("cell")
+	w.str(core.FormatCell(cube.Schema, ca.Values))
+	w.key("path_level")
+	w.int(int64(ca.Spec.PathLevel))
+	// exact is false when the graph was inferred from the nearest
+	// materialized ancestor (roll-up inference over the non-redundant cube).
+	w.key("exact")
+	w.bool(ca.Exact)
+	w.key("source")
+	w.source(cube, ca.Source)
+	w.key("graph")
+	w.graph(cube.Schema.Location, ca.Graph)
+	w.close('}')
+}
+
+// source writes the cell that answered.
+func (w *answerWriter) source(cube *core.Cube, cell *core.Cell) {
+	w.open('{')
+	w.key("cell")
+	w.str(core.FormatCell(cube.Schema, cell.Values))
+	w.key("values")
+	if len(cell.Values) == 0 {
+		w.b = append(w.b, "null"...)
+	} else {
+		w.open('[')
+		for d, v := range cell.Values {
+			w.elem()
+			w.str(cube.Schema.Dims[d].Name(v))
+		}
+		w.close(']')
+	}
+	w.key("count")
+	w.int(cell.Count)
+	if cell.Redundant {
+		w.key("redundant")
+		w.bool(true)
+	}
+	w.close('}')
+}
+
+// graph writes a whole flowgraph measure.
+func (w *answerWriter) graph(loc *hierarchy.Hierarchy, g *flowgraph.Graph) {
+	w.open('{')
+	w.key("paths")
+	w.int(g.Paths())
+	w.key("roots")
+	if roots := g.Root().Children(); len(roots) == 0 {
+		w.b = append(w.b, "null"...)
+	} else {
+		w.open('[')
+		for _, c := range roots {
+			w.elem()
+			w.node(loc, g.Root(), c)
+		}
+		w.close(']')
+	}
+	w.close('}')
+}
+
+// node writes one flowgraph node — a unique path prefix, with the
+// transition probability from its parent, its termination probability,
+// and its duration distribution — and, recursively, its children.
+func (w *answerWriter) node(loc *hierarchy.Hierarchy, parent, n *flowgraph.Node) {
+	w.open('{')
+	w.key("location")
+	w.str(loc.Name(n.Location))
+	w.key("count")
+	w.int(n.Count)
+	w.key("prob")
+	w.float(parent.Transitions.Prob(int64(n.Location)))
+	if p := n.TerminationProb(); p != 0 {
+		w.key("termination_prob")
+		w.float(p)
+	}
+	w.key("mean_duration")
+	w.float(n.Durations.Mean())
+	w.durations(n.Durations)
+	if children := n.Children(); len(children) > 0 {
+		w.key("children")
+		w.open('[')
+		for _, c := range children {
+			w.elem()
+			w.node(loc, n, c)
+		}
+		w.close(']')
+	}
+	w.close('}')
+}
+
+// durations writes a non-empty duration distribution as an object from
+// the decimal duration to its probability, keys in string order ("10"
+// before "2") as encoding/json sorts map keys.
+func (w *answerWriter) durations(m *stats.Multinomial) {
+	w.outcomes, w.counts = m.AppendSorted(w.outcomes[:0], w.counts[:0])
+	if len(w.outcomes) == 0 {
+		return
+	}
+	w.keys, w.keyEnd, w.order = w.keys[:0], w.keyEnd[:0], w.order[:0]
+	for i, v := range w.outcomes {
+		w.keys = strconv.AppendInt(w.keys, v, 10)
+		w.keyEnd = append(w.keyEnd, len(w.keys))
+		w.order = append(w.order, i)
+	}
+	slices.SortFunc(w.order, func(i, j int) int { return bytes.Compare(w.durationKey(i), w.durationKey(j)) })
+	total := m.Total()
+	w.key("durations")
+	w.open('{')
+	for _, i := range w.order {
+		w.elem()
+		w.b = append(w.b, '"')
+		w.b = append(w.b, w.durationKey(i)...)
+		w.b = append(w.b, '"', ':', ' ')
+		p := 0.0
+		if total != 0 {
+			p = float64(w.counts[i]) / float64(total)
+		}
+		w.float(p)
+	}
+	w.close('}')
+}
+
+// durationKey is the decimal form of outcome i of the current distribution.
+func (w *answerWriter) durationKey(i int) []byte {
+	lo := 0
+	if i > 0 {
+		lo = w.keyEnd[i-1]
+	}
+	return w.keys[lo:w.keyEnd[i]]
 }
 
 // ExceptionJSON is one ranked exception.
@@ -92,52 +400,6 @@ type SummaryResponse struct {
 	Cuboids    int          `json:"cuboids"`
 	Cells      int          `json:"cells"`
 	Largest    []CuboidJSON `json:"largest"`
-}
-
-func renderDist(m interface {
-	Outcomes() []int64
-	Prob(int64) float64
-}) map[string]float64 {
-	out := make(map[string]float64)
-	for _, v := range m.Outcomes() {
-		out[strconv.FormatInt(v, 10)] = m.Prob(v)
-	}
-	return out
-}
-
-func renderNode(loc *hierarchy.Hierarchy, parent, n *flowgraph.Node) NodeJSON {
-	nj := NodeJSON{
-		Location:        loc.Name(n.Location),
-		Count:           n.Count,
-		Prob:            parent.Transitions.Prob(int64(n.Location)),
-		TerminationProb: n.TerminationProb(),
-		MeanDuration:    n.Durations.Mean(),
-		Durations:       renderDist(n.Durations),
-	}
-	for _, c := range n.Children() {
-		nj.Children = append(nj.Children, renderNode(loc, n, c))
-	}
-	return nj
-}
-
-func renderGraph(loc *hierarchy.Hierarchy, g *flowgraph.Graph) GraphJSON {
-	gj := GraphJSON{Paths: g.Paths()}
-	for _, c := range g.Root().Children() {
-		gj.Roots = append(gj.Roots, renderNode(loc, g.Root(), c))
-	}
-	return gj
-}
-
-func renderCellRef(cube *core.Cube, cell *core.Cell) CellRefJSON {
-	ref := CellRefJSON{
-		Cell:      core.FormatCell(cube.Schema, cell.Values),
-		Count:     cell.Count,
-		Redundant: cell.Redundant,
-	}
-	for d, v := range cell.Values {
-		ref.Values = append(ref.Values, cube.Schema.Dims[d].Name(v))
-	}
-	return ref
 }
 
 func renderExceptions(cube *core.Cube, k int) []ExceptionJSON {

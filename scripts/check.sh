@@ -12,7 +12,7 @@
 # (goroutine leaks, context plumbing, locks held across interprocedurally
 # blocking calls). What vet (copylocks) or the byte-exact tests already catch
 # has no analyzer. The short fuzz pass keeps the text parsers panic-free on
-# garbage.
+# garbage and the cell-answer writer byte-equal to encoding/json.
 # The race run also carries the delta-equivalence property tests
 # (internal/incr: ApplyDelta + Save must be byte-identical to a full
 # rebuild over the union database at random split points, and the warm
@@ -64,8 +64,9 @@ echo "== micro-benchmarks (one iteration each) =="
 # BenchmarkMine (internal/mining) for the flat mining kernel — the one
 # level-wise loop Build, Cubing and ingest all run — and BenchmarkApplyDelta
 # (internal/incr) for a ten-record append with exceptions and redundancy
-# marking off and on; one iteration keeps them compiling and running.
-go test ./internal/stats ./internal/flowgraph ./internal/core ./internal/itemset ./internal/mining ./internal/incr -run '^$' -bench . -benchtime 1x
+# marking off and on, BenchmarkRespond (internal/server) for rendering a
+# cell answer; one iteration keeps them compiling and running.
+go test ./internal/stats ./internal/flowgraph ./internal/core ./internal/itemset ./internal/mining ./internal/incr ./internal/server -run '^$' -bench . -benchtime 1x
 
 echo "== nommap fallback (lazy serving without mmap) =="
 # The pread fallback behind the nommap build tag is what non-linux builds
@@ -83,6 +84,7 @@ go test ./internal/pathdb -run '^$' -fuzz FuzzRead -fuzztime 10s
 go test ./internal/incr -run '^$' -fuzz FuzzApplyDelta -fuzztime 10s
 go test ./internal/ingest -run '^$' -fuzz FuzzWALReplay -fuzztime 10s
 go test ./internal/itemset -run '^$' -fuzz FuzzJoinMatchesBruteForce -fuzztime 10s
+go test ./internal/server -run '^$' -fuzz FuzzRenderMatchesReference -fuzztime 10s
 
 echo "== lines of non-test Go per package (report only) =="
 ./scripts/loc.sh
