@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bufio"
 	"context"
-	"io"
 
 	"flowcube/internal/pathdb"
 )
@@ -53,12 +51,4 @@ func BuildContext(ctx context.Context, db *pathdb.DB, cfg Config) (*Cube, error)
 		cube.MarkRedundancy(cfg.Tau)
 	}
 	return cube, nil
-}
-
-// LoadContext is Load with cancellation: ctx is checked between snapshot
-// sections (header, hierarchies, plan, each cuboid, ledger), so loading a
-// large snapshot from a slow reader can be abandoned without decoding the
-// rest.
-func LoadContext(ctx context.Context, r io.Reader) (*Cube, error) {
-	return loadV2(ctx, bufio.NewReader(r))
 }

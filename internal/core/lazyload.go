@@ -18,6 +18,10 @@ package core
 // nothing was written over (the FlowCube partial-materialization idea
 // applied to storage; see DESIGN.md §8).
 //
+// The open here is the only snapshot reader: Load runs it over the stream
+// read into memory, then decodes every section through the same walk the
+// directory build takes, and drops the base.
+//
 // Decoded structures never alias the mapping — strings and columns are
 // fresh heap allocations — so eviction only drops cache references and
 // already-returned cells stay valid; Close (or the finalizer) is the only
@@ -29,12 +33,14 @@ package core
 // their own synchronization, invisible to the Cube's immutable contract.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,16 +69,89 @@ type LazyOptions struct {
 	CacheBytes int64
 }
 
-// snapData is the byte source behind a lazily loaded snapshot: an mmap on
-// linux (zero-copy views), an io.ReaderAt fallback elsewhere or under the
-// nommap build tag (per-view pread into a fresh buffer).
+// snapData is the byte source behind an opened snapshot: an mmap on linux
+// (zero-copy views), an io.ReaderAt fallback elsewhere or under the nommap
+// build tag (per-view pread into a fresh buffer), or a stream read into
+// memory (memData, for Load and LoadMeta).
 type snapData interface {
-	// view returns the byte range [off, off+n). Mapped implementations
-	// return a subslice of the mapping, which callers must not retain past
-	// close; the fallback returns a fresh copy.
+	// view returns the byte range [off, off+n). A range that runs past the
+	// end of the data returns what of it there is and io.EOF, which is how
+	// the frame reader detects truncation on every source alike. Mapped and
+	// in-memory sources return a subslice, which callers must not retain
+	// past close; the fallback returns a fresh copy.
 	view(off, n int64) ([]byte, error)
 	size() int64
 	close() error
+}
+
+// viewOf is view over bytes in memory.
+func viewOf(b []byte, off, n int64) ([]byte, error) {
+	if end := off + n; end <= int64(len(b)) {
+		return b[off:end:end], nil
+	}
+	return b[min(off, int64(len(b))):len(b):len(b)], io.EOF
+}
+
+// readChunk bounds how far one read grows an in-memory source past the
+// bytes it holds, so a lying frame length costs one chunk, not its claim.
+const readChunk = 1 << 20
+
+// memData is a stream read into memory on demand: a view reads forward
+// until the stream holds the range, so LoadMeta stops after the plan and a
+// claimed length fails when the stream ends. ctx is checked before every
+// read.
+type memData struct {
+	ctx context.Context //flowlint:ignore ctxflow a memData lives for the one load call that made it
+	r   io.Reader
+	buf []byte
+	err error // the read error that ended the stream: io.EOF once drained
+}
+
+// newMemData reads r on demand into a buffer allocated once at hint bytes,
+// what r reports it holds (+1, to read the EOF without growing). Past that,
+// or past 4 KiB when r cannot tell (hint 0), the buffer grows by at most
+// readChunk per read.
+func newMemData(ctx context.Context, r io.Reader, hint int64) *memData {
+	return &memData{ctx: ctx, r: r, buf: make([]byte, 0, max(hint+1, 4<<10))}
+}
+
+// sizeHint reports how many bytes r holds when it can tell: Len on an
+// in-memory reader, the size of a regular file; 0 otherwise.
+func sizeHint(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case *os.File:
+		if st, err := r.Stat(); err == nil && st.Mode().IsRegular() {
+			return st.Size()
+		}
+	}
+	return 0
+}
+
+func (d *memData) view(off, n int64) ([]byte, error) {
+	for int64(len(d.buf)) < off+n && d.err == nil {
+		if d.err = d.ctx.Err(); d.err != nil {
+			break
+		}
+		if len(d.buf) == cap(d.buf) {
+			d.buf = slices.Grow(d.buf, int(min(off+n-int64(len(d.buf)), readChunk)))
+		}
+		var m int
+		m, d.err = d.r.Read(d.buf[len(d.buf):cap(d.buf)])
+		d.buf = d.buf[:len(d.buf)+m]
+	}
+	if int64(len(d.buf)) < off+n && d.err != io.EOF {
+		return nil, d.err
+	}
+	return viewOf(d.buf, off, n)
+}
+
+func (d *memData) size() int64 { return int64(len(d.buf)) }
+
+func (d *memData) close() error {
+	d.buf = nil
+	return nil
 }
 
 // lazySection is one cuboid section of the snapshot, the base of its
@@ -206,15 +285,6 @@ func LoadCubeLazy(path string, opts LazyOptions) (*Cube, error) {
 		_ = f.Close() // the stat error is the one worth reporting
 		return nil, err
 	}
-	var head [len(magicV2)]byte
-	n, err := f.ReadAt(head[:], 0)
-	if err == nil || err == io.EOF {
-		err = checkMagic(head[:n])
-	}
-	if err != nil {
-		_ = f.Close() // the read or format error is the one worth reporting
-		return nil, err
-	}
 	data, err := openSnapshotData(f, st.Size()) // takes ownership of f
 	if err != nil {
 		return nil, err
@@ -227,112 +297,124 @@ func LoadCubeLazy(path string, opts LazyOptions) (*Cube, error) {
 	return cube, nil
 }
 
-// snapFrame locates one framed section inside the data: its kind, payload
-// byte range, and the offset of the next frame.
-type snapFrame struct {
-	kind       byte
-	payloadOff int64
-	payloadLen int64
-	next       int64
+// frameReader reads a snapshot's framed sections in file order.
+type frameReader struct {
+	data       snapData
+	off        int64 // where the next frame starts
+	payloadOff int64 // where the last payload next returned starts
 }
 
-// readFrame parses and CRC-checks the section frame at off. The returned
-// payload is a view of the data (zero-copy when mapped).
-func readFrame(data snapData, off int64) (snapFrame, []byte, error) {
-	size := data.size()
-	if off >= size {
-		return snapFrame{}, nil, frameCorrupt("missing section kind: EOF at offset %d", off)
+// next parses and CRC-checks the frame at off. The payload is a view of the
+// data (zero-copy when mapped or in memory). A frame the data ends inside
+// shows as a short view, so every source gets the same frame checks.
+func (f *frameReader) next() (kind byte, payload []byte, err error) {
+	hdr, err := f.data.view(f.off, 1+binary.MaxVarintLen64)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return 0, nil, err
 	}
-	hn := min(int64(1+binary.MaxVarintLen64), size-off)
-	hdr, err := data.view(off, hn)
-	if err != nil {
-		return snapFrame{}, nil, err
+	if len(hdr) == 0 {
+		return 0, nil, frameCorrupt("missing section kind: EOF at offset %d", f.off)
 	}
 	n, w := binary.Uvarint(hdr[1:])
 	if w <= 0 {
-		return snapFrame{}, nil, frameCorrupt("bad section length at offset %d", off)
+		return 0, nil, frameCorrupt("bad section length at offset %d", f.off)
 	}
 	if n > maxSectionBytes {
-		return snapFrame{}, nil, frameCorrupt("section length %d exceeds the %d byte cap", n, maxSectionBytes)
+		return 0, nil, frameCorrupt("section length %d exceeds the %d byte cap", n, maxSectionBytes)
 	}
-	fr := snapFrame{kind: hdr[0], payloadOff: off + 1 + int64(w), payloadLen: int64(n)}
-	fr.next = fr.payloadOff + fr.payloadLen + 4
-	if fr.next > size {
-		return snapFrame{}, nil, frameCorrupt("truncated section payload at offset %d", off)
+	f.payloadOff = f.off + 1 + int64(w)
+	body, err := f.data.view(f.payloadOff, int64(n)+4)
+	if errors.Is(err, io.EOF) {
+		return 0, nil, frameCorrupt("truncated section payload at offset %d", f.off)
 	}
-	payload, err := data.view(fr.payloadOff, fr.payloadLen)
 	if err != nil {
-		return snapFrame{}, nil, err
+		return 0, nil, err
 	}
-	crcBytes, err := data.view(fr.payloadOff+fr.payloadLen, 4)
-	if err != nil {
-		return snapFrame{}, nil, err
+	payload = body[:n:n]
+	if got, want := crc32.Checksum(payload, snapshotCRCTable), binary.LittleEndian.Uint32(body[n:]); got != want {
+		return 0, nil, frameCorrupt("section checksum mismatch (got %08x, want %08x)", got, want)
 	}
-	if got, want := crc32.Checksum(payload, snapshotCRCTable), binary.LittleEndian.Uint32(crcBytes); got != want {
-		return snapFrame{}, nil, frameCorrupt("section checksum mismatch (got %08x, want %08x)", got, want)
-	}
-	return fr, payload, nil
+	f.off = f.payloadOff + int64(n) + 4
+	return hdr[0], payload, nil
 }
 
-// openLazy walks the snapshot's sections through the loaders' shared section
-// decoders — only the framing walk differs: readFrame over the mapping —
-// validating every frame and CRC, decoding the preamble and ledger, and
-// giving every cuboid section a Cuboid without decoding any cells.
+// openLazy is the one snapshot reader. It checks every frame and CRC,
+// decodes the preamble and ledger, and gives every cuboid section a Cuboid
+// over it without decoding any cells. After the preamble come exactly the
+// header's count of cuboid sections, at most one ledger section, and the
+// end section, which ends the data.
 func openLazy(data snapData, opts LazyOptions) (*Cube, error) {
-	off := int64(len(magicV2))
-	var fr snapFrame
-	next := func() (byte, []byte, error) {
-		var payload []byte
-		var err error
-		fr, payload, err = readFrame(data, off)
-		off = fr.next
-		return fr.kind, payload, err
-	}
-	p, err := decodePreambleV2(next)
+	cube, h, frames, err := openSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
-
 	budget := opts.CacheBytes
 	if budget == 0 {
 		budget = DefaultLazyCacheBytes
 	}
-	b := &lazyBackend{data: data, loc: p.location, cache: lru.New[lazyEntry](budget)}
+	b := &lazyBackend{data: data, loc: cube.Schema.Location, cache: lru.New[lazyEntry](budget)}
 	// The mapping is generation 0 of the lineage and the opened cube
 	// generation 1, so the cells the sections decode to — shared through the
 	// cache by every reader — are never anyone's to write: a writer copies
 	// them first (delta.go).
-	cube := p.cube()
 	cube.gen = 1
 	cube.lazy = b
-	ledger, err := decodeBodyV2(next, p, func(payload []byte) error {
-		r := &byteReader{section: "cuboid", buf: payload}
-		spec, numCells, err := decodeCuboidHeaderV2(r, p.levels)
+	for {
+		kind, payload, err := frames.next()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := validateSpec(spec, p.syms, p.schema); err != nil {
-			return err
+		switch kind {
+		case secEnd:
+			if uint64(len(cube.Cuboids)) != h.numCuboids {
+				return nil, frameCorrupt("%d cuboid sections, header promised %d", len(cube.Cuboids), h.numCuboids)
+			}
+			if rest, err := data.view(frames.off, 1); len(rest) > 0 {
+				return nil, frameCorrupt("bytes after the end section at offset %d", frames.off)
+			} else if !errors.Is(err, io.EOF) {
+				return nil, err
+			}
+			b.sections = len(cube.Cuboids)
+			// Backstop for dropped cubes: release the mapping (and the
+			// fallback's fd) when the backend becomes unreachable without an
+			// explicit Close — a server that reloads and lets old snapshots
+			// age out relies on this.
+			runtime.SetFinalizer(b, (*lazyBackend).finalize)
+			return cube, nil
+		case secLedger:
+			if cube.ledger != nil {
+				return nil, frameCorrupt("duplicate ledger section")
+			}
+			if cube.ledger, err = decodeLedgerV2(payload, int(h.numDims)); err != nil {
+				return nil, err
+			}
+			cube.Config.DeltaLedger = true // restored by the section's presence
+		case secCuboid:
+			if cube.ledger != nil {
+				return nil, frameCorrupt("cuboid section after the ledger section")
+			}
+			if uint64(len(cube.Cuboids)) >= h.numCuboids {
+				return nil, frameCorrupt("more cuboid sections than the header's %d", h.numCuboids)
+			}
+			r := &byteReader{section: "cuboid", buf: payload}
+			spec, numCells, err := decodeCuboidHeaderV2(r, cube.Config.Plan.PathLevels)
+			if err != nil {
+				return nil, err
+			}
+			if err := validateSpec(spec, cube.Symbols, cube.Schema); err != nil {
+				return nil, err
+			}
+			key := spec.Key()
+			if _, dup := cube.Cuboids[key]; dup {
+				return nil, frameCorrupt("duplicate cuboid %s", key)
+			}
+			cube.Cuboids[key] = &Cuboid{Spec: spec, base: &lazySection{b: b, key: key,
+				level: cube.Config.Plan.PathLevels[spec.PathLevel], numCells: numCells,
+				off: frames.payloadOff, n: int64(len(payload)), cellsOff: r.off}}
+		default:
+			return nil, frameCorrupt("unknown section kind %d", kind)
 		}
-		key := spec.Key()
-		if _, dup := cube.Cuboids[key]; dup {
-			return frameCorrupt("duplicate cuboid %s", key)
-		}
-		cube.Cuboids[key] = &Cuboid{Spec: spec, base: &lazySection{b: b, key: key,
-			level: p.levels[spec.PathLevel], numCells: numCells,
-			off: fr.payloadOff, n: fr.payloadLen, cellsOff: r.off}}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	b.sections = len(cube.Cuboids)
-	cube.setLedger(ledger)
-	// Backstop for dropped cubes: release the mapping (and the fallback's
-	// fd) when the backend becomes unreachable without an explicit Close —
-	// a server that reloads and lets old snapshots age out relies on this.
-	runtime.SetFinalizer(b, (*lazyBackend).finalize)
-	return cube, nil
 }
 
 func (b *lazyBackend) finalize() { _ = b.data.close() }
@@ -388,42 +470,87 @@ func (s *lazySection) dir() (*sectionDir, error) {
 	return ent.dir, err
 }
 
-// buildDir walks the section's cells once — prefixes decoded, flat graphs
-// skipped — and makes every whole-section check the full decoder makes: the
-// claimed cell count fits the payload, cell keys strictly ascending (what
-// point reads binary-search on), no trailing bytes.
-func (s *lazySection) buildDir() (*sectionDir, int64, error) {
+// walk is the one pass over the section's cells, which the directory build
+// and Load's decode share: cell decodes or skips the cell r is at, leaving r
+// at the next, and returns its key. walk makes the whole-section checks:
+// cell keys strictly ascending (what point reads binary-search on), no
+// trailing bytes.
+func (s *lazySection) walk(cell func(r *byteReader) (string, error)) error {
 	payload, err := s.view(0, s.n)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	r := &byteReader{section: "cuboid " + s.key, buf: payload, off: s.cellsOff}
-	d := &sectionDir{entries: make([]dirEntry, 0, min(s.numCells, r.rem()/minCellBytesV2))}
-	cost := int64(dirBaseFootprint)
+	prev := ""
 	for ci := 0; ci < s.numCells; ci++ {
+		key, err := cell(r)
+		if err != nil {
+			return err
+		}
+		if ci > 0 && key <= prev {
+			return r.corrupt("cell %s is not after cell %s: cell keys must ascend strictly", key, prev)
+		}
+		prev = key
+	}
+	if r.rem() != 0 {
+		return r.corrupt("%d trailing bytes", r.rem())
+	}
+	return nil
+}
+
+// cellCap bounds what the section's claimed cell count may pre-allocate by
+// the cells its payload can hold.
+func (s *lazySection) cellCap() int {
+	return min(s.numCells, int(s.n-int64(s.cellsOff))/minCellBytesV2)
+}
+
+// buildDir walks the section once, decoding cell prefixes and skipping the
+// flat graphs.
+func (s *lazySection) buildDir() (*sectionDir, int64, error) {
+	d := &sectionDir{entries: make([]dirEntry, 0, s.cellCap())}
+	cost := int64(dirBaseFootprint)
+	err := s.walk(func(r *byteReader) (string, error) {
 		e := dirEntry{off: int32(r.off)}
 		var flags byte
+		var err error
 		if e.values, e.count, flags, _, err = decodeCellPrefixV2(r); err != nil {
-			return nil, 0, err
+			return "", err
 		}
 		if flags&2 != 0 {
 			if err := skipFlatGraph(r); err != nil {
-				return nil, 0, err
+				return "", err
 			}
 		}
 		e.end = int32(r.off)
 		e.key = cellKey(e.values)
 		e.redundant = flags&1 != 0
-		if ci > 0 && e.key <= d.entries[ci-1].key {
-			return nil, 0, r.corrupt("cell %s is not after cell %s: cell keys must ascend strictly", e.key, d.entries[ci-1].key)
-		}
 		cost += dirEntryFootprint + int64(len(e.key)) + 4*int64(len(e.values))
 		d.entries = append(d.entries, e)
-	}
-	if r.rem() != 0 {
-		return nil, 0, r.corrupt("%d trailing bytes", r.rem())
+		return e.key, nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	return d, cost, nil
+}
+
+// decodeAll walks the section once, decoding every cell: Load's eager
+// decode, which bypasses the cache.
+func (s *lazySection) decodeAll() (map[string]*Cell, error) {
+	cells := make(map[string]*Cell, s.cellCap())
+	err := s.walk(func(r *byteReader) (string, error) {
+		cell, _, err := decodeCellV2(r, s.b.loc, s.level)
+		if err != nil {
+			return "", err
+		}
+		key := cellKey(cell.Values)
+		cells[key] = cell
+		return key, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cells, nil
 }
 
 // cell returns the decoded cell a directory entry names through the cache:

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -30,13 +31,15 @@ func openSnapshotData(f *os.File, size int64) (snapData, error) {
 
 func (d *preadData) size() int64 { return d.n }
 
+// view reads no further than the size the file had when opened, so a frame's
+// claimed length allocates nothing past it.
 func (d *preadData) view(off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > d.n {
-		return nil, fmt.Errorf("core: snapshot view [%d, %d) outside the %d-byte file", off, off+n, d.n)
-	}
-	buf := make([]byte, n)
+	buf := make([]byte, max(min(n, d.n-off), 0))
 	if _, err := d.f.ReadAt(buf, off); err != nil {
 		return nil, fmt.Errorf("core: snapshot pread at %d: %w", off, err)
+	}
+	if int64(len(buf)) < n {
+		return buf, io.EOF
 	}
 	return buf, nil
 }

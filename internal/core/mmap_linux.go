@@ -44,12 +44,7 @@ func openSnapshotData(f *os.File, size int64) (snapData, error) {
 
 func (d *mmapData) size() int64 { return int64(len(d.b)) }
 
-func (d *mmapData) view(off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > int64(len(d.b)) {
-		return nil, fmt.Errorf("core: snapshot view [%d, %d) outside the %d-byte mapping", off, off+n, len(d.b))
-	}
-	return d.b[off : off+n : off+n], nil
-}
+func (d *mmapData) view(off, n int64) ([]byte, error) { return viewOf(d.b, off, n) }
 
 func (d *mmapData) close() error {
 	if d.b == nil {

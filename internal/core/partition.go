@@ -11,7 +11,6 @@ package core
 // any reader.
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -197,13 +196,10 @@ func LoadMeta(r io.Reader) (*Cube, error) {
 	return LoadMetaContext(context.Background(), r)
 }
 
-// LoadMetaContext is LoadMeta with cancellation: ctx is checked between
-// preamble sections, so probing a snapshot on a slow reader can be
+// LoadMetaContext is LoadMeta with cancellation: ctx is checked before
+// every read from r, so probing a snapshot on a slow reader can be
 // abandoned.
 func LoadMetaContext(ctx context.Context, r io.Reader) (*Cube, error) {
-	p, _, err := openStreamV2(ctx, bufio.NewReader(r))
-	if err != nil {
-		return nil, err
-	}
-	return p.cube(), nil
+	cube, _, _, err := openSnapshot(newMemData(ctx, r, 0))
+	return cube, err
 }

@@ -41,7 +41,7 @@ func nonV2Inputs(t testing.TB) map[string][]byte {
 	}
 }
 
-// wantNotV2 asserts err is the rejection checkMagic gives a non-v2 input:
+// wantNotV2 asserts err is the rejection CheckMagic gives a non-v2 input:
 // typed, and telling the operator how to get a loadable snapshot.
 func wantNotV2(t testing.TB, name string, err error) {
 	t.Helper()

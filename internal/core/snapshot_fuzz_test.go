@@ -9,16 +9,15 @@ import (
 	"flowcube/internal/core"
 )
 
-// FuzzLoadSnapshot throws arbitrary byte streams at Load. The decoder fronts
-// files from disk and admin-triggered reloads, so whatever the input it must
-// either return an error or a structurally valid cube — never panic, never
-// allocate proportionally to a lying length field. Any cube it does accept
-// must be a save→load fixed point: re-saving and re-loading it reproduces
-// the identical byte stream (the byte-determinism contract of format v2).
-// Input that does not open with the v2 magic is rejected by both loaders
-// with a *CorruptSnapshotError. Every input the lazy open accepts has every
-// directory entry touched: the cell-at-a-time decode never panics, and it
-// reads what the eager loader read or both sides refuse the file.
+// FuzzLoadSnapshot throws arbitrary byte streams at Load, which fronts files
+// from disk and admin-triggered reloads: it must return an error or a
+// structurally valid cube, never panic (TestLyingLengthAllocatesNothing
+// bounds what a lying length allocates). Any cube it accepts must be a
+// save→load fixed point (format v2's byte-determinism). Input without the v2
+// magic is a *CorruptSnapshotError to both loaders. They share one reader,
+// but Load decodes every cell up front and the lazy cube one at a time: each
+// directory entry the lazy open yields is touched, and it reads as Load's
+// cell, or both sides refuse the file.
 func FuzzLoadSnapshot(f *testing.F) {
 	cube := fixtureCube(f)
 	var v2 bytes.Buffer
@@ -36,6 +35,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 	flipped := append([]byte(nil), v2.Bytes()...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
+	for _, data := range bytesAfterEnd(v2.Bytes()) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		notV2 := !bytes.HasPrefix(data, []byte("FCUBEv2\n"))

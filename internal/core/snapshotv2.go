@@ -16,19 +16,21 @@ package core
 // Workers goroutines and Load decodes them the same way; both merge results
 // in the deterministic sorted-cuboid-key order the sections are written in,
 // so the output bytes (and the loaded cube) are identical at any worker
-// count. Anything that does not open with the magic is rejected (checkMagic):
+// count. Anything that does not open with the magic is rejected (CheckMagic):
 // snapshots are derived data, rebuilt from the path database.
 //
-// The decoder is hardened against corrupt or adversarial input: section
-// payloads are read in bounded chunks (a lying length fails at read time
-// instead of pre-allocating the claim), every element count inside a
-// section is bounded by the bytes remaining before its column is allocated,
-// and all failures surface as *CorruptSnapshotError.
+// There is one reader, over three byte sources (snapData, lazyload.go): a
+// mapping or preads for LoadCubeLazy, a stream read into memory for Load and
+// LoadMeta. It is hardened against corrupt or adversarial input: a stream is
+// read in bounded chunks (a lying length fails at the stream's end instead
+// of pre-allocating the claim), every element count inside a section is
+// bounded by the bytes remaining before its column is allocated, and all
+// failures surface as *CorruptSnapshotError.
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -44,12 +46,13 @@ import (
 // magicV2 opens every snapshot.
 const magicV2 = "FCUBEv2\n"
 
-// checkMagic is the one format gate Load, LoadMeta and LoadCubeLazy share.
-// head is the input's first len(magicV2) bytes, or all of a shorter input:
-// anything but the magic — a pre-v2 gob snapshot, a path database, a
-// truncated file — is rejected.
-func checkMagic(head []byte) error {
-	if string(head) == magicV2 {
+// CheckMagic is the one format gate: every snapshot open passes an input's
+// first bytes through it, and so can a caller sniffing a file of unknown
+// kind. head holds the input's first bytes, or all of a shorter input:
+// anything that does not open with the magic — a pre-v2 gob snapshot, a path
+// database, a truncated file — is rejected.
+func CheckMagic(head []byte) error {
+	if len(head) >= len(magicV2) && string(head[:len(magicV2)]) == magicV2 {
 		return nil
 	}
 	return &CorruptSnapshotError{Section: "magic", Detail: "not a v2 snapshot; " +
@@ -617,78 +620,41 @@ func Load(r io.Reader) (*Cube, error) {
 	return LoadContext(context.Background(), r)
 }
 
-// sectionReader yields a snapshot's framed sections in file order, each
-// payload CRC-checked: sectionPayload over a stream, readFrame over a
-// mapping (lazyload.go). The section decoders below are written against it,
-// so the framing rules exist once for both loaders.
-type sectionReader func() (kind byte, payload []byte, err error)
+// LoadContext is Load with cancellation: ctx is checked before every read
+// from r and before each cuboid section decodes, so loading a large
+// snapshot from a slow reader can be abandoned without decoding the rest.
+//
+// It is the one snapshot reader LoadCubeLazy uses, over r read into memory:
+// the open validates the framing, then every section's cells decode into
+// Cells, in parallel across sections, and the cube drops its base and
+// backend. A corrupt cell fails here, not at first touch.
+func LoadContext(ctx context.Context, r io.Reader) (*Cube, error) {
+	cube, err := openLazy(newMemData(ctx, r, sizeHint(r)), LazyOptions{})
+	if err != nil {
+		return nil, err
+	}
+	defer cube.lazy.close() //nolint:errcheck // an in-memory source has nothing to release
+	cuboids := cube.sortedCuboids()
+	errs := make([]error, len(cuboids))
+	forEach(runtime.GOMAXPROCS(0), len(cuboids), func(i int) {
+		cb := cuboids[i]
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			cb.Cells, errs[i] = cb.base.decodeAll()
+		}
+		cb.base = nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	cube.lazy, cube.gen = nil, 0
+	return cube, nil
+}
 
 // frameCorrupt reports a violation of the outer section framing.
 func frameCorrupt(format string, args ...any) error {
 	return (&byteReader{section: "frame"}).corrupt(format, args...)
-}
-
-// sectionPayload reads one framed section, bounding the claimed length and
-// verifying the CRC. Payload bytes are read in chunks so a lying length
-// fails with a truncation error instead of one huge allocation.
-func sectionPayload(br *bufio.Reader) (kind byte, payload []byte, err error) {
-	kind, err = br.ReadByte()
-	if err != nil {
-		return 0, nil, frameCorrupt("missing section kind: %v", err)
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, nil, frameCorrupt("bad section length: %v", err)
-	}
-	if n > maxSectionBytes {
-		return 0, nil, frameCorrupt("section length %d exceeds the %d byte cap", n, maxSectionBytes)
-	}
-	const chunk = 1 << 20
-	payload = make([]byte, 0, min(int(n), chunk))
-	for len(payload) < int(n) {
-		step := min(int(n)-len(payload), chunk)
-		start := len(payload)
-		payload = append(payload, make([]byte, step)...)
-		if _, err := io.ReadFull(br, payload[start:]); err != nil {
-			return 0, nil, frameCorrupt("truncated section payload: %v", err)
-		}
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(br, crc[:]); err != nil {
-		return 0, nil, frameCorrupt("missing section checksum: %v", err)
-	}
-	if got, want := crc32.Checksum(payload, snapshotCRCTable), binary.LittleEndian.Uint32(crc[:]); got != want {
-		return 0, nil, frameCorrupt("section checksum mismatch (got %08x, want %08x)", got, want)
-	}
-	return kind, payload, nil
-}
-
-// preambleV2 is the decoded metadata prefix of a v2 snapshot — everything
-// before the cuboid sections: thresholds and the section census from the
-// header, the schema hierarchies, and the encoding plan. It is all a
-// stateless query router needs (see LoadMeta and internal/cluster), and
-// loadV2 decodes the cell-bearing sections on top of it.
-type preambleV2 struct {
-	headerV2
-	location *hierarchy.Hierarchy
-	schema   *pathdb.Schema
-	levels   []pathdb.PathLevel
-	plan     transact.Plan
-	syms     *transact.Symbols
-}
-
-// cube assembles a cube skeleton from the preamble: schema, symbols,
-// thresholds and exception-mining switches set, no cuboids yet.
-func (p *preambleV2) cube() *Cube {
-	return &Cube{
-		Schema: p.schema,
-		Config: Config{MinCount: p.minCount, Epsilon: p.epsilon, Tau: p.tau, Plan: p.plan,
-			MineExceptions:        p.flags&headerMineExceptions != 0,
-			SingleStageExceptions: p.flags&headerSingleStageExceptions != 0},
-		Symbols:  p.syms,
-		Cuboids:  make(map[string]*Cuboid),
-		minCount: p.minCount,
-	}
 }
 
 // headerV2 is the decoded header section: thresholds and flags plus the
@@ -706,9 +672,7 @@ type headerV2 struct {
 	numCuboids    uint64
 }
 
-// decodeHeaderV2 decodes a secHeader payload. Both the streaming loader and
-// the mmap-backed lazy open (lazyload.go) parse through here, so the header
-// format exists in exactly one reader.
+// decodeHeaderV2 decodes a secHeader payload.
 func decodeHeaderV2(payload []byte) (headerV2, error) {
 	hr := &byteReader{section: "header", buf: payload}
 	var h headerV2
@@ -771,113 +735,85 @@ func decodeHierarchiesV2(payload []byte, numDims uint64) (*pathdb.Schema, error)
 
 // decodePlanV2 decodes a secPlan payload against an already-decoded schema,
 // cross-checking the header census.
-func decodePlanV2(payload []byte, schema *pathdb.Schema, h headerV2) (transact.Plan, []pathdb.PathLevel, error) {
+func decodePlanV2(payload []byte, schema *pathdb.Schema, h headerV2) (transact.Plan, error) {
 	pr := &byteReader{section: "plan", buf: payload}
 	nd, err := pr.count("plan dimension")
 	if err != nil {
-		return transact.Plan{}, nil, err
+		return transact.Plan{}, err
 	}
 	if uint64(nd) != h.numDims {
-		return transact.Plan{}, nil, pr.corrupt("plan lists %d dimensions, header %d", nd, h.numDims)
+		return transact.Plan{}, pr.corrupt("plan lists %d dimensions, header %d", nd, h.numDims)
 	}
 	dimLevels := make([][]int, nd)
 	for d := range dimLevels {
 		nl, err := pr.count("dimension level")
 		if err != nil {
-			return transact.Plan{}, nil, err
+			return transact.Plan{}, err
 		}
 		dimLevels[d] = make([]int, nl)
 		for i := range dimLevels[d] {
 			l, err := pr.intVal("level")
 			if err != nil {
-				return transact.Plan{}, nil, err
+				return transact.Plan{}, err
 			}
 			dimLevels[d][i] = l
 		}
 	}
 	npl, err := pr.count("plan path level")
 	if err != nil {
-		return transact.Plan{}, nil, err
+		return transact.Plan{}, err
 	}
 	if uint64(npl) != h.numPathLevels {
-		return transact.Plan{}, nil, pr.corrupt("plan lists %d path levels, header %d", npl, h.numPathLevels)
+		return transact.Plan{}, pr.corrupt("plan lists %d path levels, header %d", npl, h.numPathLevels)
 	}
 	levels := make([]pathdb.PathLevel, npl)
 	for i := range levels {
 		nn, err := pr.count("cut node")
 		if err != nil {
-			return transact.Plan{}, nil, err
+			return transact.Plan{}, err
 		}
 		nodes := make([]hierarchy.NodeID, nn)
 		for j := range nodes {
 			id, err := pr.int32()
 			if err != nil {
-				return transact.Plan{}, nil, err
+				return transact.Plan{}, err
 			}
 			nodes[j] = hierarchy.NodeID(id)
 		}
 		cut, err := hierarchy.NewCut(schema.Location, nodes)
 		if err != nil {
-			return transact.Plan{}, nil, err
+			return transact.Plan{}, err
 		}
 		anyB, err := pr.byte()
 		if err != nil {
-			return transact.Plan{}, nil, err
+			return transact.Plan{}, err
 		}
 		grain, err := pr.varint()
 		if err != nil {
-			return transact.Plan{}, nil, err
+			return transact.Plan{}, err
 		}
 		levels[i] = pathdb.PathLevel{Cut: cut, Time: pathdb.TimeLevel{Grain: grain, Any: anyB != 0}}
 	}
-	return transact.Plan{DimLevels: dimLevels, PathLevels: levels}, levels, nil
+	return transact.Plan{DimLevels: dimLevels, PathLevels: levels}, nil
 }
 
-// assemblePreambleV2 combines the three decoded metadata sections into a
-// preamble, building the symbol table.
-func assemblePreambleV2(h headerV2, schema *pathdb.Schema, plan transact.Plan, levels []pathdb.PathLevel) (*preambleV2, error) {
-	syms, err := transact.NewSymbols(schema, plan)
-	if err != nil {
-		return nil, err
+// openSnapshot checks the magic and decodes the preamble — the header,
+// hierarchies and plan sections, everything a stateless query router needs
+// (see LoadMeta and internal/cluster). It returns the cube they describe,
+// with no cuboids yet, the header's census of the sections after them, and
+// the frame reader at the first of those: openLazy reads on, LoadMeta stops.
+func openSnapshot(data snapData) (*Cube, headerV2, *frameReader, error) {
+	var h headerV2
+	head, err := data.view(0, int64(len(magicV2)))
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, h, nil, err
 	}
-	return &preambleV2{
-		headerV2: h,
-		location: schema.Location,
-		schema:   schema,
-		levels:   levels,
-		plan:     plan,
-		syms:     syms,
-	}, nil
-}
-
-// openStreamV2 checks the magic on br and decodes the preamble sections that
-// follow it. The returned reader yields the sections after the preamble; it
-// checks ctx before every read — cancellation belongs to the reader that can
-// block, so the section decoders below take none.
-func openStreamV2(ctx context.Context, br *bufio.Reader) (*preambleV2, sectionReader, error) {
-	var head [len(magicV2)]byte
-	n, err := io.ReadFull(br, head[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, nil, err
+	if err := CheckMagic(head); err != nil {
+		return nil, h, nil, err
 	}
-	if err := checkMagic(head[:n]); err != nil {
-		return nil, nil, err
-	}
-	next := func() (byte, []byte, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, nil, err
-		}
-		return sectionPayload(br)
-	}
-	p, err := decodePreambleV2(next)
-	return p, next, err
-}
-
-// decodePreambleV2 decodes the header, hierarchies and plan sections from
-// next, positioned just past the magic.
-func decodePreambleV2(next sectionReader) (*preambleV2, error) {
+	frames := &frameReader{data: data, off: int64(len(magicV2))}
 	section := func(kind byte, ordinal, name string) ([]byte, error) {
-		got, payload, err := next()
+		got, payload, err := frames.next()
 		if err != nil {
 			return nil, err
 		}
@@ -887,124 +823,39 @@ func decodePreambleV2(next sectionReader) (*preambleV2, error) {
 		return payload, nil
 	}
 	payload, err := section(secHeader, "first", "header")
-	if err != nil {
-		return nil, err
+	if err == nil {
+		h, err = decodeHeaderV2(payload)
 	}
-	h, err := decodeHeaderV2(payload)
 	if err != nil {
-		return nil, err
+		return nil, h, nil, err
 	}
 	if payload, err = section(secHierarchies, "second", "hierarchies"); err != nil {
-		return nil, err
+		return nil, h, nil, err
 	}
 	schema, err := decodeHierarchiesV2(payload, h.numDims)
 	if err != nil {
-		return nil, err
+		return nil, h, nil, err
 	}
 	if payload, err = section(secPlan, "third", "plan"); err != nil {
-		return nil, err
+		return nil, h, nil, err
 	}
-	plan, levels, err := decodePlanV2(payload, schema, h)
+	plan, err := decodePlanV2(payload, schema, h)
 	if err != nil {
-		return nil, err
+		return nil, h, nil, err
 	}
-	return assemblePreambleV2(h, schema, plan, levels)
-}
-
-// decodeBodyV2 walks the sections after the preamble up to the end section
-// and enforces their framing: exactly the header's count of cuboid sections,
-// then at most one ledger section, nothing else. Each cuboid payload goes to
-// onCuboid; the decoded ledger (nil when absent) is returned.
-func decodeBodyV2(next sectionReader, p *preambleV2, onCuboid func(payload []byte) error) (*Ledger, error) {
-	var ledger *Ledger
-	var cuboids uint64
-	for {
-		kind, payload, err := next()
-		if err != nil {
-			return nil, err
-		}
-		switch kind {
-		case secEnd:
-			if cuboids != p.numCuboids {
-				return nil, frameCorrupt("%d cuboid sections, header promised %d", cuboids, p.numCuboids)
-			}
-			return ledger, nil
-		case secLedger:
-			if ledger != nil {
-				return nil, frameCorrupt("duplicate ledger section")
-			}
-			if ledger, err = decodeLedgerV2(payload, int(p.numDims)); err != nil {
-				return nil, err
-			}
-		case secCuboid:
-			if ledger != nil {
-				return nil, frameCorrupt("cuboid section after the ledger section")
-			}
-			if cuboids >= p.numCuboids {
-				return nil, frameCorrupt("more cuboid sections than the header's %d", p.numCuboids)
-			}
-			cuboids++
-			if err := onCuboid(payload); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, frameCorrupt("unknown section kind %d", kind)
-		}
-	}
-}
-
-// loadV2 decodes a snapshot from br, positioned at the magic: the cuboid
-// payloads are collected, then decoded on workers.
-func loadV2(ctx context.Context, br *bufio.Reader) (*Cube, error) {
-	p, next, err := openStreamV2(ctx, br)
+	syms, err := transact.NewSymbols(schema, plan)
 	if err != nil {
-		return nil, err
+		return nil, h, nil, err
 	}
-	var payloads [][]byte
-	ledger, err := decodeBodyV2(next, p, func(payload []byte) error { payloads = append(payloads, payload); return nil })
-	if err != nil {
-		return nil, err
-	}
-	cuboids, err := decodeCuboidsV2(payloads, p.location, p.levels)
-	if err != nil {
-		return nil, err
-	}
-	cube := p.cube()
-	for _, cb := range cuboids {
-		if err := validateSpec(cb.Spec, p.syms, p.schema); err != nil {
-			return nil, err
-		}
-		if _, dup := cube.Cuboids[cb.Spec.Key()]; dup {
-			return nil, frameCorrupt("duplicate cuboid %s", cb.Spec.Key())
-		}
-		cube.Cuboids[cb.Spec.Key()] = cb
-	}
-	cube.setLedger(ledger)
-	return cube, nil
-}
-
-// setLedger attaches a decoded ledger section; its presence is what restores
-// Config.DeltaLedger on load.
-func (c *Cube) setLedger(ledger *Ledger) {
-	if ledger != nil {
-		c.ledger = ledger
-		c.Config.DeltaLedger = true
-	}
-}
-
-// decodeCuboidsV2 decodes every cuboid section payload, spreading the work
-// over GOMAXPROCS goroutines. Results are positional, so the assembled cube
-// is identical at any worker count.
-func decodeCuboidsV2(payloads [][]byte, loc *hierarchy.Hierarchy, levels []pathdb.PathLevel) ([]*Cuboid, error) {
-	out := make([]*Cuboid, len(payloads))
-	errs := make([]error, len(payloads))
-	forEach(runtime.GOMAXPROCS(0), len(payloads), func(i int) { out[i], errs[i] = decodeCuboidV2(payloads[i], loc, levels) })
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return &Cube{
+		Schema: schema,
+		Config: Config{MinCount: h.minCount, Epsilon: h.epsilon, Tau: h.tau, Plan: plan,
+			MineExceptions:        h.flags&headerMineExceptions != 0,
+			SingleStageExceptions: h.flags&headerSingleStageExceptions != 0},
+		Symbols:  syms,
+		Cuboids:  make(map[string]*Cuboid),
+		minCount: h.minCount,
+	}, h, frames, nil
 }
 
 // decodeCuboidHeaderV2 decodes the fixed prefix of a cuboid section — the
@@ -1075,8 +926,8 @@ const minCellBytesV2 = 11
 
 // decodeCellV2 is the one cell decoder: it decodes the cell r is positioned
 // at — prefix, flat graph, Unflatten into pointer form at the cuboid's path
-// level — and leaves r at the next cell. Eager Load loops it over a section
-// (decodeCuboidV2); a lazy cube aims it at one directory entry (lazyload.go).
+// level — and leaves r at the next cell. Load walks it over every section
+// (lazySection.decodeAll); a lazy cube aims it at one directory entry.
 // The second result estimates the decoded cell's resident heap footprint in
 // bytes, the cost the lazy cache budgets by, so that its byte budget tracks
 // decoded size rather than the much smaller encoded payload.
@@ -1103,35 +954,6 @@ func decodeCellV2(r *byteReader, loc *hierarchy.Hierarchy, level pathdb.PathLeve
 		}
 	}
 	return cell, footprint, nil
-}
-
-// decodeCuboidV2 decodes one whole cuboid section payload: decodeCellV2 over
-// every cell, plus the whole-section checks (cell keys strictly ascending,
-// no trailing bytes).
-func decodeCuboidV2(payload []byte, loc *hierarchy.Hierarchy, levels []pathdb.PathLevel) (*Cuboid, error) {
-	r := &byteReader{section: "cuboid", buf: payload}
-	spec, numCells, err := decodeCuboidHeaderV2(r, levels)
-	if err != nil {
-		return nil, err
-	}
-	cb := &Cuboid{Spec: spec, Cells: make(map[string]*Cell, min(numCells, r.rem()/minCellBytesV2))}
-	prev := ""
-	for ci := 0; ci < numCells; ci++ {
-		cell, _, err := decodeCellV2(r, loc, levels[spec.PathLevel])
-		if err != nil {
-			return nil, err
-		}
-		key := cellKey(cell.Values)
-		if ci > 0 && key <= prev {
-			return nil, r.corrupt("cell %s is not after cell %s: cell keys must ascend strictly", key, prev)
-		}
-		cb.Cells[key] = cell
-		prev = key
-	}
-	if r.rem() != 0 {
-		return nil, r.corrupt("%d trailing bytes", r.rem())
-	}
-	return cb, nil
 }
 
 // Decoded-footprint model constants: rough per-object heap costs of the

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -166,30 +165,15 @@ func WithDatabase(loader Loader, dbPath string) Loader {
 
 // FileLoader returns a Loader over a file path holding either a persisted
 // cube (flowquery -save, typically .fcb) or a flowgen path database
-// (typically .fdb). The format is sniffed, not inferred from the extension:
-// with opts.Lazy a zero-copy mmap open is attempted first, then an eager
-// cube load, then a dataset read plus a full Build with opts. Reload
-// re-reads the file, so replacing it on disk and POSTing /admin/reload
-// rolls the serving snapshot forward — a near-free pointer swap when the
-// snapshot opens lazily.
+// (typically .fdb). The format is sniffed from the snapshot magic, not
+// inferred from the extension: a snapshot opens lazily with opts.Lazy
+// (mapped, cells decoded on first touch) and eagerly otherwise, and its
+// errors keep their type (*core.CorruptSnapshotError); anything else is read
+// as a path database and built with opts. Reload re-reads the file, so
+// replacing it on disk and POSTing /admin/reload rolls the serving snapshot
+// forward — a near-free pointer swap when the snapshot opens lazily.
 func FileLoader(path string, opts BuildOptions) Loader {
 	return func() (*core.Cube, LoadInfo, error) {
-		if opts.Lazy {
-			cube, err := core.LoadCubeLazy(path, core.LazyOptions{CacheBytes: opts.LazyCacheBytes})
-			if err == nil {
-				var info LoadInfo
-				if st, err := os.Stat(path); err == nil {
-					info.Bytes = st.Size()
-				}
-				return cube, info, nil
-			}
-			var corrupt *core.CorruptSnapshotError
-			if !errors.As(err, &corrupt) {
-				return nil, LoadInfo{}, err
-			}
-			// Not a snapshot: the sniff below tries it as a path database
-			// and reports both readings if it is neither.
-		}
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, LoadInfo{}, err
@@ -199,17 +183,28 @@ func FileLoader(path string, opts BuildOptions) Loader {
 		if st, err := f.Stat(); err == nil {
 			info.Bytes = st.Size()
 		}
-		cube, cubeErr := core.Load(f)
-		if cubeErr == nil {
-			return cube, info, nil
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
+		var head [16]byte // room for the snapshot magic
+		n, err := f.ReadAt(head[:], 0)
+		if err != nil && err != io.EOF {
 			return nil, LoadInfo{}, err
 		}
-		ds, dsErr := datagen.Read(f)
-		if dsErr != nil {
+		notSnapshot := core.CheckMagic(head[:n])
+		if notSnapshot == nil {
+			var cube *core.Cube
+			if opts.Lazy {
+				cube, err = core.LoadCubeLazy(path, core.LazyOptions{CacheBytes: opts.LazyCacheBytes})
+			} else {
+				cube, err = core.Load(f)
+			}
+			if err != nil {
+				return nil, LoadInfo{}, fmt.Errorf("server: load snapshot %s: %w", path, err)
+			}
+			return cube, info, nil
+		}
+		ds, err := datagen.Read(f)
+		if err != nil {
 			return nil, LoadInfo{}, fmt.Errorf("server: %s is neither a saved cube (%v) nor a path database (%v)",
-				path, cubeErr, dsErr)
+				path, notSnapshot, err)
 		}
 		// Resolve the fractional threshold to an absolute δ up front — the
 		// same resolution the miner would apply — so the served cube is
@@ -219,7 +214,7 @@ func FileLoader(path string, opts BuildOptions) Loader {
 		if err != nil {
 			return nil, LoadInfo{}, fmt.Errorf("server: resolve threshold for %s: %w", path, err)
 		}
-		cube, err = core.Build(ds.DB, core.Config{
+		cube, err := core.Build(ds.DB, core.Config{
 			MinCount:              minCount,
 			Epsilon:               opts.Epsilon,
 			Tau:                   opts.Tau,

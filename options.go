@@ -35,8 +35,9 @@ func BuildContext(ctx context.Context, db *DB, cfg Config) (*Cube, error) {
 	return core.BuildContext(ctx, db, cfg)
 }
 
-// LoadCubeContext is LoadCube with cancellation: ctx is checked between
-// snapshot sections, so loading a large cube can be abandoned early.
+// LoadCubeContext is LoadCube with cancellation: ctx is checked before every
+// read and every section decode, so loading a large cube can be abandoned
+// early.
 func LoadCubeContext(ctx context.Context, r io.Reader) (*Cube, error) {
 	return core.LoadContext(ctx, r)
 }

@@ -60,7 +60,8 @@ echo "== micro-benchmarks (one iteration each) =="
 # BenchmarkKLDivergence/Add (internal/stats) and BenchmarkSimilarity/
 # MineExceptions (internal/flowgraph) are what EXPERIMENTS.md quotes for the
 # sorted-slice distributions, BenchmarkLazyLookupCold (internal/core) for the
-# cell-at-a-time lazy read, BenchmarkJoin/TrieCount (internal/itemset) and
+# cell-at-a-time lazy read and BenchmarkLoad for the snapshot reader behind
+# core.load_s, BenchmarkJoin/TrieCount (internal/itemset) and
 # BenchmarkMine (internal/mining) for the flat mining kernel — the one
 # level-wise loop Build, Cubing and ingest all run — and BenchmarkApplyDelta
 # (internal/incr) for a ten-record append with exceptions and redundancy
@@ -70,10 +71,13 @@ go test ./internal/stats ./internal/flowgraph ./internal/core ./internal/itemset
 
 echo "== nommap fallback (lazy serving without mmap) =="
 # The pread fallback behind the nommap build tag is what non-linux builds
-# get; the lazy parity suite must hold there too, and so must appends over a
-# lazily opened snapshot, whose base cells are copied out of fresh preads.
+# get: the one snapshot reader's file source there (Load reads a stream into
+# memory either way). Its short views must catch truncation, a lying length
+# and bytes after the end section as the mapping does, the lazy parity suite
+# must hold, and so must appends over a lazily opened snapshot, whose base
+# cells are copied out of fresh preads.
 go build -tags nommap ./...
-go test -tags nommap ./internal/core -run Lazy
+go test -tags nommap ./internal/core -run 'Lazy|Load|LyingLength'
 go test -tags nommap ./internal/incr -run 'TestGenerationIsolation/lazy|TestApplyDeltaOnLoadedCube'
 
 echo "== fuzz (10s per target) =="
