@@ -12,12 +12,14 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -221,7 +223,7 @@ func (rt *Router) handleSummary(w http.ResponseWriter, r *http.Request) {
 type exceptionItem struct {
 	x         server.ExceptionJSON
 	cuboidKey string
-	cellKey   string
+	cell      []hierarchy.NodeID
 	severity  float64
 	shardPos  int
 }
@@ -231,8 +233,8 @@ type exceptionItem struct {
 // and per-shard ranking equals global ranking restricted to that shard, so
 // the union of per-shard top-k lists contains the global top k. The merge
 // reproduces the single-node order exactly: items are arranged in the cube
-// visit order core.TopExceptions starts from (cuboid key, then cell key,
-// then per-cell mining order — preserved inside each shard's stable-sorted
+// visit order core.TopExceptions starts from (cuboid key, then cell, then
+// per-cell mining order — preserved inside each shard's stable-sorted
 // list), then stable-sorted with the same comparator.
 func (rt *Router) handleExceptions(w http.ResponseWriter, r *http.Request) {
 	k, err := server.ExceptionsK(r.URL.Query())
@@ -258,7 +260,7 @@ func (rt *Router) handleExceptions(w http.ResponseWriter, r *http.Request) {
 		}
 		responded++
 		for pos, x := range body.Exceptions {
-			ck, err := rt.exceptionCellKey(x)
+			cell, err := rt.exceptionCell(x)
 			if err != nil {
 				server.WriteError(w, gatewayError("shard %s: %v", res.Shard, err))
 				return
@@ -267,7 +269,7 @@ func (rt *Router) handleExceptions(w http.ResponseWriter, r *http.Request) {
 			if x.TransitionDeviation > sev {
 				sev = x.TransitionDeviation
 			}
-			items = append(items, exceptionItem{x: x, cuboidKey: x.Cuboid, cellKey: ck, severity: sev, shardPos: pos})
+			items = append(items, exceptionItem{x: x, cuboidKey: x.Cuboid, cell: cell, severity: sev, shardPos: pos})
 		}
 	}
 	if responded == 0 {
@@ -277,14 +279,8 @@ func (rt *Router) handleExceptions(w http.ResponseWriter, r *http.Request) {
 	// Visit-order arrangement. Same-cell items share a shard, and that
 	// shard's stable sort preserved their mining order among ties, so shard
 	// position is a faithful within-cell tiebreak.
-	sort.SliceStable(items, func(i, j int) bool {
-		if items[i].cuboidKey != items[j].cuboidKey {
-			return items[i].cuboidKey < items[j].cuboidKey
-		}
-		if items[i].cellKey != items[j].cellKey {
-			return items[i].cellKey < items[j].cellKey
-		}
-		return items[i].shardPos < items[j].shardPos
+	slices.SortStableFunc(items, func(a, b exceptionItem) int {
+		return cmp.Or(strings.Compare(a.cuboidKey, b.cuboidKey), core.CompareCells(a.cell, b.cell), cmp.Compare(a.shardPos, b.shardPos))
 	})
 	// The exact core.Cube.TopExceptions comparator, over JSON-round-tripped
 	// floats (Go's encoder emits the shortest representation that parses
@@ -312,21 +308,21 @@ func (rt *Router) handleExceptions(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// exceptionCellKey resolves an exception's rendered cell names back to the
-// canonical cell key its global visit order sorts by.
-func (rt *Router) exceptionCellKey(x server.ExceptionJSON) (string, error) {
+// exceptionCell resolves an exception's rendered cell names back to the
+// values its global visit order sorts by.
+func (rt *Router) exceptionCell(x server.ExceptionJSON) ([]hierarchy.NodeID, error) {
 	if len(x.Cell) != len(rt.meta.Schema.Dims) {
-		return "", fmt.Errorf("exception cell has %d values, schema has %d dimensions", len(x.Cell), len(rt.meta.Schema.Dims))
+		return nil, fmt.Errorf("exception cell has %d values, schema has %d dimensions", len(x.Cell), len(rt.meta.Schema.Dims))
 	}
 	values := make([]hierarchy.NodeID, len(x.Cell))
 	for d, name := range x.Cell {
 		id, ok := rt.meta.Schema.Dims[d].Lookup(name)
 		if !ok {
-			return "", fmt.Errorf("exception cell names unknown %s concept %q", rt.meta.Schema.Dims[d].Dimension(), name)
+			return nil, fmt.Errorf("exception cell names unknown %s concept %q", rt.meta.Schema.Dims[d].Dimension(), name)
 		}
 		values[d] = id
 	}
-	return core.CellKey(values), nil
+	return values, nil
 }
 
 // handleAppend validates the batch against the router's schema and fans it

@@ -1,5 +1,5 @@
 // Package cluster shards a materialized flowcube across processes (see
-// DESIGN.md §10): a rendezvous-hashing partitioner over packed cell keys, a
+// DESIGN.md §10): a rendezvous-hashing partitioner over cell values, a
 // snapshot splitter that carves one v2 snapshot into per-shard snapshots
 // along the per-cuboid section framing, and a stateless scatter-gather
 // router that presents the shard fleet behind the single-node HTTP API.
@@ -16,14 +16,14 @@ import (
 )
 
 // Partitioner maps a cell's per-dimension values to the shard that owns it.
-// The domain is the same packed cell key the assignment scan uses
-// (internal/core/assign.go): per-dimension node ids packed into one uint64
-// when the schema's combined bit width fits, a 4-byte-per-dimension FNV-1a
-// hash otherwise. Ownership is decided by rendezvous (highest-random-weight)
-// hashing: each shard scores the key through its own salt and the highest
-// score wins. The mapping is a pure function of (schema shape, shard count,
-// values) — no state, so every process that builds a Partitioner with the
-// same inputs agrees, across restarts and across machines.
+// The domain is a 64-bit reduction of the values: per-dimension node ids
+// packed into one uint64 when the schema's combined bit width fits, an
+// FNV-1a hash of their core.CellID bytes otherwise. Ownership is decided
+// by rendezvous (highest-random-weight) hashing: each shard scores the key
+// through its own salt and the highest score wins. The mapping is a pure
+// function of (schema shape, shard count, values) — no state, so every
+// process that builds a Partitioner with the same inputs agrees, across
+// restarts and across machines.
 //
 // Cell values uniquely encode their item abstraction level (a dimension
 // aggregated to '*' holds hierarchy.Root, and distinct levels occupy

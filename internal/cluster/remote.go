@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 
 	"flowcube/internal/core"
@@ -41,7 +41,7 @@ func (rt *Router) handleQuery(parse func(*core.Cube, url.Values) (server.Request
 				Msg: fmt.Sprintf("op %s is not implemented by the cluster router; use op=cell or query a shard directly", op)})
 			return
 		}
-		src := &remoteSource{rt: rt, partials: map[string][]*server.PartialResponse{}}
+		src := &remoteSource{rt: rt, partials: map[core.CellRefKey][]*server.PartialResponse{}}
 		src.get = func(pathQuery string, want func(shard int) bool) []shardResult {
 			return rt.scatter(r.Context(), http.MethodGet, pathQuery, nil, "", rt.cfg.ShardTimeout, want)
 		}
@@ -75,7 +75,7 @@ type remoteSource struct {
 	get func(pathQuery string, want func(shard int) bool) []shardResult
 	// partials maps a cell to its /v2/partial body per shard (nil: not
 	// asked, or failed).
-	partials map[string][]*server.PartialResponse
+	partials map[core.CellRefKey][]*server.PartialResponse
 	// lattice is the fleet's materialized cuboid list, taken from the first
 	// partial that carries one (every partial of a non-materialized cuboid's
 	// cell does — the only cells the planner asks the list for).
@@ -88,7 +88,7 @@ type remoteSource struct {
 func (s *remoteSource) partial(spec core.CuboidSpec, values []hierarchy.NodeID, all bool) (bodies []*server.PartialResponse, owner int) {
 	rt := s.rt
 	owner = rt.part.Owner(values)
-	key := spec.Key() + "|" + core.CellKey(values)
+	key := core.CellRefKey{Spec: spec.Key(), ID: core.MakeCellID(values)}
 	bodies = s.partials[key]
 	if bodies == nil {
 		bodies = make([]*server.PartialResponse, len(rt.shards))
@@ -192,10 +192,8 @@ func (s *remoteSource) FoldSources(ds, spec core.CuboidSpec, values []hierarchy.
 			}
 		}
 	}
-	// Each shard lists its slice in cell-key order; the single node folds
-	// the union in that order, and the folded list is part of the body.
-	sort.Slice(cells, func(i, j int) bool {
-		return core.CellKey(cells[i].Values) < core.CellKey(cells[j].Values)
-	})
+	// Each shard lists its slice in CompareCells order; the single node
+	// folds the union in that order, and the folded list is part of the body.
+	slices.SortFunc(cells, func(a, b *core.Cell) int { return core.CompareCells(a.Values, b.Values) })
 	return cells
 }

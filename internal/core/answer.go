@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
@@ -153,7 +154,7 @@ type Answer struct {
 	// Query echoes the request.
 	Query Query
 	// Cells holds the answered cells: exactly one for OpCell and OpRollUp,
-	// zero or more for the multi-cell ops, in ascending cell-key order.
+	// zero or more for the multi-cell ops, in CompareCells order.
 	Cells []CellAnswer
 	// Truncated reports that a multi-cell op hit Query.MaxCells.
 	Truncated bool
@@ -185,7 +186,7 @@ type CellSource interface {
 	// MaterializedSpecs lists the materialized cuboids in ascending key
 	// order.
 	MaterializedSpecs() []CuboidSpec
-	// FoldSources returns, in ascending cell-key order, the cells of the
+	// FoldSources returns, in CompareCells order, the cells of the
 	// materialized cuboid ds that generalize to the cell.
 	FoldSources(ds, spec CuboidSpec, values []hierarchy.NodeID) []*Cell
 }
@@ -244,8 +245,9 @@ func (c *Cube) AnswerFrom(ctx context.Context, src CellSource, q Query) (*Answer
 		}
 		candidates, _ := c.EnumerateCellValues(spec)
 		var keep [][]hierarchy.NodeID // fresh: never filter into the enumeration's backing array
+		up := make([]hierarchy.NodeID, len(q.Values))
 		for _, v := range candidates {
-			if cellKey(c.GeneralizeValues(spec.Item, q.Spec.Item, v)) == cellKey(q.Values) {
+			if slices.Equal(c.generalize(up, spec.Item, q.Spec.Item, v), q.Values) {
 				keep = append(keep, v)
 			}
 		}
@@ -422,7 +424,7 @@ func (p *planner) answerCell(ctx context.Context, spec CuboidSpec, values []hier
 		}, nil
 	}
 	frontier := []CellRef{{Spec: spec, Values: values}}
-	seen := map[string]bool{spec.Key() + "|" + cellKey(values): true}
+	seen := map[CellRefKey]bool{{spec.Key(), MakeCellID(values)}: true}
 	for len(frontier) > 0 {
 		if err := ctx.Err(); err != nil {
 			return CellAnswer{}, err
@@ -430,7 +432,7 @@ func (p *planner) answerCell(ctx context.Context, spec CuboidSpec, values []hier
 		var next []CellRef
 		for _, r := range frontier {
 			for _, pr := range p.c.ParentRefs(r.Spec, r.Values) {
-				k := pr.Spec.Key() + "|" + cellKey(pr.Values)
+				k := CellRefKey{pr.Spec.Key(), MakeCellID(pr.Values)}
 				if seen[k] {
 					continue
 				}
@@ -452,7 +454,7 @@ func (p *planner) answerCell(ctx context.Context, spec CuboidSpec, values []hier
 		frontier = next
 	}
 	return CellAnswer{}, fmt.Errorf("%w: cuboid %s cell %s (no materialized ancestor either)",
-		ErrCellNotFound, spec.Key(), cellKey(values))
+		ErrCellNotFound, spec.Key(), formatCell(values))
 }
 
 // probe asks one lattice position for a usable cell: the materialized cell
@@ -491,7 +493,7 @@ func (p *planner) reconstructCell(ctx context.Context, spec CuboidSpec, values [
 	census, ok := p.src.Census(spec, values)
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: cuboid %s cell %s: no materialized cuboid shares item level %s for the census count",
-			ErrNotComputable, spec.Key(), cellKey(values), spec.Item.Key())
+			ErrNotComputable, spec.Key(), formatCell(values), spec.Item.Key())
 	}
 	for _, ds := range p.c.descendantSpecs(p.src.MaterializedSpecs(), spec) {
 		if err := ctx.Err(); err != nil {
@@ -534,7 +536,7 @@ func (p *planner) reconstructCell(ctx context.Context, spec CuboidSpec, values [
 		return cell, folded, nil
 	}
 	return nil, nil, fmt.Errorf("%w: cuboid %s cell %s: no materialized descendant cuboid partitions it",
-		ErrNotComputable, spec.Key(), cellKey(values))
+		ErrNotComputable, spec.Key(), formatCell(values))
 }
 
 // reconstructRedundancy mirrors MarkCellRedundancy for a reconstructed

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"math/bits"
 	"sort"
 
 	"flowcube/internal/hierarchy"
@@ -10,15 +8,11 @@ import (
 )
 
 // assignPlan is the precomputed state for populate's record→cell assignment
-// scan. It replaces the per-record fmt-formatted string keys with fixed-width
-// packed keys (a single uint64 when every dimension's node ids fit in 64 bits
-// together, a fixed-width binary string otherwise), hoists the per-dimension
-// ancestor lookups so each (dimension, level) pair is resolved once per
-// record regardless of how many cuboids share it, and numbers every cell
-// with a global slot id so workers can collect tids into plain slices.
-//
-// Cell values are hierarchy node ids ('*' = hierarchy.Root = 0), so a packed
-// key is injective as long as each dimension gets ⌈log2(h.Len())⌉ bits.
+// scan. It probes each cuboid's slot table with the record's CellID built
+// in one reused buffer, hoists the per-dimension ancestor lookups so each
+// (dimension, level) pair is resolved once per record regardless of how
+// many cuboids share it, and numbers every cell with a global slot id so
+// workers can collect tids into plain slices.
 type assignPlan struct {
 	schema *pathdb.Schema
 	// dimLevels lists, per dimension, the sorted distinct non-'*' levels any
@@ -27,24 +21,16 @@ type assignPlan struct {
 	targets   []assignTarget
 	// slots maps global slot id → cell, in sorted cuboid/cell order, so the
 	// bucket merge visits cells deterministically.
-	slots  []*Cell
-	packed bool
-	shifts []uint // per-dimension bit offset within the uint64 key
+	slots []*Cell
 }
 
-// maxPackedKeyBits is the widest combined key that still uses the uint64
-// fast path; schemas needing more fall back to fixed-width binary-string
-// keys. A var so tests can force the fallback on small schemas.
-var maxPackedKeyBits = 64
-
 // assignTarget is one materialized cuboid's view of the plan: where each
-// dimension's value comes from, and the cell lookup table keyed by packed key.
+// dimension's value comes from, and the cell slot table.
 type assignTarget struct {
 	// levelIdx gives, per dimension, the row of the hoisted ancestor table
 	// holding this cuboid's value, or -1 for a '*' dimension.
 	levelIdx []int
-	packed   map[uint64]int32
-	binary   map[string]int32
+	slots    map[CellID]int32
 }
 
 func newAssignPlan(schema *pathdb.Schema, targets []*Cuboid) *assignPlan {
@@ -62,21 +48,8 @@ func newAssignPlan(schema *pathdb.Schema, targets []*Cuboid) *assignPlan {
 		sort.Ints(p.dimLevels[d])
 	}
 
-	// Per-dimension bit widths decide whether every cell key fits one uint64.
-	p.shifts = make([]uint, m)
-	total := uint(0)
-	for d, h := range schema.Dims {
-		w := uint(bits.Len(uint(h.Len() - 1)))
-		if w == 0 {
-			w = 1
-		}
-		p.shifts[d] = total
-		total += w
-	}
-	p.packed = total <= uint(maxPackedKeyBits)
-
 	for _, cb := range targets {
-		t := assignTarget{levelIdx: make([]int, m)}
+		t := assignTarget{levelIdx: make([]int, m), slots: make(map[CellID]int32, len(cb.Cells))}
 		for d, l := range cb.Spec.Item {
 			t.levelIdx[d] = -1
 			if l == 0 {
@@ -88,21 +61,9 @@ func newAssignPlan(schema *pathdb.Schema, targets []*Cuboid) *assignPlan {
 				}
 			}
 		}
-		if p.packed {
-			t.packed = make(map[uint64]int32, len(cb.Cells))
-		} else {
-			t.binary = make(map[string]int32, len(cb.Cells))
-		}
 		for _, cell := range cb.SortedCells() {
-			slot := int32(len(p.slots))
+			t.slots[MakeCellID(cell.Values)] = int32(len(p.slots))
 			p.slots = append(p.slots, cell)
-			if p.packed {
-				t.packed[p.packKey(cell.Values)] = slot
-			} else {
-				buf := make([]byte, 4*m)
-				p.putBinaryKey(buf, cell.Values)
-				t.binary[string(buf)] = slot
-			}
 		}
 		p.targets = append(p.targets, t)
 	}
@@ -118,35 +79,19 @@ func containsInt(s []int, v int) bool {
 	return false
 }
 
-func (p *assignPlan) packKey(values []hierarchy.NodeID) uint64 {
-	var key uint64
-	for d, v := range values {
-		key |= uint64(uint32(v)) << p.shifts[d]
-	}
-	return key
-}
-
-func (p *assignPlan) putBinaryKey(buf []byte, values []hierarchy.NodeID) {
-	for d, v := range values {
-		binary.LittleEndian.PutUint32(buf[4*d:], uint32(v))
-	}
-}
-
 // assign routes records [lo, hi) of the database to their cells, appending
 // each matching tid to bucket[slot]. It allocates nothing per record: the
-// hoisted ancestor table and the key buffer are reused across the whole
-// range, and packed-map probes with a string(buf) conversion used only as a
-// map index do not escape.
+// hoisted ancestor table and the value and key buffers are reused across
+// the whole range, and a slot-table probe keyed by a CellID conversion
+// does not copy the key.
 func (p *assignPlan) assign(db *pathdb.DB, lo, hi int, bucket [][]int32) {
 	m := len(p.dimLevels)
 	anc := make([][]hierarchy.NodeID, m)
 	for d := range anc {
 		anc[d] = make([]hierarchy.NodeID, len(p.dimLevels[d]))
 	}
-	var keyBuf []byte
-	if !p.packed {
-		keyBuf = make([]byte, 4*m)
-	}
+	values := make([]hierarchy.NodeID, m)
+	key := make([]byte, 0, 4*m)
 	for tid := lo; tid < hi; tid++ {
 		rec := &db.Records[tid]
 		for d, levels := range p.dimLevels {
@@ -157,27 +102,14 @@ func (p *assignPlan) assign(db *pathdb.DB, lo, hi int, bucket [][]int32) {
 		}
 		for ti := range p.targets {
 			t := &p.targets[ti]
-			var slot int32
-			var ok bool
-			if p.packed {
-				var key uint64
-				for d, li := range t.levelIdx {
-					if li >= 0 {
-						key |= uint64(uint32(anc[d][li])) << p.shifts[d]
-					}
+			for d, li := range t.levelIdx {
+				values[d] = hierarchy.Root
+				if li >= 0 {
+					values[d] = anc[d][li]
 				}
-				slot, ok = t.packed[key]
-			} else {
-				for d, li := range t.levelIdx {
-					v := hierarchy.Root
-					if li >= 0 {
-						v = anc[d][li]
-					}
-					binary.LittleEndian.PutUint32(keyBuf[4*d:], uint32(v))
-				}
-				slot, ok = t.binary[string(keyBuf)]
 			}
-			if ok {
+			key = appendCellID(key[:0], values)
+			if slot, ok := t.slots[CellID(key)]; ok {
 				bucket[slot] = append(bucket[slot], int32(tid))
 			}
 		}

@@ -63,7 +63,7 @@ func prepare(db *pathdb.DB, cfg Config) (*Cube, cellConds, error) {
 		if err := validateSpec(spec, syms, db.Schema); err != nil {
 			return nil, nil, err
 		}
-		cube.Cuboids[spec.Key()] = &Cuboid{Spec: spec, Cells: make(map[string]*Cell)}
+		cube.Cuboids[spec.Key()] = &Cuboid{Spec: spec, Cells: make(map[CellID]*Cell)}
 	}
 
 	// Instantiate frequent cells from the mining output, and collect the
@@ -101,8 +101,8 @@ func validateSpec(spec CuboidSpec, syms *transact.Symbols, schema *pathdb.Schema
 	return nil
 }
 
-// cellConds accumulates exception conditions per cuboid-cell.
-type cellConds map[string]map[string][][]flowgraph.StagePin
+// cellConds accumulates exception conditions per cuboid key and cell.
+type cellConds map[string]map[CellID][][]flowgraph.StagePin
 
 // instantiateCells creates the frequent cells of every materialized cuboid
 // from the mining result and returns the per-cell exception conditions.
@@ -149,11 +149,11 @@ func (c *Cube) instantiateCells(db *pathdb.DB, res *mining.Result) cellConds {
 			}
 			byCell := conds[specKey]
 			if byCell == nil {
-				byCell = make(map[string][][]flowgraph.StagePin)
+				byCell = make(map[CellID][][]flowgraph.StagePin)
 				conds[specKey] = byCell
 			}
-			key := cellKey(values)
-			byCell[key] = append(byCell[key], pins)
+			id := MakeCellID(values)
+			byCell[id] = append(byCell[id], pins)
 		}
 	}
 	return conds
@@ -231,17 +231,16 @@ func stagePins(syms *transact.Symbols, stages []transact.Item) (int, []flowgraph
 // addCell registers a frequent cell in every materialized cuboid sharing
 // its item level.
 func (c *Cube) addCell(il ItemLevel, values []hierarchy.NodeID, count int64) {
-	key := cellKey(values)
+	id := MakeCellID(values)
 	for pl := range c.Symbols.PathLevels() {
-		spec := CuboidSpec{Item: il, PathLevel: pl}
-		cb := c.Cuboids[spec.Key()]
+		cb := c.Cuboid(CuboidSpec{Item: il, PathLevel: pl})
 		if cb == nil {
 			continue
 		}
-		if _, dup := cb.Cells[key]; dup {
+		if _, dup := cb.Cells[id]; dup {
 			continue
 		}
-		cb.Cells[key] = &Cell{
+		cb.Cells[id] = &Cell{
 			Values:     append([]hierarchy.NodeID(nil), values...),
 			Count:      count,
 			Similarity: SimilarityUnknown,
@@ -271,7 +270,7 @@ func (c *Cube) populateTargets() []*Cuboid {
 }
 
 // assignCells routes every record to its cell in every target cuboid using
-// the packed-key assignment plan. The record range is split into contiguous
+// the assignment plan. The record range is split into contiguous
 // chunks, one per worker; each worker appends tids into its own per-slot
 // buckets, and the buckets are concatenated in worker order — which, because
 // the chunks cover ascending tid ranges, reproduces the sequential scan's
@@ -414,11 +413,10 @@ func (c *Cube) mineExceptions(db *pathdb.DB, conds cellConds) {
 			if cell.Graph == nil {
 				continue
 			}
-			ck := cellKey(cell.Values)
-			cellConds := conds[specKey][ck]
+			cellConds := conds[specKey][MakeCellID(cell.Values)]
 			// Warm the condition cache (conds.go) so the incremental path
 			// knows each cell's full condition set without re-mining it.
-			c.SetCachedConds(specKey, ck, cellConds)
+			cell.SetCachedConds(cellConds)
 			jobs = append(jobs, job{cell: cell, conds: cellConds})
 		}
 	}

@@ -32,7 +32,7 @@ type CondSet struct {
 func NewCondSet(pins [][]flowgraph.StagePin) *CondSet {
 	s := &CondSet{Pins: pins, keys: make(map[string]bool, len(pins))}
 	for _, p := range pins {
-		s.keys[CondPinKey(p)] = true
+		s.keys[condPinKey(p)] = true
 	}
 	return s
 }
@@ -40,53 +40,31 @@ func NewCondSet(pins [][]flowgraph.StagePin) *CondSet {
 // Has reports whether an equivalent pin-list (same pins, any order) is in
 // the set. A nil set has nothing.
 func (s *CondSet) Has(pins []flowgraph.StagePin) bool {
-	return s != nil && s.keys[CondPinKey(pins)]
+	return s != nil && s.keys[condPinKey(pins)]
 }
 
-// CondPinKey renders a pin-list's canonical identity: pins sorted by depth,
-// each encoded with its depth, location, and duration. Two pin-lists get
-// the same key exactly when the exception miner treats them as the same
-// condition.
-func CondPinKey(pins []flowgraph.StagePin) string {
+// condPinKey renders a pin-list's canonical identity: its pins sorted by
+// depth, encoded as an exception's condition is (flowgraph.AppendPins). Two
+// pin-lists get the same key exactly when the exception miner treats them
+// as the same condition.
+func condPinKey(pins []flowgraph.StagePin) string {
 	cc := append([]flowgraph.StagePin(nil), pins...)
 	sort.Slice(cc, func(i, j int) bool { return cc[i].Depth < cc[j].Depth })
-	var b []byte
-	for _, pin := range cc {
-		b = append(b, byte(pin.Depth), byte(pin.Location))
-		if pin.DurAny {
-			b = append(b, '*')
-		} else {
-			for s := 0; s < 8; s++ {
-				b = append(b, byte(pin.Duration>>(8*s)))
-			}
-		}
-	}
-	return string(b)
+	return string(flowgraph.AppendPins(nil, cc))
 }
 
-// CachedConds returns the cached condition set of a cell (identified by its
-// cuboid spec key and CellKey), with ok=false on a cold cache. Only cells in
-// memory carry one: a cell still in a mapped base is cold.
-func (c *Cube) CachedConds(specKey, cellKey string) (*CondSet, bool) {
-	cb := c.Cuboids[specKey]
-	if cb == nil {
-		return nil, false
-	}
-	cell := cb.Cells[cellKey]
-	if cell == nil || cell.conds == nil {
-		return nil, false
-	}
-	return cell.conds, true
+// CachedConds returns the cell's cached condition set, with ok=false on a
+// cold cache. A cell decoded from a mapped base is cold.
+func (cell *Cell) CachedConds() (*CondSet, bool) {
+	return cell.conds, cell.conds != nil
 }
 
-// SetCachedConds records a cell's condition set, replacing any previous
-// entry with a fresh one (entries are immutable; the generation this one
-// was forked from keeps the old entry on its own copy of the cell). It is a
-// no-op when the cell is not materialized.
-func (c *Cube) SetCachedConds(specKey, cellKey string, pins [][]flowgraph.StagePin) {
-	if cell := c.OwnedCell(specKey, cellKey); cell != nil {
-		cell.conds = NewCondSet(pins)
-	}
+// SetCachedConds replaces the condition set of a cell obtained from
+// OwnedCell or AdmitCell with a fresh one (entries are immutable; the
+// generation this one was forked from keeps the old entry on its own copy
+// of the cell).
+func (cell *Cell) SetCachedConds(pins [][]flowgraph.StagePin) {
+	cell.conds = NewCondSet(pins)
 }
 
 // DropCondCache empties the cache, so the incremental path re-mines every

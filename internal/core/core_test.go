@@ -275,6 +275,30 @@ func TestSpecEnumeration(t *testing.T) {
 	}
 }
 
+// TestCondSetTellsWidePinsApart: a condition set matches pin-lists by
+// depth, location and duration at full width, so on a hierarchy of 256 or
+// more locations (or paths as deep) a pin is not mistaken for one whose
+// location or depth differs by a multiple of 256.
+func TestCondSetTellsWidePinsApart(t *testing.T) {
+	pin := flowgraph.StagePin{Depth: 1, Location: 5, Duration: 3}
+	set := core.NewCondSet([][]flowgraph.StagePin{{pin}})
+	if !set.Has([]flowgraph.StagePin{pin}) {
+		t.Fatal("the set does not hold its own condition")
+	}
+	for _, other := range []flowgraph.StagePin{
+		{Depth: 1, Location: 261, Duration: 3},
+		{Depth: 257, Location: 5, Duration: 3},
+	} {
+		if set.Has([]flowgraph.StagePin{other}) {
+			t.Errorf("condition %+v matches %+v", other, pin)
+		}
+	}
+	deep := core.NewCondSet([][]flowgraph.StagePin{{{Depth: 2, Location: 5, DurAny: true}}})
+	if deep.Has([]flowgraph.StagePin{{Depth: 258, Location: 5, DurAny: true}}) {
+		t.Error("a depth-258 pin matches a depth-2 one")
+	}
+}
+
 func TestItemLevelDominates(t *testing.T) {
 	cases := []struct {
 		a, b core.ItemLevel

@@ -10,6 +10,9 @@
 package core
 
 import (
+	"cmp"
+	"encoding/binary"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -31,12 +34,15 @@ func (il ItemLevel) Key() string {
 	return string(il.appendKey(buf[:0]))
 }
 
-func (il ItemLevel) appendKey(b []byte) []byte {
-	for i, l := range il {
+func (il ItemLevel) appendKey(b []byte) []byte { return appendDecimals(b, il) }
+
+// appendDecimals appends xs to b in decimal, comma-separated.
+func appendDecimals[T ~int | ~int32](b []byte, xs []T) []byte {
+	for i, x := range xs {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendInt(b, int64(l), 10)
+		b = strconv.AppendInt(b, int64(x), 10)
 	}
 	return b
 }
@@ -75,8 +81,12 @@ type CuboidSpec struct {
 // Key returns a canonical identity string.
 func (cs CuboidSpec) Key() string {
 	var buf [40]byte
-	b := append(cs.Item.appendKey(buf[:0]), '@')
-	return string(strconv.AppendInt(b, int64(cs.PathLevel), 10))
+	return string(cs.appendKey(buf[:0]))
+}
+
+func (cs CuboidSpec) appendKey(b []byte) []byte {
+	b = append(cs.Item.appendKey(b), '@')
+	return strconv.AppendInt(b, int64(cs.PathLevel), 10)
 }
 
 // Cell is one flowcube cell: a combination of dimension values at the
@@ -109,18 +119,78 @@ type Cell struct {
 	owner uint32
 }
 
-// cellKey canonically encodes per-dimension values.
-func cellKey(values []hierarchy.NodeID) string {
+// CellID is a cell's identity within its cuboid, the key of every map or
+// set of cells: 4 little-endian bytes per dimension value. It only names a
+// cell; CompareCells orders cells.
+type CellID string
+
+// MakeCellID returns the identity of per-dimension values.
+func MakeCellID(values []hierarchy.NodeID) CellID {
 	var buf [48]byte
-	b := buf[:0]
-	for i, v := range values {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return string(b)
+	return CellID(appendCellID(buf[:0], values))
 }
+
+// appendCellID appends the CellID bytes of values to b. A map probe keyed
+// by CellID(appendCellID(buf[:0], values)) over a stack buffer allocates
+// nothing.
+func appendCellID(b []byte, values []hierarchy.NodeID) []byte {
+	for _, v := range values {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	return b
+}
+
+// values decodes the per-dimension values the identity was made from.
+func (id CellID) values() []hierarchy.NodeID {
+	out := make([]hierarchy.NodeID, len(id)/4)
+	for d := range out {
+		out[d] = hierarchy.NodeID(binary.LittleEndian.Uint32([]byte(id[4*d : 4*d+4])))
+	}
+	return out
+}
+
+// CompareCells orders cells as their values' decimal renderings ("12,3")
+// compare as strings: dimension by dimension, each value by its decimal
+// digits, so 10 sorts before 9. It is the order sections store cells in,
+// and the order of every cell listing a snapshot or an answer carries.
+func CompareCells(a, b []hierarchy.NodeID) int {
+	for d := range min(len(a), len(b)) {
+		if c := compareDecimal(a[d], b[d]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// compareDecimal compares two values as their decimal strings do: '-'
+// sorts before every digit, so signs order numerically; digit strings of
+// one length order numerically too, and otherwise the longer one's leading
+// digits decide, the shorter first on a tie (it is their prefix).
+func compareDecimal(a, b hierarchy.NodeID) int {
+	if a == b || (a < 0) != (b < 0) {
+		return cmp.Compare(a, b)
+	}
+	x, y := uint64(max(int64(a), -int64(a))), uint64(max(int64(b), -int64(b)))
+	nx, ny := decimalDigits(x), decimalDigits(y)
+	if nx < ny {
+		return cmp.Or(cmp.Compare(x, y/pow10[ny-nx]), -1)
+	}
+	return cmp.Or(cmp.Compare(x/pow10[nx-ny], y), cmp.Compare(nx, ny))
+}
+
+var pow10 = [...]uint64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// decimalDigits counts the decimal digits of x < 1e10.
+func decimalDigits(x uint64) int {
+	n := 1
+	for n < len(pow10) && x >= pow10[n] {
+		n++
+	}
+	return n
+}
+
+// formatCell renders per-dimension values for messages, as "12,3".
+func formatCell(values []hierarchy.NodeID) string { return string(appendDecimals(nil, values)) }
 
 // SimilarityUnknown is the Cell.Similarity sentinel meaning "no parent
 // similarity has been measured": MarkRedundancy has not run, or the cell has
@@ -133,10 +203,11 @@ const SimilarityUnknown = -1
 // that is built, Loaded or assembled in memory has no base: Cells holds
 // every cell. One opened with LoadCubeLazy has its mapped snapshot section
 // as the base, and Cells holds only what its lineage wrote over it, a nil
-// value hiding the base cell under that key. SortedCells lists both layers.
+// value hiding the base cell of that identity. SortedCells lists both
+// layers.
 type Cuboid struct {
 	Spec  CuboidSpec
-	Cells map[string]*Cell
+	Cells map[CellID]*Cell
 
 	// owner is the generation that may write the cell map (delta.go).
 	owner uint32
@@ -230,7 +301,8 @@ func (c *Cube) MinCount() int64 { return c.minCount }
 
 // Cuboid returns a materialized cuboid, or nil.
 func (c *Cube) Cuboid(spec CuboidSpec) *Cuboid {
-	return c.Cuboids[spec.Key()]
+	var buf [40]byte
+	return c.Cuboids[string(spec.appendKey(buf[:0]))]
 }
 
 // Cell resolves a cell by cuboid spec and per-dimension values (which must
@@ -247,16 +319,16 @@ func (c *Cube) Cell(spec CuboidSpec, values []hierarchy.NodeID) (*Cell, bool) {
 // reports absence, and a section whose directory does not build reports
 // not materialized, with the error available via LazyErr.
 func (c *Cube) Lookup(spec CuboidSpec, values []hierarchy.NodeID) (*Cell, bool) {
-	cb := c.Cuboids[spec.Key()]
+	cb := c.Cuboid(spec)
 	if cb == nil {
 		return nil, false
 	}
-	return cb.get(cellKey(values))
+	return cb.get(values)
 }
 
-// SortedCells returns every cell of the cuboid, both layers, in ascending
-// key order; base cells decode through the LRU. It returns nil when the
-// base does not read, with the error available via LazyErr.
+// SortedCells returns every cell of the cuboid, both layers, in
+// CompareCells order; base cells decode through the LRU. It returns nil
+// when the base does not read, with the error available via LazyErr.
 func (cb *Cuboid) SortedCells() []*Cell {
 	cells, err := cb.cells()
 	if err != nil {
@@ -279,19 +351,27 @@ func (cb *Cuboid) cells() ([]*Cell, error) {
 	return out, err
 }
 
-// each walks the cuboid's cells in ascending key order — the order a
+// each walks the cuboid's cells in CompareCells order — the order a
 // section stores them in — merging the base's directory with the cells
-// written over it. e describes every cell (key, values, count, redundancy)
-// and must not be retained; cell is the cell when it is in memory and nil
-// for a base cell, which decoded reads when the caller needs its graph.
-// It returns fn's first error, or that of a base directory that does not
+// written over it. e describes every cell (values, count, redundancy) and
+// must not be retained; cell is the cell when it is in memory and nil for
+// a base cell, which decoded reads when the caller needs its graph. It
+// returns fn's first error, or that of a base directory that does not
 // build (recorded for LazyErr), and walks no further.
 func (cb *Cuboid) each(fn func(e *dirEntry, cell *Cell) error) error {
-	keys := make([]string, 0, len(cb.Cells))
-	for k := range cb.Cells {
-		keys = append(keys, k)
+	type written struct {
+		values []hierarchy.NodeID
+		cell   *Cell // nil: hides the base cell
 	}
-	sort.Strings(keys)
+	mem := make([]written, 0, len(cb.Cells))
+	for id, cell := range cb.Cells {
+		if cell == nil {
+			mem = append(mem, written{id.values(), nil})
+		} else {
+			mem = append(mem, written{cell.Values, cell})
+		}
+	}
+	slices.SortFunc(mem, func(a, b written) int { return CompareCells(a.values, b.values) })
 	var base []dirEntry
 	if cb.base != nil {
 		d, err := cb.base.dir()
@@ -300,26 +380,29 @@ func (cb *Cuboid) each(fn func(e *dirEntry, cell *Cell) error) error {
 		}
 		base = d.entries
 	}
-	var mem *dirEntry // allocated on first use: a walk of a bare base allocates nothing
+	var e *dirEntry // allocated on first use: a walk of a bare base allocates nothing
 	i := 0
-	for _, k := range keys {
-		for ; i < len(base) && base[i].key < k; i++ {
+	for _, w := range mem {
+		for ; i < len(base); i++ {
+			c := CompareCells(base[i].values, w.values)
+			if c == 0 {
+				i++
+			}
+			if c >= 0 {
+				break
+			}
 			if err := fn(&base[i], nil); err != nil {
 				return err
 			}
 		}
-		if i < len(base) && base[i].key == k {
-			i++
-		}
-		cell := cb.Cells[k]
-		if cell == nil {
+		if w.cell == nil {
 			continue
 		}
-		if mem == nil {
-			mem = new(dirEntry)
+		if e == nil {
+			e = new(dirEntry)
 		}
-		*mem = dirEntry{key: k, values: cell.Values, count: cell.Count, redundant: cell.Redundant}
-		if err := fn(mem, cell); err != nil {
+		*e = dirEntry{values: w.cell.Values, count: w.cell.Count, redundant: w.cell.Redundant}
+		if err := fn(e, w.cell); err != nil {
 			return err
 		}
 	}
@@ -340,25 +423,25 @@ func (cb *Cuboid) decoded(e *dirEntry, cell *Cell) (*Cell, error) {
 	return cb.base.cell(e)
 }
 
-// find locates key in the two layers: the cell when it is in memory (nil
-// when a nil entry hides the base's), else the base's directory entry, nil
-// when neither layer holds it. materialized is false only when the base's
-// directory does not build.
-func (cb *Cuboid) find(key string) (e *dirEntry, cell *Cell, materialized bool) {
-	if cell, ok := cb.Cells[key]; ok || cb.base == nil {
+// find locates a cell in the two layers: the cell when it is in memory
+// (nil when a nil entry hides the base's), else the base's directory entry,
+// nil when neither layer holds it. materialized is false only when the
+// base's directory does not build.
+func (cb *Cuboid) find(values []hierarchy.NodeID) (e *dirEntry, cell *Cell, materialized bool) {
+	var buf [48]byte
+	if cell, ok := cb.Cells[CellID(appendCellID(buf[:0], values))]; ok || cb.base == nil {
 		return nil, cell, true
 	}
 	d, err := cb.base.dir()
 	if err != nil {
 		return nil, nil, false
 	}
-	e, _ = d.find(key)
-	return e, nil, true
+	return d.find(values), nil, true
 }
 
 // get is the point read behind Lookup.
-func (cb *Cuboid) get(key string) (*Cell, bool) {
-	e, cell, materialized := cb.find(key)
+func (cb *Cuboid) get(values []hierarchy.NodeID) (*Cell, bool) {
+	e, cell, materialized := cb.find(values)
 	if e != nil {
 		cell, _ = cb.base.cell(e)
 	}
@@ -380,12 +463,11 @@ func (cb *Cuboid) len() int {
 	if err != nil {
 		return n
 	}
-	for key, cell := range cb.Cells {
-		_, inBase := d.find(key)
+	for id, cell := range cb.Cells {
 		switch {
-		case inBase && cell == nil:
+		case cell == nil && d.find(id.values()) != nil:
 			n--
-		case !inBase && cell != nil:
+		case cell != nil && d.find(cell.Values) == nil:
 			n++
 		}
 	}

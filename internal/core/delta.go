@@ -60,46 +60,45 @@ func (c *Cube) Fork() *Cube {
 	return f
 }
 
-// ownedCuboid returns the cuboid under specKey with a cell map this
-// generation may write, copying the map (not the cells, nor the base under
-// it) on first touch; nil when the cuboid is not materialized.
-func (c *Cube) ownedCuboid(specKey string) *Cuboid {
-	cb := c.Cuboids[specKey]
+// ownedCuboid returns the spec's cuboid with a cell map this generation
+// may write, copying the map (not the cells, nor the base under it) on
+// first touch; nil when the cuboid is not materialized.
+func (c *Cube) ownedCuboid(spec CuboidSpec) *Cuboid {
+	cb := c.Cuboid(spec)
 	if cb == nil || cb.owner == c.gen {
 		return cb
 	}
-	own := &Cuboid{Spec: cb.Spec, Cells: make(map[string]*Cell, len(cb.Cells)+1), owner: c.gen, base: cb.base}
-	for ck, cell := range cb.Cells {
-		own.Cells[ck] = cell
+	own := &Cuboid{Spec: cb.Spec, Cells: make(map[CellID]*Cell, len(cb.Cells)+1), owner: c.gen, base: cb.base}
+	for id, cell := range cb.Cells {
+		own.Cells[id] = cell
 	}
-	c.Cuboids[specKey] = own
+	c.Cuboids[spec.Key()] = own
 	return own
 }
 
-// remove deletes the cell under key: from the map, or over a base by a nil
-// entry that hides the base cell.
-func (cb *Cuboid) remove(key string) {
+// remove deletes a cell: from the map, or over a base by a nil entry that
+// hides the base cell.
+func (cb *Cuboid) remove(id CellID) {
 	if cb.base == nil {
-		delete(cb.Cells, key)
+		delete(cb.Cells, id)
 		return
 	}
-	cb.Cells[key] = nil
+	cb.Cells[id] = nil
 }
 
-// OwnedCell returns the cell stored under cellKey in the cuboid under
-// specKey as this generation may write it, or nil when there is none. It is
-// the only way a writer reaches a cell: the first touch in a generation
-// copies the cuboid's cell map, then the cell — decoded first when only the
-// mapped base holds it — its flowgraph forked (nodes
-// shared until a path is added through them), its tids clamped so an
-// append reallocates instead of growing into the older generation's spare
-// capacity — and later touches return the same copy.
-func (c *Cube) OwnedCell(specKey, cellKey string) *Cell {
-	cb := c.ownedCuboid(specKey)
+// OwnedCell returns the spec's cell of these values as this generation may
+// write it, or nil when there is none. It is the only way a writer reaches
+// a cell: the first touch in a generation copies the cuboid's cell map,
+// then the cell — decoded first when only the mapped base holds it — its
+// flowgraph forked (nodes shared until a path is added through them), its
+// tids clamped so an append reallocates instead of growing into the older
+// generation's spare capacity — and later touches return the same copy.
+func (c *Cube) OwnedCell(spec CuboidSpec, values []hierarchy.NodeID) *Cell {
+	cb := c.ownedCuboid(spec)
 	if cb == nil {
 		return nil
 	}
-	cell, _ := cb.get(cellKey)
+	cell, _ := cb.get(values)
 	if cell == nil || cell.owner == c.gen {
 		return cell
 	}
@@ -109,7 +108,7 @@ func (c *Cube) OwnedCell(specKey, cellKey string) *Cell {
 	if cell.Graph != nil {
 		own.Graph = cell.Graph.Fork(c.gen)
 	}
-	cb.Cells[cellKey] = &own
+	cb.Cells[MakeCellID(values)] = &own
 	c.cellsCopied++
 	return &own
 }
@@ -121,14 +120,14 @@ func (c *Cube) CellsCopied() int { return c.cellsCopied }
 // ownAllCells makes every materialized cell this generation's own, for the
 // mutators that rewrite the whole cube: afterwards Cells holds every cell.
 func (c *Cube) ownAllCells() {
-	for key, cb := range c.Cuboids {
-		var keys []string
+	for _, cb := range c.Cuboids {
+		var cells [][]hierarchy.NodeID
 		_ = cb.each(func(e *dirEntry, _ *Cell) error {
-			keys = append(keys, e.key)
+			cells = append(cells, e.values)
 			return nil
 		})
-		for _, ck := range keys {
-			c.OwnedCell(key, ck)
+		for _, values := range cells {
+			c.OwnedCell(cb.Spec, values)
 		}
 	}
 }
@@ -176,14 +175,15 @@ func (c *Cube) buildLedger(db *pathdb.DB) {
 	built := make([]*ledgerLevel, len(levels))
 	c.forEach(len(levels), func(i int) {
 		il := levels[i].Item
-		counts := make(map[string]*ledgerEntry)
+		counts := make(map[CellID]*ledgerEntry)
 		values := make([]hierarchy.NodeID, len(il))
+		var buf []byte
 		for r := range db.Records {
-			ck := cellKey(il.ValuesOf(c.Schema, db.Records[r].Dims, values))
-			e := counts[ck]
+			buf = appendCellID(buf[:0], il.ValuesOf(c.Schema, db.Records[r].Dims, values))
+			e := counts[CellID(buf)]
 			if e == nil {
-				e = &ledgerEntry{key: ck, values: append([]hierarchy.NodeID(nil), values...)}
-				counts[ck] = e
+				e = &ledgerEntry{id: CellID(buf), values: append([]hierarchy.NodeID(nil), values...)}
+				counts[e.id] = e
 			}
 			e.count++
 		}
@@ -200,10 +200,6 @@ func (c *Cube) buildLedger(db *pathdb.DB) {
 		c.ledger.levels[lv.item.Key()] = lv
 	}
 }
-
-// CellKey returns the canonical identity string of per-dimension values —
-// the key SortedCells and the cuboid cell maps are ordered by.
-func CellKey(values []hierarchy.NodeID) string { return cellKey(values) }
 
 // TIDs returns the record ids (indices into the build database) assigned to
 // the cell, in ascending order. The slice is the cell's own backing store —
@@ -222,25 +218,24 @@ func (c *Cube) HaveTIDs() bool { return c.haveTIDs }
 
 // RebuildTIDs re-derives every materialized cell's record-id list from the
 // database the cube was built over (or an equal copy), using the same
-// packed-key assignment scan as Build. Cubes loaded from snapshots do not
-// carry tids; delta maintenance needs them once.
+// assignment scan as Build. Cubes loaded from snapshots do not carry tids;
+// delta maintenance needs them once.
 func (c *Cube) RebuildTIDs(db *pathdb.DB) {
 	c.ownAllCells()
 	c.assignCells(db, c.populateTargets())
 }
 
 // AdmitCell registers a newly-frequent cell (found by delta maintenance) in
-// the cuboid under specKey and returns it for the caller to fill in, or nil
-// when the cuboid is not materialized or already holds the cell. Callers
-// admit a combination into every cuboid of its item level (LevelCuboids),
-// as the build phase does for cells found by mining.
-func (c *Cube) AdmitCell(specKey string, values []hierarchy.NodeID, count int64) *Cell {
-	cb := c.ownedCuboid(specKey)
+// the spec's cuboid and returns it for the caller to fill in, or nil when
+// the cuboid is not materialized or already holds the cell. Callers admit a
+// combination into every cuboid of its item level (LevelCuboids), as the
+// build phase does for cells found by mining.
+func (c *Cube) AdmitCell(spec CuboidSpec, values []hierarchy.NodeID, count int64) *Cell {
+	cb := c.ownedCuboid(spec)
 	if cb == nil {
 		return nil
 	}
-	key := cellKey(values)
-	if e, cell, _ := cb.find(key); e != nil || cell != nil {
+	if e, cell, _ := cb.find(values); e != nil || cell != nil {
 		return nil
 	}
 	cell := &Cell{
@@ -249,7 +244,7 @@ func (c *Cube) AdmitCell(specKey string, values []hierarchy.NodeID, count int64)
 		Similarity: SimilarityUnknown,
 		owner:      c.gen,
 	}
-	cb.Cells[key] = cell
+	cb.Cells[MakeCellID(values)] = cell
 	return cell
 }
 

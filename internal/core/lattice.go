@@ -6,7 +6,9 @@ package core
 // is a pure read and safe under concurrent readers.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"flowcube/internal/hierarchy"
 )
@@ -49,20 +51,16 @@ func (c *Cube) descendantSpecs(specs []CuboidSpec, spec CuboidSpec) []CuboidSpec
 	type cand struct {
 		spec CuboidSpec
 		dist int
+		key  string
 	}
-	var cands []cand
+	cands := make([]cand, 0, len(specs))
 	for _, ds := range specs {
-		dist, ok := c.latticeDist(spec, ds)
-		if !ok {
-			continue
+		if dist, ok := c.latticeDist(spec, ds); ok {
+			cands = append(cands, cand{ds, dist, ds.Key()})
 		}
-		cands = append(cands, cand{spec: ds, dist: dist})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].dist != cands[j].dist {
-			return cands[i].dist < cands[j].dist
-		}
-		return cands[i].spec.Key() < cands[j].spec.Key()
+	slices.SortFunc(cands, func(a, b cand) int {
+		return cmp.Or(cmp.Compare(a.dist, b.dist), strings.Compare(a.key, b.key))
 	})
 	out := make([]CuboidSpec, len(cands))
 	for i, cd := range cands {
@@ -77,7 +75,7 @@ func (c *Cube) latticeDist(spec, ds CuboidSpec) (int, bool) {
 	if ds.PathLevel != spec.PathLevel {
 		return 0, false
 	}
-	if !spec.Item.Dominates(ds.Item) || ds.Item.Key() == spec.Item.Key() {
+	if !spec.Item.Dominates(ds.Item) || slices.Equal(ds.Item, spec.Item) {
 		return 0, false
 	}
 	dist := 0
@@ -95,7 +93,11 @@ func (c *Cube) latticeDist(spec, ds CuboidSpec) (int, bool) {
 // item level to (which must dominate from). Dimensions aggregated to '*'
 // become hierarchy.Root; others climb the hierarchy with AncestorAt.
 func (c *Cube) GeneralizeValues(from, to ItemLevel, values []hierarchy.NodeID) []hierarchy.NodeID {
-	out := make([]hierarchy.NodeID, len(values))
+	return c.generalize(make([]hierarchy.NodeID, len(values)), from, to, values)
+}
+
+// generalize is GeneralizeValues into out, which it returns.
+func (c *Cube) generalize(out []hierarchy.NodeID, from, to ItemLevel, values []hierarchy.NodeID) []hierarchy.NodeID {
 	for d, v := range values {
 		switch {
 		case to[d] == 0:
@@ -116,13 +118,12 @@ func (c *Cube) GeneralizeValues(from, to ItemLevel, values []hierarchy.NodeID) [
 // descendants is exact iff the folded counts sum to the census count. A
 // mapped base answers from the twin's directory and decodes no graph.
 func (c *Cube) Census(spec CuboidSpec, values []hierarchy.NodeID) (int64, bool) {
-	key := cellKey(values)
 	for pl := range c.Symbols.PathLevels() {
-		cb := c.Cuboids[CuboidSpec{Item: spec.Item, PathLevel: pl}.Key()]
+		cb := c.Cuboid(CuboidSpec{Item: spec.Item, PathLevel: pl})
 		if cb == nil || pl == spec.PathLevel {
 			continue
 		}
-		switch e, cell, _ := cb.find(key); {
+		switch e, cell, _ := cb.find(values); {
 		case cell != nil:
 			return cell.Count, true
 		case e != nil:
@@ -133,20 +134,20 @@ func (c *Cube) Census(spec CuboidSpec, values []hierarchy.NodeID) (int64, bool) 
 }
 
 // FoldSources returns the cells of the materialized cuboid ds that
-// generalize to the cell (spec, values), in ascending cell-key order: the
+// generalize to the cell (spec, values), in CompareCells order: the
 // candidates a fold of ds into that cell would merge. Selection runs on the
 // value tuples, so a mapped base decodes only the selected cells; one that
 // fails to decode is left out (and recorded for LazyErr), and the fold
 // certificate then sums short and refuses.
 func (c *Cube) FoldSources(ds, spec CuboidSpec, values []hierarchy.NodeID) []*Cell {
-	cb := c.Cuboids[ds.Key()]
+	cb := c.Cuboid(ds)
 	if cb == nil {
 		return nil
 	}
-	target := cellKey(values)
+	up := make([]hierarchy.NodeID, len(values))
 	var out []*Cell
 	_ = cb.each(func(e *dirEntry, cell *Cell) error {
-		if cellKey(c.GeneralizeValues(ds.Item, spec.Item, e.values)) != target {
+		if !slices.Equal(c.generalize(up, ds.Item, spec.Item, e.values), values) {
 			return nil
 		}
 		if cell, err := cb.decoded(e, cell); err == nil {
@@ -197,12 +198,12 @@ func (c *Cube) Partial(spec CuboidSpec, values []hierarchy.NodeID) Partial {
 	return p
 }
 
-// cuboidCellValues lists a materialized cuboid's value tuples in ascending
-// cell-key order; false when the cuboid is not materialized. The outer slice
-// is the caller's, the tuples are the cells' own and read-only. A mapped
-// base answers from its directory without decoding a graph.
+// cuboidCellValues lists a materialized cuboid's value tuples in
+// CompareCells order; false when the cuboid is not materialized. The outer
+// slice is the caller's, the tuples are the cells' own and read-only. A
+// mapped base answers from its directory without decoding a graph.
 func (c *Cube) cuboidCellValues(spec CuboidSpec) ([][]hierarchy.NodeID, bool) {
-	cb := c.Cuboids[spec.Key()]
+	cb := c.Cuboid(spec)
 	if cb == nil {
 		return nil, false
 	}
@@ -215,7 +216,7 @@ func (c *Cube) cuboidCellValues(spec CuboidSpec) ([][]hierarchy.NodeID, bool) {
 }
 
 // EnumerateCellValues lists the value tuples of spec's cells whether or not
-// the cuboid is materialized, in ascending cell-key order. For a dropped
+// the cuboid is materialized, in CompareCells order. For a dropped
 // cuboid the tuples come from a materialized cuboid at the same item level
 // (the census twin — cell sets at one item level agree across path levels
 // of an uncompressed cube), falling back to the distinct generalizations of
@@ -233,7 +234,8 @@ func (c *Cube) EnumerateCellValues(spec CuboidSpec) ([][]hierarchy.NodeID, bool)
 			return c.cuboidCellValues(ms)
 		}
 	}
-	seen := map[string][]hierarchy.NodeID{}
+	seen := map[CellID]bool{}
+	var out [][]hierarchy.NodeID
 	found := false
 	for _, ds := range c.descendantSpecs(specs, spec) {
 		tuples, ok := c.cuboidCellValues(ds)
@@ -243,20 +245,15 @@ func (c *Cube) EnumerateCellValues(spec CuboidSpec) ([][]hierarchy.NodeID, bool)
 		found = true
 		for _, v := range tuples {
 			up := c.GeneralizeValues(ds.Item, spec.Item, v)
-			seen[cellKey(up)] = up
+			if id := MakeCellID(up); !seen[id] {
+				seen[id] = true
+				out = append(out, up)
+			}
 		}
 	}
 	if !found {
 		return nil, false
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([][]hierarchy.NodeID, len(keys))
-	for i, k := range keys {
-		out[i] = seen[k]
-	}
+	slices.SortFunc(out, CompareCells)
 	return out, true
 }

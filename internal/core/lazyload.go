@@ -7,9 +7,9 @@ package core
 // layer of one Cuboid (cube.go), under the cells a lineage writes over it.
 // The unit of decoding and caching is the cell: one flat walk over a
 // section (prefixes decoded, flowgraphs skipped) yields its directory —
-// sorted cell keys, value tuples, counts, redundancy bits and byte offsets —
-// and a point read binary-searches the directory and decodes only the cell
-// it names. Directories and decoded cells share one byte-budgeted LRU with
+// sorted value tuples, counts, redundancy bits and byte offsets — and a
+// point read binary-searches the directory and decodes only the cell it
+// names. Directories and decoded cells share one byte-budgeted LRU with
 // single-flight dedup, so a server's cold open costs milliseconds, a cold
 // lookup costs one cell, and resident decoded state stays bounded regardless
 // of cube size. Summaries, censuses, fold-source selection and cell
@@ -41,7 +41,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -155,10 +154,11 @@ func (d *memData) close() error {
 }
 
 // lazySection is one cuboid section of the snapshot, the base of its
-// Cuboid: its key, path level and cell count from the section header, plus
-// the payload byte range and where in it the cells start.
+// Cuboid: its ordinal and key, path level and cell count from the section
+// header, plus the payload byte range and where in it the cells start.
 type lazySection struct {
 	b        *lazyBackend
+	idx      int32
 	key      string
 	level    pathdb.PathLevel
 	numCells int
@@ -167,17 +167,16 @@ type lazySection struct {
 }
 
 // sectionDir is the result of one flat walk over a section's cells: one
-// entry per cell in ascending key order — the order the section stores them
+// entry per cell in CompareCells order — the order the section stores them
 // in. It is immutable once built; callers share it.
 type sectionDir struct {
 	entries []dirEntry
 }
 
-// dirEntry describes one cell without its graph: its key and value tuple,
-// its path count and redundancy bit (so a census never decodes a graph),
-// and its byte range within the section payload.
+// dirEntry describes one cell without its graph: its value tuple, its path
+// count and redundancy bit (so a census never decodes a graph), and its
+// byte range within the section payload.
 type dirEntry struct {
-	key       string
 	values    []hierarchy.NodeID
 	count     int64
 	off, end  int32 // maxSectionBytes fits int32
@@ -185,23 +184,33 @@ type dirEntry struct {
 }
 
 // Directory-footprint model, the cache cost of a sectionDir: the entry
-// struct plus the key and value allocations' headers, then their bytes.
+// struct plus the value allocation's header, then its bytes.
 const (
 	dirBaseFootprint  = 64
-	dirEntryFootprint = 88
+	dirEntryFootprint = 72
 )
 
-// find binary-searches the directory for a cell key.
-func (d *sectionDir) find(key string) (*dirEntry, bool) {
-	i := sort.Search(len(d.entries), func(i int) bool { return d.entries[i].key >= key })
-	if i == len(d.entries) || d.entries[i].key != key {
-		return nil, false
+// find binary-searches the directory for a cell; nil when it holds none.
+func (d *sectionDir) find(values []hierarchy.NodeID) *dirEntry {
+	i, ok := slices.BinarySearchFunc(d.entries, values, func(e dirEntry, v []hierarchy.NodeID) int {
+		return CompareCells(e.values, v)
+	})
+	if !ok {
+		return nil
 	}
-	return &d.entries[i], true
+	return &d.entries[i]
 }
 
-// lazyEntry is what the backend's one cache holds: a section's directory
-// (under the section key) or one decoded cell (section key + "/" + cell key).
+// lazyKey names an entry of the backend's one cache by section ordinal: the
+// section's directory (off < 0), or the cell at byte offset off of its
+// payload. It holds no pointer, so the cache never reaches back to its
+// backend (whose finalizer releases the mapping).
+type lazyKey struct {
+	section, off int32
+}
+
+// lazyEntry is what the backend's one cache holds: a section's directory or
+// one decoded cell.
 type lazyEntry struct {
 	dir  *sectionDir
 	cell *Cell
@@ -215,7 +224,7 @@ type lazyBackend struct {
 	loc      *hierarchy.Hierarchy
 	sections int
 
-	cache *lru.Cache[lazyEntry]
+	cache *lru.Cache[lazyKey, lazyEntry]
 
 	// decodedCells/decodedBytes count cumulative cell decodes (cache misses
 	// that ran the cell decoder) and the encoded bytes they read. Directory
@@ -352,7 +361,7 @@ func openLazy(data snapData, opts LazyOptions) (*Cube, error) {
 	if budget == 0 {
 		budget = DefaultLazyCacheBytes
 	}
-	b := &lazyBackend{data: data, loc: cube.Schema.Location, cache: lru.New[lazyEntry](budget)}
+	b := &lazyBackend{data: data, loc: cube.Schema.Location, cache: lru.New[lazyKey, lazyEntry](budget)}
 	// The mapping is generation 0 of the lineage and the opened cube
 	// generation 1, so the cells the sections decode to — shared through the
 	// cache by every reader — are never anyone's to write: a writer copies
@@ -408,7 +417,7 @@ func openLazy(data snapData, opts LazyOptions) (*Cube, error) {
 			if _, dup := cube.Cuboids[key]; dup {
 				return nil, frameCorrupt("duplicate cuboid %s", key)
 			}
-			cube.Cuboids[key] = &Cuboid{Spec: spec, base: &lazySection{b: b, key: key,
+			cube.Cuboids[key] = &Cuboid{Spec: spec, base: &lazySection{b: b, idx: int32(len(cube.Cuboids)), key: key,
 				level: cube.Config.Plan.PathLevels[spec.PathLevel], numCells: numCells,
 				off: frames.payloadOff, n: int64(len(payload)), cellsOff: r.off}}
 		default:
@@ -462,7 +471,7 @@ func (s *lazySection) view(off, n int64) ([]byte, error) {
 // walk on first touch, at its own byte cost. Build errors are not cached — a
 // later touch retries — and the first one is recorded sticky for LazyErr.
 func (s *lazySection) dir() (*sectionDir, error) {
-	ent, _, err := s.b.cache.Do(s.key, func() (lazyEntry, int64, error) {
+	ent, _, err := s.b.cache.Do(lazyKey{s.idx, -1}, func() (lazyEntry, int64, error) {
 		d, cost, err := s.buildDir()
 		return lazyEntry{dir: d}, cost, err
 	})
@@ -472,25 +481,25 @@ func (s *lazySection) dir() (*sectionDir, error) {
 
 // walk is the one pass over the section's cells, which the directory build
 // and Load's decode share: cell decodes or skips the cell r is at, leaving r
-// at the next, and returns its key. walk makes the whole-section checks:
-// cell keys strictly ascending (what point reads binary-search on), no
-// trailing bytes.
-func (s *lazySection) walk(cell func(r *byteReader) (string, error)) error {
+// at the next, and returns its values. walk makes the whole-section checks:
+// cells strictly ascending in CompareCells order (what point reads
+// binary-search on), no trailing bytes.
+func (s *lazySection) walk(cell func(r *byteReader) ([]hierarchy.NodeID, error)) error {
 	payload, err := s.view(0, s.n)
 	if err != nil {
 		return err
 	}
 	r := &byteReader{section: "cuboid " + s.key, buf: payload, off: s.cellsOff}
-	prev := ""
+	var prev []hierarchy.NodeID
 	for ci := 0; ci < s.numCells; ci++ {
-		key, err := cell(r)
+		values, err := cell(r)
 		if err != nil {
 			return err
 		}
-		if ci > 0 && key <= prev {
-			return r.corrupt("cell %s is not after cell %s: cell keys must ascend strictly", key, prev)
+		if ci > 0 && CompareCells(values, prev) <= 0 {
+			return r.corrupt("cell %s is not after cell %s: cells must ascend strictly", formatCell(values), formatCell(prev))
 		}
-		prev = key
+		prev = values
 	}
 	if r.rem() != 0 {
 		return r.corrupt("%d trailing bytes", r.rem())
@@ -509,24 +518,23 @@ func (s *lazySection) cellCap() int {
 func (s *lazySection) buildDir() (*sectionDir, int64, error) {
 	d := &sectionDir{entries: make([]dirEntry, 0, s.cellCap())}
 	cost := int64(dirBaseFootprint)
-	err := s.walk(func(r *byteReader) (string, error) {
+	err := s.walk(func(r *byteReader) ([]hierarchy.NodeID, error) {
 		e := dirEntry{off: int32(r.off)}
 		var flags byte
 		var err error
 		if e.values, e.count, flags, _, err = decodeCellPrefixV2(r); err != nil {
-			return "", err
+			return nil, err
 		}
 		if flags&2 != 0 {
 			if err := skipFlatGraph(r); err != nil {
-				return "", err
+				return nil, err
 			}
 		}
 		e.end = int32(r.off)
-		e.key = cellKey(e.values)
 		e.redundant = flags&1 != 0
-		cost += dirEntryFootprint + int64(len(e.key)) + 4*int64(len(e.values))
+		cost += dirEntryFootprint + 4*int64(len(e.values))
 		d.entries = append(d.entries, e)
-		return e.key, nil
+		return e.values, nil
 	})
 	if err != nil {
 		return nil, 0, err
@@ -536,16 +544,15 @@ func (s *lazySection) buildDir() (*sectionDir, int64, error) {
 
 // decodeAll walks the section once, decoding every cell: Load's eager
 // decode, which bypasses the cache.
-func (s *lazySection) decodeAll() (map[string]*Cell, error) {
-	cells := make(map[string]*Cell, s.cellCap())
-	err := s.walk(func(r *byteReader) (string, error) {
+func (s *lazySection) decodeAll() (map[CellID]*Cell, error) {
+	cells := make(map[CellID]*Cell, s.cellCap())
+	err := s.walk(func(r *byteReader) ([]hierarchy.NodeID, error) {
 		cell, _, err := decodeCellV2(r, s.b.loc, s.level)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		key := cellKey(cell.Values)
-		cells[key] = cell
-		return key, nil
+		cells[MakeCellID(cell.Values)] = cell
+		return cell.Values, nil
 	})
 	if err != nil {
 		return nil, err
@@ -558,7 +565,7 @@ func (s *lazySection) decodeAll() (map[string]*Cell, error) {
 // cell's estimated decoded heap cost. Decode errors are not cached and the
 // first one is recorded sticky for LazyErr.
 func (s *lazySection) cell(e *dirEntry) (*Cell, error) {
-	ent, _, err := s.b.cache.Do(s.key+"/"+e.key, func() (lazyEntry, int64, error) {
+	ent, _, err := s.b.cache.Do(lazyKey{s.idx, e.off}, func() (lazyEntry, int64, error) {
 		buf, err := s.view(int64(e.off), int64(e.end-e.off))
 		if err != nil {
 			return lazyEntry{}, 0, err
@@ -566,7 +573,7 @@ func (s *lazySection) cell(e *dirEntry) (*Cell, error) {
 		r := &byteReader{section: "cuboid " + s.key, buf: buf}
 		cell, cost, err := decodeCellV2(r, s.b.loc, s.level)
 		if err == nil && r.rem() != 0 {
-			err = r.corrupt("cell %s: %d bytes past its flowgraph", e.key, r.rem())
+			err = r.corrupt("cell %s: %d bytes past its flowgraph", formatCell(e.values), r.rem())
 		}
 		if err != nil {
 			return lazyEntry{}, 0, err
@@ -599,7 +606,7 @@ func (s *lazySection) exceptions(e *dirEntry) (xs []flowgraph.Exception, err err
 		return nil, err
 	}
 	if xs, err = flowgraph.FlatExceptions(flat); err != nil {
-		return nil, r.corrupt("cell %s: %v", e.key, err)
+		return nil, r.corrupt("cell %s: %v", formatCell(e.values), err)
 	}
 	return xs, nil
 }

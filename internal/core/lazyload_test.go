@@ -125,7 +125,7 @@ func TestLazyParityFullSurface(t *testing.T) {
 	}
 	for i := range ex {
 		a, b := ex[i], lx[i]
-		if a.Spec.Key() != b.Spec.Key() || core.CellKey(a.Values) != core.CellKey(b.Values) {
+		if a.Spec.Key() != b.Spec.Key() || cellKey(a.Values) != cellKey(b.Values) {
 			t.Errorf("exception %d: cell %s/%v, want %s/%v",
 				i, b.Spec.Key(), b.Values, a.Spec.Key(), a.Values)
 		}
@@ -679,7 +679,7 @@ func specKeys(specs []core.CuboidSpec) []string {
 func tupleKeys(tuples [][]hierarchy.NodeID) []string {
 	out := make([]string, len(tuples))
 	for i, v := range tuples {
-		out[i] = core.CellKey(v)
+		out[i] = cellKey(v)
 	}
 	return out
 }
@@ -693,10 +693,10 @@ func answerSig(a *core.Answer, err error) []string {
 	for _, ca := range a.Cells {
 		folded := make([]string, len(ca.Folded))
 		for i, r := range ca.Folded {
-			folded[i] = r.Spec.Key() + "/" + core.CellKey(r.Values)
+			folded[i] = r.Spec.Key() + "/" + cellKey(r.Values)
 		}
 		out = append(out, fmt.Sprintf("%s/%s %s exact=%v from %s %s folded=%v",
-			ca.Spec.Key(), core.CellKey(ca.Values), ca.Provenance, ca.Exact,
+			ca.Spec.Key(), cellKey(ca.Values), ca.Provenance, ca.Exact,
 			ca.SourceSpec.Key(), cellSig(ca.Source), folded))
 	}
 	return out
@@ -742,7 +742,7 @@ func TestLazyCellUnitMatchesEagerRandomPartialCubes(t *testing.T) {
 					same(at+" EnumerateCellValues", tupleKeys(lt), tupleKeys(et))
 					same(at+" EnumerateCellValues found", lok, eok)
 					for _, cell := range full.Cuboid(spec).SortedCells() {
-						at := at + " cell " + core.CellKey(cell.Values)
+						at := at + " cell " + cellKey(cell.Values)
 						lc, lm := lazy.Lookup(spec, cell.Values)
 						ec, em := eager.Lookup(spec, cell.Values)
 						same(at+" Lookup", cellSig(lc), cellSig(ec))
@@ -824,7 +824,7 @@ func TestLazyDrillDownLeavesDirectoryIntact(t *testing.T) {
 			t.Fatalf("cuboid %s enumerates %d cells after the drill-downs, want %d", cb.Spec.Key(), len(tuples), len(cells))
 		}
 		for i, cell := range cells {
-			if core.CellKey(tuples[i]) != core.CellKey(cell.Values) {
+			if cellKey(tuples[i]) != cellKey(cell.Values) {
 				t.Fatalf("cuboid %s enumerates %v at %d, want %v", cb.Spec.Key(), tuples[i], i, cell.Values)
 			}
 			got, ok := lazy.Cell(cb.Spec, cell.Values)
@@ -877,6 +877,48 @@ func BenchmarkLazyLookupCold(b *testing.B) {
 				}
 				lookupSink = cell
 			}
+		})
+	}
+}
+
+// foldSink keeps the benchmarked fold selections from being optimized away.
+var foldSink []*core.Cell
+
+// BenchmarkFoldSources times the selection of the apex cell's fold sources
+// from the largest path-level-0 cuboid of the build-shaped cube, which
+// every one of its cells generalizes to: in memory, and from a lazily
+// opened snapshot with everything resident. The cells metric is how many
+// it scans; allocations must not grow with it.
+func BenchmarkFoldSources(b *testing.B) {
+	eager := buildShaped(b)
+	apex := core.CuboidSpec{Item: make(core.ItemLevel, len(eager.Schema.Dims))}
+	values := make([]hierarchy.NodeID, len(apex.Item))
+	for d := range values {
+		values[d] = hierarchy.Root
+	}
+	var ds core.CuboidSpec
+	widest := -1
+	for _, spec := range eager.MaterializedSpecs() {
+		if n := len(eager.Cuboid(spec).Cells); spec.PathLevel == 0 && n > widest {
+			ds, widest = spec, n
+		}
+	}
+	lazy, err := core.LoadCubeLazy(writeSnapshot(b, b.TempDir(), eager), core.LazyOptions{CacheBytes: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lazy.Close()
+	for name, cube := range map[string]*core.Cube{"eager": eager, "lazy": lazy} {
+		b.Run(name, func(b *testing.B) {
+			if got := len(cube.FoldSources(ds, apex, values)); got != widest {
+				b.Fatalf("%d fold sources of %s, want all %d cells", got, ds.Key(), widest)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				foldSink = cube.FoldSources(ds, apex, values)
+			}
+			b.ReportMetric(float64(widest), "cells")
 		})
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"hash/maphash"
+	"slices"
 	"sort"
 
 	"flowcube/internal/hierarchy"
@@ -43,7 +44,7 @@ type ledgerNode struct {
 
 // ledgerEntry is immutable once stored; a changed count is a new entry.
 type ledgerEntry struct {
-	key    string
+	id     CellID
 	values []hierarchy.NodeID
 	count  int64
 }
@@ -100,7 +101,7 @@ func (l *Ledger) Count(il ItemLevel, values []hierarchy.NodeID) int64 {
 	if l == nil {
 		return 0
 	}
-	if e := l.levels[il.Key()].find(cellKey(values)); e != nil {
+	if e := l.levels[il.Key()].find(MakeCellID(values)); e != nil {
 		return e.count
 	}
 	return 0
@@ -110,8 +111,8 @@ func (l *Ledger) Count(il ItemLevel, values []hierarchy.NodeID) int64 {
 // returns the new count.
 func (l *Ledger) Bump(il ItemLevel, values []hierarchy.NodeID, n int64) int64 {
 	lv := l.own(il)
-	e := &ledgerEntry{key: cellKey(values), count: n}
-	if old := lv.find(e.key); old != nil {
+	e := &ledgerEntry{id: MakeCellID(values), count: n}
+	if old := lv.find(e.id); old != nil {
 		e.values, e.count = old.values, old.count+n
 	} else {
 		e.values = append([]hierarchy.NodeID(nil), values...)
@@ -122,14 +123,14 @@ func (l *Ledger) Bump(il ItemLevel, values []hierarchy.NodeID, n int64) int64 {
 
 // Remove drops a combination (called when it crosses δ and becomes a cell).
 func (l *Ledger) Remove(il ItemLevel, values []hierarchy.NodeID) {
-	key := cellKey(values)
-	if l.levels[il.Key()].find(key) == nil {
+	id := MakeCellID(values)
+	if l.levels[il.Key()].find(id) == nil {
 		return
 	}
 	lv := l.own(il)
-	leaf, _ := lv.leaf(key)
+	leaf, _ := lv.leaf(id)
 	for i, e := range leaf.entries {
-		if e.key == key {
+		if e.id == id {
 			leaf.entries = append(leaf.entries[:i], leaf.entries[i+1:]...)
 			lv.n--
 			return
@@ -149,12 +150,12 @@ func (l *Ledger) Size() int {
 	return n
 }
 
-// find returns the entry stored under key, or nil; a nil level has none.
-func (lv *ledgerLevel) find(key string) *ledgerEntry {
+// find returns the entry of a combination, or nil; a nil level has none.
+func (lv *ledgerLevel) find(id CellID) *ledgerEntry {
 	if lv == nil {
 		return nil
 	}
-	h := maphash.String(ledgerSeed, key)
+	h := maphash.String(ledgerSeed, string(id))
 	n := lv.root
 	for n != nil && n.kids != nil {
 		n = n.kids[h&(1<<ledgerNibble-1)]
@@ -162,7 +163,7 @@ func (lv *ledgerLevel) find(key string) *ledgerEntry {
 	}
 	if n != nil {
 		for _, e := range n.entries {
-			if e.key == key {
+			if e.id == id {
 				return e
 			}
 		}
@@ -170,12 +171,12 @@ func (lv *ledgerLevel) find(key string) *ledgerEntry {
 	return nil
 }
 
-// leaf returns the leaf key belongs in and its depth, after making every
+// leaf returns the leaf id belongs in and its depth, after making every
 // node from the root to it the level's own: missing nodes are created,
 // nodes of an older generation are copied (an interior node's child table,
 // a leaf's entry list) and the copy hung in place of the original.
-func (lv *ledgerLevel) leaf(key string) (*ledgerNode, int) {
-	h := maphash.String(ledgerSeed, key)
+func (lv *ledgerLevel) leaf(id CellID) (*ledgerNode, int) {
+	h := maphash.String(ledgerSeed, string(id))
 	slot := &lv.root
 	for depth := 0; ; depth++ {
 		n := *slot
@@ -199,12 +200,12 @@ func (lv *ledgerLevel) leaf(key string) (*ledgerNode, int) {
 	}
 }
 
-// put stores e under its key, replacing any entry already there. The level
+// put stores e under its id, replacing any entry already there. The level
 // must be its ledger's own (Ledger.own, or freshly made).
 func (lv *ledgerLevel) put(e *ledgerEntry) {
-	leaf, depth := lv.leaf(e.key)
+	leaf, depth := lv.leaf(e.id)
 	for i, old := range leaf.entries {
-		if old.key == e.key {
+		if old.id == e.id {
 			leaf.entries[i] = e
 			return
 		}
@@ -219,7 +220,7 @@ func (lv *ledgerLevel) put(e *ledgerEntry) {
 	entries := leaf.entries
 	leaf.entries, leaf.kids = nil, new([1 << ledgerNibble]*ledgerNode)
 	for _, e := range entries {
-		i := maphash.String(ledgerSeed, e.key) >> (ledgerNibble * depth) & (1<<ledgerNibble - 1)
+		i := maphash.String(ledgerSeed, string(e.id)) >> (ledgerNibble * depth) & (1<<ledgerNibble - 1)
 		if leaf.kids[i] == nil {
 			leaf.kids[i] = &ledgerNode{owner: lv.owner}
 		}
@@ -257,10 +258,10 @@ func (l *Ledger) sortedLevels() []*ledgerLevel {
 	return out
 }
 
-// sortedEntries returns one level's entries in ascending cell-key order.
+// sortedEntries returns one level's entries in CompareCells order.
 func (lv *ledgerLevel) sortedEntries() []*ledgerEntry {
 	out := make([]*ledgerEntry, 0, lv.n)
 	lv.root.each(func(e *ledgerEntry) { out = append(out, e) })
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	slices.SortFunc(out, func(a, b *ledgerEntry) int { return CompareCells(a.values, b.values) })
 	return out
 }

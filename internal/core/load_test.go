@@ -144,11 +144,9 @@ func TestLoadContextCancelsBetweenSections(t *testing.T) {
 // loadSink keeps the benchmarked loads from being optimized away.
 var loadSink *core.Cube
 
-// BenchmarkLoad times the snapshot reader on a datagen snapshot shaped like
-// the benchmark's build workload (three dimensions, 2000 paths, exceptions
-// mined, τ = 0.5; about 3 MB): Load reads the file and decodes every cell,
-// LoadCubeLazy maps and opens it, decoding none, and closes it.
-func BenchmarkLoad(b *testing.B) {
+// buildShaped builds a datagen cube shaped like the benchmark's build
+// workload: three dimensions, 2000 paths, exceptions mined, τ = 0.5.
+func buildShaped(b *testing.B) *core.Cube {
 	gen := datagen.Default()
 	gen.NumDims, gen.NumPaths = 3, 2000
 	ds := datagen.MustGenerate(gen)
@@ -157,7 +155,14 @@ func BenchmarkLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	path := writeSnapshot(b, b.TempDir(), cube)
+	return cube
+}
+
+// BenchmarkLoad times the snapshot reader on a snapshot of the build-shaped
+// cube (about 3 MB): Load reads the file and decodes every cell,
+// LoadCubeLazy maps and opens it, decoding none, and closes it.
+func BenchmarkLoad(b *testing.B) {
+	path := writeSnapshot(b, b.TempDir(), buildShaped(b))
 	st, err := os.Stat(path)
 	if err != nil {
 		b.Fatal(err)

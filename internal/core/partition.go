@@ -47,12 +47,12 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 		lazy:     c.lazy,
 	}
 	for key, cb := range c.Cuboids {
-		ncb := &Cuboid{Spec: cb.Spec, Cells: make(map[string]*Cell), owner: out.gen, base: cb.base}
+		ncb := &Cuboid{Spec: cb.Spec, Cells: make(map[CellID]*Cell), owner: out.gen, base: cb.base}
 		_ = cb.each(func(e *dirEntry, cell *Cell) error {
 			if !keep(e.values) {
-				ncb.remove(e.key)
+				ncb.remove(MakeCellID(e.values))
 			} else if cell != nil {
-				ncb.Cells[e.key] = cell
+				ncb.Cells[MakeCellID(e.values)] = cell
 			}
 			return nil
 		})
@@ -105,18 +105,19 @@ func Merge(shards []*Cube) (*Cube, error) {
 		for key, cb := range s.Cuboids {
 			ncb := out.Cuboids[key]
 			if ncb == nil {
-				ncb = &Cuboid{Spec: cb.Spec, Cells: make(map[string]*Cell, len(cb.Cells)), owner: out.gen}
+				ncb = &Cuboid{Spec: cb.Spec, Cells: make(map[CellID]*Cell, len(cb.Cells)), owner: out.gen}
 				out.Cuboids[key] = ncb
 			}
 			if err := cb.each(func(e *dirEntry, cell *Cell) error {
-				if _, dup := ncb.Cells[e.key]; dup {
-					return fmt.Errorf("cell %s of cuboid %s already merged from an earlier shard", e.key, key)
+				id := MakeCellID(e.values)
+				if _, dup := ncb.Cells[id]; dup {
+					return fmt.Errorf("cell %s of cuboid %s already merged from an earlier shard", formatCell(e.values), key)
 				}
 				cell, err := cb.decoded(e, cell)
 				if err != nil {
 					return err
 				}
-				ncb.Cells[e.key] = cell
+				ncb.Cells[id] = cell
 				return nil
 			}); err != nil {
 				return nil, fmt.Errorf("core: merge shard %d: %w", i, err)
@@ -131,8 +132,8 @@ func Merge(shards []*Cube) (*Cube, error) {
 		for key, lv := range s.ledger.levels {
 			nlv := out.ledger.own(lv.item)
 			for _, e := range lv.sortedEntries() {
-				if nlv.find(e.key) != nil {
-					return nil, fmt.Errorf("core: merge shard %d: ledger entry %s at level %s already merged from an earlier shard", i, e.key, key)
+				if nlv.find(e.id) != nil {
+					return nil, fmt.Errorf("core: merge shard %d: ledger entry %s at level %s already merged from an earlier shard", i, formatCell(e.values), key)
 				}
 				nlv.put(e)
 			}

@@ -57,15 +57,15 @@ func TestFilterCellsIsExhaustiveAndDisjoint(t *testing.T) {
 		t.Fatalf("parts hold %d cells in total, original has %d", total, cube.NumCells())
 	}
 	for key, cb := range cube.Cuboids {
-		for cellKey := range cb.Cells {
+		for id, cell := range cb.Cells {
 			owners := 0
 			for _, p := range parts {
-				if _, ok := p.Cuboids[key].Cells[cellKey]; ok {
+				if _, ok := p.Cuboids[key].Cells[id]; ok {
 					owners++
 				}
 			}
 			if owners != 1 {
-				t.Fatalf("cell %s of cuboid %s lives in %d parts, want exactly 1", cellKey, key, owners)
+				t.Fatalf("cell %v of cuboid %s lives in %d parts, want exactly 1", cell.Values, key, owners)
 			}
 		}
 	}

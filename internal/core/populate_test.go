@@ -29,23 +29,3 @@ func TestPopulateParallelMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-// TestPopulateBinaryKeyFallback: schemas too wide for a uint64 key take the
-// fixed-width binary-string path; forcing it must not change the cube, with
-// or without workers.
-func TestPopulateBinaryKeyFallback(t *testing.T) {
-	base := core.Config{MinCount: 2, Workers: 1}
-	_, packed := buildExample(t, base)
-	want, _ := saveDigest(t, packed)
-	restore := core.SetMaxPackedKeyBitsForTest(0)
-	defer restore()
-	for _, workers := range []int{1, 4} {
-		cfg := base
-		cfg.Workers = workers
-		_, cube := buildExample(t, cfg)
-		got, _ := saveDigest(t, cube)
-		if got != want {
-			t.Fatalf("workers=%d: binary-key snapshot differs from packed-key snapshot", workers)
-		}
-	}
-}

@@ -19,6 +19,12 @@ type CellRef struct {
 	Values []hierarchy.NodeID
 }
 
+// CellRefKey is a lattice cell as a map key: its cuboid's key and CellID.
+type CellRefKey struct {
+	Spec string
+	ID   CellID
+}
+
 // ParentRefs enumerates the item-lattice parents of a cell: for each
 // dimension at a non-'*' level, the cell with that dimension generalized to
 // the previous materialized level (or '*'). Delta maintenance uses it to
@@ -92,7 +98,7 @@ func (c *Cube) MarkRedundancy(tau float64) int {
 // cells and their frontier only. The marking is written to this
 // generation's copy of the cell.
 func (c *Cube) MarkCellRedundancy(spec CuboidSpec, values []hierarchy.NodeID, tau float64) bool {
-	cell := c.OwnedCell(spec.Key(), cellKey(values))
+	cell := c.OwnedCell(spec, values)
 	if cell == nil || cell.Graph == nil {
 		return false
 	}
@@ -125,17 +131,17 @@ func (c *Cube) MarkCellRedundancy(spec CuboidSpec, values []hierarchy.NodeID, ta
 // decoded.
 func (c *Cube) Compress() int {
 	n := 0
-	for specKey := range c.Cuboids {
-		cb := c.ownedCuboid(specKey)
-		var drop []string
+	for _, cb := range c.Cuboids {
+		cb = c.ownedCuboid(cb.Spec)
+		var drop []CellID
 		_ = cb.each(func(e *dirEntry, _ *Cell) error {
 			if e.redundant {
-				drop = append(drop, e.key)
+				drop = append(drop, MakeCellID(e.values))
 			}
 			return nil
 		})
-		for _, key := range drop {
-			cb.remove(key)
+		for _, id := range drop {
+			cb.remove(id)
 		}
 		n += len(drop)
 	}

@@ -14,11 +14,11 @@ type marking struct {
 	redundant  bool
 }
 
-func markings(cube *core.Cube) map[string]marking {
-	out := map[string]marking{}
+func markings(cube *core.Cube) map[core.CellRefKey]marking {
+	out := map[core.CellRefKey]marking{}
 	for key, cb := range cube.Cuboids {
-		for ck, cell := range cb.Cells {
-			out[key+"|"+ck] = marking{math.Float64bits(cell.Similarity), cell.Redundant}
+		for id, cell := range cb.Cells {
+			out[core.CellRefKey{Spec: key, ID: id}] = marking{math.Float64bits(cell.Similarity), cell.Redundant}
 		}
 	}
 	return out

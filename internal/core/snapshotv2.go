@@ -432,8 +432,8 @@ func encodeMetaSectionsV2(c *Cube, numCuboids int) (header, hiers, plan []byte) 
 }
 
 // encodeLedgerV2 encodes the sub-δ ledger: levels in ascending item-level
-// key order, entries in ascending cell-key order — deterministic bytes for
-// a given ledger state.
+// key order, entries in CompareCells order — deterministic bytes for a
+// given ledger state.
 func encodeLedgerV2(l *Ledger) []byte {
 	levels := l.sortedLevels()
 	var buf []byte
@@ -508,11 +508,11 @@ func decodeLedgerV2(payload []byte, numDims int) (*Ledger, error) {
 			if count <= 0 {
 				return nil, r.corrupt("ledger entry count %d, want positive", count)
 			}
-			ck := cellKey(values)
-			if lv.find(ck) != nil {
-				return nil, r.corrupt("duplicate ledger entry %s at level %s", ck, key)
+			id := MakeCellID(values)
+			if lv.find(id) != nil {
+				return nil, r.corrupt("duplicate ledger entry %s at level %s", formatCell(values), key)
 			}
-			lv.put(&ledgerEntry{key: ck, values: values, count: count})
+			lv.put(&ledgerEntry{id: id, values: values, count: count})
 		}
 	}
 	if r.rem() != 0 {
@@ -522,7 +522,7 @@ func decodeLedgerV2(payload []byte, numDims int) (*Ledger, error) {
 }
 
 // encodeCuboidV2 encodes one cuboid section payload: the spec, the cell
-// count, then every cell in ascending key order with its flat flowgraph.
+// count, then every cell in CompareCells order with its flat flowgraph.
 // Over a mapped section it is a merge of two sorted runs: base cells are
 // copied byte-for-byte from the mapping — the whole payload when nothing
 // was written over it, once its directory walk has checked it — and only
@@ -950,7 +950,7 @@ func decodeCellV2(r *byteReader, loc *hierarchy.Hierarchy, level pathdb.PathLeve
 		}
 		footprint += flatFootprint(flat)
 		if cell.Graph, err = flowgraph.Unflatten(loc, level, flat); err != nil {
-			return nil, 0, r.corrupt("cell %s: %v", cellKey(values), err)
+			return nil, 0, r.corrupt("cell %s: %v", formatCell(values), err)
 		}
 	}
 	return cell, footprint, nil
@@ -961,7 +961,7 @@ func decodeCellV2(r *byteReader, loc *hierarchy.Hierarchy, level pathdb.PathLeve
 // share). They only steer LRU eviction, so being within ~2x of the
 // allocator's truth is enough.
 const (
-	cellBaseFootprint = 160 // Cell + cuboid map entry + key string
+	cellBaseFootprint = 160 // Cell + cuboid map entry + CellID
 	nodeFootprint     = 176 // Node + children map entry share
 	distFootprint     = 64  // Multinomial struct + empty map header
 	outcomeFootprint  = 52  // one map[int64]int64 entry share

@@ -14,6 +14,7 @@
 package cubing
 
 import (
+	"flowcube/internal/core"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/itemset"
 	"flowcube/internal/mining"
@@ -33,26 +34,13 @@ type CellResult struct {
 	Segments []itemset.Level
 }
 
-// Result maps cell keys to mined cells. Keys come from CellKey.
+// Result maps cells to their mined content.
 type Result struct {
-	Cells map[string]*CellResult
+	Cells map[core.CellID]*CellResult
 	// TIDBytes approximates the transaction-identifier list volume the
 	// algorithm materializes (4 bytes per TID per frequent cell), the I/O
 	// cost §5.2 calls out.
 	TIDBytes int64
-}
-
-// CellKey canonically encodes a cell's per-dimension concepts.
-func CellKey(values []hierarchy.NodeID) string {
-	return itemset.Key(nodeItems(values))
-}
-
-func nodeItems(values []hierarchy.NodeID) []transact.Item {
-	out := make([]transact.Item, len(values))
-	for i, v := range values {
-		out[i] = transact.Item(v)
-	}
-	return out
 }
 
 type engine struct {
@@ -81,7 +69,7 @@ func Run(db *pathdb.DB, syms *transact.Symbols, opts mining.Options) (*Result, e
 		syms:      syms,
 		dimLevels: syms.DimLevels(),
 		minCount:  minCount,
-		res:       &Result{Cells: make(map[string]*CellResult)},
+		res:       &Result{Cells: make(map[core.CellID]*CellResult)},
 	}
 	// Step 2: transform Dp into a transaction database of encoded stages.
 	e.stageTxs = make([]transact.Transaction, db.Len())
@@ -153,7 +141,7 @@ func (e *engine) emit(cell []hierarchy.NodeID, tids []int32) {
 	// e.minCount >= 1 before the first cell.
 	res, _ := mining.Mine(e.syms, txs, mining.Options{MinCount: e.minCount})
 	e.res.TIDBytes += int64(4 * len(tids))
-	e.res.Cells[CellKey(cell)] = &CellResult{
+	e.res.Cells[core.MakeCellID(cell)] = &CellResult{
 		Values:   append([]hierarchy.NodeID(nil), cell...),
 		Count:    int64(len(tids)),
 		Segments: res.ByLength,

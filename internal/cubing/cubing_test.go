@@ -3,6 +3,7 @@ package cubing_test
 import (
 	"testing"
 
+	"flowcube/internal/core"
 	"flowcube/internal/cubing"
 	"flowcube/internal/datagen"
 	"flowcube/internal/hierarchy"
@@ -48,7 +49,7 @@ func TestCubingRunningExampleCells(t *testing.T) {
 	}
 	for _, c := range cases {
 		values := []hierarchy.NodeID{ex.Product.MustLookup(c.product), ex.Brand.MustLookup(c.brand)}
-		cell, ok := res.Cells[cubing.CellKey(values)]
+		cell, ok := res.Cells[core.MakeCellID(values)]
 		if !ok {
 			t.Errorf("cell (%s,%s) missing", c.product, c.brand)
 			continue
@@ -61,17 +62,17 @@ func TestCubingRunningExampleCells(t *testing.T) {
 	// must not be materialized. (The paper's own example: "if we set the
 	// minimum support to 2, the cell (shirt, *) will not be materialized".)
 	shirtNike := []hierarchy.NodeID{ex.Product.MustLookup("shirt"), ex.Brand.MustLookup("nike")}
-	if _, ok := res.Cells[cubing.CellKey(shirtNike)]; ok {
+	if _, ok := res.Cells[core.MakeCellID(shirtNike)]; ok {
 		t.Errorf("iceberg condition violated: (shirt,nike) with 1 path materialized at δ=2")
 	}
 	shirtStar := []hierarchy.NodeID{ex.Product.MustLookup("shirt"), hierarchy.Root}
-	if _, ok := res.Cells[cubing.CellKey(shirtStar)]; ok {
+	if _, ok := res.Cells[core.MakeCellID(shirtStar)]; ok {
 		t.Errorf("iceberg condition violated: (shirt,*) with 1 path materialized at δ=2")
 	}
 
 	// The apex cell holds all 8 paths.
 	apex := []hierarchy.NodeID{hierarchy.Root, hierarchy.Root}
-	cell, ok := res.Cells[cubing.CellKey(apex)]
+	cell, ok := res.Cells[core.MakeCellID(apex)]
 	if !ok || cell.Count != 8 {
 		t.Fatalf("apex cell missing or wrong count")
 	}
@@ -101,7 +102,10 @@ func TestCubingMatchesShared(t *testing.T) {
 	}
 
 	// Index the shared result: cell part (dimension values) + stage part.
-	type cellSeg struct{ cell, seg string }
+	type cellSeg struct {
+		cell core.CellID
+		seg  string
+	}
 	sharedSets := make(map[cellSeg]int64)
 	for _, c := range flatten(shared.ByLength) {
 		values := make([]hierarchy.NodeID, len(ds.Schema.Dims))
@@ -125,7 +129,7 @@ func TestCubingMatchesShared(t *testing.T) {
 		if skip {
 			continue
 		}
-		sharedSets[cellSeg{cubing.CellKey(values), itemset.Key(stages)}] = c.Count
+		sharedSets[cellSeg{core.MakeCellID(values), itemset.Key(stages)}] = c.Count
 	}
 
 	// Every cubing cell must match shared's pure-dimension itemset count
@@ -181,17 +185,17 @@ func TestCubingMatchesShared(t *testing.T) {
 		if cs.seg == "" {
 			cell, ok := cub.Cells[cs.cell]
 			if !ok {
-				t.Errorf("shared cell %q missing from cubing", cs.cell)
+				t.Errorf("shared cell %x missing from cubing", cs.cell)
 				continue
 			}
 			if cell.Count != n {
-				t.Errorf("shared cell %q count %d != cubing %d", cs.cell, n, cell.Count)
+				t.Errorf("shared cell %v count %d != cubing %d", cell.Values, n, cell.Count)
 			}
 			continue
 		}
 		cell, ok := cub.Cells[cs.cell]
 		if !ok {
-			t.Errorf("cell %q of shared segment missing from cubing", cs.cell)
+			t.Errorf("cell %x of shared segment missing from cubing", cs.cell)
 			continue
 		}
 		found := false
@@ -199,13 +203,13 @@ func TestCubingMatchesShared(t *testing.T) {
 			if itemset.Key(seg.Set) == cs.seg {
 				found = true
 				if seg.Count != n {
-					t.Errorf("segment count mismatch in cell %q: shared %d, cubing %d", cs.cell, n, seg.Count)
+					t.Errorf("segment count mismatch in cell %v: shared %d, cubing %d", cell.Values, n, seg.Count)
 				}
 				break
 			}
 		}
 		if !found {
-			t.Errorf("shared segment missing from cubing cell %q", cs.cell)
+			t.Errorf("shared segment missing from cubing cell %v", cell.Values)
 		}
 	}
 }

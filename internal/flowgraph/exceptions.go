@@ -267,8 +267,7 @@ func (g *Graph) appendException(target *Node, cond []StagePin, a *condAgg, eps f
 // its condition — in a form whose byte order is the order exceptions are
 // kept in. Every location, depth and separator is a 4-byte big-endian
 // token, so keys compare token by token whatever the size of the location
-// hierarchy; a pinned duration is its 8 bytes, low byte first, against
-// the single '*' of an unpinned one.
+// hierarchy.
 func exceptionKey(x *Exception) string {
 	b := make([]byte, 0, 8*len(x.Prefix)+4+17*len(x.Condition))
 	for _, l := range x.Prefix {
@@ -276,7 +275,16 @@ func exceptionKey(x *Exception) string {
 		b = binary.BigEndian.AppendUint32(b, '.')
 	}
 	b = binary.BigEndian.AppendUint32(b, '|')
-	for _, pin := range x.Condition {
+	return string(AppendPins(b, x.Condition))
+}
+
+// AppendPins appends a pin-list's identity to b, pins in the given order:
+// depth and location as 4-byte big-endian tokens, then a pinned duration's
+// 8 bytes, low byte first, or the single '*' of an unpinned one. It is the
+// condition part of an exception's key and what core's condition cache
+// tells conditions apart by.
+func AppendPins(b []byte, pins []StagePin) []byte {
+	for _, pin := range pins {
 		b = binary.BigEndian.AppendUint32(b, uint32(pin.Depth))
 		b = binary.BigEndian.AppendUint32(b, uint32(pin.Location))
 		if pin.DurAny {
@@ -285,7 +293,7 @@ func exceptionKey(x *Exception) string {
 			b = binary.LittleEndian.AppendUint64(b, uint64(pin.Duration))
 		}
 	}
-	return string(b)
+	return b
 }
 
 // SealExceptions deduplicates the mined exceptions by target and condition

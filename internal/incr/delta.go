@@ -9,7 +9,7 @@ package incr
 // shared with the served cube.
 
 import (
-	"sort"
+	"slices"
 
 	"flowcube/internal/core"
 	"flowcube/internal/flowgraph"
@@ -77,29 +77,30 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	// every cuboid of the item level, one flowgraph per path level — or is
 	// an admission candidate.
 	levels := cube.LevelCuboids()
-	hits := make([]map[string][]int32, len(levels))
-	candidates := make(map[int]map[string]*combo)
+	hits := make([]map[core.CellID]*combo, len(levels))
+	candidates := make([]map[core.CellID]*combo, len(levels))
 	var candOrder []*combo
 	values := make([]hierarchy.NodeID, len(db.Schema.Dims))
 	for i := range batch {
 		tid := int32(baseLen + i)
 		for li := range levels {
-			ck := core.CellKey(levels[li].Item.ValuesOf(db.Schema, batch[i].Dims, values))
-			if cell, _ := cube.Lookup(levels[li].Specs[0], values); cell != nil {
-				if hits[li] == nil {
-					hits[li] = make(map[string][]int32)
-				}
-				hits[li][ck] = append(hits[li][ck], tid)
-				continue
+			levels[li].Item.ValuesOf(db.Schema, batch[i].Dims, values)
+			cell, _ := cube.Lookup(levels[li].Specs[0], values)
+			tables := candidates
+			if cell != nil {
+				tables = hits
 			}
-			if candidates[li] == nil {
-				candidates[li] = make(map[string]*combo)
+			if tables[li] == nil {
+				tables[li] = make(map[core.CellID]*combo)
 			}
-			c := candidates[li][ck]
+			id := core.MakeCellID(values)
+			c := tables[li][id]
 			if c == nil {
 				c = &combo{levelIdx: li, values: append([]hierarchy.NodeID(nil), values...)}
-				candidates[li][ck] = c
-				candOrder = append(candOrder, c)
+				tables[li][id] = c
+				if cell == nil {
+					candOrder = append(candOrder, c)
+				}
 			}
 			c.count++
 			c.tids = append(c.tids, tid)
@@ -115,7 +116,7 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	if len(candOrder) > 0 && ledger == nil {
 		scanBase(db, baseLen, levels, candidates)
 	}
-	needBaseTids := make(map[int]map[string]*combo)
+	needBaseTids := make([]map[core.CellID]*combo, len(levels))
 	for _, c := range candOrder {
 		il := levels[c.levelIdx].Item
 		var base int64
@@ -130,9 +131,9 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 				ledger.Remove(il, c.values)
 				if base > 0 {
 					if needBaseTids[c.levelIdx] == nil {
-						needBaseTids[c.levelIdx] = make(map[string]*combo)
+						needBaseTids[c.levelIdx] = make(map[core.CellID]*combo)
 					}
-					needBaseTids[c.levelIdx][core.CellKey(c.values)] = c
+					needBaseTids[c.levelIdx][core.MakeCellID(c.values)] = c
 				}
 			}
 		} else if ledger != nil {
@@ -158,9 +159,8 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	}
 
 	type touchedCell struct {
-		specKey   string
-		pathLevel int
-		cell      *core.Cell
+		spec core.CuboidSpec
+		cell *core.Cell
 		// batchTIDs are the appended record ids that landed in the cell —
 		// the re-mine derives the moved prefixes from them. Nil for a newly
 		// materialized cell, all of whose records are new to it.
@@ -168,23 +168,22 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	}
 	var touched []touchedCell
 
-	// Touched existing cells, in item-level, cuboid, cell-key order: obtain
-	// this generation's copy of each and fold the new paths into its
+	// Touched existing cells, in item-level, cuboid, CompareCells order:
+	// obtain this generation's copy of each and fold the new paths into its
 	// flowgraph, which copies the nodes along those paths and no others.
 	for li, byCell := range hits {
-		cellKeys := make([]string, 0, len(byCell))
-		for ck := range byCell {
-			cellKeys = append(cellKeys, ck)
+		landed := make([]*combo, 0, len(byCell))
+		for _, h := range byCell {
+			landed = append(landed, h)
 		}
-		sort.Strings(cellKeys)
+		slices.SortFunc(landed, func(a, b *combo) int { return core.CompareCells(a.values, b.values) })
 		for _, spec := range levels[li].Specs {
-			specKey := spec.Key()
-			for _, ck := range cellKeys {
-				cell := cube.OwnedCell(specKey, ck)
+			for _, h := range landed {
+				cell := cube.OwnedCell(spec, h.values)
 				if cell == nil {
 					continue
 				}
-				tids := byCell[ck]
+				tids := h.tids
 				cell.Count += int64(len(tids))
 				if haveTids {
 					cell.SetTIDs(append(cell.TIDs(), tids...))
@@ -196,7 +195,7 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 					}
 					stats.NodesCopied += cell.Graph.NodesCopied() - before
 				}
-				touched = append(touched, touchedCell{specKey: specKey, pathLevel: spec.PathLevel, cell: cell, batchTIDs: tids})
+				touched = append(touched, touchedCell{spec: spec, cell: cell, batchTIDs: tids})
 				stats.CellsTouched++
 			}
 		}
@@ -209,8 +208,7 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	for _, c := range admitted {
 		tids := append(append([]int32(nil), c.baseTids...), c.tids...)
 		for _, spec := range levels[c.levelIdx].Specs {
-			specKey := spec.Key()
-			cell := cube.AdmitCell(specKey, c.values, int64(len(tids)))
+			cell := cube.AdmitCell(spec, c.values, int64(len(tids)))
 			if cell == nil {
 				continue
 			}
@@ -222,7 +220,7 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 				g.AddPath(db.Records[tid].Path)
 			}
 			cell.Graph = g
-			touched = append(touched, touchedCell{specKey: specKey, pathLevel: spec.PathLevel, cell: cell})
+			touched = append(touched, touchedCell{spec: spec, cell: cell})
 			stats.CellsAdmitted++
 		}
 	}
@@ -241,19 +239,18 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 			if cell.Graph == nil {
 				continue
 			}
-			ck := core.CellKey(cell.Values)
-			old, warm := cube.CachedConds(t.specKey, ck)
+			old, warm := cell.CachedConds()
 			batchTIDs := t.batchTIDs
 			if !warm {
 				old, batchTIDs = core.NewCondSet(nil), cell.TIDs()
 			}
-			moved, newConds, err := r.remine(t.pathLevel, cell, batchTIDs, old)
+			moved, newConds, err := r.remine(t.spec.PathLevel, cell, batchTIDs, old)
 			if err != nil {
 				return nil, err
 			}
 			if len(newConds) > 0 || !warm {
 				all := make([][]flowgraph.StagePin, 0, len(old.Pins)+len(newConds))
-				cube.SetCachedConds(t.specKey, ck, append(append(all, old.Pins...), newConds...))
+				cell.SetCachedConds(append(append(all, old.Pins...), newConds...))
 			}
 			if warm {
 				stats.CellsReminedRestricted++
@@ -269,19 +266,19 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	// cells are decoded. Markings read only other cells' graphs — all final
 	// by now — so the re-mark order is irrelevant.
 	if cfg.Tau > 0 {
-		touchedIDs := make(map[string]bool, len(touched))
+		touchedIDs := make(map[core.CellRefKey]bool, len(touched))
 		for _, t := range touched {
-			touchedIDs[t.specKey+"|"+core.CellKey(t.cell.Values)] = true
+			touchedIDs[core.CellRefKey{Spec: t.spec.Key(), ID: core.MakeCellID(t.cell.Values)}] = true
 		}
 		for _, lv := range levels {
 			for _, spec := range lv.Specs {
 				key := spec.Key()
 				tuples, _ := cube.EnumerateCellValues(spec)
 				for _, values := range tuples {
-					need := touchedIDs[key+"|"+core.CellKey(values)]
+					need := touchedIDs[core.CellRefKey{Spec: key, ID: core.MakeCellID(values)}]
 					if !need {
 						for _, p := range cube.ParentRefs(spec, values) {
-							if touchedIDs[p.Spec.Key()+"|"+core.CellKey(p.Values)] {
+							if touchedIDs[core.CellRefKey{Spec: p.Spec.Key(), ID: core.MakeCellID(p.Values)}] {
 								need = true
 								break
 							}

@@ -12,11 +12,10 @@
 // same configuration. That holds because, with an absolute iceberg
 // threshold, appends move every support monotonically upward — untouched
 // cells are provably unchanged, and everything a batch can change is
-// reachable from the batch's own records: the cells they land in (by the
-// same packed-key assignment the populate scan uses), the below-threshold
-// combinations they push over δ (decided by the sub-δ ledger carried in
-// the cube, or one restricted base scan without it), and the item-lattice
-// children of those cells for redundancy re-marking.
+// reachable from the batch's own records: the cells they land in, the
+// below-threshold combinations they push over δ (decided by the sub-δ
+// ledger carried in the cube, or one restricted base scan without it), and
+// the item-lattice children of those cells for redundancy re-marking.
 //
 // Exactness therefore requires the cube's configuration to be
 // N-independent: an absolute Config.MinCount (a fractional MinSupport
@@ -27,7 +26,7 @@ package incr
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"flowcube/internal/core"
 	"flowcube/internal/hierarchy"
@@ -104,8 +103,9 @@ type Stats struct {
 	NodesCopied int `json:"nodes_copied"`
 }
 
-// combo accumulates one below-threshold (item level, values) combination
-// observed in a batch.
+// combo accumulates one (item level, values) combination observed in a
+// batch: an existing cell the batch landed in, or a below-threshold
+// admission candidate.
 type combo struct {
 	levelIdx int
 	values   []hierarchy.NodeID
@@ -115,22 +115,20 @@ type combo struct {
 }
 
 // scanBase walks the base records once and appends the id of every record
-// matching a wanted combination. wanted maps item-level index → cell key →
+// matching a wanted combination. wanted maps item-level index → cell →
 // combo.
-func scanBase(db *pathdb.DB, baseLen int, levels []core.LevelCuboids, wanted map[int]map[string]*combo) {
-	if len(wanted) == 0 {
+func scanBase(db *pathdb.DB, baseLen int, levels []core.LevelCuboids, wanted []map[core.CellID]*combo) {
+	if !slices.ContainsFunc(wanted, func(m map[core.CellID]*combo) bool { return len(m) > 0 }) {
 		return
 	}
-	var lis []int
-	for li := range wanted {
-		lis = append(lis, li)
-	}
-	sort.Ints(lis)
 	values := make([]hierarchy.NodeID, len(db.Schema.Dims))
 	for tid := 0; tid < baseLen; tid++ {
-		for _, li := range lis {
+		for li, byCell := range wanted {
+			if len(byCell) == 0 {
+				continue
+			}
 			vals := levels[li].Item.ValuesOf(db.Schema, db.Records[tid].Dims, values)
-			if c := wanted[li][core.CellKey(vals)]; c != nil {
+			if c := byCell[core.MakeCellID(vals)]; c != nil {
 				c.baseTids = append(c.baseTids, int32(tid))
 			}
 		}

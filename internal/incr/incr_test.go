@@ -50,27 +50,36 @@ func dbWith(ds *datagen.Dataset, n int) *pathdb.DB {
 // delta-applying the suffix yields the same Save bytes as one full build
 // over the whole database. Run under -race via scripts/check.sh.
 func TestApplyDeltaMatchesFullBuild(t *testing.T) {
+	// 336 locations: condition pins whose locations differ by 256 must stay
+	// apart in the condition cache, or an append skips a newly frequent one.
+	wide := genConfig(1, 260)
+	wide.LocFanouts, wide.NumSequences = [2]int{16, 20}, 12
 	variants := []struct {
 		name string
+		gen  datagen.Config
 		cfg  core.Config
 	}{
-		{"exceptions+ledger+tau", core.Config{
+		{"exceptions+ledger+tau", genConfig(7, 260), core.Config{
 			MinCount: 4, Epsilon: 0.05, Tau: 0.6,
 			MineExceptions: true, DeltaLedger: true, Workers: 2,
 		}},
-		{"singlestage+ledger", core.Config{
+		{"singlestage+ledger", genConfig(7, 260), core.Config{
 			MinCount: 4, Epsilon: 0.1,
 			MineExceptions: true, SingleStageExceptions: true, DeltaLedger: true, Workers: 2,
 		}},
-		{"plain-noledger", core.Config{
+		{"plain-noledger", genConfig(7, 260), core.Config{
 			MinCount: 5, Tau: 0.5, Workers: 2,
+		}},
+		{"wide-locations", wide, core.Config{
+			MinCount: 4, Epsilon: 0.05, Tau: 0.6,
+			MineExceptions: true, DeltaLedger: true, Workers: 2,
 		}},
 	}
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
-			ds := datagen.MustGenerate(genConfig(7, 260))
+			ds := datagen.MustGenerate(v.gen)
 			cfg := v.cfg
 			cfg.Plan = ds.DefaultPlan()
 

@@ -133,10 +133,10 @@ func TestAdmittedCellWarmsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	existed := make(map[string]bool)
+	existed := make(map[core.CellRefKey]bool)
 	for specKey, cb := range cube.Cuboids {
-		for ck := range cb.Cells {
-			existed[specKey+"|"+ck] = true
+		for id := range cb.Cells {
+			existed[core.CellRefKey{Spec: specKey, ID: id}] = true
 		}
 	}
 	batch := ds.DB.Records[split:]
@@ -150,13 +150,13 @@ func TestAdmittedCellWarmsCache(t *testing.T) {
 	}
 	admitted := 0
 	for specKey, cb := range cube.Cuboids {
-		for ck := range cb.Cells {
-			if existed[specKey+"|"+ck] {
+		for id, cell := range cb.Cells {
+			if existed[core.CellRefKey{Spec: specKey, ID: id}] {
 				continue
 			}
 			admitted++
-			if _, warm := cube.CachedConds(specKey, ck); !warm {
-				t.Errorf("admitted cell %s of %s has a cold condition cache", ck, specKey)
+			if _, warm := cell.CachedConds(); !warm {
+				t.Errorf("admitted cell %v of %s has a cold condition cache", cell.Values, specKey)
 			}
 		}
 	}

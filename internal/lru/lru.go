@@ -11,22 +11,22 @@ import (
 	"sync"
 )
 
-// Cache maps string keys to values of total cost at most the budget.
-type Cache[V any] struct {
+// Cache maps keys to values of total cost at most the budget.
+type Cache[K comparable, V any] struct {
 	budget int64
 
 	mu        sync.Mutex
-	order     list.List // front = most recently used; values are *entry[V]
-	items     map[string]*list.Element
-	flights   map[string]*flight[V]
+	order     list.List // front = most recently used; values are *entry[K, V]
+	items     map[K]*list.Element
+	flights   map[K]*flight[V]
 	cost      int64
 	hits      int64
 	misses    int64
 	evictions int64
 }
 
-type entry[V any] struct {
-	key  string
+type entry[K comparable, V any] struct {
+	key  K
 	val  V
 	cost int64
 }
@@ -52,16 +52,16 @@ type Stats struct {
 // New returns a cache holding values of total cost at most budget. A zero
 // budget stores nothing (Do still deduplicates concurrent computations); a
 // negative budget never evicts.
-func New[V any](budget int64) *Cache[V] {
-	return &Cache[V]{
+func New[K comparable, V any](budget int64) *Cache[K, V] {
+	return &Cache[K, V]{
 		budget:  budget,
-		items:   make(map[string]*list.Element),
-		flights: make(map[string]*flight[V]),
+		items:   make(map[K]*list.Element),
+		flights: make(map[K]*flight[V]),
 	}
 }
 
 // Budget returns the budget the cache was created with.
-func (c *Cache[V]) Budget() int64 { return c.budget }
+func (c *Cache[K, V]) Budget() int64 { return c.budget }
 
 // Do returns the value for key, computing it and its cost with fn on a
 // miss. Concurrent callers for the same key share one fn call and its
@@ -70,12 +70,12 @@ func (c *Cache[V]) Budget() int64 { return c.budget }
 // Errors are never stored: a later call retries. Storing a value evicts
 // from the cold end until the budget holds, but never the only resident
 // entry, so one value costlier than the whole budget still caches.
-func (c *Cache[V]) Do(key string, fn func() (V, int64, error)) (v V, hit bool, err error) {
+func (c *Cache[K, V]) Do(key K, fn func() (V, int64, error)) (v V, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.order.MoveToFront(el)
 		c.hits++
-		v := el.Value.(*entry[V]).val
+		v := el.Value.(*entry[K, V]).val
 		c.mu.Unlock()
 		return v, true, nil
 	}
@@ -95,10 +95,10 @@ func (c *Cache[V]) Do(key string, fn func() (V, int64, error)) (v V, hit bool, e
 	c.mu.Lock()
 	delete(c.flights, key)
 	if f.err == nil && c.budget != 0 {
-		c.items[key] = c.order.PushFront(&entry[V]{key: key, val: f.val, cost: cost})
+		c.items[key] = c.order.PushFront(&entry[K, V]{key: key, val: f.val, cost: cost})
 		c.cost += cost
 		for c.budget > 0 && c.cost > c.budget && c.order.Len() > 1 {
-			e := c.order.Remove(c.order.Back()).(*entry[V])
+			e := c.order.Remove(c.order.Back()).(*entry[K, V])
 			delete(c.items, e.key)
 			c.cost -= e.cost
 			c.evictions++
@@ -110,7 +110,7 @@ func (c *Cache[V]) Do(key string, fn func() (V, int64, error)) (v V, hit bool, e
 }
 
 // Stats snapshots the cache's gauges and counters.
-func (c *Cache[V]) Stats() Stats {
+func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{

@@ -8,7 +8,7 @@ import (
 )
 
 func TestLRUEviction(t *testing.T) {
-	c := New[string](2)
+	c := New[string, string](2)
 	calls := 0
 	get := func(key string) {
 		t.Helper()
@@ -40,13 +40,13 @@ func TestLRUEviction(t *testing.T) {
 // stays however much it costs, a negative budget never evicts, and the
 // counters tell hits from computations.
 func TestLRUCostBudget(t *testing.T) {
-	put := func(c *Cache[string], key string, cost int64) {
+	put := func(c *Cache[string, string], key string, cost int64) {
 		t.Helper()
 		if _, _, err := c.Do(key, func() (string, int64, error) { return key, cost, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c := New[string](10)
+	c := New[string, string](10)
 	put(c, "big", 25) // over the whole budget, but alone
 	if st := c.Stats(); st.Entries != 1 || st.Cost != 25 || st.Evictions != 0 {
 		t.Fatalf("sole oversized entry: %+v, want it resident", st)
@@ -60,7 +60,7 @@ func TestLRUCostBudget(t *testing.T) {
 		t.Fatalf("stats %+v, want %+v", st, want)
 	}
 
-	u := New[string](-1)
+	u := New[string, string](-1)
 	for _, k := range []string{"a", "b", "c"} {
 		put(u, k, 1<<40)
 	}
@@ -70,7 +70,7 @@ func TestLRUCostBudget(t *testing.T) {
 }
 
 func TestLRUHitReporting(t *testing.T) {
-	c := New[string](4)
+	c := New[string, string](4)
 	_, hit, _ := c.Do("k", func() (string, int64, error) { return "", 1, nil })
 	if hit {
 		t.Error("first call reported a hit")
@@ -85,7 +85,7 @@ func TestLRUHitReporting(t *testing.T) {
 }
 
 func TestLRUSingleFlight(t *testing.T) {
-	c := New[string](4)
+	c := New[string, string](4)
 	var calls atomic.Int64
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -132,7 +132,7 @@ func TestLRUSingleFlight(t *testing.T) {
 }
 
 func TestLRUErrorsNotCached(t *testing.T) {
-	c := New[string](4)
+	c := New[string, string](4)
 	calls := 0
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {
@@ -149,7 +149,7 @@ func TestLRUErrorsNotCached(t *testing.T) {
 }
 
 func TestLRUDisabledStillDeduplicates(t *testing.T) {
-	c := New[string](0)
+	c := New[string, string](0)
 	calls := 0
 	for i := 0; i < 3; i++ {
 		c.Do("k", func() (string, int64, error) {

@@ -48,7 +48,7 @@ type Snapshot struct {
 	// cache holds rendered responses by request URL, at cost 1 each, with
 	// single-flight so a thundering herd of identical queries computes the
 	// answer once.
-	cache *lru.Cache[*cached]
+	cache *lru.Cache[string, *cached]
 }
 
 // cached is one rendered response: everything a handler needs to replay it.
@@ -65,7 +65,7 @@ func newSnapshot(cube *core.Cube, source string, cacheSize int, loadDur time.Dur
 		LoadedAt:     time.Now(),
 		LoadDuration: loadDur,
 		Bytes:        bytes,
-		cache:        lru.New[*cached](int64(max(cacheSize, 0))), // cost 1 per response; <= 0 stores nothing
+		cache:        lru.New[string, *cached](int64(max(cacheSize, 0))), // cost 1 per response; <= 0 stores nothing
 	}
 }
 

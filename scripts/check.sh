@@ -12,7 +12,8 @@
 # (goroutine leaks, context plumbing, locks held across interprocedurally
 # blocking calls). What vet (copylocks) or the byte-exact tests already catch
 # has no analyzer. The short fuzz pass keeps the text parsers panic-free on
-# garbage and the cell-answer writer byte-equal to encoding/json.
+# garbage, the cell-answer writer byte-equal to encoding/json and the cell
+# comparator equal to the decimal-key order snapshots store cells in.
 # The race run also carries the delta-equivalence property tests
 # (internal/incr: ApplyDelta + Save must be byte-identical to a full
 # rebuild over the union database at random split points, and the warm
@@ -60,8 +61,9 @@ echo "== micro-benchmarks (one iteration each) =="
 # BenchmarkKLDivergence/Add (internal/stats) and BenchmarkSimilarity/
 # MineExceptions (internal/flowgraph) are what EXPERIMENTS.md quotes for the
 # sorted-slice distributions, BenchmarkLazyLookupCold (internal/core) for the
-# cell-at-a-time lazy read and BenchmarkLoad for the snapshot reader behind
-# core.load_s, BenchmarkJoin/TrieCount (internal/itemset) and
+# cell-at-a-time lazy read (no allocation once resident), BenchmarkFoldSources
+# for fold-source selection (allocations flat in the cells it scans) and
+# BenchmarkLoad for the snapshot reader behind core.load_s, BenchmarkJoin/TrieCount (internal/itemset) and
 # BenchmarkMine (internal/mining) for the flat mining kernel — the one
 # level-wise loop Build, Cubing and ingest all run — and BenchmarkApplyDelta
 # (internal/incr) for a ten-record append with exceptions and redundancy
@@ -84,6 +86,7 @@ echo "== fuzz (10s per target) =="
 go test ./internal/core -run '^$' -fuzz FuzzParseCellSpec -fuzztime 10s
 go test ./internal/olap -run '^$' -fuzz FuzzParseQuery -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz FuzzLoadSnapshot -fuzztime 10s -fuzzminimizetime 10x
+go test ./internal/core -run '^$' -fuzz FuzzCompareCells -fuzztime 10s
 go test ./internal/pathdb -run '^$' -fuzz FuzzRead -fuzztime 10s
 go test ./internal/incr -run '^$' -fuzz FuzzApplyDelta -fuzztime 10s
 go test ./internal/ingest -run '^$' -fuzz FuzzWALReplay -fuzztime 10s

@@ -26,8 +26,8 @@ cd "$(dirname "$0")/.."
 # Declarations that stay although only tests reference them: a "# reason"
 # line, then the "dir.Name"s it covers.
 keep='
-# what other packages'"'"' tests name items, concepts and cells with
-internal/itemset.FromKey internal/hierarchy.NodesAtLevel
+# what other packages'"'"' tests name items, itemsets, concepts and cells with
+internal/itemset.Key internal/itemset.FromKey internal/hierarchy.NodesAtLevel
 internal/transact.LookupDimValue internal/transact.LookupStage internal/transact.SetString internal/transact.Ancestors
 # the oracle and fixtures of the incr, ingest, cluster, olap and server tests: digest a cell, drop a cuboid, compress (paper 4.2)
 internal/core.CellDigest internal/core.DropCuboid internal/core.Compress
