@@ -79,13 +79,7 @@ type Router struct {
 
 	start       time.Time
 	shardErrors atomic.Int64
-	mu          sync.Mutex
-	routes      map[string]*routeCount
-}
-
-type routeCount struct {
-	count  int64
-	errors int64
+	routes      server.RouteHistograms
 }
 
 // NewRouter builds a router over shard base URLs (shard i of the split
@@ -121,7 +115,6 @@ func NewRouter(meta *core.Cube, shardURLs []string, cfg RouterConfig) (*Router, 
 		client: cfg.Client,
 		logger: cfg.Logger,
 		start:  time.Now(),
-		routes: make(map[string]*routeCount),
 	}
 	for i, u := range shardURLs {
 		rt.shards[i] = strings.TrimRight(u, "/")
@@ -154,22 +147,7 @@ func (rt *Router) routeTable() http.Handler {
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	mux.HandleFunc("POST /admin/append", rt.handleAppend)
 	mux.HandleFunc("POST /admin/reload", rt.handleReload)
-	return server.Instrument(mux, rt.logger, rt.observe)
-}
-
-// observe counts one served request for /metrics.
-func (rt *Router) observe(route string, status int, _ time.Duration) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rc := rt.routes[route]
-	if rc == nil {
-		rc = &routeCount{}
-		rt.routes[route] = rc
-	}
-	rc.count++
-	if status >= 400 {
-		rc.errors++
-	}
+	return server.Instrument(mux, rt.logger, &rt.routes)
 }
 
 // gatewayError is a 502: a shard the answer needs failed or talked nonsense.
@@ -256,17 +234,11 @@ func (rt *Router) Serve(ctx context.Context, ln net.Listener) error {
 // handleMetrics reports the router's own counters; shard-level metrics live
 // on the shards.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	routes := make(map[string]map[string]int64)
-	rt.mu.Lock()
-	for route, rc := range rt.routes {
-		routes[route] = map[string]int64{"count": rc.count, "errors": rc.errors}
-	}
-	rt.mu.Unlock()
 	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"uptime_seconds": time.Since(rt.start).Seconds(),
 		"shards":         rt.shards,
 		"shard_errors":   rt.shardErrors.Load(),
-		"routes":         routes,
+		"routes":         rt.routes.Snapshot(),
 	})
 }
 

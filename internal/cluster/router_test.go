@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -250,6 +251,25 @@ func TestRouterMatchesSingleNodeByteForByte(t *testing.T) {
 			fx.assertSame(t, "/v1/summary", true)
 			fx.assertSame(t, "/v1/cuboids", true)
 		})
+	}
+}
+
+// TestRouterMetricsTimeRoutes: the router's /metrics reports a routed
+// request with the counters and latency histogram a single node keeps.
+func TestRouterMetricsTimeRoutes(t *testing.T) {
+	_, cube := synthCube(t)
+	fx := newFixture(t, cube, 2)
+	if rec := get(fx.router.Handler(), cellURLs(cube, 1)[0]); rec.Code != http.StatusOK {
+		t.Fatalf("cell query status %d: %s", rec.Code, rec.Body)
+	}
+	var m struct {
+		Routes map[string]server.RouteMetrics `json:"routes"`
+	}
+	if err := json.Unmarshal(get(fx.router.Handler(), "/metrics").Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if cell := m.Routes["GET /v1/cell"]; cell.Count != 1 || cell.MaxMs <= 0 || len(cell.Buckets) == 0 {
+		t.Fatalf("GET /v1/cell after one request: %+v", cell)
 	}
 }
 

@@ -101,8 +101,8 @@ func validateSpec(spec CuboidSpec, syms *transact.Symbols, schema *pathdb.Schema
 	return nil
 }
 
-// cellConds accumulates exception conditions per cuboid key and cell.
-type cellConds map[string]map[CellID][][]flowgraph.StagePin
+// cellConds accumulates exception conditions per cell.
+type cellConds map[*Cell][][]flowgraph.StagePin
 
 // instantiateCells creates the frequent cells of every materialized cuboid
 // from the mining result and returns the per-cell exception conditions.
@@ -139,21 +139,18 @@ func (c *Cube) instantiateCells(db *pathdb.DB, res *mining.Result) cellConds {
 			}
 			// A mixed itemset is a frequent path segment within a cell: an
 			// exception condition, provided all stages sit at one path level.
-			pathLevel, pins, ok := stagePins(syms, stages)
+			// Its item part is a shorter frequent itemset, so the cell exists.
+			pathLevel, pins, ok := StagePins(syms, stages)
 			if !ok {
 				continue
 			}
-			specKey := CuboidSpec{Item: il, PathLevel: pathLevel}.Key()
-			if c.Cuboids[specKey] == nil {
+			cb := c.Cuboid(CuboidSpec{Item: il, PathLevel: pathLevel})
+			if cb == nil {
 				continue
 			}
-			byCell := conds[specKey]
-			if byCell == nil {
-				byCell = make(map[CellID][][]flowgraph.StagePin)
-				conds[specKey] = byCell
+			if cell, _ := cb.get(values); cell != nil {
+				conds[cell] = append(conds[cell], pins)
 			}
-			id := MakeCellID(values)
-			byCell[id] = append(byCell[id], pins)
 		}
 	}
 	return conds
@@ -194,11 +191,11 @@ func (c *Cube) classify(set []transact.Item, il ItemLevel, values []hierarchy.No
 	return stages, true
 }
 
-// stagePins converts an all-stage itemset into exception condition pins.
-// All stages must share one path level; conditions whose pins are all
-// duration-'*' are vacuous (the prefix tree already conditions on
-// locations) and rejected.
-func stagePins(syms *transact.Symbols, stages []transact.Item) (int, []flowgraph.StagePin, bool) {
+// StagePins converts an all-stage itemset into exception condition pins and
+// returns their shared path level. All stages must share one path level;
+// conditions whose pins are all duration-'*' are vacuous (the prefix tree
+// already conditions on locations) and rejected with ok=false.
+func StagePins(syms *transact.Symbols, stages []transact.Item) (int, []flowgraph.StagePin, bool) {
 	// Filter before allocating: most mined segments mix path levels or pin
 	// no duration.
 	level := syms.StageLevel(stages[0])
@@ -270,11 +267,11 @@ func (c *Cube) populateTargets() []*Cuboid {
 }
 
 // assignCells routes every record to its cell in every target cuboid using
-// the assignment plan. The record range is split into contiguous
-// chunks, one per worker; each worker appends tids into its own per-slot
-// buckets, and the buckets are concatenated in worker order — which, because
-// the chunks cover ascending tid ranges, reproduces the sequential scan's
-// tid order exactly.
+// the assignment plan. The record range is split into contiguous chunks,
+// one per worker; each chunk appends tids into its own per-slot buckets,
+// and the buckets are concatenated in chunk order — which, because the
+// chunks cover ascending tid ranges, reproduces the sequential scan's tid
+// order exactly.
 func (c *Cube) assignCells(db *pathdb.DB, targets []*Cuboid) {
 	c.haveTIDs = true
 	if len(targets) == 0 {
@@ -282,54 +279,25 @@ func (c *Cube) assignCells(db *pathdb.DB, targets []*Cuboid) {
 	}
 	plan := newAssignPlan(db.Schema, targets)
 	n := len(db.Records)
-	workers := c.Config.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	buckets := make([][][]int32, workers)
-	if workers == 1 {
-		buckets[0] = make([][]int32, len(plan.slots))
-		plan.assign(db, 0, n, buckets[0])
-	} else {
-		chunk := (n + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				b := make([][]int32, len(plan.slots))
-				plan.assign(db, lo, hi, b)
-				buckets[w] = b
-			}(w, lo, hi)
-		}
-		wg.Wait()
-	}
+	chunks := max(min(c.Config.Workers, n), 1)
+	size := (n + chunks - 1) / chunks
+	buckets := make([][][]int32, chunks)
+	c.forEach(chunks, func(i int) {
+		lo := min(i*size, n)
+		buckets[i] = make([][]int32, len(plan.slots))
+		plan.assign(db, lo, min(lo+size, n), buckets[i])
+	})
 	for slot, cell := range plan.slots {
 		total := 0
 		for _, b := range buckets {
-			if b != nil {
-				total += len(b[slot])
-			}
+			total += len(b[slot])
 		}
 		if total == 0 {
 			continue
 		}
 		tids := make([]int32, 0, total)
 		for _, b := range buckets {
-			if b != nil {
-				tids = append(tids, b[slot]...)
-			}
+			tids = append(tids, b[slot]...)
 		}
 		cell.tids = tids
 	}
@@ -395,42 +363,25 @@ func forEach(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// mineExceptions runs the holistic part of the measure: per cell, check the
-// frequent-segment conditions (and optionally all single-stage conditions)
-// against the cell's paths. Cells are independent, so the work is spread
+// mineExceptions runs the holistic part of the measure: it seeds each
+// cell's condition cache (conds.go) with the cell's frequent-segment
+// conditions — so the incremental path knows them without re-mining — and
+// mines every record of the cell as new against them (and optionally all
+// single-stage conditions). Cells are independent, so the work is spread
 // across Config.Workers.
 func (c *Cube) mineExceptions(db *pathdb.DB, conds cellConds) {
-	type job struct {
-		cell  *Cell
-		conds [][]flowgraph.StagePin
-	}
 	// Sorted order for the same reason as populate: a deterministic job
 	// list, so runs are comparable.
-	var jobs []job
+	var cells []*Cell
 	for _, cb := range c.sortedCuboids() {
-		specKey := cb.Spec.Key()
 		for _, cell := range cb.SortedCells() {
-			if cell.Graph == nil {
-				continue
+			if cell.Graph != nil {
+				cell.conds = newCondSet(conds[cell])
+				cells = append(cells, cell)
 			}
-			cellConds := conds[specKey][MakeCellID(cell.Values)]
-			// Warm the condition cache (conds.go) so the incremental path
-			// knows each cell's full condition set without re-mining it.
-			cell.SetCachedConds(cellConds)
-			jobs = append(jobs, job{cell: cell, conds: cellConds})
 		}
 	}
-	c.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		paths := make([]pathdb.Path, len(j.cell.tids))
-		for k, tid := range j.cell.tids {
-			paths[k] = db.Records[tid].Path
-		}
-		if c.Config.SingleStageExceptions {
-			j.cell.Graph.MineExceptions(paths, c.Config.Epsilon, c.minCount)
-		}
-		if len(j.conds) > 0 {
-			j.cell.Graph.MineExceptionsFor(paths, j.conds, c.Config.Epsilon, c.minCount)
-		}
+	c.forEach(len(cells), func(i int) {
+		c.RemineCell(cells[i], db, len(cells[i].tids), nil)
 	})
 }

@@ -13,13 +13,15 @@ package core
 // to the next and is replaced, never edited, when a batch adds conditions.
 
 import (
+	"slices"
 	"sort"
 
 	"flowcube/internal/flowgraph"
+	"flowcube/internal/pathdb"
 )
 
-// CondSet is one cell's cached exception conditions: the pin-lists passed
-// to MineExceptionsFor, plus a canonical-key index for membership tests.
+// CondSet is one cell's cached exception conditions: the pin-lists the
+// miner checks, plus a canonical-key index for membership tests.
 type CondSet struct {
 	// Pins holds the conditional pin-lists. Read-only.
 	Pins [][]flowgraph.StagePin
@@ -27,9 +29,9 @@ type CondSet struct {
 	keys map[string]bool
 }
 
-// NewCondSet indexes the given pin-lists. The caller must not mutate pins
+// newCondSet indexes the given pin-lists. The caller must not mutate pins
 // afterwards; duplicates (same canonical key) are kept in Pins.
-func NewCondSet(pins [][]flowgraph.StagePin) *CondSet {
+func newCondSet(pins [][]flowgraph.StagePin) *CondSet {
 	s := &CondSet{Pins: pins, keys: make(map[string]bool, len(pins))}
 	for _, p := range pins {
 		s.keys[condPinKey(p)] = true
@@ -59,12 +61,36 @@ func (cell *Cell) CachedConds() (*CondSet, bool) {
 	return cell.conds, cell.conds != nil
 }
 
-// SetCachedConds replaces the condition set of a cell obtained from
-// OwnedCell or AdmitCell with a fresh one (entries are immutable; the
-// generation this one was forked from keeps the old entry on its own copy
-// of the cell).
-func (cell *Cell) SetCachedConds(pins [][]flowgraph.StagePin) {
-	cell.conds = NewCondSet(pins)
+// RemineCell re-mines the exceptions of a cell Build is filling, or one
+// obtained from OwnedCell or AdmitCell, over its records in db: the last
+// added of its tids are new since its exceptions were last mined, and fresh
+// are the conditions they made frequent. A cold cache knows nothing of the
+// exceptions the cell holds, so there every record counts as new whatever
+// added says. The cached conditions are checked at the flowgraph nodes the
+// new records moved and fresh ones at every node; the cache then holds both
+// (a new entry — the generation this one was forked from keeps the old one
+// on its own copy of the cell). It returns the number of moved nodes, 0 when
+// every record is new.
+func (c *Cube) RemineCell(cell *Cell, db *pathdb.DB, added int, fresh [][]flowgraph.StagePin) int {
+	paths := make([]pathdb.Path, len(cell.tids))
+	for i, tid := range cell.tids {
+		paths[i] = db.Records[tid].Path
+	}
+	var old [][]flowgraph.StagePin
+	if cell.conds != nil {
+		old = cell.conds.Pins
+	} else {
+		added = len(paths)
+	}
+	moved := cell.Graph.MineExceptions(paths, added, old, fresh, flowgraph.ExceptionOptions{
+		SingleStage: c.Config.SingleStageExceptions,
+		Eps:         c.Config.Epsilon,
+		MinCount:    c.minCount,
+	})
+	if cell.conds == nil || len(fresh) > 0 {
+		cell.conds = newCondSet(append(slices.Clip(old), fresh...))
+	}
+	return moved
 }
 
 // DropCondCache empties the cache, so the incremental path re-mines every

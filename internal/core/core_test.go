@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"flowcube/internal/core"
@@ -134,6 +136,45 @@ func TestExceptionsMinedFromSegments(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatalf("no exceptions mined across the cube")
+	}
+}
+
+// TestRemineColdCellStartsOver: a cell with nothing cached cannot tell which
+// of its exceptions still hold, so RemineCell re-mines it from scratch
+// however few records it is told are new.
+func TestRemineColdCellStartsOver(t *testing.T) {
+	ex, cube := buildExample(t, core.Config{
+		MinCount:              2,
+		Epsilon:               0.1,
+		MineExceptions:        true,
+		SingleStageExceptions: true,
+	})
+	spec := core.CuboidSpec{Item: core.ItemLevel{0, 0}, PathLevel: 0}
+	apex := []hierarchy.NodeID{hierarchy.Root, hierarchy.Root}
+	remined := func(clear bool, added func(*core.Cell) int) []string {
+		fork := cube.Fork()
+		fork.DropCondCache()
+		cell := fork.OwnedCell(spec, apex)
+		if clear {
+			cell.Graph.ClearExceptions()
+		}
+		fork.RemineCell(cell, ex.DB, added(cell), nil)
+		if _, warm := cell.CachedConds(); !warm {
+			t.Fatal("a re-mined cell left its condition cache cold")
+		}
+		var out []string
+		for _, x := range cell.Graph.Exceptions() {
+			out = append(out, fmt.Sprint(x.Prefix, x.Condition, x.Support))
+		}
+		return out
+	}
+	want := remined(false, func(c *core.Cell) int { return len(c.TIDs()) })
+	got := remined(true, func(*core.Cell) int { return 1 })
+	if len(want) == 0 {
+		t.Fatal("the apex cell has no exception; the comparison is vacuous")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cold re-mine told one record is new found %d exceptions, from scratch %d, or they differ", len(got), len(want))
 	}
 }
 

@@ -22,10 +22,8 @@ package core
 // cubes no reader shares yet.
 
 import (
-	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
-	"flowcube/internal/transact"
 )
 
 // Fork returns the cube's next generation: a cube that shares every
@@ -246,13 +244,4 @@ func (c *Cube) AdmitCell(spec CuboidSpec, values []hierarchy.NodeID, count int64
 	}
 	cb.Cells[MakeCellID(values)] = cell
 	return cell
-}
-
-// StagePins converts an all-stage itemset into exception-condition pins,
-// applying the build phase's filters: every stage must sit at the same path
-// abstraction level and at least one pin must carry a concrete duration.
-// It returns the shared path level and ok=false when a filter rejects the
-// set.
-func StagePins(syms *transact.Symbols, stages []transact.Item) (int, []flowgraph.StagePin, bool) {
-	return stagePins(syms, stages)
 }

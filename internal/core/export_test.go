@@ -1,5 +1,8 @@
 package core
 
+// NewCondSet builds a condition set as Build's cache seeding does.
+var NewCondSet = newCondSet
+
 // SectionCellRangesForTest returns, from a lazily loaded cube's directory,
 // the [start, end) byte range of every cell of a cuboid's section payload in
 // CompareCells order, so corruption tests can cut a section at cell

@@ -97,7 +97,7 @@ func TestSlowestDeviations(t *testing.T) {
 	_ = cell
 	paths := basePaths(ex)
 	g := flowgraph.Build(ex.Location, ex.BasePathLevel(), paths, nil)
-	g.MineExceptions(paths, 0.05, 2)
+	mineSingleStage(g, paths, 0.05, 2)
 	slow := g.SlowestDeviations(0)
 	for i, x := range slow {
 		if x.Delay() <= 0 {

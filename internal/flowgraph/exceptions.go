@@ -19,12 +19,26 @@ import (
 // for just 1 hour at the truck", and the distribution-of-durations change
 // given 5 hours at the factory.
 //
-// MineExceptions conditions on every single earlier stage duration with
-// minimum support δ (expressed as a count). MineExceptionsFor additionally
-// accepts arbitrary multi-stage conditions — typically the frequent path
-// segments produced by the Shared algorithm — and checks each one. Each is
-// its …At scan run at every target and sealed; restricted.go runs the same
-// scans at the targets a batch moved.
+// MineExceptions checks two kinds of condition in one scan of the paths:
+// every single earlier stage duration with minimum support δ (expressed as
+// a count), and arbitrary multi-stage conditions — typically the frequent
+// path segments produced by the Shared algorithm.
+//
+// The same scan re-mines after paths are added. Every aggregate behind an
+// exception — its support, its conditional distributions and its target's
+// general ones — depends only on the paths through the target, so new paths
+// can change only the exceptions at nodes they run through (moved nodes).
+// Those targets are re-aggregated and every other exception is kept.
+
+// ExceptionOptions are what an exception mine checks besides the supplied
+// conditions, and the (ε, δ) filter it applies.
+type ExceptionOptions struct {
+	// SingleStage also conditions on every single stage's duration.
+	SingleStage bool
+	// Eps is the minimum deviation ε; MinCount the minimum support δ.
+	Eps      float64
+	MinCount int64
+}
 
 // condAgg accumulates the conditional distributions of one (condition,
 // target) pair.
@@ -36,27 +50,6 @@ type condAgg struct {
 	reach pathdb.Path
 }
 
-// MineExceptions scans the raw paths once, aggregating each to the graph's
-// level, and records every exception whose condition is a single earlier
-// stage duration: support ≥ minCount and L∞ deviation of the conditional
-// duration or transition distribution from the node's general one > eps.
-// Previously mined exceptions are replaced.
-func (g *Graph) MineExceptions(paths []pathdb.Path, eps float64, minCount int64) {
-	g.exceptions = g.exceptions[:0]
-	g.MineExceptionsAt(paths, nil, eps, minCount)
-	g.SealExceptions()
-}
-
-// MineExceptionsFor checks the supplied conditions — each a set of pins on
-// earlier stages, typically derived from frequent path segments — in a
-// single scan of the paths and records those inducing deviations > eps with
-// support ≥ minCount. Exceptions are appended to the existing set (then
-// deduplicated by node and condition).
-func (g *Graph) MineExceptionsFor(paths []pathdb.Path, conditions [][]StagePin, eps float64, minCount int64) {
-	g.MineExceptionsForAt(paths, conditions, nil, eps, minCount)
-	g.SealExceptions()
-}
-
 // stageCond is a single-stage condition: the path ran through node and
 // stayed there for dur.
 type stageCond struct {
@@ -64,95 +57,96 @@ type stageCond struct {
 	dur  int64
 }
 
-// MineExceptionsAt is the single-stage miner: it appends every exception
-// whose condition is the duration at one stage and whose target — that stage
-// or a later one — is in the set (nil means every target), leaving existing
-// exceptions in place. Callers must SealExceptions when every restricted
-// pass is done.
+// condSlot is one supplied condition with its aggregates per target.
+type condSlot struct {
+	cond []StagePin // sorted by depth
+	// restricted limits the targets to moved nodes.
+	restricted bool
+	aggs       map[*Node]*condAgg
+}
+
+// MineExceptions re-mines the exception set over paths, every path the
+// graph summarizes, of which the last added are new since the set was last
+// mined; added == len(paths) mines from scratch. The single-stage
+// conditions (with opt.SingleStage) and the conditions old are checked at
+// the nodes the new paths moved, and the exceptions at every other node are
+// kept; the conditions fresh, never checked before, are checked at every
+// node. An exception is recorded when its support reaches opt.MinCount and
+// the L∞ deviation of its conditional duration or transition distribution
+// from the node's general one exceeds opt.Eps. The result equals a mine
+// from scratch of old and fresh over the same paths. It returns the number
+// of moved nodes, 0 when every path is new.
 //
-// The scan gates on δ before it builds anything. The paths that match a
-// condition and reach a target are a subset of those that match the
-// condition at all — support only falls along a branch of the prefix tree —
-// so a first pass counts the scanned paths per condition, and conditional
-// distributions are accumulated only under conditions that reach minCount.
-// The counts are the scan's own (the graph's node counts may cover other
-// paths), and appendException still applies the exact filter per target.
-func (g *Graph) MineExceptionsAt(paths []pathdb.Path, targets map[*Node]bool, eps float64, minCount int64) {
-	scan := g.walkAll(paths)
-	support := make(map[stageCond]int64)
-	for _, w := range scan {
-		for i, n := range w.nodes {
-			support[stageCond{n, w.ap[i].Duration}]++
+// The single-stage scan gates on δ before it builds anything. The paths
+// that match a condition and reach a target are a subset of those that
+// match the condition at all — support only falls along a branch of the
+// prefix tree — so a first pass counts the scanned paths per condition, and
+// conditional distributions are accumulated only under conditions that
+// reach MinCount. The counts are the scan's own (the graph's node counts
+// may cover other paths), and appendException still applies the exact
+// filter per target. The supplied conditions come from frequent segments,
+// so there is nothing for the gate to skip.
+func (g *Graph) MineExceptions(paths []pathdb.Path, added int, old, fresh [][]StagePin, opt ExceptionOptions) int {
+	if added == len(paths) && !opt.SingleStage && len(old)+len(fresh) == 0 {
+		g.exceptions = g.exceptions[:0] // nothing to check, nothing to keep
+		return 0
+	}
+	scan := g.walkAll(paths, len(paths)-added)
+	moved := 0
+	if added < len(paths) {
+		moved = g.restrict(scan)
+	} else {
+		g.exceptions = g.exceptions[:0]
+	}
+
+	var support map[stageCond]int64
+	if opt.SingleStage {
+		support = make(map[stageCond]int64)
+		for _, w := range scan {
+			for i, n := range w.nodes[:w.moved] {
+				support[stageCond{n, w.ap[i].Duration}]++
+			}
 		}
 	}
 	type condTarget struct {
 		cond   stageCond
 		target *Node
 	}
-	agg := make(map[condTarget]*condAgg)
+	single := make(map[condTarget]*condAgg)
+	slots := make([]condSlot, 0, len(old)+len(fresh))
+	slots = appendSlots(slots, old, true)
+	slots = appendSlots(slots, fresh, false)
 	for _, w := range scan {
-		// j ranges from i (not i+1): conditioning a node's transition on
-		// its own duration is the paper's truck example; the duration axis
-		// of such self-conditions is vacuous and filtered downstream.
-		for i, n := range w.nodes {
-			cond := stageCond{n, w.ap[i].Duration}
-			if support[cond] < minCount {
+		// j ranges from i (not i+1): conditioning a node's transition on its
+		// own duration is the paper's truck example; the duration axis of
+		// such self-conditions is vacuous and filtered downstream.
+		for i := 0; support != nil && i < w.moved; i++ {
+			cond := stageCond{w.nodes[i], w.ap[i].Duration}
+			if support[cond] < opt.MinCount {
 				continue
 			}
-			for j := i; j < len(w.nodes); j++ {
-				if targets != nil && !targets[w.nodes[j]] {
-					continue
-				}
+			for j := i; j < w.moved; j++ {
 				k := condTarget{cond, w.nodes[j]}
-				a := agg[k]
+				a := single[k]
 				if a == nil {
 					a = &condAgg{}
-					agg[k] = a
+					single[k] = a
 				}
 				a.observe(w.ap, j)
 			}
 		}
-	}
-	for k, a := range agg {
-		g.appendException(k.target, []StagePin{{
-			Depth:    k.cond.node.Depth,
-			Location: k.cond.node.Location,
-			Duration: k.cond.dur,
-		}}, a, eps, minCount)
-	}
-}
-
-// MineExceptionsForAt is the multi-stage miner: it checks the supplied
-// conditions in one scan and appends the exceptions they induce at targets
-// in the set (nil means every target). Like MineExceptionsAt it leaves
-// existing exceptions in place and the caller seals. The conditions come
-// from frequent segments, so there is nothing for a δ gate to skip.
-func (g *Graph) MineExceptionsForAt(paths []pathdb.Path, conditions [][]StagePin, targets map[*Node]bool, eps float64, minCount int64) {
-	type slot struct {
-		cond   []StagePin
-		maxPin int
-		aggs   map[*Node]*condAgg
-	}
-	slots := make([]*slot, 0, len(conditions))
-	for _, c := range conditions {
-		if len(c) == 0 {
-			continue
-		}
-		cc := append([]StagePin(nil), c...)
-		sort.Slice(cc, func(i, j int) bool { return cc[i].Depth < cc[j].Depth })
-		slots = append(slots, &slot{cond: cc, maxPin: cc[len(cc)-1].Depth, aggs: make(map[*Node]*condAgg)})
-	}
-	for _, w := range g.walkAll(paths) {
 		for _, s := range slots {
-			if !pinsMatch(w.ap, s.cond) {
+			end := len(w.nodes)
+			if s.restricted {
+				end = w.moved
+			}
+			// Targets start at the deepest pinned node itself: its
+			// transition may deviate under the condition.
+			first := s.cond[len(s.cond)-1].Depth - 1
+			if first >= end || !pinsMatch(w.ap, s.cond) {
 				continue
 			}
-			// Targets start at the deepest pinned node itself (index
-			// maxPin-1): its transition may deviate under the condition.
-			for j := s.maxPin - 1; j < len(w.nodes); j++ {
-				if targets != nil && !targets[w.nodes[j]] {
-					continue
-				}
+			for j := first; j < end; j++ {
 				a := s.aggs[w.nodes[j]]
 				if a == nil {
 					a = &condAgg{}
@@ -162,11 +156,64 @@ func (g *Graph) MineExceptionsForAt(paths []pathdb.Path, conditions [][]StagePin
 			}
 		}
 	}
+	for k, a := range single {
+		g.appendException(k.target, []StagePin{{
+			Depth:    k.cond.node.Depth,
+			Location: k.cond.node.Location,
+			Duration: k.cond.dur,
+		}}, a, opt.Eps, opt.MinCount)
+	}
 	for _, s := range slots {
 		for target, a := range s.aggs {
-			g.appendException(target, s.cond, a, eps, minCount)
+			g.appendException(target, s.cond, a, opt.Eps, opt.MinCount)
 		}
 	}
+	g.sealExceptions()
+	return moved
+}
+
+// appendSlots appends a slot per non-empty condition, its pins sorted by
+// depth.
+func appendSlots(slots []condSlot, conds [][]StagePin, restricted bool) []condSlot {
+	for _, c := range conds {
+		if len(c) == 0 {
+			continue
+		}
+		cc := append([]StagePin(nil), c...)
+		sort.Slice(cc, func(i, j int) bool { return cc[i].Depth < cc[j].Depth })
+		slots = append(slots, condSlot{cond: cc, restricted: restricted, aggs: make(map[*Node]*condAgg)})
+	}
+	return slots
+}
+
+// restrict finds the nodes the scan's new paths moved, drops the exceptions
+// at them and limits each scanned path's restricted targets to its moved
+// nodes, and returns how many nodes moved. Those are a prefix of the path's
+// nodes: a moved node's ancestors lie on the same new path.
+func (g *Graph) restrict(scan []walked) int {
+	moved := make(map[*Node]bool)
+	for _, w := range scan {
+		if w.added {
+			for _, n := range w.nodes {
+				moved[n] = true
+			}
+		}
+	}
+	for i := range scan {
+		w := &scan[i]
+		w.moved = 0
+		for w.moved < len(w.nodes) && moved[w.nodes[w.moved]] {
+			w.moved++
+		}
+	}
+	kept := g.exceptions[:0]
+	for _, x := range g.exceptions {
+		if !moved[x.Node] {
+			kept = append(kept, x)
+		}
+	}
+	g.exceptions = kept
+	return len(moved)
 }
 
 // walked is one scanned path that lies in the graph: aggregated to the
@@ -174,15 +221,20 @@ func (g *Graph) MineExceptionsForAt(paths []pathdb.Path, conditions [][]StagePin
 type walked struct {
 	ap    pathdb.Path
 	nodes []*Node
+	// added marks a path new since the last mine; nodes[:moved] are the
+	// path's moved nodes (all of them in a mine from scratch).
+	added bool
+	moved int
 }
 
-// walkAll aggregates the raw paths and resolves their tree nodes. Empty
-// paths and paths that were not folded into this graph are skipped rather
-// than inventing structure during exception mining.
-func (g *Graph) walkAll(paths []pathdb.Path) []walked {
+// walkAll aggregates the raw paths and resolves their tree nodes; those from
+// index firstNew on are new. Empty paths and paths that were not folded
+// into this graph are skipped rather than inventing structure during
+// exception mining.
+func (g *Graph) walkAll(paths []pathdb.Path, firstNew int) []walked {
 	out := make([]walked, 0, len(paths))
 next:
-	for _, p := range paths {
+	for k, p := range paths {
 		ap := pathdb.AggregatePath(p, g.level, g.merge)
 		nodes := make([]*Node, len(ap))
 		cur := g.root
@@ -193,7 +245,7 @@ next:
 			nodes[i] = cur
 		}
 		if len(ap) > 0 {
-			out = append(out, walked{ap: ap, nodes: nodes})
+			out = append(out, walked{ap: ap, nodes: nodes, added: k >= firstNew, moved: len(nodes)})
 		}
 	}
 	return out
@@ -296,12 +348,11 @@ func AppendPins(b []byte, pins []StagePin) []byte {
 	return b
 }
 
-// SealExceptions deduplicates the mined exceptions by target and condition
-// (keeping the first) and sorts them by exceptionKey, computed once each.
-// Every miner ends with it — the full ones themselves, a sequence of
-// restricted passes when the caller is done — so the final set is the same
-// whatever the pass order.
-func (g *Graph) SealExceptions() {
+// sealExceptions deduplicates the mined exceptions by target and condition
+// (keeping the first; a single-stage condition and a one-pin supplied one
+// may coincide, with equal aggregates) and sorts them by exceptionKey,
+// computed once each, so the set is the same whatever the mining order.
+func (g *Graph) sealExceptions() {
 	type keyed struct {
 		key string
 		x   Exception

@@ -244,43 +244,54 @@ func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Grap
 		nd.children = ptrs[lo:hi:hi]
 	}
 	g := &Graph{level: level, loc: loc, root: &nodes[0], paths: f.Paths}
-
 	if m > 0 {
-		pins := make([]StagePin, len(f.PinDepth))
-		for i := range pins {
-			pins[i] = StagePin{
-				Depth:    int(f.PinDepth[i]),
-				Location: hierarchy.NodeID(f.PinLoc[i]),
-				Duration: f.PinDur[i],
-				DurAny:   f.PinDurAny[i],
-			}
-		}
-		excDist := func(k int, lo, hi int32) (*stats.Multinomial, error) {
-			d := &dists[k]
-			if err := d.InitSorted(f.ExcOutcomes[lo:hi], f.ExcWeights[lo:hi]); err != nil {
-				return nil, err
-			}
-			return d, nil
-		}
-		prefixOf := f.prefixes()
-		g.exceptions = make([]Exception, m)
-		for j := 0; j < m; j++ {
-			x := &g.exceptions[j]
-			x.Node = &nodes[f.ExcNode[j]]
-			x.Prefix = prefixOf(f.ExcNode[j])
-			x.Condition = pins[f.ExcPinLo[j]:f.ExcPinLo[j+1]:f.ExcPinLo[j+1]]
-			x.Support = f.ExcSupport[j]
-			x.DurationDeviation = f.ExcDurDev[j]
-			x.TransitionDeviation = f.ExcTrDev[j]
-			if x.Durations, err = excDist(2*(n+j), f.ExcDurLo[j], f.ExcTrLo[j]); err != nil {
-				return nil, err
-			}
-			if x.Transitions, err = excDist(2*(n+j)+1, f.ExcTrLo[j], f.ExcDurLo[j+1]); err != nil {
-				return nil, err
-			}
+		node := func(idx int32, _ int) *Node { return &nodes[idx] }
+		if g.exceptions, err = f.exceptions(node, dists[2*n:]); err != nil {
+			return nil, err
 		}
 	}
 	return g, nil
+}
+
+// exceptions decodes the exception table of a validated flat graph with at
+// least one exception: node maps an exception's node index and depth to the
+// node it names, and dists holds two distributions per exception.
+func (f *Flat) exceptions(node func(idx int32, depth int) *Node, dists []stats.Multinomial) ([]Exception, error) {
+	pins := make([]StagePin, len(f.PinDepth))
+	for i := range pins {
+		pins[i] = StagePin{
+			Depth:    int(f.PinDepth[i]),
+			Location: hierarchy.NodeID(f.PinLoc[i]),
+			Duration: f.PinDur[i],
+			DurAny:   f.PinDurAny[i],
+		}
+	}
+	dist := func(k int, lo, hi int32) (*stats.Multinomial, error) {
+		d := &dists[k]
+		if err := d.InitSorted(f.ExcOutcomes[lo:hi], f.ExcWeights[lo:hi]); err != nil {
+			return nil, err
+		}
+		return d, nil
+	}
+	prefixOf := f.prefixes()
+	out := make([]Exception, len(f.ExcNode))
+	var err error
+	for j := range out {
+		x := &out[j]
+		x.Prefix = prefixOf(f.ExcNode[j])
+		x.Node = node(f.ExcNode[j], len(x.Prefix))
+		x.Condition = pins[f.ExcPinLo[j]:f.ExcPinLo[j+1]:f.ExcPinLo[j+1]]
+		x.Support = f.ExcSupport[j]
+		x.DurationDeviation = f.ExcDurDev[j]
+		x.TransitionDeviation = f.ExcTrDev[j]
+		if x.Durations, err = dist(2*j, f.ExcDurLo[j], f.ExcTrLo[j]); err != nil {
+			return nil, err
+		}
+		if x.Transitions, err = dist(2*j+1, f.ExcTrLo[j], f.ExcDurLo[j+1]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // prefixes returns a function from a node index to the node's location
@@ -322,41 +333,12 @@ func FlatExceptions(f *Flat) ([]Exception, error) {
 	if m == 0 {
 		return nil, nil
 	}
-	prefixOf := f.prefixes()
-	nodes := make(map[int32]*Node, m)
-	pins := make([]StagePin, len(f.PinDepth))
-	for i := range pins {
-		pins[i] = StagePin{
-			Depth:    int(f.PinDepth[i]),
-			Location: hierarchy.NodeID(f.PinLoc[i]),
-			Duration: f.PinDur[i],
-			DurAny:   f.PinDurAny[i],
+	stubs := make(map[int32]*Node, m)
+	stub := func(idx int32, depth int) *Node {
+		if stubs[idx] == nil {
+			stubs[idx] = &Node{Location: hierarchy.NodeID(f.Locations[idx]), Depth: depth, Count: f.Counts[idx]}
 		}
+		return stubs[idx]
 	}
-	dists := make([]stats.Multinomial, 2*m)
-	out := make([]Exception, m)
-	for j := 0; j < m; j++ {
-		x := &out[j]
-		x.Prefix = prefixOf(f.ExcNode[j])
-		idx := f.ExcNode[j]
-		if nodes[idx] == nil {
-			nodes[idx] = &Node{Location: hierarchy.NodeID(f.Locations[idx]), Depth: len(x.Prefix), Count: f.Counts[idx]}
-		}
-		x.Node = nodes[idx]
-		x.Condition = pins[f.ExcPinLo[j]:f.ExcPinLo[j+1]:f.ExcPinLo[j+1]]
-		x.Support = f.ExcSupport[j]
-		x.DurationDeviation = f.ExcDurDev[j]
-		x.TransitionDeviation = f.ExcTrDev[j]
-		d := &dists[2*j]
-		if err := d.InitSorted(f.ExcOutcomes[f.ExcDurLo[j]:f.ExcTrLo[j]], f.ExcWeights[f.ExcDurLo[j]:f.ExcTrLo[j]]); err != nil {
-			return nil, err
-		}
-		x.Durations = d
-		t := &dists[2*j+1]
-		if err := t.InitSorted(f.ExcOutcomes[f.ExcTrLo[j]:f.ExcDurLo[j+1]], f.ExcWeights[f.ExcTrLo[j]:f.ExcDurLo[j+1]]); err != nil {
-			return nil, err
-		}
-		x.Transitions = t
-	}
-	return out, nil
+	return f.exceptions(stub, make([]stats.Multinomial, 2*m))
 }

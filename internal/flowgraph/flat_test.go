@@ -15,7 +15,7 @@ func flattenFixture(t *testing.T) (*paperex.Example, *flowgraph.Graph, *flowgrap
 	ex := paperex.New()
 	paths := basePaths(ex)
 	g := flowgraph.Build(ex.Location, ex.BasePathLevel(), paths, nil)
-	g.MineExceptions(paths, 0.1, 2)
+	mineSingleStage(g, paths, 0.1, 2)
 	if len(g.Exceptions()) == 0 {
 		t.Fatal("fixture mined no exceptions")
 	}

@@ -172,9 +172,8 @@ func (g *Graph) Paths() int64 { return g.paths }
 func (g *Graph) Exceptions() []Exception { return g.exceptions }
 
 // ClearExceptions drops the mined exception set, leaving the tree and its
-// distributions intact. Delta maintenance clears a touched cell's
-// exceptions before re-mining them over the union paths, since
-// MineExceptionsFor appends to the existing set.
+// distributions intact. Fold clears them: exceptions are holistic and do
+// not fold.
 func (g *Graph) ClearExceptions() { g.exceptions = nil }
 
 // Fork returns a graph over the same nodes and exceptions that may write

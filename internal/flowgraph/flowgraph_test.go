@@ -115,7 +115,7 @@ func TestPaperExceptionTruckToWarehouse(t *testing.T) {
 	ex := paperex.New()
 	cell := []pathdb.Path{ex.DB.Records[3].Path, ex.DB.Records[4].Path, ex.DB.Records[5].Path}
 	g := flowgraph.Build(ex.Location, ex.BasePathLevel(), cell, nil)
-	g.MineExceptions(cell, 0.1, 2)
+	mineSingleStage(g, cell, 0.1, 2)
 
 	loc := func(n string) hierarchy.NodeID { return ex.Location.MustLookup(n) }
 	ft := g.NodeAt([]hierarchy.NodeID{loc("f"), loc("t")})
@@ -148,7 +148,7 @@ func TestExceptionSupportThreshold(t *testing.T) {
 	ex := paperex.New()
 	cell := []pathdb.Path{ex.DB.Records[3].Path, ex.DB.Records[4].Path, ex.DB.Records[5].Path}
 	g := flowgraph.Build(ex.Location, ex.BasePathLevel(), cell, nil)
-	g.MineExceptions(cell, 0.1, 3)
+	mineSingleStage(g, cell, 0.1, 3)
 	for _, x := range g.Exceptions() {
 		if x.Support < 3 {
 			t.Errorf("exception with support %d recorded under δ=3", x.Support)
@@ -167,7 +167,7 @@ func TestMineExceptionsForMultiPin(t *testing.T) {
 		{Depth: 1, Location: loc("f"), Duration: 5},
 		{Depth: 2, Location: loc("d"), Duration: 2},
 	}}
-	g.MineExceptionsFor(paths, conds, 0.05, 2)
+	g.MineExceptions(paths, len(paths), conds, nil, flowgraph.ExceptionOptions{Eps: 0.05, MinCount: 2})
 	fdt := g.NodeAt([]hierarchy.NodeID{loc("f"), loc("d"), loc("t")})
 	found := false
 	for _, x := range g.Exceptions() {
@@ -324,7 +324,7 @@ func TestDOTEscapesLocationNames(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	ex, g := buildExample(t)
-	g.MineExceptions(basePaths(ex), 0.1, 2)
+	mineSingleStage(g, basePaths(ex), 0.1, 2)
 	c := g.Clone()
 	if c.Paths() != g.Paths() || len(c.Exceptions()) != len(g.Exceptions()) {
 		t.Fatalf("clone differs: paths %d/%d exceptions %d/%d",

@@ -66,7 +66,7 @@ func TestForkPathCopies(t *testing.T) {
 // where it was.
 func TestForkRepointsExceptions(t *testing.T) {
 	ex, g := buildExample(t)
-	g.MineExceptions(basePaths(ex), 0.1, 2)
+	mineSingleStage(g, basePaths(ex), 0.1, 2)
 	if len(g.Exceptions()) == 0 {
 		t.Fatal("fixture mined no exceptions")
 	}

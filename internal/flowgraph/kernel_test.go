@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -34,6 +35,12 @@ func describe(x flowgraph.Exception) refException {
 		Dur:     fmt.Sprint(x.Durations.AppendSorted(nil, nil)),
 		Tr:      fmt.Sprint(x.Transitions.AppendSorted(nil, nil)),
 	}
+}
+
+// mineSingleStage mines g's single-stage exceptions over paths from
+// scratch.
+func mineSingleStage(g *flowgraph.Graph, paths []pathdb.Path, eps float64, minCount int64) {
+	g.MineExceptions(paths, len(paths), nil, nil, flowgraph.ExceptionOptions{SingleStage: true, Eps: eps, MinCount: minCount})
 }
 
 // referenceSingleStage is the single-stage miner without the δ gate: it
@@ -101,12 +108,17 @@ func referenceSingleStage(g *flowgraph.Graph, level pathdb.PathLevel, paths []pa
 	return out
 }
 
-func minedSet(t *testing.T, g *flowgraph.Graph) map[string]refException {
+// minedSet collects g's single-stage exceptions. With singleOnly — g was
+// mined with no supplied condition — any other exception fails the test.
+func minedSet(t *testing.T, g *flowgraph.Graph, singleOnly bool) map[string]refException {
 	t.Helper()
 	out := map[string]refException{}
 	for _, x := range g.Exceptions() {
-		if len(x.Condition) != 1 || g.NodeAt(x.Prefix) != x.Node {
+		if g.NodeAt(x.Prefix) != x.Node || (singleOnly && len(x.Condition) != 1) {
 			t.Fatalf("exception %v / %v is not a single-stage exception of this graph", x.Prefix, x.Condition)
+		}
+		if len(x.Condition) != 1 {
+			continue
 		}
 		id := exceptionID(x.Prefix, x.Condition[0])
 		if _, dup := out[id]; dup {
@@ -117,12 +129,57 @@ func minedSet(t *testing.T, g *flowgraph.Graph) map[string]refException {
 	return out
 }
 
+// nodesOn returns the nodes of g the paths run through, at g's level.
+func nodesOn(g *flowgraph.Graph, level pathdb.PathLevel, paths []pathdb.Path) map[*flowgraph.Node]bool {
+	out := map[*flowgraph.Node]bool{}
+	for _, p := range paths {
+		ap := pathdb.AggregatePath(p, level, nil)
+		prefix := make([]hierarchy.NodeID, 0, len(ap))
+		for _, st := range ap {
+			prefix = append(prefix, st.Location)
+			out[g.NodeAt(prefix)] = true
+		}
+	}
+	return out
+}
+
+// twoStageConds pins the first two aggregated stages of each path, duration
+// included, skipping pin pairs already seen (and recording the new ones).
+func twoStageConds(level pathdb.PathLevel, paths []pathdb.Path, seen map[[2]flowgraph.StagePin]bool) [][]flowgraph.StagePin {
+	var out [][]flowgraph.StagePin
+	for _, p := range paths {
+		ap := pathdb.AggregatePath(p, level, nil)
+		if len(ap) < 2 {
+			continue
+		}
+		c := [2]flowgraph.StagePin{
+			{Depth: 1, Location: ap[0].Location, Duration: ap[0].Duration},
+			{Depth: 2, Location: ap[1].Location, Duration: ap[1].Duration},
+		}
+		if !seen[c] {
+			seen[c] = true
+			out = append(out, c[:])
+		}
+	}
+	return out
+}
+
+// listed renders g's exceptions in order, with everything Save writes.
+func listed(g *flowgraph.Graph) []string {
+	var out []string
+	for _, x := range g.Exceptions() {
+		out = append(out, fmt.Sprint(x.Prefix, x.Condition, describe(x)))
+	}
+	return out
+}
+
 // TestGatedMinerMatchesUngatedReference: gating the single-stage scan on a
 // condition's support before building its distributions must not change the
-// exception set. The graphs summarize four fifths of the generated paths
-// and the miners scan all of them, so some scanned paths leave the tree
-// (skipped) and others run through it without having been counted — which
-// is why the gate counts the scan's own paths, not Node.Count.
+// exception set. The graphs summarize four fifths of the generated paths,
+// less every path that starts where the last one does, and the miners scan
+// all of them, so some scanned paths leave the tree (skipped) and others run
+// through it without having been counted — which is why the gate counts the
+// scan's own paths, not Node.Count.
 func TestGatedMinerMatchesUngatedReference(t *testing.T) {
 	mined := 0
 	for seed := int64(1); seed <= 6; seed++ {
@@ -138,26 +195,68 @@ func TestGatedMinerMatchesUngatedReference(t *testing.T) {
 		for _, r := range ds.DB.Records {
 			paths = append(paths, r.Path)
 		}
+		n := len(paths) * 4 / 5
 		for li, level := range ds.DefaultPlan().PathLevels {
+			var in, off []pathdb.Path
+			offStart := pathdb.AggregatePath(paths[len(paths)-1], level, nil)[0].Location
+			for i, p := range paths {
+				if i < n && pathdb.AggregatePath(p, level, nil)[0].Location != offStart {
+					in = append(in, p)
+				} else {
+					off = append(off, p)
+				}
+			}
 			for _, minCount := range []int64{1, 2, 7} {
 				for _, eps := range []float64{0, 0.1} {
 					name := fmt.Sprintf("seed %d level %d minCount %d eps %g", seed, li, minCount, eps)
-					g := flowgraph.Build(ds.Schema.Location, level, paths[:len(paths)*4/5], nil)
-					g.MineExceptions(paths, eps, minCount)
+					g := flowgraph.Build(ds.Schema.Location, level, in, nil)
+					mineSingleStage(g, paths, eps, minCount)
 					want := referenceSingleStage(g, level, paths, nil, eps, minCount)
-					if got := minedSet(t, g); !reflect.DeepEqual(got, want) {
+					if got := minedSet(t, g, true); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: gated miner found %d exceptions, ungated reference %d, or they differ", name, len(got), len(want))
 					}
 					mined += len(want)
 
-					// The restricted scan runs the same gate at a target set.
-					moved := g.MovedNodes(paths[:3])
+					// The restricted scan runs the same gate at the nodes the
+					// new paths moved. The scan still covers every path, the
+					// skipped ones first; its last three, new, are three of
+					// the graph's own.
+					opt := flowgraph.ExceptionOptions{SingleStage: true, Eps: eps, MinCount: minCount}
+					scan := slices.Concat(off, in[3:], in[:3])
+					moved := nodesOn(g, level, in[:3])
 					g.ClearExceptions()
-					g.MineExceptionsAt(paths, moved, eps, minCount)
-					g.SealExceptions()
-					want = referenceSingleStage(g, level, paths, moved, eps, minCount)
-					if got := minedSet(t, g); !reflect.DeepEqual(got, want) {
+					if got := g.MineExceptions(scan, 3, nil, nil, opt); got != len(moved) {
+						t.Fatalf("%s: the miner counted %d moved nodes, the new paths run through %d", name, got, len(moved))
+					}
+					want = referenceSingleStage(g, level, scan, moved, eps, minCount)
+					if got := minedSet(t, g, true); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: restricted gated miner found %d exceptions, reference %d, or they differ", name, len(got), len(want))
+					}
+
+					// A graph mined over base paths, then three paths folded
+					// in and re-mined as new — old two-stage conditions at the
+					// moved nodes, fresh ones everywhere (base paths match
+					// them too) — equals the union's graph mined from
+					// scratch, whose single-stage part the reference checks.
+					seen := map[[2]flowgraph.StagePin]bool{}
+					old := twoStageConds(level, paths[:n/2], seen)
+					fresh := twoStageConds(level, paths[n/2:n], seen)
+					g = flowgraph.Build(ds.Schema.Location, level, paths[:n-3], nil)
+					g.MineExceptions(paths[:n-3], n-3, old, nil, opt)
+					for _, p := range paths[n-3 : n] {
+						g.AddPath(p)
+					}
+					if moved := g.MineExceptions(paths[:n], 3, old, fresh, opt); moved == 0 {
+						t.Fatalf("%s: three new paths moved no node", name)
+					}
+					union := flowgraph.Build(ds.Schema.Location, level, paths[:n], nil)
+					union.MineExceptions(paths[:n], n, slices.Concat(old, fresh), nil, opt)
+					if got, want := listed(g), listed(union); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: restricted re-mine found %d exceptions, a mine from scratch %d, or they differ", name, len(got), len(want))
+					}
+					want = referenceSingleStage(union, level, paths[:n], nil, eps, minCount)
+					if got := minedSet(t, union, false); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: union miner found %d single-stage exceptions, ungated reference %d, or they differ", name, len(got), len(want))
 					}
 				}
 			}
@@ -190,7 +289,7 @@ func TestExceptionKeysTellWideLocationsApart(t *testing.T) {
 	var order [][]string
 	for run := 0; run < 5; run++ {
 		g := flowgraph.Build(loc, level, paths, nil)
-		g.MineExceptions(paths, 0.1, 2)
+		mineSingleStage(g, paths, 0.1, 2)
 		var starts []string
 		count := map[hierarchy.NodeID]int{}
 		for _, e := range g.Exceptions() {

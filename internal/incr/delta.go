@@ -161,10 +161,9 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	type touchedCell struct {
 		spec core.CuboidSpec
 		cell *core.Cell
-		// batchTIDs are the appended record ids that landed in the cell —
-		// the re-mine derives the moved prefixes from them. Nil for a newly
-		// materialized cell, all of whose records are new to it.
-		batchTIDs []int32
+		// added counts the appended records that landed in the cell: the
+		// last added of its tids. A newly materialized cell's are all new.
+		added int
 	}
 	var touched []touchedCell
 
@@ -195,7 +194,7 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 					}
 					stats.NodesCopied += cell.Graph.NodesCopied() - before
 				}
-				touched = append(touched, touchedCell{spec: spec, cell: cell, batchTIDs: tids})
+				touched = append(touched, touchedCell{spec: spec, cell: cell, added: len(tids)})
 				stats.CellsTouched++
 			}
 		}
@@ -220,16 +219,16 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 				g.AddPath(db.Records[tid].Path)
 			}
 			cell.Graph = g
-			touched = append(touched, touchedCell{spec: spec, cell: cell})
+			touched = append(touched, touchedCell{spec: spec, cell: cell, added: len(tids)})
 			stats.CellsAdmitted++
 		}
 	}
 
 	// Exceptions: recompute exactly, per touched cell, over its union
-	// records (restricted.go). A warm cell re-mines from its cached condition
-	// set and the batch's records: exceptions at prefixes the batch did not
-	// move are retained, and only conditions the batch made frequent are
-	// mined for. A cell with nothing cached — freshly admitted, or its cache
+	// records. A warm cell re-mines from its cached condition set and the
+	// batch's records: exceptions at prefixes the batch did not move are
+	// kept, and only conditions the batch made frequent (restricted.go) are
+	// new. A cell with nothing cached — freshly admitted, or its cache
 	// dropped — is the same computation from an empty set with every record
 	// counted as new, which warms its entry for the next batch.
 	if cfg.MineExceptions {
@@ -239,19 +238,18 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 			if cell.Graph == nil {
 				continue
 			}
+			// A cold cell re-mines every record as new, so every record is
+			// in the batch its new conditions are mined from.
 			old, warm := cell.CachedConds()
-			batchTIDs := t.batchTIDs
-			if !warm {
-				old, batchTIDs = core.NewCondSet(nil), cell.TIDs()
+			tids, batch := cell.TIDs(), cell.TIDs()
+			if warm {
+				batch = tids[len(tids)-t.added:]
 			}
-			moved, newConds, err := r.remine(t.spec.PathLevel, cell, batchTIDs, old)
+			fresh, err := r.newConds(t.spec.PathLevel, tids, batch, old)
 			if err != nil {
 				return nil, err
 			}
-			if len(newConds) > 0 || !warm {
-				all := make([][]flowgraph.StagePin, 0, len(old.Pins)+len(newConds))
-				cell.SetCachedConds(append(append(all, old.Pins...), newConds...))
-			}
+			moved := cube.RemineCell(cell, db, t.added, fresh)
 			if warm {
 				stats.CellsReminedRestricted++
 				stats.PrefixesRemined += moved

@@ -30,7 +30,8 @@ func fuzzBase(t testing.TB) (*datagen.Dataset, *core.Cube) {
 		cfg.DimFanouts = [3]int{2, 2, 3}
 		fuzzFixture.ds = datagen.MustGenerate(cfg)
 		fuzzFixture.cube, fuzzFixture.err = core.Build(fuzzFixture.ds.DB, core.Config{
-			MinCount: 3, Tau: 0.5, Plan: fuzzFixture.ds.DefaultPlan(), DeltaLedger: true,
+			MinCount: 3, Epsilon: 0.05, Tau: 0.5, Plan: fuzzFixture.ds.DefaultPlan(),
+			MineExceptions: true, SingleStageExceptions: true, DeltaLedger: true,
 		})
 	})
 	if fuzzFixture.err != nil {
@@ -88,8 +89,10 @@ func int32ToNodeID(b byte) hierarchy.NodeID { return hierarchy.NodeID(int8(b)) }
 // corrupt, duplicate, or empty — and that every failure is a typed error
 // that changed nothing. Each batch is applied in two halves, twice: in place
 // on one fork of the base cube, and over a chain of forks (one per half, a
-// failed half's fork dropped). Both must save the same bytes and be
-// structurally valid, and the base cube must save what it saved before.
+// failed half's fork dropped). Both must save the same bytes as a full
+// Build over the records they hold — exceptions and redundancy included —
+// and be structurally valid, and the base cube must save what it saved
+// before.
 func FuzzApplyDelta(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 2, 0, 5, 1, 1, 2, 3})
@@ -134,6 +137,13 @@ func FuzzApplyDelta(f *testing.F) {
 		}
 		if got, want := saveDigest(t, chain), saveDigest(t, inPlace); got != want {
 			t.Fatalf("fork chain saved %s, in-place application %s", got, want)
+		}
+		full, err := core.Build(dbChain, base.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := saveDigest(t, chain), saveDigest(t, full); got != want {
+			t.Fatalf("fork chain saved %s, a full build over its records %s", got, want)
 		}
 		if err := chain.Validate(); err != nil {
 			t.Fatalf("cube invalid after delta: %v", err)

@@ -1,36 +1,20 @@
 package incr
 
-// Restricted exception re-mining: a touched cell's exceptions recomputed at
-// a cost that follows the batch, not the cell (DESIGN.md §11).
+// New conditions for a touched cell's exception re-mine (DESIGN.md §11).
 //
-// remine takes the condition set known to hold over the cell's records
-// before the batch and the record ids the batch added, and exploits two
-// facts, both consequences of appends moving supports only upward:
-//
-//  1. An exception is keyed by a target node, and every aggregate behind it
-//     depends only on the paths running through that target. Nodes on no
-//     batch path ("unmoved") keep their exceptions verbatim; only moved
-//     targets re-aggregate.
-//
-//  2. A condition frequent over the union but not over the base consists
-//     solely of "moved" items — stage items some batch record carries —
-//     because its support rose, so some batch transaction contains all of
-//     it. Projecting the cell's transactions to the moved items preserves
-//     the support of every such set, so one mining.Mine run over the
-//     projection finds exactly the new conditions. Old conditions stay
-//     frequent (supports are monotone) and are remembered in the cube's
-//     condition cache (core/conds.go).
-//
-// The recombination — retained exceptions at unmoved targets, single-stage
-// and old-condition mining at moved targets, new-condition mining at all
-// targets, then one dedup+sort seal — reproduces a from-scratch mine of the
-// union byte-identically; incr's save-digest property tests exercise it on
-// every build (Build warms the cache, so chained ApplyDelta calls run warm).
+// core.Cube.RemineCell re-mines a cell from the conditions its cache holds
+// and the records a batch added: only the flowgraph nodes on the new paths
+// re-aggregate. What it cannot know is which conditions the batch made
+// frequent. Appends move supports only upward, so such a condition consists
+// solely of "moved" items — stage items some batch record carries — since
+// some batch transaction contains all of it. Projecting the cell's
+// transactions to the moved items preserves the support of every such set,
+// so one mining.Mine run over the projection finds exactly the new
+// conditions; old ones stay frequent and are already cached.
 //
 // A cell with nothing cached — freshly admitted, or its cache dropped — is
-// the same computation with an empty condition set and every record of the
-// cell as the batch: every node and stage item is moved, nothing is
-// retained, and the mine yields the cell's whole condition set.
+// the same computation with every record of the cell counted as new: every
+// stage item is moved, and the mine yields the cell's whole condition set.
 
 import (
 	"flowcube/internal/core"
@@ -55,46 +39,6 @@ func (r *reminer) stages(tid int32) transact.Transaction {
 		r.stageTxs[tid] = r.cube.Symbols.EncodeStages(r.db.Records[tid].Path)
 	}
 	return r.stageTxs[tid]
-}
-
-func (r *reminer) paths(tids []int32) []pathdb.Path {
-	paths := make([]pathdb.Path, len(tids))
-	for i, tid := range tids {
-		paths[i] = r.db.Records[tid].Path
-	}
-	return paths
-}
-
-// remine recomputes one touched cell's exceptions from the condition set old
-// and the records batchTIDs added to it, and returns the moved-prefix count
-// (for stats) and the newly frequent conditions (for the caller to fold into
-// the cache). The cell must have a graph and its union record ids.
-func (r *reminer) remine(plIdx int, cell *core.Cell, batchTIDs []int32, old *core.CondSet) (int, [][]flowgraph.StagePin, error) {
-	cfg := r.cube.Config
-	minCount := r.cube.MinCount()
-	g, tids := cell.Graph, cell.TIDs()
-	paths := r.paths(tids)
-	moved := g.MovedNodes(r.paths(batchTIDs))
-	g.RetainExceptions(func(x *flowgraph.Exception) bool { return !moved[x.Node] })
-	if cfg.SingleStageExceptions {
-		g.MineExceptionsAt(paths, moved, cfg.Epsilon, minCount)
-	}
-	newConds, err := r.newConds(plIdx, tids, batchTIDs, old)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(old.Pins) > 0 {
-		// Old conditions can only produce changed exceptions at moved
-		// targets; the unmoved ones were just retained.
-		g.MineExceptionsForAt(paths, old.Pins, moved, cfg.Epsilon, minCount)
-	}
-	if len(newConds) > 0 {
-		// New conditions pin moved items, but base paths matching them may
-		// continue through unmoved nodes — mine them at every target.
-		g.MineExceptionsForAt(paths, newConds, nil, cfg.Epsilon, minCount)
-	}
-	g.SealExceptions()
-	return len(moved), newConds, nil
 }
 
 // newConds finds the conditions newly frequent among a cell's records after

@@ -31,6 +31,15 @@ type routeStats struct {
 	maxNs   int64
 }
 
+// RouteHistograms are the per-route request counters behind the routes of
+// GET /metrics: count, errors and the latency histogram. Server and the
+// cluster router each hand theirs to Instrument. The zero value is ready to
+// use.
+type RouteHistograms struct {
+	mu     sync.Mutex
+	routes map[string]*routeStats
+}
+
 type metrics struct {
 	start time.Time
 
@@ -58,8 +67,7 @@ type metrics struct {
 	walEntries            atomic.Int64
 	walBytes              atomic.Int64
 
-	mu     sync.Mutex
-	routes map[string]*routeStats
+	routes RouteHistograms
 }
 
 // recordAppend stores one append's counters.
@@ -75,17 +83,20 @@ func (m *metrics) recordAppend(d time.Duration, stats *incr.Stats) {
 }
 
 func newMetrics() *metrics {
-	return &metrics{start: time.Now(), routes: make(map[string]*routeStats)}
+	return &metrics{start: time.Now()}
 }
 
 // observe records one served request.
-func (m *metrics) observe(route string, status int, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rs := m.routes[route]
+func (h *RouteHistograms) observe(route string, status int, d time.Duration) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.routes == nil {
+		h.routes = make(map[string]*routeStats)
+	}
+	rs := h.routes[route]
 	if rs == nil {
 		rs = &routeStats{buckets: make([]int64, len(latencyBoundsMs)+1)}
-		m.routes[route] = rs
+		h.routes[route] = rs
 	}
 	rs.count++
 	if status >= 400 {
@@ -270,16 +281,22 @@ func (m *metrics) snapshot() MetricsSnapshot {
 			WALBytes:       m.walBytes.Load(),
 			StaleConflicts: m.staleConflicts.Load(),
 		},
-		Routes: make(map[string]RouteMetrics),
+		Routes: m.routes.Snapshot(),
 	}
 	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
 	out.Cache = CacheMetrics{Hits: hits, Misses: misses}
 	if hits+misses > 0 {
 		out.Cache.HitRatio = float64(hits) / float64(hits+misses)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for route, rs := range m.routes {
+	return out
+}
+
+// Snapshot returns every route's counters in their JSON shape.
+func (h *RouteHistograms) Snapshot() map[string]RouteMetrics {
+	out := make(map[string]RouteMetrics)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for route, rs := range h.routes {
 		rm := RouteMetrics{
 			Count:   rs.count,
 			Errors:  rs.errors,
@@ -301,7 +318,7 @@ func (m *metrics) snapshot() MetricsSnapshot {
 				rm.Buckets["+inf"] = n
 			}
 		}
-		out.Routes[route] = rm
+		out[route] = rm
 	}
 	return out
 }

@@ -329,7 +329,7 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("POST /admin/reload", s.handleReload)
 	mux.HandleFunc("POST /admin/append", s.handleAppend)
-	return Instrument(mux, s.logger, s.metrics.observe)
+	return Instrument(mux, s.logger, &s.metrics.routes)
 }
 
 // statusWriter captures the response status for logging and metrics.
@@ -343,16 +343,16 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// Instrument wraps a route table with the request log line and a per-route
-// observer, keyed by method+path (query strings excluded). The cluster
-// router serves behind the same wrapper.
-func Instrument(next http.Handler, logger *log.Logger, observe func(route string, status int, elapsed time.Duration)) http.Handler {
+// Instrument wraps a route table with the request log line and records every
+// request in routes, keyed by method+path (query strings excluded). The
+// cluster router serves behind the same wrapper.
+func Instrument(next http.Handler, logger *log.Logger, routes *RouteHistograms) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r)
 		elapsed := time.Since(start)
-		observe(r.Method+" "+r.URL.Path, sw.status, elapsed)
+		routes.observe(r.Method+" "+r.URL.Path, sw.status, elapsed)
 		logger.Printf("%s %s %d %s", r.Method, r.URL.RequestURI(), sw.status, elapsed.Round(time.Microsecond))
 	})
 }

@@ -58,9 +58,11 @@ go test -race -count=10 ./internal/incr -run TestGenerationIsolation
 go test -race -count=10 ./internal/core -run TestLazyConcurrentFirstTouch
 
 echo "== micro-benchmarks (one iteration each) =="
-# BenchmarkKLDivergence/Add (internal/stats) and BenchmarkSimilarity/
-# MineExceptions (internal/flowgraph) are what EXPERIMENTS.md quotes for the
-# sorted-slice distributions, BenchmarkLazyLookupCold (internal/core) for the
+# BenchmarkKLDivergence/Add (internal/stats) and BenchmarkSimilarity
+# (internal/flowgraph) are what EXPERIMENTS.md quotes for the sorted-slice
+# distributions, BenchmarkMineExceptions (internal/flowgraph) for the one
+# exception miner, from scratch and restricted to ten new paths,
+# BenchmarkLazyLookupCold (internal/core) for the
 # cell-at-a-time lazy read (no allocation once resident), BenchmarkFoldSources
 # for fold-source selection (allocations flat in the cells it scans) and
 # BenchmarkLoad for the snapshot reader behind core.load_s, BenchmarkJoin/TrieCount (internal/itemset) and
