@@ -15,7 +15,6 @@ import (
 	"cmp"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,7 +25,6 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/hierarchy"
-	"flowcube/internal/pathdb"
 	"flowcube/internal/server"
 )
 
@@ -340,34 +338,21 @@ func (rt *Router) handleAppend(w http.ResponseWriter, r *http.Request) {
 	// Reject garbage before any shard sees it: a batch that fails to parse
 	// here would fail on every shard, and fanning it out just multiplies the
 	// error. The schema is replicated, so parsing against the router's copy
-	// is authoritative. Parsing THROUGH MaxBytesReader — rather than sizing
-	// the body first — reproduces the single node's error precedence
-	// exactly: a parse failure on the truncated prefix answers 400 before
-	// the size violation answers 413. The tee captures the body for the
-	// shard fan-out below.
+	// is authoritative, and the single node's reader gives its answers
+	// exactly: parsing THROUGH MaxBytesReader, a parse failure on the
+	// truncated prefix answers 400 before the size violation answers 413.
+	// The tee captures the body for the shard fan-out below.
 	var buf bytes.Buffer
-	batchDB, err := pathdb.Read(io.TeeReader(http.MaxBytesReader(w, r.Body, rt.cfg.MaxAppendBytes), &buf), rt.meta.Schema)
+	batchDB, err := server.ReadAppendBody(io.TeeReader(http.MaxBytesReader(w, r.Body, rt.cfg.MaxAppendBytes), &buf), rt.meta.Schema)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			server.WriteError(w, &server.HTTPError{Status: http.StatusRequestEntityTooLarge,
-				Msg: fmt.Sprintf("request body exceeds the %d-byte append limit", mbe.Limit)})
-			return
-		}
-		server.WriteError(w, &server.HTTPError{Status: http.StatusBadRequest, Msg: err.Error()})
-		return
-	}
-	body := buf.Bytes()
-	if batchDB.Len() == 0 {
-		server.WriteError(w, &server.HTTPError{Status: http.StatusBadRequest,
-			Msg: "empty batch: body must hold at least one record line (dim,...|loc:dur ...)"})
+		server.WriteError(w, err)
 		return
 	}
 
 	// No per-shard timeout: cutting a shard off mid-append guarantees the
 	// divergence the all-or-nothing report exists to flag. The client's
 	// request context still bounds the whole fan-out.
-	results := rt.scatter(r.Context(), http.MethodPost, "/admin/append", body, "text/plain; charset=utf-8", 0, nil)
+	results := rt.scatter(r.Context(), http.MethodPost, "/admin/append", buf.Bytes(), "text/plain; charset=utf-8", 0, nil)
 	reports, ok := shardReports(results)
 	if ok != len(results) {
 		server.WriteJSON(w, http.StatusBadGateway, map[string]any{

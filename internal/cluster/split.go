@@ -47,8 +47,9 @@ func ShardFileName(i, n int) string {
 
 // WriteShards splits cube into shards per-shard snapshots under dir
 // (created if missing) and returns the written paths in shard order.
-// Workers parallelizes each snapshot's cuboid encoding, exactly as
-// core.SaveWith does; the files are byte-deterministic regardless.
+// Workers parallelizes each snapshot's cuboid encoding (it becomes each
+// fresh shard cube's Config.Workers); the files are byte-deterministic
+// regardless.
 func WriteShards(cube *core.Cube, shards int, dir string, workers int) ([]string, error) {
 	cubes, err := Split(cube, shards)
 	if err != nil {
@@ -64,7 +65,8 @@ func WriteShards(cube *core.Cube, shards int, dir string, workers int) ([]string
 		if err != nil {
 			return nil, err
 		}
-		if err := sc.SaveWith(f, core.SaveOptions{Workers: workers}); err != nil {
+		sc.Config.Workers = workers
+		if err := sc.Save(f); err != nil {
 			f.Close() //nolint:errcheck // save already failed; surface that error
 			return nil, fmt.Errorf("cluster: save %s: %w", path, err)
 		}

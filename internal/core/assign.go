@@ -1,117 +1,77 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
 )
 
-// assignPlan is the precomputed state for populate's record→cell assignment
-// scan. It probes each cuboid's slot table with the record's CellID built
-// in one reused buffer, hoists the per-dimension ancestor lookups so each
-// (dimension, level) pair is resolved once per record regardless of how
-// many cuboids share it, and numbers every cell with a global slot id so
-// workers can collect tids into plain slices.
-type assignPlan struct {
+// RecordRouter maps records to cells. The item abstraction level alone fixes
+// a record's cell (§4: the path level only shapes the cell's flowgraph), so
+// a record falls in exactly one cell per materialized item level. Build's
+// populate and sub-δ ledger, RebuildTIDs and delta maintenance all map
+// records through it: Route takes a record, then Cell gives its cell at any
+// item level. A router holds scratch space: one goroutine uses it.
+type RecordRouter struct {
+	*routes
+	anc    [][]hierarchy.NodeID
+	values []hierarchy.NodeID
+	id     []byte
+}
+
+// routes is a router's fixed part, cached per lineage beside levelCuboids.
+type routes struct {
 	schema *pathdb.Schema
-	// dimLevels lists, per dimension, the sorted distinct non-'*' levels any
-	// target cuboid uses; anc rows in assign are indexed the same way.
+	// dimLevels lists, per dimension, the distinct non-'*' levels the item
+	// levels use; a router's anc rows are indexed the same way.
 	dimLevels [][]int
-	targets   []assignTarget
-	// slots maps global slot id → cell, in sorted cuboid/cell order, so the
-	// bucket merge visits cells deterministically.
-	slots []*Cell
+	// pick gives, per item level and dimension, the anc column holding the
+	// level's value, or -1 for a '*' dimension.
+	pick [][]int
 }
 
-// assignTarget is one materialized cuboid's view of the plan: where each
-// dimension's value comes from, and the cell slot table.
-type assignTarget struct {
-	// levelIdx gives, per dimension, the row of the hoisted ancestor table
-	// holding this cuboid's value, or -1 for a '*' dimension.
-	levelIdx []int
-	slots    map[CellID]int32
+func newRoutes(schema *pathdb.Schema, levels []LevelCuboids) *routes {
+	rt := &routes{schema: schema, dimLevels: make([][]int, len(schema.Dims))}
+	for _, lv := range levels {
+		for d, l := range lv.Item {
+			if l > 0 && !slices.Contains(rt.dimLevels[d], l) {
+				rt.dimLevels[d] = append(rt.dimLevels[d], l)
+			}
+		}
+	}
+	for _, lv := range levels {
+		pick := make([]int, len(lv.Item))
+		for d, l := range lv.Item {
+			pick[d] = slices.Index(rt.dimLevels[d], l) // -1 for '*', never listed
+		}
+		rt.pick = append(rt.pick, pick)
+	}
+	return rt
 }
 
-func newAssignPlan(schema *pathdb.Schema, targets []*Cuboid) *assignPlan {
-	m := len(schema.Dims)
-	p := &assignPlan{schema: schema, dimLevels: make([][]int, m)}
-	for _, cb := range targets {
-		for d, l := range cb.Spec.Item {
-			if l == 0 || containsInt(p.dimLevels[d], l) {
-				continue
-			}
-			p.dimLevels[d] = append(p.dimLevels[d], l)
+// Route takes the record with these dimension values: it resolves each
+// (dimension, level) ancestor the item levels need, once, for Cell.
+func (r *RecordRouter) Route(dims []hierarchy.NodeID) {
+	for d, levels := range r.dimLevels {
+		h := r.schema.Dims[d]
+		for i, l := range levels {
+			r.anc[d][i] = h.AncestorAt(dims[d], l)
 		}
 	}
-	for d := range p.dimLevels {
-		sort.Ints(p.dimLevels[d])
-	}
-
-	for _, cb := range targets {
-		t := assignTarget{levelIdx: make([]int, m), slots: make(map[CellID]int32, len(cb.Cells))}
-		for d, l := range cb.Spec.Item {
-			t.levelIdx[d] = -1
-			if l == 0 {
-				continue
-			}
-			for li, have := range p.dimLevels[d] {
-				if have == l {
-					t.levelIdx[d] = li
-				}
-			}
-		}
-		for _, cell := range cb.SortedCells() {
-			t.slots[MakeCellID(cell.Values)] = int32(len(p.slots))
-			p.slots = append(p.slots, cell)
-		}
-		p.targets = append(p.targets, t)
-	}
-	return p
 }
 
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
+// Cell returns the routed record's cell at an item level: id is its CellID's
+// bytes (m[CellID(id)] probes without copying) and values its per-dimension
+// values. Both are the router's scratch, overwritten by the next call; a
+// caller that keeps them copies them.
+func (r *RecordRouter) Cell(level int) (id []byte, values []hierarchy.NodeID) {
+	for d, i := range r.pick[level] {
+		r.values[d] = hierarchy.Root
+		if i >= 0 {
+			r.values[d] = r.anc[d][i]
 		}
 	}
-	return false
-}
-
-// assign routes records [lo, hi) of the database to their cells, appending
-// each matching tid to bucket[slot]. It allocates nothing per record: the
-// hoisted ancestor table and the value and key buffers are reused across
-// the whole range, and a slot-table probe keyed by a CellID conversion
-// does not copy the key.
-func (p *assignPlan) assign(db *pathdb.DB, lo, hi int, bucket [][]int32) {
-	m := len(p.dimLevels)
-	anc := make([][]hierarchy.NodeID, m)
-	for d := range anc {
-		anc[d] = make([]hierarchy.NodeID, len(p.dimLevels[d]))
-	}
-	values := make([]hierarchy.NodeID, m)
-	key := make([]byte, 0, 4*m)
-	for tid := lo; tid < hi; tid++ {
-		rec := &db.Records[tid]
-		for d, levels := range p.dimLevels {
-			h := p.schema.Dims[d]
-			for li, l := range levels {
-				anc[d][li] = h.AncestorAt(rec.Dims[d], l)
-			}
-		}
-		for ti := range p.targets {
-			t := &p.targets[ti]
-			for d, li := range t.levelIdx {
-				values[d] = hierarchy.Root
-				if li >= 0 {
-					values[d] = anc[d][li]
-				}
-			}
-			key = appendCellID(key[:0], values)
-			if slot, ok := t.slots[CellID(key)]; ok {
-				bucket[slot] = append(bucket[slot], int32(tid))
-			}
-		}
-	}
+	r.id = appendCellID(r.id[:0], r.values)
+	return r.id, r.values
 }

@@ -245,73 +245,154 @@ func (c *Cube) addCell(il ItemLevel, values []hierarchy.NodeID, count int64) {
 	}
 }
 
-// populate assigns every record to its cell in every materialized cuboid
-// and builds the flowgraph measures.
+// populate routes every record to its cell at every materialized item level
+// (with the sub-δ ledger counted in the same walk when Config.DeltaLedger is
+// set) and builds the flowgraph measures.
 func (c *Cube) populate(db *pathdb.DB) {
-	targets := c.populateTargets()
-	c.assignCells(db, targets)
-	c.buildGraphs(db, targets)
+	c.assignCells(db, c.Config.DeltaLedger)
+	c.buildGraphs(db)
 }
 
-// populateTargets lists the cuboids with at least one frequent cell. Sorted
-// cuboid order keeps slot numbering and the graph job list — and therefore
-// worker scheduling and any profile of it — identical across runs.
-func (c *Cube) populateTargets() []*Cuboid {
-	var targets []*Cuboid
-	for _, cb := range c.sortedCuboids() {
-		if len(cb.Cells) > 0 {
-			targets = append(targets, cb)
+// assignCells routes every record to its cell at every item level and
+// gives each cell its tids: one list per cell of a level, shared by the
+// level's cuboids that hold the cell (capacity-clipped, so an append
+// reallocates). With ledger set it also counts, per level, the records
+// whose combination is no cell and keeps the sub-δ ones as the cube's
+// ledger. The records split into contiguous chunks, one per worker, each
+// with its own tid buckets and counts; buckets are concatenated in chunk
+// order, which, as chunks cover ascending tid ranges, is the sequential
+// scan's order.
+func (c *Cube) assignCells(db *pathdb.DB, ledger bool) {
+	c.haveTIDs = true
+	levels := c.LevelCuboids()
+	slotOf := make([]map[CellID]int32, len(levels))
+	var slots [][]*Cell // per slot: the cell in each cuboid holding it
+	for li, lv := range levels {
+		slotOf[li] = make(map[CellID]int32)
+		for _, spec := range lv.Specs {
+			for _, cell := range c.Cuboid(spec).SortedCells() {
+				id := MakeCellID(cell.Values)
+				s, ok := slotOf[li][id]
+				if !ok {
+					s = int32(len(slots))
+					slotOf[li][id] = s
+					slots = append(slots, nil)
+				}
+				slots[s] = append(slots[s], cell)
+			}
 		}
 	}
-	return targets
-}
 
-// assignCells routes every record to its cell in every target cuboid using
-// the assignment plan. The record range is split into contiguous chunks,
-// one per worker; each chunk appends tids into its own per-slot buckets,
-// and the buckets are concatenated in chunk order — which, because the
-// chunks cover ascending tid ranges, reproduces the sequential scan's tid
-// order exactly.
-func (c *Cube) assignCells(db *pathdb.DB, targets []*Cuboid) {
-	c.haveTIDs = true
-	if len(targets) == 0 {
-		return
-	}
-	plan := newAssignPlan(db.Schema, targets)
 	n := len(db.Records)
 	chunks := max(min(c.Config.Workers, n), 1)
 	size := (n + chunks - 1) / chunks
 	buckets := make([][][]int32, chunks)
+	tallies := make([][]tally, chunks)
+	// Made before the workers start: the first RecordRouter call caches the
+	// cube's routes.
+	routers := make([]*RecordRouter, chunks)
+	for i := range routers {
+		routers[i] = c.RecordRouter()
+	}
 	c.forEach(chunks, func(i int) {
-		lo := min(i*size, n)
-		buckets[i] = make([][]int32, len(plan.slots))
-		plan.assign(db, lo, min(lo+size, n), buckets[i])
+		bucket := make([][]int32, len(slots))
+		var miss []tally
+		if ledger {
+			miss = make([]tally, len(levels))
+			for li := range miss {
+				miss[li].at = make(map[CellID]int32)
+			}
+		}
+		r, lo := routers[i], min(i*size, n)
+		for tid := lo; tid < min(lo+size, n); tid++ {
+			r.Route(db.Records[tid].Dims)
+			for li, ids := range slotOf {
+				id, _ := r.Cell(li)
+				if s, ok := ids[CellID(id)]; ok {
+					bucket[s] = append(bucket[s], int32(tid))
+				} else if ledger {
+					if k, ok := miss[li].at[CellID(id)]; ok {
+						miss[li].n[k]++
+					} else {
+						miss[li].add(CellID(id), 1)
+					}
+				}
+			}
+		}
+		buckets[i], tallies[i] = bucket, miss
 	})
-	for slot, cell := range plan.slots {
+
+	for s, cells := range slots {
 		total := 0
 		for _, b := range buckets {
-			total += len(b[slot])
+			total += len(b[s])
 		}
 		if total == 0 {
 			continue
 		}
 		tids := make([]int32, 0, total)
 		for _, b := range buckets {
-			tids = append(tids, b[slot]...)
+			tids = append(tids, b[s]...)
 		}
-		cell.tids = tids
+		for _, cell := range cells {
+			cell.tids = tids
+		}
 	}
+	if !ledger {
+		return
+	}
+	// Levels are independent, so their sums and tries spread across workers.
+	built := make([]*ledgerLevel, len(levels))
+	c.forEach(len(levels), func(li int) {
+		sum := &tallies[0][li]
+		for _, miss := range tallies[1:] {
+			for id, k := range miss[li].at {
+				sum.add(id, miss[li].n[k])
+			}
+		}
+		lv := &ledgerLevel{item: append(ItemLevel(nil), levels[li].Item...), owner: c.gen}
+		for id, k := range sum.at {
+			if count := sum.n[k]; count < c.minCount {
+				lv.put(&ledgerEntry{id: id, values: id.values(), count: count})
+			}
+		}
+		built[li] = lv
+	})
+	c.ledger = &Ledger{levels: make(map[string]*ledgerLevel, len(built)), owner: c.gen}
+	for _, lv := range built {
+		c.ledger.levels[lv.item.Key()] = lv
+	}
+}
+
+// tally counts an item level's records whose combination is no cell. at
+// indexes n by combination, so a count allocates only a new combination's
+// key, and the counts hold no pointers for the collector to scan.
+type tally struct {
+	at map[CellID]int32
+	n  []int64
+}
+
+// add counts n more records of combination id.
+func (t *tally) add(id CellID, n int64) {
+	if k, ok := t.at[id]; ok {
+		t.n[k] += n
+		return
+	}
+	t.at[id] = int32(len(t.n))
+	t.n = append(t.n, n)
 }
 
 // buildGraphs constructs the flowgraph measure of every cell from its
 // assigned tids; cells are independent, so the work spreads across workers.
-func (c *Cube) buildGraphs(db *pathdb.DB, targets []*Cuboid) {
+// Sorted cuboid order keeps the job list — and therefore worker scheduling
+// and any profile of it — identical across runs.
+func (c *Cube) buildGraphs(db *pathdb.DB) {
 	type job struct {
 		cell *Cell
 		pl   pathdb.PathLevel
 	}
 	var jobs []job
-	for _, cb := range targets {
+	for _, cb := range c.sortedCuboids() {
 		pl := c.Symbols.PathLevels()[cb.Spec.PathLevel]
 		for _, cell := range cb.SortedCells() {
 			jobs = append(jobs, job{cell: cell, pl: pl})

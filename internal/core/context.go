@@ -8,11 +8,12 @@ import (
 
 // BuildContext is Build with cancellation: the configuration is validated
 // up front (returning *ConfigError), and ctx is checked between the
-// pipeline phases — encode+mine, populate, sub-δ ledger, exception mining,
-// redundancy marking — so a cancelled build returns promptly without
-// leaving goroutines behind (each phase joins its own workers). A build
-// cancelled mid-phase finishes that phase first; phases are the paper's
-// natural barriers and the granularity the snapshot codec shares.
+// pipeline phases — encode+mine, populate (with the sub-δ ledger),
+// exception mining, redundancy marking — so a cancelled build returns
+// promptly without leaving goroutines behind (each phase joins its own
+// workers). A build cancelled mid-phase finishes that phase first; phases
+// are the paper's natural barriers and the granularity the snapshot codec
+// shares.
 func BuildContext(ctx context.Context, db *pathdb.DB, cfg Config) (*Cube, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -29,15 +30,10 @@ func BuildContext(ctx context.Context, db *pathdb.DB, cfg Config) (*Cube, error)
 	}
 
 	// One scan of the path database assigns records to the cells of every
-	// materialized cuboid and folds their paths into the flowgraphs.
+	// materialized item level, counts the sub-δ ledger, and folds the paths
+	// into the flowgraphs.
 	cube.populate(db)
 
-	if cfg.DeltaLedger {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cube.buildLedger(db)
-	}
 	if cfg.MineExceptions {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -47,19 +47,6 @@ func appendDecimals[T ~int | ~int32](b []byte, xs []T) []byte {
 	return b
 }
 
-// ValuesOf writes a record's dimension values as seen at the item level
-// into out — the ancestor at each dimension's level, hierarchy.Root where
-// the level is '*' — and returns out.
-func (il ItemLevel) ValuesOf(schema *pathdb.Schema, dims, out []hierarchy.NodeID) []hierarchy.NodeID {
-	for d, l := range il {
-		out[d] = hierarchy.Root
-		if l > 0 {
-			out[d] = schema.Dims[d].AncestorAt(dims[d], l)
-		}
-	}
-	return out
-}
-
 // Dominates reports il ⪯ other in the item lattice: il is at least as
 // general in every dimension (the paper's n1 ⪯ n2 ordering).
 func (il ItemLevel) Dominates(other ItemLevel) bool {
@@ -248,8 +235,10 @@ type Cube struct {
 	ledger *Ledger
 	// haveTIDs records that the cells carry their record-id lists.
 	haveTIDs bool
-	// levelCuboids caches LevelCuboids; nil until first asked for.
+	// levelCuboids caches LevelCuboids and routes RecordRouter's fixed part;
+	// nil until first asked for, reset by DropCuboid, shared by forks.
 	levelCuboids []LevelCuboids
+	routes       *routes
 	// order caches the Cuboids keys in ascending order for sortedCuboids:
 	// nil until first asked for, reset by DropCuboid, shared by forks.
 	order atomic.Pointer[[]string]

@@ -18,8 +18,8 @@ package core
 // nothing else. Dropping a fork is the whole rollback.
 //
 // This file is on the immutcube allowlist: it holds that accessor and the
-// build-phase machinery (the sub-δ ledger scan, tid recovery) that runs on
-// cubes no reader shares yet.
+// build-phase machinery (tid recovery, the record router's cache) that runs
+// on cubes no reader shares yet.
 
 import (
 	"flowcube/internal/hierarchy"
@@ -49,6 +49,7 @@ func (c *Cube) Fork() *Cube {
 		ledger:       c.ledger.fork(c.gen + 1),
 		haveTIDs:     c.haveTIDs,
 		levelCuboids: c.levelCuboids,
+		routes:       c.routes,
 		lazy:         c.lazy,
 	}
 	for key, cb := range c.Cuboids {
@@ -163,46 +164,26 @@ func (c *Cube) LevelCuboids() []LevelCuboids {
 	return c.levelCuboids
 }
 
-// buildLedger populates the sub-δ ledger from the base database: one scan
-// per materialized item level (levels are independent, so they spread
-// across Config.Workers), counting every combination and keeping the ones
-// below the iceberg threshold — the rest are materialized cells and carry
-// their counts themselves.
-func (c *Cube) buildLedger(db *pathdb.DB) {
-	levels := c.LevelCuboids()
-	built := make([]*ledgerLevel, len(levels))
-	c.forEach(len(levels), func(i int) {
-		il := levels[i].Item
-		counts := make(map[CellID]*ledgerEntry)
-		values := make([]hierarchy.NodeID, len(il))
-		var buf []byte
-		for r := range db.Records {
-			buf = appendCellID(buf[:0], il.ValuesOf(c.Schema, db.Records[r].Dims, values))
-			e := counts[CellID(buf)]
-			if e == nil {
-				e = &ledgerEntry{id: CellID(buf), values: append([]hierarchy.NodeID(nil), values...)}
-				counts[e.id] = e
-			}
-			e.count++
-		}
-		lv := &ledgerLevel{item: append(ItemLevel(nil), il...), owner: c.gen}
-		for _, e := range counts {
-			if e.count < c.minCount {
-				lv.put(e)
-			}
-		}
-		built[i] = lv
-	})
-	c.ledger = &Ledger{levels: make(map[string]*ledgerLevel, len(built)), owner: c.gen}
-	for _, lv := range built {
-		c.ledger.levels[lv.item.Key()] = lv
+// RecordRouter returns a router over the cube's item levels, numbered as
+// LevelCuboids numbers them. Its fixed part is computed once and handed
+// down to forks like LevelCuboids.
+func (c *Cube) RecordRouter() *RecordRouter {
+	if c.routes == nil {
+		c.routes = newRoutes(c.Schema, c.LevelCuboids())
 	}
+	m := len(c.Schema.Dims)
+	r := &RecordRouter{routes: c.routes, anc: make([][]hierarchy.NodeID, m), values: make([]hierarchy.NodeID, m)}
+	for d, levels := range r.dimLevels {
+		r.anc[d] = make([]hierarchy.NodeID, len(levels))
+	}
+	return r
 }
 
 // TIDs returns the record ids (indices into the build database) assigned to
-// the cell, in ascending order. The slice is the cell's own backing store —
-// callers must treat it as read-only. It is nil for cubes loaded from a
-// snapshot; RebuildTIDs recovers it.
+// the cell, in ascending order. The slice is shared with the cell of the
+// same values in the item level's other cuboids — callers must treat it as
+// read-only. It is nil for cubes loaded from a snapshot; RebuildTIDs
+// recovers it.
 func (cell *Cell) TIDs() []int32 { return cell.tids }
 
 // SetTIDs replaces the record-id list of a cell obtained from OwnedCell or
@@ -216,11 +197,11 @@ func (c *Cube) HaveTIDs() bool { return c.haveTIDs }
 
 // RebuildTIDs re-derives every materialized cell's record-id list from the
 // database the cube was built over (or an equal copy), using the same
-// assignment scan as Build. Cubes loaded from snapshots do not carry tids;
+// record walk as Build. Cubes loaded from snapshots do not carry tids;
 // delta maintenance needs them once.
 func (c *Cube) RebuildTIDs(db *pathdb.DB) {
 	c.ownAllCells()
-	c.assignCells(db, c.populateTargets())
+	c.assignCells(db, false)
 }
 
 // AdmitCell registers a newly-frequent cell (found by delta maintenance) in

@@ -243,30 +243,30 @@ type lazyBackend struct {
 }
 
 // LazyStats is a point-in-time snapshot of a lazy cube's serving state,
-// for /metrics-style reporting.
+// for /metrics-style reporting (the JSON tags are flowserve's names).
 type LazyStats struct {
 	// Mapped is true when the snapshot is served from an mmap (false under
 	// the pread fallback).
-	Mapped bool
+	Mapped bool `json:"mapped"`
 	// MappedBytes is the snapshot file size backing the cube.
-	MappedBytes int64
+	MappedBytes int64 `json:"mapped_bytes"`
 	// BudgetBytes is the directory-and-cell LRU budget (<0: unbounded).
-	BudgetBytes int64
+	BudgetBytes int64 `json:"budget_bytes"`
 	// Sections is the number of cuboid sections in the snapshot.
-	Sections int
+	Sections int `json:"sections"`
 	// DecodedCells and DecodedBytes count cumulative cell decodes and the
 	// encoded bytes they consumed.
-	DecodedCells int64
-	DecodedBytes int64
+	DecodedCells int64 `json:"decoded_cells"`
+	DecodedBytes int64 `json:"decoded_bytes"`
 	// CachedEntries and CachedBytes describe the LRU's resident set —
 	// section directories and decoded cells alike; CachedBytes is the
 	// estimated decoded heap footprint. Hits, misses and evictions count
 	// both kinds too.
-	CachedEntries int
-	CachedBytes   int64
-	CacheHits     int64
-	CacheMisses   int64
-	Evictions     int64
+	CachedEntries int   `json:"cached_entries"`
+	CachedBytes   int64 `json:"cached_bytes"`
+	CacheHits     int64 `json:"cache_hits"`
+	CacheMisses   int64 `json:"cache_misses"`
+	Evictions     int64 `json:"evictions"`
 }
 
 // LoadCubeLazy opens a v2 snapshot for lazy serving: the file is mapped

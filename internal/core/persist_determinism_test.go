@@ -73,10 +73,12 @@ func TestCodecIsWorkerCountInvariant(t *testing.T) {
 	cube.MarkRedundancy(0.5)
 
 	var seq, par bytes.Buffer
-	if err := cube.SaveWith(&seq, core.SaveOptions{Workers: 1}); err != nil {
+	cube.Config.Workers = 1
+	if err := cube.Save(&seq); err != nil {
 		t.Fatal(err)
 	}
-	if err := cube.SaveWith(&par, core.SaveOptions{Workers: 8}); err != nil {
+	cube.Config.Workers = 8
+	if err := cube.Save(&par); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {

@@ -25,34 +25,16 @@ type CellRefKey struct {
 	ID   CellID
 }
 
-// ParentRefs enumerates the item-lattice parents of a cell: for each
-// dimension at a non-'*' level, the cell with that dimension generalized to
-// the previous materialized level (or '*'). Delta maintenance uses it to
+// ParentRefs enumerates the item-lattice parents of a cell: its RollUpRef
+// along every dimension at a non-'*' level. Delta maintenance uses it to
 // find the redundancy frontier of a touched cell (DESIGN.md §9).
 func (c *Cube) ParentRefs(spec CuboidSpec, values []hierarchy.NodeID) []CellRef {
-	type ref = CellRef
-	var out []ref
-	dimLevels := c.Symbols.DimLevels()
+	var out []CellRef
 	for d, l := range spec.Item {
-		if l == 0 {
-			continue
+		if l != 0 {
+			pSpec, pValues, _ := c.RollUpRef(spec, values, d)
+			out = append(out, CellRef{Spec: pSpec, Values: pValues})
 		}
-		prev := 0
-		for _, ml := range dimLevels[d] {
-			if ml >= l {
-				break
-			}
-			prev = ml
-		}
-		pItem := append(ItemLevel(nil), spec.Item...)
-		pItem[d] = prev
-		pValues := append([]hierarchy.NodeID(nil), values...)
-		if prev == 0 {
-			pValues[d] = hierarchy.Root
-		} else {
-			pValues[d] = c.Schema.Dims[d].AncestorAt(values[d], prev)
-		}
-		out = append(out, ref{Spec: CuboidSpec{Item: pItem, PathLevel: spec.PathLevel}, Values: pValues})
 	}
 	return out
 }
@@ -160,7 +142,7 @@ func (c *Cube) DropCuboid(spec CuboidSpec) *Cuboid {
 		return nil
 	}
 	delete(c.Cuboids, key)
-	c.levelCuboids = nil
+	c.levelCuboids, c.routes = nil, nil
 	c.order.Store(nil)
 	return cb
 }

@@ -317,32 +317,20 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// SaveOptions parameterizes SaveWith.
-type SaveOptions struct {
-	// Workers encodes cuboid sections concurrently; 0 or 1 is sequential.
-	// The output bytes are identical at any worker count.
-	Workers int
-}
-
 // Save serializes the materialized cube in snapshot format v2, encoding
 // cuboid sections on Config.Workers goroutines. The path database itself is
 // not saved — a loaded cube answers queries from its flowgraphs but cannot
 // re-mine exceptions. Output is byte-deterministic: cuboids and cells are
 // written in sorted key order and section encoding is worker-count
-// independent.
+// independent. A cuboid over a mapped section copies the bytes of every base
+// cell nothing was written over straight from the mapping, so a lazily
+// opened cube saves what an eager load-then-save writes while decoding only
+// the cells it wrote.
 func (c *Cube) Save(w io.Writer) error {
-	return c.SaveWith(w, SaveOptions{Workers: c.Config.Workers})
-}
-
-// SaveWith is Save with explicit codec options. A cuboid over a mapped
-// section copies the bytes of every base cell nothing was written over
-// straight from the mapping, so a lazily opened cube saves what an eager
-// load-then-save writes while decoding only the cells it wrote.
-func (c *Cube) SaveWith(w io.Writer, opts SaveOptions) error {
 	cuboids := c.sortedCuboids()
 	sections := make([][]byte, len(cuboids))
 	errs := make([]error, len(cuboids))
-	forEach(opts.Workers, len(cuboids), func(i int) { sections[i], errs[i] = encodeCuboidV2(cuboids[i]) })
+	c.forEach(len(cuboids), func(i int) { sections[i], errs[i] = encodeCuboidV2(cuboids[i]) })
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -13,7 +13,6 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/flowgraph"
-	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
 	"flowcube/internal/transact"
 )
@@ -77,14 +76,15 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	// every cuboid of the item level, one flowgraph per path level — or is
 	// an admission candidate.
 	levels := cube.LevelCuboids()
+	router := cube.RecordRouter()
 	hits := make([]map[core.CellID]*combo, len(levels))
 	candidates := make([]map[core.CellID]*combo, len(levels))
 	var candOrder []*combo
-	values := make([]hierarchy.NodeID, len(db.Schema.Dims))
 	for i := range batch {
 		tid := int32(baseLen + i)
+		router.Route(batch[i].Dims)
 		for li := range levels {
-			levels[li].Item.ValuesOf(db.Schema, batch[i].Dims, values)
+			id, values := router.Cell(li)
 			cell, _ := cube.Lookup(levels[li].Specs[0], values)
 			tables := candidates
 			if cell != nil {
@@ -93,11 +93,10 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 			if tables[li] == nil {
 				tables[li] = make(map[core.CellID]*combo)
 			}
-			id := core.MakeCellID(values)
-			c := tables[li][id]
+			c := tables[li][core.CellID(id)]
 			if c == nil {
-				c = &combo{levelIdx: li, values: append([]hierarchy.NodeID(nil), values...)}
-				tables[li][id] = c
+				c = &combo{levelIdx: li, values: slices.Clone(values)}
+				tables[li][core.CellID(id)] = c
 				if cell == nil {
 					candOrder = append(candOrder, c)
 				}
@@ -114,7 +113,7 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	var admitted []*combo
 	ledger := cube.Ledger()
 	if len(candOrder) > 0 && ledger == nil {
-		scanBase(db, baseLen, levels, candidates)
+		matchBase(router, db, baseLen, candidates)
 	}
 	needBaseTids := make([]map[core.CellID]*combo, len(levels))
 	for _, c := range candOrder {
@@ -143,7 +142,7 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	// With a ledger, admitted combos with base occurrences still need their
 	// base record ids for flowgraph construction: one scan restricted to
 	// exactly those combinations.
-	scanBase(db, baseLen, levels, needBaseTids)
+	matchBase(router, db, baseLen, needBaseTids)
 
 	// The batch lands in the database: db is the union from here on.
 	for i := range batch {

@@ -26,7 +26,6 @@ package incr
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"flowcube/internal/core"
 	"flowcube/internal/hierarchy"
@@ -111,24 +110,24 @@ type combo struct {
 	values   []hierarchy.NodeID
 	count    int64
 	tids     []int32 // batch record ids, ascending
-	baseTids []int32 // base record ids, ascending (filled by scanBase)
+	baseTids []int32 // base record ids, ascending (filled by matchBase)
 }
 
-// scanBase walks the base records once and appends the id of every record
-// matching a wanted combination. wanted maps item-level index → cell →
+// matchBase routes the base records once and appends the id of every record
+// matching a wanted combination to it. wanted maps item-level index → cell →
 // combo.
-func scanBase(db *pathdb.DB, baseLen int, levels []core.LevelCuboids, wanted []map[core.CellID]*combo) {
-	if !slices.ContainsFunc(wanted, func(m map[core.CellID]*combo) bool { return len(m) > 0 }) {
-		return
+func matchBase(router *core.RecordRouter, db *pathdb.DB, baseLen int, wanted []map[core.CellID]*combo) {
+	var levels []int
+	for li, m := range wanted {
+		if len(m) > 0 {
+			levels = append(levels, li)
+		}
 	}
-	values := make([]hierarchy.NodeID, len(db.Schema.Dims))
-	for tid := 0; tid < baseLen; tid++ {
-		for li, byCell := range wanted {
-			if len(byCell) == 0 {
-				continue
-			}
-			vals := levels[li].Item.ValuesOf(db.Schema, db.Records[tid].Dims, values)
-			if c := byCell[core.MakeCellID(vals)]; c != nil {
+	for tid := 0; len(levels) > 0 && tid < baseLen; tid++ {
+		router.Route(db.Records[tid].Dims)
+		for _, li := range levels {
+			id, _ := router.Cell(li)
+			if c := wanted[li][core.CellID(id)]; c != nil {
 				c.baseTids = append(c.baseTids, int32(tid))
 			}
 		}

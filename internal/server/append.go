@@ -17,6 +17,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -46,23 +47,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, errNoAppendDB)
 		return
 	}
-	batchDB, err := pathdb.Read(http.MaxBytesReader(w, r.Body, s.cfg.MaxAppendBytes), snap.DB.Schema)
+	batchDB, err := ReadAppendBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxAppendBytes), snap.DB.Schema)
 	if err != nil {
-		// An oversized body is a hard protocol violation (413), not a parse
-		// error: MaxBytesReader has already closed the connection's intake,
-		// and retrying the same payload cannot succeed.
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			WriteError(w, &HTTPError{http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds the %d-byte append limit", mbe.Limit)})
-			return
-		}
-		WriteError(w, &HTTPError{http.StatusBadRequest, err.Error()})
-		return
-	}
-	if batchDB.Len() == 0 {
-		WriteError(w, &HTTPError{http.StatusBadRequest,
-			"empty batch: body must hold at least one record line (dim,...|loc:dur ...)"})
+		WriteError(w, err)
 		return
 	}
 
@@ -86,6 +73,30 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, resp)
+}
+
+// ReadAppendBody parses an append request body as path-database text
+// records against schema. The caller wraps the body in http.MaxBytesReader
+// first; an oversized body answers 413, a parse error or an empty batch 400,
+// each as an *HTTPError.
+func ReadAppendBody(body io.Reader, schema *pathdb.Schema) (*pathdb.DB, error) {
+	db, err := pathdb.Read(body, schema)
+	if err != nil {
+		// An oversized body is a hard protocol violation (413), not a parse
+		// error: MaxBytesReader has already closed the connection's intake,
+		// and retrying the same payload cannot succeed.
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return nil, &HTTPError{http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds the %d-byte append limit", mbe.Limit)}
+		}
+		return nil, &HTTPError{http.StatusBadRequest, err.Error()}
+	}
+	if db.Len() == 0 {
+		return nil, &HTTPError{http.StatusBadRequest,
+			"empty batch: body must hold at least one record line (dim,...|loc:dur ...)"}
+	}
+	return db, nil
 }
 
 var errNoAppendDB = &HTTPError{http.StatusConflict,

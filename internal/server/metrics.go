@@ -161,49 +161,10 @@ type SnapshotMetrics struct {
 	Bytes    int64   `json:"snapshot_bytes"`
 	LoadedAt string  `json:"loaded_at"`
 	// Lazy carries the mmap/LRU gauges of a lazily opened snapshot; absent
-	// for eager snapshots.
-	Lazy *LazyMetrics `json:"lazy,omitempty"`
-}
-
-// LazyMetrics are the zero-copy serving gauges of a lazily opened snapshot:
-// how much of the file is mapped versus decoded so far, and how the LRU of
-// section directories and decoded cells is behaving (cached_entries, hits,
-// misses and evictions count both kinds). Unlike the request counters these
-// are per-snapshot (they reset on reload), which is what makes them useful —
-// decoded_bytes versus mapped_bytes is exactly the RSS the lazy open saved.
-type LazyMetrics struct {
-	Mapped        bool  `json:"mapped"` // false on the pread fallback build
-	MappedBytes   int64 `json:"mapped_bytes"`
-	BudgetBytes   int64 `json:"budget_bytes"`
-	Sections      int   `json:"sections"`
-	DecodedCells  int64 `json:"decoded_cells"`
-	DecodedBytes  int64 `json:"decoded_bytes"`
-	CachedEntries int   `json:"cached_entries"`
-	CachedBytes   int64 `json:"cached_bytes"`
-	CacheHits     int64 `json:"cache_hits"`
-	CacheMisses   int64 `json:"cache_misses"`
-	Evictions     int64 `json:"evictions"`
-}
-
-// lazyMetrics converts core's stats to the JSON gauge shape; nil for eager
-// cubes.
-func lazyMetrics(st core.LazyStats, ok bool) *LazyMetrics {
-	if !ok {
-		return nil
-	}
-	return &LazyMetrics{
-		Mapped:        st.Mapped,
-		MappedBytes:   st.MappedBytes,
-		BudgetBytes:   st.BudgetBytes,
-		Sections:      st.Sections,
-		DecodedCells:  st.DecodedCells,
-		DecodedBytes:  st.DecodedBytes,
-		CachedEntries: st.CachedEntries,
-		CachedBytes:   st.CachedBytes,
-		CacheHits:     st.CacheHits,
-		CacheMisses:   st.CacheMisses,
-		Evictions:     st.Evictions,
-	}
+	// for eager snapshots. Unlike the request counters they are
+	// per-snapshot: decoded_bytes against mapped_bytes is the RSS the lazy
+	// open saved.
+	Lazy *core.LazyStats `json:"lazy,omitempty"`
 }
 
 // AppendMetrics are the streaming-append counters: how many deltas have

@@ -301,7 +301,9 @@ func (s *Server) Metrics() MetricsSnapshot {
 			LoadMs:   float64(snap.LoadDuration.Nanoseconds()) / 1e6,
 			Bytes:    snap.Bytes,
 			LoadedAt: snap.LoadedAt.UTC().Format(time.RFC3339),
-			Lazy:     lazyMetrics(snap.Cube.LazyStats()),
+		}
+		if st, ok := snap.Cube.LazyStats(); ok {
+			out.Snapshot.Lazy = &st
 		}
 	}
 	return out

@@ -65,7 +65,9 @@ echo "== micro-benchmarks (one iteration each) =="
 # BenchmarkLazyLookupCold (internal/core) for the
 # cell-at-a-time lazy read (no allocation once resident), BenchmarkFoldSources
 # for fold-source selection (allocations flat in the cells it scans) and
-# BenchmarkLoad for the snapshot reader behind core.load_s, BenchmarkJoin/TrieCount (internal/itemset) and
+# BenchmarkLoad for the snapshot reader behind core.load_s, BenchmarkBuild
+# (ledger off and on) for Build through the one record router,
+# BenchmarkJoin/TrieCount (internal/itemset) and
 # BenchmarkMine (internal/mining) for the flat mining kernel — the one
 # level-wise loop Build, Cubing and ingest all run — and BenchmarkApplyDelta
 # (internal/incr) for a ten-record append with exceptions and redundancy
