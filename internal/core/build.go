@@ -247,10 +247,12 @@ func (c *Cube) addCell(il ItemLevel, values []hierarchy.NodeID, count int64) {
 
 // populate routes every record to its cell at every materialized item level
 // (with the sub-δ ledger counted in the same walk when Config.DeltaLedger is
-// set) and builds the flowgraph measures.
+// set) and builds the flowgraph measures. Past that only exception mining
+// reads a cell's tids, so a cube built without it drops them.
 func (c *Cube) populate(db *pathdb.DB) {
 	c.assignCells(db, c.Config.DeltaLedger)
-	c.buildGraphs(db)
+	c.buildGraphs(db, !c.Config.MineExceptions)
+	c.haveTIDs = c.Config.MineExceptions
 }
 
 // assignCells routes every record to its cell at every item level and
@@ -383,10 +385,11 @@ func (t *tally) add(id CellID, n int64) {
 }
 
 // buildGraphs constructs the flowgraph measure of every cell from its
-// assigned tids; cells are independent, so the work spreads across workers.
-// Sorted cuboid order keeps the job list — and therefore worker scheduling
-// and any profile of it — identical across runs.
-func (c *Cube) buildGraphs(db *pathdb.DB) {
+// assigned tids, dropping them afterwards when drop is set; cells are
+// independent, so the work spreads across workers. Sorted cuboid order keeps
+// the job list — and therefore worker scheduling and any profile of it —
+// identical across runs.
+func (c *Cube) buildGraphs(db *pathdb.DB, drop bool) {
 	type job struct {
 		cell *Cell
 		pl   pathdb.PathLevel
@@ -405,6 +408,9 @@ func (c *Cube) buildGraphs(db *pathdb.DB) {
 			g.AddPath(db.Records[tid].Path)
 		}
 		j.cell.Graph = g
+		if drop {
+			j.cell.tids = nil
+		}
 	})
 }
 

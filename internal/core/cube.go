@@ -235,6 +235,9 @@ type Cube struct {
 	ledger *Ledger
 	// haveTIDs records that the cells carry their record-id lists.
 	haveTIDs bool
+	// sharedSymbols records that Symbols belongs to an earlier generation
+	// (delta.go): OwnedSymbols copies it before the first write.
+	sharedSymbols bool
 	// levelCuboids caches LevelCuboids and routes RecordRouter's fixed part;
 	// nil until first asked for, reset by DropCuboid, shared by forks.
 	levelCuboids []LevelCuboids

@@ -15,7 +15,9 @@ package core
 // cell map — the written cells over a mapped base, every cell otherwise —
 // and the cell on first touch and forks the cell's flowgraph;
 // flowgraph.Graph.AddPath then copies the nodes along the path it adds and
-// nothing else. Dropping a fork is the whole rollback.
+// nothing else. The symbol table is handed down the same way, and a writer
+// reaches it only through OwnedSymbols. Dropping a fork is the whole
+// rollback.
 //
 // This file is on the immutcube allowlist: it holds that accessor and the
 // build-phase machinery (tid recovery, the record router's cache) that runs
@@ -24,6 +26,7 @@ package core
 import (
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
+	"flowcube/internal/transact"
 )
 
 // Fork returns the cube's next generation: a cube that shares every
@@ -31,26 +34,27 @@ import (
 // exception condition with the receiver by pointer, and writes
 // copy-on-write through OwnedCell. The receiver is not touched by anything
 // done to the fork — readers keep using it, and a fork that is dropped
-// leaves no trace — so the cost is the cuboid and ledger-level tables plus
-// the symbol table (encoding a batch interns items), none of which grows
-// with the cells or their flowgraphs.
+// leaves no trace — so the cost is the cuboid and ledger-level tables, which
+// do not grow with the cells or their flowgraphs. The symbol table is
+// shared too, until OwnedSymbols copies it.
 //
 // Tags run out after 2³²−1 forks along one lineage; a cube from Build or
 // Load starts a new one.
 func (c *Cube) Fork() *Cube {
 	f := &Cube{
-		Schema:       c.Schema,
-		Config:       c.Config,
-		Symbols:      c.Symbols.Clone(),
-		Mining:       c.Mining,
-		Cuboids:      make(map[string]*Cuboid, len(c.Cuboids)),
-		minCount:     c.minCount,
-		gen:          c.gen + 1,
-		ledger:       c.ledger.fork(c.gen + 1),
-		haveTIDs:     c.haveTIDs,
-		levelCuboids: c.levelCuboids,
-		routes:       c.routes,
-		lazy:         c.lazy,
+		Schema:        c.Schema,
+		Config:        c.Config,
+		Symbols:       c.Symbols,
+		Mining:        c.Mining,
+		Cuboids:       make(map[string]*Cuboid, len(c.Cuboids)),
+		minCount:      c.minCount,
+		gen:           c.gen + 1,
+		ledger:        c.ledger.fork(c.gen + 1),
+		haveTIDs:      c.haveTIDs,
+		sharedSymbols: true,
+		levelCuboids:  c.levelCuboids,
+		routes:        c.routes,
+		lazy:          c.lazy,
 	}
 	for key, cb := range c.Cuboids {
 		f.Cuboids[key] = cb
@@ -110,6 +114,16 @@ func (c *Cube) OwnedCell(spec CuboidSpec, values []hierarchy.NodeID) *Cell {
 	cb.Cells[MakeCellID(values)] = &own
 	c.cellsCopied++
 	return &own
+}
+
+// OwnedSymbols returns the cube's symbol table as this generation may write
+// it (interning items is a write), copying the table on the first call after
+// Fork, FilterCells or Merge handed it down shared.
+func (c *Cube) OwnedSymbols() *transact.Symbols {
+	if c.sharedSymbols {
+		c.Symbols, c.sharedSymbols = c.Symbols.Clone(), false
+	}
+	return c.Symbols
 }
 
 // CellsCopied reports how many cells this generation has copied from the
@@ -191,8 +205,9 @@ func (cell *Cell) TIDs() []int32 { return cell.tids }
 func (cell *Cell) SetTIDs(tids []int32) { cell.tids = tids }
 
 // HaveTIDs reports whether the cube's cells carry their record-id lists:
-// true after Build or RebuildTIDs, false for a cube decoded from a
-// snapshot, and inherited by forks.
+// true after RebuildTIDs or a Build with Config.MineExceptions (only
+// exception mining reads them), false after any other Build and for a cube
+// decoded from a snapshot, and inherited by forks.
 func (c *Cube) HaveTIDs() bool { return c.haveTIDs }
 
 // RebuildTIDs re-derives every materialized cell's record-id list from the

@@ -37,14 +37,15 @@ import (
 // describes the whole build, not the kept subset.
 func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 	out := &Cube{
-		Schema:   c.Schema,
-		Config:   c.Config,
-		Symbols:  c.Symbols,
-		Cuboids:  make(map[string]*Cuboid, len(c.Cuboids)),
-		minCount: c.minCount,
-		gen:      c.gen + 1,
-		haveTIDs: c.haveTIDs,
-		lazy:     c.lazy,
+		Schema:        c.Schema,
+		Config:        c.Config,
+		Symbols:       c.Symbols,
+		Cuboids:       make(map[string]*Cuboid, len(c.Cuboids)),
+		minCount:      c.minCount,
+		gen:           c.gen + 1,
+		haveTIDs:      c.haveTIDs,
+		sharedSymbols: true,
+		lazy:          c.lazy,
 	}
 	for key, cb := range c.Cuboids {
 		ncb := &Cuboid{Spec: cb.Spec, Cells: make(map[CellID]*Cell), owner: out.gen, base: cb.base}
@@ -87,12 +88,13 @@ func Merge(shards []*Cube) (*Cube, error) {
 	}
 	first := shards[0]
 	out := &Cube{
-		Schema:   first.Schema,
-		Config:   first.Config,
-		Symbols:  first.Symbols,
-		Cuboids:  make(map[string]*Cuboid, len(first.Cuboids)),
-		minCount: first.minCount,
-		haveTIDs: true,
+		Schema:        first.Schema,
+		Config:        first.Config,
+		Symbols:       first.Symbols,
+		Cuboids:       make(map[string]*Cuboid, len(first.Cuboids)),
+		minCount:      first.minCount,
+		haveTIDs:      true,
+		sharedSymbols: true,
 	}
 	for _, s := range shards {
 		out.gen = max(out.gen, s.gen+1)

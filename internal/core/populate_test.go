@@ -37,14 +37,16 @@ func TestPopulateParallelMatchesSequential(t *testing.T) {
 // TestRebuildTIDsMatchesBuild: a snapshot carries no tids, and RebuildTIDs
 // over the build database must give every cell of the loaded cube exactly
 // the record ids Build assigned it — also after Compress, when cuboids of
-// one item level no longer hold the same cells.
+// one item level no longer hold the same cells. Build keeps tids only when
+// it mines exceptions, so that is the build compared against.
 func TestRebuildTIDsMatchesBuild(t *testing.T) {
 	gen := datagen.Default()
 	gen.Seed, gen.NumPaths, gen.NumDims = 7, 600, 2
 	ds := datagen.MustGenerate(gen)
 	for _, compress := range []bool{false, true} {
 		for _, workers := range []int{1, 3} {
-			built, err := core.Build(ds.DB, core.Config{MinSupport: 0.02, Tau: 0.5, Plan: ds.DefaultPlan(), Workers: workers})
+			built, err := core.Build(ds.DB, core.Config{MinSupport: 0.02, Epsilon: 0.1, Tau: 0.5, Plan: ds.DefaultPlan(),
+				MineExceptions: true, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,6 +86,24 @@ func TestRebuildTIDsMatchesBuild(t *testing.T) {
 	}
 }
 
+// TestBuildKeepsTIDsOnlyForExceptions: past populate only exception mining
+// reads a cell's tids, so a build without it drops them and says so.
+func TestBuildKeepsTIDsOnlyForExceptions(t *testing.T) {
+	for _, exceptions := range []bool{false, true} {
+		_, cube := buildExample(t, core.Config{MinCount: 2, Epsilon: 0.1, MineExceptions: exceptions})
+		if cube.HaveTIDs() != exceptions {
+			t.Errorf("exceptions=%t: HaveTIDs %t", exceptions, cube.HaveTIDs())
+		}
+		for key, cb := range cube.Cuboids {
+			for _, cell := range cb.Cells {
+				if got := len(cell.TIDs()); (got > 0) != exceptions || (exceptions && got != int(cell.Count)) {
+					t.Fatalf("exceptions=%t: cuboid %s, cell %v holds %d tids (count %d)", exceptions, key, cell.Values, got, cell.Count)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkBuild times Build on the benchmark's build dataset shape (three
 // dimensions, 2000 paths, δ = 20, the default plan, two workers) without and
 // with the sub-δ ledger; exceptions and redundancy are off, so populate is a
@@ -101,20 +121,6 @@ func BenchmarkBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					// Tid entries held: cells may share one list, counted once.
-					held := map[*int32]int{}
-					for _, cb := range cube.Cuboids {
-						for _, cell := range cb.Cells {
-							if tids := cell.TIDs(); len(tids) > 0 {
-								held[&tids[0]] = len(tids)
-							}
-						}
-					}
-					tids := 0
-					for _, n := range held {
-						tids += n
-					}
-					b.ReportMetric(float64(tids), "tids")
 					b.ReportMetric(float64(cube.NumCells()), "cells")
 					b.ReportMetric(float64(cube.Ledger().Size()), "ledger")
 				}

@@ -197,18 +197,16 @@ func (g *Graph) NodesCopied() int { return g.copied }
 // own returns the graph's own copy of n, a node it may not write, to hang
 // where n hung: the node's count, both distributions and its child list are
 // duplicated, the children themselves stay shared, and exceptions that
-// named n are re-pointed at the copy. Nodes hold no pointer to their
-// parent, so nothing reachable from the copy keeps n alive.
+// named n are re-pointed at the copy. The copy is one box like newNode's,
+// its distributions' backing arrays and its child list, each with room for
+// the one outcome or child the write that copied it may add. Nodes hold no
+// pointer to their parent, so nothing reachable from the copy keeps n alive.
 func (g *Graph) own(n *Node) *Node {
-	c := &Node{
-		Location:    n.Location,
-		owner:       g.owner,
-		Depth:       n.Depth,
-		Count:       n.Count,
-		Durations:   n.Durations.Clone(),
-		Transitions: n.Transitions.Clone(),
-		children:    append(make([]*Node, 0, len(n.children)+1), n.children...),
-	}
+	c := newNode(n.Location, g.owner, n.Depth)
+	c.Count = n.Count
+	n.Durations.CopyInto(c.Durations)
+	n.Transitions.CopyInto(c.Transitions)
+	c.children = append(make([]*Node, 0, len(n.children)+1), n.children...)
 	for i := range g.exceptions {
 		if g.exceptions[i].Node == n {
 			g.exceptions[i].Node = c

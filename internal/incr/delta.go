@@ -152,9 +152,14 @@ func ApplyDelta(cube *core.Cube, db *pathdb.DB, batch []pathdb.Record) (*Stats, 
 	}
 	// Intern the batch's items in record order, mirroring a full build's
 	// encode pass: item ids — and therefore mined-itemset order, and
-	// therefore exception pin order — match the full build exactly.
-	for i := baseLen; i < db.Len(); i++ {
-		cube.Symbols.EncodeRecord(db.Records[i])
+	// therefore exception pin order — match the full build exactly. Nothing
+	// else reads item ids after a build, so a cube without exceptions keeps
+	// sharing the table of the generation it was forked from.
+	if cfg.MineExceptions {
+		syms := cube.OwnedSymbols()
+		for i := baseLen; i < db.Len(); i++ {
+			syms.EncodeRecord(db.Records[i])
+		}
 	}
 
 	type touchedCell struct {

@@ -249,6 +249,42 @@ func TestApplyDeltaOnClone(t *testing.T) {
 	}
 }
 
+// TestForkSymbolsOwnership: a fork shares its parent's symbol table, and
+// only an exception-mining append interns items. A plain append leaves the
+// table shared; an exception-mining one copies it first and leaves the
+// parent's as it was.
+func TestForkSymbolsOwnership(t *testing.T) {
+	ds := datagen.MustGenerate(genConfig(23, 220))
+	const split = 180
+	for _, exceptions := range []bool{false, true} {
+		db := dbWith(ds, split)
+		parent, err := core.Build(db, core.Config{
+			MinCount: 4, Epsilon: 0.05, Plan: ds.DefaultPlan(),
+			MineExceptions: exceptions, DeltaLedger: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := parent.Symbols.Len()
+		fork := parent.Fork()
+		if fork.Symbols != parent.Symbols {
+			t.Errorf("exceptions=%t: Fork copied the symbol table", exceptions)
+		}
+		if _, err := incr.ApplyDelta(fork, db, ds.DB.Records[split:]); err != nil {
+			t.Fatal(err)
+		}
+		if shared := fork.Symbols == parent.Symbols; shared == exceptions {
+			t.Errorf("exceptions=%t: after the append the fork shares its parent's table: %t", exceptions, shared)
+		}
+		if got := parent.Symbols.Len(); got != items {
+			t.Errorf("exceptions=%t: the fork's append grew its parent's table from %d to %d items", exceptions, items, got)
+		}
+		if exceptions && fork.Symbols.Len() == items {
+			t.Error("fixture exercises nothing: the batch interned no new item")
+		}
+	}
+}
+
 func TestApplyDeltaTypedErrors(t *testing.T) {
 	ds := datagen.MustGenerate(genConfig(29, 120))
 	plan := ds.DefaultPlan()

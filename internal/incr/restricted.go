@@ -36,7 +36,7 @@ type reminer struct {
 
 func (r *reminer) stages(tid int32) transact.Transaction {
 	if r.stageTxs[tid] == nil {
-		r.stageTxs[tid] = r.cube.Symbols.EncodeStages(r.db.Records[tid].Path)
+		r.stageTxs[tid] = r.cube.OwnedSymbols().EncodeStages(r.db.Records[tid].Path)
 	}
 	return r.stageTxs[tid]
 }

@@ -292,9 +292,10 @@ func (s *Server) publish(snap *Snapshot, fr *foldResult) *Snapshot {
 }
 
 // successor wraps cube, folded from snap's over the committed store, in the
-// snapshot that follows snap.
+// snapshot that follows snap. It keeps snap's load gauges: they reset on
+// reload, not on append.
 func (s *Server) successor(snap *Snapshot, cube *core.Cube) *Snapshot {
-	next := newSnapshot(cube, snap.Source, s.cfg.CacheSize, 0, snap.Bytes)
+	next := newSnapshot(cube, snap.Source, s.cfg.CacheSize, snap.LoadDuration, snap.Bytes)
 	next.DB = &pathdb.DB{Schema: snap.DB.Schema, Records: s.store.Committed()}
 	next.Gen = snap.Gen + 1
 	next.SchemaGen = snap.SchemaGen

@@ -2,8 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"flowcube/internal/core"
@@ -64,6 +67,65 @@ func BenchmarkCellCachedParallel(b *testing.B) {
 			serveOnce(b, h, benchQuery)
 		}
 	})
+}
+
+// BenchmarkCommit times whole appends through Server.Handler() on the
+// benchmark's ingest_mixed shape: three dimensions, 2000 base paths, δ = 20,
+// ledger on, two workers, ten-record batches. Every iteration commits on the
+// latest generation, as the server does, and there is no WAL, so fsync does
+// not enter the numbers. It runs with exceptions off (flowserve's default)
+// and on, and reports what a commit copied out of the serving cube.
+//
+//	go test ./internal/server -run '^$' -bench Commit -benchmem
+func BenchmarkCommit(b *testing.B) {
+	const base, batchLen, batches = 2000, 10, 200
+	gen := datagen.Default()
+	gen.NumDims, gen.NumPaths = 3, base+batchLen*batches
+	ds := datagen.MustGenerate(gen)
+	bodies := make([]string, batches)
+	for i := range bodies {
+		lo := base + i*batchLen
+		bodies[i] = recordsBody(b, ds.DB.Schema, ds.DB.Records[lo:lo+batchLen])
+	}
+	for _, exceptions := range []bool{false, true} {
+		b.Run(fmt.Sprintf("exceptions=%t", exceptions), func(b *testing.B) {
+			s, err := New(prefixLoader(b, ds, base, core.Config{
+				MinCount: 20, Epsilon: 0.1, Plan: ds.DefaultPlan(),
+				MineExceptions: exceptions, SingleStageExceptions: exceptions,
+				DeltaLedger: true, Workers: 2,
+			}), "bench", quietConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			h := s.Handler()
+			var nodes, cells float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admin/append", strings.NewReader(bodies[i%batches])))
+				b.StopTimer()
+				var resp struct {
+					Stats struct {
+						NodesCopied int `json:"nodes_copied"`
+						CellsCopied int `json:"cells_copied"`
+					} `json:"stats"`
+				}
+				if rec.Code != http.StatusOK {
+					b.Fatalf("append: %d %s", rec.Code, rec.Body.String())
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					b.Fatal(err)
+				}
+				nodes += float64(resp.Stats.NodesCopied)
+				cells += float64(resp.Stats.CellsCopied)
+				b.StartTimer()
+			}
+			b.ReportMetric(nodes/float64(b.N), "nodes_copied")
+			b.ReportMetric(cells/float64(b.N), "cells_copied")
+		})
+	}
 }
 
 // respondSink keeps BenchmarkRespond's bodies live.

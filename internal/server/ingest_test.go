@@ -714,3 +714,43 @@ func TestIngestStressWithReloads(t *testing.T) {
 		t.Error("no snapshot swap happened during the stress run")
 	}
 }
+
+// TestIngestKeepsLoadGauge: the snapshot gauges on /metrics describe the
+// last load and reset on reload, not on append, so neither a commit nor a
+// WAL replay at startup may zero load_ms.
+func TestIngestKeepsLoadGauge(t *testing.T) {
+	ex := paperex.New()
+	cfg := paperexConfig(ex)
+	sCfg := quietConfig()
+	sCfg.WALPath = filepath.Join(t.TempDir(), "ingest.wal")
+	s, err := New(paperexLoader(ex, cfg), "test", sCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Metrics().Snapshot.LoadMs
+	if before <= 0 {
+		t.Fatalf("load_ms = %g after the first load, want > 0", before)
+	}
+	rec, _ := postBody(t, s.Handler(), "/admin/append", recordsBody(t, ex.DB.Schema, ex.DB.Records[:2]))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("append: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := s.Metrics().Snapshot.LoadMs; got != before {
+		t.Errorf("load_ms = %g after an append, want the load's %g", got, before)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(paperexLoader(ex, cfg), "test", sCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Snapshot().Gen != 1 {
+		t.Fatalf("restart is generation %d, want 1 (the replayed append)", s2.Snapshot().Gen)
+	}
+	if got := s2.Metrics().Snapshot.LoadMs; got <= 0 {
+		t.Errorf("load_ms = %g after a WAL replay, want the load's, > 0", got)
+	}
+}

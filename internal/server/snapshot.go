@@ -24,8 +24,9 @@ type Snapshot struct {
 	Cube     *core.Cube
 	Source   string
 	LoadedAt time.Time
-	// LoadDuration is how long the loader took to produce the cube (or, for
-	// snapshots produced by POST /admin/append, how long the delta took).
+	// LoadDuration is how long the loader took to produce the cube the
+	// snapshot's lineage started from: snapshots produced by POST
+	// /admin/append or a WAL replay keep their predecessor's.
 	LoadDuration time.Duration
 	// Bytes is the serialized size of the snapshot's input (the cube or
 	// path-database file), 0 when the loader cannot know it.

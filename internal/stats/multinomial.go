@@ -18,18 +18,29 @@ import (
 // distributions, or node identifiers for transition distributions. The zero
 // value is an empty distribution ready to use.
 //
-// The observed outcomes are kept in ascending order in outcomes, their
-// counts beside them in counts. Supports are small — a handful of durations,
-// a node's fan-out — so a sorted pair of slices is smaller than a map, and
-// every sum over one or two distributions is a walk (or a merge-join) in
-// ascending outcome order that allocates nothing. That order is a contract,
-// not a convenience: floating-point addition is not associative, the sums
-// end up in persisted similarities and served JSON, and a sum taken in any
-// other order would differ in its low bits.
+// The observed outcomes are kept in ascending order, their counts beside
+// them. Supports are small — a handful of durations, a node's fan-out — so a
+// sorted pair of columns is smaller than a map, and every sum over one or two
+// distributions is a walk (or a merge-join) in ascending outcome order that
+// allocates nothing. That order is a contract, not a convenience:
+// floating-point addition is not associative, the sums end up in persisted
+// similarities and served JSON, and a sum taken in any other order would
+// differ in its low bits.
+//
+// Both columns live in one backing array: outcomes in its first half,
+// counts in its second, n of each in use. One slice header instead of two
+// keeps the struct at 40 bytes, and the columns always grow together.
 type Multinomial struct {
-	outcomes []int64
-	counts   []int64
-	total    int64
+	buf   []int64
+	n     int
+	total int64
+}
+
+// cols returns the outcome and count columns. The outcome column's capacity
+// ends at the counts, so an append to it can never run into them.
+func (m *Multinomial) cols() (outcomes, counts []int64) {
+	c := len(m.buf) / 2
+	return m.buf[:m.n:c], m.buf[c : c+m.n]
 }
 
 // linearProbeMax is the support up to which find scans instead of bisecting:
@@ -39,7 +50,7 @@ const linearProbeMax = 8
 // find returns the index of outcome v, or the index it would be inserted at
 // and false.
 func (m *Multinomial) find(v int64) (int, bool) {
-	o := m.outcomes
+	o := m.buf[:m.n]
 	if len(o) <= linearProbeMax {
 		for i, x := range o {
 			if x >= v {
@@ -63,32 +74,30 @@ func (m *Multinomial) Add(v int64, n int64) {
 	if !ok {
 		m.insert(i, v)
 	}
-	m.counts[i] += n
+	m.buf[len(m.buf)/2+i] += n
 	m.total += n
 }
 
 // insert makes room for outcome v at index i, with count 0.
 func (m *Multinomial) insert(i int, v int64) {
-	n := len(m.outcomes)
-	if n == cap(m.outcomes) {
-		m.regrow(2*n + 2)
+	if 2*m.n == len(m.buf) {
+		m.regrow(2*m.n + 2)
 	}
-	m.outcomes = m.outcomes[:n+1]
-	m.counts = m.counts[:n+1]
-	copy(m.outcomes[i+1:], m.outcomes[i:])
-	copy(m.counts[i+1:], m.counts[i:])
-	m.outcomes[i], m.counts[i] = v, 0
+	m.n++
+	o, c := m.cols()
+	copy(o[i+1:], o[i:])
+	copy(c[i+1:], c[i:])
+	o[i], c[i] = v, 0
 }
 
-// regrow moves the columns into one fresh backing array, each with capacity
-// c in its own half — so the two always grow together, one allocation a
-// time, and an append to either can never run into the other.
+// regrow moves the columns into one fresh backing array with room for c
+// outcomes.
 func (m *Multinomial) regrow(c int) {
-	n := len(m.outcomes)
+	outcomes, counts := m.cols()
 	buf := make([]int64, 2*c)
-	copy(buf, m.outcomes)
-	copy(buf[c:], m.counts)
-	m.outcomes, m.counts = buf[:n:c], buf[c:c+n]
+	copy(buf, outcomes)
+	copy(buf[c:], counts)
+	m.buf = buf
 }
 
 // Observe records a single observation of outcome v.
@@ -97,7 +106,7 @@ func (m *Multinomial) Observe(v int64) { m.Add(v, 1) }
 // Count reports the number of observations of outcome v.
 func (m *Multinomial) Count(v int64) int64 {
 	if i, ok := m.find(v); ok {
-		return m.counts[i]
+		return m.buf[len(m.buf)/2+i]
 	}
 	return 0
 }
@@ -117,7 +126,7 @@ func (m *Multinomial) Prob(v int64) float64 {
 // Outcomes returns the observed outcomes in ascending order, in a slice the
 // caller owns.
 func (m *Multinomial) Outcomes() []int64 {
-	return append(make([]int64, 0, len(m.outcomes)), m.outcomes...)
+	return append(make([]int64, 0, m.n), m.buf[:m.n]...)
 }
 
 // AppendSorted appends the distribution's (outcome, count) pairs in
@@ -125,7 +134,8 @@ func (m *Multinomial) Outcomes() []int64 {
 // columnar snapshot encoder uses it to pool many distributions into shared
 // backing arrays without an intermediate per-distribution slice.
 func (m *Multinomial) AppendSorted(outcomes, counts []int64) ([]int64, []int64) {
-	return append(outcomes, m.outcomes...), append(counts, m.counts...)
+	o, c := m.cols()
+	return append(outcomes, o...), append(counts, c...)
 }
 
 // InitSorted initializes a zero-value Multinomial from parallel slices of
@@ -148,8 +158,8 @@ func (m *Multinomial) InitSorted(outcomes, counts []int64) error {
 		}
 		total += counts[i]
 	}
-	*m = Multinomial{outcomes: outcomes, counts: counts, total: total}
-	m.regrow(len(outcomes))
+	m.buf = append(append(make([]int64, 0, 2*len(outcomes)), outcomes...), counts...)
+	m.n, m.total = len(outcomes), total
 	return nil
 }
 
@@ -161,16 +171,19 @@ func (m *Multinomial) Merge(other *Multinomial) {
 	if other == nil {
 		return
 	}
+	oo, oc := other.cols()
+	mo, mc := m.cols()
 	i := 0
-	for j, v := range other.outcomes {
-		n := other.counts[j]
-		for i < len(m.outcomes) && m.outcomes[i] < v {
+	for j, v := range oo {
+		n := oc[j]
+		for i < len(mo) && mo[i] < v {
 			i++
 		}
-		if i == len(m.outcomes) || m.outcomes[i] != v {
+		if i == len(mo) || mo[i] != v {
 			m.insert(i, v)
+			mo, mc = m.cols()
 		}
-		m.counts[i] += n
+		mc[i] += n
 		m.total += n
 		i++
 	}
@@ -179,8 +192,16 @@ func (m *Multinomial) Merge(other *Multinomial) {
 // Clone returns a deep copy.
 func (m *Multinomial) Clone() *Multinomial {
 	c := *m
-	c.regrow(len(m.outcomes))
+	c.regrow(m.n)
 	return &c
+}
+
+// CopyInto makes dst a deep copy of m with room for one more outcome, so
+// the first new outcome the copy observes does not reallocate it. Graph
+// forks use it to copy a node's distributions into the node's own box.
+func (m *Multinomial) CopyInto(dst *Multinomial) {
+	*dst = *m
+	dst.regrow(m.n + 1)
 }
 
 // Mean returns the expectation of the outcome value (meaningful for
@@ -191,9 +212,10 @@ func (m *Multinomial) Mean() float64 {
 	if m.total == 0 {
 		return 0
 	}
+	o, c := m.cols()
 	sum := 0.0
-	for i, v := range m.outcomes {
-		sum += float64(v) * float64(m.counts[i])
+	for i, v := range o {
+		sum += float64(v) * float64(c[i])
 	}
 	return sum / float64(m.total)
 }
@@ -204,19 +226,22 @@ func (m *Multinomial) Mean() float64 {
 // union. A nil fn only counts. This is the one loop behind every deviation
 // and divergence sum; it allocates nothing.
 func (m *Multinomial) joinCounts(other *Multinomial, fn func(cm, co int64)) int {
-	a, b := m.outcomes, other.outcomes
+	// Indexing the arrays directly, not through cols, keeps the setup short:
+	// on the small supports flowgraph nodes have, it is much of the cost.
+	a, na, ha := m.buf, m.n, len(m.buf)/2
+	b, nb, hb := other.buf, other.n, len(other.buf)/2
 	i, j, k := 0, 0, 0
-	for i < len(a) || j < len(b) {
+	for i < na || j < nb {
 		var cm, co int64
 		switch {
-		case j == len(b) || (i < len(a) && a[i] < b[j]):
-			cm = m.counts[i]
+		case j == nb || (i < na && a[i] < b[j]):
+			cm = a[ha+i]
 			i++
-		case i == len(a) || b[j] < a[i]:
-			co = other.counts[j]
+		case i == na || b[j] < a[i]:
+			co = b[hb+j]
 			j++
 		default:
-			cm, co = m.counts[i], other.counts[j]
+			cm, co = a[ha+i], b[hb+j]
 			i++
 			j++
 		}

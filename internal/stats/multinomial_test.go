@@ -1,7 +1,9 @@
 package stats_test
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -67,6 +69,44 @@ func TestMergeAndClone(t *testing.T) {
 	c.Merge(nil) // must be a no-op
 	if c.Total() != 10 {
 		t.Errorf("Merge(nil) changed the distribution")
+	}
+}
+
+// TestCopyIndependentThroughRegrow: a copy shares no backing array with its
+// source, through the spare slot CopyInto leaves, the regrow past it, and
+// the source's own regrow.
+func TestCopyIndependentThroughRegrow(t *testing.T) {
+	pairs := func(m *stats.Multinomial) string {
+		var b strings.Builder
+		for _, v := range m.Outcomes() {
+			fmt.Fprintf(&b, "%d:%d ", v, m.Count(v))
+		}
+		return fmt.Sprintf("%s/%d", b.String(), m.Total())
+	}
+	src := new(stats.Multinomial)
+	src.Add(1, 2)
+	src.Add(3, 1)
+	var dst stats.Multinomial
+	src.CopyInto(&dst)
+	clone := src.Clone()
+	dst.Observe(2) // the spare slot
+	dst.Observe(4) // a regrow
+	dst.Observe(1)
+	clone.Observe(0) // a regrow: Clone leaves no spare slot
+	src.Observe(5)   // the source's regrow
+	src.Observe(3)
+	for _, c := range []struct {
+		name string
+		m    *stats.Multinomial
+		want string
+	}{
+		{"source", src, "1:2 3:2 5:1 /5"},
+		{"copy", &dst, "1:3 2:1 3:1 4:1 /6"},
+		{"clone", clone, "0:1 1:2 3:1 /4"},
+	} {
+		if got := pairs(c.m); got != c.want {
+			t.Errorf("%s = %q, want %q", c.name, got, c.want)
+		}
 	}
 }
 

@@ -71,8 +71,10 @@ echo "== micro-benchmarks (one iteration each) =="
 # BenchmarkMine (internal/mining) for the flat mining kernel — the one
 # level-wise loop Build, Cubing and ingest all run — and BenchmarkApplyDelta
 # (internal/incr) for a ten-record append with exceptions and redundancy
-# marking off and on, BenchmarkRespond (internal/server) for rendering a
-# cell answer; one iteration keeps them compiling and running.
+# marking off and on, BenchmarkCommit (internal/server) for whole appends
+# through the handler with exceptions off and on, BenchmarkRespond
+# (internal/server) for rendering a cell answer; one iteration keeps them
+# compiling and running.
 go test ./internal/stats ./internal/flowgraph ./internal/core ./internal/itemset ./internal/mining ./internal/incr ./internal/server -run '^$' -bench . -benchtime 1x
 
 echo "== nommap fallback (lazy serving without mmap) =="
