@@ -32,7 +32,7 @@ fuzz-short:
 	go test ./internal/core -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s -fuzzminimizetime 10x
 	go test ./internal/core -run '^$$' -fuzz FuzzCompareCells -fuzztime 10s
 	go test ./internal/pathdb -run '^$$' -fuzz FuzzRead -fuzztime 10s
-	go test ./internal/incr -run '^$$' -fuzz FuzzApplyDelta -fuzztime 10s
+	go test ./internal/core -run '^$$' -fuzz FuzzApplyDelta -fuzztime 10s
 	go test ./internal/ingest -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s
 	go test ./internal/itemset -run '^$$' -fuzz FuzzJoinMatchesBruteForce -fuzztime 10s
 
@@ -45,6 +45,6 @@ fuzz-long:
 	go test ./internal/core -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 100s -fuzzminimizetime 10x
 	go test ./internal/core -run '^$$' -fuzz FuzzCompareCells -fuzztime 100s
 	go test ./internal/pathdb -run '^$$' -fuzz FuzzRead -fuzztime 100s
-	go test ./internal/incr -run '^$$' -fuzz FuzzApplyDelta -fuzztime 100s
+	go test ./internal/core -run '^$$' -fuzz FuzzApplyDelta -fuzztime 100s
 	go test ./internal/ingest -run '^$$' -fuzz FuzzWALReplay -fuzztime 100s
 	go test ./internal/itemset -run '^$$' -fuzz FuzzJoinMatchesBruteForce -fuzztime 100s

@@ -243,7 +243,7 @@ func (c *Cube) AnswerFrom(ctx context.Context, src CellSource, q Query) (*Answer
 		if err != nil {
 			return nil, err
 		}
-		candidates, _ := c.EnumerateCellValues(spec)
+		candidates, _ := c.enumerateCellValues(spec)
 		var keep [][]hierarchy.NodeID // fresh: never filter into the enumeration's backing array
 		up := make([]hierarchy.NodeID, len(q.Values))
 		for _, v := range candidates {
@@ -255,7 +255,7 @@ func (c *Cube) AnswerFrom(ctx context.Context, src CellSource, q Query) (*Answer
 			return nil, err
 		}
 	case OpSlice, OpDice:
-		candidates, _ := c.EnumerateCellValues(q.Spec)
+		candidates, _ := c.enumerateCellValues(q.Spec)
 		var keep [][]hierarchy.NodeID
 		for _, v := range candidates {
 			match := true
@@ -403,7 +403,7 @@ func (p *planner) answerCells(ctx context.Context, out *Answer, spec CuboidSpec,
 
 // answerCell resolves one cell: the cell itself when probe finds it, else
 // the nearest ancestor probe finds, breadth-first up the item lattice in
-// ParentRefs order.
+// parentRefs order.
 func (p *planner) answerCell(ctx context.Context, spec CuboidSpec, values []hierarchy.NodeID, noCompute bool) (CellAnswer, error) {
 	if err := ctx.Err(); err != nil {
 		return CellAnswer{}, err
@@ -431,7 +431,7 @@ func (p *planner) answerCell(ctx context.Context, spec CuboidSpec, values []hier
 		}
 		var next []CellRef
 		for _, r := range frontier {
-			for _, pr := range p.c.ParentRefs(r.Spec, r.Values) {
+			for _, pr := range p.c.parentRefs(r.Spec, r.Values) {
 				k := CellRefKey{pr.Spec.Key(), MakeCellID(pr.Values)}
 				if seen[k] {
 					continue
@@ -539,7 +539,7 @@ func (p *planner) reconstructCell(ctx context.Context, spec CuboidSpec, values [
 		ErrNotComputable, spec.Key(), formatCell(values))
 }
 
-// reconstructRedundancy mirrors MarkCellRedundancy for a reconstructed
+// reconstructRedundancy mirrors markCellRedundancy for a reconstructed
 // cell: its similarity is measured against the graphs its item-lattice
 // parents have — or, for parents whose cuboids were pruned, would have had
 // (reconstructed recursively). A parent whose cuboid is absent and which
@@ -549,7 +549,7 @@ func (p *planner) reconstructCell(ctx context.Context, spec CuboidSpec, values [
 func (p *planner) reconstructRedundancy(ctx context.Context, spec CuboidSpec, cell *Cell) error {
 	compared := 0
 	minSim := 1.0
-	for _, pr := range p.c.ParentRefs(spec, cell.Values) {
+	for _, pr := range p.c.parentRefs(spec, cell.Values) {
 		var pg *flowgraph.Graph
 		if pc, materialized := p.src.Lookup(pr.Spec, pr.Values); pc != nil && pc.Graph != nil {
 			pg = pc.Graph

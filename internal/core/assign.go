@@ -7,20 +7,20 @@ import (
 	"flowcube/internal/pathdb"
 )
 
-// RecordRouter maps records to cells. The item abstraction level alone fixes
+// recordRouter maps records to cells. The item abstraction level alone fixes
 // a record's cell (§4: the path level only shapes the cell's flowgraph), so
 // a record falls in exactly one cell per materialized item level. Build's
-// populate and sub-δ ledger, RebuildTIDs and delta maintenance all map
-// records through it: Route takes a record, then Cell gives its cell at any
-// item level. A router holds scratch space: one goroutine uses it.
-type RecordRouter struct {
+// populate and sub-δ ledger, rebuildTIDs and ApplyDelta all map records
+// through it: route takes a record, then cell gives its cell at any item
+// level. A router holds scratch space: one goroutine uses it.
+type recordRouter struct {
 	*routes
 	anc    [][]hierarchy.NodeID
 	values []hierarchy.NodeID
 	id     []byte
 }
 
-// routes is a router's fixed part, cached per lineage beside levelCuboids.
+// routes is a router's fixed part, cached per lineage beside levelGroups.
 type routes struct {
 	schema *pathdb.Schema
 	// dimLevels lists, per dimension, the distinct non-'*' levels the item
@@ -31,7 +31,7 @@ type routes struct {
 	pick [][]int
 }
 
-func newRoutes(schema *pathdb.Schema, levels []LevelCuboids) *routes {
+func newRoutes(schema *pathdb.Schema, levels []levelGroup) *routes {
 	rt := &routes{schema: schema, dimLevels: make([][]int, len(schema.Dims))}
 	for _, lv := range levels {
 		for d, l := range lv.Item {
@@ -50,9 +50,9 @@ func newRoutes(schema *pathdb.Schema, levels []LevelCuboids) *routes {
 	return rt
 }
 
-// Route takes the record with these dimension values: it resolves each
-// (dimension, level) ancestor the item levels need, once, for Cell.
-func (r *RecordRouter) Route(dims []hierarchy.NodeID) {
+// route takes the record with these dimension values: it resolves each
+// (dimension, level) ancestor the item levels need, once, for cell.
+func (r *recordRouter) route(dims []hierarchy.NodeID) {
 	for d, levels := range r.dimLevels {
 		h := r.schema.Dims[d]
 		for i, l := range levels {
@@ -61,11 +61,11 @@ func (r *RecordRouter) Route(dims []hierarchy.NodeID) {
 	}
 }
 
-// Cell returns the routed record's cell at an item level: id is its CellID's
+// cell returns the routed record's cell at an item level: id is its CellID's
 // bytes (m[CellID(id)] probes without copying) and values its per-dimension
 // values. Both are the router's scratch, overwritten by the next call; a
 // caller that keeps them copies them.
-func (r *RecordRouter) Cell(level int) (id []byte, values []hierarchy.NodeID) {
+func (r *recordRouter) cell(level int) (id []byte, values []hierarchy.NodeID) {
 	for d, i := range r.pick[level] {
 		r.values[d] = hierarchy.Root
 		if i >= 0 {

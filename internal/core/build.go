@@ -140,7 +140,7 @@ func (c *Cube) instantiateCells(db *pathdb.DB, res *mining.Result) cellConds {
 			// A mixed itemset is a frequent path segment within a cell: an
 			// exception condition, provided all stages sit at one path level.
 			// Its item part is a shorter frequent itemset, so the cell exists.
-			pathLevel, pins, ok := StagePins(syms, stages)
+			pathLevel, pins, ok := stagePins(syms, stages)
 			if !ok {
 				continue
 			}
@@ -191,11 +191,11 @@ func (c *Cube) classify(set []transact.Item, il ItemLevel, values []hierarchy.No
 	return stages, true
 }
 
-// StagePins converts an all-stage itemset into exception condition pins and
+// stagePins converts an all-stage itemset into exception condition pins and
 // returns their shared path level. All stages must share one path level;
 // conditions whose pins are all duration-'*' are vacuous (the prefix tree
 // already conditions on locations) and rejected with ok=false.
-func StagePins(syms *transact.Symbols, stages []transact.Item) (int, []flowgraph.StagePin, bool) {
+func stagePins(syms *transact.Symbols, stages []transact.Item) (int, []flowgraph.StagePin, bool) {
 	// Filter before allocating: most mined segments mix path levels or pin
 	// no duration.
 	level := syms.StageLevel(stages[0])
@@ -266,7 +266,7 @@ func (c *Cube) populate(db *pathdb.DB) {
 // scan's order.
 func (c *Cube) assignCells(db *pathdb.DB, ledger bool) {
 	c.haveTIDs = true
-	levels := c.LevelCuboids()
+	levels := c.levelGroups()
 	slotOf := make([]map[CellID]int32, len(levels))
 	var slots [][]*Cell // per slot: the cell in each cuboid holding it
 	for li, lv := range levels {
@@ -290,11 +290,11 @@ func (c *Cube) assignCells(db *pathdb.DB, ledger bool) {
 	size := (n + chunks - 1) / chunks
 	buckets := make([][][]int32, chunks)
 	tallies := make([][]tally, chunks)
-	// Made before the workers start: the first RecordRouter call caches the
+	// Made before the workers start: the first router call caches the
 	// cube's routes.
-	routers := make([]*RecordRouter, chunks)
+	routers := make([]*recordRouter, chunks)
 	for i := range routers {
-		routers[i] = c.RecordRouter()
+		routers[i] = c.router()
 	}
 	c.forEach(chunks, func(i int) {
 		bucket := make([][]int32, len(slots))
@@ -307,9 +307,9 @@ func (c *Cube) assignCells(db *pathdb.DB, ledger bool) {
 		}
 		r, lo := routers[i], min(i*size, n)
 		for tid := lo; tid < min(lo+size, n); tid++ {
-			r.Route(db.Records[tid].Dims)
+			r.route(db.Records[tid].Dims)
 			for li, ids := range slotOf {
-				id, _ := r.Cell(li)
+				id, _ := r.cell(li)
 				if s, ok := ids[CellID(id)]; ok {
 					bucket[s] = append(bucket[s], int32(tid))
 				} else if ledger {
@@ -360,7 +360,7 @@ func (c *Cube) assignCells(db *pathdb.DB, ledger bool) {
 		}
 		built[li] = lv
 	})
-	c.ledger = &Ledger{levels: make(map[string]*ledgerLevel, len(built)), owner: c.gen}
+	c.ledger = &deltaLedger{levels: make(map[string]*ledgerLevel, len(built)), owner: c.gen}
 	for _, lv := range built {
 		c.ledger.levels[lv.item.Key()] = lv
 	}
@@ -452,23 +452,29 @@ func forEach(workers, n int, fn func(i int)) {
 
 // mineExceptions runs the holistic part of the measure: it seeds each
 // cell's condition cache (conds.go) with the cell's frequent-segment
-// conditions — so the incremental path knows them without re-mining — and
+// conditions — so ApplyDelta knows them without re-mining — and
 // mines every record of the cell as new against them (and optionally all
 // single-stage conditions). Cells are independent, so the work is spread
 // across Config.Workers.
 func (c *Cube) mineExceptions(db *pathdb.DB, conds cellConds) {
 	// Sorted order for the same reason as populate: a deterministic job
 	// list, so runs are comparable.
-	var cells []*Cell
+	type job struct {
+		cell      *Cell
+		pathLevel int
+	}
+	var jobs []job
 	for _, cb := range c.sortedCuboids() {
 		for _, cell := range cb.SortedCells() {
 			if cell.Graph != nil {
 				cell.conds = newCondSet(conds[cell])
-				cells = append(cells, cell)
+				jobs = append(jobs, job{cell, cb.Spec.PathLevel})
 			}
 		}
 	}
-	c.forEach(len(cells), func(i int) {
-		c.RemineCell(cells[i], db, len(cells[i].tids), nil)
+	r := &reminer{cube: c, db: db}
+	c.forEach(len(jobs), func(i int) {
+		// Only mining new conditions can fail, and Build's reminer mines none.
+		_, _ = r.remine(jobs[i].cell, jobs[i].pathLevel, len(jobs[i].cell.tids))
 	})
 }

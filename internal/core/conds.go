@@ -1,47 +1,60 @@
 package core
 
-// Condition cache: the per-cell conditional pin-lists the exception miner
-// checked, remembered so the incremental path (internal/incr) can re-derive
-// a cell's conditions from a batch instead of re-mining them from scratch.
+// Exception re-mining and its condition cache (DESIGN.md §11): the per-cell
+// conditional pin-lists the exception miner checked, remembered so that
+// ApplyDelta can re-derive a cell's conditions from a batch instead of
+// re-mining them from scratch.
 //
 // The cache is in-memory bookkeeping only — it is not serialized into
 // snapshots and has no effect on Save bytes. A cube built with
-// Config.MineExceptions warms it during mineExceptions; a cell the
-// incremental path admits starts cold, and its first re-mine (from an empty
-// set, over all of its records) warms the entry. An entry hangs off its cell
-// and is immutable once stored, so it follows the cell from one generation
-// to the next and is replaced, never edited, when a batch adds conditions.
+// Config.MineExceptions warms it during mineExceptions; a cell ApplyDelta
+// admits starts cold, and its first re-mine (from an empty set, over all of
+// its records) warms the entry. An entry hangs off its cell and is
+// immutable once stored, so it follows the cell from one generation to the
+// next and is replaced, never edited, when a batch adds conditions.
+//
+// What the cache cannot know is which conditions a batch made frequent.
+// Appends move supports only upward, so such a condition consists solely of
+// "moved" items — stage items some batch record carries — since some batch
+// transaction contains all of it. Projecting the cell's transactions to the
+// moved items preserves the support of every such set, so one mining.Mine
+// run over the projection finds exactly the new conditions; old ones stay
+// frequent and are already cached. A cold cell is the same computation with
+// every record of the cell counted as new: every stage item is moved, and
+// the mine yields the cell's whole condition set.
 
 import (
 	"slices"
 	"sort"
 
 	"flowcube/internal/flowgraph"
+	"flowcube/internal/mining"
 	"flowcube/internal/pathdb"
+	"flowcube/internal/transact"
 )
 
-// CondSet is one cell's cached exception conditions: the pin-lists the
+// condSet is one cell's cached exception conditions: the pin-lists the
 // miner checks, plus a canonical-key index for membership tests.
-type CondSet struct {
-	// Pins holds the conditional pin-lists. Read-only.
-	Pins [][]flowgraph.StagePin
+type condSet struct {
+	// pins holds the conditional pin-lists. Read-only.
+	pins [][]flowgraph.StagePin
 
 	keys map[string]bool
 }
 
 // newCondSet indexes the given pin-lists. The caller must not mutate pins
-// afterwards; duplicates (same canonical key) are kept in Pins.
-func newCondSet(pins [][]flowgraph.StagePin) *CondSet {
-	s := &CondSet{Pins: pins, keys: make(map[string]bool, len(pins))}
+// afterwards; duplicates (same canonical key) are kept in pins.
+func newCondSet(pins [][]flowgraph.StagePin) *condSet {
+	s := &condSet{pins: pins, keys: make(map[string]bool, len(pins))}
 	for _, p := range pins {
 		s.keys[condPinKey(p)] = true
 	}
 	return s
 }
 
-// Has reports whether an equivalent pin-list (same pins, any order) is in
+// has reports whether an equivalent pin-list (same pins, any order) is in
 // the set. A nil set has nothing.
-func (s *CondSet) Has(pins []flowgraph.StagePin) bool {
+func (s *condSet) has(pins []flowgraph.StagePin) bool {
 	return s != nil && s.keys[condPinKey(pins)]
 }
 
@@ -55,47 +68,136 @@ func condPinKey(pins []flowgraph.StagePin) string {
 	return string(flowgraph.AppendPins(nil, cc))
 }
 
-// CachedConds returns the cell's cached condition set, with ok=false on a
-// cold cache. A cell decoded from a mapped base is cold.
-func (cell *Cell) CachedConds() (*CondSet, bool) {
-	return cell.conds, cell.conds != nil
+// reminer re-mines cells' exceptions over their records in db. Build's has
+// no stage cache and mines no new conditions: it has just seeded every
+// cell's cache with the conditions the Shared run found. ApplyDelta's mines
+// the conditions each touched cell's new records made frequent.
+type reminer struct {
+	cube *Cube
+	db   *pathdb.DB
+	// stageTxs[tid] is the record's stage items at every path level, encoded
+	// on first use: a record lies in one cell per cuboid, and every touched
+	// cell reads all of its records. nil for Build's reminer.
+	stageTxs []transact.Transaction
 }
 
-// RemineCell re-mines the exceptions of a cell Build is filling, or one
-// obtained from OwnedCell or AdmitCell, over its records in db: the last
-// added of its tids are new since its exceptions were last mined, and fresh
-// are the conditions they made frequent. A cold cache knows nothing of the
-// exceptions the cell holds, so there every record counts as new whatever
-// added says. The cached conditions are checked at the flowgraph nodes the
-// new records moved and fresh ones at every node; the cache then holds both
-// (a new entry — the generation this one was forked from keeps the old one
-// on its own copy of the cell). It returns the number of moved nodes, 0 when
-// every record is new.
-func (c *Cube) RemineCell(cell *Cell, db *pathdb.DB, added int, fresh [][]flowgraph.StagePin) int {
+// remine re-mines the exceptions of a cell of path level pathLevel that
+// Build is filling or that ApplyDelta obtained from ownedCell or admitCell:
+// the last added of its tids are new since its exceptions were last mined.
+// A cold cache knows nothing of the exceptions the cell holds, so there
+// every record counts as new whatever added says. The cached conditions are
+// checked at the flowgraph nodes the new records moved and the newly
+// frequent ones at every node; the cache then holds both (a new entry — the
+// generation this one was forked from keeps the old one on its own copy of
+// the cell). It returns the number of moved nodes, 0 when every record is
+// new.
+func (r *reminer) remine(cell *Cell, pathLevel, added int) (int, error) {
 	paths := make([]pathdb.Path, len(cell.tids))
 	for i, tid := range cell.tids {
-		paths[i] = db.Records[tid].Path
+		paths[i] = r.db.Records[tid].Path
 	}
 	var old [][]flowgraph.StagePin
 	if cell.conds != nil {
-		old = cell.conds.Pins
+		old = cell.conds.pins
 	} else {
 		added = len(paths)
 	}
+	var fresh [][]flowgraph.StagePin
+	if r.stageTxs != nil {
+		var err error
+		if fresh, err = r.newConds(pathLevel, cell.tids, cell.tids[len(cell.tids)-added:], cell.conds); err != nil {
+			return 0, err
+		}
+	}
 	moved := cell.Graph.MineExceptions(paths, added, old, fresh, flowgraph.ExceptionOptions{
-		SingleStage: c.Config.SingleStageExceptions,
-		Eps:         c.Config.Epsilon,
-		MinCount:    c.minCount,
+		SingleStage: r.cube.Config.SingleStageExceptions,
+		Eps:         r.cube.Config.Epsilon,
+		MinCount:    r.cube.minCount,
 	})
 	if cell.conds == nil || len(fresh) > 0 {
 		cell.conds = newCondSet(append(slices.Clip(old), fresh...))
 	}
-	return moved
+	return moved, nil
 }
 
-// DropCondCache empties the cache, so the incremental path re-mines every
-// touched cell from an empty set over all of its records. Tests use it as
-// the reference the warm re-mine is compared against.
+func (r *reminer) stages(tid int32) transact.Transaction {
+	if r.stageTxs[tid] == nil {
+		r.stageTxs[tid] = r.cube.Symbols.EncodeStages(r.db.Records[tid].Path)
+	}
+	return r.stageTxs[tid]
+}
+
+// newConds finds the conditions newly frequent among a cell's records after
+// a batch: the frequent same-level path segments of the cell's transactions
+// projected to the batch's stage items at the cuboid's path level, minus
+// anything already in the old condition set. A transaction contains the
+// cell's dimension items iff the record belongs to the cell, so in-cell
+// stage supports equal the supports of the mixed dim+stage itemsets a full
+// build finds the conditions among. Ancestor and linkability pruning mirror
+// the Shared run (they shape the output set); pre-counting is off because
+// the projected transactions lack the coarser levels it counts against (it
+// is a lossless optimization, so the result set is unchanged).
+//
+// Duration-'*' path levels yield no conditions — every pin would be
+// duration-'*', which stagePins rejects as vacuous — so mining is skipped
+// there entirely.
+func (r *reminer) newConds(plIdx int, tids, batchTIDs []int32, old *condSet) ([][]flowgraph.StagePin, error) {
+	syms := r.cube.Symbols
+	if syms.PathLevels()[plIdx].Time.Any {
+		return nil, nil
+	}
+	movedItems := make(map[transact.Item]bool)
+	for _, tid := range batchTIDs {
+		for _, it := range r.stages(tid) {
+			if syms.StageLevel(it) == plIdx {
+				movedItems[it] = true
+			}
+		}
+	}
+	if len(movedItems) == 0 {
+		return nil, nil
+	}
+	txs := make([]transact.Transaction, 0, len(tids))
+	for _, tid := range tids {
+		var t transact.Transaction
+		for _, it := range r.stages(tid) {
+			if movedItems[it] {
+				t = append(t, it)
+			}
+		}
+		if len(t) > 0 {
+			txs = append(txs, t)
+		}
+	}
+	res, err := mining.Mine(syms, txs, mining.Options{
+		MinCount:      r.cube.minCount,
+		PruneAncestor: true,
+		PruneLink:     true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	var conds [][]flowgraph.StagePin
+	for _, l := range res.ByLength {
+		for i := 0; i < l.Len(); i++ {
+			level, pins, ok := stagePins(syms, l.Set(i))
+			if !ok || level != plIdx {
+				continue
+			}
+			if old.has(pins) {
+				// Already a condition of the base cell. A duplicate slot would
+				// mine identical exceptions and fall to the dedup seal anyway.
+				continue
+			}
+			conds = append(conds, pins)
+		}
+	}
+	return conds, nil
+}
+
+// DropCondCache empties the cache, so ApplyDelta re-mines every touched
+// cell from an empty set over all of its records. Tests use it as the
+// reference the warm re-mine is compared against.
 func (c *Cube) DropCondCache() {
 	c.ownAllCells()
 	for _, cb := range c.Cuboids {

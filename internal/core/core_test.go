@@ -158,7 +158,7 @@ func TestRemineColdCellStartsOver(t *testing.T) {
 		if clear {
 			cell.Graph.ClearExceptions()
 		}
-		fork.RemineCell(cell, ex.DB, added(cell), nil)
+		fork.RemineCell(cell, ex.DB, added(cell))
 		if _, warm := cell.CachedConds(); !warm {
 			t.Fatal("a re-mined cell left its condition cache cold")
 		}

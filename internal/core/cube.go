@@ -101,7 +101,7 @@ type Cell struct {
 	tids []int32
 	// conds caches the exception conditions checked for the cell (conds.go);
 	// nil is a cold cache. Not serialized.
-	conds *CondSet
+	conds *condSet
 	// owner is the generation that may write the cell (delta.go).
 	owner uint32
 }
@@ -208,7 +208,7 @@ type Cuboid struct {
 // paths — Cell, Cuboid, Answer, NumCells, CuboidSummaries,
 // TopExceptions, Validate, SortedCells, and every flowgraph render/analysis
 // method they expose — do not mutate the cube or any lazily cached state.
-// Mutating operations (MarkRedundancy, Compress, incr.ApplyDelta)
+// Mutating operations (MarkRedundancy, Compress, ApplyDelta)
 // must not run concurrently with readers of the same cube value; a
 // long-lived server treats the cube it serves as immutable, runs them on a
 // Fork — which shares the served cube's cells and flowgraph nodes and
@@ -231,17 +231,22 @@ type Cube struct {
 	gen         uint32
 	cellsCopied int
 	// ledger is the sub-δ count store carried when Config.DeltaLedger is
-	// set; see ledger.go and internal/incr.
-	ledger *Ledger
+	// set (ledger.go).
+	ledger *deltaLedger
 	// haveTIDs records that the cells carry their record-id lists.
 	haveTIDs bool
 	// sharedSymbols records that Symbols belongs to an earlier generation
-	// (delta.go): OwnedSymbols copies it before the first write.
+	// (delta.go): ApplyDelta copies it before the first write.
 	sharedSymbols bool
-	// levelCuboids caches LevelCuboids and routes RecordRouter's fixed part;
+	// compressed records that Compress dropped the redundant cells: the
+	// cube no longer tells a sub-δ combination from a dropped cell, so
+	// ApplyDelta refuses it. Forks, FilterCells, Merge and the snapshot keep
+	// it.
+	compressed bool
+	// groups caches levelGroups and routes the record router's fixed part;
 	// nil until first asked for, reset by DropCuboid, shared by forks.
-	levelCuboids []LevelCuboids
-	routes       *routes
+	groups []levelGroup
+	routes *routes
 	// order caches the Cuboids keys in ascending order for sortedCuboids:
 	// nil until first asked for, reset by DropCuboid, shared by forks.
 	order atomic.Pointer[[]string]
@@ -283,7 +288,7 @@ type Config struct {
 	// DeltaLedger carries an auxiliary sub-δ count ledger in the cube (and
 	// its snapshots): the exact count of every below-threshold dimension
 	// combination at each materialized item level. It is what lets
-	// incr.ApplyDelta admit newly-frequent iceberg cells without a base
+	// ApplyDelta admit newly-frequent iceberg cells without a base
 	// database scan; see DESIGN.md §9.
 	DeltaLedger bool
 }

@@ -1,4 +1,4 @@
-package incr_test
+package core_test
 
 import (
 	"fmt"
@@ -6,7 +6,6 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
-	"flowcube/internal/incr"
 )
 
 // BenchmarkApplyDelta times one 10-record append to a cube over the
@@ -38,7 +37,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 					fork, db := cube.Fork(), dbWith(ds, base)
 					lo := base + i%batches*batchLen
 					b.StartTimer()
-					if _, err := incr.ApplyDelta(fork, db, ds.DB.Records[lo:lo+batchLen]); err != nil {
+					if _, err := core.ApplyDelta(fork, db, ds.DB.Records[lo:lo+batchLen]); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -1,4 +1,4 @@
-package incr_test
+package core_test
 
 import (
 	"errors"
@@ -8,7 +8,6 @@ import (
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
 	"flowcube/internal/hierarchy"
-	"flowcube/internal/incr"
 	"flowcube/internal/pathdb"
 )
 
@@ -99,7 +98,7 @@ func FuzzApplyDelta(f *testing.F) {
 	f.Add([]byte{7, 250, 0, 0, 200, 200, 9, 9, 9, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8})
 	ds, base := fuzzBase(f)
 	baseRecords := append([]pathdb.Record(nil), ds.DB.Records...)
-	baseDigest := saveDigest(f, base)
+	baseDigest := hexDigest(f, base)
 	freshDB := func() *pathdb.DB {
 		return &pathdb.DB{Schema: ds.Schema, Records: append([]pathdb.Record(nil), baseRecords...)}
 	}
@@ -110,19 +109,19 @@ func FuzzApplyDelta(f *testing.F) {
 		dbInPlace, dbChain := freshDB(), freshDB()
 		for _, half := range [][]pathdb.Record{batch[:len(batch)/2], batch[len(batch)/2:]} {
 			before := dbInPlace.Len()
-			stats, err := incr.ApplyDelta(inPlace, dbInPlace, half)
+			stats, err := core.ApplyDelta(inPlace, dbInPlace, half)
 			next := chain.Fork()
-			_, chainErr := incr.ApplyDelta(next, dbChain, half)
+			_, chainErr := core.ApplyDelta(next, dbChain, half)
 			if (err == nil) != (chainErr == nil) {
 				t.Fatalf("in place: %v; over a fork: %v", err, chainErr)
 			}
 			if err != nil {
-				var be *incr.BatchError
+				var be *core.BatchError
 				if !errors.As(err, &be) &&
-					!errors.Is(err, incr.ErrNilCube) &&
-					!errors.Is(err, incr.ErrNilDB) &&
-					!errors.Is(err, incr.ErrAbsoluteMinCount) &&
-					!errors.Is(err, incr.ErrSchemaMismatch) {
+					!errors.Is(err, core.ErrNilCube) &&
+					!errors.Is(err, core.ErrNilDB) &&
+					!errors.Is(err, core.ErrAbsoluteMinCount) &&
+					!errors.Is(err, core.ErrSchemaMismatch) {
 					t.Fatalf("untyped error: %v", err)
 				}
 				if dbInPlace.Len() != before || dbChain.Len() != before {
@@ -135,20 +134,20 @@ func FuzzApplyDelta(f *testing.F) {
 			}
 			chain = next
 		}
-		if got, want := saveDigest(t, chain), saveDigest(t, inPlace); got != want {
+		if got, want := hexDigest(t, chain), hexDigest(t, inPlace); got != want {
 			t.Fatalf("fork chain saved %s, in-place application %s", got, want)
 		}
 		full, err := core.Build(dbChain, base.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := saveDigest(t, chain), saveDigest(t, full); got != want {
+		if got, want := hexDigest(t, chain), hexDigest(t, full); got != want {
 			t.Fatalf("fork chain saved %s, a full build over its records %s", got, want)
 		}
 		if err := chain.Validate(); err != nil {
 			t.Fatalf("cube invalid after delta: %v", err)
 		}
-		if got := saveDigest(t, base); got != baseDigest {
+		if got := hexDigest(t, base); got != baseDigest {
 			t.Fatal("applying deltas to forks changed the base cube")
 		}
 	})

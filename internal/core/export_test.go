@@ -1,7 +1,61 @@
 package core
 
+import (
+	"flowcube/internal/flowgraph"
+	"flowcube/internal/hierarchy"
+	"flowcube/internal/pathdb"
+)
+
 // NewCondSet builds a condition set as Build's cache seeding does.
 var NewCondSet = newCondSet
+
+// Has is condSet.has.
+func (s *condSet) Has(pins []flowgraph.StagePin) bool { return s.has(pins) }
+
+// Ledger returns the cube's sub-δ ledger, nil when it carries none.
+func (c *Cube) Ledger() *deltaLedger { return c.ledger }
+
+// Size is deltaLedger.size.
+func (l *deltaLedger) Size() int { return l.size() }
+
+// TIDs returns the cell's record ids, nil when the cube keeps none.
+func (cell *Cell) TIDs() []int32 { return cell.tids }
+
+// CachedConds returns the cell's cached condition set, with ok=false on a
+// cold cache.
+func (cell *Cell) CachedConds() (*condSet, bool) { return cell.conds, cell.conds != nil }
+
+// HaveTIDs reports whether the cube's cells carry their record-id lists.
+func (c *Cube) HaveTIDs() bool { return c.haveTIDs }
+
+// RebuildTIDs is rebuildTIDs.
+func (c *Cube) RebuildTIDs(db *pathdb.DB) { c.rebuildTIDs(db) }
+
+// CellsCopied reports how many cells this generation has copied from the
+// ones before it.
+func (c *Cube) CellsCopied() int { return c.cellsCopied }
+
+// OwnedCell is ownedCell.
+func (c *Cube) OwnedCell(spec CuboidSpec, values []hierarchy.NodeID) *Cell {
+	return c.ownedCell(spec, values)
+}
+
+// RemineCell re-mines a cell as Build does: against its cached conditions
+// only, the last added of its records new.
+func (c *Cube) RemineCell(cell *Cell, db *pathdb.DB, added int) int {
+	moved, _ := (&reminer{cube: c, db: db}).remine(cell, 0, added)
+	return moved
+}
+
+// EnumerateCellValues is enumerateCellValues.
+func (c *Cube) EnumerateCellValues(spec CuboidSpec) ([][]hierarchy.NodeID, bool) {
+	return c.enumerateCellValues(spec)
+}
+
+// ParentRefs is parentRefs.
+func (c *Cube) ParentRefs(spec CuboidSpec, values []hierarchy.NodeID) []CellRef {
+	return c.parentRefs(spec, values)
+}
 
 // SectionCellRangesForTest returns, from a lazily loaded cube's directory,
 // the [start, end) byte range of every cell of a cuboid's section payload in

@@ -1,10 +1,11 @@
-package incr_test
+package core_test
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,7 +14,6 @@ import (
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
 	"flowcube/internal/hierarchy"
-	"flowcube/internal/incr"
 	"flowcube/internal/pathdb"
 )
 
@@ -31,7 +31,7 @@ func genConfig(seed int64, paths int) datagen.Config {
 	return cfg
 }
 
-func saveDigest(t testing.TB, cube *core.Cube) string {
+func hexDigest(t testing.TB, cube *core.Cube) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := cube.Save(&buf); err != nil {
@@ -87,7 +87,7 @@ func TestApplyDeltaMatchesFullBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := saveDigest(t, full)
+			want := hexDigest(t, full)
 
 			rng := rand.New(rand.NewSource(11))
 			const K = 3
@@ -98,14 +98,14 @@ func TestApplyDeltaMatchesFullBuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				stats, err := incr.ApplyDelta(cube, db, ds.DB.Records[split:])
+				stats, err := core.ApplyDelta(cube, db, ds.DB.Records[split:])
 				if err != nil {
 					t.Fatalf("split %d: ApplyDelta: %v", split, err)
 				}
 				if db.Len() != ds.DB.Len() {
 					t.Fatalf("split %d: union db has %d records, want %d", split, db.Len(), ds.DB.Len())
 				}
-				if got := saveDigest(t, cube); got != want {
+				if got := hexDigest(t, cube); got != want {
 					t.Errorf("split %d: delta digest %s != full digest %s (stats %+v)", split, got, want, stats)
 				}
 				if err := cube.Validate(); err != nil {
@@ -119,6 +119,7 @@ func TestApplyDeltaMatchesFullBuild(t *testing.T) {
 // TestApplyDeltaMultipleBatches chains several deltas: base + batch1 +
 // batch2 + batch3 must still match one full build.
 func TestApplyDeltaMultipleBatches(t *testing.T) {
+	t.Parallel()
 	ds := datagen.MustGenerate(genConfig(13, 240))
 	cfg := core.Config{
 		MinCount: 4, Epsilon: 0.05, Tau: 0.6, Plan: ds.DefaultPlan(),
@@ -128,7 +129,7 @@ func TestApplyDeltaMultipleBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := saveDigest(t, full)
+	want := hexDigest(t, full)
 
 	splits := []int{140, 175, 210, 240}
 	db := dbWith(ds, splits[0])
@@ -138,11 +139,11 @@ func TestApplyDeltaMultipleBatches(t *testing.T) {
 	}
 	for i := 1; i < len(splits); i++ {
 		batch := ds.DB.Records[splits[i-1]:splits[i]]
-		if _, err := incr.ApplyDelta(cube, db, batch); err != nil {
+		if _, err := core.ApplyDelta(cube, db, batch); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
-	if got := saveDigest(t, cube); got != want {
+	if got := hexDigest(t, cube); got != want {
 		t.Errorf("chained delta digest %s != full digest %s", got, want)
 	}
 }
@@ -152,6 +153,7 @@ func TestApplyDeltaMultipleBatches(t *testing.T) {
 // switches: save the base cube, open it eagerly and lazily, apply the batch
 // to the opened cube, and compare against a full build.
 func TestApplyDeltaOnLoadedCube(t *testing.T) {
+	t.Parallel()
 	ds := datagen.MustGenerate(genConfig(17, 220))
 	configs := map[string]core.Config{
 		"exceptions off": {MinCount: 4, Tau: 0.5},
@@ -165,7 +167,7 @@ func TestApplyDeltaOnLoadedCube(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := saveDigest(t, full)
+		want := hexDigest(t, full)
 
 		const split = 170
 		db := dbWith(ds, split)
@@ -179,10 +181,10 @@ func TestApplyDeltaOnLoadedCube(t *testing.T) {
 			if !loaded.Config.DeltaLedger || loaded.Ledger() == nil {
 				t.Fatalf("%s lazy=%v: loaded cube lost its sub-δ ledger", name, lazy)
 			}
-			if _, err := incr.ApplyDelta(loaded, db, ds.DB.Records[split:]); err != nil {
+			if _, err := core.ApplyDelta(loaded, db, ds.DB.Records[split:]); err != nil {
 				t.Fatal(err)
 			}
-			if got := saveDigest(t, loaded); got != want {
+			if got := hexDigest(t, loaded); got != want {
 				t.Errorf("%s lazy=%v: loaded+delta digest %s != full digest %s", name, lazy, got, want)
 			}
 		}
@@ -218,6 +220,7 @@ func reopen(t testing.TB, cube *core.Cube, lazy bool) *core.Cube {
 // TestApplyDeltaOnClone exercises the serving path: delta-patch a Fork
 // while the original stays bit-identical.
 func TestApplyDeltaOnClone(t *testing.T) {
+	t.Parallel()
 	ds := datagen.MustGenerate(genConfig(23, 220))
 	cfg := core.Config{
 		MinCount: 4, Epsilon: 0.05, Tau: 0.5, Plan: ds.DefaultPlan(),
@@ -229,22 +232,22 @@ func TestApplyDeltaOnClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseDigest := saveDigest(t, base)
+	baseDigest := hexDigest(t, base)
 
 	full, err := core.Build(ds.DB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := saveDigest(t, full)
+	want := hexDigest(t, full)
 
 	clone := base.Fork()
-	if _, err := incr.ApplyDelta(clone, db, ds.DB.Records[split:]); err != nil {
+	if _, err := core.ApplyDelta(clone, db, ds.DB.Records[split:]); err != nil {
 		t.Fatal(err)
 	}
-	if got := saveDigest(t, clone); got != want {
+	if got := hexDigest(t, clone); got != want {
 		t.Errorf("clone+delta digest %s != full digest %s", got, want)
 	}
-	if got := saveDigest(t, base); got != baseDigest {
+	if got := hexDigest(t, base); got != baseDigest {
 		t.Errorf("delta on the clone mutated the original: digest %s != %s", got, baseDigest)
 	}
 }
@@ -254,6 +257,7 @@ func TestApplyDeltaOnClone(t *testing.T) {
 // table shared; an exception-mining one copies it first and leaves the
 // parent's as it was.
 func TestForkSymbolsOwnership(t *testing.T) {
+	t.Parallel()
 	ds := datagen.MustGenerate(genConfig(23, 220))
 	const split = 180
 	for _, exceptions := range []bool{false, true} {
@@ -270,7 +274,7 @@ func TestForkSymbolsOwnership(t *testing.T) {
 		if fork.Symbols != parent.Symbols {
 			t.Errorf("exceptions=%t: Fork copied the symbol table", exceptions)
 		}
-		if _, err := incr.ApplyDelta(fork, db, ds.DB.Records[split:]); err != nil {
+		if _, err := core.ApplyDelta(fork, db, ds.DB.Records[split:]); err != nil {
 			t.Fatal(err)
 		}
 		if shared := fork.Symbols == parent.Symbols; shared == exceptions {
@@ -286,10 +290,11 @@ func TestForkSymbolsOwnership(t *testing.T) {
 }
 
 func TestApplyDeltaTypedErrors(t *testing.T) {
+	t.Parallel()
 	ds := datagen.MustGenerate(genConfig(29, 120))
 	plan := ds.DefaultPlan()
 
-	if _, err := incr.ApplyDelta(nil, ds.DB, nil); !errors.Is(err, incr.ErrNilCube) {
+	if _, err := core.ApplyDelta(nil, ds.DB, nil); !errors.Is(err, core.ErrNilCube) {
 		t.Errorf("nil cube: got %v, want ErrNilCube", err)
 	}
 
@@ -297,7 +302,7 @@ func TestApplyDeltaTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := incr.ApplyDelta(fractional, ds.DB, nil); !errors.Is(err, incr.ErrAbsoluteMinCount) {
+	if _, err := core.ApplyDelta(fractional, ds.DB, nil); !errors.Is(err, core.ErrAbsoluteMinCount) {
 		t.Errorf("fractional threshold: got %v, want ErrAbsoluteMinCount", err)
 	}
 
@@ -305,7 +310,7 @@ func TestApplyDeltaTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := incr.ApplyDelta(cube, nil, nil); !errors.Is(err, incr.ErrNilDB) {
+	if _, err := core.ApplyDelta(cube, nil, nil); !errors.Is(err, core.ErrNilDB) {
 		t.Errorf("nil db: got %v, want ErrNilDB", err)
 	}
 
@@ -325,7 +330,7 @@ func TestApplyDeltaTypedErrors(t *testing.T) {
 	wrongArity, emptyPath := good, good
 	wrongArity.Dims = good.Dims[:1]
 	emptyPath.Path = nil
-	before, digest := ds.DB.Len(), saveDigest(t, cube)
+	before, digest := ds.DB.Len(), hexDigest(t, cube)
 	for _, tc := range []struct {
 		name string
 		bad  pathdb.Record
@@ -337,42 +342,150 @@ func TestApplyDeltaTypedErrors(t *testing.T) {
 		{"out-of-range location", withStage(pathdb.Stage{Location: hierarchy.NodeID(ds.DB.Schema.Location.Len()), Duration: 1})},
 		{"negative duration", withStage(pathdb.Stage{Location: good.Path[0].Location, Duration: -1})},
 	} {
-		_, err := incr.ApplyDelta(cube, ds.DB, []pathdb.Record{ds.DB.Records[1], tc.bad})
-		var be *incr.BatchError
+		_, err := core.ApplyDelta(cube, ds.DB, []pathdb.Record{ds.DB.Records[1], tc.bad})
+		var be *core.BatchError
 		if !errors.As(err, &be) {
 			t.Errorf("%s: got %v, want *BatchError", tc.name, err)
 		} else if be.Index != 1 {
 			t.Errorf("%s: BatchError.Index = %d, want 1", tc.name, be.Index)
 		}
 	}
-	if ds.DB.Len() != before || saveDigest(t, cube) != digest {
+	if ds.DB.Len() != before || hexDigest(t, cube) != digest {
 		t.Errorf("a rejected batch changed state: %d -> %d records", before, ds.DB.Len())
 	}
 
 	otherCfg := genConfig(29, 50)
 	otherCfg.NumDims = 3
 	mismatched := datagen.MustGenerate(otherCfg)
-	if _, err := incr.ApplyDelta(cube, mismatched.DB, nil); !errors.Is(err, incr.ErrSchemaMismatch) {
+	if _, err := core.ApplyDelta(cube, mismatched.DB, nil); !errors.Is(err, core.ErrSchemaMismatch) {
 		t.Errorf("schema mismatch: got %v, want ErrSchemaMismatch", err)
 	}
 }
 
 func TestApplyDeltaEmptyBatch(t *testing.T) {
+	t.Parallel()
 	ds := datagen.MustGenerate(genConfig(31, 150))
 	cfg := core.Config{MinCount: 3, Plan: ds.DefaultPlan(), DeltaLedger: true}
 	cube, err := core.Build(ds.DB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := saveDigest(t, cube)
-	stats, err := incr.ApplyDelta(cube, ds.DB, nil)
+	before := hexDigest(t, cube)
+	stats, err := core.ApplyDelta(cube, ds.DB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.BatchRecords != 0 || stats.CellsTouched != 0 || stats.CellsAdmitted != 0 {
 		t.Errorf("empty batch stats = %+v, want zeros", stats)
 	}
-	if got := saveDigest(t, cube); got != before {
+	if got := hexDigest(t, cube); got != before {
 		t.Error("empty batch changed the cube")
+	}
+}
+
+// TestApplyDeltaRefusesCompressedCube: Compress drops redundant cells, which
+// Lookup then reports as sub-δ, so an append would admit them again from the
+// batch alone and give them the batch's counts. The mark Compress leaves
+// survives forks, FilterCells and Merge and both loaders, and every one of
+// them refuses the append without touching the cube or the database.
+func TestApplyDeltaRefusesCompressedCube(t *testing.T) {
+	t.Parallel()
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			t.Parallel()
+			refusesCompressed(t, seed)
+		})
+	}
+}
+
+func refusesCompressed(t *testing.T, seed int64) {
+	const split = 180
+	half := func(even bool) func([]hierarchy.NodeID) bool {
+		return func(values []hierarchy.NodeID) bool { return (int(values[0])%2 == 0) == even }
+	}
+	ds := datagen.MustGenerate(genConfig(seed, 260))
+	cube, err := core.Build(dbWith(ds, split), core.Config{
+		MinCount: 4, Tau: 0.3, DeltaLedger: true, Plan: ds.DefaultPlan(), Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cube.Compress() == 0 {
+		t.Fatalf("seed %d: fixture exercises nothing: no redundant cell", seed)
+	}
+	merged, err := core.Merge([]*core.Cube{cube.FilterCells(half(true)), cube.FilterCells(half(false))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*core.Cube{
+		"compressed": cube,
+		"fork":       cube.Fork(),
+		"filter":     cube.FilterCells(half(true)),
+		"merge":      merged,
+		"load":       reopen(t, cube, false),
+		"lazy":       reopen(t, cube, true),
+	} {
+		db := dbWith(ds, split)
+		digest := hexDigest(t, c)
+		if _, err := core.ApplyDelta(c, db, ds.DB.Records[split:]); !errors.Is(err, core.ErrCompressed) {
+			t.Errorf("seed %d, %s: got %v, want ErrCompressed", seed, name, err)
+		}
+		if db.Len() != split || hexDigest(t, c) != digest {
+			t.Errorf("seed %d, %s: a refused append changed state", seed, name)
+		}
+	}
+}
+
+// TestSingleStageExceptionsChangeNothing: a frequent single stage in a cell
+// is a frequent {cell dims, stage} itemset, so the Shared run's segments
+// already supply every condition the single-stage scan adds, and the seal
+// drops its duplicates. A build plus four appends therefore digests equal,
+// cell by cell, with the option on and off.
+func TestSingleStageExceptionsChangeNothing(t *testing.T) {
+	t.Parallel()
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			t.Parallel()
+			singleStageChangesNothing(t, seed)
+		})
+	}
+}
+
+func singleStageChangesNothing(t *testing.T, seed int64) {
+	ds := datagen.MustGenerate(genConfig(seed, 260))
+	grown := make([]*core.Cube, 2)
+	for i, single := range []bool{false, true} {
+		db := dbWith(ds, 180)
+		cube, err := core.Build(db, core.Config{
+			MinCount: 4, Epsilon: 0.05, Tau: 0.6, Plan: ds.DefaultPlan(),
+			MineExceptions: true, SingleStageExceptions: single, DeltaLedger: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 180; lo < 260; lo += 20 {
+			if _, err := core.ApplyDelta(cube, db, ds.DB.Records[lo:lo+20]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		grown[i] = cube
+	}
+	off, on := grown[0], grown[1]
+	cells, exceptions := 0, 0
+	for key, cb := range off.Cuboids {
+		want, got := cb.SortedCells(), on.Cuboids[key].SortedCells()
+		if len(got) != len(want) {
+			t.Fatalf("cuboid %s: %d cells with single-stage exceptions, %d without", key, len(got), len(want))
+		}
+		for i, cell := range want {
+			if core.CellDigest(got[i]) != core.CellDigest(cell) {
+				t.Errorf("cuboid %s, cell %v: single-stage exceptions changed the cell", key, cell.Values)
+			}
+			cells++
+			exceptions += len(cell.Graph.Exceptions())
+		}
+	}
+	if cells == 0 || exceptions == 0 {
+		t.Fatalf("fixture exercises nothing: %d cells, %d exceptions", cells, exceptions)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/hierarchy"
-	"flowcube/internal/incr"
 	"flowcube/internal/pathdb"
 )
 
@@ -26,7 +25,7 @@ func TestCubeValidate(t *testing.T) {
 		Dims: []hierarchy.NodeID{ex.Product.MustLookup("tennis"), ex.Brand.MustLookup("nike")},
 		Path: pathdb.Path{{Location: ex.Location.MustLookup("f"), Duration: 1}},
 	}
-	if _, err := incr.ApplyDelta(cube, ex.DB, []pathdb.Record{rec}); err != nil {
+	if _, err := core.ApplyDelta(cube, ex.DB, []pathdb.Record{rec}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cube.Validate(); err != nil {

@@ -1,4 +1,4 @@
-package incr_test
+package core_test
 
 import (
 	"math/rand"
@@ -10,7 +10,6 @@ import (
 	"flowcube/internal/datagen"
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
-	"flowcube/internal/incr"
 	"flowcube/internal/pathdb"
 )
 
@@ -75,7 +74,7 @@ func TestGenerationIsolation(t *testing.T) {
 			// atomic store is the only edge between the writer and readers.
 			var published atomic.Pointer[[]*core.Cube]
 			gens := []*core.Cube{gen0}
-			digests := []string{saveDigest(t, gen0)}
+			digests := []string{hexDigest(t, gen0)}
 			first := gens // readers must not hold a pointer to gens itself: the loop below reassigns it
 			published.Store(&first)
 
@@ -115,14 +114,14 @@ func TestGenerationIsolation(t *testing.T) {
 					// The dropped fold sees the same store reservation a
 					// server would hand it: appends must not reach db.
 					scratch := &pathdb.DB{Schema: db.Schema, Records: db.Records[:len(db.Records):len(db.Records)]}
-					if _, err := incr.ApplyDelta(cur.Fork(), scratch, take()); err != nil {
+					if _, err := core.ApplyDelta(cur.Fork(), scratch, take()); err != nil {
 						t.Fatalf("step %d: abandoned fold: %v", step, err)
 					}
 				}
 				batch := take()
 				nodeBound := reachedNodes(cur, batch)
 				fork := cur.Fork()
-				stats, err := incr.ApplyDelta(fork, db, batch)
+				stats, err := core.ApplyDelta(fork, db, batch)
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
@@ -139,7 +138,7 @@ func TestGenerationIsolation(t *testing.T) {
 					t.Errorf("step %d: touched %d cells of a fresh fork and copied none", step, stats.CellsTouched)
 				}
 				grown := append(gens[:len(gens):len(gens)], fork)
-				digests = append(digests, saveDigest(t, fork))
+				digests = append(digests, hexDigest(t, fork))
 				gens = grown
 				published.Store(&grown)
 			}
@@ -147,7 +146,7 @@ func TestGenerationIsolation(t *testing.T) {
 			readers.Wait()
 
 			for i, g := range gens {
-				if got := saveDigest(t, g); got != digests[i] {
+				if got := hexDigest(t, g); got != digests[i] {
 					t.Errorf("generation %d saved different bytes after %d later commits", i, len(gens)-1-i)
 				}
 				if err := g.Validate(); err != nil {
@@ -160,7 +159,7 @@ func TestGenerationIsolation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := digests[len(digests)-1], saveDigest(t, full); got != want {
+			if got, want := digests[len(digests)-1], hexDigest(t, full); got != want {
 				t.Errorf("last generation digest %s != full build over the union %s", got, want)
 			}
 		})

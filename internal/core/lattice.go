@@ -215,7 +215,7 @@ func (c *Cube) cuboidCellValues(spec CuboidSpec) ([][]hierarchy.NodeID, bool) {
 	return out, err == nil
 }
 
-// EnumerateCellValues lists the value tuples of spec's cells whether or not
+// enumerateCellValues lists the value tuples of spec's cells whether or not
 // the cuboid is materialized, in CompareCells order. For a dropped
 // cuboid the tuples come from a materialized cuboid at the same item level
 // (the census twin — cell sets at one item level agree across path levels
@@ -223,7 +223,7 @@ func (c *Cube) cuboidCellValues(spec CuboidSpec) ([][]hierarchy.NodeID, bool) {
 // every materialized descendant's cells. The bool reports whether any
 // source was found. The returned outer slice is the caller's to reorder or
 // filter in place; the tuples themselves are shared and read-only.
-func (c *Cube) EnumerateCellValues(spec CuboidSpec) ([][]hierarchy.NodeID, bool) {
+func (c *Cube) enumerateCellValues(spec CuboidSpec) ([][]hierarchy.NodeID, bool) {
 	if out, ok := c.cuboidCellValues(spec); ok {
 		return out, true
 	}

@@ -8,9 +8,9 @@ import (
 	"flowcube/internal/hierarchy"
 )
 
-// Ledger is the auxiliary sub-δ count store: for every materialized item
-// level, the exact path count of every dimension-value combination that
-// occurs in the database but falls below the iceberg threshold. A cube
+// deltaLedger is the auxiliary sub-δ count store: for every materialized
+// item level, the exact path count of every dimension-value combination
+// that occurs in the database but falls below the iceberg threshold. A cube
 // built with Config.DeltaLedger carries it (and persists it in snapshot
 // sections), so ApplyDelta can decide cell admission — base count plus
 // batch count crossing δ — in O(1) per touched combination instead of a
@@ -22,7 +22,7 @@ import (
 // node, and a write copies the few nodes between the root and one leaf. A
 // commit therefore pays for the combinations its batch touches, and the
 // generation it forked from keeps its counts.
-type Ledger struct {
+type deltaLedger struct {
 	levels map[string]*ledgerLevel
 	owner  uint32
 }
@@ -59,18 +59,13 @@ const (
 // output — encoders sort entries — so a per-process seed is fine.
 var ledgerSeed = maphash.MakeSeed()
 
-// NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{levels: make(map[string]*ledgerLevel)}
-}
-
 // fork returns the ledger of the next generation: the same levels and trie
 // nodes, none of them writable under the new tag. nil stays nil.
-func (l *Ledger) fork(owner uint32) *Ledger {
+func (l *deltaLedger) fork(owner uint32) *deltaLedger {
 	if l == nil {
 		return nil
 	}
-	f := &Ledger{levels: make(map[string]*ledgerLevel, len(l.levels)), owner: owner}
+	f := &deltaLedger{levels: make(map[string]*ledgerLevel, len(l.levels)), owner: owner}
 	for k, lv := range l.levels {
 		f.levels[k] = lv
 	}
@@ -78,7 +73,7 @@ func (l *Ledger) fork(owner uint32) *Ledger {
 }
 
 // own returns il's level writable by this ledger, creating it when absent.
-func (l *Ledger) own(il ItemLevel) *ledgerLevel {
+func (l *deltaLedger) own(il ItemLevel) *ledgerLevel {
 	key := il.Key()
 	lv := l.levels[key]
 	switch {
@@ -95,9 +90,9 @@ func (l *Ledger) own(il ItemLevel) *ledgerLevel {
 	return lv
 }
 
-// Count reports the recorded sub-δ count of a combination (0 when absent —
+// count reports the recorded sub-δ count of a combination (0 when absent —
 // absent means the combination never occurred below threshold).
-func (l *Ledger) Count(il ItemLevel, values []hierarchy.NodeID) int64 {
+func (l *deltaLedger) count(il ItemLevel, values []hierarchy.NodeID) int64 {
 	if l == nil {
 		return 0
 	}
@@ -107,9 +102,8 @@ func (l *Ledger) Count(il ItemLevel, values []hierarchy.NodeID) int64 {
 	return 0
 }
 
-// Bump adds n to a combination's count, creating the entry if needed, and
-// returns the new count.
-func (l *Ledger) Bump(il ItemLevel, values []hierarchy.NodeID, n int64) int64 {
+// bump adds n to a combination's count, creating the entry if needed.
+func (l *deltaLedger) bump(il ItemLevel, values []hierarchy.NodeID, n int64) {
 	lv := l.own(il)
 	e := &ledgerEntry{id: MakeCellID(values), count: n}
 	if old := lv.find(e.id); old != nil {
@@ -118,11 +112,10 @@ func (l *Ledger) Bump(il ItemLevel, values []hierarchy.NodeID, n int64) int64 {
 		e.values = append([]hierarchy.NodeID(nil), values...)
 	}
 	lv.put(e)
-	return e.count
 }
 
-// Remove drops a combination (called when it crosses δ and becomes a cell).
-func (l *Ledger) Remove(il ItemLevel, values []hierarchy.NodeID) {
+// remove drops a combination (called when it crosses δ and becomes a cell).
+func (l *deltaLedger) remove(il ItemLevel, values []hierarchy.NodeID) {
 	id := MakeCellID(values)
 	if l.levels[il.Key()].find(id) == nil {
 		return
@@ -138,8 +131,8 @@ func (l *Ledger) Remove(il ItemLevel, values []hierarchy.NodeID) {
 	}
 }
 
-// Size reports the total number of sub-δ entries across item levels.
-func (l *Ledger) Size() int {
+// size reports the total number of sub-δ entries across item levels.
+func (l *deltaLedger) size() int {
 	if l == nil {
 		return 0
 	}
@@ -201,7 +194,7 @@ func (lv *ledgerLevel) leaf(id CellID) (*ledgerNode, int) {
 }
 
 // put stores e under its id, replacing any entry already there. The level
-// must be its ledger's own (Ledger.own, or freshly made).
+// must be its ledger's own (deltaLedger.own, or freshly made).
 func (lv *ledgerLevel) put(e *ledgerEntry) {
 	leaf, depth := lv.leaf(e.id)
 	for i, old := range leaf.entries {
@@ -245,7 +238,7 @@ func (n *ledgerNode) each(fn func(*ledgerEntry)) {
 
 // sortedLevels returns the ledger's item levels in ascending key order, for
 // deterministic encoding.
-func (l *Ledger) sortedLevels() []*ledgerLevel {
+func (l *deltaLedger) sortedLevels() []*ledgerLevel {
 	keys := make([]string, 0, len(l.levels))
 	for k := range l.levels {
 		keys = append(keys, k)

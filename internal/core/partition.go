@@ -30,7 +30,7 @@ import (
 // The result shares the symbols, the mapped bases and the *Cell pointers
 // (and through them the flowgraph nodes) with the receiver under the
 // ownership rule of delta.go: it is a later generation, so it reads what the
-// receiver holds and a write through OwnedCell copies first. Selection runs
+// receiver holds and a write through ownedCell copies first. Selection runs
 // on value tuples, so a mapped base decodes nothing: its cells that fail keep
 // are hidden (one whose directory does not build stays as unreadable as it
 // was, its error recorded for LazyErr). The mining result is dropped: it
@@ -45,6 +45,7 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 		gen:           c.gen + 1,
 		haveTIDs:      c.haveTIDs,
 		sharedSymbols: true,
+		compressed:    c.compressed,
 		lazy:          c.lazy,
 	}
 	for key, cb := range c.Cuboids {
@@ -60,7 +61,7 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 		out.Cuboids[key] = ncb
 	}
 	if c.ledger != nil {
-		out.ledger = &Ledger{levels: make(map[string]*ledgerLevel, len(c.ledger.levels)), owner: out.gen}
+		out.ledger = &deltaLedger{levels: make(map[string]*ledgerLevel, len(c.ledger.levels)), owner: out.gen}
 		for _, lv := range c.ledger.levels {
 			nlv := out.ledger.own(lv.item)
 			lv.root.each(func(e *ledgerEntry) {
@@ -99,6 +100,7 @@ func Merge(shards []*Cube) (*Cube, error) {
 	for _, s := range shards {
 		out.gen = max(out.gen, s.gen+1)
 		out.haveTIDs = out.haveTIDs && s.haveTIDs
+		out.compressed = out.compressed || s.compressed
 	}
 	for i, s := range shards {
 		if err := compatibleShard(first, s); err != nil {
@@ -129,7 +131,7 @@ func Merge(shards []*Cube) (*Cube, error) {
 			continue
 		}
 		if out.ledger == nil {
-			out.ledger = &Ledger{levels: make(map[string]*ledgerLevel), owner: out.gen}
+			out.ledger = &deltaLedger{levels: make(map[string]*ledgerLevel), owner: out.gen}
 		}
 		for key, lv := range s.ledger.levels {
 			nlv := out.ledger.own(lv.item)

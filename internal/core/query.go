@@ -25,10 +25,10 @@ type CellRefKey struct {
 	ID   CellID
 }
 
-// ParentRefs enumerates the item-lattice parents of a cell: its RollUpRef
-// along every dimension at a non-'*' level. Delta maintenance uses it to
-// find the redundancy frontier of a touched cell (DESIGN.md §9).
-func (c *Cube) ParentRefs(spec CuboidSpec, values []hierarchy.NodeID) []CellRef {
+// parentRefs enumerates the item-lattice parents of a cell: its RollUpRef
+// along every dimension at a non-'*' level. ApplyDelta uses it to find the
+// redundancy frontier of a touched cell (DESIGN.md §9).
+func (c *Cube) parentRefs(spec CuboidSpec, values []hierarchy.NodeID) []CellRef {
 	var out []CellRef
 	for d, l := range spec.Item {
 		if l != 0 {
@@ -66,27 +66,27 @@ func (c *Cube) MarkRedundancy(tau float64) int {
 	}
 	var redundant atomic.Int64
 	c.forEach(len(jobs), func(i int) {
-		if c.MarkCellRedundancy(jobs[i].spec, jobs[i].values, tau) {
+		if c.markCellRedundancy(jobs[i].spec, jobs[i].values, tau) {
 			redundant.Add(1)
 		}
 	})
 	return int(redundant.Load())
 }
 
-// MarkCellRedundancy recomputes one cell's redundancy marking against its
+// markCellRedundancy recomputes one cell's redundancy marking against its
 // currently materialized item-lattice parents and reports whether the cell
 // is redundant (false too when the cell is not materialized). It is the
-// per-cell body of MarkRedundancy; delta maintenance calls it for touched
+// per-cell body of MarkRedundancy; ApplyDelta calls it for touched
 // cells and their frontier only. The marking is written to this
 // generation's copy of the cell.
-func (c *Cube) MarkCellRedundancy(spec CuboidSpec, values []hierarchy.NodeID, tau float64) bool {
-	cell := c.OwnedCell(spec, values)
+func (c *Cube) markCellRedundancy(spec CuboidSpec, values []hierarchy.NodeID, tau float64) bool {
+	cell := c.ownedCell(spec, values)
 	if cell == nil || cell.Graph == nil {
 		return false
 	}
 	compared := 0
 	minSim := 1.0
-	for _, p := range c.ParentRefs(spec, cell.Values) {
+	for _, p := range c.parentRefs(spec, cell.Values) {
 		pc, ok := c.Cell(p.Spec, p.Values)
 		if !ok || pc.Graph == nil {
 			continue
@@ -110,8 +110,9 @@ func (c *Cube) MarkCellRedundancy(spec CuboidSpec, values []hierarchy.NodeID, ta
 // non-redundant flowcube. It returns the number of cells removed.
 // MarkRedundancy (or Build with Tau > 0) must have run first. A mapped
 // base is read from its directory: its redundant cells are hidden, not
-// decoded.
+// decoded. The cube is marked compressed, and ApplyDelta refuses it.
 func (c *Cube) Compress() int {
+	c.compressed = true
 	n := 0
 	for _, cb := range c.Cuboids {
 		cb = c.ownedCuboid(cb.Spec)
@@ -142,7 +143,7 @@ func (c *Cube) DropCuboid(spec CuboidSpec) *Cuboid {
 		return nil
 	}
 	delete(c.Cuboids, key)
-	c.levelCuboids, c.routes = nil, nil
+	c.groups, c.routes = nil, nil
 	c.order.Store(nil)
 	return cb
 }

@@ -1,11 +1,10 @@
-package incr_test
+package core_test
 
 import (
 	"testing"
 
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
-	"flowcube/internal/incr"
 )
 
 // TestRestrictedRemineMatchesFull pins the re-miner's two inputs against
@@ -42,7 +41,7 @@ func TestRestrictedRemineMatchesFull(t *testing.T) {
 
 			warm := base.Fork()
 			warmDB := dbWith(ds, split)
-			warmStats, err := incr.ApplyDelta(warm, warmDB, batch)
+			warmStats, err := core.ApplyDelta(warm, warmDB, batch)
 			if err != nil {
 				t.Fatalf("restricted fold: %v", err)
 			}
@@ -50,12 +49,12 @@ func TestRestrictedRemineMatchesFull(t *testing.T) {
 			cold := base.Fork()
 			cold.DropCondCache()
 			coldDB := dbWith(ds, split)
-			coldStats, err := incr.ApplyDelta(cold, coldDB, batch)
+			coldStats, err := core.ApplyDelta(cold, coldDB, batch)
 			if err != nil {
 				t.Fatalf("full fold: %v", err)
 			}
 
-			if got, want := saveDigest(t, warm), saveDigest(t, cold); got != want {
+			if got, want := hexDigest(t, warm), hexDigest(t, cold); got != want {
 				t.Errorf("restricted digest %s != full digest %s", got, want)
 			}
 			if warmStats.ExceptionsRemined == 0 {
@@ -84,6 +83,7 @@ func TestRestrictedRemineMatchesFull(t *testing.T) {
 // cube — the cache must stay exact as conditions accumulate — and checks
 // the final state against one full build of the union.
 func TestRestrictedRemineChained(t *testing.T) {
+	t.Parallel()
 	ds := datagen.MustGenerate(genConfig(43, 280))
 	cfg := core.Config{
 		MinCount: 4, Epsilon: 0.05, Plan: ds.DefaultPlan(),
@@ -93,7 +93,7 @@ func TestRestrictedRemineChained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := saveDigest(t, full)
+	want := hexDigest(t, full)
 
 	splits := []int{180, 215, 250, 280}
 	db := dbWith(ds, splits[0])
@@ -103,13 +103,13 @@ func TestRestrictedRemineChained(t *testing.T) {
 	}
 	restricted := 0
 	for i := 1; i < len(splits); i++ {
-		stats, err := incr.ApplyDelta(cube, db, ds.DB.Records[splits[i-1]:splits[i]])
+		stats, err := core.ApplyDelta(cube, db, ds.DB.Records[splits[i-1]:splits[i]])
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 		restricted += stats.CellsReminedRestricted
 	}
-	if got := saveDigest(t, cube); got != want {
+	if got := hexDigest(t, cube); got != want {
 		t.Errorf("chained restricted digest %s != full digest %s", got, want)
 	}
 	if restricted == 0 {
@@ -122,6 +122,7 @@ func TestRestrictedRemineChained(t *testing.T) {
 // condition cache entry, so a second batch landing in the same cells re-mines
 // all of them restricted, and the result is still a full build of the union.
 func TestAdmittedCellWarmsCache(t *testing.T) {
+	t.Parallel()
 	ds := datagen.MustGenerate(genConfig(41, 300))
 	cfg := core.Config{
 		MinCount: 4, Epsilon: 0.05, Plan: ds.DefaultPlan(),
@@ -141,7 +142,7 @@ func TestAdmittedCellWarmsCache(t *testing.T) {
 	}
 	batch := ds.DB.Records[split:]
 
-	first, err := incr.ApplyDelta(cube, db, batch)
+	first, err := core.ApplyDelta(cube, db, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestAdmittedCellWarmsCache(t *testing.T) {
 
 	// The same records again land in every cell the first fold touched or
 	// admitted; whatever the repeat admits on top is the only cold work left.
-	second, err := incr.ApplyDelta(cube, db, batch)
+	second, err := core.ApplyDelta(cube, db, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestAdmittedCellWarmsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := saveDigest(t, cube), saveDigest(t, full); got != want {
+	if got, want := hexDigest(t, cube), hexDigest(t, full); got != want {
 		t.Errorf("digest after admitting folds %s != full build over the union %s", got, want)
 	}
 }

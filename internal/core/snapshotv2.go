@@ -65,10 +65,11 @@ func CheckMagic(head []byte) error {
 const formatVersionV2 = 3
 
 // Header flag bits: the Config switches a loaded cube must keep for its
-// appends to equal a rebuild.
+// appends to equal a rebuild, and the Compress mark that refuses them.
 const (
 	headerMineExceptions        = 1
 	headerSingleStageExceptions = 2
+	headerCompressed            = 4
 )
 
 // Section kinds. secLedger is optional: it is written only for cubes built
@@ -379,6 +380,9 @@ func encodeMetaSectionsV2(c *Cube, numCuboids int) (header, hiers, plan []byte) 
 	if c.Config.SingleStageExceptions {
 		flags |= headerSingleStageExceptions
 	}
+	if c.compressed {
+		flags |= headerCompressed
+	}
 	header = binary.AppendUvarint(header, formatVersionV2)
 	header = binary.AppendVarint(header, c.minCount)
 	header = binary.LittleEndian.AppendUint64(header, math.Float64bits(c.Config.Epsilon))
@@ -422,7 +426,7 @@ func encodeMetaSectionsV2(c *Cube, numCuboids int) (header, hiers, plan []byte) 
 // encodeLedgerV2 encodes the sub-δ ledger: levels in ascending item-level
 // key order, entries in CompareCells order — deterministic bytes for a
 // given ledger state.
-func encodeLedgerV2(l *Ledger) []byte {
+func encodeLedgerV2(l *deltaLedger) []byte {
 	levels := l.sortedLevels()
 	var buf []byte
 	buf = binary.AppendUvarint(buf, uint64(len(levels)))
@@ -445,13 +449,13 @@ func encodeLedgerV2(l *Ledger) []byte {
 
 // decodeLedgerV2 decodes a secLedger payload. numDims bounds every item
 // level's width.
-func decodeLedgerV2(payload []byte, numDims int) (*Ledger, error) {
+func decodeLedgerV2(payload []byte, numDims int) (*deltaLedger, error) {
 	r := &byteReader{buf: payload, section: "ledger"}
 	nl, err := r.count("ledger level")
 	if err != nil {
 		return nil, err
 	}
-	ledger := NewLedger()
+	ledger := &deltaLedger{levels: make(map[string]*ledgerLevel)}
 	for i := 0; i < nl; i++ {
 		nd, err := r.count("ledger item level width")
 		if err != nil {
@@ -684,7 +688,7 @@ func decodeHeaderV2(payload []byte) (headerV2, error) {
 	if h.flags, err = hr.byte(); err != nil {
 		return h, err
 	}
-	if h.flags&^(headerMineExceptions|headerSingleStageExceptions) != 0 {
+	if h.flags&^(headerMineExceptions|headerSingleStageExceptions|headerCompressed) != 0 {
 		return h, hr.corrupt("unknown header flags %#x", h.flags)
 	}
 	if h.numDims, err = hr.uvarint(); err != nil {
@@ -840,9 +844,10 @@ func openSnapshot(data snapData) (*Cube, headerV2, *frameReader, error) {
 		Config: Config{MinCount: h.minCount, Epsilon: h.epsilon, Tau: h.tau, Plan: plan,
 			MineExceptions:        h.flags&headerMineExceptions != 0,
 			SingleStageExceptions: h.flags&headerSingleStageExceptions != 0},
-		Symbols:  syms,
-		Cuboids:  make(map[string]*Cuboid),
-		minCount: h.minCount,
+		Symbols:    syms,
+		Cuboids:    make(map[string]*Cuboid),
+		minCount:   h.minCount,
+		compressed: h.flags&headerCompressed != 0,
 	}, h, frames, nil
 }
 

@@ -9,7 +9,7 @@ import "fmt"
 // the concatenated paths). Exceptions are holistic (Lemma 4.3) and cannot
 // be folded; the result carries none. Inputs are not mutated.
 //
-// This is the shared fold path: incr's delta maintenance relies on the same
+// This is the shared fold path: core.ApplyDelta relies on the same
 // Merge associativity when folding appended paths into touched cells, the
 // merge-ablation benchmark measures it, and the OLAP engine (internal/olap,
 // core.Answer) uses Fold to reconstruct non-materialized cells from their

@@ -7,8 +7,8 @@ package lint
 // forward a context.Context. Facts are keyed by the function's canonical
 // name (import path + receiver + name), so phase-2 analyzers (goroleak,
 // ctxflow, lockblock) can reason across package boundaries: a mutex in
-// internal/server held across a call into internal/incr is visible because
-// incr's facts say the callee blocks.
+// internal/server held across a call into internal/core is visible because
+// core's facts say the callee blocks.
 //
 // Blocking is propagated over the module-internal call graph to a fixed
 // point: a function that calls a blocking function blocks, transitively,
@@ -80,7 +80,7 @@ type FuncFact struct {
 	// Blocks is the transitive blocking classification.
 	Blocks BlockClass
 	// BlockedBy is the first recorded cause, for diagnostics: a direct op
-	// ("net/http.Do") or a call chain ("calls flowcube/internal/incr.ApplyDelta").
+	// ("net/http.Do") or a call chain ("calls flowcube/internal/core.ApplyDelta").
 	BlockedBy string
 	// Spawns reports whether the function contains a go statement.
 	Spawns bool
@@ -118,14 +118,6 @@ func (t *FactTable) Lookup(obj *types.Func) *FuncFact {
 		return nil
 	}
 	return t.funcs[FactKey(obj)]
-}
-
-// ByKey resolves a canonical key, or nil.
-func (t *FactTable) ByKey(key string) *FuncFact {
-	if t == nil {
-		return nil
-	}
-	return t.funcs[key]
 }
 
 // Export returns every fact sorted by key — the serialized form behind

@@ -11,30 +11,30 @@ import (
 // reach it — internal/server hands the same *core.Cube to every in-flight
 // request, and every later generation forked from it shares its cuboids,
 // cells and flowgraph nodes by pointer. Field writes to Cube, Cuboid, or
-// Cell values are therefore only legal in the files that either construct a
-// cube nobody shares yet or reach cells through the one copy-on-write
-// accessor, core.Cube.OwnedCell. Everywhere else (the serving layer, CLI
-// tools, examples, sibling internal packages) the cube is deeply read-only;
-// a server that wants new data forks the served cube, patches the fork, and
-// swaps it in.
+// Cell values are therefore only legal in the core files that either
+// construct a cube nobody shares yet or reach cells through the one
+// copy-on-write accessor, core.Cube.ownedCell. Everywhere else (the serving
+// layer, CLI tools, examples, sibling internal packages) the cube is deeply
+// read-only; a server that wants new data forks the served cube, patches
+// the fork with core.ApplyDelta, and swaps it in.
 //
 // The designated files: build.go (Build, populate, exception mining),
 // snapshotv2.go and lazyload.go (the decoders reconstruct a cube),
 // partition.go (FilterCells and
 // Merge assemble a new generation around shared cells), answer.go (whose
 // reconstructed cells are freshly allocated per query and never part of
-// the shared cube), delta.go (Fork, OwnedCell, AdmitCell and tid recovery —
-// the accessor itself), and its clients, which write only cells it handed
-// them: query.go (MarkRedundancy, Compress, and
-// DropCuboid on the generation's own cuboid table), conds.go (the per-cell
-// condition cache) and incr's delta.go (ApplyDelta).
+// the shared cube), delta.go (Fork, ownedCell, admitCell and tid recovery —
+// the accessor itself — and ApplyDelta), and the accessor's other clients,
+// which write only cells it handed them: query.go (MarkRedundancy,
+// Compress, and DropCuboid on the generation's own cuboid table) and
+// conds.go (exception re-mining and the per-cell condition cache).
 //
 // Detected write forms: field assignment (cell.Count = n, cell.Count++),
 // writes through field-held maps and slices (cb.Cells[k] = v,
 // cell.Values[i] = v), and delete(cb.Cells, k). Mutation through an
 // aliased map or a method call — and whether a cell written in a designated
 // file really came from the accessor — is out of static reach; the
-// generation-isolation test (internal/incr) covers that at run time.
+// generation-isolation test (internal/core) covers that at run time.
 //
 // Kept by the ledger (DESIGN.md §5): rows IC1, IC4 — nothing else caught them.
 
@@ -50,9 +50,6 @@ var immutAllowedFiles = map[string]map[string]bool{
 		"answer.go":     true,
 		"partition.go":  true,
 		"conds.go":      true,
-	},
-	"incr": {
-		"delta.go": true,
 	},
 }
 

@@ -11,7 +11,7 @@ import (
 // cross-package fact says it blocks — not just the syntactic stdlib I/O
 // locksafe can see in the same body. This is the analyzer the cluster era
 // needs: the dangerous pattern after sharding is a serving-layer lock held
-// across a call into internal/incr or internal/core whose blocking lives
+// across a call into internal/core whose blocking lives
 // two packages away (a WaitGroup join inside the parallel codec, a channel
 // handoff inside the counting core), where no per-file analysis can see it.
 //

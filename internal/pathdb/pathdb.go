@@ -105,7 +105,7 @@ func (db *DB) Append(r Record) error {
 // non-empty path, location ranges, and non-negative durations. Records carry
 // leaves and cells roll them up (paper §1); a record naming an interior
 // concept has no ancestor at the finer levels, and a cube that folded it in
-// would hold a cell at the wrong level. Batch ingestion (incr.ApplyDelta)
+// would hold a cell at the wrong level. Batch ingestion (core.ApplyDelta)
 // validates whole batches up front with it so a bad record rejects the batch
 // before any state changes.
 func (s *Schema) ValidateRecord(r Record) error {

@@ -4,7 +4,7 @@ package server
 // side of the ingest write path (DESIGN.md §11). The handler parses the
 // body against the serving schema and submits the batch to the group
 // committer (internal/ingest); the commit loop folds each group's batches
-// with one incr.ApplyDelta (exact against a full rebuild over the union)
+// with one core.ApplyDelta (exact against a full rebuild over the union)
 // into a fork of the serving cube, journals the folded batches in the WAL,
 // and swaps the snapshot pointer atomically.
 // Readers are never blocked: they stay on the snapshot they loaded. A commit
@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"flowcube/internal/core"
-	"flowcube/internal/incr"
 	"flowcube/internal/ingest"
 	"flowcube/internal/pathdb"
 )
@@ -56,7 +55,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	p, err := s.committer.Submit(batchDB.Records, snap.SchemaGen)
 	if err != nil {
 		if errors.Is(err, ingest.ErrQueueFull) {
-			// Admission control: the commit queue is at Config.MaxPending.
+			// Admission control: the commit queue is at ingest.Config.MaxPending.
 			// The batch was not accepted — shed load and invite a retry.
 			w.Header().Set("Retry-After", "1")
 			WriteError(w, &HTTPError{http.StatusServiceUnavailable,
@@ -164,10 +163,10 @@ func (s *Server) applyGroup(group []*ingest.Pending) {
 			elapsed = time.Since(start)
 			break
 		}
-		var be *incr.BatchError
+		var be *core.BatchError
 		if errors.As(err, &be) {
 			if i, off := groupOwner(live, be.Index); i >= 0 {
-				live[i].Resolve(nil, appendError(&incr.BatchError{Index: be.Index - off, Err: be.Err}))
+				live[i].Resolve(nil, appendError(&core.BatchError{Index: be.Index - off, Err: be.Err}))
 				live = append(live[:i], live[i+1:]...)
 				continue
 			}
@@ -255,11 +254,11 @@ func groupOwner(live []*ingest.Pending, index int) (i, offset int) {
 type foldResult struct {
 	cube    *core.Cube
 	records []pathdb.Record
-	stats   *incr.Stats
+	stats   *core.DeltaStats
 }
 
 // fold applies one concatenated batch to the next generation of cube and
-// returns the unpublished result. Exactness comes from incr.ApplyDelta;
+// returns the unpublished result. Exactness comes from core.ApplyDelta;
 // O(batch) cost comes from patching a fork — which shares cube's cells,
 // flowgraph nodes and mapped snapshot, and copies the cells the batch
 // writes — plus a copy-on-write reservation in the record store. A lazily
@@ -269,7 +268,7 @@ type foldResult struct {
 func (s *Server) fold(cube *core.Cube, schema *pathdb.Schema, batch []pathdb.Record) (*foldResult, error) {
 	cube = cube.Fork()
 	db := &pathdb.DB{Schema: schema, Records: s.store.Reserve(len(batch))}
-	stats, err := incr.ApplyDelta(cube, db, batch)
+	stats, err := core.ApplyDelta(cube, db, batch)
 	if err == nil {
 		err = cube.LazyErr()
 	}
@@ -306,12 +305,13 @@ func (s *Server) successor(snap *Snapshot, cube *core.Cube) *Snapshot {
 // records are the client's fault (400); a cube whose configuration cannot
 // be delta-maintained is a state conflict (409).
 func appendError(err error) error {
-	var be *incr.BatchError
+	var be *core.BatchError
 	switch {
 	case errors.As(err, &be):
 		return &HTTPError{http.StatusBadRequest, err.Error()}
-	case errors.Is(err, incr.ErrAbsoluteMinCount),
-		errors.Is(err, incr.ErrSchemaMismatch):
+	case errors.Is(err, core.ErrAbsoluteMinCount),
+		errors.Is(err, core.ErrCompressed),
+		errors.Is(err, core.ErrSchemaMismatch):
 		return &HTTPError{http.StatusConflict, err.Error()}
 	}
 	return err

@@ -149,6 +149,22 @@ func TestAdminAppendErrors(t *testing.T) {
 	if rec, _ := postBody(t, s.Handler(), "/admin/append", "tennis,nike|f:1 s:2\n"); rec.Code != http.StatusConflict {
 		t.Errorf("fractional cube: status %d, want 409", rec.Code)
 	}
+
+	// Neither is a compressed one: its dropped cells read as sub-δ.
+	compressed, err := core.Build(ex.DB, core.Config{MinCount: 2, Tau: 0.5, Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compressed.Compress()
+	s, err = New(func() (*core.Cube, LoadInfo, error) {
+		return compressed, LoadInfo{DB: ex.DB}, nil
+	}, "test", quietConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, _ := postBody(t, s.Handler(), "/admin/append", "tennis,nike|f:1 s:2\n"); rec.Code != http.StatusConflict {
+		t.Errorf("compressed cube: status %d, want 409", rec.Code)
+	}
 }
 
 // TestAdminAppendSerialized guards the no-lost-updates contract of the

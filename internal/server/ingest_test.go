@@ -2,7 +2,7 @@ package server
 
 // Ingest write-path tests: crash recovery through the WAL, group-commit
 // correctness under concurrency (-race), reload/append fencing, and the
-// stale-schema conflict. The digest assertions lean on incr.ApplyDelta's
+// stale-schema conflict. The digest assertions lean on core.ApplyDelta's
 // exactness contract: a folded cube must be byte-identical under Save to a
 // full Build over the union database in commit order.
 

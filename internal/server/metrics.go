@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"flowcube/internal/core"
-	"flowcube/internal/incr"
 )
 
 // Serving metrics, stdlib only: per-route request counts, error counts and
@@ -71,7 +70,7 @@ type metrics struct {
 }
 
 // recordAppend stores one append's counters.
-func (m *metrics) recordAppend(d time.Duration, stats *incr.Stats) {
+func (m *metrics) recordAppend(d time.Duration, stats *core.DeltaStats) {
 	m.appends.Add(1)
 	m.lastDeltaNs.Store(d.Nanoseconds())
 	m.lastCellsTouched.Store(int64(stats.CellsTouched))

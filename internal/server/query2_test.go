@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"flowcube/internal/core"
+	"flowcube/internal/ingest"
 	"flowcube/internal/paperex"
 	"flowcube/internal/pathdb"
 	"flowcube/internal/transact"
@@ -171,12 +172,12 @@ func TestPrunedV1Parity(t *testing.T) {
 	// A cell of a dropped cuboid answers /v2 with computed provenance and
 	// the folded descendants listed.
 	spec := dropped[0]
-	values, ok := eager.EnumerateCellValues(spec)
-	if !ok || len(values) == 0 {
-		t.Fatalf("dropped cuboid %s has no enumerable cells", spec.Key())
+	cells := eager.Cuboid(spec).SortedCells()
+	if len(cells) == 0 {
+		t.Fatalf("dropped cuboid %s has no cells", spec.Key())
 	}
 	u := "/v2/query?op=cell&pathlevel=" + string(rune('0'+spec.PathLevel)) +
-		"&cell=" + core.FormatCell(eager.Schema, values[0])
+		"&cell=" + core.FormatCell(eager.Schema, cells[0].Values)
 	rec, body := get(t, sp.Handler(), u)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET %s: status %d: %s", u, rec.Code, rec.Body.String())
@@ -194,7 +195,7 @@ func TestPrunedV1Parity(t *testing.T) {
 	// cuboid is materialized, so the planner never folds it and the shard
 	// sends the cell alone).
 	pu := "/v2/partial?pathlevel=" + string(rune('0'+spec.PathLevel)) +
-		"&cell=" + core.FormatCell(eager.Schema, values[0])
+		"&cell=" + core.FormatCell(eager.Schema, cells[0].Values)
 	rec, body = get(t, sp.Handler(), pu)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET %s: status %d: %s", pu, rec.Code, rec.Body.String())
@@ -212,10 +213,10 @@ func TestPrunedV1Parity(t *testing.T) {
 // load with 503 + Retry-After, while the queued append still commits.
 func TestAppendQueueFull503(t *testing.T) {
 	ex := paperex.New()
-	cfg := quietConfig()
-	cfg.GroupLimit = 1
-	cfg.MaxPending = 1
-	s := newTestServer2(t, paperexLoader(ex, paperexConfig(ex)), cfg)
+	s := newTestServer2(t, paperexLoader(ex, paperexConfig(ex)), quietConfig())
+	// One append per commit group, and room for one in the queue.
+	s.committer.Close()
+	s.committer = ingest.NewCommitter(ingest.Config{GroupLimit: 1, MaxPending: 1, Apply: s.applyGroup})
 	h := s.Handler()
 	body := recordsBody(t, ex.DB.Schema, ex.DB.Records[:1])
 

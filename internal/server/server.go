@@ -21,7 +21,7 @@
 //	GET  /metrics         request counts, latency histograms, cache ratio
 //	POST /admin/reload    re-run the loader and atomically swap the snapshot
 //	POST /admin/append    delta-maintain the cube with new records
-//	     (incr.ApplyDelta on a fork, then an atomic snapshot swap)
+//	     (core.ApplyDelta on a fork, then an atomic snapshot swap)
 //
 // The three cell endpoints are adapters over one path (query.go): the raw
 // request is looked up in the response cache, else parsed, answered —
@@ -84,18 +84,6 @@ type Config struct {
 	// entries on startup — an acknowledged append survives a crash that
 	// predates the next snapshot swap. Empty disables journaling.
 	WALPath string
-	// GroupLimit caps how many concurrent append requests coalesce into one
-	// commit group (one WAL fsync + one delta fold). 0 means the ingest
-	// default (64); 1 serializes appends.
-	GroupLimit int
-	// MaxPending bounds the append commit queue: when MaxPending batches are
-	// already waiting, POST /admin/append answers 503 with a Retry-After
-	// header instead of queueing — a parked handler goroutine per queued
-	// batch is the server's only ingest buffering, so an unbounded queue
-	// under sustained overload grows without limit. 0 means
-	// ingest.DefaultMaxPending; negative means unbounded. Batches accepted
-	// before the queue filled always commit and are acknowledged normally.
-	MaxPending int
 }
 
 // Defaults for Config zero values.
@@ -173,11 +161,7 @@ func NewContext(ctx context.Context, loader Loader, source string, cfg Config) (
 		}
 	}
 	s.holder.set(snap)
-	s.committer = ingest.NewCommitter(ingest.Config{
-		GroupLimit: cfg.GroupLimit,
-		MaxPending: cfg.MaxPending,
-		Apply:      s.applyGroup,
-	})
+	s.committer = ingest.NewCommitter(ingest.Config{Apply: s.applyGroup})
 	s.handler = s.routes()
 	return s, nil
 }

@@ -209,7 +209,7 @@ func FileLoader(path string, opts BuildOptions) Loader {
 		}
 		// Resolve the fractional threshold to an absolute δ up front — the
 		// same resolution the miner would apply — so the served cube is
-		// delta-maintainable (incr.ApplyDelta requires an absolute MinCount;
+		// delta-maintainable (core.ApplyDelta requires an absolute MinCount;
 		// the ledger lets admissions skip base re-scans).
 		minCount, err := mining.ResolveMinCount(mining.Options{MinSupport: opts.MinSupport}, ds.DB.Len())
 		if err != nil {

@@ -10,7 +10,6 @@ import (
 	"io"
 
 	"flowcube/internal/core"
-	"flowcube/internal/incr"
 )
 
 // Typed errors, re-exported for errors.Is / errors.As against root-package
@@ -110,21 +109,22 @@ func WithExceptions() Option { return func(c *Config) { c.MineExceptions = true 
 // re-scanning the base database.
 func WithDeltaLedger() Option { return func(c *Config) { c.DeltaLedger = true } }
 
-// Incremental maintenance (streaming append), implemented by internal/incr.
+// Incremental maintenance (streaming append), implemented by
+// core.ApplyDelta.
 type (
 	// DeltaStats reports what one ApplyDelta call did.
-	DeltaStats = incr.Stats
+	DeltaStats = core.DeltaStats
 	// BatchError reports the first invalid record of a rejected append
 	// batch.
-	BatchError = incr.BatchError
+	BatchError = core.BatchError
 )
 
 // Delta-maintenance sentinels, matched with errors.Is.
 var (
 	// ErrAbsoluteMinCount: the cube was built with a fractional threshold.
-	ErrAbsoluteMinCount = incr.ErrAbsoluteMinCount
+	ErrAbsoluteMinCount = core.ErrAbsoluteMinCount
 	// ErrSchemaMismatch: the database's schema is not the cube's.
-	ErrSchemaMismatch = incr.ErrSchemaMismatch
+	ErrSchemaMismatch = core.ErrSchemaMismatch
 )
 
 // ApplyDelta appends a batch of records to a materialized cube and its
@@ -138,5 +138,5 @@ var (
 // long-lived servers patch a (*Cube).Fork — which leaves the served cube
 // untouched — and swap. See DESIGN.md §9.
 func ApplyDelta(cube *Cube, db *DB, batch []Record) (*DeltaStats, error) {
-	return incr.ApplyDelta(cube, db, batch)
+	return core.ApplyDelta(cube, db, batch)
 }

@@ -15,7 +15,7 @@
 # garbage, the cell-answer writer byte-equal to encoding/json and the cell
 # comparator equal to the decimal-key order snapshots store cells in.
 # The race run also carries the delta-equivalence property tests
-# (internal/incr: ApplyDelta + Save must be byte-identical to a full
+# (internal/core: ApplyDelta + Save must be byte-identical to a full
 # rebuild over the union database at random split points, and the warm
 # re-mine to the one that starts from a dropped condition cache).
 set -euo pipefail
@@ -52,7 +52,7 @@ echo "== generation isolation, lazy first touch (-race -count=10) =="
 # failure, so the isolation test runs ten times on top of the pass above —
 # every variant, the lazy lineage's (plain+ledger+lazy: forks over one mapped
 # snapshot, readers decoding through the shared cache) included.
-go test -race -count=10 ./internal/incr -run TestGenerationIsolation
+go test -race -count=10 ./internal/core -run TestGenerationIsolation
 # Same reasoning for a lazy cube's first touches: readers racing for one cold
 # cell share a single decode through the cache's single-flight.
 go test -race -count=10 ./internal/core -run TestLazyConcurrentFirstTouch
@@ -70,12 +70,12 @@ echo "== micro-benchmarks (one iteration each) =="
 # BenchmarkJoin/TrieCount (internal/itemset) and
 # BenchmarkMine (internal/mining) for the flat mining kernel — the one
 # level-wise loop Build, Cubing and ingest all run — and BenchmarkApplyDelta
-# (internal/incr) for a ten-record append with exceptions and redundancy
+# (internal/core) for a ten-record append with exceptions and redundancy
 # marking off and on, BenchmarkCommit (internal/server) for whole appends
 # through the handler with exceptions off and on, BenchmarkRespond
 # (internal/server) for rendering a cell answer; one iteration keeps them
 # compiling and running.
-go test ./internal/stats ./internal/flowgraph ./internal/core ./internal/itemset ./internal/mining ./internal/incr ./internal/server -run '^$' -bench . -benchtime 1x
+go test ./internal/stats ./internal/flowgraph ./internal/core ./internal/itemset ./internal/mining ./internal/server -run '^$' -bench . -benchtime 1x
 
 echo "== nommap fallback (lazy serving without mmap) =="
 # The pread fallback behind the nommap build tag is what non-linux builds
@@ -86,7 +86,7 @@ echo "== nommap fallback (lazy serving without mmap) =="
 # cells are copied out of fresh preads.
 go build -tags nommap ./...
 go test -tags nommap ./internal/core -run 'Lazy|Load|LyingLength'
-go test -tags nommap ./internal/incr -run 'TestGenerationIsolation/lazy|TestApplyDeltaOnLoadedCube'
+go test -tags nommap ./internal/core -run 'TestGenerationIsolation/lazy|TestApplyDeltaOnLoadedCube'
 
 echo "== fuzz (10s per target) =="
 go test ./internal/core -run '^$' -fuzz FuzzParseCellSpec -fuzztime 10s
@@ -94,7 +94,7 @@ go test ./internal/olap -run '^$' -fuzz FuzzParseQuery -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz FuzzLoadSnapshot -fuzztime 10s -fuzzminimizetime 10x
 go test ./internal/core -run '^$' -fuzz FuzzCompareCells -fuzztime 10s
 go test ./internal/pathdb -run '^$' -fuzz FuzzRead -fuzztime 10s
-go test ./internal/incr -run '^$' -fuzz FuzzApplyDelta -fuzztime 10s
+go test ./internal/core -run '^$' -fuzz FuzzApplyDelta -fuzztime 10s
 go test ./internal/ingest -run '^$' -fuzz FuzzWALReplay -fuzztime 10s
 go test ./internal/itemset -run '^$' -fuzz FuzzJoinMatchesBruteForce -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz FuzzRenderMatchesReference -fuzztime 10s

@@ -29,14 +29,14 @@ keep='
 # what other packages'"'"' tests name items, itemsets, concepts and cells with
 internal/itemset.Key internal/itemset.FromKey internal/hierarchy.NodesAtLevel
 internal/transact.LookupDimValue internal/transact.LookupStage internal/transact.SetString internal/transact.Ancestors
-# the oracle and fixtures of the incr, ingest, cluster, olap and server tests: digest a cell, drop a cuboid, compress (paper 4.2)
+# the oracle and fixtures of the append, ingest, cluster, olap and server tests: digest a cell, drop a cuboid, compress (paper 4.2)
 internal/core.CellDigest internal/core.DropCuboid internal/core.Compress
 # reference paths: the uncached re-mine and the unfiltered fold that the restricted re-miner and Answer are compared against
 internal/core.DropCondCache internal/core.ReconstructCell
 # integrity oracles: the lazy/eager, delta and fuzz suites validate every cube they produce; the mining tests ask a result for a set'"'"'s support
 internal/core.Validate internal/flowgraph.Validate internal/mining.Support
 # called by errors.Is/As, never by name
-internal/incr.Unwrap
+internal/core.Unwrap
 # the importable API: its callers are outside the repository; the package doc and README name these
 flowcube.ApplyDelta flowcube.LoadCube flowcube.LoadCubeLazy flowcube.NewSchema
 flowcube.WithEpsilon flowcube.WithExceptions flowcube.WithMinSupport flowcube.WithTau
