@@ -22,8 +22,9 @@ lint:
 	go run ./cmd/flowlint -stats ./...
 
 # 10-second fuzz pass over the text parsers (cell specs, .fdb records), the
-# binary snapshot decoder, the cell comparator against the decimal-key order
-# and the candidate join against its brute-force definition. Minimization is iteration-bounded: snapshot
+# binary snapshot decoder, the cell comparator against the decimal-key order,
+# the candidate join against its brute-force definition and the one-walk
+# flowgraph similarity against its two-walk reference. Minimization is iteration-bounded: snapshot
 # inputs are tens of kilobytes, and the default 60s time-based minimization
 # of each newly interesting input would dwarf the fuzz time itself.
 fuzz-short:
@@ -35,10 +36,11 @@ fuzz-short:
 	go test ./internal/core -run '^$$' -fuzz FuzzApplyDelta -fuzztime 10s
 	go test ./internal/ingest -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s
 	go test ./internal/itemset -run '^$$' -fuzz FuzzJoinMatchesBruteForce -fuzztime 10s
+	go test ./internal/flowgraph -run '^$$' -fuzz FuzzSimilarityMatchesReference -fuzztime 10s
 
 # Ten-fold fuzz-short (100s per target): the weekly scheduled CI job. Long
 # enough to reach coverage plateaus the 10s pass misses, short enough that
-# eight targets finish inside the job timeout.
+# nine targets finish inside the job timeout.
 fuzz-long:
 	go test ./internal/core -run '^$$' -fuzz FuzzParseCellSpec -fuzztime 100s
 	go test ./internal/olap -run '^$$' -fuzz FuzzParseQuery -fuzztime 100s
@@ -48,3 +50,4 @@ fuzz-long:
 	go test ./internal/core -run '^$$' -fuzz FuzzApplyDelta -fuzztime 100s
 	go test ./internal/ingest -run '^$$' -fuzz FuzzWALReplay -fuzztime 100s
 	go test ./internal/itemset -run '^$$' -fuzz FuzzJoinMatchesBruteForce -fuzztime 100s
+	go test ./internal/flowgraph -run '^$$' -fuzz FuzzSimilarityMatchesReference -fuzztime 100s

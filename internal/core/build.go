@@ -385,33 +385,67 @@ func (t *tally) add(id CellID, n int64) {
 }
 
 // buildGraphs constructs the flowgraph measure of every cell from its
-// assigned tids, dropping them afterwards when drop is set; cells are
-// independent, so the work spreads across workers. Sorted cuboid order keeps
-// the job list — and therefore worker scheduling and any profile of it —
-// identical across runs.
+// assigned tids, dropping them afterwards when drop is set. It works one
+// path level at a time: every record is aggregated to the level once, into
+// one arena the level's cells all read and the next level does not keep,
+// and the cells, independent of each other, spread across workers. Sorted
+// cuboid order keeps the job list — and therefore worker scheduling and any
+// profile of it — identical across runs.
 func (c *Cube) buildGraphs(db *pathdb.DB, drop bool) {
-	type job struct {
-		cell *Cell
-		pl   pathdb.PathLevel
-	}
-	var jobs []job
+	levels := c.Symbols.PathLevels()
+	jobs := make([][]*Cell, len(levels))
 	for _, cb := range c.sortedCuboids() {
-		pl := c.Symbols.PathLevels()[cb.Spec.PathLevel]
-		for _, cell := range cb.SortedCells() {
-			jobs = append(jobs, job{cell: cell, pl: pl})
-		}
+		jobs[cb.Spec.PathLevel] = append(jobs[cb.Spec.PathLevel], cb.SortedCells()...)
 	}
-	c.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		g := flowgraph.New(db.Schema.Location, j.pl, nil)
-		for _, tid := range j.cell.tids {
-			g.AddPath(db.Records[tid].Path)
+	for pl, cells := range jobs {
+		if len(cells) == 0 {
+			continue
 		}
-		j.cell.Graph = g
-		if drop {
-			j.cell.tids = nil
-		}
-	})
+		level := levels[pl]
+		agg := aggregateAll(db, level)
+		c.forEach(len(cells), func(i int) {
+			cell := cells[i]
+			g := flowgraph.New(db.Schema.Location, level, nil)
+			for _, tid := range cell.tids {
+				g.AddAggregated(agg.path(tid))
+			}
+			cell.Graph = g
+			if drop {
+				cell.tids = nil
+			}
+		})
+	}
+}
+
+// aggregated is every record's path aggregated to one path level, in one
+// arena: record tid's stages are stages[ends[tid-1]:ends[tid]].
+type aggregated struct {
+	stages pathdb.Path
+	ends   []int
+}
+
+// aggregateAll aggregates every record's path to the level, as AddPath
+// would.
+func aggregateAll(db *pathdb.DB, level pathdb.PathLevel) aggregated {
+	n := 0
+	for _, r := range db.Records {
+		n += len(r.Path)
+	}
+	a := aggregated{stages: make(pathdb.Path, 0, n), ends: make([]int, len(db.Records))}
+	for tid, r := range db.Records {
+		a.stages = pathdb.AppendAggregated(a.stages, r.Path, level, nil)
+		a.ends[tid] = len(a.stages)
+	}
+	return a
+}
+
+// path returns record tid's aggregated path.
+func (a aggregated) path(tid int32) pathdb.Path {
+	start := 0
+	if tid > 0 {
+		start = a.ends[tid-1]
+	}
+	return a.stages[start:a.ends[tid]:a.ends[tid]]
 }
 
 // forEach runs fn over [0,n) — concurrently when Config.Workers > 1. Each
@@ -453,9 +487,10 @@ func forEach(workers, n int, fn func(i int)) {
 // mineExceptions runs the holistic part of the measure: it seeds each
 // cell's condition cache (conds.go) with the cell's frequent-segment
 // conditions — so ApplyDelta knows them without re-mining — and
-// mines every record of the cell as new against them (and optionally all
-// single-stage conditions). Cells are independent, so the work is spread
-// across Config.Workers.
+// mines every record of the cell as new against them. Those conditions
+// include every single stage frequent in the cell, so no other scan looks
+// for them. Cells are independent, so the work is spread across
+// Config.Workers.
 func (c *Cube) mineExceptions(db *pathdb.DB, conds cellConds) {
 	// Sorted order for the same reason as populate: a deterministic job
 	// list, so runs are comparable.

@@ -110,9 +110,8 @@ func (r *reminer) remine(cell *Cell, pathLevel, added int) (int, error) {
 		}
 	}
 	moved := cell.Graph.MineExceptions(paths, added, old, fresh, flowgraph.ExceptionOptions{
-		SingleStage: r.cube.Config.SingleStageExceptions,
-		Eps:         r.cube.Config.Epsilon,
-		MinCount:    r.cube.minCount,
+		Eps:      r.cube.Config.Epsilon,
+		MinCount: r.cube.minCount,
 	})
 	if cell.conds == nil || len(fresh) > 0 {
 		cell.conds = newCondSet(append(slices.Clip(old), fresh...))

@@ -140,8 +140,8 @@ func TestExceptionsMinedFromSegments(t *testing.T) {
 }
 
 // TestRemineColdCellStartsOver: a cell with nothing cached cannot tell which
-// of its exceptions still hold, so RemineCell re-mines it from scratch
-// however few records it is told are new.
+// of its exceptions still hold, so RemineCell re-mines it from scratch —
+// mining its whole condition set — however few records it is told are new.
 func TestRemineColdCellStartsOver(t *testing.T) {
 	ex, cube := buildExample(t, core.Config{
 		MinCount:              2,
@@ -158,7 +158,9 @@ func TestRemineColdCellStartsOver(t *testing.T) {
 		if clear {
 			cell.Graph.ClearExceptions()
 		}
-		fork.RemineCell(cell, ex.DB, added(cell))
+		if _, err := fork.RemineCell(cell, spec.PathLevel, ex.DB, added(cell)); err != nil {
+			t.Fatal(err)
+		}
 		if _, warm := cell.CachedConds(); !warm {
 			t.Fatal("a re-mined cell left its condition cache cold")
 		}

@@ -278,8 +278,13 @@ type Config struct {
 	// They are the holistic (expensive) part of the measure; benchmarks of
 	// the mining algorithms leave this off.
 	MineExceptions bool
-	// SingleStageExceptions additionally mines exceptions conditioned on
-	// every single prior stage duration (not only on frequent segments).
+	// SingleStageExceptions has no effect. It once added a scan for
+	// exceptions conditioned on a single prior stage's duration, but every
+	// such condition that reaches δ is a frequent segment the Shared run
+	// already supplies, so the scan found nothing new and was deleted. The
+	// field, and the snapshot header bit that records it, stay only because
+	// the benchmark harness assigns it; deleting both is an open ROADMAP
+	// item.
 	SingleStageExceptions bool
 	// Workers spreads flowgraph construction and exception mining across
 	// goroutines (cells are independent). It is also copied into the

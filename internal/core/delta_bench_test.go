@@ -11,7 +11,7 @@ import (
 // BenchmarkApplyDelta times one 10-record append to a cube over the
 // benchmark's build dataset shape (three dimensions, 2000 base paths,
 // δ = 20, ledger on — what flowserve builds), with exceptions off and on
-// (as flowserve -exceptions: single-stage and segment conditions) and
+// (as flowserve -exceptions: the segment conditions) and
 // redundancy marking off and on. Every iteration patches a fresh fork of the
 // same base cube, whose condition cache the build warmed, so iterations are
 // the same size; fork and database copy are outside the timer.

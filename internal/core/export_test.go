@@ -4,6 +4,7 @@ import (
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
+	"flowcube/internal/transact"
 )
 
 // NewCondSet builds a condition set as Build's cache seeding does.
@@ -40,11 +41,13 @@ func (c *Cube) OwnedCell(spec CuboidSpec, values []hierarchy.NodeID) *Cell {
 	return c.ownedCell(spec, values)
 }
 
-// RemineCell re-mines a cell as Build does: against its cached conditions
-// only, the last added of its records new.
-func (c *Cube) RemineCell(cell *Cell, db *pathdb.DB, added int) int {
-	moved, _ := (&reminer{cube: c, db: db}).remine(cell, 0, added)
-	return moved
+// RemineCell re-mines a cell of path level pathLevel as ApplyDelta does:
+// against its cached conditions and the ones its last added records made
+// frequent, with a stage cache, so a cold cell mines its whole condition
+// set.
+func (c *Cube) RemineCell(cell *Cell, pathLevel int, db *pathdb.DB, added int) (int, error) {
+	r := &reminer{cube: c, db: db, stageTxs: make([]transact.Transaction, db.Len())}
+	return r.remine(cell, pathLevel, added)
 }
 
 // EnumerateCellValues is enumerateCellValues.

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 	"testing"
 
@@ -105,18 +104,30 @@ func TestBuildKeepsTIDsOnlyForExceptions(t *testing.T) {
 }
 
 // BenchmarkBuild times Build on the benchmark's build dataset shape (three
-// dimensions, 2000 paths, δ = 20, the default plan, two workers) without and
-// with the sub-δ ledger; exceptions and redundancy are off, so populate is a
-// visible share of the time.
+// dimensions, 2000 paths, the default plan, two workers): at δ = 20 with
+// exceptions and redundancy off, so populate is a visible share of the time,
+// without and with the sub-δ ledger; and in flowquery's configuration for
+// "-exceptions -tau 0.5" (δ = 1 %, ε = 0.1, τ = 0.5), the in-process cost of
+// the build workload's flowquery run less reading and saving.
 func BenchmarkBuild(b *testing.B) {
 	gen := datagen.Default()
 	gen.NumDims, gen.NumPaths = 3, 2000
 	ds := datagen.MustGenerate(gen)
-	for _, ledger := range []bool{false, true} {
-		b.Run(fmt.Sprintf("ledger=%t", ledger), func(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"ledger=false", core.Config{MinCount: 20}},
+		{"ledger=true", core.Config{MinCount: 20, DeltaLedger: true}},
+		{"exceptions+tau", core.Config{MinSupport: 0.01, Epsilon: 0.1, Tau: 0.5,
+			MineExceptions: true, SingleStageExceptions: true}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := bc.cfg
+			cfg.Plan, cfg.Workers = ds.DefaultPlan(), 2
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cube, err := core.Build(ds.DB, core.Config{MinCount: 20, Plan: ds.DefaultPlan(), Workers: 2, DeltaLedger: ledger})
+				cube, err := core.Build(ds.DB, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -40,22 +40,24 @@ func BenchmarkSimilarity(b *testing.B) {
 	}
 }
 
-// BenchmarkMineExceptions is the single-stage scan at δ = 1 % of the paths:
-// from scratch, and restricted to the nodes the last ten paths moved (the
-// re-mine of an append).
+// BenchmarkMineExceptions checks the single-stage conditions at δ = 1 % of
+// the paths, the one-pin frequent segments a cell supplies: from scratch,
+// and restricted to the nodes the last ten paths moved (the re-mine of an
+// append).
 func BenchmarkMineExceptions(b *testing.B) {
 	_, parent, paths := benchGraphs(b)
-	opt := flowgraph.ExceptionOptions{SingleStage: true, Eps: 0.1, MinCount: int64(len(paths) / 100)}
+	opt := flowgraph.ExceptionOptions{Eps: 0.1, MinCount: int64(len(paths) / 100)}
+	conds := singleStageConds(parent, paths, opt.MinCount)
 	for _, bc := range []struct {
 		name  string
 		added int
 	}{{"full", len(paths)}, {"restricted", 10}} {
 		b.Run(bc.name, func(b *testing.B) {
-			parent.MineExceptions(paths, len(paths), nil, nil, opt)
+			parent.MineExceptions(paths, len(paths), conds, nil, opt)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				parent.MineExceptions(paths, bc.added, nil, nil, opt)
+				parent.MineExceptions(paths, bc.added, conds, nil, opt)
 				benchSink += float64(len(parent.Exceptions()))
 			}
 		})

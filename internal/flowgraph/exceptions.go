@@ -19,10 +19,12 @@ import (
 // for just 1 hour at the truck", and the distribution-of-durations change
 // given 5 hours at the factory.
 //
-// MineExceptions checks two kinds of condition in one scan of the paths:
-// every single earlier stage duration with minimum support δ (expressed as
-// a count), and arbitrary multi-stage conditions — typically the frequent
-// path segments produced by the Shared algorithm.
+// MineExceptions checks the conditions it is given — the frequent path
+// segments of the cell, which the Shared algorithm produces — in one scan of
+// the paths. A single stage's duration needs no scan of its own: a stage
+// whose (prefix, duration) reaches δ within a cell is a frequent {cell
+// dimensions, stage} itemset, so the segments already hold it as a one-pin
+// condition.
 //
 // The same scan re-mines after paths are added. Every aggregate behind an
 // exception — its support, its conditional distributions and its target's
@@ -30,11 +32,8 @@ import (
 // can change only the exceptions at nodes they run through (moved nodes).
 // Those targets are re-aggregated and every other exception is kept.
 
-// ExceptionOptions are what an exception mine checks besides the supplied
-// conditions, and the (ε, δ) filter it applies.
+// ExceptionOptions are the (ε, δ) filter an exception mine applies.
 type ExceptionOptions struct {
-	// SingleStage also conditions on every single stage's duration.
-	SingleStage bool
 	// Eps is the minimum deviation ε; MinCount the minimum support δ.
 	Eps      float64
 	MinCount int64
@@ -50,13 +49,6 @@ type condAgg struct {
 	reach pathdb.Path
 }
 
-// stageCond is a single-stage condition: the path ran through node and
-// stayed there for dur.
-type stageCond struct {
-	node *Node
-	dur  int64
-}
-
 // condSlot is one supplied condition with its aggregates per target.
 type condSlot struct {
 	cond []StagePin // sorted by depth
@@ -67,29 +59,25 @@ type condSlot struct {
 
 // MineExceptions re-mines the exception set over paths, every path the
 // graph summarizes, of which the last added are new since the set was last
-// mined; added == len(paths) mines from scratch. The single-stage
-// conditions (with opt.SingleStage) and the conditions old are checked at
-// the nodes the new paths moved, and the exceptions at every other node are
-// kept; the conditions fresh, never checked before, are checked at every
-// node. An exception is recorded when its support reaches opt.MinCount and
-// the L∞ deviation of its conditional duration or transition distribution
-// from the node's general one exceeds opt.Eps. The result equals a mine
-// from scratch of old and fresh over the same paths. It returns the number
-// of moved nodes, 0 when every path is new.
+// mined; added == len(paths) mines from scratch. The conditions old are
+// checked at the nodes the new paths moved, and the exceptions at every
+// other node are kept; the conditions fresh, never checked before, are
+// checked at every node. An exception is recorded when its support reaches
+// opt.MinCount and the L∞ deviation of its conditional duration or
+// transition distribution from the node's general one exceeds opt.Eps. The
+// result equals a mine from scratch of old and fresh over the same paths. It
+// returns the number of moved nodes, 0 when every path is new.
 //
-// The single-stage scan gates on δ before it builds anything. The paths
-// that match a condition and reach a target are a subset of those that
-// match the condition at all — support only falls along a branch of the
-// prefix tree — so a first pass counts the scanned paths per condition, and
-// conditional distributions are accumulated only under conditions that
-// reach MinCount. The counts are the scan's own (the graph's node counts
-// may cover other paths), and appendException still applies the exact
-// filter per target. The supplied conditions come from frequent segments,
-// so there is nothing for the gate to skip.
+// With no condition at all there is nothing to check and nothing to keep,
+// so the set is cleared and only the new paths are walked, to count the
+// nodes they moved.
 func (g *Graph) MineExceptions(paths []pathdb.Path, added int, old, fresh [][]StagePin, opt ExceptionOptions) int {
-	if added == len(paths) && !opt.SingleStage && len(old)+len(fresh) == 0 {
-		g.exceptions = g.exceptions[:0] // nothing to check, nothing to keep
-		return 0
+	if len(old)+len(fresh) == 0 {
+		g.exceptions = g.exceptions[:0]
+		if added == len(paths) {
+			return 0
+		}
+		return g.restrict(g.walkAll(paths[len(paths)-added:], 0))
 	}
 	scan := g.walkAll(paths, len(paths)-added)
 	moved := 0
@@ -99,49 +87,20 @@ func (g *Graph) MineExceptions(paths []pathdb.Path, added int, old, fresh [][]St
 		g.exceptions = g.exceptions[:0]
 	}
 
-	var support map[stageCond]int64
-	if opt.SingleStage {
-		support = make(map[stageCond]int64)
-		for _, w := range scan {
-			for i, n := range w.nodes[:w.moved] {
-				support[stageCond{n, w.ap[i].Duration}]++
-			}
-		}
-	}
-	type condTarget struct {
-		cond   stageCond
-		target *Node
-	}
-	single := make(map[condTarget]*condAgg)
 	slots := make([]condSlot, 0, len(old)+len(fresh))
 	slots = appendSlots(slots, old, true)
 	slots = appendSlots(slots, fresh, false)
 	for _, w := range scan {
-		// j ranges from i (not i+1): conditioning a node's transition on its
-		// own duration is the paper's truck example; the duration axis of
-		// such self-conditions is vacuous and filtered downstream.
-		for i := 0; support != nil && i < w.moved; i++ {
-			cond := stageCond{w.nodes[i], w.ap[i].Duration}
-			if support[cond] < opt.MinCount {
-				continue
-			}
-			for j := i; j < w.moved; j++ {
-				k := condTarget{cond, w.nodes[j]}
-				a := single[k]
-				if a == nil {
-					a = &condAgg{}
-					single[k] = a
-				}
-				a.observe(w.ap, j)
-			}
-		}
 		for _, s := range slots {
 			end := len(w.nodes)
 			if s.restricted {
 				end = w.moved
 			}
 			// Targets start at the deepest pinned node itself: its
-			// transition may deviate under the condition.
+			// transition may deviate under the condition — the paper's
+			// truck example conditions a node's transition on its own
+			// duration, whose duration axis is vacuous and filtered
+			// downstream.
 			first := s.cond[len(s.cond)-1].Depth - 1
 			if first >= end || !pinsMatch(w.ap, s.cond) {
 				continue
@@ -155,13 +114,6 @@ func (g *Graph) MineExceptions(paths []pathdb.Path, added int, old, fresh [][]St
 				a.observe(w.ap, j)
 			}
 		}
-	}
-	for k, a := range single {
-		g.appendException(k.target, []StagePin{{
-			Depth:    k.cond.node.Depth,
-			Location: k.cond.node.Location,
-			Duration: k.cond.dur,
-		}}, a, opt.Eps, opt.MinCount)
 	}
 	for _, s := range slots {
 		for target, a := range s.aggs {
@@ -349,8 +301,8 @@ func AppendPins(b []byte, pins []StagePin) []byte {
 }
 
 // sealExceptions deduplicates the mined exceptions by target and condition
-// (keeping the first; a single-stage condition and a one-pin supplied one
-// may coincide, with equal aggregates) and sorts them by exceptionKey,
+// (keeping the first; two supplied conditions may pin the same stages, with
+// equal aggregates) and sorts them by exceptionKey,
 // computed once each, so the set is the same whatever the mining order.
 func (g *Graph) sealExceptions() {
 	type keyed struct {

@@ -37,10 +37,29 @@ func describe(x flowgraph.Exception) refException {
 	}
 }
 
+// singleStageConds returns the distinct single-stage conditions of the
+// paths aggregated to the graph's level — one pin per (depth, location,
+// duration) — that at least minCount of them carry. It is what a cell's
+// frequent segments supply the miner with; at minCount 1 it is every such
+// condition, and the miner applies δ per target.
+func singleStageConds(g *flowgraph.Graph, paths []pathdb.Path, minCount int64) [][]flowgraph.StagePin {
+	support := map[flowgraph.StagePin]int64{}
+	var out [][]flowgraph.StagePin
+	for _, p := range paths {
+		for i, st := range pathdb.AggregatePath(p, g.Level(), nil) {
+			pin := flowgraph.StagePin{Depth: i + 1, Location: st.Location, Duration: st.Duration}
+			if support[pin]++; support[pin] == minCount {
+				out = append(out, []flowgraph.StagePin{pin})
+			}
+		}
+	}
+	return out
+}
+
 // mineSingleStage mines g's single-stage exceptions over paths from
 // scratch.
 func mineSingleStage(g *flowgraph.Graph, paths []pathdb.Path, eps float64, minCount int64) {
-	g.MineExceptions(paths, len(paths), nil, nil, flowgraph.ExceptionOptions{SingleStage: true, Eps: eps, MinCount: minCount})
+	g.MineExceptions(paths, len(paths), singleStageConds(g, paths, 1), nil, flowgraph.ExceptionOptions{Eps: eps, MinCount: minCount})
 }
 
 // referenceSingleStage is the single-stage miner without the δ gate: it
@@ -173,13 +192,15 @@ func listed(g *flowgraph.Graph) []string {
 	return out
 }
 
-// TestGatedMinerMatchesUngatedReference: gating the single-stage scan on a
-// condition's support before building its distributions must not change the
-// exception set. The graphs summarize four fifths of the generated paths,
-// less every path that starts where the last one does, and the miners scan
-// all of them, so some scanned paths leave the tree (skipped) and others run
-// through it without having been counted — which is why the gate counts the
-// scan's own paths, not Node.Count.
+// TestGatedMinerMatchesUngatedReference: the miner, handed every distinct
+// single-stage condition of the scanned paths, applies δ per target as it
+// records an exception; the ungated reference accumulates every (stage,
+// duration, later stage) triple and filters only at the end. Their
+// exception sets must be equal. The graphs summarize four fifths of the
+// generated paths, less every path that starts where the last one does,
+// and the miners scan all of them, so some scanned paths leave the tree
+// (skipped) and others run through it without having been counted — which
+// is why support is the scan's own count, not Node.Count.
 func TestGatedMinerMatchesUngatedReference(t *testing.T) {
 	mined := 0
 	for seed := int64(1); seed <= 6; seed++ {
@@ -210,6 +231,7 @@ func TestGatedMinerMatchesUngatedReference(t *testing.T) {
 				for _, eps := range []float64{0, 0.1} {
 					name := fmt.Sprintf("seed %d level %d minCount %d eps %g", seed, li, minCount, eps)
 					g := flowgraph.Build(ds.Schema.Location, level, in, nil)
+					opt := flowgraph.ExceptionOptions{Eps: eps, MinCount: minCount}
 					mineSingleStage(g, paths, eps, minCount)
 					want := referenceSingleStage(g, level, paths, nil, eps, minCount)
 					if got := minedSet(t, g, true); !reflect.DeepEqual(got, want) {
@@ -217,15 +239,14 @@ func TestGatedMinerMatchesUngatedReference(t *testing.T) {
 					}
 					mined += len(want)
 
-					// The restricted scan runs the same gate at the nodes the
-					// new paths moved. The scan still covers every path, the
-					// skipped ones first; its last three, new, are three of
-					// the graph's own.
-					opt := flowgraph.ExceptionOptions{SingleStage: true, Eps: eps, MinCount: minCount}
+					// Checked as old conditions, the same ones are checked at
+					// the nodes the new paths moved. The scan still covers
+					// every path, the skipped ones first; its last three, new,
+					// are three of the graph's own.
 					scan := slices.Concat(off, in[3:], in[:3])
 					moved := nodesOn(g, level, in[:3])
 					g.ClearExceptions()
-					if got := g.MineExceptions(scan, 3, nil, nil, opt); got != len(moved) {
+					if got := g.MineExceptions(scan, 3, singleStageConds(g, scan, 1), nil, opt); got != len(moved) {
 						t.Fatalf("%s: the miner counted %d moved nodes, the new paths run through %d", name, got, len(moved))
 					}
 					want = referenceSingleStage(g, level, scan, moved, eps, minCount)
@@ -234,14 +255,15 @@ func TestGatedMinerMatchesUngatedReference(t *testing.T) {
 					}
 
 					// A graph mined over base paths, then three paths folded
-					// in and re-mined as new — old two-stage conditions at the
-					// moved nodes, fresh ones everywhere (base paths match
-					// them too) — equals the union's graph mined from
-					// scratch, whose single-stage part the reference checks.
+					// in and re-mined as new — old single- and two-stage
+					// conditions at the moved nodes, fresh ones everywhere
+					// (base paths match them too) — equals the union's graph
+					// mined from scratch, whose single-stage part the
+					// reference checks.
 					seen := map[[2]flowgraph.StagePin]bool{}
-					old := twoStageConds(level, paths[:n/2], seen)
-					fresh := twoStageConds(level, paths[n/2:n], seen)
 					g = flowgraph.Build(ds.Schema.Location, level, paths[:n-3], nil)
+					old := slices.Concat(singleStageConds(g, paths[:n], 1), twoStageConds(level, paths[:n/2], seen))
+					fresh := twoStageConds(level, paths[n/2:n], seen)
 					g.MineExceptions(paths[:n-3], n-3, old, nil, opt)
 					for _, p := range paths[n-3 : n] {
 						g.AddPath(p)

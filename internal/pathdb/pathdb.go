@@ -218,30 +218,38 @@ func SumDurations(durations []int64) int64 {
 // durations with merge (then applying the time level to the merged value).
 // A nil merge uses SumDurations.
 func AggregatePath(p Path, level PathLevel, merge DurationMerge) Path {
-	if merge == nil {
-		merge = SumDurations
-	}
-	out := make(Path, 0, len(p))
+	return AppendAggregated(make(Path, 0, len(p)), p, level, merge)
+}
+
+// AppendAggregated appends the stages of AggregatePath(p, level, merge) to
+// dst and returns the extended slice, so a caller aggregating many paths
+// can keep them in one arena. A nil merge sums the run in place, as
+// SumDurations would, without collecting it first.
+func AppendAggregated(dst, p Path, level PathLevel, merge DurationMerge) Path {
 	for i := 0; i < len(p); {
 		loc := level.Cut.Map(p[i].Location)
 		j := i + 1
 		for j < len(p) && level.Cut.Map(p[j].Location) == loc {
 			j++
 		}
-		var dur int64
-		if j == i+1 {
-			dur = p[i].Duration
-		} else {
+		dur := p[i].Duration
+		switch {
+		case j == i+1:
+		case merge == nil:
+			for k := i + 1; k < j; k++ {
+				dur += p[k].Duration
+			}
+		default:
 			ds := make([]int64, 0, j-i)
 			for k := i; k < j; k++ {
 				ds = append(ds, p[k].Duration)
 			}
 			dur = merge(ds)
 		}
-		out = append(out, Stage{Location: loc, Duration: level.Time.Apply(dur)})
+		dst = append(dst, Stage{Location: loc, Duration: level.Time.Apply(dur)})
 		i = j
 	}
-	return out
+	return dst
 }
 
 // String renders a path as "(loc,dur)(loc,dur)..." using concept names,

@@ -147,6 +147,36 @@ func checkFloats(t *testing.T, step string, a, b pair) {
 	sameBits(t, step, "Mean", a.m.Mean(), a.ref.mean())
 }
 
+// TestKLBothMatchesTwoCalls: KLBoth is both directions of KLDivergence, bit
+// for bit, including against an empty side, between two empty sides, and
+// against outcomes observed with no mass (which the smoothing still
+// counts).
+func TestKLBothMatchesTwoCalls(t *testing.T) {
+	massless := new(stats.Multinomial)
+	massless.Add(4, 0)
+	massless.Add(7, 0)
+	dists := []*stats.Multinomial{
+		new(stats.Multinomial), massless,
+		spread(1, 0), spread(3, 0), spread(3, 1), spread(12, 2), spread(100, 0),
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 20; i++ {
+		m := new(stats.Multinomial)
+		for j := rng.Intn(15); j > 0; j-- {
+			m.Add(rng.Int63n(20)-1, rng.Int63n(1000))
+		}
+		dists = append(dists, m)
+	}
+	for i, a := range dists {
+		for j, b := range dists {
+			ab, ba := a.KLBoth(b)
+			where := fmt.Sprintf("dists %d and %d", i, j)
+			sameBits(t, where, "KLBoth (forward)", ab, a.KLDivergence(b))
+			sameBits(t, where, "KLBoth (backward)", ba, b.KLDivergence(a))
+		}
+	}
+}
+
 // TestMultinomialMatchesMapModel drives random Add / Merge / InitSorted /
 // Clone sequences through two distributions and the map model side by side.
 // Outcome domains of 6 and of 40 keep one distribution under the linear
@@ -234,6 +264,7 @@ func TestKernelDoesNotAllocate(t *testing.T) {
 		var sink float64
 		for name, fn := range map[string]func(){
 			"KLDivergence": func() { sink += a.KLDivergence(b) },
+			"KLBoth":       func() { ab, ba := a.KLBoth(b); sink += ab + ba },
 			"MaxDeviation": func() { sink += a.MaxDeviation(b) },
 			"Prob":         func() { sink += a.Prob(int64(support)) },
 		} {

@@ -297,6 +297,33 @@ func (m *Multinomial) KLDivergence(other *Multinomial) float64 {
 	return d
 }
 
+// KLBoth returns D(m ‖ other) and D(other ‖ m), each bit for bit what
+// KLDivergence returns, from one merge-join that keeps both sums: both
+// smooth over the same union of outcomes and add its terms in the same
+// ascending order, so the two directions share every probability they
+// compute.
+func (m *Multinomial) KLBoth(other *Multinomial) (ab, ba float64) {
+	k := float64(m.joinCounts(other, nil))
+	if k == 0 {
+		return 0, 0
+	}
+	mTot := float64(m.total) + k
+	oTot := float64(other.total) + k
+	m.joinCounts(other, func(cm, co int64) {
+		p := (float64(cm) + 1) / mTot
+		q := (float64(co) + 1) / oTot
+		ab += p * math.Log(p/q)
+		ba += q * math.Log(q/p)
+	})
+	if ab < 0 { // guard tiny negative rounding residue, as KLDivergence does
+		ab = 0
+	}
+	if ba < 0 {
+		ba = 0
+	}
+	return ab, ba
+}
+
 // String renders the distribution as "v:p v:p ..." with outcomes in
 // ascending order, matching the paper's Figure-3 annotation style.
 func (m *Multinomial) String() string {

@@ -21,7 +21,9 @@
 package transact
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -315,7 +317,8 @@ func (s *Symbols) LookupDimValue(dim int, node hierarchy.NodeID) (Item, bool) {
 // LookupStage resolves a stage item without interning; ok is false when the
 // encoded database contains no such stage.
 func (s *Symbols) LookupStage(level int, seq []hierarchy.NodeID, dur int64, durAny bool) (Item, bool) {
-	it, ok := s.byStage[stageKey(level, seq, dur, durAny)]
+	var buf [stageKeyBuf]byte
+	it, ok := s.byStage[string(appendStageKey(buf[:0], level, seq, dur, durAny))]
 	return it, ok
 }
 
@@ -323,18 +326,31 @@ func dimValKey(dim int, node hierarchy.NodeID) int64 {
 	return int64(dim)<<32 | int64(uint32(node))
 }
 
-func stageKey(level int, seq []hierarchy.NodeID, dur int64, durAny bool) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d:", level)
-	for _, n := range seq {
-		fmt.Fprintf(&b, "%d.", n)
-	}
+// stageKeyBuf is the stack buffer a stage key is built in: room for a
+// prefix of 28 locations before append moves it to the heap.
+const stageKeyBuf = 128
+
+// appendStageKey appends a stage item's identity to b: one byte saying
+// whether the duration is '*', the path level and every location of the
+// prefix as 4 bytes each, then the duration's 8 bytes unless it is '*'.
+// Every field has a fixed width and the first byte fixes whether the
+// duration is there, so the length tells how many locations there are and
+// two stages share a key only when they are the same stage. A lookup of
+// string(key) in a map does not allocate.
+func appendStageKey(b []byte, level int, seq []hierarchy.NodeID, dur int64, durAny bool) []byte {
 	if durAny {
-		b.WriteString("*")
+		b = append(b, '*')
 	} else {
-		fmt.Fprintf(&b, "%d", dur)
+		b = append(b, 'd')
 	}
-	return b.String()
+	b = binary.LittleEndian.AppendUint32(b, uint32(level))
+	for _, n := range seq {
+		b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	}
+	if !durAny {
+		b = binary.LittleEndian.AppendUint64(b, uint64(dur))
+	}
+	return b
 }
 
 // internDimValue interns the item for concept node of dimension dim,
@@ -378,8 +394,9 @@ func (s *Symbols) internDimValue(dim int, node hierarchy.NodeID) Item {
 // internStage interns the stage item for the given path level, aggregated
 // prefix and duration, wiring ancestor and pre-count metadata.
 func (s *Symbols) internStage(level int, seq []hierarchy.NodeID, dur int64, durAny bool) Item {
-	key := stageKey(level, seq, dur, durAny)
-	if it, ok := s.byStage[key]; ok {
+	var buf [stageKeyBuf]byte
+	key := appendStageKey(buf[:0], level, seq, dur, durAny)
+	if it, ok := s.byStage[string(key)]; ok {
 		return it
 	}
 	it := Item(len(s.items))
@@ -388,7 +405,7 @@ func (s *Symbols) internStage(level int, seq []hierarchy.NodeID, dur int64, durA
 		kind: KindStage, pathLevel: level, seq: seqCopy, dur: dur, durAny: durAny,
 		topImage: -1,
 	})
-	s.byStage[key] = it
+	s.byStage[string(key)] = it
 
 	var anc []Item
 	// Time-axis generalization within the same cut: always sound.
@@ -508,8 +525,8 @@ func (s *Symbols) EncodeRecord(r pathdb.Record) Transaction {
 			t = append(t, s.internDimValue(dim, hierarchy.Root))
 		}
 	}
-	t = append(t, s.encodeStages(r.Path)...)
-	sort.Slice(t, func(i, j int) bool { return t[i] < t[j] })
+	t = s.appendStages(t, r.Path)
+	slices.Sort(t)
 	return dedupTransaction(t)
 }
 
@@ -517,16 +534,19 @@ func (s *Symbols) EncodeRecord(r pathdb.Record) Transaction {
 // at every materialized path level. This is what the Cubing competitor
 // mines per cell (Algorithm 2 step 2).
 func (s *Symbols) EncodeStages(p pathdb.Path) Transaction {
-	t := s.encodeStages(p)
-	sort.Slice(t, func(i, j int) bool { return t[i] < t[j] })
+	t := s.appendStages(nil, p)
+	slices.Sort(t)
 	return dedupTransaction(t)
 }
 
-func (s *Symbols) encodeStages(p pathdb.Path) []Item {
-	var t []Item
+// appendStages appends the path's stage items at every path level to t.
+// One aggregation buffer and one prefix buffer serve every level:
+// internStage copies what it keeps.
+func (s *Symbols) appendStages(t Transaction, p pathdb.Path) Transaction {
+	agg := make(pathdb.Path, 0, len(p))
+	seq := make([]hierarchy.NodeID, 0, len(p))
 	for li, pl := range s.pathLevels {
-		agg := pathdb.AggregatePath(p, pl, nil)
-		seq := make([]hierarchy.NodeID, 0, len(agg))
+		agg, seq = pathdb.AppendAggregated(agg[:0], p, pl, nil), seq[:0]
 		for _, st := range agg {
 			seq = append(seq, st.Location)
 			t = append(t, s.internStage(li, seq, st.Duration, pl.Time.Any))

@@ -1,6 +1,7 @@
 package transact_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -395,5 +396,73 @@ func TestAllLinkable(t *testing.T) {
 	f5, _ := syms.LookupStage(0, seq(ex, "f"), 5, false)
 	if syms.AllLinkable([]transact.Item{f10, f5}) {
 		t.Errorf("conflicting durations reported linkable")
+	}
+}
+
+// TestStageKeysAreInjective interns stages a careless key encoding would
+// merge — prefixes [1,23] and [12,3], one prefix and duration at two path
+// levels, a prefix and its extension — and requires a distinct item for
+// each, every one found again by LookupStage. A '*' duration and the
+// concrete duration 42 (the byte '*') at one level must not find each
+// other either.
+func TestStageKeysAreInjective(t *testing.T) {
+	loc := hierarchy.Generate("loc", 30) // leaves 1..30
+	leaf := hierarchy.LevelCut(loc, 1)
+	syms := transact.MustNewSymbols(&pathdb.Schema{Location: loc}, transact.Plan{
+		PathLevels: []pathdb.PathLevel{
+			{Cut: leaf, Time: pathdb.TimeBase},
+			{Cut: leaf, Time: pathdb.TimeLevel{Grain: 2}},
+			{Cut: leaf, Time: pathdb.TimeAny},
+		},
+	})
+	for _, p := range []pathdb.Path{
+		{{Location: 1, Duration: 42}, {Location: 23, Duration: 42}},
+		{{Location: 12, Duration: 42}, {Location: 3, Duration: 42}},
+		{{Location: 1, Duration: 23}},
+	} {
+		syms.EncodeStages(p)
+	}
+	type stage struct {
+		level  int
+		seq    string
+		dur    int64
+		durAny bool
+	}
+	seen := map[stage]transact.Item{}
+	for it := transact.Item(0); int(it) < syms.Len(); it++ {
+		dur, ok := syms.StageDuration(it)
+		st := stage{syms.StageLevel(it), fmt.Sprint(syms.StageSeq(it)), dur, !ok}
+		if prev, dup := seen[st]; dup {
+			t.Fatalf("stage %+v interned twice, as items %d and %d", st, prev, it)
+		}
+		seen[st] = it
+		if got, found := syms.LookupStage(st.level, syms.StageSeq(it), dur, !ok); !found || got != it {
+			t.Errorf("LookupStage(%+v) = %d, %t; want item %d", st, got, found, it)
+		}
+	}
+	lookup := func(level int, dur int64, durAny bool, seq ...hierarchy.NodeID) transact.Item {
+		t.Helper()
+		it, ok := syms.LookupStage(level, seq, dur, durAny)
+		if !ok {
+			t.Fatalf("stage %v at level %d, duration %d (any %t) was not interned", seq, level, dur, durAny)
+		}
+		return it
+	}
+	for _, pair := range [][2]transact.Item{
+		{lookup(0, 42, false, 1, 23), lookup(0, 42, false, 12, 3)},
+		{lookup(0, 42, false, 1, 23), lookup(1, 42, false, 1, 23)},
+		{lookup(0, 42, false, 1), lookup(0, 42, false, 1, 23)},
+		{lookup(0, 23, false, 1), lookup(0, 42, false, 1, 23)},
+		{lookup(2, 0, true, 1), lookup(2, 0, true, 1, 23)},
+	} {
+		if pair[0] == pair[1] {
+			t.Errorf("two stages share item %d (%s)", pair[0], syms.ItemString(pair[0]))
+		}
+	}
+	if it, ok := syms.LookupStage(2, []hierarchy.NodeID{1, 23}, '*', false); ok {
+		t.Errorf("duration 42 at a '*' level found item %s", syms.ItemString(it))
+	}
+	if it, ok := syms.LookupStage(0, []hierarchy.NodeID{1, 23}, 0, true); ok {
+		t.Errorf("duration '*' at a concrete level found item %s", syms.ItemString(it))
 	}
 }

@@ -12,8 +12,9 @@
 # (goroutine leaks, context plumbing, locks held across interprocedurally
 # blocking calls). What vet (copylocks) or the byte-exact tests already catch
 # has no analyzer. The short fuzz pass keeps the text parsers panic-free on
-# garbage, the cell-answer writer byte-equal to encoding/json and the cell
-# comparator equal to the decimal-key order snapshots store cells in.
+# garbage, the cell-answer writer byte-equal to encoding/json, the cell
+# comparator equal to the decimal-key order snapshots store cells in and the
+# one-walk flowgraph similarity bit-equal to its two-walk reference.
 # The race run also carries the delta-equivalence property tests
 # (internal/core: ApplyDelta + Save must be byte-identical to a full
 # rebuild over the union database at random split points, and the warm
@@ -66,7 +67,8 @@ echo "== micro-benchmarks (one iteration each) =="
 # cell-at-a-time lazy read (no allocation once resident), BenchmarkFoldSources
 # for fold-source selection (allocations flat in the cells it scans) and
 # BenchmarkLoad for the snapshot reader behind core.load_s, BenchmarkBuild
-# (ledger off and on) for Build through the one record router,
+# (ledger off and on) for Build through the one record router, and in
+# flowquery's "-exceptions -tau 0.5" configuration for the build workload,
 # BenchmarkJoin/TrieCount (internal/itemset) and
 # BenchmarkMine (internal/mining) for the flat mining kernel — the one
 # level-wise loop Build, Cubing and ingest all run — and BenchmarkApplyDelta
@@ -98,6 +100,7 @@ go test ./internal/core -run '^$' -fuzz FuzzApplyDelta -fuzztime 10s
 go test ./internal/ingest -run '^$' -fuzz FuzzWALReplay -fuzztime 10s
 go test ./internal/itemset -run '^$' -fuzz FuzzJoinMatchesBruteForce -fuzztime 10s
 go test ./internal/server -run '^$' -fuzz FuzzRenderMatchesReference -fuzztime 10s
+go test ./internal/flowgraph -run '^$' -fuzz FuzzSimilarityMatchesReference -fuzztime 10s
 
 echo "== lines of non-test Go per package (report only) =="
 ./scripts/loc.sh
