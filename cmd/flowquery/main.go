@@ -108,15 +108,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if *saveCube != "" {
-		cf, err := os.Create(*saveCube)
-		if err != nil {
-			return err
-		}
-		if err := cube.Save(cf); err != nil {
-			_ = cf.Close() // the Save error is the one worth reporting
-			return err
-		}
-		if err := cf.Close(); err != nil {
+		if err := cube.SaveFile(*saveCube); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "saved cube to %s\n", *saveCube)

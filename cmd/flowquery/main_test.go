@@ -2,40 +2,15 @@ package main
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"flowcube/internal/datagen"
+	"flowcube/internal/oracle"
 )
 
-// writeDataset writes a small dataset file for the CLI tests.
-func writeDataset(t *testing.T) string {
-	t.Helper()
-	cfg := datagen.Default()
-	cfg.NumPaths = 300
-	cfg.NumDims = 2
-	cfg.NumSequences = 10
-	cfg.SeqLenMin, cfg.SeqLenMax = 3, 4
-	cfg.DurationDomain = 3
-	ds := datagen.MustGenerate(cfg)
-	path := filepath.Join(t.TempDir(), "paths.fdb")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ds.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 func TestSummary(t *testing.T) {
-	path := writeDataset(t)
+	path := oracle.DatasetFile(t, oracle.Small())
 	var out, errw bytes.Buffer
 	if err := run([]string{"-in", path, "-minsup", "0.05", "-summary"}, &out, &errw); err != nil {
 		t.Fatal(err)
@@ -48,7 +23,7 @@ func TestSummary(t *testing.T) {
 }
 
 func TestCellQueryAndDot(t *testing.T) {
-	path := writeDataset(t)
+	path := oracle.DatasetFile(t, oracle.Small())
 	var out, errw bytes.Buffer
 	if err := run([]string{"-in", path, "-minsup", "0.05", "-cell", "d0=*,d1=*"}, &out, &errw); err != nil {
 		t.Fatal(err)
@@ -66,7 +41,7 @@ func TestCellQueryAndDot(t *testing.T) {
 }
 
 func TestOLAPOps(t *testing.T) {
-	path := writeDataset(t)
+	path := oracle.DatasetFile(t, oracle.Small())
 
 	// A roll-up from a level-1 cell along d0 lands on the apex cell, which
 	// holds all 300 paths.
@@ -101,7 +76,7 @@ func TestOLAPOps(t *testing.T) {
 }
 
 func TestTopCells(t *testing.T) {
-	path := writeDataset(t)
+	path := oracle.DatasetFile(t, oracle.Small())
 	var out, errw bytes.Buffer
 	if err := run([]string{"-in", path, "-minsup", "0.05", "-cell", "d0=d0.0", "-top", "3"}, &out, &errw); err != nil {
 		t.Fatal(err)
@@ -112,7 +87,7 @@ func TestTopCells(t *testing.T) {
 }
 
 func TestSaveAndLoad(t *testing.T) {
-	path := writeDataset(t)
+	path := oracle.DatasetFile(t, oracle.Small())
 	cubePath := filepath.Join(t.TempDir(), "cube.fcb")
 	var out, errw bytes.Buffer
 	if err := run([]string{"-in", path, "-minsup", "0.05", "-save", cubePath}, &out, &errw); err != nil {
@@ -135,7 +110,7 @@ func TestSaveAndLoad(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	path := writeDataset(t)
+	path := oracle.DatasetFile(t, oracle.Small())
 	cases := [][]string{
 		{},                                // missing -in
 		{"-in", "/nonexistent"},           // unreadable dataset

@@ -1,81 +1,29 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"flowcube/internal/cluster"
 	"flowcube/internal/core"
-	"flowcube/internal/datagen"
+	"flowcube/internal/oracle"
 	"flowcube/internal/server"
 )
-
-// lockedBuffer lets the test read stderr while run() is still writing logs.
-type lockedBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *lockedBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *lockedBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
-var listenRE = regexp.MustCompile(`listening on (http://[^\s]+)`)
-
-// clusterCube builds the shared test cube once; it is immutable after.
-var cubeOnce sync.Once
-var clusterCube *core.Cube
-var clusterCubeErr error
 
 // newCluster saves a small cube, splits it across two in-process shard
 // servers, and returns the snapshot path plus the shard URLs.
 func newCluster(t *testing.T) (string, []string) {
 	t.Helper()
-	cubeOnce.Do(func() {
-		cfg := datagen.Default()
-		cfg.NumPaths = 300
-		cfg.NumDims = 2
-		cfg.NumSequences = 10
-		cfg.SeqLenMin, cfg.SeqLenMax = 3, 4
-		cfg.DurationDomain = 3
-		ds := datagen.MustGenerate(cfg)
-		clusterCube, clusterCubeErr = core.Build(ds.DB, core.Config{MinCount: 3, Plan: ds.DefaultPlan()})
-	})
-	if clusterCubeErr != nil {
-		t.Fatal(clusterCubeErr)
-	}
-	cube := clusterCube
-	path := filepath.Join(t.TempDir(), "cube.fcb")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cube.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	ds := oracle.Small()
+	cube := oracle.Build(t, ds.DB, core.Config{MinCount: 3, Plan: ds.DefaultPlan()})
+	path := oracle.File(t, oracle.Save(t, cube))
 
 	parts, err := cluster.Split(cube, 2)
 	if err != nil {
@@ -96,43 +44,9 @@ func newCluster(t *testing.T) (string, []string) {
 	return path, urls
 }
 
-// startRouter runs flowrouter on an ephemeral port and returns its base URL
-// plus a shutdown function that cancels the serve context (the SIGINT path)
-// and returns run's error.
-func startRouter(t *testing.T, args ...string) (string, func() error) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	var stderr lockedBuffer
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, append(args, "-addr", "127.0.0.1:0"), io.Discard, &stderr)
-	}()
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if m := listenRE.FindStringSubmatch(stderr.String()); m != nil {
-			return m[1], func() error {
-				cancel()
-				return <-done
-			}
-		}
-		select {
-		case err := <-done:
-			cancel()
-			t.Fatalf("router exited before listening: %v\nstderr: %s", err, stderr.String())
-		default:
-		}
-		if time.Now().After(deadline) {
-			cancel()
-			t.Fatalf("router did not listen in time\nstderr: %s", stderr.String())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 func TestRouterEndToEnd(t *testing.T) {
 	metaPath, urls := newCluster(t)
-	base, shutdown := startRouter(t,
+	base, shutdown := oracle.Serve(context.Background(), t, run,
 		"-meta", metaPath,
 		"-shards", strings.Join(urls, ","),
 		"-source", "e2e",

@@ -7,101 +7,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"flowcube/internal/core"
-	"flowcube/internal/datagen"
+	"flowcube/internal/oracle"
 )
-
-// writeDataset writes a small flowgen dataset for the e2e tests.
-func writeDataset(t *testing.T) (string, *datagen.Dataset) {
-	t.Helper()
-	cfg := datagen.Default()
-	cfg.NumPaths = 300
-	cfg.NumDims = 2
-	cfg.NumSequences = 10
-	cfg.SeqLenMin, cfg.SeqLenMax = 3, 4
-	cfg.DurationDomain = 3
-	ds := datagen.MustGenerate(cfg)
-	path := filepath.Join(t.TempDir(), "paths.fdb")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ds.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path, ds
-}
-
-// lockedBuffer lets the test read stderr while run() is still writing logs.
-type lockedBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *lockedBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *lockedBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
-var listenRE = regexp.MustCompile(`listening on (http://[^\s]+)`)
-
-// startServer runs flowserve against args on an ephemeral port and returns
-// its base URL plus a shutdown function that cancels the serve context (the
-// same path SIGINT/SIGTERM take through signal.NotifyContext) and returns
-// run's error.
-func startServer(t *testing.T, args ...string) (string, func() error) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	var stderr lockedBuffer
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, append(args, "-addr", "127.0.0.1:0"), io.Discard, &stderr)
-	}()
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if m := listenRE.FindStringSubmatch(stderr.String()); m != nil {
-			return m[1], func() error {
-				cancel()
-				select {
-				case err := <-done:
-					return err
-				case <-time.After(10 * time.Second):
-					t.Fatal("flowserve did not shut down")
-					return nil
-				}
-			}
-		}
-		select {
-		case err := <-done:
-			cancel()
-			t.Fatalf("flowserve exited early: %v\nstderr: %s", err, stderr.String())
-		case <-time.After(10 * time.Millisecond):
-		}
-		if time.Now().After(deadline) {
-			cancel()
-			t.Fatalf("flowserve never listened\nstderr: %s", stderr.String())
-		}
-	}
-}
 
 func getJSON(t *testing.T, url string) (int, map[string]any) {
 	t.Helper()
@@ -137,8 +49,9 @@ func TestFlagValidation(t *testing.T) {
 // .fdb, answer exact and rolled-up cell queries matching the library's own
 // Answer output, reload, and shut down gracefully.
 func TestEndToEnd(t *testing.T) {
-	path, ds := writeDataset(t)
-	base, shutdown := startServer(t, "-in", path, "-minsup", "0.05", "-quiet")
+	ds := oracle.Small()
+	path := oracle.DatasetFile(t, ds)
+	base, shutdown := oracle.Serve(context.Background(), t, run, "-in", path, "-minsup", "0.05", "-quiet")
 
 	status, health := getJSON(t, base+"/healthz")
 	if status != http.StatusOK || health["status"] != "ok" {
@@ -147,10 +60,7 @@ func TestEndToEnd(t *testing.T) {
 
 	// The served answers must match a cube built directly with the same
 	// parameters (the flowquery path).
-	cube, err := core.Build(ds.DB, core.Config{MinSupport: 0.05, Plan: ds.DefaultPlan()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cube := oracle.Build(t, ds.DB, core.Config{MinSupport: 0.05, Plan: ds.DefaultPlan()})
 	if int(health["cells"].(float64)) != cube.NumCells() {
 		t.Errorf("served cells = %v, reference build has %d", health["cells"], cube.NumCells())
 	}
@@ -237,24 +147,11 @@ func TestEndToEnd(t *testing.T) {
 // TestServeSavedCube exercises the flowquery -save → flowserve flow: the
 // snapshot file format is sniffed, not taken from the extension.
 func TestServeSavedCube(t *testing.T) {
-	_, ds := writeDataset(t)
-	cube, err := core.Build(ds.DB, core.Config{MinSupport: 0.05, Plan: ds.DefaultPlan()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := filepath.Join(t.TempDir(), "cube.fcb")
-	f, err := os.Create(saved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cube.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	ds := oracle.Small()
+	cube := oracle.Build(t, ds.DB, core.Config{MinSupport: 0.05, Plan: ds.DefaultPlan()})
+	saved := oracle.File(t, oracle.Save(t, cube))
 
-	base, shutdown := startServer(t, "-in", saved, "-quiet")
+	base, shutdown := oracle.Serve(context.Background(), t, run, "-in", saved, "-quiet")
 	status, summary := getJSON(t, base+"/v1/summary")
 	if status != http.StatusOK {
 		t.Fatalf("summary: %d", status)

@@ -4,57 +4,21 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"flowcube/internal/core"
-	"flowcube/internal/datagen"
+	"flowcube/internal/oracle"
 )
 
 // writeCube builds a small cube and saves it where flowshard can load it.
-// The build is cached: both tests read the same immutable fixture.
-var cubeOnce sync.Once
-var cubeFixture *core.Cube
-var cubeErr error
-
 func writeCube(t *testing.T) (string, *core.Cube) {
-	t.Helper()
-	cubeOnce.Do(func() {
-		cfg := datagen.Default()
-		cfg.NumPaths = 300
-		cfg.NumDims = 2
-		cfg.NumSequences = 10
-		cfg.SeqLenMin, cfg.SeqLenMax = 3, 4
-		cfg.DurationDomain = 3
-		ds := datagen.MustGenerate(cfg)
-		cubeFixture, cubeErr = core.Build(ds.DB, core.Config{
-			MinCount:              3,
-			Epsilon:               0.1,
-			Plan:                  ds.DefaultPlan(),
-			MineExceptions:        true,
-			SingleStageExceptions: true,
-			Workers:               runtime.GOMAXPROCS(0),
-		})
-	})
-	if cubeErr != nil {
-		t.Fatal(cubeErr)
-	}
-	path := filepath.Join(t.TempDir(), "cube.fcb")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cubeFixture.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path, cubeFixture
+	ds := oracle.Small()
+	cube := oracle.Build(t, ds.DB, core.Config{MinCount: 3, Epsilon: 0.1, Plan: ds.DefaultPlan(),
+		MineExceptions: true, SingleStageExceptions: true, Workers: runtime.GOMAXPROCS(0)})
+	return oracle.File(t, oracle.Save(t, cube)), cube
 }
 
 func TestSplitAndVerify(t *testing.T) {
@@ -87,18 +51,7 @@ func TestSplitAndVerify(t *testing.T) {
 		if want := filepath.Join(outDir, "shard-"+string(rune('0'+i))+"-of-3.fcb"); path != want {
 			t.Errorf("files[%d] = %s, want %s", i, path, want)
 		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		part, err := core.Load(f)
-		if cerr := f.Close(); cerr != nil {
-			t.Fatal(cerr)
-		}
-		if err != nil {
-			t.Fatalf("load %s: %v", path, err)
-		}
-		total += part.NumCells()
+		total += oracle.Open(t, path).NumCells()
 	}
 	if total != cube.NumCells() {
 		t.Errorf("shards hold %d cells total, input has %d", total, cube.NumCells())

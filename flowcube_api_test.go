@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"flowcube"
+
+	"flowcube/internal/oracle"
 )
 
 // table1 rebuilds the paper's running example through the public API only.
@@ -138,7 +140,7 @@ func TestPublicGenerate(t *testing.T) {
 
 // ExampleBuild demonstrates the minimal end-to-end flow on godoc.
 func ExampleBuild() {
-	product, brand, location, db := exampleTable1()
+	product, brand, location, db := table1()
 	leaf := flowcube.LevelCut(location, location.Depth())
 	cube, err := flowcube.Build(db, flowcube.Config{
 		MinCount: 2,
@@ -153,10 +155,6 @@ func ExampleBuild() {
 	})
 	fmt.Printf("(outerwear, nike): %d paths\n", cell.Count)
 	// Output: (outerwear, nike): 3 paths
-}
-
-func exampleTable1() (*flowcube.Hierarchy, *flowcube.Hierarchy, *flowcube.Hierarchy, *flowcube.DB) {
-	return table1()
 }
 
 func TestPublicContrast(t *testing.T) {
@@ -224,11 +222,7 @@ func TestPublicSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := cube.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := flowcube.LoadCube(&buf)
+	loaded, err := flowcube.LoadCube(bytes.NewReader(oracle.Save(t, cube)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"flowcube"
+
+	"flowcube/internal/oracle"
 )
 
 func table1Config(location *flowcube.Hierarchy, opts ...flowcube.Option) (flowcube.Config, error) {
@@ -78,14 +80,11 @@ func TestBuildContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := cube.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := flowcube.LoadCubeContext(cancelled, bytes.NewReader(buf.Bytes())); !errors.Is(err, context.Canceled) {
+	buf := oracle.Save(t, cube)
+	if _, err := flowcube.LoadCubeContext(cancelled, bytes.NewReader(buf)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled load: got %v, want context.Canceled", err)
 	}
-	if _, err := flowcube.LoadCubeContext(context.Background(), bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := flowcube.LoadCubeContext(context.Background(), bytes.NewReader(buf)); err != nil {
 		t.Fatalf("uncancelled load: %v", err)
 	}
 }
@@ -129,11 +128,8 @@ func TestLoadCubeCorruptSnapshotError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := cube.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	buf := oracle.Save(t, cube)
+	raw := buf
 	raw[len(raw)/2] ^= 0xff
 	var cse *flowcube.CorruptSnapshotError
 	if _, err := flowcube.LoadCube(bytes.NewReader(raw)); err == nil {
@@ -152,15 +148,6 @@ func TestApplyDeltaRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := flowcube.Build(db, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := full.Save(&want); err != nil {
-		t.Fatal(err)
-	}
-
 	const split = 5
 	prefix := flowcube.NewDB(db.Schema)
 	for _, r := range db.Records[:split] {
@@ -177,13 +164,7 @@ func TestApplyDeltaRoot(t *testing.T) {
 	if stats.BatchRecords != db.Len()-split {
 		t.Errorf("BatchRecords = %d, want %d", stats.BatchRecords, db.Len()-split)
 	}
-	var got bytes.Buffer
-	if err := cube.Save(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Error("delta-maintained cube differs from full build")
-	}
+	oracle.Check(t, "delta-maintained cube", cube, db, cfg)
 
 	fractional, err := flowcube.Build(db, flowcube.Config{MinSupport: 0.25, Plan: cfg.Plan})
 	if err != nil {

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -13,10 +14,10 @@ import (
 	"flowcube/internal/cluster"
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
+	"flowcube/internal/oracle"
 	"flowcube/internal/paperex"
 	"flowcube/internal/pathdb"
 	"flowcube/internal/server"
-	"flowcube/internal/transact"
 )
 
 // appendFixture is a cluster and a single-node reference whose snapshots
@@ -33,32 +34,13 @@ type appendFixture struct {
 
 func newAppendFixture(t *testing.T, n int) *appendFixture {
 	t.Helper()
-	cfg := datagen.Default()
-	cfg.NumPaths = 400
-	cfg.NumDims = 3
-	cfg.NumSequences = 20
-	ds := datagen.MustGenerate(cfg)
+	ds := datagen.MustGenerate(synthGen(400))
 	total := ds.DB.Len()
 	batchLen := total / 50
 	split := total - 2*batchLen
-	baseDB := &pathdb.DB{Schema: ds.DB.Schema, Records: append([]pathdb.Record(nil), ds.DB.Records[:split]...)}
-
-	base, err := core.Build(baseDB, core.Config{
-		MinCount:              5,
-		Epsilon:               0.1,
-		Plan:                  ds.DefaultPlan(),
-		MineExceptions:        true,
-		SingleStageExceptions: true,
-		DeltaLedger:           true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := base.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	snapBytes := snap.Bytes()
+	baseDB := oracle.Prefix(ds.DB, split)
+	snapBytes := oracle.Save(t, oracle.Build(t, baseDB, core.Config{MinCount: 5, Epsilon: 0.1, Plan: ds.DefaultPlan(),
+		MineExceptions: true, SingleStageExceptions: true, DeltaLedger: true}))
 
 	loadFrom := func(data []byte) server.Loader {
 		return func() (*core.Cube, server.LoadInfo, error) {
@@ -66,8 +48,7 @@ func newAppendFixture(t *testing.T, n int) *appendFixture {
 			if err != nil {
 				return nil, server.LoadInfo{}, err
 			}
-			db := &pathdb.DB{Schema: cube.Schema, Records: append([]pathdb.Record(nil), baseDB.Records...)}
-			return cube, server.LoadInfo{DB: db}, nil
+			return cube, server.LoadInfo{DB: oracle.Prefix(baseDB, baseDB.Len())}, nil
 		}
 	}
 
@@ -94,17 +75,13 @@ func newAppendFixture(t *testing.T, n int) *appendFixture {
 	}
 	fx.urls = make([]string, n)
 	for i, part := range parts {
-		var pb bytes.Buffer
-		if err := part.Save(&pb); err != nil {
-			t.Fatal(err)
-		}
 		filter, err := cluster.ShardFilter(i, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := quietConfig()
 		cfg.PostAppend = filter
-		srv, err := server.New(loadFrom(pb.Bytes()), "test", cfg)
+		srv, err := server.New(loadFrom(oracle.Save(t, part)), "test", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,16 +108,6 @@ func newAppendFixture(t *testing.T, n int) *appendFixture {
 	return fx
 }
 
-// batchText renders records in the wire format /admin/append accepts.
-func batchText(t *testing.T, schema *pathdb.Schema, records []pathdb.Record) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := (&pathdb.DB{Schema: schema, Records: records}).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func post(h http.Handler, url string, body []byte) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	req.Header.Set("Content-Type", "text/plain; charset=utf-8")
@@ -160,7 +127,7 @@ func TestClusterAppendMatchesSingleNode(t *testing.T) {
 	fx := newAppendFixture(t, 3)
 
 	for round, batch := range fx.batches {
-		body := batchText(t, fx.baseDB.Schema, batch)
+		body := []byte(oracle.Records(t, fx.baseDB.Schema, batch))
 		rec := post(fx.single.Handler(), "/admin/append", body)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("round %d: single-node append status %d: %s", round, rec.Code, rec.Body)
@@ -181,9 +148,7 @@ func TestClusterAppendMatchesSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: merge appended shards: %v", round, err)
 		}
-		if got, want := saveDigest(t, merged), saveDigest(t, fx.single.Snapshot().Cube); got != want {
-			t.Fatalf("round %d: merged shard snapshot digest %x, single node has %x", round, got, want)
-		}
+		oracle.Same(t, fmt.Sprintf("round %d: merged shard snapshots against the single node", round), fx.single.Snapshot().Cube, merged)
 
 		sfx := &fixture{single: fx.single, router: fx.router}
 		for _, u := range cellURLs(fx.single.Snapshot().Cube, 30) {
@@ -200,7 +165,7 @@ func TestClusterAppendMatchesSingleNode(t *testing.T) {
 // reports which shards diverged.
 func TestClusterAppendErrorPaths(t *testing.T) {
 	fx := newAppendFixture(t, 2)
-	body := batchText(t, fx.baseDB.Schema, fx.batches[0])
+	body := []byte(oracle.Records(t, fx.baseDB.Schema, fx.batches[0]))
 
 	// Local validation failures must match the single node byte for byte.
 	smallSingle, err := server.New(func() (*core.Cube, server.LoadInfo, error) {
@@ -255,18 +220,7 @@ func TestClusterAppendErrorPaths(t *testing.T) {
 // read-only.
 func TestClusterAppendRejectsRedundancyMarking(t *testing.T) {
 	ex := paperex.New()
-	cube, err := core.Build(ex.DB, core.Config{
-		MinCount: 2,
-		Tau:      0.5,
-		Plan: transact.Plan{PathLevels: []pathdb.PathLevel{
-			ex.BasePathLevel(),
-			ex.TransportPathLevel(),
-		}},
-		DeltaLedger: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cube := oracle.Build(t, ex.DB, core.Config{MinCount: 2, Tau: 0.5, Plan: oracle.Views(ex), DeltaLedger: true})
 	rt, err := cluster.NewRouter(cube, []string{"http://127.0.0.1:1"}, cluster.RouterConfig{
 		Logger: log.New(io.Discard, "", 0),
 	})

@@ -15,50 +15,19 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/hierarchy"
-	"flowcube/internal/paperex"
-	"flowcube/internal/pathdb"
-	"flowcube/internal/transact"
+	"flowcube/internal/oracle"
 )
 
-// prunedPaperex builds the paper's running example twice — eager and with
-// every path-level-0 cuboid but the finest dropped — without exceptions (a
-// fold cannot rebuild them) and with MinCount 1, so no iceberg truncation
-// blocks reconstruction: each dropped cell folds from the finest cuboid,
-// certified by the census of its path-level-1 twin.
-func prunedPaperex(t *testing.T) (eager, pruned *core.Cube, dropped map[string]bool) {
-	t.Helper()
-	return prunedPaperexTau(t, 0)
-}
-
-// prunedPaperexTau is prunedPaperex with redundancy marking at tau.
-func prunedPaperexTau(t *testing.T, tau float64) (eager, pruned *core.Cube, dropped map[string]bool) {
-	t.Helper()
-	build := func() *core.Cube {
-		ex := paperex.New()
-		plan := transact.Plan{PathLevels: []pathdb.PathLevel{
-			ex.BasePathLevel(),
-			ex.TransportPathLevel(),
-		}}
-		cube, err := core.Build(ex.DB, core.Config{MinCount: 1, Tau: tau, Plan: plan})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cube
-	}
-	eager, pruned = build(), build()
+// prunedPaperex builds the paper's running example, eager and pruned of
+// every path-level-0 cuboid but the finest, without exceptions (a fold
+// cannot rebuild them) and with MinCount 1, so no iceberg truncation blocks
+// reconstruction, redundancy marked at tau; dropped holds the pruned keys.
+func prunedPaperex(t *testing.T, tau float64) (eager, pruned *core.Cube, dropped map[string]bool) {
+	_, eager = oracle.Table1(t, oracle.Views, core.Config{MinCount: 1, Tau: tau})
+	pruned, specs := oracle.Pruned(t, eager, oracle.Coarse)
 	dropped = make(map[string]bool)
-	specs := eager.MaterializedSpecs()
 	for _, s := range specs {
-		finest := true
-		for _, o := range specs {
-			finest = finest && o.Item.Dominates(s.Item)
-		}
-		if s.PathLevel == 0 && !finest && pruned.DropCuboid(s) != nil {
-			dropped[s.Key()] = true
-		}
-	}
-	if len(dropped) == 0 {
-		t.Fatal("nothing dropped; the routed-fold tests need computed cells")
+		dropped[s.Key()] = true
 	}
 	return eager, pruned, dropped
 }
@@ -86,7 +55,7 @@ type queryBody struct {
 // as a single node over the same pruned cube, and a dropped cuboid's cell
 // carries computed provenance with the eager cell's exact count.
 func TestRouterQueryV2(t *testing.T) {
-	eager, pruned, dropped := prunedPaperex(t)
+	eager, pruned, dropped := prunedPaperex(t, 0)
 	fx := newFixture(t, pruned, 3)
 
 	var computedURL string
@@ -209,7 +178,7 @@ func v2ParityURLs(cube *core.Cube) []string {
 // re-marks the cell against parents fetched from other shards. With a shard
 // down, an answer is the single node's or a 502, never a different 200.
 func TestRouterParityPrunedCube(t *testing.T) {
-	_, pruned, _ := prunedPaperex(t)
+	_, pruned, _ := prunedPaperex(t, 0)
 	fx := newFixture(t, pruned, 3)
 	v1, v2 := cellParityURLs(pruned)
 
@@ -232,7 +201,7 @@ func TestRouterParityPrunedCube(t *testing.T) {
 		fx.assertSame(t, u, false)
 	}
 
-	_, prunedTau, _ := prunedPaperexTau(t, 0.5)
+	_, prunedTau, _ := prunedPaperex(t, 0.5)
 	fxTau := newFixture(t, prunedTau, 3)
 	for _, u := range v2ParityURLs(prunedTau) {
 		fxTau.assertSame(t, u, false)

@@ -20,13 +20,23 @@ import (
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
 	"flowcube/internal/hierarchy"
+	"flowcube/internal/oracle"
 	"flowcube/internal/server"
 )
 
-// synthCube builds a synthetic cube big enough that a split spreads cells
-// across every shard, with all persisted features on. The build is cached:
-// several tests share it, the cube is immutable once built, and splits
-// share cell pointers without mutating them.
+// synthGen is the shared workload widened to three dimensions of the
+// default fanouts and 20 sequences, big enough that a split spreads cells
+// across every shard.
+func synthGen(paths int) datagen.Config {
+	cfg := oracle.Gen(1, paths)
+	cfg.NumDims, cfg.DimFanouts, cfg.NumSequences = 3, datagen.Default().DimFanouts, 20
+	return cfg
+}
+
+// synthCube builds a synthetic cube over synthGen(500) with all persisted
+// features on. The build is cached: several tests share it, the cube is
+// immutable once built, and splits share cell pointers without mutating
+// them.
 var synthOnce sync.Once
 var synthDS *datagen.Dataset
 var synthC *core.Cube
@@ -35,11 +45,7 @@ var synthErr error
 func synthCube(t testing.TB) (*datagen.Dataset, *core.Cube) {
 	t.Helper()
 	synthOnce.Do(func() {
-		cfg := datagen.Default()
-		cfg.NumPaths = 500
-		cfg.NumDims = 3
-		cfg.NumSequences = 20
-		synthDS = datagen.MustGenerate(cfg)
+		synthDS = datagen.MustGenerate(synthGen(500))
 		synthC, synthErr = core.Build(synthDS.DB, core.Config{
 			MinCount:              5,
 			Epsilon:               0.1,
@@ -98,11 +104,7 @@ func newFixture(t testing.TB, cube *core.Cube, n int) *fixture {
 		fx.shards = append(fx.shards, ts)
 		urls[i] = ts.URL
 	}
-	var buf bytes.Buffer
-	if err := cube.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := core.LoadMeta(&buf)
+	meta, err := core.LoadMeta(bytes.NewReader(oracle.Save(t, cube)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +280,7 @@ func TestRouterMetricsTimeRoutes(t *testing.T) {
 // refused before it can answer merged queries.
 func TestRouterValidateRejectsForeignShards(t *testing.T) {
 	ds, cube := synthCube(t)
-	other, err := core.Build(ds.DB, core.Config{MinCount: 50, Plan: ds.DefaultPlan()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := oracle.Build(t, ds.DB, core.Config{MinCount: 50, Plan: ds.DefaultPlan()})
 	parts, err := cluster.Split(other, 2)
 	if err != nil {
 		t.Fatal(err)

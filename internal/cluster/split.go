@@ -61,16 +61,8 @@ func WriteShards(cube *core.Cube, shards int, dir string, workers int) ([]string
 	paths := make([]string, len(cubes))
 	for i, sc := range cubes {
 		path := filepath.Join(dir, ShardFileName(i, shards))
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
 		sc.Config.Workers = workers
-		if err := sc.Save(f); err != nil {
-			f.Close() //nolint:errcheck // save already failed; surface that error
-			return nil, fmt.Errorf("cluster: save %s: %w", path, err)
-		}
-		if err := f.Close(); err != nil {
+		if err := sc.SaveFile(path); err != nil {
 			return nil, err
 		}
 		paths[i] = path

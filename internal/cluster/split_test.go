@@ -1,61 +1,21 @@
 package cluster_test
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"os"
+	"fmt"
 	"path/filepath"
 	"testing"
 
 	"flowcube/internal/cluster"
 	"flowcube/internal/core"
-	"flowcube/internal/paperex"
-	"flowcube/internal/pathdb"
-	"flowcube/internal/transact"
+	"flowcube/internal/oracle"
 )
-
-// buildClusterCube materializes the paper's running example with every
-// persisted feature on (ledger, exceptions, redundancy marks), the
-// worst-case payload a split has to carry.
-func buildClusterCube(t testing.TB) (*paperex.Example, *core.Cube) {
-	t.Helper()
-	ex := paperex.New()
-	cube, err := core.Build(ex.DB, core.Config{
-		MinCount: 2,
-		Epsilon:  0.1,
-		Tau:      0.5,
-		Plan: transact.Plan{PathLevels: []pathdb.PathLevel{
-			ex.BasePathLevel(),
-			ex.TransportPathLevel(),
-		}},
-		MineExceptions:        true,
-		SingleStageExceptions: true,
-		DeltaLedger:           true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cube.MarkRedundancy(0.5)
-	return ex, cube
-}
-
-// saveDigest serializes a cube and hashes the snapshot bytes.
-func saveDigest(t testing.TB, cube *core.Cube) [32]byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := cube.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return sha256.Sum256(buf.Bytes())
-}
 
 // TestSplitMergeRestoresSaveDigest is the splitter's round-trip contract
 // for every practical shard count: split, merge, and the merged cube saves
 // to exactly the original snapshot bytes (the byte-determinism machinery of
 // core's TestSaveIsByteDeterministic makes digest equality meaningful).
 func TestSplitMergeRestoresSaveDigest(t *testing.T) {
-	_, cube := buildClusterCube(t)
-	want := saveDigest(t, cube)
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Full())
 
 	for _, shards := range []int{1, 2, 3, 4, 8} {
 		parts, err := cluster.Split(cube, shards)
@@ -76,16 +36,14 @@ func TestSplitMergeRestoresSaveDigest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("merge %d shards: %v", shards, err)
 		}
-		if got := saveDigest(t, merged); got != want {
-			t.Fatalf("%d shards: merged snapshot digest %x, want %x", shards, got, want)
-		}
+		oracle.Same(t, fmt.Sprintf("%d shards merged", shards), cube, merged)
 	}
 }
 
 // TestWriteShardsRoundTrips checks the on-disk path flowshard drives: shard
 // files load back as cubes that merge into the original snapshot bytes.
 func TestWriteShardsRoundTrips(t *testing.T) {
-	_, cube := buildClusterCube(t)
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Full())
 	dir := t.TempDir()
 	files, err := cluster.WriteShards(cube, 3, dir, 2)
 	if err != nil {
@@ -99,28 +57,19 @@ func TestWriteShardsRoundTrips(t *testing.T) {
 	}
 	parts := make([]*core.Cube, len(files))
 	for i, path := range files {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[i], err = core.Load(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("load %s: %v", path, err)
-		}
+		parts[i] = oracle.Open(t, path)
 	}
 	merged, err := cluster.Merge(parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := saveDigest(t, merged), saveDigest(t, cube); got != want {
-		t.Fatalf("merged shard files digest %x, want %x", got, want)
-	}
+	oracle.Same(t, "merged shard files", cube, merged)
 }
 
 // TestShardFilterKeepsOwnedCells checks the append-prune hook: filtering
 // the full cube with every shard's filter reproduces the split exactly.
 func TestShardFilterKeepsOwnedCells(t *testing.T) {
-	_, cube := buildClusterCube(t)
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Full())
 	parts, err := cluster.Split(cube, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -130,9 +79,7 @@ func TestShardFilterKeepsOwnedCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := saveDigest(t, filter(cube)), saveDigest(t, parts[i]); got != want {
-			t.Fatalf("ShardFilter(%d, 3) digest %x, split shard has %x", i, got, want)
-		}
+		oracle.Same(t, fmt.Sprintf("ShardFilter(%d, 3) against the split shard", i), parts[i], filter(cube))
 	}
 	if _, err := cluster.ShardFilter(3, 3); err == nil {
 		t.Fatal("ShardFilter(3, 3) succeeded, want a range error")

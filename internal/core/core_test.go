@@ -11,39 +11,12 @@ import (
 	"flowcube/internal/datagen"
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
+	"flowcube/internal/oracle"
 	"flowcube/internal/paperex"
-	"flowcube/internal/pathdb"
-	"flowcube/internal/transact"
 )
 
-func examplePlan(ex *paperex.Example) transact.Plan {
-	leaf := hierarchy.LevelCut(ex.Location, ex.Location.Depth())
-	up := hierarchy.LevelCut(ex.Location, 1)
-	return transact.Plan{
-		PathLevels: []pathdb.PathLevel{
-			{Cut: leaf, Time: pathdb.TimeBase},
-			{Cut: leaf, Time: pathdb.TimeAny},
-			{Cut: up, Time: pathdb.TimeBase},
-			{Cut: up, Time: pathdb.TimeAny},
-		},
-	}
-}
-
-func buildExample(t testing.TB, cfg core.Config) (*paperex.Example, *core.Cube) {
-	t.Helper()
-	ex := paperex.New()
-	if cfg.Plan.PathLevels == nil {
-		cfg.Plan = examplePlan(ex)
-	}
-	cube, err := core.Build(ex.DB, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ex, cube
-}
-
 func TestBuildIcebergCells(t *testing.T) {
-	ex, cube := buildExample(t, core.Config{MinCount: 2})
+	ex, cube := oracle.Table1(t, oracle.Cuts, core.Config{MinCount: 2})
 
 	spec := core.CuboidSpec{Item: core.ItemLevel{2, 2}, PathLevel: 0}
 	want := []struct {
@@ -79,7 +52,7 @@ func TestBuildIcebergCells(t *testing.T) {
 }
 
 func TestFigure4ThroughCube(t *testing.T) {
-	ex, cube := buildExample(t, core.Config{MinCount: 2})
+	ex, cube := oracle.Table1(t, oracle.Cuts, core.Config{MinCount: 2})
 	spec := core.CuboidSpec{Item: core.ItemLevel{2, 2}, PathLevel: 0}
 	cell, ok := cube.Cell(spec, []hierarchy.NodeID{
 		ex.Product.MustLookup("outerwear"), ex.Brand.MustLookup("nike"),
@@ -100,7 +73,7 @@ func TestFigure4ThroughCube(t *testing.T) {
 }
 
 func TestApexCellAndPathLevels(t *testing.T) {
-	ex, cube := buildExample(t, core.Config{MinCount: 2})
+	ex, cube := oracle.Table1(t, oracle.Cuts, core.Config{MinCount: 2})
 	for pl := 0; pl < 4; pl++ {
 		spec := core.CuboidSpec{Item: core.ItemLevel{0, 0}, PathLevel: pl}
 		cell, ok := cube.Cell(spec, []hierarchy.NodeID{hierarchy.Root, hierarchy.Root})
@@ -122,12 +95,7 @@ func TestApexCellAndPathLevels(t *testing.T) {
 }
 
 func TestExceptionsMinedFromSegments(t *testing.T) {
-	_, cube := buildExample(t, core.Config{
-		MinCount:              2,
-		Epsilon:               0.1,
-		MineExceptions:        true,
-		SingleStageExceptions: true,
-	})
+	_, cube := oracle.Table1(t, oracle.Cuts, oracle.Mined(0))
 	total := 0
 	for _, cb := range cube.Cuboids {
 		for _, cell := range cb.Cells {
@@ -143,12 +111,7 @@ func TestExceptionsMinedFromSegments(t *testing.T) {
 // of its exceptions still hold, so RemineCell re-mines it from scratch —
 // mining its whole condition set — however few records it is told are new.
 func TestRemineColdCellStartsOver(t *testing.T) {
-	ex, cube := buildExample(t, core.Config{
-		MinCount:              2,
-		Epsilon:               0.1,
-		MineExceptions:        true,
-		SingleStageExceptions: true,
-	})
+	ex, cube := oracle.Table1(t, oracle.Cuts, oracle.Mined(0))
 	spec := core.CuboidSpec{Item: core.ItemLevel{0, 0}, PathLevel: 0}
 	apex := []hierarchy.NodeID{hierarchy.Root, hierarchy.Root}
 	remined := func(clear bool, added func(*core.Cell) int) []string {
@@ -181,7 +144,7 @@ func TestRemineColdCellStartsOver(t *testing.T) {
 }
 
 func TestAnswerAncestorFallback(t *testing.T) {
-	ex, cube := buildExample(t, core.Config{MinCount: 2})
+	ex, cube := oracle.Table1(t, oracle.Cuts, core.Config{MinCount: 2})
 	// (sandals, nike) holds one path: below the iceberg threshold, so the
 	// query must roll up — to (shoes, nike) or beyond.
 	spec := core.CuboidSpec{Item: core.ItemLevel{3, 2}, PathLevel: 0}
@@ -221,14 +184,11 @@ func TestRedundancyMarkAndCompress(t *testing.T) {
 	cfg.DurationDomain = 1
 	ds := datagen.MustGenerate(cfg)
 
-	cube, err := core.Build(ds.DB, core.Config{
+	cube := oracle.Build(t, ds.DB, core.Config{
 		MinSupport: 0.05,
 		Plan:       ds.DefaultPlan(),
 		Tau:        0.5,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	redundant := 0
 	withParents := 0
 	for _, cb := range cube.Cuboids {
@@ -273,19 +233,10 @@ func TestRedundancyMarkAndCompress(t *testing.T) {
 }
 
 func TestPartialMaterialization(t *testing.T) {
-	ex := paperex.New()
-	specs := []core.CuboidSpec{
+	ex, cube := oracle.Table1(t, oracle.Cuts, core.Config{MinCount: 2, Cuboids: []core.CuboidSpec{
 		{Item: core.ItemLevel{2, 2}, PathLevel: 0},
 		{Item: core.ItemLevel{0, 0}, PathLevel: 0},
-	}
-	cube, err := core.Build(ex.DB, core.Config{
-		MinCount: 2,
-		Plan:     examplePlan(ex),
-		Cuboids:  specs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}})
 	if len(cube.Cuboids) != 2 {
 		t.Fatalf("materialized %d cuboids, want 2", len(cube.Cuboids))
 	}
@@ -298,9 +249,9 @@ func TestPartialMaterialization(t *testing.T) {
 func TestBuildValidatesSpecs(t *testing.T) {
 	ex := paperex.New()
 	bad := []core.Config{
-		{MinCount: 2, Plan: examplePlan(ex), Cuboids: []core.CuboidSpec{{Item: core.ItemLevel{1}, PathLevel: 0}}},
-		{MinCount: 2, Plan: examplePlan(ex), Cuboids: []core.CuboidSpec{{Item: core.ItemLevel{1, 1}, PathLevel: 9}}},
-		{MinCount: 2, Plan: examplePlan(ex), Cuboids: []core.CuboidSpec{{Item: core.ItemLevel{7, 1}, PathLevel: 0}}},
+		{MinCount: 2, Plan: oracle.Cuts(ex), Cuboids: []core.CuboidSpec{{Item: core.ItemLevel{1}, PathLevel: 0}}},
+		{MinCount: 2, Plan: oracle.Cuts(ex), Cuboids: []core.CuboidSpec{{Item: core.ItemLevel{1, 1}, PathLevel: 9}}},
+		{MinCount: 2, Plan: oracle.Cuts(ex), Cuboids: []core.CuboidSpec{{Item: core.ItemLevel{7, 1}, PathLevel: 0}}},
 	}
 	for i, cfg := range bad {
 		if _, err := core.Build(ex.DB, cfg); err == nil {
@@ -310,7 +261,7 @@ func TestBuildValidatesSpecs(t *testing.T) {
 }
 
 func TestSpecEnumeration(t *testing.T) {
-	_, cube := buildExample(t, core.Config{MinCount: 2})
+	_, cube := oracle.Table1(t, oracle.Cuts, core.Config{MinCount: 2})
 	// product levels {1,2,3} + '*', brand levels {1,2} + '*', 4 path
 	// levels: 4 × 3 × 4 = 48 cuboids.
 	if len(cube.Cuboids) != 48 {
@@ -363,42 +314,13 @@ func TestItemLevelDominates(t *testing.T) {
 // identical to the sequential build — same cells, counts, flowgraphs and
 // exception sets.
 func TestParallelBuildMatchesSequential(t *testing.T) {
-	ex := paperex.New()
 	mk := func(workers int) *core.Cube {
-		cube, err := core.Build(ex.DB, core.Config{
-			MinCount:              2,
-			Epsilon:               0.1,
-			Plan:                  examplePlan(ex),
-			MineExceptions:        true,
-			SingleStageExceptions: true,
-			Workers:               workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := oracle.Mined(0)
+		cfg.Workers = workers
+		_, cube := oracle.Table1(t, oracle.Cuts, cfg)
 		return cube
 	}
-	seq := mk(1)
-	par := mk(4)
-	if seq.NumCells() != par.NumCells() {
-		t.Fatalf("cell counts differ: %d vs %d", seq.NumCells(), par.NumCells())
-	}
-	for key, cb := range seq.Cuboids {
-		pcb := par.Cuboids[key]
-		sc, pc := cb.SortedCells(), pcb.SortedCells()
-		for i := range sc {
-			if sc[i].Count != pc[i].Count {
-				t.Errorf("cuboid %s cell %d count differs", key, i)
-			}
-			if d := flowgraph.Divergence(sc[i].Graph, pc[i].Graph); d > 1e-12 {
-				t.Errorf("cuboid %s cell %d graphs diverge", key, i)
-			}
-			if len(sc[i].Graph.Exceptions()) != len(pc[i].Graph.Exceptions()) {
-				t.Errorf("cuboid %s cell %d exception counts differ: %d vs %d",
-					key, i, len(sc[i].Graph.Exceptions()), len(pc[i].Graph.Exceptions()))
-			}
-		}
-	}
+	oracle.Same(t, "the build on 4 workers against the sequential one", mk(1), mk(4))
 }
 
 // TestRollUpMonotonicity: across every materialized cell, any materialized
@@ -409,10 +331,7 @@ func TestRollUpMonotonicity(t *testing.T) {
 	cfg.NumPaths = 800
 	cfg.NumDims = 2
 	ds := datagen.MustGenerate(cfg)
-	cube, err := core.Build(ds.DB, core.Config{MinSupport: 0.02, Plan: ds.DefaultPlan()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cube := oracle.Build(t, ds.DB, core.Config{MinSupport: 0.02, Plan: ds.DefaultPlan()})
 	checked := 0
 	for _, cb := range cube.Cuboids {
 		for _, cell := range cb.Cells {

@@ -6,6 +6,7 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
+	"flowcube/internal/oracle"
 )
 
 // BenchmarkApplyDelta times one 10-record append to a cube over the
@@ -23,18 +24,15 @@ func BenchmarkApplyDelta(b *testing.B) {
 	for _, exceptions := range []bool{false, true} {
 		for _, tau := range []float64{0, 0.5} {
 			b.Run(fmt.Sprintf("exceptions=%t/tau=%g", exceptions, tau), func(b *testing.B) {
-				cube, err := core.Build(dbWith(ds, base), core.Config{
+				cube := oracle.Build(b, oracle.Prefix(ds.DB, base), core.Config{
 					MinCount: 20, Epsilon: 0.1, Tau: tau, Plan: ds.DefaultPlan(),
 					MineExceptions: exceptions, SingleStageExceptions: exceptions,
 					DeltaLedger: true, Workers: 2,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					fork, db := cube.Fork(), dbWith(ds, base)
+					fork, db := cube.Fork(), oracle.Prefix(ds.DB, base)
 					lo := base + i%batches*batchLen
 					b.StartTimer()
 					if _, err := core.ApplyDelta(fork, db, ds.DB.Records[lo:lo+batchLen]); err != nil {

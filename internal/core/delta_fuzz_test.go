@@ -2,42 +2,14 @@ package core_test
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
 	"flowcube/internal/hierarchy"
+	"flowcube/internal/oracle"
 	"flowcube/internal/pathdb"
 )
-
-// fuzzFixture builds one small base cube per process; every fuzz iteration
-// patches forks of it, so iterations are independent.
-var fuzzFixture struct {
-	once sync.Once
-	ds   *datagen.Dataset
-	cube *core.Cube
-	err  error
-}
-
-func fuzzBase(t testing.TB) (*datagen.Dataset, *core.Cube) {
-	fuzzFixture.once.Do(func() {
-		cfg := datagen.Default()
-		cfg.Seed = 41
-		cfg.NumPaths = 60
-		cfg.NumDims = 1
-		cfg.DimFanouts = [3]int{2, 2, 3}
-		fuzzFixture.ds = datagen.MustGenerate(cfg)
-		fuzzFixture.cube, fuzzFixture.err = core.Build(fuzzFixture.ds.DB, core.Config{
-			MinCount: 3, Epsilon: 0.05, Tau: 0.5, Plan: fuzzFixture.ds.DefaultPlan(),
-			MineExceptions: true, SingleStageExceptions: true, DeltaLedger: true,
-		})
-	})
-	if fuzzFixture.err != nil {
-		t.Fatal(fuzzFixture.err)
-	}
-	return fuzzFixture.ds, fuzzFixture.cube
-}
 
 // decodeBatch turns fuzz bytes into an arbitrary batch — including records
 // with out-of-range dimension values or locations, negative durations,
@@ -96,12 +68,15 @@ func FuzzApplyDelta(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 2, 0, 5, 1, 1, 2, 3})
 	f.Add([]byte{7, 250, 0, 0, 200, 200, 9, 9, 9, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8})
-	ds, base := fuzzBase(f)
-	baseRecords := append([]pathdb.Record(nil), ds.DB.Records...)
-	baseDigest := hexDigest(f, base)
-	freshDB := func() *pathdb.DB {
-		return &pathdb.DB{Schema: ds.Schema, Records: append([]pathdb.Record(nil), baseRecords...)}
-	}
+	gen := oracle.Gen(41, 60)
+	gen.NumDims, gen.DimFanouts = 1, [3]int{2, 2, 3}
+	ds := datagen.MustGenerate(gen)
+	base := oracle.Build(f, ds.DB, core.Config{
+		MinCount: 3, Epsilon: 0.05, Tau: 0.5, Plan: ds.DefaultPlan(),
+		MineExceptions: true, SingleStageExceptions: true, DeltaLedger: true,
+	})
+	baseSnap := oracle.Save(f, base)
+	freshDB := func() *pathdb.DB { return oracle.Prefix(ds.DB, ds.DB.Len()) }
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batch := decodeBatch(data, len(ds.Schema.Dims))
@@ -134,21 +109,13 @@ func FuzzApplyDelta(f *testing.F) {
 			}
 			chain = next
 		}
-		if got, want := hexDigest(t, chain), hexDigest(t, inPlace); got != want {
-			t.Fatalf("fork chain saved %s, in-place application %s", got, want)
-		}
-		full, err := core.Build(dbChain, base.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := hexDigest(t, chain), hexDigest(t, full); got != want {
-			t.Fatalf("fork chain saved %s, a full build over its records %s", got, want)
-		}
+		oracle.Same(t, "fork chain against the in-place application", inPlace, chain)
+		oracle.Check(t, "fork chain", chain, dbChain, base.Config)
 		if err := chain.Validate(); err != nil {
 			t.Fatalf("cube invalid after delta: %v", err)
 		}
-		if got := hexDigest(t, base); got != baseDigest {
-			t.Fatal("applying deltas to forks changed the base cube")
+		if d := oracle.Diff(baseSnap, oracle.Save(t, base)); d != "" {
+			t.Fatal("applying deltas to forks changed the base cube: " + d)
 		}
 	})
 }

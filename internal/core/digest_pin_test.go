@@ -1,11 +1,11 @@
 package core_test
 
 import (
-	"encoding/hex"
 	"testing"
 
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
+	"flowcube/internal/oracle"
 )
 
 // pinnedBuildDigest is the SHA-256 of the snapshot Build + Save wrote for
@@ -66,10 +66,9 @@ func TestBuildDigestIsPinned(t *testing.T) {
 			if pin.ledger && cube.Ledger().Size() == 0 {
 				t.Fatal("fixture exercises nothing: empty ledger")
 			}
-			d, n := saveDigest(t, cube)
-			if got := hex.EncodeToString(d[:]); got != pin.digest {
-				t.Errorf("ledger %t, workers %d: snapshot digest %s (%d bytes, %d exceptions, %d redundant), want %s",
-					pin.ledger, workers, got, n, exceptions, redundant, pin.digest)
+			if got := oracle.Digest(t, cube); got != pin.digest {
+				t.Errorf("ledger %t, workers %d: snapshot digest %s (%d exceptions, %d redundant), want %s",
+					pin.ledger, workers, got, exceptions, redundant, pin.digest)
 			}
 		}
 	}

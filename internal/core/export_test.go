@@ -1,6 +1,8 @@
 package core
 
 import (
+	"io"
+
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
@@ -74,4 +76,10 @@ func (c *Cube) SectionCellRangesForTest(spec CuboidSpec) [][2]int {
 		out[i] = [2]int{int(e.off), int(e.end)}
 	}
 	return out
+}
+
+// SaveFileThrough is SaveFile with every write of the snapshot going
+// through wrap.
+func (c *Cube) SaveFileThrough(path string, wrap func(io.Writer) io.Writer) error {
+	return saveFile(path, func(w io.Writer) error { return c.Save(wrap(w)) })
 }

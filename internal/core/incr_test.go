@@ -1,257 +1,17 @@
 package core_test
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
+	"flowcube/internal/oracle"
 	"flowcube/internal/pathdb"
 )
-
-// genConfig is a small but non-trivial workload: 2 dimensions keeps the
-// item lattice compact so the test explores splits quickly, while the
-// default 50 sequences over 20 leaf locations still produce multi-level
-// flowgraphs, exceptions, and sub-δ combinations on both sides of the
-// threshold.
-func genConfig(seed int64, paths int) datagen.Config {
-	cfg := datagen.Default()
-	cfg.Seed = seed
-	cfg.NumPaths = paths
-	cfg.NumDims = 2
-	cfg.DimFanouts = [3]int{3, 3, 4}
-	return cfg
-}
-
-func hexDigest(t testing.TB, cube *core.Cube) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := cube.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:])
-}
-
-func dbWith(ds *datagen.Dataset, n int) *pathdb.DB {
-	return &pathdb.DB{Schema: ds.DB.Schema, Records: append([]pathdb.Record(nil), ds.DB.Records[:n]...)}
-}
-
-// TestApplyDeltaMatchesFullBuild is the exactness property test: for K
-// random split points of a generated dataset, building over the prefix and
-// delta-applying the suffix yields the same Save bytes as one full build
-// over the whole database. Run under -race via scripts/check.sh.
-func TestApplyDeltaMatchesFullBuild(t *testing.T) {
-	// 336 locations: condition pins whose locations differ by 256 must stay
-	// apart in the condition cache, or an append skips a newly frequent one.
-	wide := genConfig(1, 260)
-	wide.LocFanouts, wide.NumSequences = [2]int{16, 20}, 12
-	variants := []struct {
-		name string
-		gen  datagen.Config
-		cfg  core.Config
-	}{
-		{"exceptions+ledger+tau", genConfig(7, 260), core.Config{
-			MinCount: 4, Epsilon: 0.05, Tau: 0.6,
-			MineExceptions: true, DeltaLedger: true, Workers: 2,
-		}},
-		{"singlestage+ledger", genConfig(7, 260), core.Config{
-			MinCount: 4, Epsilon: 0.1,
-			MineExceptions: true, SingleStageExceptions: true, DeltaLedger: true, Workers: 2,
-		}},
-		{"plain-noledger", genConfig(7, 260), core.Config{
-			MinCount: 5, Tau: 0.5, Workers: 2,
-		}},
-		{"wide-locations", wide, core.Config{
-			MinCount: 4, Epsilon: 0.05, Tau: 0.6,
-			MineExceptions: true, DeltaLedger: true, Workers: 2,
-		}},
-	}
-	for _, v := range variants {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			t.Parallel()
-			ds := datagen.MustGenerate(v.gen)
-			cfg := v.cfg
-			cfg.Plan = ds.DefaultPlan()
-
-			full, err := core.Build(ds.DB, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := hexDigest(t, full)
-
-			rng := rand.New(rand.NewSource(11))
-			const K = 3
-			for k := 0; k < K; k++ {
-				split := 1 + rng.Intn(len(ds.DB.Records)-1)
-				db := dbWith(ds, split)
-				cube, err := core.Build(db, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				stats, err := core.ApplyDelta(cube, db, ds.DB.Records[split:])
-				if err != nil {
-					t.Fatalf("split %d: ApplyDelta: %v", split, err)
-				}
-				if db.Len() != ds.DB.Len() {
-					t.Fatalf("split %d: union db has %d records, want %d", split, db.Len(), ds.DB.Len())
-				}
-				if got := hexDigest(t, cube); got != want {
-					t.Errorf("split %d: delta digest %s != full digest %s (stats %+v)", split, got, want, stats)
-				}
-				if err := cube.Validate(); err != nil {
-					t.Errorf("split %d: delta cube invalid: %v", split, err)
-				}
-			}
-		})
-	}
-}
-
-// TestApplyDeltaMultipleBatches chains several deltas: base + batch1 +
-// batch2 + batch3 must still match one full build.
-func TestApplyDeltaMultipleBatches(t *testing.T) {
-	t.Parallel()
-	ds := datagen.MustGenerate(genConfig(13, 240))
-	cfg := core.Config{
-		MinCount: 4, Epsilon: 0.05, Tau: 0.6, Plan: ds.DefaultPlan(),
-		MineExceptions: true, DeltaLedger: true, Workers: 2,
-	}
-	full, err := core.Build(ds.DB, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := hexDigest(t, full)
-
-	splits := []int{140, 175, 210, 240}
-	db := dbWith(ds, splits[0])
-	cube, err := core.Build(db, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(splits); i++ {
-		batch := ds.DB.Records[splits[i-1]:splits[i]]
-		if _, err := core.ApplyDelta(cube, db, batch); err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-	}
-	if got := hexDigest(t, cube); got != want {
-		t.Errorf("chained delta digest %s != full digest %s", got, want)
-	}
-}
-
-// TestApplyDeltaOnLoadedCube proves the snapshot round trip carries enough
-// state for delta maintenance — the sub-δ ledger and the exception-mining
-// switches: save the base cube, open it eagerly and lazily, apply the batch
-// to the opened cube, and compare against a full build.
-func TestApplyDeltaOnLoadedCube(t *testing.T) {
-	t.Parallel()
-	ds := datagen.MustGenerate(genConfig(17, 220))
-	configs := map[string]core.Config{
-		"exceptions off": {MinCount: 4, Tau: 0.5},
-		"exceptions on":  {MinCount: 4, Epsilon: 0.05, MineExceptions: true},
-		"exceptions+single-stage+tau": {MinCount: 4, Epsilon: 0.05, Tau: 0.5,
-			MineExceptions: true, SingleStageExceptions: true},
-	}
-	for name, cfg := range configs {
-		cfg.Plan, cfg.DeltaLedger, cfg.Workers = ds.DefaultPlan(), true, 2
-		full, err := core.Build(ds.DB, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := hexDigest(t, full)
-
-		const split = 170
-		db := dbWith(ds, split)
-		base, err := core.Build(db, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, lazy := range []bool{false, true} {
-			db := dbWith(ds, split)
-			loaded := reopen(t, base, lazy)
-			if !loaded.Config.DeltaLedger || loaded.Ledger() == nil {
-				t.Fatalf("%s lazy=%v: loaded cube lost its sub-δ ledger", name, lazy)
-			}
-			if _, err := core.ApplyDelta(loaded, db, ds.DB.Records[split:]); err != nil {
-				t.Fatal(err)
-			}
-			if got := hexDigest(t, loaded); got != want {
-				t.Errorf("%s lazy=%v: loaded+delta digest %s != full digest %s", name, lazy, got, want)
-			}
-		}
-	}
-}
-
-// reopen saves the cube to a file and opens it again: with core.Load, or
-// with core.LoadCubeLazy when lazy is set.
-func reopen(t testing.TB, cube *core.Cube, lazy bool) *core.Cube {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "cube.fcb")
-	var buf bytes.Buffer
-	if err := cube.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out *core.Cube
-	var err error
-	if lazy {
-		out, err = core.LoadCubeLazy(path, core.LazyOptions{})
-	} else {
-		out, err = core.Load(&buf)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = out.Close() })
-	return out
-}
-
-// TestApplyDeltaOnClone exercises the serving path: delta-patch a Fork
-// while the original stays bit-identical.
-func TestApplyDeltaOnClone(t *testing.T) {
-	t.Parallel()
-	ds := datagen.MustGenerate(genConfig(23, 220))
-	cfg := core.Config{
-		MinCount: 4, Epsilon: 0.05, Tau: 0.5, Plan: ds.DefaultPlan(),
-		MineExceptions: true, DeltaLedger: true, Workers: 2,
-	}
-	const split = 180
-	db := dbWith(ds, split)
-	base, err := core.Build(db, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseDigest := hexDigest(t, base)
-
-	full, err := core.Build(ds.DB, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := hexDigest(t, full)
-
-	clone := base.Fork()
-	if _, err := core.ApplyDelta(clone, db, ds.DB.Records[split:]); err != nil {
-		t.Fatal(err)
-	}
-	if got := hexDigest(t, clone); got != want {
-		t.Errorf("clone+delta digest %s != full digest %s", got, want)
-	}
-	if got := hexDigest(t, base); got != baseDigest {
-		t.Errorf("delta on the clone mutated the original: digest %s != %s", got, baseDigest)
-	}
-}
 
 // TestForkSymbolsOwnership: a fork shares its parent's symbol table, and
 // only an exception-mining append interns items. A plain append leaves the
@@ -259,17 +19,14 @@ func TestApplyDeltaOnClone(t *testing.T) {
 // parent's as it was.
 func TestForkSymbolsOwnership(t *testing.T) {
 	t.Parallel()
-	ds := datagen.MustGenerate(genConfig(23, 220))
+	ds := oracle.Dataset(23, 220)
 	const split = 180
 	for _, exceptions := range []bool{false, true} {
-		db := dbWith(ds, split)
-		parent, err := core.Build(db, core.Config{
+		db := oracle.Prefix(ds.DB, split)
+		parent := oracle.Build(t, db, core.Config{
 			MinCount: 4, Epsilon: 0.05, Plan: ds.DefaultPlan(),
 			MineExceptions: exceptions, DeltaLedger: true,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		items := parent.Symbols.Len()
 		fork := parent.Fork()
 		if fork.Symbols != parent.Symbols {
@@ -292,25 +49,19 @@ func TestForkSymbolsOwnership(t *testing.T) {
 
 func TestApplyDeltaTypedErrors(t *testing.T) {
 	t.Parallel()
-	ds := datagen.MustGenerate(genConfig(29, 120))
+	ds := oracle.Dataset(29, 120)
 	plan := ds.DefaultPlan()
 
 	if _, err := core.ApplyDelta(nil, ds.DB, nil); !errors.Is(err, core.ErrNilCube) {
 		t.Errorf("nil cube: got %v, want ErrNilCube", err)
 	}
 
-	fractional, err := core.Build(ds.DB, core.Config{MinSupport: 0.05, Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fractional := oracle.Build(t, ds.DB, core.Config{MinSupport: 0.05, Plan: plan})
 	if _, err := core.ApplyDelta(fractional, ds.DB, nil); !errors.Is(err, core.ErrAbsoluteMinCount) {
 		t.Errorf("fractional threshold: got %v, want ErrAbsoluteMinCount", err)
 	}
 
-	cube, err := core.Build(ds.DB, core.Config{MinCount: 3, Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cube := oracle.Build(t, ds.DB, core.Config{MinCount: 3, Plan: plan})
 	if _, err := core.ApplyDelta(cube, nil, nil); !errors.Is(err, core.ErrNilDB) {
 		t.Errorf("nil db: got %v, want ErrNilDB", err)
 	}
@@ -331,7 +82,7 @@ func TestApplyDeltaTypedErrors(t *testing.T) {
 	wrongArity, emptyPath := good, good
 	wrongArity.Dims = good.Dims[:1]
 	emptyPath.Path = nil
-	before, digest := ds.DB.Len(), hexDigest(t, cube)
+	before, digest := ds.DB.Len(), oracle.Digest(t, cube)
 	for _, tc := range []struct {
 		name string
 		bad  pathdb.Record
@@ -351,11 +102,11 @@ func TestApplyDeltaTypedErrors(t *testing.T) {
 			t.Errorf("%s: BatchError.Index = %d, want 1", tc.name, be.Index)
 		}
 	}
-	if ds.DB.Len() != before || hexDigest(t, cube) != digest {
+	if ds.DB.Len() != before || oracle.Digest(t, cube) != digest {
 		t.Errorf("a rejected batch changed state: %d -> %d records", before, ds.DB.Len())
 	}
 
-	otherCfg := genConfig(29, 50)
+	otherCfg := oracle.Gen(29, 50)
 	otherCfg.NumDims = 3
 	mismatched := datagen.MustGenerate(otherCfg)
 	if _, err := core.ApplyDelta(cube, mismatched.DB, nil); !errors.Is(err, core.ErrSchemaMismatch) {
@@ -365,13 +116,10 @@ func TestApplyDeltaTypedErrors(t *testing.T) {
 
 func TestApplyDeltaEmptyBatch(t *testing.T) {
 	t.Parallel()
-	ds := datagen.MustGenerate(genConfig(31, 150))
+	ds := oracle.Dataset(31, 150)
 	cfg := core.Config{MinCount: 3, Plan: ds.DefaultPlan(), DeltaLedger: true}
-	cube, err := core.Build(ds.DB, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := hexDigest(t, cube)
+	cube := oracle.Build(t, ds.DB, cfg)
+	before := oracle.Digest(t, cube)
 	stats, err := core.ApplyDelta(cube, ds.DB, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +127,7 @@ func TestApplyDeltaEmptyBatch(t *testing.T) {
 	if stats.BatchRecords != 0 || stats.CellsTouched != 0 || stats.CellsAdmitted != 0 {
 		t.Errorf("empty batch stats = %+v, want zeros", stats)
 	}
-	if got := hexDigest(t, cube); got != before {
+	if got := oracle.Digest(t, cube); got != before {
 		t.Error("empty batch changed the cube")
 	}
 }
@@ -404,13 +152,10 @@ func refusesCompressed(t *testing.T, seed int64) {
 	half := func(even bool) func([]hierarchy.NodeID) bool {
 		return func(values []hierarchy.NodeID) bool { return (int(values[0])%2 == 0) == even }
 	}
-	ds := datagen.MustGenerate(genConfig(seed, 260))
-	cube, err := core.Build(dbWith(ds, split), core.Config{
+	ds := oracle.Dataset(seed, 260)
+	cube := oracle.Build(t, oracle.Prefix(ds.DB, split), core.Config{
 		MinCount: 4, Tau: 0.3, DeltaLedger: true, Plan: ds.DefaultPlan(), Workers: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if cube.Compress() == 0 {
 		t.Fatalf("seed %d: fixture exercises nothing: no redundant cell", seed)
 	}
@@ -423,15 +168,15 @@ func refusesCompressed(t *testing.T, seed int64) {
 		"fork":       cube.Fork(),
 		"filter":     cube.FilterCells(half(true)),
 		"merge":      merged,
-		"load":       reopen(t, cube, false),
-		"lazy":       reopen(t, cube, true),
+		"load":       oracle.Reopen(t, cube, false),
+		"lazy":       oracle.Reopen(t, cube, true),
 	} {
-		db := dbWith(ds, split)
-		digest := hexDigest(t, c)
+		db := oracle.Prefix(ds.DB, split)
+		digest := oracle.Digest(t, c)
 		if _, err := core.ApplyDelta(c, db, ds.DB.Records[split:]); !errors.Is(err, core.ErrCompressed) {
 			t.Errorf("seed %d, %s: got %v, want ErrCompressed", seed, name, err)
 		}
-		if db.Len() != split || hexDigest(t, c) != digest {
+		if db.Len() != split || oracle.Digest(t, c) != digest {
 			t.Errorf("seed %d, %s: a refused append changed state", seed, name)
 		}
 	}
@@ -450,15 +195,12 @@ func TestFrequentSingleStagesAreConditions(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			t.Parallel()
-			ds := datagen.MustGenerate(genConfig(seed, 260))
-			db := dbWith(ds, 180)
-			cube, err := core.Build(db, core.Config{
+			ds := oracle.Dataset(seed, 260)
+			db := oracle.Prefix(ds.DB, 180)
+			cube := oracle.Build(t, db, core.Config{
 				MinCount: 4, Epsilon: 0.05, Tau: 0.6, Plan: ds.DefaultPlan(),
 				MineExceptions: true, DeltaLedger: true,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			checked := frequentStagesAreConditions(t, cube, db, "build")
 			for lo := 180; lo < 260; lo += 20 {
 				if _, err := core.ApplyDelta(cube, db, ds.DB.Records[lo:lo+20]); err != nil {

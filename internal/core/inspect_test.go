@@ -1,21 +1,16 @@
 package core_test
 
 import (
-	"bytes"
 	"testing"
 
 	"flowcube/internal/core"
 	"flowcube/internal/hierarchy"
+	"flowcube/internal/oracle"
 	"flowcube/internal/pathdb"
 )
 
 func TestCubeValidate(t *testing.T) {
-	ex, cube := buildExample(t, core.Config{
-		MinCount:              2,
-		Epsilon:               0.1,
-		MineExceptions:        true,
-		SingleStageExceptions: true,
-	})
+	ex, cube := oracle.Table1(t, oracle.Cuts, oracle.Mined(0))
 	if err := cube.Validate(); err != nil {
 		t.Fatalf("fresh cube invalid: %v", err)
 	}
@@ -33,21 +28,14 @@ func TestCubeValidate(t *testing.T) {
 	}
 
 	// ... and after a save/load round trip.
-	var buf bytes.Buffer
-	if err := cube.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := core.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := oracle.Reopen(t, cube, false)
 	if err := loaded.Validate(); err != nil {
 		t.Fatalf("loaded cube invalid: %v", err)
 	}
 }
 
 func TestCubeValidateCatchesCorruption(t *testing.T) {
-	_, cube := buildExample(t, core.Config{MinCount: 2})
+	_, cube := oracle.Table1(t, oracle.Cuts, core.Config{MinCount: 2})
 	for _, cb := range cube.Cuboids {
 		for _, cell := range cb.Cells {
 			cell.Count++ // desync count from graph
@@ -61,12 +49,7 @@ func TestCubeValidateCatchesCorruption(t *testing.T) {
 }
 
 func TestTopExceptions(t *testing.T) {
-	_, cube := buildExample(t, core.Config{
-		MinCount:              2,
-		Epsilon:               0.1,
-		MineExceptions:        true,
-		SingleStageExceptions: true,
-	})
+	_, cube := oracle.Table1(t, oracle.Cuts, oracle.Mined(0))
 	all := cube.TopExceptions(0)
 	if len(all) == 0 {
 		t.Fatal("no exceptions ranked")

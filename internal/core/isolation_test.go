@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"flowcube/internal/core"
-	"flowcube/internal/datagen"
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
+	"flowcube/internal/oracle"
 	"flowcube/internal/pathdb"
 )
 
@@ -55,26 +55,23 @@ func TestGenerationIsolation(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
 			const base, steps, maxBatch = 60, 20, 4
-			ds := datagen.MustGenerate(genConfig(31, base+2*steps*maxBatch))
+			ds := oracle.Dataset(31, base+2*steps*maxBatch)
 			cfg := v.cfg
 			cfg.Plan = ds.DefaultPlan()
 			// Two of the four path levels keep a -race -count=10 run short.
 			cfg.Plan.PathLevels = []pathdb.PathLevel{cfg.Plan.PathLevels[0], cfg.Plan.PathLevels[3]}
 			cfg.Workers = 2
-			db := dbWith(ds, base)
-			gen0, err := core.Build(db, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			db := oracle.Prefix(ds.DB, base)
+			gen0 := oracle.Build(t, db, cfg)
 			if v.reload || v.lazy {
-				gen0 = reopen(t, gen0, v.lazy)
+				gen0 = oracle.Reopen(t, gen0, v.lazy)
 			}
 
 			// published is what a serving layer's snapshot holder is: the
 			// atomic store is the only edge between the writer and readers.
 			var published atomic.Pointer[[]*core.Cube]
 			gens := []*core.Cube{gen0}
-			digests := []string{hexDigest(t, gen0)}
+			snaps := [][]byte{oracle.Save(t, gen0)}
 			first := gens // readers must not hold a pointer to gens itself: the loop below reassigns it
 			published.Store(&first)
 
@@ -138,7 +135,7 @@ func TestGenerationIsolation(t *testing.T) {
 					t.Errorf("step %d: touched %d cells of a fresh fork and copied none", step, stats.CellsTouched)
 				}
 				grown := append(gens[:len(gens):len(gens)], fork)
-				digests = append(digests, hexDigest(t, fork))
+				snaps = append(snaps, oracle.Save(t, fork))
 				gens = grown
 				published.Store(&grown)
 			}
@@ -146,8 +143,8 @@ func TestGenerationIsolation(t *testing.T) {
 			readers.Wait()
 
 			for i, g := range gens {
-				if got := hexDigest(t, g); got != digests[i] {
-					t.Errorf("generation %d saved different bytes after %d later commits", i, len(gens)-1-i)
+				if d := oracle.Diff(snaps[i], oracle.Save(t, g)); d != "" {
+					t.Errorf("generation %d saved different bytes after %d later commits: %s", i, len(gens)-1-i, d)
 				}
 				if err := g.Validate(); err != nil {
 					t.Errorf("generation %d: %v", i, err)
@@ -155,13 +152,7 @@ func TestGenerationIsolation(t *testing.T) {
 			}
 			// db is the union the real steps folded; with an abandoned fold
 			// before every step it skips the batches those folds took.
-			full, err := core.Build(&pathdb.DB{Schema: db.Schema, Records: append([]pathdb.Record(nil), db.Records...)}, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := digests[len(digests)-1], hexDigest(t, full); got != want {
-				t.Errorf("last generation digest %s != full build over the union %s", got, want)
-			}
+			oracle.Check(t, "last generation", gens[len(gens)-1], db, cfg)
 		})
 	}
 }

@@ -7,39 +7,23 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
 	"flowcube/internal/core"
-	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
+	"flowcube/internal/oracle"
 )
 
-// writeSnapshot saves the cube to a file in dir and returns the path.
-func writeSnapshot(t testing.TB, dir string, cube *core.Cube) string {
-	t.Helper()
-	path := filepath.Join(dir, "cube.fcb")
-	var buf bytes.Buffer
-	if err := cube.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// lazyFixture saves the standard fixture cube and reopens it both ways.
+// lazyFixture saves the Table-1 fixture cube and reopens it both ways.
 func lazyFixture(t *testing.T, opts core.LazyOptions) (eager, lazy *core.Cube) {
 	t.Helper()
-	return lazyTwin(t, fixtureCube(t), opts)
+	_, cube := oracle.Table1(t, oracle.Cuts, oracle.Mined(0.5))
+	return oracle.Twin(t, cube, opts)
 }
 
 // TestLazyParityFullSurface proves a lazily opened snapshot answers the
@@ -58,15 +42,8 @@ func TestLazyParityFullSurface(t *testing.T) {
 
 	// Summaries: the lazy side answers from flat scans over the mapped
 	// sections, never materializing a cell.
-	es, ls := eager.CuboidSummaries(), lazy.CuboidSummaries()
-	if len(es) != len(ls) {
-		t.Fatalf("summaries: %d, want %d", len(ls), len(es))
-	}
-	for i := range es {
-		if es[i].Key != ls[i].Key || es[i].Cells != ls[i].Cells ||
-			es[i].Redundant != ls[i].Redundant || es[i].PathLevel != ls[i].PathLevel {
-			t.Errorf("summary %d: %+v, want %+v", i, ls[i], es[i])
-		}
+	if es, ls := eager.CuboidSummaries(), lazy.CuboidSummaries(); !reflect.DeepEqual(ls, es) {
+		t.Errorf("summaries:\n lazy  %+v\n eager %+v", ls, es)
 	}
 	if st, ok := lazy.LazyStats(); !ok {
 		t.Fatal("LazyStats: not a lazy cube")
@@ -77,41 +54,14 @@ func TestLazyParityFullSurface(t *testing.T) {
 	// Every materialized cell answers identically, including the roll-up
 	// path (query each cell one item level above its own, which exercises
 	// Answer's BFS over the lazy cell lookups).
-	ask := func(c *core.Cube, spec core.CuboidSpec, values []hierarchy.NodeID) (ca core.CellAnswer, ok bool) {
-		a, err := c.Answer(context.Background(), core.Query{Spec: spec, Values: values})
-		if err != nil {
-			return core.CellAnswer{}, false
-		}
-		return a.Cells[0], true
-	}
+	ctx := context.Background()
 	for key, cb := range eager.Cuboids {
 		for _, cell := range cb.SortedCells() {
-			a1, ok1 := ask(eager, cb.Spec, cell.Values)
-			a2, ok2 := ask(lazy, cb.Spec, cell.Values)
-			if ok1 != ok2 || a1.Exact != a2.Exact {
-				t.Fatalf("cuboid %s cell %v: (exact=%v ok=%v), want (exact=%v ok=%v)",
-					key, cell.Values, a2.Exact, ok2, a1.Exact, ok1)
-			}
-			if !ok1 {
-				continue
-			}
-			if a1.Source.Count != a2.Source.Count || a1.Source.Redundant != a2.Source.Redundant {
-				t.Errorf("cuboid %s cell %v: source cell mismatch", key, cell.Values)
-			}
-			if d := flowgraph.Divergence(a1.Graph, a2.Graph) + flowgraph.Divergence(a2.Graph, a1.Graph); d > 0 {
-				t.Errorf("cuboid %s cell %v: graphs diverge by %g", key, cell.Values, d)
-			}
-			for _, p := range eager.ParentRefs(cb.Spec, cell.Values) {
-				p1, pok1 := ask(eager, p.Spec, p.Values)
-				p2, pok2 := ask(lazy, p.Spec, p.Values)
-				if pok1 != pok2 || p1.Exact != p2.Exact {
-					t.Fatalf("roll-up %s %v: (exact=%v ok=%v), want (exact=%v ok=%v)",
-						p.Spec.Key(), p.Values, p2.Exact, pok2, p1.Exact, pok1)
-				}
-				if pok1 {
-					if d := flowgraph.Divergence(p1.Graph, p2.Graph); d > 0 {
-						t.Errorf("roll-up %s %v: graphs diverge by %g", p.Spec.Key(), p.Values, d)
-					}
+			refs := append(eager.ParentRefs(cb.Spec, cell.Values), core.CellRef{Spec: cb.Spec, Values: cell.Values})
+			for _, r := range refs {
+				q := core.Query{Spec: r.Spec, Values: r.Values}
+				if got, want := answerSig(lazy.Answer(ctx, q)), answerSig(eager.Answer(ctx, q)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("cuboid %s cell %v, asked at %s %v:\n lazy  %v\n eager %v", key, cell.Values, r.Spec.Key(), r.Values, got, want)
 				}
 			}
 		}
@@ -119,70 +69,26 @@ func TestLazyParityFullSurface(t *testing.T) {
 
 	// Ranked exceptions come out field-for-field identical (the lazy side
 	// reads them from the flat struct-of-arrays columns).
-	ex, lx := eager.TopExceptions(0), lazy.TopExceptions(0)
-	if len(ex) != len(lx) {
-		t.Fatalf("exceptions: %d, want %d", len(lx), len(ex))
+	exceptions := func(c *core.Cube) (out []string) {
+		for _, x := range c.TopExceptions(0) {
+			out = append(out, fmt.Sprintf("%s/%s %d %x %x %d@%d %v %v %s", x.Spec.Key(), cellKey(x.Values), x.Support,
+				math.Float64bits(x.DurationDeviation), math.Float64bits(x.TransitionDeviation),
+				x.Node.Location, x.Node.Depth, x.Prefix, x.Condition, x.Transitions))
+		}
+		return out
 	}
-	for i := range ex {
-		a, b := ex[i], lx[i]
-		if a.Spec.Key() != b.Spec.Key() || cellKey(a.Values) != cellKey(b.Values) {
-			t.Errorf("exception %d: cell %s/%v, want %s/%v",
-				i, b.Spec.Key(), b.Values, a.Spec.Key(), a.Values)
-		}
-		if a.Support != b.Support ||
-			math.Float64bits(a.DurationDeviation) != math.Float64bits(b.DurationDeviation) ||
-			math.Float64bits(a.TransitionDeviation) != math.Float64bits(b.TransitionDeviation) {
-			t.Errorf("exception %d: support/deviation mismatch", i)
-		}
-		if a.Node.Location != b.Node.Location || a.Node.Depth != b.Node.Depth {
-			t.Errorf("exception %d: node mismatch", i)
-		}
-		ap, bp := a.Prefix, b.Prefix
-		if len(ap) != len(bp) {
-			t.Fatalf("exception %d: prefix length %d, want %d", i, len(bp), len(ap))
-		}
-		for j := range ap {
-			if ap[j] != bp[j] {
-				t.Errorf("exception %d: prefix[%d] = %d, want %d", i, j, bp[j], ap[j])
-			}
-		}
-		if len(a.Condition) != len(b.Condition) {
-			t.Fatalf("exception %d: condition length mismatch", i)
-		}
-		for j := range a.Condition {
-			if a.Condition[j] != b.Condition[j] {
-				t.Errorf("exception %d: condition[%d] mismatch", i, j)
-			}
-		}
-		if a.Transitions.String() != b.Transitions.String() {
-			t.Errorf("exception %d: transitions mismatch", i)
-		}
+	if got, want := exceptions(lazy), exceptions(eager); !reflect.DeepEqual(got, want) {
+		t.Errorf("ranked exceptions:\n lazy  %v\n eager %v", got, want)
 	}
 
 	if err := lazy.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 
-	// Save bytes are identical: sorted sections raw-copy from the mapping.
-	var eb, lb bytes.Buffer
-	if err := eager.Save(&eb); err != nil {
-		t.Fatal(err)
-	}
-	if err := lazy.Save(&lb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(eb.Bytes(), lb.Bytes()) {
-		t.Fatalf("lazy Save produced %d bytes, eager %d; streams differ", lb.Len(), eb.Len())
-	}
-
-	// A fork shares the mapping and saves the same bytes.
-	var fb bytes.Buffer
-	if err := lazy.Fork().Save(&fb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(eb.Bytes(), fb.Bytes()) {
-		t.Fatal("fork of the lazy cube saves different bytes")
-	}
+	// Save bytes are identical: sorted sections raw-copy from the mapping;
+	// a fork shares the mapping and saves the same bytes.
+	oracle.Same(t, "lazy Save", eager, lazy)
+	oracle.Same(t, "Save of a fork of the lazy cube", eager, lazy.Fork())
 	if err := lazy.LazyErr(); err != nil {
 		t.Fatalf("healthy snapshot recorded a lazy error: %v", err)
 	}
@@ -297,51 +203,6 @@ func TestLazyCacheEviction(t *testing.T) {
 	}
 }
 
-// rewriteSection walks the v2 framing and applies mutate to the idx-th
-// section of the given kind, re-framing it with a fresh length and valid
-// CRC — corruption that open-time checksum validation cannot catch.
-func rewriteSection(t *testing.T, data []byte, kind byte, idx int, mutate func([]byte) []byte) []byte {
-	t.Helper()
-	crcTable := crc32.MakeTable(crc32.Castagnoli)
-	magic := []byte("FCUBEv2\n")
-	if !bytes.HasPrefix(data, magic) {
-		t.Fatal("fixture is not a v2 snapshot")
-	}
-	var out bytes.Buffer
-	out.Write(magic)
-	off := len(magic)
-	seen := 0
-	for off < len(data) {
-		k := data[off]
-		n, w := binary.Uvarint(data[off+1:])
-		if w <= 0 {
-			t.Fatalf("bad frame at offset %d", off)
-		}
-		payload := data[off+1+w : off+1+w+int(n)]
-		off += 1 + w + int(n) + 4
-		if k == kind && seen == idx {
-			payload = mutate(append([]byte(nil), payload...))
-		}
-		if k == kind {
-			seen++
-		}
-		out.WriteByte(k)
-		var lbuf [binary.MaxVarintLen64]byte
-		out.Write(lbuf[:binary.PutUvarint(lbuf[:], uint64(len(payload)))])
-		out.Write(payload)
-		var crcb [4]byte
-		binary.LittleEndian.PutUint32(crcb[:], crc32.Checksum(payload, crcTable))
-		out.Write(crcb[:])
-		if k == 0 { // secEnd
-			break
-		}
-	}
-	if seen <= idx {
-		t.Fatalf("snapshot has only %d sections of kind %d", seen, kind)
-	}
-	return out.Bytes()
-}
-
 // corruptFixture saves the fixture cube with mutate applied to the payload
 // of one cuboid section — the first, in file order, holding at least
 // minCells cells — behind a recomputed (valid) CRC, and lazily opens the
@@ -352,10 +213,6 @@ func rewriteSection(t *testing.T, data []byte, kind byte, idx int, mutate func([
 func corruptFixture(t *testing.T, minCells int, mutate func(payload []byte, cells [][2]int) []byte) ([]byte, *core.Cube, *core.Cuboid) {
 	t.Helper()
 	cube, intact := lazyFixture(t, core.LazyOptions{})
-	var buf bytes.Buffer
-	if err := cube.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
 	idx := -1
 	var target *core.Cuboid
 	for i, spec := range cube.MaterializedSpecs() { // ascending key order: the file's
@@ -371,17 +228,8 @@ func corruptFixture(t *testing.T, minCells int, mutate func(payload []byte, cell
 	if len(cells) != len(target.Cells) {
 		t.Fatalf("directory of %s lists %d cells, the cuboid holds %d", target.Spec.Key(), len(cells), len(target.Cells))
 	}
-	const secCuboid = 4
-	mutated := rewriteSection(t, buf.Bytes(), secCuboid, idx, func(p []byte) []byte { return mutate(p, cells) })
-	path := filepath.Join(t.TempDir(), "corrupt.fcb")
-	if err := os.WriteFile(path, mutated, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := core.LoadCubeLazy(path, core.LazyOptions{})
-	if err != nil {
-		t.Fatalf("open must defer payload decoding, got %v", err)
-	}
-	t.Cleanup(func() { _ = lazy.Close() })
+	mutated := oracle.RewriteSection(t, oracle.Save(t, cube), oracle.SecCuboid, idx, func(p []byte) []byte { return mutate(p, cells) })
+	lazy := oracle.OpenLazy(t, oracle.File(t, mutated), core.LazyOptions{}) // the open defers payload decoding
 	if err := lazy.LazyErr(); err != nil {
 		t.Fatalf("error before any touch: %v", err)
 	}
@@ -499,17 +347,10 @@ func TestLazyCorruptCellIsContained(t *testing.T) {
 // CRC: the open itself must fail — every section checksum is verified
 // eagerly, so bit rot never reaches a decoder.
 func TestLazyOpenValidatesChecksums(t *testing.T) {
-	cube := fixtureCube(t)
-	var buf bytes.Buffer
-	if err := cube.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	flipped := append([]byte(nil), buf.Bytes()...)
+	_, cube := oracle.Table1(t, oracle.Cuts, oracle.Mined(0.5))
+	flipped := oracle.Save(t, cube)
 	flipped[len(flipped)/2] ^= 0x01
-	path := filepath.Join(t.TempDir(), "flipped.fcb")
-	if err := os.WriteFile(path, flipped, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := oracle.File(t, flipped)
 	if c, err := core.LoadCubeLazy(path, core.LazyOptions{}); err == nil {
 		_ = c.Close()
 		t.Fatal("open accepted a snapshot with a bad section checksum")
@@ -519,13 +360,8 @@ func TestLazyOpenValidatesChecksums(t *testing.T) {
 // TestLazyRejectsNonV2: pre-v2 and garbage inputs fail the lazy open with
 // the same typed rejection the streaming loaders give.
 func TestLazyRejectsNonV2(t *testing.T) {
-	dir := t.TempDir()
 	for name, data := range nonV2Inputs(t) {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err := core.LoadCubeLazy(path, core.LazyOptions{})
+		_, err := core.LoadCubeLazy(oracle.File(t, data), core.LazyOptions{})
 		wantNotV2(t, name, err)
 	}
 }
@@ -568,14 +404,14 @@ func TestLazyClose(t *testing.T) {
 // opened cube itself must be untouched by what its forks did.
 func TestLazyMutatorsMatchEager(t *testing.T) {
 	eager, lazy := lazyFixture(t, core.LazyOptions{})
-	want := lazyDigest(t, lazy)
+	want := oracle.Save(t, lazy)
 	if got := len(lazy.Cuboids); got != len(eager.Cuboids) {
 		t.Fatalf("lazy cube holds %d cuboids, the snapshot %d sections", got, len(eager.Cuboids))
 	}
 	same := func(step string, e, l *core.Cube) {
 		t.Helper()
-		if got, want := lazyDigest(t, l), lazyDigest(t, e); got != want {
-			t.Fatalf("%s: the lazy side saves different bytes", step)
+		if !oracle.Same(t, step+" on the lazy side", e, l) {
+			t.FailNow()
 		}
 	}
 	ef, lf := eager.Fork(), lazy.Fork()
@@ -617,39 +453,9 @@ func TestLazyMutatorsMatchEager(t *testing.T) {
 		}
 		same("FilterCells+Merge", e, merged)
 	}
-	if got := lazyDigest(t, lazy); got != want {
-		t.Fatal("mutating forks of the lazy cube changed what it saves")
+	if d := oracle.Diff(want, oracle.Save(t, lazy)); d != "" {
+		t.Fatal("mutating forks of the lazy cube changed what it saves: " + d)
 	}
-}
-
-// lazyDigest is the SHA-256 of the cube's Save bytes.
-func lazyDigest(t *testing.T, c *core.Cube) [sha256.Size]byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return sha256.Sum256(buf.Bytes())
-}
-
-// lazyTwin saves the cube and reopens the bytes both ways: eagerly (so both
-// sides went through the same save) and lazily under opts.
-func lazyTwin(t *testing.T, cube *core.Cube, opts core.LazyOptions) (eager, lazy *core.Cube) {
-	t.Helper()
-	path := writeSnapshot(t, t.TempDir(), cube)
-	lazy, err := core.LoadCubeLazy(path, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = lazy.Close() })
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eager, err = core.Load(bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
-	return eager, lazy
 }
 
 // cellSig is a comparable identity for a possibly absent cell.
@@ -695,9 +501,9 @@ func answerSig(a *core.Answer, err error) []string {
 		for i, r := range ca.Folded {
 			folded[i] = r.Spec.Key() + "/" + cellKey(r.Values)
 		}
-		out = append(out, fmt.Sprintf("%s/%s %s exact=%v from %s %s folded=%v",
+		out = append(out, fmt.Sprintf("%s/%s %s exact=%v from %s %s folded=%v graph %x",
 			ca.Spec.Key(), cellKey(ca.Values), ca.Provenance, ca.Exact,
-			ca.SourceSpec.Key(), cellSig(ca.Source), folded))
+			ca.SourceSpec.Key(), cellSig(ca.Source), folded, sha256.Sum256(core.EncodeGraph(ca.Graph))))
 	}
 	return out
 }
@@ -712,22 +518,17 @@ func answerSig(a *core.Answer, err error) []string {
 // re-decodes its cell) and unbounded (everything stays resident), and under
 // -tags nommap through the pread fallback.
 func TestLazyCellUnitMatchesEagerRandomPartialCubes(t *testing.T) {
-	_, iceberg := buildExample(t, core.Config{MinCount: 1, Tau: 0.5})
-	inputs := map[string]*core.Cube{"exceptions": fixtureCube(t), "iceberg1": iceberg}
+	_, iceberg := oracle.Table1(t, oracle.Cuts, core.Config{MinCount: 1, Tau: 0.5})
+	_, featured := oracle.Table1(t, oracle.Cuts, oracle.Mined(0.5))
+	inputs := map[string]*core.Cube{"exceptions": featured, "iceberg1": iceberg}
 	ctx := context.Background()
 	computed := 0
 	for name, full := range inputs {
 		lattice := full.MaterializedSpecs()
 		for seed := int64(0); seed < 4; seed++ {
-			pruned := full.Fork()
-			rng := rand.New(rand.NewSource(seed))
-			for _, spec := range lattice {
-				if rng.Intn(5) < 2 {
-					pruned.DropCuboid(spec)
-				}
-			}
+			pruned, _ := oracle.Pruned(t, full, oracle.Random(seed, 2, 5))
 			for _, budget := range []int64{1, -1} {
-				eager, lazy := lazyTwin(t, pruned, core.LazyOptions{CacheBytes: budget})
+				eager, lazy := oracle.Twin(t, pruned, core.LazyOptions{CacheBytes: budget})
 				same := func(what string, got, want any) {
 					t.Helper()
 					if !reflect.DeepEqual(got, want) {
@@ -844,8 +645,8 @@ var lookupSink *core.Cell
 // cell — the cold cost; unbounded, the same draws find everything resident
 // after the first touch — the floor the cold cost sits above.
 func BenchmarkLazyLookupCold(b *testing.B) {
-	eager := fixtureCube(b)
-	path := writeSnapshot(b, b.TempDir(), eager)
+	_, eager := oracle.Table1(b, oracle.Cuts, oracle.Mined(0.5))
+	path := oracle.File(b, oracle.Save(b, eager))
 	type ref struct {
 		spec   core.CuboidSpec
 		values []hierarchy.NodeID
@@ -903,11 +704,7 @@ func BenchmarkFoldSources(b *testing.B) {
 			ds, widest = spec, n
 		}
 	}
-	lazy, err := core.LoadCubeLazy(writeSnapshot(b, b.TempDir(), eager), core.LazyOptions{CacheBytes: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer lazy.Close()
+	lazy := oracle.OpenLazy(b, oracle.File(b, oracle.Save(b, eager)), core.LazyOptions{CacheBytes: -1})
 	for name, cube := range map[string]*core.Cube{"eager": eager, "lazy": lazy} {
 		b.Run(name, func(b *testing.B) {
 			if got := len(cube.FoldSources(ds, apex, values)); got != widest {

@@ -7,22 +7,18 @@ import (
 	"errors"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
+	"flowcube/internal/oracle"
 )
 
-// fixtureSnapshot is the fixture cube's Save bytes.
+// fixtureSnapshot is the Table-1 fixture cube's Save bytes.
 func fixtureSnapshot(t testing.TB) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := fixtureCube(t).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	_, cube := oracle.Table1(t, oracle.Cuts, oracle.Mined(0.5))
+	return oracle.Save(t, cube)
 }
 
 // bytesAfterEnd are snap followed by something past its end section.
@@ -31,20 +27,6 @@ func bytesAfterEnd(snap []byte) map[string][]byte {
 		"garbage":     append(append([]byte(nil), snap...), "garbage after the end section"...), // 29 bytes
 		"second copy": append(append([]byte(nil), snap...), snap...),
 	}
-}
-
-// loadFile writes data to a file and opens it lazily.
-func loadFile(t *testing.T, data []byte) (*core.Cube, error) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "snap.fcb")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cube, err := core.LoadCubeLazy(path, core.LazyOptions{})
-	if err == nil {
-		t.Cleanup(func() { _ = cube.Close() })
-	}
-	return cube, err
 }
 
 // TestLoadersRejectBytesAfterEnd: the end section ends a snapshot. Bytes
@@ -62,7 +44,7 @@ func TestLoadersRejectBytesAfterEnd(t *testing.T) {
 			}
 			_, err := core.Load(bytes.NewReader(data))
 			wantFrame("Load", err)
-			_, err = loadFile(t, data)
+			_, err = core.LoadCubeLazy(oracle.File(t, data), core.LazyOptions{})
 			wantFrame("LoadCubeLazy", err)
 			if _, err := core.LoadMeta(bytes.NewReader(data)); err != nil {
 				t.Fatalf("LoadMeta: %v", err)
@@ -83,7 +65,7 @@ func TestLyingLengthAllocatesNothing(t *testing.T) {
 		"Load":                   func() error { _, err := core.Load(bytes.NewReader(data)); return err },
 		"Load of a plain stream": func() error { _, err := core.Load(io.MultiReader(bytes.NewReader(data))); return err },
 		"LoadMeta":               func() error { _, err := core.LoadMeta(bytes.NewReader(data)); return err },
-		"LoadCubeLazy":           func() error { _, err := loadFile(t, data); return err },
+		"LoadCubeLazy":           func() error { _, err := core.LoadCubeLazy(oracle.File(t, data), core.LazyOptions{}); return err },
 	}
 	for name, load := range loaders {
 		var before, after runtime.MemStats
@@ -150,11 +132,8 @@ func buildShaped(b *testing.B) *core.Cube {
 	gen := datagen.Default()
 	gen.NumDims, gen.NumPaths = 3, 2000
 	ds := datagen.MustGenerate(gen)
-	cube, err := core.Build(ds.DB, core.Config{MinSupport: 0.01, Epsilon: 0.1, Tau: 0.5, Plan: ds.DefaultPlan(),
+	cube := oracle.Build(b, ds.DB, core.Config{MinSupport: 0.01, Epsilon: 0.1, Tau: 0.5, Plan: ds.DefaultPlan(),
 		MineExceptions: true, SingleStageExceptions: true, Workers: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
 	return cube
 }
 
@@ -162,7 +141,7 @@ func buildShaped(b *testing.B) *core.Cube {
 // cube (about 3 MB): Load reads the file and decodes every cell,
 // LoadCubeLazy maps and opens it, decoding none, and closes it.
 func BenchmarkLoad(b *testing.B) {
-	path := writeSnapshot(b, b.TempDir(), buildShaped(b))
+	path := oracle.File(b, oracle.Save(b, buildShaped(b)))
 	st, err := os.Stat(path)
 	if err != nil {
 		b.Fatal(err)

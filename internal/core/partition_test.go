@@ -6,37 +6,14 @@ import (
 	"testing"
 
 	"flowcube/internal/core"
-	"flowcube/internal/hierarchy"
+	"flowcube/internal/oracle"
 )
 
-// partitionedExample builds the full-featured example cube (ledger,
-// exceptions, redundancy marks) and filters it into n disjoint parts by a
-// value hash, the same shape internal/cluster produces.
+// partitionedExample is the full-featured Table-1 cube (ledger,
+// exceptions, redundancy marks) and its split into n parts.
 func partitionedExample(t *testing.T, n int) (*core.Cube, []*core.Cube) {
-	t.Helper()
-	_, cube := buildExample(t, core.Config{
-		MinCount:              2,
-		Epsilon:               0.1,
-		Tau:                   0.5,
-		MineExceptions:        true,
-		SingleStageExceptions: true,
-		DeltaLedger:           true,
-	})
-	cube.MarkRedundancy(0.5)
-
-	owner := func(values []hierarchy.NodeID) int {
-		sum := 0
-		for _, v := range values {
-			sum += int(v)
-		}
-		return sum % n
-	}
-	parts := make([]*core.Cube, n)
-	for i := range parts {
-		i := i
-		parts[i] = cube.FilterCells(func(values []hierarchy.NodeID) bool { return owner(values) == i })
-	}
-	return cube, parts
+	_, cube := oracle.Table1(t, oracle.Cuts, oracle.Full())
+	return cube, oracle.Split(cube, n)
 }
 
 // TestFilterCellsIsExhaustiveAndDisjoint checks the partition contract the
@@ -71,25 +48,6 @@ func TestFilterCellsIsExhaustiveAndDisjoint(t *testing.T) {
 	}
 }
 
-// TestMergeRestoresSaveDigest checks that splitting and merging is lossless
-// at the byte level: the merged cube saves to exactly the bytes the
-// original saves to, ledger included. This is the property that lets a
-// sharded cluster be verified against (and rebuilt into) its unsplit
-// snapshot.
-func TestMergeRestoresSaveDigest(t *testing.T) {
-	cube, parts := partitionedExample(t, 3)
-
-	merged, err := core.Merge(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, wn := saveDigest(t, cube)
-	got, gn := saveDigest(t, merged)
-	if want != got {
-		t.Fatalf("merged save differs from original: %x (%d bytes) vs %x (%d bytes)", got, gn, want, wn)
-	}
-}
-
 // TestMergeRejectsOverlappingShards checks duplicate-cell detection: the
 // same shard merged twice must fail loudly, not double-count.
 func TestMergeRejectsOverlappingShards(t *testing.T) {
@@ -107,11 +65,8 @@ func TestMergeRejectsOverlappingShards(t *testing.T) {
 func TestLoadMetaStripsCells(t *testing.T) {
 	cube, _ := partitionedExample(t, 2)
 
-	var buf bytes.Buffer
-	if err := cube.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := core.LoadMeta(&buf)
+	buf := oracle.Save(t, cube)
+	meta, err := core.LoadMeta(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}

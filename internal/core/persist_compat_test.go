@@ -5,24 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"flowcube/internal/core"
+	"flowcube/internal/oracle"
 )
-
-func fixtureCube(t testing.TB) *core.Cube {
-	_, cube := buildExample(t, core.Config{
-		MinCount:              2,
-		Epsilon:               0.1,
-		Tau:                   0.5,
-		MineExceptions:        true,
-		SingleStageExceptions: true,
-	})
-	cube.MarkRedundancy(0.5)
-	return cube
-}
 
 // nonV2Inputs are byte streams every loader must reject: a pre-v2 gob
 // snapshot of the fixture cube (checked in; nothing writes the format any
@@ -59,12 +47,7 @@ func wantNotV2(t testing.TB, name string, err error) {
 // typed rebuild instruction a pre-v2 gob snapshot gets — an append to it
 // would mine differently from the build that wrote it.
 func TestLoadersRefuseVersion2Header(t *testing.T) {
-	var buf bytes.Buffer
-	if err := fixtureCube(t).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	const secHeader = 1
-	v2 := rewriteSection(t, buf.Bytes(), secHeader, 0, func(p []byte) []byte {
+	v2 := oracle.RewriteSection(t, fixtureSnapshot(t), oracle.SecHeader, 0, func(p []byte) []byte {
 		// Version 2 had no flags byte after ε and τ.
 		_, n := binary.Varint(p[1:])
 		flags := 1 + n + 16
@@ -74,10 +57,6 @@ func TestLoadersRefuseVersion2Header(t *testing.T) {
 	wantNotV2(t, "Load", err)
 	_, err = core.LoadMeta(bytes.NewReader(v2))
 	wantNotV2(t, "LoadMeta", err)
-	path := filepath.Join(t.TempDir(), "v2.fcb")
-	if err := os.WriteFile(path, v2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = core.LoadCubeLazy(path, core.LazyOptions{})
+	_, err = core.LoadCubeLazy(oracle.File(t, v2), core.LazyOptions{})
 	wantNotV2(t, "LoadCubeLazy", err)
 }

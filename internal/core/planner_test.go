@@ -6,6 +6,7 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/hierarchy"
+	"flowcube/internal/oracle"
 	"flowcube/internal/paperex"
 )
 
@@ -79,7 +80,7 @@ func TestPlanCuboidsValidation(t *testing.T) {
 
 func TestBuildWithLayeredPlan(t *testing.T) {
 	ex := paperex.New()
-	plan := examplePlan(ex)
+	plan := oracle.Cuts(ex)
 	specs, err := core.PlanCuboids(core.LayerPlan{
 		Minimum:     core.ItemLevel{1, 1},
 		Observation: core.ItemLevel{2, 2},
@@ -88,10 +89,7 @@ func TestBuildWithLayeredPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cube, err := core.Build(ex.DB, core.Config{MinCount: 2, Plan: plan, Cuboids: specs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cube := oracle.Build(t, ex.DB, core.Config{MinCount: 2, Plan: plan, Cuboids: specs})
 	if len(cube.Cuboids) != len(specs) {
 		t.Fatalf("materialized %d cuboids, want %d", len(cube.Cuboids), len(specs))
 	}

@@ -1,12 +1,13 @@
 package core_test
 
 import (
-	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
+	"flowcube/internal/oracle"
 )
 
 // TestPopulateParallelMatchesSequential: the sharded record→cell assignment
@@ -19,17 +20,12 @@ func TestPopulateParallelMatchesSequential(t *testing.T) {
 		MineExceptions: true,
 		Workers:        1,
 	}
-	_, seq := buildExample(t, base)
-	want, wantLen := saveDigest(t, seq)
+	_, seq := oracle.Table1(t, oracle.Cuts, base)
 	for _, workers := range []int{2, 4, 8} {
 		cfg := base
 		cfg.Workers = workers
-		_, cube := buildExample(t, cfg)
-		got, gotLen := saveDigest(t, cube)
-		if got != want {
-			t.Fatalf("workers=%d: snapshot %x (%d bytes) differs from sequential %x (%d bytes)",
-				workers, got, gotLen, want, wantLen)
-		}
+		_, cube := oracle.Table1(t, oracle.Cuts, cfg)
+		oracle.Same(t, fmt.Sprintf("workers=%d against the sequential build", workers), seq, cube)
 	}
 }
 
@@ -44,22 +40,12 @@ func TestRebuildTIDsMatchesBuild(t *testing.T) {
 	ds := datagen.MustGenerate(gen)
 	for _, compress := range []bool{false, true} {
 		for _, workers := range []int{1, 3} {
-			built, err := core.Build(ds.DB, core.Config{MinSupport: 0.02, Epsilon: 0.1, Tau: 0.5, Plan: ds.DefaultPlan(),
+			built := oracle.Build(t, ds.DB, core.Config{MinSupport: 0.02, Epsilon: 0.1, Tau: 0.5, Plan: ds.DefaultPlan(),
 				MineExceptions: true, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if compress && built.Compress() == 0 {
 				t.Fatal("fixture exercises nothing: no redundant cell")
 			}
-			var buf bytes.Buffer
-			if err := built.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := core.Load(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
+			loaded := oracle.Reopen(t, built, false)
 			loaded.RebuildTIDs(ds.DB)
 			if !loaded.HaveTIDs() {
 				t.Fatal("HaveTIDs false after RebuildTIDs")
@@ -89,7 +75,7 @@ func TestRebuildTIDsMatchesBuild(t *testing.T) {
 // reads a cell's tids, so a build without it drops them and says so.
 func TestBuildKeepsTIDsOnlyForExceptions(t *testing.T) {
 	for _, exceptions := range []bool{false, true} {
-		_, cube := buildExample(t, core.Config{MinCount: 2, Epsilon: 0.1, MineExceptions: exceptions})
+		_, cube := oracle.Table1(t, oracle.Cuts, core.Config{MinCount: 2, Epsilon: 0.1, MineExceptions: exceptions})
 		if cube.HaveTIDs() != exceptions {
 			t.Errorf("exceptions=%t: HaveTIDs %t", exceptions, cube.HaveTIDs())
 		}
@@ -127,10 +113,7 @@ func BenchmarkBuild(b *testing.B) {
 			cfg.Plan, cfg.Workers = ds.DefaultPlan(), 2
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cube, err := core.Build(ds.DB, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				cube := oracle.Build(b, ds.DB, cfg)
 				if i == 0 {
 					b.ReportMetric(float64(cube.NumCells()), "cells")
 					b.ReportMetric(float64(cube.Ledger().Size()), "ledger")

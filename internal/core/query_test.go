@@ -2,43 +2,25 @@ package core_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"flowcube/internal/core"
 	"flowcube/internal/hierarchy"
-	"flowcube/internal/paperex"
+	"flowcube/internal/oracle"
 )
-
-// partialExample materializes the running example restricted to the given
-// cuboids (partial materialization, §5) with δ=2.
-func partialExample(t *testing.T, specs []core.CuboidSpec) (*paperex.Example, *core.Cube) {
-	t.Helper()
-	return buildExample(t, core.Config{MinCount: 2, Cuboids: specs})
-}
-
-func equalValues(a, b []hierarchy.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // TestAnswerFallbackPrefersClosestAncestor pins the breadth-first inference
 // order: when a 1-step and a 2-step generalization of a missing cell are
 // both materialized, the 1-step ancestor must answer.
 func TestAnswerFallbackPrefersClosestAncestor(t *testing.T) {
-	ex, cube := partialExample(t, []core.CuboidSpec{
+	ex, cube := oracle.Table1(t, oracle.Cuts, core.Config{MinCount: 2, Cuboids: []core.CuboidSpec{
 		// The queried cuboid ⟨(2,2)⟩ is deliberately not materialized.
 		{Item: core.ItemLevel{1, 2}, PathLevel: 0}, // 1 step up in product
 		{Item: core.ItemLevel{2, 1}, PathLevel: 0}, // 1 step up in brand
 		{Item: core.ItemLevel{1, 1}, PathLevel: 0}, // 2 steps up
 		{Item: core.ItemLevel{0, 0}, PathLevel: 0}, // apex
-	})
+	}})
 	spec := core.CuboidSpec{Item: core.ItemLevel{2, 2}, PathLevel: 0}
 	values := []hierarchy.NodeID{
 		ex.Product.MustLookup("shoes"), ex.Brand.MustLookup("nike"),
@@ -56,7 +38,7 @@ func TestAnswerFallbackPrefersClosestAncestor(t *testing.T) {
 	// the apex.
 	wantA := []hierarchy.NodeID{ex.Product.MustLookup("clothing"), ex.Brand.MustLookup("nike")}
 	wantB := []hierarchy.NodeID{ex.Product.MustLookup("shoes"), ex.Brand.MustLookup("sports")}
-	if !equalValues(src.Values, wantA) && !equalValues(src.Values, wantB) {
+	if !slices.Equal(src.Values, wantA) && !slices.Equal(src.Values, wantB) {
 		t.Errorf("answered from %s, want a 1-step generalization (clothing,nike) or (shoes,sports)",
 			core.FormatCell(cube.Schema, src.Values))
 	}
@@ -74,7 +56,7 @@ func TestAnswerFallbackPrefersClosestAncestor(t *testing.T) {
 	}
 	src = a.Cells[0].Source
 	want2 := []hierarchy.NodeID{ex.Product.MustLookup("clothing"), ex.Brand.MustLookup("sports")}
-	if !equalValues(src.Values, want2) {
+	if !slices.Equal(src.Values, want2) {
 		t.Errorf("answered from %s, want the 2-step (clothing,sports) before the apex",
 			core.FormatCell(cube.Schema, src.Values))
 	}
@@ -84,7 +66,7 @@ func TestAnswerFallbackPrefersClosestAncestor(t *testing.T) {
 // inference chain: when every intermediate cell is compressed away as
 // redundant, queries drain all the way to the apex.
 func TestAnswerFallbackFullyCompressedReachesApex(t *testing.T) {
-	ex, cube := buildExample(t, core.Config{MinCount: 2})
+	ex, cube := oracle.Table1(t, oracle.Cuts, core.Config{MinCount: 2})
 
 	// Simulate maximal compression: every cell with a concrete dimension
 	// value is redundant; only apex-item-level cells survive.
@@ -135,9 +117,9 @@ func TestAnswerFallbackFullyCompressedReachesApex(t *testing.T) {
 func TestMarkRedundancySentinel(t *testing.T) {
 	// Keep only the leaf-level cuboid: its cells have no
 	// materialized item-lattice parents to compare against.
-	_, cube := partialExample(t, []core.CuboidSpec{
+	_, cube := oracle.Table1(t, oracle.Cuts, core.Config{MinCount: 2, Cuboids: []core.CuboidSpec{
 		{Item: core.ItemLevel{2, 2}, PathLevel: 0},
-	})
+	}})
 	if n := cube.MarkRedundancy(0.5); n != 0 {
 		t.Errorf("MarkRedundancy marked %d cells redundant with no parents materialized", n)
 	}
@@ -156,7 +138,7 @@ func TestMarkRedundancySentinel(t *testing.T) {
 
 	// With the full lattice materialized, real similarities in (0, 1]
 	// appear for cells with parents — and the apex keeps the sentinel.
-	ex2, cube2 := buildExample(t, core.Config{MinCount: 2})
+	ex2, cube2 := oracle.Table1(t, oracle.Cuts, core.Config{MinCount: 2})
 	cube2.MarkRedundancy(0.5)
 	spec := core.CuboidSpec{Item: core.ItemLevel{2, 2}, PathLevel: 0}
 	cell, ok := cube2.Cell(spec, []hierarchy.NodeID{

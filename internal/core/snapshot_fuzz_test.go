@@ -2,11 +2,10 @@ package core_test
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"flowcube/internal/core"
+	"flowcube/internal/oracle"
 )
 
 // FuzzLoadSnapshot throws arbitrary byte streams at Load, which fronts files
@@ -19,11 +18,7 @@ import (
 // directory entry the lazy open yields is touched, and it reads as Load's
 // cell, or both sides refuse the file.
 func FuzzLoadSnapshot(f *testing.F) {
-	cube := fixtureCube(f)
-	var v2 bytes.Buffer
-	if err := cube.Save(&v2); err != nil {
-		f.Fatal(err)
-	}
+	v2 := bytes.NewBuffer(fixtureSnapshot(f))
 	f.Add(v2.Bytes())
 	f.Add([]byte("FCUBEv2\n"))
 	for _, data := range nonV2Inputs(f) { // a gob stream, text, empty, a truncated magic
@@ -45,21 +40,11 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if notV2 {
 			wantNotV2(t, "Load", err)
 		}
-		var first bytes.Buffer
+		var first []byte
 		if err == nil {
-			if err := loaded.Save(&first); err != nil {
-				t.Fatalf("accepted cube does not save: %v", err)
-			}
-			reloaded, err := core.Load(bytes.NewReader(first.Bytes()))
-			if err != nil {
-				t.Fatalf("saved copy of accepted cube does not load: %v", err)
-			}
-			var second bytes.Buffer
-			if err := reloaded.Save(&second); err != nil {
-				t.Fatalf("re-save failed: %v", err)
-			}
-			if !bytes.Equal(first.Bytes(), second.Bytes()) {
-				t.Fatalf("save→load→save is not a fixed point: %d vs %d bytes", first.Len(), second.Len())
+			first = oracle.Save(t, loaded)
+			if d := oracle.Diff(first, oracle.Save(t, oracle.Reopen(t, loaded, false))); d != "" {
+				t.Fatalf("save→load→save is not a fixed point: %s", d)
 			}
 		}
 
@@ -67,11 +52,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		// reject with an error or yield a cube whose deferred decodes
 		// surface corruption as errors — never a panic — and whose Save
 		// bytes represent the same cube the eager loader accepted.
-		path := filepath.Join(t.TempDir(), "fuzz.fcb")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		lz, lerr := core.LoadCubeLazy(path, core.LazyOptions{CacheBytes: 1 << 16})
+		lz, lerr := core.LoadCubeLazy(oracle.File(t, data), core.LazyOptions{CacheBytes: 1 << 16})
 		if notV2 {
 			wantNotV2(t, "LoadCubeLazy", lerr)
 		}
@@ -122,7 +103,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if sErr != nil {
 			t.Fatalf("eagerly loadable snapshot fails lazy save: %v", sErr)
 		}
-		if !bytes.Equal(lzBytes.Bytes(), first.Bytes()) {
+		if !bytes.Equal(lzBytes.Bytes(), first) {
 			// Raw section copies preserve non-canonical (padded-varint)
 			// payloads the eager re-encode would normalize; the lazy bytes
 			// must still round-trip to the eager fixed point.
@@ -130,12 +111,8 @@ func FuzzLoadSnapshot(f *testing.F) {
 			if err != nil {
 				t.Fatalf("lazy save does not load: %v", err)
 			}
-			var norm bytes.Buffer
-			if err := relz.Save(&norm); err != nil {
-				t.Fatalf("re-save of lazy bytes failed: %v", err)
-			}
-			if !bytes.Equal(norm.Bytes(), first.Bytes()) {
-				t.Fatalf("lazy save diverged from the eager cube: %d vs %d bytes", norm.Len(), first.Len())
+			if d := oracle.Diff(first, oracle.Save(t, relz)); d != "" {
+				t.Fatalf("lazy save diverged from the eager cube: %s", d)
 			}
 		}
 	})

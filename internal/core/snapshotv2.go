@@ -35,6 +35,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 
 	"flowcube/internal/flowgraph"
@@ -338,6 +340,51 @@ func (c *Cube) Save(w io.Writer) error {
 		}
 	}
 	return writeSnapshotV2(w, c, sections)
+}
+
+// SaveFile saves the cube to path without ever leaving a torn snapshot
+// there: Save writes a temporary file in the same directory, which is
+// synced, closed and renamed over path, and the directory is synced. On an
+// error the file at path is as it was and the temporary file is gone.
+func (c *Cube) SaveFile(path string) error {
+	return saveFile(path, c.Save)
+}
+
+// saveFile is SaveFile with the writer save writes through: the cube's Save,
+// or, in tests, a Save through an injected fault.
+func saveFile(path string, save func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = save(f)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort: the save's own error is the one to report
+		return fmt.Errorf("core: save %s: %w", path, err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // writeSnapshotV2 writes the framed stream: the magic, the metadata sections

@@ -9,27 +9,14 @@ import (
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/itemset"
 	"flowcube/internal/mining"
+	"flowcube/internal/oracle"
 	"flowcube/internal/paperex"
-	"flowcube/internal/pathdb"
 	"flowcube/internal/transact"
 )
 
-func examplePlan(ex *paperex.Example) transact.Plan {
-	leaf := hierarchy.LevelCut(ex.Location, ex.Location.Depth())
-	up := hierarchy.LevelCut(ex.Location, 1)
-	return transact.Plan{
-		PathLevels: []pathdb.PathLevel{
-			{Cut: leaf, Time: pathdb.TimeBase},
-			{Cut: leaf, Time: pathdb.TimeAny},
-			{Cut: up, Time: pathdb.TimeBase},
-			{Cut: up, Time: pathdb.TimeAny},
-		},
-	}
-}
-
 func TestCubingRunningExampleCells(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, examplePlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	syms.Encode(ex.DB)
 
 	res, err := cubing.Run(ex.DB, syms, mining.Options{MinCount: 2})
@@ -233,7 +220,7 @@ func flatten(levels []itemset.Level) []counted {
 
 func TestCubingTIDBytesAccounting(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, examplePlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	syms.Encode(ex.DB)
 	res, err := cubing.Run(ex.DB, syms, mining.Options{MinCount: 2})
 	if err != nil {

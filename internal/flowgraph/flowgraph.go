@@ -129,8 +129,7 @@ type Graph struct {
 }
 
 // New returns an empty flowgraph for paths at the given level. merge
-// combines durations of stages collapsed by aggregation (nil =
-// pathdb.SumDurations).
+// combines durations of stages collapsed by aggregation (nil sums them).
 func New(loc *hierarchy.Hierarchy, level pathdb.PathLevel, merge pathdb.DurationMerge) *Graph {
 	return &Graph{
 		level: level,

@@ -17,6 +17,16 @@ func walPath(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "ingest.wal")
 }
 
+// openWAL opens the journal at path, failing the test on an error.
+func openWAL(t *testing.T, path string) *WAL {
+	t.Helper()
+	w, err := OpenContext(context.Background(), path)
+	if err != nil {
+		t.Fatalf("Open %s: %v", path, err)
+	}
+	return w
+}
+
 func appendBatches(t *testing.T, w *WAL, ex *paperex.Example, batches [][]pathdb.Record) {
 	t.Helper()
 	for _, b := range batches {
@@ -44,10 +54,7 @@ func replayAll(t *testing.T, w *WAL, schema *pathdb.Schema) [][]pathdb.Record {
 func TestWALRoundTrip(t *testing.T) {
 	ex := paperex.New()
 	path := walPath(t)
-	w, err := OpenContext(context.Background(), path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	w := openWAL(t, path)
 	recs := ex.DB.Records
 	batches := [][]pathdb.Record{recs[:2], recs[2:3], recs[3:6]}
 	appendBatches(t, w, ex, batches)
@@ -70,9 +77,7 @@ func TestWALRoundTrip(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
-			if w, err = OpenContext(context.Background(), path); err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
+			w = openWAL(t, path)
 			if w.Torn() != nil {
 				t.Fatalf("clean log reported torn: %v", w.Torn())
 			}
@@ -95,10 +100,7 @@ func TestWALRoundTrip(t *testing.T) {
 func TestWALTornTailTruncated(t *testing.T) {
 	ex := paperex.New()
 	path := walPath(t)
-	w, err := OpenContext(context.Background(), path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	w := openWAL(t, path)
 	appendBatches(t, w, ex, [][]pathdb.Record{ex.DB.Records[:2], ex.DB.Records[2:4]})
 	goodSize := w.Size()
 	if err := w.Append(ex.DB.Schema, ex.DB.Records[4:6]); err != nil {
@@ -116,10 +118,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err = OpenContext(context.Background(), path)
-	if err != nil {
-		t.Fatalf("Open after torn tail: %v", err)
-	}
+	w = openWAL(t, path)
 	defer w.Close()
 	if w.Torn() == nil {
 		t.Fatal("expected Torn() to report the dropped tail")
@@ -135,9 +134,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 	// The file itself was truncated, so the next Open is clean.
 	w.Close()
-	if w, err = OpenContext(context.Background(), path); err != nil {
-		t.Fatalf("second reopen: %v", err)
-	}
+	w = openWAL(t, path)
 	defer w.Close()
 	if w.Torn() != nil {
 		t.Fatalf("tail not healed: %v", w.Torn())
@@ -147,10 +144,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 func TestWALCorruptFrameDropsTail(t *testing.T) {
 	ex := paperex.New()
 	path := walPath(t)
-	w, err := OpenContext(context.Background(), path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	w := openWAL(t, path)
 	appendBatches(t, w, ex, [][]pathdb.Record{ex.DB.Records[:2], ex.DB.Records[2:4], ex.DB.Records[4:6]})
 	w.Close()
 
@@ -167,10 +161,7 @@ func TestWALCorruptFrameDropsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err = OpenContext(context.Background(), path)
-	if err != nil {
-		t.Fatalf("Open after bit flip: %v", err)
-	}
+	w = openWAL(t, path)
 	defer w.Close()
 	if w.Torn() == nil {
 		t.Fatal("expected corruption report")
@@ -201,10 +192,7 @@ func TestWALBadMagicRejectedUntouched(t *testing.T) {
 
 func TestWALReset(t *testing.T) {
 	ex := paperex.New()
-	w, err := OpenContext(context.Background(), walPath(t))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	w := openWAL(t, walPath(t))
 	defer w.Close()
 	appendBatches(t, w, ex, [][]pathdb.Record{ex.DB.Records[:3]})
 	if err := w.Reset(); err != nil {
@@ -225,17 +213,14 @@ func TestWALReset(t *testing.T) {
 
 func TestWALReplaySchemaMismatch(t *testing.T) {
 	ex := paperex.New()
-	w, err := OpenContext(context.Background(), walPath(t))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	w := openWAL(t, walPath(t))
 	defer w.Close()
 	appendBatches(t, w, ex, [][]pathdb.Record{ex.DB.Records[:2]})
 
 	// A schema with no vocabulary cannot parse the journal; Replay must
 	// surface a typed corruption error, not garbage records.
 	empty := &pathdb.Schema{}
-	err = w.ReplayContext(context.Background(), empty, func([]pathdb.Record) error { return nil })
+	err := w.ReplayContext(context.Background(), empty, func([]pathdb.Record) error { return nil })
 	if !errors.As(err, new(*CorruptError)) {
 		t.Fatalf("Replay = %v, want *CorruptError", err)
 	}
@@ -243,15 +228,12 @@ func TestWALReplaySchemaMismatch(t *testing.T) {
 
 func TestWALReplayCallbackError(t *testing.T) {
 	ex := paperex.New()
-	w, err := OpenContext(context.Background(), walPath(t))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	w := openWAL(t, walPath(t))
 	defer w.Close()
 	appendBatches(t, w, ex, [][]pathdb.Record{ex.DB.Records[:1], ex.DB.Records[1:2]})
 	sentinel := errors.New("stop")
 	calls := 0
-	err = w.ReplayContext(context.Background(), ex.Schema, func([]pathdb.Record) error {
+	err := w.ReplayContext(context.Background(), ex.Schema, func([]pathdb.Record) error {
 		calls++
 		return sentinel
 	})
@@ -303,10 +285,7 @@ func (f *faultFile) Truncate(size int64) error {
 func TestWALAppendWriteErrorRollsBack(t *testing.T) {
 	ex := paperex.New()
 	path := walPath(t)
-	w, err := OpenContext(context.Background(), path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	w := openWAL(t, path)
 	defer w.Close()
 	appendBatches(t, w, ex, [][]pathdb.Record{ex.DB.Records[:2]})
 	goodSize := w.Size()
@@ -332,10 +311,7 @@ func TestWALAppendWriteErrorRollsBack(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	w, err = OpenContext(context.Background(), path)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
+	w = openWAL(t, path)
 	defer w.Close()
 	if w.Torn() != nil {
 		t.Fatalf("rollback left a torn tail: %v", w.Torn())
@@ -350,10 +326,7 @@ func TestWALAppendWriteErrorRollsBack(t *testing.T) {
 // would corrupt the log mid-file, beyond what a restart scan can heal.
 func TestWALAppendRollbackFailureLatches(t *testing.T) {
 	ex := paperex.New()
-	w, err := OpenContext(context.Background(), walPath(t))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	w := openWAL(t, walPath(t))
 	defer w.Close()
 	appendBatches(t, w, ex, [][]pathdb.Record{ex.DB.Records[:2]})
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flowcube/internal/mining"
+	"flowcube/internal/oracle"
 	"flowcube/internal/paperex"
 	"flowcube/internal/transact"
 )
@@ -78,7 +79,7 @@ func checkFirstScan(t *testing.T, syms *transact.Symbols, txs []transact.Transac
 // the sparse pair-table paths.
 func TestFirstScanMatchesReference(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, fullPlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	txs := syms.Encode(ex.DB)
 	// Replicate the tiny example database so every worker count below gets
 	// a real shard.
@@ -102,7 +103,7 @@ func TestFirstScanMatchesReference(t *testing.T) {
 // is safely zero.
 func TestFirstScanNoPrecount(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, leafPlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Leaf(ex))
 	txs := syms.Encode(ex.DB)
 	items, pairs := mining.FirstScan(syms, txs, false, 4)
 	if pairs != nil {
@@ -124,7 +125,7 @@ func TestFirstScanNoPrecount(t *testing.T) {
 // race detector run in CI is what gives this test teeth.
 func TestSupportConcurrent(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, fullPlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	txs := syms.Encode(ex.DB)
 	res, err := mining.Mine(syms, txs, mining.SharedOptions(0.25))
 	if err != nil {

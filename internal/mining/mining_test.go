@@ -6,35 +6,10 @@ import (
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/itemset"
 	"flowcube/internal/mining"
+	"flowcube/internal/oracle"
 	"flowcube/internal/paperex"
-	"flowcube/internal/pathdb"
 	"flowcube/internal/transact"
 )
-
-// leafPlan materializes the two leaf-cut path levels (base time and '*'),
-// which is the Table-3 encoding.
-func leafPlan(ex *paperex.Example) transact.Plan {
-	leaf := hierarchy.LevelCut(ex.Location, ex.Location.Depth())
-	return transact.Plan{
-		PathLevels: []pathdb.PathLevel{
-			{Cut: leaf, Time: pathdb.TimeBase},
-			{Cut: leaf, Time: pathdb.TimeAny},
-		},
-	}
-}
-
-func fullPlan(ex *paperex.Example) transact.Plan {
-	leaf := hierarchy.LevelCut(ex.Location, ex.Location.Depth())
-	up := hierarchy.LevelCut(ex.Location, 1)
-	return transact.Plan{
-		PathLevels: []pathdb.PathLevel{
-			{Cut: leaf, Time: pathdb.TimeBase},
-			{Cut: leaf, Time: pathdb.TimeAny},
-			{Cut: up, Time: pathdb.TimeBase},
-			{Cut: up, Time: pathdb.TimeAny},
-		},
-	}
-}
 
 func seq(ex *paperex.Example, names ...string) []hierarchy.NodeID {
 	out := make([]hierarchy.NodeID, len(names))
@@ -94,7 +69,7 @@ func groundTruth(t *testing.T, ex *paperex.Example, syms *transact.Symbols) map[
 
 func TestSharedRunningExampleCounts(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, leafPlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Leaf(ex))
 	txs := syms.Encode(ex.DB)
 	res, err := mining.Mine(syms, txs, mining.Options{MinCount: 3, PruneAncestor: true, PruneLink: true, Precount: true})
 	if err != nil {
@@ -114,7 +89,7 @@ func TestSharedRunningExampleCounts(t *testing.T) {
 
 func TestBasicMatchesSharedOnSharedOutput(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, fullPlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	txs := syms.Encode(ex.DB)
 
 	shared, err := mining.Mine(syms, txs, mining.SharedOptions(0.3))
@@ -154,7 +129,7 @@ func TestBasicMatchesSharedOnSharedOutput(t *testing.T) {
 
 func TestSharedPruningReducesCandidates(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, fullPlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	txs := syms.Encode(ex.DB)
 
 	shared, err := mining.Mine(syms, txs, mining.SharedOptions(0.25))
@@ -182,7 +157,7 @@ func TestSharedPruningReducesCandidates(t *testing.T) {
 
 func TestPrecountIsLossless(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, fullPlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	txs := syms.Encode(ex.DB)
 
 	with, err := mining.Mine(syms, txs, mining.Options{MinCount: 2, PruneAncestor: true, PruneLink: true, Precount: true})
@@ -210,7 +185,7 @@ func TestPrecountIsLossless(t *testing.T) {
 
 func TestLinkPruneIsLossless(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, fullPlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	txs := syms.Encode(ex.DB)
 
 	with, err := mining.Mine(syms, txs, mining.Options{MinCount: 3, PruneLink: true})
@@ -229,7 +204,7 @@ func TestLinkPruneIsLossless(t *testing.T) {
 
 func TestMinSupportValidation(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, leafPlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Leaf(ex))
 	txs := syms.Encode(ex.DB)
 	for _, bad := range []float64{0, -0.5, 1.5} {
 		if _, err := mining.Mine(syms, txs, mining.Options{MinSupport: bad}); err == nil {
@@ -240,7 +215,7 @@ func TestMinSupportValidation(t *testing.T) {
 
 func TestCandidateLimitAborts(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, fullPlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	txs := syms.Encode(ex.DB)
 	opts := mining.BasicOptions(0.2)
 	opts.CandidateLimit = 1
@@ -255,7 +230,7 @@ func TestCandidateLimitAborts(t *testing.T) {
 
 func TestSupportMonotonicity(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, fullPlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	txs := syms.Encode(ex.DB)
 	res, err := mining.Mine(syms, txs, mining.SharedOptions(0.25))
 	if err != nil {
@@ -289,7 +264,7 @@ func TestSupportMonotonicity(t *testing.T) {
 // byte-identical results to the sequential run.
 func TestParallelMatchesSequential(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, fullPlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	txs := syms.Encode(ex.DB)
 
 	seq, err := mining.Mine(syms, txs, mining.SharedOptions(0.25))

@@ -4,6 +4,9 @@ import (
 	"context"
 	"net/url"
 	"testing"
+
+	"flowcube/internal/core"
+	"flowcube/internal/oracle"
 )
 
 // FuzzParseQuery drives arbitrary /v2/query parameter strings through
@@ -12,8 +15,8 @@ import (
 // is the running example with half its cuboids dropped, so the
 // computed-cell path is reachable from fuzzed input too.
 func FuzzParseQuery(f *testing.F) {
-	_, cube := buildPaperCube(f)
-	dropRandom(cube, 1)
+	_, eager := oracle.Table1(f, oracle.Views, core.Config{MinCount: 2})
+	cube, _ := oracle.Pruned(f, eager, oracle.Random(1, 1, 2))
 	seeds := []string{
 		"",
 		"op=cell&cell=product=shoes,brand=nike&pathlevel=1",

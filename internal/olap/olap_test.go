@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/url"
 	"sync"
 	"sync/atomic"
@@ -12,61 +11,19 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
-	"flowcube/internal/paperex"
-	"flowcube/internal/pathdb"
-	"flowcube/internal/transact"
+	"flowcube/internal/oracle"
 )
 
-// testDataset is a small synthetic database: 2 dimensions with shallow
-// fanouts so the full lattice (16 item levels × 2 path levels) builds in
-// well under a second.
-func testDataset(t testing.TB) *datagen.Dataset {
-	t.Helper()
-	cfg := datagen.Default()
-	cfg.NumPaths = 1500
-	cfg.NumDims = 2
-	cfg.DimFanouts = [3]int{2, 2, 3}
-	cfg.NumSequences = 8
-	cfg.SeqLenMin, cfg.SeqLenMax = 3, 5
-	return datagen.MustGenerate(cfg)
-}
-
-func buildEager(t testing.TB, ds *datagen.Dataset, minCount int64, tau float64) *core.Cube {
-	t.Helper()
+// buildEager builds a small synthetic database — 2 dimensions with
+// shallow fanouts, so the full lattice (16 item levels × 2 path levels)
+// builds in well under a second — at two path levels.
+func buildEager(t testing.TB, minCount int64, tau float64) *core.Cube {
+	gen := oracle.Gen(1, 1500)
+	gen.DimFanouts, gen.NumSequences, gen.SeqLenMin, gen.SeqLenMax = [3]int{2, 2, 3}, 8, 3, 5
+	ds := datagen.MustGenerate(gen)
 	plan := ds.DefaultPlan()
 	plan.PathLevels = plan.PathLevels[:2]
-	cube, err := core.Build(ds.DB, core.Config{
-		MinCount: minCount,
-		Tau:      tau,
-		Plan:     plan,
-		Workers:  4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cube
-}
-
-// digestAll records, for every materialized cell, the digest a
-// reconstruction of it must reproduce: the eager cell's, less its
-// exceptions — they are holistic (Lemma 4.3), a fold cannot rebuild them,
-// and a computed cell carries none.
-func digestAll(cube *core.Cube) map[string][32]byte {
-	out := map[string][32]byte{}
-	for _, spec := range cube.MaterializedSpecs() {
-		cb := cube.Cuboid(spec)
-		for _, cell := range cb.SortedCells() {
-			want := cell
-			if len(cell.Graph.Exceptions()) > 0 {
-				g := cell.Graph.Clone()
-				g.ClearExceptions()
-				want = &core.Cell{Values: cell.Values, Count: cell.Count, Graph: g,
-					Redundant: cell.Redundant, Similarity: cell.Similarity}
-			}
-			out[spec.Key()+"|"+core.FormatCell(cube.Schema, cell.Values)] = core.CellDigest(want)
-		}
-	}
-	return out
+	return oracle.Build(t, ds.DB, core.Config{MinCount: minCount, Tau: tau, Plan: plan, Workers: 4})
 }
 
 // checkComputedCells reconstructs and answers every cell of every dropped
@@ -99,7 +56,7 @@ func checkComputedCells(t *testing.T, input string, eager, pruned *core.Cube, dr
 			defer wg.Done()
 			for i := w; i < len(jobs); i += workers {
 				j := jobs[i]
-				key := j.spec.Key() + "|" + core.FormatCell(eager.Schema, j.cell.Values)
+				key := oracle.CellKey(eager, j.spec, j.cell.Values)
 				name := input + " " + key
 				// Redundant cells answer through a parent, so Answer alone
 				// would leave their recomputed marking unchecked.
@@ -140,37 +97,13 @@ func checkComputedCells(t *testing.T, input string, eager, pruned *core.Cube, dr
 	return computed.Load()
 }
 
-// dropRandom drops each materialized cuboid of cube with probability 1/2
-// and returns the dropped specs.
-func dropRandom(cube *core.Cube, seed int64) []core.CuboidSpec {
-	rng := rand.New(rand.NewSource(seed))
-	var dropped []core.CuboidSpec
-	for _, s := range cube.MaterializedSpecs() {
-		if rng.Intn(2) == 0 && cube.DropCuboid(s) != nil {
-			dropped = append(dropped, s)
-		}
-	}
-	return dropped
-}
-
 // TestAnswerMatchesEagerRandomSplits is the K-split-point property test:
 // drop a random subset of cuboids, then every cell the engine answers as
 // computed must digest-identical to the eager build. Splits run in
 // parallel, and each split fans its cells over goroutines, so `go test
 // -race` checks Answer's concurrent-reader contract at the same time.
 func TestAnswerMatchesEagerRandomSplits(t *testing.T) {
-	ds := testDataset(t)
-	ex := paperex.New()
-	withExceptions, err := core.Build(ex.DB, core.Config{
-		MinCount:              2,
-		Epsilon:               0.1,
-		Plan:                  transact.Plan{PathLevels: []pathdb.PathLevel{ex.BasePathLevel(), ex.TransportPathLevel()}},
-		MineExceptions:        true,
-		SingleStageExceptions: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, withExceptions := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	type input struct {
 		name     string
 		eager    *core.Cube
@@ -178,17 +111,17 @@ func TestAnswerMatchesEagerRandomSplits(t *testing.T) {
 		computed atomic.Int64
 	}
 	inputs := []*input{
-		{name: "iceberg", eager: buildEager(t, ds, 2, 0)},
+		{name: "iceberg", eager: buildEager(t, 2, 0)},
 		// Redundancy marking on: a reconstructed cell's Similarity and
 		// Redundant bits are digest-covered, also against parents whose own
 		// cuboids were dropped.
-		{name: "tau", eager: buildEager(t, ds, 1, 0.5)},
+		{name: "tau", eager: buildEager(t, 1, 0.5)},
 		// Exceptions on: a computed cell is the eager cell less its
-		// exceptions (digestAll), never a different flowgraph.
+		// exceptions (oracle.CellDigests), never a different flowgraph.
 		{name: "exceptions", eager: withExceptions},
 	}
 	for _, in := range inputs {
-		in.digests = digestAll(in.eager)
+		in.digests = oracle.CellDigests(in.eager)
 	}
 
 	const splits = 6
@@ -198,8 +131,7 @@ func TestAnswerMatchesEagerRandomSplits(t *testing.T) {
 			t.Run(fmt.Sprintf("seed%d", k), func(t *testing.T) {
 				t.Parallel()
 				for _, in := range inputs {
-					pruned := in.eager.Fork()
-					dropped := dropRandom(pruned, int64(k))
+					pruned, dropped := oracle.Pruned(t, in.eager, oracle.Random(int64(k), 1, 2))
 					in.computed.Add(checkComputedCells(t, in.name, in.eager, pruned, dropped, in.digests))
 				}
 			})
@@ -213,19 +145,6 @@ func TestAnswerMatchesEagerRandomSplits(t *testing.T) {
 	}
 }
 
-// buildPaperCube is the Figure-5 running example without exceptions, the
-// fixture for operation-semantics tests.
-func buildPaperCube(t testing.TB) (*paperex.Example, *core.Cube) {
-	t.Helper()
-	ex := paperex.New()
-	plan := transact.Plan{PathLevels: []pathdb.PathLevel{ex.BasePathLevel(), ex.TransportPathLevel()}}
-	cube, err := core.Build(ex.DB, core.Config{MinCount: 2, Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ex, cube
-}
-
 func parseCell(t testing.TB, cube *core.Cube, cell string, pathLevel int) core.Query {
 	t.Helper()
 	q, err := ParseQuery(cube, url.Values{"cell": {cell}, "pathlevel": {fmt.Sprint(pathLevel)}})
@@ -236,7 +155,7 @@ func parseCell(t testing.TB, cube *core.Cube, cell string, pathLevel int) core.Q
 }
 
 func TestAnswerOps(t *testing.T) {
-	_, cube := buildPaperCube(t)
+	_, cube := oracle.Table1(t, oracle.Views, core.Config{MinCount: 2})
 	ctx := context.Background()
 	product := cube.Schema.DimIndex("product")
 	brand := cube.Schema.DimIndex("brand")
@@ -319,8 +238,8 @@ func TestAnswerOps(t *testing.T) {
 	})
 
 	t.Run("nocompute", func(t *testing.T) {
-		pruned := cube.Fork()
-		for _, spec := range dropRandom(pruned, 1) {
+		pruned, dropped := oracle.Pruned(t, cube, oracle.Random(1, 1, 2))
+		for _, spec := range dropped {
 			for _, cell := range cube.Cuboid(spec).SortedCells() {
 				a, err := pruned.Answer(ctx, core.Query{Spec: spec, Values: cell.Values, NoCompute: true})
 				if err != nil {
@@ -335,7 +254,7 @@ func TestAnswerOps(t *testing.T) {
 }
 
 func TestParseQueryErrors(t *testing.T) {
-	_, cube := buildPaperCube(t)
+	_, cube := oracle.Table1(t, oracle.Views, core.Config{MinCount: 2})
 	bad := []url.Values{
 		{"op": {"pivot"}},
 		{"cell": {"bogus"}},

@@ -198,33 +198,25 @@ func (pl PathLevel) Key() string { return pl.Cut.Key() + "/" + pl.Time.Key() }
 
 // DurationMerge combines the durations of consecutive stages that collapse
 // to the same location concept during aggregation. The paper leaves the
-// policy to the application; SumDurations is the default.
+// policy to the application; a nil merge, the default, adds the merged
+// stages' durations — the paper's "as simple as just adding the individual
+// durations".
 type DurationMerge func(durations []int64) int64
-
-// SumDurations adds the merged stages' durations — the paper's "as simple
-// as just adding the individual durations".
-func SumDurations(durations []int64) int64 {
-	var s int64
-	for _, d := range durations {
-		s += d
-	}
-	return s
-}
 
 // AggregatePath aggregates a path to a path abstraction level in the two
 // steps of §4.1: (1) map each stage location through the cut and the
 // duration through the time level; (2) merge runs of consecutive stages
 // whose locations aggregated to the same concept, combining their raw
 // durations with merge (then applying the time level to the merged value).
-// A nil merge uses SumDurations.
+// A nil merge sums the durations.
 func AggregatePath(p Path, level PathLevel, merge DurationMerge) Path {
 	return AppendAggregated(make(Path, 0, len(p)), p, level, merge)
 }
 
 // AppendAggregated appends the stages of AggregatePath(p, level, merge) to
 // dst and returns the extended slice, so a caller aggregating many paths
-// can keep them in one arena. A nil merge sums the run in place, as
-// SumDurations would, without collecting it first.
+// can keep them in one arena. A nil merge sums the run in place, without
+// collecting it first.
 func AppendAggregated(dst, p Path, level PathLevel, merge DurationMerge) Path {
 	for i := 0; i < len(p); {
 		loc := level.Cut.Map(p[i].Location)

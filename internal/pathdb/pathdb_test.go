@@ -273,8 +273,8 @@ func TestAggregateIdempotentProperty(t *testing.T) {
 	}
 }
 
-// Property: total duration is preserved by aggregation under SumDurations
-// at TimeBase — merging only redistributes stage boundaries.
+// Property: total duration is preserved by aggregation under the default
+// (summing) merge at TimeBase — merging only redistributes stage boundaries.
 func TestAggregatePreservesTotalDurationProperty(t *testing.T) {
 	loc := hierarchy.Generate("loc", 3, 3)
 	leaves := loc.Leaves()
@@ -308,7 +308,7 @@ func TestAggregatePreservesTotalDurationProperty(t *testing.T) {
 
 // Property: coarse-of-fine equals coarse-of-raw — aggregating to a coarse
 // cut via an intermediate finer cut gives the same location sequence as
-// aggregating directly (durations also agree under SumDurations).
+// aggregating directly (durations also agree under the summing merge).
 func TestAggregateCommutesProperty(t *testing.T) {
 	loc := hierarchy.Generate("loc", 3, 3)
 	leaves := loc.Leaves()

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -10,9 +9,9 @@ import (
 	"testing"
 
 	"flowcube/internal/core"
+	"flowcube/internal/oracle"
 	"flowcube/internal/paperex"
 	"flowcube/internal/pathdb"
-	"flowcube/internal/transact"
 )
 
 func postBody(t testing.TB, h http.Handler, url, body string) (*httptest.ResponseRecorder, map[string]any) {
@@ -35,37 +34,13 @@ func postBody(t testing.TB, h http.Handler, url, body string) (*httptest.Respons
 // under Save.
 func TestAdminAppend(t *testing.T) {
 	ex := paperex.New()
-	plan := transact.Plan{PathLevels: []pathdb.PathLevel{ex.BasePathLevel(), ex.TransportPathLevel()}}
-	cfg := core.Config{MinCount: 2, Plan: plan, DeltaLedger: true}
-
-	full, err := core.Build(ex.DB, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := full.Save(&want); err != nil {
-		t.Fatal(err)
-	}
-
+	cfg := core.Config{MinCount: 2, Plan: oracle.Views(ex), DeltaLedger: true}
 	split := ex.DB.Len() - 3
-	prefix := &pathdb.DB{Schema: ex.DB.Schema, Records: append([]pathdb.Record(nil), ex.DB.Records[:split]...)}
-	cube, err := core.Build(prefix, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(func() (*core.Cube, LoadInfo, error) {
-		return cube, LoadInfo{DB: prefix}, nil
-	}, "test", quietConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	prefix := oracle.Prefix(ex.DB, split)
+	cube := oracle.Build(t, prefix, cfg)
+	s := newTestServer2(t, func() (*core.Cube, LoadInfo, error) { return cube, LoadInfo{DB: prefix}, nil }, quietConfig())
 
-	var batch bytes.Buffer
-	batchDB := &pathdb.DB{Schema: ex.DB.Schema, Records: ex.DB.Records[split:]}
-	if _, err := batchDB.WriteTo(&batch); err != nil {
-		t.Fatal(err)
-	}
-	rec, body := postBody(t, s.Handler(), "/admin/append", batch.String())
+	rec, body := postBody(t, s.Handler(), "/admin/append", oracle.Records(t, ex.DB.Schema, ex.DB.Records[split:]))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("append: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -80,13 +55,7 @@ func TestAdminAppend(t *testing.T) {
 	if snap.DB.Len() != ex.DB.Len() {
 		t.Errorf("swapped snapshot DB has %d records, want %d", snap.DB.Len(), ex.DB.Len())
 	}
-	var got bytes.Buffer
-	if err := snap.Cube.Save(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Error("appended snapshot differs from a full build over the union database")
-	}
+	oracle.Check(t, "appended snapshot", snap.Cube, ex.DB, cfg)
 
 	m := s.Metrics()
 	if m.Appends.Count != 1 {
@@ -102,10 +71,10 @@ func TestAdminAppend(t *testing.T) {
 
 func TestAdminAppendErrors(t *testing.T) {
 	ex := paperex.New()
-	plan := transact.Plan{PathLevels: []pathdb.PathLevel{ex.BasePathLevel()}}
+	plan := oracle.Base(ex)
 
 	// A snapshot loaded without a path database cannot append.
-	_, cubeOnly := buildExampleCube(t)
+	_, cubeOnly := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	s := newTestServer(t, cubeOnly, quietConfig())
 	rec, _ := postBody(t, s.Handler(), "/admin/append", "tennis,nike|f:1 s:2\n")
 	if rec.Code != http.StatusConflict {
@@ -113,16 +82,8 @@ func TestAdminAppendErrors(t *testing.T) {
 	}
 
 	// A database-backed snapshot rejects malformed and empty bodies.
-	cube, err := core.Build(ex.DB, core.Config{MinCount: 2, Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err = New(func() (*core.Cube, LoadInfo, error) {
-		return cube, LoadInfo{DB: ex.DB}, nil
-	}, "test", quietConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cube := oracle.Build(t, ex.DB, core.Config{MinCount: 2, Plan: plan})
+	s = newTestServer2(t, func() (*core.Cube, LoadInfo, error) { return cube, LoadInfo{DB: ex.DB}, nil }, quietConfig())
 	if rec, _ := postBody(t, s.Handler(), "/admin/append", "not a record line\n"); rec.Code != http.StatusBadRequest {
 		t.Errorf("malformed body: status %d, want 400", rec.Code)
 	}
@@ -136,32 +97,16 @@ func TestAdminAppendErrors(t *testing.T) {
 	}
 
 	// A cube built with a fractional threshold is not delta-maintainable.
-	fractional, err := core.Build(ex.DB, core.Config{MinSupport: 0.25, Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err = New(func() (*core.Cube, LoadInfo, error) {
-		return fractional, LoadInfo{DB: ex.DB}, nil
-	}, "test", quietConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fractional := oracle.Build(t, ex.DB, core.Config{MinSupport: 0.25, Plan: plan})
+	s = newTestServer2(t, func() (*core.Cube, LoadInfo, error) { return fractional, LoadInfo{DB: ex.DB}, nil }, quietConfig())
 	if rec, _ := postBody(t, s.Handler(), "/admin/append", "tennis,nike|f:1 s:2\n"); rec.Code != http.StatusConflict {
 		t.Errorf("fractional cube: status %d, want 409", rec.Code)
 	}
 
 	// Neither is a compressed one: its dropped cells read as sub-δ.
-	compressed, err := core.Build(ex.DB, core.Config{MinCount: 2, Tau: 0.5, Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
+	compressed := oracle.Build(t, ex.DB, core.Config{MinCount: 2, Tau: 0.5, Plan: plan})
 	compressed.Compress()
-	s, err = New(func() (*core.Cube, LoadInfo, error) {
-		return compressed, LoadInfo{DB: ex.DB}, nil
-	}, "test", quietConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s = newTestServer2(t, func() (*core.Cube, LoadInfo, error) { return compressed, LoadInfo{DB: ex.DB}, nil }, quietConfig())
 	if rec, _ := postBody(t, s.Handler(), "/admin/append", "tennis,nike|f:1 s:2\n"); rec.Code != http.StatusConflict {
 		t.Errorf("compressed cube: status %d, want 409", rec.Code)
 	}
@@ -174,36 +119,21 @@ func TestAdminAppendErrors(t *testing.T) {
 // concurrent single-record batches and require every one to land.
 func TestAdminAppendSerialized(t *testing.T) {
 	ex := paperex.New()
-	plan := transact.Plan{PathLevels: []pathdb.PathLevel{ex.BasePathLevel(), ex.TransportPathLevel()}}
-	cfg := core.Config{MinCount: 2, Plan: plan, DeltaLedger: true}
-
+	cfg := core.Config{MinCount: 2, Plan: oracle.Views(ex), DeltaLedger: true}
 	split := ex.DB.Len() - 3
-	prefix := &pathdb.DB{Schema: ex.DB.Schema, Records: append([]pathdb.Record(nil), ex.DB.Records[:split]...)}
-	cube, err := core.Build(prefix, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(func() (*core.Cube, LoadInfo, error) {
-		return cube, LoadInfo{DB: prefix}, nil
-	}, "test", quietConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	prefix := oracle.Prefix(ex.DB, split)
+	cube := oracle.Build(t, prefix, cfg)
+	s := newTestServer2(t, func() (*core.Cube, LoadInfo, error) { return cube, LoadInfo{DB: prefix}, nil }, quietConfig())
 
 	rest := ex.DB.Records[split:]
 	var wg sync.WaitGroup
 	errs := make([]string, len(rest))
 	for i, r := range rest {
+		body := oracle.Records(t, ex.DB.Schema, []pathdb.Record{r})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var batch bytes.Buffer
-			one := &pathdb.DB{Schema: ex.DB.Schema, Records: []pathdb.Record{r}}
-			if _, err := one.WriteTo(&batch); err != nil {
-				errs[i] = err.Error()
-				return
-			}
-			rec, _ := postBody(t, s.Handler(), "/admin/append", batch.String())
+			rec, _ := postBody(t, s.Handler(), "/admin/append", body)
 			if rec.Code != http.StatusOK {
 				errs[i] = rec.Body.String()
 			}

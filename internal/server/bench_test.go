@@ -12,6 +12,7 @@ import (
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
 	"flowcube/internal/hierarchy"
+	"flowcube/internal/oracle"
 )
 
 // Serving microbenchmarks: the same /v1/cell query answered from the LRU
@@ -24,7 +25,7 @@ const benchQuery = "/v1/cell?cell=product=shoes,brand=nike&pathlevel=0"
 
 func benchServer(tb testing.TB, cacheSize int) *Server {
 	tb.Helper()
-	_, cube := buildExampleCube(tb)
+	_, cube := oracle.Table1(tb, oracle.Views, oracle.Mined(0))
 	cfg := quietConfig()
 	cfg.CacheSize = cacheSize
 	return newTestServer(tb, cube, cfg)
@@ -85,11 +86,11 @@ func BenchmarkCommit(b *testing.B) {
 	bodies := make([]string, batches)
 	for i := range bodies {
 		lo := base + i*batchLen
-		bodies[i] = recordsBody(b, ds.DB.Schema, ds.DB.Records[lo:lo+batchLen])
+		bodies[i] = oracle.Records(b, ds.DB.Schema, ds.DB.Records[lo:lo+batchLen])
 	}
 	for _, exceptions := range []bool{false, true} {
 		b.Run(fmt.Sprintf("exceptions=%t", exceptions), func(b *testing.B) {
-			s, err := New(prefixLoader(b, ds, base, core.Config{
+			s, err := New(prefixLoader(ds.DB, base, core.Config{
 				MinCount: 20, Epsilon: 0.1, Plan: ds.DefaultPlan(),
 				MineExceptions: exceptions, SingleStageExceptions: exceptions,
 				DeltaLedger: true, Workers: 2,
@@ -141,10 +142,7 @@ func BenchmarkRespond(b *testing.B) {
 	cfg := datagen.Default()
 	cfg.NumPaths, cfg.NumDims = 2000, 2
 	ds := datagen.MustGenerate(cfg)
-	cube, err := core.Build(ds.DB, core.Config{MinCount: 20, Plan: ds.DefaultPlan()})
-	if err != nil {
-		b.Fatal(err)
-	}
+	cube := oracle.Build(b, ds.DB, core.Config{MinCount: 20, Plan: ds.DefaultPlan()})
 	first := func(spec core.CuboidSpec) []hierarchy.NodeID { return cube.Cuboid(spec).SortedCells()[0].Values }
 	fine := core.CuboidSpec{Item: core.ItemLevel{2, 1}, PathLevel: 0}
 	dropped := core.CuboidSpec{Item: core.ItemLevel{1, 0}, PathLevel: 3}

@@ -7,16 +7,14 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/hierarchy"
-	"flowcube/internal/paperex"
-	"flowcube/internal/pathdb"
-	"flowcube/internal/transact"
+	"flowcube/internal/oracle"
 )
 
 // TestCuboidsCensus pins the GET /v1/cuboids shape: the full cuboid list in
 // CuboidSummaries order (including empty cuboids), plus the cube-identity
 // fields a cluster router compares across shards at startup.
 func TestCuboidsCensus(t *testing.T) {
-	_, cube := buildExampleCube(t)
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	s := newTestServer(t, cube, quietConfig())
 
 	rec, body := get(t, s.Handler(), "/v1/cuboids")
@@ -73,21 +71,11 @@ func TestCuboidsCensus(t *testing.T) {
 // set to exactly one record line so the truncated prefix still parses and
 // the size violation — not a parse error — is what surfaces.
 func TestAppendBodyLimit(t *testing.T) {
-	ex := paperex.New()
-	plan := transact.Plan{PathLevels: []pathdb.PathLevel{ex.BasePathLevel()}}
-	cube, err := core.Build(ex.DB, core.Config{MinCount: 2, Plan: plan, DeltaLedger: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex, cube := oracle.Table1(t, oracle.Base, core.Config{MinCount: 2, DeltaLedger: true})
 	line := "tennis,nike|f:1 s:2\n"
 	cfg := quietConfig()
 	cfg.MaxAppendBytes = int64(len(line))
-	s, err := New(func() (*core.Cube, LoadInfo, error) {
-		return cube, LoadInfo{DB: ex.DB}, nil
-	}, "test", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer2(t, func() (*core.Cube, LoadInfo, error) { return cube, LoadInfo{DB: ex.DB}, nil }, cfg)
 
 	rec, body := postBody(t, s.Handler(), "/admin/append", line+line)
 	if rec.Code != http.StatusRequestEntityTooLarge {
@@ -111,24 +99,14 @@ func TestAppendBodyLimit(t *testing.T) {
 // delta-maintained cube before the snapshot swap — the mechanism shard
 // servers use to re-prune foreign cells after every append.
 func TestPostAppendHook(t *testing.T) {
-	ex := paperex.New()
-	plan := transact.Plan{PathLevels: []pathdb.PathLevel{ex.BasePathLevel()}}
-	cube, err := core.Build(ex.DB, core.Config{MinCount: 2, Plan: plan, DeltaLedger: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex, cube := oracle.Table1(t, oracle.Base, core.Config{MinCount: 2, DeltaLedger: true})
 	calls := 0
 	cfg := quietConfig()
 	cfg.PostAppend = func(c *core.Cube) *core.Cube {
 		calls++
 		return c.FilterCells(func([]hierarchy.NodeID) bool { return false })
 	}
-	s, err := New(func() (*core.Cube, LoadInfo, error) {
-		return cube, LoadInfo{DB: ex.DB}, nil
-	}, "test", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer2(t, func() (*core.Cube, LoadInfo, error) { return cube, LoadInfo{DB: ex.DB}, nil }, cfg)
 
 	rec, _ := postBody(t, s.Handler(), "/admin/append", "tennis,nike|f:1 s:2\n")
 	if rec.Code != http.StatusOK {

@@ -11,9 +11,7 @@ import (
 	"testing"
 
 	"flowcube/internal/core"
-	"flowcube/internal/paperex"
-	"flowcube/internal/pathdb"
-	"flowcube/internal/transact"
+	"flowcube/internal/oracle"
 )
 
 // The golden-response suites pin the read API byte-for-byte: /v1 in
@@ -145,38 +143,19 @@ func checkGolden(t *testing.T, name string, got []goldenEntry) {
 }
 
 func TestGoldenV1Responses(t *testing.T) {
-	_, cube := buildExampleCube(t)
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	s := newTestServer(t, cube, quietConfig())
 	checkGolden(t, "golden_v1.json", recordGolden(t, s.Handler(), goldenURLs))
 }
 
-// goldenV2Cube is the running example at δ = 1 with redundancy marked at
-// τ = 0.99 — only cells whose flowgraph equals a parent's, such as
-// brand=sports (every brand is a sports brand), are redundant — and every
-// path-level-0 cuboid but the finest dropped, so cells of that path level
-// are computed or skipped.
-func goldenV2Cube(t *testing.T) *core.Cube {
-	t.Helper()
-	ex := paperex.New()
-	plan := transact.Plan{PathLevels: []pathdb.PathLevel{ex.BasePathLevel(), ex.TransportPathLevel()}}
-	cube, err := core.Build(ex.DB, core.Config{MinCount: 1, Tau: 0.99, Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := cube.MaterializedSpecs()
-	for _, s := range specs {
-		finest := true
-		for _, o := range specs {
-			finest = finest && o.Item.Dominates(s.Item)
-		}
-		if s.PathLevel == 0 && !finest {
-			cube.DropCuboid(s)
-		}
-	}
-	return cube
-}
-
 func TestGoldenV2Responses(t *testing.T) {
-	s := newTestServer(t, goldenV2Cube(t), quietConfig())
+	// The running example at δ = 1 with redundancy marked at τ = 0.99 — only
+	// cells whose flowgraph equals a parent's, such as brand=sports (every
+	// brand is a sports brand), are redundant — and every path-level-0
+	// cuboid but the finest dropped, so cells of that path level are
+	// computed or skipped.
+	_, eager := oracle.Table1(t, oracle.Views, core.Config{MinCount: 1, Tau: 0.99})
+	pruned, _ := oracle.Pruned(t, eager, oracle.Coarse)
+	s := newTestServer(t, pruned, quietConfig())
 	checkGolden(t, "golden_v2.json", recordGolden(t, s.Handler(), goldenV2URLs))
 }

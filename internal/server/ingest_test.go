@@ -7,14 +7,10 @@ package server
 // full Build over the union database in commit order.
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -24,81 +20,31 @@ import (
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
 	"flowcube/internal/ingest"
+	"flowcube/internal/oracle"
 	"flowcube/internal/paperex"
 	"flowcube/internal/pathdb"
-	"flowcube/internal/transact"
 )
 
-func ingestDataset(t testing.TB, seed int64, paths int) *datagen.Dataset {
-	t.Helper()
-	cfg := datagen.Default()
-	cfg.Seed = seed
-	cfg.NumPaths = paths
-	cfg.NumDims = 2
-	cfg.DimFanouts = [3]int{3, 3, 4}
-	return datagen.MustGenerate(cfg)
-}
-
-// copyPrefix returns a freshly allocated database over the first n records —
-// what a real loader produces on every load, and what the copy-on-write
-// store's adoption contract requires.
-func copyPrefix(ds *datagen.Dataset, n int) *pathdb.DB {
-	return &pathdb.DB{Schema: ds.DB.Schema, Records: append([]pathdb.Record(nil), ds.DB.Records[:n]...)}
-}
-
-func cubeDigest(t testing.TB, cube *core.Cube) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := cube.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:])
-}
-
-// prefixLoader builds a fresh cube (and database copy) over the dataset's
-// first n records on every call, like FileLoader re-reading its file.
-func prefixLoader(t testing.TB, ds *datagen.Dataset, n int, cfg core.Config) Loader {
+// prefixLoader builds a fresh cube over a fresh copy of db's first n
+// records on every call, like FileLoader re-reading its file: the store
+// adopts the records.
+func prefixLoader(db *pathdb.DB, n int, cfg core.Config) Loader {
 	return func() (*core.Cube, LoadInfo, error) {
-		db := copyPrefix(ds, n)
-		cube, err := core.Build(db, cfg)
-		if err != nil {
-			return nil, LoadInfo{}, err
-		}
-		return cube, LoadInfo{DB: db}, nil
+		prefix := oracle.Prefix(db, n)
+		cube, err := core.Build(prefix, cfg)
+		return cube, LoadInfo{DB: prefix}, err
 	}
 }
 
-// paperexLoader is the cheap loader for the fencing tests: the 8-record
-// running example builds in milliseconds, so reload-heavy tests stay fast.
-// Every call copies the records — the store adopts them.
-func paperexLoader(ex *paperex.Example, cfg core.Config) Loader {
-	return func() (*core.Cube, LoadInfo, error) {
-		db := &pathdb.DB{Schema: ex.DB.Schema, Records: append([]pathdb.Record(nil), ex.DB.Records...)}
-		cube, err := core.Build(db, cfg)
-		if err != nil {
-			return nil, LoadInfo{}, err
-		}
-		return cube, LoadInfo{DB: db}, nil
-	}
-}
-
-func paperexConfig(ex *paperex.Example) core.Config {
-	return core.Config{
-		MinCount:    2,
-		Plan:        transact.Plan{PathLevels: []pathdb.PathLevel{ex.BasePathLevel()}},
-		DeltaLedger: true,
-	}
-}
-
-func recordsBody(t testing.TB, schema *pathdb.Schema, recs []pathdb.Record) string {
-	t.Helper()
-	var buf bytes.Buffer
-	db := &pathdb.DB{Schema: schema, Records: recs}
-	if _, err := db.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
+// paperexServer serves the running example, the cheap fixture for the
+// fencing tests (its 8 records build in milliseconds), at δ = 2 with the
+// ledger, loading a fresh copy every time and journaling appends to walPath
+// when it is set.
+func paperexServer(t testing.TB, walPath string) (*Server, *paperex.Example) {
+	ex := paperex.New()
+	cfg := quietConfig()
+	cfg.WALPath = walPath
+	return newTestServer2(t, prefixLoader(ex.DB, ex.DB.Len(), core.Config{MinCount: 2, Plan: oracle.Base(ex), DeltaLedger: true}), cfg), ex
 }
 
 // TestIngestWALCrashRecovery is the acceptance scenario from DESIGN.md §11:
@@ -106,20 +52,13 @@ func recordsBody(t testing.TB, schema *pathdb.Schema, recs []pathdb.Record) stri
 // (the swap is volatile — any crash after the fsync loses it) must replay on
 // startup to the exact state an uninterrupted run reaches.
 func TestIngestWALCrashRecovery(t *testing.T) {
-	ds := ingestDataset(t, 51, 160)
+	ds := oracle.Dataset(51, 160)
 	const base = 120
 	cfg := core.Config{
 		MinCount: 4, Epsilon: 0.05, Plan: ds.DefaultPlan(),
 		MineExceptions: true, SingleStageExceptions: true, DeltaLedger: true, Workers: 2,
 	}
 	walPath := filepath.Join(t.TempDir(), "ingest.wal")
-
-	// The uninterrupted run: a full build over all 160 records in order.
-	full, err := core.Build(&pathdb.DB{Schema: ds.DB.Schema, Records: ds.DB.Records}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cubeDigest(t, full)
 
 	// Crash before any fold: the journal holds two acknowledged batches the
 	// in-memory snapshot never absorbed.
@@ -141,17 +80,13 @@ func TestIngestWALCrashRecovery(t *testing.T) {
 
 	sCfg := quietConfig()
 	sCfg.WALPath = walPath
-	s, err := New(prefixLoader(t, ds, base, cfg), "test", sCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer2(t, prefixLoader(ds.DB, base, cfg), sCfg)
 	snap := s.Snapshot()
 	if snap.DB.Len() != 160 {
 		t.Fatalf("replayed snapshot has %d records, want 160", snap.DB.Len())
 	}
-	if got := cubeDigest(t, snap.Cube); got != want {
-		t.Errorf("replayed digest %s != uninterrupted digest %s", got, want)
-	}
+	// The uninterrupted run is a full build over all 160 records in order.
+	oracle.Check(t, "replayed snapshot", snap.Cube, ds.DB, cfg)
 	if got := s.Metrics().Ingest.WALEntries; got != 2 {
 		t.Errorf("wal_entries = %d after replay, want 2", got)
 	}
@@ -164,25 +99,22 @@ func TestIngestWALCrashRecovery(t *testing.T) {
 	// The journal keeps extending after replay: an append journals entry 3,
 	// and a second restart replays all three.
 	rec, _ := postBody(t, s.Handler(), "/admin/append",
-		recordsBody(t, ds.DB.Schema, ds.DB.Records[150:160]))
+		oracle.Records(t, ds.DB.Schema, ds.DB.Records[150:160]))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("append after replay: status %d: %s", rec.Code, rec.Body.String())
 	}
 	wantLen := s.Snapshot().DB.Len()
-	wantDigest := cubeDigest(t, s.Snapshot().Cube)
+	wantDigest := oracle.Digest(t, s.Snapshot().Cube)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := New(prefixLoader(t, ds, base, cfg), "test", sCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := newTestServer2(t, prefixLoader(ds.DB, base, cfg), sCfg)
 	defer s2.Close()
 	if got := s2.Snapshot().DB.Len(); got != wantLen {
 		t.Fatalf("second restart has %d records, want %d", got, wantLen)
 	}
-	if got := cubeDigest(t, s2.Snapshot().Cube); got != wantDigest {
+	if got := oracle.Digest(t, s2.Snapshot().Cube); got != wantDigest {
 		t.Errorf("second restart digest %s != pre-crash digest %s", got, wantDigest)
 	}
 }
@@ -194,33 +126,19 @@ func TestIngestWALCrashRecovery(t *testing.T) {
 // byte-identical, and the lazy server must still be lazy, having decoded
 // less than its snapshot holds.
 func TestIngestLazyServerMatchesEager(t *testing.T) {
-	ds := ingestDataset(t, 61, 160)
+	ds := oracle.Dataset(61, 160)
 	const base = 120
-	cube, err := core.Build(copyPrefix(ds, base), core.Config{
+	cube := oracle.Build(t, oracle.Prefix(ds.DB, base), core.Config{
 		MinCount: 4, Tau: 0.5, Plan: ds.DefaultPlan(), DeltaLedger: true, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	snapPath, dbPath := filepath.Join(dir, "cube.fcb"), filepath.Join(dir, "paths.fdb")
-	var snap, fdb bytes.Buffer
-	if err := cube.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (&datagen.Dataset{Config: ds.Config, DB: copyPrefix(ds, base)}).WriteTo(&fdb); err != nil {
-		t.Fatal(err)
-	}
-	for path, data := range map[string][]byte{snapPath: snap.Bytes(), dbPath: fdb.Bytes()} {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	snap := oracle.Save(t, cube)
+	snapPath, walPath := oracle.File(t, snap), filepath.Join(t.TempDir(), "ingest.wal")
+	dbPath := oracle.DatasetFile(t, &datagen.Dataset{Config: ds.Config, DB: oracle.Prefix(ds.DB, base)})
 	serve := func(lazy bool, walPath string) *Server {
 		cfg := quietConfig()
 		cfg.WALPath = walPath
 		return newTestServer2(t, WithDatabase(FileLoader(snapPath, BuildOptions{Lazy: lazy}), dbPath), cfg)
 	}
-	eager, lazy := serve(false, ""), serve(true, filepath.Join(dir, "ingest.wal"))
+	eager, lazy := serve(false, ""), serve(true, walPath)
 	defer eager.Close()
 
 	var urls []string
@@ -251,14 +169,14 @@ func TestIngestLazyServerMatchesEager(t *testing.T) {
 		if lz == nil {
 			t.Fatalf("%s: /metrics reports no snapshot.lazy", step)
 		}
-		if decoded := lz["decoded_bytes"].(float64); decoded >= float64(snap.Len()) {
-			t.Errorf("%s: decoded %v bytes of a %d-byte snapshot", step, decoded, snap.Len())
+		if decoded := lz["decoded_bytes"].(float64); decoded >= float64(len(snap)) {
+			t.Errorf("%s: decoded %v bytes of a %d-byte snapshot", step, decoded, len(snap))
 		}
 	}
 
 	same("open")
 	for _, split := range [][2]int{{base, 130}, {130, 145}, {145, 160}} {
-		body := recordsBody(t, ds.DB.Schema, ds.DB.Records[split[0]:split[1]])
+		body := oracle.Records(t, ds.DB.Schema, ds.DB.Records[split[0]:split[1]])
 		for _, s := range []*Server{eager, lazy} {
 			if rec, _ := postBody(t, s.Handler(), "/admin/append", body); rec.Code != http.StatusOK {
 				t.Fatalf("append %v: status %d: %s", split, rec.Code, rec.Body.String())
@@ -269,7 +187,7 @@ func TestIngestLazyServerMatchesEager(t *testing.T) {
 	if err := lazy.Close(); err != nil {
 		t.Fatal(err)
 	}
-	lazy = serve(true, filepath.Join(dir, "ingest.wal"))
+	lazy = serve(true, walPath)
 	defer lazy.Close()
 	same("after restart on the WAL")
 }
@@ -278,19 +196,12 @@ func TestIngestLazyServerMatchesEager(t *testing.T) {
 // truth and deliberately discards appended records, so it must also discard
 // their journal entries — replaying them after a restart would double-apply.
 func TestIngestReloadResetsWAL(t *testing.T) {
-	ex := paperex.New()
 	const base = 8 // the full running example
-	cfg := paperexConfig(ex)
 	walPath := filepath.Join(t.TempDir(), "ingest.wal")
-	sCfg := quietConfig()
-	sCfg.WALPath = walPath
-	s, err := New(paperexLoader(ex, cfg), "test", sCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, ex := paperexServer(t, walPath)
 
 	rec, _ := postBody(t, s.Handler(), "/admin/append",
-		recordsBody(t, ex.DB.Schema, ex.DB.Records[:2]))
+		oracle.Records(t, ex.DB.Schema, ex.DB.Records[:2]))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("append: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -312,10 +223,7 @@ func TestIngestReloadResetsWAL(t *testing.T) {
 	}
 
 	// Restart: nothing to replay.
-	s2, err := New(paperexLoader(ex, cfg), "test", sCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2, _ := paperexServer(t, walPath)
 	defer s2.Close()
 	if got := s2.Snapshot().DB.Len(); got != base {
 		t.Errorf("restart after reload has %d records, want %d (WAL double-applied)", got, base)
@@ -327,12 +235,7 @@ func TestIngestReloadResetsWAL(t *testing.T) {
 // at commit with a retryable 409, because the reload may have changed the
 // schema the batch's node ids were resolved against.
 func TestIngestStaleSchemaConflict(t *testing.T) {
-	ex := paperex.New()
-	cfg := paperexConfig(ex)
-	s, err := New(paperexLoader(ex, cfg), "test", quietConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, ex := paperexServer(t, "")
 	defer s.Close()
 
 	staleTag := s.Snapshot().SchemaGen
@@ -356,7 +259,7 @@ func TestIngestStaleSchemaConflict(t *testing.T) {
 
 	// A batch carrying the current generation folds normally.
 	rec, _ := postBody(t, s.Handler(), "/admin/append",
-		recordsBody(t, ex.DB.Schema, ex.DB.Records[:2]))
+		oracle.Records(t, ex.DB.Schema, ex.DB.Records[:2]))
 	if rec.Code != http.StatusOK {
 		t.Errorf("fresh append after conflict: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -367,18 +270,12 @@ func TestIngestStaleSchemaConflict(t *testing.T) {
 // (with the record index rebased to its own batch), the survivors refold
 // and commit together, and the bad batch is never journaled.
 func TestIngestBatchErrorIsolatedToOwner(t *testing.T) {
-	ex := paperex.New()
-	cfg := paperexConfig(ex)
-	sCfg := quietConfig()
-	sCfg.WALPath = filepath.Join(t.TempDir(), "ingest.wal")
-	s, err := New(paperexLoader(ex, cfg), "test", sCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	walPath := filepath.Join(t.TempDir(), "ingest.wal")
+	s, ex := paperexServer(t, walPath)
 	defer s.Close()
 
 	before := s.Snapshot()
-	beforeDigest := cubeDigest(t, before.Cube)
+	beforeDigest := oracle.Digest(t, before.Cube)
 	tag := before.SchemaGen
 	base := before.DB.Len()
 	good1 := ingest.NewPending(append([]pathdb.Record(nil), ex.DB.Records[:2]...), tag)
@@ -416,7 +313,7 @@ func TestIngestBatchErrorIsolatedToOwner(t *testing.T) {
 	}
 	// Two folds forked the serving cube — the one the bad batch sank and
 	// the one that committed — and neither may have written into it.
-	if got := cubeDigest(t, before.Cube); got != beforeDigest {
+	if got := oracle.Digest(t, before.Cube); got != beforeDigest {
 		t.Error("folding the group changed the snapshot it was forked from")
 	}
 }
@@ -427,17 +324,11 @@ func TestIngestBatchErrorIsolatedToOwner(t *testing.T) {
 // would refuse to start (the replayed entry fails the same deterministic
 // fold) or double-apply a batch the client was told failed.
 func TestIngestFoldFailureLeavesWALClean(t *testing.T) {
-	ex := paperex.New()
-	cfg := paperexConfig(ex)
-	sCfg := quietConfig()
-	sCfg.WALPath = filepath.Join(t.TempDir(), "ingest.wal")
-	s, err := New(paperexLoader(ex, cfg), "test", sCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	walPath := filepath.Join(t.TempDir(), "ingest.wal")
+	s, ex := paperexServer(t, walPath)
 
 	before := s.Snapshot()
-	beforeDigest := cubeDigest(t, before.Cube)
+	beforeDigest := oracle.Digest(t, before.Cube)
 	bad := ingest.NewPending([]pathdb.Record{{Dims: ex.DB.Records[0].Dims}}, before.SchemaGen)
 	s.applyGroup([]*ingest.Pending{bad})
 	if _, err := bad.Wait(); errorStatus(err) != http.StatusBadRequest {
@@ -446,17 +337,14 @@ func TestIngestFoldFailureLeavesWALClean(t *testing.T) {
 	if got := s.Metrics().Ingest.WALEntries; got != 0 {
 		t.Fatalf("wal_entries = %d after a failed fold, want 0", got)
 	}
-	if s.Snapshot() != before || cubeDigest(t, before.Cube) != beforeDigest {
+	if s.Snapshot() != before || oracle.Digest(t, before.Cube) != beforeDigest {
 		t.Fatal("a failed fold replaced or changed the serving snapshot")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := New(paperexLoader(ex, cfg), "test", sCfg)
-	if err != nil {
-		t.Fatalf("restart after failed fold: %v", err)
-	}
+	s2, _ := paperexServer(t, walPath)
 	defer s2.Close()
 	if got := s2.Snapshot().DB.Len(); got != len(ex.DB.Records) {
 		t.Errorf("restart has %d records, want the %d base records (failed batch replayed)",
@@ -469,16 +357,10 @@ func TestIngestFoldFailureLeavesWALClean(t *testing.T) {
 // snapshot, its cube and the record store are exactly what they were, so
 // the next append folds from the same state.
 func TestIngestJournalFailureDropsFold(t *testing.T) {
-	ex := paperex.New()
-	sCfg := quietConfig()
-	sCfg.WALPath = filepath.Join(t.TempDir(), "ingest.wal")
-	s, err := New(paperexLoader(ex, paperexConfig(ex)), "test", sCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, ex := paperexServer(t, filepath.Join(t.TempDir(), "ingest.wal"))
 	defer s.Close()
 	before := s.Snapshot()
-	beforeDigest := cubeDigest(t, before.Cube)
+	beforeDigest := oracle.Digest(t, before.Cube)
 
 	// A closed journal rejects the append, as a full disk would.
 	if err := s.wal.Close(); err != nil {
@@ -492,11 +374,52 @@ func TestIngestJournalFailureDropsFold(t *testing.T) {
 	if s.Snapshot() != before {
 		t.Fatal("a fold whose journal write failed was published")
 	}
-	if got := cubeDigest(t, before.Cube); got != beforeDigest {
+	if got := oracle.Digest(t, before.Cube); got != beforeDigest {
 		t.Error("the dropped fold wrote into the serving cube")
 	}
 	if got := len(s.store.Committed()); got != before.DB.Len() {
 		t.Errorf("record store holds %d records after the dropped fold, want %d", got, before.DB.Len())
+	}
+}
+
+// watchBatches spins n readers on the serving snapshot until the returned
+// stop is called, which returns what they saw go wrong: a record count past
+// base that is not a whole number of batches, or, when monotone, a
+// generation or record count that went backwards.
+func watchBatches(s *Server, n, base, batchSize int, monotone bool) (stop func() []string) {
+	var done atomic.Bool
+	var mu sync.Mutex
+	var violations []string
+	report := func(v string) {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(violations) < 64 {
+			violations = append(violations, v)
+		}
+	}
+	var readers sync.WaitGroup
+	for r := 0; r < n; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			lastGen, lastLen := uint64(0), 0
+			for !done.Load() {
+				snap := s.Snapshot()
+				n := snap.DB.Len()
+				if (n-base)%batchSize != 0 {
+					report(fmt.Sprintf("partial batch visible: %d records past base", n-base))
+				}
+				if monotone && (snap.Gen < lastGen || n < lastLen) {
+					report(fmt.Sprintf("snapshot went backwards: gen %d→%d len %d→%d", lastGen, snap.Gen, lastLen, n))
+				}
+				lastGen, lastLen = snap.Gen, n
+			}
+		}()
+	}
+	return func() []string {
+		done.Store(true)
+		readers.Wait()
+		return violations
 	}
 }
 
@@ -508,7 +431,7 @@ func TestIngestJournalFailureDropsFold(t *testing.T) {
 // cube must be byte-identical to a full build over the database the commits
 // produced.
 func TestIngestStressConcurrent(t *testing.T) {
-	ds := ingestDataset(t, 59, 200)
+	ds := oracle.Dataset(59, 200)
 	const (
 		base      = 120
 		batchSize = 2
@@ -521,40 +444,10 @@ func TestIngestStressConcurrent(t *testing.T) {
 	}
 	sCfg := quietConfig()
 	sCfg.WALPath = filepath.Join(t.TempDir(), "ingest.wal")
-	s, err := New(prefixLoader(t, ds, base, cfg), "test", sCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer2(t, prefixLoader(ds.DB, base, cfg), sCfg)
 	defer s.Close()
 
-	var done atomic.Bool
-	violations := make(chan string, 64)
-	var readers sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			lastGen, lastLen := uint64(0), 0
-			for !done.Load() {
-				snap := s.Snapshot()
-				n := snap.DB.Len()
-				if (n-base)%batchSize != 0 {
-					select {
-					case violations <- fmt.Sprintf("partial batch visible: %d records past base", n-base):
-					default:
-					}
-				}
-				if snap.Gen < lastGen || n < lastLen {
-					select {
-					case violations <- fmt.Sprintf("snapshot went backwards: gen %d→%d len %d→%d", lastGen, snap.Gen, lastLen, n):
-					default:
-					}
-				}
-				lastGen, lastLen = snap.Gen, n
-			}
-		}()
-	}
-
+	stopReaders := watchBatches(s, 3, base, batchSize, true)
 	var writersWG sync.WaitGroup
 	writeErrs := make([]error, writers)
 	for wi := 0; wi < writers; wi++ {
@@ -563,7 +456,7 @@ func TestIngestStressConcurrent(t *testing.T) {
 			defer writersWG.Done()
 			for b := 0; b < perWriter; b++ {
 				lo := base + (wi*perWriter+b)*batchSize
-				body := recordsBody(t, ds.DB.Schema, ds.DB.Records[lo:lo+batchSize])
+				body := oracle.Records(t, ds.DB.Schema, ds.DB.Records[lo:lo+batchSize])
 				req := httptest.NewRequest(http.MethodPost, "/admin/append", strings.NewReader(body))
 				rec := httptest.NewRecorder()
 				s.Handler().ServeHTTP(rec, req)
@@ -575,10 +468,7 @@ func TestIngestStressConcurrent(t *testing.T) {
 		}(wi)
 	}
 	writersWG.Wait()
-	done.Store(true)
-	readers.Wait()
-	close(violations)
-	for v := range violations {
+	for _, v := range stopReaders() {
 		t.Error(v)
 	}
 	for _, err := range writeErrs {
@@ -591,18 +481,9 @@ func TestIngestStressConcurrent(t *testing.T) {
 	if snap.DB.Len() != 200 {
 		t.Fatalf("final snapshot has %d records, want 200 (a batch was lost)", snap.DB.Len())
 	}
-	// Exactness in commit order: rebuild over the exact database the
-	// concurrent folds produced.
-	rebuilt, err := core.Build(&pathdb.DB{
-		Schema:  ds.DB.Schema,
-		Records: append([]pathdb.Record(nil), snap.DB.Records...),
-	}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := cubeDigest(t, snap.Cube), cubeDigest(t, rebuilt); got != want {
-		t.Errorf("final folded digest %s != full-build digest %s", got, want)
-	}
+	// Exactness in commit order: against a full build over the exact
+	// database the concurrent folds produced.
+	oracle.Check(t, "final folded snapshot", snap.Cube, snap.DB, cfg)
 	m := s.Metrics()
 	if m.Ingest.GroupedRequests != writers*perWriter {
 		t.Errorf("grouped_requests = %d, want %d", m.Ingest.GroupedRequests, writers*perWriter)
@@ -618,36 +499,14 @@ func TestIngestStressConcurrent(t *testing.T) {
 // a partial batch (reloads reset the record count to the base, commits add
 // whole batches).
 func TestIngestStressWithReloads(t *testing.T) {
-	ex := paperex.New()
 	const (
 		base      = 8 // the full running example
 		batchSize = 2
 	)
-	cfg := paperexConfig(ex)
-	s, err := New(paperexLoader(ex, cfg), "test", quietConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, ex := paperexServer(t, "")
 	defer s.Close()
 
-	var done atomic.Bool
-	violations := make(chan string, 64)
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !done.Load() {
-				if n := s.Snapshot().DB.Len(); (n-base)%batchSize != 0 {
-					select {
-					case violations <- fmt.Sprintf("partial batch visible: %d records past base", n-base):
-					default:
-					}
-				}
-			}
-		}()
-	}
-
+	stopReaders := watchBatches(s, 2, base, batchSize, false)
 	var writersWG sync.WaitGroup
 	writeErrs := make([]error, 6)
 	for wi := 0; wi < len(writeErrs); wi++ {
@@ -658,7 +517,7 @@ func TestIngestStressWithReloads(t *testing.T) {
 				// Batches reuse example records (duplicates are ordinary
 				// appends); what matters here is the swap traffic.
 				lo := (wi*4 + b) * batchSize % (base - batchSize)
-				body := recordsBody(t, ex.DB.Schema, ex.DB.Records[lo:lo+batchSize])
+				body := oracle.Records(t, ex.DB.Schema, ex.DB.Records[lo:lo+batchSize])
 				req := httptest.NewRequest(http.MethodPost, "/admin/append", strings.NewReader(body))
 				rec := httptest.NewRecorder()
 				s.Handler().ServeHTTP(rec, req)
@@ -686,10 +545,7 @@ func TestIngestStressWithReloads(t *testing.T) {
 		}
 	}()
 	writersWG.Wait()
-	done.Store(true)
-	wg.Wait()
-	close(violations)
-	for v := range violations {
+	for _, v := range stopReaders() {
 		t.Error(v)
 	}
 	for _, err := range writeErrs {
@@ -719,19 +575,13 @@ func TestIngestStressWithReloads(t *testing.T) {
 // last load and reset on reload, not on append, so neither a commit nor a
 // WAL replay at startup may zero load_ms.
 func TestIngestKeepsLoadGauge(t *testing.T) {
-	ex := paperex.New()
-	cfg := paperexConfig(ex)
-	sCfg := quietConfig()
-	sCfg.WALPath = filepath.Join(t.TempDir(), "ingest.wal")
-	s, err := New(paperexLoader(ex, cfg), "test", sCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	walPath := filepath.Join(t.TempDir(), "ingest.wal")
+	s, ex := paperexServer(t, walPath)
 	before := s.Metrics().Snapshot.LoadMs
 	if before <= 0 {
 		t.Fatalf("load_ms = %g after the first load, want > 0", before)
 	}
-	rec, _ := postBody(t, s.Handler(), "/admin/append", recordsBody(t, ex.DB.Schema, ex.DB.Records[:2]))
+	rec, _ := postBody(t, s.Handler(), "/admin/append", oracle.Records(t, ex.DB.Schema, ex.DB.Records[:2]))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("append: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -742,10 +592,7 @@ func TestIngestKeepsLoadGauge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := New(paperexLoader(ex, cfg), "test", sCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2, _ := paperexServer(t, walPath)
 	defer s2.Close()
 	if s2.Snapshot().Gen != 1 {
 		t.Fatalf("restart is generation %d, want 1 (the replayed append)", s2.Snapshot().Gen)

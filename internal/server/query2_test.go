@@ -16,13 +16,11 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/ingest"
-	"flowcube/internal/paperex"
-	"flowcube/internal/pathdb"
-	"flowcube/internal/transact"
+	"flowcube/internal/oracle"
 )
 
 func TestQueryV2Ops(t *testing.T) {
-	_, cube := buildExampleCube(t)
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	s := newTestServer(t, cube, quietConfig())
 	h := s.Handler()
 
@@ -98,48 +96,15 @@ func TestQueryV2Ops(t *testing.T) {
 	})
 }
 
-// prunedExample builds the running example twice — eager and with every
-// path-level-0 cuboid but the finest dropped — without exceptions (a fold
-// cannot rebuild them) and with MinCount 1, so no iceberg truncation blocks
-// reconstruction: each dropped cell folds exactly from the finest cuboid,
-// certified by the census of its path-level-1 twin.
-func prunedExample(t *testing.T) (eager, pruned *core.Cube, dropped []core.CuboidSpec) {
-	t.Helper()
-	build := func() *core.Cube {
-		ex := paperex.New()
-		plan := transact.Plan{PathLevels: []pathdb.PathLevel{
-			ex.BasePathLevel(),
-			ex.TransportPathLevel(),
-		}}
-		cube, err := core.Build(ex.DB, core.Config{MinCount: 1, Plan: plan})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cube
-	}
-	eager, pruned = build(), build()
-	specs := eager.MaterializedSpecs()
-	for _, s := range specs {
-		finest := true
-		for _, o := range specs {
-			finest = finest && o.Item.Dominates(s.Item)
-		}
-		if s.PathLevel == 0 && !finest && pruned.DropCuboid(s) != nil {
-			dropped = append(dropped, s)
-		}
-	}
-	if len(dropped) == 0 {
-		t.Fatal("nothing dropped; the parity test needs computed cells")
-	}
-	return eager, pruned, dropped
-}
-
 // TestPrunedV1Parity is the /v1 acceptance bar for partial materialization:
 // every /v1/cell response over the pruned snapshot — including
 // cells of dropped cuboids, answered through query-time reconstruction —
 // must match the eager server's byte for byte, along with the 404 shape.
 func TestPrunedV1Parity(t *testing.T) {
-	eager, pruned, dropped := prunedExample(t)
+	// The running example without exceptions (a fold cannot rebuild them)
+	// at MinCount 1, so no iceberg truncation blocks reconstruction.
+	_, eager := oracle.Table1(t, oracle.Views, core.Config{MinCount: 1})
+	pruned, dropped := oracle.Pruned(t, eager, oracle.Coarse)
 	se := newTestServer(t, eager, quietConfig())
 	sp := newTestServer(t, pruned, quietConfig())
 
@@ -212,13 +177,12 @@ func TestPrunedV1Parity(t *testing.T) {
 // with the commit loop stalled and the queue full, POST /admin/append sheds
 // load with 503 + Retry-After, while the queued append still commits.
 func TestAppendQueueFull503(t *testing.T) {
-	ex := paperex.New()
-	s := newTestServer2(t, paperexLoader(ex, paperexConfig(ex)), quietConfig())
+	s, ex := paperexServer(t, "")
 	// One append per commit group, and room for one in the queue.
 	s.committer.Close()
 	s.committer = ingest.NewCommitter(ingest.Config{GroupLimit: 1, MaxPending: 1, Apply: s.applyGroup})
 	h := s.Handler()
-	body := recordsBody(t, ex.DB.Schema, ex.DB.Records[:1])
+	body := oracle.Records(t, ex.DB.Schema, ex.DB.Records[:1])
 
 	// Stall the commit loop so submitted appends stay queued.
 	gate := make(chan struct{})

@@ -17,34 +17,8 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/hierarchy"
-	"flowcube/internal/paperex"
-	"flowcube/internal/pathdb"
-	"flowcube/internal/transact"
+	"flowcube/internal/oracle"
 )
-
-// buildExampleCube materializes the paper's running example with exceptions
-// mined, the fixture every handler test serves from.
-func buildExampleCube(t testing.TB) (*paperex.Example, *core.Cube) {
-	t.Helper()
-	ex := paperex.New()
-	plan := transact.Plan{
-		PathLevels: []pathdb.PathLevel{
-			ex.BasePathLevel(),
-			ex.TransportPathLevel(),
-		},
-	}
-	cube, err := core.Build(ex.DB, core.Config{
-		MinCount:              2,
-		Epsilon:               0.1,
-		Plan:                  plan,
-		MineExceptions:        true,
-		SingleStageExceptions: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ex, cube
-}
 
 func quietConfig() Config {
 	return Config{Logger: log.New(io.Discard, "", 0)}
@@ -53,11 +27,7 @@ func quietConfig() Config {
 // newTestServer serves a fixed cube through an in-memory loader.
 func newTestServer(t testing.TB, cube *core.Cube, cfg Config) *Server {
 	t.Helper()
-	s, err := New(func() (*core.Cube, LoadInfo, error) { return cube, LoadInfo{}, nil }, "test", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return newTestServer2(t, func() (*core.Cube, LoadInfo, error) { return cube, LoadInfo{}, nil }, cfg)
 }
 
 func get(t testing.TB, h http.Handler, url string) (*httptest.ResponseRecorder, map[string]any) {
@@ -75,7 +45,7 @@ func get(t testing.TB, h http.Handler, url string) (*httptest.ResponseRecorder, 
 }
 
 func TestCellExactQuery(t *testing.T) {
-	_, cube := buildExampleCube(t)
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	s := newTestServer(t, cube, quietConfig())
 
 	rec, body := get(t, s.Handler(), "/v1/cell?cell=product=shoes,brand=nike&pathlevel=0")
@@ -101,7 +71,7 @@ func TestCellExactQuery(t *testing.T) {
 }
 
 func TestCellRollupInference(t *testing.T) {
-	_, cube := buildExampleCube(t)
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	s := newTestServer(t, cube, quietConfig())
 
 	// (sandals, nike) holds one path — below δ=2 — so the answer must come
@@ -120,7 +90,7 @@ func TestCellRollupInference(t *testing.T) {
 }
 
 func TestCellDOTMatchesDirectQuery(t *testing.T) {
-	ex, cube := buildExampleCube(t)
+	ex, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	s := newTestServer(t, cube, quietConfig())
 
 	spec := "product=shoes,brand=nike"
@@ -148,7 +118,7 @@ func TestCellDOTMatchesDirectQuery(t *testing.T) {
 }
 
 func TestCellErrors(t *testing.T) {
-	_, cube := buildExampleCube(t)
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	s := newTestServer(t, cube, quietConfig())
 
 	for _, tc := range []struct {
@@ -172,7 +142,7 @@ func TestCellErrors(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
-	_, cube := buildExampleCube(t)
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	s := newTestServer(t, cube, quietConfig())
 
 	rec, body := get(t, s.Handler(), "/v1/summary")
@@ -195,7 +165,7 @@ func TestSummary(t *testing.T) {
 }
 
 func TestExceptions(t *testing.T) {
-	_, cube := buildExampleCube(t)
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	s := newTestServer(t, cube, quietConfig())
 
 	rec, body := get(t, s.Handler(), "/v1/exceptions?k=5")
@@ -223,7 +193,7 @@ func TestExceptions(t *testing.T) {
 }
 
 func TestHealthzAndMetrics(t *testing.T) {
-	_, cube := buildExampleCube(t)
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	s := newTestServer(t, cube, quietConfig())
 
 	rec, body := get(t, s.Handler(), "/healthz")
@@ -260,13 +230,10 @@ func TestReloadSwapsSnapshot(t *testing.T) {
 	var loads atomic.Int64
 	loader := func() (*core.Cube, LoadInfo, error) {
 		loads.Add(1)
-		_, cube := buildExampleCube(t)
+		_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 		return cube, LoadInfo{Bytes: 4242}, nil
 	}
-	s, err := New(loader, "test", quietConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer2(t, loader, quietConfig())
 	if loads.Load() != 1 {
 		t.Fatalf("loader ran %d times at startup, want 1", loads.Load())
 	}
@@ -334,13 +301,10 @@ func TestReloadSwapsSnapshot(t *testing.T) {
 // hammer /v1/cell while reloads swap the snapshot underneath them.
 func TestConcurrentQueriesDuringReload(t *testing.T) {
 	loader := func() (*core.Cube, LoadInfo, error) {
-		_, cube := buildExampleCube(t)
+		_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 		return cube, LoadInfo{}, nil
 	}
-	s, err := New(loader, "test", quietConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer2(t, loader, quietConfig())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -392,7 +356,7 @@ func TestConcurrentQueriesDuringReload(t *testing.T) {
 }
 
 func TestServeGracefulShutdown(t *testing.T) {
-	_, cube := buildExampleCube(t)
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	s := newTestServer(t, cube, quietConfig())
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -426,7 +390,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 }
 
 func TestRequestTimeout(t *testing.T) {
-	_, cube := buildExampleCube(t)
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	s := newTestServer(t, cube, Config{
 		RequestTimeout: time.Millisecond,
 		Logger:         log.New(io.Discard, "", 0),

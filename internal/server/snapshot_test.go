@@ -1,14 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"flowcube/internal/core"
+	"flowcube/internal/oracle"
 )
 
 // TestFileLoaderReadsEachFileOneWay: FileLoader sniffs the snapshot magic
@@ -16,28 +14,15 @@ import (
 // *core.CorruptSnapshotError, not re-read as a path database; a path
 // database still builds; and a file that is neither names both readings.
 func TestFileLoaderReadsEachFileOneWay(t *testing.T) {
-	ds := ingestDataset(t, 5, 60)
-	cube, err := core.Build(copyPrefix(ds, 60), core.Config{MinCount: 4, Plan: ds.DefaultPlan()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap, fdb bytes.Buffer
-	if err := cube.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ds.WriteTo(&fdb); err != nil {
-		t.Fatal(err)
-	}
-	corrupt := snap.Bytes()
+	ds := oracle.Dataset(5, 60)
+	cube := oracle.Build(t, oracle.Prefix(ds.DB, 60), core.Config{MinCount: 4, Plan: ds.DefaultPlan()})
+	corrupt := oracle.Save(t, cube)
 	corrupt[len(corrupt)/2] ^= 0x01
-	dir := t.TempDir()
 	paths := map[string]string{}
-	for name, data := range map[string][]byte{"corrupt.fcb": corrupt, "paths.fdb": fdb.Bytes(), "garbage": []byte("neither\n")} {
-		paths[name] = filepath.Join(dir, name)
-		if err := os.WriteFile(paths[name], data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	for name, data := range map[string][]byte{"corrupt.fcb": corrupt, "garbage": []byte("neither\n")} {
+		paths[name] = oracle.File(t, data)
 	}
+	paths["paths.fdb"] = oracle.DatasetFile(t, ds)
 	for _, lazy := range []bool{false, true} {
 		opts := BuildOptions{MinSupport: 0.05, Lazy: lazy}
 		_, _, err := FileLoader(paths["corrupt.fcb"], opts)()

@@ -6,37 +6,11 @@ import (
 	"testing"
 
 	"flowcube/internal/hierarchy"
+	"flowcube/internal/oracle"
 	"flowcube/internal/paperex"
 	"flowcube/internal/pathdb"
 	"flowcube/internal/transact"
 )
-
-// examplePlan builds the Table-3 encoding plan for the running example:
-// leaf locations × {base time, '*'} plus the one-level-up location cut, the
-// four path levels the experiments use.
-func examplePlan(ex *paperex.Example) transact.Plan {
-	loc := ex.Location
-	leaf := hierarchy.LevelCut(loc, loc.Depth())
-	up := hierarchy.LevelCut(loc, 1)
-	return transact.Plan{
-		PathLevels: []pathdb.PathLevel{
-			{Cut: leaf, Time: pathdb.TimeBase},
-			{Cut: leaf, Time: pathdb.TimeAny},
-			{Cut: up, Time: pathdb.TimeBase},
-			{Cut: up, Time: pathdb.TimeAny},
-		},
-	}
-}
-
-func leafOnlyPlan(ex *paperex.Example) transact.Plan {
-	leaf := hierarchy.LevelCut(ex.Location, ex.Location.Depth())
-	return transact.Plan{
-		PathLevels: []pathdb.PathLevel{
-			{Cut: leaf, Time: pathdb.TimeBase},
-			{Cut: leaf, Time: pathdb.TimeAny},
-		},
-	}
-}
 
 func seq(ex *paperex.Example, names ...string) []hierarchy.NodeID {
 	out := make([]hierarchy.NodeID, len(names))
@@ -48,7 +22,7 @@ func seq(ex *paperex.Example, names ...string) []hierarchy.NodeID {
 
 func TestEncodeRecordTable3(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, leafOnlyPlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Leaf(ex))
 	txs := syms.Encode(ex.DB)
 	if len(txs) != 8 {
 		t.Fatalf("encoded %d transactions, want 8", len(txs))
@@ -113,7 +87,7 @@ func TestEncodeRecordTable3(t *testing.T) {
 
 func TestEncodeIncludeTop(t *testing.T) {
 	ex := paperex.New()
-	plan := leafOnlyPlan(ex)
+	plan := oracle.Leaf(ex)
 	plan.IncludeTop = true
 	syms := transact.MustNewSymbols(ex.Schema, plan)
 	txs := syms.Encode(ex.DB)
@@ -130,7 +104,7 @@ func TestEncodeIncludeTop(t *testing.T) {
 
 func TestStageAggregationSupportsHigherLevels(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, examplePlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	txs := syms.Encode(ex.DB)
 
 	// Path 4 (f,10)(t,1)(s,5)(c,0): at the one-level-up cut its path is
@@ -161,7 +135,7 @@ func TestStageAggregationSupportsHigherLevels(t *testing.T) {
 
 func TestAncestors(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, examplePlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	syms.Encode(ex.DB)
 
 	// tennis -> shoes -> clothing along the product dimension.
@@ -215,7 +189,7 @@ func TestAncestors(t *testing.T) {
 
 func TestLinkability(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, examplePlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	syms.Encode(ex.DB)
 
 	get := func(level int, dur int64, any bool, names ...string) transact.Item {
@@ -265,7 +239,7 @@ func TestLinkability(t *testing.T) {
 
 func TestHasAncestorPair(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, examplePlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	syms.Encode(ex.DB)
 
 	tennis, _ := syms.LookupDimValue(0, ex.Product.MustLookup("tennis"))
@@ -281,7 +255,7 @@ func TestHasAncestorPair(t *testing.T) {
 
 func TestPrecountImage(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, examplePlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	syms.Encode(ex.DB)
 
 	// A top-level item's image is itself.
@@ -316,7 +290,7 @@ func containsItem(set []transact.Item, it transact.Item) bool {
 
 func TestAccessors(t *testing.T) {
 	ex := paperex.New()
-	plan := examplePlan(ex)
+	plan := oracle.Cuts(ex)
 	syms := transact.MustNewSymbols(ex.Schema, plan)
 	syms.Encode(ex.DB)
 
@@ -377,7 +351,7 @@ func TestNewSymbolsValidation(t *testing.T) {
 	if _, err := transact.NewSymbols(ex.Schema, transact.Plan{}); err == nil {
 		t.Errorf("plan without path levels accepted")
 	}
-	plan := examplePlan(ex)
+	plan := oracle.Cuts(ex)
 	plan.DimLevels = [][]int{{1}, {1}, {1}} // more lists than dimensions
 	if _, err := transact.NewSymbols(ex.Schema, plan); err == nil {
 		t.Errorf("oversized DimLevels accepted")
@@ -386,7 +360,7 @@ func TestNewSymbolsValidation(t *testing.T) {
 
 func TestAllLinkable(t *testing.T) {
 	ex := paperex.New()
-	syms := transact.MustNewSymbols(ex.Schema, examplePlan(ex))
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
 	txs := syms.Encode(ex.DB)
 	// Every real transaction is fully linkable.
 	if !syms.AllLinkable(txs[0]) {

@@ -15,12 +15,32 @@
 # garbage, the cell-answer writer byte-equal to encoding/json, the cell
 # comparator equal to the decimal-key order snapshots store cells in and the
 # one-walk flowgraph similarity bit-equal to its two-walk reference.
-# The race run also carries the delta-equivalence property tests
-# (internal/core: ApplyDelta + Save must be byte-identical to a full
-# rebuild over the union database at random split points, and the warm
-# re-mine to the one that starts from a dropped condition cache).
+# The race run also carries the byte-identity contracts, every one checked
+# through internal/oracle (DESIGN.md "Contracts"): ApplyDelta + Save must be
+# byte-identical to a full rebuild over the union database at random split
+# points, and the warm re-mine to the one that starts from a dropped
+# condition cache.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# run_matching PATTERN ARGS... is go test ARGS -run PATTERN -v, printing
+# only the package lines, that also fails when any |-separated alternative
+# of PATTERN ran no test: go test itself passes a -run that matches nothing
+# ("[no tests to run]"), so a renamed test would turn the targeted run into
+# a silent no-op. A / in an alternative matches across subtest levels, as
+# -run does.
+run_matching() {
+  local pattern=$1 out alt
+  shift
+  out=$(go test "$@" -run "$pattern" -v 2>&1) || { printf '%s\n' "$out"; return 1; }
+  printf '%s\n' "$out" | grep -E '^(ok|FAIL|---)' | grep -v -- '--- PASS' || true
+  while IFS= read -r alt; do
+    if ! printf '%s\n' "$out" | grep -Eq "^=== RUN +[^ ]*${alt//\//[^/ ]*/[^/ ]*}"; then
+      echo "go test -run '$pattern' $*: no test matches '$alt'"
+      return 1
+    fi
+  done < <(printf '%s\n' "$pattern" | tr '|' '\n')
+}
 
 echo "== go vet =="
 go vet ./...
@@ -30,7 +50,7 @@ go build ./...
 
 echo "== orphan packages =="
 # Every internal package must be imported by another package (tests of other
-# packages count, which is how the test-support packages paperex and
+# packages count, which is how the test-support packages paperex, oracle and
 # lint/linttest pass): one that is not is dead weight nothing exercises.
 go list -f '{{.ImportPath}}|{{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... |
   awk -F'|' '{pkgs[$1]; n = split($2, imp, " "); for (i = 1; i <= n; i++) if (imp[i] != $1) used[imp[i]]}
@@ -53,10 +73,10 @@ echo "== generation isolation, lazy first touch (-race -count=10) =="
 # failure, so the isolation test runs ten times on top of the pass above —
 # every variant, the lazy lineage's (plain+ledger+lazy: forks over one mapped
 # snapshot, readers decoding through the shared cache) included.
-go test -race -count=10 ./internal/core -run TestGenerationIsolation
+run_matching TestGenerationIsolation -race -count=10 ./internal/core
 # Same reasoning for a lazy cube's first touches: readers racing for one cold
 # cell share a single decode through the cache's single-flight.
-go test -race -count=10 ./internal/core -run TestLazyConcurrentFirstTouch
+run_matching TestLazyConcurrentFirstTouch -race -count=10 ./internal/core
 
 echo "== micro-benchmarks (one iteration each) =="
 # BenchmarkKLDivergence/Add (internal/stats) and BenchmarkSimilarity
@@ -87,8 +107,8 @@ echo "== nommap fallback (lazy serving without mmap) =="
 # must hold, and so must appends over a lazily opened snapshot, whose base
 # cells are copied out of fresh preads.
 go build -tags nommap ./...
-go test -tags nommap ./internal/core -run 'Lazy|Load|LyingLength'
-go test -tags nommap ./internal/core -run 'TestGenerationIsolation/lazy|TestApplyDeltaOnLoadedCube'
+run_matching 'Lazy|Load|LyingLength' -tags nommap ./internal/core
+run_matching 'TestGenerationIsolation/lazy|TestApplyDeltaOnLoadedCube' -tags nommap ./internal/core
 
 echo "== fuzz (10s per target) =="
 go test ./internal/core -run '^$' -fuzz FuzzParseCellSpec -fuzztime 10s

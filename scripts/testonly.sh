@@ -57,9 +57,10 @@ find . \( -name '.*' ! -name . -o -name testdata \) -prune -o \
     {
       file = $0
       dir = file; sub(/^\.\//, "", dir); sub(/\/?[^\/]*$/, "", dir); if (dir == "") dir = "."
-      # internal/paperex and internal/lint/linttest exist to be imported by
-      # tests (check.sh passes them through its orphan-package gate likewise).
-      product = (dir == "." || dir ~ /^internal\//) && dir != "internal/paperex" && dir != "internal/lint/linttest"
+      # internal/paperex, internal/oracle and internal/lint/linttest exist to
+      # be imported by tests (check.sh passes them through its orphan-package
+      # gate likewise).
+      product = (dir == "." || dir ~ /^internal\//) && dir != "internal/paperex" && dir != "internal/oracle" && dir != "internal/lint/linttest"
       while ((getline line < file) > 0) {
         sub(/\/\/.*$/, "", line)
         if (line ~ /^package /) { split(line, w, " "); pkg[dir] = w[2]; continue }
