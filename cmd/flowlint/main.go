@@ -1,14 +1,13 @@
-// Command flowlint is the project's static-analysis multichecker: nine
+// Command flowlint is the project's static-analysis multichecker: eight
 // analyzers that machine-check the contracts the flowcube codebase relies
-// on but the compiler cannot see. Six are single-package — cube
+// on but the compiler cannot see. Five are single-package — cube
 // immutability after build (immutcube), map iteration order leaking into
-// output (mapdet), locks held across blocking I/O (locksafe), epsilon-safe
-// float comparisons (floatcmp), surfaced errors on persistence paths
-// (errpath), unclosed HTTP response bodies (bodyclose) — and three run over
-// cross-package facts computed in a first phase over every loaded package:
-// leak-prone goroutine spawns (goroleak), context plumbing on blocking
-// exported surfaces (ctxflow), and locks held across interprocedurally
-// blocking calls (lockblock).
+// output (mapdet), epsilon-safe float comparisons (floatcmp), surfaced
+// errors on persistence paths (errpath), unclosed HTTP response bodies
+// (bodyclose) — and three run over cross-package facts computed in a first
+// phase over every loaded package: locks held across blocking calls, direct
+// or interprocedural (locksafe), leak-prone goroutine spawns (goroleak), and
+// context plumbing on blocking exported surfaces (ctxflow).
 //
 // Usage:
 //

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"go/types"
 	"os"
 	"os/exec"
 	"strings"
@@ -122,6 +123,33 @@ func TestLoadMatchesGoList(t *testing.T) {
 	}
 	if !got["flowcube/cmd/flowlint"] || !got["flowcube/cmd/flowserve"] {
 		t.Error("Load(./...) must cover the cmd/* packages")
+	}
+}
+
+// TestLoadChecksEachPackageOnce pins the one-loader contract: Load
+// type-checks every module package a single time, so each module import of
+// each loaded package is the identical *types.Package Load returned for
+// that path — not a second copy type-checked behind an importer.
+func TestLoadChecksEachPackageOnce(t *testing.T) {
+	pkgs := loadModule(t)
+	byPath := make(map[string]*types.Package, len(pkgs))
+	for _, p := range pkgs {
+		byPath[p.PkgPath] = p.Pkg
+	}
+	checked := 0
+	for _, p := range pkgs {
+		for _, imp := range p.Pkg.Imports() {
+			if imp.Path() != "flowcube" && !strings.HasPrefix(imp.Path(), "flowcube/") {
+				continue
+			}
+			checked++
+			if imp != byPath[imp.Path()] {
+				t.Errorf("%s imports a %s that is not the package Load returned for it", p.PkgPath, imp.Path())
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no module imports checked")
 	}
 }
 

@@ -19,11 +19,11 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
 	"flowcube/internal/core"
+	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/server"
 )
@@ -222,7 +222,7 @@ type exceptionItem struct {
 	x         server.ExceptionJSON
 	cuboidKey string
 	cell      []hierarchy.NodeID
-	severity  float64
+	rank      flowgraph.Exception // the fields core.CompareExceptions reads
 	shardPos  int
 }
 
@@ -233,7 +233,7 @@ type exceptionItem struct {
 // reproduces the single-node order exactly: items are arranged in the cube
 // visit order core.TopExceptions starts from (cuboid key, then cell, then
 // per-cell mining order — preserved inside each shard's stable-sorted
-// list), then stable-sorted with the same comparator.
+// list), then stable-sorted with the same comparator, core.CompareExceptions.
 func (rt *Router) handleExceptions(w http.ResponseWriter, r *http.Request) {
 	k, err := server.ExceptionsK(r.URL.Query())
 	if err != nil {
@@ -263,11 +263,8 @@ func (rt *Router) handleExceptions(w http.ResponseWriter, r *http.Request) {
 				server.WriteError(w, gatewayError("shard %s: %v", res.Shard, err))
 				return
 			}
-			sev := x.DurationDeviation
-			if x.TransitionDeviation > sev {
-				sev = x.TransitionDeviation
-			}
-			items = append(items, exceptionItem{x: x, cuboidKey: x.Cuboid, cell: cell, severity: sev, shardPos: pos})
+			rank := flowgraph.Exception{Support: x.Support, DurationDeviation: x.DurationDeviation, TransitionDeviation: x.TransitionDeviation}
+			items = append(items, exceptionItem{x: x, cuboidKey: x.Cuboid, cell: cell, rank: rank, shardPos: pos})
 		}
 	}
 	if responded == 0 {
@@ -280,18 +277,11 @@ func (rt *Router) handleExceptions(w http.ResponseWriter, r *http.Request) {
 	slices.SortStableFunc(items, func(a, b exceptionItem) int {
 		return cmp.Or(strings.Compare(a.cuboidKey, b.cuboidKey), core.CompareCells(a.cell, b.cell), cmp.Compare(a.shardPos, b.shardPos))
 	})
-	// The exact core.Cube.TopExceptions comparator, over JSON-round-tripped
-	// floats (Go's encoder emits the shortest representation that parses
-	// back to the same float64, so comparisons agree with the shard's).
-	sort.SliceStable(items, func(i, j int) bool {
-		si, sj := items[i].severity, items[j].severity
-		if si > sj {
-			return true
-		}
-		if sj > si {
-			return false
-		}
-		return items[i].x.Support > items[j].x.Support
+	// Ranked over JSON-round-tripped floats: Go's encoder emits the shortest
+	// representation that parses back to the same float64, so comparisons
+	// agree with the shard's.
+	slices.SortStableFunc(items, func(a, b exceptionItem) int {
+		return core.CompareExceptions(a.rank, b.rank)
 	})
 	if k > 0 && len(items) > k {
 		items = items[:k]

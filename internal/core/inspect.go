@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
@@ -84,12 +85,30 @@ type RankedException struct {
 	flowgraph.Exception
 }
 
-// Severity orders exceptions by their strongest deviation axis.
-func (r RankedException) Severity() float64 {
-	if r.DurationDeviation > r.TransitionDeviation {
-		return r.DurationDeviation
+// ExceptionSeverity is an exception's strongest deviation axis, the key
+// TopExceptions ranks by.
+func ExceptionSeverity(x flowgraph.Exception) float64 {
+	if x.DurationDeviation > x.TransitionDeviation {
+		return x.DurationDeviation
 	}
-	return r.TransitionDeviation
+	return x.TransitionDeviation
+}
+
+// CompareExceptions is TopExceptions' order: more severe first, then higher
+// support; anything else ties, so a stable sort keeps the cube visit order.
+// Severities are compared two-sided so no float equality test is needed:
+// severities that differ only in rounding residue fall through to the
+// support tiebreak instead of being ordered by noise. The cluster router
+// merges per-shard lists with it to reproduce the single-node order.
+func CompareExceptions(a, b flowgraph.Exception) int {
+	sa, sb := ExceptionSeverity(a), ExceptionSeverity(b)
+	switch {
+	case sa > sb:
+		return -1
+	case sb > sa:
+		return 1
+	}
+	return cmp.Compare(b.Support, a.Support)
 }
 
 // TopExceptions returns the k most severe exceptions across every
@@ -119,18 +138,8 @@ func (c *Cube) TopExceptions(k int) []RankedException {
 			return nil
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		// Compared two-sided so no float equality test is needed: severities
-		// that differ only in rounding residue fall through to the support
-		// tiebreak instead of being ordered by noise.
-		si, sj := out[i].Severity(), out[j].Severity()
-		if si > sj {
-			return true
-		}
-		if sj > si {
-			return false
-		}
-		return out[i].Support > out[j].Support
+	slices.SortStableFunc(out, func(a, b RankedException) int {
+		return CompareExceptions(a.Exception, b.Exception)
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]

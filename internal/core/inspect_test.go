@@ -55,7 +55,7 @@ func TestTopExceptions(t *testing.T) {
 		t.Fatal("no exceptions ranked")
 	}
 	for i := 1; i < len(all); i++ {
-		if all[i].Severity() > all[i-1].Severity() {
+		if core.ExceptionSeverity(all[i].Exception) > core.ExceptionSeverity(all[i-1].Exception) {
 			t.Fatalf("ranking not sorted at %d", i)
 		}
 	}
@@ -63,13 +63,13 @@ func TestTopExceptions(t *testing.T) {
 	if len(top3) != 3 {
 		t.Fatalf("TopExceptions(3) returned %d", len(top3))
 	}
-	if top3[0].Severity() != all[0].Severity() {
+	if core.ExceptionSeverity(top3[0].Exception) != core.ExceptionSeverity(all[0].Exception) {
 		t.Errorf("truncation changed the top")
 	}
 	// Determinism.
 	again := cube.TopExceptions(3)
 	for i := range top3 {
-		if top3[i].Severity() != again[i].Severity() || top3[i].Support != again[i].Support {
+		if core.ExceptionSeverity(top3[i].Exception) != core.ExceptionSeverity(again[i].Exception) || top3[i].Support != again[i].Support {
 			t.Fatalf("ranking not deterministic")
 		}
 	}

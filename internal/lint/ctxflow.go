@@ -39,7 +39,7 @@ var CtxFlow = &Analyzer{
 
 // ctxBlockMask is the blocking classes that demand cancellation: waits on
 // the outside world. Channel and WaitGroup joins of CPU-bound workers
-// complete on their own and are exempt.
+// complete on their own and are exempt, and so is local file I/O.
 const ctxBlockMask = BlockNet | BlockSleep | BlockExec
 
 func runCtxFlow(pass *Pass) []Diagnostic {
@@ -82,7 +82,7 @@ func checkExportedBlocking(pass *Pass, fn *ast.FuncDecl, isMain bool) (Diagnosti
 	return Diagnostic{
 		Pos: fn.Name.Pos(),
 		Message: fmt.Sprintf("exported %s blocks (%s; %s) but neither takes nor derives a context.Context; callers cannot cancel it",
-			fn.Name.Name, (fact.Blocks & ctxBlockMask).String(), fact.BlockedBy),
+			fn.Name.Name, (fact.Blocks & ctxBlockMask).String(), fact.Cause(ctxBlockMask)),
 	}, true
 }
 

@@ -2,13 +2,13 @@ package lint
 
 // Phase 1 of the two-phase multichecker: fact computation. Every loaded
 // package is walked once and each function declaration is summarized into a
-// FuncFact — does it block (and on what: network, channels, sync waits,
-// sleeps, subprocesses), does it spawn goroutines, does it accept or
-// forward a context.Context. Facts are keyed by the function's canonical
-// name (import path + receiver + name), so phase-2 analyzers (goroleak,
-// ctxflow, lockblock) can reason across package boundaries: a mutex in
-// internal/server held across a call into internal/core is visible because
-// core's facts say the callee blocks.
+// FuncFact — does it block (and on what: network, channels, WaitGroup and
+// cond waits, sleeps, subprocesses, files), does it spawn goroutines, does it
+// accept or forward a context.Context. Facts are keyed by the function's
+// canonical name (import path + receiver + name), so phase-2 analyzers
+// (locksafe, goroleak, ctxflow) can reason across package boundaries: a
+// mutex in internal/server held across a call into internal/core is visible
+// because core's facts say the callee blocks.
 //
 // Blocking is propagated over the module-internal call graph to a fixed
 // point: a function that calls a blocking function blocks, transitively,
@@ -32,7 +32,9 @@ import (
 	"strings"
 )
 
-// BlockClass is a bit set categorizing why a function can block.
+// BlockClass is a bit set categorizing why a function can block. One
+// classifier (stdlibBlockClass plus the channel ops the fact walker sees)
+// assigns the bits; each analyzer masks the classes it cares about.
 type BlockClass uint16
 
 const (
@@ -43,12 +45,17 @@ const (
 	// BlockChan covers channel sends, receives, ranges, and selects
 	// without a default clause.
 	BlockChan
-	// BlockSync covers sync.WaitGroup.Wait and sync.Cond.Wait.
+	// BlockSync covers sync.WaitGroup.Wait.
 	BlockSync
 	// BlockSleep covers time.Sleep.
 	BlockSleep
 	// BlockExec covers os/exec Cmd.Run/Wait/Output/CombinedOutput.
 	BlockExec
+	// BlockFile covers file-system calls in os and methods of *os.File.
+	BlockFile
+	// BlockCond covers sync.Cond.Wait, which parks until signalled but
+	// releases the lock it waits under while parked.
+	BlockCond
 )
 
 // String renders the set as "net|chan|...", or "none".
@@ -61,7 +68,8 @@ func (c BlockClass) String() string {
 		name string
 	}{
 		{BlockNet, "net"}, {BlockChan, "chan"}, {BlockSync, "sync"},
-		{BlockSleep, "sleep"}, {BlockExec, "exec"},
+		{BlockSleep, "sleep"}, {BlockExec, "exec"}, {BlockFile, "file"},
+		{BlockCond, "cond"},
 	}
 	var parts []string
 	for _, n := range names {
@@ -79,9 +87,6 @@ type FuncFact struct {
 	Key string
 	// Blocks is the transitive blocking classification.
 	Blocks BlockClass
-	// BlockedBy is the first recorded cause, for diagnostics: a direct op
-	// ("net/http.Do") or a call chain ("calls flowcube/internal/core.ApplyDelta").
-	BlockedBy string
 	// Spawns reports whether the function contains a go statement.
 	Spawns bool
 	// AcceptsCtx reports a context.Context parameter.
@@ -103,6 +108,26 @@ type FuncFact struct {
 
 	// directBlocks is the pre-propagation classification.
 	directBlocks BlockClass
+	// causes records, in the order found, the cause that first added each
+	// class: a direct op ("net/http.Do") or a call chain ("calls
+	// flowcube/internal/core.ApplyDelta").
+	causes []blockCause
+}
+
+type blockCause struct {
+	class BlockClass
+	text  string
+}
+
+// Cause returns the first recorded cause among the classes in mask, for
+// diagnostics, or "" when the function blocks on none of them.
+func (f *FuncFact) Cause(mask BlockClass) string {
+	for _, c := range f.causes {
+		if c.class&mask != 0 {
+			return c.text
+		}
+	}
+	return ""
 }
 
 // FactTable indexes every loaded function's facts by canonical key.
@@ -201,7 +226,7 @@ func ComputeFacts(pkgs []*Package) *FactTable {
 }
 
 // propagate closes Blocks over module-internal call edges. Iteration is in
-// sorted key order every round, so BlockedBy chains are deterministic.
+// sorted key order every round, so cause chains are deterministic.
 func (t *FactTable) propagate() {
 	keys := make([]string, 0, len(t.funcs))
 	for k := range t.funcs {
@@ -219,9 +244,7 @@ func (t *FactTable) propagate() {
 				}
 				if add := callee.Blocks &^ f.Blocks; add != 0 {
 					f.Blocks |= add
-					if f.BlockedBy == "" {
-						f.BlockedBy = "calls " + calleeKey
-					}
+					f.causes = append(f.causes, blockCause{add, "calls " + calleeKey})
 					changed = true
 				}
 			}
@@ -415,12 +438,10 @@ func (w *factWalker) walk(n ast.Node, counting bool) {
 
 // block records a direct blocking cause when counting.
 func (w *factWalker) block(class BlockClass, cause string, counting bool) {
-	if !counting {
+	if !counting || w.fact.directBlocks&class != 0 {
 		return
 	}
-	if w.fact.directBlocks&class == 0 && w.fact.BlockedBy == "" {
-		w.fact.BlockedBy = cause
-	}
+	w.fact.causes = append(w.fact.causes, blockCause{class, cause})
 	w.fact.directBlocks |= class
 }
 
@@ -432,14 +453,13 @@ func (w *factWalker) classifyCall(call *ast.CallExpr, counting bool) {
 			w.fact.ForwardsCtx = true
 		}
 	}
-	obj := calleeObj(w.pkg.Info, call)
-	if obj == nil || obj.Pkg() == nil {
+	fn, _ := calleeObj(w.pkg.Info, call).(*types.Func)
+	if fn == nil || fn.Pkg() == nil {
 		return
 	}
-	pkgPath := obj.Pkg().Path()
-	name := obj.Name()
+	pkgPath := fn.Pkg().Path()
 	if pkgPath == "context" {
-		switch name {
+		switch fn.Name() {
 		case "WithCancel", "WithTimeout", "WithDeadline", "WithoutCancel":
 			if counting {
 				w.fact.DerivesCtx = true
@@ -447,48 +467,54 @@ func (w *factWalker) classifyCall(call *ast.CallExpr, counting bool) {
 		}
 		return
 	}
-	if class, cause := stdlibBlockClass(pkgPath, name); class != 0 {
+	if class, cause := stdlibBlockClass(fn); class != 0 {
 		w.block(class, cause, counting)
 		return
 	}
 	if w.loaded[pkgPath] && counting {
-		if fobj, ok := obj.(*types.Func); ok {
-			if key := FactKey(fobj); key != "" {
-				w.fact.Calls = append(w.fact.Calls, key)
-			}
+		if key := FactKey(fn); key != "" {
+			w.fact.Calls = append(w.fact.Calls, key)
 		}
 	}
 }
 
-// stdlibBlockClass classifies a standard-library call as blocking, or 0.
-func stdlibBlockClass(pkgPath, name string) (BlockClass, string) {
-	switch pkgPath {
-	case "net":
-		return BlockNet, "net." + name
-	case "net/http":
-		switch name {
-		case "Get", "Head", "Post", "PostForm", "Do", "Serve", "ServeTLS",
-			"ListenAndServe", "ListenAndServeTLS", "Shutdown":
-			return BlockNet, "net/http." + name
-		}
-	case "io":
-		switch name {
-		case "Copy", "CopyN", "CopyBuffer", "ReadAll", "ReadFull", "ReadAtLeast":
-			return BlockNet, "io." + name
-		}
-	case "os/exec":
-		switch name {
-		case "Run", "Wait", "Output", "CombinedOutput":
-			return BlockExec, "os/exec." + name
-		}
-	case "sync":
-		if name == "Wait" {
-			return BlockSync, "sync.Wait"
-		}
-	case "time":
-		if name == "Sleep" {
-			return BlockSleep, "time.Sleep"
-		}
+// stdlibBlockClass classifies a standard-library call as blocking, or 0,
+// with the callee's fact key as the cause diagnostics name. It is the one
+// answer to "does this call block" for every analyzer; callers mask the
+// classes they care about.
+func stdlibBlockClass(fn *types.Func) (BlockClass, string) {
+	if fn.Pkg() == nil {
+		return 0, ""
+	}
+	key := FactKey(fn)
+	switch {
+	case fn.Pkg().Path() == "net":
+		return BlockNet, key
+	case strings.HasPrefix(key, "os.(*File).") && fn.Name() != "Name" && fn.Name() != "Fd":
+		return BlockFile, key
+	}
+	switch key {
+	case "net/http.Get", "net/http.Head", "net/http.Post", "net/http.PostForm",
+		"net/http.Serve", "net/http.ServeTLS", "net/http.ListenAndServe", "net/http.ListenAndServeTLS",
+		"net/http.(*Client).Do", "net/http.(*Client).Get", "net/http.(*Client).Head",
+		"net/http.(*Client).Post", "net/http.(*Client).PostForm",
+		"net/http.(*Server).Serve", "net/http.(*Server).ServeTLS", "net/http.(*Server).ListenAndServe",
+		"net/http.(*Server).ListenAndServeTLS", "net/http.(*Server).Shutdown",
+		"io.Copy", "io.CopyN", "io.CopyBuffer", "io.ReadAll", "io.ReadFull", "io.ReadAtLeast":
+		return BlockNet, key
+	case "os.Chmod", "os.Chown", "os.Chtimes", "os.CopyFS", "os.Create", "os.CreateTemp",
+		"os.Link", "os.Lstat", "os.Mkdir", "os.MkdirAll", "os.MkdirTemp", "os.Open",
+		"os.OpenFile", "os.ReadDir", "os.ReadFile", "os.Readlink", "os.Remove",
+		"os.RemoveAll", "os.Rename", "os.Stat", "os.Symlink", "os.Truncate", "os.WriteFile":
+		return BlockFile, key
+	case "os/exec.(*Cmd).Run", "os/exec.(*Cmd).Wait", "os/exec.(*Cmd).Output", "os/exec.(*Cmd).CombinedOutput":
+		return BlockExec, key
+	case "sync.(*WaitGroup).Wait":
+		return BlockSync, key
+	case "sync.(*Cond).Wait":
+		return BlockCond, key
+	case "time.Sleep":
+		return BlockSleep, key
 	}
 	return 0, ""
 }
@@ -537,8 +563,8 @@ func FormatFacts(t *FactTable) string {
 			flags = append(flags, "fwd-ctx")
 		}
 		fmt.Fprintf(&b, "%s blocks=%s", f.Key, f.Blocks)
-		if f.BlockedBy != "" {
-			fmt.Fprintf(&b, " (%s)", f.BlockedBy)
+		if f.Blocks != 0 {
+			fmt.Fprintf(&b, " (%s)", f.Cause(f.Blocks))
 		}
 		if len(flags) > 0 {
 			fmt.Fprintf(&b, " [%s]", strings.Join(flags, ","))

@@ -47,6 +47,10 @@ var GoroLeak = &Analyzer{
 	Run:  runGoroLeak,
 }
 
+// goroBlockMask is the blocking classes that can park a goroutine forever.
+// File I/O returns on its own.
+const goroBlockMask = BlockNet | BlockChan | BlockSync | BlockSleep | BlockExec | BlockCond
+
 func runGoroLeak(pass *Pass) []Diagnostic {
 	var diags []Diagnostic
 	for _, file := range pass.Files {
@@ -152,7 +156,7 @@ func checkGoStmt(pass *Pass, g *ast.GoStmt, buffered map[types.Object]bool) (Dia
 func checkGoCall(pass *Pass, g *ast.GoStmt) (Diagnostic, bool) {
 	obj, _ := calleeObj(pass.Info, g.Call).(*types.Func)
 	fact := pass.Facts.Lookup(obj)
-	if fact == nil || fact.Blocks == 0 {
+	if fact == nil || fact.Blocks&goroBlockMask == 0 {
 		return Diagnostic{}, false
 	}
 	for _, arg := range g.Call.Args {
@@ -164,7 +168,7 @@ func checkGoCall(pass *Pass, g *ast.GoStmt) (Diagnostic, bool) {
 	return Diagnostic{
 		Pos: g.Pos(),
 		Message: fmt.Sprintf("goroutine spawns %s, which blocks (%s), with no context or WaitGroup argument to bound its lifetime",
-			fact.Key, fact.Blocks),
+			fact.Key, fact.Blocks&goroBlockMask),
 	}, true
 }
 
@@ -270,19 +274,17 @@ func firstBlockingOp(pass *Pass, body *ast.BlockStmt, buffered map[types.Object]
 				}
 			}
 		case *ast.CallExpr:
-			obj := calleeObj(pass.Info, x)
-			if obj == nil || obj.Pkg() == nil {
+			obj, _ := calleeObj(pass.Info, x).(*types.Func)
+			if obj == nil {
 				return true
 			}
-			if class, op := stdlibBlockClass(obj.Pkg().Path(), obj.Name()); class != 0 {
+			if class, op := stdlibBlockClass(obj); class&goroBlockMask != 0 {
 				cause = op
 				return false
 			}
-			if fobj, ok := obj.(*types.Func); ok {
-				if fact := pass.Facts.Lookup(fobj); fact != nil && fact.Blocks != 0 {
-					cause = fact.Key + " (blocks: " + fact.Blocks.String() + ")"
-					return false
-				}
+			if fact := pass.Facts.Lookup(obj); fact != nil && fact.Blocks&goroBlockMask != 0 {
+				cause = fact.Key + " (blocks: " + (fact.Blocks & goroBlockMask).String() + ")"
+				return false
 			}
 		}
 		return true

@@ -2,34 +2,34 @@
 // reimplementation of the golang.org/x/tools/go/analysis vocabulary
 // (Analyzer, Pass, Diagnostic, and a Facts table) plus the project-specific
 // analyzers that machine-check the contracts the flowcube codebase
-// otherwise states only in prose. Six are single-package: the
+// otherwise states only in prose. Five are single-package: the
 // immutable-after-build cube (immutcube), map iteration order leaking into
-// output (mapdet), locks held across blocking I/O in the serving layer
-// (locksafe), epsilon-safe floating-point comparisons (floatcmp), surfaced
-// errors on persistence paths (errpath), and unclosed HTTP response bodies
-// (bodyclose). Three are driven by cross-package facts: leak-prone goroutine
-// spawns (goroleak), context plumbing on blocking exported surfaces
-// (ctxflow), and locks held across interprocedurally blocking calls
-// (lockblock). Each is in the suite because a bug of a class it reports,
+// output (mapdet), epsilon-safe floating-point comparisons (floatcmp),
+// surfaced errors on persistence paths (errpath), and unclosed HTTP response
+// bodies (bodyclose). Three read cross-package facts: locks held across
+// blocking calls, direct or interprocedural (locksafe), leak-prone goroutine
+// spawns (goroleak), and context plumbing on blocking exported surfaces
+// (ctxflow). Each is in the suite because a bug of a class it reports,
 // seeded into product code, was caught by nothing else — not go vet, not the
 // -race test suite (the ledger is DESIGN.md §5); what the byte-exact tests or
 // vet's copylocks already catch (nondeterminism in the snapshot codec, locks
 // copied by value) has no analyzer here.
 //
 // Analysis is two-phase. Phase 1 (facts.go) walks every loaded package and
-// summarizes each function into a FuncFact — blocking classification,
-// goroutine spawns, context acceptance/forwarding — propagated over the
-// module-internal call graph and keyed by canonical function name.
+// summarizes each function into a FuncFact — blocking classes from the one
+// classifier every analyzer shares, goroutine spawns, context
+// acceptance/forwarding — propagated over the module-internal call graph and
+// keyed by canonical function name.
 // Phase 2 runs the analyzers one package at a time with the whole table in
 // Pass.Facts, which is how a lock site in one package learns that its
 // callee in another package blocks.
 //
 // The framework is deliberately tiny: packages are parsed and type-checked
-// with go/parser and go/types, cross-package imports resolve through the
-// stdlib source importer (which shells out to the go command for module
-// paths). It exists because the container pins the dependency set — x/tools
-// is not available — and because nine narrow project analyzers do not need
-// the full Fact/Requires machinery.
+// with go/parser and go/types, each module package once, in import order
+// (load.go); only the standard library resolves through the stdlib source
+// importer. It exists because the dependency set is pinned — x/tools is not
+// available — and because eight narrow project analyzers do not need the
+// full Fact/Requires machinery.
 //
 // Suppression: a diagnostic is dropped when the offending line (or the line
 // directly above it) carries a comment of the form
@@ -63,9 +63,8 @@ type Analyzer struct {
 
 // Pass carries one type-checked package through an analyzer. Facts is the
 // phase-1 cross-package fact table over every package in the Run; it is nil
-// when facts are disabled, and fact-driven analyzers (goroleak, ctxflow,
-// lockblock) degrade to their purely syntactic subset (for lockblock:
-// nothing) in that mode.
+// when facts are disabled, and fact-driven analyzers (locksafe, goroleak,
+// ctxflow) degrade to their purely syntactic subset in that mode.
 type Pass struct {
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -96,7 +95,6 @@ func All() []*Analyzer {
 		GoroLeak,
 		CtxFlow,
 		BodyClose,
-		LockBlock,
 	}
 }
 

@@ -17,11 +17,12 @@ import (
 
 // Package loading for flowlint. Packages are discovered by walking the
 // module tree (no go/packages available in this environment), parsed with
-// go/parser, and type-checked with go/types. Imports — both stdlib and
-// intra-module — resolve through the stdlib source importer, which handles
-// module paths by consulting the go command; that requires the process
-// working directory to be inside the module, which ModuleRoot guarantees
-// for callers that chdir to it.
+// go/parser, and type-checked with go/types. One loader serves Load and
+// LoadFixture: it maps import paths under the module (or the fixture) to
+// directories and type-checks each such package exactly once, in import
+// order, the first time anything asks for it, so every package that
+// imports it gets the same *types.Package. Only the standard library goes
+// through the stdlib source importer.
 //
 // Test files (_test.go) are not loaded: the analyzers enforce production
 // contracts, and tests legitimately construct and mutate cubes. Files
@@ -32,10 +33,12 @@ import (
 // declarations.
 
 // One FileSet and one source importer serve every Load and LoadFixture of
-// the process: the importer type-checks what it is asked for from source and
-// keeps it, so the standard library is checked once per process instead of
-// once per call, and positions from different loads stay comparable. The
-// source importer is not safe for concurrent use; srcMu serializes loads.
+// the process: the importer type-checks the standard library packages it is
+// asked for from source and keeps them, so the standard library is checked
+// once per process instead of once per call, and positions from different
+// loads stay comparable. The source importer is not safe for concurrent
+// use; srcMu serializes its imports. Everything else a load touches is its
+// own, or (the FileSet) safe for concurrent use.
 var (
 	srcMu       sync.Mutex
 	srcFset     = token.NewFileSet()
@@ -92,14 +95,7 @@ func Load(patterns []string) ([]*Package, error) {
 	}
 	dirSet := make(map[string]bool)
 	for _, pat := range patterns {
-		recursive := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			recursive = true
-			pat = rest
-			if pat == "." || pat == "" {
-				pat = "."
-			}
-		}
+		pat, recursive := strings.CutSuffix(pat, "/...")
 		base := filepath.Join(cwd, pat)
 		if !recursive {
 			if hasGoFiles(base) {
@@ -118,9 +114,7 @@ func Load(patterns []string) ([]*Package, error) {
 			if path != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
-			if hasGoFiles(path) {
-				dirSet[path] = true
-			}
+			dirSet[path] = true // load skips directories without Go files
 			return nil
 		})
 		if err != nil {
@@ -133,8 +127,7 @@ func Load(patterns []string) ([]*Package, error) {
 	}
 	sort.Strings(dirs)
 
-	srcMu.Lock()
-	defer srcMu.Unlock()
+	l := newLoader(modPath, root)
 	var pkgs []*Package
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(root, dir)
@@ -145,7 +138,7 @@ func Load(patterns []string) ([]*Package, error) {
 		if rel != "." {
 			pkgPath = modPath + "/" + filepath.ToSlash(rel)
 		}
-		pkg, err := checkDir(srcImporter, dir, pkgPath)
+		pkg, err := l.load(pkgPath)
 		if err != nil {
 			return nil, err
 		}
@@ -156,67 +149,96 @@ func Load(patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// tableImporter resolves imports from already-loaded packages first, then
-// falls back to the stdlib source importer. It is what lets a testdata
-// fixture import a sibling testdata package — the go command refuses to
-// resolve import paths under testdata/, so the fixture loader type-checks
-// the dependency itself and serves it from the table.
-type tableImporter struct {
-	loaded   map[string]*types.Package
-	fallback types.Importer
-}
-
-func (t *tableImporter) Import(path string) (*types.Package, error) {
-	if p := t.loaded[path]; p != nil {
-		return p, nil
-	}
-	return t.fallback.Import(path)
-}
-
 // LoadFixture loads the fixture package in dir under pkgPath, together with
 // its dependency packages: every subdirectory of dir holding Go files is
-// type-checked first as pkgPath/<sub> and made importable by the fixture.
-// Packages are returned dependencies-first, the fixture package last.
-// Dependencies must not import each other; fixtures that need a deeper graph
-// should nest further subdirectories instead.
+// importable as pkgPath/<sub>, by the fixture and by each other — the go
+// command refuses to resolve import paths under testdata/, so the loader
+// maps them itself. Packages are returned in the order they were
+// type-checked: dependencies first, the fixture package last.
 func LoadFixture(dir, pkgPath string) ([]*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	srcMu.Lock()
-	defer srcMu.Unlock()
-	imp := &tableImporter{
-		loaded:   make(map[string]*types.Package),
-		fallback: srcImporter,
-	}
-	var pkgs []*Package
+	l := newLoader(pkgPath, dir)
 	for _, e := range ents {
-		if !e.IsDir() || strings.HasPrefix(e.Name(), ".") {
-			continue
-		}
-		sub := filepath.Join(dir, e.Name())
-		if !hasGoFiles(sub) {
-			continue
-		}
-		subPath := pkgPath + "/" + e.Name()
-		dep, err := checkDir(imp, sub, subPath)
-		if err != nil {
-			return nil, err
-		}
-		if dep != nil {
-			imp.loaded[subPath] = dep.Pkg
-			pkgs = append(pkgs, dep)
+		if e.IsDir() && !strings.HasPrefix(e.Name(), ".") {
+			if _, err := l.load(pkgPath + "/" + e.Name()); err != nil {
+				return nil, err
+			}
 		}
 	}
-	main, err := checkDir(imp, dir, pkgPath)
+	main, err := l.load(pkgPath)
 	if err != nil {
 		return nil, err
 	}
 	if main == nil {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	return append(pkgs, main), nil
+	return l.order, nil
+}
+
+// loader type-checks one load's packages, each once. It is the types
+// importer of every package it checks: base and the import paths below it
+// are loaded from dir and its subdirectories (recursively, so dependencies
+// are checked before their importers); any other import is standard
+// library.
+type loader struct {
+	base, dir string
+	pkgs      map[string]*Package // import path → package; nil for no Go files
+	loading   map[string]bool
+	order     []*Package // completion order: dependencies first
+}
+
+func newLoader(base, dir string) *loader {
+	return &loader{base: base, dir: dir, pkgs: make(map[string]*Package), loading: make(map[string]bool)}
+}
+
+// dirOf maps an import path to its source directory, or "" outside base.
+func (l *loader) dirOf(path string) string {
+	if path == l.base {
+		return l.dir
+	}
+	if rest, ok := strings.CutPrefix(path, l.base+"/"); ok {
+		return filepath.Join(l.dir, filepath.FromSlash(rest))
+	}
+	return ""
+}
+
+func (l *loader) Import(path string) (*types.Package, error) {
+	if l.dirOf(path) == "" {
+		srcMu.Lock()
+		defer srcMu.Unlock()
+		return srcImporter.Import(path)
+	}
+	pkg, err := l.load(path)
+	if err != nil {
+		return nil, err
+	}
+	if pkg == nil {
+		return nil, fmt.Errorf("lint: no Go files for import %s", path)
+	}
+	return pkg.Pkg, nil
+}
+
+// load returns the package at pkgPath, type-checking it on first use.
+func (l *loader) load(pkgPath string) (*Package, error) {
+	if pkg, ok := l.pkgs[pkgPath]; ok {
+		return pkg, nil
+	}
+	if l.loading[pkgPath] {
+		return nil, fmt.Errorf("lint: import cycle through %s", pkgPath)
+	}
+	l.loading[pkgPath] = true
+	pkg, err := checkDir(l, l.dirOf(pkgPath), pkgPath)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[pkgPath] = pkg
+	if pkg != nil {
+		l.order = append(l.order, pkg)
+	}
+	return pkg, nil
 }
 
 func hasGoFiles(dir string) bool {
@@ -244,8 +266,7 @@ func isSourceFile(dir string, e os.DirEntry) bool {
 	return err == nil && match
 }
 
-// checkDir parses and type-checks one directory into srcFset; callers hold
-// srcMu.
+// checkDir parses and type-checks one directory into srcFset.
 func checkDir(imp types.Importer, dir, pkgPath string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {

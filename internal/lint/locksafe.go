@@ -5,35 +5,40 @@ import (
 	"fmt"
 	"go/ast"
 	"go/printer"
-	"go/token"
+	"go/types"
+	"maps"
 )
 
-// locksafe machine-checks the serving layer's lock discipline: a
-// sync.Mutex/RWMutex held while calling into net, net/http, os, os/exec, or
-// time.Sleep turns one slow client into a server-wide stall (every waiter on
-// the lock queues behind the I/O). The cache's single-flight path
-// deliberately drops the lock before computing; this analyzer keeps it that
-// way. Lock-bearing structs copied by value are go vet's copylocks' to
-// report, not this analyzer's.
+// locksafe machine-checks lock discipline: a sync.Mutex/RWMutex held
+// across a call that can block turns one slow peer, disk or worker into a
+// stall of every waiter on the lock. A call blocks when the one classifier
+// in facts.go says so — directly (stdlibBlockClass: network, io plumbing,
+// file I/O, subprocesses, sleeps, WaitGroup joins) or through a
+// module-internal callee whose cross-package fact says it blocks, however
+// many packages away (a WaitGroup join inside the parallel codec, a channel
+// handoff inside the counting core). sync.Cond.Wait is masked out: it
+// releases the lock it waits under, and the analyzer cannot tell which lock
+// a cond guards. Channel operations written inline are not calls and are
+// not checked. With facts disabled (Pass.Facts == nil) only the direct
+// stdlib calls are reported. The cache's single-flight path deliberately
+// drops the lock before computing; this analyzer keeps it that way.
+// Lock-bearing structs copied by value are go vet's copylocks' to report.
 //
-// Kept by the ledger (DESIGN.md §5): rows LS3, LS4 — nothing else caught them.
+// Kept by the ledger (DESIGN.md §5): rows LS3, LS4, LB1, LB2, LS5, LS6 —
+// nothing else caught them.
 
-// LockSafe flags mutexes held across blocking I/O.
+// LockSafe flags mutexes held across blocking calls.
 var LockSafe = &Analyzer{
 	Name: "locksafe",
-	Doc:  "flags sync.Mutex/RWMutex held across blocking I/O",
+	Doc:  "flags sync.Mutex/RWMutex held across calls that block, directly or per the cross-package facts",
 	Run:  runLockSafe,
 }
 
-// blockingPkgs are packages whose calls are treated as blocking I/O.
-var blockingPkgs = map[string]bool{
-	"net":      true,
-	"net/http": true,
-	"os":       true,
-	"os/exec":  true,
-}
+// lockBlockMask is every blocking class but BlockCond.
+const lockBlockMask = ^BlockCond
 
 func runLockSafe(pass *Pass) []Diagnostic {
+	s := &lockScan{pass: pass}
 	var diags []Diagnostic
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -45,7 +50,7 @@ func runLockSafe(pass *Pass) []Diagnostic {
 				body = fn.Body
 			}
 			if body != nil {
-				diags = append(diags, newLockScan(pass).block(body, newHeldSet())...)
+				diags = append(diags, s.block(body, heldSet{})...)
 			}
 			return true
 		})
@@ -53,44 +58,17 @@ func runLockSafe(pass *Pass) []Diagnostic {
 	return diags
 }
 
-type heldSet struct {
-	exprs map[string]token.Pos // printed lock receiver → Lock() position
-}
+// heldSet holds the printed receivers of the locks held at a point.
+type heldSet map[string]bool
 
-func newHeldSet() *heldSet { return &heldSet{exprs: make(map[string]token.Pos)} }
-
-func (h *heldSet) clone() *heldSet {
-	c := newHeldSet()
-	for k, v := range h.exprs {
-		c.exprs[k] = v
-	}
-	return c
-}
-
-// lockScan scans held-lock regions. classify decides which calls count as
-// blocking under a held lock and renders their name; format renders the
-// diagnostic. locksafe uses the syntactic stdlib classifier; lockblock
-// (lockblock.go) plugs in the cross-package facts classifier.
+// lockScan scans held-lock regions of one package.
 type lockScan struct {
-	pass     *Pass
-	classify func(*ast.CallExpr) (string, bool)
-	format   func(name, lock string) string
-}
-
-// newLockScan builds locksafe's syntactic scanner.
-func newLockScan(pass *Pass) *lockScan {
-	s := &lockScan{pass: pass}
-	s.classify = s.blockingCall
-	s.format = func(name, lock string) string {
-		return fmt.Sprintf("blocking call %s while holding %s; release the lock before I/O (one slow peer stalls every lock waiter)",
-			name, lock)
-	}
-	return s
+	pass *Pass
 }
 
 // block scans a statement list linearly, tracking the held set, and returns
 // diagnostics for blocking calls made while any lock is held.
-func (s *lockScan) block(b *ast.BlockStmt, held *heldSet) []Diagnostic {
+func (s *lockScan) block(b *ast.BlockStmt, held heldSet) []Diagnostic {
 	var diags []Diagnostic
 	for _, stmt := range b.List {
 		diags = append(diags, s.stmt(stmt, held)...)
@@ -98,49 +76,39 @@ func (s *lockScan) block(b *ast.BlockStmt, held *heldSet) []Diagnostic {
 	return diags
 }
 
-func (s *lockScan) stmt(stmt ast.Stmt, held *heldSet) []Diagnostic {
+func (s *lockScan) stmt(stmt ast.Stmt, held heldSet) []Diagnostic {
 	switch st := stmt.(type) {
 	case *ast.ExprStmt:
 		if recv, op, ok := s.lockOp(st.X); ok {
 			switch op {
 			case "Lock", "RLock":
-				held.exprs[recv] = st.Pos()
+				held[recv] = true
 			case "Unlock", "RUnlock":
-				delete(held.exprs, recv)
+				delete(held, recv)
 			}
 			return nil
 		}
-		return s.checkCalls(st.X, held)
+		return s.checkCalls(held, st.X)
 	case *ast.DeferStmt:
-		if recv, op, ok := s.lockOp(st.Call); ok && (op == "Unlock" || op == "RUnlock") {
-			// Deferred release: the lock stays held for the rest of the
-			// function, which is fine as long as nothing below blocks. Keep
-			// the receiver in the held set.
-			_ = recv
+		// A deferred release keeps the lock held for the rest of the
+		// function, so the receiver stays in the held set.
+		if _, op, ok := s.lockOp(st.Call); ok && (op == "Unlock" || op == "RUnlock") {
 			return nil
 		}
-		return s.checkCalls(st.Call, held)
+		return s.checkCalls(held, st.Call)
 	case *ast.AssignStmt:
-		var diags []Diagnostic
-		for _, e := range st.Rhs {
-			diags = append(diags, s.checkCalls(e, held)...)
-		}
-		return diags
+		return s.checkCalls(held, st.Rhs...)
 	case *ast.ReturnStmt:
-		var diags []Diagnostic
-		for _, e := range st.Results {
-			diags = append(diags, s.checkCalls(e, held)...)
-		}
-		return diags
+		return s.checkCalls(held, st.Results...)
 	case *ast.IfStmt:
 		var diags []Diagnostic
 		if st.Init != nil {
 			diags = append(diags, s.stmt(st.Init, held)...)
 		}
-		diags = append(diags, s.checkCalls(st.Cond, held)...)
-		diags = append(diags, s.block(st.Body, held.clone())...)
+		diags = append(diags, s.checkCalls(held, st.Cond)...)
+		diags = append(diags, s.block(st.Body, maps.Clone(held))...)
 		if st.Else != nil {
-			diags = append(diags, s.stmt(st.Else, held.clone())...)
+			diags = append(diags, s.stmt(st.Else, maps.Clone(held))...)
 		}
 		return diags
 	case *ast.BlockStmt:
@@ -150,10 +118,10 @@ func (s *lockScan) stmt(stmt ast.Stmt, held *heldSet) []Diagnostic {
 		if st.Init != nil {
 			diags = append(diags, s.stmt(st.Init, held)...)
 		}
-		diags = append(diags, s.block(st.Body, held.clone())...)
+		diags = append(diags, s.block(st.Body, maps.Clone(held))...)
 		return diags
 	case *ast.RangeStmt:
-		return s.block(st.Body, held.clone())
+		return s.block(st.Body, maps.Clone(held))
 	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
 		var diags []Diagnostic
 		ast.Inspect(st, func(n ast.Node) bool {
@@ -166,69 +134,79 @@ func (s *lockScan) stmt(stmt ast.Stmt, held *heldSet) []Diagnostic {
 			return true
 		})
 		return diags
-	case *ast.GoStmt:
-		return nil // the goroutine does not run under this frame's locks
 	default:
+		// Including go statements: the goroutine does not run under this
+		// frame's locks.
 		return nil
 	}
 }
 
-// checkCalls inspects an expression tree for blocking calls, skipping
-// nested function literals (they execute later, not under this lock).
-func (s *lockScan) checkCalls(e ast.Expr, held *heldSet) []Diagnostic {
-	if e == nil || len(held.exprs) == 0 {
+// checkCalls inspects expression trees for blocking calls, skipping nested
+// function literals (they execute later, not under this lock).
+func (s *lockScan) checkCalls(held heldSet, exprs ...ast.Expr) []Diagnostic {
+	if len(held) == 0 {
 		return nil
 	}
 	var diags []Diagnostic
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
+	for _, e := range exprs {
+		if e == nil {
+			continue
 		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			diags = append(diags, s.checkCall(call, held)...)
-		}
-		return true
-	})
+		ast.Inspect(e, func(n ast.Node) bool {
+			if _, ok := n.(*ast.FuncLit); ok {
+				return false
+			}
+			if call, ok := n.(*ast.CallExpr); ok {
+				diags = append(diags, s.checkCall(call, held)...)
+			}
+			return true
+		})
+	}
 	return diags
 }
 
-func (s *lockScan) checkCall(call *ast.CallExpr, held *heldSet) []Diagnostic {
-	if len(held.exprs) == 0 {
+func (s *lockScan) checkCall(call *ast.CallExpr, held heldSet) []Diagnostic {
+	if len(held) == 0 {
 		return nil
 	}
-	name, blocking := s.classify(call)
-	if !blocking {
+	what := s.blockingCall(call)
+	if what == "" {
 		return nil
 	}
 	// One report per call, against the lexicographically first held lock so
 	// the diagnostic is deterministic.
 	first := ""
-	for recv := range held.exprs {
+	for recv := range held {
 		if first == "" || recv < first {
 			first = recv
 		}
 	}
 	return []Diagnostic{{
-		Pos:     call.Pos(),
-		Message: s.format(name, first),
+		Pos: call.Pos(),
+		Message: fmt.Sprintf("%s while holding %s; release the lock first (one slow call stalls every lock waiter)",
+			what, first),
 	}}
 }
 
-// blockingCall classifies calls into blocking I/O: package functions and
-// methods from net, net/http, os, os/exec, plus time.Sleep.
-func (s *lockScan) blockingCall(call *ast.CallExpr) (string, bool) {
-	obj := calleeObj(s.pass.Info, call)
-	if obj == nil || obj.Pkg() == nil {
-		return "", false
+// blockingCall describes a call that blocks in a lockBlockMask class, or
+// returns "".
+func (s *lockScan) blockingCall(call *ast.CallExpr) string {
+	obj, _ := calleeObj(s.pass.Info, call).(*types.Func)
+	if obj == nil {
+		return ""
 	}
-	pkg := obj.Pkg().Path()
-	if pkg == "time" && obj.Name() == "Sleep" {
-		return "time.Sleep", true
+	if class, cause := stdlibBlockClass(obj); class != 0 {
+		if class&lockBlockMask == 0 {
+			return ""
+		}
+		return "blocking call " + cause
 	}
-	if !blockingPkgs[pkg] {
-		return "", false
+	fact := s.pass.Facts.Lookup(obj)
+	if fact == nil || fact.Blocks&lockBlockMask == 0 {
+		return ""
 	}
-	return pkg + "." + obj.Name(), true
+	blocks := fact.Blocks & lockBlockMask
+	return fmt.Sprintf("call to %s (blocks: %s; %s)", fact.Key, blocks, fact.Cause(blocks))
 }
 
 // lockOp matches <expr>.Lock / RLock / Unlock / RUnlock calls on

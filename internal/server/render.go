@@ -411,7 +411,7 @@ func renderExceptions(cube *core.Cube, k int) []ExceptionJSON {
 			Support:             r.Support,
 			DurationDeviation:   r.DurationDeviation,
 			TransitionDeviation: r.TransitionDeviation,
-			Severity:            r.Severity(),
+			Severity:            core.ExceptionSeverity(r.Exception),
 		}
 		for d, v := range r.Values {
 			xj.Cell = append(xj.Cell, cube.Schema.Dims[d].Name(v))

@@ -4,17 +4,18 @@
 # (internal/server, cmd/flowserve) honest — snapshot hot-reload, the
 # single-flight response cache and graceful shutdown are all exercised by
 # tests that hammer the server from many goroutines. flowlint layers the
-# project-specific contracts on top — nine analyzers, each kept because a
+# project-specific contracts on top — eight analyzers, each kept because a
 # seeded bug of a class it reports got past go vet and this race run
-# (DESIGN.md §5): six single-package (cube immutability, map order in
-# output, locks held across I/O, epsilon float comparisons, surfaced errors,
-# unclosed response bodies) and three driven by cross-package facts
-# (goroutine leaks, context plumbing, locks held across interprocedurally
-# blocking calls). What vet (copylocks) or the byte-exact tests already catch
-# has no analyzer. The short fuzz pass keeps the text parsers panic-free on
-# garbage, the cell-answer writer byte-equal to encoding/json, the cell
-# comparator equal to the decimal-key order snapshots store cells in and the
-# one-walk flowgraph similarity bit-equal to its two-walk reference.
+# (DESIGN.md §5): five single-package (cube immutability, map order in
+# output, epsilon float comparisons, surfaced errors, unclosed response
+# bodies) and three driven by cross-package facts (locks held across
+# blocking calls, goroutine leaks, context plumbing). What vet (copylocks)
+# or the byte-exact tests already catch has no analyzer. The short fuzz
+# pass (scripts/fuzz.sh, the one list of targets) keeps the text parsers
+# panic-free on garbage, the cell-answer writer byte-equal to
+# encoding/json, the cell comparator equal to the decimal-key order
+# snapshots store cells in and the one-walk flowgraph similarity bit-equal
+# to its two-walk reference.
 # The race run also carries the byte-identity contracts, every one checked
 # through internal/oracle (DESIGN.md "Contracts"): ApplyDelta + Save must be
 # byte-identical to a full rebuild over the union database at random split
@@ -111,16 +112,7 @@ run_matching 'Lazy|Load|LyingLength' -tags nommap ./internal/core
 run_matching 'TestGenerationIsolation/lazy|TestApplyDeltaOnLoadedCube' -tags nommap ./internal/core
 
 echo "== fuzz (10s per target) =="
-go test ./internal/core -run '^$' -fuzz FuzzParseCellSpec -fuzztime 10s
-go test ./internal/olap -run '^$' -fuzz FuzzParseQuery -fuzztime 10s
-go test ./internal/core -run '^$' -fuzz FuzzLoadSnapshot -fuzztime 10s -fuzzminimizetime 10x
-go test ./internal/core -run '^$' -fuzz FuzzCompareCells -fuzztime 10s
-go test ./internal/pathdb -run '^$' -fuzz FuzzRead -fuzztime 10s
-go test ./internal/core -run '^$' -fuzz FuzzApplyDelta -fuzztime 10s
-go test ./internal/ingest -run '^$' -fuzz FuzzWALReplay -fuzztime 10s
-go test ./internal/itemset -run '^$' -fuzz FuzzJoinMatchesBruteForce -fuzztime 10s
-go test ./internal/server -run '^$' -fuzz FuzzRenderMatchesReference -fuzztime 10s
-go test ./internal/flowgraph -run '^$' -fuzz FuzzSimilarityMatchesReference -fuzztime 10s
+./scripts/fuzz.sh 10s
 
 echo "== lines of non-test Go per package (report only) =="
 ./scripts/loc.sh
