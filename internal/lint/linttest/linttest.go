@@ -23,6 +23,7 @@ package linttest
 
 import (
 	"fmt"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -42,11 +43,11 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads the fixture under dir and applies the analyzer, reporting
-// want-annotation mismatches as test errors.
+// Run loads the fixture under dir as package testdata/<base of dir> and
+// applies the analyzer, reporting want-annotation mismatches as test errors.
 func Run(t *testing.T, dir string, a *lint.Analyzer) {
 	t.Helper()
-	mismatches, err := Check(dir, "flowcube/internal/lint/testdata/"+a.Name, a)
+	mismatches, err := Check(dir, "flowcube/internal/lint/testdata/"+filepath.Base(dir), a)
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
