@@ -77,7 +77,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	epsilon := fs.Float64("epsilon", 0.1, "minimum deviation ε for exceptions (when building)")
 	tau := fs.Float64("tau", 0, "similarity threshold τ, 0 disables redundancy marking (when building)")
 	exceptions := fs.Bool("exceptions", false, "mine flowgraph exceptions (when building)")
-	workers := fs.Int("workers", 0, "goroutines for flowgraph construction (when building; 0 = sequential)")
+	workers := fs.Int("workers", 0, "goroutines for mining (candidate join, support counting), flowgraph construction and exception mining (when building; 0 = sequential)")
 	lazy := fs.Bool("lazy", false, "mmap v2 cube snapshots and decode one cell at a time on first touch (cold open in milliseconds, bounded RSS)")
 	lazyCache := fs.Int64("lazy-cache", 0, "LRU budget in bytes for -lazy's section directories and decoded cells (0 = default 64 MiB, negative = unbounded)")
 	timeout := fs.Duration("timeout", server.DefaultRequestTimeout, "per-request timeout")

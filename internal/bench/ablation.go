@@ -166,9 +166,7 @@ func AblationCounting(o Options) []AblationRow {
 
 	start := time.Now()
 	trie := itemset.NewTrie(kept)
-	for _, tx := range txs {
-		trie.Count(tx)
-	}
+	trie.Count(txs, 1)
 	trieSec := time.Since(start).Seconds()
 
 	start = time.Now()

@@ -5,7 +5,7 @@ package flowgraph
 // children sorted by location, exactly the order Children() reports — so
 // every node's children occupy one contiguous index range and a single
 // sentinel ChildLo slice describes the whole tree shape, mirroring
-// itemset.flatTrie. All duration and transition distributions are pooled
+// itemset.Trie. All duration and transition distributions are pooled
 // into one shared Outcomes/Weights pair with per-node offsets; exceptions
 // and their condition pins are flat tables of the same style. Unflatten
 // validates the invariants and rebuilds the pointer tree by carving nodes,
@@ -67,11 +67,21 @@ func (f *Flat) NumNodes() int { return len(f.Locations) }
 // Flatten converts the graph to columnar form.
 func Flatten(g *Graph) *Flat {
 	f := &Flat{Paths: g.paths}
+	// Only exception nodes need their BFS index looked up, so only they are
+	// keyed; one missing from the tree keeps index 0.
+	var index map[*Node]int32
+	if len(g.exceptions) > 0 {
+		index = make(map[*Node]int32, len(g.exceptions))
+		for _, x := range g.exceptions {
+			index[x.Node] = 0
+		}
+	}
 	order := []*Node{g.root}
-	index := map[*Node]int32{g.root: 0}
 	for i := 0; i < len(order); i++ {
 		for _, c := range order[i].Children() {
-			index[c] = int32(len(order))
+			if _, ok := index[c]; ok {
+				index[c] = int32(len(order))
+			}
 			order = append(order, c)
 		}
 	}

@@ -12,9 +12,9 @@ import (
 )
 
 // benchWorkload builds a counting workload shaped like a real Apriori level:
-// a few thousand length-k candidates drawn from a skewed item domain, and a
-// database of sorted transactions.
-func benchWorkload(k int) (itemset.Level, []transact.Transaction) {
+// a few thousand length-k candidates drawn from a skewed item domain, and n
+// sorted transactions.
+func benchWorkload(k, n int) (itemset.Level, []transact.Transaction) {
 	rng := rand.New(rand.NewSource(int64(k)))
 	domain := 120
 	seen := map[string]bool{}
@@ -43,7 +43,7 @@ func benchWorkload(k int) (itemset.Level, []transact.Transaction) {
 			cands = append(cands, set)
 		}
 	}
-	for i := 0; i < 4000; i++ {
+	for i := 0; i < n; i++ {
 		var tx transact.Transaction
 		for v := 0; v < domain; v++ {
 			if rng.Intn(domain/8) < 8 {
@@ -63,28 +63,21 @@ func sortItems(s []transact.Item) {
 	}
 }
 
-// BenchmarkTrieCount compares the counting variants on identical workloads:
-// the sequential iterative walk and the sharded per-worker-buffer parallel
-// walk.
+// BenchmarkTrieCount counts 4 000 length-3 candidates over transactions that
+// fit one counting block and over ones spanning three blocks and a bit, at
+// one and two workers.
 func BenchmarkTrieCount(b *testing.B) {
-	for _, k := range []int{2, 3, 4} {
-		cands, txs := benchWorkload(k)
-		b.Run(fmt.Sprintf("k=%d/seq", k), func(b *testing.B) {
-			tr := itemset.NewTrie(cands)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, tx := range txs {
-					tr.Count(tx)
+	for _, n := range []int{2000, 3*itemset.BlockTx + 17} {
+		cands, txs := benchWorkload(3, n)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("txs=%d/workers=%d", n, workers), func(b *testing.B) {
+				tr := itemset.NewTrie(cands)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tr.Count(txs, workers)
 				}
-			}
-		})
-		b.Run(fmt.Sprintf("k=%d/sharded-8", k), func(b *testing.B) {
-			tr := itemset.NewTrie(cands)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.CountParallel(txs, 8)
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -4,7 +4,7 @@ import "flowcube/internal/transact"
 
 // refNode and countNode are the pointer-linked candidate trie and its
 // recursive merge-walk counter: the reference the flat layout and the
-// iterative flatTrie.count are compared against.
+// blocked vertical Count are compared against.
 type refNode struct {
 	item     transact.Item
 	children []*refNode
@@ -90,6 +90,9 @@ func (t *RefTrie) Counts() []int64 {
 	}
 	return out
 }
+
+// BlockTx is how many transactions one counting block holds.
+const BlockTx = blockTx
 
 // JoinParallelMin reports the level size at which Join starts sharding.
 func JoinParallelMin() int { return joinParallelMin }

@@ -26,34 +26,35 @@ func randomSortedSet(rng *rand.Rand, domain, n int) []transact.Item {
 	return out
 }
 
-// checkAgainstReference counts txs through the flat trie (sequentially and
-// sharded) and through the recursive reference over a pointer trie, and
+// checkAgainstReference counts txs through the trie at 1, 2, 3 and 8
+// workers and through the recursive reference over a pointer trie, and
 // requires identical per-candidate supports.
 func checkAgainstReference(t *testing.T, label string, cands itemset.Level, txs []transact.Transaction) {
 	t.Helper()
-	seq, par, ref := itemset.NewTrie(cands), itemset.NewTrie(cands), itemset.NewRefTrie(cands)
+	ref := itemset.NewRefTrie(cands)
 	for _, tx := range txs {
-		seq.Count(tx)
 		ref.Count(tx)
 	}
-	par.CountParallel(txs, 3)
 	want := ref.Counts()
-	for name, got := range map[string][]int64{"sequential": seq.Counts(), "sharded": par.Counts()} {
+	for _, workers := range []int{1, 2, 3, 8} {
+		trie := itemset.NewTrie(cands)
+		trie.Count(txs, workers)
+		got := trie.Counts()
 		if len(got) != len(want) {
-			t.Fatalf("%s: %s trie reports %d candidates, reference %d", label, name, len(got), len(want))
+			t.Fatalf("%s: trie reports %d candidates, reference %d", label, len(got), len(want))
 		}
 		for i, n := range want {
 			if got[i] != n {
-				t.Fatalf("%s: %s count of %v = %d, reference %d", label, name, cands.Set(i), got[i], n)
+				t.Fatalf("%s, %d workers: count of %v = %d, reference %d", label, workers, cands.Set(i), got[i], n)
 			}
 		}
 	}
 }
 
-// TestIterativeMatchesRecursive: the one-pass layout and the flat trie's
-// explicit-stack walk must agree with the recursive reference counter on
-// random candidate levels of every length — single-candidate tries included
-// — and random sorted transactions.
+// TestIterativeMatchesRecursive: the one-pass layout and the blocked
+// vertical walk must agree with the recursive reference counter on random
+// candidate levels of every length — single-candidate tries included — and
+// random sorted transactions.
 func TestIterativeMatchesRecursive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 300; round++ {
@@ -70,28 +71,57 @@ func TestIterativeMatchesRecursive(t *testing.T) {
 	}
 }
 
-// TestWideRangeMatchesReference: a node whose child range dwarfs the
-// transaction flips count to intersecting from the transaction side; both
-// strategies must count the same.
-func TestWideRangeMatchesReference(t *testing.T) {
+// TestCountMatchesReferenceAtBlockEdges: supports must not depend on where
+// the transactions fall against the 64-transaction bitmap words and the
+// counting blocks, nor on how the root's children are split among workers.
+// Every transaction count from none to three blocks and a bit is counted
+// against the reference at k = 1..6, over random levels and over levels with
+// a single root child (more requested parts than root children), with empty
+// transactions and items above the trie's largest item mixed in; then over a
+// level of few, very wide root children (a few first items, hundreds of
+// second items each).
+func TestCountMatchesReferenceAtBlockEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	b := itemset.BlockTx
+	for _, n := range []int{0, 1, 63, 64, 65, b - 1, b, b + 1, 3*b + 17} {
+		txs := make([]transact.Transaction, n)
+		for x := range txs {
+			if rng.Intn(8) > 0 { // the rest stay empty
+				txs[x] = randomSortedSet(rng, 32, rng.Intn(20)) // candidates draw from [0, 24)
+			}
+		}
+		for k := 1; k <= 6; k++ {
+			var random, rooted [][]transact.Item
+			for c := 0; c < 1+rng.Intn(40); c++ {
+				random = append(random, randomSortedSet(rng, 24, k))
+				s := randomSortedSet(rng, 23, k)
+				for i := range s {
+					s[i]++ // [1, 24): item 0 leads every set, so it roots them all
+				}
+				rooted = append(rooted, append([]transact.Item{0}, s[:k-1]...))
+			}
+			checkAgainstReference(t, fmt.Sprintf("%d txs, random k=%d", n, k), levelOf(k, random...), txs)
+			checkAgainstReference(t, fmt.Sprintf("%d txs, one root child k=%d", n, k), levelOf(k, rooted...), txs)
+		}
+	}
+
 	var cs [][]transact.Item
 	for first := 0; first < 3; first++ {
 		for second := 10; second < 400; second++ {
-			if rng.Intn(4) > 0 { // gaps, so the binary search has misses to skip
+			if rng.Intn(4) > 0 {
 				cs = append(cs, set(transact.Item(first), transact.Item(second), transact.Item(second+1+rng.Intn(3))))
 			}
 		}
 	}
 	var txs []transact.Transaction
-	for x := 0; x < 200; x++ {
+	for x := 0; x < b+200; x++ {
 		tx := transact.Transaction{transact.Item(rng.Intn(3))}
 		for _, it := range randomSortedSet(rng, 400, 2+rng.Intn(12)) {
 			tx = append(tx, it+10)
 		}
 		txs = append(txs, tx)
 	}
-	checkAgainstReference(t, "wide", levelOf(3, cs...), txs)
+	checkAgainstReference(t, "wide root children", levelOf(3, cs...), txs)
 }
 
 // Property form of the same check, driven by testing/quick inputs.
@@ -121,11 +151,13 @@ func TestIterativeMatchesRecursiveProperty(t *testing.T) {
 		}
 		cands := levelOf(k, cs...)
 		iter, ref := itemset.NewTrie(cands), itemset.NewRefTrie(cands)
+		var txs []transact.Transaction
 		for _, seed := range txSeeds {
 			tx := transact.Transaction(mk(seed))
-			iter.Count(tx)
+			txs = append(txs, tx)
 			ref.Count(tx)
 		}
+		iter.Count(txs, 2)
 		got, want := iter.Counts(), ref.Counts()
 		if len(got) != len(want) {
 			return false
@@ -143,8 +175,8 @@ func TestIterativeMatchesRecursiveProperty(t *testing.T) {
 }
 
 // TestDeepTransactionCounting: maximal-depth candidates inside a long
-// transaction — the case the explicit stack exists for, and a pattern far
-// longer than 255 items, which the layout must carry whole.
+// transaction — one row per depth, 512 deep — and a pattern far longer than
+// 255 items, which the layout must carry whole.
 func TestDeepTransactionCounting(t *testing.T) {
 	const depth = 512
 	cand := make([]transact.Item, depth)
@@ -160,9 +192,7 @@ func TestDeepTransactionCounting(t *testing.T) {
 	absent[depth-1] = depth + 7
 	cands := levelOf(depth, cand, other, absent)
 	trie := itemset.NewTrie(cands)
-	for i := 0; i < 3; i++ {
-		trie.Count(tx)
-	}
+	trie.Count([]transact.Transaction{tx, tx, tx}, 1)
 	for i, want := range []int64{3, 3, 0} {
 		if got := trie.Counts()[i]; got != want {
 			t.Errorf("deep candidate %d counted %d, want %d", i, got, want)
@@ -190,10 +220,10 @@ func shardedEquivalenceTxs() []transact.Transaction {
 	return txs
 }
 
-// TestShardedMatchesSequentialAndAtomic: per-worker buffer counting must
-// agree with the sequential count, at the worker counts the race-detector
-// CI run uses. (The atomic variant it also compared is deleted; the name
-// stays so the test keeps its id.)
+// TestShardedMatchesSequentialAndAtomic: per-worker shard counting, with the
+// one block's root children split among the workers, must agree with one
+// worker. (The atomic variant it also compared is deleted; the name stays so
+// the test keeps its id.)
 func TestShardedMatchesSequentialAndAtomic(t *testing.T) {
 	txs := shardedEquivalenceTxs()
 	var pairs [][]transact.Item
@@ -204,16 +234,14 @@ func TestShardedMatchesSequentialAndAtomic(t *testing.T) {
 	}
 	cands := levelOf(2, pairs...)
 	seq := itemset.NewTrie(cands)
-	for _, tx := range txs {
-		seq.Count(tx)
-	}
+	seq.Count(txs, 1)
 	want := seq.Counts()
 
 	for _, workers := range []int{2, 4, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			sharded := itemset.NewTrie(cands)
-			sharded.CountParallel(txs, workers)
+			sharded.Count(txs, workers)
 			got := sharded.Counts()
 			if len(got) != len(want) {
 				t.Fatalf("sharded reports %d candidates, want %d", len(got), len(want))
@@ -227,9 +255,10 @@ func TestShardedMatchesSequentialAndAtomic(t *testing.T) {
 	}
 }
 
-// FuzzIterativeMatchesRecursive fuzzes the iterative counter against the
-// recursive oracle with arbitrary byte-derived candidates and transactions.
-func FuzzIterativeMatchesRecursive(f *testing.F) {
+// FuzzCountMatchesReference fuzzes the counter against the recursive
+// reference with byte-derived candidates and at least 65 byte-derived
+// transactions, so every input crosses a 64-transaction bitmap word.
+func FuzzCountMatchesReference(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{1, 2, 3, 4})
 	f.Add([]byte{7}, []byte{})
 	f.Add([]byte{0, 0, 5, 9}, []byte{5, 9, 9, 1})
@@ -250,7 +279,6 @@ func FuzzIterativeMatchesRecursive(f *testing.F) {
 		if len(cand) == 0 {
 			t.Skip()
 		}
-		tx := transact.Transaction(mk(txBytes))
 		// The candidate and every set obtained by replacing its last item:
 		// one shared prefix path, several leaves.
 		cs := [][]transact.Item{cand}
@@ -261,14 +289,29 @@ func FuzzIterativeMatchesRecursive(f *testing.F) {
 				cs = append(cs, alt)
 			}
 		}
+		// Transaction i keeps byte j of txBytes unless bit j%8 of i is set,
+		// so the transactions differ in a pattern that repeats every 256.
+		txs := make([]transact.Transaction, 65+len(txBytes)%200)
+		for i := range txs {
+			var kept []byte
+			for j, x := range txBytes {
+				if i>>(j%8)&1 == 0 {
+					kept = append(kept, x)
+				}
+			}
+			txs[i] = mk(kept)
+		}
 		cands := levelOf(len(cand), cs...)
-		iter, ref := itemset.NewTrie(cands), itemset.NewRefTrie(cands)
-		iter.Count(tx)
-		ref.Count(tx)
-		got, want := iter.Counts(), ref.Counts()
+		ref := itemset.NewRefTrie(cands)
+		for _, tx := range txs {
+			ref.Count(tx)
+		}
+		trie := itemset.NewTrie(cands)
+		trie.Count(txs, 1+len(candBytes)%3)
+		got, want := trie.Counts(), ref.Counts()
 		for i, n := range want {
 			if got[i] != n {
-				t.Fatalf("iterative count %d, recursive %d for %v", got[i], n, cands.Set(i))
+				t.Fatalf("count %d, reference %d for %v", got[i], n, cands.Set(i))
 			}
 		}
 	})

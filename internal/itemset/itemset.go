@@ -3,14 +3,16 @@
 // sorted Level every frequent or candidate set of one length lives in,
 // Apriori candidate generation with subset pruning over it, and a candidate
 // trie laid out from it that counts support of all candidates of one length
-// in a single pass over each transaction.
+// in one blocked vertical scan of the transactions.
 package itemset
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"flowcube/internal/transact"
 )
@@ -33,158 +35,28 @@ func FromKey(key string) []transact.Item {
 	return set
 }
 
-// flatTrie is the counting layout: the candidate trie as contiguous
-// index-based arrays, in breadth-first order so that every node's children
-// occupy one consecutive, item-sorted range. The merge-walk against a sorted
-// transaction then streams over items[childLo[n]:childLo[n+1]] instead of
-// chasing child pointers, and supports live in a dense counts slice indexed
-// by node id — which is what lets parallel counting hand each worker a
-// private count buffer and merge them after the scan.
-//
-// BFS order makes the children ranges consecutive, so one childLo slice with
-// a trailing sentinel encodes every range: node n's children are
-// [childLo[n], childLo[n+1]).
-type flatTrie struct {
-	items   []transact.Item
-	childLo []int32 // len(items)+1 entries; childLo[len(items)] is the sentinel
-	counts  []int64
-	// words is the transaction-bitmap size (in uint64 words) covering the
-	// largest item in the trie; items beyond it cannot match any candidate.
-	words int
-	// rootChild maps an item to the root child carrying it (-1 if none),
-	// indexed 0..words*64. The root's child range spans every distinct first
-	// item — usually far more entries than one transaction has items — so
-	// the root step walks the transaction through this index instead of
-	// scanning the range.
-	rootChild []int32
-}
+// blockTx is how many transactions one counting block holds: 64 bitmap words
+// per item, so a block's rows stay cache-resident while its subtree is walked.
+const blockTx = 4096
 
-// count counts one transaction. Because candidates and transactions are both
-// sorted sets, containment needs no positional merge: the transaction is
-// scattered into a bitmap (words, caller scratch, zeroed on entry and on
-// return), and each node visit reduces to scanning its child range with an
-// O(1) membership test per child — no transaction-suffix scan, no
-// (node, position) frames, just node ids on the explicit stack.
+// Trie counts support for the candidates of one Level. Build it with NewTrie,
+// call Count, then read Counts or harvest with Frequent.
 //
-// The bitmap scan is O(children) per visit, which is the wrong side of the
-// intersection when a node's child range dwarfs the transaction — the
-// level-2 trie of a dense candidate set gives every first item hundreds of
-// children while a transaction holds a few dozen items. Ranges wider than
-// wideRangeFactor× the transaction flip to intersecting from the
-// transaction side instead: each transaction item binary-searches the
-// (item-sorted) child range with a monotonically advancing lower bound,
-// O(|tx|·log children) per visit. Both strategies visit the same matches,
-// so counts are identical either way.
-//
-// Every visited node is counted unconditionally: reaching a node means the
-// transaction contains its prefix, so counts at candidate-end nodes are
-// exact while interior nodes accumulate values nobody reads (Counts and
-// Frequent only look at end nodes). That keeps a leaf check out of the hot
-// loop. Childless matches are counted
-// inline instead of round-tripping through the stack; at the deepest level
-// of a candidate trie that is nearly every match. stack is caller scratch,
-// returned for reuse.
-// wideRangeFactor is the child-range-to-transaction size ratio above which
-// count intersects from the transaction side instead of bit-testing every
-// child. Below it the branch-free bitmap scan wins on constants.
-const wideRangeFactor = 4
-
-func (f *flatTrie) count(tx transact.Transaction, counts []int64, words []uint64, stack []int32) []int32 {
-	limit := transact.Item(f.words << 6)
-	for _, it := range tx {
-		if it < limit {
-			words[int(it)>>6] |= 1 << (uint32(it) & 63)
-		}
-	}
-	items := f.items
-	childLo := f.childLo
-	// Root step: walk the transaction through the direct item→child index
-	// rather than bit-testing the root's whole child range.
-	counts[0]++
-	stack = stack[:0]
-	for _, it := range tx {
-		if it >= limit {
-			continue
-		}
-		ci := f.rootChild[it]
-		if ci < 0 {
-			continue
-		}
-		if childLo[ci] == childLo[ci+1] {
-			counts[ci]++ // childless: necessarily a candidate end
-		} else {
-			stack = append(stack, ci)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		counts[n]++
-		lo, hi := childLo[n], childLo[n+1]
-		if int(hi-lo) > wideRangeFactor*len(tx) {
-			// Wide range: intersect from the transaction side.
-			p := lo
-			for _, it := range tx {
-				if p >= hi {
-					break
-				}
-				if it < items[p] {
-					continue
-				}
-				if it > items[p] {
-					l, r := p+1, hi
-					for l < r {
-						m := l + (r-l)/2
-						if items[m] < it {
-							l = m + 1
-						} else {
-							r = m
-						}
-					}
-					p = l
-					if p >= hi || items[p] != it {
-						continue
-					}
-				}
-				if childLo[p] == childLo[p+1] {
-					counts[p]++ // childless: necessarily a candidate end
-				} else {
-					stack = append(stack, p)
-				}
-				p++
-			}
-			continue
-		}
-		for ci := lo; ci < hi; ci++ {
-			it := items[ci]
-			if words[int(it)>>6]&(1<<(uint32(it)&63)) == 0 {
-				continue
-			}
-			if childLo[ci] == childLo[ci+1] {
-				counts[ci]++ // childless: necessarily a candidate end
-			} else {
-				stack = append(stack, ci)
-			}
-		}
-	}
-	for _, it := range tx {
-		if it < limit {
-			words[int(it)>>6] = 0
-		}
-	}
-	return stack
-}
-
-// Trie counts support for the candidates of one Level. Build it with
-// NewTrie, call Count once per transaction (or CountParallel once), then read
-// Counts or harvest with Frequent.
+// The layout is the candidate trie as contiguous index-based arrays in
+// breadth-first order, so that every node's children occupy one consecutive,
+// item-sorted range: node n's children are [childLo[n], childLo[n+1]), with
+// a trailing sentinel. Every candidate ends at depth K, and those childless
+// nodes are the last len(counts) ids, in level order.
 type Trie struct {
-	cands Level
-	flat  flatTrie
-	// Scratch for the sequential Count path: the transaction bitmap and the
-	// traversal stack.
-	words []uint64
-	stack []int32
+	cands   Level
+	childLo []int32 // one entry per node plus the sentinel
+	// slot is each node's item as a dense index into the per-block item
+	// bitmaps; dense maps an item to its slot (-1 for items no candidate
+	// holds), and slots is how many distinct items the trie holds.
+	slot   []int32
+	dense  []int32
+	slots  int
+	counts []int64 // per candidate, in level order
 }
 
 // NewTrie lays the sorted, duplicate-free candidates of a non-empty level
@@ -192,9 +64,9 @@ type Trie struct {
 // node at every depth past the first position where it differs from
 // candidate i-1, and breadth-first order numbers the nodes of one depth in
 // exactly that order of appearance: one pass sizes the depths, a second
-// writes each node's item and first-child index at its final id. The nodes
-// of the last depth are the candidates in level order, so per-candidate
-// supports are the tail of the count buffer. Candidates out of order are a
+// writes each node's item slot and first-child index at its final id. The nodes
+// of the last depth are the candidates in level order, so the node ids from
+// leaf0 on index counts directly. Candidates out of order are a
 // caller bug and panic, as does a level whose trie outgrows the int32 node
 // index.
 func NewTrie(cands Level) *Trie {
@@ -234,103 +106,215 @@ func NewTrie(cands Level) *Trie {
 	if nodes > math.MaxInt32 {
 		panic(fmt.Sprintf("itemset: %d candidates of length %d need %d trie nodes, beyond the int32 index", n, k, nodes))
 	}
-	t := &Trie{cands: cands}
-	f := &t.flat
-	f.items = make([]transact.Item, nodes)
-	f.childLo = make([]int32, nodes+1)
-	f.counts = make([]int64, nodes)
-	f.childLo[0] = 1
-	f.childLo[nodes] = int32(nodes)
 	maxItem := transact.Item(0)
+	for i := 0; i < n; i++ {
+		maxItem = max(maxItem, cands.Set(i)[k-1]) // sets are sorted: the last item is the largest
+	}
+	t := &Trie{
+		cands:   cands,
+		childLo: make([]int32, nodes+1),
+		slot:    make([]int32, nodes),
+		dense:   make([]int32, maxItem+1),
+		counts:  make([]int64, n),
+	}
+	for i := range t.dense {
+		t.dense[i] = -1
+	}
+	t.childLo[0] = 1
+	t.childLo[nodes] = int32(nodes)
 	for i := 0; i < n; i++ {
 		set := cands.Set(i)
 		for d := firstDiff(i) + 1; d <= k; d++ {
 			id := next[d]
 			next[d]++
-			f.items[id] = set[d-1]
-			f.childLo[id] = int32(next[d+1])
+			s := &t.dense[set[d-1]]
+			if *s < 0 {
+				*s = int32(t.slots)
+				t.slots++
+			}
+			t.slot[id] = *s
+			t.childLo[id] = int32(next[d+1])
 		}
-		if set[k-1] > maxItem { // sets are sorted: the last item is the largest
-			maxItem = set[k-1]
-		}
-	}
-	f.words = int(maxItem)>>6 + 1
-	f.rootChild = make([]int32, f.words<<6)
-	for i := range f.rootChild {
-		f.rootChild[i] = -1
-	}
-	for ci := f.childLo[0]; ci < f.childLo[1]; ci++ {
-		f.rootChild[f.items[ci]] = ci
 	}
 	return t
 }
 
-// Count increments the support of every candidate contained in the sorted
-// transaction. Not safe to call concurrently; use CountParallel for that.
-func (t *Trie) Count(tx transact.Transaction) {
-	f := &t.flat
-	if len(t.words) < f.words {
-		t.words = make([]uint64, f.words)
+// Count adds the support every candidate has in txs, each a sorted
+// transaction. It scans vertically: txs is cut into blocks of blockTx
+// transactions, each block is scattered into one bitmap per trie item, and
+// the trie is walked depth first, an interior node keeping parent AND item
+// in its depth's row (skipping its subtree when that row is empty) and a
+// candidate end adding the popcount of parent AND item to its support.
+//
+// A unit of work is a block and a range of the root's children; when blocks
+// alone cannot keep the workers busy the root's children are split into
+// ranges of about equal candidate counts. Each of up to workers goroutines
+// counts into a private shard, and the shards are summed in worker order
+// after the scan; integer addition makes every split exact, so the counts are
+// identical at any worker count.
+func (t *Trie) Count(txs []transact.Transaction, workers int) {
+	if len(txs) == 0 || len(t.counts) == 0 {
+		return
 	}
-	t.stack = f.count(tx, f.counts, t.words, t.stack)
-}
-
-// CountParallel counts the whole transaction set across the given number of
-// workers. Each worker scans a contiguous transaction chunk into a private
-// count buffer indexed by flat node id — no shared writes, no atomics, no
-// false sharing on hot leaves — and the buffers are merged in worker order
-// after the scan. Integer addition makes the merge exact, so the result is
-// identical to sequential Count over every transaction. workers <= 1
-// degrades to the serial path.
-func (t *Trie) CountParallel(txs []transact.Transaction, workers int) {
-	if workers <= 1 || len(txs) < 2*workers {
-		for _, tx := range txs {
-			t.Count(tx)
+	blocks := (len(txs) + blockTx - 1) / blockTx
+	parts := [][2]int32{{t.childLo[0], t.childLo[1]}}
+	if workers > 1 && blocks < 4*workers {
+		parts = t.split((4*workers + blocks - 1) / blocks)
+	}
+	units := blocks * len(parts)
+	workers = min(workers, units)
+	run := func(c *counter, u int) {
+		c.scatter(txs, u/len(parts))
+		p := parts[u%len(parts)]
+		c.walk(p[0], p[1], 1, c.rows[:c.w], 0)
+	}
+	if workers <= 1 {
+		c := t.newCounter(len(txs), t.counts)
+		for u := 0; u < units; u++ {
+			run(c, u)
 		}
 		return
 	}
-	f := &t.flat
-	shards := make([][]int64, workers)
+	shards := make([]*counter, workers)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	chunk := (len(txs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(txs) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(txs) {
-			hi = len(txs)
-		}
+	for w := range shards {
+		c := t.newCounter(len(txs), make([]int64, len(t.counts)))
+		shards[w] = c
 		wg.Add(1)
-		go func(w int, part []transact.Transaction) {
+		go func() {
 			defer wg.Done()
-			counts := make([]int64, len(f.counts))
-			words := make([]uint64, f.words)
-			var stack []int32
-			for _, tx := range part {
-				stack = f.count(tx, counts, words, stack)
+			for u := int(next.Add(1) - 1); u < units; u = int(next.Add(1) - 1) {
+				run(c, u)
 			}
-			shards[w] = counts
-		}(w, txs[lo:hi])
+		}()
 	}
 	wg.Wait()
-	for _, shard := range shards {
-		if shard == nil {
-			continue
+	for _, c := range shards {
+		for i, v := range c.counts {
+			t.counts[i] += v
 		}
-		for i, v := range shard {
-			if v != 0 {
-				f.counts[i] += v
+	}
+}
+
+// split cuts the root's children into at most n consecutive ranges holding
+// about equal numbers of candidates.
+func (t *Trie) split(n int) [][2]int32 {
+	lo, hi := t.childLo[0], t.childLo[1]
+	n = min(n, int(hi-lo))
+	leaf0 := t.leaf0()
+	parts := make([][2]int32, 0, n)
+	for c := lo + 1; c < hi && len(parts) < n-1; c++ {
+		first := c // c's first descendant at depth K
+		for d := 1; d < t.cands.K; d++ {
+			first = t.childLo[first]
+		}
+		if int(first-leaf0)*n >= (len(parts)+1)*len(t.counts) {
+			parts = append(parts, [2]int32{lo, c})
+			lo = c
+		}
+	}
+	return append(parts, [2]int32{lo, hi})
+}
+
+// leaf0 is the node id of the first candidate end.
+func (t *Trie) leaf0() int32 { return int32(len(t.childLo) - 1 - len(t.counts)) }
+
+// counter is one worker's scratch: the scattered block's item bitmaps (w
+// words per trie item), one row per trie depth (row 0 is all ones, the
+// root's), and the count shard it adds into.
+type counter struct {
+	t      *Trie
+	bits   []uint64
+	rows   []uint64
+	w      int
+	block  int // the block bits holds, -1 before the first
+	counts []int64
+}
+
+// newCounter sizes a counter's scratch for blocks of up to n transactions.
+func (t *Trie) newCounter(n int, counts []int64) *counter {
+	w := (min(n, blockTx) + 63) >> 6
+	return &counter{
+		t:      t,
+		bits:   make([]uint64, t.slots*w),
+		rows:   make([]uint64, t.cands.K*w),
+		block:  -1,
+		counts: counts,
+	}
+}
+
+// scatter loads block b of txs into the item bitmaps, unless they hold it.
+func (c *counter) scatter(txs []transact.Transaction, b int) {
+	if c.block == b {
+		return
+	}
+	c.block = b
+	txs = txs[b*blockTx : min(len(txs), (b+1)*blockTx)]
+	c.w = (len(txs) + 63) >> 6
+	cols, w, dense := c.bits[:c.t.slots*c.w], c.w, c.t.dense
+	clear(cols)
+	for i, tx := range txs {
+		word, bit := i>>6, uint64(1)<<(i&63)
+		for _, it := range tx {
+			if int(it) >= len(dense) {
+				break // sorted: no later item is in the trie either
+			}
+			if s := dense[it]; s >= 0 {
+				cols[int(s)*w+word] |= bit
 			}
 		}
+	}
+	root := c.rows[:w]
+	for i := range root {
+		root[i] = ^uint64(0)
+	}
+}
+
+// walk visits the nodes [lo, hi) at the given depth, whose parent's
+// transaction row is parent: words [off, off+len(parent)) of the block, every
+// word outside them zero.
+func (c *counter) walk(lo, hi int32, depth int, parent []uint64, off int) {
+	t, w := c.t, c.w
+	if depth == t.cands.K {
+		leaf0 := t.leaf0()
+		for n := lo; n < hi; n++ {
+			col := c.bits[int(t.slot[n])*w+off:][:len(parent)]
+			s := 0
+			for i, x := range parent {
+				s += bits.OnesCount64(x & col[i])
+			}
+			c.counts[n-leaf0] += int64(s)
+		}
+		return
+	}
+	row := c.rows[depth*w : (depth+1)*w]
+	for n := lo; n < hi; n++ {
+		col := c.bits[int(t.slot[n])*w+off:][:len(parent)]
+		var any uint64
+		for i, x := range parent {
+			v := x & col[i]
+			row[off+i] = v
+			any |= v
+		}
+		if any == 0 {
+			continue
+		}
+		first, last := off, off+len(parent)-1
+		for row[first] == 0 {
+			first++
+		}
+		for row[last] == 0 {
+			last--
+		}
+		c.walk(t.childLo[n], t.childLo[n+1], depth+1, row[first:last+1], first)
 	}
 }
 
 // Counts returns the support counted so far for every candidate, in level
 // order, aliasing the trie's count buffer.
 func (t *Trie) Counts() []int64 {
-	return t.flat.counts[len(t.flat.counts)-t.cands.Len():]
+	return t.counts
 }
 
 // Frequent harvests the candidates whose count meets minCount into a new

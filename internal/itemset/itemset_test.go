@@ -97,9 +97,7 @@ func TestTrieCounting(t *testing.T) {
 		{4, 6},       // contains nothing
 		{1, 2, 3, 5}, // contains all three
 	}
-	for _, tx := range txs {
-		trie.Count(tx)
-	}
+	trie.Count(txs, 1)
 	counts := trie.Counts() // level order: {1,3}, {1,5}, {2,3}
 	if len(counts) != 3 {
 		t.Fatalf("%d counts, want 3", len(counts))
@@ -190,7 +188,7 @@ func TestTrieMatchesNaiveProperty(t *testing.T) {
 		tx := transact.Transaction(mk(txSeed, 8))
 
 		trie := itemset.NewTrie(levelOf(len(cand), cand))
-		trie.Count(tx)
+		trie.Count([]transact.Transaction{tx}, 1)
 		got := trie.Counts()[0]
 
 		want := int64(1)
@@ -214,8 +212,8 @@ func TestTrieMatchesNaiveProperty(t *testing.T) {
 	}
 }
 
-// TestCountParallelMatchesSequential: parallel counting must agree with
-// sequential counting on identical inputs.
+// TestCountParallelMatchesSequential: counting across workers must agree
+// with one worker on identical inputs.
 func TestCountParallelMatchesSequential(t *testing.T) {
 	mkTx := func(seed int) transact.Transaction {
 		var tx transact.Transaction
@@ -238,10 +236,8 @@ func TestCountParallelMatchesSequential(t *testing.T) {
 	}
 	cands := levelOf(2, pairs...)
 	seqTrie, parTrie := itemset.NewTrie(cands), itemset.NewTrie(cands)
-	for _, tx := range txs {
-		seqTrie.Count(tx)
-	}
-	parTrie.CountParallel(txs, 4)
+	seqTrie.Count(txs, 1)
+	parTrie.Count(txs, 4)
 
 	want, got := seqTrie.Counts(), parTrie.Counts()
 	for i := range want {
@@ -250,8 +246,11 @@ func TestCountParallelMatchesSequential(t *testing.T) {
 		}
 	}
 
-	// Degenerate worker counts fall back to the serial path.
+	// More workers than work units, and a second call adding to the first.
 	one := itemset.NewTrie(levelOf(2, set(1, 2)))
-	one.CountParallel(txs, 1)
-	one.CountParallel(txs[:1], 16)
+	one.Count(txs[:1], 16)
+	one.Count(txs[1:], 16)
+	if want, _ := seqTrie.Frequent(0).Support(set(1, 2)); one.Counts()[0] != want {
+		t.Errorf("{1,2} counted %d over two calls, want %d", one.Counts()[0], want)
+	}
 }

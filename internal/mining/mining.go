@@ -36,8 +36,11 @@ type Options struct {
 	Precount bool
 
 	// Workers shards the first scan, support counting and the candidate join
-	// of large levels across goroutines. The result is identical to the
-	// sequential run; 0 or 1 keeps everything sequential.
+	// of large levels across goroutines. Support counting hands out units of
+	// one transaction block and one range of the candidate trie's root
+	// children, splitting the root's children only when there are too few
+	// blocks to go round. The result is identical to the sequential run; 0
+	// or 1 keeps everything sequential.
 	Workers int
 	// CandidateLimit aborts the run when the number of candidates of one
 	// length exceeds it; 0 means unlimited. The paper reports Basic
@@ -408,7 +411,7 @@ func Mine(syms *transact.Symbols, txs []transact.Transaction, opts Options) (*Re
 		}
 
 		trie := itemset.NewTrie(cands)
-		trie.CountParallel(txs, workers)
+		trie.Count(txs, workers)
 		res.Scans++
 
 		lk := trie.Frequent(minCount)

@@ -113,7 +113,9 @@ type BuildOptions struct {
 	// MineExceptions computes flowgraph exceptions (the holistic, expensive
 	// part of the measure).
 	MineExceptions bool
-	// Workers spreads flowgraph construction across goroutines.
+	// Workers is core.Config.Workers for the build: goroutines for mining
+	// (candidate join, support counting), flowgraph construction and
+	// exception mining.
 	Workers int
 	// Lazy opens cube snapshots with core.LoadCubeLazy: the file is mapped
 	// read-only and cells decode one at a time on first touch, so the server

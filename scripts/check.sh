@@ -14,8 +14,9 @@
 # pass (scripts/fuzz.sh, the one list of targets) keeps the text parsers
 # panic-free on garbage, the cell-answer writer byte-equal to
 # encoding/json, the cell comparator equal to the decimal-key order
-# snapshots store cells in and the one-walk flowgraph similarity bit-equal
-# to its two-walk reference.
+# snapshots store cells in, the one-walk flowgraph similarity bit-equal
+# to its two-walk reference and the blocked support counter equal to its
+# recursive reference.
 # The race run also carries the byte-identity contracts, every one checked
 # through internal/oracle (DESIGN.md "Contracts"): ApplyDelta + Save must be
 # byte-identical to a full rebuild over the union database at random split
@@ -57,6 +58,18 @@ go list -f '{{.ImportPath}}|{{join .Imports " "}} {{join .TestImports " "}} {{jo
   awk -F'|' '{pkgs[$1]; n = split($2, imp, " "); for (i = 1; i <= n; i++) if (imp[i] != $1) used[imp[i]]}
     END {for (p in pkgs) if (p ~ /\/internal\// && !(p in used)) {print "orphan package: " p; bad = 1}; exit bad}'
 
+echo "== fuzz target list =="
+# scripts/fuzz.sh is the one list of fuzz targets: a func Fuzz... it does not
+# run would only ever see its seed corpus.
+missing=$(grep -rhoE --include='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build '^func Fuzz[A-Za-z0-9_]+' . |
+  sed 's/^func //' | sort -u | while read -r f; do
+    grep -q -- "-fuzz $f " scripts/fuzz.sh || echo "$f"
+  done)
+if [ -n "$missing" ]; then
+  echo "fuzz targets missing from scripts/fuzz.sh:" $missing
+  exit 1
+fi
+
 echo "== flowlint =="
 # -stats prints each analyzer's finding count and wall time to stderr; on
 # failure the trailing line names the offending analyzers.
@@ -68,7 +81,7 @@ echo "== go test -race =="
 # byte-for-byte against a single node, under the race detector.
 go test -race ./...
 
-echo "== generation isolation, lazy first touch (-race -count=10) =="
+echo "== generation isolation, lazy first touch, sharded counting (-race -count=10) =="
 # Cube generations share cells and flowgraph nodes; a write that reaches a
 # shared one is a rare interleaving with a reader, not a deterministic
 # failure, so the isolation test runs ten times on top of the pass above —
@@ -78,6 +91,10 @@ run_matching TestGenerationIsolation -race -count=10 ./internal/core
 # Same reasoning for a lazy cube's first touches: readers racing for one cold
 # cell share a single decode through the cache's single-flight.
 run_matching TestLazyConcurrentFirstTouch -race -count=10 ./internal/core
+# And for support counting split across workers: the shards are private, so
+# a write that escapes one is a race the detector must get many chances at,
+# within one block (root children split among workers) and across blocks.
+run_matching 'TestShardedMatchesSequentialAndAtomic|TestCountMatchesReferenceAtBlockEdges' -race -count=10 ./internal/itemset
 
 echo "== micro-benchmarks (one iteration each) =="
 # BenchmarkKLDivergence/Add (internal/stats) and BenchmarkSimilarity
@@ -90,7 +107,8 @@ echo "== micro-benchmarks (one iteration each) =="
 # BenchmarkLoad for the snapshot reader behind core.load_s, BenchmarkBuild
 # (ledger off and on) for Build through the one record router, and in
 # flowquery's "-exceptions -tau 0.5" configuration for the build workload,
-# BenchmarkJoin/TrieCount (internal/itemset) and
+# BenchmarkJoin/TrieCount (internal/itemset, TrieCount within one counting
+# block and across several) and
 # BenchmarkMine (internal/mining) for the flat mining kernel — the one
 # level-wise loop Build, Cubing and ingest all run — and BenchmarkApplyDelta
 # (internal/core) for a ten-record append with exceptions and redundancy

@@ -4,7 +4,8 @@
 # This is the one list of targets: the text parsers (cell specs, queries,
 # .fdb records), the binary snapshot decoder, the cell comparator against
 # the decimal-key order, the append path against a full rebuild, WAL replay,
-# the candidate join against its brute-force definition, the cell-answer
+# the candidate join against its brute-force definition, support counting
+# against its recursive reference, the cell-answer
 # writer against encoding/json and the one-walk flowgraph similarity against
 # its two-walk reference. Snapshot minimization is iteration-bounded: its
 # inputs are tens of kilobytes, and the default 60s time-based minimization
@@ -21,5 +22,6 @@ go test ./internal/pathdb -run '^$' -fuzz FuzzRead -fuzztime "$t"
 go test ./internal/core -run '^$' -fuzz FuzzApplyDelta -fuzztime "$t"
 go test ./internal/ingest -run '^$' -fuzz FuzzWALReplay -fuzztime "$t"
 go test ./internal/itemset -run '^$' -fuzz FuzzJoinMatchesBruteForce -fuzztime "$t"
+go test ./internal/itemset -run '^$' -fuzz FuzzCountMatchesReference -fuzztime "$t"
 go test ./internal/server -run '^$' -fuzz FuzzRenderMatchesReference -fuzztime "$t"
 go test ./internal/flowgraph -run '^$' -fuzz FuzzSimilarityMatchesReference -fuzztime "$t"
