@@ -3,7 +3,11 @@
 // the OLAP algebra — roll-up, drill-down, slice, dice, and exact query-time
 // reconstruction of non-materialized cells), exceptions, and Graphviz
 // output. Cubes can be serialized with -save and reopened with -load,
-// skipping the build.
+// skipping the build. -load maps the snapshot, verifies every cell of it
+// (exactly what an eager load would reject), prints the census from the
+// section directories and decodes only the cells a query prints. A snapshot
+// carries its own schema, plan and thresholds, so -in is optional with
+// -load; given, the dataset must have the snapshot's schema.
 //
 // Usage:
 //
@@ -15,7 +19,9 @@
 //	flowquery -in paths.fdb -cell 'd0=d0.1.0.2' -exceptions
 //	flowquery -in paths.fdb -cell 'd0=*' -dot > apex.dot
 //	flowquery -in paths.fdb -save cube.fcb
-//	flowquery -in paths.fdb -load cube.fcb -summary
+//	flowquery -load cube.fcb -summary
+//	flowquery -load cube.fcb -cell 'd0=*' -top 3
+//	flowquery -load cube.fcb -save copy.fcb
 package main
 
 import (
@@ -33,6 +39,7 @@ import (
 	"flowcube/internal/datagen"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/olap"
+	"flowcube/internal/pathdb"
 )
 
 func main() {
@@ -45,7 +52,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("flowquery", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	in := fs.String("in", "", "dataset file written by flowgen (required)")
+	in := fs.String("in", "", "dataset file written by flowgen (required unless -load)")
 	minsup := fs.Float64("minsup", 0.01, "iceberg minimum support δ")
 	epsilon := fs.Float64("epsilon", 0.1, "minimum deviation ε for exceptions")
 	tau := fs.Float64("tau", 0, "similarity threshold τ (0 disables redundancy marking)")
@@ -66,34 +73,42 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if *in == "" {
+	if *in == "" && *loadCube == "" {
 		fs.Usage()
-		return fmt.Errorf("-in is required")
+		return fmt.Errorf("-in is required (optional only with -load)")
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	ds, err := datagen.Read(f)
-	_ = f.Close() // read-only; any close error is irrelevant next to Read's
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "loaded %d paths, %d dimensions\n", ds.DB.Len(), len(ds.Schema.Dims))
-
-	var cube *core.Cube
-	if *loadCube != "" {
-		cf, err := os.Open(*loadCube)
+	var ds *datagen.Dataset
+	if *in != "" {
+		f, err := os.Open(*in)
 		if err != nil {
 			return err
 		}
-		cube, err = core.Load(cf)
-		_ = cf.Close() // read-only; any close error is irrelevant next to Load's
+		ds, err = datagen.Read(f)
+		_ = f.Close() // read-only; any close error is irrelevant next to Read's
 		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "loaded %d paths, %d dimensions\n", ds.DB.Len(), len(ds.Schema.Dims))
+	}
+
+	var cube *core.Cube
+	if *loadCube != "" {
+		var err error
+		if cube, err = core.LoadCubeLazy(*loadCube, core.LazyOptions{}); err != nil {
+			return err
+		}
+		defer cube.Close() //nolint:errcheck // a read-only mapping has nothing to flush
+		if ds != nil {
+			if err := cube.CheckSchema(ds.Schema); err != nil {
+				return fmt.Errorf("-in %s does not match -load %s: %w", *in, *loadCube, err)
+			}
+		}
+		if err := cube.Verify(context.Background()); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "loaded cube: %d cells\n", cube.NumCells())
 	} else {
+		var err error
 		cube, err = core.Build(ds.DB, core.Config{
 			MinSupport:            *minsup,
 			Epsilon:               *epsilon,
@@ -119,13 +134,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		printSummary(stdout, cube)
 	}
 	if queried {
-		return queryCell(stdout, stderr, cube, ds, queryOpts{
+		if err := queryCell(stdout, stderr, cube, queryOpts{
 			op: *op, cell: *cellSpec, dim: *dim, sel: *sel,
 			pathLevel: *pathLevel, maxCells: *maxCells,
 			dot: *dot, exceptions: *exceptions, top: *top,
-		})
+		}); err != nil {
+			return err
+		}
 	}
-	return nil
+	// A mapped cube's query paths report a cell that fails to decode as
+	// absent; its first such error makes the run fail.
+	return cube.LazyErr()
 }
 
 func printSummary(w io.Writer, cube *core.Cube) {
@@ -136,17 +155,14 @@ func printSummary(w io.Writer, cube *core.Cube) {
 		cells int
 	}
 	var rows []row
-	for k, cb := range cube.Cuboids {
-		if len(cb.Cells) > 0 {
-			rows = append(rows, row{k, len(cb.Cells)})
+	for _, cs := range cube.CuboidSummaries() {
+		if cs.Cells > 0 {
+			rows = append(rows, row{cs.Key, cs.Cells})
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].cells != rows[j].cells {
-			return rows[i].cells > rows[j].cells
-		}
-		return rows[i].key < rows[j].key
-	})
+	// The census comes in key order, so a stable sort by size breaks ties
+	// by key.
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].cells > rows[j].cells })
 	fmt.Fprintln(w, "largest cuboids (item-levels@path-level: cells):")
 	for i, r := range rows {
 		if i >= 10 {
@@ -172,7 +188,7 @@ type queryOpts struct {
 	top                 int
 }
 
-func queryCell(stdout, stderr io.Writer, cube *core.Cube, ds *datagen.Dataset, o queryOpts) error {
+func queryCell(stdout, stderr io.Writer, cube *core.Cube, o queryOpts) error {
 	// The CLI shares /v2/query's parser so both surfaces name cells, ops,
 	// and selectors identically.
 	params := url.Values{}
@@ -198,14 +214,24 @@ func queryCell(stdout, stderr io.Writer, cube *core.Cube, ds *datagen.Dataset, o
 		if cb == nil {
 			return fmt.Errorf("cuboid %s not materialized", q.Spec.Key())
 		}
-		cells := cb.SortedCells()
-		sort.SliceStable(cells, func(i, j int) bool { return cells[i].Count > cells[j].Count })
+		// The counts are in the directory: listing them decodes no cell.
+		type counted struct {
+			values []hierarchy.NodeID
+			count  int64
+		}
+		var cells []counted
+		if err := cb.EachCount(func(values []hierarchy.NodeID, count int64) {
+			cells = append(cells, counted{values, count})
+		}); err != nil {
+			return err
+		}
+		sort.SliceStable(cells, func(i, j int) bool { return cells[i].count > cells[j].count })
 		fmt.Fprintf(stdout, "top cells of cuboid %s:\n", q.Spec.Key())
 		for i, c := range cells {
 			if i >= o.top {
 				break
 			}
-			fmt.Fprintf(stdout, "  %v: %d paths\n", cellNames(ds, c.Values), c.Count)
+			fmt.Fprintf(stdout, "  %v: %d paths\n", cellNames(cube.Schema, c.values), c.count)
 		}
 		return nil
 	}
@@ -225,11 +251,11 @@ func queryCell(stdout, stderr io.Writer, cube *core.Cube, ds *datagen.Dataset, o
 			q.Op, len(a.Cells), a.Skipped, a.Truncated)
 	}
 	for _, ca := range a.Cells {
-		cellName := core.FormatCell(ds.Schema, ca.Values)
+		cellName := core.FormatCell(cube.Schema, ca.Values)
 		switch ca.Provenance {
 		case core.AncestorFallback:
 			fmt.Fprintf(stderr, "cell below iceberg threshold; answered from ancestor %v (%d paths)\n",
-				cellNames(ds, ca.Source.Values), ca.Source.Count)
+				cellNames(cube.Schema, ca.Source.Values), ca.Source.Count)
 		case core.ComputedFromDescendants:
 			fmt.Fprintf(stderr, "cuboid %s not materialized; cell %s reconstructed exactly by folding %d descendant cells\n",
 				ca.Spec.Key(), cellName, len(ca.Folded))
@@ -252,7 +278,7 @@ func queryCell(stdout, stderr io.Writer, cube *core.Cube, ds *datagen.Dataset, o
 					break
 				}
 				fmt.Fprintf(stdout, "  node %v cond %v support=%d devT=%.2f devD=%.2f\n",
-					prefixNames(ds, x.Prefix), x.Condition, x.Support,
+					prefixNames(cube.Schema, x.Prefix), x.Condition, x.Support,
 					x.TransitionDeviation, x.DurationDeviation)
 			}
 		}
@@ -260,18 +286,18 @@ func queryCell(stdout, stderr io.Writer, cube *core.Cube, ds *datagen.Dataset, o
 	return nil
 }
 
-func cellNames(ds *datagen.Dataset, values []hierarchy.NodeID) []string {
+func cellNames(schema *pathdb.Schema, values []hierarchy.NodeID) []string {
 	out := make([]string, len(values))
 	for i, v := range values {
-		out[i] = ds.Schema.Dims[i].Name(v)
+		out[i] = schema.Dims[i].Name(v)
 	}
 	return out
 }
 
-func prefixNames(ds *datagen.Dataset, prefix []hierarchy.NodeID) []string {
+func prefixNames(schema *pathdb.Schema, prefix []hierarchy.NodeID) []string {
 	out := make([]string, len(prefix))
 	for i, v := range prefix {
-		out[i] = ds.Schema.Location.Name(v)
+		out[i] = schema.Location.Name(v)
 	}
 	return out
 }

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"flowcube/internal/core"
+	"flowcube/internal/datagen"
 	"flowcube/internal/oracle"
 )
 
@@ -123,6 +127,105 @@ func TestErrors(t *testing.T) {
 		var out, errw bytes.Buffer
 		if err := run(args, &out, &errw); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// saveSmall builds the Small workload's cube with exceptions and saves it,
+// returning the dataset and snapshot paths.
+func saveSmall(t *testing.T) (dataset, cube string) {
+	t.Helper()
+	dataset = oracle.DatasetFile(t, oracle.Small())
+	cube = filepath.Join(t.TempDir(), "cube.fcb")
+	var out, errw bytes.Buffer
+	if err := run([]string{"-in", dataset, "-minsup", "0.05", "-exceptions", "-save", cube}, &out, &errw); err != nil {
+		t.Fatal(err)
+	}
+	return dataset, cube
+}
+
+// TestLoadWithoutDataset: a snapshot carries its schema, plan and
+// thresholds, so -load answers without -in exactly what it answers with it,
+// and -load c -save c rewrites the mapped file with the same bytes.
+func TestLoadWithoutDataset(t *testing.T) {
+	dataset, cube := saveSmall(t)
+	for _, q := range [][]string{
+		{"-summary"},
+		{"-cell", "d0=*", "-exceptions"},
+		{"-cell", "d0=d0.0", "-top", "3"},
+		{"-op", "slice", "-select", "d0=d0.0", "-cell", "d1=*"},
+		{"-cell", "d0=*", "-pathlevel", "1", "-dot"},
+	} {
+		var with, without, errw bytes.Buffer
+		if err := run(append([]string{"-in", dataset, "-load", cube}, q...), &with, &errw); err != nil {
+			t.Fatalf("%v with -in: %v", q, err)
+		}
+		if err := run(append([]string{"-load", cube}, q...), &without, &errw); err != nil {
+			t.Fatalf("%v without -in: %v", q, err)
+		}
+		if with.Len() == 0 || with.String() != without.String() {
+			t.Errorf("%v: output differs without -in:\n%s\n---\n%s", q, with.String(), without.String())
+		}
+	}
+
+	before, err := os.ReadFile(cube)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errw bytes.Buffer
+	if err := run([]string{"-load", cube, "-save", cube}, &out, &errw); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(cube)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := oracle.Diff(before, after); d != "" {
+		t.Fatalf("-load c -save c changed the snapshot: %s", d)
+	}
+}
+
+// TestLoadRejectsMismatchedDataset: a 2-dimension dataset given with a
+// 3-dimension snapshot is an error naming the mismatch, not a panic while
+// naming cells.
+func TestLoadRejectsMismatchedDataset(t *testing.T) {
+	cfg := datagen.Default()
+	cfg.NumPaths, cfg.NumDims = 300, 3
+	three := datagen.MustGenerate(cfg)
+	cube := filepath.Join(t.TempDir(), "cube3.fcb")
+	var out, errw bytes.Buffer
+	if err := run([]string{"-in", oracle.DatasetFile(t, three), "-minsup", "0.05", "-save", cube}, &out, &errw); err != nil {
+		t.Fatal(err)
+	}
+	two := oracle.DatasetFile(t, oracle.Small())
+	err := run([]string{"-in", two, "-load", cube, "-cell", "d0=*", "-top", "3"}, &out, &errw)
+	if !errors.Is(err, core.ErrSchemaMismatch) {
+		t.Fatalf("2-dimension dataset with a 3-dimension snapshot: %v, want ErrSchemaMismatch", err)
+	}
+}
+
+// TestLoadRejectsCorruptSnapshot: a snapshot whose framing and checksums
+// hold but whose cuboid section Load rejects fails -load, whatever the
+// query, before anything is printed.
+func TestLoadRejectsCorruptSnapshot(t *testing.T) {
+	_, cube := saveSmall(t)
+	data, err := os.ReadFile(cube)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated := oracle.RewriteSection(t, data, oracle.SecCuboid, 0, func(p []byte) []byte { return append(p, 0x7f) })
+	if _, err := core.Load(bytes.NewReader(mutated)); err == nil {
+		t.Fatal("Load accepts the mutated snapshot")
+	}
+	for _, q := range [][]string{{"-summary"}, {"-cell", "d0=*"}} {
+		var out, errw bytes.Buffer
+		err := run(append([]string{"-load", oracle.File(t, mutated)}, q...), &out, &errw)
+		var cse *core.CorruptSnapshotError
+		if !errors.As(err, &cse) {
+			t.Errorf("%v over a corrupt snapshot: %v, want a *CorruptSnapshotError", q, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v printed %q before failing", q, out.String())
 		}
 	}
 }

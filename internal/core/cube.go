@@ -328,6 +328,17 @@ func (c *Cube) Lookup(spec CuboidSpec, values []hierarchy.NodeID) (*Cell, bool) 
 	return cb.get(values)
 }
 
+// EachCount calls fn with the values and path count of every cell of the
+// cuboid, both layers, in CompareCells order, decoding no flowgraph: a
+// mapped base answers from its section directory. values are read-only. It
+// returns the base's read error, also recorded for LazyErr.
+func (cb *Cuboid) EachCount(fn func(values []hierarchy.NodeID, count int64)) error {
+	return cb.each(func(e *dirEntry, _ *Cell) error {
+		fn(e.values, e.count)
+		return nil
+	})
+}
+
 // SortedCells returns every cell of the cuboid, both layers, in
 // CompareCells order; base cells decode through the LRU. It returns nil
 // when the base does not read, with the error available via LazyErr.

@@ -159,8 +159,8 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 	if cube.compressed {
 		return nil, ErrCompressed
 	}
-	if !schemaCompatible(db.Schema, cube.Schema) {
-		return nil, ErrSchemaMismatch
+	if err := cube.CheckSchema(db.Schema); err != nil {
+		return nil, err
 	}
 	for i := range batch {
 		if err := db.Schema.ValidateRecord(batch[i]); err != nil {
@@ -436,24 +436,38 @@ func matchBase(router *recordRouter, db *pathdb.DB, baseLen int, wanted []map[Ce
 	}
 }
 
-// schemaCompatible sanity-checks that a database's schema matches the
-// cube's. Cubes loaded from snapshots reconstruct their schema, so pointer
-// identity is too strict; the check is structural (dimension count and
-// hierarchy sizes) — records of a structurally identical schema use the
-// same node-id space, which is all delta application reads.
-func schemaCompatible(a, b *pathdb.Schema) bool {
-	if a == b {
-		return true
+// CheckSchema reports, as an error wrapping ErrSchemaMismatch, the first
+// way a database schema differs from the cube's, or nil. Cubes loaded from
+// snapshots reconstruct their schema, so pointer identity is too strict;
+// the check is structural: the location hierarchy node for node (name and
+// parent, so paths name the same locations), then every item dimension's
+// name and size — records of such a schema use the cube's node-id space,
+// which is all delta application and cell naming read.
+func (c *Cube) CheckSchema(s *pathdb.Schema) error {
+	if s == c.Schema {
+		return nil
 	}
-	if len(a.Dims) != len(b.Dims) || a.Location.Len() != b.Location.Len() {
-		return false
+	mismatch := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s", ErrSchemaMismatch, fmt.Sprintf(format, args...))
 	}
-	for i := range a.Dims {
-		if a.Dims[i].Len() != b.Dims[i].Len() {
-			return false
+	a, b := s.Location, c.Schema.Location
+	if a.Dimension() != b.Dimension() || a.Len() != b.Len() {
+		return mismatch("location hierarchy %q has %d nodes, the cube's %q %d", a.Dimension(), a.Len(), b.Dimension(), b.Len())
+	}
+	for id := hierarchy.NodeID(1); int(id) < a.Len(); id++ {
+		if a.Name(id) != b.Name(id) || a.Parent(id) != b.Parent(id) {
+			return mismatch("location %d is %q under %d, the cube's %q under %d", id, a.Name(id), a.Parent(id), b.Name(id), b.Parent(id))
 		}
 	}
-	return true
+	if len(s.Dims) != len(c.Schema.Dims) {
+		return mismatch("%d dimensions, the cube has %d", len(s.Dims), len(c.Schema.Dims))
+	}
+	for i, d := range s.Dims {
+		if cd := c.Schema.Dims[i]; d.Dimension() != cd.Dimension() || d.Len() != cd.Len() {
+			return mismatch("dimension %d is %q of %d nodes, the cube's %q of %d", i, d.Dimension(), d.Len(), cd.Dimension(), cd.Len())
+		}
+	}
+	return nil
 }
 
 // Fork returns the cube's next generation: a cube that shares every

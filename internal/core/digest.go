@@ -44,8 +44,8 @@ func (c *Cube) DecodeGraph(pathLevel int, data []byte) (*flowgraph.Graph, error)
 		return nil, fmt.Errorf("core: decode graph: path level %d outside plan (have %d)", pathLevel, len(levels))
 	}
 	r := &byteReader{buf: data, section: "graph"}
-	flat, err := decodeFlatGraph(r)
-	if err != nil {
+	flat := &flowgraph.Flat{}
+	if err := decodeFlatGraph(r, flat); err != nil {
 		return nil, err
 	}
 	if r.rem() != 0 {

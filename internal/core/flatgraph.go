@@ -12,7 +12,8 @@ package core
 // occupies at least one encoded byte, so counts are bounded by the bytes
 // remaining in the section before any column is allocated (byteReader.count).
 // Structural validity of the decoded columns — child ranges, offset
-// monotonicity, node references — is flowgraph.Unflatten's job.
+// monotonicity, node references — is flowgraph.Flat.Check's job, which
+// Unflatten runs first.
 
 import (
 	"encoding/binary"
@@ -39,7 +40,7 @@ func appendFlatGraph(buf []byte, f *flowgraph.Flat) []byte {
 		buf = binary.AppendUvarint(buf, uint64(f.TrLo[i]-f.DurLo[i]))
 		buf = binary.AppendUvarint(buf, uint64(f.DurLo[i+1]-f.TrLo[i]))
 	}
-	buf = appendDeltaPool(buf, f.Outcomes, distBounds(f.DurLo, f.TrLo))
+	buf = appendDeltaPool(buf, f.Outcomes, f.DurLo, f.TrLo)
 	for _, w := range f.Weights {
 		buf = binary.AppendUvarint(buf, uint64(w))
 	}
@@ -65,141 +66,149 @@ func appendFlatGraph(buf []byte, f *flowgraph.Flat) []byte {
 			buf = append(buf, 0)
 		}
 	}
-	buf = appendDeltaPool(buf, f.ExcOutcomes, distBounds(f.ExcDurLo, f.ExcTrLo))
+	buf = appendDeltaPool(buf, f.ExcOutcomes, f.ExcDurLo, f.ExcTrLo)
 	for _, w := range f.ExcWeights {
 		buf = binary.AppendUvarint(buf, uint64(w))
 	}
 	return buf
 }
 
-// distBounds interleaves the duration and transition offsets into the flat
-// list of distribution boundaries: lo[0], tr[0], lo[1], tr[1], ..., lo[n].
-func distBounds(lo, tr []int32) []int32 {
-	bounds := make([]int32, 0, 2*len(tr)+1)
-	for i := range tr {
-		bounds = append(bounds, lo[i], tr[i])
-	}
-	return append(bounds, lo[len(tr)])
-}
-
 // appendDeltaPool delta-codes the pooled outcome column, restarting at each
-// distribution boundary: the first outcome of a distribution is zigzag
-// varint, the rest are positive gaps.
-func appendDeltaPool(buf []byte, pool []int64, bounds []int32) []byte {
-	for b := 0; b+1 < len(bounds); b++ {
-		lo, hi := bounds[b], bounds[b+1]
-		if lo == hi {
-			continue
-		}
-		buf = binary.AppendVarint(buf, pool[lo])
-		for k := lo + 1; k < hi; k++ {
-			buf = binary.AppendUvarint(buf, uint64(pool[k]-pool[k-1]))
-		}
+// distribution boundary — the duration distribution [lo[i], tr[i]) and the
+// transition distribution [tr[i], lo[i+1]) of every owner i.
+func appendDeltaPool(buf []byte, pool []int64, lo, tr []int32) []byte {
+	for i := range tr {
+		buf = appendDeltaRun(buf, pool[lo[i]:tr[i]])
+		buf = appendDeltaRun(buf, pool[tr[i]:lo[i+1]])
 	}
 	return buf
 }
 
-// decodeFlatGraph reads one columnar graph from r. The result still has to
-// pass flowgraph.Unflatten's structural validation.
-func decodeFlatGraph(r *byteReader) (*flowgraph.Flat, error) {
-	f := &flowgraph.Flat{}
+// appendDeltaRun codes one distribution's outcomes: the first as a zigzag
+// varint, the rest as their positive gaps.
+func appendDeltaRun(buf []byte, run []int64) []byte {
+	if len(run) == 0 {
+		return buf
+	}
+	buf = binary.AppendVarint(buf, run[0])
+	for k := 1; k < len(run); k++ {
+		buf = binary.AppendUvarint(buf, uint64(run[k]-run[k-1]))
+	}
+	return buf
+}
+
+// decodeFlatGraph reads one columnar graph from r into f, reusing the
+// capacity of f's columns: the eager decoders pass a fresh Flat, and a
+// verify walk passes one scratch Flat per worker, so once its columns have
+// grown it decodes without allocating. f is only decoded here; Check (or
+// Unflatten, which runs it) is what proves it structurally valid.
+func decodeFlatGraph(r *byteReader, f *flowgraph.Flat) error {
 	var err error
 	if f.Paths, err = r.varint(); err != nil {
-		return nil, err
+		return err
 	}
 	n, err := r.count("node")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n < 1 {
-		return nil, r.corrupt("flat graph has no root node")
+		return r.corrupt("flat graph has no root node")
 	}
-	if f.Locations, err = r.int32Column(n); err != nil {
-		return nil, err
+	f.Locations = resize(f.Locations, n)
+	if err := r.int32Column(f.Locations); err != nil {
+		return err
 	}
-	if f.Counts, err = r.varintColumn(n); err != nil {
-		return nil, err
+	f.Counts = resize(f.Counts, n)
+	if err := r.varintColumn(f.Counts); err != nil {
+		return err
 	}
-	f.ChildLo = make([]int32, n+1)
+	f.ChildLo = resize(f.ChildLo, n+1)
 	f.ChildLo[0] = 1
 	childTotal := 1
 	for i := 0; i < n; i++ {
 		kids, err := r.count("child")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		childTotal += kids
 		if childTotal > n {
-			return nil, r.corrupt("child ranges exceed node count")
+			return r.corrupt("child ranges exceed node count")
 		}
 		f.ChildLo[i+1] = int32(childTotal)
 	}
-	f.DurLo = make([]int32, n+1)
-	f.TrLo = make([]int32, n)
+	f.DurLo = resize(f.DurLo, n+1)
+	f.TrLo = resize(f.TrLo, n)
 	total := 0
 	for i := 0; i < n; i++ {
 		durLen, err := r.count("duration outcome")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		trLen, err := r.count("transition outcome")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f.DurLo[i] = int32(total)
 		f.TrLo[i] = int32(total + durLen)
 		total += durLen + trLen
 		if total > r.rem() {
-			return nil, r.corrupt("distribution pool larger than remaining section")
+			return r.corrupt("distribution pool larger than remaining section")
 		}
 	}
 	f.DurLo[n] = int32(total)
-	if f.Outcomes, err = r.deltaPool(total, distBounds(f.DurLo, f.TrLo)); err != nil {
-		return nil, err
+	f.Outcomes = resize(f.Outcomes, total)
+	if err := r.deltaPool(f.Outcomes, f.DurLo, f.TrLo); err != nil {
+		return err
 	}
-	if f.Weights, err = r.uvarintColumn(total, "weight"); err != nil {
-		return nil, err
+	f.Weights = resize(f.Weights, total)
+	if err := r.uvarintColumn(f.Weights, "weight"); err != nil {
+		return err
 	}
 
 	m, err := r.count("exception")
 	if err != nil {
-		return nil, err
+		return err
 	}
+	// Exception-free graphs leave every exception column empty (a fresh
+	// Flat's stay nil).
+	f.ExcNode = resize(f.ExcNode, m)
+	f.ExcSupport = resize(f.ExcSupport, m)
+	f.ExcDurDev = resize(f.ExcDurDev, m)
+	f.ExcTrDev = resize(f.ExcTrDev, m)
+	f.ExcTrLo = resize(f.ExcTrLo, m)
 	if m == 0 {
-		return f, nil
+		f.ExcPinLo, f.ExcDurLo = f.ExcPinLo[:0], f.ExcDurLo[:0]
+		f.PinDepth, f.PinLoc, f.PinDur, f.PinDurAny = f.PinDepth[:0], f.PinLoc[:0], f.PinDur[:0], f.PinDurAny[:0]
+		f.ExcOutcomes, f.ExcWeights = f.ExcOutcomes[:0], f.ExcWeights[:0]
+		return nil
 	}
-	f.ExcNode = make([]int32, m)
-	f.ExcSupport = make([]int64, m)
-	f.ExcDurDev = make([]float64, m)
-	f.ExcTrDev = make([]float64, m)
-	f.ExcPinLo = make([]int32, m+1)
-	f.ExcDurLo = make([]int32, m+1)
-	f.ExcTrLo = make([]int32, m)
+	f.ExcPinLo = resize(f.ExcPinLo, m+1)
+	f.ExcDurLo = resize(f.ExcDurLo, m+1)
 	pinTotal, excTotal := 0, 0
 	for j := 0; j < m; j++ {
 		if f.ExcNode[j], err = r.int32(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.ExcSupport[j], err = r.varint(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.ExcDurDev[j], err = r.float64(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.ExcTrDev[j], err = r.float64(); err != nil {
-			return nil, err
+			return err
 		}
 		pins, err := r.count("pin")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		durLen, err := r.count("exception duration outcome")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		trLen, err := r.count("exception transition outcome")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f.ExcPinLo[j] = int32(pinTotal)
 		f.ExcDurLo[j] = int32(excTotal)
@@ -207,40 +216,39 @@ func decodeFlatGraph(r *byteReader) (*flowgraph.Flat, error) {
 		pinTotal += pins
 		excTotal += durLen + trLen
 		if pinTotal > r.rem() || excTotal > r.rem() {
-			return nil, r.corrupt("exception pools larger than remaining section")
+			return r.corrupt("exception pools larger than remaining section")
 		}
 	}
 	f.ExcPinLo[m] = int32(pinTotal)
 	f.ExcDurLo[m] = int32(excTotal)
-	f.PinDepth = make([]int32, pinTotal)
-	f.PinLoc = make([]int32, pinTotal)
-	f.PinDur = make([]int64, pinTotal)
-	f.PinDurAny = make([]bool, pinTotal)
+	f.PinDepth = resize(f.PinDepth, pinTotal)
+	f.PinLoc = resize(f.PinLoc, pinTotal)
+	f.PinDur = resize(f.PinDur, pinTotal)
+	f.PinDurAny = resize(f.PinDurAny, pinTotal)
 	for i := 0; i < pinTotal; i++ {
 		depth, err := r.varint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f.PinDepth[i] = int32(depth)
 		if f.PinLoc[i], err = r.int32(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.PinDur[i], err = r.varint(); err != nil {
-			return nil, err
+			return err
 		}
 		b, err := r.byte()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f.PinDurAny[i] = b != 0
 	}
-	if f.ExcOutcomes, err = r.deltaPool(excTotal, distBounds(f.ExcDurLo, f.ExcTrLo)); err != nil {
-		return nil, err
+	f.ExcOutcomes = resize(f.ExcOutcomes, excTotal)
+	if err := r.deltaPool(f.ExcOutcomes, f.ExcDurLo, f.ExcTrLo); err != nil {
+		return err
 	}
-	if f.ExcWeights, err = r.uvarintColumn(excTotal, "exception weight"); err != nil {
-		return nil, err
-	}
-	return f, nil
+	f.ExcWeights = resize(f.ExcWeights, excTotal)
+	return r.uvarintColumn(f.ExcWeights, "exception weight")
 }
 
 // skipFlatGraph advances r past one encoded flat graph without allocating

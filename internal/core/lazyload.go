@@ -20,7 +20,9 @@ package core
 //
 // The open here is the only snapshot reader: Load runs it over the stream
 // read into memory, then decodes every section through the same walk the
-// directory build takes, and drops the base.
+// directory build takes, and drops the base. Verify, flowquery's open, takes
+// the directory walk with a scratch graph instead: every flat graph decoded
+// and checked, no tree built, the directories kept.
 //
 // Decoded structures never alias the mapping — strings and columns are
 // fresh heap allocations — so eviction only drops cache references and
@@ -472,7 +474,7 @@ func (s *lazySection) view(off, n int64) ([]byte, error) {
 // later touch retries — and the first one is recorded sticky for LazyErr.
 func (s *lazySection) dir() (*sectionDir, error) {
 	ent, _, err := s.b.cache.Do(lazyKey{s.idx, -1}, func() (lazyEntry, int64, error) {
-		d, cost, err := s.buildDir()
+		d, cost, err := s.buildDir(nil)
 		return lazyEntry{dir: d}, cost, err
 	})
 	s.b.noteErr(err)
@@ -513,9 +515,12 @@ func (s *lazySection) cellCap() int {
 	return min(s.numCells, int(s.n-int64(s.cellsOff))/minCellBytesV2)
 }
 
-// buildDir walks the section once, decoding cell prefixes and skipping the
-// flat graphs.
-func (s *lazySection) buildDir() (*sectionDir, int64, error) {
+// buildDir walks the section once, decoding cell prefixes. Given no
+// scratch graph it skips the flat graphs — the directory a touch builds.
+// Given one, it decodes every graph into it and checks it as Unflatten
+// would (Verify): the scratch columns are reused from graph to graph, so
+// the walk allocates only the directory.
+func (s *lazySection) buildDir(scratch *flowgraph.Flat) (*sectionDir, int64, error) {
 	d := &sectionDir{entries: make([]dirEntry, 0, s.cellCap())}
 	cost := int64(dirBaseFootprint)
 	err := s.walk(func(r *byteReader) ([]hierarchy.NodeID, error) {
@@ -526,7 +531,14 @@ func (s *lazySection) buildDir() (*sectionDir, int64, error) {
 			return nil, err
 		}
 		if flags&2 != 0 {
-			if err := skipFlatGraph(r); err != nil {
+			if scratch == nil {
+				err = skipFlatGraph(r)
+			} else if err = decodeFlatGraph(r, scratch); err == nil {
+				if err = scratch.Check(s.b.loc); err != nil {
+					err = r.corrupt("cell %s: %v", formatCell(e.values), err)
+				}
+			}
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -540,6 +552,55 @@ func (s *lazySection) buildDir() (*sectionDir, int64, error) {
 		return nil, 0, err
 	}
 	return d, cost, nil
+}
+
+// Verify proves a lazily opened cube's mapped sections decode: it walks
+// every cell of every section once — prefix, flat graph, the structural
+// check Unflatten runs — on GOMAXPROCS workers, each reusing one scratch
+// graph, so it rejects exactly the snapshots Load rejects while building no
+// flowgraph. Every section is walked, even one whose directory a touch
+// already built: a directory proves nothing about graph interiors. The
+// directories it builds are left in the cache, so a census or point read
+// after it walks nothing again. It returns the first error in the order
+// Load reports them (sorted cuboid keys) and records it for LazyErr; ctx is
+// checked before each section. Cubes with no mapped snapshot have nothing
+// to verify.
+func (c *Cube) Verify(ctx context.Context) error {
+	if c.lazy == nil {
+		return nil
+	}
+	var sections []*lazySection
+	for _, cb := range c.sortedCuboids() {
+		if cb.base != nil {
+			sections = append(sections, cb.base)
+		}
+	}
+	scratch := sync.Pool{New: func() any { return new(flowgraph.Flat) }}
+	errs := make([]error, len(sections))
+	forEach(runtime.GOMAXPROCS(0), len(sections), func(i int) {
+		if errs[i] = ctx.Err(); errs[i] != nil {
+			return
+		}
+		s := sections[i]
+		flat := scratch.Get().(*flowgraph.Flat)
+		d, cost, err := s.buildDir(flat)
+		scratch.Put(flat)
+		if err == nil {
+			_, _, err = s.b.cache.Do(lazyKey{s.idx, -1}, func() (lazyEntry, int64, error) {
+				return lazyEntry{dir: d}, cost, nil
+			})
+		}
+		errs[i] = err
+	})
+	for _, err := range errs {
+		if err != nil {
+			if err != ctx.Err() { // a cancelled walk is no corrupt snapshot
+				c.lazy.noteErr(err)
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // decodeAll walks the section once, decoding every cell: Load's eager
@@ -601,8 +662,8 @@ func (s *lazySection) exceptions(e *dirEntry) (xs []flowgraph.Exception, err err
 	if err != nil || flags&2 == 0 {
 		return nil, err
 	}
-	flat, err := decodeFlatGraph(r)
-	if err != nil || len(flat.ExcNode) == 0 {
+	flat := &flowgraph.Flat{}
+	if err := decodeFlatGraph(r, flat); err != nil || len(flat.ExcNode) == 0 {
 		return nil, err
 	}
 	if xs, err = flowgraph.FlatExceptions(flat); err != nil {

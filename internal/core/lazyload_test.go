@@ -40,15 +40,28 @@ func TestLazyParityFullSurface(t *testing.T) {
 		t.Fatalf("MinCount: %d, want %d", got, want)
 	}
 
-	// Summaries: the lazy side answers from flat scans over the mapped
-	// sections, never materializing a cell.
+	// Summaries and per-cell counts: the lazy side answers from flat scans
+	// over the mapped sections, never materializing a cell.
 	if es, ls := eager.CuboidSummaries(), lazy.CuboidSummaries(); !reflect.DeepEqual(ls, es) {
 		t.Errorf("summaries:\n lazy  %+v\n eager %+v", ls, es)
+	}
+	counts := func(c *core.Cube) (out []string) {
+		for _, spec := range c.MaterializedSpecs() {
+			if err := c.Cuboid(spec).EachCount(func(values []hierarchy.NodeID, count int64) {
+				out = append(out, fmt.Sprintf("%s/%s %d", spec.Key(), cellKey(values), count))
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	if ec, lc := counts(eager), counts(lazy); !reflect.DeepEqual(lc, ec) {
+		t.Errorf("cell counts:\n lazy  %v\n eager %v", lc, ec)
 	}
 	if st, ok := lazy.LazyStats(); !ok {
 		t.Fatal("LazyStats: not a lazy cube")
 	} else if st.DecodedCells != 0 {
-		t.Errorf("summaries decoded %d cells; flat scans should decode none", st.DecodedCells)
+		t.Errorf("summaries and counts decoded %d cells; flat scans should decode none", st.DecodedCells)
 	}
 
 	// Every materialized cell answers identically, including the roll-up

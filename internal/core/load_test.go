@@ -128,7 +128,7 @@ var loadSink *core.Cube
 
 // buildShaped builds a datagen cube shaped like the benchmark's build
 // workload: three dimensions, 2000 paths, exceptions mined, τ = 0.5.
-func buildShaped(b *testing.B) *core.Cube {
+func buildShaped(b testing.TB) *core.Cube {
 	gen := datagen.Default()
 	gen.NumDims, gen.NumPaths = 3, 2000
 	ds := datagen.MustGenerate(gen)
@@ -139,7 +139,9 @@ func buildShaped(b *testing.B) *core.Cube {
 
 // BenchmarkLoad times the snapshot reader on a snapshot of the build-shaped
 // cube (about 3 MB): Load reads the file and decodes every cell,
-// LoadCubeLazy maps and opens it, decoding none, and closes it.
+// LoadCubeLazy maps and opens it, decoding none, and closes it, and
+// LoadCubeLazy+Verify is flowquery -load -summary's open: map, verify every
+// cell, print the census from the directories Verify left, close.
 func BenchmarkLoad(b *testing.B) {
 	path := oracle.File(b, oracle.Save(b, buildShaped(b)))
 	st, err := os.Stat(path)
@@ -168,6 +170,25 @@ func BenchmarkLoad(b *testing.B) {
 			lazy, err := core.LoadCubeLazy(path, core.LazyOptions{})
 			if err != nil {
 				b.Fatal(err)
+			}
+			if err := lazy.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("LoadCubeLazy+Verify", func(b *testing.B) {
+		b.SetBytes(st.Size())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lazy, err := core.LoadCubeLazy(path, core.LazyOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := lazy.Verify(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+			if lazy.CuboidSummaries() == nil {
+				b.Fatal(lazy.LazyErr())
 			}
 			if err := lazy.Close(); err != nil {
 				b.Fatal(err)

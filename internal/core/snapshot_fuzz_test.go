@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"flowcube/internal/core"
@@ -16,7 +17,8 @@ import (
 // magic is a *CorruptSnapshotError to both loaders. They share one reader,
 // but Load decodes every cell up front and the lazy cube one at a time: each
 // directory entry the lazy open yields is touched, and it reads as Load's
-// cell, or both sides refuse the file.
+// cell, or both sides refuse the file. A fresh lazy open followed by Verify,
+// flowquery -load's open, rejects exactly the inputs Load rejects.
 func FuzzLoadSnapshot(f *testing.F) {
 	v2 := bytes.NewBuffer(fixtureSnapshot(f))
 	f.Add(v2.Bytes())
@@ -48,11 +50,26 @@ func FuzzLoadSnapshot(f *testing.F) {
 			}
 		}
 
+		// flowquery's open — LoadCubeLazy, then Verify before any touch —
+		// rejects exactly what Load rejects, with Load's error.
+		path := oracle.File(t, data)
+		vz, verr := core.LoadCubeLazy(path, core.LazyOptions{})
+		if verr == nil {
+			verr = vz.Verify(context.Background())
+			if verr != nil && vz.LazyErr() == nil {
+				t.Fatalf("Verify's error %v is not recorded for LazyErr", verr)
+			}
+			_ = vz.Close() // read-only mapping
+		}
+		if (verr == nil) != (err == nil) || verr != nil && verr.Error() != err.Error() {
+			t.Fatalf("open+Verify: %v; Load: %v", verr, err)
+		}
+
 		// The lazy open fronts the same files: whatever the input, it must
 		// reject with an error or yield a cube whose deferred decodes
 		// surface corruption as errors — never a panic — and whose Save
 		// bytes represent the same cube the eager loader accepted.
-		lz, lerr := core.LoadCubeLazy(oracle.File(t, data), core.LazyOptions{CacheBytes: 1 << 16})
+		lz, lerr := core.LoadCubeLazy(path, core.LazyOptions{CacheBytes: 1 << 16})
 		if notV2 {
 			wantNotV2(t, "LoadCubeLazy", lerr)
 		}

@@ -35,6 +35,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -126,7 +127,14 @@ func (r *byteReader) corrupt(format string, args ...any) error {
 
 func (r *byteReader) rem() int { return len(r.buf) - r.off }
 
+// uvarint, varint and count take a one-byte fast path: most values in a
+// snapshot — ids, child counts, distribution lengths, duration gaps — are
+// below 128, and the verify and directory walks spend their time here.
 func (r *byteReader) uvarint() (uint64, error) {
+	if r.off < len(r.buf) && r.buf[r.off] < 0x80 {
+		r.off++
+		return uint64(r.buf[r.off-1]), nil
+	}
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
 		return 0, r.corrupt("bad uvarint at offset %d", r.off)
@@ -136,6 +144,11 @@ func (r *byteReader) uvarint() (uint64, error) {
 }
 
 func (r *byteReader) varint() (int64, error) {
+	if r.off < len(r.buf) && r.buf[r.off] < 0x80 {
+		b := int64(r.buf[r.off])
+		r.off++
+		return b>>1 ^ -(b & 1), nil // zigzag
+	}
 	v, n := binary.Varint(r.buf[r.off:])
 	if n <= 0 {
 		return 0, r.corrupt("bad varint at offset %d", r.off)
@@ -146,6 +159,10 @@ func (r *byteReader) varint() (int64, error) {
 
 // count reads an element count and bounds it by the remaining payload.
 func (r *byteReader) count(what string) (int, error) {
+	if r.off < len(r.buf) && int(r.buf[r.off]) < min(0x80, r.rem()) {
+		r.off++
+		return int(r.buf[r.off-1]), nil
+	}
 	v, err := r.uvarint()
 	if err != nil {
 		return 0, err
@@ -181,9 +198,29 @@ func (r *byteReader) byte() (byte, error) {
 
 // skipVarints advances past k varint-coded values without decoding them.
 // Signed (zigzag) and unsigned varints share the continuation-bit framing,
-// so skipping needs no knowledge of which one was written.
+// so skipping needs no knowledge of which one was written: each value ends
+// at its first byte below 0x80. Whole 8-byte words are counted at once —
+// the terminators in a word are the clear high bits, popcount(^w & 0x80…80)
+// — until the word holding the k-th terminator, which is found by dropping
+// the lower terminator bits; the tail shorter than a word goes byte by
+// byte. A value the buffer ends inside leaves r at the end and reports
+// there, as a plain byte loop would.
 func (r *byteReader) skipVarints(k int, what string) error {
-	for i := 0; i < k; i++ {
+	const high = 0x8080808080808080
+	for k > 0 && r.rem() >= 8 {
+		term := ^binary.LittleEndian.Uint64(r.buf[r.off:]) & high
+		if c := bits.OnesCount64(term); c < k {
+			k -= c
+			r.off += 8
+			continue
+		}
+		for ; k > 1; k-- {
+			term &= term - 1
+		}
+		r.off += bits.TrailingZeros64(term)/8 + 1
+		return nil
+	}
+	for ; k > 0; k-- {
 		for {
 			if r.off >= len(r.buf) {
 				return r.corrupt("truncated %s at offset %d", what, r.off)
@@ -228,77 +265,93 @@ func (r *byteReader) int32() (int32, error) {
 	return int32(v), nil
 }
 
-// int32Column reads n ids.
-func (r *byteReader) int32Column(n int) ([]int32, error) {
-	out := make([]int32, n)
+// resize returns s at length n, reusing its backing array when it holds n:
+// a decode into a caller's scratch columns allocates nothing once they have
+// grown to the largest graph it has seen.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// int32Column reads len(out) ids into out.
+func (r *byteReader) int32Column(out []int32) error {
 	for i := range out {
 		var err error
 		if out[i], err = r.int32(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// varintColumn reads n signed values.
-func (r *byteReader) varintColumn(n int) ([]int64, error) {
-	out := make([]int64, n)
+// varintColumn reads len(out) signed values into out.
+func (r *byteReader) varintColumn(out []int64) error {
 	for i := range out {
 		var err error
 		if out[i], err = r.varint(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// uvarintColumn reads n non-negative values.
-func (r *byteReader) uvarintColumn(n int, what string) ([]int64, error) {
-	out := make([]int64, n)
+// uvarintColumn reads len(out) non-negative values into out.
+func (r *byteReader) uvarintColumn(out []int64, what string) error {
 	for i := range out {
 		v, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if v > math.MaxInt64 {
-			return nil, r.corrupt("%s %d overflows int64", what, v)
+			return r.corrupt("%s %d overflows int64", what, v)
 		}
 		out[i] = int64(v)
 	}
-	return out, nil
+	return nil
 }
 
-// deltaPool reads a delta-coded outcome pool of the given total length,
-// restarting at each distribution boundary (see appendDeltaPool). Strict
-// monotonicity within each distribution is enforced here, so the
-// Multinomial rebuild cannot see duplicate outcomes.
-func (r *byteReader) deltaPool(total int, bounds []int32) ([]int64, error) {
-	pool := make([]int64, total)
-	for b := 0; b+1 < len(bounds); b++ {
-		lo, hi := bounds[b], bounds[b+1]
-		if lo == hi {
-			continue
+// deltaPool reads a delta-coded outcome pool into pool, restarting at each
+// distribution boundary: the duration distribution [lo[i], tr[i]) and the
+// transition distribution [tr[i], lo[i+1]) of every owner i (see
+// appendDeltaPool). Strict monotonicity within each distribution is
+// enforced here, so the Multinomial rebuild cannot see duplicate outcomes.
+func (r *byteReader) deltaPool(pool []int64, lo, tr []int32) error {
+	for i := range tr {
+		if err := r.deltaRun(pool, lo[i], tr[i]); err != nil {
+			return err
 		}
-		first, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		pool[lo] = first
-		prev := first
-		for k := lo + 1; k < hi; k++ {
-			gap, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			v := prev + int64(gap)
-			if v <= prev {
-				return nil, r.corrupt("outcome pool not strictly increasing at index %d", k)
-			}
-			pool[k] = v
-			prev = v
+		if err := r.deltaRun(pool, tr[i], lo[i+1]); err != nil {
+			return err
 		}
 	}
-	return pool, nil
+	return nil
+}
+
+// deltaRun reads the one distribution pool[lo:hi].
+func (r *byteReader) deltaRun(pool []int64, lo, hi int32) error {
+	if lo == hi {
+		return nil
+	}
+	prev, err := r.varint()
+	if err != nil {
+		return err
+	}
+	pool[lo] = prev
+	for k := lo + 1; k < hi; k++ {
+		gap, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		v := prev + int64(gap)
+		if v <= prev {
+			return r.corrupt("outcome pool not strictly increasing at index %d", k)
+		}
+		pool[k] = v
+		prev = v
+	}
+	return nil
 }
 
 // string reads a length-prefixed UTF-8 string.
@@ -984,8 +1037,8 @@ func decodeCellV2(r *byteReader, loc *hierarchy.Hierarchy, level pathdb.PathLeve
 	}
 	footprint := cellBaseFootprint + int64(len(values))*8
 	if flags&2 != 0 {
-		flat, err := decodeFlatGraph(r)
-		if err != nil {
+		flat := &flowgraph.Flat{}
+		if err := decodeFlatGraph(r, flat); err != nil {
 			return nil, 0, err
 		}
 		footprint += flatFootprint(flat)

@@ -7,9 +7,10 @@ package flowgraph
 // sentinel ChildLo slice describes the whole tree shape, mirroring
 // itemset.Trie. All duration and transition distributions are pooled
 // into one shared Outcomes/Weights pair with per-node offsets; exceptions
-// and their condition pins are flat tables of the same style. Unflatten
-// validates the invariants and rebuilds the pointer tree by carving nodes,
-// distributions, pins and exceptions out of single backing allocations.
+// and their condition pins are flat tables of the same style. Check
+// validates the invariants without allocating, and Unflatten runs it and
+// then rebuilds the pointer tree by carving nodes, distributions, pins and
+// exceptions out of single backing allocations.
 
 import (
 	"fmt"
@@ -205,13 +206,77 @@ func (f *Flat) validate() error {
 	return nil
 }
 
-// Unflatten validates the columnar form and rebuilds the pointer graph for
-// paths at the given level. Nodes, distributions, pins and exceptions are
-// carved out of one backing allocation each — child lists too: BFS order
-// puts a node's children side by side, so each list is a window of one
-// pointer array — which leaves one allocation per non-empty distribution.
-func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Graph, error) {
+// Check reports the first reason Unflatten would refuse f at loc, or nil:
+// the structural invariants of the columnar form, every node's location
+// inside loc with each node's children in strictly ascending location order,
+// and every pooled distribution strictly ascending by outcome with
+// non-negative weights. It allocates nothing, and a graph that passes it
+// unflattens without error, so a caller that only needs to know whether a
+// graph decodes — a snapshot verify walk — runs Check and builds no tree.
+func (f *Flat) Check(loc *hierarchy.Hierarchy) error {
 	if err := f.validate(); err != nil {
+		return err
+	}
+	for i := range f.Locations {
+		if f.Locations[i] < 0 || int(f.Locations[i]) >= loc.Len() {
+			return fmt.Errorf("flowgraph: node %d location %d outside hierarchy of %d nodes",
+				i, f.Locations[i], loc.Len())
+		}
+		for j := f.ChildLo[i] + 1; j < f.ChildLo[i+1]; j++ {
+			if f.Locations[j-1] >= f.Locations[j] {
+				return fmt.Errorf("flowgraph: node %d has child locations out of order or duplicated", i)
+			}
+		}
+	}
+	if err := checkDists(f.Outcomes, f.Weights, f.DurLo, f.TrLo); err != nil {
+		return err
+	}
+	return checkDists(f.ExcOutcomes, f.ExcWeights, f.ExcDurLo, f.ExcTrLo)
+}
+
+// checkDists checks the distributions a validated pair of offset columns
+// cuts out of a pooled outcome/weight column — the duration distribution
+// [lo[i], tr[i]) and the transition distribution [tr[i], lo[i+1]) of each
+// owner i — for what Multinomial.InitSorted refuses: a negative weight, or
+// outcomes not strictly ascending within one distribution.
+func checkDists(outcomes, weights []int64, lo, tr []int32) error {
+	for k, w := range weights {
+		if w < 0 {
+			return fmt.Errorf("flowgraph: flat weight %d negative at pool index %d", w, k)
+		}
+	}
+	for i := range tr {
+		at := lo[i] + ascendingPrefix(outcomes[lo[i]:tr[i]])
+		if at == tr[i] {
+			at = tr[i] + ascendingPrefix(outcomes[tr[i]:lo[i+1]])
+			if at == lo[i+1] {
+				continue
+			}
+		}
+		return fmt.Errorf("flowgraph: flat outcomes not strictly increasing at pool index %d", at)
+	}
+	return nil
+}
+
+// ascendingPrefix returns the length of o's longest strictly ascending
+// prefix: len(o) when all of o ascends.
+func ascendingPrefix(o []int64) int32 {
+	for k := 1; k < len(o); k++ {
+		if o[k-1] >= o[k] {
+			return int32(k)
+		}
+	}
+	return int32(len(o))
+}
+
+// Unflatten checks the columnar form (Check) and rebuilds the pointer graph
+// for paths at the given level. Nodes, distributions, pins and exceptions
+// are carved out of one backing allocation each — child lists too: BFS
+// order puts a node's children side by side, so each list is a window of
+// one pointer array — which leaves one allocation per non-empty
+// distribution.
+func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Graph, error) {
+	if err := f.Check(loc); err != nil {
 		return nil, err
 	}
 	n := f.NumNodes()
@@ -232,10 +297,6 @@ func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Grap
 	var err error
 	for i := 0; i < n; i++ {
 		nd := &nodes[i]
-		if f.Locations[i] < 0 || int(f.Locations[i]) >= loc.Len() {
-			return nil, fmt.Errorf("flowgraph: node %d location %d outside hierarchy of %d nodes",
-				i, f.Locations[i], loc.Len())
-		}
 		nd.Location = hierarchy.NodeID(f.Locations[i])
 		nd.Count = f.Counts[i]
 		if nd.Durations, err = initDist(2*i, f.DurLo[i], f.TrLo[i]); err != nil {
@@ -247,9 +308,6 @@ func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Grap
 		lo, hi := f.ChildLo[i], f.ChildLo[i+1]
 		for j := lo; j < hi; j++ {
 			nodes[j].Depth = nd.Depth + 1
-			if j > lo && f.Locations[j-1] >= f.Locations[j] {
-				return nil, fmt.Errorf("flowgraph: node %d has child locations out of order or duplicated", i)
-			}
 		}
 		nd.children = ptrs[lo:hi:hi]
 	}

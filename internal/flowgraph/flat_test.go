@@ -71,8 +71,9 @@ func TestFlattenUnflattenNoExceptions(t *testing.T) {
 }
 
 // TestUnflattenRejectsInvalid feeds Unflatten structurally corrupt columns
-// and expects an error for each — this is the validation layer the snapshot
-// decoder leans on after its own bounds checks pass.
+// and expects an error for each, from Unflatten and from Check alone — this
+// is the validation layer the snapshot decoder and the verify walk lean on
+// after the decoder's own bounds checks pass.
 func TestUnflattenRejectsInvalid(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -99,13 +100,37 @@ func TestUnflattenRejectsInvalid(t *testing.T) {
 		}},
 		{"location out of hierarchy", func(f *flowgraph.Flat) { f.Locations[1] = 1 << 20 }},
 		{"truncated columns", func(f *flowgraph.Flat) { f.Counts = f.Counts[:1] }},
+		{"sibling locations duplicated", func(f *flowgraph.Flat) {
+			for i := range f.Locations {
+				if lo := f.ChildLo[i]; f.ChildLo[i+1]-lo >= 2 {
+					f.Locations[lo+1] = f.Locations[lo]
+					return
+				}
+			}
+		}},
+		{"negative weight", func(f *flowgraph.Flat) { f.Weights[len(f.Weights)-1] = -1 }},
+		{"exception outcomes not increasing", func(f *flowgraph.Flat) {
+			for j := range f.ExcNode {
+				if lo := f.ExcDurLo[j]; f.ExcTrLo[j]-lo >= 2 {
+					f.ExcOutcomes[lo+1] = f.ExcOutcomes[lo]
+					return
+				}
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ex, _, f := flattenFixture(t)
+			if err := f.Check(ex.Location); err != nil {
+				t.Fatalf("intact fixture fails Check: %v", err)
+			}
 			tc.corrupt(f)
 			if _, err := flowgraph.Unflatten(ex.Location, ex.BasePathLevel(), f); err == nil {
 				t.Error("corrupt flat graph accepted")
+			}
+			// Check is the validator Unflatten runs: it alone rejects too.
+			if err := f.Check(ex.Location); err == nil {
+				t.Error("Check accepts the corrupt flat graph")
 			}
 		})
 	}

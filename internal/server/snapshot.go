@@ -151,15 +151,8 @@ func WithDatabase(loader Loader, dbPath string) Loader {
 		if err != nil {
 			return nil, LoadInfo{}, fmt.Errorf("server: read database %s: %w", dbPath, err)
 		}
-		if len(ds.DB.Schema.Dims) != len(cube.Schema.Dims) {
-			return nil, LoadInfo{}, fmt.Errorf("server: database %s has %d dimensions, cube has %d",
-				dbPath, len(ds.DB.Schema.Dims), len(cube.Schema.Dims))
-		}
-		for d := range cube.Schema.Dims {
-			if got, want := ds.DB.Schema.Dims[d].Dimension(), cube.Schema.Dims[d].Dimension(); got != want {
-				return nil, LoadInfo{}, fmt.Errorf("server: database %s dimension %d is %q, cube has %q",
-					dbPath, d, got, want)
-			}
+		if err := cube.CheckSchema(ds.DB.Schema); err != nil {
+			return nil, LoadInfo{}, fmt.Errorf("server: database %s: %w", dbPath, err)
 		}
 		info.DB = ds.DB
 		return cube, info, nil

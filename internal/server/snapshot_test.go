@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flowcube/internal/core"
+	"flowcube/internal/datagen"
 	"flowcube/internal/oracle"
 )
 
@@ -37,6 +38,22 @@ func TestFileLoaderReadsEachFileOneWay(t *testing.T) {
 		_, _, err = FileLoader(paths["garbage"], opts)()
 		if err == nil || !strings.Contains(err.Error(), "neither a saved cube") || !strings.Contains(err.Error(), "nor a path database") {
 			t.Errorf("lazy=%v garbage: %v, want both readings named", lazy, err)
+		}
+	}
+}
+
+// TestWithDatabaseRejectsOtherSchema: a database whose schema is not the
+// snapshot's — here a third dimension — fails the load with
+// core.ErrSchemaMismatch, lazily and eagerly.
+func TestWithDatabaseRejectsOtherSchema(t *testing.T) {
+	ds := oracle.Dataset(5, 60)
+	snap := oracle.File(t, oracle.Save(t, oracle.Build(t, ds.DB, core.Config{MinCount: 4, Plan: ds.DefaultPlan()})))
+	cfg := oracle.Gen(5, 60)
+	cfg.NumDims = 3
+	other := oracle.DatasetFile(t, datagen.MustGenerate(cfg))
+	for _, lazy := range []bool{false, true} {
+		if _, _, err := WithDatabase(FileLoader(snap, BuildOptions{Lazy: lazy}), other)(); !errors.Is(err, core.ErrSchemaMismatch) {
+			t.Errorf("lazy=%v: %v, want core.ErrSchemaMismatch", lazy, err)
 		}
 	}
 }

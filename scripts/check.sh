@@ -89,8 +89,9 @@ echo "== generation isolation, lazy first touch, sharded counting (-race -count=
 # snapshot, readers decoding through the shared cache) included.
 run_matching TestGenerationIsolation -race -count=10 ./internal/core
 # Same reasoning for a lazy cube's first touches: readers racing for one cold
-# cell share a single decode through the cache's single-flight.
-run_matching TestLazyConcurrentFirstTouch -race -count=10 ./internal/core
+# cell share a single decode through the cache's single-flight, and Verify
+# installs its directories in the cache the readers are building theirs in.
+run_matching 'TestLazyConcurrentFirstTouch|TestLazyVerifyRacesReaders' -race -count=10 ./internal/core
 # And for support counting split across workers: the shards are private, so
 # a write that escapes one is a race the detector must get many chances at,
 # within one block (root children split among workers) and across blocks.
@@ -104,7 +105,8 @@ echo "== micro-benchmarks (one iteration each) =="
 # BenchmarkLazyLookupCold (internal/core) for the
 # cell-at-a-time lazy read (no allocation once resident), BenchmarkFoldSources
 # for fold-source selection (allocations flat in the cells it scans) and
-# BenchmarkLoad for the snapshot reader behind core.load_s, BenchmarkBuild
+# BenchmarkLoad for the snapshot reader behind core.load_s (its
+# LoadCubeLazy+Verify row is flowquery -load's open), BenchmarkBuild
 # (ledger off and on) for Build through the one record router, and in
 # flowquery's "-exceptions -tau 0.5" configuration for the build workload,
 # BenchmarkJoin/TrieCount (internal/itemset, TrieCount within one counting
@@ -124,9 +126,10 @@ echo "== nommap fallback (lazy serving without mmap) =="
 # memory either way). Its short views must catch truncation, a lying length
 # and bytes after the end section as the mapping does, the lazy parity suite
 # must hold, and so must appends over a lazily opened snapshot, whose base
-# cells are copied out of fresh preads.
+# cells are copied out of fresh preads. flowquery -load opens snapshots
+# lazily too, so its tests run over preads here.
 go build -tags nommap ./...
-run_matching 'Lazy|Load|LyingLength' -tags nommap ./internal/core
+run_matching 'Lazy|Load|LyingLength|Verify' -tags nommap ./internal/core ./cmd/flowquery
 run_matching 'TestGenerationIsolation/lazy|TestApplyDeltaOnLoadedCube' -tags nommap ./internal/core
 
 echo "== fuzz (10s per target) =="
