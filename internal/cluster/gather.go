@@ -180,6 +180,9 @@ func partial(w http.ResponseWriter, failed []string) {
 // single-node response shape.
 func (rt *Router) mergedCuboids(w http.ResponseWriter, r *http.Request) (server.CuboidsResponse, bool) {
 	parsed, results := rt.scatterCuboids(r.Context())
+	if server.TimedOut(w, r) {
+		return server.CuboidsResponse{}, false
+	}
 	m, err := rt.mergeCensus(parsed, results)
 	if err != nil {
 		server.WriteError(w, gatewayError("%v", err))
@@ -241,6 +244,9 @@ func (rt *Router) handleExceptions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := rt.scatter(r.Context(), http.MethodGet, "/v1/exceptions?k="+strconv.Itoa(k), nil, "", rt.cfg.ShardTimeout, nil)
+	if server.TimedOut(w, r) {
+		return
+	}
 	var items []exceptionItem
 	var failed []string
 	responded := 0

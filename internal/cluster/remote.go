@@ -46,6 +46,10 @@ func (rt *Router) handleQuery(parse func(*core.Cube, url.Values) (server.Request
 			return rt.scatter(r.Context(), http.MethodGet, pathQuery, nil, "", rt.cfg.ShardTimeout, want)
 		}
 		a, err := rt.meta.AnswerFrom(r.Context(), src, rq.Query)
+		if server.TimedOut(w, r) {
+			// A shard call the deadline cut short is no shard failure.
+			return
+		}
 		if src.err != nil {
 			// Checked before the answer: a plan that lost a shard may still
 			// have found a cell — just not the one a whole fleet would have.

@@ -134,19 +134,18 @@ func (rt *Router) Handler() http.Handler { return rt.handler }
 
 func (rt *Router) routeTable() http.Handler {
 	mux := http.NewServeMux()
-	timeout := func(h http.HandlerFunc) http.Handler {
-		return http.TimeoutHandler(h, rt.cfg.RequestTimeout,
-			`{"error":"request timed out"}`)
+	timed := func(pattern string, h http.HandlerFunc) {
+		server.Handle(mux, pattern, server.WithTimeout(rt.cfg.RequestTimeout, h))
 	}
-	mux.Handle("GET /v1/cell", timeout(rt.handleQuery(server.ParseCellRequest)))
-	mux.Handle("GET /v2/query", timeout(rt.handleQuery(server.ParseQueryRequest)))
-	mux.Handle("GET /v1/summary", timeout(rt.handleSummary))
-	mux.Handle("GET /v1/exceptions", timeout(rt.handleExceptions))
-	mux.Handle("GET /v1/cuboids", timeout(rt.handleCuboids))
-	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	mux.HandleFunc("POST /admin/append", rt.handleAppend)
-	mux.HandleFunc("POST /admin/reload", rt.handleReload)
+	timed("GET /v1/cell", rt.handleQuery(server.ParseCellRequest))
+	timed("GET /v2/query", rt.handleQuery(server.ParseQueryRequest))
+	timed("GET /v1/summary", rt.handleSummary)
+	timed("GET /v1/exceptions", rt.handleExceptions)
+	timed("GET /v1/cuboids", rt.handleCuboids)
+	server.Handle(mux, "GET /healthz", rt.handleHealthz)
+	server.Handle(mux, "GET /metrics", rt.handleMetrics)
+	server.Handle(mux, "POST /admin/append", rt.handleAppend)
+	server.Handle(mux, "POST /admin/reload", rt.handleReload)
 	return server.Instrument(mux, rt.logger, &rt.routes)
 }
 

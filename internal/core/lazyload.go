@@ -473,7 +473,7 @@ func (s *lazySection) view(off, n int64) ([]byte, error) {
 // walk on first touch, at its own byte cost. Build errors are not cached — a
 // later touch retries — and the first one is recorded sticky for LazyErr.
 func (s *lazySection) dir() (*sectionDir, error) {
-	ent, _, err := s.b.cache.Do(lazyKey{s.idx, -1}, func() (lazyEntry, int64, error) {
+	ent, _, err := s.b.cache.Do(nil, lazyKey{s.idx, -1}, func() (lazyEntry, int64, error) {
 		d, cost, err := s.buildDir(nil)
 		return lazyEntry{dir: d}, cost, err
 	})
@@ -586,7 +586,7 @@ func (c *Cube) Verify(ctx context.Context) error {
 		d, cost, err := s.buildDir(flat)
 		scratch.Put(flat)
 		if err == nil {
-			_, _, err = s.b.cache.Do(lazyKey{s.idx, -1}, func() (lazyEntry, int64, error) {
+			_, _, err = s.b.cache.Do(nil, lazyKey{s.idx, -1}, func() (lazyEntry, int64, error) {
 				return lazyEntry{dir: d}, cost, nil
 			})
 		}
@@ -626,7 +626,7 @@ func (s *lazySection) decodeAll() (map[CellID]*Cell, error) {
 // cell's estimated decoded heap cost. Decode errors are not cached and the
 // first one is recorded sticky for LazyErr.
 func (s *lazySection) cell(e *dirEntry) (*Cell, error) {
-	ent, _, err := s.b.cache.Do(lazyKey{s.idx, e.off}, func() (lazyEntry, int64, error) {
+	ent, _, err := s.b.cache.Do(nil, lazyKey{s.idx, e.off}, func() (lazyEntry, int64, error) {
 		buf, err := s.view(int64(e.off), int64(e.end-e.off))
 		if err != nil {
 			return lazyEntry{}, 0, err

@@ -63,6 +63,13 @@ func New[K comparable, V any](budget int64) *Cache[K, V] {
 // Budget returns the budget the cache was created with.
 func (c *Cache[K, V]) Budget() int64 { return c.budget }
 
+// Deadline is what a caller waiting on another caller's computation gives
+// up on; a context.Context is one.
+type Deadline interface {
+	Done() <-chan struct{}
+	Err() error
+}
+
 // Do returns the value for key, computing it and its cost with fn on a
 // miss. Concurrent callers for the same key share one fn call and its
 // result, error included; hit reports whether the caller avoided computing
@@ -70,7 +77,12 @@ func (c *Cache[K, V]) Budget() int64 { return c.budget }
 // Errors are never stored: a later call retries. Storing a value evicts
 // from the cold end until the budget holds, but never the only resident
 // entry, so one value costlier than the whole budget still caches.
-func (c *Cache[K, V]) Do(key K, fn func() (V, int64, error)) (v V, hit bool, err error) {
+//
+// A caller that would share another's computation waits for it until dl is
+// done, then returns dl.Err(); the computation runs on, and stores its
+// value for the next caller. A nil dl waits however long it runs. The
+// caller that computes is bounded only by what fn watches.
+func (c *Cache[K, V]) Do(dl Deadline, key K, fn func() (V, int64, error)) (v V, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.order.MoveToFront(el)
@@ -81,8 +93,16 @@ func (c *Cache[K, V]) Do(key K, fn func() (V, int64, error)) (v V, hit bool, err
 	}
 	if f, ok := c.flights[key]; ok {
 		c.mu.Unlock()
-		<-f.done
-		return f.val, f.err == nil, f.err
+		var expired <-chan struct{} // nil: never ready
+		if dl != nil {
+			expired = dl.Done()
+		}
+		select {
+		case <-f.done:
+			return f.val, f.err == nil, f.err
+		case <-expired:
+			return v, false, dl.Err()
+		}
 	}
 	f := &flight[V]{done: make(chan struct{})}
 	c.flights[key] = f

@@ -1,10 +1,12 @@
 package lru
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestLRUEviction(t *testing.T) {
@@ -12,7 +14,7 @@ func TestLRUEviction(t *testing.T) {
 	calls := 0
 	get := func(key string) {
 		t.Helper()
-		if _, _, err := c.Do(key, func() (string, int64, error) {
+		if _, _, err := c.Do(nil, key, func() (string, int64, error) {
 			calls++
 			return key, 1, nil
 		}); err != nil {
@@ -42,7 +44,7 @@ func TestLRUEviction(t *testing.T) {
 func TestLRUCostBudget(t *testing.T) {
 	put := func(c *Cache[string, string], key string, cost int64) {
 		t.Helper()
-		if _, _, err := c.Do(key, func() (string, int64, error) { return key, cost, nil }); err != nil {
+		if _, _, err := c.Do(nil, key, func() (string, int64, error) { return key, cost, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,11 +73,11 @@ func TestLRUCostBudget(t *testing.T) {
 
 func TestLRUHitReporting(t *testing.T) {
 	c := New[string, string](4)
-	_, hit, _ := c.Do("k", func() (string, int64, error) { return "", 1, nil })
+	_, hit, _ := c.Do(nil, "k", func() (string, int64, error) { return "", 1, nil })
 	if hit {
 		t.Error("first call reported a hit")
 	}
-	_, hit, _ = c.Do("k", func() (string, int64, error) {
+	_, hit, _ = c.Do(nil, "k", func() (string, int64, error) {
 		t.Fatal("cached key recomputed")
 		return "", 0, nil
 	})
@@ -96,7 +98,7 @@ func TestLRUSingleFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.Do("k", func() (string, int64, error) {
+		c.Do(nil, "k", func() (string, int64, error) {
 			calls.Add(1)
 			close(started)
 			<-release
@@ -108,7 +110,7 @@ func TestLRUSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, hit, err := c.Do("k", func() (string, int64, error) {
+			v, hit, err := c.Do(nil, "k", func() (string, int64, error) {
 				calls.Add(1)
 				return "v", 1, nil
 			})
@@ -136,7 +138,7 @@ func TestLRUErrorsNotCached(t *testing.T) {
 	calls := 0
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {
-		if _, _, err := c.Do("k", func() (string, int64, error) {
+		if _, _, err := c.Do(nil, "k", func() (string, int64, error) {
 			calls++
 			return "", 0, boom
 		}); !errors.Is(err, boom) {
@@ -152,7 +154,7 @@ func TestLRUDisabledStillDeduplicates(t *testing.T) {
 	c := New[string, string](0)
 	calls := 0
 	for i := 0; i < 3; i++ {
-		c.Do("k", func() (string, int64, error) {
+		c.Do(nil, "k", func() (string, int64, error) {
 			calls++
 			return "", 1, nil
 		})
@@ -162,5 +164,45 @@ func TestLRUDisabledStillDeduplicates(t *testing.T) {
 	}
 	if c.Stats().Entries != 0 {
 		t.Errorf("disabled cache holds %d entries", c.Stats().Entries)
+	}
+}
+
+// TestLRUWaiterDeadline: a caller whose deadline passes while it waits on
+// another's computation returns at once with the deadline's error, and the
+// computation runs on, stores its value and serves the next caller.
+func TestLRUWaiterDeadline(t *testing.T) {
+	c := New[string, string](4)
+	release, started, flown := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(flown)
+		c.Do(nil, "k", func() (string, int64, error) {
+			close(started)
+			<-release
+			return "v", 1, nil
+		})
+	}()
+	<-started
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	v, hit, err := c.Do(ctx, "k", func() (string, int64, error) {
+		t.Error("a waiter computed although a flight was open")
+		return "", 0, nil
+	})
+	if !errors.Is(err, context.DeadlineExceeded) || hit || v != "" {
+		t.Fatalf("expired waiter got (%q, %v, %v), want the deadline's error", v, hit, err)
+	}
+
+	close(release)
+	<-flown
+	v, hit, err = c.Do(nil, "k", func() (string, int64, error) {
+		t.Error("the abandoned flight's value was not stored")
+		return "", 0, nil
+	})
+	if err != nil || !hit || v != "v" {
+		t.Errorf("after the flight: (%q, %v, %v), want the stored value", v, hit, err)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("stats %+v, want the flight's one miss and the last caller's hit", st)
 	}
 }

@@ -25,6 +25,12 @@ import (
 	"flowcube/internal/pathdb"
 )
 
+// status is the status WriteError answers err with.
+func status(err error) int {
+	st, _ := errorStatus(err)
+	return st
+}
+
 // prefixLoader builds a fresh cube over a fresh copy of db's first n
 // records on every call, like FileLoader re-reading its file: the store
 // adopts the records.
@@ -250,7 +256,7 @@ func TestIngestStaleSchemaConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Wait(); errorStatus(err) != http.StatusConflict {
+	if _, err := p.Wait(); status(err) != http.StatusConflict {
 		t.Fatalf("stale-tag commit: err %v, want 409", err)
 	}
 	if got := s.Metrics().Ingest.StaleConflicts; got != 1 {
@@ -290,7 +296,7 @@ func TestIngestBatchErrorIsolatedToOwner(t *testing.T) {
 	s.applyGroup([]*ingest.Pending{good1, bad, good2})
 
 	_, badErr := bad.Wait()
-	if errorStatus(badErr) != http.StatusBadRequest {
+	if status(badErr) != http.StatusBadRequest {
 		t.Fatalf("bad batch: err %v, want 400", badErr)
 	}
 	if !strings.Contains(badErr.Error(), "record 1") {
@@ -331,7 +337,7 @@ func TestIngestFoldFailureLeavesWALClean(t *testing.T) {
 	beforeDigest := oracle.Digest(t, before.Cube)
 	bad := ingest.NewPending([]pathdb.Record{{Dims: ex.DB.Records[0].Dims}}, before.SchemaGen)
 	s.applyGroup([]*ingest.Pending{bad})
-	if _, err := bad.Wait(); errorStatus(err) != http.StatusBadRequest {
+	if _, err := bad.Wait(); status(err) != http.StatusBadRequest {
 		t.Fatalf("bad batch: err %v, want 400", err)
 	}
 	if got := s.Metrics().Ingest.WALEntries; got != 0 {
@@ -368,7 +374,7 @@ func TestIngestJournalFailureDropsFold(t *testing.T) {
 	}
 	p := ingest.NewPending(append([]pathdb.Record(nil), ex.DB.Records[:3]...), before.SchemaGen)
 	s.applyGroup([]*ingest.Pending{p})
-	if _, err := p.Wait(); errorStatus(err) != http.StatusInternalServerError {
+	if _, err := p.Wait(); status(err) != http.StatusInternalServerError {
 		t.Fatalf("append with a failing journal: err %v, want 500", err)
 	}
 	if s.Snapshot() != before {

@@ -94,7 +94,7 @@ func (rq Request) Respond(cube *core.Cube, a *core.Answer, err error) ([]byte, s
 	switch {
 	case err == nil:
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// TimeoutHandler has already answered 503; nothing we write lands.
+		// The request's deadline, not the query: WriteError answers it 503.
 		return nil, "", err
 	case errors.Is(err, core.ErrCellNotFound):
 		// A lazily loaded cube answers "not found" both for genuinely absent
@@ -139,13 +139,16 @@ func answerWith(parse func(*core.Cube, url.Values) (Request, error)) compute {
 
 // serveCached serves a GET endpoint through the snapshot's LRU response
 // cache: identical requests replay the stored body, concurrent identical
-// misses share one fn call. The key is the raw query string under the
-// endpoint's prefix, so a hit costs no parsing.
+// misses share one fn call, and a request waits on another's call only
+// until its own deadline. The key is the raw query string under the
+// endpoint's prefix, so a hit costs no parsing; the body goes out with its
+// length, unchunked.
 func (s *Server) serveCached(prefix string, fn compute) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := s.holder.get()
-		v, hit, err := snap.cache.Do(prefix+r.URL.RawQuery, func() (*cached, int64, error) {
-			body, contentType, err := fn(r.Context(), snap.Cube, r.URL.Query())
+		ctx := r.Context()
+		v, hit, err := snap.cache.Do(ctx, prefix+r.URL.RawQuery, func() (*cached, int64, error) {
+			body, contentType, err := fn(ctx, snap.Cube, r.URL.Query())
 			if err != nil {
 				return nil, 0, err
 			}
@@ -163,13 +166,10 @@ func (s *Server) serveCached(prefix string, fn compute) http.HandlerFunc {
 		} else {
 			s.metrics.cacheMisses.Add(1)
 		}
-		if err := r.Context().Err(); err != nil {
-			// The deadline fired while we computed; TimeoutHandler already
-			// answered 503 and our write would be dropped.
-			return
-		}
-		w.Header().Set("Content-Type", v.contentType)
-		w.Header().Set("X-Cache", xCache)
+		h := w.Header()
+		h.Set("Content-Type", v.contentType)
+		h.Set("Content-Length", strconv.Itoa(len(v.body)))
+		h.Set("X-Cache", xCache)
 		w.WriteHeader(v.status)
 		w.Write(v.body) //nolint:errcheck
 	}

@@ -92,6 +92,11 @@ const (
 	DefaultCacheSize      = 1024
 )
 
+// idleTimeout closes a keep-alive connection that has carried no request
+// for this long, so an idle client does not hold a goroutine and its
+// buffers forever.
+const idleTimeout = 2 * time.Minute
+
 // Server serves read traffic over one cube snapshot at a time.
 type Server struct {
 	cfg     Config
@@ -294,34 +299,61 @@ func (s *Server) Metrics() MetricsSnapshot {
 }
 
 // Handler returns the fully assembled HTTP handler (routing, logging,
-// metrics, per-request timeouts).
+// metrics, per-request deadlines).
 func (s *Server) Handler() http.Handler { return s.handler }
 
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
-	timeout := func(h http.HandlerFunc) http.Handler {
-		// TimeoutHandler propagates the deadline through r.Context() and
-		// answers 503 when a query overruns it.
-		return http.TimeoutHandler(h, s.cfg.RequestTimeout,
-			`{"error":"request timed out"}`)
+	timed := func(pattern string, h http.HandlerFunc) {
+		Handle(mux, pattern, WithTimeout(s.cfg.RequestTimeout, h))
 	}
-	mux.Handle("GET /v1/cell", timeout(s.serveCached("v1|", answerWith(ParseCellRequest))))
-	mux.Handle("GET /v1/summary", timeout(s.handleSummary))
-	mux.Handle("GET /v1/exceptions", timeout(s.handleExceptions))
-	mux.Handle("GET /v1/cuboids", timeout(s.handleCuboids))
-	mux.Handle("GET /v2/query", timeout(s.serveCached("v2|", answerWith(ParseQueryRequest))))
-	mux.Handle("GET /v2/partial", timeout(s.serveCached("partial|", computePartial)))
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("POST /admin/reload", s.handleReload)
-	mux.HandleFunc("POST /admin/append", s.handleAppend)
+	timed("GET /v1/cell", s.serveCached("v1|", answerWith(ParseCellRequest)))
+	timed("GET /v1/summary", s.handleSummary)
+	timed("GET /v1/exceptions", s.handleExceptions)
+	timed("GET /v1/cuboids", s.handleCuboids)
+	timed("GET /v2/query", s.serveCached("v2|", answerWith(ParseQueryRequest)))
+	timed("GET /v2/partial", s.serveCached("partial|", computePartial))
+	Handle(mux, "GET /healthz", s.handleHealthz)
+	Handle(mux, "GET /metrics", s.handleMetrics)
+	Handle(mux, "POST /admin/reload", s.handleReload)
+	Handle(mux, "POST /admin/append", s.handleAppend)
 	return Instrument(mux, s.logger, &s.metrics.routes)
 }
 
-// statusWriter captures the response status for logging and metrics.
+// WithTimeout bounds h by timeout through the request's context, the one
+// deadline every wait on the request path watches: core.Answer, the
+// response cache's flight waits and the router's shard calls. h runs on the
+// connection's goroutine and writes straight to it; WriteError answers a
+// passed deadline 503, and a handler whose work does not watch the context
+// asks TimedOut before it writes.
+func WithTimeout(timeout time.Duration, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		defer cancel()
+		h(w, r.WithContext(ctx))
+	}
+}
+
+// TimedOut answers 503 and reports true when r's context has ended.
+func TimedOut(w http.ResponseWriter, r *http.Request) bool {
+	if err := r.Context().Err(); err != nil {
+		WriteError(w, err)
+		return true
+	}
+	return false
+}
+
+// unmatchedRoute is the metrics key of every request no route registered
+// with Handle served: the mux's 404s and 405s share it, so however many
+// paths clients try, /metrics holds one entry per route and this one.
+const unmatchedRoute = "unmatched"
+
+// statusWriter captures the response status and the route that served it
+// for logging and metrics.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	route  string
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -329,22 +361,32 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// Handle registers h on mux for pattern, and has Instrument count its
+// requests under pattern.
+func Handle(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
+	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		if sw, ok := w.(*statusWriter); ok {
+			sw.route = pattern
+		}
+		h(w, r)
+	})
+}
+
 // Instrument wraps a route table with the request log line and records every
-// request in routes, keyed by method+path (query strings excluded). The
-// cluster router serves behind the same wrapper.
+// request in routes, under the pattern its route was registered with
+// (Handle). The cluster router serves behind the same wrapper.
 func Instrument(next http.Handler, logger *log.Logger, routes *RouteHistograms) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK, route: unmatchedRoute}
 		next.ServeHTTP(sw, r)
 		elapsed := time.Since(start)
-		routes.observe(r.Method+" "+r.URL.Path, sw.status, elapsed)
+		routes.observe(sw.route, sw.status, elapsed)
 		logger.Printf("%s %s %d %s", r.Method, r.URL.RequestURI(), sw.status, elapsed.Round(time.Microsecond))
 	})
 }
 
-// HTTPError carries a status code through the cache-compute path. Any other
-// error answers 500.
+// HTTPError carries a status code through the cache-compute path.
 type HTTPError struct {
 	Status int
 	Msg    string
@@ -352,12 +394,20 @@ type HTTPError struct {
 
 func (e *HTTPError) Error() string { return e.Msg }
 
-func errorStatus(err error) int {
+// errorStatus is the one mapping from errors to statuses: a request whose
+// context ended answers 503, an *HTTPError its own status, anything else
+// 500. It returns the message the error body carries.
+func errorStatus(err error) (int, string) {
 	var he *HTTPError
-	if errors.As(err, &he) {
-		return he.Status
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusServiceUnavailable, "request timed out"
+	case errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable, "request canceled"
+	case errors.As(err, &he):
+		return he.Status, err.Error()
 	}
-	return http.StatusInternalServerError
+	return http.StatusInternalServerError, err.Error()
 }
 
 // WriteJSON writes v as the indented JSON body every endpoint answers with.
@@ -369,10 +419,11 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
-// WriteError writes err as the {"error": ...} body, with the status an
-// *HTTPError in its chain names.
+// WriteError writes err as the {"error": ...} body, with its status from
+// errorStatus.
 func WriteError(w http.ResponseWriter, err error) {
-	WriteJSON(w, errorStatus(err), map[string]string{"error": err.Error()})
+	status, msg := errorStatus(err)
+	WriteJSON(w, status, map[string]string{"error": msg})
 }
 
 // checkLazy reports a lazily loaded snapshot's sticky decode error, if any,
@@ -390,20 +441,20 @@ func checkLazy(w http.ResponseWriter, snap *Snapshot) bool {
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	snap := s.holder.get()
-	resp := renderCuboids(snap).Summary()
-	if !checkLazy(w, snap) {
+	c := snap.census()
+	if !checkLazy(w, snap) || TimedOut(w, r) {
 		return
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, &c.summary)
 }
 
 func (s *Server) handleCuboids(w http.ResponseWriter, r *http.Request) {
 	snap := s.holder.get()
-	resp := renderCuboids(snap)
-	if !checkLazy(w, snap) {
+	c := snap.census()
+	if !checkLazy(w, snap) || TimedOut(w, r) {
 		return
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, &c.cuboids)
 }
 
 // ExceptionsK parses /v1/exceptions' k parameter: how many exceptions to
@@ -428,7 +479,7 @@ func (s *Server) handleExceptions(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := s.holder.get()
 	resp := renderExceptions(snap.Cube, k)
-	if !checkLazy(w, snap) {
+	if !checkLazy(w, snap) || TimedOut(w, r) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{
@@ -527,10 +578,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // Serve serves h on ln until ctx is cancelled, then shuts down gracefully,
 // draining in-flight requests for at most drain.
 func Serve(ctx context.Context, ln net.Listener, h http.Handler, drain time.Duration) error {
-	srv := &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := newHTTPServer(h)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -544,5 +592,17 @@ func Serve(ctx context.Context, ln net.Listener, h http.Handler, drain time.Dura
 		err := srv.Shutdown(shutdownCtx)
 		<-errc // Serve has returned http.ErrServerClosed
 		return err
+	}
+}
+
+// newHTTPServer is the http.Server flowserve and flowrouter listen with. A
+// request's own deadline comes from WithTimeout, so no read or write
+// timeout cuts into it; the connection is bounded while it sends headers
+// and while it idles between requests.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       idleTimeout,
 	}
 }

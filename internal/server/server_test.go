@@ -397,23 +397,31 @@ func TestRequestTimeout(t *testing.T) {
 	})
 	// The query cannot finish before its deadline, however the scheduler
 	// runs things: the test holds the response cache's flight for its key
-	// open, the handler joins that flight and parks, and only the 503 that
-	// TimeoutHandler writes when the deadline fires lets get return.
-	const query = "cell=product=shoes"
-	inFlight, release, flown := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(flown)
-		s.Snapshot().cache.Do("v1|"+query, func() (*cached, int64, error) {
-			close(inFlight)
-			<-release
-			return nil, 0, &HTTPError{http.StatusGone, "flight released by the test"}
-		})
-	}()
-	<-inFlight
-	rec, _ := get(t, s.Handler(), "/v1/cell?"+query)
-	close(release)
-	<-flown
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Errorf("status %d, want 503 on timeout", rec.Code)
+	// open, the handler joins that flight and parks, and only its deadline
+	// ends the wait, which the handler answers 503.
+	for _, route := range []struct{ path, prefix, query string }{
+		{"/v1/cell", "v1|", "cell=product=shoes"},
+		{"/v2/query", "v2|", "op=cell&cell=product=shoes"},
+		{"/v2/partial", "partial|", "cell=product=shoes"},
+	} {
+		inFlight, release, flown := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(flown)
+			s.Snapshot().cache.Do(nil, route.prefix+route.query, func() (*cached, int64, error) {
+				close(inFlight)
+				<-release
+				return nil, 0, &HTTPError{http.StatusGone, "flight released by the test"}
+			})
+		}()
+		<-inFlight
+		rec, body := get(t, s.Handler(), route.path+"?"+route.query)
+		close(release)
+		<-flown
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("%s: status %d, want 503 on timeout", route.path, rec.Code)
+		}
+		if body["error"] != "request timed out" {
+			t.Errorf("%s: body %s, want the timeout error", route.path, rec.Body)
+		}
 	}
 }

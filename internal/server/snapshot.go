@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,6 +51,29 @@ type Snapshot struct {
 	// single-flight so a thundering herd of identical queries computes the
 	// answer once.
 	cache *lru.Cache[string, *cached]
+
+	// censusOnce guards censusVal, built by the first request that needs it.
+	censusOnce sync.Once
+	censusVal  census
+}
+
+// census is a snapshot's cuboid census: the /v1/cuboids body and the
+// /v1/summary body derived from it.
+type census struct {
+	cuboids CuboidsResponse
+	summary SummaryResponse
+}
+
+// census returns the snapshot's census, built on first use. It cannot
+// change within a snapshot (appends and reloads make new ones), and on a
+// lazily loaded cube building it walks every section directory through the
+// cell cache, so it is built once rather than per request.
+func (s *Snapshot) census() *census {
+	s.censusOnce.Do(func() {
+		s.censusVal.cuboids = renderCuboids(s)
+		s.censusVal.summary = s.censusVal.cuboids.Summary()
+	})
+	return &s.censusVal
 }
 
 // cached is one rendered response: everything a handler needs to replay it.

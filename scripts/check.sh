@@ -81,7 +81,7 @@ echo "== go test -race =="
 # byte-for-byte against a single node, under the race detector.
 go test -race ./...
 
-echo "== generation isolation, lazy first touch, sharded counting (-race -count=10) =="
+echo "== generation isolation, lazy first touch, request deadlines, census, sharded counting (-race -count=10) =="
 # Cube generations share cells and flowgraph nodes; a write that reaches a
 # shared one is a rare interleaving with a reader, not a deterministic
 # failure, so the isolation test runs ten times on top of the pass above —
@@ -92,6 +92,13 @@ run_matching TestGenerationIsolation -race -count=10 ./internal/core
 # cell share a single decode through the cache's single-flight, and Verify
 # installs its directories in the cache the readers are building theirs in.
 run_matching 'TestLazyConcurrentFirstTouch|TestLazyVerifyRacesReaders' -race -count=10 ./internal/core
+# And for a request's deadline: a waiter abandons a response-cache flight
+# while its owner computes on and stores the value, the handler answers 503
+# from the connection's goroutine, and concurrent first census requests
+# share one walk of the snapshot.
+run_matching 'TestLRUWaiterDeadline|TestLRUSingleFlight' -race -count=10 ./internal/lru
+run_matching 'TestRequestTimeout|TestExpiredDeadlineAnswers503|TestCensusConcurrentFirstRequests|TestCensusBuiltOncePerSnapshot' -race -count=10 ./internal/server
+run_matching TestRouterRequestTimeout -race -count=10 ./internal/cluster
 # And for support counting split across workers: the shards are private, so
 # a write that escapes one is a race the detector must get many chances at,
 # within one block (root children split among workers) and across blocks.
