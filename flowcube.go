@@ -29,10 +29,9 @@
 //	db := flowcube.NewDB(schema)
 //	// ... append records ...
 //	cfg, err := flowcube.NewConfig(flowcube.Plan{PathLevels: levels},
-//		flowcube.WithDelta(25),     // absolute iceberg threshold δ
-//		flowcube.WithEpsilon(0.1),  // exception significance
-//		flowcube.WithExceptions(),  // mine exceptions
-//		flowcube.WithDeltaLedger(), // carry sub-δ counts for ApplyDelta
+//		flowcube.WithDelta(25),    // absolute iceberg threshold δ
+//		flowcube.WithEpsilon(0.1), // exception significance
+//		flowcube.WithExceptions(), // mine exceptions
 //	)
 //	cube, err := flowcube.BuildContext(ctx, db, cfg)
 //	a, err := cube.Answer(ctx, flowcube.Query{Spec: spec, Values: values})
@@ -41,7 +40,8 @@
 // NewConfig validates eagerly and returns a *ConfigError for bad settings;
 // a Config literal passed to Build is validated the same way. The full
 // option set: WithDelta (absolute δ) or WithMinSupport (fractional),
-// WithEpsilon, WithTau, WithWorkers, WithExceptions, WithDeltaLedger.
+// WithEpsilon, WithTau, WithWorkers, WithExceptions (WithDeltaLedger
+// remains and does nothing).
 // Build and LoadCube are the context-free forms of BuildContext and
 // LoadCubeContext.
 //

@@ -25,13 +25,12 @@ func TestNewConfigOptions(t *testing.T) {
 		flowcube.WithTau(0.5),
 		flowcube.WithWorkers(2),
 		flowcube.WithExceptions(),
-		flowcube.WithDeltaLedger(),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.MinCount != 2 || cfg.Epsilon != 0.1 || cfg.Tau != 0.5 ||
-		cfg.Workers != 2 || !cfg.MineExceptions || !cfg.DeltaLedger {
+		cfg.Workers != 2 || !cfg.MineExceptions {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
 
@@ -144,7 +143,7 @@ func TestLoadCubeCorruptSnapshotError(t *testing.T) {
 // build.
 func TestApplyDeltaRoot(t *testing.T) {
 	_, _, location, db := table1()
-	cfg, err := table1Config(location, flowcube.WithDelta(2), flowcube.WithDeltaLedger())
+	cfg, err := table1Config(location, flowcube.WithDelta(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func newAppendFixture(t *testing.T, n int) *appendFixture {
 	split := total - 2*batchLen
 	baseDB := oracle.Prefix(ds.DB, split)
 	snapBytes := oracle.Save(t, oracle.Build(t, baseDB, core.Config{MinCount: 5, Epsilon: 0.1, Plan: ds.DefaultPlan(),
-		MineExceptions: true, SingleStageExceptions: true, DeltaLedger: true}))
+		MineExceptions: true, SingleStageExceptions: true}))
 
 	loadFrom := func(data []byte) server.Loader {
 		return func() (*core.Cube, server.LoadInfo, error) {
@@ -220,7 +220,7 @@ func TestClusterAppendErrorPaths(t *testing.T) {
 // read-only.
 func TestClusterAppendRejectsRedundancyMarking(t *testing.T) {
 	ex := paperex.New()
-	cube := oracle.Build(t, ex.DB, core.Config{MinCount: 2, Tau: 0.5, Plan: oracle.Views(ex), DeltaLedger: true})
+	cube := oracle.Build(t, ex.DB, core.Config{MinCount: 2, Tau: 0.5, Plan: oracle.Views(ex)})
 	rt, err := cluster.NewRouter(cube, []string{"http://127.0.0.1:1"}, cluster.RouterConfig{
 		Logger: log.New(io.Discard, "", 0),
 	})

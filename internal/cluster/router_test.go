@@ -52,7 +52,6 @@ func synthCube(t testing.TB) (*datagen.Dataset, *core.Cube) {
 			Plan:                  synthDS.DefaultPlan(),
 			MineExceptions:        true,
 			SingleStageExceptions: true,
-			DeltaLedger:           true,
 			Workers:               runtime.GOMAXPROCS(0),
 		})
 	})

@@ -15,7 +15,7 @@ import (
 // to exactly the original snapshot bytes (the byte-determinism machinery of
 // core's TestSaveIsByteDeterministic makes digest equality meaningful).
 func TestSplitMergeRestoresSaveDigest(t *testing.T) {
-	_, cube := oracle.Table1(t, oracle.Views, oracle.Full())
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0.5))
 
 	for _, shards := range []int{1, 2, 3, 4, 8} {
 		parts, err := cluster.Split(cube, shards)
@@ -43,7 +43,7 @@ func TestSplitMergeRestoresSaveDigest(t *testing.T) {
 // TestWriteShardsRoundTrips checks the on-disk path flowshard drives: shard
 // files load back as cubes that merge into the original snapshot bytes.
 func TestWriteShardsRoundTrips(t *testing.T) {
-	_, cube := oracle.Table1(t, oracle.Views, oracle.Full())
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0.5))
 	dir := t.TempDir()
 	files, err := cluster.WriteShards(cube, 3, dir, 2)
 	if err != nil {
@@ -69,7 +69,7 @@ func TestWriteShardsRoundTrips(t *testing.T) {
 // TestShardFilterKeepsOwnedCells checks the append-prune hook: filtering
 // the full cube with every shard's filter reproduces the split exactly.
 func TestShardFilterKeepsOwnedCells(t *testing.T) {
-	_, cube := oracle.Table1(t, oracle.Views, oracle.Full())
+	_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0.5))
 	parts, err := cluster.Split(cube, 3)
 	if err != nil {
 		t.Fatal(err)

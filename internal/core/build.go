@@ -246,11 +246,10 @@ func (c *Cube) addCell(il ItemLevel, values []hierarchy.NodeID, count int64) {
 }
 
 // populate routes every record to its cell at every materialized item level
-// (with the sub-δ ledger counted in the same walk when Config.DeltaLedger is
-// set) and builds the flowgraph measures. Past that only exception mining
-// reads a cell's tids, so a cube built without it drops them.
+// and builds the flowgraph measures. Past that only exception mining reads a
+// cell's tids, so a cube built without it drops them.
 func (c *Cube) populate(db *pathdb.DB) {
-	c.assignCells(db, c.Config.DeltaLedger)
+	c.assignCells(db)
 	c.buildGraphs(db, !c.Config.MineExceptions)
 	c.haveTIDs = c.Config.MineExceptions
 }
@@ -258,13 +257,11 @@ func (c *Cube) populate(db *pathdb.DB) {
 // assignCells routes every record to its cell at every item level and
 // gives each cell its tids: one list per cell of a level, shared by the
 // level's cuboids that hold the cell (capacity-clipped, so an append
-// reallocates). With ledger set it also counts, per level, the records
-// whose combination is no cell and keeps the sub-δ ones as the cube's
-// ledger. The records split into contiguous chunks, one per worker, each
-// with its own tid buckets and counts; buckets are concatenated in chunk
-// order, which, as chunks cover ascending tid ranges, is the sequential
-// scan's order.
-func (c *Cube) assignCells(db *pathdb.DB, ledger bool) {
+// reallocates). The records split into contiguous chunks, one per worker,
+// each with its own tid buckets; buckets are concatenated in chunk order,
+// which, as chunks cover ascending tid ranges, is the sequential scan's
+// order.
+func (c *Cube) assignCells(db *pathdb.DB) {
 	c.haveTIDs = true
 	levels := c.levelGroups()
 	slotOf := make([]map[CellID]int32, len(levels))
@@ -289,7 +286,6 @@ func (c *Cube) assignCells(db *pathdb.DB, ledger bool) {
 	chunks := max(min(c.Config.Workers, n), 1)
 	size := (n + chunks - 1) / chunks
 	buckets := make([][][]int32, chunks)
-	tallies := make([][]tally, chunks)
 	// Made before the workers start: the first router call caches the
 	// cube's routes.
 	routers := make([]*recordRouter, chunks)
@@ -298,13 +294,6 @@ func (c *Cube) assignCells(db *pathdb.DB, ledger bool) {
 	}
 	c.forEach(chunks, func(i int) {
 		bucket := make([][]int32, len(slots))
-		var miss []tally
-		if ledger {
-			miss = make([]tally, len(levels))
-			for li := range miss {
-				miss[li].at = make(map[CellID]int32)
-			}
-		}
 		r, lo := routers[i], min(i*size, n)
 		for tid := lo; tid < min(lo+size, n); tid++ {
 			r.route(db.Records[tid].Dims)
@@ -312,16 +301,10 @@ func (c *Cube) assignCells(db *pathdb.DB, ledger bool) {
 				id, _ := r.cell(li)
 				if s, ok := ids[CellID(id)]; ok {
 					bucket[s] = append(bucket[s], int32(tid))
-				} else if ledger {
-					if k, ok := miss[li].at[CellID(id)]; ok {
-						miss[li].n[k]++
-					} else {
-						miss[li].add(CellID(id), 1)
-					}
 				}
 			}
 		}
-		buckets[i], tallies[i] = bucket, miss
+		buckets[i] = bucket
 	})
 
 	for s, cells := range slots {
@@ -340,48 +323,6 @@ func (c *Cube) assignCells(db *pathdb.DB, ledger bool) {
 			cell.tids = tids
 		}
 	}
-	if !ledger {
-		return
-	}
-	// Levels are independent, so their sums and tries spread across workers.
-	built := make([]*ledgerLevel, len(levels))
-	c.forEach(len(levels), func(li int) {
-		sum := &tallies[0][li]
-		for _, miss := range tallies[1:] {
-			for id, k := range miss[li].at {
-				sum.add(id, miss[li].n[k])
-			}
-		}
-		lv := &ledgerLevel{item: append(ItemLevel(nil), levels[li].Item...), owner: c.gen}
-		for id, k := range sum.at {
-			if count := sum.n[k]; count < c.minCount {
-				lv.put(&ledgerEntry{id: id, values: id.values(), count: count})
-			}
-		}
-		built[li] = lv
-	})
-	c.ledger = &deltaLedger{levels: make(map[string]*ledgerLevel, len(built)), owner: c.gen}
-	for _, lv := range built {
-		c.ledger.levels[lv.item.Key()] = lv
-	}
-}
-
-// tally counts an item level's records whose combination is no cell. at
-// indexes n by combination, so a count allocates only a new combination's
-// key, and the counts hold no pointers for the collector to scan.
-type tally struct {
-	at map[CellID]int32
-	n  []int64
-}
-
-// add counts n more records of combination id.
-func (t *tally) add(id CellID, n int64) {
-	if k, ok := t.at[id]; ok {
-		t.n[k] += n
-		return
-	}
-	t.at[id] = int32(len(t.n))
-	t.n = append(t.n, n)
 }
 
 // buildGraphs constructs the flowgraph measure of every cell from its

@@ -32,7 +32,7 @@ func stepTable() map[string][]oracle.Chain {
 	ds7, wide := oracle.Dataset(7, 260), oracle.Gen(1, 260)
 	wide.LocFanouts, wide.NumSequences = [2]int{16, 20}, 12
 	dsWide := datagen.MustGenerate(wide)
-	exceptions := core.Config{MinCount: 4, Epsilon: 0.05, Tau: 0.6, MineExceptions: true, DeltaLedger: true, Workers: 2}
+	exceptions := core.Config{MinCount: 4, Epsilon: 0.05, Tau: 0.6, MineExceptions: true, Workers: 2}
 
 	ds17, ds23 := oracle.Dataset(17, 220), oracle.Dataset(23, 220)
 	var loaded []oracle.Chain
@@ -42,21 +42,21 @@ func stepTable() map[string][]oracle.Chain {
 		"exceptions+single-stage+tau": {MinCount: 4, Epsilon: 0.05, Tau: 0.5,
 			MineExceptions: true, SingleStageExceptions: true},
 	} {
-		cfg.DeltaLedger, cfg.Workers = true, 2
+		cfg.Workers = 2
 		loaded = append(loaded, oracle.Chain{Name: name, DB: ds17.DB, Cfg: onPlan(ds17, cfg), Steps: []oracle.Step{
 			oracle.BuildAt(170), oracle.Branch(
-				[]oracle.Step{oracle.Reload(false), oracle.AppendTo(220), oracle.Expect()},
-				[]oracle.Step{oracle.Reload(true), oracle.AppendTo(220), oracle.Expect()}),
+				[]oracle.Step{oracle.Reload(false), oracle.AppendTo(195), oracle.AppendTo(220), oracle.Expect()},
+				[]oracle.Step{oracle.Reload(true), oracle.AppendTo(195), oracle.AppendTo(220), oracle.Expect()}),
 		}})
 	}
 	ds13, ds41, ds43 := oracle.Dataset(13, 240), oracle.Dataset(41, 300), oracle.Dataset(43, 280)
-	ex, full := paperex.New(), oracle.Full()
+	ex, full := paperex.New(), oracle.Mined(0.5)
 	full.Plan = oracle.Cuts(ex)
 	return map[string][]oracle.Chain{
 		"TestApplyDeltaMatchesFullBuild": {
 			{Name: "exceptions+ledger+tau", DB: ds7.DB, Cfg: onPlan(ds7, exceptions), Steps: []oracle.Step{oracle.Branch(splits...)}},
 			{Name: "singlestage+ledger", DB: ds7.DB, Cfg: onPlan(ds7, core.Config{MinCount: 4, Epsilon: 0.1,
-				MineExceptions: true, SingleStageExceptions: true, DeltaLedger: true, Workers: 2}), Steps: []oracle.Step{oracle.Branch(splits...)}},
+				MineExceptions: true, SingleStageExceptions: true, Workers: 2}), Steps: []oracle.Step{oracle.Branch(splits...)}},
 			{Name: "plain-noledger", DB: ds7.DB, Cfg: onPlan(ds7, core.Config{MinCount: 5, Tau: 0.5, Workers: 2}),
 				Steps: []oracle.Step{oracle.Branch(splits...)}},
 			{Name: "wide-locations", DB: dsWide.DB, Cfg: onPlan(dsWide, exceptions), Steps: []oracle.Step{oracle.Branch(splits...)}},
@@ -66,12 +66,13 @@ func stepTable() map[string][]oracle.Chain {
 			oracle.BuildAt(140), oracle.AppendTo(175), oracle.AppendTo(210), oracle.AppendTo(240), oracle.Expect(),
 		}}},
 		// The snapshot round trip carries enough state for an append: the
-		// sub-δ ledger and the exception-mining switches.
+		// exception-mining switches. The sub-δ ledger is not in it; the first
+		// append derives it and the second keeps it.
 		"TestApplyDeltaOnLoadedCube": loaded,
 		// The serving path: a dropped commit, then a patched fork, while the
 		// original stays bit-identical.
 		"TestApplyDeltaOnClone": {{Name: "fork", DB: ds23.DB, Cfg: onPlan(ds23, core.Config{MinCount: 4, Epsilon: 0.05, Tau: 0.5,
-			MineExceptions: true, DeltaLedger: true, Workers: 2}), Steps: []oracle.Step{
+			MineExceptions: true, Workers: 2}), Steps: []oracle.Step{
 			oracle.BuildAt(180), oracle.Abandon(20), oracle.Fork(), oracle.AppendTo(220), oracle.Expect(),
 		}}},
 		// The re-miner's two inputs against each other: one batch folded into
@@ -106,7 +107,7 @@ func stepTable() map[string][]oracle.Chain {
 		// The condition cache must stay exact as conditions accumulate over
 		// several batches folded through the same warm cube.
 		"TestRestrictedRemineChained": {{Name: "warm", DB: ds43.DB, Cfg: onPlan(ds43, core.Config{MinCount: 4, Epsilon: 0.05,
-			MineExceptions: true, SingleStageExceptions: true, DeltaLedger: true, Workers: 2}), Steps: []oracle.Step{
+			MineExceptions: true, SingleStageExceptions: true, Workers: 2}), Steps: []oracle.Step{
 			oracle.BuildAt(180), oracle.AppendTo(215), oracle.AppendTo(250), oracle.AppendTo(280), oracle.Expect(),
 		}, Stats: func(t *testing.T, stats []*core.DeltaStats) {
 			restricted := 0
@@ -117,12 +118,19 @@ func stepTable() map[string][]oracle.Chain {
 				t.Error("no batch took the restricted path")
 			}
 		}}},
-		// Splitting and merging is lossless at the byte level, ledger
-		// included: what lets a sharded cluster be verified against, and
-		// rebuilt into, its unsplit snapshot.
-		"TestMergeRestoresSaveDigest": {{Name: "3 parts", DB: ex.DB, Cfg: full, Steps: []oracle.Step{
-			oracle.BuildAt(ex.DB.Len()), oracle.SplitMerge(3), oracle.Expect(),
-		}}},
+		// Splitting and merging is lossless at the byte level: what lets a
+		// sharded cluster be verified against, and rebuilt into, its unsplit
+		// snapshot. A merged cube carries no sub-δ ledger, so its first
+		// append derives one.
+		"TestMergeRestoresSaveDigest": {
+			{Name: "3 parts", DB: ex.DB, Cfg: full, Steps: []oracle.Step{
+				oracle.BuildAt(ex.DB.Len()), oracle.SplitMerge(3), oracle.Expect(),
+			}},
+			{Name: "3 parts, then appends", DB: ex.DB, Cfg: full, Steps: []oracle.Step{
+				oracle.BuildAt(ex.DB.Len() - 4), oracle.SplitMerge(3), oracle.AppendTo(ex.DB.Len() - 2),
+				oracle.AppendTo(ex.DB.Len()), oracle.Expect(),
+			}},
+		},
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 
 // BuildContext is Build with cancellation: the configuration is validated
 // up front (returning *ConfigError), and ctx is checked between the
-// pipeline phases — encode+mine, populate (with the sub-δ ledger),
-// exception mining, redundancy marking — so a cancelled build returns
+// pipeline phases — encode+mine, populate, exception mining, redundancy marking — so a cancelled build returns
 // promptly without leaving goroutines behind (each phase joins its own
 // workers). A build cancelled mid-phase finishes that phase first; phases
 // are the paper's natural barriers and the granularity the snapshot codec
@@ -30,8 +29,7 @@ func BuildContext(ctx context.Context, db *pathdb.DB, cfg Config) (*Cube, error)
 	}
 
 	// One scan of the path database assigns records to the cells of every
-	// materialized item level, counts the sub-δ ledger, and folds the paths
-	// into the flowgraphs.
+	// materialized item level, and folds the paths into the flowgraphs.
 	cube.populate(db)
 
 	if cfg.MineExceptions {

@@ -230,8 +230,8 @@ type Cube struct {
 	// cells, flowgraph nodes and ledger parts that carry it (delta.go).
 	gen         uint32
 	cellsCopied int
-	// ledger is the sub-δ count store carried when Config.DeltaLedger is
-	// set (ledger.go).
+	// ledger is the sub-δ count store (ledger.go): nil until ApplyDelta
+	// derives it on the lineage's first append.
 	ledger *deltaLedger
 	// haveTIDs records that the cells carry their record-id lists.
 	haveTIDs bool
@@ -290,11 +290,11 @@ type Config struct {
 	// goroutines (cells are independent). It is also copied into the
 	// mining options. 0 or 1 is sequential.
 	Workers int
-	// DeltaLedger carries an auxiliary sub-δ count ledger in the cube (and
-	// its snapshots): the exact count of every below-threshold dimension
-	// combination at each materialized item level. It is what lets
-	// ApplyDelta admit newly-frequent iceberg cells without a base
-	// database scan; see DESIGN.md §9.
+	// DeltaLedger has no effect. It once made Build count the sub-δ ledger
+	// and Save persist it; ApplyDelta now derives the ledger on a cube's
+	// first append (DESIGN.md §9), whatever the cube was built with. The
+	// field stays only because the benchmark harness assigns it; deleting
+	// it is an open ROADMAP item.
 	DeltaLedger bool
 }
 

@@ -15,8 +15,9 @@ package core
 // cells are provably unchanged, and everything a batch can change is
 // reachable from the batch's own records: the cells they land in, the
 // below-threshold combinations they push over δ (decided by the sub-δ
-// ledger carried in the cube, or one restricted base scan without it), and
-// the item-lattice children of those cells for redundancy re-marking.
+// ledger, which the first append derives from the base database and every
+// later one keeps exact), and the item-lattice children of those cells for
+// redundancy re-marking.
 // Exactness therefore requires an N-independent configuration: an absolute
 // Config.MinCount (a fractional MinSupport re-resolves against the grown
 // database, silently changing δ), and a cube Compress has not thinned.
@@ -114,7 +115,7 @@ type DeltaStats struct {
 	// (touched cells plus their item-lattice children; 0 unless Tau > 0).
 	RedundancyRemarked int `json:"redundancy_remarked"`
 	// LedgerSize is the number of sub-δ ledger entries after the delta
-	// (0 when the cube carries no ledger).
+	// (0 for an empty batch to a cube that has not derived its ledger).
 	LedgerSize int `json:"ledger_size"`
 	// CellsCopied is the number of cells this call copied from the
 	// generation the cube was forked from: the cells it wrote, less any an
@@ -144,7 +145,9 @@ type DeltaStats struct {
 // the rollback — and swap snapshots (internal/server does). It reads the
 // cube only through Lookup and value-tuple walks, so over a lazily opened
 // snapshot it decodes the cells the batch reaches and their lattice
-// neighbours, not the snapshot.
+// neighbours, not the snapshot. The first call on a cube without a sub-δ
+// ledger — one that was built, loaded or merged — derives it in one walk of
+// the base database, which reads no cell.
 func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, error) {
 	if cube == nil {
 		return nil, ErrNilCube
@@ -174,6 +177,13 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 
 	baseLen := db.Len()
 	cellsCopied := cube.cellsCopied
+
+	// The ledger is a function of the base database and δ, so a cube that
+	// carries none derives it once, before the batch lands; its forks share
+	// it, and this call and later ones keep it exact.
+	if cube.ledger == nil {
+		cube.ledger = cube.deriveLedger(db)
+	}
 
 	// Exception re-mining needs every touched cell's full record set; cubes
 	// loaded from snapshots carry no tids, so recover them once from the
@@ -218,42 +228,32 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 		}
 	}
 
-	// Admission: a candidate crosses δ when its base count — from the sub-δ
-	// ledger, or from one restricted base scan when the cube carries none —
-	// plus its batch count reaches the threshold. The ledger is maintained
-	// exactly: combinations still below δ are bumped, admitted ones leave it.
+	// Admission: a candidate crosses δ when its base count, from the sub-δ
+	// ledger, plus its batch count reaches the threshold. The ledger is
+	// maintained exactly: combinations still below δ are bumped, admitted
+	// ones leave it.
 	var admitted []*combo
 	ledger := cube.ledger
-	if len(candOrder) > 0 && ledger == nil {
-		matchBase(router, db, baseLen, candidates)
-	}
 	needBaseTids := make([]map[CellID]*combo, len(levels))
 	for _, c := range candOrder {
 		il := levels[c.levelIdx].Item
-		var base int64
-		if ledger != nil {
-			base = ledger.count(il, c.values)
-		} else {
-			base = int64(len(c.baseTids))
-		}
-		if base+c.count >= cube.minCount {
-			admitted = append(admitted, c)
-			if ledger != nil {
-				ledger.remove(il, c.values)
-				if base > 0 {
-					if needBaseTids[c.levelIdx] == nil {
-						needBaseTids[c.levelIdx] = make(map[CellID]*combo)
-					}
-					needBaseTids[c.levelIdx][MakeCellID(c.values)] = c
-				}
-			}
-		} else if ledger != nil {
+		base := ledger.count(il, c.values)
+		if base+c.count < cube.minCount {
 			ledger.bump(il, c.values, c.count)
+			continue
+		}
+		admitted = append(admitted, c)
+		ledger.remove(il, c.values)
+		if base > 0 {
+			if needBaseTids[c.levelIdx] == nil {
+				needBaseTids[c.levelIdx] = make(map[CellID]*combo)
+			}
+			needBaseTids[c.levelIdx][MakeCellID(c.values)] = c
 		}
 	}
-	// With a ledger, admitted combos with base occurrences still need their
-	// base record ids for flowgraph construction: one scan restricted to
-	// exactly those combinations.
+	// Admitted combos with base occurrences still need their base record
+	// ids for flowgraph construction: one scan restricted to exactly those
+	// combinations.
 	matchBase(router, db, baseLen, needBaseTids)
 
 	// The batch lands in the database: db is the union from here on.
@@ -622,7 +622,7 @@ func (c *Cube) router() *recordRouter {
 // exception re-mining needs them once.
 func (c *Cube) rebuildTIDs(db *pathdb.DB) {
 	c.ownAllCells()
-	c.assignCells(db, false)
+	c.assignCells(db)
 }
 
 // admitCell registers a newly-frequent cell in the spec's cuboid and

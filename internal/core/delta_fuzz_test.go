@@ -73,7 +73,7 @@ func FuzzApplyDelta(f *testing.F) {
 	ds := datagen.MustGenerate(gen)
 	base := oracle.Build(f, ds.DB, core.Config{
 		MinCount: 3, Epsilon: 0.05, Tau: 0.5, Plan: ds.DefaultPlan(),
-		MineExceptions: true, SingleStageExceptions: true, DeltaLedger: true,
+		MineExceptions: true, SingleStageExceptions: true,
 	})
 	baseSnap := oracle.Save(f, base)
 	freshDB := func() *pathdb.DB { return oracle.Prefix(ds.DB, ds.DB.Len()) }

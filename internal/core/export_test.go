@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"io"
+	"slices"
 
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
@@ -20,6 +22,65 @@ func (c *Cube) Ledger() *deltaLedger { return c.ledger }
 
 // Size is deltaLedger.size.
 func (l *deltaLedger) Size() int { return l.size() }
+
+// LedgerDiff describes the first difference between the sub-δ ledger the
+// cube maintains and one derived afresh from db over the same cells, and is
+// empty when they agree or the cube has derived none yet. oracle.Run checks
+// it after every step of a chain.
+func (c *Cube) LedgerDiff(db *pathdb.DB) string {
+	if c.ledger == nil {
+		return ""
+	}
+	return LedgerDiff(c.deriveLedger(db), c.ledger)
+}
+
+// LedgerDiff describes the first combination, in item-level key and cell
+// order, whose count in got differs from want's, or is empty. An entry
+// missing from a ledger counts 0; empty item levels do not count.
+func LedgerDiff(want, got *deltaLedger) string {
+	w, g := ledgerCounts(want), ledgerCounts(got)
+	var keys []string
+	for key := range w {
+		keys = append(keys, key)
+	}
+	for key := range g {
+		if _, ok := w[key]; !ok {
+			keys = append(keys, key)
+		}
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		var ids []CellID
+		for id := range w[key] {
+			ids = append(ids, id)
+		}
+		for id := range g[key] {
+			if _, ok := w[key][id]; !ok {
+				ids = append(ids, id)
+			}
+		}
+		slices.SortFunc(ids, func(a, b CellID) int { return CompareCells(a.values(), b.values()) })
+		for _, id := range ids {
+			if w[key][id] != g[key][id] {
+				return fmt.Sprintf("level %s, combination %s: count %d, want %d", key, formatCell(id.values()), g[key][id], w[key][id])
+			}
+		}
+	}
+	return ""
+}
+
+func ledgerCounts(l *deltaLedger) map[string]map[CellID]int64 {
+	out := make(map[string]map[CellID]int64)
+	for key, lv := range l.levels {
+		lv.root.each(func(e *ledgerEntry) {
+			if out[key] == nil {
+				out[key] = make(map[CellID]int64)
+			}
+			out[key][e.id] = e.count
+		})
+	}
+	return out
+}
 
 // TIDs returns the cell's record ids, nil when the cube keeps none.
 func (cell *Cell) TIDs() []int32 { return cell.tids }

@@ -25,7 +25,7 @@ func TestForkSymbolsOwnership(t *testing.T) {
 		db := oracle.Prefix(ds.DB, split)
 		parent := oracle.Build(t, db, core.Config{
 			MinCount: 4, Epsilon: 0.05, Plan: ds.DefaultPlan(),
-			MineExceptions: exceptions, DeltaLedger: true,
+			MineExceptions: exceptions,
 		})
 		items := parent.Symbols.Len()
 		fork := parent.Fork()
@@ -117,7 +117,7 @@ func TestApplyDeltaTypedErrors(t *testing.T) {
 func TestApplyDeltaEmptyBatch(t *testing.T) {
 	t.Parallel()
 	ds := oracle.Dataset(31, 150)
-	cfg := core.Config{MinCount: 3, Plan: ds.DefaultPlan(), DeltaLedger: true}
+	cfg := core.Config{MinCount: 3, Plan: ds.DefaultPlan()}
 	cube := oracle.Build(t, ds.DB, cfg)
 	before := oracle.Digest(t, cube)
 	stats, err := core.ApplyDelta(cube, ds.DB, nil)
@@ -154,7 +154,7 @@ func refusesCompressed(t *testing.T, seed int64) {
 	}
 	ds := oracle.Dataset(seed, 260)
 	cube := oracle.Build(t, oracle.Prefix(ds.DB, split), core.Config{
-		MinCount: 4, Tau: 0.3, DeltaLedger: true, Plan: ds.DefaultPlan(), Workers: 2,
+		MinCount: 4, Tau: 0.3, Plan: ds.DefaultPlan(), Workers: 2,
 	})
 	if cube.Compress() == 0 {
 		t.Fatalf("seed %d: fixture exercises nothing: no redundant cell", seed)
@@ -199,7 +199,7 @@ func TestFrequentSingleStagesAreConditions(t *testing.T) {
 			db := oracle.Prefix(ds.DB, 180)
 			cube := oracle.Build(t, db, core.Config{
 				MinCount: 4, Epsilon: 0.05, Tau: 0.6, Plan: ds.DefaultPlan(),
-				MineExceptions: true, DeltaLedger: true,
+				MineExceptions: true,
 			})
 			checked := frequentStagesAreConditions(t, cube, db, "build")
 			for lo := 180; lo < 260; lo += 20 {

@@ -39,16 +39,16 @@ func TestGenerationIsolation(t *testing.T) {
 		// before every real step.
 		abandon bool
 	}{
-		{name: "plain+ledger", cfg: core.Config{MinCount: 4, DeltaLedger: true}},
+		{name: "plain+ledger", cfg: core.Config{MinCount: 4}},
 		{name: "exceptions-restricted", cfg: core.Config{MinCount: 4, Epsilon: 0.05,
-			MineExceptions: true, SingleStageExceptions: true, DeltaLedger: true}},
+			MineExceptions: true, SingleStageExceptions: true}},
 		{name: "exceptions-cold", reload: true, cfg: core.Config{MinCount: 4, Epsilon: 0.05,
-			MineExceptions: true, DeltaLedger: true}},
-		{name: "tau", cfg: core.Config{MinCount: 4, Tau: 0.5, DeltaLedger: true}},
+			MineExceptions: true}},
+		{name: "tau", cfg: core.Config{MinCount: 4, Tau: 0.5}},
 		{name: "ledgerless", cfg: core.Config{MinCount: 5}},
-		{name: "plain+ledger+lazy", lazy: true, cfg: core.Config{MinCount: 4, DeltaLedger: true}},
+		{name: "plain+ledger+lazy", lazy: true, cfg: core.Config{MinCount: 4}},
 		{name: "abandoned", abandon: true, cfg: core.Config{MinCount: 4, Epsilon: 0.05,
-			MineExceptions: true, DeltaLedger: true}},
+			MineExceptions: true}},
 	}
 	for _, v := range variants {
 		v := v

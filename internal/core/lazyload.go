@@ -2,9 +2,9 @@ package core
 
 // Lazy (mmap-backed) snapshot serving: LoadCubeLazy maps a v2 snapshot
 // read-only, eagerly validates the framing — magic, header, section index,
-// every section's CRC-32C — and decodes the preamble and ledger once, but
-// leaves every cuboid section as a byte range into the mapping: the base
-// layer of one Cuboid (cube.go), under the cells a lineage writes over it.
+// every section's CRC-32C — and decodes the preamble once, but leaves
+// every cuboid section as a byte range into the mapping: the base layer of
+// one Cuboid (cube.go), under the cells a lineage writes over it.
 // The unit of decoding and caching is the cell: one flat walk over a
 // section (prefixes decoded, flowgraphs skipped) yields its directory —
 // sorted value tuples, counts, redundancy bits and byte offsets — and a
@@ -273,8 +273,8 @@ type LazyStats struct {
 
 // LoadCubeLazy opens a v2 snapshot for lazy serving: the file is mapped
 // read-only (pread fallback under the nommap tag or off linux), every
-// section's framing and CRC-32C is validated eagerly, the preamble and
-// ledger are decoded once, and cells decode one at a time on first touch
+// section's framing and CRC-32C is validated eagerly, the preamble is
+// decoded once, and cells decode one at a time on first touch
 // through a CacheBytes-budgeted LRU with single-flight dedup.
 //
 // The returned cube holds one Cuboid per section with the mapped section as
@@ -350,10 +350,11 @@ func (f *frameReader) next() (kind byte, payload []byte, err error) {
 }
 
 // openLazy is the one snapshot reader. It checks every frame and CRC,
-// decodes the preamble and ledger, and gives every cuboid section a Cuboid
-// over it without decoding any cells. After the preamble come exactly the
-// header's count of cuboid sections, at most one ledger section, and the
-// end section, which ends the data.
+// decodes the preamble, and gives every cuboid section a Cuboid over it
+// without decoding any cells. After the preamble come exactly the header's
+// count of cuboid sections, at most one ledger section from an older writer
+// (skipped: appends derive the ledger), and the end section, which ends the
+// data.
 func openLazy(data snapData, opts LazyOptions) (*Cube, error) {
 	cube, h, frames, err := openSnapshot(data)
 	if err != nil {
@@ -370,6 +371,7 @@ func openLazy(data snapData, opts LazyOptions) (*Cube, error) {
 	// them first (delta.go).
 	cube.gen = 1
 	cube.lazy = b
+	sawLedger := false
 	for {
 		kind, payload, err := frames.next()
 		if err != nil {
@@ -393,15 +395,12 @@ func openLazy(data snapData, opts LazyOptions) (*Cube, error) {
 			runtime.SetFinalizer(b, (*lazyBackend).finalize)
 			return cube, nil
 		case secLedger:
-			if cube.ledger != nil {
+			if sawLedger {
 				return nil, frameCorrupt("duplicate ledger section")
 			}
-			if cube.ledger, err = decodeLedgerV2(payload, int(h.numDims)); err != nil {
-				return nil, err
-			}
-			cube.Config.DeltaLedger = true // restored by the section's presence
+			sawLedger = true
 		case secCuboid:
-			if cube.ledger != nil {
+			if sawLedger {
 				return nil, frameCorrupt("cuboid section after the ledger section")
 			}
 			if uint64(len(cube.Cuboids)) >= h.numCuboids {

@@ -2,19 +2,19 @@ package core
 
 import (
 	"hash/maphash"
-	"slices"
-	"sort"
 
 	"flowcube/internal/hierarchy"
+	"flowcube/internal/pathdb"
 )
 
 // deltaLedger is the auxiliary sub-δ count store: for every materialized
 // item level, the exact path count of every dimension-value combination
-// that occurs in the database but falls below the iceberg threshold. A cube
-// built with Config.DeltaLedger carries it (and persists it in snapshot
-// sections), so ApplyDelta can decide cell admission — base count plus
-// batch count crossing δ — in O(1) per touched combination instead of a
-// base-database scan.
+// that occurs in the database but falls below the iceberg threshold, so
+// ApplyDelta decides cell admission — base count plus batch count crossing
+// δ — in O(1) per touched combination instead of a base-database scan.
+// COUNT is distributive, so the ledger is a function of the database and
+// δ: no cube is built, loaded or merged with one, and ApplyDelta derives it
+// (deriveLedger) on a cube's first append.
 //
 // A ledger belongs to one cube generation and is persistent in the
 // functional sense: each level's entries sit in a hash trie whose nodes
@@ -56,7 +56,7 @@ const (
 )
 
 // ledgerSeed keys the trie's hash. The trie's shape never reaches an
-// output — encoders sort entries — so a per-process seed is fine.
+// output, so a per-process seed is fine.
 var ledgerSeed = maphash.MakeSeed()
 
 // fork returns the ledger of the next generation: the same levels and trie
@@ -93,9 +93,6 @@ func (l *deltaLedger) own(il ItemLevel) *ledgerLevel {
 // count reports the recorded sub-δ count of a combination (0 when absent —
 // absent means the combination never occurred below threshold).
 func (l *deltaLedger) count(il ItemLevel, values []hierarchy.NodeID) int64 {
-	if l == nil {
-		return 0
-	}
 	if e := l.levels[il.Key()].find(MakeCellID(values)); e != nil {
 		return e.count
 	}
@@ -236,25 +233,83 @@ func (n *ledgerNode) each(fn func(*ledgerEntry)) {
 	}
 }
 
-// sortedLevels returns the ledger's item levels in ascending key order, for
-// deterministic encoding.
-func (l *deltaLedger) sortedLevels() []*ledgerLevel {
-	keys := make([]string, 0, len(l.levels))
-	for k := range l.levels {
-		keys = append(keys, k)
+// deriveLedger counts, per materialized item level, the records of db whose
+// combination is no cell of the cube, and keeps the counts below δ: the
+// cube's sub-δ ledger over db, owned by its generation and non-nil even
+// when empty. Every cell counts at least δ records and every combination
+// that does is dropped, so it counts every combination and reads no cell,
+// directory or section. The records split into contiguous chunks, one per
+// worker, each counting on its own; levels are independent, so their sums
+// and tries spread across workers too.
+func (c *Cube) deriveLedger(db *pathdb.DB) *deltaLedger {
+	levels := c.levelGroups()
+	n := db.Len()
+	chunks := max(min(c.Config.Workers, n), 1)
+	size := (n + chunks - 1) / chunks
+	tallies := make([][]tally, chunks)
+	// Made before the workers start: the first router call caches the
+	// cube's routes.
+	routers := make([]*recordRouter, chunks)
+	for i := range routers {
+		routers[i] = c.router()
 	}
-	sort.Strings(keys)
-	out := make([]*ledgerLevel, len(keys))
-	for i, k := range keys {
-		out[i] = l.levels[k]
+	c.forEach(chunks, func(i int) {
+		counts := make([]tally, len(levels))
+		for li := range counts {
+			counts[li].at = make(map[CellID]int32)
+		}
+		r, lo := routers[i], min(i*size, n)
+		for tid := lo; tid < min(lo+size, n); tid++ {
+			r.route(db.Records[tid].Dims)
+			for li := range counts {
+				id, _ := r.cell(li)
+				if k, ok := counts[li].at[CellID(id)]; ok {
+					counts[li].n[k]++
+				} else {
+					counts[li].add(CellID(id), 1)
+				}
+			}
+		}
+		tallies[i] = counts
+	})
+
+	built := make([]*ledgerLevel, len(levels))
+	c.forEach(len(levels), func(li int) {
+		sum := &tallies[0][li]
+		for _, counts := range tallies[1:] {
+			for id, k := range counts[li].at {
+				sum.add(id, counts[li].n[k])
+			}
+		}
+		lv := &ledgerLevel{item: append(ItemLevel(nil), levels[li].Item...), owner: c.gen}
+		for id, k := range sum.at {
+			if count := sum.n[k]; count < c.minCount {
+				lv.put(&ledgerEntry{id: id, values: id.values(), count: count})
+			}
+		}
+		built[li] = lv
+	})
+	l := &deltaLedger{levels: make(map[string]*ledgerLevel, len(built)), owner: c.gen}
+	for _, lv := range built {
+		l.levels[lv.item.Key()] = lv
 	}
-	return out
+	return l
 }
 
-// sortedEntries returns one level's entries in CompareCells order.
-func (lv *ledgerLevel) sortedEntries() []*ledgerEntry {
-	out := make([]*ledgerEntry, 0, lv.n)
-	lv.root.each(func(e *ledgerEntry) { out = append(out, e) })
-	slices.SortFunc(out, func(a, b *ledgerEntry) int { return CompareCells(a.values, b.values) })
-	return out
+// tally counts an item level's records per combination. at indexes n by
+// combination, so a count allocates only a new combination's
+// key, and the counts hold no pointers for the collector to scan.
+type tally struct {
+	at map[CellID]int32
+	n  []int64
+}
+
+// add counts n more records of combination id.
+func (t *tally) add(id CellID, n int64) {
+	if k, ok := t.at[id]; ok {
+		t.n[k] += n
+		return
+	}
+	t.at[id] = int32(len(t.n))
+	t.n = append(t.n, n)
 }

@@ -20,12 +20,13 @@ import (
 )
 
 // FilterCells returns a new cube holding exactly the cells (and sub-δ
-// ledger entries) whose per-dimension values satisfy keep. Every cuboid of
-// the original stays materialized — possibly empty — and every ledger item
-// level stays present, so a set of complementary filters partitions the
-// cube: Merge over cubes filtered by disjoint, exhaustive predicates
-// reproduces the original cell-for-cell, and their snapshots carry the same
-// section census.
+// ledger entries, once an append has derived the ledger) whose
+// per-dimension values satisfy keep. Every cuboid of the original stays
+// materialized — possibly empty — and every ledger item level stays
+// present, so a set of complementary filters partitions the cube: Merge
+// over cubes filtered by disjoint, exhaustive predicates reproduces the
+// original cell-for-cell, and their snapshots carry the same section
+// census.
 //
 // The result shares the symbols, the mapped bases and the *Cell pointers
 // (and through them the flowgraph nodes) with the receiver under the
@@ -77,12 +78,12 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 // Merge re-assembles cubes produced by complementary FilterCells calls (or
 // loaded from the per-shard snapshots internal/cluster writes) into one
 // cube. The shards must agree on thresholds, schema shape, and cuboid
-// census, and no cell or ledger entry may appear in more than one shard;
-// violations report which shard disagrees. The merged cube takes the first
-// shard's schema and symbols and shares cell pointers with its inputs, as a
-// generation later than all of them (see FilterCells); the cells of a
-// mapped base are decoded into it, and a base that does not decode fails
-// the merge.
+// census, and no cell may appear in more than one shard; violations report
+// which shard disagrees. The merged cube takes the first shard's schema and
+// symbols and shares cell pointers with its inputs, as a generation later
+// than all of them (see FilterCells); the cells of a mapped base are
+// decoded into it, and a base that does not decode fails the merge. It
+// carries no sub-δ ledger: its first append derives one.
 func Merge(shards []*Cube) (*Cube, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("core: merge of zero shards")
@@ -125,21 +126,6 @@ func Merge(shards []*Cube) (*Cube, error) {
 				return nil
 			}); err != nil {
 				return nil, fmt.Errorf("core: merge shard %d: %w", i, err)
-			}
-		}
-		if s.ledger == nil {
-			continue
-		}
-		if out.ledger == nil {
-			out.ledger = &deltaLedger{levels: make(map[string]*ledgerLevel), owner: out.gen}
-		}
-		for key, lv := range s.ledger.levels {
-			nlv := out.ledger.own(lv.item)
-			for _, e := range lv.sortedEntries() {
-				if nlv.find(e.id) != nil {
-					return nil, fmt.Errorf("core: merge shard %d: ledger entry %s at level %s already merged from an earlier shard", i, formatCell(e.values), key)
-				}
-				nlv.put(e)
 			}
 		}
 	}

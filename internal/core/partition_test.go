@@ -9,10 +9,10 @@ import (
 	"flowcube/internal/oracle"
 )
 
-// partitionedExample is the full-featured Table-1 cube (ledger,
-// exceptions, redundancy marks) and its split into n parts.
+// partitionedExample is the full-featured Table-1 cube (exceptions,
+// redundancy marks) and its split into n parts.
 func partitionedExample(t *testing.T, n int) (*core.Cube, []*core.Cube) {
-	_, cube := oracle.Table1(t, oracle.Cuts, oracle.Full())
+	_, cube := oracle.Table1(t, oracle.Cuts, oracle.Mined(0.5))
 	return cube, oracle.Split(cube, n)
 }
 
@@ -60,7 +60,7 @@ func TestMergeRejectsOverlappingShards(t *testing.T) {
 }
 
 // TestLoadMetaStripsCells checks the router's preamble load: thresholds,
-// schema and plan survive, while cells and the ledger are dropped; anything
+// schema and plan survive, while cells are dropped; anything
 // that is not a v2 snapshot is rejected.
 func TestLoadMetaStripsCells(t *testing.T) {
 	cube, _ := partitionedExample(t, 2)

@@ -91,8 +91,8 @@ func TestBuildKeepsTIDsOnlyForExceptions(t *testing.T) {
 
 // BenchmarkBuild times Build on the benchmark's build dataset shape (three
 // dimensions, 2000 paths, the default plan, two workers): at δ = 20 with
-// exceptions and redundancy off, so populate is a visible share of the time,
-// without and with the sub-δ ledger; and in flowquery's configuration for
+// exceptions and redundancy off, so populate is a visible share of the time;
+// and in flowquery's configuration for
 // "-exceptions -tau 0.5" (δ = 1 %, ε = 0.1, τ = 0.5), the in-process cost of
 // the build workload's flowquery run less reading and saving.
 func BenchmarkBuild(b *testing.B) {
@@ -103,8 +103,7 @@ func BenchmarkBuild(b *testing.B) {
 		name string
 		cfg  core.Config
 	}{
-		{"ledger=false", core.Config{MinCount: 20}},
-		{"ledger=true", core.Config{MinCount: 20, DeltaLedger: true}},
+		{"plain", core.Config{MinCount: 20}},
 		{"exceptions+tau", core.Config{MinSupport: 0.01, Epsilon: 0.1, Tau: 0.5,
 			MineExceptions: true, SingleStageExceptions: true}},
 	} {
@@ -116,7 +115,6 @@ func BenchmarkBuild(b *testing.B) {
 				cube := oracle.Build(b, ds.DB, cfg)
 				if i == 0 {
 					b.ReportMetric(float64(cube.NumCells()), "cells")
-					b.ReportMetric(float64(cube.Ledger().Size()), "ledger")
 				}
 			}
 		})

@@ -75,8 +75,10 @@ const (
 	headerCompressed            = 4
 )
 
-// Section kinds. secLedger is optional: it is written only for cubes built
-// with Config.DeltaLedger (its presence restores that flag on load).
+// Section kinds. secLedger is no longer written: older writers put the
+// sub-δ ledger of a cube built with Config.DeltaLedger there, after the
+// cuboid sections, and the reader frames, checks and skips it, since
+// ApplyDelta derives the ledger on a cube's first append.
 const (
 	secEnd         = 0
 	secHeader      = 1
@@ -442,7 +444,7 @@ func saveFile(path string, save func(io.Writer) error) error {
 
 // writeSnapshotV2 writes the framed stream: the magic, the metadata sections
 // encoded from the cube's decoded state, the cuboid section payloads in
-// order, the ledger when the cube carries one, and the end section.
+// order, and the end section.
 func writeSnapshotV2(w io.Writer, c *Cube, cuboids [][]byte) error {
 	header, hiers, plan := encodeMetaSectionsV2(c, len(cuboids))
 	if _, err := io.WriteString(w, magicV2); err != nil {
@@ -459,11 +461,6 @@ func writeSnapshotV2(w io.Writer, c *Cube, cuboids [][]byte) error {
 	}
 	for _, payload := range cuboids {
 		if err := writeSection(w, secCuboid, payload); err != nil {
-			return err
-		}
-	}
-	if c.ledger != nil {
-		if err := writeSection(w, secLedger, encodeLedgerV2(c.ledger)); err != nil {
 			return err
 		}
 	}
@@ -521,96 +518,6 @@ func encodeMetaSectionsV2(c *Cube, numCuboids int) (header, hiers, plan []byte) 
 		plan = binary.AppendVarint(plan, pl.Time.Grain)
 	}
 	return header, hiers, plan
-}
-
-// encodeLedgerV2 encodes the sub-δ ledger: levels in ascending item-level
-// key order, entries in CompareCells order — deterministic bytes for a
-// given ledger state.
-func encodeLedgerV2(l *deltaLedger) []byte {
-	levels := l.sortedLevels()
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(levels)))
-	for _, lv := range levels {
-		buf = binary.AppendUvarint(buf, uint64(len(lv.item)))
-		for _, level := range lv.item {
-			buf = binary.AppendUvarint(buf, uint64(level))
-		}
-		entries := lv.sortedEntries()
-		buf = binary.AppendUvarint(buf, uint64(len(entries)))
-		for _, e := range entries {
-			for _, v := range e.values {
-				buf = binary.AppendVarint(buf, int64(v))
-			}
-			buf = binary.AppendVarint(buf, e.count)
-		}
-	}
-	return buf
-}
-
-// decodeLedgerV2 decodes a secLedger payload. numDims bounds every item
-// level's width.
-func decodeLedgerV2(payload []byte, numDims int) (*deltaLedger, error) {
-	r := &byteReader{buf: payload, section: "ledger"}
-	nl, err := r.count("ledger level")
-	if err != nil {
-		return nil, err
-	}
-	ledger := &deltaLedger{levels: make(map[string]*ledgerLevel)}
-	for i := 0; i < nl; i++ {
-		nd, err := r.count("ledger item level width")
-		if err != nil {
-			return nil, err
-		}
-		if nd != numDims {
-			return nil, r.corrupt("ledger item level has %d dimensions, header %d", nd, numDims)
-		}
-		il := make(ItemLevel, nd)
-		for d := range il {
-			l, err := r.intVal("ledger level value")
-			if err != nil {
-				return nil, err
-			}
-			il[d] = l
-		}
-		key := il.Key()
-		if _, dup := ledger.levels[key]; dup {
-			return nil, r.corrupt("duplicate ledger item level %s", key)
-		}
-		ne, err := r.count("ledger entry")
-		if err != nil {
-			return nil, err
-		}
-		lv := ledger.own(il)
-		for j := 0; j < ne; j++ {
-			values := make([]hierarchy.NodeID, nd)
-			for d := range values {
-				v, err := r.varint()
-				if err != nil {
-					return nil, err
-				}
-				if v < math.MinInt32 || v > math.MaxInt32 {
-					return nil, r.corrupt("ledger value %d outside int32", v)
-				}
-				values[d] = hierarchy.NodeID(v)
-			}
-			count, err := r.varint()
-			if err != nil {
-				return nil, err
-			}
-			if count <= 0 {
-				return nil, r.corrupt("ledger entry count %d, want positive", count)
-			}
-			id := MakeCellID(values)
-			if lv.find(id) != nil {
-				return nil, r.corrupt("duplicate ledger entry %s at level %s", formatCell(values), key)
-			}
-			lv.put(&ledgerEntry{id: id, values: values, count: count})
-		}
-	}
-	if r.rem() != 0 {
-		return nil, r.corrupt("%d trailing bytes", r.rem())
-	}
-	return ledger, nil
 }
 
 // encodeCuboidV2 encodes one cuboid section payload: the spec, the cell

@@ -120,8 +120,12 @@ type Committer struct {
 	execs      uint64
 	rejected   uint64
 	maxGroup   int
-	groupSizes []int // capped histogram sample for p50
+	groupSizes []int // the last groupWindow group sizes, a ring, for p50
 }
+
+// groupWindow is how many of the most recent commit-group sizes GroupP50
+// summarizes.
+const groupWindow = 1024
 
 type item struct {
 	p  *Pending
@@ -241,8 +245,10 @@ func (c *Committer) loop(wg *sync.WaitGroup) {
 		if n > c.maxGroup {
 			c.maxGroup = n
 		}
-		if len(c.groupSizes) < 1024 {
+		if len(c.groupSizes) < groupWindow {
 			c.groupSizes = append(c.groupSizes, n)
+		} else {
+			c.groupSizes[(c.groups-1)%groupWindow] = n
 		}
 		c.mu.Unlock()
 
@@ -267,7 +273,8 @@ type Stats struct {
 	Rejected uint64 `json:"rejected"`
 	// QueueDepth is the number of items waiting right now.
 	QueueDepth int `json:"queue_depth"`
-	// GroupP50 and GroupMax summarize commit-group sizes.
+	// GroupP50 is the median size of the last 1 024 commit groups, GroupMax
+	// the largest group ever.
 	GroupP50 int `json:"group_p50"`
 	GroupMax int `json:"group_max"`
 }

@@ -365,3 +365,55 @@ func TestCommitterAutoResolvesForgotten(t *testing.T) {
 		t.Fatal("forgotten request resolved without error")
 	}
 }
+
+// TestCommitterGroupP50FollowsRecentGroups: GroupP50 summarizes the most
+// recent groups, so 1 024 groups of one followed by 1 024 groups of three
+// report 3, not the median of the first 1 024 groups forever.
+func TestCommitterGroupP50FollowsRecentGroups(t *testing.T) {
+	ex := paperex.New()
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var block atomic.Bool
+	c := NewCommitter(Config{
+		GroupLimit: 3,
+		MaxPending: -1,
+		Apply: func(group []*Pending) {
+			if block.CompareAndSwap(true, false) {
+				close(entered)
+				<-gate
+			}
+			for _, p := range group {
+				p.Resolve(nil, nil)
+			}
+		},
+	})
+	defer c.Close()
+	submit := func() *Pending {
+		p, err := c.Submit(ex.DB.Records[:1], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for range groupWindow {
+		submit().Wait()
+	}
+	if got := c.Stats().GroupP50; got != 1 {
+		t.Fatalf("GroupP50 = %d after groups of one, want 1", got)
+	}
+	// A blocked group holds the loop while groups of three queue behind it.
+	block.Store(true)
+	blocker := submit()
+	<-entered
+	threes := make([]*Pending, 3*groupWindow)
+	for i := range threes {
+		threes[i] = submit()
+	}
+	close(gate)
+	blocker.Wait()
+	for _, p := range threes {
+		p.Wait()
+	}
+	if st := c.Stats(); st.Groups != 2*groupWindow+1 || st.GroupP50 != 3 {
+		t.Fatalf("%d groups, GroupP50 = %d; want %d groups, GroupP50 3", st.Groups, st.GroupP50, 2*groupWindow+1)
+	}
+}

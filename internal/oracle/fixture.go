@@ -112,14 +112,6 @@ func Mined(tau float64) core.Config {
 	return core.Config{MinCount: 2, Epsilon: 0.1, Tau: tau, MineExceptions: true, SingleStageExceptions: true}
 }
 
-// Full is Mined(0.5) with the sub-δ ledger: every persisted feature on, the
-// worst-case payload a save, a split or a merge has to carry.
-func Full() core.Config {
-	cfg := Mined(0.5)
-	cfg.DeltaLedger = true
-	return cfg
-}
-
 // Table1 builds the paper's running example under cfg, at the path levels
 // plan picks.
 func Table1(t testing.TB, plan func(*paperex.Example) transact.Plan, cfg core.Config) (*paperex.Example, *core.Cube) {

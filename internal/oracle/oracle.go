@@ -153,8 +153,8 @@ func sections(snap []byte) (out []section, ok bool) {
 }
 
 // Diff names the first section of got that departs from want — the header
-// (or another metadata section), a cuboid and the first cell in it that
-// differs, or the ledger — and is empty when the snapshots are identical.
+// (or another metadata section), or a cuboid and the first cell in it that
+// differs — and is empty when the snapshots are identical.
 func Diff(want, got []byte) string {
 	if bytes.Equal(want, got) {
 		return ""

@@ -34,7 +34,7 @@ func postBody(t testing.TB, h http.Handler, url, body string) (*httptest.Respons
 // under Save.
 func TestAdminAppend(t *testing.T) {
 	ex := paperex.New()
-	cfg := core.Config{MinCount: 2, Plan: oracle.Views(ex), DeltaLedger: true}
+	cfg := core.Config{MinCount: 2, Plan: oracle.Views(ex)}
 	split := ex.DB.Len() - 3
 	prefix := oracle.Prefix(ex.DB, split)
 	cube := oracle.Build(t, prefix, cfg)
@@ -119,7 +119,7 @@ func TestAdminAppendErrors(t *testing.T) {
 // concurrent single-record batches and require every one to land.
 func TestAdminAppendSerialized(t *testing.T) {
 	ex := paperex.New()
-	cfg := core.Config{MinCount: 2, Plan: oracle.Views(ex), DeltaLedger: true}
+	cfg := core.Config{MinCount: 2, Plan: oracle.Views(ex)}
 	split := ex.DB.Len() - 3
 	prefix := oracle.Prefix(ex.DB, split)
 	cube := oracle.Build(t, prefix, cfg)

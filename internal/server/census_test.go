@@ -97,7 +97,7 @@ func TestCensusConcurrentFirstRequests(t *testing.T) {
 // whose census the census routes then serve.
 func TestCensusFollowsSnapshot(t *testing.T) {
 	ex := paperex.New()
-	cfg := core.Config{MinCount: 2, Plan: oracle.Views(ex), DeltaLedger: true}
+	cfg := core.Config{MinCount: 2, Plan: oracle.Views(ex)}
 	split := ex.DB.Len() - 3
 	n := split // the loader's prefix; a reload after raising it sees every record
 	s := newTestServer2(t, func() (*core.Cube, LoadInfo, error) { return prefixLoader(ex.DB, n, cfg)() }, quietConfig())

@@ -71,7 +71,7 @@ func TestCuboidsCensus(t *testing.T) {
 // set to exactly one record line so the truncated prefix still parses and
 // the size violation — not a parse error — is what surfaces.
 func TestAppendBodyLimit(t *testing.T) {
-	ex, cube := oracle.Table1(t, oracle.Base, core.Config{MinCount: 2, DeltaLedger: true})
+	ex, cube := oracle.Table1(t, oracle.Base, core.Config{MinCount: 2})
 	line := "tennis,nike|f:1 s:2\n"
 	cfg := quietConfig()
 	cfg.MaxAppendBytes = int64(len(line))
@@ -99,7 +99,7 @@ func TestAppendBodyLimit(t *testing.T) {
 // delta-maintained cube before the snapshot swap — the mechanism shard
 // servers use to re-prune foreign cells after every append.
 func TestPostAppendHook(t *testing.T) {
-	ex, cube := oracle.Table1(t, oracle.Base, core.Config{MinCount: 2, DeltaLedger: true})
+	ex, cube := oracle.Table1(t, oracle.Base, core.Config{MinCount: 2})
 	calls := 0
 	cfg := quietConfig()
 	cfg.PostAppend = func(c *core.Cube) *core.Cube {

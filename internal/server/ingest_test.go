@@ -43,14 +43,13 @@ func prefixLoader(db *pathdb.DB, n int, cfg core.Config) Loader {
 }
 
 // paperexServer serves the running example, the cheap fixture for the
-// fencing tests (its 8 records build in milliseconds), at δ = 2 with the
-// ledger, loading a fresh copy every time and journaling appends to walPath
-// when it is set.
+// fencing tests (its 8 records build in milliseconds), at δ = 2, loading a
+// fresh copy every time and journaling appends to walPath when it is set.
 func paperexServer(t testing.TB, walPath string) (*Server, *paperex.Example) {
 	ex := paperex.New()
 	cfg := quietConfig()
 	cfg.WALPath = walPath
-	return newTestServer2(t, prefixLoader(ex.DB, ex.DB.Len(), core.Config{MinCount: 2, Plan: oracle.Base(ex), DeltaLedger: true}), cfg), ex
+	return newTestServer2(t, prefixLoader(ex.DB, ex.DB.Len(), core.Config{MinCount: 2, Plan: oracle.Base(ex)}), cfg), ex
 }
 
 // TestIngestWALCrashRecovery is the acceptance scenario from DESIGN.md §11:
@@ -62,7 +61,7 @@ func TestIngestWALCrashRecovery(t *testing.T) {
 	const base = 120
 	cfg := core.Config{
 		MinCount: 4, Epsilon: 0.05, Plan: ds.DefaultPlan(),
-		MineExceptions: true, SingleStageExceptions: true, DeltaLedger: true, Workers: 2,
+		MineExceptions: true, SingleStageExceptions: true, Workers: 2,
 	}
 	walPath := filepath.Join(t.TempDir(), "ingest.wal")
 
@@ -135,7 +134,7 @@ func TestIngestLazyServerMatchesEager(t *testing.T) {
 	ds := oracle.Dataset(61, 160)
 	const base = 120
 	cube := oracle.Build(t, oracle.Prefix(ds.DB, base), core.Config{
-		MinCount: 4, Tau: 0.5, Plan: ds.DefaultPlan(), DeltaLedger: true, Workers: 2})
+		MinCount: 4, Tau: 0.5, Plan: ds.DefaultPlan(), Workers: 2})
 	snap := oracle.Save(t, cube)
 	snapPath, walPath := oracle.File(t, snap), filepath.Join(t.TempDir(), "ingest.wal")
 	dbPath := oracle.DatasetFile(t, &datagen.Dataset{Config: ds.Config, DB: oracle.Prefix(ds.DB, base)})
@@ -446,7 +445,7 @@ func TestIngestStressConcurrent(t *testing.T) {
 	)
 	cfg := core.Config{
 		MinCount: 4, Epsilon: 0.05, Plan: ds.DefaultPlan(),
-		MineExceptions: true, SingleStageExceptions: true, DeltaLedger: true, Workers: 2,
+		MineExceptions: true, SingleStageExceptions: true, Workers: 2,
 	}
 	sCfg := quietConfig()
 	sCfg.WALPath = filepath.Join(t.TempDir(), "ingest.wal")

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -111,16 +112,13 @@ func (h *RouteHistograms) observe(route string, status int, d time.Duration) {
 }
 
 // quantileMs estimates a latency quantile from the histogram: the upper
-// bound of the bucket holding the q-th observation (the recorded maximum
-// for the overflow bucket).
+// bound of the bucket holding the observation of nearest rank ⌈q·n⌉ (the
+// recorded maximum for the overflow bucket).
 func (rs *routeStats) quantileMs(q float64) float64 {
 	if rs.count == 0 {
 		return 0
 	}
-	rank := int64(q * float64(rs.count))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := min(max(int64(math.Ceil(q*float64(rs.count))), 1), rs.count)
 	var cum int64
 	for i, n := range rs.buckets {
 		cum += n

@@ -189,7 +189,8 @@ func WithDatabase(loader Loader, dbPath string) Loader {
 // inferred from the extension: a snapshot opens lazily with opts.Lazy
 // (mapped, cells decoded on first touch) and eagerly otherwise, and its
 // errors keep their type (*core.CorruptSnapshotError); anything else is read
-// as a path database and built with opts. Reload re-reads the file, so
+// as a path database and built with opts. Either cube derives its sub-δ
+// ledger on its first append (core.ApplyDelta). Reload re-reads the file, so
 // replacing it on disk and POSTing /admin/reload rolls the serving snapshot
 // forward — a near-free pointer swap when the snapshot opens lazily.
 func FileLoader(path string, opts BuildOptions) Loader {
@@ -228,8 +229,7 @@ func FileLoader(path string, opts BuildOptions) Loader {
 		}
 		// Resolve the fractional threshold to an absolute δ up front — the
 		// same resolution the miner would apply — so the served cube is
-		// delta-maintainable (core.ApplyDelta requires an absolute MinCount;
-		// the ledger lets admissions skip base re-scans).
+		// delta-maintainable (core.ApplyDelta requires an absolute MinCount).
 		minCount, err := mining.ResolveMinCount(mining.Options{MinSupport: opts.MinSupport}, ds.DB.Len())
 		if err != nil {
 			return nil, LoadInfo{}, fmt.Errorf("server: resolve threshold for %s: %w", path, err)
@@ -242,7 +242,6 @@ func FileLoader(path string, opts BuildOptions) Loader {
 			MineExceptions:        opts.MineExceptions,
 			SingleStageExceptions: opts.MineExceptions,
 			Workers:               opts.Workers,
-			DeltaLedger:           true,
 		})
 		if err != nil {
 			return nil, LoadInfo{}, fmt.Errorf("server: build cube from %s: %w", path, err)

@@ -28,7 +28,7 @@ type (
 var ErrCellNotFound = core.ErrCellNotFound
 
 // BuildContext is Build with cancellation: ctx is checked between pipeline
-// phases (encode/mine, populate, ledger, exceptions, redundancy), so a
+// phases (encode/mine, populate, exceptions, redundancy), so a
 // cancelled build returns ctx.Err() without finishing the remaining phases.
 func BuildContext(ctx context.Context, db *DB, cfg Config) (*Cube, error) {
 	return core.BuildContext(ctx, db, cfg)
@@ -104,9 +104,8 @@ func WithTau(t float64) Option { return func(c *Config) { c.Tau = t } }
 // segments; see Config.MineExceptions).
 func WithExceptions() Option { return func(c *Config) { c.MineExceptions = true } }
 
-// WithDeltaLedger carries the sub-δ count ledger in the cube and its
-// snapshots, letting ApplyDelta admit newly-frequent cells without
-// re-scanning the base database.
+// WithDeltaLedger has no effect (see Config.DeltaLedger): ApplyDelta
+// derives the sub-δ count ledger on a cube's first append.
 func WithDeltaLedger() Option { return func(c *Config) { c.DeltaLedger = true } }
 
 // Incremental maintenance (streaming append), implemented by

@@ -86,8 +86,11 @@ echo "== generation isolation, lazy first touch, request deadlines, census, shar
 # shared one is a rare interleaving with a reader, not a deterministic
 # failure, so the isolation test runs ten times on top of the pass above —
 # every variant, the lazy lineage's (plain+ledger+lazy: forks over one mapped
-# snapshot, readers decoding through the shared cache) included.
-run_matching TestGenerationIsolation -race -count=10 ./internal/core
+# snapshot, readers decoding through the shared cache) included. Beside it,
+# the sub-δ ledger a first append derives across workers: what ApplyDelta
+# keeps must equal a fresh derivation at every step of built, reloaded,
+# lazy and forked chains, and a lazy cube must decode no cell for it.
+run_matching 'TestGenerationIsolation|TestLedgerMaintainedEqualsDerived|TestLazyAppendDerivesLedgerWithoutDecoding' -race -count=10 ./internal/core
 # Same reasoning for a lazy cube's first touches: readers racing for one cold
 # cell share a single decode through the cache's single-flight, and Verify
 # installs its directories in the cache the readers are building theirs in.
@@ -114,14 +117,15 @@ echo "== micro-benchmarks (one iteration each) =="
 # for fold-source selection (allocations flat in the cells it scans) and
 # BenchmarkLoad for the snapshot reader behind core.load_s (its
 # LoadCubeLazy+Verify row is flowquery -load's open), BenchmarkBuild
-# (ledger off and on) for Build through the one record router, and in
+# for Build through the one record router, and in
 # flowquery's "-exceptions -tau 0.5" configuration for the build workload,
 # BenchmarkJoin/TrieCount (internal/itemset, TrieCount within one counting
 # block and across several) and
 # BenchmarkMine (internal/mining) for the flat mining kernel — the one
 # level-wise loop Build, Cubing and ingest all run — and BenchmarkApplyDelta
 # (internal/core) for a ten-record append with exceptions and redundancy
-# marking off and on, BenchmarkCommit (internal/server) for whole appends
+# marking off and on, and to a loaded cube (its first append derives the
+# sub-δ ledger), BenchmarkCommit (internal/server) for whole appends
 # through the handler with exceptions off and on, BenchmarkRespond
 # (internal/server) for rendering a cell answer; one iteration keeps them
 # compiling and running.
