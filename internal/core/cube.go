@@ -227,11 +227,11 @@ type Cube struct {
 
 	minCount int64
 	// gen is the cube's generation tag: it may write exactly the cuboids,
-	// cells, flowgraph nodes and ledger parts that carry it (delta.go).
+	// cells and flowgraph nodes that carry it (delta.go).
 	gen         uint32
 	cellsCopied int
-	// ledger is the sub-δ count store (ledger.go): nil until ApplyDelta
-	// derives it on the lineage's first append.
+	// ledger is the sub-δ count store (ledger.go), shared with the forks:
+	// nil until ApplyDelta derives it on the lineage's first append.
 	ledger *deltaLedger
 	// haveTIDs records that the cells carry their record-id lists.
 	haveTIDs bool

@@ -22,8 +22,8 @@ package core
 // Config.MinCount (a fractional MinSupport re-resolves against the grown
 // database, silently changing δ), and a cube Compress has not thinned.
 //
-// The ownership rule. Every cuboid, cell, flowgraph node and ledger part
-// carries the tag of the generation that may write it. Build and the
+// The ownership rule. Every cuboid, cell and flowgraph node carries the
+// tag of the generation that may write it. Build and the
 // snapshot decoders produce generation 0 and tag everything 0 (a lazily
 // opened cube is generation 1 over a mapped generation 0); Fork returns a
 // generation with the next tag that shares all of it, so whatever a
@@ -34,7 +34,11 @@ package core
 // flowgraph.Graph.AddPath then copies the nodes along the path it adds and
 // nothing else. The symbol table is handed down the same way and copied
 // before ApplyDelta first interns into it. Dropping a fork is the whole
-// rollback.
+// rollback. The sub-δ ledger is outside the rule: forks share one map,
+// which an append claims for the length of its base database (ledger.go),
+// so a fork advances it for the rest of its lineage, and a cube whose claim
+// fails — its ledger advanced by a sibling, or left claimed by a dropped
+// fold — pays one derivation on its next append.
 //
 // This file is on the immutcube allowlist: it holds that accessor, ApplyDelta
 // — which writes only cells the accessor or admitCell handed it — and the
@@ -115,7 +119,8 @@ type DeltaStats struct {
 	// (touched cells plus their item-lattice children; 0 unless Tau > 0).
 	RedundancyRemarked int `json:"redundancy_remarked"`
 	// LedgerSize is the number of sub-δ ledger entries after the delta
-	// (0 for an empty batch to a cube that has not derived its ledger).
+	// (0 for an empty batch to a cube whose ledger is not derived yet or
+	// does not count the database: its next non-empty append derives it).
 	LedgerSize int `json:"ledger_size"`
 	// CellsCopied is the number of cells this call copied from the
 	// generation the cube was forked from: the cells it wrote, less any an
@@ -146,8 +151,10 @@ type DeltaStats struct {
 // cube only through Lookup and value-tuple walks, so over a lazily opened
 // snapshot it decodes the cells the batch reaches and their lattice
 // neighbours, not the snapshot. The first call on a cube without a sub-δ
-// ledger — one that was built, loaded or merged — derives it in one walk of
-// the base database, which reads no cell.
+// ledger over db — one that was built, loaded or merged, or whose shared
+// ledger a sibling fork advanced or a dropped fold left claimed — derives
+// it in one walk of the base database, which reads no cell. Sibling forks
+// of one cube may append concurrently, each over its own database.
 func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, error) {
 	if cube == nil {
 		return nil, ErrNilCube
@@ -170,19 +177,25 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 			return nil, &BatchError{Index: i, Err: err}
 		}
 	}
-	stats := &DeltaStats{BatchRecords: len(batch), LedgerSize: cube.ledger.size()}
+	stats := &DeltaStats{BatchRecords: len(batch)}
+	baseLen := db.Len()
 	if len(batch) == 0 {
+		if cube.ledger.claim(baseLen) {
+			stats.LedgerSize = cube.ledger.size()
+			cube.ledger.release(baseLen)
+		}
 		return stats, nil
 	}
-
-	baseLen := db.Len()
 	cellsCopied := cube.cellsCopied
 
-	// The ledger is a function of the base database and δ, so a cube that
-	// carries none derives it once, before the batch lands; its forks share
-	// it, and this call and later ones keep it exact.
-	if cube.ledger == nil {
-		cube.ledger = cube.deriveLedger(db)
+	// The ledger is a function of the base database and δ, so a cube whose
+	// shared ledger does not count db, or is held, derives its own before
+	// the batch lands; this call keeps it exact and hands it on to the
+	// cube's forks when it succeeds.
+	ledger := cube.ledger
+	if !ledger.claim(baseLen) {
+		ledger = cube.deriveLedger(db)
+		cube.ledger = ledger
 	}
 
 	// Exception re-mining needs every touched cell's full record set; cubes
@@ -217,8 +230,8 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 			}
 			c := tables[li][CellID(id)]
 			if c == nil {
-				c = &combo{levelIdx: li, values: slices.Clone(values)}
-				tables[li][CellID(id)] = c
+				c = &combo{levelIdx: li, id: CellID(id), values: slices.Clone(values)}
+				tables[li][c.id] = c
 				if cell == nil {
 					candOrder = append(candOrder, c)
 				}
@@ -233,22 +246,21 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 	// maintained exactly: combinations still below δ are bumped, admitted
 	// ones leave it.
 	var admitted []*combo
-	ledger := cube.ledger
 	needBaseTids := make([]map[CellID]*combo, len(levels))
 	for _, c := range candOrder {
-		il := levels[c.levelIdx].Item
-		base := ledger.count(il, c.values)
+		counts := ledger.levels[levels[c.levelIdx].Item.Key()]
+		base := counts[c.id]
 		if base+c.count < cube.minCount {
-			ledger.bump(il, c.values, c.count)
+			counts[c.id] = base + c.count
 			continue
 		}
 		admitted = append(admitted, c)
-		ledger.remove(il, c.values)
+		delete(counts, c.id)
 		if base > 0 {
 			if needBaseTids[c.levelIdx] == nil {
 				needBaseTids[c.levelIdx] = make(map[CellID]*combo)
 			}
-			needBaseTids[c.levelIdx][MakeCellID(c.values)] = c
+			needBaseTids[c.levelIdx][c.id] = c
 		}
 	}
 	// Admitted combos with base occurrences still need their base record
@@ -399,8 +411,9 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 		}
 	}
 
-	stats.LedgerSize = cube.ledger.size()
+	stats.LedgerSize = ledger.size()
 	stats.CellsCopied = cube.cellsCopied - cellsCopied
+	ledger.release(db.Len())
 	return stats, nil
 }
 
@@ -409,6 +422,7 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 // admission candidate.
 type combo struct {
 	levelIdx int
+	id       CellID
 	values   []hierarchy.NodeID
 	count    int64
 	tids     []int32 // batch record ids, ascending
@@ -471,13 +485,15 @@ func (c *Cube) CheckSchema(s *pathdb.Schema) error {
 }
 
 // Fork returns the cube's next generation: a cube that shares every
-// cuboid, mapped base, cell, flowgraph node, ledger node and cached
-// exception condition with the receiver by pointer, and writes
-// copy-on-write through ownedCell. The receiver is not touched by anything
+// cuboid, mapped base, cell, flowgraph node and cached exception condition
+// with the receiver by pointer, and writes copy-on-write through
+// ownedCell. Nothing the receiver saves or answers is touched by anything
 // done to the fork — readers keep using it, and a fork that is dropped
-// leaves no trace — so the cost is the cuboid and ledger-level tables, which
-// do not grow with the cells or their flowgraphs. The symbol table is
-// shared too, until ApplyDelta copies it.
+// leaves no trace in them — so the cost is the cuboid table, which does
+// not grow with the cells or their flowgraphs. The symbol table is shared
+// too, until ApplyDelta copies it, and so is the sub-δ ledger: the
+// pointer is copied, and the fork's first append claims the map (ledger.go),
+// which leaves the receiver's next append to derive its own.
 //
 // Tags run out after 2³²−1 forks along one lineage; a cube from Build or
 // Load starts a new one.
@@ -490,7 +506,7 @@ func (c *Cube) Fork() *Cube {
 		Cuboids:       make(map[string]*Cuboid, len(c.Cuboids)),
 		minCount:      c.minCount,
 		gen:           c.gen + 1,
-		ledger:        c.ledger.fork(c.gen + 1),
+		ledger:        c.ledger,
 		haveTIDs:      c.haveTIDs,
 		sharedSymbols: true,
 		compressed:    c.compressed,

@@ -20,15 +20,14 @@ func (s *condSet) Has(pins []flowgraph.StagePin) bool { return s.has(pins) }
 // Ledger returns the cube's sub-δ ledger, nil when it carries none.
 func (c *Cube) Ledger() *deltaLedger { return c.ledger }
 
-// Size is deltaLedger.size.
-func (l *deltaLedger) Size() int { return l.size() }
-
 // LedgerDiff describes the first difference between the sub-δ ledger the
 // cube maintains and one derived afresh from db over the same cells, and is
-// empty when they agree or the cube has derived none yet. oracle.Run checks
-// it after every step of a chain.
+// empty when they agree, the cube has derived none yet, or its ledger does
+// not count db (a sibling fork advanced it, or a dropped fold left it
+// claimed: the cube's next append derives its own). oracle.Run checks it
+// after every step of a chain.
 func (c *Cube) LedgerDiff(db *pathdb.DB) string {
-	if c.ledger == nil {
+	if c.ledger == nil || c.ledger.stamp.Load() != int64(db.Len()) {
 		return ""
 	}
 	return LedgerDiff(c.deriveLedger(db), c.ledger)
@@ -38,7 +37,7 @@ func (c *Cube) LedgerDiff(db *pathdb.DB) string {
 // order, whose count in got differs from want's, or is empty. An entry
 // missing from a ledger counts 0; empty item levels do not count.
 func LedgerDiff(want, got *deltaLedger) string {
-	w, g := ledgerCounts(want), ledgerCounts(got)
+	w, g := want.levels, got.levels
 	var keys []string
 	for key := range w {
 		keys = append(keys, key)
@@ -67,19 +66,6 @@ func LedgerDiff(want, got *deltaLedger) string {
 		}
 	}
 	return ""
-}
-
-func ledgerCounts(l *deltaLedger) map[string]map[CellID]int64 {
-	out := make(map[string]map[CellID]int64)
-	for key, lv := range l.levels {
-		lv.root.each(func(e *ledgerEntry) {
-			if out[key] == nil {
-				out[key] = make(map[CellID]int64)
-			}
-			out[key][e.id] = e.count
-		})
-	}
-	return out
 }
 
 // TIDs returns the cell's record ids, nil when the cube keeps none.

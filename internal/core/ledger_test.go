@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"flowcube/internal/core"
@@ -67,4 +69,82 @@ func TestLazyAppendDerivesLedgerWithoutDecoding(t *testing.T) {
 		t.Errorf("the lazy cube's ledger departs from a fresh derivation: %s", d)
 	}
 	oracle.Check(t, "after the first append to a lazy cube", lazy, db, cfg)
+}
+
+// TestSiblingForksKeepExactLedgers forks one generation twice and appends a
+// different batch to each, first one after the other, then concurrently.
+// The forks share their parent's sub-δ ledger, so at most one of them may
+// advance it; the other, and then the parent, must derive their own. Each
+// fork must save what a rebuild over its own records saves and keep the
+// ledger a fresh derivation gives, and the parent must save what it saved
+// before. scripts/check.sh runs it with -race -count=10.
+func TestSiblingForksKeepExactLedgers(t *testing.T) {
+	const base, a, b, c = 140, 165, 195, 200
+	ds := oracle.Dataset(43, c)
+	cfg := core.Config{MinCount: 4, Tau: 0.5, Plan: ds.DefaultPlan(), Workers: 2}
+	cfg.Plan.PathLevels = cfg.Plan.PathLevels[:2]
+	batches := [][]pathdb.Record{ds.DB.Records[base:a], ds.DB.Records[a:b]}
+	for _, concurrent := range []bool{false, true} {
+		t.Run(map[bool]string{false: "sequential", true: "concurrent"}[concurrent], func(t *testing.T) {
+			// One in-place append derives the parent's ledger.
+			db := oracle.Prefix(ds.DB, base-20)
+			parent := oracle.Build(t, db, cfg)
+			if _, err := core.ApplyDelta(parent, db, ds.DB.Records[base-20:base]); err != nil {
+				t.Fatal(err)
+			}
+			before := oracle.Save(t, parent)
+
+			forks := []*core.Cube{parent.Fork(), parent.Fork()}
+			dbs := []*pathdb.DB{oracle.Prefix(db, base), oracle.Prefix(db, base)}
+			errs := make([]error, len(forks))
+			var wg sync.WaitGroup
+			for i := range forks {
+				apply := func() { _, errs[i] = core.ApplyDelta(forks[i], dbs[i], batches[i]) }
+				if !concurrent {
+					apply()
+					continue
+				}
+				wg.Add(1)
+				go func() { defer wg.Done(); apply() }()
+			}
+			wg.Wait()
+
+			for i, fork := range forks {
+				if errs[i] != nil {
+					t.Fatalf("fork %d: %v", i, errs[i])
+				}
+				what := fmt.Sprintf("fork %d", i)
+				oracle.Check(t, what, fork, dbs[i], cfg)
+				checkOwnLedger(t, what, fork, dbs[i])
+			}
+			if forks[0].Ledger() == forks[1].Ledger() {
+				t.Error("both forks kept one ledger")
+			}
+			if d := oracle.Diff(before, oracle.Save(t, parent)); d != "" {
+				t.Errorf("the parent changed under its forks: %s", d)
+			}
+
+			if _, err := core.ApplyDelta(parent, db, ds.DB.Records[b:c]); err != nil {
+				t.Fatal(err)
+			}
+			oracle.Check(t, "the parent after its forks", parent, db, cfg)
+			checkOwnLedger(t, "the parent after its forks", parent, db)
+		})
+	}
+}
+
+// checkOwnLedger fails unless the cube's ledger counts db — an empty
+// append reports its size only then — and equals a fresh derivation.
+func checkOwnLedger(t *testing.T, what string, c *core.Cube, db *pathdb.DB) {
+	t.Helper()
+	stats, err := core.ApplyDelta(c, db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.LedgerSize == 0 {
+		t.Errorf("%s: the ledger does not count the cube's %d records", what, db.Len())
+	}
+	if d := c.LedgerDiff(db); d != "" {
+		t.Errorf("%s: the sub-δ ledger departs from a fresh derivation: %s", what, d)
+	}
 }

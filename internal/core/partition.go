@@ -20,7 +20,8 @@ import (
 )
 
 // FilterCells returns a new cube holding exactly the cells (and sub-δ
-// ledger entries, once an append has derived the ledger) whose
+// ledger entries, once an append has derived the ledger and unless a call
+// holds it or a failed one left it claimed) whose
 // per-dimension values satisfy keep. Every cuboid of the original stays
 // materialized — possibly empty — and every ledger item level stays
 // present, so a set of complementary filters partitions the cube: Merge
@@ -62,15 +63,7 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 		out.Cuboids[key] = ncb
 	}
 	if c.ledger != nil {
-		out.ledger = &deltaLedger{levels: make(map[string]*ledgerLevel, len(c.ledger.levels)), owner: out.gen}
-		for _, lv := range c.ledger.levels {
-			nlv := out.ledger.own(lv.item)
-			lv.root.each(func(e *ledgerEntry) {
-				if keep(e.values) {
-					nlv.put(e)
-				}
-			})
-		}
+		out.ledger = c.ledger.filter(keep)
 	}
 	return out
 }

@@ -196,8 +196,7 @@ func (s *Server) applyGroup(group []*ingest.Pending) {
 	next := s.publish(snap, fr)
 	stats := fr.stats
 	s.holder.set(next)
-	s.metrics.recordAppend(elapsed, stats)
-	s.metrics.lastGroupSize.Store(int64(len(live)))
+	s.metrics.recordAppend(elapsed, stats, len(live))
 	s.logger.Printf("appended %d records (%d requests grouped): %d cells touched, %d admitted, %d restricted re-mines in %s",
 		stats.BatchRecords, len(live), stats.CellsTouched, stats.CellsAdmitted, stats.CellsReminedRestricted, elapsed.Round(time.Microsecond))
 

@@ -47,39 +47,34 @@ type metrics struct {
 	cacheMisses atomic.Int64
 	reloads     atomic.Int64
 
-	// Streaming-append gauges: total appends plus the last delta's cost and
-	// touch footprint (POST /admin/append).
-	appends           atomic.Int64
-	lastDeltaNs       atomic.Int64
-	lastCellsTouched  atomic.Int64
-	lastCellsAdmitted atomic.Int64
-	lastCellsCopied   atomic.Int64
-	lastNodesCopied   atomic.Int64
+	// Streaming-append gauges: total appends plus the last commit
+	// (POST /admin/append), nil before the first.
+	appends    atomic.Int64
+	lastCommit atomic.Pointer[commitRecord]
 
 	// Ingest write-path gauges. The WAL itself is touched only on the
 	// commit loop, so its counters are mirrored here atomically for
 	// /metrics readers; the committer's own stats are mutex-guarded and
 	// read directly (Server.Metrics).
-	lastGroupSize         atomic.Int64
-	lastReminedRestricted atomic.Int64
-	lastPrefixesRemined   atomic.Int64
-	staleConflicts        atomic.Int64
-	walEntries            atomic.Int64
-	walBytes              atomic.Int64
+	staleConflicts atomic.Int64
+	walEntries     atomic.Int64
+	walBytes       atomic.Int64
 
 	routes RouteHistograms
 }
 
-// recordAppend stores one append's counters.
-func (m *metrics) recordAppend(d time.Duration, stats *core.DeltaStats) {
+// commitRecord is what /metrics reports of one commit: its fold's
+// duration and statistics, and how many requests it grouped.
+type commitRecord struct {
+	delta     time.Duration
+	stats     core.DeltaStats
+	groupSize int
+}
+
+// recordAppend stores one commit.
+func (m *metrics) recordAppend(d time.Duration, stats *core.DeltaStats, groupSize int) {
 	m.appends.Add(1)
-	m.lastDeltaNs.Store(d.Nanoseconds())
-	m.lastCellsTouched.Store(int64(stats.CellsTouched))
-	m.lastCellsAdmitted.Store(int64(stats.CellsAdmitted))
-	m.lastCellsCopied.Store(int64(stats.CellsCopied))
-	m.lastNodesCopied.Store(int64(stats.NodesCopied))
-	m.lastReminedRestricted.Store(int64(stats.CellsReminedRestricted))
-	m.lastPrefixesRemined.Store(int64(stats.PrefixesRemined))
+	m.lastCommit.Store(&commitRecord{delta: d, stats: *stats, groupSize: groupSize})
 }
 
 func newMetrics() *metrics {
@@ -223,23 +218,24 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	out := MetricsSnapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Reloads:       m.reloads.Load(),
-		Appends: AppendMetrics{
-			Count:                 m.appends.Load(),
-			LastDeltaMs:           float64(m.lastDeltaNs.Load()) / 1e6,
-			LastCellsTouched:      m.lastCellsTouched.Load(),
-			LastCellsAdmitted:     m.lastCellsAdmitted.Load(),
-			LastReminedRestricted: m.lastReminedRestricted.Load(),
-			LastPrefixesRemined:   m.lastPrefixesRemined.Load(),
-			LastCellsCopied:       m.lastCellsCopied.Load(),
-			LastNodesCopied:       m.lastNodesCopied.Load(),
-		},
+		Appends: AppendMetrics{Count: m.appends.Load()},
 		Ingest: IngestMetrics{
-			LastGroupSize:  m.lastGroupSize.Load(),
 			WALEntries:     m.walEntries.Load(),
 			WALBytes:       m.walBytes.Load(),
 			StaleConflicts: m.staleConflicts.Load(),
 		},
 		Routes: m.routes.Snapshot(),
+	}
+	if last := m.lastCommit.Load(); last != nil {
+		a := &out.Appends
+		a.LastDeltaMs = float64(last.delta.Nanoseconds()) / 1e6
+		a.LastCellsTouched = int64(last.stats.CellsTouched)
+		a.LastCellsAdmitted = int64(last.stats.CellsAdmitted)
+		a.LastReminedRestricted = int64(last.stats.CellsReminedRestricted)
+		a.LastPrefixesRemined = int64(last.stats.PrefixesRemined)
+		a.LastCellsCopied = int64(last.stats.CellsCopied)
+		a.LastNodesCopied = int64(last.stats.NodesCopied)
+		out.Ingest.LastGroupSize = int64(last.groupSize)
 	}
 	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
 	out.Cache = CacheMetrics{Hits: hits, Misses: misses}

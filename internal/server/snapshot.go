@@ -220,6 +220,9 @@ func FileLoader(path string, opts BuildOptions) Loader {
 			if err != nil {
 				return nil, LoadInfo{}, fmt.Errorf("server: load snapshot %s: %w", path, err)
 			}
+			// Workers is not persisted: a loaded cube derives its ledger
+			// and recovers its tids on the goroutines the server was given.
+			cube.Config.Workers = opts.Workers
 			return cube, info, nil
 		}
 		ds, err := datagen.Read(f)

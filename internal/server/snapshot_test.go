@@ -42,6 +42,29 @@ func TestFileLoaderReadsEachFileOneWay(t *testing.T) {
 	}
 }
 
+// TestFileLoaderTakesWorkers: a snapshot opened eagerly or lazily runs its
+// appends — ledger derivation, tid recovery — on BuildOptions.Workers
+// goroutines, and since Workers is not persisted it re-saves the bytes it
+// was read from.
+func TestFileLoaderTakesWorkers(t *testing.T) {
+	ds := oracle.Dataset(5, 60)
+	snap := oracle.Save(t, oracle.Build(t, ds.DB, core.Config{MinCount: 4, Plan: ds.DefaultPlan()}))
+	path := oracle.File(t, snap)
+	for _, lazy := range []bool{false, true} {
+		cube, _, err := FileLoader(path, BuildOptions{Workers: 2, Lazy: lazy})()
+		if err != nil {
+			t.Fatalf("lazy=%v: %v", lazy, err)
+		}
+		t.Cleanup(func() { _ = cube.Close() })
+		if cube.Config.Workers != 2 {
+			t.Errorf("lazy=%v: Config.Workers = %d, want 2", lazy, cube.Config.Workers)
+		}
+		if d := oracle.Diff(snap, oracle.Save(t, cube)); d != "" {
+			t.Errorf("lazy=%v: the loaded cube re-saves other bytes: %s", lazy, d)
+		}
+	}
+}
+
 // TestWithDatabaseRejectsOtherSchema: a database whose schema is not the
 // snapshot's — here a third dimension — fails the load with
 // core.ErrSchemaMismatch, lazily and eagerly.

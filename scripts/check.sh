@@ -90,7 +90,9 @@ echo "== generation isolation, lazy first touch, request deadlines, census, shar
 # the sub-δ ledger a first append derives across workers: what ApplyDelta
 # keeps must equal a fresh derivation at every step of built, reloaded,
 # lazy and forked chains, and a lazy cube must decode no cell for it.
-run_matching 'TestGenerationIsolation|TestLedgerMaintainedEqualsDerived|TestLazyAppendDerivesLedgerWithoutDecoding' -race -count=10 ./internal/core
+# Sibling forks share one ledger: appending to both, concurrently too, one
+# may keep it and the other must claim none of it and derive its own.
+run_matching 'TestGenerationIsolation|TestLedgerMaintainedEqualsDerived|TestLazyAppendDerivesLedgerWithoutDecoding|TestSiblingForksKeepExactLedgers' -race -count=10 ./internal/core
 # Same reasoning for a lazy cube's first touches: readers racing for one cold
 # cell share a single decode through the cache's single-flight, and Verify
 # installs its directories in the cache the readers are building theirs in.
