@@ -343,17 +343,24 @@ func (c *Cube) RollUpRef(spec CuboidSpec, values []hierarchy.NodeID, dim int) (C
 	if spec.Item[dim] == 0 {
 		return CuboidSpec{}, nil, fmt.Errorf("core: query: dimension %s is already aggregated to '*'", c.Schema.Dims[dim].Dimension())
 	}
+	pItem := c.rollUpLevel(spec.Item, dim)
+	pSpec := CuboidSpec{Item: pItem, PathLevel: spec.PathLevel}
+	return pSpec, c.GeneralizeValues(spec.Item, pItem, values), nil
+}
+
+// rollUpLevel returns a new item level: il with dimension dim, not at '*',
+// rolled up to the next coarser materialized level.
+func (c *Cube) rollUpLevel(il ItemLevel, dim int) ItemLevel {
 	prev := 0
 	for _, ml := range c.Symbols.DimLevels()[dim] {
-		if ml >= spec.Item[dim] {
+		if ml >= il[dim] {
 			break
 		}
 		prev = ml
 	}
-	pItem := append(ItemLevel(nil), spec.Item...)
-	pItem[dim] = prev
-	pSpec := CuboidSpec{Item: pItem, PathLevel: spec.PathLevel}
-	return pSpec, c.GeneralizeValues(spec.Item, pItem, values), nil
+	up := append(ItemLevel(nil), il...)
+	up[dim] = prev
+	return up
 }
 
 // drillDownSpec refines the cuboid one materialized level along dim.
@@ -539,7 +546,7 @@ func (p *planner) reconstructCell(ctx context.Context, spec CuboidSpec, values [
 		ErrNotComputable, spec.Key(), formatCell(values))
 }
 
-// reconstructRedundancy mirrors markCellRedundancy for a reconstructed
+// reconstructRedundancy mirrors parentSimilarity for a reconstructed
 // cell: its similarity is measured against the graphs its item-lattice
 // parents have — or, for parents whose cuboids were pruned, would have had
 // (reconstructed recursively). A parent whose cuboid is absent and which

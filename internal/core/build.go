@@ -343,7 +343,7 @@ func (c *Cube) buildGraphs(db *pathdb.DB, drop bool) {
 			continue
 		}
 		level := levels[pl]
-		agg := aggregateAll(db, level)
+		agg := aggregateFrom(db, level, 0)
 		c.forEach(len(cells), func(i int) {
 			cell := cells[i]
 			g := flowgraph.New(db.Schema.Location, level, nil)
@@ -358,35 +358,38 @@ func (c *Cube) buildGraphs(db *pathdb.DB, drop bool) {
 	}
 }
 
-// aggregated is every record's path aggregated to one path level, in one
-// arena: record tid's stages are stages[ends[tid-1]:ends[tid]].
+// aggregated is the paths of a database's records from lo on, each
+// aggregated to one path level, in one arena: record tid's stages are
+// stages[ends[tid-lo-1]:ends[tid-lo]].
 type aggregated struct {
+	lo     int
 	stages pathdb.Path
 	ends   []int
 }
 
-// aggregateAll aggregates every record's path to the level, as AddPath
-// would.
-func aggregateAll(db *pathdb.DB, level pathdb.PathLevel) aggregated {
+// aggregateFrom aggregates the path of every record from lo on to the
+// level, as AddPath would.
+func aggregateFrom(db *pathdb.DB, level pathdb.PathLevel, lo int) aggregated {
+	recs := db.Records[lo:]
 	n := 0
-	for _, r := range db.Records {
+	for _, r := range recs {
 		n += len(r.Path)
 	}
-	a := aggregated{stages: make(pathdb.Path, 0, n), ends: make([]int, len(db.Records))}
-	for tid, r := range db.Records {
+	a := aggregated{lo: lo, stages: make(pathdb.Path, 0, n), ends: make([]int, len(recs))}
+	for i, r := range recs {
 		a.stages = pathdb.AppendAggregated(a.stages, r.Path, level, nil)
-		a.ends[tid] = len(a.stages)
+		a.ends[i] = len(a.stages)
 	}
 	return a
 }
 
 // path returns record tid's aggregated path.
 func (a aggregated) path(tid int32) pathdb.Path {
-	start := 0
-	if tid > 0 {
-		start = a.ends[tid-1]
+	i, start := int(tid)-a.lo, 0
+	if i > 0 {
+		start = a.ends[i-1]
 	}
-	return a.stages[start:a.ends[tid]:a.ends[tid]]
+	return a.stages[start:a.ends[i]:a.ends[i]]
 }
 
 // forEach runs fn over [0,n) — concurrently when Config.Workers > 1. Each

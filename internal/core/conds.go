@@ -75,9 +75,10 @@ func condPinKey(pins []flowgraph.StagePin) string {
 type reminer struct {
 	cube *Cube
 	db   *pathdb.DB
-	// stageTxs[tid] is the record's stage items at every path level, encoded
-	// on first use: a record lies in one cell per cuboid, and every touched
-	// cell reads all of its records. nil for Build's reminer.
+	// stageTxs[tid] is the record's stage items at every path level: the
+	// cube's stage transactions (Cube.encodeStages), encoded once per record
+	// along a lineage rather than once per cell that holds it. nil for
+	// Build's reminer.
 	stageTxs []transact.Transaction
 }
 
@@ -119,13 +120,6 @@ func (r *reminer) remine(cell *Cell, pathLevel, added int) (int, error) {
 	return moved, nil
 }
 
-func (r *reminer) stages(tid int32) transact.Transaction {
-	if r.stageTxs[tid] == nil {
-		r.stageTxs[tid] = r.cube.Symbols.EncodeStages(r.db.Records[tid].Path)
-	}
-	return r.stageTxs[tid]
-}
-
 // newConds finds the conditions newly frequent among a cell's records after
 // a batch: the frequent same-level path segments of the cell's transactions
 // projected to the batch's stage items at the cuboid's path level, minus
@@ -147,7 +141,7 @@ func (r *reminer) newConds(plIdx int, tids, batchTIDs []int32, old *condSet) ([]
 	}
 	movedItems := make(map[transact.Item]bool)
 	for _, tid := range batchTIDs {
-		for _, it := range r.stages(tid) {
+		for _, it := range r.stageTxs[tid] {
 			if syms.StageLevel(it) == plIdx {
 				movedItems[it] = true
 			}
@@ -159,7 +153,7 @@ func (r *reminer) newConds(plIdx int, tids, batchTIDs []int32, old *condSet) ([]
 	txs := make([]transact.Transaction, 0, len(tids))
 	for _, tid := range tids {
 		var t transact.Transaction
-		for _, it := range r.stages(tid) {
+		for _, it := range r.stageTxs[tid] {
 			if movedItems[it] {
 				t = append(t, it)
 			}

@@ -235,6 +235,12 @@ type Cube struct {
 	ledger *deltaLedger
 	// haveTIDs records that the cells carry their record-id lists.
 	haveTIDs bool
+	// stages holds the stage transactions (Symbols.EncodeStages) of the
+	// database's first len(stages) records, which exception re-mining
+	// reads: nil until an append that mines exceptions encodes them, then
+	// extended by every such append. Forks share it capacity-clipped, so an
+	// extension reallocates and no entry is written once a fork can see it.
+	stages []transact.Transaction
 	// sharedSymbols records that Symbols belongs to an earlier generation
 	// (delta.go): ApplyDelta copies it before the first write.
 	sharedSymbols bool
@@ -286,9 +292,11 @@ type Config struct {
 	// the benchmark harness assigns it; deleting both is an open ROADMAP
 	// item.
 	SingleStageExceptions bool
-	// Workers spreads flowgraph construction and exception mining across
-	// goroutines (cells are independent). It is also copied into the
-	// mining options. 0 or 1 is sequential.
+	// Workers spreads flowgraph construction, exception mining and
+	// redundancy marking across goroutines (cells are independent), in
+	// Build and in every ApplyDelta alike. It is also copied into the
+	// mining options. 0 or 1 is sequential. Snapshots do not record it: a
+	// loaded cube's owner sets it.
 	Workers int
 	// DeltaLedger has no effect. It once made Build count the sub-δ ledger
 	// and Save persist it; ApplyDelta now derives the ledger on a cube's

@@ -30,7 +30,9 @@ package core
 // generation holds is frozen the moment the next one is forked from it. A
 // writer reaches a cell only through ownedCell, which copies the cuboid's
 // cell map — the written cells over a mapped base, every cell otherwise —
-// and the cell on first touch and forks the cell's flowgraph;
+// and the cell on first touch and forks the cell's flowgraph (ApplyDelta's
+// parallel fold owns the cuboids first, and each job then copies its own
+// cuboid's cells through ownedCell's second half, ownCell);
 // flowgraph.Graph.AddPath then copies the nodes along the path it adds and
 // nothing else. The symbol table is handed down the same way and copied
 // before ApplyDelta first interns into it. Dropping a fork is the whole
@@ -46,14 +48,16 @@ package core
 // on cubes no reader shares yet.
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
-	"flowcube/internal/transact"
 )
 
 // Typed ApplyDelta failures, testable with errors.Is / errors.As. Their
@@ -211,62 +215,39 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 	// every cuboid of the item level, one flowgraph per path level — or is
 	// an admission candidate.
 	levels := cube.levelGroups()
-	router := cube.router()
-	hits := make([]map[CellID]*combo, len(levels))
-	candidates := make([]map[CellID]*combo, len(levels))
-	var candOrder []*combo
-	for i := range batch {
-		tid := int32(baseLen + i)
-		router.route(batch[i].Dims)
-		for li := range levels {
-			id, values := router.cell(li)
-			cell, _ := cube.Lookup(levels[li].Specs[0], values)
-			tables := candidates
-			if cell != nil {
-				tables = hits
-			}
-			if tables[li] == nil {
-				tables[li] = make(map[CellID]*combo)
-			}
-			c := tables[li][CellID(id)]
-			if c == nil {
-				c = &combo{levelIdx: li, id: CellID(id), values: slices.Clone(values)}
-				tables[li][c.id] = c
-				if cell == nil {
-					candOrder = append(candOrder, c)
-				}
-			}
-			c.count++
-			c.tids = append(c.tids, tid)
-		}
-	}
+	combos := cube.routeBatch(batch, baseLen)
 
 	// Admission: a candidate crosses δ when its base count, from the sub-δ
 	// ledger, plus its batch count reaches the threshold. The ledger is
 	// maintained exactly: combinations still below δ are bumped, admitted
 	// ones leave it.
-	var admitted []*combo
-	needBaseTids := make([]map[CellID]*combo, len(levels))
-	for _, c := range candOrder {
-		counts := ledger.levels[levels[c.levelIdx].Item.Key()]
-		base := counts[c.id]
-		if base+c.count < cube.minCount {
-			counts[c.id] = base + c.count
+	counts := make([]map[CellID]int64, len(levels))
+	var landed, needBase []*combo
+	for k := range combos {
+		c := &combos[k]
+		if c.hit {
+			landed = append(landed, c)
 			continue
 		}
-		admitted = append(admitted, c)
-		delete(counts, c.id)
+		if counts[c.levelIdx] == nil {
+			counts[c.levelIdx] = ledger.levels[levels[c.levelIdx].Item.Key()]
+		}
+		base := counts[c.levelIdx][c.id]
+		if base+int64(len(c.tids)) < cube.minCount {
+			counts[c.levelIdx][c.id] = base + int64(len(c.tids))
+			continue
+		}
+		landed = append(landed, c)
+		delete(counts[c.levelIdx], c.id)
+		c.admit = true
 		if base > 0 {
-			if needBaseTids[c.levelIdx] == nil {
-				needBaseTids[c.levelIdx] = make(map[CellID]*combo)
-			}
-			needBaseTids[c.levelIdx][c.id] = c
+			needBase = append(needBase, c)
 		}
 	}
 	// Admitted combos with base occurrences still need their base record
 	// ids for flowgraph construction: one scan restricted to exactly those
 	// combinations.
-	matchBase(router, db, baseLen, needBaseTids)
+	cube.matchBase(db, baseLen, needBase)
 
 	// The batch lands in the database: db is the union from here on.
 	for i := range batch {
@@ -286,73 +267,14 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 		for i := baseLen; i < db.Len(); i++ {
 			cube.Symbols.EncodeRecord(db.Records[i])
 		}
+		cube.encodeStages(db)
 	}
 
-	type touchedCell struct {
-		spec CuboidSpec
-		cell *Cell
-		// added counts the appended records that landed in the cell: the
-		// last added of its tids. A newly materialized cell's are all new.
-		added int
-	}
-	var touched []touchedCell
-
-	// Touched existing cells, in item-level, cuboid, CompareCells order:
-	// obtain this generation's copy of each and fold the new paths into its
-	// flowgraph, which copies the nodes along those paths and no others.
-	for li, byCell := range hits {
-		landed := make([]*combo, 0, len(byCell))
-		for _, h := range byCell {
-			landed = append(landed, h)
-		}
-		slices.SortFunc(landed, func(a, b *combo) int { return CompareCells(a.values, b.values) })
-		for _, spec := range levels[li].Specs {
-			for _, h := range landed {
-				cell := cube.ownedCell(spec, h.values)
-				if cell == nil {
-					continue
-				}
-				tids := h.tids
-				cell.Count += int64(len(tids))
-				if haveTids {
-					cell.tids = append(cell.tids, tids...)
-				}
-				if cell.Graph != nil {
-					before := cell.Graph.NodesCopied()
-					for _, tid := range tids {
-						cell.Graph.AddPath(db.Records[tid].Path)
-					}
-					stats.NodesCopied += cell.Graph.NodesCopied() - before
-				}
-				touched = append(touched, touchedCell{spec: spec, cell: cell, added: len(tids)})
-				stats.CellsTouched++
-			}
-		}
-	}
-
-	// Admitted cells: register in every cuboid sharing the item level (as
-	// the build phase does for mined frequent cells) and build their
-	// flowgraphs from the union record set.
-	pathLevels := cube.Symbols.PathLevels()
-	for _, c := range admitted {
-		tids := append(append([]int32(nil), c.baseTids...), c.tids...)
-		for _, spec := range levels[c.levelIdx].Specs {
-			cell := cube.admitCell(spec, c.values, int64(len(tids)))
-			if cell == nil {
-				continue
-			}
-			if haveTids {
-				cell.tids = append([]int32(nil), tids...)
-			}
-			g := flowgraph.New(db.Schema.Location, pathLevels[spec.PathLevel], nil)
-			for _, tid := range tids {
-				g.AddPath(db.Records[tid].Path)
-			}
-			cell.Graph = g
-			touched = append(touched, touchedCell{spec: spec, cell: cell, added: len(tids)})
-			stats.CellsAdmitted++
-		}
-	}
+	// Fold and admit, one job per cuboid of every item level the batch
+	// landed in: the job copies the cells it writes out of the generation
+	// the cube was forked from and folds the new paths into their
+	// flowgraphs, which copies the nodes along those paths and no others.
+	touched := cube.foldBatch(db, baseLen, landed, haveTids, stats)
 
 	// Exceptions: recompute exactly, per touched cell, over its union
 	// records (conds.go): a warm cell re-mines at the prefixes the batch
@@ -360,55 +282,17 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 	// freshly admitted, or its cache dropped — from an empty set with every
 	// record counted as new, which warms its entry for the next batch.
 	if cfg.MineExceptions {
-		r := &reminer{cube: cube, db: db, stageTxs: make([]transact.Transaction, db.Len())}
-		for _, t := range touched {
-			if t.cell.Graph == nil {
-				continue
-			}
-			warm := t.cell.conds != nil
-			moved, err := r.remine(t.cell, t.spec.PathLevel, t.added)
-			if err != nil {
-				return nil, err
-			}
-			if warm {
-				stats.CellsReminedRestricted++
-				stats.PrefixesRemined += moved
-			}
-			stats.ExceptionsRemined++
+		if err := cube.remineTouched(db, touched, stats); err != nil {
+			return nil, err
 		}
 	}
 
 	// Redundancy frontier: every touched or admitted cell, plus every cell
 	// with one of them as an item-lattice parent, is re-marked against the
-	// current lattice. The frontier is found on value tuples, so only its
-	// cells are decoded. Markings read only other cells' graphs — all final
-	// by now — so the re-mark order is irrelevant.
+	// current lattice — whose graphs are all final by now, so the markings
+	// are independent of each other and of their order.
 	if cfg.Tau > 0 {
-		touchedIDs := make(map[CellRefKey]bool, len(touched))
-		for _, t := range touched {
-			touchedIDs[CellRefKey{Spec: t.spec.Key(), ID: MakeCellID(t.cell.Values)}] = true
-		}
-		for _, lv := range levels {
-			for _, spec := range lv.Specs {
-				key := spec.Key()
-				tuples, _ := cube.cuboidCellValues(spec)
-				for _, values := range tuples {
-					need := touchedIDs[CellRefKey{Spec: key, ID: MakeCellID(values)}]
-					if !need {
-						for _, p := range cube.parentRefs(spec, values) {
-							if touchedIDs[CellRefKey{Spec: p.Spec.Key(), ID: MakeCellID(p.Values)}] {
-								need = true
-								break
-							}
-						}
-					}
-					if need {
-						cube.markCellRedundancy(spec, values, cfg.Tau)
-						stats.RedundancyRemarked++
-					}
-				}
-			}
-		}
+		stats.RedundancyRemarked = cube.remarkFrontier(touched, cfg.Tau)
 	}
 
 	stats.LedgerSize = ledger.size()
@@ -424,28 +308,384 @@ type combo struct {
 	levelIdx int
 	id       CellID
 	values   []hierarchy.NodeID
-	count    int64
-	tids     []int32 // batch record ids, ascending
-	baseTids []int32 // base record ids, ascending (filled by matchBase)
+	// hit marks an existing cell, admit a candidate the batch pushed over δ.
+	hit, admit bool
+	tids       []int32 // batch record ids, ascending
+	baseTids   []int32 // base record ids, ascending (filled by matchBase)
+	// union is an admitted combo's base and batch ids, when the cube keeps
+	// tids: one list its cells share, as Build's cells of a level do.
+	union []int32
 }
 
-// matchBase routes the base records once and appends the id of every record
-// matching a wanted combination to it. wanted maps item-level index → cell →
-// combo.
-func matchBase(router *recordRouter, db *pathdb.DB, baseLen int, wanted []map[CellID]*combo) {
-	var levels []int
-	for li, m := range wanted {
-		if len(m) > 0 {
-			levels = append(levels, li)
+// routeBatch maps every batch record, numbered from baseLen, to its
+// combination at every item level: one combo per distinct (item level,
+// values), in order of first occurrence, with its batch record ids. The
+// combos, their values and their ids each live in one arena sized for the
+// batch, and a combo is looked up in the cube once, by value tuple, which
+// decodes no cell.
+func (c *Cube) routeBatch(batch []pathdb.Record, baseLen int) []combo {
+	levels, router := c.levelGroups(), c.router()
+	m, n := len(c.Schema.Dims), len(batch)*len(levels)
+	combos := make([]combo, 0, n)
+	values := make([]hierarchy.NodeID, 0, n*m)
+	at := make([]int32, n) // the combo of record i at item level li is at[i*len(levels)+li]
+	counts := make([]int, 0, n)
+	index := make(map[string]int32, n)
+	var key []byte
+	for i := range batch {
+		router.route(batch[i].Dims)
+		for li := range levels {
+			id, vals := router.cell(li)
+			key = append(binary.AppendUvarint(key[:0], uint64(li)), id...)
+			k, ok := index[string(key)]
+			if !ok {
+				k = int32(len(combos))
+				s := string(key)
+				index[s] = k
+				e, cell, _ := c.Cuboid(levels[li].Specs[0]).find(vals)
+				values = append(values, vals...)
+				combos = append(combos, combo{levelIdx: li, id: CellID(s[len(s)-len(id):]),
+					values: values[len(values)-m : len(values) : len(values)], hit: e != nil || cell != nil})
+				counts = append(counts, 0)
+			}
+			counts[k]++
+			at[i*len(levels)+li] = k
 		}
 	}
-	for tid := 0; len(levels) > 0 && tid < baseLen; tid++ {
-		router.route(db.Records[tid].Dims)
-		for _, li := range levels {
-			id, _ := router.cell(li)
-			if c := wanted[li][CellID(id)]; c != nil {
-				c.baseTids = append(c.baseTids, int32(tid))
+	tids := make([]int32, n)
+	for k := range combos {
+		combos[k].tids, tids = tids[:0:counts[k]], tids[counts[k]:]
+	}
+	for i, k := range at {
+		c := &combos[k]
+		c.tids = append(c.tids, int32(baseLen+i/len(levels)))
+	}
+	return combos
+}
+
+// touchedCell is a cell an append wrote: this generation's copy of an
+// existing cell the batch landed in, or a cell it admitted.
+type touchedCell struct {
+	spec CuboidSpec
+	cell *Cell
+	// added counts the appended records that landed in the cell: the last
+	// added of its tids. A newly materialized cell's are all new.
+	added int
+}
+
+// foldBatch writes the landed combos — hits and admissions — into every
+// cuboid of their item levels, spread across Config.Workers one cuboid per
+// job, and returns the cells it wrote in item-level, cuboid, CompareCells
+// order, counting them and what they copied into stats. On one goroutine
+// first: the batch's paths are aggregated once per path level, and every
+// cuboid a job writes is made this generation's own in the cuboid table,
+// so a job writes only its own cuboid — its cell map, which it copies
+// first, its cells and their flowgraphs.
+func (c *Cube) foldBatch(db *pathdb.DB, baseLen int, landed []*combo, haveTids bool, stats *DeltaStats) []touchedCell {
+	slices.SortFunc(landed, func(a, b *combo) int {
+		return cmp.Or(cmp.Compare(a.levelIdx, b.levelIdx), CompareCells(a.values, b.values))
+	})
+	levels := c.levelGroups()
+	pathLevels := c.Symbols.PathLevels()
+	aggs := make([]*aggregated, len(pathLevels))
+	type job struct {
+		cb, from *Cuboid
+		combos   []*combo
+	}
+	var jobs []job
+	for lo := 0; lo < len(landed); {
+		li := landed[lo].levelIdx
+		hi := lo + 1
+		for hi < len(landed) && landed[hi].levelIdx == li {
+			hi++
+		}
+		for _, spec := range levels[li].Specs {
+			if cb, from := c.ownCuboid(spec); cb != nil {
+				jobs = append(jobs, job{cb, from, landed[lo:hi]})
+				if aggs[spec.PathLevel] == nil {
+					agg := aggregateFrom(db, pathLevels[spec.PathLevel], baseLen)
+					aggs[spec.PathLevel] = &agg
+				}
 			}
+		}
+		for _, cm := range landed[lo:hi] {
+			if cm.admit && haveTids {
+				cm.union = append(append(make([]int32, 0, len(cm.baseTids)+len(cm.tids)), cm.baseTids...), cm.tids...)
+			}
+		}
+		lo = hi
+	}
+
+	type result struct {
+		touched                      []touchedCell
+		hits, admitted, cells, nodes int
+	}
+	results := make([]result, len(jobs))
+	c.forEach(len(jobs), func(j int) {
+		cb, r := jobs[j].cb, &results[j]
+		if jobs[j].from != nil {
+			cb.copyCells(jobs[j].from)
+		}
+		level, agg := pathLevels[cb.Spec.PathLevel], aggs[cb.Spec.PathLevel]
+		r.touched = make([]touchedCell, 0, len(jobs[j].combos))
+		var scratch pathdb.Path
+		for _, cm := range jobs[j].combos {
+			if cm.hit {
+				cell, copied := c.ownCell(cb, cm.values)
+				if cell == nil {
+					continue
+				}
+				if copied {
+					r.cells++
+				}
+				cell.Count += int64(len(cm.tids))
+				if haveTids {
+					cell.tids = append(cell.tids, cm.tids...)
+				}
+				if cell.Graph != nil {
+					before := cell.Graph.NodesCopied()
+					for _, tid := range cm.tids {
+						cell.Graph.AddAggregated(agg.path(tid))
+					}
+					r.nodes += cell.Graph.NodesCopied() - before
+				}
+				r.touched = append(r.touched, touchedCell{spec: cb.Spec, cell: cell, added: len(cm.tids)})
+				r.hits++
+				continue
+			}
+			// An admitted cell, its flowgraph built from the union record set.
+			n := len(cm.baseTids) + len(cm.tids)
+			cell := c.admitCell(cb, cm.values, int64(n))
+			if cell == nil {
+				continue
+			}
+			g := flowgraph.New(db.Schema.Location, level, nil)
+			for _, tid := range cm.baseTids {
+				scratch = pathdb.AppendAggregated(scratch[:0], db.Records[tid].Path, level, nil)
+				g.AddAggregated(scratch)
+			}
+			for _, tid := range cm.tids {
+				g.AddAggregated(agg.path(tid))
+			}
+			cell.Graph = g
+			cell.tids = cm.union
+			r.touched = append(r.touched, touchedCell{spec: cb.Spec, cell: cell, added: n})
+			r.admitted++
+		}
+	})
+
+	var touched []touchedCell
+	for _, r := range results {
+		touched = append(touched, r.touched...)
+		stats.CellsTouched += r.hits
+		stats.CellsAdmitted += r.admitted
+		stats.NodesCopied += r.nodes
+		c.cellsCopied += r.cells
+	}
+	return touched
+}
+
+// remineTouched re-mines the exceptions of every touched cell with a
+// flowgraph, spread across Config.Workers one cell per job, largest first,
+// and counts them into stats. The jobs read the stage transactions
+// encodeStages encoded before they start, and each writes only its own
+// cell's exceptions and condition cache.
+func (c *Cube) remineTouched(db *pathdb.DB, touched []touchedCell, stats *DeltaStats) error {
+	r := &reminer{cube: c, db: db, stageTxs: c.stages}
+	var jobs []touchedCell
+	for _, t := range touched {
+		if t.cell.Graph != nil {
+			jobs = append(jobs, t)
+		}
+	}
+	slices.SortStableFunc(jobs, func(a, b touchedCell) int { return cmp.Compare(len(b.cell.tids), len(a.cell.tids)) })
+	type result struct {
+		warm  bool
+		moved int
+		err   error
+	}
+	results := make([]result, len(jobs))
+	c.forEach(len(jobs), func(i int) {
+		t, res := jobs[i], &results[i]
+		res.warm = t.cell.conds != nil
+		res.moved, res.err = r.remine(t.cell, t.spec.PathLevel, t.added)
+	})
+	for _, res := range results {
+		if res.err != nil {
+			return res.err
+		}
+		if res.warm {
+			stats.CellsReminedRestricted++
+			stats.PrefixesRemined += res.moved
+		}
+		stats.ExceptionsRemined++
+	}
+	return nil
+}
+
+// remarkFrontier re-marks the redundancy of the touched cells' frontier
+// (redundancyFrontier) against the current lattice and returns how many
+// cells it re-marked. The markings are measured across Config.Workers, one
+// cell per job, reading only graphs; then, on one goroutine, each cell
+// whose marking changed is copied into this generation and written — a
+// cell whose marking holds is left shared.
+func (c *Cube) remarkFrontier(touched []touchedCell, tau float64) int {
+	frontier := c.redundancyFrontier(touched)
+	type result struct {
+		cell *Cell
+		sim  float64
+	}
+	results := make([]result, len(frontier))
+	c.forEach(len(frontier), func(i int) {
+		f := frontier[i]
+		if cell, _ := c.Lookup(f.Spec, f.Values); cell != nil && cell.Graph != nil {
+			results[i] = result{cell, c.parentSimilarity(f.Spec, cell)}
+		}
+	})
+	for i, res := range results {
+		if res.cell == nil {
+			continue
+		}
+		redundant := redundantAt(res.sim, tau)
+		if math.Float64bits(res.cell.Similarity) == math.Float64bits(res.sim) && res.cell.Redundant == redundant {
+			continue
+		}
+		cell := c.ownedCell(frontier[i].Spec, frontier[i].Values)
+		cell.Similarity, cell.Redundant = res.sim, redundant
+	}
+	return len(frontier)
+}
+
+// redundancyFrontier lists, in item-level, cuboid and CompareCells order,
+// the cells whose redundancy marking the touched cells can change: the
+// touched cells and every cell with one of them as an item-lattice parent.
+// It walks value tuples, so a mapped base decodes none of its cells for it.
+func (c *Cube) redundancyFrontier(touched []touchedCell) []CellRef {
+	sets := make(map[string]map[CellID]bool)
+	for _, t := range touched {
+		key := t.spec.Key()
+		if sets[key] == nil {
+			sets[key] = make(map[CellID]bool)
+		}
+		sets[key][MakeCellID(t.cell.Values)] = true
+	}
+	type parent struct {
+		item ItemLevel
+		set  map[CellID]bool
+	}
+	var out []CellRef
+	var parents []parent
+	var id []byte
+	up := make([]hierarchy.NodeID, len(c.Schema.Dims))
+	for _, lv := range c.levelGroups() {
+		for _, spec := range lv.Specs {
+			self := sets[spec.Key()]
+			parents = parents[:0]
+			for d, l := range spec.Item {
+				if l == 0 {
+					continue
+				}
+				p := CuboidSpec{Item: c.rollUpLevel(spec.Item, d), PathLevel: spec.PathLevel}
+				if set := sets[p.Key()]; set != nil {
+					parents = append(parents, parent{p.Item, set})
+				}
+			}
+			if self == nil && len(parents) == 0 {
+				continue
+			}
+			_ = c.Cuboid(spec).each(func(e *dirEntry, _ *Cell) error {
+				id = appendCellID(id[:0], e.values)
+				need := self[CellID(id)]
+				for _, p := range parents {
+					if need {
+						break
+					}
+					id = appendCellID(id[:0], c.generalize(up, spec.Item, p.item, e.values))
+					need = p.set[CellID(id)]
+				}
+				if need {
+					out = append(out, CellRef{Spec: spec, Values: e.values})
+				}
+				return nil
+			})
+		}
+	}
+	return out
+}
+
+// encodeStages extends the cube's stage transactions to every record of
+// db, in record order. Encoding may intern into the symbol table, so it
+// runs on one goroutine, after the batch's items are interned and before
+// any re-mine reads the transactions; the part of the list forks share is
+// never written.
+func (c *Cube) encodeStages(db *pathdb.DB) {
+	for tid := len(c.stages); tid < db.Len(); tid++ {
+		c.stages = append(c.stages, c.Symbols.EncodeStages(db.Records[tid].Path))
+	}
+}
+
+// ownCell is ownedCell within a cuboid this generation owns: it reports
+// whether it copied the cell, for the caller to count, and writes nothing
+// but the cuboid's cell map and the copy.
+func (c *Cube) ownCell(cb *Cuboid, values []hierarchy.NodeID) (*Cell, bool) {
+	cell, _ := cb.get(values)
+	if cell == nil || cell.owner == c.gen {
+		return cell, false
+	}
+	own := *cell
+	own.owner = c.gen
+	own.tids = cell.tids[:len(cell.tids):len(cell.tids)]
+	if cell.Graph != nil {
+		own.Graph = cell.Graph.Fork(c.gen)
+	}
+	cb.Cells[MakeCellID(values)] = &own
+	return &own, true
+}
+
+// matchBase appends to every combo the ids of the base records that map
+// to it, ascending. The base records split into contiguous chunks, one per
+// worker, each routed by its own router into its own lists, which join in
+// chunk order: the sequential scan's.
+func (c *Cube) matchBase(db *pathdb.DB, baseLen int, combos []*combo) {
+	if len(combos) == 0 {
+		return
+	}
+	// wanted maps item-level index → cell → index into combos.
+	wanted := make([]map[CellID]int, len(c.levelGroups()))
+	var levels []int
+	for k, cm := range combos {
+		if wanted[cm.levelIdx] == nil {
+			wanted[cm.levelIdx] = make(map[CellID]int)
+			levels = append(levels, cm.levelIdx)
+		}
+		wanted[cm.levelIdx][cm.id] = k
+	}
+	chunks := max(min(c.Config.Workers, baseLen), 1)
+	size := (baseLen + chunks - 1) / chunks
+	found := make([][][]int32, chunks)
+	// Made before the workers start: the first router call caches the
+	// cube's routes.
+	routers := make([]*recordRouter, chunks)
+	for i := range routers {
+		routers[i] = c.router()
+	}
+	c.forEach(chunks, func(i int) {
+		tids := make([][]int32, len(combos))
+		r, lo := routers[i], min(i*size, baseLen)
+		for tid := lo; tid < min(lo+size, baseLen); tid++ {
+			r.route(db.Records[tid].Dims)
+			for _, li := range levels {
+				id, _ := r.cell(li)
+				if k, ok := wanted[li][CellID(id)]; ok {
+					tids[k] = append(tids[k], int32(tid))
+				}
+			}
+		}
+		found[i] = tids
+	})
+	for k, cm := range combos {
+		for _, tids := range found {
+			cm.baseTids = append(cm.baseTids, tids[k]...)
 		}
 	}
 }
@@ -508,6 +748,7 @@ func (c *Cube) Fork() *Cube {
 		gen:           c.gen + 1,
 		ledger:        c.ledger,
 		haveTIDs:      c.haveTIDs,
+		stages:        slices.Clip(c.stages),
 		sharedSymbols: true,
 		compressed:    c.compressed,
 		groups:        c.groups,
@@ -525,16 +766,36 @@ func (c *Cube) Fork() *Cube {
 // may write, copying the map (not the cells, nor the base under it) on
 // first touch; nil when the cuboid is not materialized.
 func (c *Cube) ownedCuboid(spec CuboidSpec) *Cuboid {
-	cb := c.Cuboid(spec)
+	cb, from := c.ownCuboid(spec)
+	if from != nil {
+		cb.copyCells(from)
+	}
+	return cb
+}
+
+// ownCuboid is ownedCuboid's first half: it puts this generation's own
+// cuboid for the spec into the cuboid table and returns it, with the
+// cuboid whose cell map it must still copy (copyCells) before anything
+// reads it — nil when the cuboid already was this generation's. ApplyDelta's
+// fold owns every cuboid it writes on one goroutine and lets each job copy
+// its own cuboid's map.
+func (c *Cube) ownCuboid(spec CuboidSpec) (cb, from *Cuboid) {
+	cb = c.Cuboid(spec)
 	if cb == nil || cb.owner == c.gen {
-		return cb
+		return cb, nil
 	}
-	own := &Cuboid{Spec: cb.Spec, Cells: make(map[CellID]*Cell, len(cb.Cells)+1), owner: c.gen, base: cb.base}
-	for id, cell := range cb.Cells {
-		own.Cells[id] = cell
-	}
+	own := &Cuboid{Spec: cb.Spec, owner: c.gen, base: cb.base}
 	c.Cuboids[spec.Key()] = own
-	return own
+	return own, cb
+}
+
+// copyCells gives cb a copy of from's cell map, with room for one more
+// cell.
+func (cb *Cuboid) copyCells(from *Cuboid) {
+	cb.Cells = make(map[CellID]*Cell, len(from.Cells)+1)
+	for id, cell := range from.Cells {
+		cb.Cells[id] = cell
+	}
 }
 
 // remove deletes a cell: from the map, or over a base by a nil entry that
@@ -559,19 +820,11 @@ func (c *Cube) ownedCell(spec CuboidSpec, values []hierarchy.NodeID) *Cell {
 	if cb == nil {
 		return nil
 	}
-	cell, _ := cb.get(values)
-	if cell == nil || cell.owner == c.gen {
-		return cell
+	cell, copied := c.ownCell(cb, values)
+	if copied {
+		c.cellsCopied++
 	}
-	own := *cell
-	own.owner = c.gen
-	own.tids = cell.tids[:len(cell.tids):len(cell.tids)]
-	if cell.Graph != nil {
-		own.Graph = cell.Graph.Fork(c.gen)
-	}
-	cb.Cells[MakeCellID(values)] = &own
-	c.cellsCopied++
-	return &own
+	return cell
 }
 
 // ownAllCells makes every materialized cell this generation's own, for the
@@ -641,16 +894,11 @@ func (c *Cube) rebuildTIDs(db *pathdb.DB) {
 	c.assignCells(db)
 }
 
-// admitCell registers a newly-frequent cell in the spec's cuboid and
-// returns it for the caller to fill in, or nil when the cuboid is not
-// materialized or already holds the cell. ApplyDelta admits a combination
-// into every cuboid of its item level, as the build phase does for cells
-// found by mining.
-func (c *Cube) admitCell(spec CuboidSpec, values []hierarchy.NodeID, count int64) *Cell {
-	cb := c.ownedCuboid(spec)
-	if cb == nil {
-		return nil
-	}
+// admitCell registers a newly-frequent cell in a cuboid this generation
+// owns and returns it for the caller to fill in, or nil when the cuboid
+// already holds the cell. ApplyDelta admits a combination into every cuboid
+// of its item level, as the build phase does for cells found by mining.
+func (c *Cube) admitCell(cb *Cuboid, values []hierarchy.NodeID, count int64) *Cell {
 	if e, cell, _ := cb.find(values); e != nil || cell != nil {
 		return nil
 	}

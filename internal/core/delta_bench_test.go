@@ -22,9 +22,10 @@ import (
 // state. The fork is outside the timer.
 //
 // The loaded rows start from the plain cube saved and loaded again, as
-// flowserve -in x.fcb -db x.fdb serves it: first times the append that
-// derives the ledger on a freshly loaded cube (the load is outside the
-// timer), steady the appends after it.
+// flowserve -in x.fcb -db x.fdb -workers 2 serves it (a snapshot does not
+// carry Workers; the server sets it on the cube it loads): first times the
+// append that derives the ledger on a freshly loaded cube (the load is
+// outside the timer), steady the appends after it.
 func BenchmarkApplyDelta(b *testing.B) {
 	const base, batchLen, batches = 2000, 10, 8
 	gen := datagen.Default()
@@ -67,6 +68,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		cube.Config.Workers = 2
 		return cube
 	}
 	b.Run("loaded/first", func(b *testing.B) {

@@ -8,7 +8,6 @@ import (
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
-	"flowcube/internal/transact"
 )
 
 // NewCondSet builds a condition set as Build's cache seeding does.
@@ -95,7 +94,8 @@ func (c *Cube) OwnedCell(spec CuboidSpec, values []hierarchy.NodeID) *Cell {
 // frequent, with a stage cache, so a cold cell mines its whole condition
 // set.
 func (c *Cube) RemineCell(cell *Cell, pathLevel int, db *pathdb.DB, added int) (int, error) {
-	r := &reminer{cube: c, db: db, stageTxs: make([]transact.Transaction, db.Len())}
+	c.encodeStages(db)
+	r := &reminer{cube: c, db: db, stageTxs: c.stages}
 	return r.remine(cell, pathLevel, added)
 }
 

@@ -55,35 +55,34 @@ func (c *Cube) parentRefs(spec CuboidSpec, values []hierarchy.NodeID) []CellRef 
 func (c *Cube) MarkRedundancy(tau float64) int {
 	c.ownAllCells()
 	type job struct {
-		spec   CuboidSpec
-		values []hierarchy.NodeID
+		spec CuboidSpec
+		cell *Cell
 	}
 	var jobs []job
 	for _, cb := range c.sortedCuboids() {
 		for _, cell := range cb.SortedCells() {
-			jobs = append(jobs, job{cb.Spec, cell.Values})
+			if cell.Graph != nil {
+				jobs = append(jobs, job{cb.Spec, cell})
+			}
 		}
 	}
 	var redundant atomic.Int64
 	c.forEach(len(jobs), func(i int) {
-		if c.markCellRedundancy(jobs[i].spec, jobs[i].values, tau) {
+		cell := jobs[i].cell
+		cell.Similarity = c.parentSimilarity(jobs[i].spec, cell)
+		if cell.Redundant = redundantAt(cell.Similarity, tau); cell.Redundant {
 			redundant.Add(1)
 		}
 	})
 	return int(redundant.Load())
 }
 
-// markCellRedundancy recomputes one cell's redundancy marking against its
-// currently materialized item-lattice parents and reports whether the cell
-// is redundant (false too when the cell is not materialized). It is the
-// per-cell body of MarkRedundancy; ApplyDelta calls it for touched
-// cells and their frontier only. The marking is written to this
-// generation's copy of the cell.
-func (c *Cube) markCellRedundancy(spec CuboidSpec, values []hierarchy.NodeID, tau float64) bool {
-	cell := c.ownedCell(spec, values)
-	if cell == nil || cell.Graph == nil {
-		return false
-	}
+// parentSimilarity measures a cell against its currently materialized
+// item-lattice parents: the smallest similarity ϕ to a parent's flowgraph,
+// or SimilarityUnknown when no parent has one. It reads only graphs: it is
+// the per-cell body of MarkRedundancy, and of ApplyDelta's re-marking of
+// the touched cells and their frontier.
+func (c *Cube) parentSimilarity(spec CuboidSpec, cell *Cell) float64 {
 	compared := 0
 	minSim := 1.0
 	for _, p := range c.parentRefs(spec, cell.Values) {
@@ -97,14 +96,14 @@ func (c *Cube) markCellRedundancy(spec CuboidSpec, values []hierarchy.NodeID, ta
 		}
 	}
 	if compared == 0 {
-		cell.Similarity = SimilarityUnknown
-		cell.Redundant = false
-		return false
+		return SimilarityUnknown
 	}
-	cell.Similarity = minSim
-	cell.Redundant = minSim > tau
-	return cell.Redundant
+	return minSim
 }
+
+// redundantAt is the marking a parent similarity gives under τ: redundant
+// when it is measured and exceeds τ.
+func redundantAt(sim, tau float64) bool { return sim != SimilarityUnknown && sim > tau }
 
 // Compress removes redundant cells from the cube, yielding the paper's
 // non-redundant flowcube. It returns the number of cells removed.

@@ -194,18 +194,18 @@ func (g *Graph) Fork(owner uint32) *Graph {
 func (g *Graph) NodesCopied() int { return g.copied }
 
 // own returns the graph's own copy of n, a node it may not write, to hang
-// where n hung: the node's count, both distributions and its child list are
-// duplicated, the children themselves stay shared, and exceptions that
-// named n are re-pointed at the copy. The copy is one box like newNode's,
-// its distributions' backing arrays and its child list, each with room for
-// the one outcome or child the write that copied it may add. Nodes hold no
-// pointer to their parent, so nothing reachable from the copy keeps n alive.
-func (g *Graph) own(n *Node) *Node {
+// where n hung for the write w: the node's count, both distributions and
+// its child list are duplicated, the children themselves stay shared, and
+// exceptions that named n are re-pointed at the copy. The copy is one box
+// like newNode's, one backing array for both distributions and its child
+// list, each sized for what n holds plus what w adds to it. Nodes hold no
+// parent pointer, so nothing reachable from the copy keeps n alive.
+func (g *Graph) own(n *Node, w write) *Node {
 	c := newNode(n.Location, g.owner, n.Depth)
 	c.Count = n.Count
-	n.Durations.CopyInto(c.Durations)
-	n.Transitions.CopyInto(c.Transitions)
-	c.children = append(make([]*Node, 0, len(n.children)+1), n.children...)
+	dur, trans, child := w.adds(n)
+	stats.CopyPairInto(c.Durations, c.Transitions, n.Durations, n.Transitions, dur, trans)
+	c.children = append(make([]*Node, 0, len(n.children)+child), n.children...)
 	for i := range g.exceptions {
 		if g.exceptions[i].Node == n {
 			g.exceptions[i].Node = c
@@ -213,6 +213,39 @@ func (g *Graph) own(n *Node) *Node {
 	}
 	g.copied++
 	return c
+}
+
+// write is what a write does at one node: with a path, it records stage i
+// of p there (i = -1 at the root, which records no duration) and takes the
+// path's next step, a transition and a child; a merge (nil p) may add
+// anything.
+type write struct {
+	p pathdb.Path
+	i int
+}
+
+// adds reports how many duration outcomes, transition outcomes and
+// children the write adds to n: for a path, 1 for each that n lacks; for a
+// merge, 1 of each, a spare slot for the first outcome or child it brings.
+func (w write) adds(n *Node) (dur, trans, child int) {
+	if w.p == nil {
+		return 1, 1, 1
+	}
+	if w.i >= 0 && !n.Durations.Has(w.p[w.i].Duration) {
+		dur = 1
+	}
+	next := Terminate
+	if w.i+1 < len(w.p) {
+		loc := w.p[w.i+1].Location
+		next = int64(loc)
+		if _, ok := n.childIndex(loc); !ok {
+			child = 1
+		}
+	}
+	if !n.Transitions.Has(next) {
+		trans = 1
+	}
+	return dur, trans, child
 }
 
 // insertChild hangs c under n at position i of its child list (childIndex's
@@ -223,15 +256,15 @@ func (n *Node) insertChild(i int, c *Node) {
 	n.children[i] = c
 }
 
-// ownedChild returns parent's child at loc as g may write it: a fresh, empty
-// node when there is none, g's own copy when the child belongs to an older
-// generation. g must own parent.
-func (g *Graph) ownedChild(parent *Node, loc hierarchy.NodeID) *Node {
+// ownedChild returns parent's child at loc as g may write it for the write
+// w: a fresh, empty node when there is none, g's own copy when the child
+// belongs to an older generation. g must own parent.
+func (g *Graph) ownedChild(parent *Node, loc hierarchy.NodeID, w write) *Node {
 	i, ok := parent.childIndex(loc)
 	if !ok {
 		parent.insertChild(i, newNode(loc, g.owner, parent.Depth+1))
 	} else if parent.children[i].owner != g.owner {
-		parent.children[i] = g.own(parent.children[i])
+		parent.children[i] = g.own(parent.children[i], w)
 	}
 	return parent.children[i]
 }
@@ -248,12 +281,12 @@ func (g *Graph) AddAggregated(p pathdb.Path) {
 	}
 	g.paths++
 	if g.root.owner != g.owner {
-		g.root = g.own(g.root)
+		g.root = g.own(g.root, write{p, -1})
 	}
 	cur := g.root
-	for _, st := range p {
+	for i, st := range p {
 		cur.Transitions.Observe(int64(st.Location))
-		next := g.ownedChild(cur, st.Location)
+		next := g.ownedChild(cur, st.Location, write{p, i})
 		next.Count++
 		next.Durations.Observe(st.Duration)
 		cur = next
@@ -289,7 +322,7 @@ func (g *Graph) Merge(other *Graph) error {
 	g.paths += other.paths
 	g.exceptions = nil
 	if g.root.owner != g.owner {
-		g.root = g.own(g.root)
+		g.root = g.own(g.root, write{})
 	}
 	g.mergeNode(g.root, other.root)
 	return nil
@@ -301,7 +334,7 @@ func (g *Graph) mergeNode(dst, src *Node) {
 	dst.Durations.Merge(src.Durations)
 	dst.Transitions.Merge(src.Transitions)
 	for _, sc := range src.children {
-		g.mergeNode(g.ownedChild(dst, sc.Location), sc)
+		g.mergeNode(g.ownedChild(dst, sc.Location, write{}), sc)
 	}
 }
 

@@ -137,9 +137,10 @@ type BuildOptions struct {
 	// MineExceptions computes flowgraph exceptions (the holistic, expensive
 	// part of the measure).
 	MineExceptions bool
-	// Workers is core.Config.Workers for the build: goroutines for mining
-	// (candidate join, support counting), flowgraph construction and
-	// exception mining.
+	// Workers is core.Config.Workers, for the build and set on a loaded
+	// cube alike: goroutines for mining (candidate join, support counting),
+	// flowgraph construction and exception mining, and for every append's
+	// fold, exception re-mine and redundancy re-mark.
 	Workers int
 	// Lazy opens cube snapshots with core.LoadCubeLazy: the file is mapped
 	// read-only and cells decode one at a time on first touch, so the server

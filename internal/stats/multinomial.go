@@ -92,16 +92,25 @@ func (m *Multinomial) insert(i int, v int64) {
 
 // regrow moves the columns into one fresh backing array with room for c
 // outcomes.
-func (m *Multinomial) regrow(c int) {
+func (m *Multinomial) regrow(c int) { m.copyTo(m, make([]int64, 2*c)) }
+
+// copyTo makes dst a copy of m over buf, whose length must be even and at
+// least 2*m.n: outcomes in its first half, counts in its second.
+func (m *Multinomial) copyTo(dst *Multinomial, buf []int64) {
 	outcomes, counts := m.cols()
-	buf := make([]int64, 2*c)
 	copy(buf, outcomes)
-	copy(buf[c:], counts)
-	m.buf = buf
+	copy(buf[len(buf)/2:], counts)
+	dst.buf, dst.n, dst.total = buf, m.n, m.total
 }
 
 // Observe records a single observation of outcome v.
 func (m *Multinomial) Observe(v int64) { m.Add(v, 1) }
+
+// Has reports whether v is an observed outcome.
+func (m *Multinomial) Has(v int64) bool {
+	_, ok := m.find(v)
+	return ok
+}
 
 // Count reports the number of observations of outcome v.
 func (m *Multinomial) Count(v int64) int64 {
@@ -196,12 +205,17 @@ func (m *Multinomial) Clone() *Multinomial {
 	return &c
 }
 
-// CopyInto makes dst a deep copy of m with room for one more outcome, so
-// the first new outcome the copy observes does not reallocate it. Graph
-// forks use it to copy a node's distributions into the node's own box.
-func (m *Multinomial) CopyInto(dst *Multinomial) {
-	*dst = *m
-	dst.regrow(m.n + 1)
+// CopyPairInto makes da and db deep copies of a and b, with room for roomA
+// and roomB more outcomes, so that many new outcomes observed by the copy
+// do not reallocate it. Both copies live in one backing array sized exactly
+// for them, each in its own capacity-clipped part: a regrow moves one copy
+// out and leaves the other in place. Graph forks use it to copy a node's
+// duration and transition distributions in one allocation.
+func CopyPairInto(da, db, a, b *Multinomial, roomA, roomB int) {
+	na, nb := 2*(a.n+roomA), 2*(b.n+roomB)
+	buf := make([]int64, na+nb)
+	a.copyTo(da, buf[:na:na])
+	b.copyTo(db, buf[na:])
 }
 
 // Mean returns the expectation of the outcome value (meaningful for

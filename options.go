@@ -80,7 +80,8 @@ func NewConfig(plan Plan, opts ...Option) (Config, error) {
 	return cfg, nil
 }
 
-// WithWorkers sets the build parallelism (0 = GOMAXPROCS).
+// WithWorkers sets the parallelism of the build and of every append to the
+// cube (0 or 1 = sequential).
 func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
 // WithMinSupport sets a fractional iceberg threshold: cells covering fewer

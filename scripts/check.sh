@@ -92,7 +92,11 @@ echo "== generation isolation, lazy first touch, request deadlines, census, shar
 # lazy and forked chains, and a lazy cube must decode no cell for it.
 # Sibling forks share one ledger: appending to both, concurrently too, one
 # may keep it and the other must claim none of it and derive its own.
-run_matching 'TestGenerationIsolation|TestLedgerMaintainedEqualsDerived|TestLazyAppendDerivesLedgerWithoutDecoding|TestSiblingForksKeepExactLedgers' -race -count=10 ./internal/core
+# ApplyDelta folds, re-mines and re-marks across Config.Workers: one and
+# four workers must save the same bytes and stats over built, loaded and
+# lazy cubes, and sibling forks of one lazy cube re-marking at once read
+# their parents through the one LRU they share with the readers.
+run_matching 'TestGenerationIsolation|TestLedgerMaintainedEqualsDerived|TestLazyAppendDerivesLedgerWithoutDecoding|TestSiblingForksKeepExactLedgers|TestApplyDeltaWorkersAgree|TestLazySiblingForksRemarkConcurrently' -race -count=10 ./internal/core
 # Same reasoning for a lazy cube's first touches: readers racing for one cold
 # cell share a single decode through the cache's single-flight, and Verify
 # installs its directories in the cache the readers are building theirs in.
