@@ -10,8 +10,9 @@ import (
 // recordRouter maps records to cells. The item abstraction level alone fixes
 // a record's cell (§4: the path level only shapes the cell's flowgraph), so
 // a record falls in exactly one cell per materialized item level. Build's
-// populate and sub-δ ledger, rebuildTIDs and ApplyDelta all map records
-// through it: route takes a record, then cell gives its cell at any item
+// populate, the sub-δ ledger's derivation and ApplyDelta all map records
+// through it, and the three walks of a whole database go through
+// walkRecords: route takes a record, then cell gives its cell at any item
 // level. A router holds scratch space: one goroutine uses it.
 type recordRouter struct {
 	*routes
@@ -74,4 +75,26 @@ func (r *recordRouter) cell(level int) (id []byte, values []hierarchy.NodeID) {
 	}
 	r.id = appendCellID(r.id[:0], r.values)
 	return r.id, r.values
+}
+
+// walkRecords routes recs in contiguous chunks, one per worker, each with
+// its own router and its own result, and returns the results in chunk
+// order: start makes a chunk's result, and visit takes each of the chunk's
+// records in ascending id order, routed. The chunks cover ascending id
+// ranges, so results joined in order are the sequential walk's.
+func walkRecords[T any](c *Cube, recs []pathdb.Record, start func() T, visit func(acc T, r *recordRouter, tid int)) []T {
+	n := len(recs)
+	chunks := max(min(c.Config.Workers, n), 1)
+	size := (n + chunks - 1) / chunks
+	out := make([]T, chunks)
+	c.router() // caches the cube's routes before the workers read them
+	c.forEach(chunks, func(i int) {
+		r, lo := c.router(), min(i*size, n)
+		out[i] = start()
+		for tid := lo; tid < min(lo+size, n); tid++ {
+			r.route(recs[tid].Dims)
+			visit(out[i], r, tid)
+		}
+	})
+	return out
 }

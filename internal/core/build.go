@@ -117,7 +117,7 @@ func (c *Cube) instantiateCells(db *pathdb.DB, res *mining.Result) cellConds {
 		for i := range values {
 			values[i] = hierarchy.Root
 		}
-		c.addCell(apexLevel(m), values, int64(db.Len()))
+		c.addCell(make(ItemLevel, m), values, int64(db.Len()))
 	}
 
 	// One classification scratch for the whole result: the levels are read
@@ -154,11 +154,6 @@ func (c *Cube) instantiateCells(db *pathdb.DB, res *mining.Result) cellConds {
 		}
 	}
 	return conds
-}
-
-func apexLevel(m int) ItemLevel {
-	il := make(ItemLevel, m)
-	return il
 }
 
 // classify splits a frequent itemset into its item-dimension part (at most
@@ -246,23 +241,19 @@ func (c *Cube) addCell(il ItemLevel, values []hierarchy.NodeID, count int64) {
 }
 
 // populate routes every record to its cell at every materialized item level
-// and builds the flowgraph measures. Past that only exception mining reads a
-// cell's tids, so a cube built without it drops them.
-func (c *Cube) populate(db *pathdb.DB) {
-	c.assignCells(db)
-	c.buildGraphs(db, !c.Config.MineExceptions)
-	c.haveTIDs = c.Config.MineExceptions
+// and builds the flowgraph measures, and returns each cell's record ids for
+// exception mining; the cube keeps none.
+func (c *Cube) populate(db *pathdb.DB) map[*Cell][]int32 {
+	tids := c.assignCells(db)
+	c.buildGraphs(db, tids)
+	return tids
 }
 
 // assignCells routes every record to its cell at every item level and
-// gives each cell its tids: one list per cell of a level, shared by the
-// level's cuboids that hold the cell (capacity-clipped, so an append
-// reallocates). The records split into contiguous chunks, one per worker,
-// each with its own tid buckets; buckets are concatenated in chunk order,
-// which, as chunks cover ascending tid ranges, is the sequential scan's
-// order.
-func (c *Cube) assignCells(db *pathdb.DB) {
-	c.haveTIDs = true
+// returns each cell's record ids, ascending: one list per cell of a level,
+// shared by the level's cuboids that hold the cell. walkRecords fills one
+// bucket per list per chunk, and the buckets join in chunk order.
+func (c *Cube) assignCells(db *pathdb.DB) map[*Cell][]int32 {
 	levels := c.levelGroups()
 	slotOf := make([]map[CellID]int32, len(levels))
 	var slots [][]*Cell // per slot: the cell in each cuboid holding it
@@ -282,31 +273,18 @@ func (c *Cube) assignCells(db *pathdb.DB) {
 		}
 	}
 
-	n := len(db.Records)
-	chunks := max(min(c.Config.Workers, n), 1)
-	size := (n + chunks - 1) / chunks
-	buckets := make([][][]int32, chunks)
-	// Made before the workers start: the first router call caches the
-	// cube's routes.
-	routers := make([]*recordRouter, chunks)
-	for i := range routers {
-		routers[i] = c.router()
-	}
-	c.forEach(chunks, func(i int) {
-		bucket := make([][]int32, len(slots))
-		r, lo := routers[i], min(i*size, n)
-		for tid := lo; tid < min(lo+size, n); tid++ {
-			r.route(db.Records[tid].Dims)
-			for li, ids := range slotOf {
-				id, _ := r.cell(li)
-				if s, ok := ids[CellID(id)]; ok {
-					bucket[s] = append(bucket[s], int32(tid))
-				}
+	buckets := walkRecords(c, db.Records, func() [][]int32 {
+		return make([][]int32, len(slots))
+	}, func(bucket [][]int32, r *recordRouter, tid int) {
+		for li, ids := range slotOf {
+			id, _ := r.cell(li)
+			if s, ok := ids[CellID(id)]; ok {
+				bucket[s] = append(bucket[s], int32(tid))
 			}
 		}
-		buckets[i] = bucket
 	})
 
+	out := make(map[*Cell][]int32)
 	for s, cells := range slots {
 		total := 0
 		for _, b := range buckets {
@@ -320,19 +298,20 @@ func (c *Cube) assignCells(db *pathdb.DB) {
 			tids = append(tids, b[s]...)
 		}
 		for _, cell := range cells {
-			cell.tids = tids
+			out[cell] = tids
 		}
 	}
+	return out
 }
 
 // buildGraphs constructs the flowgraph measure of every cell from its
-// assigned tids, dropping them afterwards when drop is set. It works one
-// path level at a time: every record is aggregated to the level once, into
-// one arena the level's cells all read and the next level does not keep,
-// and the cells, independent of each other, spread across workers. Sorted
+// assigned tids. It works one path level at a time: every record is
+// aggregated to the level once, into one arena the level's cells all read
+// and the next level does not keep, and the cells, independent of each
+// other, spread across workers. Sorted
 // cuboid order keeps the job list — and therefore worker scheduling and any
 // profile of it — identical across runs.
-func (c *Cube) buildGraphs(db *pathdb.DB, drop bool) {
+func (c *Cube) buildGraphs(db *pathdb.DB, tids map[*Cell][]int32) {
 	levels := c.Symbols.PathLevels()
 	jobs := make([][]*Cell, len(levels))
 	for _, cb := range c.sortedCuboids() {
@@ -347,13 +326,10 @@ func (c *Cube) buildGraphs(db *pathdb.DB, drop bool) {
 		c.forEach(len(cells), func(i int) {
 			cell := cells[i]
 			g := flowgraph.New(db.Schema.Location, level, nil)
-			for _, tid := range cell.tids {
+			for _, tid := range tids[cell] {
 				g.AddAggregated(agg.path(tid))
 			}
 			cell.Graph = g
-			if drop {
-				cell.tids = nil
-			}
 		})
 	}
 }
@@ -435,7 +411,7 @@ func forEach(workers, n int, fn func(i int)) {
 // include every single stage frequent in the cell, so no other scan looks
 // for them. Cells are independent, so the work is spread across
 // Config.Workers.
-func (c *Cube) mineExceptions(db *pathdb.DB, conds cellConds) {
+func (c *Cube) mineExceptions(db *pathdb.DB, conds cellConds, tids map[*Cell][]int32) {
 	// Sorted order for the same reason as populate: a deterministic job
 	// list, so runs are comparable.
 	type job struct {
@@ -454,6 +430,7 @@ func (c *Cube) mineExceptions(db *pathdb.DB, conds cellConds) {
 	r := &reminer{cube: c, db: db}
 	c.forEach(len(jobs), func(i int) {
 		// Only mining new conditions can fail, and Build's reminer mines none.
-		_, _ = r.remine(jobs[i].cell, jobs[i].pathLevel, len(jobs[i].cell.tids))
+		ids := tids[jobs[i].cell]
+		_, _ = r.remine(jobs[i].cell, jobs[i].pathLevel, ids, len(ids))
 	})
 }

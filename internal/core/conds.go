@@ -76,15 +76,16 @@ type reminer struct {
 	cube *Cube
 	db   *pathdb.DB
 	// stageTxs[tid] is the record's stage items at every path level: the
-	// cube's stage transactions (Cube.encodeStages), encoded once per record
+	// sub-δ ledger's stage transactions (ledger.go), encoded once per record
 	// along a lineage rather than once per cell that holds it. nil for
 	// Build's reminer.
 	stageTxs []transact.Transaction
 }
 
 // remine re-mines the exceptions of a cell of path level pathLevel that
-// Build is filling or that ApplyDelta obtained from ownedCell or admitCell:
-// the last added of its tids are new since its exceptions were last mined.
+// Build is filling or that ApplyDelta obtained from ownedCell or admitCell,
+// over its records' ids, ascending: the last added of them are new since
+// its exceptions were last mined.
 // A cold cache knows nothing of the exceptions the cell holds, so there
 // every record counts as new whatever added says. The cached conditions are
 // checked at the flowgraph nodes the new records moved and the newly
@@ -92,9 +93,9 @@ type reminer struct {
 // generation this one was forked from keeps the old one on its own copy of
 // the cell). It returns the number of moved nodes, 0 when every record is
 // new.
-func (r *reminer) remine(cell *Cell, pathLevel, added int) (int, error) {
-	paths := make([]pathdb.Path, len(cell.tids))
-	for i, tid := range cell.tids {
+func (r *reminer) remine(cell *Cell, pathLevel int, ids []int32, added int) (int, error) {
+	paths := make([]pathdb.Path, len(ids))
+	for i, tid := range ids {
 		paths[i] = r.db.Records[tid].Path
 	}
 	var old [][]flowgraph.StagePin
@@ -106,7 +107,7 @@ func (r *reminer) remine(cell *Cell, pathLevel, added int) (int, error) {
 	var fresh [][]flowgraph.StagePin
 	if r.stageTxs != nil {
 		var err error
-		if fresh, err = r.newConds(pathLevel, cell.tids, cell.tids[len(cell.tids)-added:], cell.conds); err != nil {
+		if fresh, err = r.newConds(pathLevel, ids, ids[len(ids)-added:], cell.conds); err != nil {
 			return 0, err
 		}
 	}

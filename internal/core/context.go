@@ -30,13 +30,13 @@ func BuildContext(ctx context.Context, db *pathdb.DB, cfg Config) (*Cube, error)
 
 	// One scan of the path database assigns records to the cells of every
 	// materialized item level, and folds the paths into the flowgraphs.
-	cube.populate(db)
+	tids := cube.populate(db)
 
 	if cfg.MineExceptions {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cube.mineExceptions(db, conds)
+		cube.mineExceptions(db, conds, tids)
 	}
 	if cfg.Tau > 0 {
 		if err := ctx.Err(); err != nil {

@@ -121,7 +121,7 @@ func TestRemineColdCellStartsOver(t *testing.T) {
 		if clear {
 			cell.Graph.ClearExceptions()
 		}
-		if _, err := fork.RemineCell(cell, spec.PathLevel, ex.DB, added(cell)); err != nil {
+		if _, err := fork.RemineCell(spec, cell, ex.DB, added(cell)); err != nil {
 			t.Fatal(err)
 		}
 		if _, warm := cell.CachedConds(); !warm {
@@ -133,7 +133,7 @@ func TestRemineColdCellStartsOver(t *testing.T) {
 		}
 		return out
 	}
-	want := remined(false, func(c *core.Cell) int { return len(c.TIDs()) })
+	want := remined(false, func(c *core.Cell) int { return int(c.Count) })
 	got := remined(true, func(*core.Cell) int { return 1 })
 	if len(want) == 0 {
 		t.Fatal("the apex cell has no exception; the comparison is vacuous")

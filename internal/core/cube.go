@@ -98,7 +98,6 @@ type Cell struct {
 	// fabricated for them.
 	Similarity float64
 
-	tids []int32
 	// conds caches the exception conditions checked for the cell (conds.go);
 	// nil is a cold cache. Not serialized.
 	conds *condSet
@@ -230,17 +229,10 @@ type Cube struct {
 	// cells and flowgraph nodes that carry it (delta.go).
 	gen         uint32
 	cellsCopied int
-	// ledger is the sub-δ count store (ledger.go), shared with the forks:
-	// nil until ApplyDelta derives it on the lineage's first append.
+	// ledger is the sub-δ ledger (ledger.go) — counts and, when the cube
+	// mines exceptions, record ids and stage transactions — shared with the
+	// forks: nil until ApplyDelta derives it on the lineage's first append.
 	ledger *deltaLedger
-	// haveTIDs records that the cells carry their record-id lists.
-	haveTIDs bool
-	// stages holds the stage transactions (Symbols.EncodeStages) of the
-	// database's first len(stages) records, which exception re-mining
-	// reads: nil until an append that mines exceptions encodes them, then
-	// extended by every such append. Forks share it capacity-clipped, so an
-	// extension reallocates and no entry is written once a fork can see it.
-	stages []transact.Transaction
 	// sharedSymbols records that Symbols belongs to an earlier generation
 	// (delta.go): ApplyDelta copies it before the first write.
 	sharedSymbols bool

@@ -36,16 +36,17 @@ package core
 // flowgraph.Graph.AddPath then copies the nodes along the path it adds and
 // nothing else. The symbol table is handed down the same way and copied
 // before ApplyDelta first interns into it. Dropping a fork is the whole
-// rollback. The sub-δ ledger is outside the rule: forks share one map,
-// which an append claims for the length of its base database (ledger.go),
-// so a fork advances it for the rest of its lineage, and a cube whose claim
-// fails — its ledger advanced by a sibling, or left claimed by a dropped
-// fold — pays one derivation on its next append.
+// rollback. The sub-δ ledger — the sub-δ counts and, on a cube that mines
+// exceptions, each cell's record ids and the stage transactions — is outside
+// the rule: forks share one ledger, which an append claims for the length of
+// its base database and extends in place (ledger.go), so a fork advances it
+// for the rest of its lineage, and a cube whose claim fails — its ledger
+// advanced by a sibling, or left claimed by a dropped fold — pays one
+// derivation on its next append.
 //
 // This file is on the immutcube allowlist: it holds that accessor, ApplyDelta
 // — which writes only cells the accessor or admitCell handed it — and the
-// build-phase machinery (tid recovery, the record router's cache) that runs
-// on cubes no reader shares yet.
+// record router's cache, set on cubes no reader shares yet.
 
 import (
 	"cmp"
@@ -129,7 +130,7 @@ type DeltaStats struct {
 	// CellsCopied is the number of cells this call copied from the
 	// generation the cube was forked from: the cells it wrote, less any an
 	// earlier call on the same fork already copied (0 on a cube patched in
-	// place; every cell on the one call that recovers a loaded cube's tids).
+	// place).
 	CellsCopied int `json:"cells_copied"`
 	// NodesCopied is the number of flowgraph nodes copied with them: the
 	// nodes on the batch's aggregated paths through the touched cells, root
@@ -157,8 +158,9 @@ type DeltaStats struct {
 // neighbours, not the snapshot. The first call on a cube without a sub-δ
 // ledger over db — one that was built, loaded or merged, or whose shared
 // ledger a sibling fork advanced or a dropped fold left claimed — derives
-// it in one walk of the base database, which reads no cell. Sibling forks
-// of one cube may append concurrently, each over its own database.
+// it, with the record ids and stage transactions exception re-mining reads,
+// in one walk of the base database, which reads no cell. Sibling forks of
+// one cube may append concurrently, each over its own database.
 func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, error) {
 	if cube == nil {
 		return nil, ErrNilCube
@@ -192,23 +194,22 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 	}
 	cellsCopied := cube.cellsCopied
 
+	// Stage encoding interns into the symbol table, and nothing else reads
+	// item ids after a build, so a cube without exceptions keeps sharing the
+	// table of the generation it was forked from.
+	if cfg.MineExceptions && cube.sharedSymbols {
+		cube.Symbols, cube.sharedSymbols = cube.Symbols.Clone(), false
+	}
+
 	// The ledger is a function of the base database and δ, so a cube whose
 	// shared ledger does not count db, or is held, derives its own before
 	// the batch lands; this call keeps it exact and hands it on to the
 	// cube's forks when it succeeds.
 	ledger := cube.ledger
 	if !ledger.claim(baseLen) {
-		ledger = cube.deriveLedger(db)
+		ledger = cube.deriveLedger(db, cube.Symbols)
 		cube.ledger = ledger
 	}
-
-	// Exception re-mining needs every touched cell's full record set; cubes
-	// loaded from snapshots carry no tids, so recover them once from the
-	// base database (before the batch lands in it).
-	if cfg.MineExceptions && !cube.haveTIDs {
-		cube.rebuildTIDs(db)
-	}
-	haveTids := cube.haveTIDs
 
 	// Batch combo accounting: every (item level, values) combination a
 	// batch record maps to either names an existing cell — the same cell in
@@ -255,26 +256,19 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 			return nil, &BatchError{Index: i, Err: err}
 		}
 	}
-	// Intern the batch's items in record order, mirroring a full build's
-	// encode pass: item ids — and therefore mined-itemset order, and
-	// therefore exception pin order — match the full build exactly. Nothing
-	// else reads item ids after a build, so a cube without exceptions keeps
-	// sharing the table of the generation it was forked from.
-	if cfg.MineExceptions {
-		if cube.sharedSymbols {
-			cube.Symbols, cube.sharedSymbols = cube.Symbols.Clone(), false
+	// The batch's stage transactions, on one goroutine before any re-mine
+	// reads them: encoding may intern.
+	if ledger.ids != nil {
+		for _, rec := range batch {
+			ledger.stages = append(ledger.stages, cube.Symbols.EncodeStages(rec.Path))
 		}
-		for i := baseLen; i < db.Len(); i++ {
-			cube.Symbols.EncodeRecord(db.Records[i])
-		}
-		cube.encodeStages(db)
 	}
 
 	// Fold and admit, one job per cuboid of every item level the batch
 	// landed in: the job copies the cells it writes out of the generation
 	// the cube was forked from and folds the new paths into their
 	// flowgraphs, which copies the nodes along those paths and no others.
-	touched := cube.foldBatch(db, baseLen, landed, haveTids, stats)
+	touched := cube.foldBatch(db, baseLen, landed, ledger, stats)
 
 	// Exceptions: recompute exactly, per touched cell, over its union
 	// records (conds.go): a warm cell re-mines at the prefixes the batch
@@ -282,7 +276,7 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 	// freshly admitted, or its cache dropped — from an empty set with every
 	// record counted as new, which warms its entry for the next batch.
 	if cfg.MineExceptions {
-		if err := cube.remineTouched(db, touched, stats); err != nil {
+		if err := cube.remineTouched(db, ledger, touched, stats); err != nil {
 			return nil, err
 		}
 	}
@@ -312,9 +306,6 @@ type combo struct {
 	hit, admit bool
 	tids       []int32 // batch record ids, ascending
 	baseTids   []int32 // base record ids, ascending (filled by matchBase)
-	// union is an admitted combo's base and batch ids, when the cube keeps
-	// tids: one list its cells share, as Build's cells of a level do.
-	union []int32
 }
 
 // routeBatch maps every batch record, numbered from baseLen, to its
@@ -377,11 +368,12 @@ type touchedCell struct {
 // cuboid of their item levels, spread across Config.Workers one cuboid per
 // job, and returns the cells it wrote in item-level, cuboid, CompareCells
 // order, counting them and what they copied into stats. On one goroutine
-// first: the batch's paths are aggregated once per path level, and every
-// cuboid a job writes is made this generation's own in the cuboid table,
-// so a job writes only its own cuboid — its cell map, which it copies
-// first, its cells and their flowgraphs.
-func (c *Cube) foldBatch(db *pathdb.DB, baseLen int, landed []*combo, haveTids bool, stats *DeltaStats) []touchedCell {
+// first: the batch's paths are aggregated once per path level, the
+// ledger's record ids, when it keeps them, gain each item level's batch ids
+// once, and every cuboid a job writes is made this generation's own in the
+// cuboid table, so a job writes only its own cuboid — its cell map, which
+// it copies first, its cells and their flowgraphs.
+func (c *Cube) foldBatch(db *pathdb.DB, baseLen int, landed []*combo, ledger *deltaLedger, stats *DeltaStats) []touchedCell {
 	slices.SortFunc(landed, func(a, b *combo) int {
 		return cmp.Or(cmp.Compare(a.levelIdx, b.levelIdx), CompareCells(a.values, b.values))
 	})
@@ -408,9 +400,13 @@ func (c *Cube) foldBatch(db *pathdb.DB, baseLen int, landed []*combo, haveTids b
 				}
 			}
 		}
-		for _, cm := range landed[lo:hi] {
-			if cm.admit && haveTids {
-				cm.union = append(append(make([]int32, 0, len(cm.baseTids)+len(cm.tids)), cm.baseTids...), cm.tids...)
+		if ids := ledger.ids[levels[li].Item.Key()]; ids != nil {
+			for _, cm := range landed[lo:hi] {
+				if cm.admit {
+					ids[cm.id] = append(cm.baseTids, cm.tids...)
+				} else {
+					ids[cm.id] = append(ids[cm.id], cm.tids...)
+				}
 			}
 		}
 		lo = hi
@@ -439,9 +435,6 @@ func (c *Cube) foldBatch(db *pathdb.DB, baseLen int, landed []*combo, haveTids b
 					r.cells++
 				}
 				cell.Count += int64(len(cm.tids))
-				if haveTids {
-					cell.tids = append(cell.tids, cm.tids...)
-				}
 				if cell.Graph != nil {
 					before := cell.Graph.NodesCopied()
 					for _, tid := range cm.tids {
@@ -468,7 +461,6 @@ func (c *Cube) foldBatch(db *pathdb.DB, baseLen int, landed []*combo, haveTids b
 				g.AddAggregated(agg.path(tid))
 			}
 			cell.Graph = g
-			cell.tids = cm.union
 			r.touched = append(r.touched, touchedCell{spec: cb.Spec, cell: cell, added: n})
 			r.admitted++
 		}
@@ -487,18 +479,22 @@ func (c *Cube) foldBatch(db *pathdb.DB, baseLen int, landed []*combo, haveTids b
 
 // remineTouched re-mines the exceptions of every touched cell with a
 // flowgraph, spread across Config.Workers one cell per job, largest first,
-// and counts them into stats. The jobs read the stage transactions
-// encodeStages encoded before they start, and each writes only its own
-// cell's exceptions and condition cache.
-func (c *Cube) remineTouched(db *pathdb.DB, touched []touchedCell, stats *DeltaStats) error {
-	r := &reminer{cube: c, db: db, stageTxs: c.stages}
-	var jobs []touchedCell
+// and counts them into stats. The jobs read the record ids and stage
+// transactions the claimed ledger holds, complete before they start, and
+// each writes only its own cell's exceptions and condition cache.
+func (c *Cube) remineTouched(db *pathdb.DB, ledger *deltaLedger, touched []touchedCell, stats *DeltaStats) error {
+	r := &reminer{cube: c, db: db, stageTxs: ledger.stages}
+	type job struct {
+		touchedCell
+		ids []int32
+	}
+	var jobs []job
 	for _, t := range touched {
 		if t.cell.Graph != nil {
-			jobs = append(jobs, t)
+			jobs = append(jobs, job{t, ledger.ids[t.spec.Item.Key()][MakeCellID(t.cell.Values)]})
 		}
 	}
-	slices.SortStableFunc(jobs, func(a, b touchedCell) int { return cmp.Compare(len(b.cell.tids), len(a.cell.tids)) })
+	slices.SortStableFunc(jobs, func(a, b job) int { return cmp.Compare(len(b.ids), len(a.ids)) })
 	type result struct {
 		warm  bool
 		moved int
@@ -508,7 +504,7 @@ func (c *Cube) remineTouched(db *pathdb.DB, touched []touchedCell, stats *DeltaS
 	c.forEach(len(jobs), func(i int) {
 		t, res := jobs[i], &results[i]
 		res.warm = t.cell.conds != nil
-		res.moved, res.err = r.remine(t.cell, t.spec.PathLevel, t.added)
+		res.moved, res.err = r.remine(t.cell, t.spec.PathLevel, t.ids, t.added)
 	})
 	for _, res := range results {
 		if res.err != nil {
@@ -613,17 +609,6 @@ func (c *Cube) redundancyFrontier(touched []touchedCell) []CellRef {
 	return out
 }
 
-// encodeStages extends the cube's stage transactions to every record of
-// db, in record order. Encoding may intern into the symbol table, so it
-// runs on one goroutine, after the batch's items are interned and before
-// any re-mine reads the transactions; the part of the list forks share is
-// never written.
-func (c *Cube) encodeStages(db *pathdb.DB) {
-	for tid := len(c.stages); tid < db.Len(); tid++ {
-		c.stages = append(c.stages, c.Symbols.EncodeStages(db.Records[tid].Path))
-	}
-}
-
 // ownCell is ownedCell within a cuboid this generation owns: it reports
 // whether it copied the cell, for the caller to count, and writes nothing
 // but the cuboid's cell map and the copy.
@@ -634,7 +619,6 @@ func (c *Cube) ownCell(cb *Cuboid, values []hierarchy.NodeID) (*Cell, bool) {
 	}
 	own := *cell
 	own.owner = c.gen
-	own.tids = cell.tids[:len(cell.tids):len(cell.tids)]
 	if cell.Graph != nil {
 		own.Graph = cell.Graph.Fork(c.gen)
 	}
@@ -643,9 +627,8 @@ func (c *Cube) ownCell(cb *Cuboid, values []hierarchy.NodeID) (*Cell, bool) {
 }
 
 // matchBase appends to every combo the ids of the base records that map
-// to it, ascending. The base records split into contiguous chunks, one per
-// worker, each routed by its own router into its own lists, which join in
-// chunk order: the sequential scan's.
+// to it, ascending: walkRecords fills one list per combo per chunk, and the
+// lists join in chunk order.
 func (c *Cube) matchBase(db *pathdb.DB, baseLen int, combos []*combo) {
 	if len(combos) == 0 {
 		return
@@ -660,28 +643,15 @@ func (c *Cube) matchBase(db *pathdb.DB, baseLen int, combos []*combo) {
 		}
 		wanted[cm.levelIdx][cm.id] = k
 	}
-	chunks := max(min(c.Config.Workers, baseLen), 1)
-	size := (baseLen + chunks - 1) / chunks
-	found := make([][][]int32, chunks)
-	// Made before the workers start: the first router call caches the
-	// cube's routes.
-	routers := make([]*recordRouter, chunks)
-	for i := range routers {
-		routers[i] = c.router()
-	}
-	c.forEach(chunks, func(i int) {
-		tids := make([][]int32, len(combos))
-		r, lo := routers[i], min(i*size, baseLen)
-		for tid := lo; tid < min(lo+size, baseLen); tid++ {
-			r.route(db.Records[tid].Dims)
-			for _, li := range levels {
-				id, _ := r.cell(li)
-				if k, ok := wanted[li][CellID(id)]; ok {
-					tids[k] = append(tids[k], int32(tid))
-				}
+	found := walkRecords(c, db.Records[:baseLen], func() [][]int32 {
+		return make([][]int32, len(combos))
+	}, func(tids [][]int32, r *recordRouter, tid int) {
+		for _, li := range levels {
+			id, _ := r.cell(li)
+			if k, ok := wanted[li][CellID(id)]; ok {
+				tids[k] = append(tids[k], int32(tid))
 			}
 		}
-		found[i] = tids
 	})
 	for k, cm := range combos {
 		for _, tids := range found {
@@ -731,9 +701,10 @@ func (c *Cube) CheckSchema(s *pathdb.Schema) error {
 // done to the fork — readers keep using it, and a fork that is dropped
 // leaves no trace in them — so the cost is the cuboid table, which does
 // not grow with the cells or their flowgraphs. The symbol table is shared
-// too, until ApplyDelta copies it, and so is the sub-δ ledger: the
-// pointer is copied, and the fork's first append claims the map (ledger.go),
-// which leaves the receiver's next append to derive its own.
+// too, until ApplyDelta copies it, and so is the sub-δ ledger with the
+// record ids and stage transactions it keeps: the pointer is copied, and
+// the fork's first append claims and extends it (ledger.go), which leaves
+// the receiver's next append to derive its own.
 //
 // Tags run out after 2³²−1 forks along one lineage; a cube from Build or
 // Load starts a new one.
@@ -747,8 +718,6 @@ func (c *Cube) Fork() *Cube {
 		minCount:      c.minCount,
 		gen:           c.gen + 1,
 		ledger:        c.ledger,
-		haveTIDs:      c.haveTIDs,
-		stages:        slices.Clip(c.stages),
 		sharedSymbols: true,
 		compressed:    c.compressed,
 		groups:        c.groups,
@@ -812,9 +781,8 @@ func (cb *Cuboid) remove(id CellID) {
 // write it, or nil when there is none. It is the only way a writer reaches
 // a cell: the first touch in a generation copies the cuboid's cell map,
 // then the cell — decoded first when only the mapped base holds it — its
-// flowgraph forked (nodes shared until a path is added through them), its
-// tids clamped so an append reallocates instead of growing into the older
-// generation's spare capacity — and later touches return the same copy.
+// flowgraph forked (nodes shared until a path is added through them) — and
+// later touches return the same copy.
 func (c *Cube) ownedCell(spec CuboidSpec, values []hierarchy.NodeID) *Cell {
 	cb := c.ownedCuboid(spec)
 	if cb == nil {
@@ -883,15 +851,6 @@ func (c *Cube) router() *recordRouter {
 		r.anc[d] = make([]hierarchy.NodeID, len(levels))
 	}
 	return r
-}
-
-// rebuildTIDs re-derives every materialized cell's record-id list from the
-// database the cube was built over (or an equal copy), using the same
-// record walk as Build. Cubes loaded from snapshots do not carry tids;
-// exception re-mining needs them once.
-func (c *Cube) rebuildTIDs(db *pathdb.DB) {
-	c.ownAllCells()
-	c.assignCells(db)
 }
 
 // admitCell registers a newly-frequent cell in a cuboid this generation

@@ -25,7 +25,9 @@ import (
 // flowserve -in x.fcb -db x.fdb -workers 2 serves it (a snapshot does not
 // carry Workers; the server sets it on the cube it loads): first times the
 // append that derives the ledger on a freshly loaded cube (the load is
-// outside the timer), steady the appends after it.
+// outside the timer), steady the appends after it. exceptions/first is
+// first over the exceptions cube, whose ledger also keeps record ids and
+// stage transactions.
 func BenchmarkApplyDelta(b *testing.B) {
 	const base, batchLen, batches = 2000, 10, 8
 	gen := datagen.Default()
@@ -62,24 +64,31 @@ func BenchmarkApplyDelta(b *testing.B) {
 			})
 		}
 	}
-	snap := oracle.Save(b, oracle.Build(b, oracle.Prefix(ds.DB, base), cfg(false, 0)))
-	load := func(b *testing.B) *core.Cube {
-		cube, err := core.Load(bytes.NewReader(snap))
+	snaps := map[bool][]byte{}
+	for _, exceptions := range []bool{false, true} {
+		snaps[exceptions] = oracle.Save(b, oracle.Build(b, oracle.Prefix(ds.DB, base), cfg(exceptions, 0)))
+	}
+	load := func(b *testing.B, exceptions bool) *core.Cube {
+		cube, err := core.Load(bytes.NewReader(snaps[exceptions]))
 		if err != nil {
 			b.Fatal(err)
 		}
 		cube.Config.Workers = 2
 		return cube
 	}
-	b.Run("loaded/first", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			cube, db := load(b), oracle.Prefix(ds.DB, base)
-			b.StartTimer()
-			if _, err := core.ApplyDelta(cube, db, batch(i)); err != nil {
-				b.Fatal(err)
+	first := func(exceptions bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cube, db := load(b, exceptions), oracle.Prefix(ds.DB, base)
+				b.StartTimer()
+				if _, err := core.ApplyDelta(cube, db, batch(i)); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
-	b.Run("loaded/steady", func(b *testing.B) { steady(b, load(b)) })
+	}
+	b.Run("loaded/first", first(false))
+	b.Run("loaded/steady", func(b *testing.B) { steady(b, load(b, false)) })
+	b.Run("loaded/exceptions/first", first(true))
 }

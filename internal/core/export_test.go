@@ -23,20 +23,50 @@ func (c *Cube) Ledger() *deltaLedger { return c.ledger }
 // cube maintains and one derived afresh from db over the same cells, and is
 // empty when they agree, the cube has derived none yet, or its ledger does
 // not count db (a sibling fork advanced it, or a dropped fold left it
-// claimed: the cube's next append derives its own). oracle.Run checks it
+// claimed: the cube's next append derives its own). The fresh derivation
+// interns into a copy of the cube's symbol table. oracle.Run checks it
 // after every step of a chain.
 func (c *Cube) LedgerDiff(db *pathdb.DB) string {
 	if c.ledger == nil || c.ledger.stamp.Load() != int64(db.Len()) {
 		return ""
 	}
-	return LedgerDiff(c.deriveLedger(db), c.ledger)
+	return LedgerDiff(c.DeriveLedger(db), c.ledger)
 }
 
-// LedgerDiff describes the first combination, in item-level key and cell
-// order, whose count in got differs from want's, or is empty. An entry
-// missing from a ledger counts 0; empty item levels do not count.
+// DeriveLedger is deriveLedger over a copy of the cube's symbol table,
+// released: what the cube's next append would derive.
+func (c *Cube) DeriveLedger(db *pathdb.DB) *deltaLedger {
+	l := c.deriveLedger(db, c.Symbols.Clone())
+	l.release(db.Len())
+	return l
+}
+
+// LedgerDiff describes the first difference between two ledgers, or is
+// empty: a combination, in item-level key and cell order, whose count in
+// got differs from want's (an entry missing from a ledger counts 0, and
+// empty item levels do not count), then a cell whose record ids differ,
+// then a record whose stage transaction differs.
 func LedgerDiff(want, got *deltaLedger) string {
-	w, g := want.levels, got.levels
+	if d := diffLevels(want.levels, got.levels, func(a, b int64) bool { return a == b }); d != "" {
+		return "count of " + d
+	}
+	if d := diffLevels(want.ids, got.ids, slices.Equal[[]int32]); d != "" {
+		return "record ids of " + d
+	}
+	if len(want.stages) != len(got.stages) {
+		return fmt.Sprintf("stage transactions of %d records, want %d", len(got.stages), len(want.stages))
+	}
+	for tid := range want.stages {
+		if !slices.Equal(want.stages[tid], got.stages[tid]) {
+			return fmt.Sprintf("record %d: stage transaction %v, want %v", tid, got.stages[tid], want.stages[tid])
+		}
+	}
+	return ""
+}
+
+// diffLevels describes the first entry, in item-level key and cell order,
+// whose value in got differs from want's under eq, or is empty.
+func diffLevels[V any](w, g map[string]map[CellID]V, eq func(a, b V) bool) string {
 	var keys []string
 	for key := range w {
 		keys = append(keys, key)
@@ -59,26 +89,27 @@ func LedgerDiff(want, got *deltaLedger) string {
 		}
 		slices.SortFunc(ids, func(a, b CellID) int { return CompareCells(a.values(), b.values()) })
 		for _, id := range ids {
-			if w[key][id] != g[key][id] {
-				return fmt.Sprintf("level %s, combination %s: count %d, want %d", key, formatCell(id.values()), g[key][id], w[key][id])
+			if !eq(w[key][id], g[key][id]) {
+				return fmt.Sprintf("level %s, combination %s: %v, want %v", key, formatCell(id.values()), g[key][id], w[key][id])
 			}
 		}
 	}
 	return ""
 }
 
-// TIDs returns the cell's record ids, nil when the cube keeps none.
-func (cell *Cell) TIDs() []int32 { return cell.tids }
+// IDs returns the record ids the ledger keeps for a cell of the spec's item
+// level, nil when it keeps none.
+func (l *deltaLedger) IDs(spec CuboidSpec, values []hierarchy.NodeID) []int32 {
+	return l.ids[spec.Item.Key()][MakeCellID(values)]
+}
+
+// AssignCells is assignCells: every cell's record ids in db, as Build
+// assigns them.
+func (c *Cube) AssignCells(db *pathdb.DB) map[*Cell][]int32 { return c.assignCells(db) }
 
 // CachedConds returns the cell's cached condition set, with ok=false on a
 // cold cache.
 func (cell *Cell) CachedConds() (*condSet, bool) { return cell.conds, cell.conds != nil }
-
-// HaveTIDs reports whether the cube's cells carry their record-id lists.
-func (c *Cube) HaveTIDs() bool { return c.haveTIDs }
-
-// RebuildTIDs is rebuildTIDs.
-func (c *Cube) RebuildTIDs(db *pathdb.DB) { c.rebuildTIDs(db) }
 
 // CellsCopied reports how many cells this generation has copied from the
 // ones before it.
@@ -89,14 +120,17 @@ func (c *Cube) OwnedCell(spec CuboidSpec, values []hierarchy.NodeID) *Cell {
 	return c.ownedCell(spec, values)
 }
 
-// RemineCell re-mines a cell of path level pathLevel as ApplyDelta does:
+// RemineCell re-mines a cell of the spec's cuboid as ApplyDelta does:
 // against its cached conditions and the ones its last added records made
-// frequent, with a stage cache, so a cold cell mines its whole condition
-// set.
-func (c *Cube) RemineCell(cell *Cell, pathLevel int, db *pathdb.DB, added int) (int, error) {
-	c.encodeStages(db)
-	r := &reminer{cube: c, db: db, stageTxs: c.stages}
-	return r.remine(cell, pathLevel, added)
+// frequent, over the record ids and stage transactions a ledger derived
+// from db holds, so a cold cell mines its whole condition set.
+func (c *Cube) RemineCell(spec CuboidSpec, cell *Cell, db *pathdb.DB, added int) (int, error) {
+	if c.sharedSymbols {
+		c.Symbols, c.sharedSymbols = c.Symbols.Clone(), false
+	}
+	l := c.deriveLedger(db, c.Symbols)
+	r := &reminer{cube: c, db: db, stageTxs: l.stages}
+	return r.remine(cell, spec.PathLevel, l.IDs(spec, cell.Values), added)
 }
 
 // EnumerateCellValues is enumerateCellValues.

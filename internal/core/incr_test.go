@@ -224,6 +224,7 @@ func frequentStagesAreConditions(t *testing.T, cube *core.Cube, db *pathdb.DB, w
 		prefix string
 	}
 	checked := 0
+	tids := cube.AssignCells(db)
 	for key, cb := range cube.Cuboids {
 		level := cube.Symbols.PathLevels()[cb.Spec.PathLevel]
 		if level.Time.Any {
@@ -231,7 +232,7 @@ func frequentStagesAreConditions(t *testing.T, cube *core.Cube, db *pathdb.DB, w
 		}
 		for _, cell := range cb.SortedCells() {
 			support := map[stage]int64{}
-			for _, tid := range cell.TIDs() {
+			for _, tid := range tids[cell] {
 				ap := pathdb.AggregatePath(db.Records[tid].Path, level, nil)
 				for i, st := range ap {
 					support[stage{

@@ -28,9 +28,9 @@ func TestGenerationIsolation(t *testing.T) {
 	variants := []struct {
 		name string
 		cfg  core.Config
-		// reload starts the chain from a saved-and-loaded cube: no tids and a
-		// cold condition cache, so the first touch of a cell re-mines it in
-		// full and RebuildTIDs runs on a fork.
+		// reload starts the chain from a saved-and-loaded cube: no sub-δ
+		// ledger and a cold condition cache, so the first append derives the
+		// ledger and the first touch of a cell re-mines it in full.
 		reload bool
 		// lazy starts the chain from a LoadCubeLazy of the saved build: every
 		// cell a step writes is copied out of the mapping, and no other.
@@ -127,8 +127,7 @@ func TestGenerationIsolation(t *testing.T) {
 				}
 				// Re-marking redundancy writes the touched cells' lattice
 				// children too; with τ = 0 the bound is touched + admitted.
-				// The first fold over a loaded cube recovers every cell's tids.
-				if limit := stats.CellsTouched + stats.CellsAdmitted + stats.RedundancyRemarked; stats.CellsCopied > limit && !(v.reload && step == 0) {
+				if limit := stats.CellsTouched + stats.CellsAdmitted + stats.RedundancyRemarked; stats.CellsCopied > limit {
 					t.Errorf("step %d: copied %d cells, wrote at most %d", step, stats.CellsCopied, limit)
 				}
 				if stats.CellsTouched > 0 && stats.CellsCopied == 0 {

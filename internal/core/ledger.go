@@ -1,34 +1,46 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
+	"flowcube/internal/transact"
 )
 
-// deltaLedger is the auxiliary sub-δ count store: for every materialized
-// item level, the exact path count of every dimension-value combination
-// that occurs in the database but falls below the iceberg threshold, so
-// ApplyDelta decides cell admission — base count plus batch count crossing
-// δ — in O(1) per touched combination instead of a base-database scan.
-// COUNT is distributive, so the ledger is a function of the database and
-// δ: no cube is built, loaded or merged with one, and ApplyDelta derives it
-// (deriveLedger) on a cube's first append.
+// deltaLedger is the one home of the record state appends need from the
+// base database: per materialized item level, the exact path count of every
+// dimension-value combination that occurs in the database but falls below
+// the iceberg threshold, so ApplyDelta decides cell admission — base count
+// plus batch count crossing δ — in O(1) per touched combination; and, on a
+// cube that mines exceptions, what the re-mine reads: each cell's record
+// ids and every record's stage transactions. COUNT is distributive and the
+// flowgraph measure algebraic, so all three are a function of the database
+// and δ: no cube is built, loaded or merged with them, and ApplyDelta
+// derives them (deriveLedger) in one walk of the base on a first append.
 //
 // Forks share one ledger by pointer; stamp says which database it counts:
 // the number of base records, or -1 while a call holds it. A writer claims
-// it by swapping its database's length for -1 and, once done, stores the
-// union's length. A claim fails — and the cube derives a ledger of its
-// own — when a sibling fork advanced the ledger, a dropped fold left it
-// claimed, or another call holds it. Along one commit lineage every claim
-// succeeds, so only its first append derives.
+// it by swapping its database's length for -1, extends it in place — only
+// the holder reads it — and, once done, stores the union's length. A claim
+// fails, and the cube derives a ledger of its own, when a sibling fork
+// advanced the ledger, a dropped fold left it claimed, or another call
+// holds it. Along one commit lineage every claim succeeds, so only its
+// first append derives.
 type deltaLedger struct {
 	stamp atomic.Int64
 	// levels maps an item level's key to its combinations' counts, for
 	// every item level of the cube that derived it; a cube's levels never
 	// grow, so its forks find theirs there too.
 	levels map[string]map[CellID]int64
+	// ids maps an item level's key to each cell's record ids, ascending,
+	// which every cuboid of the level shares; stages[tid] is record tid's
+	// stage items (Symbols.EncodeStages), interned into the symbol table of
+	// the cube that last extended the ledger, which its forks inherit. Both
+	// are nil unless the cube mines exceptions.
+	ids    map[string]map[CellID][]int32
+	stages []transact.Transaction
 }
 
 // claim reports whether the ledger counts exactly a database of n records
@@ -51,75 +63,95 @@ func (l *deltaLedger) size() int {
 }
 
 // filter returns a new ledger, counting the same n records, with the
-// combinations whose values satisfy keep; nil when it is not free.
+// combinations and cells whose values satisfy keep; nil when it is not
+// free. The id lists and the stage list it shares are capacity-clipped, so
+// the first append to either ledger reallocates them.
 func (l *deltaLedger) filter(keep func(values []hierarchy.NodeID) bool) *deltaLedger {
 	n := l.stamp.Load()
 	if n < 0 || !l.claim(int(n)) {
 		return nil
 	}
 	defer l.release(int(n))
-	out := &deltaLedger{levels: make(map[string]map[CellID]int64, len(l.levels))}
+	out := &deltaLedger{levels: filterLevels(l.levels, keep, func(count int64) int64 { return count })}
 	out.stamp.Store(n)
-	for key, counts := range l.levels {
-		kept := make(map[CellID]int64)
-		for id, count := range counts {
-			if keep(id.values()) {
-				kept[id] = count
-			}
-		}
-		out.levels[key] = kept
+	if l.ids != nil {
+		out.ids = filterLevels(l.ids, keep, slices.Clip[[]int32])
+		out.stages = slices.Clip(l.stages)
 	}
 	return out
 }
 
-// deriveLedger counts, per materialized item level, the records of db whose
-// combination is no cell of the cube, and keeps the counts below δ: the
-// cube's sub-δ ledger over db, returned claimed (the caller releases it)
-// and non-nil even when empty. Every cell counts at least δ records and
-// every combination that does is dropped, so it counts every combination
-// and reads no cell, directory or section. The records split into
-// contiguous chunks, one per worker, each counting on its own; levels are
-// independent, so their sums spread across workers too.
-func (c *Cube) deriveLedger(db *pathdb.DB) *deltaLedger {
-	levels := c.levelGroups()
-	n := db.Len()
-	chunks := max(min(c.Config.Workers, n), 1)
-	size := (n + chunks - 1) / chunks
-	tallies := make([][]tally, chunks)
-	// Made before the workers start: the first router call caches the
-	// cube's routes.
-	routers := make([]*recordRouter, chunks)
-	for i := range routers {
-		routers[i] = c.router()
-	}
-	c.forEach(chunks, func(i int) {
-		counts := make([]tally, len(levels))
-		for li := range counts {
-			counts[li].at = make(map[CellID]int32)
-		}
-		r, lo := routers[i], min(i*size, n)
-		for tid := lo; tid < min(lo+size, n); tid++ {
-			r.route(db.Records[tid].Dims)
-			for li := range counts {
-				id, _ := r.cell(li)
-				t := &counts[li]
-				if k, ok := t.at[CellID(id)]; ok {
-					t.n[k]++
-				} else {
-					t.at[CellID(id)] = int32(len(t.n))
-					t.n = append(t.n, 1)
-				}
+// filterLevels copies per-item-level maps, keeping the entries whose values
+// satisfy keep, each passed through share.
+func filterLevels[V any](levels map[string]map[CellID]V, keep func(values []hierarchy.NodeID) bool, share func(V) V) map[string]map[CellID]V {
+	out := make(map[string]map[CellID]V, len(levels))
+	for key, entries := range levels {
+		kept := make(map[CellID]V)
+		for id, v := range entries {
+			if keep(id.values()) {
+				kept[id] = share(v)
 			}
 		}
-		tallies[i] = counts
+		out[key] = kept
+	}
+	return out
+}
+
+// deriveLedger walks db once (walkRecords) and counts, per materialized
+// item level, the records of each combination, keeping the counts below δ:
+// every cell counts at least δ records and every combination that does is a
+// cell, so it reads no cell, directory or section. A cube that mines
+// exceptions also gets each cell's record ids from the same walk, and every
+// record's stage transactions, interned into syms on the calling goroutine.
+// The ledger comes back claimed (the caller releases it) and non-nil even
+// when empty. Levels are independent, so their sums spread across workers
+// too.
+func (c *Cube) deriveLedger(db *pathdb.DB, syms *transact.Symbols) *deltaLedger {
+	levels := c.levelGroups()
+	keepIDs := c.Config.MineExceptions
+	chunks := walkRecords(c, db.Records, func() []tally {
+		t := make([]tally, len(levels))
+		for li := range t {
+			t[li].at = make(map[CellID]int32)
+		}
+		return t
+	}, func(t []tally, r *recordRouter, tid int) {
+		for li := range t {
+			id, _ := r.cell(li)
+			lt := &t[li]
+			k, ok := lt.at[CellID(id)]
+			if !ok {
+				k = int32(len(lt.n))
+				lt.at[CellID(id)] = k
+				lt.n = append(lt.n, 0)
+				if keepIDs {
+					lt.ids = append(lt.ids, nil)
+				}
+			}
+			lt.n[k]++
+			if keepIDs {
+				lt.ids[k] = append(lt.ids[k], int32(tid))
+			}
+		}
 	})
 
 	sums := make([]map[CellID]int64, len(levels))
+	cells := make([]map[CellID][]int32, len(levels))
 	c.forEach(len(levels), func(li int) {
-		sum := make(map[CellID]int64, len(tallies[0][li].n))
-		for _, counts := range tallies {
-			for id, k := range counts[li].at {
-				sum[id] += counts[li].n[k]
+		sum := make(map[CellID]int64, len(chunks[0][li].n))
+		for _, t := range chunks {
+			for id, k := range t[li].at {
+				sum[id] += t[li].n[k]
+			}
+		}
+		if keepIDs {
+			cells[li] = make(map[CellID][]int32)
+			for _, t := range chunks {
+				for id, k := range t[li].at {
+					if sum[id] >= c.minCount {
+						cells[li][id] = append(cells[li][id], t[li].ids[k]...)
+					}
+				}
 			}
 		}
 		for id, count := range sum {
@@ -131,16 +163,29 @@ func (c *Cube) deriveLedger(db *pathdb.DB) *deltaLedger {
 	})
 	l := &deltaLedger{levels: make(map[string]map[CellID]int64, len(levels))}
 	l.stamp.Store(-1)
-	for li, sum := range sums {
-		l.levels[levels[li].Item.Key()] = sum
+	if keepIDs {
+		l.ids = make(map[string]map[CellID][]int32, len(levels))
+	}
+	for li, lv := range levels {
+		l.levels[lv.Item.Key()] = sums[li]
+		if keepIDs {
+			l.ids[lv.Item.Key()] = cells[li]
+		}
+	}
+	if keepIDs {
+		l.stages = make([]transact.Transaction, db.Len())
+		for tid, rec := range db.Records {
+			l.stages[tid] = syms.EncodeStages(rec.Path)
+		}
 	}
 	return l
 }
 
 // tally counts an item level's records per combination. at indexes n by
-// combination, so a count allocates only a new combination's key.
+// combination, so a count allocates only a new combination's key; ids holds
+// each combination's record ids when the walk keeps them.
 type tally struct {
-	at map[CellID]int32
-	n  []int64
+	at  map[CellID]int32
+	n   []int64
+	ids [][]int32
 }
-

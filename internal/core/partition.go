@@ -45,7 +45,6 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 		Cuboids:       make(map[string]*Cuboid, len(c.Cuboids)),
 		minCount:      c.minCount,
 		gen:           c.gen + 1,
-		haveTIDs:      c.haveTIDs,
 		sharedSymbols: true,
 		compressed:    c.compressed,
 		lazy:          c.lazy,
@@ -88,12 +87,10 @@ func Merge(shards []*Cube) (*Cube, error) {
 		Symbols:       first.Symbols,
 		Cuboids:       make(map[string]*Cuboid, len(first.Cuboids)),
 		minCount:      first.minCount,
-		haveTIDs:      true,
 		sharedSymbols: true,
 	}
 	for _, s := range shards {
 		out.gen = max(out.gen, s.gen+1)
-		out.haveTIDs = out.haveTIDs && s.haveTIDs
 		out.compressed = out.compressed || s.compressed
 	}
 	for i, s := range shards {

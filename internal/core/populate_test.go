@@ -29,62 +29,33 @@ func TestPopulateParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRebuildTIDsMatchesBuild: a snapshot carries no tids, and RebuildTIDs
-// over the build database must give every cell of the loaded cube exactly
-// the record ids Build assigned it — also after Compress, when cuboids of
-// one item level no longer hold the same cells. Build keeps tids only when
-// it mines exceptions, so that is the build compared against.
-func TestRebuildTIDsMatchesBuild(t *testing.T) {
+// TestDerivedLedgerIDsMatchBuild: a snapshot carries no record ids, and the
+// sub-δ ledger a loaded exceptions cube derives from the build database
+// must give every cell exactly the record ids Build assigns it, at every
+// worker count.
+func TestDerivedLedgerIDsMatchBuild(t *testing.T) {
 	gen := datagen.Default()
 	gen.Seed, gen.NumPaths, gen.NumDims = 7, 600, 2
 	ds := datagen.MustGenerate(gen)
-	for _, compress := range []bool{false, true} {
-		for _, workers := range []int{1, 3} {
-			built := oracle.Build(t, ds.DB, core.Config{MinSupport: 0.02, Epsilon: 0.1, Tau: 0.5, Plan: ds.DefaultPlan(),
-				MineExceptions: true, Workers: workers})
-			if compress && built.Compress() == 0 {
-				t.Fatal("fixture exercises nothing: no redundant cell")
-			}
-			loaded := oracle.Reopen(t, built, false)
-			loaded.RebuildTIDs(ds.DB)
-			if !loaded.HaveTIDs() {
-				t.Fatal("HaveTIDs false after RebuildTIDs")
-			}
-			cells := 0
-			for key, cb := range built.Cuboids {
-				lcb := loaded.Cuboids[key]
-				if lcb == nil || len(lcb.Cells) != len(cb.Cells) {
-					t.Fatalf("compress %t: cuboid %s does not round-trip", compress, key)
-				}
-				for id, cell := range cb.Cells {
-					if got := lcb.Cells[id].TIDs(); !slices.Equal(got, cell.TIDs()) || len(got) != int(cell.Count) {
-						t.Fatalf("compress %t, workers %d, cuboid %s, cell %v: rebuilt tids %v, built %v (count %d)",
-							compress, workers, key, cell.Values, got, cell.TIDs(), cell.Count)
-					}
-					cells++
-				}
-			}
-			if cells == 0 {
-				t.Fatal("fixture exercises nothing: no cells")
-			}
-		}
-	}
-}
-
-// TestBuildKeepsTIDsOnlyForExceptions: past populate only exception mining
-// reads a cell's tids, so a build without it drops them and says so.
-func TestBuildKeepsTIDsOnlyForExceptions(t *testing.T) {
-	for _, exceptions := range []bool{false, true} {
-		_, cube := oracle.Table1(t, oracle.Cuts, core.Config{MinCount: 2, Epsilon: 0.1, MineExceptions: exceptions})
-		if cube.HaveTIDs() != exceptions {
-			t.Errorf("exceptions=%t: HaveTIDs %t", exceptions, cube.HaveTIDs())
-		}
-		for key, cb := range cube.Cuboids {
+	for _, workers := range []int{1, 3} {
+		built := oracle.Build(t, ds.DB, core.Config{MinSupport: 0.02, Epsilon: 0.1, Tau: 0.5, Plan: ds.DefaultPlan(),
+			MineExceptions: true, Workers: workers})
+		assigned := built.AssignCells(ds.DB)
+		loaded := oracle.Reopen(t, built, false)
+		loaded.Config.Workers = workers
+		ledger := loaded.DeriveLedger(ds.DB)
+		cells := 0
+		for key, cb := range built.Cuboids {
 			for _, cell := range cb.Cells {
-				if got := len(cell.TIDs()); (got > 0) != exceptions || (exceptions && got != int(cell.Count)) {
-					t.Fatalf("exceptions=%t: cuboid %s, cell %v holds %d tids (count %d)", exceptions, key, cell.Values, got, cell.Count)
+				if got := ledger.IDs(cb.Spec, cell.Values); !slices.Equal(got, assigned[cell]) || len(got) != int(cell.Count) {
+					t.Fatalf("workers %d, cuboid %s, cell %v: derived ids %v, built %v (count %d)",
+						workers, key, cell.Values, got, assigned[cell], cell.Count)
 				}
+				cells++
 			}
+		}
+		if cells == 0 {
+			t.Fatal("fixture exercises nothing: no cells")
 		}
 	}
 }

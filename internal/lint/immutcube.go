@@ -23,7 +23,7 @@ import (
 // partition.go (FilterCells and
 // Merge assemble a new generation around shared cells), answer.go (whose
 // reconstructed cells are freshly allocated per query and never part of
-// the shared cube), delta.go (Fork, ownedCell, admitCell and tid recovery —
+// the shared cube), delta.go (Fork, ownedCell, admitCell —
 // the accessor itself — and ApplyDelta), and the accessor's other clients,
 // which write only cells it handed them: query.go (MarkRedundancy,
 // Compress, and DropCuboid on the generation's own cuboid table) and

@@ -152,3 +152,41 @@ func TestSupportConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestMineCountsFewOccurrencesSparsely: transactions holding fewer item
+// occurrences than the symbol table interns items are counted without the
+// dense counter, and must yield the level the reference scan gives, in item
+// order, with every distinct item counted as generated.
+func TestMineCountsFewOccurrencesSparsely(t *testing.T) {
+	ex := paperex.New()
+	syms := transact.MustNewSymbols(ex.Schema, oracle.Cuts(ex))
+	txs := syms.Encode(ex.DB)[:2]
+	occurrences := 0
+	for _, tx := range txs {
+		occurrences += len(tx)
+	}
+	if occurrences >= syms.Len() {
+		t.Fatalf("fixture takes the dense path: %d occurrences, %d items", occurrences, syms.Len())
+	}
+	res, err := mining.Mine(syms, txs, mining.Options{MinCount: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := referenceScan(syms, txs)
+	var items []transact.Item
+	for it := 0; it < syms.Len(); it++ {
+		if want[transact.Item(it)] >= 2 {
+			items = append(items, transact.Item(it))
+		}
+	}
+	l1 := res.ByLength[0]
+	if l1.Len() != len(items) || res.Levels[0].Generated != len(want) {
+		t.Fatalf("level 1 holds %d items of %d generated, reference %d of %d", l1.Len(), res.Levels[0].Generated, len(items), len(want))
+	}
+	for i, it := range items {
+		if l1.Items[i] != it || l1.Counts[i] != want[it] {
+			t.Errorf("level 1 entry %d: %s count %d, reference %s count %d",
+				i, syms.ItemString(l1.Items[i]), l1.Counts[i], syms.ItemString(it), want[it])
+		}
+	}
+}

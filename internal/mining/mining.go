@@ -8,6 +8,7 @@ package mining
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"flowcube/internal/itemset"
@@ -323,6 +324,15 @@ func FirstScan(syms *transact.Symbols, txs []transact.Transaction, precount bool
 	return items, master
 }
 
+// itemOccurrences counts the items of every transaction.
+func itemOccurrences(txs []transact.Transaction) int {
+	n := 0
+	for _, tx := range txs {
+		n += len(tx)
+	}
+	return n
+}
+
 // pairKey packs an unordered item pair.
 func pairKey(a, b transact.Item) int64 {
 	if a > b {
@@ -348,24 +358,46 @@ func Mine(syms *transact.Symbols, txs []transact.Transaction, opts Options) (*Re
 	if workers < 1 {
 		workers = 1
 	}
-	itemCounts, pairCounts := FirstScan(syms, txs, opts.Precount, workers)
-	res.Scans = 1
-
-	// The dense counter covers every interned item; only items that occur
-	// in the scanned transactions count as generated. Walking the counter
-	// in item order leaves the level sorted.
+	// Only items that occur in the scanned transactions count as
+	// generated, and the level is collected in item order, so sorted.
 	l1 := itemset.Level{K: 1}
 	distinct := 0
-	for it, n := range itemCounts {
-		if n == 0 {
-			continue
-		}
+	collect := func(it transact.Item, n int64) {
 		distinct++
 		if n >= minCount {
-			l1.Items = append(l1.Items, transact.Item(it))
+			l1.Items = append(l1.Items, it)
 			l1.Counts = append(l1.Counts, n)
 		}
 	}
+	var pairCounts *PairCounts
+	if occurrences := itemOccurrences(txs); opts.Precount || occurrences >= syms.Len() {
+		// The dense counter covers every interned item.
+		var itemCounts []int64
+		itemCounts, pairCounts = FirstScan(syms, txs, opts.Precount, workers)
+		for it, n := range itemCounts {
+			if n > 0 {
+				collect(transact.Item(it), n)
+			}
+		}
+	} else {
+		// Fewer item occurrences than interned items — a cell's projected
+		// transactions, say: count runs of the sorted occurrences instead of
+		// allocating a counter per interned item.
+		all := make([]transact.Item, 0, occurrences)
+		for _, tx := range txs {
+			all = append(all, tx...)
+		}
+		slices.Sort(all)
+		for i := 0; i < len(all); {
+			j := i + 1
+			for j < len(all) && all[j] == all[i] {
+				j++
+			}
+			collect(all[i], int64(j-i))
+			i = j
+		}
+	}
+	res.Scans = 1
 	res.ByLength = append(res.ByLength, l1)
 	res.Levels = append(res.Levels, LevelStats{
 		Length: 1, Generated: distinct, Counted: distinct, Frequent: l1.Len(),

@@ -8,8 +8,9 @@ package server
 // into a fork of the serving cube, journals the folded batches in the WAL,
 // and swaps the snapshot pointer atomically.
 // Readers are never blocked: they stay on the snapshot they loaded. A commit
-// costs O(batch) on both sides — the record store is copy-on-write
-// (pathdb.Store), and the fork shares every cell and flowgraph node with the
+// costs O(batch) on both sides — the batch is appended to the commit loop's
+// records, which readers see only through clipped views, and the fork
+// shares every cell and flowgraph node with the
 // serving cube, copying only the cells the batch lands in and the nodes on
 // its paths (core.Cube.Fork). A fold that fails, or whose journal write
 // fails, is dropped; the serving snapshot was never touched.
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"time"
 
 	"flowcube/internal/core"
@@ -111,7 +113,7 @@ var errStaleSchema = &HTTPError{http.StatusConflict,
 // one ApplyDelta over the concatenated records, then journal every folded
 // batch in the WAL, fsync once, swap the snapshot — and resolves every
 // request in the group. It runs on the commit loop, the only goroutine
-// that writes the snapshot pointer, the record store, or the WAL.
+// that writes the snapshot pointer, the records, or the WAL.
 //
 // Ordering is fold-then-journal: a batch that cannot fold is never
 // journaled, so the WAL only ever holds batches that folded cleanly once,
@@ -245,9 +247,9 @@ func groupOwner(live []*ingest.Pending, index int) (i, offset int) {
 }
 
 // foldResult is a folded-but-unpublished commit: the next cube generation,
-// the record-store reservation extended with the batch, and the delta
-// stats. publish commits it; dropping it instead abandons the fork and the
-// reservation and leaves the committed store and serving snapshot untouched.
+// the records extended with the batch, and the delta stats. publish commits
+// it; dropping it instead abandons the fork and the appended records and
+// leaves the commit loop's records and the serving snapshot untouched.
 // The split lets applyGroup journal the group after the fold has validated
 // it but before any state becomes visible.
 type foldResult struct {
@@ -260,20 +262,20 @@ type foldResult struct {
 // returns the unpublished result. Exactness comes from core.ApplyDelta;
 // O(batch) cost comes from patching a fork — which shares cube's cells,
 // flowgraph nodes and mapped snapshot, and copies the cells the batch
-// writes — plus a copy-on-write reservation in the record store. A lazily
+// writes — plus an append to the commit loop's records. A lazily
 // served cube stays lazy: the fork decodes only the cells it reads, and a
 // cell that does not decode (it read as absent, so the fold is not exact)
 // fails the append loudly.
 func (s *Server) fold(cube *core.Cube, schema *pathdb.Schema, batch []pathdb.Record) (*foldResult, error) {
 	cube = cube.Fork()
-	db := &pathdb.DB{Schema: schema, Records: s.store.Reserve(len(batch))}
+	db := &pathdb.DB{Schema: schema, Records: s.records}
 	stats, err := core.ApplyDelta(cube, db, batch)
 	if err == nil {
 		err = cube.LazyErr()
 	}
 	if err != nil {
-		// The fork and the reservation are abandoned; the cube it was forked
-		// from and the committed store are untouched.
+		// The fork and the appended records are abandoned; the cube it was
+		// forked from and the commit loop's records are untouched.
 		return nil, err
 	}
 	if s.cfg.PostAppend != nil {
@@ -282,19 +284,19 @@ func (s *Server) fold(cube *core.Cube, schema *pathdb.Schema, batch []pathdb.Rec
 	return &foldResult{cube: cube, records: db.Records, stats: stats}, nil
 }
 
-// publish commits a fold's record reservation to the store and wraps the
-// folded cube in the next snapshot, ready for the holder swap.
+// publish adopts a fold's extended records and wraps the folded cube in the
+// next snapshot, ready for the holder swap.
 func (s *Server) publish(snap *Snapshot, fr *foldResult) *Snapshot {
-	s.store.Commit(fr.records)
+	s.records = fr.records
 	return s.successor(snap, fr.cube)
 }
 
-// successor wraps cube, folded from snap's over the committed store, in the
+// successor wraps cube, folded from snap's over the commit loop's records, in the
 // snapshot that follows snap. It keeps snap's load gauges: they reset on
 // reload, not on append.
 func (s *Server) successor(snap *Snapshot, cube *core.Cube) *Snapshot {
 	next := newSnapshot(cube, snap.Source, s.cfg.CacheSize, snap.LoadDuration, snap.Bytes)
-	next.DB = &pathdb.DB{Schema: snap.DB.Schema, Records: s.store.Committed()}
+	next.DB = &pathdb.DB{Schema: snap.DB.Schema, Records: slices.Clip(s.records)}
 	next.Gen = snap.Gen + 1
 	next.SchemaGen = snap.SchemaGen
 	return next

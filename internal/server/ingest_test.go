@@ -359,7 +359,7 @@ func TestIngestFoldFailureLeavesWALClean(t *testing.T) {
 
 // TestIngestJournalFailureDropsFold: when the journal write fails after a
 // clean fold, the fold is dropped — the client gets a 500, and the serving
-// snapshot, its cube and the record store are exactly what they were, so
+// snapshot, its cube and the server's records are exactly what they were, so
 // the next append folds from the same state.
 func TestIngestJournalFailureDropsFold(t *testing.T) {
 	s, ex := paperexServer(t, filepath.Join(t.TempDir(), "ingest.wal"))
@@ -382,8 +382,8 @@ func TestIngestJournalFailureDropsFold(t *testing.T) {
 	if got := oracle.Digest(t, before.Cube); got != beforeDigest {
 		t.Error("the dropped fold wrote into the serving cube")
 	}
-	if got := len(s.store.Committed()); got != before.DB.Len() {
-		t.Errorf("record store holds %d records after the dropped fold, want %d", got, before.DB.Len())
+	if got := len(s.records); got != before.DB.Len() {
+		t.Errorf("the server holds %d records after the dropped fold, want %d", got, before.DB.Len())
 	}
 }
 

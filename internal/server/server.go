@@ -35,7 +35,7 @@
 // and reloads flow through a single-writer group-commit loop
 // (internal/ingest): concurrent appends coalesce into one WAL-journaled
 // delta fold per group, and the fold lands in a fork of the serving cube and
-// a copy-on-write record store, so committing costs O(batch), not O(cube) or
+// an append to the records it owns, so committing costs O(batch), not O(cube) or
 // O(database). Requests carry a context
 // deadline, are logged, and the listener shuts down gracefully when the
 // serve context is cancelled.
@@ -50,6 +50,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -108,17 +109,18 @@ type Server struct {
 	handler http.Handler
 
 	// committer is the single-writer commit loop: appends and reloads all
-	// run on it, so the snapshot pointer, the record store, and the WAL
-	// have exactly one writing goroutine.
+	// run on it, so the snapshot pointer, the records, and the WAL have
+	// exactly one writing goroutine.
 	committer *ingest.Committer
 	// wal journals accepted batches before they fold; nil when
 	// Config.WALPath is empty. Touched only on the commit loop.
 	wal *ingest.WAL
-	// store is the copy-on-write record store behind every snapshot's DB:
-	// commits append into reserved tail capacity while readers keep their
-	// capacity-clamped views. Replaced wholesale on reload (commit loop
-	// only).
-	store *pathdb.Store
+	// records is the database behind every snapshot's DB, owned by the
+	// commit loop: a fold appends to it, into spare capacity past its
+	// length when there is some, and snapshots publish capacity-clipped
+	// views, so no reader sees an index a fold writes. A fold that fails
+	// leaves its length unchanged. Replaced wholesale on reload.
+	records []pathdb.Record
 
 	closeOnce sync.Once
 	closeErr  error
@@ -158,7 +160,7 @@ func NewContext(ctx context.Context, loader Loader, source string, cfg Config) (
 	if err != nil {
 		return nil, err
 	}
-	s.installStore(snap)
+	s.adopt(snap)
 	if cfg.WALPath != "" {
 		snap, err = s.openWAL(ctx, snap)
 		if err != nil {
@@ -171,16 +173,16 @@ func NewContext(ctx context.Context, loader Loader, source string, cfg Config) (
 	return s, nil
 }
 
-// installStore rehouses a freshly loaded snapshot's records in a new
-// copy-on-write store, so subsequent append commits extend the store instead
-// of copying the database. Commit-loop-only after startup.
-func (s *Server) installStore(snap *Snapshot) {
+// adopt takes a freshly loaded snapshot's records as the ones commits
+// append to, so an append extends them instead of copying the database, and
+// gives the snapshot a clipped view. Commit-loop-only after startup.
+func (s *Server) adopt(snap *Snapshot) {
 	if snap.DB == nil {
-		s.store = nil
+		s.records = nil
 		return
 	}
-	s.store = pathdb.NewStore(snap.DB.Records)
-	snap.DB = &pathdb.DB{Schema: snap.DB.Schema, Records: s.store.Committed()}
+	s.records = snap.DB.Records
+	snap.DB = &pathdb.DB{Schema: snap.DB.Schema, Records: slices.Clip(s.records)}
 }
 
 // openWAL opens (or creates) the journal at Config.WALPath and replays any
@@ -222,7 +224,7 @@ func (s *Server) openWAL(ctx context.Context, snap *Snapshot) (*Snapshot, error)
 					s.cfg.WALPath, entry-1, ferr)
 				return nil
 			}
-			s.store.Commit(fr.records)
+			s.records = fr.records
 			cube = fr.cube
 			replayed++
 			return nil
@@ -504,7 +506,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleReload re-runs the loader and swaps the serving snapshot. In-flight
 // queries keep the snapshot (and cache) they started with. The swap runs on
 // the commit loop (committer.Exec), serialized against append groups, so the
-// snapshot pointer and record store keep a single writer. Reload discards
+// snapshot pointer and the records keep a single writer. Reload discards
 // records appended since the last load — it rebuilds from the loader's
 // source of truth — so the WAL is reset too: replaying the discarded appends
 // on a later restart would double-apply them. Batches parsed against the
@@ -521,7 +523,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		prev := s.holder.get()
 		next.Gen = prev.Gen + 1
 		next.SchemaGen = prev.SchemaGen + 1
-		s.installStore(next)
+		s.adopt(next)
 		if s.wal != nil {
 			if err := s.wal.Reset(); err != nil {
 				loadErr = fmt.Errorf("reset WAL after reload: %w", err)

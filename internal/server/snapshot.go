@@ -35,8 +35,8 @@ type Snapshot struct {
 	// DB is the path database the cube was built over, when the loader had
 	// it. Snapshots with a DB accept streaming appends (POST /admin/append);
 	// snapshots loaded from a saved cube alone do not. Its record slice is a
-	// capacity-clamped view of the server's copy-on-write store
-	// (pathdb.Store), so append commits never move records under a reader.
+	// capacity-clipped view of the records the server's commit loop appends
+	// to, so append commits never write an index a reader sees.
 	DB *pathdb.DB
 	// Gen counts snapshot swaps monotonically: every commit or reload
 	// produces a snapshot with the next generation.
@@ -114,9 +114,9 @@ type LoadInfo struct {
 	// DB is the path database the cube was built over; loaders that have it
 	// should return it so the server can serve streaming appends. Nil when
 	// the loader only had a saved cube. The server adopts the record slice
-	// into its copy-on-write store (pathdb.Store), so every load call must
-	// return a freshly allocated slice, never one shared with earlier loads
-	// or retained by the caller.
+	// and appends to it in place, so every load call must return a freshly
+	// allocated slice, never one shared with earlier loads or retained by
+	// the caller.
 	DB *pathdb.DB
 }
 
@@ -222,7 +222,7 @@ func FileLoader(path string, opts BuildOptions) Loader {
 				return nil, LoadInfo{}, fmt.Errorf("server: load snapshot %s: %w", path, err)
 			}
 			// Workers is not persisted: a loaded cube derives its ledger
-			// and recovers its tids on the goroutines the server was given.
+			// on the goroutines the server was given.
 			cube.Config.Workers = opts.Workers
 			return cube, info, nil
 		}

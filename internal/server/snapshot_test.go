@@ -43,7 +43,7 @@ func TestFileLoaderReadsEachFileOneWay(t *testing.T) {
 }
 
 // TestFileLoaderTakesWorkers: a snapshot opened eagerly or lazily runs its
-// appends — ledger derivation, tid recovery — on BuildOptions.Workers
+// appends — the ledger's derivation among them — on BuildOptions.Workers
 // goroutines, and since Workers is not persisted it re-saves the bytes it
 // was read from.
 func TestFileLoaderTakesWorkers(t *testing.T) {

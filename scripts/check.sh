@@ -90,8 +90,10 @@ echo "== generation isolation, lazy first touch, request deadlines, census, shar
 # the sub-δ ledger a first append derives across workers: what ApplyDelta
 # keeps must equal a fresh derivation at every step of built, reloaded,
 # lazy and forked chains, and a lazy cube must decode no cell for it.
-# Sibling forks share one ledger: appending to both, concurrently too, one
-# may keep it and the other must claim none of it and derive its own.
+# Sibling forks share one ledger — on an exceptions cube with the cells'
+# record ids and the stage transactions: appending to both, concurrently
+# too, one may claim it and extend all three in place, and the other must
+# touch none of it and derive its own.
 # ApplyDelta folds, re-mines and re-marks across Config.Workers: one and
 # four workers must save the same bytes and stats over built, loaded and
 # lazy cubes, and sibling forks of one lazy cube re-marking at once read
