@@ -63,7 +63,7 @@ func (rt *Router) checkShardCensus(p *server.CuboidsResponse) error {
 	if p.MinCount != rt.meta.MinCount() {
 		return fmt.Errorf("min count %d, router snapshot has %d", p.MinCount, rt.meta.MinCount())
 	}
-	if want := len(rt.meta.Symbols.PathLevels()); p.PathLevels != want {
+	if want := len(rt.meta.PathLevels()); p.PathLevels != want {
 		return fmt.Errorf("%d path levels, router snapshot has %d", p.PathLevels, want)
 	}
 	if want := len(rt.meta.Schema.Dims); len(p.Dimensions) != want {
@@ -191,7 +191,7 @@ func (rt *Router) mergedCuboids(w http.ResponseWriter, r *http.Request) (server.
 	resp := server.CuboidsResponse{
 		Source:     rt.cfg.Source,
 		LoadedAt:   m.loadedAt,
-		PathLevels: len(rt.meta.Symbols.PathLevels()),
+		PathLevels: len(rt.meta.PathLevels()),
 		MinCount:   rt.meta.MinCount(),
 		Cells:      m.cells,
 		Cuboids:    m.cuboids,

@@ -139,7 +139,7 @@ func everyCell(cube *core.Cube) (cells []string, pathLevels int) {
 	for _, v := range tuples {
 		cells = append(cells, core.FormatCell(cube.Schema, v))
 	}
-	return cells, len(cube.Symbols.PathLevels())
+	return cells, len(cube.PathLevels())
 }
 
 // cellParityURLs is the /v1/cell and /v2/query?op=cell request for every

@@ -218,7 +218,7 @@ func TestRouterMatchesSingleNodeByteForByte(t *testing.T) {
 				for d, h := range cube.Schema.Dims {
 					values[d] = hierarchy.NodeID(rng.Intn(h.Len()))
 				}
-				pl := rng.Intn(len(cube.Symbols.PathLevels()))
+				pl := rng.Intn(len(cube.PathLevels()))
 				fx.assertSame(t, fmt.Sprintf("/v1/cell?cell=%s&pathlevel=%d",
 					core.FormatCell(cube.Schema, values), pl), false)
 			}

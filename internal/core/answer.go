@@ -300,7 +300,7 @@ func (c *Cube) validateQuery(q *Query) error {
 	// no materialized twin for a census (so reconstruction is refused) and no
 	// descendants, and the cell answers from its nearest materialized
 	// ancestor or not at all.
-	if pl := len(c.Symbols.PathLevels()); q.Spec.PathLevel < 0 || q.Spec.PathLevel >= pl {
+	if pl := len(c.PathLevels()); q.Spec.PathLevel < 0 || q.Spec.PathLevel >= pl {
 		return fmt.Errorf("core: query: path level %d outside plan (have %d)", q.Spec.PathLevel, pl)
 	}
 	switch q.Op {
@@ -352,7 +352,7 @@ func (c *Cube) RollUpRef(spec CuboidSpec, values []hierarchy.NodeID, dim int) (C
 // rolled up to the next coarser materialized level.
 func (c *Cube) rollUpLevel(il ItemLevel, dim int) ItemLevel {
 	prev := 0
-	for _, ml := range c.Symbols.DimLevels()[dim] {
+	for _, ml := range c.DimLevels()[dim] {
 		if ml >= il[dim] {
 			break
 		}
@@ -365,7 +365,7 @@ func (c *Cube) rollUpLevel(il ItemLevel, dim int) ItemLevel {
 
 // drillDownSpec refines the cuboid one materialized level along dim.
 func (c *Cube) drillDownSpec(spec CuboidSpec, dim int) (CuboidSpec, error) {
-	ladder := c.Symbols.DimLevels()[dim]
+	ladder := c.DimLevels()[dim]
 	cur := spec.Item[dim]
 	next := -1
 	if cur == 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,7 +28,8 @@ func Build(db *pathdb.DB, cfg Config) (*Cube, error) {
 
 // prepare runs everything that precedes the populate scan — encoding,
 // mining, cuboid validation, and frequent-cell instantiation — and returns
-// the cube with empty cells plus the per-cell exception conditions.
+// the cube with empty cells plus the per-cell exception conditions. The
+// cube keeps the symbol table's plan, not the table.
 func prepare(db *pathdb.DB, cfg Config) (*Cube, cellConds, error) {
 	syms, err := transact.NewSymbols(db.Schema, cfg.Plan)
 	if err != nil {
@@ -46,21 +48,22 @@ func prepare(db *pathdb.DB, cfg Config) (*Cube, cellConds, error) {
 	}
 	minCount := res.MinCount
 
+	stats := res.Stats
+	cfg.Plan.DimLevels = syms.DimLevels()
 	cube := &Cube{
 		Schema:   db.Schema,
 		Config:   cfg,
-		Symbols:  syms,
-		Mining:   res,
+		Mining:   &stats,
 		Cuboids:  make(map[string]*Cuboid),
 		minCount: minCount,
 	}
 
 	specs := cfg.Cuboids
 	if specs == nil {
-		specs = specsFromPlan(syms)
+		specs = cube.specsFromPlan()
 	}
 	for _, spec := range specs {
-		if err := validateSpec(spec, syms, db.Schema); err != nil {
+		if err := cube.validateSpec(spec); err != nil {
 			return nil, nil, err
 		}
 		cube.Cuboids[spec.Key()] = &Cuboid{Spec: spec, Cells: make(map[CellID]*Cell)}
@@ -68,34 +71,24 @@ func prepare(db *pathdb.DB, cfg Config) (*Cube, cellConds, error) {
 
 	// Instantiate frequent cells from the mining output, and collect the
 	// exception conditions per cell from the mixed dim+stage itemsets.
-	conds := cube.instantiateCells(db, res)
+	conds := cube.instantiateCells(db, syms, res)
 	return cube, conds, nil
 }
 
-func validateSpec(spec CuboidSpec, syms *transact.Symbols, schema *pathdb.Schema) error {
-	if len(spec.Item) != len(schema.Dims) {
+// validateSpec checks that a cuboid spec names levels of the cube's plan.
+func (c *Cube) validateSpec(spec CuboidSpec) error {
+	if len(spec.Item) != len(c.Schema.Dims) {
 		return fmt.Errorf("core: cuboid %s has %d item levels, schema has %d dimensions",
-			spec.Key(), len(spec.Item), len(schema.Dims))
+			spec.Key(), len(spec.Item), len(c.Schema.Dims))
 	}
-	if spec.PathLevel < 0 || spec.PathLevel >= len(syms.PathLevels()) {
+	if spec.PathLevel < 0 || spec.PathLevel >= len(c.PathLevels()) {
 		return fmt.Errorf("core: cuboid %s references path level %d, plan has %d",
-			spec.Key(), spec.PathLevel, len(syms.PathLevels()))
+			spec.Key(), spec.PathLevel, len(c.PathLevels()))
 	}
-	dimLevels := syms.DimLevels()
 	for d, l := range spec.Item {
-		if l == 0 {
-			continue
-		}
-		ok := false
-		for _, ml := range dimLevels[d] {
-			if ml == l {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if l != 0 && !slices.Contains(c.DimLevels()[d], l) {
 			return fmt.Errorf("core: cuboid %s uses unmaterialized level %d of dimension %q",
-				spec.Key(), l, schema.Dims[d].Dimension())
+				spec.Key(), l, c.Schema.Dims[d].Dimension())
 		}
 	}
 	return nil
@@ -105,9 +98,9 @@ func validateSpec(spec CuboidSpec, syms *transact.Symbols, schema *pathdb.Schema
 type cellConds map[*Cell][][]flowgraph.StagePin
 
 // instantiateCells creates the frequent cells of every materialized cuboid
-// from the mining result and returns the per-cell exception conditions.
-func (c *Cube) instantiateCells(db *pathdb.DB, res *mining.Result) cellConds {
-	syms := c.Symbols
+// from the mining result, written in syms' item ids, and returns the
+// per-cell exception conditions.
+func (c *Cube) instantiateCells(db *pathdb.DB, syms *transact.Symbols, res *mining.Result) cellConds {
 	m := len(db.Schema.Dims)
 	conds := make(cellConds)
 
@@ -128,7 +121,7 @@ func (c *Cube) instantiateCells(db *pathdb.DB, res *mining.Result) cellConds {
 	for _, level := range res.ByLength {
 		for i, count := range level.Counts {
 			var ok bool
-			if stages, ok = c.classify(level.Set(i), il, values, stages[:0]); !ok {
+			if stages, ok = classify(syms, level.Set(i), il, values, stages[:0]); !ok {
 				continue
 			}
 			if len(stages) == 0 {
@@ -161,8 +154,7 @@ func (c *Cube) instantiateCells(db *pathdb.DB, res *mining.Result) cellConds {
 // Basic run produces, are skipped) and its stage part. il and values are
 // overwritten and the stage items appended to stages: all three are the
 // caller's scratch.
-func (c *Cube) classify(set []transact.Item, il ItemLevel, values []hierarchy.NodeID, stages []transact.Item) ([]transact.Item, bool) {
-	syms := c.Symbols
+func classify(syms *transact.Symbols, set []transact.Item, il ItemLevel, values []hierarchy.NodeID, stages []transact.Item) ([]transact.Item, bool) {
 	for d := range il {
 		il[d] = 0
 		values[d] = hierarchy.Root
@@ -224,7 +216,7 @@ func stagePins(syms *transact.Symbols, stages []transact.Item) (int, []flowgraph
 // its item level.
 func (c *Cube) addCell(il ItemLevel, values []hierarchy.NodeID, count int64) {
 	id := MakeCellID(values)
-	for pl := range c.Symbols.PathLevels() {
+	for pl := range c.PathLevels() {
 		cb := c.Cuboid(CuboidSpec{Item: il, PathLevel: pl})
 		if cb == nil {
 			continue
@@ -312,7 +304,7 @@ func (c *Cube) assignCells(db *pathdb.DB) map[*Cell][]int32 {
 // cuboid order keeps the job list — and therefore worker scheduling and any
 // profile of it — identical across runs.
 func (c *Cube) buildGraphs(db *pathdb.DB, tids map[*Cell][]int32) {
-	levels := c.Symbols.PathLevels()
+	levels := c.PathLevels()
 	jobs := make([][]*Cell, len(levels))
 	for _, cb := range c.sortedCuboids() {
 		jobs[cb.Spec.PathLevel] = append(jobs[cb.Spec.PathLevel], cb.SortedCells()...)

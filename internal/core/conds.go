@@ -77,9 +77,10 @@ type reminer struct {
 	db   *pathdb.DB
 	// stageTxs[tid] is the record's stage items at every path level: the
 	// sub-δ ledger's stage transactions (ledger.go), encoded once per record
-	// along a lineage rather than once per cell that holds it. nil for
-	// Build's reminer.
+	// along a lineage rather than once per cell that holds it, into the
+	// ledger's symbol table syms. Both nil for Build's reminer.
 	stageTxs []transact.Transaction
+	syms     *transact.Symbols
 }
 
 // remine re-mines the exceptions of a cell of path level pathLevel that
@@ -136,8 +137,8 @@ func (r *reminer) remine(cell *Cell, pathLevel int, ids []int32, added int) (int
 // duration-'*', which stagePins rejects as vacuous — so mining is skipped
 // there entirely.
 func (r *reminer) newConds(plIdx int, tids, batchTIDs []int32, old *condSet) ([][]flowgraph.StagePin, error) {
-	syms := r.cube.Symbols
-	if syms.PathLevels()[plIdx].Time.Any {
+	syms := r.syms
+	if r.cube.PathLevels()[plIdx].Time.Any {
 		return nil, nil
 	}
 	movedItems := make(map[transact.Item]bool)

@@ -214,12 +214,11 @@ type Cuboid struct {
 // copies what it writes, so the served cube is not disturbed — and swaps
 // the fork in (see delta.go and internal/server).
 type Cube struct {
-	Schema  *pathdb.Schema
-	Config  Config
-	Symbols *transact.Symbols
-	// Mining is the Shared run that produced the cube; kept for
-	// inspection (candidate statistics, frequent segments).
-	Mining *mining.Result
+	Schema *pathdb.Schema
+	Config Config
+	// Mining is the statistics of the Shared run that built the cube, kept
+	// for inspection; nil on a loaded cube. Its itemsets are not kept.
+	Mining *mining.Stats
 	// Cuboids maps CuboidSpec keys to materialized cuboids. Once the cube
 	// is built or loaded, remove one only through DropCuboid.
 	Cuboids map[string]*Cuboid
@@ -230,12 +229,10 @@ type Cube struct {
 	gen         uint32
 	cellsCopied int
 	// ledger is the sub-δ ledger (ledger.go) — counts and, when the cube
-	// mines exceptions, record ids and stage transactions — shared with the
-	// forks: nil until ApplyDelta derives it on the lineage's first append.
+	// mines exceptions, record ids, stage transactions and the symbol table
+	// they are interned into — shared with the forks: nil until ApplyDelta
+	// derives it on the lineage's first append.
 	ledger *deltaLedger
-	// sharedSymbols records that Symbols belongs to an earlier generation
-	// (delta.go): ApplyDelta copies it before the first write.
-	sharedSymbols bool
 	// compressed records that Compress dropped the redundant cells: the
 	// cube no longer tells a sub-δ combination from a dropped cell, so
 	// ApplyDelta refuses it. Forks, FilterCells, Merge and the snapshot keep
@@ -300,6 +297,13 @@ type Config struct {
 
 // MinCount reports the absolute iceberg threshold used by the cube.
 func (c *Cube) MinCount() int64 { return c.minCount }
+
+// PathLevels returns the plan's path abstraction levels.
+func (c *Cube) PathLevels() []pathdb.PathLevel { return c.Config.Plan.PathLevels }
+
+// DimLevels returns the plan's materialized levels per dimension: Build and
+// the snapshot open normalize them once (transact.Plan.NormalizedDimLevels).
+func (c *Cube) DimLevels() [][]int { return c.Config.Plan.DimLevels }
 
 // Cuboid returns a materialized cuboid, or nil.
 func (c *Cube) Cuboid(spec CuboidSpec) *Cuboid {
@@ -567,8 +571,8 @@ func (c *Cube) CuboidSummaries() []CuboidSummary {
 
 // specsFromPlan enumerates every cuboid of the plan: the cross product of
 // per-dimension {'*'} ∪ materialized levels with the path levels.
-func specsFromPlan(syms *transact.Symbols) []CuboidSpec {
-	dimLevels := syms.DimLevels()
+func (c *Cube) specsFromPlan() []CuboidSpec {
+	dimLevels := c.DimLevels()
 	var items []ItemLevel
 	var rec func(d int, cur ItemLevel)
 	rec = func(d int, cur ItemLevel) {
@@ -583,7 +587,7 @@ func specsFromPlan(syms *transact.Symbols) []CuboidSpec {
 	}
 	rec(0, nil)
 	var out []CuboidSpec
-	for pl := range syms.PathLevels() {
+	for pl := range c.PathLevels() {
 		for _, il := range items {
 			out = append(out, CuboidSpec{Item: il, PathLevel: pl})
 		}

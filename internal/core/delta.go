@@ -34,15 +34,14 @@ package core
 // parallel fold owns the cuboids first, and each job then copies its own
 // cuboid's cells through ownedCell's second half, ownCell);
 // flowgraph.Graph.AddPath then copies the nodes along the path it adds and
-// nothing else. The symbol table is handed down the same way and copied
-// before ApplyDelta first interns into it. Dropping a fork is the whole
-// rollback. The sub-δ ledger — the sub-δ counts and, on a cube that mines
-// exceptions, each cell's record ids and the stage transactions — is outside
-// the rule: forks share one ledger, which an append claims for the length of
-// its base database and extends in place (ledger.go), so a fork advances it
-// for the rest of its lineage, and a cube whose claim fails — its ledger
-// advanced by a sibling, or left claimed by a dropped fold — pays one
-// derivation on its next append.
+// nothing else. Dropping a fork is the whole rollback. The sub-δ ledger —
+// the sub-δ counts and, on a cube that mines exceptions, each cell's record
+// ids, the stage transactions and the symbol table they are interned into —
+// is outside the rule: forks share one ledger, which an append claims for
+// the length of its base database and extends in place (ledger.go), so a
+// fork advances it for the rest of its lineage, and a cube whose claim
+// fails — its ledger advanced by a sibling, or left claimed by a dropped
+// fold — pays one derivation on its next append.
 //
 // This file is on the immutcube allowlist: it holds that accessor, ApplyDelta
 // — which writes only cells the accessor or admitCell handed it — and the
@@ -149,18 +148,19 @@ type DeltaStats struct {
 // carry an absolute iceberg threshold (Config.MinCount > 0) and must not
 // have been compressed; see the file comment for why.
 //
-// ApplyDelta must not run concurrently with readers of cube, db, or the
-// cube's symbol table. Long-lived servers patch a Fork of the served cube —
-// readers of the served cube are not disturbed, and dropping the fork is
-// the rollback — and swap snapshots (internal/server does). It reads the
+// ApplyDelta must not run concurrently with readers of cube or db.
+// Long-lived servers patch a Fork of the served cube — readers of the
+// served cube are not disturbed, and dropping the fork is the rollback —
+// and swap snapshots (internal/server does). It reads the
 // cube only through Lookup and value-tuple walks, so over a lazily opened
 // snapshot it decodes the cells the batch reaches and their lattice
 // neighbours, not the snapshot. The first call on a cube without a sub-δ
 // ledger over db — one that was built, loaded or merged, or whose shared
 // ledger a sibling fork advanced or a dropped fold left claimed — derives
-// it, with the record ids and stage transactions exception re-mining reads,
-// in one walk of the base database, which reads no cell. Sibling forks of
-// one cube may append concurrently, each over its own database.
+// it, with the record ids, stage transactions and symbol table exception
+// re-mining reads, in one walk of the base database, which reads no cell.
+// Sibling forks of one cube may append concurrently, each over its own
+// database.
 func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, error) {
 	if cube == nil {
 		return nil, ErrNilCube
@@ -194,20 +194,13 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 	}
 	cellsCopied := cube.cellsCopied
 
-	// Stage encoding interns into the symbol table, and nothing else reads
-	// item ids after a build, so a cube without exceptions keeps sharing the
-	// table of the generation it was forked from.
-	if cfg.MineExceptions && cube.sharedSymbols {
-		cube.Symbols, cube.sharedSymbols = cube.Symbols.Clone(), false
-	}
-
 	// The ledger is a function of the base database and δ, so a cube whose
 	// shared ledger does not count db, or is held, derives its own before
 	// the batch lands; this call keeps it exact and hands it on to the
 	// cube's forks when it succeeds.
 	ledger := cube.ledger
 	if !ledger.claim(baseLen) {
-		ledger = cube.deriveLedger(db, cube.Symbols)
+		ledger = cube.deriveLedger(db)
 		cube.ledger = ledger
 	}
 
@@ -257,10 +250,11 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 		}
 	}
 	// The batch's stage transactions, on one goroutine before any re-mine
-	// reads them: encoding may intern.
+	// reads them: encoding may intern into the ledger's table, which the
+	// claim lets this call extend in place.
 	if ledger.ids != nil {
 		for _, rec := range batch {
-			ledger.stages = append(ledger.stages, cube.Symbols.EncodeStages(rec.Path))
+			ledger.stages = append(ledger.stages, ledger.syms.EncodeStages(rec.Path))
 		}
 	}
 
@@ -378,7 +372,7 @@ func (c *Cube) foldBatch(db *pathdb.DB, baseLen int, landed []*combo, ledger *de
 		return cmp.Or(cmp.Compare(a.levelIdx, b.levelIdx), CompareCells(a.values, b.values))
 	})
 	levels := c.levelGroups()
-	pathLevels := c.Symbols.PathLevels()
+	pathLevels := c.PathLevels()
 	aggs := make([]*aggregated, len(pathLevels))
 	type job struct {
 		cb, from *Cuboid
@@ -483,7 +477,7 @@ func (c *Cube) foldBatch(db *pathdb.DB, baseLen int, landed []*combo, ledger *de
 // transactions the claimed ledger holds, complete before they start, and
 // each writes only its own cell's exceptions and condition cache.
 func (c *Cube) remineTouched(db *pathdb.DB, ledger *deltaLedger, touched []touchedCell, stats *DeltaStats) error {
-	r := &reminer{cube: c, db: db, stageTxs: ledger.stages}
+	r := &reminer{cube: c, db: db, stageTxs: ledger.stages, syms: ledger.syms}
 	type job struct {
 		touchedCell
 		ids []int32
@@ -700,29 +694,26 @@ func (c *Cube) CheckSchema(s *pathdb.Schema) error {
 // ownedCell. Nothing the receiver saves or answers is touched by anything
 // done to the fork — readers keep using it, and a fork that is dropped
 // leaves no trace in them — so the cost is the cuboid table, which does
-// not grow with the cells or their flowgraphs. The symbol table is shared
-// too, until ApplyDelta copies it, and so is the sub-δ ledger with the
-// record ids and stage transactions it keeps: the pointer is copied, and
-// the fork's first append claims and extends it (ledger.go), which leaves
-// the receiver's next append to derive its own.
+// not grow with the cells or their flowgraphs. The sub-δ ledger is shared
+// too, with the record ids, stage transactions and symbol table it keeps:
+// the pointer is copied, and the fork's first append claims and extends it
+// (ledger.go), which leaves the receiver's next append to derive its own.
 //
 // Tags run out after 2³²−1 forks along one lineage; a cube from Build or
 // Load starts a new one.
 func (c *Cube) Fork() *Cube {
 	f := &Cube{
-		Schema:        c.Schema,
-		Config:        c.Config,
-		Symbols:       c.Symbols,
-		Mining:        c.Mining,
-		Cuboids:       make(map[string]*Cuboid, len(c.Cuboids)),
-		minCount:      c.minCount,
-		gen:           c.gen + 1,
-		ledger:        c.ledger,
-		sharedSymbols: true,
-		compressed:    c.compressed,
-		groups:        c.groups,
-		routes:        c.routes,
-		lazy:          c.lazy,
+		Schema:     c.Schema,
+		Config:     c.Config,
+		Mining:     c.Mining,
+		Cuboids:    make(map[string]*Cuboid, len(c.Cuboids)),
+		minCount:   c.minCount,
+		gen:        c.gen + 1,
+		ledger:     c.ledger,
+		compressed: c.compressed,
+		groups:     c.groups,
+		routes:     c.routes,
+		lazy:       c.lazy,
 	}
 	for key, cb := range c.Cuboids {
 		f.Cuboids[key] = cb

@@ -39,7 +39,7 @@ func EncodeGraph(g *flowgraph.Graph) []byte {
 // DecodeGraph decodes bytes produced by EncodeGraph into a flowgraph at the
 // cube's given path level. Trailing bytes are an error.
 func (c *Cube) DecodeGraph(pathLevel int, data []byte) (*flowgraph.Graph, error) {
-	levels := c.Symbols.PathLevels()
+	levels := c.PathLevels()
 	if pathLevel < 0 || pathLevel >= len(levels) {
 		return nil, fmt.Errorf("core: decode graph: path level %d outside plan (have %d)", pathLevel, len(levels))
 	}

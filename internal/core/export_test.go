@@ -8,6 +8,7 @@ import (
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
+	"flowcube/internal/transact"
 )
 
 // NewCondSet builds a condition set as Build's cache seeding does.
@@ -24,8 +25,8 @@ func (c *Cube) Ledger() *deltaLedger { return c.ledger }
 // empty when they agree, the cube has derived none yet, or its ledger does
 // not count db (a sibling fork advanced it, or a dropped fold left it
 // claimed: the cube's next append derives its own). The fresh derivation
-// interns into a copy of the cube's symbol table. oracle.Run checks it
-// after every step of a chain.
+// interns into a symbol table of its own, as a sibling's does. oracle.Run
+// checks it after every step of a chain.
 func (c *Cube) LedgerDiff(db *pathdb.DB) string {
 	if c.ledger == nil || c.ledger.stamp.Load() != int64(db.Len()) {
 		return ""
@@ -33,10 +34,10 @@ func (c *Cube) LedgerDiff(db *pathdb.DB) string {
 	return LedgerDiff(c.DeriveLedger(db), c.ledger)
 }
 
-// DeriveLedger is deriveLedger over a copy of the cube's symbol table,
-// released: what the cube's next append would derive.
+// DeriveLedger is deriveLedger, released: what the cube's next append would
+// derive.
 func (c *Cube) DeriveLedger(db *pathdb.DB) *deltaLedger {
-	l := c.deriveLedger(db, c.Symbols.Clone())
+	l := c.deriveLedger(db)
 	l.release(db.Len())
 	return l
 }
@@ -45,7 +46,10 @@ func (c *Cube) DeriveLedger(db *pathdb.DB) *deltaLedger {
 // empty: a combination, in item-level key and cell order, whose count in
 // got differs from want's (an entry missing from a ledger counts 0, and
 // empty item levels do not count), then a cell whose record ids differ,
-// then a record whose stage transaction differs.
+// then a record whose stage transaction differs. Each side's stage items
+// are read through its own symbol table, which need not number them as the
+// other does: two items are the same when their path level, location
+// prefix and duration are.
 func LedgerDiff(want, got *deltaLedger) string {
 	if d := diffLevels(want.levels, got.levels, func(a, b int64) bool { return a == b }); d != "" {
 		return "count of " + d
@@ -56,9 +60,16 @@ func LedgerDiff(want, got *deltaLedger) string {
 	if len(want.stages) != len(got.stages) {
 		return fmt.Sprintf("stage transactions of %d records, want %d", len(got.stages), len(want.stages))
 	}
+	same := func(w, g transact.Item) bool {
+		wd, wok := want.syms.StageDuration(w)
+		gd, gok := got.syms.StageDuration(g)
+		return want.syms.StageLevel(w) == got.syms.StageLevel(g) &&
+			slices.Equal(want.syms.StageSeq(w), got.syms.StageSeq(g)) && wd == gd && wok == gok
+	}
 	for tid := range want.stages {
-		if !slices.Equal(want.stages[tid], got.stages[tid]) {
-			return fmt.Sprintf("record %d: stage transaction %v, want %v", tid, got.stages[tid], want.stages[tid])
+		if !slices.EqualFunc(want.stages[tid], got.stages[tid], same) {
+			return fmt.Sprintf("record %d: stage transaction %s, want %s",
+				tid, got.syms.SetString(got.stages[tid]), want.syms.SetString(want.stages[tid]))
 		}
 	}
 	return ""
@@ -97,6 +108,10 @@ func diffLevels[V any](w, g map[string]map[CellID]V, eq func(a, b V) bool) strin
 	return ""
 }
 
+// Symbols returns the symbol table the ledger's stage transactions are
+// interned into, nil when it keeps none.
+func (l *deltaLedger) Symbols() *transact.Symbols { return l.syms }
+
 // IDs returns the record ids the ledger keeps for a cell of the spec's item
 // level, nil when it keeps none.
 func (l *deltaLedger) IDs(spec CuboidSpec, values []hierarchy.NodeID) []int32 {
@@ -125,11 +140,8 @@ func (c *Cube) OwnedCell(spec CuboidSpec, values []hierarchy.NodeID) *Cell {
 // frequent, over the record ids and stage transactions a ledger derived
 // from db holds, so a cold cell mines its whole condition set.
 func (c *Cube) RemineCell(spec CuboidSpec, cell *Cell, db *pathdb.DB, added int) (int, error) {
-	if c.sharedSymbols {
-		c.Symbols, c.sharedSymbols = c.Symbols.Clone(), false
-	}
-	l := c.deriveLedger(db, c.Symbols)
-	r := &reminer{cube: c, db: db, stageTxs: l.stages}
+	l := c.deriveLedger(db)
+	r := &reminer{cube: c, db: db, stageTxs: l.stages, syms: l.syms}
 	return r.remine(cell, spec.PathLevel, l.IDs(spec, cell.Values), added)
 }
 

@@ -13,36 +13,59 @@ import (
 	"flowcube/internal/pathdb"
 )
 
-// TestForkSymbolsOwnership: a fork shares its parent's symbol table, and
-// only an exception-mining append interns items. A plain append leaves the
-// table shared; an exception-mining one copies it first and leaves the
-// parent's as it was.
+// TestForkSymbolsOwnership: item ids live in the sub-δ ledger's symbol
+// table, which only a cube that mines exceptions has. Forks share their
+// parent's ledger, table included; the first fork's append claims the
+// ledger and interns its batch into that table in place, and a sibling's,
+// whose claim then fails, derives a ledger with a table of its own and
+// leaves the first fork's as it was.
 func TestForkSymbolsOwnership(t *testing.T) {
 	t.Parallel()
-	ds := oracle.Dataset(23, 220)
-	const split = 180
+	ds := oracle.Dataset(23, 240)
+	const derive, split, mid = 160, 180, 220
 	for _, exceptions := range []bool{false, true} {
-		db := oracle.Prefix(ds.DB, split)
-		parent := oracle.Build(t, db, core.Config{
-			MinCount: 4, Epsilon: 0.05, Plan: ds.DefaultPlan(),
-			MineExceptions: exceptions,
-		})
-		items := parent.Symbols.Len()
-		fork := parent.Fork()
-		if fork.Symbols != parent.Symbols {
-			t.Errorf("exceptions=%t: Fork copied the symbol table", exceptions)
-		}
-		if _, err := core.ApplyDelta(fork, db, ds.DB.Records[split:]); err != nil {
+		cfg := core.Config{MinCount: 4, Epsilon: 0.05, Plan: ds.DefaultPlan(), MineExceptions: exceptions}
+		db := oracle.Prefix(ds.DB, derive)
+		parent := oracle.Build(t, db, cfg)
+		if _, err := core.ApplyDelta(parent, db, ds.DB.Records[derive:split]); err != nil {
 			t.Fatal(err)
 		}
-		if shared := fork.Symbols == parent.Symbols; shared == exceptions {
-			t.Errorf("exceptions=%t: after the append the fork shares its parent's table: %t", exceptions, shared)
+		table := parent.Ledger().Symbols()
+		if (table != nil) != exceptions {
+			t.Fatalf("exceptions=%t: the ledger's symbol table is %v", exceptions, table)
 		}
-		if got := parent.Symbols.Len(); got != items {
-			t.Errorf("exceptions=%t: the fork's append grew its parent's table from %d to %d items", exceptions, items, got)
+		size := func() int {
+			if table == nil {
+				return 0
+			}
+			return table.Len()
 		}
-		if exceptions && fork.Symbols.Len() == items {
+
+		forks := []*core.Cube{parent.Fork(), parent.Fork()}
+		dbs := []*pathdb.DB{oracle.Prefix(db, split), oracle.Prefix(db, split)}
+		items := size()
+		if _, err := core.ApplyDelta(forks[0], dbs[0], ds.DB.Records[split:mid]); err != nil {
+			t.Fatal(err)
+		}
+		if forks[0].Ledger() != parent.Ledger() || forks[0].Ledger().Symbols() != table {
+			t.Errorf("exceptions=%t: the first fork's append did not extend the ledger it shares", exceptions)
+		}
+		if exceptions && size() == items {
 			t.Error("fixture exercises nothing: the batch interned no new item")
+		}
+
+		items = size()
+		if _, err := core.ApplyDelta(forks[1], dbs[1], ds.DB.Records[mid:]); err != nil {
+			t.Fatal(err)
+		}
+		if forks[1].Ledger() == parent.Ledger() || exceptions && forks[1].Ledger().Symbols() == table {
+			t.Errorf("exceptions=%t: the sibling's append kept the ledger the first fork advanced", exceptions)
+		}
+		if size() != items {
+			t.Errorf("exceptions=%t: the sibling's append grew the first fork's table from %d to %d items", exceptions, items, size())
+		}
+		for i, fork := range forks {
+			oracle.Check(t, fmt.Sprintf("fork %d", i), fork, dbs[i], cfg)
 		}
 	}
 }
@@ -226,7 +249,7 @@ func frequentStagesAreConditions(t *testing.T, cube *core.Cube, db *pathdb.DB, w
 	checked := 0
 	tids := cube.AssignCells(db)
 	for key, cb := range cube.Cuboids {
-		level := cube.Symbols.PathLevels()[cb.Spec.PathLevel]
+		level := cube.PathLevels()[cb.Spec.PathLevel]
 		if level.Time.Any {
 			continue
 		}

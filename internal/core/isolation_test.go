@@ -180,7 +180,7 @@ func renderCube(c *core.Cube) bool {
 // folded into: for every cell a record lands in, the record's aggregated
 // path length at the cuboid's path level, plus the root.
 func reachedNodes(c *core.Cube, batch []pathdb.Record) int {
-	pathLevels := c.Symbols.PathLevels()
+	pathLevels := c.PathLevels()
 	n := 0
 	for _, spec := range c.MaterializedSpecs() {
 		for _, rec := range batch {

@@ -32,7 +32,7 @@ func (c *Cube) levelRank(d, l int) int {
 	if l == 0 {
 		return 0
 	}
-	for i, ml := range c.Symbols.DimLevels()[d] {
+	for i, ml := range c.DimLevels()[d] {
 		if ml == l {
 			return i + 1
 		}
@@ -118,7 +118,7 @@ func (c *Cube) generalize(out []hierarchy.NodeID, from, to ItemLevel, values []h
 // descendants is exact iff the folded counts sum to the census count. A
 // mapped base answers from the twin's directory and decodes no graph.
 func (c *Cube) Census(spec CuboidSpec, values []hierarchy.NodeID) (int64, bool) {
-	for pl := range c.Symbols.PathLevels() {
+	for pl := range c.PathLevels() {
 		cb := c.Cuboid(CuboidSpec{Item: spec.Item, PathLevel: pl})
 		if cb == nil || pl == spec.PathLevel {
 			continue

@@ -411,7 +411,7 @@ func openLazy(data snapData, opts LazyOptions) (*Cube, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := validateSpec(spec, cube.Symbols, cube.Schema); err != nil {
+			if err := cube.validateSpec(spec); err != nil {
 				return nil, err
 			}
 			key := spec.Key()

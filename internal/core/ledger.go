@@ -15,10 +15,11 @@ import (
 // the iceberg threshold, so ApplyDelta decides cell admission — base count
 // plus batch count crossing δ — in O(1) per touched combination; and, on a
 // cube that mines exceptions, what the re-mine reads: each cell's record
-// ids and every record's stage transactions. COUNT is distributive and the
-// flowgraph measure algebraic, so all three are a function of the database
-// and δ: no cube is built, loaded or merged with them, and ApplyDelta
-// derives them (deriveLedger) in one walk of the base on a first append.
+// ids, every record's stage transactions and the symbol table those are
+// interned into. COUNT is distributive and the flowgraph measure algebraic,
+// so all of it is a function of the database and δ: no cube is built,
+// loaded or merged with it, and ApplyDelta derives it (deriveLedger) in one
+// walk of the base on a first append.
 //
 // Forks share one ledger by pointer; stamp says which database it counts:
 // the number of base records, or -1 while a call holds it. A writer claims
@@ -36,11 +37,11 @@ type deltaLedger struct {
 	levels map[string]map[CellID]int64
 	// ids maps an item level's key to each cell's record ids, ascending,
 	// which every cuboid of the level shares; stages[tid] is record tid's
-	// stage items (Symbols.EncodeStages), interned into the symbol table of
-	// the cube that last extended the ledger, which its forks inherit. Both
-	// are nil unless the cube mines exceptions.
+	// stage items (Symbols.EncodeStages), interned into syms. All three are
+	// nil unless the cube mines exceptions.
 	ids    map[string]map[CellID][]int32
 	stages []transact.Transaction
+	syms   *transact.Symbols
 }
 
 // claim reports whether the ledger counts exactly a database of n records
@@ -65,7 +66,8 @@ func (l *deltaLedger) size() int {
 // filter returns a new ledger, counting the same n records, with the
 // combinations and cells whose values satisfy keep; nil when it is not
 // free. The id lists and the stage list it shares are capacity-clipped, so
-// the first append to either ledger reallocates them.
+// the first append to either ledger reallocates them, and it gets its own
+// copy of the symbol table, which appends to either ledger intern into.
 func (l *deltaLedger) filter(keep func(values []hierarchy.NodeID) bool) *deltaLedger {
 	n := l.stamp.Load()
 	if n < 0 || !l.claim(int(n)) {
@@ -77,6 +79,7 @@ func (l *deltaLedger) filter(keep func(values []hierarchy.NodeID) bool) *deltaLe
 	if l.ids != nil {
 		out.ids = filterLevels(l.ids, keep, slices.Clip[[]int32])
 		out.stages = slices.Clip(l.stages)
+		out.syms = l.syms.Clone()
 	}
 	return out
 }
@@ -101,12 +104,13 @@ func filterLevels[V any](levels map[string]map[CellID]V, keep func(values []hier
 // item level, the records of each combination, keeping the counts below δ:
 // every cell counts at least δ records and every combination that does is a
 // cell, so it reads no cell, directory or section. A cube that mines
-// exceptions also gets each cell's record ids from the same walk, and every
-// record's stage transactions, interned into syms on the calling goroutine.
-// The ledger comes back claimed (the caller releases it) and non-nil even
-// when empty. Levels are independent, so their sums spread across workers
-// too.
-func (c *Cube) deriveLedger(db *pathdb.DB, syms *transact.Symbols) *deltaLedger {
+// exceptions also gets each cell's record ids from the same walk, which
+// notes every record's combination, filled in once the sums name the cells,
+// and every record's stage transactions, interned on the calling goroutine
+// into a new symbol table the ledger owns. The ledger comes back claimed
+// (the caller releases it) and non-nil even when empty. Levels are
+// independent, so their sums spread across workers too.
+func (c *Cube) deriveLedger(db *pathdb.DB) *deltaLedger {
 	levels := c.levelGroups()
 	keepIDs := c.Config.MineExceptions
 	chunks := walkRecords(c, db.Records, func() []tally {
@@ -124,13 +128,10 @@ func (c *Cube) deriveLedger(db *pathdb.DB, syms *transact.Symbols) *deltaLedger 
 				k = int32(len(lt.n))
 				lt.at[CellID(id)] = k
 				lt.n = append(lt.n, 0)
-				if keepIDs {
-					lt.ids = append(lt.ids, nil)
-				}
 			}
 			lt.n[k]++
 			if keepIDs {
-				lt.ids[k] = append(lt.ids[k], int32(tid))
+				lt.combos = append(lt.combos, k)
 			}
 		}
 	})
@@ -144,27 +145,45 @@ func (c *Cube) deriveLedger(db *pathdb.DB, syms *transact.Symbols) *deltaLedger 
 				sum[id] += t[li].n[k]
 			}
 		}
-		if keepIDs {
-			cells[li] = make(map[CellID][]int32)
-			for _, t := range chunks {
-				for id, k := range t[li].at {
-					if sum[id] >= c.minCount {
-						cells[li][id] = append(cells[li][id], t[li].ids[k]...)
-					}
-				}
-			}
-		}
+		ids := make(map[CellID][]int32)
 		for id, count := range sum {
 			if count >= c.minCount {
 				delete(sum, id)
+				if keepIDs {
+					ids[id] = make([]int32, 0, count)
+				}
 			}
 		}
-		sums[li] = sum
+		sums[li], cells[li] = sum, ids
+		if !keepIDs {
+			return
+		}
+		tid := int32(0) // the chunks cover ascending id ranges
+		for _, t := range chunks {
+			of := make([]CellID, len(t[li].n)) // a combination's id if it is a cell
+			for id, k := range t[li].at {
+				if _, ok := ids[id]; ok {
+					of[k] = id
+				}
+			}
+			for _, k := range t[li].combos {
+				if id := of[k]; id != "" {
+					ids[id] = append(ids[id], tid)
+				}
+				tid++
+			}
+		}
 	})
 	l := &deltaLedger{levels: make(map[string]map[CellID]int64, len(levels))}
 	l.stamp.Store(-1)
 	if keepIDs {
 		l.ids = make(map[string]map[CellID][]int32, len(levels))
+		// The plan was checked when the cube was built or opened.
+		l.syms = transact.MustNewSymbols(c.Schema, c.Config.Plan)
+		l.stages = make([]transact.Transaction, db.Len())
+		for tid, rec := range db.Records {
+			l.stages[tid] = l.syms.EncodeStages(rec.Path)
+		}
 	}
 	for li, lv := range levels {
 		l.levels[lv.Item.Key()] = sums[li]
@@ -172,20 +191,15 @@ func (c *Cube) deriveLedger(db *pathdb.DB, syms *transact.Symbols) *deltaLedger 
 			l.ids[lv.Item.Key()] = cells[li]
 		}
 	}
-	if keepIDs {
-		l.stages = make([]transact.Transaction, db.Len())
-		for tid, rec := range db.Records {
-			l.stages[tid] = syms.EncodeStages(rec.Path)
-		}
-	}
 	return l
 }
 
 // tally counts an item level's records per combination. at indexes n by
-// combination, so a count allocates only a new combination's key; ids holds
-// each combination's record ids when the walk keeps them.
+// combination, so a count allocates only a new combination's key; combos
+// holds each record's combination index, in record order, when the walk
+// keeps record ids.
 type tally struct {
-	at  map[CellID]int32
-	n   []int64
-	ids [][]int32
+	at     map[CellID]int32
+	n      []int64
+	combos []int32
 }

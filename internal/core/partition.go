@@ -29,25 +29,24 @@ import (
 // original cell-for-cell, and their snapshots carry the same section
 // census.
 //
-// The result shares the symbols, the mapped bases and the *Cell pointers
-// (and through them the flowgraph nodes) with the receiver under the
-// ownership rule of delta.go: it is a later generation, so it reads what the
-// receiver holds and a write through ownedCell copies first. Selection runs
-// on value tuples, so a mapped base decodes nothing: its cells that fail keep
-// are hidden (one whose directory does not build stays as unreadable as it
+// The result shares the mapped bases and the *Cell pointers (and through
+// them the flowgraph nodes) with the receiver under the ownership rule of
+// delta.go: it is a later generation, so it reads what the receiver holds
+// and a write through ownedCell copies first; its ledger, symbol table
+// included, is its own (deltaLedger.filter). Selection runs on value
+// tuples, so a mapped base decodes nothing: its cells that fail keep are
+// hidden (one whose directory does not build stays as unreadable as it
 // was, its error recorded for LazyErr). The mining result is dropped: it
 // describes the whole build, not the kept subset.
 func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 	out := &Cube{
-		Schema:        c.Schema,
-		Config:        c.Config,
-		Symbols:       c.Symbols,
-		Cuboids:       make(map[string]*Cuboid, len(c.Cuboids)),
-		minCount:      c.minCount,
-		gen:           c.gen + 1,
-		sharedSymbols: true,
-		compressed:    c.compressed,
-		lazy:          c.lazy,
+		Schema:     c.Schema,
+		Config:     c.Config,
+		Cuboids:    make(map[string]*Cuboid, len(c.Cuboids)),
+		minCount:   c.minCount,
+		gen:        c.gen + 1,
+		compressed: c.compressed,
+		lazy:       c.lazy,
 	}
 	for key, cb := range c.Cuboids {
 		ncb := &Cuboid{Spec: cb.Spec, Cells: make(map[CellID]*Cell), owner: out.gen, base: cb.base}
@@ -72,7 +71,7 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 // cube. The shards must agree on thresholds, schema shape, and cuboid
 // census, and no cell may appear in more than one shard; violations report
 // which shard disagrees. The merged cube takes the first shard's schema and
-// symbols and shares cell pointers with its inputs, as a generation later
+// plan and shares cell pointers with its inputs, as a generation later
 // than all of them (see FilterCells); the cells of a mapped base are
 // decoded into it, and a base that does not decode fails the merge. It
 // carries no sub-δ ledger: its first append derives one.
@@ -82,12 +81,10 @@ func Merge(shards []*Cube) (*Cube, error) {
 	}
 	first := shards[0]
 	out := &Cube{
-		Schema:        first.Schema,
-		Config:        first.Config,
-		Symbols:       first.Symbols,
-		Cuboids:       make(map[string]*Cuboid, len(first.Cuboids)),
-		minCount:      first.minCount,
-		sharedSymbols: true,
+		Schema:   first.Schema,
+		Config:   first.Config,
+		Cuboids:  make(map[string]*Cuboid, len(first.Cuboids)),
+		minCount: first.minCount,
 	}
 	for _, s := range shards {
 		out.gen = max(out.gen, s.gen+1)
@@ -153,7 +150,7 @@ func compatibleShard(a, b *Cube) error {
 				d, bh.Dimension(), bh.Len(), ah.Dimension(), ah.Len())
 		}
 	}
-	if la, lb := len(a.Symbols.PathLevels()), len(b.Symbols.PathLevels()); la != lb {
+	if la, lb := len(a.PathLevels()), len(b.PathLevels()); la != lb {
 		return fmt.Errorf("%d path levels, want %d", lb, la)
 	}
 	if len(a.Cuboids) != len(b.Cuboids) {
@@ -170,9 +167,9 @@ func compatibleShard(a, b *Cube) error {
 // LoadMeta reads only a snapshot's metadata — thresholds, schema
 // hierarchies, and the encoding plan — returning a cube with no
 // materialized cells. It stops after the plan section without touching the
-// (arbitrarily large) cuboid sections. The result answers Schema, Symbols,
-// MinCount, ParseCellSpec-style lookups, and Config thresholds; NumCells is
-// 0 and queries find nothing.
+// (arbitrarily large) cuboid sections. The result answers Schema, the plan
+// (PathLevels, DimLevels), MinCount, ParseCellSpec-style lookups, and
+// Config thresholds; NumCells is 0 and queries find nothing.
 func LoadMeta(r io.Reader) (*Cube, error) {
 	return LoadMetaContext(context.Background(), r)
 }

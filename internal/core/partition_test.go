@@ -85,7 +85,7 @@ func TestLoadMetaStripsCells(t *testing.T) {
 	if got, want := len(meta.Schema.Dims), len(cube.Schema.Dims); got != want {
 		t.Fatalf("meta has %d dimensions, want %d", got, want)
 	}
-	if got, want := len(meta.Symbols.PathLevels()), len(cube.Symbols.PathLevels()); got != want {
+	if got, want := len(meta.PathLevels()), len(cube.PathLevels()); got != want {
 		t.Fatalf("meta has %d path levels, want %d", got, want)
 	}
 

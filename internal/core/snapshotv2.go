@@ -486,7 +486,7 @@ func encodeMetaSectionsV2(c *Cube, numCuboids int) (header, hiers, plan []byte) 
 	header = binary.LittleEndian.AppendUint64(header, math.Float64bits(c.Config.Tau))
 	header = append(header, flags)
 	header = binary.AppendUvarint(header, uint64(len(c.Schema.Dims)))
-	header = binary.AppendUvarint(header, uint64(len(c.Symbols.PathLevels())))
+	header = binary.AppendUvarint(header, uint64(len(c.PathLevels())))
 	header = binary.AppendUvarint(header, uint64(numCuboids))
 
 	hiers = appendHierarchyV2(hiers, c.Schema.Location)
@@ -494,7 +494,7 @@ func encodeMetaSectionsV2(c *Cube, numCuboids int) (header, hiers, plan []byte) 
 		hiers = appendHierarchyV2(hiers, h)
 	}
 
-	dimLevels := c.Symbols.DimLevels()
+	dimLevels := c.DimLevels()
 	plan = binary.AppendUvarint(plan, uint64(len(dimLevels)))
 	for _, levels := range dimLevels {
 		plan = binary.AppendUvarint(plan, uint64(len(levels)))
@@ -502,7 +502,7 @@ func encodeMetaSectionsV2(c *Cube, numCuboids int) (header, hiers, plan []byte) 
 			plan = binary.AppendUvarint(plan, uint64(l))
 		}
 	}
-	pathLevels := c.Symbols.PathLevels()
+	pathLevels := c.PathLevels()
 	plan = binary.AppendUvarint(plan, uint64(len(pathLevels)))
 	for _, pl := range pathLevels {
 		nodes := pl.Cut.Nodes()
@@ -765,6 +765,9 @@ func decodePlanV2(payload []byte, schema *pathdb.Schema, h headerV2) (transact.P
 	if uint64(npl) != h.numPathLevels {
 		return transact.Plan{}, pr.corrupt("plan lists %d path levels, header %d", npl, h.numPathLevels)
 	}
+	if npl == 0 {
+		return transact.Plan{}, pr.corrupt("plan lists no path level")
+	}
 	levels := make([]pathdb.PathLevel, npl)
 	for i := range levels {
 		nn, err := pr.count("cut node")
@@ -842,16 +845,12 @@ func openSnapshot(data snapData) (*Cube, headerV2, *frameReader, error) {
 	if err != nil {
 		return nil, h, nil, err
 	}
-	syms, err := transact.NewSymbols(schema, plan)
-	if err != nil {
-		return nil, h, nil, err
-	}
+	plan.DimLevels = plan.NormalizedDimLevels(schema)
 	return &Cube{
 		Schema: schema,
 		Config: Config{MinCount: h.minCount, Epsilon: h.epsilon, Tau: h.tau, Plan: plan,
 			MineExceptions:        h.flags&headerMineExceptions != 0,
 			SingleStageExceptions: h.flags&headerSingleStageExceptions != 0},
-		Symbols:    syms,
 		Cuboids:    make(map[string]*Cuboid),
 		minCount:   h.minCount,
 		compressed: h.flags&headerCompressed != 0,

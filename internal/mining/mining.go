@@ -76,14 +76,27 @@ type LevelStats struct {
 	Frequent  int
 }
 
+// Stats is what a mining run reports about itself beside its itemsets.
+type Stats struct {
+	Levels []LevelStats // per-length candidate statistics
+	Scans  int          // passes over the transaction database
+}
+
+// MaxLen reports the longest frequent pattern length found.
+func (s *Stats) MaxLen() int {
+	for k := len(s.Levels); k > 0; k-- {
+		if s.Levels[k-1].Frequent > 0 {
+			return s.Levels[k-1].Length
+		}
+	}
+	return 0
+}
+
 // Result is the output of one mining run.
 type Result struct {
 	// ByLength[k-1] holds the frequent itemsets of length k, sorted.
 	ByLength []itemset.Level
-	// Levels holds per-length candidate statistics.
-	Levels []LevelStats
-	// Scans is the number of passes over the transaction database.
-	Scans int
+	Stats
 	// MinCount is the absolute support threshold used.
 	MinCount int64
 	// Aborted is true when CandidateLimit stopped the run early.
@@ -106,16 +119,6 @@ func (r *Result) Support(set []transact.Item) (int64, bool) {
 		return 0, false
 	}
 	return r.ByLength[len(set)-1].Support(set)
-}
-
-// MaxLen reports the longest frequent pattern length found.
-func (r *Result) MaxLen() int {
-	for k := len(r.ByLength); k > 0; k-- {
-		if r.ByLength[k-1].Len() > 0 {
-			return k
-		}
-	}
-	return 0
 }
 
 // ResolveMinCount converts options to an absolute support threshold over n

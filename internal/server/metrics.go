@@ -218,7 +218,7 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	out := MetricsSnapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Reloads:       m.reloads.Load(),
-		Appends: AppendMetrics{Count: m.appends.Load()},
+		Appends:       AppendMetrics{Count: m.appends.Load()},
 		Ingest: IngestMetrics{
 			WALEntries:     m.walEntries.Load(),
 			WALBytes:       m.walBytes.Load(),

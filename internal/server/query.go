@@ -69,9 +69,9 @@ func ParseCellRequest(cube *core.Cube, params url.Values) (Request, error) {
 	if err != nil {
 		return Request{}, &HTTPError{http.StatusBadRequest, err.Error()}
 	}
-	if pathLevel < 0 || pathLevel >= len(cube.Symbols.PathLevels()) {
+	if pathLevel < 0 || pathLevel >= len(cube.PathLevels()) {
 		return Request{}, &HTTPError{http.StatusBadRequest,
-			fmt.Sprintf("pathlevel %d out of range, cube has %d path levels", pathLevel, len(cube.Symbols.PathLevels()))}
+			fmt.Sprintf("pathlevel %d out of range, cube has %d path levels", pathLevel, len(cube.PathLevels()))}
 	}
 	rq.Query = core.Query{Op: core.OpCell, Spec: core.CuboidSpec{Item: il, PathLevel: pathLevel}, Values: values}
 	return rq, nil

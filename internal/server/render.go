@@ -451,7 +451,7 @@ func renderCuboids(snap *Snapshot) CuboidsResponse {
 	resp := CuboidsResponse{
 		Source:     snap.Source,
 		LoadedAt:   snap.LoadedAt.UTC().Format("2006-01-02T15:04:05Z"),
-		PathLevels: len(cube.Symbols.PathLevels()),
+		PathLevels: len(cube.PathLevels()),
 		MinCount:   cube.MinCount(),
 		Cells:      cube.NumCells(),
 	}

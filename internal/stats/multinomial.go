@@ -78,10 +78,11 @@ func (m *Multinomial) Add(v int64, n int64) {
 	m.total += n
 }
 
-// insert makes room for outcome v at index i, with count 0.
+// insert makes room for outcome v at index i, with count 0. A full
+// distribution doubles; an empty one gets room for one outcome only.
 func (m *Multinomial) insert(i int, v int64) {
 	if 2*m.n == len(m.buf) {
-		m.regrow(2*m.n + 2)
+		m.regrow(max(2*m.n, 1))
 	}
 	m.n++
 	o, c := m.cols()

@@ -153,10 +153,10 @@ func cutRelations(levels []pathdb.PathLevel) [][]cutRelation {
 }
 
 // Clone returns an independently mutable copy of the symbol table. Encoding
-// new records interns fresh stage items — a mutation — so delta maintenance
-// clones the table instead of racing readers of the original cube. Interned
-// item entries are immutable once created, so the per-item metadata (seq,
-// ancestors) is shared; only the containers are copied.
+// new records interns fresh stage items — a mutation — so two owners that
+// go on encoding each need their own copy. Interned item entries are
+// immutable once created, so the per-item metadata (seq, ancestors) is
+// shared; only the containers are copied.
 func (s *Symbols) Clone() *Symbols {
 	c := &Symbols{
 		schema:        s.schema,
@@ -242,9 +242,6 @@ func (s *Symbols) coarsestPathLevel() int {
 	}
 	return -1
 }
-
-// PathLevels returns the materialized path abstraction levels.
-func (s *Symbols) PathLevels() []pathdb.PathLevel { return s.pathLevels }
 
 // DimLevels returns the materialized levels per dimension.
 func (s *Symbols) DimLevels() [][]int { return s.dimLevels }

@@ -294,9 +294,6 @@ func TestAccessors(t *testing.T) {
 	syms := transact.MustNewSymbols(ex.Schema, plan)
 	syms.Encode(ex.DB)
 
-	if len(syms.PathLevels()) != 4 {
-		t.Errorf("PathLevels = %d", len(syms.PathLevels()))
-	}
 	if got := syms.DimLevels(); len(got) != 2 || len(got[0]) != 3 || len(got[1]) != 2 {
 		t.Errorf("DimLevels = %v", got)
 	}

@@ -47,6 +47,15 @@ run_matching() {
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+# Every tracked Go file as gofmt writes it; the list names the ones it would
+# change.
+unformatted=$(gofmt -l $(git ls-files '*.go'))
+if [ -n "$unformatted" ]; then
+  echo "gofmt would reformat:" $unformatted
+  exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -91,14 +100,16 @@ echo "== generation isolation, lazy first touch, request deadlines, census, shar
 # keeps must equal a fresh derivation at every step of built, reloaded,
 # lazy and forked chains, and a lazy cube must decode no cell for it.
 # Sibling forks share one ledger — on an exceptions cube with the cells'
-# record ids and the stage transactions: appending to both, concurrently
-# too, one may claim it and extend all three in place, and the other must
-# touch none of it and derive its own.
+# record ids, the stage transactions and the symbol table they are interned
+# into: appending to both, concurrently too, one may claim it and extend
+# them in place, and the other must touch none of it and derive its own. A
+# ledger FilterCells copies owns its own table, so the filtered cube and a
+# fork of the original may intern at once.
 # ApplyDelta folds, re-mines and re-marks across Config.Workers: one and
 # four workers must save the same bytes and stats over built, loaded and
 # lazy cubes, and sibling forks of one lazy cube re-marking at once read
 # their parents through the one LRU they share with the readers.
-run_matching 'TestGenerationIsolation|TestLedgerMaintainedEqualsDerived|TestLazyAppendDerivesLedgerWithoutDecoding|TestSiblingForksKeepExactLedgers|TestApplyDeltaWorkersAgree|TestLazySiblingForksRemarkConcurrently' -race -count=10 ./internal/core
+run_matching 'TestGenerationIsolation|TestLedgerMaintainedEqualsDerived|TestLazyAppendDerivesLedgerWithoutDecoding|TestSiblingForksKeepExactLedgers|TestFilteredLedgerOwnsItsTable|TestApplyDeltaWorkersAgree|TestLazySiblingForksRemarkConcurrently' -race -count=10 ./internal/core
 # Same reasoning for a lazy cube's first touches: readers racing for one cold
 # cell share a single decode through the cache's single-flight, and Verify
 # installs its directories in the cache the readers are building theirs in.
