@@ -131,7 +131,7 @@ func main() {
 }
 
 func baseReturnsProb(n *flowcube.FlowNode, returns flowcube.NodeID) float64 {
-	return n.Transitions.Prob(int64(returns))
+	return n.TransitionProb(int64(returns))
 }
 
 func names(loc *flowcube.Hierarchy, prefix []flowcube.NodeID) []string {

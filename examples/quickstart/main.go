@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"strings"
 
 	"flowcube"
 )
@@ -100,7 +101,7 @@ func main() {
 
 	f := cell.Graph.NodeAt([]flowcube.NodeID{location.MustLookup("f")})
 	fmt.Printf("\nfactory node: duration dist [%s], transition dist [%s]\n\n",
-		f.Durations, f.Transitions)
+		&f.Durations, transitionDist(location, f))
 
 	// Figure 4: the (outerwear, nike) cell.
 	spec := flowcube.CuboidSpec{Item: flowcube.ItemLevel{2, 2}, PathLevel: 0}
@@ -172,4 +173,18 @@ func pins(loc *flowcube.Hierarchy, ps []flowcube.StagePin) []string {
 		out = append(out, fmt.Sprintf("stage%d=%s,dur=%d", p.Depth, loc.Name(p.Location), p.Duration))
 	}
 	return out
+}
+
+// transitionDist renders a node's transition distribution — its children,
+// and "end" for the paths that stop there — in the duration
+// distribution's "outcome:p" style.
+func transitionDist(loc *flowcube.Hierarchy, n *flowcube.FlowNode) string {
+	var out []string
+	if p := n.TerminationProb(); p > 0 {
+		out = append(out, fmt.Sprintf("end:%.2f", p))
+	}
+	for _, c := range n.Children() {
+		out = append(out, fmt.Sprintf("%s:%.2f", loc.Name(c.Location), n.ChildProb(c)))
+	}
+	return strings.Join(out, " ")
 }

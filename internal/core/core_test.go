@@ -63,11 +63,11 @@ func TestFigure4ThroughCube(t *testing.T) {
 	g := cell.Graph
 	loc := func(n string) hierarchy.NodeID { return ex.Location.MustLookup(n) }
 	f := g.NodeAt([]hierarchy.NodeID{loc("f")})
-	if f == nil || math.Abs(f.Transitions.Prob(int64(loc("t")))-1) > 1e-9 {
+	if f == nil || math.Abs(f.TransitionProb(int64(loc("t")))-1) > 1e-9 {
 		t.Errorf("factory→truck probability wrong in (outerwear,nike) graph")
 	}
 	ft := g.NodeAt([]hierarchy.NodeID{loc("f"), loc("t")})
-	if ft == nil || math.Abs(ft.Transitions.Prob(int64(loc("w")))-1.0/3) > 1e-9 {
+	if ft == nil || math.Abs(ft.TransitionProb(int64(loc("w")))-1.0/3) > 1e-9 {
 		t.Errorf("truck→warehouse probability wrong in (outerwear,nike) graph")
 	}
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"flowcube/internal/core"
@@ -91,4 +92,43 @@ func BenchmarkApplyDelta(b *testing.B) {
 	b.Run("loaded/first", first(false))
 	b.Run("loaded/steady", func(b *testing.B) { steady(b, load(b, false)) })
 	b.Run("loaded/exceptions/first", first(true))
+}
+
+// BenchmarkLiveHeap measures what a served cube keeps: the live heap
+// (HeapAlloc after two collections, in MB of 10^6 bytes) once the plain
+// cube of the ingest_mixed workload is built — three dimensions, 2000
+// paths, δ = 20, Workers 2, as flowserve -workers 2 builds it — and again
+// after 200 ten-record appends of fresh records, each to a fork of the cube
+// the last one left, as flowserve's commit loop makes them, the older
+// generations dropped. The generated dataset and the database are live in
+// both figures.
+func BenchmarkLiveHeap(b *testing.B) {
+	const base, batchLen, batches = 2000, 10, 200
+	gen := datagen.Default()
+	gen.NumDims, gen.NumPaths = 3, base+batchLen*batches
+	ds := datagen.MustGenerate(gen)
+	cfg := core.Config{MinCount: base / 100, Epsilon: 0.1, Plan: ds.DefaultPlan(), Workers: 2}
+	live := func() float64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / 1e6
+	}
+	var built, after float64
+	for i := 0; i < b.N; i++ {
+		db := oracle.Prefix(ds.DB, base)
+		cube := oracle.Build(b, db, cfg)
+		built = live()
+		for k := 0; k < batches; k++ {
+			cube = cube.Fork()
+			if _, err := core.ApplyDelta(cube, db, ds.DB.Records[base+k*batchLen:base+(k+1)*batchLen]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		after = live()
+		runtime.KeepAlive(cube)
+	}
+	b.ReportMetric(built, "built-MB")
+	b.ReportMetric(after, "after-MB")
 }

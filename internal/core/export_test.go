@@ -171,8 +171,12 @@ func (c *Cube) SectionCellRangesForTest(spec CuboidSpec) [][2]int {
 	return out
 }
 
-// SaveFileThrough is SaveFile with every write of the snapshot going
+// SaveFileThrough is SaveFile with every write that reaches the file going
 // through wrap.
 func (c *Cube) SaveFileThrough(path string, wrap func(io.Writer) io.Writer) error {
-	return saveFile(path, func(w io.Writer) error { return c.Save(wrap(w)) })
+	return saveFile(path, c.Save, wrap)
 }
+
+// AppendFlatGraph is appendFlatGraph: a cell's flowgraph as its snapshot
+// bytes carry it.
+var AppendFlatGraph = appendFlatGraph

@@ -3,9 +3,11 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"flowcube/internal/core"
+	"flowcube/internal/flowgraph"
 	"flowcube/internal/oracle"
 )
 
@@ -34,6 +36,10 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(flipped)
 	for _, data := range bytesAfterEnd(v2.Bytes()) {
 		f.Add(data)
+	}
+	underived := underivedTransitions(f, v2.Bytes())
+	for _, name := range sortedKeys(underived) {
+		f.Add(underived[name])
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -133,4 +139,93 @@ func FuzzLoadSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// underivedTransitions returns copies of snap in which one cell's flowgraph
+// carries a transition column other than the one its tree derives, with
+// the section's length and checksum made good again, so that only the flat
+// graph's own check can tell: a child's weight off by one, terminations at
+// the root, the last leaf's terminations missing, and an outcome no child
+// derives.
+func underivedTransitions(t testing.TB, snap []byte) map[string][]byte {
+	t.Helper()
+	cube, err := core.Load(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The apex cuboid's one cell at path level 0: a graph with paths.
+	cb := cube.Cuboids[sortedKeys(cube.Cuboids)[0]]
+	cell := cb.Cells[sortedKeys(cb.Cells)[0]]
+	if cell.Graph == nil || cell.Graph.Paths() == 0 {
+		t.Fatal("the first cell of the fixture has no paths")
+	}
+	orig := core.AppendFlatGraph(nil, flowgraph.Flatten(cell.Graph))
+	edits := map[string]func(f *flowgraph.Flat){
+		"child weight off by one": func(f *flowgraph.Flat) { f.Weights[f.TrLo[0]]++ },
+		"terminations at the root": func(f *flowgraph.Flat) {
+			f.Paths++
+			f.Outcomes = slices.Insert(f.Outcomes, int(f.TrLo[0]), flowgraph.Terminate)
+			f.Weights = slices.Insert(f.Weights, int(f.TrLo[0]), 1)
+			for i := 1; i < len(f.TrLo); i++ {
+				f.DurLo[i]++
+				f.TrLo[i]++
+			}
+			f.DurLo[len(f.TrLo)]++
+		},
+		"leaf terminations missing": func(f *flowgraph.Flat) {
+			f.Outcomes, f.Weights = f.Outcomes[:len(f.Outcomes)-1], f.Weights[:len(f.Weights)-1]
+			f.DurLo[len(f.TrLo)]--
+		},
+		"outcome no child derives": func(f *flowgraph.Flat) {
+			f.Outcomes, f.Weights = append(f.Outcomes, 1<<20), append(f.Weights, 1)
+			f.DurLo[len(f.TrLo)]++
+		},
+	}
+	out := make(map[string][]byte, len(edits))
+	for name, edit := range edits {
+		flat := flowgraph.Flatten(cell.Graph)
+		edit(flat)
+		// Cuboid sections are written in key order: the first holds it.
+		out[name] = oracle.RewriteSection(t, snap, oracle.SecCuboid, 0, func(payload []byte) []byte {
+			if !bytes.Contains(payload, orig) {
+				t.Fatal("the cell's flat graph is not in the first cuboid section")
+			}
+			return bytes.Replace(payload, orig, core.AppendFlatGraph(nil, flat), 1)
+		})
+	}
+	return out
+}
+
+// TestLoadersRejectUnderivedTransitions: a cube keeps no transition column
+// — a node's transition distribution is its children's counts — so a
+// snapshot whose column says anything else is refused by Load and by
+// flowquery's open (a lazy open and Verify), not loaded with the column
+// silently replaced.
+func TestLoadersRejectUnderivedTransitions(t *testing.T) {
+	for name, data := range underivedTransitions(t, fixtureSnapshot(t)) {
+		t.Run(name, func(t *testing.T) {
+			_, err := core.Load(bytes.NewReader(data))
+			if err == nil {
+				t.Fatal("Load accepts the snapshot")
+			}
+			lz, verr := core.LoadCubeLazy(oracle.File(t, data), core.LazyOptions{})
+			if verr == nil {
+				verr = lz.Verify(context.Background())
+				_ = lz.Close() // read-only mapping
+			}
+			if verr == nil || verr.Error() != err.Error() {
+				t.Fatalf("open+Verify: %v; Load: %v", verr, err)
+			}
+		})
+	}
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K ~string, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

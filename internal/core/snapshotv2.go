@@ -28,6 +28,7 @@ package core
 // failures surface as *CorruptSnapshotError.
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -398,25 +399,39 @@ func (c *Cube) Save(w io.Writer) error {
 }
 
 // SaveFile saves the cube to path without ever leaving a torn snapshot
-// there: Save writes a temporary file in the same directory, which is
-// synced, closed and renamed over path, and the directory is synced. On an
-// error the file at path is as it was and the temporary file is gone.
+// there: Save writes a temporary file in the same directory, through a
+// 64 KiB buffer, which is flushed, synced, closed and renamed over path, and
+// the directory is synced. On an error the file at path is as it was and
+// the temporary file is gone.
 func (c *Cube) SaveFile(path string) error {
-	return saveFile(path, c.Save)
+	return saveFile(path, c.Save, nil)
 }
 
-// saveFile is SaveFile with the writer save writes through: the cube's Save,
-// or, in tests, a Save through an injected fault.
-func saveFile(path string, save func(io.Writer) error) error {
+// saveFileBuffer is the size of the buffer SaveFile writes through: Save
+// makes a few writes per section, most of them small.
+const saveFileBuffer = 64 << 10
+
+// saveFile is SaveFile with the save that writes the snapshot, and, in
+// tests, wrap: what the buffered writes pass through on their way to the
+// file (nil for none), to inject a fault.
+func saveFile(path string, save func(io.Writer) error, wrap func(io.Writer) io.Writer) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
+	var dst io.Writer = f
+	if wrap != nil {
+		dst = wrap(f)
+	}
+	w := bufio.NewWriterSize(dst, saveFileBuffer)
 	err = f.Chmod(0o644)
 	if err == nil {
-		err = save(f)
+		err = save(w)
+	}
+	if err == nil {
+		err = w.Flush()
 	}
 	if err == nil {
 		err = f.Sync()

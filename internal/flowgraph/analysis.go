@@ -35,7 +35,7 @@ func (g *Graph) TopPaths(k int) []PathSummary {
 		if prob == 0 {
 			return
 		}
-		if term := n.Transitions.Prob(Terminate); term > 0 && n.Depth > 0 {
+		if term := n.TerminationProb(); term > 0 && n.Depth > 0 {
 			out = append(out, PathSummary{
 				Locations:     append([]hierarchy.NodeID(nil), locs...),
 				Prob:          prob * term,
@@ -44,7 +44,7 @@ func (g *Graph) TopPaths(k int) []PathSummary {
 			})
 		}
 		for _, c := range n.Children() {
-			p := n.Transitions.Prob(int64(c.Location))
+			p := n.ChildProb(c)
 			m := c.Durations.Mean()
 			walk(c, prob*p, append(locs, c.Location), append(durs, m), lead+m)
 		}
@@ -96,7 +96,7 @@ func (g *Graph) ExpectedLeadTime() float64 {
 			e = n.Durations.Mean()
 		}
 		for _, c := range n.Children() {
-			e += n.Transitions.Prob(int64(c.Location)) * rec(c)
+			e += n.ChildProb(c) * rec(c)
 		}
 		return e
 	}
@@ -108,7 +108,7 @@ func (g *Graph) ExpectedLeadTime() float64 {
 func (g *Graph) SubtreeLeadTime(n *Node) float64 {
 	e := n.Durations.Mean()
 	for _, c := range n.Children() {
-		e += n.Transitions.Prob(int64(c.Location)) * g.SubtreeLeadTime(c)
+		e += n.ChildProb(c) * g.SubtreeLeadTime(c)
 	}
 	return e
 }

@@ -91,8 +91,9 @@ func Contrast(current, baseline *Graph, k int) []NodeDiff {
 				d.CurrentReach = current.ReachProb(ca)
 				d.BaselineReach = baseline.ReachProb(cb)
 				d.DurationShift = ca.Durations.Mean() - cb.Durations.Mean()
-				d.DurationDeviation = ca.Durations.MaxDeviation(cb.Durations)
-				d.TransitionDeviation = ca.Transitions.MaxDeviation(cb.Transitions)
+				d.DurationDeviation = ca.Durations.MaxDeviation(&cb.Durations)
+				ta, tb := transitions(ca), transitions(cb)
+				d.TransitionDeviation = maxDeviation(&ta, &tb)
 			case ca != nil:
 				d.CurrentReach = current.ReachProb(ca)
 				d.OnlyIn = 1

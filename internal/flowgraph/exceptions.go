@@ -241,8 +241,9 @@ func (g *Graph) appendException(target *Node, cond []StagePin, a *condAgg, eps f
 	if a.tr.Total() < minCount {
 		return
 	}
-	devD := a.dur.MaxDeviation(target.Durations)
-	devT := a.tr.MaxDeviation(target.Transitions)
+	devD := a.dur.MaxDeviation(&target.Durations)
+	t := transitions(target)
+	devT := keptDeviation(&a.tr, &t)
 	pinsTarget := cond[len(cond)-1].Depth == target.Depth
 	significant := devT > eps || (!pinsTarget && devD > eps)
 	if !significant {

@@ -7,7 +7,11 @@ package flowgraph
 // sentinel ChildLo slice describes the whole tree shape, mirroring
 // itemset.Trie. All duration and transition distributions are pooled
 // into one shared Outcomes/Weights pair with per-node offsets; exceptions
-// and their condition pins are flat tables of the same style. Check
+// and their condition pins are flat tables of the same style. A node's
+// transition distribution is written out although the tree holds it
+// already (it is the children's counts and the paths that end at the
+// node), so the column's bytes are what they were when nodes kept it; Check
+// requires it to be exactly that, and Unflatten reads it no further. Check
 // validates the invariants without allocating, and Unflatten runs it and
 // then rebuilds the pointer tree by carving nodes, distributions, pins and
 // exceptions out of single backing allocations.
@@ -36,8 +40,10 @@ type Flat struct {
 
 	// DurLo and TrLo index the pooled distribution columns: node i's
 	// duration distribution is Outcomes[DurLo[i]:TrLo[i]] with parallel
-	// Weights, and its transition distribution Outcomes[TrLo[i]:DurLo[i+1]].
-	// DurLo carries the sentinel (len(Locations)+1 entries).
+	// Weights, and its transition distribution Outcomes[TrLo[i]:DurLo[i+1]]:
+	// Terminate weighted by the paths that end at the node (absent when none
+	// do, and at the root), then each child's location weighted by its
+	// count. DurLo carries the sentinel (len(Locations)+1 entries).
 	DurLo    []int32
 	TrLo     []int32
 	Outcomes []int64
@@ -101,7 +107,12 @@ func Flatten(g *Graph) *Flat {
 		f.DurLo[i] = int32(len(f.Outcomes))
 		f.Outcomes, f.Weights = node.Durations.AppendSorted(f.Outcomes, f.Weights)
 		f.TrLo[i] = int32(len(f.Outcomes))
-		f.Outcomes, f.Weights = node.Transitions.AppendSorted(f.Outcomes, f.Weights)
+		if term := node.Terminations(); term > 0 {
+			f.Outcomes, f.Weights = append(f.Outcomes, Terminate), append(f.Weights, term)
+		}
+		for _, c := range node.children {
+			f.Outcomes, f.Weights = append(f.Outcomes, int64(c.Location)), append(f.Weights, c.Count)
+		}
 	}
 	f.ChildLo[n] = next
 	f.DurLo[n] = int32(len(f.Outcomes))
@@ -209,72 +220,102 @@ func (f *Flat) validate() error {
 // Check reports the first reason Unflatten would refuse f at loc, or nil:
 // the structural invariants of the columnar form, every node's location
 // inside loc with each node's children in strictly ascending location order,
-// and every pooled distribution strictly ascending by outcome with
-// non-negative weights. It allocates nothing, and a graph that passes it
-// unflattens without error, so a caller that only needs to know whether a
-// graph decodes — a snapshot verify walk — runs Check and builds no tree.
+// every node's transition distribution exactly the one its children derive
+// (checkNodes), and every other pooled distribution strictly ascending by
+// outcome with non-negative weights. It allocates nothing, and a graph that
+// passes it unflattens without error, so a caller that only needs to know
+// whether a graph decodes — a snapshot verify walk — runs Check and builds
+// no tree.
 func (f *Flat) Check(loc *hierarchy.Hierarchy) error {
 	if err := f.validate(); err != nil {
 		return err
 	}
-	for i := range f.Locations {
-		if f.Locations[i] < 0 || int(f.Locations[i]) >= loc.Len() {
-			return fmt.Errorf("flowgraph: node %d location %d outside hierarchy of %d nodes",
-				i, f.Locations[i], loc.Len())
-		}
-		for j := f.ChildLo[i] + 1; j < f.ChildLo[i+1]; j++ {
-			if f.Locations[j-1] >= f.Locations[j] {
-				return fmt.Errorf("flowgraph: node %d has child locations out of order or duplicated", i)
-			}
-		}
+	if err := f.checkNodes(loc); err != nil {
+		return err
 	}
 	if err := checkDists(f.Outcomes, f.Weights, f.DurLo, f.TrLo); err != nil {
 		return err
 	}
-	return checkDists(f.ExcOutcomes, f.ExcWeights, f.ExcDurLo, f.ExcTrLo)
+	if err := checkDists(f.ExcOutcomes, f.ExcWeights, f.ExcDurLo, f.ExcTrLo); err != nil {
+		return err
+	}
+	if len(f.ExcTrLo) == 0 {
+		return nil
+	}
+	// Exception j's transition distribution is [ExcTrLo[j], ExcDurLo[j+1]).
+	return checkDists(f.ExcOutcomes, f.ExcWeights, f.ExcTrLo, f.ExcDurLo[1:])
 }
 
-// checkDists checks the distributions a validated pair of offset columns
-// cuts out of a pooled outcome/weight column — the duration distribution
-// [lo[i], tr[i]) and the transition distribution [tr[i], lo[i+1]) of each
-// owner i — for what Multinomial.InitSorted refuses: a negative weight, or
-// outcomes not strictly ascending within one distribution.
-func checkDists(outcomes, weights []int64, lo, tr []int32) error {
-	for k, w := range weights {
-		if w < 0 {
-			return fmt.Errorf("flowgraph: flat weight %d negative at pool index %d", w, k)
+// checkNodes checks every node's location against loc, its children, and
+// its transition column, which must be the one Flatten derives from the
+// tree, since Unflatten keeps only the tree: at most one Terminate, first,
+// with a positive weight (none at the root, which no path ends at), then
+// exactly the node's children in strictly ascending location order, each
+// with its location and its positive count, all of it adding up to the
+// node's count — at the root, to Paths. A column that passes is strictly
+// ascending, since Terminate is below every location.
+func (f *Flat) checkNodes(loc *hierarchy.Hierarchy) error {
+	locs, counts, childLo := f.Locations, f.Counts, f.ChildLo
+	outcomes, weights, trLo, durLo := f.Outcomes, f.Weights, f.TrLo, f.DurLo
+	for i, l := range locs {
+		if l < 0 || int(l) >= loc.Len() {
+			return fmt.Errorf("flowgraph: node %d location %d outside hierarchy of %d nodes", i, l, loc.Len())
 		}
-	}
-	for i := range tr {
-		at := lo[i] + ascendingPrefix(outcomes[lo[i]:tr[i]])
-		if at == tr[i] {
-			at = tr[i] + ascendingPrefix(outcomes[tr[i]:lo[i+1]])
-			if at == lo[i+1] {
-				continue
+		k, end := trLo[i], durLo[i+1]
+		var sum int64
+		if k < end && outcomes[k] == Terminate {
+			if sum = weights[k]; sum <= 0 || i == 0 {
+				return fmt.Errorf("flowgraph: node %d transition column has a Terminate no path derives", i)
 			}
+			k++
 		}
-		return fmt.Errorf("flowgraph: flat outcomes not strictly increasing at pool index %d", at)
+		lo, hi := childLo[i], childLo[i+1]
+		for j := lo; j < hi; j++ {
+			if j > lo && locs[j-1] >= locs[j] {
+				return fmt.Errorf("flowgraph: node %d has child locations out of order or duplicated", i)
+			}
+			if k == end || outcomes[k] != int64(locs[j]) || weights[k] != counts[j] || counts[j] == 0 {
+				return fmt.Errorf("flowgraph: node %d transition column differs from its children's counts", i)
+			}
+			sum += counts[j]
+			k++
+		}
+		total := counts[i]
+		if i == 0 {
+			total = f.Paths
+		}
+		if k != end || sum != total {
+			return fmt.Errorf("flowgraph: node %d transition column does not add up to its %d paths", i, total)
+		}
 	}
 	return nil
 }
 
-// ascendingPrefix returns the length of o's longest strictly ascending
-// prefix: len(o) when all of o ascends.
-func ascendingPrefix(o []int64) int32 {
-	for k := 1; k < len(o); k++ {
-		if o[k-1] >= o[k] {
-			return int32(k)
+// checkDists refuses what Multinomial.InitSorted refuses of the
+// distributions a validated pair of offset columns cuts out of pooled
+// outcome and weight columns, [lo[i], hi[i]) for each i of hi: a negative
+// weight, or outcomes not strictly ascending within one distribution.
+func checkDists(outcomes, weights []int64, lo, hi []int32) error {
+	for i := range hi {
+		o, w := outcomes[lo[i]:hi[i]], weights[lo[i]:hi[i]]
+		for k := range o {
+			if w[k] < 0 {
+				return fmt.Errorf("flowgraph: flat weight %d negative at pool index %d", w[k], lo[i]+int32(k))
+			}
+			if k > 0 && o[k-1] >= o[k] {
+				return fmt.Errorf("flowgraph: flat outcomes not strictly increasing at pool index %d", lo[i]+int32(k))
+			}
 		}
 	}
-	return int32(len(o))
+	return nil
 }
 
 // Unflatten checks the columnar form (Check) and rebuilds the pointer graph
-// for paths at the given level. Nodes, distributions, pins and exceptions
-// are carved out of one backing allocation each — child lists too: BFS
-// order puts a node's children side by side, so each list is a window of
-// one pointer array — which leaves one allocation per non-empty
-// distribution.
+// for paths at the given level, reading no transition column: the tree is
+// T. Nodes, pins and exceptions are carved out of one backing allocation
+// each — child lists too: BFS order puts a node's children side by side, so
+// each list is a window of one pointer array — which leaves one allocation
+// per non-empty distribution.
 func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Graph, error) {
 	if err := f.Check(loc); err != nil {
 		return nil, err
@@ -286,23 +327,12 @@ func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Grap
 	for i := range nodes {
 		ptrs[i] = &nodes[i]
 	}
-	dists := make([]stats.Multinomial, 2*(n+m))
-	initDist := func(k int, lo, hi int32) (*stats.Multinomial, error) {
-		d := &dists[k]
-		if err := d.InitSorted(f.Outcomes[lo:hi], f.Weights[lo:hi]); err != nil {
-			return nil, err
-		}
-		return d, nil
-	}
 	var err error
 	for i := 0; i < n; i++ {
 		nd := &nodes[i]
 		nd.Location = hierarchy.NodeID(f.Locations[i])
 		nd.Count = f.Counts[i]
-		if nd.Durations, err = initDist(2*i, f.DurLo[i], f.TrLo[i]); err != nil {
-			return nil, err
-		}
-		if nd.Transitions, err = initDist(2*i+1, f.TrLo[i], f.DurLo[i+1]); err != nil {
+		if err = nd.Durations.InitSorted(f.Outcomes[f.DurLo[i]:f.TrLo[i]], f.Weights[f.DurLo[i]:f.TrLo[i]]); err != nil {
 			return nil, err
 		}
 		lo, hi := f.ChildLo[i], f.ChildLo[i+1]
@@ -314,7 +344,7 @@ func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Grap
 	g := &Graph{level: level, loc: loc, root: &nodes[0], paths: f.Paths}
 	if m > 0 {
 		node := func(idx int32, _ int) *Node { return &nodes[idx] }
-		if g.exceptions, err = f.exceptions(node, dists[2*n:]); err != nil {
+		if g.exceptions, err = f.exceptions(node, make([]stats.Multinomial, 2*m)); err != nil {
 			return nil, err
 		}
 	}
@@ -391,8 +421,8 @@ func (f *Flat) prefixes() func(idx int32) []hierarchy.NodeID {
 // queries over a mapped snapshot never materialize a cell. Exceptions come
 // back in flat (mining) order with the same Support, Condition, deviations
 // Prefix and conditional distributions Unflatten would produce. Each Node is
-// a stub with Location, Depth and Count set (enough for rendering) but nil
-// distribution pointers and no children.
+// a stub with Location, Depth and Count set (enough for rendering) but an
+// empty duration distribution and no children.
 func FlatExceptions(f *Flat) ([]Exception, error) {
 	if err := f.validate(); err != nil {
 		return nil, err

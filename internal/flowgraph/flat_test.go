@@ -2,10 +2,13 @@ package flowgraph_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"flowcube/internal/flowgraph"
+	"flowcube/internal/hierarchy"
 	"flowcube/internal/paperex"
+	"flowcube/internal/pathdb"
 )
 
 // flattenFixture builds the full Table-1 graph with mined exceptions and
@@ -133,5 +136,142 @@ func TestUnflattenRejectsInvalid(t *testing.T) {
 				t.Error("Check accepts the corrupt flat graph")
 			}
 		})
+	}
+}
+
+// splicePool replaces del entries of f's node distribution pool at index k
+// with the given (outcome, weight) pairs, moving every range that starts
+// after k. Inserting at the start of a node's transition range (TrLo) lands
+// in it.
+func splicePool(f *flowgraph.Flat, k, del int, outcomes, weights []int64) {
+	f.Outcomes = slices.Replace(f.Outcomes, k, k+del, outcomes...)
+	f.Weights = slices.Replace(f.Weights, k, k+del, weights...)
+	for _, lo := range [][]int32{f.DurLo, f.TrLo} {
+		for i := range lo {
+			if int(lo[i]) > k {
+				lo[i] += int32(len(outcomes) - del)
+			}
+		}
+	}
+}
+
+// nodeWhere returns the first non-root node of f that keep accepts.
+func nodeWhere(t *testing.T, f *flowgraph.Flat, keep func(i int, children, ends int64) bool) int {
+	t.Helper()
+	for i := 1; i < f.NumNodes(); i++ {
+		ends := f.Counts[i]
+		for j := f.ChildLo[i]; j < f.ChildLo[i+1]; j++ {
+			ends -= f.Counts[j]
+		}
+		if keep(i, int64(f.ChildLo[i+1]-f.ChildLo[i]), ends) {
+			return i
+		}
+	}
+	t.Fatal("the fixture has no such node")
+	return 0
+}
+
+// TestCheckRejectsUnderivedTransitions: Unflatten keeps no transition
+// column — a node's T is its children's counts and the paths that end
+// there — so Check must refuse a column that is anything else rather than
+// let a load repair it silently: a weight off by one, an outcome missing or
+// extra, a zero weight, and paths that end at the root.
+func TestCheckRejectsUnderivedTransitions(t *testing.T) {
+	ex := paperex.New()
+	level := ex.BasePathLevel()
+	cases := []struct {
+		name    string
+		corrupt func(t *testing.T, f *flowgraph.Flat)
+	}{
+		{"child weight off by one", func(t *testing.T, f *flowgraph.Flat) {
+			i := nodeWhere(t, f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 })
+			f.Weights[f.TrLo[i]]++
+		}},
+		{"terminations off by one", func(t *testing.T, f *flowgraph.Flat) {
+			i := nodeWhere(t, f, func(_ int, _, ends int64) bool { return ends > 0 })
+			f.Weights[f.TrLo[i]]--
+		}},
+		{"terminations missing", func(t *testing.T, f *flowgraph.Flat) {
+			i := nodeWhere(t, f, func(_ int, _, ends int64) bool { return ends > 0 })
+			splicePool(f, int(f.TrLo[i]), 1, nil, nil)
+		}},
+		{"child outcome missing", func(t *testing.T, f *flowgraph.Flat) {
+			i := nodeWhere(t, f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 })
+			splicePool(f, int(f.TrLo[i]), 1, nil, nil)
+		}},
+		{"extra terminations", func(t *testing.T, f *flowgraph.Flat) {
+			i := nodeWhere(t, f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 })
+			splicePool(f, int(f.TrLo[i]), 0, []int64{flowgraph.Terminate}, []int64{1})
+		}},
+		{"zero-weight terminations", func(t *testing.T, f *flowgraph.Flat) {
+			i := nodeWhere(t, f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 })
+			splicePool(f, int(f.TrLo[i]), 0, []int64{flowgraph.Terminate}, []int64{0})
+		}},
+		{"negative terminations the counts balance", func(t *testing.T, f *flowgraph.Flat) {
+			// A first stage whose paths all go on: one path less reaches
+			// it, and -1 end there.
+			i := nodeWhere(t, f, func(i int, children, ends int64) bool {
+				return i < int(f.ChildLo[1]) && children > 0 && ends == 0
+			})
+			f.Paths--
+			f.Counts[i]--
+			f.Weights[int(f.TrLo[0])+i-1]--
+			splicePool(f, int(f.TrLo[i]), 0, []int64{flowgraph.Terminate}, []int64{-1})
+		}},
+		{"extra outcome no child derives", func(t *testing.T, f *flowgraph.Flat) {
+			i := nodeWhere(t, f, func(i int, children, _ int64) bool { return children == 0 })
+			splicePool(f, int(f.DurLo[i+1]), 0, []int64{1 << 20}, []int64{1})
+			f.DurLo[i+1]++ // the insertion ends node i's range
+		}},
+		{"terminations at the root", func(t *testing.T, f *flowgraph.Flat) {
+			f.Paths++
+			splicePool(f, int(f.TrLo[0]), 0, []int64{flowgraph.Terminate}, []int64{1})
+		}},
+		{"paths not the root's children", func(t *testing.T, f *flowgraph.Flat) { f.Paths++ }},
+		{"count below the children's", func(t *testing.T, f *flowgraph.Flat) {
+			i := nodeWhere(t, f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 })
+			f.Counts[i]--
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, f := flattenFixture(t)
+			tc.corrupt(t, f)
+			if err := f.Check(ex.Location); err == nil {
+				t.Error("Check accepts the corrupt transition column")
+			}
+			if _, err := flowgraph.Unflatten(ex.Location, level, f); err == nil {
+				t.Error("Unflatten accepts the corrupt transition column")
+			}
+		})
+	}
+
+	// A zero weight cannot be made out of the fixture without unbalancing
+	// something else, so it is a graph of its own: one path that reaches a
+	// stage and stops there, and the same graph with that path's count
+	// made 0 everywhere it appears. Only the second has a zero weight.
+	a := int64(ex.Location.MustLookup("f"))
+	flat := func(paths int64) *flowgraph.Flat {
+		f := &flowgraph.Flat{
+			Paths:     paths,
+			Locations: []int32{int32(hierarchy.Root), int32(a)},
+			Counts:    []int64{0, paths},
+			ChildLo:   []int32{1, 2, 2},
+			DurLo:     []int32{0, 1, 2},
+			TrLo:      []int32{0, 2},
+			Outcomes:  []int64{a, 5},
+			Weights:   []int64{paths, paths},
+		}
+		if paths > 0 { // the stage's own Terminate
+			f.Outcomes, f.Weights = append(f.Outcomes, flowgraph.Terminate), append(f.Weights, paths)
+			f.DurLo[2]++
+		}
+		return f
+	}
+	if _, err := flowgraph.Unflatten(ex.Location, pathdb.PathLevel{}, flat(1)); err != nil {
+		t.Fatalf("the one-path graph does not load: %v", err)
+	}
+	if err := flat(0).Check(ex.Location); err == nil {
+		t.Error("Check accepts a zero transition weight")
 	}
 }

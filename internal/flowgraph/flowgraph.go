@@ -6,7 +6,8 @@
 // branch. D annotates each node with a multinomial distribution over the
 // durations items spent at the node. T annotates each node with a
 // multinomial over its outgoing transitions, including a termination
-// probability. X is the set of exceptions: significant deviations of a
+// probability; T is the tree's edge counts, read off it where it is needed
+// (transitions.go). X is the set of exceptions: significant deviations of a
 // node's duration or transition distribution conditioned on a frequent
 // path-segment prefix (parameters ε, the minimum deviation, and δ, the
 // minimum support).
@@ -30,7 +31,10 @@ import (
 // ends here". Location concept ids are non-negative, so -1 is free.
 const Terminate int64 = -1
 
-// Node is one vertex of the flowgraph: a unique path prefix.
+// Node is one vertex of the flowgraph: a unique path prefix. It is one
+// 80-byte box with two pointer words, the duration distribution's backing
+// array and the child list: T's entry at the node is the children's counts
+// (TransitionProb, Terminations), so the node does not keep it again.
 type Node struct {
 	// Location is the (aggregated) location concept of this stage.
 	Location hierarchy.NodeID
@@ -44,10 +48,7 @@ type Node struct {
 	// Count is the number of paths that reach this node.
 	Count int64
 	// Durations is D's entry for the node.
-	Durations *stats.Multinomial
-	// Transitions is T's entry: outcomes are the child locations (as
-	// int64), plus Terminate.
-	Transitions *stats.Multinomial
+	Durations stats.Multinomial
 
 	// children is sorted by ascending Location, one entry per location.
 	children []*Node
@@ -75,9 +76,6 @@ func (n *Node) Child(loc hierarchy.NodeID) *Node {
 	}
 	return nil
 }
-
-// TerminationProb is the probability a path ends at this node.
-func (n *Node) TerminationProb() float64 { return n.Transitions.Prob(Terminate) }
 
 // StagePin identifies one conditioning constraint of an exception: the
 // stage at 1-based position Depth was at Location, with the given Duration
@@ -135,19 +133,8 @@ func New(loc *hierarchy.Hierarchy, level pathdb.PathLevel, merge pathdb.Duration
 		level: level,
 		merge: merge,
 		loc:   loc,
-		root:  newNode(hierarchy.Root, 0, 0),
+		root:  &Node{Location: hierarchy.Root},
 	}
-}
-
-// newNode returns an empty node; the node and its two distributions are one
-// allocation.
-func newNode(loc hierarchy.NodeID, owner uint32, depth int) *Node {
-	a := &struct {
-		n    Node
-		d, t stats.Multinomial
-	}{n: Node{Location: loc, owner: owner, Depth: depth}}
-	a.n.Durations, a.n.Transitions = &a.d, &a.t
-	return &a.n
 }
 
 // Build constructs a flowgraph from raw paths, aggregating each to the
@@ -161,7 +148,7 @@ func Build(loc *hierarchy.Hierarchy, level pathdb.PathLevel, paths []pathdb.Path
 }
 
 // Root returns the virtual root (depth 0). Its transition distribution is
-// the distribution over first stages.
+// the distribution over first stages, its Count 0.
 func (g *Graph) Root() *Node { return g.root }
 
 // Paths reports the number of paths summarized.
@@ -194,17 +181,16 @@ func (g *Graph) Fork(owner uint32) *Graph {
 func (g *Graph) NodesCopied() int { return g.copied }
 
 // own returns the graph's own copy of n, a node it may not write, to hang
-// where n hung for the write w: the node's count, both distributions and
-// its child list are duplicated, the children themselves stay shared, and
-// exceptions that named n are re-pointed at the copy. The copy is one box
-// like newNode's, one backing array for both distributions and its child
-// list, each sized for what n holds plus what w adds to it. Nodes hold no
-// parent pointer, so nothing reachable from the copy keeps n alive.
+// where n hung for the write w: the node's count, its duration distribution
+// and its child list are duplicated, the children themselves stay shared,
+// and exceptions that named n are re-pointed at the copy. The distribution
+// and the child list are each sized for what n holds plus what w adds to
+// it. Nodes hold no parent pointer, so nothing reachable from the copy keeps
+// n alive.
 func (g *Graph) own(n *Node, w write) *Node {
-	c := newNode(n.Location, g.owner, n.Depth)
-	c.Count = n.Count
-	dur, trans, child := w.adds(n)
-	stats.CopyPairInto(c.Durations, c.Transitions, n.Durations, n.Transitions, dur, trans)
+	dur, child := w.adds(n)
+	c := &Node{Location: n.Location, owner: g.owner, Depth: n.Depth, Count: n.Count,
+		Durations: n.Durations.CopyWithRoom(dur)}
 	c.children = append(make([]*Node, 0, len(n.children)+child), n.children...)
 	for i := range g.exceptions {
 		if g.exceptions[i].Node == n {
@@ -217,35 +203,28 @@ func (g *Graph) own(n *Node, w write) *Node {
 
 // write is what a write does at one node: with a path, it records stage i
 // of p there (i = -1 at the root, which records no duration) and takes the
-// path's next step, a transition and a child; a merge (nil p) may add
-// anything.
+// path's next step to a child; a merge (nil p) may add anything.
 type write struct {
 	p pathdb.Path
 	i int
 }
 
-// adds reports how many duration outcomes, transition outcomes and
-// children the write adds to n: for a path, 1 for each that n lacks; for a
-// merge, 1 of each, a spare slot for the first outcome or child it brings.
-func (w write) adds(n *Node) (dur, trans, child int) {
+// adds reports how many duration outcomes and children the write adds to
+// n: for a path, 1 for each that n lacks; for a merge, 1 of each, a spare
+// slot for the first outcome or child it brings.
+func (w write) adds(n *Node) (dur, child int) {
 	if w.p == nil {
-		return 1, 1, 1
+		return 1, 1
 	}
 	if w.i >= 0 && !n.Durations.Has(w.p[w.i].Duration) {
 		dur = 1
 	}
-	next := Terminate
 	if w.i+1 < len(w.p) {
-		loc := w.p[w.i+1].Location
-		next = int64(loc)
-		if _, ok := n.childIndex(loc); !ok {
+		if _, ok := n.childIndex(w.p[w.i+1].Location); !ok {
 			child = 1
 		}
 	}
-	if !n.Transitions.Has(next) {
-		trans = 1
-	}
-	return dur, trans, child
+	return dur, child
 }
 
 // insertChild hangs c under n at position i of its child list (childIndex's
@@ -262,7 +241,7 @@ func (n *Node) insertChild(i int, c *Node) {
 func (g *Graph) ownedChild(parent *Node, loc hierarchy.NodeID, w write) *Node {
 	i, ok := parent.childIndex(loc)
 	if !ok {
-		parent.insertChild(i, newNode(loc, g.owner, parent.Depth+1))
+		parent.insertChild(i, &Node{Location: loc, owner: g.owner, Depth: parent.Depth + 1})
 	} else if parent.children[i].owner != g.owner {
 		parent.children[i] = g.own(parent.children[i], w)
 	}
@@ -285,13 +264,11 @@ func (g *Graph) AddAggregated(p pathdb.Path) {
 	}
 	cur := g.root
 	for i, st := range p {
-		cur.Transitions.Observe(int64(st.Location))
 		next := g.ownedChild(cur, st.Location, write{p, i})
 		next.Count++
 		next.Durations.Observe(st.Duration)
 		cur = next
 	}
-	cur.Transitions.Observe(Terminate)
 }
 
 // NodeAt resolves the node for a location-sequence prefix, or nil.
@@ -331,8 +308,7 @@ func (g *Graph) Merge(other *Graph) error {
 // mergeNode folds src's subtree into dst, which g owns.
 func (g *Graph) mergeNode(dst, src *Node) {
 	dst.Count += src.Count
-	dst.Durations.Merge(src.Durations)
-	dst.Transitions.Merge(src.Transitions)
+	dst.Durations.Merge(&src.Durations)
 	for _, sc := range src.children {
 		g.mergeNode(g.ownedChild(dst, sc.Location, write{}), sc)
 	}
@@ -369,9 +345,9 @@ func (g *Graph) String() string {
 		for _, c := range n.Children() {
 			frac := 0.0
 			if g.paths > 0 {
-				frac = n.Transitions.Prob(int64(c.Location))
+				frac = n.ChildProb(c)
 			}
-			fmt.Fprintf(&b, "%s%s p=%.2f dur[%s]", indent, g.loc.Name(c.Location), frac, c.Durations)
+			fmt.Fprintf(&b, "%s%s p=%.2f dur[%s]", indent, g.loc.Name(c.Location), frac, &c.Durations)
 			if t := c.TerminationProb(); t > 0 {
 				fmt.Fprintf(&b, " term=%.2f", t)
 			}
@@ -395,7 +371,7 @@ func (g *Graph) DOT(name string) string {
 	rec = func(n *Node, id string) {
 		label := "start"
 		if n.Depth > 0 {
-			label = fmt.Sprintf("%s\\ndur %s", dotLabelEscaper.Replace(g.loc.Name(n.Location)), n.Durations)
+			label = fmt.Sprintf("%s\\ndur %s", dotLabelEscaper.Replace(g.loc.Name(n.Location)), &n.Durations)
 			if t := n.TerminationProb(); t > 0 {
 				label += fmt.Sprintf("\\nterm %.2f", t)
 			}
@@ -403,7 +379,7 @@ func (g *Graph) DOT(name string) string {
 		fmt.Fprintf(&b, "  %s [label=\"%s\"];\n", id, label)
 		for _, c := range n.Children() {
 			cid := fmt.Sprintf("%s_%d", id, c.Location)
-			fmt.Fprintf(&b, "  %s -> %s [label=\"%.2f\"];\n", id, cid, n.Transitions.Prob(int64(c.Location)))
+			fmt.Fprintf(&b, "  %s -> %s [label=\"%.2f\"];\n", id, cid, n.ChildProb(c))
 			rec(c, cid)
 		}
 	}

@@ -4,11 +4,13 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/paperex"
 	"flowcube/internal/pathdb"
+	"flowcube/internal/stats"
 )
 
 func basePaths(ex *paperex.Example) []pathdb.Path {
@@ -57,12 +59,12 @@ func TestFigure3Distributions(t *testing.T) {
 		t.Fatalf("factory count = %d, want 8", f.Count)
 	}
 	if !approx(f.Durations.Prob(5), 3.0/8) || !approx(f.Durations.Prob(10), 5.0/8) {
-		t.Errorf("factory durations = %s, want 5:0.375 10:0.625", f.Durations)
+		t.Errorf("factory durations = %s, want 5:0.375 10:0.625", &f.Durations)
 	}
 	d := int64(ex.Location.MustLookup("d"))
 	tr := int64(ex.Location.MustLookup("t"))
-	if !approx(f.Transitions.Prob(d), 5.0/8) || !approx(f.Transitions.Prob(tr), 3.0/8) {
-		t.Errorf("factory transitions = %s, want d:0.625 t:0.375", f.Transitions)
+	if !approx(f.TransitionProb(d), 5.0/8) || !approx(f.TransitionProb(tr), 3.0/8) {
+		t.Errorf("factory transitions d:%g t:%g, want d:0.625 t:0.375", f.TransitionProb(d), f.TransitionProb(tr))
 	}
 	if f.TerminationProb() != 0 {
 		t.Errorf("factory termination = %g, want 0", f.TerminationProb())
@@ -76,8 +78,8 @@ func TestFigure3Distributions(t *testing.T) {
 	}
 	s := int64(ex.Location.MustLookup("s"))
 	w := int64(ex.Location.MustLookup("w"))
-	if !approx(ft.Transitions.Prob(s), 2.0/3) || !approx(ft.Transitions.Prob(w), 1.0/3) {
-		t.Errorf("f→t transitions = %s, want s:0.667 w:0.333", ft.Transitions)
+	if !approx(ft.TransitionProb(s), 2.0/3) || !approx(ft.TransitionProb(w), 1.0/3) {
+		t.Errorf("f→t transitions s:%g w:%g, want s:0.667 w:0.333", ft.TransitionProb(s), ft.TransitionProb(w))
 	}
 }
 
@@ -91,16 +93,16 @@ func TestFigure4CellGraph(t *testing.T) {
 
 	loc := func(n string) hierarchy.NodeID { return ex.Location.MustLookup(n) }
 	f := g.NodeAt([]hierarchy.NodeID{loc("f")})
-	if !approx(f.Transitions.Prob(int64(loc("t"))), 1) {
-		t.Errorf("factory→truck = %g, want 1", f.Transitions.Prob(int64(loc("t"))))
+	if !approx(f.TransitionProb(int64(loc("t"))), 1) {
+		t.Errorf("factory→truck = %g, want 1", f.TransitionProb(int64(loc("t"))))
 	}
 	ft := g.NodeAt([]hierarchy.NodeID{loc("f"), loc("t")})
-	if !approx(ft.Transitions.Prob(int64(loc("s"))), 2.0/3) || !approx(ft.Transitions.Prob(int64(loc("w"))), 1.0/3) {
-		t.Errorf("truck transitions = %s", ft.Transitions)
+	if !approx(ft.TransitionProb(int64(loc("s"))), 2.0/3) || !approx(ft.TransitionProb(int64(loc("w"))), 1.0/3) {
+		t.Errorf("truck transitions s:%g w:%g", ft.TransitionProb(int64(loc("s"))), ft.TransitionProb(int64(loc("w"))))
 	}
 	fts := g.NodeAt([]hierarchy.NodeID{loc("f"), loc("t"), loc("s")})
-	if !approx(fts.Transitions.Prob(int64(loc("c"))), 1) {
-		t.Errorf("shelf→checkout = %g, want 1", fts.Transitions.Prob(int64(loc("c"))))
+	if !approx(fts.TransitionProb(int64(loc("c"))), 1) {
+		t.Errorf("shelf→checkout = %g, want 1", fts.TransitionProb(int64(loc("c"))))
 	}
 	ftw := g.NodeAt([]hierarchy.NodeID{loc("f"), loc("t"), loc("w")})
 	if !approx(ftw.TerminationProb(), 1) {
@@ -135,7 +137,7 @@ func TestPaperExceptionTruckToWarehouse(t *testing.T) {
 	if got := found.Transitions.Prob(int64(loc("w"))); !approx(got, 0.5) {
 		t.Errorf("conditional truck→warehouse = %g, want 0.5", got)
 	}
-	base := ft.Transitions.Prob(int64(loc("w")))
+	base := ft.TransitionProb(int64(loc("w")))
 	if !approx(base, 1.0/3) {
 		t.Errorf("general truck→warehouse = %g, want 1/3", base)
 	}
@@ -218,8 +220,8 @@ func TestAlgebraicMerge(t *testing.T) {
 		if wn[i].Durations.String() != mn[i].Durations.String() {
 			t.Errorf("node %d duration dist mismatch", i)
 		}
-		if wn[i].Transitions.String() != mn[i].Transitions.String() {
-			t.Errorf("node %d transition dist mismatch", i)
+		if wn[i].Terminations() != mn[i].Terminations() {
+			t.Errorf("node %d terminations mismatch", i)
 		}
 	}
 	if d := flowgraph.Divergence(whole, merged); !approx(d, 0) {
@@ -271,7 +273,7 @@ func TestAggregatedGraphMergesStages(t *testing.T) {
 		t.Fatal("factory→transportation node missing")
 	}
 	if node.Durations.Count(3) == 0 {
-		t.Errorf("merged duration 3 (2+1) not observed: %s", node.Durations)
+		t.Errorf("merged duration 3 (2+1) not observed: %s", &node.Durations)
 	}
 }
 
@@ -337,5 +339,19 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if d := flowgraph.Divergence(g, g); !approx(d, 0) {
 		t.Errorf("original perturbed by clone mutation")
+	}
+}
+
+// TestNodeLayout pins the size of a node, the box every prefix of every
+// cell's tree costs, and of the distribution inside it: a field added to
+// either is a deliberate re-pin, not a drift. A node is its location,
+// owner tag, depth and count, its duration distribution (one slice header
+// and a total) and its child list.
+func TestNodeLayout(t *testing.T) {
+	if got := unsafe.Sizeof(flowgraph.Node{}); got != 80 {
+		t.Errorf("flowgraph.Node is %d bytes, want 80", got)
+	}
+	if got := unsafe.Sizeof(stats.Multinomial{}); got != 32 {
+		t.Errorf("stats.Multinomial is %d bytes, want 32", got)
 	}
 }

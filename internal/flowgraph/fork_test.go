@@ -83,8 +83,8 @@ func TestForkRepointsExceptions(t *testing.T) {
 				t.Errorf("%s: exception %d at %v names a node outside its graph", name, i, x.Prefix)
 				continue
 			}
-			if n.Durations.Total() != n.Count || n.Transitions.Total() != n.Count {
-				t.Errorf("%s: exception %d node distributions disagree with its count", name, i)
+			if n.Durations.Total() != n.Count || n.Terminations() < 0 {
+				t.Errorf("%s: exception %d node distribution or children disagree with its count", name, i)
 			}
 		}
 	}

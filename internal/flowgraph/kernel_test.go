@@ -110,8 +110,8 @@ func referenceSingleStage(g *flowgraph.Graph, level pathdb.PathLevel, paths []pa
 		if a.tr.Total() < minCount {
 			continue
 		}
-		devD := a.dur.MaxDeviation(a.target.Durations)
-		devT := a.tr.MaxDeviation(a.target.Transitions)
+		devD := a.dur.MaxDeviation(&a.target.Durations)
+		devT := a.tr.MaxDeviation(materializeTransitions(a.target))
 		self := a.pin.Depth == a.target.Depth
 		if !(devT > eps || (!self && devD > eps)) {
 			continue
@@ -125,6 +125,25 @@ func referenceSingleStage(g *flowgraph.Graph, level pathdb.PathLevel, paths []pa
 		})
 	}
 	return out
+}
+
+// materializeTransitions returns T at n as a Multinomial of its own, built
+// by observing every path through n the way a node that kept T did: each
+// child's count as a transition to its location, and the paths that end at
+// n (its count less its children's, none at the root) as Terminate. The
+// references compare against it, not against the tree walks the package
+// derives T with.
+func materializeTransitions(n *flowgraph.Node) *stats.Multinomial {
+	m := new(stats.Multinomial)
+	ends := n.Count
+	for _, c := range n.Children() {
+		m.Add(int64(c.Location), c.Count)
+		ends -= c.Count
+	}
+	if n.Depth > 0 && ends > 0 {
+		m.Add(flowgraph.Terminate, ends)
+	}
+	return m
 }
 
 // minedSet collects g's single-stage exceptions. With singleOnly — g was
@@ -337,8 +356,8 @@ func TestExceptionKeysTellWideLocationsApart(t *testing.T) {
 }
 
 // TestTreeWalksDoNotAllocate: Children is called once per node per
-// comparison, and Similarity once per (cell, parent) pair of the lattice;
-// neither may touch the heap.
+// comparison, Similarity once per (cell, parent) pair of the lattice, and
+// the transition readers once per node rendered; none may touch the heap.
 func TestTreeWalksDoNotAllocate(t *testing.T) {
 	ex, g := buildExample(t)
 	cell := flowgraph.Build(ex.Location, ex.BasePathLevel(), basePaths(ex)[3:6], nil)
@@ -349,6 +368,16 @@ func TestTreeWalksDoNotAllocate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() { sim += flowgraph.Similarity(cell, g) }); allocs != 0 {
 		t.Errorf("Similarity allocates %v times per call", allocs)
+	}
+	// The readers of a node's transition distribution derive it from the
+	// children in place.
+	root := g.Root()
+	first := root.Children()[0]
+	if allocs := testing.AllocsPerRun(50, func() {
+		sim += root.ChildProb(first) + first.TerminationProb() + first.TransitionProb(flowgraph.Terminate) +
+			root.TransitionProb(int64(first.Location)) + float64(first.Terminations())
+	}); allocs != 0 {
+		t.Errorf("the transition readers allocate %v times per call", allocs)
 	}
 	if n == 0 || sim == 0 {
 		t.Fatal("the walks did nothing")

@@ -45,25 +45,21 @@ func diverge(na, nb *Node, wa, wb float64) (ab, ba float64) {
 	// prune with the shared epsilon comparison rather than ==.
 	onA := na != nil && !stats.AlmostEqual(wa, 0)
 	onB := nb != nil && !stats.AlmostEqual(wb, 0)
-	switch {
-	case onA && onB:
-		dab, dba := na.Durations.KLBoth(nb.Durations)
-		tab, tba := na.Transitions.KLBoth(nb.Transitions)
-		ab, ba = wa*(dab+tab), wb*(dba+tba)
-	case onA:
-		ab = wa * against(na, nb)
-	case onB:
-		ba = wb * against(nb, na)
-	default:
+	if !onA && !onB {
 		return 0, 0
 	}
-	var ca, cb []*Node
-	if na != nil {
-		ca = na.children
+	ta, tb := transitions(na), transitions(nb)
+	switch {
+	case onA && onB:
+		dab, dba := na.Durations.KLBoth(&nb.Durations)
+		tab, tba := klBoth(&ta, &tb)
+		ab, ba = wa*(dab+tab), wb*(dba+tba)
+	case onA:
+		ab = wa * against(na, nb, &ta, &tb)
+	default:
+		ba = wb * against(nb, na, &tb, &ta)
 	}
-	if nb != nil {
-		cb = nb.children
-	}
+	ca, cb := ta.children, tb.children
 	for i, j := 0, 0; i < len(ca) || j < len(cb); {
 		var xa, xb *Node
 		switch {
@@ -86,10 +82,10 @@ func diverge(na, nb *Node, wa, wb float64) (ab, ba float64) {
 		}
 		var cwa, cwb float64
 		if inA {
-			cwa = wa * na.Transitions.Prob(int64(xa.Location))
+			cwa = wa * stats.Prob(xa.Count, ta.total)
 		}
 		if inB {
-			cwb = wb * nb.Transitions.Prob(int64(xb.Location))
+			cwb = wb * stats.Prob(xb.Count, tb.total)
 		}
 		dab, dba := diverge(xa, xb, cwa, cwb)
 		if inA {
@@ -102,11 +98,12 @@ func diverge(na, nb *Node, wa, wb float64) (ab, ba float64) {
 	return ab, ba
 }
 
-// against is D(n ‖ o) at one node, o's distributions empty where o is nil.
-func against(n, o *Node) float64 {
-	dur, tr := &noObservations, &noObservations
+// against is D(n ‖ o) at one node, o's distributions empty where o is
+// nil; tn and to are T at n and o.
+func against(n, o *Node, tn, to *trans) float64 {
+	dur := &noObservations
 	if o != nil {
-		dur, tr = o.Durations, o.Transitions
+		dur = &o.Durations
 	}
-	return n.Durations.KLDivergence(dur) + n.Transitions.KLDivergence(tr)
+	return n.Durations.KLDivergence(dur) + klDivergence(tn, to)
 }

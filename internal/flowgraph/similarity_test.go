@@ -28,11 +28,12 @@ func referenceDivergeNode(na, nb *flowgraph.Node, weight float64, pruned *int) f
 	}
 	durB, trB := &referenceEmpty, &referenceEmpty
 	if nb != nil {
-		durB, trB = nb.Durations, nb.Transitions
+		durB, trB = &nb.Durations, materializeTransitions(nb)
 	}
-	d := weight * (na.Durations.KLDivergence(durB) + na.Transitions.KLDivergence(trB))
+	trA := materializeTransitions(na)
+	d := weight * (na.Durations.KLDivergence(durB) + trA.KLDivergence(trB))
 	for _, ca := range na.Children() {
-		w := weight * na.Transitions.Prob(int64(ca.Location))
+		w := weight * trA.Prob(int64(ca.Location))
 		var cb *flowgraph.Node
 		if nb != nil {
 			cb = nb.Child(ca.Location)

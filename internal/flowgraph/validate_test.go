@@ -39,7 +39,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	bad := new(stats.Multinomial)
 	bad.Add(1, 3)
 	n := g.NodeAt([]hierarchy.NodeID{ex.Location.MustLookup("f")})
-	n.Count, n.Durations, n.Transitions = 99, bad, bad
+	n.Count, n.Durations = 99, *bad
 	if err := g.Validate(); err == nil {
 		t.Errorf("corrupted graph validated")
 	}

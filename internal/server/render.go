@@ -300,14 +300,14 @@ func (w *answerWriter) node(loc *hierarchy.Hierarchy, parent, n *flowgraph.Node)
 	w.key("count")
 	w.int(n.Count)
 	w.key("prob")
-	w.float(parent.Transitions.Prob(int64(n.Location)))
+	w.float(parent.ChildProb(n))
 	if p := n.TerminationProb(); p != 0 {
 		w.key("termination_prob")
 		w.float(p)
 	}
 	w.key("mean_duration")
 	w.float(n.Durations.Mean())
-	w.durations(n.Durations)
+	w.durations(&n.Durations)
 	if children := n.Children(); len(children) > 0 {
 		w.key("children")
 		w.open('[')

@@ -84,17 +84,37 @@ func renderDist(m interface {
 
 func renderNode(loc *hierarchy.Hierarchy, parent, n *flowgraph.Node) NodeJSON {
 	nj := NodeJSON{
-		Location:        loc.Name(n.Location),
-		Count:           n.Count,
-		Prob:            parent.Transitions.Prob(int64(n.Location)),
-		TerminationProb: n.TerminationProb(),
-		MeanDuration:    n.Durations.Mean(),
-		Durations:       renderDist(n.Durations),
+		Location:     loc.Name(n.Location),
+		Count:        n.Count,
+		Prob:         refShare(n.Count, parent),
+		MeanDuration: n.Durations.Mean(),
+		Durations:    renderDist(&n.Durations),
 	}
+	ends := n.Count
+	for _, c := range n.Children() {
+		ends -= c.Count
+	}
+	nj.TerminationProb = refShare(ends, n)
 	for _, c := range n.Children() {
 		nj.Children = append(nj.Children, renderNode(loc, n, c))
 	}
 	return nj
+}
+
+// refShare is count over the paths through n, 0 when none are: its Count,
+// or at the root, whose Count is 0, its children's.
+func refShare(count int64, n *flowgraph.Node) float64 {
+	total := n.Count
+	if n.Depth == 0 {
+		total = 0
+		for _, c := range n.Children() {
+			total += c.Count
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(count) / float64(total)
 }
 
 func renderGraph(loc *hierarchy.Hierarchy, g *flowgraph.Graph) GraphJSON {
@@ -194,7 +214,8 @@ var durationPool = []int64{0, 1, 2, 3, 10, 100, 25, -1, -20, 7, math.MaxInt64, m
 
 // randomGraph builds a flowgraph over random paths, then skews some nodes'
 // distributions with counts large enough to push probabilities into
-// exponent form. It may have no paths, and so no roots.
+// exponent form: a node's count, which ends that many more paths there, or
+// its durations. It may have no paths, and so no roots.
 func randomGraph(rng *rand.Rand, loc *hierarchy.Hierarchy) *flowgraph.Graph {
 	g := flowgraph.New(loc, pathdb.PathLevel{}, nil)
 	for i, n := 0, rng.Intn(8); i < n; i++ {
@@ -211,7 +232,7 @@ func randomGraph(rng *rand.Rand, loc *hierarchy.Hierarchy) *flowgraph.Graph {
 	skew = func(n *flowgraph.Node) {
 		switch rng.Intn(4) {
 		case 0:
-			n.Transitions.Add(flowgraph.Terminate, int64(1)<<(20+rng.Intn(40)))
+			n.Count += int64(1) << (20 + rng.Intn(40))
 		case 1:
 			n.Durations.Add(durationPool[rng.Intn(len(durationPool))], int64(1)<<(10+rng.Intn(50)))
 		case 2:

@@ -27,20 +27,21 @@ import (
 // similarities and served JSON, and a sum taken in any other order would
 // differ in its low bits.
 //
-// Both columns live in one backing array: outcomes in its first half,
-// counts in its second, n of each in use. One slice header instead of two
-// keeps the struct at 40 bytes, and the columns always grow together.
+// Both columns live in one backing array: outcomes at its start, counts
+// from the middle of its capacity on. The slice's length is the number of
+// outcomes in use and half its capacity the number there is room for, so one
+// slice header and the total are the whole struct, 32 bytes, and the columns
+// always grow together.
 type Multinomial struct {
 	buf   []int64
-	n     int
 	total int64
 }
 
 // cols returns the outcome and count columns. The outcome column's capacity
 // ends at the counts, so an append to it can never run into them.
 func (m *Multinomial) cols() (outcomes, counts []int64) {
-	c := len(m.buf) / 2
-	return m.buf[:m.n:c], m.buf[c : c+m.n]
+	n, h := len(m.buf), cap(m.buf)/2
+	return m.buf[:n:h], m.buf[h : h+n]
 }
 
 // linearProbeMax is the support up to which find scans instead of bisecting:
@@ -50,7 +51,7 @@ const linearProbeMax = 8
 // find returns the index of outcome v, or the index it would be inserted at
 // and false.
 func (m *Multinomial) find(v int64) (int, bool) {
-	o := m.buf[:m.n]
+	o := m.buf
 	if len(o) <= linearProbeMax {
 		for i, x := range o {
 			if x >= v {
@@ -63,6 +64,9 @@ func (m *Multinomial) find(v int64) (int, bool) {
 	return i, i < len(o) && o[i] == v
 }
 
+// count points at the count of the outcome at index i.
+func (m *Multinomial) count(i int) *int64 { return &m.buf[:cap(m.buf)][cap(m.buf)/2+i] }
+
 // Add records n observations of outcome v (n = 0 still makes v an observed
 // outcome). It panics on negative n, which would silently corrupt the
 // distribution.
@@ -74,17 +78,18 @@ func (m *Multinomial) Add(v int64, n int64) {
 	if !ok {
 		m.insert(i, v)
 	}
-	m.buf[len(m.buf)/2+i] += n
+	*m.count(i) += n
 	m.total += n
 }
 
 // insert makes room for outcome v at index i, with count 0. A full
 // distribution doubles; an empty one gets room for one outcome only.
 func (m *Multinomial) insert(i int, v int64) {
-	if 2*m.n == len(m.buf) {
-		m.regrow(max(2*m.n, 1))
+	n := len(m.buf)
+	if 2*n == cap(m.buf) {
+		m.regrow(max(2*n, 1))
 	}
-	m.n++
+	m.buf = m.buf[:n+1]
 	o, c := m.cols()
 	copy(o[i+1:], o[i:])
 	copy(c[i+1:], c[i:])
@@ -93,15 +98,12 @@ func (m *Multinomial) insert(i int, v int64) {
 
 // regrow moves the columns into one fresh backing array with room for c
 // outcomes.
-func (m *Multinomial) regrow(c int) { m.copyTo(m, make([]int64, 2*c)) }
-
-// copyTo makes dst a copy of m over buf, whose length must be even and at
-// least 2*m.n: outcomes in its first half, counts in its second.
-func (m *Multinomial) copyTo(dst *Multinomial, buf []int64) {
+func (m *Multinomial) regrow(c int) {
 	outcomes, counts := m.cols()
+	buf := make([]int64, 2*c)
 	copy(buf, outcomes)
-	copy(buf[len(buf)/2:], counts)
-	dst.buf, dst.n, dst.total = buf, m.n, m.total
+	copy(buf[c:], counts)
+	m.buf = buf[:len(outcomes)]
 }
 
 // Observe records a single observation of outcome v.
@@ -116,7 +118,7 @@ func (m *Multinomial) Has(v int64) bool {
 // Count reports the number of observations of outcome v.
 func (m *Multinomial) Count(v int64) int64 {
 	if i, ok := m.find(v); ok {
-		return m.buf[len(m.buf)/2+i]
+		return *m.count(i)
 	}
 	return 0
 }
@@ -126,18 +128,18 @@ func (m *Multinomial) Total() int64 { return m.total }
 
 // Prob reports the empirical probability of outcome v, or 0 for an empty
 // distribution.
-func (m *Multinomial) Prob(v int64) float64 {
-	if m.total == 0 {
-		return 0
-	}
-	return float64(m.Count(v)) / float64(m.total)
-}
+func (m *Multinomial) Prob(v int64) float64 { return Prob(m.Count(v), m.total) }
 
 // Outcomes returns the observed outcomes in ascending order, in a slice the
 // caller owns.
 func (m *Multinomial) Outcomes() []int64 {
-	return append(make([]int64, 0, m.n), m.buf[:m.n]...)
+	return append(make([]int64, 0, len(m.buf)), m.buf...)
 }
+
+// Columns returns the observed outcomes in ascending order and their
+// counts, as views of m's own storage: callers must not modify them, and
+// they hold until m next changes.
+func (m *Multinomial) Columns() (outcomes, counts []int64) { return m.cols() }
 
 // AppendSorted appends the distribution's (outcome, count) pairs in
 // ascending outcome order to the two parallel slices and returns them. The
@@ -168,8 +170,8 @@ func (m *Multinomial) InitSorted(outcomes, counts []int64) error {
 		}
 		total += counts[i]
 	}
-	m.buf = append(append(make([]int64, 0, 2*len(outcomes)), outcomes...), counts...)
-	m.n, m.total = len(outcomes), total
+	m.buf = append(append(make([]int64, 0, 2*len(outcomes)), outcomes...), counts...)[:len(outcomes)]
+	m.total = total
 	return nil
 }
 
@@ -201,22 +203,17 @@ func (m *Multinomial) Merge(other *Multinomial) {
 
 // Clone returns a deep copy.
 func (m *Multinomial) Clone() *Multinomial {
-	c := *m
-	c.regrow(m.n)
+	c := m.CopyWithRoom(0)
 	return &c
 }
 
-// CopyPairInto makes da and db deep copies of a and b, with room for roomA
-// and roomB more outcomes, so that many new outcomes observed by the copy
-// do not reallocate it. Both copies live in one backing array sized exactly
-// for them, each in its own capacity-clipped part: a regrow moves one copy
-// out and leaves the other in place. Graph forks use it to copy a node's
-// duration and transition distributions in one allocation.
-func CopyPairInto(da, db, a, b *Multinomial, roomA, roomB int) {
-	na, nb := 2*(a.n+roomA), 2*(b.n+roomB)
-	buf := make([]int64, na+nb)
-	a.copyTo(da, buf[:na:na])
-	b.copyTo(db, buf[na:])
+// CopyWithRoom returns a deep copy of m with room for room more outcomes, so
+// that as many new outcomes observed by the copy do not reallocate it. Graph
+// forks use it to copy a node's duration distribution for a write.
+func (m *Multinomial) CopyWithRoom(room int) Multinomial {
+	c := *m
+	c.regrow(len(m.buf) + room)
+	return c
 }
 
 // Mean returns the expectation of the outcome value (meaningful for
@@ -238,13 +235,13 @@ func (m *Multinomial) Mean() float64 {
 // joinCounts merge-joins the two distributions: it calls fn once per
 // outcome of their union, in ascending order, with the outcome's count on
 // each side (0 where it was not observed), and returns the size of the
-// union. A nil fn only counts. This is the one loop behind every deviation
-// and divergence sum; it allocates nothing.
+// union. A nil fn only counts. It is the one loop behind every deviation and
+// divergence sum of two Multinomials; it allocates nothing.
 func (m *Multinomial) joinCounts(other *Multinomial, fn func(cm, co int64)) int {
 	// Indexing the arrays directly, not through cols, keeps the setup short:
 	// on the small supports flowgraph nodes have, it is much of the cost.
-	a, na, ha := m.buf, m.n, len(m.buf)/2
-	b, nb, hb := other.buf, other.n, len(other.buf)/2
+	a, na, ha := m.buf[:cap(m.buf)], len(m.buf), cap(m.buf)/2
+	b, nb, hb := other.buf[:cap(other.buf)], len(other.buf), cap(other.buf)/2
 	i, j, k := 0, 0, 0
 	for i < na || j < nb {
 		var cm, co int64
@@ -268,12 +265,88 @@ func (m *Multinomial) joinCounts(other *Multinomial, fn func(cm, co int64)) int 
 	return k
 }
 
-// probOf is Prob for a count already looked up.
-func probOf(count, total int64) float64 {
+// Prob is count/total, the empirical probability of an outcome observed
+// count times out of total, or 0 when total is.
+func Prob(count, total int64) float64 {
 	if total == 0 {
 		return 0
 	}
 	return float64(count) / float64(total)
+}
+
+// The sums below compare two distributions a and b one outcome of the union
+// of their outcomes at a time, in ascending outcome order, given each
+// outcome's count on either side (0 where that side did not observe it).
+// They are the one copy of that arithmetic: the Multinomial methods feed
+// them from joinCounts, and a distribution kept in another form — a
+// flowgraph node's transition distribution is its children's counts — gets
+// the same floats, bit for bit, by feeding them the same counts in the same
+// order.
+
+// Deviation is the L∞ distance between the probability vectors of two
+// distributions, taken an outcome at a time.
+type Deviation struct {
+	ta, tb int64
+	max    float64
+}
+
+// NewDeviation starts the distance between distributions with totals ta
+// and tb.
+func NewDeviation(ta, tb int64) Deviation { return Deviation{ta: ta, tb: tb} }
+
+// Add takes in one outcome, observed ca times in a and cb times in b.
+func (d *Deviation) Add(ca, cb int64) {
+	if x := math.Abs(Prob(ca, d.ta) - Prob(cb, d.tb)); x > d.max {
+		d.max = x
+	}
+}
+
+// Max returns the distance over the outcomes added so far.
+func (d *Deviation) Max() float64 { return d.max }
+
+// KL sums the add-one (Laplace) smoothed Kullback–Leibler divergences
+// D(a ‖ b) and D(b ‖ a), an outcome at a time. The smoothing adds one
+// observation of every outcome of the union, so both are finite even when
+// the supports differ, and it needs the size of the union up front.
+type KL struct {
+	aTot, bTot float64
+	ab, ba     float64
+}
+
+// NewKL starts the sums for distributions with totals ta and tb whose
+// outcomes have a union of k.
+func NewKL(k int, ta, tb int64) KL {
+	return KL{aTot: float64(ta) + float64(k), bTot: float64(tb) + float64(k)}
+}
+
+// Add adds one outcome's terms to both sums: it was observed ca times in a
+// and cb times in b.
+func (d *KL) Add(ca, cb int64) {
+	p := (float64(ca) + 1) / d.aTot
+	q := (float64(cb) + 1) / d.bTot
+	d.ab += p * math.Log(p/q)
+	d.ba += q * math.Log(q/p)
+}
+
+// AddAB is Add for D(a ‖ b) alone, which then reads exactly as it would
+// after Add.
+func (d *KL) AddAB(ca, cb int64) {
+	p := (float64(ca) + 1) / d.aTot
+	q := (float64(cb) + 1) / d.bTot
+	d.ab += p * math.Log(p/q)
+}
+
+// Sums returns D(a ‖ b) and D(b ‖ a) over the outcomes added so far, a tiny
+// negative rounding residue read as 0.
+func (d *KL) Sums() (ab, ba float64) {
+	ab, ba = d.ab, d.ba
+	if ab < 0 {
+		ab = 0
+	}
+	if ba < 0 {
+		ba = 0
+	}
+	return ab, ba
 }
 
 // MaxDeviation returns the L∞ distance between the probability vectors of m
@@ -281,35 +354,18 @@ func probOf(count, total int64) float64 {
 // behind exception detection: a conditional distribution whose MaxDeviation
 // from the node's base distribution exceeds ε is an exception.
 func (m *Multinomial) MaxDeviation(other *Multinomial) float64 {
-	max := 0.0
-	m.joinCounts(other, func(cm, co int64) {
-		if d := math.Abs(probOf(cm, m.total) - probOf(co, other.total)); d > max {
-			max = d
-		}
-	})
-	return max
+	d := NewDeviation(m.total, other.total)
+	m.joinCounts(other, d.Add)
+	return d.Max()
 }
 
-// KLDivergence returns D(m ‖ other) with add-one (Laplace) smoothing over
-// the union of outcomes, so it is finite even when the supports differ.
-// Lower values mean the distributions are more alike.
+// KLDivergence returns D(m ‖ other) (see KL). Lower values mean the
+// distributions are more alike.
 func (m *Multinomial) KLDivergence(other *Multinomial) float64 {
-	k := float64(m.joinCounts(other, nil))
-	if k == 0 {
-		return 0
-	}
-	mTot := float64(m.total) + k
-	oTot := float64(other.total) + k
-	d := 0.0
-	m.joinCounts(other, func(cm, co int64) {
-		p := (float64(cm) + 1) / mTot
-		q := (float64(co) + 1) / oTot
-		d += p * math.Log(p/q)
-	})
-	if d < 0 { // guard tiny negative rounding residue
-		return 0
-	}
-	return d
+	d := NewKL(m.joinCounts(other, nil), m.total, other.total)
+	m.joinCounts(other, d.AddAB)
+	ab, _ := d.Sums()
+	return ab
 }
 
 // KLBoth returns D(m ‖ other) and D(other ‖ m), each bit for bit what
@@ -318,25 +374,9 @@ func (m *Multinomial) KLDivergence(other *Multinomial) float64 {
 // ascending order, so the two directions share every probability they
 // compute.
 func (m *Multinomial) KLBoth(other *Multinomial) (ab, ba float64) {
-	k := float64(m.joinCounts(other, nil))
-	if k == 0 {
-		return 0, 0
-	}
-	mTot := float64(m.total) + k
-	oTot := float64(other.total) + k
-	m.joinCounts(other, func(cm, co int64) {
-		p := (float64(cm) + 1) / mTot
-		q := (float64(co) + 1) / oTot
-		ab += p * math.Log(p/q)
-		ba += q * math.Log(q/p)
-	})
-	if ab < 0 { // guard tiny negative rounding residue, as KLDivergence does
-		ab = 0
-	}
-	if ba < 0 {
-		ba = 0
-	}
-	return ab, ba
+	d := NewKL(m.joinCounts(other, nil), m.total, other.total)
+	m.joinCounts(other, d.Add)
+	return d.Sums()
 }
 
 // String renders the distribution as "v:p v:p ..." with outcomes in

@@ -73,8 +73,8 @@ func TestMergeAndClone(t *testing.T) {
 }
 
 // TestCopyIndependentThroughRegrow: a copy shares no backing array with its
-// source, nor with the other copy CopyPairInto put beside it, through the
-// spare slot it was given, the regrow past it, and the source's own regrow.
+// source through the spare slot CopyWithRoom gave it, the regrow past it,
+// and the source's own regrow.
 func TestCopyIndependentThroughRegrow(t *testing.T) {
 	pairs := func(m *stats.Multinomial) string {
 		var b strings.Builder
@@ -83,20 +83,16 @@ func TestCopyIndependentThroughRegrow(t *testing.T) {
 		}
 		return fmt.Sprintf("%s/%d", b.String(), m.Total())
 	}
-	src, other := new(stats.Multinomial), new(stats.Multinomial)
+	src := new(stats.Multinomial)
 	src.Add(1, 2)
 	src.Add(3, 1)
-	other.Add(7, 1)
-	var dst, dstOther stats.Multinomial
-	stats.CopyPairInto(&dst, &dstOther, src, other, 1, 1)
+	dst := src.CopyWithRoom(1)
 	clone := src.Clone()
-	dst.Observe(2)      // the spare slot
-	dstOther.Observe(8) // the other copy's spare slot, right after dst's
-	dst.Observe(4)      // a regrow
+	dst.Observe(2) // the spare slot
+	dst.Observe(4) // a regrow
 	dst.Observe(1)
-	dstOther.Observe(9) // a regrow
-	clone.Observe(0)    // a regrow: Clone leaves no spare slot
-	src.Observe(5)      // the source's regrow
+	clone.Observe(0) // a regrow: Clone leaves no spare slot
+	src.Observe(5)   // the source's regrow
 	src.Observe(3)
 	for _, c := range []struct {
 		name string
@@ -104,9 +100,7 @@ func TestCopyIndependentThroughRegrow(t *testing.T) {
 		want string
 	}{
 		{"source", src, "1:2 3:2 5:1 /5"},
-		{"other source", other, "7:1 /1"},
 		{"copy", &dst, "1:3 2:1 3:1 4:1 /6"},
-		{"other copy", &dstOther, "7:1 8:1 9:1 /3"},
 		{"clone", clone, "0:1 1:2 3:1 /4"},
 	} {
 		if got := pairs(c.m); got != c.want {

@@ -37,7 +37,10 @@ run_matching() {
   out=$(go test "$@" -run "$pattern" -v 2>&1) || { printf '%s\n' "$out"; return 1; }
   printf '%s\n' "$out" | grep -E '^(ok|FAIL|---)' | grep -v -- '--- PASS' || true
   while IFS= read -r alt; do
-    if ! printf '%s\n' "$out" | grep -Eq "^=== RUN +[^ ]*${alt//\//[^/ ]*/[^/ ]*}"; then
+    # A here-string, not a pipe: grep -q stops at the first match, and under
+    # pipefail a writer still filling the pipe would die of SIGPIPE and fail
+    # the check whenever the output outgrows the pipe buffer.
+    if ! grep -Eq "^=== RUN +[^ ]*${alt//\//[^/ ]*/[^/ ]*}" <<<"$out"; then
       echo "go test -run '$pattern' $*: no test matches '$alt'"
       return 1
     fi
@@ -144,7 +147,9 @@ echo "== micro-benchmarks (one iteration each) =="
 # level-wise loop Build, Cubing and ingest all run — and BenchmarkApplyDelta
 # (internal/core) for a ten-record append with exceptions and redundancy
 # marking off and on, and to a loaded cube (its first append derives the
-# sub-δ ledger), BenchmarkCommit (internal/server) for whole appends
+# sub-δ ledger), BenchmarkLiveHeap (internal/core) for the live heap of
+# the ingest_mixed cube built and after 200 forked appends (built-MB,
+# after-MB), BenchmarkCommit (internal/server) for whole appends
 # through the handler with exceptions off and on, BenchmarkRespond
 # (internal/server) for rendering a cell answer; one iteration keeps them
 # compiling and running.
