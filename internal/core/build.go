@@ -233,12 +233,10 @@ func (c *Cube) addCell(il ItemLevel, values []hierarchy.NodeID, count int64) {
 }
 
 // populate routes every record to its cell at every materialized item level
-// and builds the flowgraph measures, and returns each cell's record ids for
-// exception mining; the cube keeps none.
-func (c *Cube) populate(db *pathdb.DB) map[*Cell][]int32 {
-	tids := c.assignCells(db)
-	c.buildGraphs(db, tids)
-	return tids
+// and builds each cell's flowgraph measure (buildGraphs); the cube keeps no
+// record ids.
+func (c *Cube) populate(db *pathdb.DB, conds cellConds) {
+	c.buildGraphs(db, c.assignCells(db), conds)
 }
 
 // assignCells routes every record to its cell at every item level and
@@ -297,18 +295,27 @@ func (c *Cube) assignCells(db *pathdb.DB) map[*Cell][]int32 {
 }
 
 // buildGraphs constructs the flowgraph measure of every cell from its
-// assigned tids. It works one path level at a time: every record is
-// aggregated to the level once, into one arena the level's cells all read
-// and the next level does not keep, and the cells, independent of each
-// other, spread across workers. Sorted
-// cuboid order keeps the job list — and therefore worker scheduling and any
-// profile of it — identical across runs.
-func (c *Cube) buildGraphs(db *pathdb.DB, tids map[*Cell][]int32) {
+// assigned tids, one job per cell: build the tree, mine its exceptions when
+// the cube mines them, and put it to rest, so that the cube never holds
+// more trees than there are workers. It works one path level at a time:
+// every record is aggregated to the level once, into one arena the level's
+// cells all read and the next level does not keep, and the cells,
+// independent of each other, spread across workers. Sorted cuboid order
+// keeps the job list — and therefore worker scheduling and any profile of
+// it — identical across runs.
+//
+// Exception mining is the holistic part of the measure: a job seeds its
+// cell's condition cache (conds.go) with the cell's frequent-segment
+// conditions — so ApplyDelta knows them without re-mining — and mines every
+// record of the cell as new against them. Those conditions include every
+// single stage frequent in the cell, so no other scan looks for them.
+func (c *Cube) buildGraphs(db *pathdb.DB, tids map[*Cell][]int32, conds cellConds) {
 	levels := c.PathLevels()
 	jobs := make([][]*Cell, len(levels))
 	for _, cb := range c.sortedCuboids() {
 		jobs[cb.Spec.PathLevel] = append(jobs[cb.Spec.PathLevel], cb.SortedCells()...)
 	}
+	r := &reminer{cube: c, db: db}
 	for pl, cells := range jobs {
 		if len(cells) == 0 {
 			continue
@@ -316,12 +323,19 @@ func (c *Cube) buildGraphs(db *pathdb.DB, tids map[*Cell][]int32) {
 		level := levels[pl]
 		agg := aggregateFrom(db, level, 0)
 		c.forEach(len(cells), func(i int) {
-			cell := cells[i]
+			cell, ids := cells[i], tids[cells[i]]
 			g := flowgraph.New(db.Schema.Location, level, nil)
-			for _, tid := range tids[cell] {
+			for _, tid := range ids {
 				g.AddAggregated(agg.path(tid))
 			}
 			cell.Graph = g
+			if c.Config.MineExceptions {
+				cell.conds = newCondSet(conds[cell])
+				// Only mining new conditions can fail, and Build's reminer
+				// mines none.
+				_, _ = r.remine(cell, pl, ids, len(ids))
+			}
+			g.Rest()
 		})
 	}
 }
@@ -394,35 +408,4 @@ func forEach(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// mineExceptions runs the holistic part of the measure: it seeds each
-// cell's condition cache (conds.go) with the cell's frequent-segment
-// conditions — so ApplyDelta knows them without re-mining — and
-// mines every record of the cell as new against them. Those conditions
-// include every single stage frequent in the cell, so no other scan looks
-// for them. Cells are independent, so the work is spread across
-// Config.Workers.
-func (c *Cube) mineExceptions(db *pathdb.DB, conds cellConds, tids map[*Cell][]int32) {
-	// Sorted order for the same reason as populate: a deterministic job
-	// list, so runs are comparable.
-	type job struct {
-		cell      *Cell
-		pathLevel int
-	}
-	var jobs []job
-	for _, cb := range c.sortedCuboids() {
-		for _, cell := range cb.SortedCells() {
-			if cell.Graph != nil {
-				cell.conds = newCondSet(conds[cell])
-				jobs = append(jobs, job{cell, cb.Spec.PathLevel})
-			}
-		}
-	}
-	r := &reminer{cube: c, db: db}
-	c.forEach(len(jobs), func(i int) {
-		// Only mining new conditions can fail, and Build's reminer mines none.
-		ids := tids[jobs[i].cell]
-		_, _ = r.remine(jobs[i].cell, jobs[i].pathLevel, ids, len(ids))
-	})
 }

@@ -8,7 +8,8 @@ import (
 
 // BuildContext is Build with cancellation: the configuration is validated
 // up front (returning *ConfigError), and ctx is checked between the
-// pipeline phases — encode+mine, populate, exception mining, redundancy marking — so a cancelled build returns
+// pipeline phases — encode+mine, populate (graphs and their exceptions),
+// redundancy marking — so a cancelled build returns
 // promptly without leaving goroutines behind (each phase joins its own
 // workers). A build cancelled mid-phase finishes that phase first; phases
 // are the paper's natural barriers and the granularity the snapshot codec
@@ -29,15 +30,10 @@ func BuildContext(ctx context.Context, db *pathdb.DB, cfg Config) (*Cube, error)
 	}
 
 	// One scan of the path database assigns records to the cells of every
-	// materialized item level, and folds the paths into the flowgraphs.
-	tids := cube.populate(db)
+	// materialized item level, folds the paths into the flowgraphs and
+	// mines their exceptions.
+	cube.populate(db, conds)
 
-	if cfg.MineExceptions {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cube.mineExceptions(db, conds, tids)
-	}
 	if cfg.Tau > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -94,14 +94,16 @@ func BenchmarkApplyDelta(b *testing.B) {
 	b.Run("loaded/exceptions/first", first(true))
 }
 
-// BenchmarkLiveHeap measures what a served cube keeps: the live heap
+// BenchmarkLiveHeap measures what a built cube keeps: the live heap
 // (HeapAlloc after two collections, in MB of 10^6 bytes) once the plain
 // cube of the ingest_mixed workload is built — three dimensions, 2000
 // paths, δ = 20, Workers 2, as flowserve -workers 2 builds it — and again
 // after 200 ten-record appends of fresh records, each to a fork of the cube
 // the last one left, as flowserve's commit loop makes them, the older
-// generations dropped. The generated dataset and the database are live in
-// both figures.
+// generations dropped (plain); and once the same database's cube is built
+// in flowquery's "-exceptions -tau 0.5" configuration, the build workload's
+// (exceptions+tau). The generated dataset and the database are live in
+// every figure.
 func BenchmarkLiveHeap(b *testing.B) {
 	const base, batchLen, batches = 2000, 10, 200
 	gen := datagen.Default()
@@ -115,20 +117,33 @@ func BenchmarkLiveHeap(b *testing.B) {
 		runtime.ReadMemStats(&ms)
 		return float64(ms.HeapAlloc) / 1e6
 	}
-	var built, after float64
-	for i := 0; i < b.N; i++ {
-		db := oracle.Prefix(ds.DB, base)
-		cube := oracle.Build(b, db, cfg)
-		built = live()
-		for k := 0; k < batches; k++ {
-			cube = cube.Fork()
-			if _, err := core.ApplyDelta(cube, db, ds.DB.Records[base+k*batchLen:base+(k+1)*batchLen]); err != nil {
-				b.Fatal(err)
+	b.Run("plain", func(b *testing.B) {
+		var built, after float64
+		for i := 0; i < b.N; i++ {
+			db := oracle.Prefix(ds.DB, base)
+			cube := oracle.Build(b, db, cfg)
+			built = live()
+			for k := 0; k < batches; k++ {
+				cube = cube.Fork()
+				if _, err := core.ApplyDelta(cube, db, ds.DB.Records[base+k*batchLen:base+(k+1)*batchLen]); err != nil {
+					b.Fatal(err)
+				}
 			}
+			after = live()
+			runtime.KeepAlive(cube)
 		}
-		after = live()
-		runtime.KeepAlive(cube)
-	}
-	b.ReportMetric(built, "built-MB")
-	b.ReportMetric(after, "after-MB")
+		b.ReportMetric(built, "built-MB")
+		b.ReportMetric(after, "after-MB")
+	})
+	b.Run("exceptions+tau", func(b *testing.B) {
+		cfg := cfg
+		cfg.MineExceptions, cfg.SingleStageExceptions, cfg.Tau = true, true, 0.5
+		var built float64
+		for i := 0; i < b.N; i++ {
+			cube := oracle.Build(b, oracle.Prefix(ds.DB, base), cfg)
+			built = live()
+			runtime.KeepAlive(cube)
+		}
+		b.ReportMetric(built, "built-MB")
+	})
 }

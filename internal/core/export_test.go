@@ -180,3 +180,22 @@ func (c *Cube) SaveFileThrough(path string, wrap func(io.Writer) io.Writer) erro
 // AppendFlatGraph is appendFlatGraph: a cell's flowgraph as its snapshot
 // bytes carry it.
 var AppendFlatGraph = appendFlatGraph
+
+// AppendFlatWire is appendFlatWire: a flat graph encoded with the given
+// transition column, which need not be the one the graph derives.
+var AppendFlatWire = appendFlatWire
+
+// ThawedGraphs counts the cells of the cube's materialized cuboids whose
+// flowgraph is not at rest (flowgraph.Graph.Columns): a tree, built or
+// thawed.
+func (c *Cube) ThawedGraphs() int {
+	n := 0
+	for _, cb := range c.Cuboids {
+		for _, cell := range cb.Cells {
+			if cell != nil && cell.Graph != nil && cell.Graph.Columns() == nil {
+				n++
+			}
+		}
+	}
+	return n
+}

@@ -8,6 +8,12 @@ package core
 // stored as its positive gap from the previous one, which keeps duration
 // outcomes (small, clustered integers) to one or two bytes each.
 //
+// Each node's transition distribution is written beside its duration
+// distribution, although no Flat keeps it: it is the children's counts and
+// the paths that end at the node (flowgraph.Transitions). The encoder
+// derives it, and the decoder checks it against the children as it reads
+// it and drops it.
+//
 // The decoder never trusts a claimed count: every element of every column
 // occupies at least one encoded byte, so counts are bounded by the bytes
 // remaining in the section before any column is allocated (byteReader.count).
@@ -18,12 +24,31 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"sync"
 
 	"flowcube/internal/flowgraph"
 )
 
-// appendFlatGraph appends the columnar graph to buf.
+// transitionScratch holds the transition columns the encoder derives, so
+// that it allocates none per graph once the pool's columns have grown: no
+// graph keeps its transition column, and the snapshot carries it only for
+// the format's sake (flowgraph.Transitions).
+var transitionScratch = sync.Pool{New: func() any { return new(flowgraph.Transitions) }}
+
+// appendFlatGraph appends the columnar graph to buf, with the transition
+// column it derives.
 func appendFlatGraph(buf []byte, f *flowgraph.Flat) []byte {
+	t := transitionScratch.Get().(*flowgraph.Transitions)
+	f.DeriveTransitions(t)
+	buf = appendFlatWire(buf, f, t)
+	transitionScratch.Put(t)
+	return buf
+}
+
+// appendFlatWire appends the columnar graph to buf with t as its transition
+// column: each node's duration and transition distributions side by side,
+// as the format lays them out.
+func appendFlatWire(buf []byte, f *flowgraph.Flat, t *flowgraph.Transitions) []byte {
 	n := f.NumNodes()
 	buf = binary.AppendVarint(buf, f.Paths)
 	buf = binary.AppendUvarint(buf, uint64(n))
@@ -37,12 +62,20 @@ func appendFlatGraph(buf []byte, f *flowgraph.Flat) []byte {
 		buf = binary.AppendUvarint(buf, uint64(f.ChildLo[i+1]-f.ChildLo[i]))
 	}
 	for i := 0; i < n; i++ {
-		buf = binary.AppendUvarint(buf, uint64(f.TrLo[i]-f.DurLo[i]))
-		buf = binary.AppendUvarint(buf, uint64(f.DurLo[i+1]-f.TrLo[i]))
+		buf = binary.AppendUvarint(buf, uint64(f.DurLo[i+1]-f.DurLo[i]))
+		buf = binary.AppendUvarint(buf, uint64(t.Lo[i+1]-t.Lo[i]))
 	}
-	buf = appendDeltaPool(buf, f.Outcomes, f.DurLo, f.TrLo)
-	for _, w := range f.Weights {
-		buf = binary.AppendUvarint(buf, uint64(w))
+	for i := 0; i < n; i++ {
+		buf = appendDeltaRun(buf, f.Outcomes[f.DurLo[i]:f.DurLo[i+1]])
+		buf = appendDeltaRun(buf, t.Outcomes[t.Lo[i]:t.Lo[i+1]])
+	}
+	for i := 0; i < n; i++ {
+		for _, w := range f.Weights[f.DurLo[i]:f.DurLo[i+1]] {
+			buf = binary.AppendUvarint(buf, uint64(w))
+		}
+		for _, w := range t.Weights[t.Lo[i]:t.Lo[i+1]] {
+			buf = binary.AppendUvarint(buf, uint64(w))
+		}
 	}
 
 	m := len(f.ExcNode)
@@ -100,8 +133,10 @@ func appendDeltaRun(buf []byte, run []int64) []byte {
 // decodeFlatGraph reads one columnar graph from r into f, reusing the
 // capacity of f's columns: the eager decoders pass a fresh Flat, and a
 // verify walk passes one scratch Flat per worker, so once its columns have
-// grown it decodes without allocating. f is only decoded here; Check (or
-// Unflatten, which runs it) is what proves it structurally valid.
+// grown it decodes without allocating. The transition column is checked as
+// it is read against the columns it must derive from, and dropped;
+// otherwise f is only decoded here, and Check (or Unflatten, which runs it)
+// is what proves it structurally valid.
 func decodeFlatGraph(r *byteReader, f *flowgraph.Flat) error {
 	var err error
 	if f.Paths, err = r.varint(); err != nil {
@@ -136,32 +171,7 @@ func decodeFlatGraph(r *byteReader, f *flowgraph.Flat) error {
 		}
 		f.ChildLo[i+1] = int32(childTotal)
 	}
-	f.DurLo = resize(f.DurLo, n+1)
-	f.TrLo = resize(f.TrLo, n)
-	total := 0
-	for i := 0; i < n; i++ {
-		durLen, err := r.count("duration outcome")
-		if err != nil {
-			return err
-		}
-		trLen, err := r.count("transition outcome")
-		if err != nil {
-			return err
-		}
-		f.DurLo[i] = int32(total)
-		f.TrLo[i] = int32(total + durLen)
-		total += durLen + trLen
-		if total > r.rem() {
-			return r.corrupt("distribution pool larger than remaining section")
-		}
-	}
-	f.DurLo[n] = int32(total)
-	f.Outcomes = resize(f.Outcomes, total)
-	if err := r.deltaPool(f.Outcomes, f.DurLo, f.TrLo); err != nil {
-		return err
-	}
-	f.Weights = resize(f.Weights, total)
-	if err := r.uvarintColumn(f.Weights, "weight"); err != nil {
+	if err := decodeNodeDists(r, f); err != nil {
 		return err
 	}
 
@@ -230,6 +240,9 @@ func decodeFlatGraph(r *byteReader, f *flowgraph.Flat) error {
 		if err != nil {
 			return err
 		}
+		if depth < math.MinInt32 || depth > math.MaxInt32 {
+			return r.corrupt("pin depth %d overflows int32", depth)
+		}
 		f.PinDepth[i] = int32(depth)
 		if f.PinLoc[i], err = r.int32(); err != nil {
 			return err
@@ -249,6 +262,148 @@ func decodeFlatGraph(r *byteReader, f *flowgraph.Flat) error {
 	}
 	f.ExcWeights = resize(f.ExcWeights, excTotal)
 	return r.uvarintColumn(f.ExcWeights, "exception weight")
+}
+
+// termScratch holds, per node, whether decodeNodeDists found a Terminate
+// outcome in its transition distribution, so that a decode allocates
+// nothing once it has grown.
+var termScratch = sync.Pool{New: func() any { return new([]bool) }}
+
+// decodeNodeDists reads every node's distributions, keeps its duration
+// distribution in f's pooled columns, and checks its transition
+// distribution against what f's counts derive (flowgraph.Transitions),
+// keeping none of it: a column that said anything else would be silently
+// replaced by the derived one. The column must hold, in this order, a
+// Terminate outcome with a positive weight or none (none at the root), and
+// each child's location with the child's count, and its weights must add
+// up to the node's count — at the root, to Paths.
+//
+// The format writes every distribution's outcomes, then every weight; the
+// decoder reads them a node at a time with two cursors, r over the
+// outcomes and w over the weights, which it finds by skipping the outcomes.
+func decodeNodeDists(r *byteReader, f *flowgraph.Flat) error {
+	n := f.NumNodes()
+	scratch := termScratch.Get().(*[]bool)
+	defer termScratch.Put(scratch)
+	term := resize(*scratch, n)
+	*scratch = term
+	locs, counts, childLo := f.Locations, f.Counts, f.ChildLo
+	durLo := resize(f.DurLo, n+1)
+	f.DurLo = durLo
+	total, durs := 0, 0
+	for i := 0; i < n; i++ {
+		durLen, err := r.count("duration outcome")
+		if err != nil {
+			return err
+		}
+		trLen, err := r.count("transition outcome")
+		if err != nil {
+			return err
+		}
+		extra := trLen - int(childLo[i+1]-childLo[i])
+		if extra != 0 && extra != 1 {
+			return r.corrupt("node %d transition column has %d outcomes for %d children", i, trLen, childLo[i+1]-childLo[i])
+		}
+		term[i] = extra == 1
+		durLo[i] = int32(durs)
+		durs += durLen
+		total += durLen + trLen
+		if total > r.rem() {
+			return r.corrupt("distribution pool larger than remaining section")
+		}
+	}
+	durLo[n] = int32(durs)
+	outcomes, weights := resize(f.Outcomes, durs), resize(f.Weights, durs)
+	f.Outcomes, f.Weights = outcomes, weights
+
+	w := *r
+	if err := w.skipVarints(total, "distribution outcomes"); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		// The duration distribution: strictly ascending outcomes, the first
+		// zigzag-coded and the rest as gaps, each with its weight.
+		var prev int64
+		for k, lo := durLo[i], durLo[i]; k < durLo[i+1]; k++ {
+			var v int64
+			if k == lo {
+				x, err := r.varint()
+				if err != nil {
+					return err
+				}
+				v = x
+			} else {
+				gap, err := r.uvarint()
+				if err != nil {
+					return err
+				}
+				if v = prev + int64(gap); v <= prev {
+					return r.corrupt("outcome pool not strictly increasing at index %d", k)
+				}
+			}
+			c, err := w.uvarint()
+			if err != nil {
+				return err
+			}
+			if c > math.MaxInt64 {
+				return r.corrupt("weight %d overflows int64", c)
+			}
+			outcomes[k], weights[k], prev = v, int64(c), v
+		}
+
+		// The transition distribution, coded the same way: Terminate first
+		// when paths end at the node, then its children.
+		var sum int64
+		first := true
+		if term[i] {
+			v, err := r.varint()
+			if err != nil {
+				return err
+			}
+			c, err := w.uvarint()
+			if err != nil {
+				return err
+			}
+			if v != flowgraph.Terminate || c == 0 || c > math.MaxInt64 || i == 0 {
+				return r.corrupt("node %d transition column has a Terminate no path derives", i)
+			}
+			sum, prev, first = int64(c), v, false
+		}
+		for j := childLo[i]; j < childLo[i+1]; j++ {
+			var v int64
+			if first {
+				x, err := r.varint()
+				if err != nil {
+					return err
+				}
+				v, first = x, false
+			} else {
+				gap, err := r.uvarint()
+				if err != nil {
+					return err
+				}
+				v = prev + int64(gap)
+			}
+			c, err := w.uvarint()
+			if err != nil {
+				return err
+			}
+			if v != int64(locs[j]) || c != uint64(counts[j]) {
+				return r.corrupt("node %d transition column differs from its children's counts", i)
+			}
+			sum += counts[j]
+			prev = v
+		}
+		total := counts[i]
+		if i == 0 {
+			total = f.Paths
+		}
+		if sum != total {
+			return r.corrupt("node %d transition column does not add up to its %d paths", i, total)
+		}
+	}
+	r.off = w.off
+	return nil
 }
 
 // skipFlatGraph advances r past one encoded flat graph without allocating

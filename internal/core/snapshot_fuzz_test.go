@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -40,6 +41,10 @@ func FuzzLoadSnapshot(f *testing.F) {
 	underived := underivedTransitions(f, v2.Bytes())
 	for _, name := range sortedKeys(underived) {
 		f.Add(underived[name])
+	}
+	pins := badPins(f, v2.Bytes())
+	for _, name := range sortedKeys(pins) {
+		f.Add(pins[name])
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -145,8 +150,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 // carries a transition column other than the one its tree derives, with
 // the section's length and checksum made good again, so that only the flat
 // graph's own check can tell: a child's weight off by one, terminations at
-// the root, the last leaf's terminations missing, and an outcome no child
-// derives.
+// the root, the last leaf's terminations missing, an outcome no child
+// derives, terminations off by one, extra or of weight 0 where no path
+// ends, and a child's outcome missing.
 func underivedTransitions(t testing.TB, snap []byte) map[string][]byte {
 	t.Helper()
 	cube, err := core.Load(bytes.NewReader(snap))
@@ -160,40 +166,78 @@ func underivedTransitions(t testing.TB, snap []byte) map[string][]byte {
 		t.Fatal("the first cell of the fixture has no paths")
 	}
 	orig := core.AppendFlatGraph(nil, flowgraph.Flatten(cell.Graph))
-	edits := map[string]func(f *flowgraph.Flat){
-		"child weight off by one": func(f *flowgraph.Flat) { f.Weights[f.TrLo[0]]++ },
-		"terminations at the root": func(f *flowgraph.Flat) {
+	edits := map[string]func(f *flowgraph.Flat, t *flowgraph.Transitions){
+		"child weight off by one": func(_ *flowgraph.Flat, t *flowgraph.Transitions) { t.Weights[t.Lo[0]]++ },
+		"terminations at the root": func(f *flowgraph.Flat, t *flowgraph.Transitions) {
 			f.Paths++
-			f.Outcomes = slices.Insert(f.Outcomes, int(f.TrLo[0]), flowgraph.Terminate)
-			f.Weights = slices.Insert(f.Weights, int(f.TrLo[0]), 1)
-			for i := 1; i < len(f.TrLo); i++ {
-				f.DurLo[i]++
-				f.TrLo[i]++
+			t.Outcomes = slices.Insert(t.Outcomes, int(t.Lo[0]), flowgraph.Terminate)
+			t.Weights = slices.Insert(t.Weights, int(t.Lo[0]), 1)
+			for i := 1; i < len(t.Lo); i++ {
+				t.Lo[i]++
 			}
-			f.DurLo[len(f.TrLo)]++
 		},
-		"leaf terminations missing": func(f *flowgraph.Flat) {
-			f.Outcomes, f.Weights = f.Outcomes[:len(f.Outcomes)-1], f.Weights[:len(f.Weights)-1]
-			f.DurLo[len(f.TrLo)]--
+		"leaf terminations missing": func(_ *flowgraph.Flat, t *flowgraph.Transitions) {
+			t.Outcomes, t.Weights = t.Outcomes[:len(t.Outcomes)-1], t.Weights[:len(t.Weights)-1]
+			t.Lo[len(t.Lo)-1]--
 		},
-		"outcome no child derives": func(f *flowgraph.Flat) {
-			f.Outcomes, f.Weights = append(f.Outcomes, 1<<20), append(f.Weights, 1)
-			f.DurLo[len(f.TrLo)]++
+		"outcome no child derives": func(_ *flowgraph.Flat, t *flowgraph.Transitions) {
+			t.Outcomes, t.Weights = append(t.Outcomes, 1<<20), append(t.Weights, 1)
+			t.Lo[len(t.Lo)-1]++
+		},
+		"terminations off by one": func(f *flowgraph.Flat, t *flowgraph.Transitions) {
+			t.Weights[t.Lo[nodeWith(f, true, false)]]--
+		},
+		"extra terminations": func(f *flowgraph.Flat, t *flowgraph.Transitions) {
+			spliceTransitions(t, nodeWith(f, false, true), 0, flowgraph.Terminate, 1)
+		},
+		"zero-weight terminations": func(f *flowgraph.Flat, t *flowgraph.Transitions) {
+			spliceTransitions(t, nodeWith(f, false, true), 0, flowgraph.Terminate, 0)
+		},
+		"child outcome missing": func(f *flowgraph.Flat, t *flowgraph.Transitions) {
+			spliceTransitions(t, nodeWith(f, false, true), 1)
 		},
 	}
 	out := make(map[string][]byte, len(edits))
 	for name, edit := range edits {
 		flat := flowgraph.Flatten(cell.Graph)
-		edit(flat)
+		var tr flowgraph.Transitions
+		flat.DeriveTransitions(&tr)
+		edit(flat, &tr)
 		// Cuboid sections are written in key order: the first holds it.
 		out[name] = oracle.RewriteSection(t, snap, oracle.SecCuboid, 0, func(payload []byte) []byte {
 			if !bytes.Contains(payload, orig) {
 				t.Fatal("the cell's flat graph is not in the first cuboid section")
 			}
-			return bytes.Replace(payload, orig, core.AppendFlatGraph(nil, flat), 1)
+			return bytes.Replace(payload, orig, core.AppendFlatWire(nil, flat, &tr), 1)
 		})
 	}
 	return out
+}
+
+// nodeWith returns the first non-root node of f at which paths end (ends)
+// or none do, and which has children or not (children).
+func nodeWith(f *flowgraph.Flat, ends, children bool) int {
+	for i := 1; i < f.NumNodes(); i++ {
+		if (f.Ends(i) > 0) == ends && (f.ChildLo[i+1] > f.ChildLo[i]) == children {
+			return i
+		}
+	}
+	panic("the fixture cell has no such node")
+}
+
+// spliceTransitions deletes del entries at the start of node i's range of
+// t and inserts the given (outcome, weight) pair there, if any.
+func spliceTransitions(t *flowgraph.Transitions, i, del int, pair ...int64) {
+	k := int(t.Lo[i])
+	var outcomes, weights []int64
+	if len(pair) == 2 {
+		outcomes, weights = pair[:1], pair[1:]
+	}
+	t.Outcomes = slices.Replace(t.Outcomes, k, k+del, outcomes...)
+	t.Weights = slices.Replace(t.Weights, k, k+del, weights...)
+	for j := i + 1; j < len(t.Lo); j++ {
+		t.Lo[j] += int32(len(outcomes) - del)
+	}
 }
 
 // TestLoadersRejectUnderivedTransitions: a cube keeps no transition column
@@ -203,6 +247,82 @@ func underivedTransitions(t testing.TB, snap []byte) map[string][]byte {
 // silently replaced.
 func TestLoadersRejectUnderivedTransitions(t *testing.T) {
 	for name, data := range underivedTransitions(t, fixtureSnapshot(t)) {
+		t.Run(name, func(t *testing.T) {
+			_, err := core.Load(bytes.NewReader(data))
+			if err == nil {
+				t.Fatal("Load accepts the snapshot")
+			}
+			lz, verr := core.LoadCubeLazy(oracle.File(t, data), core.LazyOptions{})
+			if verr == nil {
+				verr = lz.Verify(context.Background())
+				_ = lz.Close() // read-only mapping
+			}
+			if verr == nil || verr.Error() != err.Error() {
+				t.Fatalf("open+Verify: %v; Load: %v", verr, err)
+			}
+		})
+	}
+}
+
+// badPins returns copies of snap in which one exception's first pin names
+// a stage no path can have, with the section's length and checksum made
+// good again: a location outside the hierarchy, a depth below 1, and a
+// depth outside int32, which a decoder that narrowed it would wrap to a
+// small one. Rendering the first two panicked once they loaded.
+func badPins(t testing.TB, snap []byte) map[string][]byte {
+	t.Helper()
+	cube, err := core.Load(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first cell, in section and cell order, with an exception.
+	for k, key := range sortedKeys(cube.Cuboids) {
+		cb := cube.Cuboids[key]
+		for _, id := range sortedKeys(cb.Cells) {
+			g := cb.Cells[id].Graph
+			if g == nil || len(g.Exceptions()) == 0 {
+				continue
+			}
+			orig := core.AppendFlatGraph(nil, flowgraph.Flatten(g))
+			rewrite := func(enc []byte) []byte {
+				// Cuboid sections are written in key order: the k-th holds it.
+				return oracle.RewriteSection(t, snap, oracle.SecCuboid, k, func(payload []byte) []byte {
+					if !bytes.Contains(payload, orig) {
+						t.Fatal("the cell's flat graph is not in its cuboid's section")
+					}
+					return bytes.Replace(payload, orig, enc, 1)
+				})
+			}
+			edited := func(edit func(f *flowgraph.Flat)) []byte {
+				flat := flowgraph.Flatten(g)
+				edit(flat)
+				return core.AppendFlatGraph(nil, flat)
+			}
+			// The first pin's depth is the one varint where encodings of
+			// depths 1 and 2 differ; 1<<40 takes its place.
+			one := edited(func(f *flowgraph.Flat) { f.PinDepth[0] = 1 })
+			two := edited(func(f *flowgraph.Flat) { f.PinDepth[0] = 2 })
+			at := 0
+			for one[at] == two[at] {
+				at++
+			}
+			wide := append(binary.AppendVarint(append([]byte(nil), one[:at]...), 1<<40), one[at+1:]...)
+			return map[string][]byte{
+				"pin location outside hierarchy": rewrite(edited(func(f *flowgraph.Flat) { f.PinLoc[0] = 1 << 30 })),
+				"pin depth below 1":              rewrite(edited(func(f *flowgraph.Flat) { f.PinDepth[0] = -7 })),
+				"pin depth outside int32":        rewrite(wide),
+			}
+		}
+	}
+	t.Fatal("the fixture has no exception")
+	return nil
+}
+
+// TestLoadersRejectBadPins: an exception pin naming a location outside the
+// hierarchy, or a depth below 1 or outside int32, is refused by Load and by
+// flowquery's open (a lazy open and Verify) with the same error.
+func TestLoadersRejectBadPins(t *testing.T) {
+	for name, data := range badPins(t, fixtureSnapshot(t)) {
 		t.Run(name, func(t *testing.T) {
 			_, err := core.Load(bytes.NewReader(data))
 			if err == nil {

@@ -984,13 +984,21 @@ const (
 )
 
 // flatFootprint estimates the decoded (pointer-form) heap footprint of one
-// flat graph.
+// flat graph. Its outcomes are the snapshot's: the transition column's, one
+// per child and one per node some path ends at, count beside the
+// durations'.
 func flatFootprint(f *flowgraph.Flat) int64 {
 	n := int64(f.NumNodes())
 	m := int64(len(f.ExcNode))
+	transitions := n - 1
+	for i := 1; i < f.NumNodes(); i++ {
+		if f.Ends(i) > 0 {
+			transitions++
+		}
+	}
 	return n*nodeFootprint +
 		2*(n+m)*distFootprint +
-		int64(len(f.Outcomes)+len(f.ExcOutcomes))*outcomeFootprint +
+		(int64(len(f.Outcomes)+len(f.ExcOutcomes))+transitions)*outcomeFootprint +
 		int64(len(f.PinDepth))*pinFootprint +
 		m*excFootprint
 }

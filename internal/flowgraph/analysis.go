@@ -49,7 +49,7 @@ func (g *Graph) TopPaths(k int) []PathSummary {
 			walk(c, prob*p, append(locs, c.Location), append(durs, m), lead+m)
 		}
 	}
-	walk(g.root, 1, nil, nil, 0)
+	walk(g.Root(), 1, nil, nil, 0)
 	sort.Slice(out, func(i, j int) bool {
 		// Two-sided comparison avoids float equality: probabilities that
 		// differ only in rounding residue fall through to the location
@@ -100,7 +100,7 @@ func (g *Graph) ExpectedLeadTime() float64 {
 		}
 		return e
 	}
-	return rec(g.root)
+	return rec(g.Root())
 }
 
 // SubtreeLeadTime returns the expected remaining duration from (and
@@ -126,7 +126,7 @@ func (x Exception) Delay() float64 {
 // positive delay are returned; k <= 0 returns all.
 func (g *Graph) SlowestDeviations(k int) []Exception {
 	var out []Exception
-	for _, x := range g.exceptions {
+	for _, x := range g.Exceptions() {
 		if x.Delay() > 0 {
 			out = append(out, x)
 		}

@@ -40,6 +40,19 @@ func BenchmarkSimilarity(b *testing.B) {
 	}
 }
 
+// BenchmarkSimilarityResting is BenchmarkSimilarity over the two graphs at
+// rest: the columnar walk MarkRedundancy takes over a built cube.
+func BenchmarkSimilarityResting(b *testing.B) {
+	cell, parent, _ := benchGraphs(b)
+	cell.Rest()
+	parent.Rest()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += flowgraph.Similarity(cell, parent)
+	}
+}
+
 // BenchmarkMineExceptions checks the single-stage conditions at δ = 1 % of
 // the paths, the one-pin frequent segments a cell supplies: from scratch,
 // and restricted to the nodes the last ten paths moved (the re-mine of an

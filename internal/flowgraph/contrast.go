@@ -105,7 +105,7 @@ func Contrast(current, baseline *Graph, k int) []NodeDiff {
 			walk(p, ca, cb)
 		}
 	}
-	walk(nil, current.root, baseline.root)
+	walk(nil, current.Root(), baseline.Root())
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Weight() > out[j].Weight() })
 	if k > 0 && len(out) > k {
 		out = out[:k]

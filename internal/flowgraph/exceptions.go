@@ -72,6 +72,7 @@ type condSlot struct {
 // so the set is cleared and only the new paths are walked, to count the
 // nodes they moved.
 func (g *Graph) MineExceptions(paths []pathdb.Path, added int, old, fresh [][]StagePin, opt ExceptionOptions) int {
+	g.wake()
 	if len(old)+len(fresh) == 0 {
 		g.exceptions = g.exceptions[:0]
 		if added == len(paths) {

@@ -1,20 +1,20 @@
 package flowgraph
 
-// Columnar (struct-of-arrays) form of a flowgraph, the layout the v2
-// snapshot codec serializes. Flatten walks the prefix tree breadth-first —
-// children sorted by location, exactly the order Children() reports — so
-// every node's children occupy one contiguous index range and a single
-// sentinel ChildLo slice describes the whole tree shape, mirroring
-// itemset.Trie. All duration and transition distributions are pooled
-// into one shared Outcomes/Weights pair with per-node offsets; exceptions
-// and their condition pins are flat tables of the same style. A node's
-// transition distribution is written out although the tree holds it
-// already (it is the children's counts and the paths that end at the
-// node), so the column's bytes are what they were when nodes kept it; Check
-// requires it to be exactly that, and Unflatten reads it no further. Check
-// validates the invariants without allocating, and Unflatten runs it and
-// then rebuilds the pointer tree by carving nodes, distributions, pins and
-// exceptions out of single backing allocations.
+// Columnar (struct-of-arrays) form of a flowgraph: the form a graph rests
+// in (Graph.Rest) and the layout the snapshot codec serializes. Flatten
+// walks the prefix tree breadth-first — children sorted by location, exactly
+// the order Children() reports — so every node's children occupy one
+// contiguous index range and a single sentinel ChildLo slice describes the
+// whole tree shape, mirroring itemset.Trie. All duration distributions are
+// pooled into one shared Outcomes/Weights pair with per-node offsets;
+// exceptions and their condition pins are flat tables of the same style.
+// The columns hold no transition distribution: a node's is its children's
+// counts and the paths that end at it, read off the columns where it is
+// needed (the snapshot codec writes it out, derived, and checks what it
+// reads against the children). Check validates the invariants without
+// allocating, and Unflatten runs it and then rebuilds the pointer tree by
+// carving nodes, distributions, pins and exceptions out of single backing
+// allocations.
 
 import (
 	"fmt"
@@ -38,21 +38,19 @@ type Flat struct {
 	Counts    []int64
 	ChildLo   []int32
 
-	// DurLo and TrLo index the pooled distribution columns: node i's
-	// duration distribution is Outcomes[DurLo[i]:TrLo[i]] with parallel
-	// Weights, and its transition distribution Outcomes[TrLo[i]:DurLo[i+1]]:
-	// Terminate weighted by the paths that end at the node (absent when none
-	// do, and at the root), then each child's location weighted by its
-	// count. DurLo carries the sentinel (len(Locations)+1 entries).
+	// DurLo indexes the pooled distribution columns: node i's duration
+	// distribution is Outcomes[DurLo[i]:DurLo[i+1]] with parallel Weights.
+	// DurLo carries the sentinel (len(Locations)+1 entries).
 	DurLo    []int32
-	TrLo     []int32
 	Outcomes []int64
 	Weights  []int64
 
 	// Exceptions as flat tables: exception j deviates at node ExcNode[j],
 	// its condition pins are the range [ExcPinLo[j], ExcPinLo[j+1]) of the
 	// Pin* columns, and its conditional distributions live in the pooled
-	// ExcOutcomes/ExcWeights columns addressed like the node ones.
+	// ExcOutcomes/ExcWeights columns: its duration distribution at
+	// [ExcDurLo[j], ExcTrLo[j]), its transition distribution at
+	// [ExcTrLo[j], ExcDurLo[j+1]).
 	ExcNode     []int32
 	ExcSupport  []int64
 	ExcDurDev   []float64
@@ -71,20 +69,35 @@ type Flat struct {
 // NumNodes reports the node count including the virtual root.
 func (f *Flat) NumNodes() int { return len(f.Locations) }
 
-// Flatten converts the graph to columnar form.
+// Flatten returns the graph in columnar form: a resting graph's own
+// columns (Columns), which callers must not modify, or its tree laid out in
+// new ones.
 func Flatten(g *Graph) *Flat {
-	f := &Flat{Paths: g.paths}
+	if c := g.Columns(); c != nil {
+		return c
+	}
+	root, xs := g.tree()
+	f := flatten(root, g.paths, xs)
+	return &f
+}
+
+// flatten lays a tree and its exceptions out in columns, each allocated at
+// the size it ends up.
+func flatten(root *Node, paths int64, xs []Exception) Flat {
 	// Only exception nodes need their BFS index looked up, so only they are
 	// keyed; one missing from the tree keeps index 0.
 	var index map[*Node]int32
-	if len(g.exceptions) > 0 {
-		index = make(map[*Node]int32, len(g.exceptions))
-		for _, x := range g.exceptions {
+	if len(xs) > 0 {
+		index = make(map[*Node]int32, len(xs))
+		for _, x := range xs {
 			index[x.Node] = 0
 		}
 	}
-	order := []*Node{g.root}
+	order := []*Node{root}
+	outcomes := 0
 	for i := 0; i < len(order); i++ {
+		o, _ := order[i].Durations.Columns()
+		outcomes += len(o)
 		for _, c := range order[i].Children() {
 			if _, ok := index[c]; ok {
 				index[c] = int32(len(order))
@@ -93,11 +106,15 @@ func Flatten(g *Graph) *Flat {
 		}
 	}
 	n := len(order)
-	f.Locations = make([]int32, n)
-	f.Counts = make([]int64, n)
-	f.ChildLo = make([]int32, n+1)
-	f.DurLo = make([]int32, n+1)
-	f.TrLo = make([]int32, n)
+	f := Flat{
+		Paths:     paths,
+		Locations: make([]int32, n),
+		Counts:    make([]int64, n),
+		ChildLo:   make([]int32, n+1),
+		DurLo:     make([]int32, n+1),
+		Outcomes:  make([]int64, 0, outcomes),
+		Weights:   make([]int64, 0, outcomes),
+	}
 	next := int32(1)
 	for i, node := range order {
 		f.Locations[i] = int32(node.Location)
@@ -106,18 +123,30 @@ func Flatten(g *Graph) *Flat {
 		next += int32(len(node.children))
 		f.DurLo[i] = int32(len(f.Outcomes))
 		f.Outcomes, f.Weights = node.Durations.AppendSorted(f.Outcomes, f.Weights)
-		f.TrLo[i] = int32(len(f.Outcomes))
-		if term := node.Terminations(); term > 0 {
-			f.Outcomes, f.Weights = append(f.Outcomes, Terminate), append(f.Weights, term)
-		}
-		for _, c := range node.children {
-			f.Outcomes, f.Weights = append(f.Outcomes, int64(c.Location)), append(f.Weights, c.Count)
-		}
 	}
 	f.ChildLo[n] = next
 	f.DurLo[n] = int32(len(f.Outcomes))
 
-	for _, x := range g.exceptions {
+	m, pins, pool := len(xs), 0, 0
+	for _, x := range xs {
+		o, _ := x.Durations.Columns()
+		t, _ := x.Transitions.Columns()
+		pins += len(x.Condition)
+		pool += len(o) + len(t)
+	}
+	if m > 0 {
+		f.ExcNode, f.ExcSupport = make([]int32, 0, m), make([]int64, 0, m)
+		f.ExcDurDev, f.ExcTrDev = make([]float64, 0, m), make([]float64, 0, m)
+		f.ExcPinLo, f.ExcDurLo, f.ExcTrLo = make([]int32, 0, m+1), make([]int32, 0, m+1), make([]int32, 0, m)
+	}
+	if pins > 0 {
+		f.PinDepth, f.PinLoc = make([]int32, 0, pins), make([]int32, 0, pins)
+		f.PinDur, f.PinDurAny = make([]int64, 0, pins), make([]bool, 0, pins)
+	}
+	if pool > 0 {
+		f.ExcOutcomes, f.ExcWeights = make([]int64, 0, pool), make([]int64, 0, pool)
+	}
+	for _, x := range xs {
 		f.ExcNode = append(f.ExcNode, index[x.Node])
 		f.ExcSupport = append(f.ExcSupport, x.Support)
 		f.ExcDurDev = append(f.ExcDurDev, x.DurationDeviation)
@@ -148,7 +177,7 @@ func (f *Flat) validate() error {
 	if n < 1 {
 		return fmt.Errorf("flowgraph: flat graph has no root node")
 	}
-	if len(f.Counts) != n || len(f.ChildLo) != n+1 || len(f.DurLo) != n+1 || len(f.TrLo) != n {
+	if len(f.Counts) != n || len(f.ChildLo) != n+1 || len(f.DurLo) != n+1 {
 		return fmt.Errorf("flowgraph: flat node columns have inconsistent lengths")
 	}
 	if len(f.Outcomes) != len(f.Weights) {
@@ -165,7 +194,7 @@ func (f *Flat) validate() error {
 		if f.ChildLo[i] < int32(i)+1 || f.ChildLo[i+1] < f.ChildLo[i] {
 			return fmt.Errorf("flowgraph: flat child range of node %d is malformed", i)
 		}
-		if f.DurLo[i] > f.TrLo[i] || f.TrLo[i] > f.DurLo[i+1] {
+		if f.DurLo[i] > f.DurLo[i+1] {
 			return fmt.Errorf("flowgraph: flat distribution range of node %d is malformed", i)
 		}
 		if f.Counts[i] < 0 {
@@ -218,10 +247,8 @@ func (f *Flat) validate() error {
 }
 
 // Check reports the first reason Unflatten would refuse f at loc, or nil:
-// the structural invariants of the columnar form, every node's location
-// inside loc with each node's children in strictly ascending location order,
-// every node's transition distribution exactly the one its children derive
-// (checkNodes), and every other pooled distribution strictly ascending by
+// the structural invariants of the columnar form, the rules checkNodes and
+// checkPins apply, and every pooled distribution strictly ascending by
 // outcome with non-negative weights. It allocates nothing, and a graph that
 // passes it unflattens without error, so a caller that only needs to know
 // whether a graph decodes — a snapshot verify walk — runs Check and builds
@@ -233,7 +260,10 @@ func (f *Flat) Check(loc *hierarchy.Hierarchy) error {
 	if err := f.checkNodes(loc); err != nil {
 		return err
 	}
-	if err := checkDists(f.Outcomes, f.Weights, f.DurLo, f.TrLo); err != nil {
+	if err := f.checkPins(loc); err != nil {
+		return err
+	}
+	if err := checkDists(f.Outcomes, f.Weights, f.DurLo, f.DurLo[1:]); err != nil {
 		return err
 	}
 	if err := checkDists(f.ExcOutcomes, f.ExcWeights, f.ExcDurLo, f.ExcTrLo); err != nil {
@@ -246,46 +276,52 @@ func (f *Flat) Check(loc *hierarchy.Hierarchy) error {
 	return checkDists(f.ExcOutcomes, f.ExcWeights, f.ExcTrLo, f.ExcDurLo[1:])
 }
 
-// checkNodes checks every node's location against loc, its children, and
-// its transition column, which must be the one Flatten derives from the
-// tree, since Unflatten keeps only the tree: at most one Terminate, first,
-// with a positive weight (none at the root, which no path ends at), then
-// exactly the node's children in strictly ascending location order, each
-// with its location and its positive count, all of it adding up to the
-// node's count — at the root, to Paths. A column that passes is strictly
-// ascending, since Terminate is below every location.
+// checkNodes checks every node's location against loc and the counts its
+// transition distribution is read from: its children in strictly ascending
+// location order, each reached by at least one path, and together by no
+// more paths than reach the node (the rest end there) — at the root, by
+// exactly Paths, since no path ends at the root. Counts are non-negative
+// (validate), so the running budget cannot overflow.
 func (f *Flat) checkNodes(loc *hierarchy.Hierarchy) error {
 	locs, counts, childLo := f.Locations, f.Counts, f.ChildLo
-	outcomes, weights, trLo, durLo := f.Outcomes, f.Weights, f.TrLo, f.DurLo
 	for i, l := range locs {
 		if l < 0 || int(l) >= loc.Len() {
 			return fmt.Errorf("flowgraph: node %d location %d outside hierarchy of %d nodes", i, l, loc.Len())
-		}
-		k, end := trLo[i], durLo[i+1]
-		var sum int64
-		if k < end && outcomes[k] == Terminate {
-			if sum = weights[k]; sum <= 0 || i == 0 {
-				return fmt.Errorf("flowgraph: node %d transition column has a Terminate no path derives", i)
-			}
-			k++
-		}
-		lo, hi := childLo[i], childLo[i+1]
-		for j := lo; j < hi; j++ {
-			if j > lo && locs[j-1] >= locs[j] {
-				return fmt.Errorf("flowgraph: node %d has child locations out of order or duplicated", i)
-			}
-			if k == end || outcomes[k] != int64(locs[j]) || weights[k] != counts[j] || counts[j] == 0 {
-				return fmt.Errorf("flowgraph: node %d transition column differs from its children's counts", i)
-			}
-			sum += counts[j]
-			k++
 		}
 		total := counts[i]
 		if i == 0 {
 			total = f.Paths
 		}
-		if k != end || sum != total {
-			return fmt.Errorf("flowgraph: node %d transition column does not add up to its %d paths", i, total)
+		budget := total
+		lo, hi := childLo[i], childLo[i+1]
+		for j := lo; j < hi; j++ {
+			if j > lo && locs[j-1] >= locs[j] {
+				return fmt.Errorf("flowgraph: node %d has child locations out of order or duplicated", i)
+			}
+			if counts[j] == 0 {
+				return fmt.Errorf("flowgraph: node %d has a child no path reaches", i)
+			}
+			if counts[j] > budget {
+				return fmt.Errorf("flowgraph: node %d's children hold more than its %d paths", i, total)
+			}
+			budget -= counts[j]
+		}
+		if i == 0 && budget != 0 {
+			return fmt.Errorf("flowgraph: the root's children hold %d paths, not the graph's %d", total-budget, total)
+		}
+	}
+	return nil
+}
+
+// checkPins checks every exception pin names a stage a path can have: a
+// depth of at least 1 and a location inside loc.
+func (f *Flat) checkPins(loc *hierarchy.Hierarchy) error {
+	for i, l := range f.PinLoc {
+		if l < 0 || int(l) >= loc.Len() {
+			return fmt.Errorf("flowgraph: pin %d location %d outside hierarchy of %d nodes", i, l, loc.Len())
+		}
+		if f.PinDepth[i] < 1 {
+			return fmt.Errorf("flowgraph: pin %d has depth %d", i, f.PinDepth[i])
 		}
 	}
 	return nil
@@ -311,44 +347,65 @@ func checkDists(outcomes, weights []int64, lo, hi []int32) error {
 }
 
 // Unflatten checks the columnar form (Check) and rebuilds the pointer graph
-// for paths at the given level, reading no transition column: the tree is
-// T. Nodes, pins and exceptions are carved out of one backing allocation
-// each — child lists too: BFS order puts a node's children side by side, so
-// each list is a window of one pointer array — which leaves one allocation
-// per non-empty distribution.
+// for paths at the given level.
 func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Graph, error) {
 	if err := f.Check(loc); err != nil {
 		return nil, err
 	}
+	root, xs, err := f.tree(0, true)
+	if err != nil {
+		return nil, err
+	}
+	return &Graph{level: level, loc: loc, root: root, paths: f.Paths, exceptions: xs}, nil
+}
+
+// tree builds the pointer tree and the exceptions of checked columns, every
+// node tagged owner. Pins and exceptions are carved out of one backing
+// allocation each. With carve, so are the nodes and their child lists — BFS
+// order puts a node's children side by side, so each list is a window of
+// one pointer array — which leaves one allocation per non-empty
+// distribution: what a decode wants. Without it each node and child list
+// is an allocation of its own: what a thaw wants, whose tree forks copy a
+// path of at a time, since an array lives on while any node in it does.
+func (f *Flat) tree(owner uint32, carve bool) (*Node, []Exception, error) {
 	n := f.NumNodes()
-	m := len(f.ExcNode)
-	nodes := make([]Node, n)
 	ptrs := make([]*Node, n)
-	for i := range nodes {
-		ptrs[i] = &nodes[i]
+	if carve {
+		nodes := make([]Node, n)
+		for i := range nodes {
+			ptrs[i] = &nodes[i]
+		}
+	} else {
+		for i := range ptrs {
+			ptrs[i] = new(Node)
+		}
 	}
-	var err error
-	for i := 0; i < n; i++ {
-		nd := &nodes[i]
+	for i, nd := range ptrs {
 		nd.Location = hierarchy.NodeID(f.Locations[i])
+		nd.owner = owner
 		nd.Count = f.Counts[i]
-		if err = nd.Durations.InitSorted(f.Outcomes[f.DurLo[i]:f.TrLo[i]], f.Weights[f.DurLo[i]:f.TrLo[i]]); err != nil {
-			return nil, err
+		lo, hi := f.DurLo[i], f.DurLo[i+1]
+		if err := nd.Durations.InitSorted(f.Outcomes[lo:hi], f.Weights[lo:hi]); err != nil {
+			return nil, nil, err
 		}
-		lo, hi := f.ChildLo[i], f.ChildLo[i+1]
+		lo, hi = f.ChildLo[i], f.ChildLo[i+1]
 		for j := lo; j < hi; j++ {
-			nodes[j].Depth = nd.Depth + 1
+			ptrs[j].Depth = nd.Depth + 1
 		}
-		nd.children = ptrs[lo:hi:hi]
-	}
-	g := &Graph{level: level, loc: loc, root: &nodes[0], paths: f.Paths}
-	if m > 0 {
-		node := func(idx int32, _ int) *Node { return &nodes[idx] }
-		if g.exceptions, err = f.exceptions(node, make([]stats.Multinomial, 2*m)); err != nil {
-			return nil, err
+		switch {
+		case carve:
+			nd.children = ptrs[lo:hi:hi]
+		case hi > lo:
+			nd.children = append([]*Node(nil), ptrs[lo:hi]...)
 		}
 	}
-	return g, nil
+	m := len(f.ExcNode)
+	if m == 0 {
+		return ptrs[0], nil, nil
+	}
+	node := func(idx int32, _ int) *Node { return ptrs[idx] }
+	xs, err := f.exceptions(node, make([]stats.Multinomial, 2*m))
+	return ptrs[0], xs, err
 }
 
 // exceptions decodes the exception table of a validated flat graph with at

@@ -90,7 +90,7 @@ func TestUnflattenRejectsInvalid(t *testing.T) {
 			f.ChildLo[len(f.ChildLo)-1]--
 		}},
 		{"negative count", func(f *flowgraph.Flat) { f.Counts[1] = -1 }},
-		{"duration offsets cross", func(f *flowgraph.Flat) { f.TrLo[0] = f.DurLo[1] + 1 }},
+		{"duration offsets cross", func(f *flowgraph.Flat) { f.DurLo[1] = f.DurLo[2] + 1 }},
 		{"outcomes not increasing", func(f *flowgraph.Flat) {
 			// Node 1 (the factory) has two duration outcomes; make them equal.
 			f.Outcomes[f.DurLo[1]+1] = f.Outcomes[f.DurLo[1]]
@@ -102,6 +102,10 @@ func TestUnflattenRejectsInvalid(t *testing.T) {
 			f.ExcPinLo[1] = f.ExcPinLo[0] - 1
 		}},
 		{"location out of hierarchy", func(f *flowgraph.Flat) { f.Locations[1] = 1 << 20 }},
+		{"pin location out of hierarchy", func(f *flowgraph.Flat) { f.PinLoc[0] = 1 << 30 }},
+		{"pin location negative", func(f *flowgraph.Flat) { f.PinLoc[0] = -1 }},
+		{"pin depth below 1", func(f *flowgraph.Flat) { f.PinDepth[0] = -7 }},
+		{"pin depth 0, the root's", func(f *flowgraph.Flat) { f.PinDepth[0] = 0 }},
 		{"truncated columns", func(f *flowgraph.Flat) { f.Counts = f.Counts[:1] }},
 		{"sibling locations duplicated", func(f *flowgraph.Flat) {
 			for i := range f.Locations {
@@ -139,18 +143,35 @@ func TestUnflattenRejectsInvalid(t *testing.T) {
 	}
 }
 
-// splicePool replaces del entries of f's node distribution pool at index k
+// treeTransitions is T at every node of g, in Flatten's node order, read
+// off the tree (Terminations, Children).
+func treeTransitions(g *flowgraph.Graph) flowgraph.Transitions {
+	var t flowgraph.Transitions
+	order := []*flowgraph.Node{g.Root()}
+	for i := 0; i < len(order); i++ {
+		n := order[i]
+		t.Lo = append(t.Lo, int32(len(t.Outcomes)))
+		if ends := n.Terminations(); ends > 0 {
+			t.Outcomes, t.Weights = append(t.Outcomes, flowgraph.Terminate), append(t.Weights, ends)
+		}
+		for _, c := range n.Children() {
+			t.Outcomes, t.Weights = append(t.Outcomes, int64(c.Location)), append(t.Weights, c.Count)
+			order = append(order, c)
+		}
+	}
+	t.Lo = append(t.Lo, int32(len(t.Outcomes)))
+	return t
+}
+
+// splicePool replaces del entries of the transition column t at index k
 // with the given (outcome, weight) pairs, moving every range that starts
-// after k. Inserting at the start of a node's transition range (TrLo) lands
-// in it.
-func splicePool(f *flowgraph.Flat, k, del int, outcomes, weights []int64) {
-	f.Outcomes = slices.Replace(f.Outcomes, k, k+del, outcomes...)
-	f.Weights = slices.Replace(f.Weights, k, k+del, weights...)
-	for _, lo := range [][]int32{f.DurLo, f.TrLo} {
-		for i := range lo {
-			if int(lo[i]) > k {
-				lo[i] += int32(len(outcomes) - del)
-			}
+// after k. Inserting at the start of a node's range (Lo) lands in it.
+func splicePool(t *flowgraph.Transitions, k, del int, outcomes, weights []int64) {
+	t.Outcomes = slices.Replace(t.Outcomes, k, k+del, outcomes...)
+	t.Weights = slices.Replace(t.Weights, k, k+del, weights...)
+	for i := range t.Lo {
+		if int(t.Lo[i]) > k {
+			t.Lo[i] += int32(len(outcomes) - del)
 		}
 	}
 }
@@ -171,43 +192,44 @@ func nodeWhere(t *testing.T, f *flowgraph.Flat, keep func(i int, children, ends 
 	return 0
 }
 
-// TestCheckRejectsUnderivedTransitions: Unflatten keeps no transition
+// TestCheckRejectsUnderivedTransitions: a flat graph keeps no transition
 // column — a node's T is its children's counts and the paths that end
-// there — so Check must refuse a column that is anything else rather than
-// let a load repair it silently: a weight off by one, an outcome missing or
-// extra, a zero weight, and paths that end at the root.
+// there — so a loader must accept only the column the columns derive
+// (DeriveTransitions, which must read as the tree's own T) and counts Check
+// accepts, and refuse the rest rather than repair it silently: a weight off
+// by one, an outcome missing or extra, a zero weight, paths that end at the
+// root, and counts no column can derive from.
 func TestCheckRejectsUnderivedTransitions(t *testing.T) {
 	ex := paperex.New()
-	level := ex.BasePathLevel()
 	cases := []struct {
 		name    string
-		corrupt func(t *testing.T, f *flowgraph.Flat)
+		corrupt func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions)
 	}{
-		{"child weight off by one", func(t *testing.T, f *flowgraph.Flat) {
+		{"child weight off by one", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
 			i := nodeWhere(t, f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 })
-			f.Weights[f.TrLo[i]]++
+			tr.Weights[tr.Lo[i]]++
 		}},
-		{"terminations off by one", func(t *testing.T, f *flowgraph.Flat) {
+		{"terminations off by one", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
 			i := nodeWhere(t, f, func(_ int, _, ends int64) bool { return ends > 0 })
-			f.Weights[f.TrLo[i]]--
+			tr.Weights[tr.Lo[i]]--
 		}},
-		{"terminations missing", func(t *testing.T, f *flowgraph.Flat) {
+		{"terminations missing", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
 			i := nodeWhere(t, f, func(_ int, _, ends int64) bool { return ends > 0 })
-			splicePool(f, int(f.TrLo[i]), 1, nil, nil)
+			splicePool(tr, int(tr.Lo[i]), 1, nil, nil)
 		}},
-		{"child outcome missing", func(t *testing.T, f *flowgraph.Flat) {
+		{"child outcome missing", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
 			i := nodeWhere(t, f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 })
-			splicePool(f, int(f.TrLo[i]), 1, nil, nil)
+			splicePool(tr, int(tr.Lo[i]), 1, nil, nil)
 		}},
-		{"extra terminations", func(t *testing.T, f *flowgraph.Flat) {
+		{"extra terminations", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
 			i := nodeWhere(t, f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 })
-			splicePool(f, int(f.TrLo[i]), 0, []int64{flowgraph.Terminate}, []int64{1})
+			splicePool(tr, int(tr.Lo[i]), 0, []int64{flowgraph.Terminate}, []int64{1})
 		}},
-		{"zero-weight terminations", func(t *testing.T, f *flowgraph.Flat) {
+		{"zero-weight terminations", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
 			i := nodeWhere(t, f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 })
-			splicePool(f, int(f.TrLo[i]), 0, []int64{flowgraph.Terminate}, []int64{0})
+			splicePool(tr, int(tr.Lo[i]), 0, []int64{flowgraph.Terminate}, []int64{0})
 		}},
-		{"negative terminations the counts balance", func(t *testing.T, f *flowgraph.Flat) {
+		{"negative terminations the counts balance", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
 			// A first stage whose paths all go on: one path less reaches
 			// it, and -1 end there.
 			i := nodeWhere(t, f, func(i int, children, ends int64) bool {
@@ -215,33 +237,37 @@ func TestCheckRejectsUnderivedTransitions(t *testing.T) {
 			})
 			f.Paths--
 			f.Counts[i]--
-			f.Weights[int(f.TrLo[0])+i-1]--
-			splicePool(f, int(f.TrLo[i]), 0, []int64{flowgraph.Terminate}, []int64{-1})
+			tr.Weights[int(tr.Lo[0])+i-1]--
+			splicePool(tr, int(tr.Lo[i]), 0, []int64{flowgraph.Terminate}, []int64{-1})
 		}},
-		{"extra outcome no child derives", func(t *testing.T, f *flowgraph.Flat) {
+		{"extra outcome no child derives", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
 			i := nodeWhere(t, f, func(i int, children, _ int64) bool { return children == 0 })
-			splicePool(f, int(f.DurLo[i+1]), 0, []int64{1 << 20}, []int64{1})
-			f.DurLo[i+1]++ // the insertion ends node i's range
+			splicePool(tr, int(tr.Lo[i+1]), 0, []int64{1 << 20}, []int64{1})
+			tr.Lo[i+1]++ // the insertion ends node i's range
 		}},
-		{"terminations at the root", func(t *testing.T, f *flowgraph.Flat) {
+		{"terminations at the root", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
 			f.Paths++
-			splicePool(f, int(f.TrLo[0]), 0, []int64{flowgraph.Terminate}, []int64{1})
+			splicePool(tr, int(tr.Lo[0]), 0, []int64{flowgraph.Terminate}, []int64{1})
 		}},
-		{"paths not the root's children", func(t *testing.T, f *flowgraph.Flat) { f.Paths++ }},
-		{"count below the children's", func(t *testing.T, f *flowgraph.Flat) {
+		{"paths not the root's children", func(t *testing.T, f *flowgraph.Flat, _ *flowgraph.Transitions) { f.Paths++ }},
+		{"count below the children's", func(t *testing.T, f *flowgraph.Flat, _ *flowgraph.Transitions) {
 			i := nodeWhere(t, f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 })
 			f.Counts[i]--
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, f := flattenFixture(t)
-			tc.corrupt(t, f)
-			if err := f.Check(ex.Location); err == nil {
-				t.Error("Check accepts the corrupt transition column")
+			_, g, f := flattenFixture(t)
+			var tr flowgraph.Transitions
+			f.DeriveTransitions(&tr)
+			if !reflect.DeepEqual(tr, treeTransitions(g)) {
+				t.Fatal("the derived column is not the tree's T")
 			}
-			if _, err := flowgraph.Unflatten(ex.Location, level, f); err == nil {
-				t.Error("Unflatten accepts the corrupt transition column")
+			tc.corrupt(t, f, &tr)
+			var derived flowgraph.Transitions
+			f.DeriveTransitions(&derived)
+			if reflect.DeepEqual(tr, derived) && f.Check(ex.Location) == nil {
+				t.Error("the corrupt column is the one the columns derive, and Check accepts them")
 			}
 		})
 	}
@@ -252,21 +278,15 @@ func TestCheckRejectsUnderivedTransitions(t *testing.T) {
 	// made 0 everywhere it appears. Only the second has a zero weight.
 	a := int64(ex.Location.MustLookup("f"))
 	flat := func(paths int64) *flowgraph.Flat {
-		f := &flowgraph.Flat{
+		return &flowgraph.Flat{
 			Paths:     paths,
 			Locations: []int32{int32(hierarchy.Root), int32(a)},
 			Counts:    []int64{0, paths},
 			ChildLo:   []int32{1, 2, 2},
-			DurLo:     []int32{0, 1, 2},
-			TrLo:      []int32{0, 2},
-			Outcomes:  []int64{a, 5},
-			Weights:   []int64{paths, paths},
+			DurLo:     []int32{0, 0, 1},
+			Outcomes:  []int64{5},
+			Weights:   []int64{paths},
 		}
-		if paths > 0 { // the stage's own Terminate
-			f.Outcomes, f.Weights = append(f.Outcomes, flowgraph.Terminate), append(f.Weights, paths)
-			f.DurLo[2]++
-		}
-		return f
 	}
 	if _, err := flowgraph.Unflatten(ex.Location, pathdb.PathLevel{}, flat(1)); err != nil {
 		t.Fatalf("the one-path graph does not load: %v", err)

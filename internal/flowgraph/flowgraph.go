@@ -109,6 +109,9 @@ type Exception struct {
 }
 
 // Graph is a flowgraph over paths aggregated to one path abstraction level.
+// It is held in one of two forms: a tree of nodes, or at rest as its
+// columns (Rest, rest.go), from which the first reader that asks for nodes
+// thaws a tree.
 //
 // Ownership: a graph may write only the nodes that carry its owner tag.
 // New, Clone and Fold return graphs that own every node; Fork returns one
@@ -116,12 +119,15 @@ type Exception struct {
 // the graph it was forked from — and every reader of that graph — keeps
 // seeing exactly what it saw before.
 type Graph struct {
-	level      pathdb.PathLevel
-	merge      pathdb.DurationMerge
-	loc        *hierarchy.Hierarchy
+	level pathdb.PathLevel
+	merge pathdb.DurationMerge
+	loc   *hierarchy.Hierarchy
+	paths int64
+	// root and exceptions are the tree form; both are nil while the graph
+	// rests, and rest holds its columns instead.
 	root       *Node
-	paths      int64
 	exceptions []Exception
+	rest       *rest
 	owner      uint32
 	copied     int
 }
@@ -148,32 +154,42 @@ func Build(loc *hierarchy.Hierarchy, level pathdb.PathLevel, paths []pathdb.Path
 }
 
 // Root returns the virtual root (depth 0). Its transition distribution is
-// the distribution over first stages, its Count 0.
-func (g *Graph) Root() *Node { return g.root }
+// the distribution over first stages, its Count 0. A resting graph thaws
+// its tree (rest.go).
+func (g *Graph) Root() *Node {
+	root, _ := g.tree()
+	return root
+}
 
 // Paths reports the number of paths summarized.
 func (g *Graph) Paths() int64 { return g.paths }
 
-// Exceptions returns the mined exception set X.
-func (g *Graph) Exceptions() []Exception { return g.exceptions }
+// Exceptions returns the mined exception set X. A resting graph thaws its
+// tree (rest.go): each exception names a node of it.
+func (g *Graph) Exceptions() []Exception {
+	_, xs := g.tree()
+	return xs
+}
 
 // ClearExceptions drops the mined exception set, leaving the tree and its
 // distributions intact. Fold clears them: exceptions are holistic and do
 // not fold.
-func (g *Graph) ClearExceptions() { g.exceptions = nil }
+func (g *Graph) ClearExceptions() {
+	g.wake()
+	g.exceptions = nil
+}
 
 // Fork returns a graph over the same nodes and exceptions that may write
 // none of them: owner is a tag no node reachable from g carries (callers
 // pass a generation number larger than any used before on this lineage).
 // Writes through the fork path-copy — AddPath copies the root and the nodes
 // along the path, once each, and mutates its own copies from then on — so g
-// is frozen from the fork's point of view and may keep serving readers.
+// is frozen from the fork's point of view and may keep serving readers. A
+// fork is a tree: forking a resting graph thaws it, as any reader does.
 func (g *Graph) Fork(owner uint32) *Graph {
-	f := *g
-	f.owner = owner
-	f.copied = 0
-	f.exceptions = append([]Exception(nil), g.exceptions...)
-	return &f
+	root, xs := g.tree()
+	return &Graph{level: g.level, merge: g.merge, loc: g.loc, paths: g.paths,
+		root: root, exceptions: append([]Exception(nil), xs...), owner: owner}
 }
 
 // NodesCopied reports how many nodes the graph has copied from the
@@ -258,6 +274,7 @@ func (g *Graph) AddAggregated(p pathdb.Path) {
 	if len(p) == 0 {
 		return
 	}
+	g.wake()
 	g.paths++
 	if g.root.owner != g.owner {
 		g.root = g.own(g.root, write{p, -1})
@@ -273,7 +290,7 @@ func (g *Graph) AddAggregated(p pathdb.Path) {
 
 // NodeAt resolves the node for a location-sequence prefix, or nil.
 func (g *Graph) NodeAt(seq []hierarchy.NodeID) *Node {
-	cur := g.root
+	cur := g.Root()
 	for _, l := range seq {
 		cur = cur.Child(l)
 		if cur == nil {
@@ -296,12 +313,13 @@ func (g *Graph) Merge(other *Graph) error {
 		return fmt.Errorf("flowgraph: cannot merge graphs at different path levels %q and %q",
 			g.level.Key(), other.level.Key())
 	}
+	g.wake()
 	g.paths += other.paths
 	g.exceptions = nil
 	if g.root.owner != g.owner {
 		g.root = g.own(g.root, write{})
 	}
-	g.mergeNode(g.root, other.root)
+	g.mergeNode(g.root, other.Root())
 	return nil
 }
 
@@ -319,8 +337,9 @@ func (g *Graph) mergeNode(dst, src *Node) {
 func (g *Graph) Clone() *Graph {
 	c := New(g.loc, g.level, g.merge)
 	c.paths = g.paths
-	c.mergeNode(c.root, g.root)
-	for _, x := range g.exceptions {
+	root, xs := g.tree()
+	c.mergeNode(c.root, root)
+	for _, x := range xs {
 		c.exceptions = append(c.exceptions, Exception{
 			Node:                c.NodeAt(x.Prefix),
 			Prefix:              append([]hierarchy.NodeID(nil), x.Prefix...),
@@ -355,7 +374,7 @@ func (g *Graph) String() string {
 			rec(c, indent+"  ")
 		}
 	}
-	rec(g.root, "  ")
+	rec(g.Root(), "  ")
 	return b.String()
 }
 
@@ -383,7 +402,7 @@ func (g *Graph) DOT(name string) string {
 			rec(c, cid)
 		}
 	}
-	rec(g.root, "root")
+	rec(g.Root(), "root")
 	b.WriteString("}\n")
 	return b.String()
 }

@@ -14,15 +14,25 @@ import "flowcube/internal/stats"
 // Divergence returns the asymmetric weighted divergence D(a ‖ b) ≥ 0; zero
 // means b induces the same distribution over paths as a.
 func Divergence(a, b *Graph) float64 {
-	d, _ := diverge(a.root, b.root, 1, 0)
+	if ca, cb := a.Columns(), b.Columns(); ca != nil && cb != nil {
+		d, _ := divergeCols(ca, cb, 0, 0, 1, 0)
+		return d
+	}
+	d, _ := diverge(a.Root(), b.Root(), 1, 0)
 	return d
 }
 
 // Similarity returns ϕ(a, b) in (0, 1]: 1 for identical induced models,
 // approaching 0 as the symmetrized divergence grows. Both directions come
-// from one walk of the two trees.
+// from one walk of the two graphs: of their columns when both rest, of
+// their trees otherwise (a resting side thaws).
 func Similarity(a, b *Graph) float64 {
-	ab, ba := diverge(a.root, b.root, 1, 1)
+	var ab, ba float64
+	if ca, cb := a.Columns(), b.Columns(); ca != nil && cb != nil {
+		ab, ba = divergeCols(ca, cb, 0, 0, 1, 1)
+	} else {
+		ab, ba = diverge(a.Root(), b.Root(), 1, 1)
+	}
 	return 1 / (1 + (ab+ba)/2)
 }
 
@@ -106,4 +116,65 @@ func against(n, o *Node, tn, to *trans) float64 {
 		dur = &o.Durations
 	}
 	return n.Durations.KLDivergence(dur) + klDivergence(tn, to)
+}
+
+// divergeCols is diverge over two resting graphs' columns: na and nb are
+// node indices of a and b at one prefix, -1 where a graph lacks it. It takes
+// the same terms in the same order — the node's own, then its children's in
+// ascending location order — from the same counts (durAt, transAt),
+// so its sums are diverge's, bit for bit.
+func divergeCols(a, b *Flat, na, nb int32, wa, wb float64) (ab, ba float64) {
+	onA := na >= 0 && !stats.AlmostEqual(wa, 0)
+	onB := nb >= 0 && !stats.AlmostEqual(wb, 0)
+	if !onA && !onB {
+		return 0, 0
+	}
+	ta, tb := a.transAt(na), b.transAt(nb)
+	da, db := a.durAt(na), b.durAt(nb)
+	switch {
+	case onA && onB:
+		dab, dba := da.KLBoth(&db)
+		tab, tba := klBothCols(&ta, &tb)
+		ab, ba = wa*(dab+tab), wb*(dba+tba)
+	case onA:
+		ab = wa * (da.KLDivergence(&db) + klDivergenceCols(&ta, &tb))
+	default:
+		ba = wb * (db.KLDivergence(&da) + klDivergenceCols(&tb, &ta))
+	}
+	ia, ea := ta.lo, ta.lo+int32(len(ta.counts))
+	ib, eb := tb.lo, tb.lo+int32(len(tb.counts))
+	for ia < ea || ib < eb {
+		xa, xb := int32(-1), int32(-1)
+		switch {
+		case ib == eb || (ia < ea && a.Locations[ia] < b.Locations[ib]):
+			xa = ia
+			ia++
+		case ia == ea || b.Locations[ib] < a.Locations[ia]:
+			xb = ib
+			ib++
+		default:
+			xa, xb = ia, ib
+			ia++
+			ib++
+		}
+		inA, inB := onA && xa >= 0, onB && xb >= 0
+		if !inA && !inB {
+			continue
+		}
+		var cwa, cwb float64
+		if inA {
+			cwa = wa * stats.Prob(a.Counts[xa], ta.total)
+		}
+		if inB {
+			cwb = wb * stats.Prob(b.Counts[xb], tb.total)
+		}
+		dab, dba := divergeCols(a, b, xa, xb, cwa, cwb)
+		if inA {
+			ab += dab
+		}
+		if inB {
+			ba += dba
+		}
+	}
+	return ab, ba
 }

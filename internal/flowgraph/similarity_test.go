@@ -44,27 +44,45 @@ func referenceDivergeNode(na, nb *flowgraph.Node, weight float64, pruned *int) f
 }
 
 // checkSimilarity compares Similarity and both directions of Divergence
-// with the two-walk reference, bit for bit, and returns how many branches
-// the reference pruned.
+// with the two-walk reference, bit for bit, with the graphs in every pair of
+// forms: both trees, both at rest (the columnar walk, which must thaw
+// neither), and one of each (which thaws the resting side). It returns how
+// many branches the reference pruned.
 func checkSimilarity(t *testing.T, a, b *flowgraph.Graph) int {
 	t.Helper()
 	pruned := 0
 	ab, ba := referenceDivergence(a, b, &pruned), referenceDivergence(b, a, &pruned)
 	want := 1 / (1 + (ab+ba)/2)
-	for _, c := range []struct {
-		what      string
-		got, want float64
-	}{
-		{"Similarity(a, b)", flowgraph.Similarity(a, b), want},
-		{"Divergence(a, b)", flowgraph.Divergence(a, b), ab},
-		{"Divergence(b, a)", flowgraph.Divergence(b, a), ba},
-	} {
-		if math.Float64bits(c.got) != math.Float64bits(c.want) {
-			t.Fatalf("%s = %v (%#x), the two-walk reference %v (%#x)",
-				c.what, c.got, math.Float64bits(c.got), c.want, math.Float64bits(c.want))
+	ra, rb := resting(a), resting(b)
+	for _, p := range []struct {
+		forms string
+		a, b  *flowgraph.Graph
+	}{{"resting", ra, rb}, {"trees", a, b}, {"resting and tree", ra, b}, {"tree and resting", a, rb}} {
+		for _, c := range []struct {
+			what      string
+			got, want float64
+		}{
+			{"Similarity(a, b)", flowgraph.Similarity(p.a, p.b), want},
+			{"Divergence(a, b)", flowgraph.Divergence(p.a, p.b), ab},
+			{"Divergence(b, a)", flowgraph.Divergence(p.b, p.a), ba},
+		} {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Fatalf("%s of %s = %v (%#x), the two-walk reference %v (%#x)",
+					c.what, p.forms, c.got, math.Float64bits(c.got), c.want, math.Float64bits(c.want))
+			}
+		}
+		if p.forms == "resting" && (ra.Columns() == nil || rb.Columns() == nil) {
+			t.Fatal("comparing two resting graphs thawed one")
 		}
 	}
 	return pruned
+}
+
+// resting returns a copy of g put to rest.
+func resting(g *flowgraph.Graph) *flowgraph.Graph {
+	r := g.Clone()
+	r.Rest()
+	return r
 }
 
 // similarityLocations is the location hierarchy the generated pairs use:

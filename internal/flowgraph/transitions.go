@@ -179,3 +179,136 @@ func keptDeviation(a *stats.Multinomial, b *trans) float64 {
 	joinKept(a, b, d.Add)
 	return d.Max()
 }
+
+// colTrans is T at one node of a resting graph's columns, as trans is at a
+// tree node: its children are the index range starting at lo, their
+// locations locs and their counts counts.
+type colTrans struct {
+	total, term int64
+	lo          int32
+	locs        []int32
+	counts      []int64
+}
+
+// transAt returns T at node i of f; i = -1, an absent node, has no
+// observations.
+func (f *Flat) transAt(i int32) colTrans {
+	if i < 0 {
+		return colTrans{}
+	}
+	lo, hi := f.ChildLo[i], f.ChildLo[i+1]
+	t := colTrans{total: f.Counts[i], term: f.Ends(int(i)), lo: lo, locs: f.Locations[lo:hi], counts: f.Counts[lo:hi]}
+	if i == 0 {
+		t.total = 0
+		for _, c := range t.counts {
+			t.total += c
+		}
+	}
+	return t
+}
+
+// durAt returns D at node i of f as a view of the pooled columns; i = -1
+// has no observations. Its total is the sum of its weights, as a
+// Multinomial's is.
+func (f *Flat) durAt(i int32) stats.Sorted {
+	if i < 0 {
+		return stats.Sorted{}
+	}
+	lo, hi := f.DurLo[i], f.DurLo[i+1]
+	d := stats.Sorted{Outcomes: f.Outcomes[lo:hi], Counts: f.Weights[lo:hi]}
+	for _, w := range d.Counts {
+		d.Total += w
+	}
+	return d
+}
+
+// joinCols is join of T at two nodes of resting graphs.
+func joinCols(a, b *colTrans, fn func(ca, cb int64)) int {
+	k := 0
+	if a.term > 0 || b.term > 0 {
+		k++
+		if fn != nil {
+			fn(a.term, b.term)
+		}
+	}
+	i, j := 0, 0
+	for ; i < len(a.locs) || j < len(b.locs); k++ {
+		var x, y int64
+		switch {
+		case j == len(b.locs) || (i < len(a.locs) && a.locs[i] < b.locs[j]):
+			x = a.counts[i]
+			i++
+		case i == len(a.locs) || b.locs[j] < a.locs[i]:
+			y = b.counts[j]
+			j++
+		default:
+			x, y = a.counts[i], b.counts[j]
+			i++
+			j++
+		}
+		if fn != nil {
+			fn(x, y)
+		}
+	}
+	return k
+}
+
+// klBothCols is klBoth of T at two nodes of resting graphs.
+func klBothCols(a, b *colTrans) (ab, ba float64) {
+	d := stats.NewKL(joinCols(a, b, nil), a.total, b.total)
+	joinCols(a, b, d.Add)
+	return d.Sums()
+}
+
+// klDivergenceCols is klDivergence of T at two nodes of resting graphs.
+func klDivergenceCols(a, b *colTrans) float64 {
+	d := stats.NewKL(joinCols(a, b, nil), a.total, b.total)
+	joinCols(a, b, d.AddAB)
+	ab, _ := d.Sums()
+	return ab
+}
+
+// Transitions is T as the snapshot format carries it, a column beside a
+// flat graph's: node i's transition distribution is Outcomes[Lo[i]:Lo[i+1]]
+// with parallel Weights — Terminate weighted by the paths that end at the
+// node (absent when none do, and at the root), then each child's location
+// weighted by its count. No graph keeps it: the snapshot encoder derives
+// it (DeriveTransitions), and the decoder refuses any column but the
+// derived one as it reads it.
+type Transitions struct {
+	Lo       []int32
+	Outcomes []int64
+	Weights  []int64
+}
+
+// Ends reports how many of the paths that reach node i end there: its
+// count less its children's, and 0 at the root, which no path ends at. It
+// is the weight of Terminate in the node's transition distribution, which
+// has no Terminate outcome when it is 0.
+func (f *Flat) Ends(i int) int64 {
+	if i == 0 {
+		return 0
+	}
+	ends := f.Counts[i]
+	for _, c := range f.Counts[f.ChildLo[i]:f.ChildLo[i+1]] {
+		ends -= c
+	}
+	return ends
+}
+
+// DeriveTransitions writes the transition column of f into t, reusing its
+// capacity.
+func (f *Flat) DeriveTransitions(t *Transitions) {
+	n := f.NumNodes()
+	t.Lo, t.Outcomes, t.Weights = t.Lo[:0], t.Outcomes[:0], t.Weights[:0]
+	for i := 0; i < n; i++ {
+		t.Lo = append(t.Lo, int32(len(t.Outcomes)))
+		if ends := f.Ends(i); ends > 0 {
+			t.Outcomes, t.Weights = append(t.Outcomes, Terminate), append(t.Weights, ends)
+		}
+		for j := f.ChildLo[i]; j < f.ChildLo[i+1]; j++ {
+			t.Outcomes, t.Weights = append(t.Outcomes, int64(f.Locations[j])), append(t.Weights, f.Counts[j])
+		}
+	}
+	t.Lo = append(t.Lo, int32(len(t.Outcomes)))
+}

@@ -31,5 +31,5 @@ func (g *Graph) Validate() error {
 		}
 		return nil
 	}
-	return walk(g.root, nil)
+	return walk(g.Root(), nil)
 }

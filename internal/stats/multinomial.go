@@ -232,37 +232,73 @@ func (m *Multinomial) Mean() float64 {
 	return sum / float64(m.total)
 }
 
-// joinCounts merge-joins the two distributions: it calls fn once per
-// outcome of their union, in ascending order, with the outcome's count on
-// each side (0 where it was not observed), and returns the size of the
-// union. A nil fn only counts. It is the one loop behind every deviation and
-// divergence sum of two Multinomials; it allocates nothing.
-func (m *Multinomial) joinCounts(other *Multinomial, fn func(cm, co int64)) int {
-	// Indexing the arrays directly, not through cols, keeps the setup short:
-	// on the small supports flowgraph nodes have, it is much of the cost.
-	a, na, ha := m.buf[:cap(m.buf)], len(m.buf), cap(m.buf)/2
-	b, nb, hb := other.buf[:cap(other.buf)], len(other.buf), cap(other.buf)/2
+// Sorted is a distribution kept as two columns elsewhere, read in place:
+// Outcomes strictly ascending, Counts beside them, and Total their sum. A
+// flowgraph at rest pools every node's duration distribution into shared
+// columns and compares them as Sorted views; a Multinomial's sums go through
+// the same views (Multinomial.Sorted), so both forms give the same floats,
+// bit for bit. The zero value is the empty distribution.
+type Sorted struct {
+	Outcomes, Counts []int64
+	Total            int64
+}
+
+// Sorted returns a view of m's columns, which holds until m next changes.
+func (m *Multinomial) Sorted() Sorted {
+	o, c := m.cols()
+	return Sorted{Outcomes: o, Counts: c, Total: m.total}
+}
+
+// join merge-joins the two distributions: it calls fn once per outcome of
+// their union, in ascending order, with the outcome's count on each side (0
+// where it was not observed), and returns the size of the union. A nil fn
+// only counts. It is the one loop behind every deviation and divergence sum
+// of two distributions; it allocates nothing.
+func (a *Sorted) join(b *Sorted, fn func(ca, cb int64)) int {
+	ao, ac, bo, bc := a.Outcomes, a.Counts, b.Outcomes, b.Counts
 	i, j, k := 0, 0, 0
-	for i < na || j < nb {
-		var cm, co int64
+	for i < len(ao) || j < len(bo) {
+		var x, y int64
 		switch {
-		case j == nb || (i < na && a[i] < b[j]):
-			cm = a[ha+i]
+		case j == len(bo) || (i < len(ao) && ao[i] < bo[j]):
+			x = ac[i]
 			i++
-		case i == na || b[j] < a[i]:
-			co = b[hb+j]
+		case i == len(ao) || bo[j] < ao[i]:
+			y = bc[j]
 			j++
 		default:
-			cm, co = a[ha+i], b[hb+j]
+			x, y = ac[i], bc[j]
 			i++
 			j++
 		}
 		k++
 		if fn != nil {
-			fn(cm, co)
+			fn(x, y)
 		}
 	}
 	return k
+}
+
+// MaxDeviation is Multinomial.MaxDeviation of two views.
+func (a *Sorted) MaxDeviation(b *Sorted) float64 {
+	d := NewDeviation(a.Total, b.Total)
+	a.join(b, d.Add)
+	return d.Max()
+}
+
+// KLDivergence is Multinomial.KLDivergence of two views.
+func (a *Sorted) KLDivergence(b *Sorted) float64 {
+	d := NewKL(a.join(b, nil), a.Total, b.Total)
+	a.join(b, d.AddAB)
+	ab, _ := d.Sums()
+	return ab
+}
+
+// KLBoth is Multinomial.KLBoth of two views.
+func (a *Sorted) KLBoth(b *Sorted) (ab, ba float64) {
+	d := NewKL(a.join(b, nil), a.Total, b.Total)
+	a.join(b, d.Add)
+	return d.Sums()
 }
 
 // Prob is count/total, the empirical probability of an outcome observed
@@ -278,7 +314,7 @@ func Prob(count, total int64) float64 {
 // of their outcomes at a time, in ascending outcome order, given each
 // outcome's count on either side (0 where that side did not observe it).
 // They are the one copy of that arithmetic: the Multinomial methods feed
-// them from joinCounts, and a distribution kept in another form — a
+// them from Sorted.join, and a distribution kept in another form — a
 // flowgraph node's transition distribution is its children's counts — gets
 // the same floats, bit for bit, by feeding them the same counts in the same
 // order.
@@ -354,18 +390,15 @@ func (d *KL) Sums() (ab, ba float64) {
 // behind exception detection: a conditional distribution whose MaxDeviation
 // from the node's base distribution exceeds ε is an exception.
 func (m *Multinomial) MaxDeviation(other *Multinomial) float64 {
-	d := NewDeviation(m.total, other.total)
-	m.joinCounts(other, d.Add)
-	return d.Max()
+	a, b := m.Sorted(), other.Sorted()
+	return a.MaxDeviation(&b)
 }
 
 // KLDivergence returns D(m ‖ other) (see KL). Lower values mean the
 // distributions are more alike.
 func (m *Multinomial) KLDivergence(other *Multinomial) float64 {
-	d := NewKL(m.joinCounts(other, nil), m.total, other.total)
-	m.joinCounts(other, d.AddAB)
-	ab, _ := d.Sums()
-	return ab
+	a, b := m.Sorted(), other.Sorted()
+	return a.KLDivergence(&b)
 }
 
 // KLBoth returns D(m ‖ other) and D(other ‖ m), each bit for bit what
@@ -374,9 +407,8 @@ func (m *Multinomial) KLDivergence(other *Multinomial) float64 {
 // ascending order, so the two directions share every probability they
 // compute.
 func (m *Multinomial) KLBoth(other *Multinomial) (ab, ba float64) {
-	d := NewKL(m.joinCounts(other, nil), m.total, other.total)
-	m.joinCounts(other, d.Add)
-	return d.Sums()
+	a, b := m.Sorted(), other.Sorted()
+	return a.KLBoth(&b)
 }
 
 // String renders the distribution as "v:p v:p ..." with outcomes in
