@@ -206,26 +206,33 @@ func TestLoadRejectsMismatchedDataset(t *testing.T) {
 
 // TestLoadRejectsCorruptSnapshot: a snapshot whose framing and checksums
 // hold but whose cuboid section Load rejects fails -load, whatever the
-// query, before anything is printed.
+// query, before anything is printed; so does one with a version-3 header,
+// whose error says to rebuild it.
 func TestLoadRejectsCorruptSnapshot(t *testing.T) {
 	_, cube := saveSmall(t)
 	data, err := os.ReadFile(cube)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutated := oracle.RewriteSection(t, data, oracle.SecCuboid, 0, func(p []byte) []byte { return append(p, 0x7f) })
-	if _, err := core.Load(bytes.NewReader(mutated)); err == nil {
-		t.Fatal("Load accepts the mutated snapshot")
-	}
-	for _, q := range [][]string{{"-summary"}, {"-cell", "d0=*"}} {
-		var out, errw bytes.Buffer
-		err := run(append([]string{"-load", oracle.File(t, mutated)}, q...), &out, &errw)
-		var cse *core.CorruptSnapshotError
-		if !errors.As(err, &cse) {
-			t.Errorf("%v over a corrupt snapshot: %v, want a *CorruptSnapshotError", q, err)
+	for name, mutated := range map[string][]byte{
+		"cuboid section": oracle.RewriteSection(t, data, oracle.SecCuboid, 0, func(p []byte) []byte { return append(p, 0x7f) }),
+		"version 3":      oracle.RewriteSection(t, data, oracle.SecHeader, 0, func(p []byte) []byte { return append([]byte{3}, p[1:]...) }),
+	} {
+		if _, err := core.Load(bytes.NewReader(mutated)); err == nil {
+			t.Fatalf("%s: Load accepts the mutated snapshot", name)
 		}
-		if out.Len() != 0 {
-			t.Errorf("%v printed %q before failing", q, out.String())
+		for _, q := range [][]string{{"-summary"}, {"-cell", "d0=*"}} {
+			var out, errw bytes.Buffer
+			err := run(append([]string{"-load", oracle.File(t, mutated)}, q...), &out, &errw)
+			var cse *core.CorruptSnapshotError
+			if !errors.As(err, &cse) {
+				t.Errorf("%s: %v over a corrupt snapshot: %v, want a *CorruptSnapshotError", name, q, err)
+			} else if name == "version 3" && !strings.Contains(err.Error(), "rebuilt from the path database") {
+				t.Errorf("%s: %v: %q does not say how to rebuild", name, q, err)
+			}
+			if out.Len() != 0 {
+				t.Errorf("%s: %v printed %q before failing", name, q, out.String())
+			}
 		}
 	}
 }

@@ -276,10 +276,11 @@ type Config struct {
 	// SingleStageExceptions has no effect. It once added a scan for
 	// exceptions conditioned on a single prior stage's duration, but every
 	// such condition that reaches δ is a frequent segment the Shared run
-	// already supplies, so the scan found nothing new and was deleted. The
-	// field, and the snapshot header bit that records it, stay only because
-	// the benchmark harness assigns it; deleting both is an open ROADMAP
-	// item.
+	// already supplies, so the scan found nothing new and was deleted.
+	// Snapshots do not record it (format v4 refuses the header bit that
+	// once did), so a loaded cube reads it as false. The field stays only
+	// because the benchmark harness assigns it; deleting it is an open
+	// ROADMAP item.
 	SingleStageExceptions bool
 	// Workers spreads flowgraph construction, exception mining and
 	// redundancy marking across goroutines (cells are independent), in

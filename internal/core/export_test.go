@@ -181,10 +181,6 @@ func (c *Cube) SaveFileThrough(path string, wrap func(io.Writer) io.Writer) erro
 // bytes carry it.
 var AppendFlatGraph = appendFlatGraph
 
-// AppendFlatWire is appendFlatWire: a flat graph encoded with the given
-// transition column, which need not be the one the graph derives.
-var AppendFlatWire = appendFlatWire
-
 // ThawedGraphs counts the cells of the cube's materialized cuboids whose
 // flowgraph is not at rest (flowgraph.Graph.Columns): a tree, built or
 // thawed.

@@ -8,47 +8,26 @@ package core
 // stored as its positive gap from the previous one, which keeps duration
 // outcomes (small, clustered integers) to one or two bytes each.
 //
-// Each node's transition distribution is written beside its duration
-// distribution, although no Flat keeps it: it is the children's counts and
-// the paths that end at the node (flowgraph.Transitions). The encoder
-// derives it, and the decoder checks it against the children as it reads
-// it and drops it.
+// A node's only distribution on the wire is its duration distribution: its
+// transition distribution is its children's counts and the paths that end
+// at it, which the node columns already carry.
 //
 // The decoder never trusts a claimed count: every element of every column
 // occupies at least one encoded byte, so counts are bounded by the bytes
 // remaining in the section before any column is allocated (byteReader.count).
 // Structural validity of the decoded columns — child ranges, offset
-// monotonicity, node references — is flowgraph.Flat.Check's job, which
-// Unflatten runs first.
+// monotonicity, node references, counts — is flowgraph.Flat.Check's job,
+// which Unflatten runs first.
 
 import (
 	"encoding/binary"
 	"math"
-	"sync"
 
 	"flowcube/internal/flowgraph"
 )
 
-// transitionScratch holds the transition columns the encoder derives, so
-// that it allocates none per graph once the pool's columns have grown: no
-// graph keeps its transition column, and the snapshot carries it only for
-// the format's sake (flowgraph.Transitions).
-var transitionScratch = sync.Pool{New: func() any { return new(flowgraph.Transitions) }}
-
-// appendFlatGraph appends the columnar graph to buf, with the transition
-// column it derives.
+// appendFlatGraph appends the columnar graph to buf.
 func appendFlatGraph(buf []byte, f *flowgraph.Flat) []byte {
-	t := transitionScratch.Get().(*flowgraph.Transitions)
-	f.DeriveTransitions(t)
-	buf = appendFlatWire(buf, f, t)
-	transitionScratch.Put(t)
-	return buf
-}
-
-// appendFlatWire appends the columnar graph to buf with t as its transition
-// column: each node's duration and transition distributions side by side,
-// as the format lays them out.
-func appendFlatWire(buf []byte, f *flowgraph.Flat, t *flowgraph.Transitions) []byte {
 	n := f.NumNodes()
 	buf = binary.AppendVarint(buf, f.Paths)
 	buf = binary.AppendUvarint(buf, uint64(n))
@@ -63,19 +42,12 @@ func appendFlatWire(buf []byte, f *flowgraph.Flat, t *flowgraph.Transitions) []b
 	}
 	for i := 0; i < n; i++ {
 		buf = binary.AppendUvarint(buf, uint64(f.DurLo[i+1]-f.DurLo[i]))
-		buf = binary.AppendUvarint(buf, uint64(t.Lo[i+1]-t.Lo[i]))
 	}
 	for i := 0; i < n; i++ {
 		buf = appendDeltaRun(buf, f.Outcomes[f.DurLo[i]:f.DurLo[i+1]])
-		buf = appendDeltaRun(buf, t.Outcomes[t.Lo[i]:t.Lo[i+1]])
 	}
-	for i := 0; i < n; i++ {
-		for _, w := range f.Weights[f.DurLo[i]:f.DurLo[i+1]] {
-			buf = binary.AppendUvarint(buf, uint64(w))
-		}
-		for _, w := range t.Weights[t.Lo[i]:t.Lo[i+1]] {
-			buf = binary.AppendUvarint(buf, uint64(w))
-		}
+	for _, w := range f.Weights {
+		buf = binary.AppendUvarint(buf, uint64(w))
 	}
 
 	m := len(f.ExcNode)
@@ -133,10 +105,8 @@ func appendDeltaRun(buf []byte, run []int64) []byte {
 // decodeFlatGraph reads one columnar graph from r into f, reusing the
 // capacity of f's columns: the eager decoders pass a fresh Flat, and a
 // verify walk passes one scratch Flat per worker, so once its columns have
-// grown it decodes without allocating. The transition column is checked as
-// it is read against the columns it must derive from, and dropped;
-// otherwise f is only decoded here, and Check (or Unflatten, which runs it)
-// is what proves it structurally valid.
+// grown it decodes without allocating. f is only decoded here; Check (or
+// Unflatten, which runs it) is what proves it structurally valid.
 func decodeFlatGraph(r *byteReader, f *flowgraph.Flat) error {
 	var err error
 	if f.Paths, err = r.varint(); err != nil {
@@ -264,146 +234,31 @@ func decodeFlatGraph(r *byteReader, f *flowgraph.Flat) error {
 	return r.uvarintColumn(f.ExcWeights, "exception weight")
 }
 
-// termScratch holds, per node, whether decodeNodeDists found a Terminate
-// outcome in its transition distribution, so that a decode allocates
-// nothing once it has grown.
-var termScratch = sync.Pool{New: func() any { return new([]bool) }}
-
-// decodeNodeDists reads every node's distributions, keeps its duration
-// distribution in f's pooled columns, and checks its transition
-// distribution against what f's counts derive (flowgraph.Transitions),
-// keeping none of it: a column that said anything else would be silently
-// replaced by the derived one. The column must hold, in this order, a
-// Terminate outcome with a positive weight or none (none at the root), and
-// each child's location with the child's count, and its weights must add
-// up to the node's count — at the root, to Paths.
-//
-// The format writes every distribution's outcomes, then every weight; the
-// decoder reads them a node at a time with two cursors, r over the
-// outcomes and w over the weights, which it finds by skipping the outcomes.
+// decodeNodeDists reads every node's duration distribution into f's pooled
+// columns: the lengths, then the delta-coded outcomes, then the weights.
 func decodeNodeDists(r *byteReader, f *flowgraph.Flat) error {
 	n := f.NumNodes()
-	scratch := termScratch.Get().(*[]bool)
-	defer termScratch.Put(scratch)
-	term := resize(*scratch, n)
-	*scratch = term
-	locs, counts, childLo := f.Locations, f.Counts, f.ChildLo
-	durLo := resize(f.DurLo, n+1)
-	f.DurLo = durLo
-	total, durs := 0, 0
+	f.DurLo = resize(f.DurLo, n+1)
+	total := 0
 	for i := 0; i < n; i++ {
-		durLen, err := r.count("duration outcome")
+		k, err := r.count("duration outcome")
 		if err != nil {
 			return err
 		}
-		trLen, err := r.count("transition outcome")
-		if err != nil {
-			return err
-		}
-		extra := trLen - int(childLo[i+1]-childLo[i])
-		if extra != 0 && extra != 1 {
-			return r.corrupt("node %d transition column has %d outcomes for %d children", i, trLen, childLo[i+1]-childLo[i])
-		}
-		term[i] = extra == 1
-		durLo[i] = int32(durs)
-		durs += durLen
-		total += durLen + trLen
-		if total > r.rem() {
+		f.DurLo[i] = int32(total)
+		if total += k; total > r.rem() {
 			return r.corrupt("distribution pool larger than remaining section")
 		}
 	}
-	durLo[n] = int32(durs)
-	outcomes, weights := resize(f.Outcomes, durs), resize(f.Weights, durs)
-	f.Outcomes, f.Weights = outcomes, weights
-
-	w := *r
-	if err := w.skipVarints(total, "distribution outcomes"); err != nil {
-		return err
-	}
+	f.DurLo[n] = int32(total)
+	f.Outcomes = resize(f.Outcomes, total)
 	for i := 0; i < n; i++ {
-		// The duration distribution: strictly ascending outcomes, the first
-		// zigzag-coded and the rest as gaps, each with its weight.
-		var prev int64
-		for k, lo := durLo[i], durLo[i]; k < durLo[i+1]; k++ {
-			var v int64
-			if k == lo {
-				x, err := r.varint()
-				if err != nil {
-					return err
-				}
-				v = x
-			} else {
-				gap, err := r.uvarint()
-				if err != nil {
-					return err
-				}
-				if v = prev + int64(gap); v <= prev {
-					return r.corrupt("outcome pool not strictly increasing at index %d", k)
-				}
-			}
-			c, err := w.uvarint()
-			if err != nil {
-				return err
-			}
-			if c > math.MaxInt64 {
-				return r.corrupt("weight %d overflows int64", c)
-			}
-			outcomes[k], weights[k], prev = v, int64(c), v
-		}
-
-		// The transition distribution, coded the same way: Terminate first
-		// when paths end at the node, then its children.
-		var sum int64
-		first := true
-		if term[i] {
-			v, err := r.varint()
-			if err != nil {
-				return err
-			}
-			c, err := w.uvarint()
-			if err != nil {
-				return err
-			}
-			if v != flowgraph.Terminate || c == 0 || c > math.MaxInt64 || i == 0 {
-				return r.corrupt("node %d transition column has a Terminate no path derives", i)
-			}
-			sum, prev, first = int64(c), v, false
-		}
-		for j := childLo[i]; j < childLo[i+1]; j++ {
-			var v int64
-			if first {
-				x, err := r.varint()
-				if err != nil {
-					return err
-				}
-				v, first = x, false
-			} else {
-				gap, err := r.uvarint()
-				if err != nil {
-					return err
-				}
-				v = prev + int64(gap)
-			}
-			c, err := w.uvarint()
-			if err != nil {
-				return err
-			}
-			if v != int64(locs[j]) || c != uint64(counts[j]) {
-				return r.corrupt("node %d transition column differs from its children's counts", i)
-			}
-			sum += counts[j]
-			prev = v
-		}
-		total := counts[i]
-		if i == 0 {
-			total = f.Paths
-		}
-		if sum != total {
-			return r.corrupt("node %d transition column does not add up to its %d paths", i, total)
+		if err := r.deltaRun(f.Outcomes, f.DurLo[i], f.DurLo[i+1]); err != nil {
+			return err
 		}
 	}
-	r.off = w.off
-	return nil
+	f.Weights = resize(f.Weights, total)
+	return r.uvarintColumn(f.Weights, "weight")
 }
 
 // skipFlatGraph advances r past one encoded flat graph without allocating
@@ -432,16 +287,11 @@ func skipFlatGraph(r *byteReader) error {
 	}
 	total := 0
 	for i := 0; i < n; i++ {
-		durLen, err := r.count("duration outcome")
+		k, err := r.count("duration outcome")
 		if err != nil {
 			return err
 		}
-		trLen, err := r.count("transition outcome")
-		if err != nil {
-			return err
-		}
-		total += durLen + trLen
-		if total > r.rem() {
+		if total += k; total > r.rem() {
 			return r.corrupt("distribution pool larger than remaining section")
 		}
 	}

@@ -62,7 +62,7 @@ var errLazyClosed = errors.New("core: lazy cube is closed")
 // LazyOptions parameterizes LoadCubeLazy.
 type LazyOptions struct {
 	// CacheBytes budgets the LRU of section directories and decoded cells,
-	// measured in estimated decoded heap bytes (see flatFootprint) rather
+	// in the decoded-footprint model's units (see flatFootprint) rather
 	// than encoded payload bytes. 0 means DefaultLazyCacheBytes; negative
 	// disables eviction. One entry larger than the whole budget still
 	// caches (the LRU never evicts its only entry), so the resident bound
@@ -352,9 +352,7 @@ func (f *frameReader) next() (kind byte, payload []byte, err error) {
 // openLazy is the one snapshot reader. It checks every frame and CRC,
 // decodes the preamble, and gives every cuboid section a Cuboid over it
 // without decoding any cells. After the preamble come exactly the header's
-// count of cuboid sections, at most one ledger section from an older writer
-// (skipped: appends derive the ledger), and the end section, which ends the
-// data.
+// count of cuboid sections and the end section, which ends the data.
 func openLazy(data snapData, opts LazyOptions) (*Cube, error) {
 	cube, h, frames, err := openSnapshot(data)
 	if err != nil {
@@ -371,7 +369,6 @@ func openLazy(data snapData, opts LazyOptions) (*Cube, error) {
 	// them first (delta.go).
 	cube.gen = 1
 	cube.lazy = b
-	sawLedger := false
 	for {
 		kind, payload, err := frames.next()
 		if err != nil {
@@ -394,15 +391,7 @@ func openLazy(data snapData, opts LazyOptions) (*Cube, error) {
 			// age out relies on this.
 			runtime.SetFinalizer(b, (*lazyBackend).finalize)
 			return cube, nil
-		case secLedger:
-			if sawLedger {
-				return nil, frameCorrupt("duplicate ledger section")
-			}
-			sawLedger = true
 		case secCuboid:
-			if sawLedger {
-				return nil, frameCorrupt("cuboid section after the ledger section")
-			}
 			if uint64(len(cube.Cuboids)) >= h.numCuboids {
 				return nil, frameCorrupt("more cuboid sections than the header's %d", h.numCuboids)
 			}
@@ -665,7 +654,7 @@ func (s *lazySection) exceptions(e *dirEntry) (xs []flowgraph.Exception, err err
 	if err := decodeFlatGraph(r, flat); err != nil || len(flat.ExcNode) == 0 {
 		return nil, err
 	}
-	if xs, err = flowgraph.FlatExceptions(flat); err != nil {
+	if xs, err = flowgraph.FlatExceptions(flat, s.b.loc); err != nil {
 		return nil, r.corrupt("cell %s: %v", formatCell(e.values), err)
 	}
 	return xs, nil

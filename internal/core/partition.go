@@ -122,17 +122,14 @@ func Merge(shards []*Cube) (*Cube, error) {
 // compatibleShard checks that b describes the same cube as a: same
 // thresholds (floats compared by bit pattern — shards come from the same
 // writer, so byte-equality is the contract), same exception-mining
-// switches, same dimension names and sizes, same path levels, and the same
+// switch, same dimension names and sizes, same path levels, and the same
 // materialized cuboid census.
 func compatibleShard(a, b *Cube) error {
 	if a.minCount != b.minCount {
 		return fmt.Errorf("min count %d, want %d", b.minCount, a.minCount)
 	}
-	if a.Config.MineExceptions != b.Config.MineExceptions ||
-		a.Config.SingleStageExceptions != b.Config.SingleStageExceptions {
-		return fmt.Errorf("exception mining %v (single-stage %v), want %v (single-stage %v)",
-			b.Config.MineExceptions, b.Config.SingleStageExceptions,
-			a.Config.MineExceptions, a.Config.SingleStageExceptions)
+	if a.Config.MineExceptions != b.Config.MineExceptions {
+		return fmt.Errorf("exception mining %v, want %v", b.Config.MineExceptions, a.Config.MineExceptions)
 	}
 	if math.Float64bits(a.Config.Epsilon) != math.Float64bits(b.Config.Epsilon) {
 		return fmt.Errorf("epsilon %v, want %v", b.Config.Epsilon, a.Config.Epsilon)

@@ -38,13 +38,18 @@ func FuzzLoadSnapshot(f *testing.F) {
 	for _, data := range bytesAfterEnd(v2.Bytes()) {
 		f.Add(data)
 	}
-	underived := underivedTransitions(f, v2.Bytes())
-	for _, name := range sortedKeys(underived) {
-		f.Add(underived[name])
+	for _, data := range olderVersions(f) {
+		f.Add(data)
 	}
-	pins := badPins(f, v2.Bytes())
+	for _, data := range retiredLayouts(f) {
+		f.Add(data)
+	}
+	pins, counts := badGraphs(f, v2.Bytes())
 	for _, name := range sortedKeys(pins) {
 		f.Add(pins[name])
+	}
+	for _, name := range sortedKeys(counts) {
+		f.Add(counts[name])
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -146,130 +151,18 @@ func FuzzLoadSnapshot(f *testing.F) {
 	})
 }
 
-// underivedTransitions returns copies of snap in which one cell's flowgraph
-// carries a transition column other than the one its tree derives, with
-// the section's length and checksum made good again, so that only the flat
-// graph's own check can tell: a child's weight off by one, terminations at
-// the root, the last leaf's terminations missing, an outcome no child
-// derives, terminations off by one, extra or of weight 0 where no path
-// ends, and a child's outcome missing.
-func underivedTransitions(t testing.TB, snap []byte) map[string][]byte {
-	t.Helper()
-	cube, err := core.Load(bytes.NewReader(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The apex cuboid's one cell at path level 0: a graph with paths.
-	cb := cube.Cuboids[sortedKeys(cube.Cuboids)[0]]
-	cell := cb.Cells[sortedKeys(cb.Cells)[0]]
-	if cell.Graph == nil || cell.Graph.Paths() == 0 {
-		t.Fatal("the first cell of the fixture has no paths")
-	}
-	orig := core.AppendFlatGraph(nil, flowgraph.Flatten(cell.Graph))
-	edits := map[string]func(f *flowgraph.Flat, t *flowgraph.Transitions){
-		"child weight off by one": func(_ *flowgraph.Flat, t *flowgraph.Transitions) { t.Weights[t.Lo[0]]++ },
-		"terminations at the root": func(f *flowgraph.Flat, t *flowgraph.Transitions) {
-			f.Paths++
-			t.Outcomes = slices.Insert(t.Outcomes, int(t.Lo[0]), flowgraph.Terminate)
-			t.Weights = slices.Insert(t.Weights, int(t.Lo[0]), 1)
-			for i := 1; i < len(t.Lo); i++ {
-				t.Lo[i]++
-			}
-		},
-		"leaf terminations missing": func(_ *flowgraph.Flat, t *flowgraph.Transitions) {
-			t.Outcomes, t.Weights = t.Outcomes[:len(t.Outcomes)-1], t.Weights[:len(t.Weights)-1]
-			t.Lo[len(t.Lo)-1]--
-		},
-		"outcome no child derives": func(_ *flowgraph.Flat, t *flowgraph.Transitions) {
-			t.Outcomes, t.Weights = append(t.Outcomes, 1<<20), append(t.Weights, 1)
-			t.Lo[len(t.Lo)-1]++
-		},
-		"terminations off by one": func(f *flowgraph.Flat, t *flowgraph.Transitions) {
-			t.Weights[t.Lo[nodeWith(f, true, false)]]--
-		},
-		"extra terminations": func(f *flowgraph.Flat, t *flowgraph.Transitions) {
-			spliceTransitions(t, nodeWith(f, false, true), 0, flowgraph.Terminate, 1)
-		},
-		"zero-weight terminations": func(f *flowgraph.Flat, t *flowgraph.Transitions) {
-			spliceTransitions(t, nodeWith(f, false, true), 0, flowgraph.Terminate, 0)
-		},
-		"child outcome missing": func(f *flowgraph.Flat, t *flowgraph.Transitions) {
-			spliceTransitions(t, nodeWith(f, false, true), 1)
-		},
-	}
-	out := make(map[string][]byte, len(edits))
-	for name, edit := range edits {
-		flat := flowgraph.Flatten(cell.Graph)
-		var tr flowgraph.Transitions
-		flat.DeriveTransitions(&tr)
-		edit(flat, &tr)
-		// Cuboid sections are written in key order: the first holds it.
-		out[name] = oracle.RewriteSection(t, snap, oracle.SecCuboid, 0, func(payload []byte) []byte {
-			if !bytes.Contains(payload, orig) {
-				t.Fatal("the cell's flat graph is not in the first cuboid section")
-			}
-			return bytes.Replace(payload, orig, core.AppendFlatWire(nil, flat, &tr), 1)
-		})
-	}
-	return out
-}
-
-// nodeWith returns the first non-root node of f at which paths end (ends)
-// or none do, and which has children or not (children).
-func nodeWith(f *flowgraph.Flat, ends, children bool) int {
-	for i := 1; i < f.NumNodes(); i++ {
-		if (f.Ends(i) > 0) == ends && (f.ChildLo[i+1] > f.ChildLo[i]) == children {
-			return i
-		}
-	}
-	panic("the fixture cell has no such node")
-}
-
-// spliceTransitions deletes del entries at the start of node i's range of
-// t and inserts the given (outcome, weight) pair there, if any.
-func spliceTransitions(t *flowgraph.Transitions, i, del int, pair ...int64) {
-	k := int(t.Lo[i])
-	var outcomes, weights []int64
-	if len(pair) == 2 {
-		outcomes, weights = pair[:1], pair[1:]
-	}
-	t.Outcomes = slices.Replace(t.Outcomes, k, k+del, outcomes...)
-	t.Weights = slices.Replace(t.Weights, k, k+del, weights...)
-	for j := i + 1; j < len(t.Lo); j++ {
-		t.Lo[j] += int32(len(outcomes) - del)
-	}
-}
-
-// TestLoadersRejectUnderivedTransitions: a cube keeps no transition column
-// — a node's transition distribution is its children's counts — so a
-// snapshot whose column says anything else is refused by Load and by
-// flowquery's open (a lazy open and Verify), not loaded with the column
-// silently replaced.
-func TestLoadersRejectUnderivedTransitions(t *testing.T) {
-	for name, data := range underivedTransitions(t, fixtureSnapshot(t)) {
-		t.Run(name, func(t *testing.T) {
-			_, err := core.Load(bytes.NewReader(data))
-			if err == nil {
-				t.Fatal("Load accepts the snapshot")
-			}
-			lz, verr := core.LoadCubeLazy(oracle.File(t, data), core.LazyOptions{})
-			if verr == nil {
-				verr = lz.Verify(context.Background())
-				_ = lz.Close() // read-only mapping
-			}
-			if verr == nil || verr.Error() != err.Error() {
-				t.Fatalf("open+Verify: %v; Load: %v", verr, err)
-			}
-		})
-	}
-}
-
-// badPins returns copies of snap in which one exception's first pin names
-// a stage no path can have, with the section's length and checksum made
-// good again: a location outside the hierarchy, a depth below 1, and a
-// depth outside int32, which a decoder that narrowed it would wrap to a
-// small one. Rendering the first two panicked once they loaded.
-func badPins(t testing.TB, snap []byte) map[string][]byte {
+// badGraphs returns copies of snap in which the first cell with an
+// exception has a flowgraph no path database can give, with the section's
+// length and checksum made good again. In pins, the exception's first pin
+// names a stage no path can have: a location outside the hierarchy, a
+// depth below 1, and a depth outside int32, which a decoder that narrowed
+// it would wrap to a small one. Rendering the first two panicked once they
+// loaded. In counts, the node counts a transition distribution is read
+// from do not add up: a path count the root's children do not make, a
+// node reached by fewer paths than its children, a child no path reaches,
+// and a first stage that lost paths its children still hold while the
+// root's count balances. Only Flat.Check refuses either kind.
+func badGraphs(t testing.TB, snap []byte) (pins, counts map[string][]byte) {
 	t.Helper()
 	cube, err := core.Load(bytes.NewReader(snap))
 	if err != nil {
@@ -298,6 +191,16 @@ func badPins(t testing.TB, snap []byte) map[string][]byte {
 				edit(flat)
 				return core.AppendFlatGraph(nil, flat)
 			}
+			// inner returns the first node from lo on with children.
+			inner := func(f *flowgraph.Flat, lo int32) int {
+				for i := int(lo); i < f.NumNodes(); i++ {
+					if f.ChildLo[i+1] > f.ChildLo[i] {
+						return i
+					}
+				}
+				t.Fatal("the cell has no such node")
+				return 0
+			}
 			// The first pin's depth is the one varint where encodings of
 			// depths 1 and 2 differ; 1<<40 takes its place.
 			one := edited(func(f *flowgraph.Flat) { f.PinDepth[0] = 1 })
@@ -308,35 +211,72 @@ func badPins(t testing.TB, snap []byte) map[string][]byte {
 			}
 			wide := append(binary.AppendVarint(append([]byte(nil), one[:at]...), 1<<40), one[at+1:]...)
 			return map[string][]byte{
-				"pin location outside hierarchy": rewrite(edited(func(f *flowgraph.Flat) { f.PinLoc[0] = 1 << 30 })),
-				"pin depth below 1":              rewrite(edited(func(f *flowgraph.Flat) { f.PinDepth[0] = -7 })),
-				"pin depth outside int32":        rewrite(wide),
-			}
+					"pin location outside hierarchy": rewrite(edited(func(f *flowgraph.Flat) { f.PinLoc[0] = 1 << 30 })),
+					"pin depth below 1":              rewrite(edited(func(f *flowgraph.Flat) { f.PinDepth[0] = -7 })),
+					"pin depth outside int32":        rewrite(wide),
+				}, map[string][]byte{
+					"paths not the root's children": rewrite(edited(func(f *flowgraph.Flat) { f.Paths++ })),
+					"count below the children's": rewrite(edited(func(f *flowgraph.Flat) {
+						i := inner(f, f.ChildLo[1])
+						f.Counts[i] -= f.Ends(i) + 1
+					})),
+					"child no path reaches": rewrite(edited(func(f *flowgraph.Flat) { f.Counts[f.NumNodes()-1] = 0 })),
+					"negative ends the counts balance": rewrite(edited(func(f *flowgraph.Flat) {
+						i := inner(f, 1)
+						d := f.Ends(i) + 1
+						f.Paths -= d
+						f.Counts[i] -= d
+					})),
+				}
 		}
 	}
 	t.Fatal("the fixture has no exception")
-	return nil
+	return nil, nil
 }
 
 // TestLoadersRejectBadPins: an exception pin naming a location outside the
-// hierarchy, or a depth below 1 or outside int32, is refused by Load and by
-// flowquery's open (a lazy open and Verify) with the same error.
+// hierarchy, or a depth below 1 or outside int32, is refused alike by every
+// reader of a cell's flat graph (wantGraphRefused).
 func TestLoadersRejectBadPins(t *testing.T) {
-	for name, data := range badPins(t, fixtureSnapshot(t)) {
-		t.Run(name, func(t *testing.T) {
-			_, err := core.Load(bytes.NewReader(data))
-			if err == nil {
-				t.Fatal("Load accepts the snapshot")
-			}
-			lz, verr := core.LoadCubeLazy(oracle.File(t, data), core.LazyOptions{})
-			if verr == nil {
-				verr = lz.Verify(context.Background())
-				_ = lz.Close() // read-only mapping
-			}
-			if verr == nil || verr.Error() != err.Error() {
-				t.Fatalf("open+Verify: %v; Load: %v", verr, err)
-			}
-		})
+	pins, _ := badGraphs(t, fixtureSnapshot(t))
+	for name, data := range pins {
+		t.Run(name, func(t *testing.T) { wantGraphRefused(t, data) })
+	}
+}
+
+// TestLoadersRejectBadCounts: node counts no transition distribution can be
+// read from are refused alike by every reader of a cell's flat graph
+// (wantGraphRefused), though the snapshot carries no transition column for
+// the decoder to compare them with.
+func TestLoadersRejectBadCounts(t *testing.T) {
+	_, counts := badGraphs(t, fixtureSnapshot(t))
+	for name, data := range counts {
+		t.Run(name, func(t *testing.T) { wantGraphRefused(t, data) })
+	}
+}
+
+// wantGraphRefused asserts that a snapshot with one bad flat graph in a
+// cell with exceptions is refused by Load, by flowquery's open (a lazy open
+// and Verify) and by a lazy cube's exception scan, which reads the flat
+// columns without Verify, all with Load's error.
+func wantGraphRefused(t *testing.T, data []byte) {
+	t.Helper()
+	_, err := core.Load(bytes.NewReader(data))
+	if err == nil {
+		t.Fatal("Load accepts the snapshot")
+	}
+	lz, verr := core.LoadCubeLazy(oracle.File(t, data), core.LazyOptions{})
+	if verr == nil {
+		verr = lz.Verify(context.Background())
+		_ = lz.Close() // read-only mapping
+	}
+	if verr == nil || verr.Error() != err.Error() {
+		t.Fatalf("open+Verify: %v; Load: %v", verr, err)
+	}
+	lz = oracle.OpenLazy(t, oracle.File(t, data), core.LazyOptions{})
+	lz.TopExceptions(0)
+	if lerr := lz.LazyErr(); lerr == nil || lerr.Error() != err.Error() {
+		t.Fatalf("lazy TopExceptions: %v; Load: %v", lerr, err)
 	}
 }
 

@@ -16,8 +16,11 @@ package core
 // Workers goroutines and Load decodes them the same way; both merge results
 // in the deterministic sorted-cuboid-key order the sections are written in,
 // so the output bytes (and the loaded cube) are identical at any worker
-// count. Anything that does not open with the magic is rejected (CheckMagic):
-// snapshots are derived data, rebuilt from the path database.
+// count. Anything that does not open with the magic is rejected (CheckMagic),
+// and so is a header of any format version but formatVersionV2's, 4, which
+// stores each flowgraph once, as its node columns and duration
+// distributions (flatgraph.go): snapshots are derived data, rebuilt from the
+// path database, so no older version's decoder is kept.
 //
 // There is one reader, over three byte sources (snapData, lazyload.go): a
 // mapping or preads for LoadCubeLazy, a stream read into memory for Load and
@@ -66,27 +69,25 @@ func CheckMagic(head []byte) error {
 // formatVersionV2 is written in the header section; the decoder rejects
 // every other version. Version 3 added the exception-mining flags, without
 // which an append to a loaded cube would mine differently from the build.
-const formatVersionV2 = 3
+// Version 4 dropped each node's transition distribution, which its
+// children's counts carry, and the single-stage exceptions flag (bit 2),
+// which no build reads.
+const formatVersionV2 = 4
 
-// Header flag bits: the Config switches a loaded cube must keep for its
+// Header flag bits: the Config switch a loaded cube must keep for its
 // appends to equal a rebuild, and the Compress mark that refuses them.
 const (
-	headerMineExceptions        = 1
-	headerSingleStageExceptions = 2
-	headerCompressed            = 4
+	headerMineExceptions = 1
+	headerCompressed     = 4
 )
 
-// Section kinds. secLedger is no longer written: older writers put the
-// sub-δ ledger of a cube built with Config.DeltaLedger there, after the
-// cuboid sections, and the reader frames, checks and skips it, since
-// ApplyDelta derives the ledger on a cube's first append.
+// Section kinds.
 const (
 	secEnd         = 0
 	secHeader      = 1
 	secHierarchies = 2
 	secPlan        = 3
 	secCuboid      = 4
-	secLedger      = 5
 )
 
 // maxSectionBytes caps one section's claimed payload length (1 GiB). Real
@@ -489,9 +490,6 @@ func encodeMetaSectionsV2(c *Cube, numCuboids int) (header, hiers, plan []byte) 
 	if c.Config.MineExceptions {
 		flags |= headerMineExceptions
 	}
-	if c.Config.SingleStageExceptions {
-		flags |= headerSingleStageExceptions
-	}
 	if c.compressed {
 		flags |= headerCompressed
 	}
@@ -710,7 +708,7 @@ func decodeHeaderV2(payload []byte) (headerV2, error) {
 	if h.flags, err = hr.byte(); err != nil {
 		return h, err
 	}
-	if h.flags&^(headerMineExceptions|headerSingleStageExceptions|headerCompressed) != 0 {
+	if h.flags&^(headerMineExceptions|headerCompressed) != 0 {
 		return h, hr.corrupt("unknown header flags %#x", h.flags)
 	}
 	if h.numDims, err = hr.uvarint(); err != nil {
@@ -864,8 +862,7 @@ func openSnapshot(data snapData) (*Cube, headerV2, *frameReader, error) {
 	return &Cube{
 		Schema: schema,
 		Config: Config{MinCount: h.minCount, Epsilon: h.epsilon, Tau: h.tau, Plan: plan,
-			MineExceptions:        h.flags&headerMineExceptions != 0,
-			SingleStageExceptions: h.flags&headerSingleStageExceptions != 0},
+			MineExceptions: h.flags&headerMineExceptions != 0},
 		Cuboids:    make(map[string]*Cuboid),
 		minCount:   h.minCount,
 		compressed: h.flags&headerCompressed != 0,
@@ -942,9 +939,9 @@ const minCellBytesV2 = 11
 // at — prefix, flat graph, Unflatten into pointer form at the cuboid's path
 // level — and leaves r at the next cell. Load walks it over every section
 // (lazySection.decodeAll); a lazy cube aims it at one directory entry.
-// The second result estimates the decoded cell's resident heap footprint in
-// bytes, the cost the lazy cache budgets by, so that its byte budget tracks
-// decoded size rather than the much smaller encoded payload.
+// The second result is the decoded cell's cost against the lazy cache's
+// budget (cellBaseFootprint, flatFootprint), which grows with the decoded
+// graph rather than with its much smaller encoded payload.
 func decodeCellV2(r *byteReader, loc *hierarchy.Hierarchy, level pathdb.PathLevel) (*Cell, int64, error) {
 	values, count, flags, similarity, err := decodeCellPrefixV2(r)
 	if err != nil {
@@ -970,23 +967,24 @@ func decodeCellV2(r *byteReader, loc *hierarchy.Hierarchy, level pathdb.PathLeve
 	return cell, footprint, nil
 }
 
-// Decoded-footprint model constants: rough per-object heap costs of the
-// pointer-form structures Unflatten builds (struct size plus map-bucket
-// share). They only steer LRU eviction, so being within ~2x of the
-// allocator's truth is enough.
+// Decoded-footprint model: what each decoded object costs against the lazy
+// cache's budget (LazyOptions.CacheBytes), in the budget's units. The
+// values were once rough heap costs of a pointer-form graph, of 176-byte
+// nodes and map-backed distributions; they no longer track the allocator,
+// and they stay as they are because budgets are stated in them.
 const (
-	cellBaseFootprint = 160 // Cell + cuboid map entry + CellID
-	nodeFootprint     = 176 // Node + children map entry share
-	distFootprint     = 64  // Multinomial struct + empty map header
-	outcomeFootprint  = 52  // one map[int64]int64 entry share
-	pinFootprint      = 40  // StagePin
-	excFootprint      = 128 // Exception struct
+	cellBaseFootprint = 160 // per cell, beside 8 per value
+	nodeFootprint     = 176 // per flowgraph node
+	distFootprint     = 64  // per distribution, two per node and per exception
+	outcomeFootprint  = 52  // per distribution outcome, transitions' too
+	pinFootprint      = 40  // per exception pin
+	excFootprint      = 128 // per exception
 )
 
-// flatFootprint estimates the decoded (pointer-form) heap footprint of one
-// flat graph. Its outcomes are the snapshot's: the transition column's, one
-// per child and one per node some path ends at, count beside the
-// durations'.
+// flatFootprint is what one decoded flat graph costs against the lazy
+// cache's budget. It counts each node's transition outcomes, one per child
+// and one where some path ends (Flat.Ends), although no graph stores them,
+// so that a given budget evicts what it always has.
 func flatFootprint(f *flowgraph.Flat) int64 {
 	n := int64(f.NumNodes())
 	m := int64(len(f.ExcNode))

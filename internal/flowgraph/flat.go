@@ -8,13 +8,12 @@ package flowgraph
 // whole tree shape, mirroring itemset.Trie. All duration distributions are
 // pooled into one shared Outcomes/Weights pair with per-node offsets;
 // exceptions and their condition pins are flat tables of the same style.
-// The columns hold no transition distribution: a node's is its children's
-// counts and the paths that end at it, read off the columns where it is
-// needed (the snapshot codec writes it out, derived, and checks what it
-// reads against the children). Check validates the invariants without
-// allocating, and Unflatten runs it and then rebuilds the pointer tree by
-// carving nodes, distributions, pins and exceptions out of single backing
-// allocations.
+// The columns hold no transition distribution, and neither does the
+// snapshot: a node's is its children's counts and the paths that end at it,
+// read off the columns where it is needed. Check validates the invariants,
+// those counts' among them, without allocating, and Unflatten runs it and
+// then rebuilds the pointer tree by carving nodes, distributions, pins and
+// exceptions out of single backing allocations.
 
 import (
 	"fmt"
@@ -477,11 +476,12 @@ func (f *Flat) prefixes() func(idx int32) []hierarchy.NodeID {
 // the pointer tree — the lazy loader's exception scans call it so TopK
 // queries over a mapped snapshot never materialize a cell. Exceptions come
 // back in flat (mining) order with the same Support, Condition, deviations
-// Prefix and conditional distributions Unflatten would produce. Each Node is
-// a stub with Location, Depth and Count set (enough for rendering) but an
-// empty duration distribution and no children.
-func FlatExceptions(f *Flat) ([]Exception, error) {
-	if err := f.validate(); err != nil {
+// Prefix and conditional distributions Unflatten would produce, and it
+// refuses what Unflatten refuses at loc (Check). Each Node is a stub with
+// Location, Depth and Count set (enough for rendering) but an empty duration
+// distribution and no children.
+func FlatExceptions(f *Flat, loc *hierarchy.Hierarchy) ([]Exception, error) {
+	if err := f.Check(loc); err != nil {
 		return nil, err
 	}
 	m := len(f.ExcNode)

@@ -2,7 +2,6 @@ package flowgraph_test
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 
 	"flowcube/internal/flowgraph"
@@ -124,6 +123,28 @@ func TestUnflattenRejectsInvalid(t *testing.T) {
 				}
 			}
 		}},
+		// A node's transition distribution is read off the counts, so they
+		// must add up: the root's children to Paths, a node's children to
+		// at most its count, and every child reached by some path.
+		{"paths not the root's children", func(f *flowgraph.Flat) { f.Paths++ }},
+		{"count below the children's", func(f *flowgraph.Flat) {
+			if i := nodeWhere(f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 }); i > 0 {
+				f.Counts[i]--
+			}
+		}},
+		{"negative terminations the counts balance", func(f *flowgraph.Flat) {
+			// A first stage whose paths all go on: one path less reaches
+			// it, and -1 end there.
+			if i := nodeWhere(f, func(i int, children, ends int64) bool {
+				return i < int(f.ChildLo[1]) && children > 0 && ends == 0
+			}); i > 0 {
+				f.Paths--
+				f.Counts[i]--
+			}
+		}},
+		{"zero-weight child of a one-path graph", func(f *flowgraph.Flat) {
+			*f = *onePath(0)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,44 +162,18 @@ func TestUnflattenRejectsInvalid(t *testing.T) {
 			}
 		})
 	}
-}
 
-// treeTransitions is T at every node of g, in Flatten's node order, read
-// off the tree (Terminations, Children).
-func treeTransitions(g *flowgraph.Graph) flowgraph.Transitions {
-	var t flowgraph.Transitions
-	order := []*flowgraph.Node{g.Root()}
-	for i := 0; i < len(order); i++ {
-		n := order[i]
-		t.Lo = append(t.Lo, int32(len(t.Outcomes)))
-		if ends := n.Terminations(); ends > 0 {
-			t.Outcomes, t.Weights = append(t.Outcomes, flowgraph.Terminate), append(t.Weights, ends)
-		}
-		for _, c := range n.Children() {
-			t.Outcomes, t.Weights = append(t.Outcomes, int64(c.Location)), append(t.Weights, c.Count)
-			order = append(order, c)
-		}
-	}
-	t.Lo = append(t.Lo, int32(len(t.Outcomes)))
-	return t
-}
-
-// splicePool replaces del entries of the transition column t at index k
-// with the given (outcome, weight) pairs, moving every range that starts
-// after k. Inserting at the start of a node's range (Lo) lands in it.
-func splicePool(t *flowgraph.Transitions, k, del int, outcomes, weights []int64) {
-	t.Outcomes = slices.Replace(t.Outcomes, k, k+del, outcomes...)
-	t.Weights = slices.Replace(t.Weights, k, k+del, weights...)
-	for i := range t.Lo {
-		if int(t.Lo[i]) > k {
-			t.Lo[i] += int32(len(outcomes) - del)
-		}
+	// The one-path graph the zero-weight case empties loads intact.
+	ex := paperex.New()
+	if _, err := flowgraph.Unflatten(ex.Location, pathdb.PathLevel{}, onePath(1)); err != nil {
+		t.Fatalf("the one-path graph does not load: %v", err)
 	}
 }
 
-// nodeWhere returns the first non-root node of f that keep accepts.
-func nodeWhere(t *testing.T, f *flowgraph.Flat, keep func(i int, children, ends int64) bool) int {
-	t.Helper()
+// nodeWhere returns the first non-root node of f that keep accepts, or 0,
+// the root, when none does: a case that finds no node corrupts nothing, and
+// fails as a corrupt graph Check accepts.
+func nodeWhere(f *flowgraph.Flat, keep func(i int, children, ends int64) bool) int {
 	for i := 1; i < f.NumNodes(); i++ {
 		ends := f.Counts[i]
 		for j := f.ChildLo[i]; j < f.ChildLo[i+1]; j++ {
@@ -188,110 +183,21 @@ func nodeWhere(t *testing.T, f *flowgraph.Flat, keep func(i int, children, ends 
 			return i
 		}
 	}
-	t.Fatal("the fixture has no such node")
 	return 0
 }
 
-// TestCheckRejectsUnderivedTransitions: a flat graph keeps no transition
-// column — a node's T is its children's counts and the paths that end
-// there — so a loader must accept only the column the columns derive
-// (DeriveTransitions, which must read as the tree's own T) and counts Check
-// accepts, and refuse the rest rather than repair it silently: a weight off
-// by one, an outcome missing or extra, a zero weight, paths that end at the
-// root, and counts no column can derive from.
-func TestCheckRejectsUnderivedTransitions(t *testing.T) {
-	ex := paperex.New()
-	cases := []struct {
-		name    string
-		corrupt func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions)
-	}{
-		{"child weight off by one", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
-			i := nodeWhere(t, f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 })
-			tr.Weights[tr.Lo[i]]++
-		}},
-		{"terminations off by one", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
-			i := nodeWhere(t, f, func(_ int, _, ends int64) bool { return ends > 0 })
-			tr.Weights[tr.Lo[i]]--
-		}},
-		{"terminations missing", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
-			i := nodeWhere(t, f, func(_ int, _, ends int64) bool { return ends > 0 })
-			splicePool(tr, int(tr.Lo[i]), 1, nil, nil)
-		}},
-		{"child outcome missing", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
-			i := nodeWhere(t, f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 })
-			splicePool(tr, int(tr.Lo[i]), 1, nil, nil)
-		}},
-		{"extra terminations", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
-			i := nodeWhere(t, f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 })
-			splicePool(tr, int(tr.Lo[i]), 0, []int64{flowgraph.Terminate}, []int64{1})
-		}},
-		{"zero-weight terminations", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
-			i := nodeWhere(t, f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 })
-			splicePool(tr, int(tr.Lo[i]), 0, []int64{flowgraph.Terminate}, []int64{0})
-		}},
-		{"negative terminations the counts balance", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
-			// A first stage whose paths all go on: one path less reaches
-			// it, and -1 end there.
-			i := nodeWhere(t, f, func(i int, children, ends int64) bool {
-				return i < int(f.ChildLo[1]) && children > 0 && ends == 0
-			})
-			f.Paths--
-			f.Counts[i]--
-			tr.Weights[int(tr.Lo[0])+i-1]--
-			splicePool(tr, int(tr.Lo[i]), 0, []int64{flowgraph.Terminate}, []int64{-1})
-		}},
-		{"extra outcome no child derives", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
-			i := nodeWhere(t, f, func(i int, children, _ int64) bool { return children == 0 })
-			splicePool(tr, int(tr.Lo[i+1]), 0, []int64{1 << 20}, []int64{1})
-			tr.Lo[i+1]++ // the insertion ends node i's range
-		}},
-		{"terminations at the root", func(t *testing.T, f *flowgraph.Flat, tr *flowgraph.Transitions) {
-			f.Paths++
-			splicePool(tr, int(tr.Lo[0]), 0, []int64{flowgraph.Terminate}, []int64{1})
-		}},
-		{"paths not the root's children", func(t *testing.T, f *flowgraph.Flat, _ *flowgraph.Transitions) { f.Paths++ }},
-		{"count below the children's", func(t *testing.T, f *flowgraph.Flat, _ *flowgraph.Transitions) {
-			i := nodeWhere(t, f, func(_ int, children, ends int64) bool { return children > 0 && ends == 0 })
-			f.Counts[i]--
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, g, f := flattenFixture(t)
-			var tr flowgraph.Transitions
-			f.DeriveTransitions(&tr)
-			if !reflect.DeepEqual(tr, treeTransitions(g)) {
-				t.Fatal("the derived column is not the tree's T")
-			}
-			tc.corrupt(t, f, &tr)
-			var derived flowgraph.Transitions
-			f.DeriveTransitions(&derived)
-			if reflect.DeepEqual(tr, derived) && f.Check(ex.Location) == nil {
-				t.Error("the corrupt column is the one the columns derive, and Check accepts them")
-			}
-		})
-	}
-
-	// A zero weight cannot be made out of the fixture without unbalancing
-	// something else, so it is a graph of its own: one path that reaches a
-	// stage and stops there, and the same graph with that path's count
-	// made 0 everywhere it appears. Only the second has a zero weight.
-	a := int64(ex.Location.MustLookup("f"))
-	flat := func(paths int64) *flowgraph.Flat {
-		return &flowgraph.Flat{
-			Paths:     paths,
-			Locations: []int32{int32(hierarchy.Root), int32(a)},
-			Counts:    []int64{0, paths},
-			ChildLo:   []int32{1, 2, 2},
-			DurLo:     []int32{0, 0, 1},
-			Outcomes:  []int64{5},
-			Weights:   []int64{paths},
-		}
-	}
-	if _, err := flowgraph.Unflatten(ex.Location, pathdb.PathLevel{}, flat(1)); err != nil {
-		t.Fatalf("the one-path graph does not load: %v", err)
-	}
-	if err := flat(0).Check(ex.Location); err == nil {
-		t.Error("Check accepts a zero transition weight")
+// onePath is a graph of paths paths that reach the Table-1 stage f and stop
+// there, each after 5 time units: with 0 the stage is a child no path
+// reaches, a zero weight in the root's transition distribution.
+func onePath(paths int64) *flowgraph.Flat {
+	f := int32(paperex.New().Location.MustLookup("f"))
+	return &flowgraph.Flat{
+		Paths:     paths,
+		Locations: []int32{int32(hierarchy.Root), f},
+		Counts:    []int64{0, paths},
+		ChildLo:   []int32{1, 2, 2},
+		DurLo:     []int32{0, 0, 1},
+		Outcomes:  []int64{5},
+		Weights:   []int64{paths},
 	}
 }

@@ -268,19 +268,6 @@ func klDivergenceCols(a, b *colTrans) float64 {
 	return ab
 }
 
-// Transitions is T as the snapshot format carries it, a column beside a
-// flat graph's: node i's transition distribution is Outcomes[Lo[i]:Lo[i+1]]
-// with parallel Weights — Terminate weighted by the paths that end at the
-// node (absent when none do, and at the root), then each child's location
-// weighted by its count. No graph keeps it: the snapshot encoder derives
-// it (DeriveTransitions), and the decoder refuses any column but the
-// derived one as it reads it.
-type Transitions struct {
-	Lo       []int32
-	Outcomes []int64
-	Weights  []int64
-}
-
 // Ends reports how many of the paths that reach node i end there: its
 // count less its children's, and 0 at the root, which no path ends at. It
 // is the weight of Terminate in the node's transition distribution, which
@@ -294,21 +281,4 @@ func (f *Flat) Ends(i int) int64 {
 		ends -= c
 	}
 	return ends
-}
-
-// DeriveTransitions writes the transition column of f into t, reusing its
-// capacity.
-func (f *Flat) DeriveTransitions(t *Transitions) {
-	n := f.NumNodes()
-	t.Lo, t.Outcomes, t.Weights = t.Lo[:0], t.Outcomes[:0], t.Weights[:0]
-	for i := 0; i < n; i++ {
-		t.Lo = append(t.Lo, int32(len(t.Outcomes)))
-		if ends := f.Ends(i); ends > 0 {
-			t.Outcomes, t.Weights = append(t.Outcomes, Terminate), append(t.Weights, ends)
-		}
-		for j := f.ChildLo[i]; j < f.ChildLo[i+1]; j++ {
-			t.Outcomes, t.Weights = append(t.Outcomes, int64(f.Locations[j])), append(t.Weights, f.Counts[j])
-		}
-	}
-	t.Lo = append(t.Lo, int32(len(t.Outcomes)))
 }

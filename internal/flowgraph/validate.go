@@ -14,8 +14,8 @@ import (
 // (transitions.go): every node's transition observations equal its Count
 // (each visit either terminates or moves on), a transition outcome exists
 // for exactly the node's children with the child's Count, and the root's
-// transition total equals Paths(). Flat.Check refuses a snapshot whose
-// transition column says otherwise.
+// transition total equals Paths(). Flat.Check refuses columns whose counts
+// could not hold them.
 func (g *Graph) Validate() error {
 	var walk func(n *Node, prefix []hierarchy.NodeID) error
 	walk = func(n *Node, prefix []hierarchy.NodeID) error {

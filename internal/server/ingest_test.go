@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -232,6 +233,65 @@ func TestIngestReloadResetsWAL(t *testing.T) {
 	defer s2.Close()
 	if got := s2.Snapshot().DB.Len(); got != base {
 		t.Errorf("restart after reload has %d records, want %d (WAL double-applied)", got, base)
+	}
+}
+
+// TestReloadRefusesOldSnapshot: a reload whose snapshot file an older
+// writer replaced (a version-3 header) answers an error that says to
+// rebuild it, and changes nothing: the generation, the reload counter and
+// the WAL stay as they were, and the served generation keeps answering.
+func TestReloadRefusesOldSnapshot(t *testing.T) {
+	ds := oracle.Dataset(61, 160)
+	const base = 120
+	snap := oracle.Save(t, oracle.Build(t, oracle.Prefix(ds.DB, base), core.Config{
+		MinCount: 4, Plan: ds.DefaultPlan(), Workers: 2}))
+	snapPath, walPath := oracle.File(t, snap), filepath.Join(t.TempDir(), "ingest.wal")
+	dbPath := oracle.DatasetFile(t, &datagen.Dataset{Config: ds.Config, DB: oracle.Prefix(ds.DB, base)})
+	cfg := quietConfig()
+	cfg.WALPath = walPath
+	s := newTestServer2(t, WithDatabase(FileLoader(snapPath, BuildOptions{}), dbPath), cfg)
+	defer s.Close()
+	if rec, _ := postBody(t, s.Handler(), "/admin/append",
+		oracle.Records(t, ds.DB.Schema, ds.DB.Records[base:base+10])); rec.Code != http.StatusOK {
+		t.Fatalf("append: status %d: %s", rec.Code, rec.Body.String())
+	}
+
+	const url = "/v1/cuboids"
+	served := func() string {
+		rec, _ := get(t, s.Handler(), url)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", url, rec.Code, rec.Body.String())
+		}
+		return rec.Body.String()
+	}
+	before, gen, ingest := served(), s.Snapshot().Gen, s.Metrics().Ingest
+	if ingest.WALEntries != 1 {
+		t.Fatalf("wal_entries = %d after append, want 1", ingest.WALEntries)
+	}
+
+	old := oracle.RewriteSection(t, snap, oracle.SecHeader, 0, func(p []byte) []byte { return append([]byte{3}, p[1:]...) })
+	if err := os.WriteFile(snapPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, body := postBody(t, s.Handler(), "/admin/reload", "")
+	if rec.Code == http.StatusOK {
+		t.Fatal("reload accepted a version-3 snapshot")
+	}
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "rebuilt from the path database") {
+		t.Errorf("reload error %q does not say how to rebuild", msg)
+	}
+	if got := s.Snapshot().Gen; got != gen {
+		t.Errorf("Gen = %d after the refused reload, want %d", got, gen)
+	}
+	if got := s.Metrics().Reloads; got != 0 {
+		t.Errorf("reload counter = %d after the refused reload, want 0", got)
+	}
+	if got := s.Metrics().Ingest; got.WALEntries != ingest.WALEntries || got.WALBytes != ingest.WALBytes {
+		t.Errorf("WAL %d entries, %d bytes after the refused reload, want %d, %d",
+			got.WALEntries, got.WALBytes, ingest.WALEntries, ingest.WALBytes)
+	}
+	if after := served(); after != before {
+		t.Errorf("GET %s changed after the refused reload:\nbefore %s\nafter  %s", url, before, after)
 	}
 }
 
