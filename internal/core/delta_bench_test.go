@@ -102,8 +102,9 @@ func BenchmarkApplyDelta(b *testing.B) {
 // the last one left, as flowserve's commit loop makes them, the older
 // generations dropped (plain); and once the same database's cube is built
 // in flowquery's "-exceptions -tau 0.5" configuration, the build workload's
-// (exceptions+tau). The generated dataset and the database are live in
-// every figure.
+// (exceptions+tau); and once the plain cube is saved, dropped and read back
+// with Load, as flowserve -in x.fcb serves it (loaded). The generated
+// dataset and the database are live in every figure.
 func BenchmarkLiveHeap(b *testing.B) {
 	const base, batchLen, batches = 2000, 10, 200
 	gen := datagen.Default()
@@ -145,5 +146,20 @@ func BenchmarkLiveHeap(b *testing.B) {
 			runtime.KeepAlive(cube)
 		}
 		b.ReportMetric(built, "built-MB")
+	})
+	b.Run("loaded", func(b *testing.B) {
+		var built, loaded float64
+		for i := 0; i < b.N; i++ {
+			cube := oracle.Build(b, oracle.Prefix(ds.DB, base), cfg)
+			built = live()
+			cube, err := core.Load(bytes.NewReader(oracle.Save(b, cube)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			loaded = live()
+			runtime.KeepAlive(cube)
+		}
+		b.ReportMetric(built, "built-MB")
+		b.ReportMetric(loaded, "loaded-MB")
 	})
 }

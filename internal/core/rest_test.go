@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 
@@ -15,18 +16,7 @@ import (
 // which flowquery runs next, thaw none: a build holds no tree beyond the
 // one each worker is building.
 func TestBuildLeavesGraphsAtRest(t *testing.T) {
-	gen := datagen.Default()
-	gen.NumDims, gen.NumPaths = 3, 2000
-	ds := datagen.MustGenerate(gen)
-	cube := oracle.Build(t, ds.DB, core.Config{
-		MinSupport:            0.01,
-		Epsilon:               0.1,
-		Tau:                   0.5,
-		Plan:                  ds.DefaultPlan(),
-		MineExceptions:        true,
-		SingleStageExceptions: true,
-		Workers:               2,
-	})
+	cube := buildRestShape(t)
 	exceptions, redundant := 0, 0
 	for _, cb := range cube.Cuboids {
 		for _, cell := range cb.Cells {
@@ -41,19 +31,75 @@ func TestBuildLeavesGraphsAtRest(t *testing.T) {
 	if exceptions == 0 || redundant == 0 {
 		t.Fatalf("the build mined %d exceptions and marked %d cells redundant; the test needs both", exceptions, redundant)
 	}
-	thawed := func(after string) {
-		t.Helper()
-		if n := cube.ThawedGraphs(); n > 0 {
-			t.Fatalf("after %s, %d of %d graphs are not at rest", after, n, cube.NumCells())
-		}
-	}
-	thawed("Build")
+	requireAtRest(t, cube, "Build")
 	if err := cube.SaveFile(filepath.Join(t.TempDir(), "cube.fcb")); err != nil {
 		t.Fatal(err)
 	}
-	thawed("SaveFile")
+	requireAtRest(t, cube, "SaveFile")
 	if len(cube.CuboidSummaries()) == 0 {
 		t.Fatal("no cuboids")
 	}
-	thawed("CuboidSummaries")
+	requireAtRest(t, cube, "CuboidSummaries")
+}
+
+// TestLoadLeavesGraphsAtRest: a snapshot's cells decode to graphs at rest
+// on their checked columns — eagerly (Load) and one cell at a time (a lazy
+// cube's LRU) — and CuboidSummaries and Save thaw none; a loaded cube saves
+// the bytes it was loaded from.
+func TestLoadLeavesGraphsAtRest(t *testing.T) {
+	want := oracle.Save(t, buildRestShape(t))
+	path := oracle.File(t, want)
+	cube := oracle.Open(t, path)
+	requireAtRest(t, cube, "Load")
+	if len(cube.CuboidSummaries()) == 0 {
+		t.Fatal("no cuboids")
+	}
+	requireAtRest(t, cube, "CuboidSummaries")
+	got := oracle.Save(t, cube)
+	requireAtRest(t, cube, "Save")
+	if !bytes.Equal(got, want) {
+		t.Fatal("a loaded cube saves other bytes than it was loaded from")
+	}
+
+	lazy := oracle.OpenLazy(t, path, core.LazyOptions{CacheBytes: -1})
+	decoded := 0
+	for _, cb := range lazy.Cuboids {
+		for _, cell := range cb.SortedCells() {
+			if cell.Graph == nil {
+				continue
+			}
+			if decoded++; cell.Graph.Columns() == nil {
+				t.Fatalf("lazy cell %v of cuboid %s decoded to a tree", cell.Values, cb.Spec.Key())
+			}
+		}
+	}
+	if err := lazy.LazyErr(); err != nil || decoded != cube.NumCells() {
+		t.Fatalf("decoded %d of %d cells lazily (err %v)", decoded, cube.NumCells(), err)
+	}
+}
+
+// buildRestShape builds the build workload's shape in flowquery's -save
+// configuration: exceptions, τ = 0.5, Workers 2.
+func buildRestShape(t *testing.T) *core.Cube {
+	t.Helper()
+	gen := datagen.Default()
+	gen.NumDims, gen.NumPaths = 3, 2000
+	ds := datagen.MustGenerate(gen)
+	return oracle.Build(t, ds.DB, core.Config{
+		MinSupport:            0.01,
+		Epsilon:               0.1,
+		Tau:                   0.5,
+		Plan:                  ds.DefaultPlan(),
+		MineExceptions:        true,
+		SingleStageExceptions: true,
+		Workers:               2,
+	})
+}
+
+// requireAtRest fails unless every materialized cell's graph rests.
+func requireAtRest(t *testing.T, cube *core.Cube, after string) {
+	t.Helper()
+	if n := cube.ThawedGraphs(); n > 0 {
+		t.Fatalf("after %s, %d of %d graphs are not at rest", after, n, cube.NumCells())
+	}
 }

@@ -936,8 +936,8 @@ func decodeCellPrefixV2(r *byteReader) (values []hierarchy.NodeID, count int64, 
 const minCellBytesV2 = 11
 
 // decodeCellV2 is the one cell decoder: it decodes the cell r is positioned
-// at — prefix, flat graph, Unflatten into pointer form at the cuboid's path
-// level — and leaves r at the next cell. Load walks it over every section
+// at — prefix, flat graph, Unflatten into a graph resting on the decoded
+// columns at the cuboid's path level — and leaves r at the next cell. Load walks it over every section
 // (lazySection.decodeAll); a lazy cube aims it at one directory entry.
 // The second result is the decoded cell's cost against the lazy cache's
 // budget (cellBaseFootprint, flatFootprint), which grows with the decoded
@@ -970,8 +970,10 @@ func decodeCellV2(r *byteReader, loc *hierarchy.Hierarchy, level pathdb.PathLeve
 // Decoded-footprint model: what each decoded object costs against the lazy
 // cache's budget (LazyOptions.CacheBytes), in the budget's units. The
 // values were once rough heap costs of a pointer-form graph, of 176-byte
-// nodes and map-backed distributions; they no longer track the allocator,
-// and they stay as they are because budgets are stated in them.
+// nodes and map-backed distributions; a decoded cell now rests as its
+// columns, several times smaller, so they no longer track the allocator,
+// and they stay as they are because budgets — and the eviction a given
+// budget makes — are stated in them.
 const (
 	cellBaseFootprint = 160 // per cell, beside 8 per value
 	nodeFootprint     = 176 // per flowgraph node
@@ -982,9 +984,10 @@ const (
 )
 
 // flatFootprint is what one decoded flat graph costs against the lazy
-// cache's budget. It counts each node's transition outcomes, one per child
-// and one where some path ends (Flat.Ends), although no graph stores them,
-// so that a given budget evicts what it always has.
+// cache's budget: what its tree would cost in the model, although the cell
+// rests as the columns. It counts each node's transition outcomes, one per
+// child and one where some path ends (Flat.Ends), although no graph stores
+// them, so that a given budget evicts what it always has.
 func flatFootprint(f *flowgraph.Flat) int64 {
 	n := int64(f.NumNodes())
 	m := int64(len(f.ExcNode))

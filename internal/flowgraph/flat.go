@@ -11,9 +11,9 @@ package flowgraph
 // The columns hold no transition distribution, and neither does the
 // snapshot: a node's is its children's counts and the paths that end at it,
 // read off the columns where it is needed. Check validates the invariants,
-// those counts' among them, without allocating, and Unflatten runs it and
-// then rebuilds the pointer tree by carving nodes, distributions, pins and
-// exceptions out of single backing allocations.
+// those counts' among them, without allocating; Unflatten runs it and
+// returns a graph resting on the checked columns, and the first reader that
+// asks for nodes thaws a tree from them (rest.go).
 
 import (
 	"fmt"
@@ -168,9 +168,9 @@ func flatten(root *Node, paths int64, xs []Exception) Flat {
 }
 
 // validate checks every structural invariant of the columnar form before
-// Unflatten allocates anything proportional to the claimed sizes beyond the
-// columns themselves (which the snapshot decoder already bounded against
-// the input length).
+// anything indexes one column by another's values: the column lengths (which
+// the snapshot decoder already bounded against the input length) and the
+// ranges.
 func (f *Flat) validate() error {
 	n := len(f.Locations)
 	if n < 1 {
@@ -248,10 +248,9 @@ func (f *Flat) validate() error {
 // Check reports the first reason Unflatten would refuse f at loc, or nil:
 // the structural invariants of the columnar form, the rules checkNodes and
 // checkPins apply, and every pooled distribution strictly ascending by
-// outcome with non-negative weights. It allocates nothing, and a graph that
-// passes it unflattens without error, so a caller that only needs to know
-// whether a graph decodes — a snapshot verify walk — runs Check and builds
-// no tree.
+// outcome with non-negative weights. It allocates nothing, and columns that
+// pass it thaw into a tree without error, so a graph Unflatten returns may
+// rest on them.
 func (f *Flat) Check(loc *hierarchy.Hierarchy) error {
 	if err := f.validate(); err != nil {
 		return err
@@ -345,39 +344,26 @@ func checkDists(outcomes, weights []int64, lo, hi []int32) error {
 	return nil
 }
 
-// Unflatten checks the columnar form (Check) and rebuilds the pointer graph
-// for paths at the given level.
+// Unflatten checks the columnar form (Check) and returns the graph for
+// paths at the given level, at rest on f (rest.go): f becomes the graph's
+// own, and the caller must not modify it.
 func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Graph, error) {
 	if err := f.Check(loc); err != nil {
 		return nil, err
 	}
-	root, xs, err := f.tree(0, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Graph{level: level, loc: loc, root: root, paths: f.Paths, exceptions: xs}, nil
+	return &Graph{level: level, loc: loc, paths: f.Paths, rest: restOn(f)}, nil
 }
 
-// tree builds the pointer tree and the exceptions of checked columns, every
-// node tagged owner. Pins and exceptions are carved out of one backing
-// allocation each. With carve, so are the nodes and their child lists — BFS
-// order puts a node's children side by side, so each list is a window of
-// one pointer array — which leaves one allocation per non-empty
-// distribution: what a decode wants. Without it each node and child list
-// is an allocation of its own: what a thaw wants, whose tree forks copy a
-// path of at a time, since an array lives on while any node in it does.
-func (f *Flat) tree(owner uint32, carve bool) (*Node, []Exception, error) {
+// tree thaws the pointer tree and the exceptions of checked columns, every
+// node tagged owner. Each node and child list is an allocation of its own,
+// since tree forks copy a path of them at a time and an array would live
+// on while any node in it did; pins and exceptions are carved out of one
+// backing allocation each.
+func (f *Flat) tree(owner uint32) (*Node, []Exception, error) {
 	n := f.NumNodes()
 	ptrs := make([]*Node, n)
-	if carve {
-		nodes := make([]Node, n)
-		for i := range nodes {
-			ptrs[i] = &nodes[i]
-		}
-	} else {
-		for i := range ptrs {
-			ptrs[i] = new(Node)
-		}
+	for i := range ptrs {
+		ptrs[i] = new(Node)
 	}
 	for i, nd := range ptrs {
 		nd.Location = hierarchy.NodeID(f.Locations[i])
@@ -391,10 +377,7 @@ func (f *Flat) tree(owner uint32, carve bool) (*Node, []Exception, error) {
 		for j := lo; j < hi; j++ {
 			ptrs[j].Depth = nd.Depth + 1
 		}
-		switch {
-		case carve:
-			nd.children = ptrs[lo:hi:hi]
-		case hi > lo:
+		if hi > lo {
 			nd.children = append([]*Node(nil), ptrs[lo:hi]...)
 		}
 	}
@@ -476,8 +459,8 @@ func (f *Flat) prefixes() func(idx int32) []hierarchy.NodeID {
 // the pointer tree — the lazy loader's exception scans call it so TopK
 // queries over a mapped snapshot never materialize a cell. Exceptions come
 // back in flat (mining) order with the same Support, Condition, deviations
-// Prefix and conditional distributions Unflatten would produce, and it
-// refuses what Unflatten refuses at loc (Check). Each Node is a stub with
+// Prefix and conditional distributions the graph Unflatten returns reports,
+// and it refuses what Unflatten refuses at loc (Check). Each Node is a stub with
 // Location, Depth and Count set (enough for rendering) but an empty duration
 // distribution and no children.
 func FlatExceptions(f *Flat, loc *hierarchy.Hierarchy) ([]Exception, error) {

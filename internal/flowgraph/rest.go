@@ -6,12 +6,14 @@ import (
 )
 
 // A graph at rest is its columns. A finished graph that many readers may
-// never ask for nodes — a built cube's cell — rests: Rest replaces its tree
-// and exceptions with exact-sized Flat columns, a fraction of the tree's
-// bytes, and it keeps its path count beside them. Paths, Flatten and
-// Similarity read the columns. Every other reader needs nodes, and the
-// first of them thaws a tree from the columns, once: Root, NodeAt,
-// Exceptions, String, DOT, the analyses, Contrast, Clone, Fold and
+// never ask for nodes — a cube's cell — rests: Rest replaces a built tree
+// and its exceptions with exact-sized Flat columns, a fraction of the
+// tree's bytes, and Unflatten returns a decoded graph resting on the
+// columns it checked; either keeps its path count beside them. Paths,
+// Flatten and Similarity read the columns, and so does every reader that
+// walks Flatten's result (the cell renderer). Every other reader needs
+// nodes, and the first of them thaws a tree from the columns, once: Root,
+// NodeAt, Exceptions, String, DOT, the analyses, Contrast, Clone, Fold and
 // Validate, and Fork, whose fork shares the thawed nodes. The thawed graph
 // drops its columns — a reader still walking them keeps them until it is
 // done — and is a tree from then on, as if it had never rested. Writers —
@@ -37,9 +39,16 @@ func (g *Graph) Rest() {
 		return
 	}
 	cols := flatten(g.root, g.paths, g.exceptions)
-	g.rest = &rest{}
-	g.rest.cols.Store(&cols)
+	g.rest = restOn(&cols)
 	g.root, g.exceptions = nil, nil
+}
+
+// restOn returns the resting state of a graph whose columns are cols:
+// flattened from a tree, or passed by Check, since a thaw cannot fail.
+func restOn(cols *Flat) *rest {
+	r := &rest{}
+	r.cols.Store(cols)
+	return r
 }
 
 // Columns returns the columns of a graph at rest, or nil for a tree or a
@@ -63,8 +72,9 @@ func (g *Graph) tree() (*Node, []Exception) {
 	}
 	r.once.Do(func() {
 		var err error
-		if r.root, r.exceptions, err = r.cols.Load().tree(g.owner, false); err != nil {
-			// Resting columns were flattened from a tree; they always thaw.
+		if r.root, r.exceptions, err = r.cols.Load().tree(g.owner); err != nil {
+			// Resting columns were flattened from a tree or passed Check;
+			// they always thaw.
 			panic("flowgraph: resting columns do not thaw: " + err.Error())
 		}
 		r.cols.Store(nil)

@@ -121,7 +121,7 @@ func against(n, o *Node, tn, to *trans) float64 {
 // divergeCols is diverge over two resting graphs' columns: na and nb are
 // node indices of a and b at one prefix, -1 where a graph lacks it. It takes
 // the same terms in the same order — the node's own, then its children's in
-// ascending location order — from the same counts (durAt, transAt),
+// ascending location order — from the same counts (DurationsAt, transAt),
 // so its sums are diverge's, bit for bit.
 func divergeCols(a, b *Flat, na, nb int32, wa, wb float64) (ab, ba float64) {
 	onA := na >= 0 && !stats.AlmostEqual(wa, 0)
@@ -130,7 +130,7 @@ func divergeCols(a, b *Flat, na, nb int32, wa, wb float64) (ab, ba float64) {
 		return 0, 0
 	}
 	ta, tb := a.transAt(na), b.transAt(nb)
-	da, db := a.durAt(na), b.durAt(nb)
+	da, db := a.DurationsAt(na), b.DurationsAt(nb)
 	switch {
 	case onA && onB:
 		dab, dba := da.KLBoth(&db)

@@ -207,10 +207,10 @@ func (f *Flat) transAt(i int32) colTrans {
 	return t
 }
 
-// durAt returns D at node i of f as a view of the pooled columns; i = -1
-// has no observations. Its total is the sum of its weights, as a
-// Multinomial's is.
-func (f *Flat) durAt(i int32) stats.Sorted {
+// DurationsAt returns D at node i of f as a view of the pooled columns,
+// which callers must not modify; i = -1, an absent node, has no
+// observations. Its total is the sum of its weights, as a Multinomial's is.
+func (f *Flat) DurationsAt(i int32) stats.Sorted {
 	if i < 0 {
 		return stats.Sorted{}
 	}

@@ -20,8 +20,8 @@ import (
 // the value they describe with a two-space indent and no prefix: keys in
 // the order below, a key marked ? absent when its value is zero (omitempty),
 // numbers as encoding/json formats them, strings HTML-escaped, and a
-// non-finite float failing as Marshal fails. One walk of each flowgraph, no
-// reflection, no intermediate tree, no second indentation pass.
+// non-finite float failing as Marshal fails. One walk of each flowgraph's
+// columns, no reflection, no intermediate tree, no second indentation pass.
 //
 //	/v2/query  {op, cells: [answer...], truncated?, skipped?}
 //	answer     {cell, path_level, provenance, exact, source_cuboid, source,
@@ -45,11 +45,10 @@ type answerWriter struct {
 	empty bool
 	err   error
 	// Per-node scratch for the duration object: the distribution's
-	// outcomes and counts, their decimal keys (key i is
-	// keys[keyEnd[i-1]:keyEnd[i]]), and the keys' string order.
-	outcomes, counts []int64
-	keys             []byte
-	keyEnd, order    []int
+	// decimal keys (key i is keys[keyEnd[i-1]:keyEnd[i]]) and their string
+	// order.
+	keys          []byte
+	keyEnd, order []int
 }
 
 // maxPooledBody caps the scratch buffer a writer keeps between bodies: a
@@ -271,51 +270,63 @@ func (w *answerWriter) source(cube *core.Cube, cell *core.Cell) {
 	w.close('}')
 }
 
-// graph writes a whole flowgraph measure.
+// graph writes a whole flowgraph measure from its columns (Flatten: a
+// resting graph's own, or a tree's laid out once), preorder over the child
+// ranges, so nodes nest as the prefix tree does. The root's transition
+// total is the paths through its children.
 func (w *answerWriter) graph(loc *hierarchy.Hierarchy, g *flowgraph.Graph) {
+	f := flowgraph.Flatten(g)
 	w.open('{')
 	w.key("paths")
-	w.int(g.Paths())
+	w.int(f.Paths)
 	w.key("roots")
-	if roots := g.Root().Children(); len(roots) == 0 {
+	if lo, hi := f.ChildLo[0], f.ChildLo[1]; lo == hi {
 		w.b = append(w.b, "null"...)
 	} else {
-		w.open('[')
-		for _, c := range roots {
-			w.elem()
-			w.node(loc, g.Root(), c)
+		var total int64
+		for _, c := range f.Counts[lo:hi] {
+			total += c
 		}
-		w.close(']')
+		w.children(loc, f, lo, hi, total)
 	}
 	w.close('}')
 }
 
-// node writes one flowgraph node — a unique path prefix, with the
-// transition probability from its parent, its termination probability,
-// and its duration distribution — and, recursively, its children.
-func (w *answerWriter) node(loc *hierarchy.Hierarchy, parent, n *flowgraph.Node) {
+// children writes the nodes [lo, hi) of f, siblings whose parent total
+// paths reach, as an array.
+func (w *answerWriter) children(loc *hierarchy.Hierarchy, f *flowgraph.Flat, lo, hi int32, total int64) {
+	w.open('[')
+	for i := lo; i < hi; i++ {
+		w.elem()
+		w.nodeAt(loc, f, i, total)
+	}
+	w.close(']')
+}
+
+// nodeAt writes node i of f — a unique path prefix, with the transition
+// probability from its parent, which total paths reach, its termination
+// probability, and its duration distribution — and, recursively, its
+// children.
+func (w *answerWriter) nodeAt(loc *hierarchy.Hierarchy, f *flowgraph.Flat, i int32, total int64) {
+	count := f.Counts[i]
 	w.open('{')
 	w.key("location")
-	w.str(loc.Name(n.Location))
+	w.str(loc.Name(hierarchy.NodeID(f.Locations[i])))
 	w.key("count")
-	w.int(n.Count)
+	w.int(count)
 	w.key("prob")
-	w.float(parent.ChildProb(n))
-	if p := n.TerminationProb(); p != 0 {
+	w.float(stats.Prob(count, total))
+	if p := stats.Prob(f.Ends(int(i)), count); p != 0 {
 		w.key("termination_prob")
 		w.float(p)
 	}
+	d := f.DurationsAt(i)
 	w.key("mean_duration")
-	w.float(n.Durations.Mean())
-	w.durations(&n.Durations)
-	if children := n.Children(); len(children) > 0 {
+	w.float(d.Mean())
+	w.durations(&d)
+	if lo, hi := f.ChildLo[i], f.ChildLo[i+1]; lo < hi {
 		w.key("children")
-		w.open('[')
-		for _, c := range children {
-			w.elem()
-			w.node(loc, n, c)
-		}
-		w.close(']')
+		w.children(loc, f, lo, hi, count)
 	}
 	w.close('}')
 }
@@ -323,19 +334,17 @@ func (w *answerWriter) node(loc *hierarchy.Hierarchy, parent, n *flowgraph.Node)
 // durations writes a non-empty duration distribution as an object from
 // the decimal duration to its probability, keys in string order ("10"
 // before "2") as encoding/json sorts map keys.
-func (w *answerWriter) durations(m *stats.Multinomial) {
-	w.outcomes, w.counts = m.AppendSorted(w.outcomes[:0], w.counts[:0])
-	if len(w.outcomes) == 0 {
+func (w *answerWriter) durations(d *stats.Sorted) {
+	if len(d.Outcomes) == 0 {
 		return
 	}
 	w.keys, w.keyEnd, w.order = w.keys[:0], w.keyEnd[:0], w.order[:0]
-	for i, v := range w.outcomes {
+	for i, v := range d.Outcomes {
 		w.keys = strconv.AppendInt(w.keys, v, 10)
 		w.keyEnd = append(w.keyEnd, len(w.keys))
 		w.order = append(w.order, i)
 	}
 	slices.SortFunc(w.order, func(i, j int) int { return bytes.Compare(w.durationKey(i), w.durationKey(j)) })
-	total := m.Total()
 	w.key("durations")
 	w.open('{')
 	for _, i := range w.order {
@@ -343,11 +352,7 @@ func (w *answerWriter) durations(m *stats.Multinomial) {
 		w.b = append(w.b, '"')
 		w.b = append(w.b, w.durationKey(i)...)
 		w.b = append(w.b, '"', ':', ' ')
-		p := 0.0
-		if total != 0 {
-			p = float64(w.counts[i]) / float64(total)
-		}
-		w.float(p)
+		w.float(stats.Prob(d.Counts[i], d.Total))
 	}
 	w.close('}')
 }

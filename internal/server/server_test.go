@@ -70,6 +70,35 @@ func TestCellExactQuery(t *testing.T) {
 	}
 }
 
+// TestServingLeavesLoadedGraphsAtRest: serving every cell of an eagerly
+// loaded cube through /v1/cell and /v2/query?op=cell thaws none of their
+// graphs; the writer reads their columns.
+func TestServingLeavesLoadedGraphsAtRest(t *testing.T) {
+	_, built := oracle.Table1(t, oracle.Views, oracle.Mined(0))
+	cube := oracle.Reopen(t, built, false)
+	s := newTestServer(t, cube, quietConfig())
+	var cells []*core.Cell
+	for _, spec := range cube.MaterializedSpecs() {
+		for _, cell := range cube.Cuboid(spec).SortedCells() {
+			q := "cell=" + core.FormatCell(cube.Schema, cell.Values) + fmt.Sprintf("&pathlevel=%d", spec.PathLevel)
+			for _, u := range []string{"/v1/cell?" + q, "/v2/query?op=cell&" + q} {
+				if rec, _ := get(t, s.Handler(), u); rec.Code != http.StatusOK {
+					t.Fatalf("GET %s: status %d: %s", u, rec.Code, rec.Body.String())
+				}
+			}
+			cells = append(cells, cell)
+		}
+	}
+	if len(cells) == 0 {
+		t.Fatal("no cells served")
+	}
+	for _, cell := range cells {
+		if cell.Graph != nil && cell.Graph.Columns() == nil {
+			t.Fatalf("serving cell %v thawed its graph", cell.Values)
+		}
+	}
+}
+
 func TestCellRollupInference(t *testing.T) {
 	_, cube := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	s := newTestServer(t, cube, quietConfig())

@@ -221,15 +221,8 @@ func (m *Multinomial) CopyWithRoom(room int) Multinomial {
 // Outcomes are summed in ascending order so the rounding — and therefore
 // every serialized mean — is identical across runs.
 func (m *Multinomial) Mean() float64 {
-	if m.total == 0 {
-		return 0
-	}
-	o, c := m.cols()
-	sum := 0.0
-	for i, v := range o {
-		sum += float64(v) * float64(c[i])
-	}
-	return sum / float64(m.total)
+	s := m.Sorted()
+	return s.Mean()
 }
 
 // Sorted is a distribution kept as two columns elsewhere, read in place:
@@ -247,6 +240,18 @@ type Sorted struct {
 func (m *Multinomial) Sorted() Sorted {
 	o, c := m.cols()
 	return Sorted{Outcomes: o, Counts: c, Total: m.total}
+}
+
+// Mean is Multinomial.Mean of the view, summed in the same order.
+func (a *Sorted) Mean() float64 {
+	if a.Total == 0 {
+		return 0
+	}
+	sum := 0.0
+	for i, v := range a.Outcomes {
+		sum += float64(v) * float64(a.Counts[i])
+	}
+	return sum / float64(a.Total)
 }
 
 // join merge-joins the two distributions: it calls fn once per outcome of

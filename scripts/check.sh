@@ -120,9 +120,10 @@ run_matching 'TestLazyConcurrentFirstTouch|TestLazyVerifyRacesReaders' -race -co
 # And for a resting flowgraph's first thaw: readers asking one graph for
 # nodes at once must get one tree, thawed once; and a build in flowquery's
 # configuration, whose workers build, mine and rest cells side by side, must
-# leave every graph at rest through Save and the census.
+# leave every graph at rest through Save and the census, as must a load,
+# whose workers decode sections side by side, and a lazy cube's decodes.
 run_matching TestConcurrentFirstThaw -race -count=10 ./internal/flowgraph
-run_matching TestBuildLeavesGraphsAtRest -race -count=10 ./internal/core
+run_matching 'TestBuildLeavesGraphsAtRest|TestLoadLeavesGraphsAtRest' -race -count=10 ./internal/core
 # And for a request's deadline: a waiter abandons a response-cache flight
 # while its owner computes on and stores the value, the handler answers 503
 # from the connection's goroutine, and concurrent first census requests
@@ -155,8 +156,9 @@ echo "== micro-benchmarks (one iteration each) =="
 # marking off and on, and to a loaded cube (its first append derives the
 # sub-δ ledger), BenchmarkLiveHeap (internal/core) for the live heap of
 # the ingest_mixed cube built and after 200 forked appends (built-MB,
-# after-MB), and of the build workload's cube, built in flowquery's
-# "-exceptions -tau 0.5" configuration (exceptions+tau/built-MB),
+# after-MB), of the build workload's cube, built in flowquery's
+# "-exceptions -tau 0.5" configuration (exceptions+tau/built-MB), and of
+# the ingest_mixed cube saved and loaded again (loaded/loaded-MB),
 # BenchmarkCommit (internal/server) for whole appends
 # through the handler with exceptions off and on, BenchmarkRespond
 # (internal/server) for rendering a cell answer; one iteration keeps them
