@@ -33,29 +33,11 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
-	"flowcube/internal/cluster"
-	"flowcube/internal/core"
 	"flowcube/internal/server"
 )
-
-// parseShard parses an "i/N" cluster position, e.g. "0/4".
-func parseShard(spec string) (index, total int, err error) {
-	i, n, ok := strings.Cut(spec, "/")
-	if ok {
-		var ei, en error
-		index, ei = strconv.Atoi(i)
-		total, en = strconv.Atoi(n)
-		if ei == nil && en == nil {
-			return index, total, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("bad -shard %q, want index/total (e.g. 0/4)", spec)
-}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -70,8 +52,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("flowserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	in := fs.String("in", "", "input file: a cube saved by flowquery -save, or a flowgen path database (required)")
-	db := fs.String("db", "", "path database backing /admin/append when -in is a saved cube (shard servers: the replicated full database)")
-	shardSpec := fs.String("shard", "", "serve as shard i/N of a cluster split (e.g. 0/4): appends keep only cells this shard owns")
+	db := fs.String("db", "", "path database backing /admin/append when -in is a saved cube")
 	addr := fs.String("addr", ":8080", "listen address")
 	minsup := fs.Float64("minsup", 0.01, "iceberg minimum support δ (when building from a path database)")
 	epsilon := fs.Float64("epsilon", 0.1, "minimum deviation ε for exceptions (when building)")
@@ -108,24 +89,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *db != "" {
 		loader = server.WithDatabase(loader, *db)
 	}
-	var postAppend func(*core.Cube) *core.Cube
-	if *shardSpec != "" {
-		index, total, err := parseShard(*shardSpec)
-		if err != nil {
-			return err
-		}
-		postAppend, err = cluster.ShardFilter(index, total)
-		if err != nil {
-			return err
-		}
-	}
 
 	start := time.Now()
 	srv, err := server.New(loader, *in, server.Config{
 		RequestTimeout: *timeout,
 		CacheSize:      *cacheSize,
 		Logger:         logger,
-		PostAppend:     postAppend,
 		WALPath:        *wal,
 	})
 	if err != nil {

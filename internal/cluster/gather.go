@@ -1,22 +1,17 @@
 package cluster
 
-// Scatter-gather reads and fan-out writes: the census endpoints
-// (/v1/cuboids, /v1/summary) merge per-shard counts positionally over the
-// validated common cuboid lattice, /v1/exceptions re-ranks the union of
-// per-shard top-k lists with the exact single-node comparator, and
-// /admin/append fans the batch to every shard with all-or-nothing
-// reporting. Census and exception reads degrade to the responding subset
-// (flagged via the X-Cluster-Partial header) when shards are down; cell
-// queries and appends never degrade — a missing shard could hide the
-// answer, or diverge the fleet.
+// Scatter-gather reads: the census endpoints (/v1/cuboids, /v1/summary)
+// merge per-shard counts positionally over the validated common cuboid
+// lattice, and /v1/exceptions re-ranks the union of per-shard top-k lists
+// with the exact single-node comparator. Both degrade to the responding
+// subset (flagged via the X-Cluster-Partial header) when shards are down;
+// cell queries never degrade — a missing shard could hide the answer.
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -95,7 +90,7 @@ func alignedCensus(a, b []server.CuboidJSON) error {
 // nil when shard i failed (transport error or non-200); results[i] has the
 // detail.
 func (rt *Router) scatterCuboids(ctx context.Context) ([]*server.CuboidsResponse, []shardResult) {
-	results := rt.scatter(ctx, http.MethodGet, "/v1/cuboids", nil, "", rt.cfg.ShardTimeout, nil)
+	results := rt.scatter(ctx, "/v1/cuboids", nil)
 	parsed := make([]*server.CuboidsResponse, len(results))
 	for i, res := range results {
 		if res.Err != nil || res.Status != http.StatusOK {
@@ -243,7 +238,7 @@ func (rt *Router) handleExceptions(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, err)
 		return
 	}
-	results := rt.scatter(r.Context(), http.MethodGet, "/v1/exceptions?k="+strconv.Itoa(k), nil, "", rt.cfg.ShardTimeout, nil)
+	results := rt.scatter(r.Context(), "/v1/exceptions?k="+strconv.Itoa(k), nil)
 	if server.TimedOut(w, r) {
 		return
 	}
@@ -317,92 +312,4 @@ func (rt *Router) exceptionCell(x server.ExceptionJSON) ([]hierarchy.NodeID, err
 		values[d] = id
 	}
 	return values, nil
-}
-
-// handleAppend validates the batch against the router's schema and fans it
-// to every shard: each shard folds the full batch into its replicated
-// database and keeps only the cells it owns (server.Config.PostAppend with
-// ShardFilter). Reporting is all-or-nothing — any shard failure answers 502
-// with per-shard detail, because a partially applied batch leaves the fleet
-// divergent until it is re-split.
-func (rt *Router) handleAppend(w http.ResponseWriter, r *http.Request) {
-	if rt.meta.Config.Tau > 0 {
-		server.WriteError(w, &server.HTTPError{Status: http.StatusConflict,
-			Msg: "cluster append is not supported with redundancy marking (tau > 0): re-marking needs item-lattice parents that live on other shards; rebuild and re-split instead"})
-		return
-	}
-	// Reject garbage before any shard sees it: a batch that fails to parse
-	// here would fail on every shard, and fanning it out just multiplies the
-	// error. The schema is replicated, so parsing against the router's copy
-	// is authoritative, and the single node's reader gives its answers
-	// exactly: parsing THROUGH MaxBytesReader, a parse failure on the
-	// truncated prefix answers 400 before the size violation answers 413.
-	// The tee captures the body for the shard fan-out below.
-	var buf bytes.Buffer
-	batchDB, err := server.ReadAppendBody(io.TeeReader(http.MaxBytesReader(w, r.Body, rt.cfg.MaxAppendBytes), &buf), rt.meta.Schema)
-	if err != nil {
-		server.WriteError(w, err)
-		return
-	}
-
-	// No per-shard timeout: cutting a shard off mid-append guarantees the
-	// divergence the all-or-nothing report exists to flag. The client's
-	// request context still bounds the whole fan-out.
-	results := rt.scatter(r.Context(), http.MethodPost, "/admin/append", buf.Bytes(), "text/plain; charset=utf-8", 0, nil)
-	reports, ok := shardReports(results)
-	if ok != len(results) {
-		server.WriteJSON(w, http.StatusBadGateway, map[string]any{
-			"error":  fmt.Sprintf("append applied on %d of %d shards; the fleet may be divergent — re-split the snapshot before trusting merged answers", ok, len(results)),
-			"shards": reports,
-		})
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, map[string]any{
-		"status":  "appended",
-		"records": batchDB.Len(),
-		"shards":  reports,
-	})
-}
-
-// shardReport is one shard's outcome in an all-or-nothing fan-out response.
-type shardReport struct {
-	Shard    string          `json:"shard"`
-	Status   int             `json:"status,omitempty"`
-	Response json.RawMessage `json:"response,omitempty"`
-	Error    string          `json:"error,omitempty"`
-}
-
-// shardReports renders a fan-out's results and counts the shards that
-// answered 200.
-func shardReports(results []shardResult) (reports []shardReport, ok int) {
-	reports = make([]shardReport, len(results))
-	for i, res := range results {
-		sr := shardReport{Shard: res.Shard, Status: res.Status}
-		switch {
-		case res.Err != nil:
-			sr.Error = res.Err.Error()
-		case res.Status != http.StatusOK:
-			sr.Error = string(res.Body)
-		default:
-			sr.Response = json.RawMessage(res.Body)
-			ok++
-		}
-		reports[i] = sr
-	}
-	return reports, ok
-}
-
-// handleReload fans POST /admin/reload to every shard with the same
-// all-or-nothing reporting as append.
-func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
-	results := rt.scatter(r.Context(), http.MethodPost, "/admin/reload", nil, "", 0, nil)
-	reports, ok := shardReports(results)
-	status, code := "reloaded", http.StatusOK
-	if ok != len(results) {
-		status, code = "partial", http.StatusBadGateway
-	}
-	server.WriteJSON(w, code, map[string]any{
-		"status": status,
-		"shards": reports,
-	})
 }

@@ -1,8 +1,9 @@
-// Package cluster shards a materialized flowcube across processes (see
-// DESIGN.md §10): a rendezvous-hashing partitioner over cell values, a
-// snapshot splitter that carves one v2 snapshot into per-shard snapshots
-// along the per-cuboid section framing, and a stateless scatter-gather
-// router that presents the shard fleet behind the single-node HTTP API.
+// Package cluster is the read path over a horizontally split flowcube (see
+// DESIGN.md §10): a rendezvous-hashing partitioner over cell values, an
+// in-memory splitter that carves one cube into per-shard cubes, and a
+// stateless scatter-gather router that presents shard servers behind the
+// single-node HTTP read API. Nothing here writes: shard cubes are served
+// as they were split.
 package cluster
 
 import (

@@ -43,7 +43,7 @@ func (rt *Router) handleQuery(parse func(*core.Cube, url.Values) (server.Request
 		}
 		src := &remoteSource{rt: rt, partials: map[core.CellRefKey][]*server.PartialResponse{}}
 		src.get = func(pathQuery string, want func(shard int) bool) []shardResult {
-			return rt.scatter(r.Context(), http.MethodGet, pathQuery, nil, "", rt.cfg.ShardTimeout, want)
+			return rt.scatter(r.Context(), pathQuery, want)
 		}
 		a, err := rt.meta.AnswerFrom(r.Context(), src, rq.Query)
 		if server.TimedOut(w, r) {

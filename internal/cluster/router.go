@@ -1,6 +1,6 @@
 package cluster
 
-// The stateless scatter-gather router: the single-node HTTP API of
+// The stateless scatter-gather router: the single-node HTTP read API of
 // internal/server, served over a fleet of shard servers. The router holds
 // only a snapshot's metadata (core.LoadMeta) — schema, plan, thresholds —
 // which is enough to parse requests, plan cell queries over cells fetched
@@ -18,12 +18,10 @@ package cluster
 // (gather.go) by the same sort comparators. The tests assert the bytes.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -34,8 +32,8 @@ import (
 	"flowcube/internal/server"
 )
 
-// DefaultShardTimeout bounds each shard call within a scattered query.
-const DefaultShardTimeout = 5 * time.Second
+// shardTimeout bounds each shard call within a scattered query.
+const shardTimeout = 5 * time.Second
 
 // PartialHeader is set on degraded scatter-gather responses (census and
 // exception queries answered by a subset of shards); its value lists the
@@ -51,20 +49,9 @@ type RouterConfig struct {
 	// RequestTimeout bounds each routed query end to end; 0 means
 	// server.DefaultRequestTimeout.
 	RequestTimeout time.Duration
-	// ShardTimeout bounds each shard call within a scattered read; 0 means
-	// DefaultShardTimeout. Appends and reloads are bounded only by the
-	// client's request context: cutting a shard off mid-append would
-	// guarantee divergence.
-	ShardTimeout time.Duration
-	// MaxAppendBytes bounds a POST /admin/append request body; 0 means
-	// server.DefaultMaxAppendBytes.
-	MaxAppendBytes int64
 	// Logger receives one line per request; nil logs to the standard
 	// logger.
 	Logger *log.Logger
-	// Client overrides the HTTP client used for shard calls (tests inject
-	// httptest clients); nil builds one with pooled connections.
-	Client *http.Client
 }
 
 // Router fronts a fleet of shard servers behind the single-node API.
@@ -101,26 +88,17 @@ func NewRouter(meta *core.Cube, shardURLs []string, cfg RouterConfig) (*Router, 
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = server.DefaultRequestTimeout
 	}
-	if cfg.ShardTimeout == 0 {
-		cfg.ShardTimeout = DefaultShardTimeout
-	}
-	if cfg.MaxAppendBytes == 0 {
-		cfg.MaxAppendBytes = server.DefaultMaxAppendBytes
-	}
 	rt := &Router{
 		meta:   meta,
 		part:   part,
 		shards: make([]string, len(shardURLs)),
 		cfg:    cfg,
-		client: cfg.Client,
+		client: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}},
 		logger: cfg.Logger,
 		start:  time.Now(),
 	}
 	for i, u := range shardURLs {
 		rt.shards[i] = strings.TrimRight(u, "/")
-	}
-	if rt.client == nil {
-		rt.client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}}
 	}
 	if rt.logger == nil {
 		rt.logger = log.Default()
@@ -144,8 +122,6 @@ func (rt *Router) routeTable() http.Handler {
 	timed("GET /v1/cuboids", rt.handleCuboids)
 	server.Handle(mux, "GET /healthz", rt.handleHealthz)
 	server.Handle(mux, "GET /metrics", rt.handleMetrics)
-	server.Handle(mux, "POST /admin/append", rt.handleAppend)
-	server.Handle(mux, "POST /admin/reload", rt.handleReload)
 	return server.Instrument(mux, rt.logger, &rt.routes)
 }
 
@@ -155,35 +131,23 @@ func gatewayError(format string, args ...any) error {
 }
 
 // shardResult is one shard call's outcome: transport errors in Err, HTTP
-// outcomes (any status) in Status/Header/Body.
+// outcomes (any status) in Status/Body.
 type shardResult struct {
 	Shard  string
 	Status int
-	Header http.Header
 	Body   []byte
 	Err    error
 }
 
-// call performs one shard request. timeout 0 means the parent context alone
-// bounds the call.
-func (rt *Router) call(ctx context.Context, shard, method, pathQuery string, body []byte, contentType string, timeout time.Duration) shardResult {
+// get performs one shard GET, bounded by shardTimeout.
+func (rt *Router) get(ctx context.Context, shard, pathQuery string) shardResult {
 	res := shardResult{Shard: shard}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, shard+pathQuery, rd)
+	ctx, cancel := context.WithTimeout(ctx, shardTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, shard+pathQuery, nil)
 	if err != nil {
 		res.Err = err
 		return res
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
@@ -199,15 +163,14 @@ func (rt *Router) call(ctx context.Context, shard, method, pathQuery string, bod
 		return res
 	}
 	res.Status = resp.StatusCode
-	res.Header = resp.Header
 	res.Body = b
 	return res
 }
 
-// scatter fans one request to the shards concurrently, returning results
+// scatter fans one GET to the shards concurrently, returning results
 // indexed by shard. A non-nil want picks the shards to ask; the other slots
 // stay zero.
-func (rt *Router) scatter(ctx context.Context, method, pathQuery string, body []byte, contentType string, timeout time.Duration, want func(shard int) bool) []shardResult {
+func (rt *Router) scatter(ctx context.Context, pathQuery string, want func(shard int) bool) []shardResult {
 	out := make([]shardResult, len(rt.shards))
 	var wg sync.WaitGroup
 	for i, shard := range rt.shards {
@@ -217,17 +180,11 @@ func (rt *Router) scatter(ctx context.Context, method, pathQuery string, body []
 		wg.Add(1)
 		go func(i int, shard string) {
 			defer wg.Done()
-			out[i] = rt.call(ctx, shard, method, pathQuery, body, contentType, timeout)
+			out[i] = rt.get(ctx, shard, pathQuery)
 		}(i, shard)
 	}
 	wg.Wait()
 	return out
-}
-
-// Serve accepts connections on ln until ctx is cancelled, then shuts down
-// gracefully, draining in-flight requests bounded by RequestTimeout.
-func (rt *Router) Serve(ctx context.Context, ln net.Listener) error {
-	return server.Serve(ctx, ln, rt.handler, rt.cfg.RequestTimeout)
 }
 
 // handleMetrics reports the router's own counters; shard-level metrics live
@@ -244,7 +201,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleHealthz aggregates shard liveness: 200 when every shard answers its
 // own /healthz, 503 with per-shard detail otherwise.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	results := rt.scatter(r.Context(), http.MethodGet, "/healthz", nil, "", rt.cfg.ShardTimeout, nil)
+	results := rt.scatter(r.Context(), "/healthz", nil)
 	type shardHealth struct {
 		Shard  string `json:"shard"`
 		Status string `json:"status"`

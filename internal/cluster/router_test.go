@@ -87,8 +87,7 @@ type fixture struct {
 }
 
 // newFixture splits cube across n live shard servers and fronts them with a
-// router whose metadata comes from the saved snapshot (the cmd/flowrouter
-// load path).
+// router whose metadata comes from the saved snapshot (core.LoadMeta).
 func newFixture(t testing.TB, cube *core.Cube, n int) *fixture {
 	t.Helper()
 	parts, err := cluster.Split(cube, n)

@@ -115,9 +115,10 @@ func CompareExceptions(a, b flowgraph.Exception) int {
 // materialized cell, ties broken deterministically by cell then support.
 // k <= 0 returns all.
 func (c *Cube) TopExceptions(k int) []RankedException {
-	// Base cells read their exceptions from the flat columns, in the order
-	// the pointer-form graph lists them, so the stable sort below ranks a
-	// lazily opened cube exactly as its eager twin.
+	// Base cells and resting graphs read their exceptions from the flat
+	// columns, in the order the pointer-form graph lists them, so the
+	// stable sort below ranks a lazily opened or resting cube exactly as
+	// its thawed twin, and thaws nothing.
 	var out []RankedException
 	for _, cb := range c.sortedCuboids() {
 		err := cb.each(func(e *dirEntry, cell *Cell) error {
@@ -127,7 +128,12 @@ func (c *Cube) TopExceptions(k int) []RankedException {
 			case cell == nil:
 				xs, err = cb.base.exceptions(e)
 			case cell.Graph != nil:
-				xs = cell.Graph.Exceptions()
+				// Read once: a concurrent thaw drops the columns.
+				if cols := cell.Graph.Columns(); cols == nil {
+					xs = cell.Graph.Exceptions()
+				} else if len(cols.ExcNode) > 0 {
+					xs, err = flowgraph.FlatExceptions(cols, c.Schema.Location)
+				}
 			}
 			for _, x := range xs {
 				out = append(out, RankedException{Spec: cb.Spec, Values: e.values, Exception: x})

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"slices"
 	"sync/atomic"
 
-	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
 	"flowcube/internal/transact"
 )
@@ -18,7 +16,7 @@ import (
 // ids, every record's stage transactions and the symbol table those are
 // interned into. COUNT is distributive and the flowgraph measure algebraic,
 // so all of it is a function of the database and δ: no cube is built,
-// loaded or merged with it, and ApplyDelta derives it (deriveLedger) in one
+// loaded, filtered or merged with it, and ApplyDelta derives it (deriveLedger) in one
 // walk of the base on a first append.
 //
 // Forks share one ledger by pointer; stamp says which database it counts:
@@ -61,43 +59,6 @@ func (l *deltaLedger) size() int {
 		n += len(counts)
 	}
 	return n
-}
-
-// filter returns a new ledger, counting the same n records, with the
-// combinations and cells whose values satisfy keep; nil when it is not
-// free. The id lists and the stage list it shares are capacity-clipped, so
-// the first append to either ledger reallocates them, and it gets its own
-// copy of the symbol table, which appends to either ledger intern into.
-func (l *deltaLedger) filter(keep func(values []hierarchy.NodeID) bool) *deltaLedger {
-	n := l.stamp.Load()
-	if n < 0 || !l.claim(int(n)) {
-		return nil
-	}
-	defer l.release(int(n))
-	out := &deltaLedger{levels: filterLevels(l.levels, keep, func(count int64) int64 { return count })}
-	out.stamp.Store(n)
-	if l.ids != nil {
-		out.ids = filterLevels(l.ids, keep, slices.Clip[[]int32])
-		out.stages = slices.Clip(l.stages)
-		out.syms = l.syms.Clone()
-	}
-	return out
-}
-
-// filterLevels copies per-item-level maps, keeping the entries whose values
-// satisfy keep, each passed through share.
-func filterLevels[V any](levels map[string]map[CellID]V, keep func(values []hierarchy.NodeID) bool, share func(V) V) map[string]map[CellID]V {
-	out := make(map[string]map[CellID]V, len(levels))
-	for key, entries := range levels {
-		kept := make(map[CellID]V)
-		for id, v := range entries {
-			if keep(id.values()) {
-				kept[id] = share(v)
-			}
-		}
-		out[key] = kept
-	}
-	return out
 }
 
 // deriveLedger walks db once (walkRecords) and counts, per materialized

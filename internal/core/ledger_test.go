@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"flowcube/internal/core"
-	"flowcube/internal/hierarchy"
 	"flowcube/internal/oracle"
 	"flowcube/internal/pathdb"
 )
@@ -147,51 +146,6 @@ func TestSiblingForksKeepExactLedgers(t *testing.T) {
 				})
 			}
 		})
-	}
-}
-
-// TestFilteredLedgerOwnsItsTable: FilterCells copies an exceptions cube's
-// derived ledger with a symbol table of its own, so a fork of the original,
-// which claims the original's ledger, and the filtered cube may append at
-// once, each interning its batch's stage items into its own table, and both
-// stay exact. scripts/check.sh runs it with -race -count=10.
-func TestFilteredLedgerOwnsItsTable(t *testing.T) {
-	const derive, base, a, b = 140, 160, 180, 200
-	ds := oracle.Dataset(47, b)
-	cfg := core.Config{MinCount: 4, Epsilon: 0.05, MineExceptions: true, Plan: ds.DefaultPlan(), Workers: 2}
-	cfg.Plan.PathLevels = cfg.Plan.PathLevels[:2]
-	db := oracle.Prefix(ds.DB, derive)
-	cube := oracle.Build(t, db, cfg)
-	if _, err := core.ApplyDelta(cube, db, ds.DB.Records[derive:base]); err != nil {
-		t.Fatal(err)
-	}
-	// Keeping every cell leaves a cube a rebuild can check.
-	filtered := cube.FilterCells(func([]hierarchy.NodeID) bool { return true })
-	if filtered.Ledger() == nil || filtered.Ledger().Symbols() == cube.Ledger().Symbols() {
-		t.Fatal("the filtered cube does not own a copy of the ledger's symbol table")
-	}
-
-	cubes := []*core.Cube{cube.Fork(), filtered}
-	dbs := []*pathdb.DB{oracle.Prefix(db, base), oracle.Prefix(db, base)}
-	batches := [][]pathdb.Record{ds.DB.Records[base:a], ds.DB.Records[a:b]}
-	items := []int{cube.Ledger().Symbols().Len(), filtered.Ledger().Symbols().Len()}
-	errs := make([]error, len(cubes))
-	var wg sync.WaitGroup
-	for i := range cubes {
-		wg.Add(1)
-		go func() { defer wg.Done(); _, errs[i] = core.ApplyDelta(cubes[i], dbs[i], batches[i]) }()
-	}
-	wg.Wait()
-	for i, c := range cubes {
-		if errs[i] != nil {
-			t.Fatalf("cube %d: %v", i, errs[i])
-		}
-		what := []string{"the original's fork", "the filtered cube"}[i]
-		if c.Ledger().Symbols().Len() == items[i] {
-			t.Errorf("%s: fixture exercises nothing: the batch interned no new item", what)
-		}
-		oracle.Check(t, what, c, dbs[i], cfg)
-		checkOwnLedger(t, what, c, dbs[i])
 	}
 }
 

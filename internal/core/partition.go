@@ -1,10 +1,10 @@
 package core
 
 // Horizontal partitioning support (see internal/cluster and DESIGN.md §10):
-// carving one materialized cube into per-shard cubes along cell-value
-// boundaries, re-assembling shards into the original cube, and loading just
-// a snapshot's metadata prefix so a stateless router can validate and route
-// without holding any cells.
+// carving one materialized cube into read-only per-shard cubes along
+// cell-value boundaries, re-assembling shards into the original cube, and
+// loading just a snapshot's metadata prefix so a stateless router can
+// validate and route without holding any cells.
 //
 // This file is on the immutcube allowlist for the same reason delta.go is:
 // every cube mutated here is freshly constructed and not yet shared with
@@ -19,21 +19,22 @@ import (
 	"flowcube/internal/hierarchy"
 )
 
-// FilterCells returns a new cube holding exactly the cells (and sub-δ
-// ledger entries, once an append has derived the ledger and unless a call
-// holds it or a failed one left it claimed) whose
+// FilterCells returns a new cube holding exactly the cells whose
 // per-dimension values satisfy keep. Every cuboid of the original stays
-// materialized — possibly empty — and every ledger item level stays
-// present, so a set of complementary filters partitions the cube: Merge
-// over cubes filtered by disjoint, exhaustive predicates reproduces the
-// original cell-for-cell, and their snapshots carry the same section
-// census.
+// materialized — possibly empty — so a set of complementary filters
+// partitions the cube: Merge over cubes filtered by disjoint, exhaustive
+// predicates reproduces the original cell-for-cell, and their snapshots
+// carry the same section census.
+//
+// The result is for reading. It carries no sub-δ ledger, so an append to
+// it derives a full one, as an append to a loaded cube does, and admits
+// every combination the batch lifts over δ — also those keep rejects,
+// which other parts own.
 //
 // The result shares the mapped bases and the *Cell pointers (and through
 // them the flowgraph nodes) with the receiver under the ownership rule of
 // delta.go: it is a later generation, so it reads what the receiver holds
-// and a write through ownedCell copies first; its ledger, symbol table
-// included, is its own (deltaLedger.filter). Selection runs on value
+// and a write through ownedCell copies first. Selection runs on value
 // tuples, so a mapped base decodes nothing: its cells that fail keep are
 // hidden (one whose directory does not build stays as unreadable as it
 // was, its error recorded for LazyErr). The mining result is dropped: it
@@ -60,21 +61,18 @@ func (c *Cube) FilterCells(keep func(values []hierarchy.NodeID) bool) *Cube {
 		})
 		out.Cuboids[key] = ncb
 	}
-	if c.ledger != nil {
-		out.ledger = c.ledger.filter(keep)
-	}
 	return out
 }
 
 // Merge re-assembles cubes produced by complementary FilterCells calls (or
-// loaded from the per-shard snapshots internal/cluster writes) into one
-// cube. The shards must agree on thresholds, schema shape, and cuboid
-// census, and no cell may appear in more than one shard; violations report
-// which shard disagrees. The merged cube takes the first shard's schema and
-// plan and shares cell pointers with its inputs, as a generation later
-// than all of them (see FilterCells); the cells of a mapped base are
-// decoded into it, and a base that does not decode fails the merge. It
-// carries no sub-δ ledger: its first append derives one.
+// loaded from their snapshots) into one cube. The shards must agree on
+// thresholds, schema shape, and cuboid census, and no cell may appear in
+// more than one shard; violations report which shard disagrees. The merged
+// cube takes the first shard's schema and plan and shares cell pointers
+// with its inputs, as a generation later than all of them (see
+// FilterCells); the cells of a mapped base are decoded into it, and a base
+// that does not decode fails the merge. It carries no sub-δ ledger: its
+// first append derives one.
 func Merge(shards []*Cube) (*Cube, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("core: merge of zero shards")

@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"flowcube/internal/core"
@@ -44,8 +46,9 @@ func TestBuildLeavesGraphsAtRest(t *testing.T) {
 
 // TestLoadLeavesGraphsAtRest: a snapshot's cells decode to graphs at rest
 // on their checked columns — eagerly (Load) and one cell at a time (a lazy
-// cube's LRU) — and CuboidSummaries and Save thaw none; a loaded cube saves
-// the bytes it was loaded from.
+// cube's LRU) — and CuboidSummaries, TopExceptions, Validate and Save thaw
+// none; TopExceptions ranks what it ranks over thawed graphs, and a loaded
+// cube saves the bytes it was loaded from.
 func TestLoadLeavesGraphsAtRest(t *testing.T) {
 	want := oracle.Save(t, buildRestShape(t))
 	path := oracle.File(t, want)
@@ -55,6 +58,27 @@ func TestLoadLeavesGraphsAtRest(t *testing.T) {
 		t.Fatal("no cuboids")
 	}
 	requireAtRest(t, cube, "CuboidSummaries")
+	top := rankedStrings(cube.TopExceptions(0))
+	requireAtRest(t, cube, "TopExceptions")
+	if len(top) == 0 {
+		t.Fatal("fixture exercises nothing: no exception ranked")
+	}
+	if err := cube.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	requireAtRest(t, cube, "Validate")
+	thawed := oracle.Open(t, path)
+	for _, cb := range thawed.Cuboids {
+		for _, cell := range cb.Cells {
+			cell.Graph.Root()
+		}
+	}
+	if thawed.ThawedGraphs() != thawed.NumCells() {
+		t.Fatal("the twin did not thaw")
+	}
+	if got := rankedStrings(thawed.TopExceptions(0)); !slices.Equal(got, top) {
+		t.Fatalf("TopExceptions over resting graphs departs from the thawed twin's:\n%v\nwant\n%v", top, got)
+	}
 	got := oracle.Save(t, cube)
 	requireAtRest(t, cube, "Save")
 	if !bytes.Equal(got, want) {
@@ -94,6 +118,17 @@ func buildRestShape(t *testing.T) *core.Cube {
 		SingleStageExceptions: true,
 		Workers:               2,
 	})
+}
+
+// rankedStrings renders what a ranked exception reports, in rank order.
+func rankedStrings(xs []core.RankedException) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = fmt.Sprintf("%s %v at %v (node %d, depth %d, count %d) if %v: support %d, deviations %v/%v, durations %v, transitions %v",
+			x.Spec.Key(), x.Values, x.Prefix, x.Node.Location, x.Node.Depth, x.Node.Count, x.Condition,
+			x.Support, x.DurationDeviation, x.TransitionDeviation, x.Durations, x.Transitions)
+	}
+	return out
 }
 
 // requireAtRest fails unless every materialized cell's graph rests.

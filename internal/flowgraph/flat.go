@@ -247,10 +247,10 @@ func (f *Flat) validate() error {
 
 // Check reports the first reason Unflatten would refuse f at loc, or nil:
 // the structural invariants of the columnar form, the rules checkNodes and
-// checkPins apply, and every pooled distribution strictly ascending by
-// outcome with non-negative weights. It allocates nothing, and columns that
-// pass it thaw into a tree without error, so a graph Unflatten returns may
-// rest on them.
+// checkPins apply, every pooled distribution strictly ascending by outcome
+// with non-negative weights, and every non-root node's duration weights
+// summing to its count. It allocates nothing, and columns that pass it thaw
+// into a tree without error, so a graph Unflatten returns may rest on them.
 func (f *Flat) Check(loc *hierarchy.Hierarchy) error {
 	if err := f.validate(); err != nil {
 		return err
@@ -261,17 +261,29 @@ func (f *Flat) Check(loc *hierarchy.Hierarchy) error {
 	if err := f.checkPins(loc); err != nil {
 		return err
 	}
-	if err := checkDists(f.Outcomes, f.Weights, f.DurLo, f.DurLo[1:]); err != nil {
+	// The root's distribution, then every other node's, held to its count.
+	if err := checkDists(f.Outcomes, f.Weights, f.DurLo[:1], f.DurLo[1:2], nil); err != nil {
 		return err
 	}
-	if err := checkDists(f.ExcOutcomes, f.ExcWeights, f.ExcDurLo, f.ExcTrLo); err != nil {
+	if err := checkDists(f.Outcomes, f.Weights, f.DurLo[1:], f.DurLo[2:], f.Counts[1:]); err != nil {
+		return err
+	}
+	if err := checkDists(f.ExcOutcomes, f.ExcWeights, f.ExcDurLo, f.ExcTrLo, nil); err != nil {
 		return err
 	}
 	if len(f.ExcTrLo) == 0 {
 		return nil
 	}
 	// Exception j's transition distribution is [ExcTrLo[j], ExcDurLo[j+1]).
-	return checkDists(f.ExcOutcomes, f.ExcWeights, f.ExcTrLo, f.ExcDurLo[1:])
+	return checkDists(f.ExcOutcomes, f.ExcWeights, f.ExcTrLo, f.ExcDurLo[1:], nil)
+}
+
+// Validate checks the graph's structural invariants, Check's on its
+// columns, and returns the first violation found, or nil; it guards
+// deserialized and hand-assembled graphs. A resting graph is checked in
+// the columns it rests on, so it stays at rest.
+func (g *Graph) Validate() error {
+	return Flatten(g).Check(g.loc)
 }
 
 // checkNodes checks every node's location against loc and the counts its
@@ -328,10 +340,13 @@ func (f *Flat) checkPins(loc *hierarchy.Hierarchy) error {
 // checkDists refuses what Multinomial.InitSorted refuses of the
 // distributions a validated pair of offset columns cuts out of pooled
 // outcome and weight columns, [lo[i], hi[i]) for each i of hi: a negative
-// weight, or outcomes not strictly ascending within one distribution.
-func checkDists(outcomes, weights []int64, lo, hi []int32) error {
+// weight, or outcomes not strictly ascending within one distribution. With
+// totals, it also refuses distribution i unless its weights sum to
+// totals[i], summed as Multinomial.Total sums them.
+func checkDists(outcomes, weights []int64, lo, hi []int32, totals []int64) error {
 	for i := range hi {
 		o, w := outcomes[lo[i]:hi[i]], weights[lo[i]:hi[i]]
+		var sum int64
 		for k := range o {
 			if w[k] < 0 {
 				return fmt.Errorf("flowgraph: flat weight %d negative at pool index %d", w[k], lo[i]+int32(k))
@@ -339,6 +354,10 @@ func checkDists(outcomes, weights []int64, lo, hi []int32) error {
 			if k > 0 && o[k-1] >= o[k] {
 				return fmt.Errorf("flowgraph: flat outcomes not strictly increasing at pool index %d", lo[i]+int32(k))
 			}
+			sum += w[k]
+		}
+		if totals != nil && sum != totals[i] {
+			return fmt.Errorf("flowgraph: flat weights from pool index %d do not sum to the node's count %d", lo[i], totals[i])
 		}
 	}
 	return nil

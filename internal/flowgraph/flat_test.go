@@ -145,6 +145,9 @@ func TestUnflattenRejectsInvalid(t *testing.T) {
 		{"zero-weight child of a one-path graph", func(f *flowgraph.Flat) {
 			*f = *onePath(0)
 		}},
+		// Every visit to a node has a duration: its weights sum to its count.
+		{"durations above the count", func(f *flowgraph.Flat) { f.Weights[f.DurLo[1]]++ }},
+		{"durations below the count", func(f *flowgraph.Flat) { f.Weights[f.DurLo[1]]-- }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -356,8 +356,9 @@ func TestExceptionKeysTellWideLocationsApart(t *testing.T) {
 }
 
 // TestTreeWalksDoNotAllocate: Children is called once per node per
-// comparison, Similarity once per (cell, parent) pair of the lattice, and
-// the transition readers once per node rendered; none may touch the heap.
+// comparison, Similarity once per (cell, parent) pair of the lattice, the
+// transition readers once per node rendered, and Validate once per cell of
+// a checked cube; none may touch the heap.
 func TestTreeWalksDoNotAllocate(t *testing.T) {
 	ex, g := buildExample(t)
 	cell := flowgraph.Build(ex.Location, ex.BasePathLevel(), basePaths(ex)[3:6], nil)
@@ -378,6 +379,15 @@ func TestTreeWalksDoNotAllocate(t *testing.T) {
 			root.TransitionProb(int64(first.Location)) + float64(first.Terminations())
 	}); allocs != 0 {
 		t.Errorf("the transition readers allocate %v times per call", allocs)
+	}
+	// Validate on a resting graph is Check over its columns, in place.
+	g.Rest()
+	var err error
+	if allocs := testing.AllocsPerRun(50, func() { err = g.Validate() }); allocs != 0 || err != nil {
+		t.Errorf("Validate of a resting graph allocates %v times per call (err %v)", allocs, err)
+	}
+	if g.Columns() == nil {
+		t.Error("Validate thawed the resting graph")
 	}
 	if n == 0 || sim == 0 {
 		t.Fatal("the walks did nothing")

@@ -10,11 +10,11 @@ import (
 // and its exceptions with exact-sized Flat columns, a fraction of the
 // tree's bytes, and Unflatten returns a decoded graph resting on the
 // columns it checked; either keeps its path count beside them. Paths,
-// Flatten and Similarity read the columns, and so does every reader that
-// walks Flatten's result (the cell renderer). Every other reader needs
-// nodes, and the first of them thaws a tree from the columns, once: Root,
-// NodeAt, Exceptions, String, DOT, the analyses, Contrast, Clone, Fold and
-// Validate, and Fork, whose fork shares the thawed nodes. The thawed graph
+// Flatten, Similarity and Validate read the columns, and so does every
+// reader that walks Flatten's result (the cell renderer, FlatExceptions).
+// Every other reader needs nodes, and the first of them thaws a tree from
+// the columns, once: Root, NodeAt, Exceptions, String, DOT, the analyses,
+// Contrast, Clone and Fold, and Fork, whose fork shares the thawed nodes. The thawed graph
 // drops its columns — a reader still walking them keeps them until it is
 // done — and is a tree from then on, as if it had never rested. Writers —
 // AddAggregated, Merge, MineExceptions, ClearExceptions — first wake the

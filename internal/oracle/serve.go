@@ -30,11 +30,10 @@ func (b *lockedBuffer) String() string {
 
 var listenRE = regexp.MustCompile(`listening on (http://[^\s]+)`)
 
-// Serve runs a serving command's run function (flowserve's or
-// flowrouter's) with args on an ephemeral port under a child of ctx, waits
-// until it logs the address it listens on, and returns that base URL and a
-// stop function that cancels the child — the path SIGINT takes — and
-// returns run's error.
+// Serve runs a serving command's run function (flowserve's) with args on
+// an ephemeral port under a child of ctx, waits until it logs the address
+// it listens on, and returns that base URL and a stop function that
+// cancels the child — the path SIGINT takes — and returns run's error.
 func Serve(ctx context.Context, t testing.TB, run func(ctx context.Context, args []string, stdout, stderr io.Writer) error, args ...string) (string, func() error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(ctx)

@@ -48,7 +48,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, errNoAppendDB)
 		return
 	}
-	batchDB, err := ReadAppendBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxAppendBytes), snap.DB.Schema)
+	batchDB, err := readAppendBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxAppendBytes), snap.DB.Schema)
 	if err != nil {
 		WriteError(w, err)
 		return
@@ -76,11 +76,11 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// ReadAppendBody parses an append request body as path-database text
+// readAppendBody parses an append request body as path-database text
 // records against schema. The caller wraps the body in http.MaxBytesReader
 // first; an oversized body answers 413, a parse error or an empty batch 400,
 // each as an *HTTPError.
-func ReadAppendBody(body io.Reader, schema *pathdb.Schema) (*pathdb.DB, error) {
+func readAppendBody(body io.Reader, schema *pathdb.Schema) (*pathdb.DB, error) {
 	db, err := pathdb.Read(body, schema)
 	if err != nil {
 		// An oversized body is a hard protocol violation (413), not a parse
@@ -277,9 +277,6 @@ func (s *Server) fold(cube *core.Cube, schema *pathdb.Schema, batch []pathdb.Rec
 		// The fork and the appended records are abandoned; the cube it was
 		// forked from and the commit loop's records are untouched.
 		return nil, err
-	}
-	if s.cfg.PostAppend != nil {
-		cube = s.cfg.PostAppend(cube)
 	}
 	return &foldResult{cube: cube, records: db.Records, stats: stats}, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"flowcube/internal/core"
-	"flowcube/internal/hierarchy"
 	"flowcube/internal/oracle"
 )
 
@@ -92,35 +91,5 @@ func TestAppendBodyLimit(t *testing.T) {
 	// At the cap exactly, the append goes through.
 	if rec, _ := postBody(t, s.Handler(), "/admin/append", line); rec.Code != http.StatusOK {
 		t.Errorf("at-limit body: status %d, want 200: %s", rec.Code, rec.Body.String())
-	}
-}
-
-// TestPostAppendHook checks that Config.PostAppend transforms the
-// delta-maintained cube before the snapshot swap — the mechanism shard
-// servers use to re-prune foreign cells after every append.
-func TestPostAppendHook(t *testing.T) {
-	ex, cube := oracle.Table1(t, oracle.Base, core.Config{MinCount: 2})
-	calls := 0
-	cfg := quietConfig()
-	cfg.PostAppend = func(c *core.Cube) *core.Cube {
-		calls++
-		return c.FilterCells(func([]hierarchy.NodeID) bool { return false })
-	}
-	s := newTestServer2(t, func() (*core.Cube, LoadInfo, error) { return cube, LoadInfo{DB: ex.DB}, nil }, cfg)
-
-	rec, _ := postBody(t, s.Handler(), "/admin/append", "tennis,nike|f:1 s:2\n")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("append: status %d: %s", rec.Code, rec.Body.String())
-	}
-	if calls != 1 {
-		t.Fatalf("PostAppend ran %d times, want 1", calls)
-	}
-	if got := s.Snapshot().Cube.NumCells(); got != 0 {
-		t.Errorf("snapshot has %d cells; the drop-everything hook's result was not installed", got)
-	}
-	// The hook only shapes the swapped-in cube; the loader's cube is shared
-	// and must stay intact.
-	if cube.NumCells() == 0 {
-		t.Error("PostAppend mutated the pre-append cube")
 	}
 }

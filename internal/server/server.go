@@ -55,7 +55,6 @@ import (
 	"sync"
 	"time"
 
-	"flowcube/internal/core"
 	"flowcube/internal/ingest"
 	"flowcube/internal/pathdb"
 )
@@ -74,12 +73,6 @@ type Config struct {
 	// MaxAppendBytes bounds a POST /admin/append request body; 0 means
 	// DefaultMaxAppendBytes. Oversized bodies are rejected with 413.
 	MaxAppendBytes int64
-	// PostAppend, when set, transforms the delta-maintained cube before it
-	// becomes the serving snapshot. Shard servers use it to drop state the
-	// shard does not own after an append (cluster.ShardFilter); it must
-	// return a cube safe to serve (the input is a fork only the commit loop
-	// holds).
-	PostAppend func(*core.Cube) *core.Cube
 	// WALPath, when set, journals every accepted append batch to a
 	// write-ahead log at this path before folding it, and replays intact
 	// entries on startup — an acknowledged append survives a crash that
@@ -569,7 +562,20 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 // gracefully (draining in-flight requests, bounded by RequestTimeout) and
 // closes the server.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	err := Serve(ctx, ln, s.handler, s.cfg.RequestTimeout)
+	srv := newHTTPServer(s.handler)
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	var err error
+	select {
+	case err = <-errc:
+	case <-ctx.Done():
+		// WithoutCancel: ctx is already done here; the drain deadline must
+		// not inherit its cancellation or Shutdown would return immediately.
+		shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.RequestTimeout)
+		err = srv.Shutdown(shutdownCtx)
+		cancel()
+		<-errc // Serve has returned http.ErrServerClosed
+	}
 	// The listener or shutdown error is the actionable one.
 	if cerr := s.Close(); err == nil {
 		err = cerr
@@ -577,30 +583,10 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return err
 }
 
-// Serve serves h on ln until ctx is cancelled, then shuts down gracefully,
-// draining in-flight requests for at most drain.
-func Serve(ctx context.Context, ln net.Listener, h http.Handler, drain time.Duration) error {
-	srv := newHTTPServer(h)
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		// WithoutCancel: ctx is already done here; the drain deadline must
-		// not inherit its cancellation or Shutdown would return immediately.
-		shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drain)
-		defer cancel()
-		err := srv.Shutdown(shutdownCtx)
-		<-errc // Serve has returned http.ErrServerClosed
-		return err
-	}
-}
-
-// newHTTPServer is the http.Server flowserve and flowrouter listen with. A
-// request's own deadline comes from WithTimeout, so no read or write
-// timeout cuts into it; the connection is bounded while it sends headers
-// and while it idles between requests.
+// newHTTPServer is the http.Server flowserve listens with. A request's own
+// deadline comes from WithTimeout, so no read or write timeout cuts into
+// it; the connection is bounded while it sends headers and while it idles
+// between requests.
 func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,

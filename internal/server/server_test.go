@@ -71,12 +71,17 @@ func TestCellExactQuery(t *testing.T) {
 }
 
 // TestServingLeavesLoadedGraphsAtRest: serving every cell of an eagerly
-// loaded cube through /v1/cell and /v2/query?op=cell thaws none of their
-// graphs; the writer reads their columns.
+// loaded cube through /v1/cell and /v2/query?op=cell, and its exceptions
+// through /v1/exceptions, thaws none of their graphs; the writers read
+// their columns.
 func TestServingLeavesLoadedGraphsAtRest(t *testing.T) {
 	_, built := oracle.Table1(t, oracle.Views, oracle.Mined(0))
 	cube := oracle.Reopen(t, built, false)
 	s := newTestServer(t, cube, quietConfig())
+	rec, body := get(t, s.Handler(), "/v1/exceptions")
+	if xs, _ := body["exceptions"].([]any); rec.Code != http.StatusOK || len(xs) == 0 {
+		t.Fatalf("GET /v1/exceptions: status %d, want 200 and exceptions: %s", rec.Code, rec.Body.String())
+	}
 	var cells []*core.Cell
 	for _, spec := range cube.MaterializedSpecs() {
 		for _, cell := range cube.Cuboid(spec).SortedCells() {

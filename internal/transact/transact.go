@@ -152,32 +152,6 @@ func cutRelations(levels []pathdb.PathLevel) [][]cutRelation {
 	return rel
 }
 
-// Clone returns an independently mutable copy of the symbol table. Encoding
-// new records interns fresh stage items — a mutation — so two owners that
-// go on encoding each need their own copy. Interned item entries are
-// immutable once created, so the per-item metadata (seq, ancestors) is
-// shared; only the containers are copied.
-func (s *Symbols) Clone() *Symbols {
-	c := &Symbols{
-		schema:        s.schema,
-		plan:          s.plan,
-		dimLevels:     s.dimLevels,
-		pathLevels:    s.pathLevels,
-		items:         append([]itemInfo(nil), s.items...),
-		byDimVal:      make(map[int64]Item, len(s.byDimVal)),
-		byStage:       make(map[string]Item, len(s.byStage)),
-		precountLevel: s.precountLevel,
-		cutRel:        s.cutRel,
-	}
-	for k, v := range s.byDimVal {
-		c.byDimVal[k] = v
-	}
-	for k, v := range s.byStage {
-		c.byStage[k] = v
-	}
-	return c
-}
-
 // NewSymbols builds an empty symbol table for the schema and plan. The plan
 // must contain at least one path level.
 func NewSymbols(schema *pathdb.Schema, plan Plan) (*Symbols, error) {

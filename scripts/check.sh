@@ -88,9 +88,10 @@ echo "== flowlint =="
 go run ./cmd/flowlint -stats ./...
 
 echo "== go test -race =="
-# Includes the cluster round-trip suite (internal/cluster): split cubes
-# served by live 2- and 3-shard fleets answered through the router, checked
-# byte-for-byte against a single node, under the race detector.
+# Includes the cluster read suite (internal/cluster): split cubes served by
+# 2- and 3-shard fleets of in-process servers, answered through the router
+# and checked byte-for-byte against a single node, under the race detector.
+# No fleet runs outside a test process: the router is the read path alone.
 go test -race ./...
 
 echo "== generation isolation, lazy first touch, request deadlines, census, sharded counting (-race -count=10) =="
@@ -105,14 +106,12 @@ echo "== generation isolation, lazy first touch, request deadlines, census, shar
 # Sibling forks share one ledger — on an exceptions cube with the cells'
 # record ids, the stage transactions and the symbol table they are interned
 # into: appending to both, concurrently too, one may claim it and extend
-# them in place, and the other must touch none of it and derive its own. A
-# ledger FilterCells copies owns its own table, so the filtered cube and a
-# fork of the original may intern at once.
+# them in place, and the other must touch none of it and derive its own.
 # ApplyDelta folds, re-mines and re-marks across Config.Workers: one and
 # four workers must save the same bytes and stats over built, loaded and
 # lazy cubes, and sibling forks of one lazy cube re-marking at once read
 # their parents through the one LRU they share with the readers.
-run_matching 'TestGenerationIsolation|TestLedgerMaintainedEqualsDerived|TestLazyAppendDerivesLedgerWithoutDecoding|TestSiblingForksKeepExactLedgers|TestFilteredLedgerOwnsItsTable|TestApplyDeltaWorkersAgree|TestLazySiblingForksRemarkConcurrently' -race -count=10 ./internal/core
+run_matching 'TestGenerationIsolation|TestLedgerMaintainedEqualsDerived|TestLazyAppendDerivesLedgerWithoutDecoding|TestSiblingForksKeepExactLedgers|TestApplyDeltaWorkersAgree|TestLazySiblingForksRemarkConcurrently' -race -count=10 ./internal/core
 # Same reasoning for a lazy cube's first touches: readers racing for one cold
 # cell share a single decode through the cache's single-flight, and Verify
 # installs its directories in the cache the readers are building theirs in.
