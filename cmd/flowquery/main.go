@@ -110,13 +110,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	} else {
 		var err error
 		cube, err = core.Build(ds.DB, core.Config{
-			MinSupport:            *minsup,
-			Epsilon:               *epsilon,
-			Tau:                   *tau,
-			Plan:                  ds.DefaultPlan(),
-			MineExceptions:        *exceptions,
-			SingleStageExceptions: *exceptions,
-			Workers:               *workers,
+			MinSupport:     *minsup,
+			Epsilon:        *epsilon,
+			Tau:            *tau,
+			Plan:           ds.DefaultPlan(),
+			MineExceptions: *exceptions,
+			Workers:        *workers,
 		})
 		if err != nil {
 			return err

@@ -69,11 +69,10 @@ func main() {
 	// 3. Build the cube and query the (shoes, china) cell.
 	leaf := flowcube.LevelCut(location, location.Depth())
 	cube, err := flowcube.Build(db, flowcube.Config{
-		MinSupport:            0.02,
-		Epsilon:               0.15,
-		Plan:                  flowcube.Plan{PathLevels: []flowcube.PathLevel{{Cut: leaf, Time: flowcube.TimeBase}}},
-		MineExceptions:        true,
-		SingleStageExceptions: true,
+		MinSupport:     0.02,
+		Epsilon:        0.15,
+		Plan:           flowcube.Plan{PathLevels: []flowcube.PathLevel{{Cut: leaf, Time: flowcube.TimeBase}}},
+		MineExceptions: true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -53,12 +53,11 @@ func main() {
 		{Cut: leaf, Time: flowcube.TimeBase},
 	}}
 	cube, err := flowcube.Build(db, flowcube.Config{
-		MinSupport:            0.01,
-		Epsilon:               0.15,
-		Tau:                   0.60,
-		Plan:                  plan,
-		MineExceptions:        true,
-		SingleStageExceptions: true,
+		MinSupport:     0.01,
+		Epsilon:        0.15,
+		Tau:            0.60,
+		Plan:           plan,
+		MineExceptions: true,
 	})
 	if err != nil {
 		log.Fatal(err)

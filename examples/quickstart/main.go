@@ -78,11 +78,10 @@ func main() {
 	}}
 
 	cube, err := flowcube.Build(db, flowcube.Config{
-		MinCount:              2,   // iceberg δ: at least 2 paths per cell
-		Epsilon:               0.1, // minimum deviation for exceptions
-		Plan:                  plan,
-		MineExceptions:        true,
-		SingleStageExceptions: true,
+		MinCount:       2,   // iceberg δ: at least 2 paths per cell
+		Epsilon:        0.1, // minimum deviation for exceptions
+		Plan:           plan,
+		MineExceptions: true,
 	})
 	if err != nil {
 		log.Fatal(err)

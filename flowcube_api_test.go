@@ -64,8 +64,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			{Cut: leaf, Time: flowcube.TimeBase},
 			{Cut: leaf, Time: flowcube.TimeAny},
 		}},
-		MineExceptions:        true,
-		SingleStageExceptions: true,
+		MineExceptions: true,
 	})
 	if err != nil {
 		t.Fatal(err)

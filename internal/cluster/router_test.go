@@ -47,12 +47,11 @@ func synthCube(t testing.TB) (*datagen.Dataset, *core.Cube) {
 	synthOnce.Do(func() {
 		synthDS = datagen.MustGenerate(synthGen(500))
 		synthC, synthErr = core.Build(synthDS.DB, core.Config{
-			MinCount:              5,
-			Epsilon:               0.1,
-			Plan:                  synthDS.DefaultPlan(),
-			MineExceptions:        true,
-			SingleStageExceptions: true,
-			Workers:               runtime.GOMAXPROCS(0),
+			MinCount:       5,
+			Epsilon:        0.1,
+			Plan:           synthDS.DefaultPlan(),
+			MineExceptions: true,
+			Workers:        runtime.GOMAXPROCS(0),
 		})
 	})
 	if synthErr != nil {

@@ -40,7 +40,7 @@ func stepTable() map[string][]oracle.Chain {
 		"exceptions off": {MinCount: 4, Tau: 0.5},
 		"exceptions on":  {MinCount: 4, Epsilon: 0.05, MineExceptions: true},
 		"exceptions+single-stage+tau": {MinCount: 4, Epsilon: 0.05, Tau: 0.5,
-			MineExceptions: true, SingleStageExceptions: true},
+			MineExceptions: true},
 	} {
 		cfg.Workers = 2
 		loaded = append(loaded, oracle.Chain{Name: name, DB: ds17.DB, Cfg: onPlan(ds17, cfg), Steps: []oracle.Step{
@@ -56,7 +56,7 @@ func stepTable() map[string][]oracle.Chain {
 		"TestApplyDeltaMatchesFullBuild": {
 			{Name: "exceptions+ledger+tau", DB: ds7.DB, Cfg: onPlan(ds7, exceptions), Steps: []oracle.Step{oracle.Branch(splits...)}},
 			{Name: "singlestage+ledger", DB: ds7.DB, Cfg: onPlan(ds7, core.Config{MinCount: 4, Epsilon: 0.1,
-				MineExceptions: true, SingleStageExceptions: true, Workers: 2}), Steps: []oracle.Step{oracle.Branch(splits...)}},
+				MineExceptions: true, Workers: 2}), Steps: []oracle.Step{oracle.Branch(splits...)}},
 			{Name: "plain-noledger", DB: ds7.DB, Cfg: onPlan(ds7, core.Config{MinCount: 5, Tau: 0.5, Workers: 2}),
 				Steps: []oracle.Step{oracle.Branch(splits...)}},
 			{Name: "wide-locations", DB: dsWide.DB, Cfg: onPlan(dsWide, exceptions), Steps: []oracle.Step{oracle.Branch(splits...)}},
@@ -107,7 +107,7 @@ func stepTable() map[string][]oracle.Chain {
 		// The condition cache must stay exact as conditions accumulate over
 		// several batches folded through the same warm cube.
 		"TestRestrictedRemineChained": {{Name: "warm", DB: ds43.DB, Cfg: onPlan(ds43, core.Config{MinCount: 4, Epsilon: 0.05,
-			MineExceptions: true, SingleStageExceptions: true, Workers: 2}), Steps: []oracle.Step{
+			MineExceptions: true, Workers: 2}), Steps: []oracle.Step{
 			oracle.BuildAt(180), oracle.AppendTo(215), oracle.AppendTo(250), oracle.AppendTo(280), oracle.Expect(),
 		}, Stats: func(t *testing.T, stats []*core.DeltaStats) {
 			restricted := 0

@@ -41,7 +41,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 	warmup := ds.DB.Records[base+batches*batchLen:]
 	cfg := func(exceptions bool, tau float64) core.Config {
 		return core.Config{MinCount: base / 100, Epsilon: 0.1, Tau: tau, Plan: ds.DefaultPlan(),
-			MineExceptions: exceptions, SingleStageExceptions: exceptions, Workers: 2}
+			MineExceptions: exceptions, Workers: 2}
 	}
 	steady := func(b *testing.B, cube *core.Cube) {
 		db := oracle.Prefix(ds.DB, base)
@@ -138,7 +138,7 @@ func BenchmarkLiveHeap(b *testing.B) {
 	})
 	b.Run("exceptions+tau", func(b *testing.B) {
 		cfg := cfg
-		cfg.MineExceptions, cfg.SingleStageExceptions, cfg.Tau = true, true, 0.5
+		cfg.MineExceptions, cfg.Tau = true, 0.5
 		var built float64
 		for i := 0; i < b.N; i++ {
 			cube := oracle.Build(b, oracle.Prefix(ds.DB, base), cfg)

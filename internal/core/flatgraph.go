@@ -22,9 +22,20 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"flowcube/internal/flowgraph"
 )
+
+// appendCellGraph appends a cell's columnar graph framed by its byte length
+// (a uvarint before it), so a walk over a section's cells steps over a graph
+// without parsing it.
+func appendCellGraph(buf []byte, f *flowgraph.Flat) []byte {
+	start := len(buf)
+	buf = appendFlatGraph(buf, f)
+	var n [binary.MaxVarintLen64]byte
+	return slices.Insert(buf, start, n[:binary.PutUvarint(n[:], uint64(len(buf)-start))]...)
+}
 
 // appendFlatGraph appends the columnar graph to buf.
 func appendFlatGraph(buf []byte, f *flowgraph.Flat) []byte {
@@ -100,6 +111,38 @@ func appendDeltaRun(buf []byte, run []int64) []byte {
 		buf = binary.AppendUvarint(buf, uint64(run[k]-run[k-1]))
 	}
 	return buf
+}
+
+// decodeCellGraph decodes the length-framed graph r is positioned at into f
+// (decodeFlatGraph) and leaves r past it. The graph's reader shares r's
+// buffer up to the declared end, so no column reads past it and error
+// offsets are r's, and a graph that ends before the declared end is
+// corrupt too.
+func decodeCellGraph(r *byteReader, f *flowgraph.Flat) error {
+	end, err := r.graphEnd()
+	if err != nil {
+		return err
+	}
+	g := *r
+	g.buf = r.buf[:end]
+	if err := decodeFlatGraph(&g, f); err != nil {
+		return err
+	}
+	if g.off != end {
+		return g.corrupt("flowgraph ends at offset %d, not at %d where its length says", g.at(), g.base+end)
+	}
+	r.off = end
+	return nil
+}
+
+// graphEnd reads a cell's flowgraph length and returns the offset where the
+// graph ends, bounded by the bytes remaining.
+func (r *byteReader) graphEnd() (int, error) {
+	n, err := r.count("flowgraph byte")
+	if err != nil {
+		return 0, err
+	}
+	return r.off + n, nil
 }
 
 // decodeFlatGraph reads one columnar graph from r into f, reusing the
@@ -259,87 +302,4 @@ func decodeNodeDists(r *byteReader, f *flowgraph.Flat) error {
 	}
 	f.Weights = resize(f.Weights, total)
 	return r.uvarintColumn(f.Weights, "weight")
-}
-
-// skipFlatGraph advances r past one encoded flat graph without allocating
-// any of its columns. The lazy loader's flat scans (cuboid summaries, cell
-// sortedness checks) use it to walk a cuboid section's cells touching only
-// the per-cell prefixes. Varint pools can be skipped by value count alone —
-// the delta restarts change which values are zigzag-coded, not how many
-// byte groups there are — so only the length headers are decoded, with the
-// same remaining-bytes bounds as the full decoder. A graph that skips clean
-// can still fail the full decode (pool monotonicity, Unflatten structure);
-// the point here is cheap traversal, not validation.
-func skipFlatGraph(r *byteReader) error {
-	if err := r.skipVarints(1, "path count"); err != nil {
-		return err
-	}
-	n, err := r.count("node")
-	if err != nil {
-		return err
-	}
-	if n < 1 {
-		return r.corrupt("flat graph has no root node")
-	}
-	// Locations, counts, child-range widths: three varints per node.
-	if err := r.skipVarints(3*n, "node columns"); err != nil {
-		return err
-	}
-	total := 0
-	for i := 0; i < n; i++ {
-		k, err := r.count("duration outcome")
-		if err != nil {
-			return err
-		}
-		if total += k; total > r.rem() {
-			return r.corrupt("distribution pool larger than remaining section")
-		}
-	}
-	// Outcome pool and weight column: one varint group per value each.
-	if err := r.skipVarints(2*total, "distribution pools"); err != nil {
-		return err
-	}
-
-	m, err := r.count("exception")
-	if err != nil {
-		return err
-	}
-	if m == 0 {
-		return nil
-	}
-	pinTotal, excTotal := 0, 0
-	for j := 0; j < m; j++ {
-		if err := r.skipVarints(2, "exception header"); err != nil {
-			return err
-		}
-		if err := r.skipBytes(16, "exception deviations"); err != nil {
-			return err
-		}
-		pins, err := r.count("pin")
-		if err != nil {
-			return err
-		}
-		durLen, err := r.count("exception duration outcome")
-		if err != nil {
-			return err
-		}
-		trLen, err := r.count("exception transition outcome")
-		if err != nil {
-			return err
-		}
-		pinTotal += pins
-		excTotal += durLen + trLen
-		if pinTotal > r.rem() || excTotal > r.rem() {
-			return r.corrupt("exception pools larger than remaining section")
-		}
-	}
-	for i := 0; i < pinTotal; i++ {
-		if err := r.skipVarints(3, "pin"); err != nil {
-			return err
-		}
-		if err := r.skipBytes(1, "pin flag"); err != nil {
-			return err
-		}
-	}
-	return r.skipVarints(2*excTotal, "exception pools")
 }

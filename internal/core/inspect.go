@@ -113,7 +113,9 @@ func CompareExceptions(a, b flowgraph.Exception) int {
 
 // TopExceptions returns the k most severe exceptions across every
 // materialized cell, ties broken deterministically by cell then support.
-// k <= 0 returns all.
+// k <= 0 returns all. The Node of an exception read from a lazy base cell
+// or a resting graph is a stub (flowgraph.FlatExceptions): the node's
+// location, depth, count and durations, but no children.
 func (c *Cube) TopExceptions(k int) []RankedException {
 	// Base cells and resting graphs read their exceptions from the flat
 	// columns, in the order the pointer-form graph lists them, so the

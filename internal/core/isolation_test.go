@@ -41,7 +41,7 @@ func TestGenerationIsolation(t *testing.T) {
 	}{
 		{name: "plain+ledger", cfg: core.Config{MinCount: 4}},
 		{name: "exceptions-restricted", cfg: core.Config{MinCount: 4, Epsilon: 0.05,
-			MineExceptions: true, SingleStageExceptions: true}},
+			MineExceptions: true}},
 		{name: "exceptions-cold", reload: true, cfg: core.Config{MinCount: 4, Epsilon: 0.05,
 			MineExceptions: true}},
 		{name: "tau", cfg: core.Config{MinCount: 4, Tau: 0.5}},

@@ -504,10 +504,10 @@ func (s *lazySection) cellCap() int {
 }
 
 // buildDir walks the section once, decoding cell prefixes. Given no
-// scratch graph it skips the flat graphs — the directory a touch builds.
-// Given one, it decodes every graph into it and checks it as Unflatten
-// would (Verify): the scratch columns are reused from graph to graph, so
-// the walk allocates only the directory.
+// scratch graph it steps over each flat graph by its byte length — the
+// directory a touch builds. Given one, it decodes every graph into it and
+// checks it as Unflatten would (Verify): the scratch columns are reused from
+// graph to graph, so the walk allocates only the directory.
 func (s *lazySection) buildDir(scratch *flowgraph.Flat) (*sectionDir, int64, error) {
 	d := &sectionDir{entries: make([]dirEntry, 0, s.cellCap())}
 	cost := int64(dirBaseFootprint)
@@ -520,8 +520,8 @@ func (s *lazySection) buildDir(scratch *flowgraph.Flat) (*sectionDir, int64, err
 		}
 		if flags&2 != 0 {
 			if scratch == nil {
-				err = skipFlatGraph(r)
-			} else if err = decodeFlatGraph(r, scratch); err == nil {
+				r.off, err = r.graphEnd() // the whole walk fails on err
+			} else if err = decodeCellGraph(r, scratch); err == nil {
 				if err = scratch.Check(s.b.loc); err != nil {
 					err = r.corrupt("cell %s: %v", formatCell(e.values), err)
 				}
@@ -619,11 +619,8 @@ func (s *lazySection) cell(e *dirEntry) (*Cell, error) {
 		if err != nil {
 			return lazyEntry{}, 0, err
 		}
-		r := &byteReader{section: "cuboid " + s.key, buf: buf}
+		r := &byteReader{section: "cuboid " + s.key, buf: buf, base: int(e.off)}
 		cell, cost, err := decodeCellV2(r, s.b.loc, s.level)
-		if err == nil && r.rem() != 0 {
-			err = r.corrupt("cell %s: %d bytes past its flowgraph", formatCell(e.values), r.rem())
-		}
 		if err != nil {
 			return lazyEntry{}, 0, err
 		}
@@ -645,13 +642,13 @@ func (s *lazySection) exceptions(e *dirEntry) (xs []flowgraph.Exception, err err
 	if err != nil {
 		return nil, err
 	}
-	r := &byteReader{section: "cuboid " + s.key, buf: buf}
+	r := &byteReader{section: "cuboid " + s.key, buf: buf, base: int(e.off)}
 	_, _, flags, _, err := decodeCellPrefixV2(r)
 	if err != nil || flags&2 == 0 {
 		return nil, err
 	}
 	flat := &flowgraph.Flat{}
-	if err := decodeFlatGraph(r, flat); err != nil || len(flat.ExcNode) == 0 {
+	if err := decodeCellGraph(r, flat); err != nil || len(flat.ExcNode) == 0 {
 		return nil, err
 	}
 	if xs, err = flowgraph.FlatExceptions(flat, s.b.loc); err != nil {

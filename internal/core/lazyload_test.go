@@ -317,7 +317,8 @@ func TestLazyCorruptSectionOnFirstTouch(t *testing.T) {
 func TestLazyCorruptCellIsContained(t *testing.T) {
 	_, lazy, cb := corruptFixture(t, 2, func(p []byte, cells [][2]int) []byte {
 		// The first cell: value count and values, path count, flags,
-		// similarity; then its graph: path count, node count, locations.
+		// similarity; then its graph's byte length and the graph: path
+		// count, node count, locations.
 		off := cells[0][0]
 		skip := func(varints int) {
 			for ; varints > 0; varints-- {
@@ -332,7 +333,7 @@ func TestLazyCorruptCellIsContained(t *testing.T) {
 			t.Fatal("the fixture's first cell carries no flowgraph")
 		}
 		off += 1 + 8
-		skip(2)
+		skip(3)
 		p[off] = 0x7f // one byte for one byte: every later offset holds
 		return p
 	})

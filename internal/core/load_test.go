@@ -12,6 +12,7 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
+	"flowcube/internal/hierarchy"
 	"flowcube/internal/oracle"
 )
 
@@ -133,15 +134,18 @@ func buildShaped(b testing.TB) *core.Cube {
 	gen.NumDims, gen.NumPaths = 3, 2000
 	ds := datagen.MustGenerate(gen)
 	cube := oracle.Build(b, ds.DB, core.Config{MinSupport: 0.01, Epsilon: 0.1, Tau: 0.5, Plan: ds.DefaultPlan(),
-		MineExceptions: true, SingleStageExceptions: true, Workers: 2})
+		MineExceptions: true, Workers: 2})
 	return cube
 }
 
 // BenchmarkLoad times the snapshot reader on a snapshot of the build-shaped
-// cube (about 3 MB): Load reads the file and decodes every cell,
-// LoadCubeLazy maps and opens it, decoding none, and closes it, and
-// LoadCubeLazy+Verify is flowquery -load -summary's open: map, verify every
-// cell, print the census from the directories Verify left, close.
+// cube (about 2 MB): Load reads the file and decodes every cell,
+// LoadCubeLazy maps and opens it, decoding none, and closes it,
+// LoadCubeLazy+directories opens it, builds every section's directory (an
+// EachCount over every cuboid, which steps over every flowgraph and decodes
+// none) and closes it, and LoadCubeLazy+Verify is flowquery -load
+// -summary's open: map, verify every cell, print the census from the
+// directories Verify left, close.
 func BenchmarkLoad(b *testing.B) {
 	path := oracle.File(b, oracle.Save(b, buildShaped(b)))
 	st, err := os.Stat(path)
@@ -170,6 +174,24 @@ func BenchmarkLoad(b *testing.B) {
 			lazy, err := core.LoadCubeLazy(path, core.LazyOptions{})
 			if err != nil {
 				b.Fatal(err)
+			}
+			if err := lazy.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("LoadCubeLazy+directories", func(b *testing.B) {
+		b.SetBytes(st.Size())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lazy, err := core.LoadCubeLazy(path, core.LazyOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, spec := range lazy.MaterializedSpecs() {
+				if err := lazy.Cuboid(spec).EachCount(func([]hierarchy.NodeID, int64) {}); err != nil {
+					b.Fatal(err)
+				}
 			}
 			if err := lazy.Close(); err != nil {
 				b.Fatal(err)

@@ -44,8 +44,9 @@ func wantNotV2(t testing.TB, name string, err error) {
 
 // olderVersions are copies of the fixture snapshot whose header is an
 // older format version's, each refused by every loader: version 2, which
-// had no flags byte after ε and τ, and version 3, whose cuboid sections
-// carried every node's transition distribution beside its durations.
+// had no flags byte after ε and τ, version 3, whose cuboid sections carried
+// every node's transition distribution beside its durations, and version
+// 4, whose cells carried no flowgraph byte length.
 func olderVersions(t testing.TB) map[string][]byte {
 	t.Helper()
 	snap := fixtureSnapshot(t)
@@ -58,6 +59,9 @@ func olderVersions(t testing.TB) map[string][]byte {
 		"version 3": oracle.RewriteSection(t, snap, oracle.SecHeader, 0, func(p []byte) []byte {
 			return append([]byte{3}, p[1:]...)
 		}),
+		"version 4": oracle.RewriteSection(t, snap, oracle.SecHeader, 0, func(p []byte) []byte {
+			return append([]byte{4}, p[1:]...)
+		}),
 	}
 }
 
@@ -66,7 +70,8 @@ func olderVersions(t testing.TB) map[string][]byte {
 // snapshot gets. A version-2 header cannot say whether the cube mined
 // exceptions, so an append to it would mine differently from the build
 // that wrote it; a version-3 file carries a transition column the decoder
-// no longer reads.
+// no longer reads, and a version-4 file's cells lack the flowgraph length
+// a directory walk steps by.
 func TestLoadersRefuseVersion2Header(t *testing.T) {
 	for name, data := range olderVersions(t) {
 		t.Run(name, func(t *testing.T) {

@@ -76,7 +76,7 @@ func BenchmarkBuild(b *testing.B) {
 	}{
 		{"plain", core.Config{MinCount: 20}},
 		{"exceptions+tau", core.Config{MinSupport: 0.01, Epsilon: 0.1, Tau: 0.5,
-			MineExceptions: true, SingleStageExceptions: true}},
+			MineExceptions: true}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := bc.cfg

@@ -110,13 +110,12 @@ func buildRestShape(t *testing.T) *core.Cube {
 	gen.NumDims, gen.NumPaths = 3, 2000
 	ds := datagen.MustGenerate(gen)
 	return oracle.Build(t, ds.DB, core.Config{
-		MinSupport:            0.01,
-		Epsilon:               0.1,
-		Tau:                   0.5,
-		Plan:                  ds.DefaultPlan(),
-		MineExceptions:        true,
-		SingleStageExceptions: true,
-		Workers:               2,
+		MinSupport:     0.01,
+		Epsilon:        0.1,
+		Tau:            0.5,
+		Plan:           ds.DefaultPlan(),
+		MineExceptions: true,
+		Workers:        2,
 	})
 }
 
@@ -124,9 +123,9 @@ func buildRestShape(t *testing.T) *core.Cube {
 func rankedStrings(xs []core.RankedException) []string {
 	out := make([]string, len(xs))
 	for i, x := range xs {
-		out[i] = fmt.Sprintf("%s %v at %v (node %d, depth %d, count %d) if %v: support %d, deviations %v/%v, durations %v, transitions %v",
-			x.Spec.Key(), x.Values, x.Prefix, x.Node.Location, x.Node.Depth, x.Node.Count, x.Condition,
-			x.Support, x.DurationDeviation, x.TransitionDeviation, x.Durations, x.Transitions)
+		out[i] = fmt.Sprintf("%s %v at %v (node %d, depth %d, count %d, durations %v) if %v: support %d, deviations %v/%v, durations %v, transitions %v, delay %v",
+			x.Spec.Key(), x.Values, x.Prefix, x.Node.Location, x.Node.Depth, x.Node.Count, &x.Node.Durations, x.Condition,
+			x.Support, x.DurationDeviation, x.TransitionDeviation, x.Durations, x.Transitions, x.Delay())
 	}
 	return out
 }

@@ -16,7 +16,7 @@ func TestAdmittedCellWarmsCache(t *testing.T) {
 	ds := oracle.Dataset(41, 300)
 	cfg := core.Config{
 		MinCount: 4, Epsilon: 0.05, Plan: ds.DefaultPlan(),
-		MineExceptions: true, SingleStageExceptions: true, Workers: 2,
+		MineExceptions: true, Workers: 2,
 	}
 	const split = 250
 	db := oracle.Prefix(ds.DB, split)

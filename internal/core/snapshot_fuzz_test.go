@@ -51,6 +51,10 @@ func FuzzLoadSnapshot(f *testing.F) {
 	for _, name := range sortedKeys(counts) {
 		f.Add(counts[name])
 	}
+	lengths := badLengths(f, v2.Bytes())
+	for _, name := range sortedKeys(lengths) {
+		f.Add(lengths[name])
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		notV2 := !bytes.HasPrefix(data, []byte("FCUBEv2\n"))
@@ -151,24 +155,17 @@ func FuzzLoadSnapshot(f *testing.F) {
 	})
 }
 
-// badGraphs returns copies of snap in which the first cell with an
-// exception has a flowgraph no path database can give, with the section's
-// length and checksum made good again. In pins, the exception's first pin
-// names a stage no path can have: a location outside the hierarchy, a
-// depth below 1, and a depth outside int32, which a decoder that narrowed
-// it would wrap to a small one. Rendering the first two panicked once they
-// loaded. In counts, the node counts a transition distribution is read
-// from do not add up: a path count the root's children do not make, a
-// node reached by fewer paths than its children, a child no path reaches,
-// and a first stage that lost paths its children still hold while the
-// root's count balances. Only Flat.Check refuses either kind.
-func badGraphs(t testing.TB, snap []byte) (pins, counts map[string][]byte) {
+// exceptionCell finds the first cell of snap, in section and cell order,
+// whose flowgraph has an exception. It returns the graph and rewrite: a copy
+// of snap with the cell's framed graph — the graph's byte length, then its
+// flat encoding — replaced by cell, and the section's length and checksum
+// made good again.
+func exceptionCell(t testing.TB, snap []byte) (*flowgraph.Graph, func(cell []byte) []byte) {
 	t.Helper()
 	cube, err := core.Load(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first cell, in section and cell order, with an exception.
 	for k, key := range sortedKeys(cube.Cuboids) {
 		cb := cube.Cuboids[key]
 		for _, id := range sortedKeys(cb.Cells) {
@@ -176,62 +173,100 @@ func badGraphs(t testing.TB, snap []byte) (pins, counts map[string][]byte) {
 			if g == nil || len(g.Exceptions()) == 0 {
 				continue
 			}
-			orig := core.AppendFlatGraph(nil, flowgraph.Flatten(g))
-			rewrite := func(enc []byte) []byte {
+			orig := framed(core.AppendFlatGraph(nil, flowgraph.Flatten(g)))
+			return g, func(cell []byte) []byte {
 				// Cuboid sections are written in key order: the k-th holds it.
 				return oracle.RewriteSection(t, snap, oracle.SecCuboid, k, func(payload []byte) []byte {
 					if !bytes.Contains(payload, orig) {
 						t.Fatal("the cell's flat graph is not in its cuboid's section")
 					}
-					return bytes.Replace(payload, orig, enc, 1)
+					return bytes.Replace(payload, orig, cell, 1)
 				})
 			}
-			edited := func(edit func(f *flowgraph.Flat)) []byte {
-				flat := flowgraph.Flatten(g)
-				edit(flat)
-				return core.AppendFlatGraph(nil, flat)
-			}
-			// inner returns the first node from lo on with children.
-			inner := func(f *flowgraph.Flat, lo int32) int {
-				for i := int(lo); i < f.NumNodes(); i++ {
-					if f.ChildLo[i+1] > f.ChildLo[i] {
-						return i
-					}
-				}
-				t.Fatal("the cell has no such node")
-				return 0
-			}
-			// The first pin's depth is the one varint where encodings of
-			// depths 1 and 2 differ; 1<<40 takes its place.
-			one := edited(func(f *flowgraph.Flat) { f.PinDepth[0] = 1 })
-			two := edited(func(f *flowgraph.Flat) { f.PinDepth[0] = 2 })
-			at := 0
-			for one[at] == two[at] {
-				at++
-			}
-			wide := append(binary.AppendVarint(append([]byte(nil), one[:at]...), 1<<40), one[at+1:]...)
-			return map[string][]byte{
-					"pin location outside hierarchy": rewrite(edited(func(f *flowgraph.Flat) { f.PinLoc[0] = 1 << 30 })),
-					"pin depth below 1":              rewrite(edited(func(f *flowgraph.Flat) { f.PinDepth[0] = -7 })),
-					"pin depth outside int32":        rewrite(wide),
-				}, map[string][]byte{
-					"paths not the root's children": rewrite(edited(func(f *flowgraph.Flat) { f.Paths++ })),
-					"count below the children's": rewrite(edited(func(f *flowgraph.Flat) {
-						i := inner(f, f.ChildLo[1])
-						f.Counts[i] -= f.Ends(i) + 1
-					})),
-					"child no path reaches": rewrite(edited(func(f *flowgraph.Flat) { f.Counts[f.NumNodes()-1] = 0 })),
-					"negative ends the counts balance": rewrite(edited(func(f *flowgraph.Flat) {
-						i := inner(f, 1)
-						d := f.Ends(i) + 1
-						f.Paths -= d
-						f.Counts[i] -= d
-					})),
-				}
 		}
 	}
 	t.Fatal("the fixture has no exception")
 	return nil, nil
+}
+
+// framed is a flat graph's encoding as a cell carries it: after its length.
+func framed(enc []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(enc))), enc...)
+}
+
+// badGraphs returns copies of snap in which the first cell with an
+// exception has a flowgraph no path database can give (exceptionCell). In
+// pins, the exception's first pin names a stage no path can have: a
+// location outside the hierarchy, a depth below 1, and a depth outside
+// int32, which a decoder that narrowed it would wrap to a small one.
+// Rendering the first two panicked once they loaded. In counts, the node
+// counts a transition distribution is read from do not add up: a path count
+// the root's children do not make, a node reached by fewer paths than its
+// children, a child no path reaches, and a first stage that lost paths its
+// children still hold while the root's count balances. Only Flat.Check
+// refuses either kind.
+func badGraphs(t testing.TB, snap []byte) (pins, counts map[string][]byte) {
+	t.Helper()
+	g, rewrite := exceptionCell(t, snap)
+	edited := func(edit func(f *flowgraph.Flat)) []byte {
+		flat := flowgraph.Flatten(g)
+		edit(flat)
+		return core.AppendFlatGraph(nil, flat)
+	}
+	// inner returns the first node from lo on with children.
+	inner := func(f *flowgraph.Flat, lo int32) int {
+		for i := int(lo); i < f.NumNodes(); i++ {
+			if f.ChildLo[i+1] > f.ChildLo[i] {
+				return i
+			}
+		}
+		t.Fatal("the cell has no such node")
+		return 0
+	}
+	bad := func(edit func(f *flowgraph.Flat)) []byte { return rewrite(framed(edited(edit))) }
+	// The first pin's depth is the one varint where encodings of depths 1
+	// and 2 differ; 1<<40 takes its place.
+	one := edited(func(f *flowgraph.Flat) { f.PinDepth[0] = 1 })
+	two := edited(func(f *flowgraph.Flat) { f.PinDepth[0] = 2 })
+	at := 0
+	for one[at] == two[at] {
+		at++
+	}
+	wide := append(binary.AppendVarint(append([]byte(nil), one[:at]...), 1<<40), one[at+1:]...)
+	return map[string][]byte{
+			"pin location outside hierarchy": bad(func(f *flowgraph.Flat) { f.PinLoc[0] = 1 << 30 }),
+			"pin depth below 1":              bad(func(f *flowgraph.Flat) { f.PinDepth[0] = -7 }),
+			"pin depth outside int32":        rewrite(framed(wide)),
+		}, map[string][]byte{
+			"paths not the root's children": bad(func(f *flowgraph.Flat) { f.Paths++ }),
+			"count below the children's": bad(func(f *flowgraph.Flat) {
+				i := inner(f, f.ChildLo[1])
+				f.Counts[i] -= f.Ends(i) + 1
+			}),
+			"child no path reaches": bad(func(f *flowgraph.Flat) { f.Counts[f.NumNodes()-1] = 0 }),
+			"negative ends the counts balance": bad(func(f *flowgraph.Flat) {
+				i := inner(f, 1)
+				d := f.Ends(i) + 1
+				f.Paths -= d
+				f.Counts[i] -= d
+			}),
+		}
+}
+
+// badLengths returns copies of snap in which the first cell with an
+// exception (exceptionCell) frames its flowgraph by a wrong byte length:
+// one byte short of the graph (whose last byte is dropped, so the cells
+// after it stay where a directory walk finds them), one byte past it (a
+// zero byte added after the graph), and past the end of the section.
+func badLengths(t testing.TB, snap []byte) map[string][]byte {
+	t.Helper()
+	g, rewrite := exceptionCell(t, snap)
+	enc := core.AppendFlatGraph(nil, flowgraph.Flatten(g))
+	return map[string][]byte{
+		"graph length one short":            rewrite(framed(enc[:len(enc)-1])),
+		"graph length one long":             rewrite(framed(append(slices.Clip(enc), 0))),
+		"graph length past the section end": rewrite(append(binary.AppendUvarint(nil, uint64(len(snap))), enc...)),
+	}
 }
 
 // TestLoadersRejectBadPins: an exception pin naming a location outside the
@@ -255,10 +290,21 @@ func TestLoadersRejectBadCounts(t *testing.T) {
 	}
 }
 
+// TestLoadersRejectBadGraphLengths: a flowgraph that does not end exactly
+// where its cell's length prefix says is refused alike by every reader of a
+// cell's flat graph (wantGraphRefused), though a directory walk steps over
+// it by that length without parsing it.
+func TestLoadersRejectBadGraphLengths(t *testing.T) {
+	for name, data := range badLengths(t, fixtureSnapshot(t)) {
+		t.Run(name, func(t *testing.T) { wantGraphRefused(t, data) })
+	}
+}
+
 // wantGraphRefused asserts that a snapshot with one bad flat graph in a
 // cell with exceptions is refused by Load, by flowquery's open (a lazy open
-// and Verify) and by a lazy cube's exception scan, which reads the flat
-// columns without Verify, all with Load's error.
+// and Verify), by a lazy cube's exception scan, which reads the flat
+// columns without Verify, and by lazy point reads of every cell, all with
+// Load's error.
 func wantGraphRefused(t *testing.T, data []byte) {
 	t.Helper()
 	_, err := core.Load(bytes.NewReader(data))
@@ -277,6 +323,16 @@ func wantGraphRefused(t *testing.T, data []byte) {
 	lz.TopExceptions(0)
 	if lerr := lz.LazyErr(); lerr == nil || lerr.Error() != err.Error() {
 		t.Fatalf("lazy TopExceptions: %v; Load: %v", lerr, err)
+	}
+	lz = oracle.OpenLazy(t, oracle.File(t, data), core.LazyOptions{})
+	for _, spec := range lz.MaterializedSpecs() {
+		tuples, _ := lz.EnumerateCellValues(spec)
+		for _, values := range tuples {
+			lz.Lookup(spec, values)
+		}
+	}
+	if lerr := lz.LazyErr(); lerr == nil || lerr.Error() != err.Error() {
+		t.Fatalf("lazy point reads: %v; Load: %v", lerr, err)
 	}
 }
 

@@ -17,10 +17,11 @@ package core
 // in the deterministic sorted-cuboid-key order the sections are written in,
 // so the output bytes (and the loaded cube) are identical at any worker
 // count. Anything that does not open with the magic is rejected (CheckMagic),
-// and so is a header of any format version but formatVersionV2's, 4, which
+// and so is a header of any format version but formatVersionV2's, 5, which
 // stores each flowgraph once, as its node columns and duration
-// distributions (flatgraph.go): snapshots are derived data, rebuilt from the
-// path database, so no older version's decoder is kept.
+// distributions (flatgraph.go), framed by its byte length: snapshots are
+// derived data, rebuilt from the path database, so no older version's
+// decoder is kept.
 //
 // There is one reader, over three byte sources (snapData, lazyload.go): a
 // mapping or preads for LoadCubeLazy, a stream read into memory for Load and
@@ -39,7 +40,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -71,8 +71,9 @@ func CheckMagic(head []byte) error {
 // which an append to a loaded cube would mine differently from the build.
 // Version 4 dropped each node's transition distribution, which its
 // children's counts carry, and the single-stage exceptions flag (bit 2),
-// which no build reads.
-const formatVersionV2 = 4
+// which no build reads. Version 5 frames each cell's flowgraph by its byte
+// length, so a directory walk steps over graphs instead of parsing them.
+const formatVersionV2 = 5
 
 // Header flag bits: the Config switch a loaded cube must keep for its
 // appends to equal a rebuild, and the Compress mark that refuses them.
@@ -123,6 +124,9 @@ type byteReader struct {
 	section string
 	buf     []byte
 	off     int
+	// base is where buf starts in the section payload: a point read decodes
+	// from a view of one cell, and still names offsets in the section.
+	base int
 }
 
 func (r *byteReader) corrupt(format string, args ...any) error {
@@ -130,6 +134,9 @@ func (r *byteReader) corrupt(format string, args ...any) error {
 }
 
 func (r *byteReader) rem() int { return len(r.buf) - r.off }
+
+// at is r's offset in the section payload, the one error messages name.
+func (r *byteReader) at() int { return r.base + r.off }
 
 // uvarint, varint and count take a one-byte fast path: most values in a
 // snapshot — ids, child counts, distribution lengths, duration gaps — are
@@ -141,7 +148,7 @@ func (r *byteReader) uvarint() (uint64, error) {
 	}
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
-		return 0, r.corrupt("bad uvarint at offset %d", r.off)
+		return 0, r.corrupt("bad uvarint at offset %d", r.at())
 	}
 	r.off += n
 	return v, nil
@@ -155,7 +162,7 @@ func (r *byteReader) varint() (int64, error) {
 	}
 	v, n := binary.Varint(r.buf[r.off:])
 	if n <= 0 {
-		return 0, r.corrupt("bad varint at offset %d", r.off)
+		return 0, r.corrupt("bad varint at offset %d", r.at())
 	}
 	r.off += n
 	return v, nil
@@ -193,64 +200,16 @@ func (r *byteReader) intVal(what string) (int, error) {
 
 func (r *byteReader) byte() (byte, error) {
 	if r.off >= len(r.buf) {
-		return 0, r.corrupt("truncated at offset %d", r.off)
+		return 0, r.corrupt("truncated at offset %d", r.at())
 	}
 	b := r.buf[r.off]
 	r.off++
 	return b, nil
 }
 
-// skipVarints advances past k varint-coded values without decoding them.
-// Signed (zigzag) and unsigned varints share the continuation-bit framing,
-// so skipping needs no knowledge of which one was written: each value ends
-// at its first byte below 0x80. Whole 8-byte words are counted at once —
-// the terminators in a word are the clear high bits, popcount(^w & 0x80…80)
-// — until the word holding the k-th terminator, which is found by dropping
-// the lower terminator bits; the tail shorter than a word goes byte by
-// byte. A value the buffer ends inside leaves r at the end and reports
-// there, as a plain byte loop would.
-func (r *byteReader) skipVarints(k int, what string) error {
-	const high = 0x8080808080808080
-	for k > 0 && r.rem() >= 8 {
-		term := ^binary.LittleEndian.Uint64(r.buf[r.off:]) & high
-		if c := bits.OnesCount64(term); c < k {
-			k -= c
-			r.off += 8
-			continue
-		}
-		for ; k > 1; k-- {
-			term &= term - 1
-		}
-		r.off += bits.TrailingZeros64(term)/8 + 1
-		return nil
-	}
-	for ; k > 0; k-- {
-		for {
-			if r.off >= len(r.buf) {
-				return r.corrupt("truncated %s at offset %d", what, r.off)
-			}
-			b := r.buf[r.off]
-			r.off++
-			if b < 0x80 {
-				break
-			}
-		}
-	}
-	return nil
-}
-
-// skipBytes advances past k raw bytes (fixed-width floats, flag bytes).
-func (r *byteReader) skipBytes(k int, what string) error {
-	if r.rem() < k {
-		return r.corrupt("truncated %s at offset %d", what, r.off)
-	}
-	r.off += k
-	return nil
-}
-
 func (r *byteReader) float64() (float64, error) {
 	if r.rem() < 8 {
-		return 0, r.corrupt("truncated float at offset %d", r.off)
+		return 0, r.corrupt("truncated float at offset %d", r.at())
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
 	r.off += 8
@@ -365,7 +324,7 @@ func (r *byteReader) string(what string) (string, error) {
 		return "", err
 	}
 	if r.rem() < n {
-		return "", r.corrupt("truncated %s at offset %d", what, r.off)
+		return "", r.corrupt("truncated %s at offset %d", what, r.at())
 	}
 	s := string(r.buf[r.off : r.off+n])
 	r.off += n
@@ -569,9 +528,10 @@ func encodeCuboidV2(cb *Cuboid) ([]byte, error) {
 }
 
 // appendCellV2 appends one cell's snapshot encoding: values, count, flags,
-// similarity, and the flat flowgraph. It is the unit CellDigest hashes, so
-// "byte-identical to what eager Build would have materialized" (the OLAP
-// computed-cell contract) is stated against exactly the bytes Save writes.
+// similarity, and the flat flowgraph framed by its byte length. It is the
+// unit CellDigest hashes, so "byte-identical to what eager Build would have
+// materialized" (the OLAP computed-cell contract) is stated against exactly
+// the bytes Save writes.
 func appendCellV2(buf []byte, cell *Cell) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(cell.Values)))
 	for _, v := range cell.Values {
@@ -588,7 +548,7 @@ func appendCellV2(buf []byte, cell *Cell) []byte {
 	buf = append(buf, flags)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cell.Similarity))
 	if cell.Graph != nil {
-		buf = appendFlatGraph(buf, flowgraph.Flatten(cell.Graph))
+		buf = appendCellGraph(buf, flowgraph.Flatten(cell.Graph))
 	}
 	return buf
 }
@@ -903,8 +863,8 @@ func decodeCuboidHeaderV2(r *byteReader, levels []pathdb.PathLevel) (CuboidSpec,
 }
 
 // decodeCellPrefixV2 decodes the fixed prefix of one cell — values, count,
-// flags, similarity — leaving r positioned at the flat graph when flags&2 is
-// set. Shared between the full decoder and the lazy flat scans.
+// flags, similarity — leaving r positioned at the flat graph's length when
+// flags&2 is set. Shared between the full decoder and the lazy flat scans.
 func decodeCellPrefixV2(r *byteReader) (values []hierarchy.NodeID, count int64, flags byte, similarity float64, err error) {
 	nv, err := r.count("cell value")
 	if err != nil {
@@ -936,7 +896,7 @@ func decodeCellPrefixV2(r *byteReader) (values []hierarchy.NodeID, count int64, 
 const minCellBytesV2 = 11
 
 // decodeCellV2 is the one cell decoder: it decodes the cell r is positioned
-// at — prefix, flat graph, Unflatten into a graph resting on the decoded
+// at — prefix, framed flat graph (decodeCellGraph), Unflatten into a graph resting on the decoded
 // columns at the cuboid's path level — and leaves r at the next cell. Load walks it over every section
 // (lazySection.decodeAll); a lazy cube aims it at one directory entry.
 // The second result is the decoded cell's cost against the lazy cache's
@@ -956,7 +916,7 @@ func decodeCellV2(r *byteReader, loc *hierarchy.Hierarchy, level pathdb.PathLeve
 	footprint := cellBaseFootprint + int64(len(values))*8
 	if flags&2 != 0 {
 		flat := &flowgraph.Flat{}
-		if err := decodeFlatGraph(r, flat); err != nil {
+		if err := decodeCellGraph(r, flat); err != nil {
 			return nil, 0, err
 		}
 		footprint += flatFootprint(flat)

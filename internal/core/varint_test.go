@@ -2,82 +2,9 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"testing"
 )
-
-// skipVarintsByByte is the byte-at-a-time loop skipVarints replaced: the
-// reference its word-at-a-time walk must match in end offset, error and
-// error offset.
-func skipVarintsByByte(r *byteReader, k int, what string) error {
-	for i := 0; i < k; i++ {
-		for {
-			if r.off >= len(r.buf) {
-				return r.corrupt("truncated %s at offset %d", what, r.off)
-			}
-			b := r.buf[r.off]
-			r.off++
-			if b < 0x80 {
-				break
-			}
-		}
-	}
-	return nil
-}
-
-// TestSkipVarintsMatchesByteLoop compares skipVarints with the byte loop
-// from every start offset and for every count up to past the buffer's
-// terminators, over random bytes of several terminator densities,
-// all-continuation runs, terminators on the 8-byte boundaries and buffers
-// shorter than a word.
-func TestSkipVarintsMatchesByteLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	inputs := map[string][]byte{"empty": nil}
-	for _, n := range []int{1, 3, 7, 8, 9, 15, 16, 17, 40} {
-		cont := make([]byte, n)
-		for i := range cont {
-			cont[i] = 0x80 | byte(rng.Intn(128))
-		}
-		inputs[fmt.Sprintf("continuation/%d", n)] = cont
-		edges := append([]byte(nil), cont...)
-		for i := 7; i < n; i += 8 {
-			edges[i] &^= 0x80 // terminators on the last byte of each word
-		}
-		inputs[fmt.Sprintf("word ends/%d", n)] = edges
-		starts := append([]byte(nil), cont...)
-		for i := 0; i < n; i += 8 {
-			starts[i] &^= 0x80 // and on the first
-		}
-		inputs[fmt.Sprintf("word starts/%d", n)] = starts
-		for _, density := range []int{2, 4, 16} {
-			buf := make([]byte, n)
-			for i := range buf {
-				buf[i] = byte(rng.Intn(256))
-				if rng.Intn(density) != 0 {
-					buf[i] |= 0x80
-				} else {
-					buf[i] &^= 0x80
-				}
-			}
-			inputs[fmt.Sprintf("random 1/%d/%d", density, n)] = buf
-		}
-	}
-	for name, buf := range inputs {
-		for start := 0; start <= len(buf); start++ {
-			for k := 0; k <= len(buf)-start+2; k++ {
-				want := &byteReader{section: "s", buf: buf, off: start}
-				got := &byteReader{section: "s", buf: buf, off: start}
-				wantErr := skipVarintsByByte(want, k, "pool")
-				gotErr := got.skipVarints(k, "pool")
-				if got.off != want.off || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-					t.Fatalf("%s from %d, k=%d: offset %d, error %v; byte loop: offset %d, error %v",
-						name, start, k, got.off, gotErr, want.off, wantErr)
-				}
-			}
-		}
-	}
-}
 
 // TestVarintFastPaths: uvarint, varint and count decode what encoding/binary
 // encodes, one-byte values (the fast path) and longer ones alike, and fail

@@ -479,9 +479,9 @@ func (f *Flat) prefixes() func(idx int32) []hierarchy.NodeID {
 // queries over a mapped snapshot never materialize a cell. Exceptions come
 // back in flat (mining) order with the same Support, Condition, deviations
 // Prefix and conditional distributions the graph Unflatten returns reports,
-// and it refuses what Unflatten refuses at loc (Check). Each Node is a stub with
-// Location, Depth and Count set (enough for rendering) but an empty duration
-// distribution and no children.
+// and it refuses what Unflatten refuses at loc (Check). Each Node is a stub
+// with the Location, Depth, Count and duration distribution (a copy) of the
+// node it names, so Exception.Delay reads as on the graph, but no children.
 func FlatExceptions(f *Flat, loc *hierarchy.Hierarchy) ([]Exception, error) {
 	if err := f.Check(loc); err != nil {
 		return nil, err
@@ -493,7 +493,10 @@ func FlatExceptions(f *Flat, loc *hierarchy.Hierarchy) ([]Exception, error) {
 	stubs := make(map[int32]*Node, m)
 	stub := func(idx int32, depth int) *Node {
 		if stubs[idx] == nil {
-			stubs[idx] = &Node{Location: hierarchy.NodeID(f.Locations[idx]), Depth: depth, Count: f.Counts[idx]}
+			nd := &Node{Location: hierarchy.NodeID(f.Locations[idx]), Depth: depth, Count: f.Counts[idx]}
+			lo, hi := f.DurLo[idx], f.DurLo[idx+1]
+			_ = nd.Durations.InitSorted(f.Outcomes[lo:hi], f.Weights[lo:hi]) // Check refused what InitSorted refuses
+			stubs[idx] = nd
 		}
 		return stubs[idx]
 	}

@@ -109,7 +109,7 @@ func Cuts(ex *paperex.Example) transact.Plan {
 // Mined is the Table 1 configuration the fixtures share: δ = 2, exceptions
 // mined at ε = 0.1, and redundancy marked at tau when it is positive.
 func Mined(tau float64) core.Config {
-	return core.Config{MinCount: 2, Epsilon: 0.1, Tau: tau, MineExceptions: true, SingleStageExceptions: true}
+	return core.Config{MinCount: 2, Epsilon: 0.1, Tau: tau, MineExceptions: true}
 }
 
 // Table1 builds the paper's running example under cfg, at the path levels

@@ -93,8 +93,7 @@ func BenchmarkCommit(b *testing.B) {
 		b.Run(fmt.Sprintf("exceptions=%t", exceptions), func(b *testing.B) {
 			s, err := New(prefixLoader(ds.DB, base, core.Config{
 				MinCount: 20, Epsilon: 0.1, Plan: ds.DefaultPlan(),
-				MineExceptions: exceptions, SingleStageExceptions: exceptions,
-				Workers: 2,
+				MineExceptions: exceptions, Workers: 2,
 			}), "bench", quietConfig())
 			if err != nil {
 				b.Fatal(err)

@@ -62,7 +62,7 @@ func TestIngestWALCrashRecovery(t *testing.T) {
 	const base = 120
 	cfg := core.Config{
 		MinCount: 4, Epsilon: 0.05, Plan: ds.DefaultPlan(),
-		MineExceptions: true, SingleStageExceptions: true, Workers: 2,
+		MineExceptions: true, Workers: 2,
 	}
 	walPath := filepath.Join(t.TempDir(), "ingest.wal")
 
@@ -505,7 +505,7 @@ func TestIngestStressConcurrent(t *testing.T) {
 	)
 	cfg := core.Config{
 		MinCount: 4, Epsilon: 0.05, Plan: ds.DefaultPlan(),
-		MineExceptions: true, SingleStageExceptions: true, Workers: 2,
+		MineExceptions: true, Workers: 2,
 	}
 	sCfg := quietConfig()
 	sCfg.WALPath = filepath.Join(t.TempDir(), "ingest.wal")

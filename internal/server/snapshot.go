@@ -239,13 +239,12 @@ func FileLoader(path string, opts BuildOptions) Loader {
 			return nil, LoadInfo{}, fmt.Errorf("server: resolve threshold for %s: %w", path, err)
 		}
 		cube, err := core.Build(ds.DB, core.Config{
-			MinCount:              minCount,
-			Epsilon:               opts.Epsilon,
-			Tau:                   opts.Tau,
-			Plan:                  ds.DefaultPlan(),
-			MineExceptions:        opts.MineExceptions,
-			SingleStageExceptions: opts.MineExceptions,
-			Workers:               opts.Workers,
+			MinCount:       minCount,
+			Epsilon:        opts.Epsilon,
+			Tau:            opts.Tau,
+			Plan:           ds.DefaultPlan(),
+			MineExceptions: opts.MineExceptions,
+			Workers:        opts.Workers,
 		})
 		if err != nil {
 			return nil, LoadInfo{}, fmt.Errorf("server: build cube from %s: %w", path, err)

@@ -144,7 +144,9 @@ echo "== micro-benchmarks (one iteration each) =="
 # cell-at-a-time lazy read (no allocation once resident), BenchmarkFoldSources
 # for fold-source selection (allocations flat in the cells it scans) and
 # BenchmarkLoad for the snapshot reader behind core.load_s (its
-# LoadCubeLazy+Verify row is flowquery -load's open), BenchmarkBuild
+# LoadCubeLazy+Verify row is flowquery -load's open, its
+# LoadCubeLazy+directories row a lazy open that builds every section's
+# directory, stepping over each flowgraph by its length), BenchmarkBuild
 # for Build through the one record router, and in
 # flowquery's "-exceptions -tau 0.5" configuration for the build workload,
 # BenchmarkJoin/TrieCount (internal/itemset, TrieCount within one counting
