@@ -269,11 +269,11 @@ func queryCell(stdout, stderr io.Writer, cube *core.Cube, o queryOpts) error {
 		}
 		fmt.Fprint(stdout, ca.Graph)
 		if o.exceptions {
-			g := ca.Graph
-			fmt.Fprintf(stdout, "%d exceptions:\n", len(g.Exceptions()))
-			for i, x := range g.Exceptions() {
+			xs := ca.Graph.Exceptions() // a resting graph thaws a copy per call
+			fmt.Fprintf(stdout, "%d exceptions:\n", len(xs))
+			for i, x := range xs {
 				if i >= 20 {
-					fmt.Fprintf(stdout, "  ... and %d more\n", len(g.Exceptions())-20)
+					fmt.Fprintf(stdout, "  ... and %d more\n", len(xs)-20)
 					break
 				}
 				fmt.Fprintf(stdout, "  node %v cond %v support=%d devT=%.2f devD=%.2f\n",

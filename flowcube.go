@@ -63,7 +63,7 @@
 // records into the materialized cube — touching only the affected cells —
 // and is byte-exact against a full rebuild over the union database.
 // Serving processes patch a (*Cube).Fork — the next generation, which
-// shares every untouched cell, flowgraph node and mapped snapshot section
+// shares every untouched cell, flowgraph and mapped snapshot section
 // with the cube being served, so a LoadCubeLazy cube appends without
 // decoding its snapshot — and swap snapshots; see DESIGN.md §9 and
 // cmd/flowserve's POST /admin/append.
@@ -117,7 +117,10 @@ type (
 
 // Flowgraph measure.
 type (
-	// Flowgraph is the probabilistic workflow measure of a cell.
+	// Flowgraph is the probabilistic workflow measure of a cell. A cube's
+	// flowgraphs are read-only (Thaw returns a writable copy), and each
+	// call of Root, NodeAt or Exceptions returns nodes of a fresh tree:
+	// compare nodes from two calls by location sequence, not by pointer.
 	Flowgraph = flowgraph.Graph
 	// FlowNode is one vertex of a flowgraph: a unique path prefix.
 	FlowNode = flowgraph.Node

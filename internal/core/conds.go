@@ -92,8 +92,9 @@ type reminer struct {
 // checked at the flowgraph nodes the new records moved and the newly
 // frequent ones at every node; the cache then holds both (a new entry — the
 // generation this one was forked from keeps the old one on its own copy of
-// the cell). It returns the number of moved nodes, 0 when every record is
-// new.
+// the cell). The cell's graph must be a tree — Build's, or the thaw or
+// admitted tree ApplyDelta's fold left — and is put to rest once mined. It
+// returns the number of moved nodes, 0 when every record is new.
 func (r *reminer) remine(cell *Cell, pathLevel int, ids []int32, added int) (int, error) {
 	paths := make([]pathdb.Path, len(ids))
 	for i, tid := range ids {
@@ -116,6 +117,7 @@ func (r *reminer) remine(cell *Cell, pathLevel int, ids []int32, added int) (int
 		Eps:      r.cube.Config.Epsilon,
 		MinCount: r.cube.minCount,
 	})
+	cell.Graph.Rest()
 	if cell.conds == nil || len(fresh) > 0 {
 		cell.conds = newCondSet(append(slices.Clip(old), fresh...))
 	}

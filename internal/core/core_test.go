@@ -119,7 +119,12 @@ func TestRemineColdCellStartsOver(t *testing.T) {
 		fork.DropCondCache()
 		cell := fork.OwnedCell(spec, apex)
 		if clear {
-			cell.Graph.ClearExceptions()
+			// A fold keeps the graph and drops its exceptions.
+			g, err := flowgraph.Fold([]*flowgraph.Graph{cell.Graph})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell.Graph = g
 		}
 		if _, err := fork.RemineCell(spec, cell, ex.DB, added(cell)); err != nil {
 			t.Fatal(err)

@@ -210,8 +210,8 @@ type Cuboid struct {
 // Mutating operations (MarkRedundancy, Compress, ApplyDelta)
 // must not run concurrently with readers of the same cube value; a
 // long-lived server treats the cube it serves as immutable, runs them on a
-// Fork — which shares the served cube's cells and flowgraph nodes and
-// copies what it writes, so the served cube is not disturbed — and swaps
+// Fork — which shares the served cube's cells and flowgraphs and copies
+// what it writes, so the served cube is not disturbed — and swaps
 // the fork in (see delta.go and internal/server).
 type Cube struct {
 	Schema *pathdb.Schema
@@ -224,8 +224,8 @@ type Cube struct {
 	Cuboids map[string]*Cuboid
 
 	minCount int64
-	// gen is the cube's generation tag: it may write exactly the cuboids,
-	// cells and flowgraph nodes that carry it (delta.go).
+	// gen is the cube's generation tag: it may write exactly the cuboids
+	// and cells that carry it (delta.go).
 	gen         uint32
 	cellsCopied int
 	// ledger is the sub-δ ledger (ledger.go) — counts and, when the cube

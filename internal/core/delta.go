@@ -22,19 +22,19 @@ package core
 // Config.MinCount (a fractional MinSupport re-resolves against the grown
 // database, silently changing δ), and a cube Compress has not thinned.
 //
-// The ownership rule. Every cuboid, cell and flowgraph node carries the
-// tag of the generation that may write it. Build and the
-// snapshot decoders produce generation 0 and tag everything 0 (a lazily
-// opened cube is generation 1 over a mapped generation 0); Fork returns a
-// generation with the next tag that shares all of it, so whatever a
-// generation holds is frozen the moment the next one is forked from it. A
-// writer reaches a cell only through ownedCell, which copies the cuboid's
-// cell map — the written cells over a mapped base, every cell otherwise —
-// and the cell on first touch and forks the cell's flowgraph (ApplyDelta's
-// parallel fold owns the cuboids first, and each job then copies its own
-// cuboid's cells through ownedCell's second half, ownCell);
-// flowgraph.Graph.AddPath then copies the nodes along the path it adds and
-// nothing else. Dropping a fork is the whole rollback. The sub-δ ledger —
+// The ownership rule. Every cuboid and cell carries the tag of the
+// generation that may write it. Build and the snapshot decoders produce
+// generation 0 and tag everything 0 (a lazily opened cube is generation 1
+// over a mapped generation 0); Fork returns a generation with the next tag
+// that shares all of it, so whatever a generation holds is frozen the
+// moment the next one is forked from it. A writer reaches a cell only
+// through ownedCell, which copies the cuboid's cell map — the written cells
+// over a mapped base, every cell otherwise — and the cell on first touch
+// (ApplyDelta's parallel fold owns the cuboids first, and each job then
+// copies its own cuboid's cells through ownedCell's second half, ownCell).
+// A graph needs no tag: it rests, its columns never change, and the copy
+// shares it until ApplyDelta gives the copy a new graph (foldBatch).
+// Dropping a fork is the whole rollback. The sub-δ ledger —
 // the sub-δ counts and, on a cube that mines exceptions, each cell's record
 // ids, the stage transactions and the symbol table they are interned into —
 // is outside the rule: forks share one ledger, which an append claims for
@@ -131,10 +131,6 @@ type DeltaStats struct {
 	// earlier call on the same fork already copied (0 on a cube patched in
 	// place).
 	CellsCopied int `json:"cells_copied"`
-	// NodesCopied is the number of flowgraph nodes copied with them: the
-	// nodes on the batch's aggregated paths through the touched cells, root
-	// included, once each — what a commit costs beyond the fold itself.
-	NodesCopied int `json:"nodes_copied"`
 }
 
 // ApplyDelta appends a batch of records to the cube and its database,
@@ -260,8 +256,8 @@ func ApplyDelta(cube *Cube, db *pathdb.DB, batch []pathdb.Record) (*DeltaStats, 
 
 	// Fold and admit, one job per cuboid of every item level the batch
 	// landed in: the job copies the cells it writes out of the generation
-	// the cube was forked from and folds the new paths into their
-	// flowgraphs, which copies the nodes along those paths and no others.
+	// the cube was forked from and gives each a new flowgraph holding the
+	// new paths too.
 	touched := cube.foldBatch(db, baseLen, landed, ledger, stats)
 
 	// Exceptions: recompute exactly, per touched cell, over its union
@@ -361,12 +357,15 @@ type touchedCell struct {
 // foldBatch writes the landed combos — hits and admissions — into every
 // cuboid of their item levels, spread across Config.Workers one cuboid per
 // job, and returns the cells it wrote in item-level, cuboid, CompareCells
-// order, counting them and what they copied into stats. On one goroutine
-// first: the batch's paths are aggregated once per path level, the
-// ledger's record ids, when it keeps them, gain each item level's batch ids
-// once, and every cuboid a job writes is made this generation's own in the
-// cuboid table, so a job writes only its own cuboid — its cell map, which
-// it copies first, its cells and their flowgraphs.
+// order, counting them into stats. On one goroutine first: the batch's
+// paths are aggregated once per path level, the ledger's record ids, when
+// it keeps them, gain each item level's batch ids once, and every cuboid a
+// job writes is made this generation's own in the cuboid table, so a job
+// writes only its own cuboid — its cell map, which it copies first, and its
+// cells.
+//
+// A hit's new flowgraph is its graph grown by its batch paths, an admitted
+// cell's an empty graph grown by its union records' paths.
 func (c *Cube) foldBatch(db *pathdb.DB, baseLen int, landed []*combo, ledger *deltaLedger, stats *DeltaStats) []touchedCell {
 	slices.SortFunc(landed, func(a, b *combo) int {
 		return cmp.Or(cmp.Compare(a.levelIdx, b.levelIdx), CompareCells(a.values, b.values))
@@ -407,9 +406,10 @@ func (c *Cube) foldBatch(db *pathdb.DB, baseLen int, landed []*combo, ledger *de
 	}
 
 	type result struct {
-		touched                      []touchedCell
-		hits, admitted, cells, nodes int
+		touched               []touchedCell
+		hits, admitted, cells int
 	}
+	mine := c.Config.MineExceptions
 	results := make([]result, len(jobs))
 	c.forEach(len(jobs), func(j int) {
 		cb, r := jobs[j].cb, &results[j]
@@ -418,7 +418,21 @@ func (c *Cube) foldBatch(db *pathdb.DB, baseLen int, landed []*combo, ledger *de
 		}
 		level, agg := pathLevels[cb.Spec.PathLevel], aggs[cb.Spec.PathLevel]
 		r.touched = make([]touchedCell, 0, len(jobs[j].combos))
-		var scratch pathdb.Path
+		var stages pathdb.Path
+		var batch []pathdb.Path
+		// paths aggregates base records' paths from db, batch records' from agg.
+		paths := func(base, tids []int32) []pathdb.Path {
+			batch, stages = batch[:0], stages[:0]
+			for _, tid := range base {
+				lo := len(stages)
+				stages = pathdb.AppendAggregated(stages, db.Records[tid].Path, level, nil)
+				batch = append(batch, stages[lo:len(stages):len(stages)])
+			}
+			for _, tid := range tids {
+				batch = append(batch, agg.path(tid))
+			}
+			return batch
+		}
 		for _, cm := range jobs[j].combos {
 			if cm.hit {
 				cell, copied := c.ownCell(cb, cm.values)
@@ -430,11 +444,7 @@ func (c *Cube) foldBatch(db *pathdb.DB, baseLen int, landed []*combo, ledger *de
 				}
 				cell.Count += int64(len(cm.tids))
 				if cell.Graph != nil {
-					before := cell.Graph.NodesCopied()
-					for _, tid := range cm.tids {
-						cell.Graph.AddAggregated(agg.path(tid))
-					}
-					r.nodes += cell.Graph.NodesCopied() - before
+					cell.Graph = grow(cell.Graph, paths(nil, cm.tids), mine)
 				}
 				r.touched = append(r.touched, touchedCell{spec: cb.Spec, cell: cell, added: len(cm.tids)})
 				r.hits++
@@ -446,15 +456,7 @@ func (c *Cube) foldBatch(db *pathdb.DB, baseLen int, landed []*combo, ledger *de
 			if cell == nil {
 				continue
 			}
-			g := flowgraph.New(db.Schema.Location, level, nil)
-			for _, tid := range cm.baseTids {
-				scratch = pathdb.AppendAggregated(scratch[:0], db.Records[tid].Path, level, nil)
-				g.AddAggregated(scratch)
-			}
-			for _, tid := range cm.tids {
-				g.AddAggregated(agg.path(tid))
-			}
-			cell.Graph = g
+			cell.Graph = grow(flowgraph.New(db.Schema.Location, level, nil), paths(cm.baseTids, cm.tids), mine)
 			r.touched = append(r.touched, touchedCell{spec: cb.Spec, cell: cell, added: n})
 			r.admitted++
 		}
@@ -465,10 +467,23 @@ func (c *Cube) foldBatch(db *pathdb.DB, baseLen int, landed []*combo, ledger *de
 		touched = append(touched, r.touched...)
 		stats.CellsTouched += r.hits
 		stats.CellsAdmitted += r.admitted
-		stats.NodesCopied += r.nodes
 		c.cellsCopied += r.cells
 	}
 	return touched
+}
+
+// grow returns g with paths added: their fold at rest (FoldPaths), or on a
+// cube that mines exceptions a thaw of g that takes them, a tree for
+// remineTouched to mine and rest.
+func grow(g *flowgraph.Graph, paths []pathdb.Path, mine bool) *flowgraph.Graph {
+	if !mine {
+		return flowgraph.FoldPaths(g, paths)
+	}
+	t := g.Thaw()
+	for _, p := range paths {
+		t.AddAggregated(p)
+	}
+	return t
 }
 
 // remineTouched re-mines the exceptions of every touched cell with a
@@ -613,9 +628,6 @@ func (c *Cube) ownCell(cb *Cuboid, values []hierarchy.NodeID) (*Cell, bool) {
 	}
 	own := *cell
 	own.owner = c.gen
-	if cell.Graph != nil {
-		own.Graph = cell.Graph.Fork(c.gen)
-	}
 	cb.Cells[MakeCellID(values)] = &own
 	return &own, true
 }
@@ -689,8 +701,8 @@ func (c *Cube) CheckSchema(s *pathdb.Schema) error {
 }
 
 // Fork returns the cube's next generation: a cube that shares every
-// cuboid, mapped base, cell, flowgraph node and cached exception condition
-// with the receiver by pointer, and writes copy-on-write through
+// cuboid, mapped base, cell, resting flowgraph and cached exception
+// condition with the receiver by pointer, and writes copy-on-write through
 // ownedCell. Nothing the receiver saves or answers is touched by anything
 // done to the fork — readers keep using it, and a fork that is dropped
 // leaves no trace in them — so the cost is the cuboid table, which does

@@ -138,8 +138,10 @@ func (c *Cube) OwnedCell(spec CuboidSpec, values []hierarchy.NodeID) *Cell {
 // RemineCell re-mines a cell of the spec's cuboid as ApplyDelta does:
 // against its cached conditions and the ones its last added records made
 // frequent, over the record ids and stage transactions a ledger derived
-// from db holds, so a cold cell mines its whole condition set.
+// from db holds, so a cold cell mines its whole condition set. The cell's
+// resting graph is thawed for the miner, as ApplyDelta's fold thaws it.
 func (c *Cube) RemineCell(spec CuboidSpec, cell *Cell, db *pathdb.DB, added int) (int, error) {
+	cell.Graph = cell.Graph.Thaw()
 	l := c.deriveLedger(db)
 	r := &reminer{cube: c, db: db, stageTxs: l.stages, syms: l.syms}
 	return r.remine(cell, spec.PathLevel, l.IDs(spec, cell.Values), added)

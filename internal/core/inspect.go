@@ -67,6 +67,9 @@ func (c *Cube) validateCuboid(cb *Cuboid) error {
 		if cell.Graph == nil {
 			continue
 		}
+		if cell.Graph.Columns() == nil {
+			return fmt.Errorf("core: cuboid %s cell %v: its flowgraph does not rest", key, cell.Values)
+		}
 		if cell.Graph.Paths() != cell.Count {
 			return fmt.Errorf("core: cuboid %s cell %v count %d != graph paths %d",
 				key, cell.Values, cell.Count, cell.Graph.Paths())
@@ -113,14 +116,13 @@ func CompareExceptions(a, b flowgraph.Exception) int {
 
 // TopExceptions returns the k most severe exceptions across every
 // materialized cell, ties broken deterministically by cell then support.
-// k <= 0 returns all. The Node of an exception read from a lazy base cell
-// or a resting graph is a stub (flowgraph.FlatExceptions): the node's
-// location, depth, count and durations, but no children.
+// k <= 0 returns all. The Node of each exception is a stub
+// (flowgraph.FlatExceptions): the node's location, depth, count and
+// durations, but no children.
 func (c *Cube) TopExceptions(k int) []RankedException {
 	// Base cells and resting graphs read their exceptions from the flat
-	// columns, in the order the pointer-form graph lists them, so the
-	// stable sort below ranks a lazily opened or resting cube exactly as
-	// its thawed twin, and thaws nothing.
+	// columns, in the order Graph.Exceptions lists them, so the stable sort
+	// below ranks as a walk of thawed trees would, and thaws nothing.
 	var out []RankedException
 	for _, cb := range c.sortedCuboids() {
 		err := cb.each(func(e *dirEntry, cell *Cell) error {
@@ -130,11 +132,8 @@ func (c *Cube) TopExceptions(k int) []RankedException {
 			case cell == nil:
 				xs, err = cb.base.exceptions(e)
 			case cell.Graph != nil:
-				// Read once: a concurrent thaw drops the columns.
-				if cols := cell.Graph.Columns(); cols == nil {
-					xs = cell.Graph.Exceptions()
-				} else if len(cols.ExcNode) > 0 {
-					xs, err = flowgraph.FlatExceptions(cols, c.Schema.Location)
+				if f := flowgraph.Flatten(cell.Graph); len(f.ExcNode) > 0 {
+					xs, err = flowgraph.FlatExceptions(f, c.Schema.Location)
 				}
 			}
 			for _, x := range xs {

@@ -32,7 +32,7 @@ import (
 // which other parts own.
 //
 // The result shares the mapped bases and the *Cell pointers (and through
-// them the flowgraph nodes) with the receiver under the ownership rule of
+// them the flowgraphs) with the receiver under the ownership rule of
 // delta.go: it is a later generation, so it reads what the receiver holds
 // and a write through ownedCell copies first. Selection runs on value
 // tuples, so a mapped base decodes nothing: its cells that fail keep are

@@ -47,8 +47,8 @@ func TestBuildLeavesGraphsAtRest(t *testing.T) {
 // TestLoadLeavesGraphsAtRest: a snapshot's cells decode to graphs at rest
 // on their checked columns — eagerly (Load) and one cell at a time (a lazy
 // cube's LRU) — and CuboidSummaries, TopExceptions, Validate and Save thaw
-// none; TopExceptions ranks what it ranks over thawed graphs, and a loaded
-// cube saves the bytes it was loaded from.
+// none; TopExceptions ranks the exceptions thawed trees list as a stable
+// sort of them would, and a loaded cube saves the bytes it was loaded from.
 func TestLoadLeavesGraphsAtRest(t *testing.T) {
 	want := oracle.Save(t, buildRestShape(t))
 	path := oracle.File(t, want)
@@ -67,18 +67,21 @@ func TestLoadLeavesGraphsAtRest(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireAtRest(t, cube, "Validate")
-	thawed := oracle.Open(t, path)
-	for _, cb := range thawed.Cuboids {
-		for _, cell := range cb.Cells {
-			cell.Graph.Root()
+	var thawed []core.RankedException
+	for _, spec := range cube.MaterializedSpecs() {
+		for _, cell := range cube.Cuboid(spec).SortedCells() {
+			for _, x := range cell.Graph.Exceptions() {
+				thawed = append(thawed, core.RankedException{Spec: spec, Values: cell.Values, Exception: x})
+			}
 		}
 	}
-	if thawed.ThawedGraphs() != thawed.NumCells() {
-		t.Fatal("the twin did not thaw")
+	slices.SortStableFunc(thawed, func(a, b core.RankedException) int {
+		return core.CompareExceptions(a.Exception, b.Exception)
+	})
+	if want := rankedStrings(thawed); !slices.Equal(top, want) {
+		t.Fatalf("TopExceptions over resting graphs departs from a ranking of thawed trees:\n%v\nwant\n%v", top, want)
 	}
-	if got := rankedStrings(thawed.TopExceptions(0)); !slices.Equal(got, top) {
-		t.Fatalf("TopExceptions over resting graphs departs from the thawed twin's:\n%v\nwant\n%v", top, got)
-	}
+	requireAtRest(t, cube, "Exceptions")
 	got := oracle.Save(t, cube)
 	requireAtRest(t, cube, "Save")
 	if !bytes.Equal(got, want) {
@@ -99,6 +102,72 @@ func TestLoadLeavesGraphsAtRest(t *testing.T) {
 	}
 	if err := lazy.LazyErr(); err != nil || decoded != cube.NumCells() {
 		t.Fatalf("decoded %d of %d cells lazily (err %v)", decoded, cube.NumCells(), err)
+	}
+}
+
+// TestAppendLeavesGraphsAtRest: plain, exceptions-on and τ = 0.5 appends,
+// to built and to loaded cubes, leave every cell's graph at rest; a cell
+// the batch did not land in shares its parent generation's graph, and one
+// it did has a new graph; and the parent generation saves the bytes it
+// saved before its fork was appended to.
+func TestAppendLeavesGraphsAtRest(t *testing.T) {
+	const base, batchLen, steps = 300, 6, 3
+	ds := oracle.Dataset(7, base+batchLen*steps)
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"plain", core.Config{MinCount: 4}},
+		{"exceptions", core.Config{MinCount: 4, Epsilon: 0.05, MineExceptions: true}},
+		{"tau", core.Config{MinCount: 4, Tau: 0.5}},
+	} {
+		for _, loaded := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/loaded=%t", tc.name, loaded), func(t *testing.T) {
+				cfg := tc.cfg
+				cfg.Plan, cfg.Workers = ds.DefaultPlan(), 2
+				db := oracle.Prefix(ds.DB, base)
+				cube := oracle.Build(t, db, cfg)
+				if loaded {
+					cube = oracle.Reopen(t, cube, false)
+					cube.Config.Workers = 2
+				}
+				for step := 0; step < steps; step++ {
+					parent, before := cube, oracle.Save(t, cube)
+					cube = parent.Fork()
+					lo := base + step*batchLen
+					if _, err := core.ApplyDelta(cube, db, ds.DB.Records[lo:lo+batchLen]); err != nil {
+						t.Fatal(err)
+					}
+					requireAtRest(t, cube, fmt.Sprintf("append %d", step))
+					if err := cube.Validate(); err != nil {
+						t.Fatal(err)
+					}
+					shared, written := 0, 0
+					for _, spec := range cube.MaterializedSpecs() {
+						for _, cell := range cube.Cuboid(spec).SortedCells() {
+							pc, ok := parent.Cell(spec, cell.Values)
+							switch {
+							case !ok || pc.Count != cell.Count:
+								written++
+								if ok && pc.Graph == cell.Graph {
+									t.Fatalf("append %d: cell %v of %s took paths into its parent's graph", step, cell.Values, spec.Key())
+								}
+							case pc.Graph != cell.Graph:
+								t.Fatalf("append %d: untouched cell %v of %s does not share its parent's graph", step, cell.Values, spec.Key())
+							default:
+								shared++
+							}
+						}
+					}
+					if shared == 0 || written == 0 {
+						t.Fatalf("append %d shared %d graphs and wrote %d; the test needs both", step, shared, written)
+					}
+					if !bytes.Equal(oracle.Save(t, parent), before) {
+						t.Fatalf("append %d changed what its parent generation saves", step)
+					}
+				}
+			})
+		}
 	}
 }
 

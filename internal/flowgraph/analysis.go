@@ -77,14 +77,6 @@ func lessLocs(a, b []hierarchy.NodeID) bool {
 	return len(a) < len(b)
 }
 
-// ReachProb reports the empirical probability that a path visits the node.
-func (g *Graph) ReachProb(n *Node) float64 {
-	if g.paths == 0 {
-		return 0
-	}
-	return float64(n.Count) / float64(g.paths)
-}
-
 // ExpectedLeadTime returns the expected total duration of a path drawn
 // from the flowgraph's model: the mean stay at each node weighted by the
 // probability of reaching it.

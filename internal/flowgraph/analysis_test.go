@@ -1,6 +1,7 @@
 package flowgraph_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -49,14 +50,19 @@ func TestTopPaths(t *testing.T) {
 	}
 }
 
+// TestReachProb: the empirical probability that a path visits a node, as
+// Contrast reports it for each prefix.
 func TestReachProb(t *testing.T) {
 	ex, g := buildExample(t)
-	f := g.NodeAt([]hierarchy.NodeID{ex.Location.MustLookup("f")})
-	if got := g.ReachProb(f); got != 1 {
+	reach := map[string]float64{}
+	for _, d := range flowgraph.Contrast(g, g, 0) {
+		reach[fmt.Sprint(d.Prefix)] = d.CurrentReach
+	}
+	f, ft := ex.Location.MustLookup("f"), ex.Location.MustLookup("t")
+	if got := reach[fmt.Sprint([]hierarchy.NodeID{f})]; got != 1 {
 		t.Errorf("reach(f) = %g", got)
 	}
-	ft := g.NodeAt([]hierarchy.NodeID{ex.Location.MustLookup("f"), ex.Location.MustLookup("t")})
-	if got := g.ReachProb(ft); math.Abs(got-3.0/8) > 1e-9 {
+	if got := reach[fmt.Sprint([]hierarchy.NodeID{f, ft})]; math.Abs(got-3.0/8) > 1e-9 {
 		t.Errorf("reach(f,t) = %g, want 0.375", got)
 	}
 }

@@ -31,18 +31,9 @@ func benchGraphs(b *testing.B) (cell, parent *flowgraph.Graph, paths []pathdb.Pa
 
 var benchSink float64
 
+// BenchmarkSimilarity times the comparison MarkRedundancy makes of a
+// cell's graph with its parent's, both at rest as a cube holds them.
 func BenchmarkSimilarity(b *testing.B) {
-	cell, parent, _ := benchGraphs(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink += flowgraph.Similarity(cell, parent)
-	}
-}
-
-// BenchmarkSimilarityResting is BenchmarkSimilarity over the two graphs at
-// rest: the columnar walk MarkRedundancy takes over a built cube.
-func BenchmarkSimilarityResting(b *testing.B) {
 	cell, parent, _ := benchGraphs(b)
 	cell.Rest()
 	parent.Rest()
@@ -50,6 +41,49 @@ func BenchmarkSimilarityResting(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink += flowgraph.Similarity(cell, parent)
+	}
+}
+
+// BenchmarkFold times the fold of a plain append — a resting cell's graph
+// (every third path) with a ten-path batch laid out as columns
+// (FoldPaths) — and the fold that rebuilds the parent from the three
+// disjoint thirds at query time.
+func BenchmarkFold(b *testing.B) {
+	cfg := datagen.Default()
+	cfg.NumPaths = 2000
+	cfg.NumDims = 1
+	ds := datagen.MustGenerate(cfg)
+	level := ds.DefaultPlan().PathLevels[0]
+	parts := make([][]pathdb.Path, 3)
+	for i, r := range ds.DB.Records {
+		parts[i%3] = append(parts[i%3], r.Path)
+	}
+	thirds := make([]*flowgraph.Graph, 3)
+	for k, part := range parts {
+		thirds[k] = flowgraph.Build(ds.Schema.Location, level, part, nil)
+		thirds[k].Rest()
+	}
+	batch := make([]pathdb.Path, 10)
+	for i := range batch {
+		batch[i] = pathdb.AggregatePath(parts[1][i], level, nil)
+	}
+	for _, bc := range []struct {
+		name string
+		fold func() (*flowgraph.Graph, error)
+	}{
+		{"append", func() (*flowgraph.Graph, error) { return flowgraph.FoldPaths(thirds[0], batch), nil }},
+		{"thirds", func() (*flowgraph.Graph, error) { return flowgraph.Fold(thirds) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g, err := bc.fold()
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += float64(g.Paths())
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"flowcube/internal/hierarchy"
+	"flowcube/internal/stats"
 )
 
 // Contrast answers the paper's introductory question 3 — "present a
@@ -52,60 +53,52 @@ func (d NodeDiff) Weight() float64 {
 
 // Contrast compares current against baseline (both at the same path
 // abstraction level) and returns per-node diffs ordered by decreasing
-// Weight. k <= 0 returns all.
+// Weight. k <= 0 returns all. It walks the two graphs' columns.
 func Contrast(current, baseline *Graph, k int) []NodeDiff {
+	a, b := Flatten(current), Flatten(baseline)
 	var out []NodeDiff
-	var walk func(prefix []hierarchy.NodeID, a, b *Node)
-	walk = func(prefix []hierarchy.NodeID, a, b *Node) {
-		seen := map[hierarchy.NodeID]bool{}
-		var locs []hierarchy.NodeID
-		if a != nil {
-			for _, c := range a.Children() {
-				if !seen[c.Location] {
-					seen[c.Location] = true
-					locs = append(locs, c.Location)
-				}
-			}
-		}
-		if b != nil {
-			for _, c := range b.Children() {
-				if !seen[c.Location] {
-					seen[c.Location] = true
-					locs = append(locs, c.Location)
-				}
-			}
-		}
-		sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-		for _, loc := range locs {
-			var ca, cb *Node
-			if a != nil {
-				ca = a.Child(loc)
-			}
-			if b != nil {
-				cb = b.Child(loc)
-			}
-			p := append(append([]hierarchy.NodeID(nil), prefix...), loc)
-			d := NodeDiff{Prefix: p}
+	var walk func(prefix []hierarchy.NodeID, na, nb int32)
+	walk = func(prefix []hierarchy.NodeID, na, nb int32) {
+		ta, tb := a.transAt(na), b.transAt(nb)
+		ia, ea := ta.lo, ta.lo+int32(len(ta.counts))
+		ib, eb := tb.lo, tb.lo+int32(len(tb.counts))
+		for ia < ea || ib < eb {
+			xa, xb := int32(-1), int32(-1)
 			switch {
-			case ca != nil && cb != nil:
-				d.CurrentReach = current.ReachProb(ca)
-				d.BaselineReach = baseline.ReachProb(cb)
-				d.DurationShift = ca.Durations.Mean() - cb.Durations.Mean()
-				d.DurationDeviation = ca.Durations.MaxDeviation(&cb.Durations)
-				ta, tb := transitions(ca), transitions(cb)
-				d.TransitionDeviation = maxDeviation(&ta, &tb)
-			case ca != nil:
-				d.CurrentReach = current.ReachProb(ca)
-				d.OnlyIn = 1
+			case ib == eb || (ia < ea && a.Locations[ia] < b.Locations[ib]):
+				xa = ia
+				ia++
+			case ia == ea || b.Locations[ib] < a.Locations[ia]:
+				xb = ib
+				ib++
 			default:
-				d.BaselineReach = baseline.ReachProb(cb)
-				d.OnlyIn = -1
+				xa, xb = ia, ib
+				ia++
+				ib++
+			}
+			var d NodeDiff
+			if xa >= 0 {
+				d.OnlyIn++
+				d.Prefix = append(prefix[:len(prefix):len(prefix)], hierarchy.NodeID(a.Locations[xa]))
+				d.CurrentReach = stats.Prob(a.Counts[xa], a.Paths)
+			}
+			if xb >= 0 {
+				d.Prefix = append(prefix[:len(prefix):len(prefix)], hierarchy.NodeID(b.Locations[xb]))
+				d.BaselineReach = stats.Prob(b.Counts[xb], b.Paths)
+				d.OnlyIn--
+			}
+			if xa >= 0 && xb >= 0 {
+				da, db := a.durationsAt(xa), b.durationsAt(xb)
+				d.DurationShift = da.Mean() - db.Mean()
+				d.DurationDeviation = da.MaxDeviation(&db)
+				ca, cb := a.transAt(xa), b.transAt(xb)
+				d.TransitionDeviation = maxDeviation(&ca, &cb)
 			}
 			out = append(out, d)
-			walk(p, ca, cb)
+			walk(d.Prefix, xa, xb)
 		}
 	}
-	walk(nil, current.Root(), baseline.Root())
+	walk(nil, 0, 0)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Weight() > out[j].Weight() })
 	if k > 0 && len(out) > k {
 		out = out[:k]

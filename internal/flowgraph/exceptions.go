@@ -72,7 +72,7 @@ type condSlot struct {
 // so the set is cleared and only the new paths are walked, to count the
 // nodes they moved.
 func (g *Graph) MineExceptions(paths []pathdb.Path, added int, old, fresh [][]StagePin, opt ExceptionOptions) int {
-	g.wake()
+	g.writable()
 	if len(old)+len(fresh) == 0 {
 		g.exceptions = g.exceptions[:0]
 		if added == len(paths) {
@@ -243,8 +243,7 @@ func (g *Graph) appendException(target *Node, cond []StagePin, a *condAgg, eps f
 		return
 	}
 	devD := a.dur.MaxDeviation(&target.Durations)
-	t := transitions(target)
-	devT := keptDeviation(&a.tr, &t)
+	devT := keptDeviation(&a.tr, target)
 	pinsTarget := cond[len(cond)-1].Depth == target.Depth
 	significant := devT > eps || (!pinsTarget && devD > eps)
 	if !significant {

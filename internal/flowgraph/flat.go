@@ -12,8 +12,8 @@ package flowgraph
 // snapshot: a node's is its children's counts and the paths that end at it,
 // read off the columns where it is needed. Check validates the invariants,
 // those counts' among them, without allocating; Unflatten runs it and
-// returns a graph resting on the checked columns, and the first reader that
-// asks for nodes thaws a tree from them (rest.go).
+// returns a graph resting on the checked columns, and a reader that asks
+// for nodes thaws a copy of the tree from them (rest.go).
 
 import (
 	"fmt"
@@ -75,8 +75,7 @@ func Flatten(g *Graph) *Flat {
 	if c := g.Columns(); c != nil {
 		return c
 	}
-	root, xs := g.tree()
-	f := flatten(root, g.paths, xs)
+	f := flatten(g.root, g.paths, g.exceptions)
 	return &f
 }
 
@@ -370,43 +369,46 @@ func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Grap
 	if err := f.Check(loc); err != nil {
 		return nil, err
 	}
-	return &Graph{level: level, loc: loc, paths: f.Paths, rest: restOn(f)}, nil
+	return &Graph{level: level, loc: loc, paths: f.Paths, cols: f}, nil
 }
 
-// tree thaws the pointer tree and the exceptions of checked columns, every
-// node tagged owner. Each node and child list is an allocation of its own,
-// since tree forks copy a path of them at a time and an array would live
-// on while any node in it did; pins and exceptions are carved out of one
-// backing allocation each.
-func (f *Flat) tree(owner uint32) (*Node, []Exception, error) {
+// thaw returns the pointer tree and the exceptions of columns that passed
+// Check or were flattened from a tree, which always thaw. The nodes live in
+// one array and the child lists in another, each list capped at its length
+// so that a miner adding a child moves that list out rather than writing
+// over its neighbour's.
+func (f *Flat) thaw() (*Node, []Exception) {
 	n := f.NumNodes()
-	ptrs := make([]*Node, n)
-	for i := range ptrs {
-		ptrs[i] = new(Node)
+	nodes := make([]Node, n)
+	kids := make([]*Node, n-1)
+	for i := 1; i < n; i++ {
+		kids[i-1] = &nodes[i]
 	}
-	for i, nd := range ptrs {
+	for i := range nodes {
+		nd := &nodes[i]
 		nd.Location = hierarchy.NodeID(f.Locations[i])
-		nd.owner = owner
 		nd.Count = f.Counts[i]
 		lo, hi := f.DurLo[i], f.DurLo[i+1]
 		if err := nd.Durations.InitSorted(f.Outcomes[lo:hi], f.Weights[lo:hi]); err != nil {
-			return nil, nil, err
+			panic("flowgraph: resting columns do not thaw: " + err.Error())
 		}
 		lo, hi = f.ChildLo[i], f.ChildLo[i+1]
 		for j := lo; j < hi; j++ {
-			ptrs[j].Depth = nd.Depth + 1
+			nodes[j].Depth = nd.Depth + 1
 		}
 		if hi > lo {
-			nd.children = append([]*Node(nil), ptrs[lo:hi]...)
+			nd.children = kids[lo-1 : hi-1 : hi-1]
 		}
 	}
-	m := len(f.ExcNode)
-	if m == 0 {
-		return ptrs[0], nil, nil
+	if len(f.ExcNode) == 0 {
+		return &nodes[0], nil
 	}
-	node := func(idx int32, _ int) *Node { return ptrs[idx] }
-	xs, err := f.exceptions(node, make([]stats.Multinomial, 2*m))
-	return ptrs[0], xs, err
+	node := func(idx int32, _ int) *Node { return &nodes[idx] }
+	xs, err := f.exceptions(node, make([]stats.Multinomial, 2*len(f.ExcNode)))
+	if err != nil {
+		panic("flowgraph: resting columns do not thaw: " + err.Error())
+	}
+	return &nodes[0], xs
 }
 
 // exceptions decodes the exception table of a validated flat graph with at

@@ -2,6 +2,7 @@ package flowgraph_test
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -188,20 +189,19 @@ func TestMineExceptionsForMultiPin(t *testing.T) {
 	}
 }
 
-// TestAlgebraicMerge verifies Lemma 4.2: merging the flowgraphs of a
+// TestAlgebraicMerge verifies Lemma 4.2: folding the flowgraphs of a
 // partition reproduces the flowgraph of the whole.
 func TestAlgebraicMerge(t *testing.T) {
 	ex := paperex.New()
 	paths := basePaths(ex)
 	whole := flowgraph.Build(ex.Location, ex.BasePathLevel(), paths, nil)
 
-	merged := flowgraph.Build(ex.Location, ex.BasePathLevel(), paths[:3], nil)
-	mid := flowgraph.Build(ex.Location, ex.BasePathLevel(), paths[3:6], nil)
-	rest := flowgraph.Build(ex.Location, ex.BasePathLevel(), paths[6:], nil)
-	if err := merged.Merge(mid); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.Merge(rest); err != nil {
+	merged, err := flowgraph.Fold([]*flowgraph.Graph{
+		flowgraph.Build(ex.Location, ex.BasePathLevel(), paths[:3], nil),
+		flowgraph.Build(ex.Location, ex.BasePathLevel(), paths[3:6], nil),
+		flowgraph.Build(ex.Location, ex.BasePathLevel(), paths[6:], nil),
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -234,8 +234,8 @@ func TestMergeRejectsDifferentLevels(t *testing.T) {
 	paths := basePaths(ex)
 	a := flowgraph.Build(ex.Location, ex.BasePathLevel(), paths, nil)
 	b := flowgraph.Build(ex.Location, ex.TransportPathLevel(), paths, nil)
-	if err := a.Merge(b); err == nil {
-		t.Errorf("merging graphs at different path levels must fail")
+	if _, err := flowgraph.Fold([]*flowgraph.Graph{a, b}); err == nil {
+		t.Errorf("folding graphs at different path levels must fail")
 	}
 }
 
@@ -324,29 +324,28 @@ func TestDOTEscapesLocationNames(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
+// TestThawIndependence: a thaw is the graph's tree, exceptions included,
+// and a write to it leaves the graph as it was.
+func TestThawIndependence(t *testing.T) {
 	ex, g := buildExample(t)
 	mineSingleStage(g, basePaths(ex), 0.1, 2)
-	c := g.Clone()
-	if c.Paths() != g.Paths() || len(c.Exceptions()) != len(g.Exceptions()) {
-		t.Fatalf("clone differs: paths %d/%d exceptions %d/%d",
-			c.Paths(), g.Paths(), len(c.Exceptions()), len(g.Exceptions()))
+	g.Rest()
+	before := flowgraph.Flatten(g)
+	c := g.Thaw()
+	if c.Columns() != nil || c.Paths() != g.Paths() || !reflect.DeepEqual(flowgraph.Flatten(c), before) {
+		t.Fatal("a thaw is not the graph's tree")
 	}
-	// Mutating the clone must not affect the original.
 	c.AddPath(ex.DB.Records[0].Path)
-	if c.Paths() == g.Paths() {
-		t.Errorf("clone shares state with original")
-	}
-	if d := flowgraph.Divergence(g, g); !approx(d, 0) {
-		t.Errorf("original perturbed by clone mutation")
+	if c.Paths() != g.Paths()+1 || !reflect.DeepEqual(flowgraph.Flatten(g), before) {
+		t.Errorf("a write to the thaw reached the graph")
 	}
 }
 
 // TestNodeLayout pins the size of a node, the box every prefix of every
 // cell's tree costs, and of the distribution inside it: a field added to
 // either is a deliberate re-pin, not a drift. A node is its location,
-// owner tag, depth and count, its duration distribution (one slice header
-// and a total) and its child list.
+// depth and count, its duration distribution (one slice header and a total)
+// and its child list.
 func TestNodeLayout(t *testing.T) {
 	if got := unsafe.Sizeof(flowgraph.Node{}); got != 80 {
 		t.Errorf("flowgraph.Node is %d bytes, want 80", got)

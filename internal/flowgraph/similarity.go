@@ -14,132 +14,48 @@ import "flowcube/internal/stats"
 // Divergence returns the asymmetric weighted divergence D(a ‖ b) ≥ 0; zero
 // means b induces the same distribution over paths as a.
 func Divergence(a, b *Graph) float64 {
-	if ca, cb := a.Columns(), b.Columns(); ca != nil && cb != nil {
-		d, _ := divergeCols(ca, cb, 0, 0, 1, 0)
-		return d
-	}
-	d, _ := diverge(a.Root(), b.Root(), 1, 0)
+	d, _ := klWalk(Flatten(a), Flatten(b), 0, 0, 1, 0)
 	return d
 }
 
 // Similarity returns ϕ(a, b) in (0, 1]: 1 for identical induced models,
 // approaching 0 as the symmetrized divergence grows. Both directions come
-// from one walk of the two graphs: of their columns when both rest, of
-// their trees otherwise (a resting side thaws).
+// from one walk of the two graphs' columns; a tree argument is flattened
+// first.
 func Similarity(a, b *Graph) float64 {
-	var ab, ba float64
-	if ca, cb := a.Columns(), b.Columns(); ca != nil && cb != nil {
-		ab, ba = divergeCols(ca, cb, 0, 0, 1, 1)
-	} else {
-		ab, ba = diverge(a.Root(), b.Root(), 1, 1)
-	}
+	ab, ba := klWalk(Flatten(a), Flatten(b), 0, 0, 1, 1)
 	return 1 / (1 + (ab+ba)/2)
 }
 
-// noObservations is the empty distribution every absent branch is compared
-// against; it is only ever read.
-var noObservations stats.Multinomial
-
-// diverge walks the union of the subtrees under na and nb, the nodes at one
-// prefix of two graphs, either of which may be nil, and returns both
+// klWalk walks the union of the subtrees under na and nb, node indices of
+// a and b at one prefix, -1 where a graph lacks it, and returns both
 // directions of their divergence: ab weighs D(na ‖ nb) by wa, na's reach
 // probability, and sums it over na's subtree; ba is the same from nb's side.
 // A side is on where its node exists and its weight has not decayed to
 // zero; an off side adds nothing below, and a zero weight switches a side
 // off from the start. Each side adds its node's term first and then its own
 // children's, in ascending location order, so each sum is bit for bit the
-// one a walk of that side's tree alone would take.
-func diverge(na, nb *Node, wa, wb float64) (ab, ba float64) {
+// one a walk of that side's graph alone would take.
+func klWalk(a, b *Flat, na, nb int32, wa, wb float64) (ab, ba float64) {
 	// A weight is a product of reach probabilities; down a deep unlikely
 	// branch it decays through denormals instead of hitting exact zero, so
 	// prune with the shared epsilon comparison rather than ==.
-	onA := na != nil && !stats.AlmostEqual(wa, 0)
-	onB := nb != nil && !stats.AlmostEqual(wb, 0)
-	if !onA && !onB {
-		return 0, 0
-	}
-	ta, tb := transitions(na), transitions(nb)
-	switch {
-	case onA && onB:
-		dab, dba := na.Durations.KLBoth(&nb.Durations)
-		tab, tba := klBoth(&ta, &tb)
-		ab, ba = wa*(dab+tab), wb*(dba+tba)
-	case onA:
-		ab = wa * against(na, nb, &ta, &tb)
-	default:
-		ba = wb * against(nb, na, &tb, &ta)
-	}
-	ca, cb := ta.children, tb.children
-	for i, j := 0, 0; i < len(ca) || j < len(cb); {
-		var xa, xb *Node
-		switch {
-		case j == len(cb) || (i < len(ca) && ca[i].Location < cb[j].Location):
-			xa = ca[i]
-			i++
-		case i == len(ca) || cb[j].Location < ca[i].Location:
-			xb = cb[j]
-			j++
-		default:
-			xa, xb = ca[i], cb[j]
-			i++
-			j++
-		}
-		// A child is walked for a side that is on and has it; the other
-		// side's child, if any, is only what it is compared against.
-		inA, inB := onA && xa != nil, onB && xb != nil
-		if !inA && !inB {
-			continue
-		}
-		var cwa, cwb float64
-		if inA {
-			cwa = wa * stats.Prob(xa.Count, ta.total)
-		}
-		if inB {
-			cwb = wb * stats.Prob(xb.Count, tb.total)
-		}
-		dab, dba := diverge(xa, xb, cwa, cwb)
-		if inA {
-			ab += dab
-		}
-		if inB {
-			ba += dba
-		}
-	}
-	return ab, ba
-}
-
-// against is D(n ‖ o) at one node, o's distributions empty where o is
-// nil; tn and to are T at n and o.
-func against(n, o *Node, tn, to *trans) float64 {
-	dur := &noObservations
-	if o != nil {
-		dur = &o.Durations
-	}
-	return n.Durations.KLDivergence(dur) + klDivergence(tn, to)
-}
-
-// divergeCols is diverge over two resting graphs' columns: na and nb are
-// node indices of a and b at one prefix, -1 where a graph lacks it. It takes
-// the same terms in the same order — the node's own, then its children's in
-// ascending location order — from the same counts (DurationsAt, transAt),
-// so its sums are diverge's, bit for bit.
-func divergeCols(a, b *Flat, na, nb int32, wa, wb float64) (ab, ba float64) {
 	onA := na >= 0 && !stats.AlmostEqual(wa, 0)
 	onB := nb >= 0 && !stats.AlmostEqual(wb, 0)
 	if !onA && !onB {
 		return 0, 0
 	}
 	ta, tb := a.transAt(na), b.transAt(nb)
-	da, db := a.DurationsAt(na), b.DurationsAt(nb)
+	da, db := a.durationsAt(na), b.durationsAt(nb)
 	switch {
 	case onA && onB:
 		dab, dba := da.KLBoth(&db)
-		tab, tba := klBothCols(&ta, &tb)
+		tab, tba := klBoth(&ta, &tb)
 		ab, ba = wa*(dab+tab), wb*(dba+tba)
 	case onA:
-		ab = wa * (da.KLDivergence(&db) + klDivergenceCols(&ta, &tb))
+		ab = wa * (da.KLDivergence(&db) + klDivergence(&ta, &tb))
 	default:
-		ba = wb * (db.KLDivergence(&da) + klDivergenceCols(&tb, &ta))
+		ba = wb * (db.KLDivergence(&da) + klDivergence(&tb, &ta))
 	}
 	ia, ea := ta.lo, ta.lo+int32(len(ta.counts))
 	ib, eb := tb.lo, tb.lo+int32(len(tb.counts))
@@ -157,6 +73,8 @@ func divergeCols(a, b *Flat, na, nb int32, wa, wb float64) (ab, ba float64) {
 			ia++
 			ib++
 		}
+		// A child is walked for a side that is on and has it; the other
+		// side's child, if any, is only what it is compared against.
 		inA, inB := onA && xa >= 0, onB && xb >= 0
 		if !inA && !inB {
 			continue
@@ -168,7 +86,7 @@ func divergeCols(a, b *Flat, na, nb int32, wa, wb float64) (ab, ba float64) {
 		if inB {
 			cwb = wb * stats.Prob(b.Counts[xb], tb.total)
 		}
-		dab, dba := divergeCols(a, b, xa, xb, cwa, cwb)
+		dab, dba := klWalk(a, b, xa, xb, cwa, cwb)
 		if inA {
 			ab += dab
 		}

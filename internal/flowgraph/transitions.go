@@ -61,75 +61,23 @@ func (n *Node) TerminationProb() float64 { return n.TransitionProb(Terminate) }
 // of the paths through n that go on to c.
 func (n *Node) ChildProb(c *Node) float64 { return stats.Prob(c.Count, n.transitionTotal()) }
 
-// trans is T at one node as the joins below read it: the paths that reach
-// the node (total), the paths that end there (term, the Terminate outcome,
-// absent when 0) and the children, one outcome each, its location observed
-// its count times.
-type trans struct {
-	total, term int64
-	children    []*Node
-}
-
-// transitions returns T at n; a nil n has no observations.
-func transitions(n *Node) trans {
-	if n == nil {
-		return trans{}
-	}
-	return trans{total: n.transitionTotal(), term: n.Terminations(), children: n.children}
-}
-
-// join merge-joins T at two nodes: it calls fn once per outcome of their
-// union, in ascending order, with the outcome's count on each side (0 where
-// it was not observed), and returns the size of the union. A nil fn only
-// counts.
-func join(a, b *trans, fn func(ca, cb int64)) int {
-	k := 0
-	if a.term > 0 || b.term > 0 {
-		k++
-		if fn != nil {
-			fn(a.term, b.term)
-		}
-	}
-	ca, cb := a.children, b.children
-	for i, j := 0, 0; i < len(ca) || j < len(cb); k++ {
-		var x, y int64
-		switch {
-		case j == len(cb) || (i < len(ca) && ca[i].Location < cb[j].Location):
-			x = ca[i].Count
-			i++
-		case i == len(ca) || cb[j].Location < ca[i].Location:
-			y = cb[j].Count
-			j++
-		default:
-			x, y = ca[i].Count, cb[j].Count
-			i++
-			j++
-		}
-		if fn != nil {
-			fn(x, y)
-		}
-	}
-	return k
-}
-
-// joinKept is join of a transition distribution kept as a stats.Multinomial
-// — an exception's conditional one, whose outcomes are Terminate and child
-// locations — with T at a node.
-func joinKept(a *stats.Multinomial, b *trans, fn func(ca, cb int64)) int {
+// joinKept merge-joins a transition distribution kept as a
+// stats.Multinomial — an exception's conditional one, whose outcomes are
+// Terminate and child locations — with T at node n: it calls fn once per
+// outcome of their union, in ascending order, with the outcome's count on
+// each side (0 where it was not observed).
+func joinKept(a *stats.Multinomial, n *Node, fn func(ca, cb int64)) {
 	o, c := a.Columns()
-	k, i := 0, 0
-	if hasTerm := len(o) > 0 && o[0] == Terminate; hasTerm || b.term > 0 {
+	i := 0
+	if hasTerm, term := len(o) > 0 && o[0] == Terminate, n.Terminations(); hasTerm || term > 0 {
 		var x int64
 		if hasTerm {
 			x, i = c[0], 1
 		}
-		k++
-		if fn != nil {
-			fn(x, b.term)
-		}
+		fn(x, term)
 	}
-	cb := b.children
-	for j := 0; i < len(o) || j < len(cb); k++ {
+	cb := n.children
+	for j := 0; i < len(o) || j < len(cb); {
 		var x, y int64
 		switch {
 		case j == len(cb) || (i < len(o) && o[i] < int64(cb[j].Location)):
@@ -143,46 +91,23 @@ func joinKept(a *stats.Multinomial, b *trans, fn func(ca, cb int64)) int {
 			i++
 			j++
 		}
-		if fn != nil {
-			fn(x, y)
-		}
+		fn(x, y)
 	}
-	return k
-}
-
-// klBoth is stats.Multinomial.KLBoth of T at two nodes.
-func klBoth(a, b *trans) (ab, ba float64) {
-	d := stats.NewKL(join(a, b, nil), a.total, b.total)
-	join(a, b, d.Add)
-	return d.Sums()
-}
-
-// klDivergence is stats.Multinomial.KLDivergence of T at two nodes.
-func klDivergence(a, b *trans) float64 {
-	d := stats.NewKL(join(a, b, nil), a.total, b.total)
-	join(a, b, d.AddAB)
-	ab, _ := d.Sums()
-	return ab
-}
-
-// maxDeviation is stats.Multinomial.MaxDeviation of T at two nodes.
-func maxDeviation(a, b *trans) float64 {
-	d := stats.NewDeviation(a.total, b.total)
-	join(a, b, d.Add)
-	return d.Max()
 }
 
 // keptDeviation is stats.Multinomial.MaxDeviation of a kept transition
-// distribution and T at a node.
-func keptDeviation(a *stats.Multinomial, b *trans) float64 {
-	d := stats.NewDeviation(a.Total(), b.total)
-	joinKept(a, b, d.Add)
+// distribution and T at node n.
+func keptDeviation(a *stats.Multinomial, n *Node) float64 {
+	d := stats.NewDeviation(a.Total(), n.transitionTotal())
+	joinKept(a, n, d.Add)
 	return d.Max()
 }
 
-// colTrans is T at one node of a resting graph's columns, as trans is at a
-// tree node: its children are the index range starting at lo, their
-// locations locs and their counts counts.
+// colTrans is T at one node of a graph's columns as the joins below read
+// it: the paths that reach the node (total), the paths that end there
+// (term, the Terminate outcome, absent when 0) and the children, the index
+// range starting at lo, one outcome each, location locs[i] observed
+// counts[i] times.
 type colTrans struct {
 	total, term int64
 	lo          int32
@@ -190,18 +115,22 @@ type colTrans struct {
 	counts      []int64
 }
 
-// transAt returns T at node i of f; i = -1, an absent node, has no
-// observations.
+// transAt returns T at node i of a graph's own columns, which passed Check
+// or were flattened from a tree; i = -1, an absent node, has no
+// observations. The paths that reach the root are the graph's: its
+// children hold exactly Paths.
 func (f *Flat) transAt(i int32) colTrans {
 	if i < 0 {
 		return colTrans{}
 	}
 	lo, hi := f.ChildLo[i], f.ChildLo[i+1]
-	t := colTrans{total: f.Counts[i], term: f.Ends(int(i)), lo: lo, locs: f.Locations[lo:hi], counts: f.Counts[lo:hi]}
+	t := colTrans{total: f.Counts[i], lo: lo, locs: f.Locations[lo:hi], counts: f.Counts[lo:hi]}
 	if i == 0 {
-		t.total = 0
+		t.total = f.Paths
+	} else {
+		t.term = t.total
 		for _, c := range t.counts {
-			t.total += c
+			t.term -= c
 		}
 	}
 	return t
@@ -222,7 +151,21 @@ func (f *Flat) DurationsAt(i int32) stats.Sorted {
 	return d
 }
 
-// joinCols is join of T at two nodes of resting graphs.
+// durationsAt is DurationsAt of a graph's own columns, which passed Check
+// or were flattened from a tree: below the root, a node's weights sum to
+// its count, so the total is read rather than summed.
+func (f *Flat) durationsAt(i int32) stats.Sorted {
+	if i <= 0 {
+		return f.DurationsAt(i)
+	}
+	lo, hi := f.DurLo[i], f.DurLo[i+1]
+	return stats.Sorted{Outcomes: f.Outcomes[lo:hi], Counts: f.Weights[lo:hi], Total: f.Counts[i]}
+}
+
+// joinCols merge-joins T at two nodes: it calls fn once per outcome of
+// their union, in ascending order, with the outcome's count on each side (0
+// where it was not observed), and returns the size of the union. A nil fn
+// only counts.
 func joinCols(a, b *colTrans, fn func(ca, cb int64)) int {
 	k := 0
 	if a.term > 0 || b.term > 0 {
@@ -253,19 +196,27 @@ func joinCols(a, b *colTrans, fn func(ca, cb int64)) int {
 	return k
 }
 
-// klBothCols is klBoth of T at two nodes of resting graphs.
-func klBothCols(a, b *colTrans) (ab, ba float64) {
+// klBoth is stats.Multinomial.KLBoth of T at two nodes of resting graphs.
+func klBoth(a, b *colTrans) (ab, ba float64) {
 	d := stats.NewKL(joinCols(a, b, nil), a.total, b.total)
 	joinCols(a, b, d.Add)
 	return d.Sums()
 }
 
-// klDivergenceCols is klDivergence of T at two nodes of resting graphs.
-func klDivergenceCols(a, b *colTrans) float64 {
+// klDivergence is stats.Multinomial.KLDivergence of T at two nodes of
+// resting graphs.
+func klDivergence(a, b *colTrans) float64 {
 	d := stats.NewKL(joinCols(a, b, nil), a.total, b.total)
 	joinCols(a, b, d.AddAB)
 	ab, _ := d.Sums()
 	return ab
+}
+
+// maxDeviation is stats.Multinomial.MaxDeviation of T at two nodes.
+func maxDeviation(a, b *colTrans) float64 {
+	d := stats.NewDeviation(a.total, b.total)
+	joinCols(a, b, d.Add)
+	return d.Max()
 }
 
 // Ends reports how many of the paths that reach node i end there: its

@@ -21,14 +21,16 @@ func TestValidateBuiltGraphs(t *testing.T) {
 			t.Errorf("built graph at %s invalid: %v", level.Key(), err)
 		}
 	}
-	// Merged graphs stay valid.
-	a := flowgraph.Build(ex.Location, ex.BasePathLevel(), paths[:4], nil)
-	b := flowgraph.Build(ex.Location, ex.BasePathLevel(), paths[4:], nil)
-	if err := a.Merge(b); err != nil {
+	// Folded graphs stay valid.
+	a, err := flowgraph.Fold([]*flowgraph.Graph{
+		flowgraph.Build(ex.Location, ex.BasePathLevel(), paths[:4], nil),
+		flowgraph.Build(ex.Location, ex.BasePathLevel(), paths[4:], nil),
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Validate(); err != nil {
-		t.Errorf("merged graph invalid: %v", err)
+		t.Errorf("folded graph invalid: %v", err)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // core/delta.go: a cube generation is immutable once another goroutine can
 // reach it — internal/server hands the same *core.Cube to every in-flight
 // request, and every later generation forked from it shares its cuboids,
-// cells and flowgraph nodes by pointer. Field writes to Cube, Cuboid, or
+// cells and their flowgraphs' resting columns by pointer. Field writes to Cube, Cuboid, or
 // Cell values are therefore only legal in the core files that either
 // construct a cube nobody shares yet or reach cells through the one
 // copy-on-write accessor, core.Cube.ownedCell. Everywhere else (the serving

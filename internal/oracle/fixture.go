@@ -9,6 +9,7 @@ import (
 
 	"flowcube/internal/core"
 	"flowcube/internal/datagen"
+	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/paperex"
 	"flowcube/internal/pathdb"
@@ -246,9 +247,8 @@ func CellDigests(c *core.Cube) map[string][32]byte {
 	for _, spec := range c.MaterializedSpecs() {
 		for _, cell := range c.Cuboid(spec).SortedCells() {
 			want := cell
-			if len(cell.Graph.Exceptions()) > 0 {
-				g := cell.Graph.Clone()
-				g.ClearExceptions()
+			if len(flowgraph.Flatten(cell.Graph).ExcNode) > 0 {
+				g, _ := flowgraph.Fold([]*flowgraph.Graph{cell.Graph}) // one graph always folds
 				want = &core.Cell{Values: cell.Values, Count: cell.Count, Graph: g,
 					Redundant: cell.Redundant, Similarity: cell.Similarity}
 			}

@@ -10,9 +10,8 @@ package server
 // Readers are never blocked: they stay on the snapshot they loaded. A commit
 // costs O(batch) on both sides — the batch is appended to the commit loop's
 // records, which readers see only through clipped views, and the fork
-// shares every cell and flowgraph node with the
-// serving cube, copying only the cells the batch lands in and the nodes on
-// its paths (core.Cube.Fork). A fold that fails, or whose journal write
+// shares every cell and flowgraph with the serving cube, copying only the
+// cells the batch lands in, each with a new flowgraph (core.Cube.Fork). A fold that fails, or whose journal write
 // fails, is dropped; the serving snapshot was never touched.
 
 import (
@@ -261,8 +260,8 @@ type foldResult struct {
 // fold applies one concatenated batch to the next generation of cube and
 // returns the unpublished result. Exactness comes from core.ApplyDelta;
 // O(batch) cost comes from patching a fork — which shares cube's cells,
-// flowgraph nodes and mapped snapshot, and copies the cells the batch
-// writes — plus an append to the commit loop's records. A lazily
+// flowgraphs and mapped snapshot, and copies the cells the batch writes —
+// plus an append to the commit loop's records. A lazily
 // served cube stays lazy: the fork decodes only the cells it reads, and a
 // cell that does not decode (it read as absent, so the fold is not exact)
 // fails the append loudly.

@@ -107,7 +107,7 @@ func BenchmarkCommit(b *testing.B) {
 			if warm.Code != http.StatusOK {
 				b.Fatalf("warm-up append: %d %s", warm.Code, warm.Body.String())
 			}
-			var nodes, cells float64
+			var cells float64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -116,7 +116,6 @@ func BenchmarkCommit(b *testing.B) {
 				b.StopTimer()
 				var resp struct {
 					Stats struct {
-						NodesCopied int `json:"nodes_copied"`
 						CellsCopied int `json:"cells_copied"`
 					} `json:"stats"`
 				}
@@ -126,11 +125,9 @@ func BenchmarkCommit(b *testing.B) {
 				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 					b.Fatal(err)
 				}
-				nodes += float64(resp.Stats.NodesCopied)
 				cells += float64(resp.Stats.CellsCopied)
 				b.StartTimer()
 			}
-			b.ReportMetric(nodes/float64(b.N), "nodes_copied")
 			b.ReportMetric(cells/float64(b.N), "cells_copied")
 		})
 	}

@@ -172,11 +172,9 @@ type AppendMetrics struct {
 	// re-aggregated.
 	LastReminedRestricted int64 `json:"last_cells_remined_restricted"`
 	LastPrefixesRemined   int64 `json:"last_prefixes_remined"`
-	// LastCellsCopied and LastNodesCopied report what the last fold copied
-	// out of the snapshot it forked: the cells it wrote and the flowgraph
-	// nodes on the batch's paths through them — the whole per-commit copy.
+	// LastCellsCopied reports what the last fold copied out of the
+	// snapshot it forked: the cells it wrote, each with a new flowgraph.
 	LastCellsCopied int64 `json:"last_cells_copied"`
-	LastNodesCopied int64 `json:"last_nodes_copied"`
 }
 
 // IngestMetrics are the write-path gauges: group-commit shape (how well
@@ -234,7 +232,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		a.LastReminedRestricted = int64(last.stats.CellsReminedRestricted)
 		a.LastPrefixesRemined = int64(last.stats.PrefixesRemined)
 		a.LastCellsCopied = int64(last.stats.CellsCopied)
-		a.LastNodesCopied = int64(last.stats.NodesCopied)
 		out.Ingest.LastGroupSize = int64(last.groupSize)
 	}
 	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()

@@ -109,12 +109,6 @@ func (m *Multinomial) regrow(c int) {
 // Observe records a single observation of outcome v.
 func (m *Multinomial) Observe(v int64) { m.Add(v, 1) }
 
-// Has reports whether v is an observed outcome.
-func (m *Multinomial) Has(v int64) bool {
-	_, ok := m.find(v)
-	return ok
-}
-
 // Count reports the number of observations of outcome v.
 func (m *Multinomial) Count(v int64) int64 {
 	if i, ok := m.find(v); ok {
@@ -201,19 +195,11 @@ func (m *Multinomial) Merge(other *Multinomial) {
 	}
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, with no room to spare.
 func (m *Multinomial) Clone() *Multinomial {
-	c := m.CopyWithRoom(0)
-	return &c
-}
-
-// CopyWithRoom returns a deep copy of m with room for room more outcomes, so
-// that as many new outcomes observed by the copy do not reallocate it. Graph
-// forks use it to copy a node's duration distribution for a write.
-func (m *Multinomial) CopyWithRoom(room int) Multinomial {
 	c := *m
-	c.regrow(len(m.buf) + room)
-	return c
+	c.regrow(len(m.buf))
+	return &c
 }
 
 // Mean returns the expectation of the outcome value (meaningful for

@@ -116,13 +116,12 @@ run_matching 'TestGenerationIsolation|TestLedgerMaintainedEqualsDerived|TestLazy
 # cell share a single decode through the cache's single-flight, and Verify
 # installs its directories in the cache the readers are building theirs in.
 run_matching 'TestLazyConcurrentFirstTouch|TestLazyVerifyRacesReaders' -race -count=10 ./internal/core
-# And for a resting flowgraph's first thaw: readers asking one graph for
-# nodes at once must get one tree, thawed once; and a build in flowquery's
-# configuration, whose workers build, mine and rest cells side by side, must
-# leave every graph at rest through Save and the census, as must a load,
-# whose workers decode sections side by side, and a lazy cube's decodes.
-run_matching TestConcurrentFirstThaw -race -count=10 ./internal/flowgraph
-run_matching 'TestBuildLeavesGraphsAtRest|TestLoadLeavesGraphsAtRest' -race -count=10 ./internal/core
+# And for resting flowgraphs: a build in flowquery's configuration, whose
+# workers build, mine and rest cells side by side, must leave every graph at
+# rest through Save and the census, as must a load, whose workers decode
+# sections side by side, a lazy cube's decodes, and appends, whose workers
+# fold cells side by side while the parent generation shares their graphs.
+run_matching 'TestBuildLeavesGraphsAtRest|TestLoadLeavesGraphsAtRest|TestAppendLeavesGraphsAtRest' -race -count=10 ./internal/core
 # And for a request's deadline: a waiter abandons a response-cache flight
 # while its owner computes on and stores the value, the handler answers 503
 # from the connection's goroutine, and concurrent first census requests
@@ -137,9 +136,11 @@ run_matching 'TestShardedMatchesSequentialAndAtomic|TestCountMatchesReferenceAtB
 
 echo "== micro-benchmarks (one iteration each) =="
 # BenchmarkKLDivergence/Add (internal/stats) and BenchmarkSimilarity
-# (internal/flowgraph) are what EXPERIMENTS.md quotes for the sorted-slice
-# distributions, BenchmarkMineExceptions (internal/flowgraph) for the one
-# exception miner, from scratch and restricted to ten new paths,
+# (internal/flowgraph, the column walk over two resting graphs) are what
+# EXPERIMENTS.md quotes for the sorted-slice distributions, BenchmarkFold
+# (internal/flowgraph) for the one column kernel, as a plain append and a
+# query-time fold run it, BenchmarkMineExceptions (internal/flowgraph) for
+# the one exception miner, from scratch and restricted to ten new paths,
 # BenchmarkLazyLookupCold (internal/core) for the
 # cell-at-a-time lazy read (no allocation once resident), BenchmarkFoldSources
 # for fold-source selection (allocations flat in the cells it scans) and

@@ -6,8 +6,9 @@
 # the decimal-key order, the append path against a full rebuild, WAL replay,
 # the candidate join against its brute-force definition, support counting
 # against its recursive reference, the cell-answer
-# writer against encoding/json and the one-walk flowgraph similarity against
-# its two-walk reference. Snapshot minimization is iteration-bounded: its
+# writer against encoding/json, the one-walk flowgraph similarity against
+# its two-walk reference and the column fold against a tree built from the
+# concatenated paths. Snapshot minimization is iteration-bounded: its
 # inputs are tens of kilobytes, and the default 60s time-based minimization
 # of each newly interesting input would dwarf the fuzz time itself.
 set -euo pipefail
@@ -25,3 +26,4 @@ go test ./internal/itemset -run '^$' -fuzz FuzzJoinMatchesBruteForce -fuzztime "
 go test ./internal/itemset -run '^$' -fuzz FuzzCountMatchesReference -fuzztime "$t"
 go test ./internal/server -run '^$' -fuzz FuzzRenderMatchesReference -fuzztime "$t"
 go test ./internal/flowgraph -run '^$' -fuzz FuzzSimilarityMatchesReference -fuzztime "$t"
+go test ./internal/flowgraph -run '^$' -fuzz FuzzFoldMatchesReference -fuzztime "$t"
