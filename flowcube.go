@@ -117,8 +117,8 @@ type (
 
 // Flowgraph measure.
 type (
-	// Flowgraph is the probabilistic workflow measure of a cell. A cube's
-	// flowgraphs are read-only (Thaw returns a writable copy), and each
+	// Flowgraph is the probabilistic workflow measure of a cell. A
+	// flowgraph is read-only once made (its columns never change), and each
 	// call of Root, NodeAt or Exceptions returns nodes of a fresh tree:
 	// compare nodes from two calls by location sequence, not by pointer.
 	Flowgraph = flowgraph.Graph

@@ -295,14 +295,14 @@ func (c *Cube) assignCells(db *pathdb.DB) map[*Cell][]int32 {
 }
 
 // buildGraphs constructs the flowgraph measure of every cell from its
-// assigned tids, one job per cell: build the tree, mine its exceptions when
-// the cube mines them, and put it to rest, so that the cube never holds
-// more trees than there are workers. It works one path level at a time:
-// every record is aggregated to the level once, into one arena the level's
-// cells all read and the next level does not keep, and the cells,
-// independent of each other, spread across workers. Sorted cuboid order
-// keeps the job list — and therefore worker scheduling and any profile of
-// it — identical across runs.
+// assigned tids, one job per cell: lay its paths out as columns
+// (flowgraph.FoldPaths into an empty graph), then mine its exceptions when
+// the cube mines them. It works one path level at a time: every record is
+// aggregated to the level once, into one arena the level's cells all read
+// and the next level does not keep, and the cells, independent of each
+// other, spread across workers. Sorted cuboid order keeps the job list —
+// and therefore worker scheduling and any profile of it — identical across
+// runs.
 //
 // Exception mining is the holistic part of the measure: a job seeds its
 // cell's condition cache (conds.go) with the cell's frequent-segment
@@ -324,18 +324,19 @@ func (c *Cube) buildGraphs(db *pathdb.DB, tids map[*Cell][]int32, conds cellCond
 		agg := aggregateFrom(db, level, 0)
 		c.forEach(len(cells), func(i int) {
 			cell, ids := cells[i], tids[cells[i]]
-			g := flowgraph.New(db.Schema.Location, level, nil)
-			for _, tid := range ids {
-				g.AddAggregated(agg.path(tid))
+			paths := make([]pathdb.Path, len(ids))
+			for k, tid := range ids {
+				paths[k] = agg.path(tid)
 			}
-			cell.Graph = g
+			// FoldPaths sorts paths; a mine from scratch reads them in any
+			// order.
+			cell.Graph = flowgraph.FoldPaths(flowgraph.New(db.Schema.Location, level), paths)
 			if c.Config.MineExceptions {
 				cell.conds = newCondSet(conds[cell])
 				// Only mining new conditions can fail, and Build's reminer
 				// mines none.
-				_, _ = r.remine(cell, pl, ids, len(ids))
+				_, _ = r.remine(cell, nil, pl, ids, paths, len(ids))
 			}
-			g.Rest()
 		})
 	}
 }
@@ -350,7 +351,7 @@ type aggregated struct {
 }
 
 // aggregateFrom aggregates the path of every record from lo on to the
-// level, as AddPath would.
+// level, as flowgraph.Build would.
 func aggregateFrom(db *pathdb.DB, level pathdb.PathLevel, lo int) aggregated {
 	recs := db.Records[lo:]
 	n := 0

@@ -85,21 +85,17 @@ type reminer struct {
 
 // remine re-mines the exceptions of a cell of path level pathLevel that
 // Build is filling or that ApplyDelta obtained from ownedCell or admitCell,
-// over its records' ids, ascending: the last added of them are new since
-// its exceptions were last mined.
+// over its records' ids, ascending, and their paths aggregated to the
+// level: the last added of them are new since prev, the graph they were
+// folded into to make the cell's, was mined.
 // A cold cache knows nothing of the exceptions the cell holds, so there
 // every record counts as new whatever added says. The cached conditions are
 // checked at the flowgraph nodes the new records moved and the newly
 // frequent ones at every node; the cache then holds both (a new entry — the
 // generation this one was forked from keeps the old one on its own copy of
-// the cell). The cell's graph must be a tree — Build's, or the thaw or
-// admitted tree ApplyDelta's fold left — and is put to rest once mined. It
-// returns the number of moved nodes, 0 when every record is new.
-func (r *reminer) remine(cell *Cell, pathLevel int, ids []int32, added int) (int, error) {
-	paths := make([]pathdb.Path, len(ids))
-	for i, tid := range ids {
-		paths[i] = r.db.Records[tid].Path
-	}
+// the cell). The cell takes the mined graph. It returns the number of moved
+// nodes, 0 when every record is new.
+func (r *reminer) remine(cell *Cell, prev *flowgraph.Graph, pathLevel int, ids []int32, paths []pathdb.Path, added int) (int, error) {
 	var old [][]flowgraph.StagePin
 	if cell.conds != nil {
 		old = cell.conds.pins
@@ -113,15 +109,29 @@ func (r *reminer) remine(cell *Cell, pathLevel int, ids []int32, added int) (int
 			return 0, err
 		}
 	}
-	moved := cell.Graph.MineExceptions(paths, added, old, fresh, flowgraph.ExceptionOptions{
+	g, moved := cell.Graph.MineExceptions(prev, paths, added, old, fresh, flowgraph.ExceptionOptions{
 		Eps:      r.cube.Config.Epsilon,
 		MinCount: r.cube.minCount,
 	})
-	cell.Graph.Rest()
+	cell.Graph = g
 	if cell.conds == nil || len(fresh) > 0 {
 		cell.conds = newCondSet(append(slices.Clip(old), fresh...))
 	}
 	return moved, nil
+}
+
+// paths returns the paths of the records ids aggregated to path level
+// pathLevel, in one arena.
+func (r *reminer) paths(pathLevel int, ids []int32) []pathdb.Path {
+	level := r.cube.PathLevels()[pathLevel]
+	var stages pathdb.Path
+	out := make([]pathdb.Path, len(ids))
+	for i, tid := range ids {
+		lo := len(stages)
+		stages = pathdb.AppendAggregated(stages, r.db.Records[tid].Path, level, nil)
+		out[i] = stages[lo:len(stages):len(stages)]
+	}
+	return out
 }
 
 // newConds finds the conditions newly frequent among a cell's records after

@@ -33,7 +33,7 @@ func CellDigest(cell *Cell) [sha256.Size]byte {
 // sections use (flatgraph.go). The bytes are deterministic for a given
 // graph state.
 func EncodeGraph(g *flowgraph.Graph) []byte {
-	return appendFlatGraph(nil, flowgraph.Flatten(g))
+	return appendFlatGraph(nil, g.Columns())
 }
 
 // DecodeGraph decodes bytes produced by EncodeGraph into a flowgraph at the

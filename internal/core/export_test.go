@@ -139,12 +139,13 @@ func (c *Cube) OwnedCell(spec CuboidSpec, values []hierarchy.NodeID) *Cell {
 // against its cached conditions and the ones its last added records made
 // frequent, over the record ids and stage transactions a ledger derived
 // from db holds, so a cold cell mines its whole condition set. The cell's
-// resting graph is thawed for the miner, as ApplyDelta's fold thaws it.
+// graph already holds the added records, so its own exceptions are the ones
+// a warm re-mine carries over.
 func (c *Cube) RemineCell(spec CuboidSpec, cell *Cell, db *pathdb.DB, added int) (int, error) {
-	cell.Graph = cell.Graph.Thaw()
 	l := c.deriveLedger(db)
 	r := &reminer{cube: c, db: db, stageTxs: l.stages, syms: l.syms}
-	return r.remine(cell, spec.PathLevel, l.IDs(spec, cell.Values), added)
+	ids := l.IDs(spec, cell.Values)
+	return r.remine(cell, cell.Graph, spec.PathLevel, ids, r.paths(spec.PathLevel, ids), added)
 }
 
 // EnumerateCellValues is enumerateCellValues.
@@ -182,18 +183,3 @@ func (c *Cube) SaveFileThrough(path string, wrap func(io.Writer) io.Writer) erro
 // AppendFlatGraph is appendFlatGraph: a cell's flowgraph as its snapshot
 // bytes carry it.
 var AppendFlatGraph = appendFlatGraph
-
-// ThawedGraphs counts the cells of the cube's materialized cuboids whose
-// flowgraph is not at rest (flowgraph.Graph.Columns): a tree, built or
-// thawed.
-func (c *Cube) ThawedGraphs() int {
-	n := 0
-	for _, cb := range c.Cuboids {
-		for _, cell := range cb.Cells {
-			if cell != nil && cell.Graph != nil && cell.Graph.Columns() == nil {
-				n++
-			}
-		}
-	}
-	return n
-}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"flowcube/internal/core"
-	"flowcube/internal/flowgraph"
 	"flowcube/internal/oracle"
 	"flowcube/internal/pathdb"
 )
@@ -149,20 +148,21 @@ func TestGenerationIsolation(t *testing.T) {
 	}
 }
 
-// renderCube reads what a query would: every cell's flat flowgraph, and
-// through each exception of a thaw of it its prefix and its node's general
-// distributions. It reports whether every exception resolved inside its own
-// graph.
+// renderCube reads what a query would: every cell's flowgraph columns, and
+// through each exception of a thaw of them its prefix and its node's
+// general distributions. It reports whether every exception resolved inside
+// its own graph.
 func renderCube(c *core.Cube) bool {
 	for _, spec := range c.MaterializedSpecs() {
 		for _, cell := range c.Cuboid(spec).SortedCells() {
 			if cell.Graph == nil {
 				continue
 			}
-			flowgraph.Flatten(cell.Graph)
-			g := cell.Graph.Thaw()
+			g := cell.Graph
 			for _, x := range g.Exceptions() {
-				if n := g.NodeAt(x.Prefix); n != x.Node || n.Durations.Total() != n.Count {
+				n := g.NodeAt(x.Prefix)
+				if n == nil || n.Location != x.Node.Location || n.Depth != x.Node.Depth || n.Count != x.Node.Count ||
+					n.Durations.String() != x.Node.Durations.String() || n.Durations.Total() != n.Count {
 					return false
 				}
 			}

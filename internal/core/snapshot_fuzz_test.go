@@ -173,7 +173,7 @@ func exceptionCell(t testing.TB, snap []byte) (*flowgraph.Graph, func(cell []byt
 			if g == nil || len(g.Exceptions()) == 0 {
 				continue
 			}
-			orig := framed(core.AppendFlatGraph(nil, flowgraph.Flatten(g)))
+			orig := framed(core.AppendFlatGraph(nil, g.Columns()))
 			return g, func(cell []byte) []byte {
 				// Cuboid sections are written in key order: the k-th holds it.
 				return oracle.RewriteSection(t, snap, oracle.SecCuboid, k, func(payload []byte) []byte {
@@ -209,7 +209,7 @@ func badGraphs(t testing.TB, snap []byte) (pins, counts map[string][]byte) {
 	t.Helper()
 	g, rewrite := exceptionCell(t, snap)
 	edited := func(edit func(f *flowgraph.Flat)) []byte {
-		flat := flowgraph.Flatten(g)
+		flat := g.Columns()
 		edit(flat)
 		return core.AppendFlatGraph(nil, flat)
 	}
@@ -261,7 +261,7 @@ func badGraphs(t testing.TB, snap []byte) (pins, counts map[string][]byte) {
 func badLengths(t testing.TB, snap []byte) map[string][]byte {
 	t.Helper()
 	g, rewrite := exceptionCell(t, snap)
-	enc := core.AppendFlatGraph(nil, flowgraph.Flatten(g))
+	enc := core.AppendFlatGraph(nil, g.Columns())
 	return map[string][]byte{
 		"graph length one short":            rewrite(framed(enc[:len(enc)-1])),
 		"graph length one long":             rewrite(framed(append(slices.Clip(enc), 0))),

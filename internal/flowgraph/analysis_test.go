@@ -3,6 +3,7 @@ package flowgraph_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"flowcube/internal/flowgraph"
@@ -103,7 +104,7 @@ func TestSlowestDeviations(t *testing.T) {
 	_ = cell
 	paths := basePaths(ex)
 	g := flowgraph.Build(ex.Location, ex.BasePathLevel(), paths, nil)
-	mineSingleStage(g, paths, 0.05, 2)
+	g = mineSingleStage(g, paths, 0.05, 2)
 	slow := g.SlowestDeviations(0)
 	for i, x := range slow {
 		if x.Delay() <= 0 {
@@ -122,13 +123,13 @@ func TestSlowestDeviations(t *testing.T) {
 	// with longer stays (paths 2,7,8 have shelf durations 10,20,10 vs the
 	// branch mean over 1,2,7,8 of (5+10+20+10)/4). Check some positive
 	// delay exists at the f→d→t→s node.
-	fdts := g.NodeAt([]hierarchy.NodeID{
+	fdts := []hierarchy.NodeID{
 		ex.Location.MustLookup("f"), ex.Location.MustLookup("d"),
 		ex.Location.MustLookup("t"), ex.Location.MustLookup("s"),
-	})
+	}
 	found := false
 	for _, x := range slow {
-		if x.Node == fdts {
+		if slices.Equal(x.Prefix, fdts) {
 			found = true
 		}
 	}

@@ -32,11 +32,9 @@ func benchGraphs(b *testing.B) (cell, parent *flowgraph.Graph, paths []pathdb.Pa
 var benchSink float64
 
 // BenchmarkSimilarity times the comparison MarkRedundancy makes of a
-// cell's graph with its parent's, both at rest as a cube holds them.
+// cell's graph with its parent's.
 func BenchmarkSimilarity(b *testing.B) {
 	cell, parent, _ := benchGraphs(b)
-	cell.Rest()
-	parent.Rest()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -44,8 +42,8 @@ func BenchmarkSimilarity(b *testing.B) {
 	}
 }
 
-// BenchmarkFold times the fold of a plain append — a resting cell's graph
-// (every third path) with a ten-path batch laid out as columns
+// BenchmarkFold times the fold of a plain append — a cell's graph (every
+// third path) with a ten-path batch laid out as columns
 // (FoldPaths) — and the fold that rebuilds the parent from the three
 // disjoint thirds at query time.
 func BenchmarkFold(b *testing.B) {
@@ -61,7 +59,6 @@ func BenchmarkFold(b *testing.B) {
 	thirds := make([]*flowgraph.Graph, 3)
 	for k, part := range parts {
 		thirds[k] = flowgraph.Build(ds.Schema.Location, level, part, nil)
-		thirds[k].Rest()
 	}
 	batch := make([]pathdb.Path, 10)
 	for i := range batch {
@@ -88,24 +85,24 @@ func BenchmarkFold(b *testing.B) {
 }
 
 // BenchmarkMineExceptions checks the single-stage conditions at δ = 1 % of
-// the paths, the one-pin frequent segments a cell supplies: from scratch,
-// and restricted to the nodes the last ten paths moved (the re-mine of an
-// append).
+// the paths, the one-pin frequent segments a cell supplies, on the parent's
+// graph: from scratch, and restricted to the nodes the last ten paths moved
+// (the re-mine of an append), carrying the graph's other exceptions over.
 func BenchmarkMineExceptions(b *testing.B) {
 	_, parent, paths := benchGraphs(b)
 	opt := flowgraph.ExceptionOptions{Eps: 0.1, MinCount: int64(len(paths) / 100)}
 	conds := singleStageConds(parent, paths, opt.MinCount)
+	aps := aggregate(parent.Level(), paths)
+	mined, _ := parent.MineExceptions(nil, aps, len(aps), conds, nil, opt)
 	for _, bc := range []struct {
 		name  string
 		added int
 	}{{"full", len(paths)}, {"restricted", 10}} {
 		b.Run(bc.name, func(b *testing.B) {
-			parent.MineExceptions(paths, len(paths), conds, nil, opt)
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				parent.MineExceptions(paths, bc.added, conds, nil, opt)
-				benchSink += float64(len(parent.Exceptions()))
+				g, _ := mined.MineExceptions(mined, aps, bc.added, conds, nil, opt)
+				benchSink += float64(len(g.Columns().ExcNode))
 			}
 		})
 	}

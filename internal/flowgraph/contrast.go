@@ -55,7 +55,7 @@ func (d NodeDiff) Weight() float64 {
 // abstraction level) and returns per-node diffs ordered by decreasing
 // Weight. k <= 0 returns all. It walks the two graphs' columns.
 func Contrast(current, baseline *Graph, k int) []NodeDiff {
-	a, b := Flatten(current), Flatten(baseline)
+	a, b := current.cols, baseline.cols
 	var out []NodeDiff
 	var walk func(prefix []hierarchy.NodeID, na, nb int32)
 	walk = func(prefix []hierarchy.NodeID, na, nb int32) {

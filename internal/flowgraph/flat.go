@@ -1,19 +1,19 @@
 package flowgraph
 
-// Columnar (struct-of-arrays) form of a flowgraph: the form a graph rests
-// in (Graph.Rest) and the layout the snapshot codec serializes. Flatten
-// walks the prefix tree breadth-first — children sorted by location, exactly
-// the order Children() reports — so every node's children occupy one
-// contiguous index range and a single sentinel ChildLo slice describes the
-// whole tree shape, mirroring itemset.Trie. All duration distributions are
-// pooled into one shared Outcomes/Weights pair with per-node offsets;
+// Columnar (struct-of-arrays) form of a flowgraph: the form every graph is
+// (Graph.Columns) and the layout the snapshot codec serializes. The prefix
+// tree's nodes are laid out breadth-first, children sorted by location —
+// exactly the order Children() reports — so every node's children occupy
+// one contiguous index range and a single sentinel ChildLo slice describes
+// the whole tree shape, mirroring itemset.Trie. All duration distributions
+// are pooled into one shared Outcomes/Weights pair with per-node offsets;
 // exceptions and their condition pins are flat tables of the same style.
 // The columns hold no transition distribution, and neither does the
 // snapshot: a node's is its children's counts and the paths that end at it,
 // read off the columns where it is needed. Check validates the invariants,
 // those counts' among them, without allocating; Unflatten runs it and
-// returns a graph resting on the checked columns, and a reader that asks
-// for nodes thaws a copy of the tree from them (rest.go).
+// returns the graph of the checked columns, and a reader that asks for
+// nodes thaws a copy of the tree from them.
 
 import (
 	"fmt"
@@ -67,104 +67,6 @@ type Flat struct {
 
 // NumNodes reports the node count including the virtual root.
 func (f *Flat) NumNodes() int { return len(f.Locations) }
-
-// Flatten returns the graph in columnar form: a resting graph's own
-// columns (Columns), which callers must not modify, or its tree laid out in
-// new ones.
-func Flatten(g *Graph) *Flat {
-	if c := g.Columns(); c != nil {
-		return c
-	}
-	f := flatten(g.root, g.paths, g.exceptions)
-	return &f
-}
-
-// flatten lays a tree and its exceptions out in columns, each allocated at
-// the size it ends up.
-func flatten(root *Node, paths int64, xs []Exception) Flat {
-	// Only exception nodes need their BFS index looked up, so only they are
-	// keyed; one missing from the tree keeps index 0.
-	var index map[*Node]int32
-	if len(xs) > 0 {
-		index = make(map[*Node]int32, len(xs))
-		for _, x := range xs {
-			index[x.Node] = 0
-		}
-	}
-	order := []*Node{root}
-	outcomes := 0
-	for i := 0; i < len(order); i++ {
-		o, _ := order[i].Durations.Columns()
-		outcomes += len(o)
-		for _, c := range order[i].Children() {
-			if _, ok := index[c]; ok {
-				index[c] = int32(len(order))
-			}
-			order = append(order, c)
-		}
-	}
-	n := len(order)
-	f := Flat{
-		Paths:     paths,
-		Locations: make([]int32, n),
-		Counts:    make([]int64, n),
-		ChildLo:   make([]int32, n+1),
-		DurLo:     make([]int32, n+1),
-		Outcomes:  make([]int64, 0, outcomes),
-		Weights:   make([]int64, 0, outcomes),
-	}
-	next := int32(1)
-	for i, node := range order {
-		f.Locations[i] = int32(node.Location)
-		f.Counts[i] = node.Count
-		f.ChildLo[i] = next
-		next += int32(len(node.children))
-		f.DurLo[i] = int32(len(f.Outcomes))
-		f.Outcomes, f.Weights = node.Durations.AppendSorted(f.Outcomes, f.Weights)
-	}
-	f.ChildLo[n] = next
-	f.DurLo[n] = int32(len(f.Outcomes))
-
-	m, pins, pool := len(xs), 0, 0
-	for _, x := range xs {
-		o, _ := x.Durations.Columns()
-		t, _ := x.Transitions.Columns()
-		pins += len(x.Condition)
-		pool += len(o) + len(t)
-	}
-	if m > 0 {
-		f.ExcNode, f.ExcSupport = make([]int32, 0, m), make([]int64, 0, m)
-		f.ExcDurDev, f.ExcTrDev = make([]float64, 0, m), make([]float64, 0, m)
-		f.ExcPinLo, f.ExcDurLo, f.ExcTrLo = make([]int32, 0, m+1), make([]int32, 0, m+1), make([]int32, 0, m)
-	}
-	if pins > 0 {
-		f.PinDepth, f.PinLoc = make([]int32, 0, pins), make([]int32, 0, pins)
-		f.PinDur, f.PinDurAny = make([]int64, 0, pins), make([]bool, 0, pins)
-	}
-	if pool > 0 {
-		f.ExcOutcomes, f.ExcWeights = make([]int64, 0, pool), make([]int64, 0, pool)
-	}
-	for _, x := range xs {
-		f.ExcNode = append(f.ExcNode, index[x.Node])
-		f.ExcSupport = append(f.ExcSupport, x.Support)
-		f.ExcDurDev = append(f.ExcDurDev, x.DurationDeviation)
-		f.ExcTrDev = append(f.ExcTrDev, x.TransitionDeviation)
-		f.ExcPinLo = append(f.ExcPinLo, int32(len(f.PinDepth)))
-		for _, p := range x.Condition {
-			f.PinDepth = append(f.PinDepth, int32(p.Depth))
-			f.PinLoc = append(f.PinLoc, int32(p.Location))
-			f.PinDur = append(f.PinDur, p.Duration)
-			f.PinDurAny = append(f.PinDurAny, p.DurAny)
-		}
-		f.ExcDurLo = append(f.ExcDurLo, int32(len(f.ExcOutcomes)))
-		f.ExcOutcomes, f.ExcWeights = x.Durations.AppendSorted(f.ExcOutcomes, f.ExcWeights)
-		f.ExcTrLo = append(f.ExcTrLo, int32(len(f.ExcOutcomes)))
-		f.ExcOutcomes, f.ExcWeights = x.Transitions.AppendSorted(f.ExcOutcomes, f.ExcWeights)
-	}
-	f.ExcPinLo = append(f.ExcPinLo, int32(len(f.PinDepth)))
-	f.ExcDurLo = append(f.ExcDurLo, int32(len(f.ExcOutcomes)))
-	return f
-}
 
 // validate checks every structural invariant of the columnar form before
 // anything indexes one column by another's values: the column lengths (which
@@ -249,7 +151,7 @@ func (f *Flat) validate() error {
 // checkPins apply, every pooled distribution strictly ascending by outcome
 // with non-negative weights, and every non-root node's duration weights
 // summing to its count. It allocates nothing, and columns that pass it thaw
-// into a tree without error, so a graph Unflatten returns may rest on them.
+// into a tree without error, so Unflatten may make them a graph's own.
 func (f *Flat) Check(loc *hierarchy.Hierarchy) error {
 	if err := f.validate(); err != nil {
 		return err
@@ -279,10 +181,9 @@ func (f *Flat) Check(loc *hierarchy.Hierarchy) error {
 
 // Validate checks the graph's structural invariants, Check's on its
 // columns, and returns the first violation found, or nil; it guards
-// deserialized and hand-assembled graphs. A resting graph is checked in
-// the columns it rests on, so it stays at rest.
+// deserialized and hand-assembled graphs.
 func (g *Graph) Validate() error {
-	return Flatten(g).Check(g.loc)
+	return g.cols.Check(g.loc)
 }
 
 // checkNodes checks every node's location against loc and the counts its
@@ -363,20 +264,20 @@ func checkDists(outcomes, weights []int64, lo, hi []int32, totals []int64) error
 }
 
 // Unflatten checks the columnar form (Check) and returns the graph for
-// paths at the given level, at rest on f (rest.go): f becomes the graph's
-// own, and the caller must not modify it.
+// paths at the given level whose columns are f: f becomes the graph's own,
+// and the caller must not modify it.
 func Unflatten(loc *hierarchy.Hierarchy, level pathdb.PathLevel, f *Flat) (*Graph, error) {
 	if err := f.Check(loc); err != nil {
 		return nil, err
 	}
-	return &Graph{level: level, loc: loc, paths: f.Paths, cols: f}, nil
+	return &Graph{level: level, loc: loc, cols: f}, nil
 }
 
-// thaw returns the pointer tree and the exceptions of columns that passed
-// Check or were flattened from a tree, which always thaw. The nodes live in
-// one array and the child lists in another, each list capped at its length
-// so that a miner adding a child moves that list out rather than writing
-// over its neighbour's.
+// thaw returns the pointer tree and the exceptions of a graph's columns,
+// which passed Check or were made by a fold or a mine, and always thaw. The
+// nodes live in one array and the child lists in another, each list capped
+// at its length so that an append to one cannot write over its
+// neighbour's.
 func (f *Flat) thaw() (*Node, []Exception) {
 	n := f.NumNodes()
 	nodes := make([]Node, n)
@@ -390,7 +291,7 @@ func (f *Flat) thaw() (*Node, []Exception) {
 		nd.Count = f.Counts[i]
 		lo, hi := f.DurLo[i], f.DurLo[i+1]
 		if err := nd.Durations.InitSorted(f.Outcomes[lo:hi], f.Weights[lo:hi]); err != nil {
-			panic("flowgraph: resting columns do not thaw: " + err.Error())
+			panic("flowgraph: a graph's columns do not thaw: " + err.Error())
 		}
 		lo, hi = f.ChildLo[i], f.ChildLo[i+1]
 		for j := lo; j < hi; j++ {
@@ -406,7 +307,7 @@ func (f *Flat) thaw() (*Node, []Exception) {
 	node := func(idx int32, _ int) *Node { return &nodes[idx] }
 	xs, err := f.exceptions(node, make([]stats.Multinomial, 2*len(f.ExcNode)))
 	if err != nil {
-		panic("flowgraph: resting columns do not thaw: " + err.Error())
+		panic("flowgraph: a graph's columns do not thaw: " + err.Error())
 	}
 	return &nodes[0], xs
 }

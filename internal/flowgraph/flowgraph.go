@@ -104,96 +104,65 @@ type Exception struct {
 	TransitionDeviation float64
 }
 
-// Graph is a flowgraph over paths aggregated to one path abstraction level.
-// It is held in one of two forms. A miner's graph is a tree of nodes: New,
-// Build and Thaw return one, and AddPath, AddAggregated and MineExceptions
-// write it. Every other graph — every graph a cube holds — rests as its
-// columns (Rest, Unflatten, Fold; rest.go), read-only: a write to it panics.
-// Its node readers, Root, NodeAt and Exceptions, return nodes of a fresh
-// tree on every call, so nodes from two calls are never the same pointer:
+// Graph is a flowgraph over paths aggregated to one path level. A graph is
+// its columns (Flat), which never change once it is made: New, Build, Fold,
+// FoldPaths, MineExceptions and Unflatten each return a new graph, so a
+// graph is shared by pointer between cube generations. Its node readers,
+// Root, NodeAt and Exceptions, return nodes of a fresh read-only tree
+// thawed on every call, so nodes from two calls are never the same pointer:
 // compare them by the location sequence that reaches them.
 type Graph struct {
 	level pathdb.PathLevel
-	merge pathdb.DurationMerge
 	loc   *hierarchy.Hierarchy
-	paths int64
-	// root and exceptions are the tree form; both are nil while the graph
-	// rests, and cols holds its columns instead.
-	root       *Node
-	exceptions []Exception
-	cols       *Flat
+	cols  *Flat
 }
 
-// New returns an empty flowgraph for paths at the given level. merge
-// combines durations of stages collapsed by aggregation (nil sums them).
-func New(loc *hierarchy.Hierarchy, level pathdb.PathLevel, merge pathdb.DurationMerge) *Graph {
-	return &Graph{
-		level: level,
-		merge: merge,
-		loc:   loc,
-		root:  &Node{Location: hierarchy.Root},
-	}
+// New returns an empty flowgraph for paths at the given level: the root
+// alone.
+func New(loc *hierarchy.Hierarchy, level pathdb.PathLevel) *Graph {
+	r := &boxed{g: Graph{level: level, loc: loc}}
+	lc := []int32{int32(hierarchy.Root), 1, 1, 0, 0}
+	r.f = Flat{Locations: lc[:1:1], ChildLo: lc[1:3:3], DurLo: lc[3:5:5], Counts: make([]int64, 1)}
+	r.g.cols = &r.f
+	return &r.g
 }
 
 // Build constructs a flowgraph from raw paths, aggregating each to the
-// level first.
+// level first; merge combines durations of stages collapsed by aggregation
+// (nil sums them).
 func Build(loc *hierarchy.Hierarchy, level pathdb.PathLevel, paths []pathdb.Path, merge pathdb.DurationMerge) *Graph {
-	g := New(loc, level, merge)
+	n := 0
 	for _, p := range paths {
-		g.AddPath(p)
+		n += len(p)
 	}
-	return g
+	stages, aps := make(pathdb.Path, 0, n), make([]pathdb.Path, len(paths))
+	for i, p := range paths {
+		lo := len(stages)
+		stages = pathdb.AppendAggregated(stages, p, level, merge)
+		aps[i] = stages[lo:len(stages):len(stages)]
+	}
+	return FoldPaths(New(loc, level), aps)
 }
 
-// Root returns the virtual root (depth 0). Its transition distribution is
-// the distribution over first stages, its Count 0.
+// Root returns the virtual root (depth 0) of a fresh tree. Its transition
+// distribution is the distribution over first stages, its Count 0.
 func (g *Graph) Root() *Node {
-	root, _ := g.tree()
+	root, _ := g.cols.thaw()
 	return root
 }
 
 // Paths reports the number of paths summarized.
-func (g *Graph) Paths() int64 { return g.paths }
+func (g *Graph) Paths() int64 { return g.cols.Paths }
+
+// Columns returns the graph's columns. They are the graph's own and never
+// change: callers read them and must not modify them.
+func (g *Graph) Columns() *Flat { return g.cols }
 
 // Exceptions returns the mined exception set X, each exception naming a
-// node of the tree it comes with.
+// node of a fresh tree it comes with.
 func (g *Graph) Exceptions() []Exception {
-	_, xs := g.tree()
+	_, xs := g.cols.thaw()
 	return xs
-}
-
-// insertChild hangs c under n at position i of its child list (childIndex's
-// answer for c's location).
-func (n *Node) insertChild(i int, c *Node) {
-	n.children = append(n.children, nil)
-	copy(n.children[i+1:], n.children[i:])
-	n.children[i] = c
-}
-
-// AddPath aggregates the raw path to the graph's level and folds it in.
-func (g *Graph) AddPath(p pathdb.Path) {
-	g.AddAggregated(pathdb.AggregatePath(p, g.level, g.merge))
-}
-
-// AddAggregated folds in a path already at the graph's level. g must be a
-// tree.
-func (g *Graph) AddAggregated(p pathdb.Path) {
-	if len(p) == 0 {
-		return
-	}
-	g.writable()
-	g.paths++
-	cur := g.root
-	for _, st := range p {
-		i, ok := cur.childIndex(st.Location)
-		if !ok {
-			cur.insertChild(i, &Node{Location: st.Location, Depth: cur.Depth + 1})
-		}
-		next := cur.children[i]
-		next.Count++
-		next.Durations.Observe(st.Duration)
-		cur = next
-	}
 }
 
 // NodeAt resolves the node for a location-sequence prefix, or nil.
@@ -212,12 +181,12 @@ func (g *Graph) NodeAt(seq []hierarchy.NodeID) *Node {
 // the style of the paper's Figure 3.
 func (g *Graph) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "flowgraph (%d paths, level %s)\n", g.paths, g.level.Key())
+	fmt.Fprintf(&b, "flowgraph (%d paths, level %s)\n", g.Paths(), g.level.Key())
 	var rec func(n *Node, indent string)
 	rec = func(n *Node, indent string) {
 		for _, c := range n.Children() {
 			frac := 0.0
-			if g.paths > 0 {
+			if g.Paths() > 0 {
 				frac = n.ChildProb(c)
 			}
 			fmt.Fprintf(&b, "%s%s p=%.2f dur[%s]", indent, g.loc.Name(c.Location), frac, &c.Durations)

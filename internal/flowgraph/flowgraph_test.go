@@ -2,7 +2,7 @@ package flowgraph_test
 
 import (
 	"math"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -118,15 +118,16 @@ func TestPaperExceptionTruckToWarehouse(t *testing.T) {
 	ex := paperex.New()
 	cell := []pathdb.Path{ex.DB.Records[3].Path, ex.DB.Records[4].Path, ex.DB.Records[5].Path}
 	g := flowgraph.Build(ex.Location, ex.BasePathLevel(), cell, nil)
-	mineSingleStage(g, cell, 0.1, 2)
+	g = mineSingleStage(g, cell, 0.1, 2)
 
 	loc := func(n string) hierarchy.NodeID { return ex.Location.MustLookup(n) }
 	ft := g.NodeAt([]hierarchy.NodeID{loc("f"), loc("t")})
 	var found *flowgraph.Exception
-	for i, x := range g.Exceptions() {
-		if x.Node == ft && len(x.Condition) == 1 &&
+	xs := g.Exceptions()
+	for i, x := range xs {
+		if slices.Equal(x.Prefix, []hierarchy.NodeID{loc("f"), loc("t")}) && len(x.Condition) == 1 &&
 			x.Condition[0].Depth == 2 && x.Condition[0].Duration == 1 {
-			found = &g.Exceptions()[i]
+			found = &xs[i]
 		}
 	}
 	if found == nil {
@@ -151,7 +152,7 @@ func TestExceptionSupportThreshold(t *testing.T) {
 	ex := paperex.New()
 	cell := []pathdb.Path{ex.DB.Records[3].Path, ex.DB.Records[4].Path, ex.DB.Records[5].Path}
 	g := flowgraph.Build(ex.Location, ex.BasePathLevel(), cell, nil)
-	mineSingleStage(g, cell, 0.1, 3)
+	g = mineSingleStage(g, cell, 0.1, 3)
 	for _, x := range g.Exceptions() {
 		if x.Support < 3 {
 			t.Errorf("exception with support %d recorded under δ=3", x.Support)
@@ -170,11 +171,10 @@ func TestMineExceptionsForMultiPin(t *testing.T) {
 		{Depth: 1, Location: loc("f"), Duration: 5},
 		{Depth: 2, Location: loc("d"), Duration: 2},
 	}}
-	g.MineExceptions(paths, len(paths), conds, nil, flowgraph.ExceptionOptions{Eps: 0.05, MinCount: 2})
-	fdt := g.NodeAt([]hierarchy.NodeID{loc("f"), loc("d"), loc("t")})
+	g, _ = g.MineExceptions(nil, aggregate(g.Level(), paths), len(paths), conds, nil, flowgraph.ExceptionOptions{Eps: 0.05, MinCount: 2})
 	found := false
 	for _, x := range g.Exceptions() {
-		if x.Node == fdt && len(x.Condition) == 2 {
+		if slices.Equal(x.Prefix, []hierarchy.NodeID{loc("f"), loc("d"), loc("t")}) && len(x.Condition) == 2 {
 			found = true
 			if x.Support != 3 {
 				t.Errorf("multi-pin exception support = %d, want 3", x.Support)
@@ -296,8 +296,8 @@ func TestDOTEscapesLocationNames(t *testing.T) {
 	loc := hierarchy.New("location")
 	quote := loc.MustAdd(hierarchy.RootName, `a"b`)
 	slash := loc.MustAdd(hierarchy.RootName, `a\b`)
-	g := flowgraph.New(loc, pathdb.PathLevel{}, nil)
-	g.AddAggregated(pathdb.Path{{Location: quote, Duration: 1}, {Location: slash, Duration: 2}})
+	g := flowgraph.FoldPaths(flowgraph.New(loc, pathdb.PathLevel{}),
+		[]pathdb.Path{{{Location: quote, Duration: 1}, {Location: slash, Duration: 2}}})
 	dot := g.DOT("hostile")
 	for _, line := range strings.Split(dot, "\n") {
 		_, label, ok := strings.Cut(line, `[label="`)
@@ -321,23 +321,6 @@ func TestDOTEscapesLocationNames(t *testing.T) {
 		if !strings.Contains(dot, want) {
 			t.Errorf("DOT lacks the escaped label %s:\n%s", want, dot)
 		}
-	}
-}
-
-// TestThawIndependence: a thaw is the graph's tree, exceptions included,
-// and a write to it leaves the graph as it was.
-func TestThawIndependence(t *testing.T) {
-	ex, g := buildExample(t)
-	mineSingleStage(g, basePaths(ex), 0.1, 2)
-	g.Rest()
-	before := flowgraph.Flatten(g)
-	c := g.Thaw()
-	if c.Columns() != nil || c.Paths() != g.Paths() || !reflect.DeepEqual(flowgraph.Flatten(c), before) {
-		t.Fatal("a thaw is not the graph's tree")
-	}
-	c.AddPath(ex.DB.Records[0].Path)
-	if c.Paths() != g.Paths()+1 || !reflect.DeepEqual(flowgraph.Flatten(g), before) {
-		t.Errorf("a write to the thaw reached the graph")
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // foldInputs decodes a fold's inputs from data: the paths of one to four
-// graphs, and the form each input takes — a tree, a tree put to rest, or
-// columns laid out from the paths (FoldPaths into an empty graph). The
+// graphs, and the way each input is made — Build, Unflatten of the
+// reference tree's columns, or FoldPaths into an empty graph. The
 // first byte picks the input count, whether the inputs draw their first
 // stages from disjoint location sets, and whether an input with no paths
 // joins them; each following group of bytes is one path of up to five
@@ -64,9 +64,9 @@ var foldSeeds = [][]byte{
 	{1, 0, 3, 1, 2, 3, 0, 2, 5, 0x16, 0x21, 3, 1, 0x12, 3, 0x21, 2, 0x15},
 }
 
-// FuzzFoldMatchesReference: the column Fold of graphs, whatever form each
-// is in, and FoldPaths of the first with the others' paths, equal column
-// for column the flattened tree built with AddAggregated over their
+// FuzzFoldMatchesReference: the column Fold of graphs, however each was
+// made, and FoldPaths of the first with the others' paths, equal column for
+// column the reference tree built one path at a time over their
 // concatenated paths, carry no exception, and validate; a fold of graphs at
 // different path levels is refused.
 func FuzzFoldMatchesReference(f *testing.F) {
@@ -75,20 +75,25 @@ func FuzzFoldMatchesReference(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		level, paths, forms := foldInputs(data)
-		ref := flowgraph.New(similarityLocations, level, nil)
+		ref := flowgraph.NewRef()
 		graphs := make([]*flowgraph.Graph, len(paths))
 		for k, ps := range paths {
+			one := flowgraph.NewRef()
 			for _, p := range ps {
-				ref.AddAggregated(p)
+				ref.Add(p)
+				one.Add(p)
 			}
 			switch forms[k] {
 			case 0:
 				graphs[k] = flowgraph.Build(similarityLocations, level, ps, nil)
 			case 1:
-				graphs[k] = flowgraph.Build(similarityLocations, level, ps, nil)
-				graphs[k].Rest()
+				g, err := flowgraph.Unflatten(similarityLocations, level, one.Flat())
+				if err != nil {
+					t.Fatal(err)
+				}
+				graphs[k] = g
 			default:
-				graphs[k] = flowgraph.FoldPaths(flowgraph.New(similarityLocations, level, nil), append([]pathdb.Path(nil), ps...))
+				graphs[k] = flowgraph.FoldPaths(flowgraph.New(similarityLocations, level), append([]pathdb.Path(nil), ps...))
 			}
 		}
 		got, err := flowgraph.Fold(graphs)
@@ -100,12 +105,9 @@ func FuzzFoldMatchesReference(f *testing.F) {
 			rest = append(rest, ps...)
 		}
 		viaPaths := flowgraph.FoldPaths(graphs[0], rest)
-		w := flowgraph.Flatten(ref)
+		w := ref.Flat()
 		for name, got := range map[string]*flowgraph.Graph{"Fold": got, "FoldPaths": viaPaths} {
 			g := got.Columns()
-			if g == nil {
-				t.Fatalf("%s does not rest", name)
-			}
 			for _, c := range []struct {
 				name      string
 				got, want any
@@ -125,7 +127,7 @@ func FuzzFoldMatchesReference(f *testing.F) {
 				t.Fatalf("%s does not validate: %v", name, err)
 			}
 		}
-		coarse := flowgraph.New(similarityLocations, pathdb.PathLevel{Cut: level.Cut, Time: pathdb.TimeLevel{Grain: 2}}, nil)
+		coarse := flowgraph.New(similarityLocations, pathdb.PathLevel{Cut: level.Cut, Time: pathdb.TimeLevel{Grain: 2}})
 		if _, err := flowgraph.Fold(append(graphs, coarse)); err == nil {
 			t.Fatal("a fold of graphs at different path levels was not refused")
 		}

@@ -56,17 +56,43 @@ func singleStageConds(g *flowgraph.Graph, paths []pathdb.Path, minCount int64) [
 	return out
 }
 
-// mineSingleStage mines g's single-stage exceptions over paths from
-// scratch.
-func mineSingleStage(g *flowgraph.Graph, paths []pathdb.Path, eps float64, minCount int64) {
-	g.MineExceptions(paths, len(paths), singleStageConds(g, paths, 1), nil, flowgraph.ExceptionOptions{Eps: eps, MinCount: minCount})
+// aggregate returns the paths aggregated to the level, as the miner takes
+// them.
+func aggregate(level pathdb.PathLevel, paths []pathdb.Path) []pathdb.Path {
+	out := make([]pathdb.Path, len(paths))
+	for i, p := range paths {
+		out[i] = pathdb.AggregatePath(p, level, nil)
+	}
+	return out
+}
+
+// mineSingleStage returns g with its single-stage exceptions mined over
+// paths from scratch.
+func mineSingleStage(g *flowgraph.Graph, paths []pathdb.Path, eps float64, minCount int64) *flowgraph.Graph {
+	m, _ := g.MineExceptions(nil, aggregate(g.Level(), paths), len(paths), singleStageConds(g, paths, 1), nil,
+		flowgraph.ExceptionOptions{Eps: eps, MinCount: minCount})
+	return m
+}
+
+// prefixKey names the node a location sequence reaches.
+func prefixKey(prefix []hierarchy.NodeID) string { return fmt.Sprint(prefix) }
+
+// nodeAt resolves a location sequence in the tree under root, or nil.
+func nodeAt(root *flowgraph.Node, seq []hierarchy.NodeID) *flowgraph.Node {
+	for _, l := range seq {
+		if root = root.Child(l); root == nil {
+			return nil
+		}
+	}
+	return root
 }
 
 // referenceSingleStage is the single-stage miner without the δ gate: it
 // accumulates the conditional distributions of every (stage, duration,
 // later stage) triple of every scanned path that lies in the graph, and
-// filters on (ε, δ) only at the end. targets nil means every target.
-func referenceSingleStage(g *flowgraph.Graph, level pathdb.PathLevel, paths []pathdb.Path, targets map[*flowgraph.Node]bool, eps float64, minCount int64) map[string]refException {
+// filters on (ε, δ) only at the end. targets, keyed by prefixKey, nil
+// means every target.
+func referenceSingleStage(g *flowgraph.Graph, level pathdb.PathLevel, paths []pathdb.Path, targets map[string]bool, eps float64, minCount int64) map[string]refException {
 	type agg struct {
 		prefix  []hierarchy.NodeID
 		pin     flowgraph.StagePin
@@ -74,20 +100,21 @@ func referenceSingleStage(g *flowgraph.Graph, level pathdb.PathLevel, paths []pa
 		dur, tr stats.Multinomial
 	}
 	aggs := map[string]*agg{}
+	root := g.Root()
 	for _, p := range paths {
 		ap := pathdb.AggregatePath(p, level, nil)
 		prefix := make([]hierarchy.NodeID, len(ap))
 		for i, st := range ap {
 			prefix[i] = st.Location
 		}
-		if len(ap) == 0 || g.NodeAt(prefix) == nil {
+		if len(ap) == 0 || nodeAt(root, prefix) == nil {
 			continue
 		}
 		for i := range ap {
 			pin := flowgraph.StagePin{Depth: i + 1, Location: ap[i].Location, Duration: ap[i].Duration}
 			for j := i; j < len(ap); j++ {
-				target := g.NodeAt(prefix[:j+1])
-				if targets != nil && !targets[target] {
+				target := nodeAt(root, prefix[:j+1])
+				if targets != nil && !targets[prefixKey(prefix[:j+1])] {
 					continue
 				}
 				id := exceptionID(prefix[:j+1], pin)
@@ -152,7 +179,9 @@ func minedSet(t *testing.T, g *flowgraph.Graph, singleOnly bool) map[string]refE
 	t.Helper()
 	out := map[string]refException{}
 	for _, x := range g.Exceptions() {
-		if g.NodeAt(x.Prefix) != x.Node || (singleOnly && len(x.Condition) != 1) {
+		n := g.NodeAt(x.Prefix)
+		if n == nil || n.Location != x.Node.Location || n.Depth != x.Node.Depth || n.Count != x.Node.Count ||
+			(singleOnly && len(x.Condition) != 1) {
 			t.Fatalf("exception %v / %v is not a single-stage exception of this graph", x.Prefix, x.Condition)
 		}
 		if len(x.Condition) != 1 {
@@ -167,15 +196,16 @@ func minedSet(t *testing.T, g *flowgraph.Graph, singleOnly bool) map[string]refE
 	return out
 }
 
-// nodesOn returns the nodes of g the paths run through, at g's level.
-func nodesOn(g *flowgraph.Graph, level pathdb.PathLevel, paths []pathdb.Path) map[*flowgraph.Node]bool {
-	out := map[*flowgraph.Node]bool{}
+// nodesOn returns the prefixKeys of the nodes the paths run through, at
+// level.
+func nodesOn(level pathdb.PathLevel, paths []pathdb.Path) map[string]bool {
+	out := map[string]bool{}
 	for _, p := range paths {
 		ap := pathdb.AggregatePath(p, level, nil)
 		prefix := make([]hierarchy.NodeID, 0, len(ap))
 		for _, st := range ap {
 			prefix = append(prefix, st.Location)
-			out[g.NodeAt(prefix)] = true
+			out[prefixKey(prefix)] = true
 		}
 	}
 	return out
@@ -251,7 +281,7 @@ func TestGatedMinerMatchesUngatedReference(t *testing.T) {
 					name := fmt.Sprintf("seed %d level %d minCount %d eps %g", seed, li, minCount, eps)
 					g := flowgraph.Build(ds.Schema.Location, level, in, nil)
 					opt := flowgraph.ExceptionOptions{Eps: eps, MinCount: minCount}
-					mineSingleStage(g, paths, eps, minCount)
+					g = mineSingleStage(g, paths, eps, minCount)
 					want := referenceSingleStage(g, level, paths, nil, eps, minCount)
 					if got := minedSet(t, g, true); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: gated miner found %d exceptions, ungated reference %d, or they differ", name, len(got), len(want))
@@ -264,8 +294,9 @@ func TestGatedMinerMatchesUngatedReference(t *testing.T) {
 					// are three of the graph's own.
 					scan := slices.Concat(off, in[3:], in[:3])
 					g = flowgraph.Build(ds.Schema.Location, level, in, nil)
-					moved := nodesOn(g, level, in[:3])
-					if got := g.MineExceptions(scan, 3, singleStageConds(g, scan, 1), nil, opt); got != len(moved) {
+					moved := nodesOn(level, in[:3])
+					g, got := g.MineExceptions(nil, aggregate(level, scan), 3, singleStageConds(g, scan, 1), nil, opt)
+					if got != len(moved) {
 						t.Fatalf("%s: the miner counted %d moved nodes, the new paths run through %d", name, got, len(moved))
 					}
 					want = referenceSingleStage(g, level, scan, moved, eps, minCount)
@@ -283,15 +314,14 @@ func TestGatedMinerMatchesUngatedReference(t *testing.T) {
 					g = flowgraph.Build(ds.Schema.Location, level, paths[:n-3], nil)
 					old := slices.Concat(singleStageConds(g, paths[:n], 1), twoStageConds(level, paths[:n/2], seen))
 					fresh := twoStageConds(level, paths[n/2:n], seen)
-					g.MineExceptions(paths[:n-3], n-3, old, nil, opt)
-					for _, p := range paths[n-3 : n] {
-						g.AddPath(p)
-					}
-					if moved := g.MineExceptions(paths[:n], 3, old, fresh, opt); moved == 0 {
+					prev, _ := g.MineExceptions(nil, aggregate(level, paths[:n-3]), n-3, old, nil, opt)
+					g = flowgraph.FoldPaths(prev, aggregate(level, paths[n-3:n]))
+					g, m := g.MineExceptions(prev, aggregate(level, paths[:n]), 3, old, fresh, opt)
+					if m == 0 {
 						t.Fatalf("%s: three new paths moved no node", name)
 					}
 					union := flowgraph.Build(ds.Schema.Location, level, paths[:n], nil)
-					union.MineExceptions(paths[:n], n, slices.Concat(old, fresh), nil, opt)
+					union, _ = union.MineExceptions(nil, aggregate(level, paths[:n]), n, slices.Concat(old, fresh), nil, opt)
 					if got, want := listed(g), listed(union); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: restricted re-mine found %d exceptions, a mine from scratch %d, or they differ", name, len(got), len(want))
 					}
@@ -330,7 +360,7 @@ func TestExceptionKeysTellWideLocationsApart(t *testing.T) {
 	var order [][]string
 	for run := 0; run < 5; run++ {
 		g := flowgraph.Build(loc, level, paths, nil)
-		mineSingleStage(g, paths, 0.1, 2)
+		g = mineSingleStage(g, paths, 0.1, 2)
 		var starts []string
 		count := map[hierarchy.NodeID]int{}
 		for _, e := range g.Exceptions() {
@@ -358,19 +388,19 @@ func TestExceptionKeysTellWideLocationsApart(t *testing.T) {
 // TestTreeWalksDoNotAllocate: Children is called once per node per
 // comparison, Similarity once per (cell, parent) pair of the lattice, the
 // transition readers once per node rendered, and Validate once per cell of
-// a checked cube; none may touch the heap. A cube's graphs rest, so
-// Similarity and Validate are measured on resting graphs.
+// a checked cube; none may touch the heap. Children and the transition
+// readers are measured on the nodes of one thaw.
 func TestTreeWalksDoNotAllocate(t *testing.T) {
 	ex, g := buildExample(t)
 	cell := flowgraph.Build(ex.Location, ex.BasePathLevel(), basePaths(ex)[3:6], nil)
 	var n int
 	var sim float64
-	if allocs := testing.AllocsPerRun(50, func() { n += len(g.Root().Children()) }); allocs != 0 {
+	root := g.Root()
+	if allocs := testing.AllocsPerRun(50, func() { n += len(root.Children()) }); allocs != 0 {
 		t.Errorf("Node.Children allocates %v times per call", allocs)
 	}
 	// The readers of a node's transition distribution derive it from the
 	// children in place.
-	root := g.Root()
 	first := root.Children()[0]
 	if allocs := testing.AllocsPerRun(50, func() {
 		sim += root.ChildProb(first) + first.TerminationProb() + first.TransitionProb(flowgraph.Terminate) +
@@ -378,15 +408,13 @@ func TestTreeWalksDoNotAllocate(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("the transition readers allocate %v times per call", allocs)
 	}
-	g.Rest()
-	cell.Rest()
 	if allocs := testing.AllocsPerRun(50, func() { sim += flowgraph.Similarity(cell, g) }); allocs != 0 {
 		t.Errorf("Similarity allocates %v times per call", allocs)
 	}
-	// Validate on a resting graph is Check over its columns, in place.
+	// Validate is Check over the graph's columns, in place.
 	var err error
 	if allocs := testing.AllocsPerRun(50, func() { err = g.Validate() }); allocs != 0 || err != nil {
-		t.Errorf("Validate of a resting graph allocates %v times per call (err %v)", allocs, err)
+		t.Errorf("Validate allocates %v times per call (err %v)", allocs, err)
 	}
 	if n == 0 || sim == 0 {
 		t.Fatal("the walks did nothing")

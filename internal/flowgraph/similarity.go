@@ -14,16 +14,15 @@ import "flowcube/internal/stats"
 // Divergence returns the asymmetric weighted divergence D(a ‖ b) ≥ 0; zero
 // means b induces the same distribution over paths as a.
 func Divergence(a, b *Graph) float64 {
-	d, _ := klWalk(Flatten(a), Flatten(b), 0, 0, 1, 0)
+	d, _ := klWalk(a.cols, b.cols, 0, 0, 1, 0)
 	return d
 }
 
 // Similarity returns ϕ(a, b) in (0, 1]: 1 for identical induced models,
 // approaching 0 as the symmetrized divergence grows. Both directions come
-// from one walk of the two graphs' columns; a tree argument is flattened
-// first.
+// from one walk of the two graphs' columns.
 func Similarity(a, b *Graph) float64 {
-	ab, ba := klWalk(Flatten(a), Flatten(b), 0, 0, 1, 1)
+	ab, ba := klWalk(a.cols, b.cols, 0, 0, 1, 1)
 	return 1 / (1 + (ab+ba)/2)
 }
 

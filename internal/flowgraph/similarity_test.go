@@ -112,9 +112,8 @@ func referenceWalk(na, nb *flowgraph.Node, wa, wb float64) (ab, ba float64) {
 
 // checkSimilarity compares Similarity and both directions of Divergence
 // with the two-walk reference, bit for bit, and the two-walk reference with
-// the one walk of the trees, with the graphs in every pair of forms: both at
-// rest, both trees (which Similarity flattens), and one of each. It returns
-// how many branches the reference pruned.
+// the one walk of the trees. It returns how many branches the reference
+// pruned.
 func checkSimilarity(t *testing.T, a, b *flowgraph.Graph) int {
 	t.Helper()
 	pruned := 0
@@ -124,37 +123,20 @@ func checkSimilarity(t *testing.T, a, b *flowgraph.Graph) int {
 		t.Fatalf("the one walk of the trees takes %v and %v, the two walks %v and %v", wab, wba, ab, ba)
 	}
 	want := 1 / (1 + (ab+ba)/2)
-	ra, rb := resting(a), resting(b)
-	ta, tb := ra.Thaw(), rb.Thaw()
-	for _, p := range []struct {
-		forms string
-		a, b  *flowgraph.Graph
-	}{{"resting", ra, rb}, {"trees", ta, tb}, {"resting and tree", ra, tb}, {"tree and resting", ta, rb}} {
-		for _, c := range []struct {
-			what      string
-			got, want float64
-		}{
-			{"Similarity(a, b)", flowgraph.Similarity(p.a, p.b), want},
-			{"Divergence(a, b)", flowgraph.Divergence(p.a, p.b), ab},
-			{"Divergence(b, a)", flowgraph.Divergence(p.b, p.a), ba},
-		} {
-			if math.Float64bits(c.got) != math.Float64bits(c.want) {
-				t.Fatalf("%s of %s = %v (%#x), the two-walk reference %v (%#x)",
-					c.what, p.forms, c.got, math.Float64bits(c.got), c.want, math.Float64bits(c.want))
-			}
+	for _, c := range []struct {
+		what      string
+		got, want float64
+	}{
+		{"Similarity(a, b)", flowgraph.Similarity(a, b), want},
+		{"Divergence(a, b)", flowgraph.Divergence(a, b), ab},
+		{"Divergence(b, a)", flowgraph.Divergence(b, a), ba},
+	} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Fatalf("%s = %v (%#x), the two-walk reference %v (%#x)",
+				c.what, c.got, math.Float64bits(c.got), c.want, math.Float64bits(c.want))
 		}
 	}
 	return pruned
-}
-
-// resting returns g if it rests, else a copy of it put to rest.
-func resting(g *flowgraph.Graph) *flowgraph.Graph {
-	if g.Columns() != nil {
-		return g
-	}
-	r := g.Thaw()
-	r.Rest()
-	return r
 }
 
 // similarityLocations is the location hierarchy the generated pairs use:
@@ -171,8 +153,8 @@ var similarityLocations = hierarchy.Generate("loc", 8)
 func similarityPair(data []byte) (a, b *flowgraph.Graph) {
 	locs := similarityLocations.Leaves()
 	level := pathdb.PathLevel{Cut: hierarchy.LevelCut(similarityLocations, 1), Time: pathdb.TimeBase}
-	a = flowgraph.New(similarityLocations, level, nil)
-	b = flowgraph.New(similarityLocations, level, nil)
+	a = flowgraph.New(similarityLocations, level)
+	b = flowgraph.New(similarityLocations, level)
 	if len(data) == 0 {
 		return a, b
 	}
@@ -185,7 +167,7 @@ func similarityPair(data []byte) (a, b *flowgraph.Graph) {
 	}
 	// add folds p into *g 2^exp times: once, then doubled exp times.
 	add := func(g **flowgraph.Graph, p pathdb.Path, exp int) {
-		one := flowgraph.FoldPaths(flowgraph.New(similarityLocations, level, nil), []pathdb.Path{p})
+		one := flowgraph.FoldPaths(flowgraph.New(similarityLocations, level), []pathdb.Path{p})
 		for ; exp > 0; exp-- {
 			one = fold(one, one)
 		}

@@ -61,48 +61,6 @@ func (n *Node) TerminationProb() float64 { return n.TransitionProb(Terminate) }
 // of the paths through n that go on to c.
 func (n *Node) ChildProb(c *Node) float64 { return stats.Prob(c.Count, n.transitionTotal()) }
 
-// joinKept merge-joins a transition distribution kept as a
-// stats.Multinomial — an exception's conditional one, whose outcomes are
-// Terminate and child locations — with T at node n: it calls fn once per
-// outcome of their union, in ascending order, with the outcome's count on
-// each side (0 where it was not observed).
-func joinKept(a *stats.Multinomial, n *Node, fn func(ca, cb int64)) {
-	o, c := a.Columns()
-	i := 0
-	if hasTerm, term := len(o) > 0 && o[0] == Terminate, n.Terminations(); hasTerm || term > 0 {
-		var x int64
-		if hasTerm {
-			x, i = c[0], 1
-		}
-		fn(x, term)
-	}
-	cb := n.children
-	for j := 0; i < len(o) || j < len(cb); {
-		var x, y int64
-		switch {
-		case j == len(cb) || (i < len(o) && o[i] < int64(cb[j].Location)):
-			x = c[i]
-			i++
-		case i == len(o) || int64(cb[j].Location) < o[i]:
-			y = cb[j].Count
-			j++
-		default:
-			x, y = c[i], cb[j].Count
-			i++
-			j++
-		}
-		fn(x, y)
-	}
-}
-
-// keptDeviation is stats.Multinomial.MaxDeviation of a kept transition
-// distribution and T at node n.
-func keptDeviation(a *stats.Multinomial, n *Node) float64 {
-	d := stats.NewDeviation(a.Total(), n.transitionTotal())
-	joinKept(a, n, d.Add)
-	return d.Max()
-}
-
 // colTrans is T at one node of a graph's columns as the joins below read
 // it: the paths that reach the node (total), the paths that end there
 // (term, the Terminate outcome, absent when 0) and the children, the index
@@ -116,7 +74,7 @@ type colTrans struct {
 }
 
 // transAt returns T at node i of a graph's own columns, which passed Check
-// or were flattened from a tree; i = -1, an absent node, has no
+// or were made by a fold or a mine; i = -1, an absent node, has no
 // observations. The paths that reach the root are the graph's: its
 // children hold exactly Paths.
 func (f *Flat) transAt(i int32) colTrans {
@@ -152,7 +110,7 @@ func (f *Flat) DurationsAt(i int32) stats.Sorted {
 }
 
 // durationsAt is DurationsAt of a graph's own columns, which passed Check
-// or were flattened from a tree: below the root, a node's weights sum to
+// or were made by a fold or a mine: below the root, a node's weights sum to
 // its count, so the total is read rather than summed.
 func (f *Flat) durationsAt(i int32) stats.Sorted {
 	if i <= 0 {
@@ -196,15 +154,14 @@ func joinCols(a, b *colTrans, fn func(ca, cb int64)) int {
 	return k
 }
 
-// klBoth is stats.Multinomial.KLBoth of T at two nodes of resting graphs.
+// klBoth is stats.Multinomial.KLBoth of T at two nodes.
 func klBoth(a, b *colTrans) (ab, ba float64) {
 	d := stats.NewKL(joinCols(a, b, nil), a.total, b.total)
 	joinCols(a, b, d.Add)
 	return d.Sums()
 }
 
-// klDivergence is stats.Multinomial.KLDivergence of T at two nodes of
-// resting graphs.
+// klDivergence is stats.Multinomial.KLDivergence of T at two nodes.
 func klDivergence(a, b *colTrans) float64 {
 	d := stats.NewKL(joinCols(a, b, nil), a.total, b.total)
 	joinCols(a, b, d.AddAB)

@@ -247,7 +247,7 @@ func CellDigests(c *core.Cube) map[string][32]byte {
 	for _, spec := range c.MaterializedSpecs() {
 		for _, cell := range c.Cuboid(spec).SortedCells() {
 			want := cell
-			if len(flowgraph.Flatten(cell.Graph).ExcNode) > 0 {
+			if len(cell.Graph.Columns().ExcNode) > 0 {
 				g, _ := flowgraph.Fold([]*flowgraph.Graph{cell.Graph}) // one graph always folds
 				want = &core.Cell{Values: cell.Values, Count: cell.Count, Graph: g,
 					Redundant: cell.Redundant, Similarity: cell.Similarity}

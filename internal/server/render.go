@@ -270,12 +270,11 @@ func (w *answerWriter) source(cube *core.Cube, cell *core.Cell) {
 	w.close('}')
 }
 
-// graph writes a whole flowgraph measure from its columns (Flatten: a
-// resting graph's own, or a tree's laid out once), preorder over the child
-// ranges, so nodes nest as the prefix tree does. The root's transition
-// total is the paths through its children.
+// graph writes a whole flowgraph measure from its columns, preorder over
+// the child ranges, so nodes nest as the prefix tree does. The root's
+// transition total is the paths through its children.
 func (w *answerWriter) graph(loc *hierarchy.Hierarchy, g *flowgraph.Graph) {
-	f := flowgraph.Flatten(g)
+	f := g.Columns()
 	w.open('{')
 	w.key("paths")
 	w.int(f.Paths)

@@ -11,6 +11,7 @@ import (
 	"flowcube/internal/flowgraph"
 	"flowcube/internal/hierarchy"
 	"flowcube/internal/pathdb"
+	"flowcube/internal/stats"
 )
 
 // The reference projection: the value types /v1/cell and /v2/query bodies
@@ -215,9 +216,11 @@ var durationPool = []int64{0, 1, 2, 3, 10, 100, 25, -1, -20, 7, math.MaxInt64, m
 // randomGraph builds a flowgraph over random paths, then skews some nodes'
 // distributions with counts large enough to push probabilities into
 // exponent form: a node's count, which ends that many more paths there, or
-// its durations. It may have no paths, and so no roots.
+// its durations. It may have no paths, and so no roots. The skewed graph
+// would fail Check, so it is written through Columns, which only a test
+// may do.
 func randomGraph(rng *rand.Rand, loc *hierarchy.Hierarchy) *flowgraph.Graph {
-	g := flowgraph.New(loc, pathdb.PathLevel{}, nil)
+	var paths []pathdb.Path
 	for i, n := 0, rng.Intn(8); i < n; i++ {
 		p := make(pathdb.Path, 1+rng.Intn(4))
 		for j := range p {
@@ -226,23 +229,32 @@ func randomGraph(rng *rand.Rand, loc *hierarchy.Hierarchy) *flowgraph.Graph {
 				Duration: durationPool[rng.Intn(len(durationPool))],
 			}
 		}
-		g.AddAggregated(p)
+		paths = append(paths, p)
 	}
-	var skew func(n *flowgraph.Node)
-	skew = func(n *flowgraph.Node) {
+	g := flowgraph.FoldPaths(flowgraph.New(loc, pathdb.PathLevel{}), paths)
+	f := g.Columns()
+	skewed := *f
+	skewed.Counts = append([]int64(nil), f.Counts...)
+	skewed.DurLo, skewed.Outcomes, skewed.Weights = make([]int32, 0, f.NumNodes()+1), nil, nil
+	for i := range f.NumNodes() {
+		var d stats.Multinomial
+		lo, hi := f.DurLo[i], f.DurLo[i+1]
+		if err := d.InitSorted(f.Outcomes[lo:hi], f.Weights[lo:hi]); err != nil {
+			panic(err)
+		}
 		switch rng.Intn(4) {
 		case 0:
-			n.Count += int64(1) << (20 + rng.Intn(40))
+			skewed.Counts[i] += int64(1) << (20 + rng.Intn(40))
 		case 1:
-			n.Durations.Add(durationPool[rng.Intn(len(durationPool))], int64(1)<<(10+rng.Intn(50)))
+			d.Add(durationPool[rng.Intn(len(durationPool))], int64(1)<<(10+rng.Intn(50)))
 		case 2:
-			n.Durations.Add(int64(rng.Intn(1000)), 0)
+			d.Add(int64(rng.Intn(1000)), 0)
 		}
-		for _, c := range n.Children() {
-			skew(c)
-		}
+		skewed.DurLo = append(skewed.DurLo, int32(len(skewed.Outcomes)))
+		skewed.Outcomes, skewed.Weights = d.AppendSorted(skewed.Outcomes, skewed.Weights)
 	}
-	skew(g.Root())
+	skewed.DurLo = append(skewed.DurLo, int32(len(skewed.Outcomes)))
+	*f = skewed
 	return g
 }
 
@@ -262,9 +274,7 @@ func randomSpec(rng *rand.Rand, dims int) core.CuboidSpec {
 	return core.CuboidSpec{Item: il, PathLevel: rng.Intn(3)}
 }
 
-// randomAnswer returns an answer of zero to three cells, about half of
-// whose graphs rest (flowgraph.Graph.Rest), so the writer walks a resting
-// graph's own columns as well as a tree's laid out by Flatten.
+// randomAnswer returns an answer of zero to three cells.
 func randomAnswer(rng *rand.Rand, cube *core.Cube) *core.Answer {
 	dims := len(cube.Schema.Dims)
 	a := &core.Answer{
@@ -274,9 +284,6 @@ func randomAnswer(rng *rand.Rand, cube *core.Cube) *core.Answer {
 	}
 	for i, n := 0, rng.Intn(4); i < n; i++ {
 		g := randomGraph(rng, cube.Schema.Location)
-		if rng.Intn(2) == 0 {
-			g.Rest()
-		}
 		ca := core.CellAnswer{
 			Spec:       randomSpec(rng, dims),
 			Values:     randomValues(rng, cube.Schema),
@@ -302,16 +309,9 @@ func randomAnswer(rng *rand.Rand, cube *core.Cube) *core.Answer {
 // checkRenderMatchesReference renders a both ways, as /v2/query and as
 // /v1/cell of its first cell, and requires identical bytes — including
 // from re-indenting RenderQueryResponse, the body the benchmark harness
-// times. The writer renders first and must leave resting graphs at rest:
-// the reference reads nodes, which thaws them.
+// times.
 func checkRenderMatchesReference(t *testing.T, cube *core.Cube, a *core.Answer) {
 	t.Helper()
-	resting := 0
-	for _, ca := range a.Cells {
-		if ca.Graph.Columns() != nil {
-			resting++
-		}
-	}
 	got, err := renderAnswer(cube, a, false)
 	if err != nil {
 		t.Fatal(err)
@@ -322,14 +322,6 @@ func checkRenderMatchesReference(t *testing.T, cube *core.Cube, a *core.Answer) 
 		if gotV1, err = renderAnswer(cube, a, true); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for _, ca := range a.Cells {
-		if ca.Graph.Columns() != nil {
-			resting--
-		}
-	}
-	if resting != 0 {
-		t.Fatalf("rendering thawed %d resting graphs", resting)
 	}
 	want, err := json.MarshalIndent(referenceQueryResponse(cube, a), "", "  ")
 	if err != nil {
@@ -380,7 +372,7 @@ func TestRenderMatchesReference(t *testing.T) {
 	// paths "roots": null.
 	cube := randomCube(rng, "")
 	checkRenderMatchesReference(t, cube, &core.Answer{Query: core.Query{Op: core.OpSlice}, Skipped: 2})
-	g := flowgraph.New(cube.Schema.Location, pathdb.PathLevel{}, nil)
+	g := flowgraph.New(cube.Schema.Location, pathdb.PathLevel{})
 	checkRenderMatchesReference(t, cube, &core.Answer{Cells: []core.CellAnswer{{
 		Values: randomValues(rng, cube.Schema), Source: &core.Cell{Values: randomValues(rng, cube.Schema)}, Graph: g,
 	}}})

@@ -156,11 +156,10 @@ type BuildOptions struct {
 
 // WithDatabase wraps a loader so the snapshots it produces carry the path
 // database read from dbPath whenever the loader itself has none (a loader
-// over a saved cube snapshot, for example). Shard servers use it so
-// /admin/append keeps working over split snapshots: the cube is shard-local
-// but the database is the replicated source of truth (see internal/cluster
-// and DESIGN.md §10). The database is re-read on every load, so reloads see
-// a replaced file.
+// over a saved cube snapshot, for example). It is what makes a saved cube
+// appendable through flowserve -db: /admin/append needs the records the
+// cube was built from. The database is re-read on every load, so reloads
+// see a replaced file.
 func WithDatabase(loader Loader, dbPath string) Loader {
 	return func() (*core.Cube, LoadInfo, error) {
 		cube, info, err := loader()

@@ -15,8 +15,9 @@
 # panic-free on garbage, the cell-answer writer byte-equal to
 # encoding/json, the cell comparator equal to the decimal-key order
 # snapshots store cells in, the one-walk flowgraph similarity bit-equal
-# to its two-walk reference and the blocked support counter equal to its
-# recursive reference.
+# to its two-walk reference, the column exception miner equal to the tree
+# miner it replaced (FuzzMineExceptionsMatchesReference) and the blocked
+# support counter equal to its recursive reference.
 # The race run also carries the byte-identity contracts, every one checked
 # through internal/oracle (DESIGN.md "Contracts"): ApplyDelta + Save must be
 # byte-identical to a full rebuild over the union database at random split
@@ -116,11 +117,12 @@ run_matching 'TestGenerationIsolation|TestLedgerMaintainedEqualsDerived|TestLazy
 # cell share a single decode through the cache's single-flight, and Verify
 # installs its directories in the cache the readers are building theirs in.
 run_matching 'TestLazyConcurrentFirstTouch|TestLazyVerifyRacesReaders' -race -count=10 ./internal/core
-# And for resting flowgraphs: a build in flowquery's configuration, whose
-# workers build, mine and rest cells side by side, must leave every graph at
-# rest through Save and the census, as must a load, whose workers decode
-# sections side by side, a lazy cube's decodes, and appends, whose workers
-# fold cells side by side while the parent generation shares their graphs.
+# And for flowgraphs, which are their columns: a build in flowquery's
+# configuration, whose workers fold and mine cells side by side, must save
+# and take the census; a load, whose workers decode sections side by side,
+# and a lazy cube's decodes must save the bytes loaded; and appends, whose
+# workers fold and re-mine cells side by side, must share each untouched
+# graph with the parent generation and leave what it saves unchanged.
 run_matching 'TestBuildLeavesGraphsAtRest|TestLoadLeavesGraphsAtRest|TestAppendLeavesGraphsAtRest' -race -count=10 ./internal/core
 # And for a request's deadline: a waiter abandons a response-cache flight
 # while its owner computes on and stores the value, the handler answers 503

@@ -7,8 +7,9 @@
 # the candidate join against its brute-force definition, support counting
 # against its recursive reference, the cell-answer
 # writer against encoding/json, the one-walk flowgraph similarity against
-# its two-walk reference and the column fold against a tree built from the
-# concatenated paths. Snapshot minimization is iteration-bounded: its
+# its two-walk reference, the column fold against a tree built from the
+# concatenated paths and the column exception miner against the tree miner
+# it replaced. Snapshot minimization is iteration-bounded: its
 # inputs are tens of kilobytes, and the default 60s time-based minimization
 # of each newly interesting input would dwarf the fuzz time itself.
 set -euo pipefail
@@ -27,3 +28,4 @@ go test ./internal/itemset -run '^$' -fuzz FuzzCountMatchesReference -fuzztime "
 go test ./internal/server -run '^$' -fuzz FuzzRenderMatchesReference -fuzztime "$t"
 go test ./internal/flowgraph -run '^$' -fuzz FuzzSimilarityMatchesReference -fuzztime "$t"
 go test ./internal/flowgraph -run '^$' -fuzz FuzzFoldMatchesReference -fuzztime "$t"
+go test ./internal/flowgraph -run '^$' -fuzz FuzzMineExceptionsMatchesReference -fuzztime "$t"
